@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import ConfigError
 from repro.common.units import Gbit, KiB, MiB, distance_to_rtt
@@ -77,17 +78,21 @@ class ChannelConfig:
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
-    @property
+    # The config is frozen, so the derived quantities the per-packet paths
+    # read are computed once per instance (cached_property stores into the
+    # instance dict, which a frozen dataclass still has).
+
+    @cached_property
     def rtt(self) -> float:
         """Network round-trip time in seconds."""
         return distance_to_rtt(self.distance_km)
 
-    @property
+    @cached_property
     def one_way_delay(self) -> float:
         """Propagation delay sender -> receiver in seconds."""
         return self.rtt / 2.0
 
-    @property
+    @cached_property
     def bytes_per_second(self) -> float:
         return self.bandwidth_bps / 8.0
 

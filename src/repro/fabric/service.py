@@ -445,7 +445,7 @@ class FabricService:
         self._m_flows_submitted.inc()
         self._m_bytes_submitted.inc(nbytes)
         state.metrics.flows_submitted.inc()
-        self.sim.call_at(start, lambda: self._start_flow(ticket))
+        self.sim.call_at(start, self._start_flow, ticket)
         return ticket
 
     def _start_flow(self, ticket: FlowTicket) -> None:
@@ -624,9 +624,7 @@ class FabricService:
             state.sent_path[0] = pair.path
             self._m_segments_sent.inc()
             if plan is None:
-                self.sim.call_at(
-                    now + wait, lambda: self._send_segment(state, 0, 0)
-                )
+                self.sim.call_at(now + wait, self._send_segment, state, 0, 0)
                 return
             if wait > self._fluid_window(pair, plan):
                 # A hot tenant's bucket debt can push the send many
@@ -635,8 +633,7 @@ class FabricService:
                 # now (see _book_flow_fluid).  Re-enter at the send.
                 send = now + wait
                 self.sim.call_at(
-                    send,
-                    lambda: self._book_one_deferred(state, size, send),
+                    send, self._book_one_deferred, state, size, send
                 )
                 return
             self._book_one_fluid(state, 0, size, now + wait, plan)
@@ -686,8 +683,7 @@ class FabricService:
         plan = self.net.fluid_plan(state.pair.path)
         if plan is None:  # route mutated while waiting: finish eventfully
             self.sim.call_at(
-                max(send, self.sim.now),
-                lambda: self._send_segment(state, 0, 0),
+                max(send, self.sim.now), self._send_segment, state, 0, 0
             )
             return
         self._book_one_fluid(state, 0, size, send, plan)
@@ -731,8 +727,7 @@ class FabricService:
             now = self.sim.now
             for idx in range(start_idx, state.segments):
                 self.sim.call_at(
-                    max(float(sends[idx]), now),
-                    lambda i=idx: self._send_segment(state, i, 0),
+                    max(float(sends[idx]), now), self._send_segment, state, idx, 0
                 )
             return
         nseg = state.segments
@@ -744,10 +739,7 @@ class FabricService:
             # window; booking it anyway would shift edge rings past the
             # arrivals other flows are booking now.  Re-enter at the
             # send instant, when a full window of sends is bookable.
-            self.sim.call_at(
-                first,
-                lambda i=start_idx: self._book_flow_fluid(state, i),
-            )
+            self.sim.call_at(first, self._book_flow_fluid, state, start_idx)
             return
         end = int(np.searchsorted(sends, now + window, side="right"))
         if end <= start_idx:
@@ -756,8 +748,7 @@ class FabricService:
             end = nseg
         if end < nseg:
             self.sim.call_at(
-                float(sends[end]),
-                lambda i=end: self._book_flow_fluid(state, i),
+                float(sends[end]), self._book_flow_fluid, state, end
             )
         n = end - start_idx
         if n == 1:
@@ -826,14 +817,11 @@ class FabricService:
                             controller.on_ack_progress(now=seg_ack)
                 # FIFO chaining keeps arrivals nondecreasing, so the last
                 # entry is the flow's final ACK: one event applies them all.
-                self.sim.call_at(
-                    acks[-1][2], lambda: self._on_flow_acks(state, acks)
-                )
+                self.sim.call_at(acks[-1][2], self._on_flow_acks, state, acks)
         rto = min(pair.rto_base, 4.0)  # attempt 0
         for j in np.flatnonzero(~acked_mask):
             self.sim.call_at(
-                float(send_at[j]) + rto,
-                lambda i=start_idx + int(j): self._on_rto(state, i, 0),
+                float(send_at[j]) + rto, self._on_rto, state, start_idx + int(j), 0
             )
 
     def _book_one_fluid(
@@ -879,13 +867,10 @@ class FabricService:
                     else:
                         controller.on_ack_progress(now=ack_t)
                 acks = [(idx, send, ack_t, ce_flag)]
-                self.sim.call_at(
-                    ack_t, lambda: self._on_flow_acks(state, acks)
-                )
+                self.sim.call_at(ack_t, self._on_flow_acks, state, acks)
                 return
         self.sim.call_at(
-            send + min(pair.rto_base, 4.0),
-            lambda: self._on_rto(state, idx, 0),
+            send + min(pair.rto_base, 4.0), self._on_rto, state, idx, 0
         )
 
     def _on_flow_acks(
@@ -1026,7 +1011,7 @@ class FabricService:
                 )
         self._m_segments_sent.inc()
         rto = min(state.pair.rto_base * (2.0 ** attempt), 4.0)
-        self.sim.call_in(rto, lambda: self._on_rto(state, idx, attempt))
+        self.sim.call_in(rto, self._on_rto, state, idx, attempt)
 
     def _send_segment_fluid(self, state: _FlowState, idx: int, attempt: int) -> None:
         """Book the segment's whole journey now instead of relaying it.
@@ -1085,9 +1070,7 @@ class FabricService:
         # Dropped along the way (or no reverse route): arm the RTO -- only
         # now, so the common delivered case costs zero timer events.
         rto = min(state.pair.rto_base * (2.0 ** attempt), 4.0)
-        self.sim.call_at(
-            sent_at + rto, lambda: self._on_rto(state, idx, attempt)
-        )
+        self.sim.call_at(sent_at + rto, self._on_rto, state, idx, attempt)
 
     def _on_delivered(
         self, state: _FlowState, idx: int, attempt: int, sent_at: float, packet: Packet
@@ -1206,9 +1189,7 @@ class FabricService:
             return
         wait = self._admission_wait(tenant, state, state.seg_size(idx))
         if wait > 0.0:
-            self.sim.call_in(
-                wait, lambda: self._send_segment(state, idx, next_attempt)
-            )
+            self.sim.call_in(wait, self._send_segment, state, idx, next_attempt)
         else:
             self._send_segment(state, idx, next_attempt)
 
@@ -1280,9 +1261,7 @@ class FabricService:
         self._m_no_route_waits.inc()
         wait = state.pair.base_rtt
         self._m_no_route_wait_seconds.inc(wait)
-        self.sim.call_in(
-            wait, lambda: self._send_segment(state, idx, attempt)
-        )
+        self.sim.call_in(wait, self._send_segment, state, idx, attempt)
 
     def _fail_flow(self, state: _FlowState, message: str) -> None:
         ticket = state.ticket

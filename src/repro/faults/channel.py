@@ -158,13 +158,11 @@ class FaultyChannel:
         """Trace window boundaries so chaos traces are self-describing."""
         for w in self.schedule.channel_windows:
             self.sim.call_at(
-                max(w.start, self.sim.now),
-                lambda w=w: self._mark("fault_window_start", w),
+                max(w.start, self.sim.now), self._mark, "fault_window_start", w
             )
             if math.isfinite(w.end):
                 self.sim.call_at(
-                    max(w.end, self.sim.now),
-                    lambda w=w: self._mark("fault_window_end", w),
+                    max(w.end, self.sim.now), self._mark, "fault_window_end", w
                 )
 
     def _mark(self, name: str, w) -> None:
@@ -330,13 +328,13 @@ class FaultyChannel:
                     psn=packet.psn, extra=extra,
                     **self._lineage(packet),
                 )
-            self.sim.call_at(now + extra, lambda p=packet: self._pass(p))
+            self.sim.call_at(now + extra, self._pass, packet)
         else:
             self._pass(packet)
         if duplicated:
             # The copy takes its own (identically delayed) path.
             if extra > 0.0:
-                self.sim.call_at(now + extra, lambda p=packet: self._pass(p))
+                self.sim.call_at(now + extra, self._pass, packet)
             else:
                 self._pass(packet)
 

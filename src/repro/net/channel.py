@@ -95,7 +95,7 @@ class Channel:
         # arrivals but mis-estimates by up to a full buffer once
         # cross-flow skew approaches the drain time, manufacturing
         # phantom tail drops that packet mode never sees.
-        bps = config.bytes_per_second
+        bps = self._bps
         dt = 65536.0 / bps
         if config.buffer_bytes > 0:
             dt = max(dt, config.buffer_bytes / bps / 32.0)
@@ -121,6 +121,22 @@ class Channel:
         self._trace = sim.telemetry.trace
         self._track = f"net.{name}"
 
+    @property
+    def config(self) -> ChannelConfig:
+        return self._config
+
+    @config.setter
+    def config(self, config: ChannelConfig) -> None:
+        # The config is frozen, so what the per-packet path reads is hoisted
+        # once per (re)binding instead of chased through it on every call.
+        self._config = config
+        self._bps = config.bytes_per_second
+        self._one_way = config.one_way_delay
+        self._jitter = config.jitter_fraction
+        self._dup = config.duplicate_probability
+        self._buffer = config.buffer_bytes
+        self._ecn = config.ecn_threshold_bytes
+
     def attach_sink(self, sink: Callable[[Packet], None]) -> None:
         """Register the receive-side port that consumes delivered packets."""
         self._sink = sink
@@ -128,7 +144,7 @@ class Channel:
     # -- transmission ----------------------------------------------------------
 
     def serialization_time(self, size_bytes: int) -> float:
-        return size_bytes / self.config.bytes_per_second
+        return size_bytes / self._bps
 
     @staticmethod
     def _lineage(packet: Packet) -> dict:
@@ -151,36 +167,32 @@ class Channel:
         """
         if self._sink is None:
             raise RuntimeError(f"{self.name}: no sink attached")
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         start = max(now, self._busy_until)
+        length = packet.length
         self._m_offered.inc()
-        self._m_bytes_offered.inc(packet.length)
+        self._m_bytes_offered.inc(length)
 
         # Serialization backlog at enqueue: data already queued but not yet
         # on the wire.  It is both the tail-drop criterion and the gauge /
         # ECN congestion signal.
-        backlog = (start - now) * self.config.bytes_per_second
+        backlog = (start - now) * self._bps
         self._g_queue_delay.set(start - now)
         self._g_backlog.set(backlog)
-        if (
-            self.config.buffer_bytes > 0
-            and backlog + packet.length > self.config.buffer_bytes
-        ):
+        if self._buffer > 0 and backlog + length > self._buffer:
             # Bounded egress buffer overflow tail-drops the new packet.
             self._m_dropped.inc()
             self._m_tail_drops.inc()
             if self._trace.enabled:
                 self._trace.instant(
                     "tail_drop", cat="net", track=self._track,
-                    psn=packet.psn, bytes=packet.length,
+                    psn=packet.psn, bytes=length,
                     **self._lineage(packet),
                 )
             return now  # dropped at enqueue: no wire time consumed
 
-        if (
-            self.config.ecn_threshold_bytes > 0
-            and backlog >= self.config.ecn_threshold_bytes
-        ):
+        if self._ecn > 0 and backlog >= self._ecn:
             # RFC 3168-style Congestion Experienced mark: the packet is
             # delivered, the receiver echoes the mark through the
             # reliability ACK path (see repro.cc).
@@ -192,10 +204,10 @@ class Channel:
                     backlog_bytes=backlog,
                 )
 
-        done = start + self.serialization_time(packet.length)
+        done = start + length / self._bps
         self._busy_until = done
 
-        if self.loss.drops(self.rng, packet.length):
+        if self.loss.drops(self.rng, length):
             # A wire (loss-model) drop still consumed serialization time,
             # unlike a tail drop; the distinct instant name keeps the two
             # separable in chaos traces.
@@ -203,16 +215,16 @@ class Channel:
             if self._trace.enabled:
                 self._trace.instant(
                     "loss_drop", cat="net", track=self._track,
-                    psn=packet.psn, bytes=packet.length,
+                    psn=packet.psn, bytes=length,
                     **self._lineage(packet),
                 )
             return done
 
-        self._m_bytes_delivered.inc(packet.length)
+        self._m_bytes_delivered.inc(length)
         if self._trace.enabled:
             self._trace.complete(
                 "tx", cat="net", track=self._track, start=start, end=done,
-                psn=packet.psn, bytes=packet.length,
+                psn=packet.psn, bytes=length,
                 **self._lineage(packet),
             )
             if packet.flow_id is not None:
@@ -222,16 +234,11 @@ class Channel:
                     flow_id=packet.flow_id, msg=packet.msg_seq,
                     chunk=packet.chunk, attempt=packet.attempt,
                 )
-        self.sim.call_at(done + self._flight_delay(), lambda p=packet: self._deliver(p))
-        if (
-            self.config.duplicate_probability > 0
-            and self.rng.random() < self.config.duplicate_probability
-        ):
+        sim.call_at(done + self._flight_delay(), self._deliver, packet)
+        if self._dup > 0 and self.rng.random() < self._dup:
             # In-network duplication: the copy takes its own (jittered) path.
             self._m_duplicated.inc()
-            self.sim.call_at(
-                done + self._flight_delay(), lambda p=packet: self._deliver(p)
-            )
+            sim.call_at(done + self._flight_delay(), self._deliver, packet)
         return done
 
     # -- fluid fast path -------------------------------------------------------
@@ -636,13 +643,11 @@ class Channel:
         return done, ok, marked
 
     def _flight_delay(self) -> float:
-        delay = self.config.one_way_delay
-        if self.config.jitter_fraction > 0:
+        delay = self._one_way
+        if self._jitter > 0:
             # Truncated-at-zero Gaussian jitter; enough to reorder packets
             # whose serialization times are closer than the jitter scale.
-            jitter = self.rng.normal(
-                0.0, self.config.jitter_fraction * max(delay, 1e-9)
-            )
+            jitter = self.rng.normal(0.0, self._jitter * max(delay, 1e-9))
             delay = max(0.0, delay + jitter)
         return delay
 

@@ -15,6 +15,8 @@ from typing import Any
 from repro.common.errors import ConfigError
 from repro.reliability.messages import decode_message
 from repro.sdr.context import SdrContext
+from repro.sdr.handles import SendHandle
+from repro.sdr.qp import SdrQp
 from repro.sim.engine import Event, Simulator
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.qp import QpInfo, SendWr, UdQp
@@ -22,6 +24,26 @@ from repro.verbs.qp import QpInfo, SendWr, UdQp
 #: Minimum wire size of a control datagram (header overheads dominate the
 #: tiny payloads; a 64-byte frame matches real UD control traffic).
 MIN_CTRL_BYTES = 64
+
+
+def wait_injected(qp: SdrQp, hdl: SendHandle, target: int):
+    """Park the calling process until ``target`` packets of ``hdl`` left the NIC.
+
+    ``yield from`` this from a sender process.  Progress is *polled*, on a
+    grid of one chunk's wire time (resolved once per wait), not signalled
+    by the injector: poll-grid instants and injection instants tie
+    systematically (a chunk is a whole number of packets), heap sequence
+    order breaks the tie, and an event-driven wake would land the waiter on
+    the other side of it -- a behaviour change (see docs/simulation.md).
+    One re-arming :meth:`~repro.sim.engine.Simulator.poll_until` entry
+    carries the whole wait; nothing is scheduled if it is already over.
+    """
+    channel = qp.data_qps[0][0].channel
+    assert channel is not None
+    quantum = max(qp.config.chunk_bytes / channel.config.bytes_per_second, 1e-7)
+    poll = qp.sim.poll_until(lambda: hdl.packets_injected >= target, quantum)
+    if not poll.processed:
+        yield poll
 
 
 class ControlPath:

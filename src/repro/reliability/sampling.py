@@ -34,7 +34,12 @@ import numpy as np
 from repro.common.errors import ConfigError, DeliveryError
 from repro.ec.sampling import draw_probes
 from repro.recovery.resume import ResumeToken
-from repro.reliability.base import ControlPath, ReceiveTicket, WriteTicket
+from repro.reliability.base import (
+    ControlPath,
+    ReceiveTicket,
+    WriteTicket,
+    wait_injected,
+)
 from repro.reliability.messages import Done, RepairReq, ResumeReq
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
 from repro.sdr.handles import RecvHandle, SendHandle
@@ -268,11 +273,6 @@ class SamplingSender:
             piece = state.payload[off : off + clen]
         self.qp.send_stream_continue(state.hdl, off, clen, piece, attempt=attempt)
 
-    def _pacing_quantum(self) -> float:
-        assert self.qp.data_qps[0][0].channel is not None
-        cfg = self.qp.data_qps[0][0].channel.config
-        return max(self.qp.config.chunk_bytes / cfg.bytes_per_second, 1e-7)
-
     def _inject_all(self, state: _SamplingSendState):
         """Wire-paced one-shot injection; stamps per-chunk send times."""
         ppc = self.qp.config.packets_per_chunk
@@ -285,8 +285,7 @@ class SamplingSender:
                 break  # completed, failed, or escalated to resumption
             self._send_chunk(state, index)
             target = min((index + 1) * ppc, state.hdl.packets_posted)
-            while state.hdl.packets_injected < target:
-                yield self.sim.timeout(self._pacing_quantum())
+            yield from wait_injected(self.qp, state.hdl, target)
             state.last_sent[index] = self.sim.now
         state.inject_done = True
         state.last_activity = self.sim.now

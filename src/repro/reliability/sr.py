@@ -24,7 +24,12 @@ import numpy as np
 from repro.common.config import SdrConfig
 from repro.common.errors import ConfigError, DeliveryError
 from repro.recovery.resume import ResumeToken
-from repro.reliability.base import ControlPath, ReceiveTicket, WriteTicket
+from repro.reliability.base import (
+    ControlPath,
+    ReceiveTicket,
+    WriteTicket,
+    wait_injected,
+)
 from repro.reliability.messages import Ack, ResumeAck, ResumeReq, SrNack
 from repro.sdr.handles import RecvHandle, SendHandle
 from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
@@ -450,8 +455,7 @@ class SrSender:
             self._send_chunk(state, index)
             self._m_chunks_resent.inc()
             target = state.hdl.packets_posted
-            while state.hdl.packets_injected < target:
-                yield self.sim.timeout(self._pacing_quantum())
+            yield from wait_injected(self.qp, state.hdl, target)
             if state.unacked[index]:
                 state.deadline[index] = self.sim.now + self.rto
                 state.sent_at[index] = self.sim.now
@@ -486,8 +490,7 @@ class SrSender:
                 (index + 1) * ppc,
                 state.hdl.packets_posted,
             )
-            while state.hdl.packets_injected < target:
-                yield self.sim.timeout(self._pacing_quantum())
+            yield from wait_injected(self.qp, state.hdl, target)
             if state.unacked[index]:
                 state.deadline[index] = self.sim.now + self.rto
                 state.sent_at[index] = self.sim.now
@@ -496,12 +499,6 @@ class SrSender:
                 break
         state.inject_done = True
         self._maybe_finish(state)
-
-    def _pacing_quantum(self) -> float:
-        """Polling quantum for injection progress (one chunk's wire time)."""
-        assert self.qp.data_qps[0][0].channel is not None
-        cfg = self.qp.data_qps[0][0].channel.config
-        return max(self.qp.config.chunk_bytes / cfg.bytes_per_second, 1e-7)
 
     def _queue_restamp(self, state: _SendState, index: int) -> None:
         """Defer ``index``'s RTO until its retransmitted packets leave.
@@ -537,8 +534,7 @@ class SrSender:
         """
         while state.restamp:
             index, target = state.restamp[0]
-            while state.hdl.packets_injected < target:
-                yield self.sim.timeout(self._pacing_quantum())
+            yield from wait_injected(self.qp, state.hdl, target)
             state.restamp.popleft()
             if state.unacked[index]:
                 state.deadline[index] = self.sim.now + self.rto

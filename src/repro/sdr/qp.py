@@ -518,9 +518,7 @@ class SdrQp:
             self._cts_idle_wake.succeed(None)
         # Slot reallocation (mkey update + bitmap cleanup) costs host time
         # before the CTS goes out -- the Section 5.4.1 small-message overhead.
-        self.sim.call_in(
-            self.ctx.dpa_config.repost_seconds, lambda: self._send_cts()
-        )
+        self.sim.call_in(self.ctx.dpa_config.repost_seconds, self._send_cts)
         self._m_messages_received.inc()
         return hdl
 
@@ -608,7 +606,7 @@ class SdrQp:
                 )
             delay = self.ctx.dpa_config.pcie_update_seconds
             if delay > 0:
-                self.sim.call_in(delay, lambda: hdl._publish_chunk(chunk))
+                self.sim.call_in(delay, hdl._publish_chunk, chunk)
             else:
                 hdl._publish_chunk(chunk)
         return closes

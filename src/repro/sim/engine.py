@@ -4,6 +4,22 @@ The kernel is intentionally minimal: an event heap keyed by
 ``(time, sequence)`` (sequence breaks ties deterministically), one-shot
 :class:`Event` futures, and generator-based :class:`Process` coroutines.
 
+Heap entries are ``(time, seq, fn, arg)`` tuples of three kinds:
+
+* **event entries** (``fn is None``, ``arg`` an :class:`Event`): the
+  dispatch marks the event processed and runs its callbacks list -- what
+  ``succeed``/``fail``/``timeout`` push;
+* **callback entries** (``fn(*arg)``): no ``Event`` and no callbacks list
+  -- what ``call_at``/``call_in`` push, once per packet-hop;
+* **poll ticks**: the callback entry of a :class:`PollTimer`, which
+  re-pushes itself every quantum until its predicate holds and then runs
+  its waiters in the same dispatch -- the ``while not cond: yield
+  timeout(q)`` idiom without an ``Event`` and a generator hop per tick.
+
+Whatever the kind, every scheduling consumes exactly one ``_seq`` at the
+point in program order where it is made, so a cheaper entry kind cannot
+reorder same-instant work (``docs/simulation.md`` has the argument).
+
 Typical protocol code::
 
     def sender(sim: Simulator, qp):
@@ -19,7 +35,7 @@ Typical protocol code::
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any
@@ -47,6 +63,12 @@ class SimConfig:
     fluid: bool = False
 
 
+#: ``Event._state`` values.  The engine's own paths compare them directly;
+#: the ``triggered``/``processed`` properties are the public spelling and
+#: cost a call each.
+_PENDING, _TRIGGERED, _PROCESSED = 0, 1, 2
+
+
 class Event:
     """A one-shot future that fires at most once with a value or an error.
 
@@ -57,30 +79,28 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_error", "_state")
 
-    _PENDING, _TRIGGERED, _PROCESSED = 0, 1, 2
-
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: list[Callable[[Event], None]] = []
         self._value: Any = None
         self._error: BaseException | None = None
-        self._state = Event._PENDING
+        self._state = _PENDING
 
     @property
     def triggered(self) -> bool:
-        return self._state >= Event._TRIGGERED
+        return self._state != _PENDING
 
     @property
     def processed(self) -> bool:
-        return self._state == Event._PROCESSED
+        return self._state == _PROCESSED
 
     @property
     def ok(self) -> bool:
-        return self.triggered and self._error is None
+        return self._state != _PENDING and self._error is None
 
     @property
     def value(self) -> Any:
-        if not self.triggered:
+        if self._state == _PENDING:
             raise SimulationError("event value read before trigger")
         if self._error is not None:
             raise self._error
@@ -88,21 +108,32 @@ class Event:
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Schedule this event to fire successfully after ``delay``."""
-        if self.triggered:
+        if self._state != _PENDING:
             raise SimulationError("event already triggered")
-        self._state = Event._TRIGGERED
+        self._state = _TRIGGERED
         self._value = value
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        heappush(sim._heap, (sim._now + delay, sim._seq, None, self))
+        sim._seq += 1
         return self
 
     def fail(self, error: BaseException, delay: float = 0.0) -> "Event":
         """Schedule this event to fire with an error after ``delay``."""
-        if self.triggered:
+        if self._state != _PENDING:
             raise SimulationError("event already triggered")
-        self._state = Event._TRIGGERED
+        self._state = _TRIGGERED
         self._error = error
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        heappush(sim._heap, (sim._now + delay, sim._seq, None, self))
+        sim._seq += 1
         return self
+
+    def _fire(self) -> None:
+        """Dispatch: mark processed and run the callbacks registered so far."""
+        self._state = _PROCESSED
+        callbacks, self.callbacks = self.callbacks, []
+        for cb in callbacks:
+            cb(self)
 
 
 class Interrupt(ReproError):
@@ -133,14 +164,14 @@ class Process(Event):
 
     @property
     def is_alive(self) -> bool:
-        return not self.triggered
+        return self._state == _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
+        if self._state != _PENDING:
             return
         target = self._waiting_on
-        if target is not None and not target.processed:
+        if target is not None and target._state != _PROCESSED:
             # Detach from the event we were waiting on (it may already be
             # scheduled -- e.g. a pending timeout -- but has not yet been
             # dispatched) and resume the process with the Interrupt instead.
@@ -172,7 +203,7 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {type(nxt).__name__}, expected Event"
             )
-        if nxt.processed:
+        if nxt._state == _PROCESSED:
             # Already fired and dispatched: resume immediately via a fresh
             # event so ordering stays heap-driven.
             relay = Event(self.sim)
@@ -184,6 +215,51 @@ class Process(Event):
         else:
             nxt.callbacks.append(self._resume)
         self._waiting_on = nxt
+
+
+class PollTimer(Event):
+    """Fires once ``predicate()`` holds, checked every ``quantum`` seconds.
+
+    The heap-side replacement for ``while not predicate(): yield
+    sim.timeout(quantum)``: one callback entry whose tick re-pushes itself
+    at ``now + quantum`` exactly where the loop would have called
+    ``timeout`` (so ``_seq`` allocation is the same by construction), and
+    whose final tick runs the waiters in the same dispatch, as the loop's
+    generator would have carried on.  Created by
+    :meth:`Simulator.poll_until`.
+    """
+
+    __slots__ = ("_predicate", "_quantum")
+
+    def __init__(self, sim: "Simulator", predicate: Callable[[], bool], quantum: float):
+        super().__init__(sim)
+        self._predicate = predicate
+        self._quantum = quantum
+        if predicate():
+            # The loop's zero-iteration case: nothing reaches the heap.
+            self._state = _PROCESSED
+        else:
+            self._state = _TRIGGERED
+            self._rearm()
+
+    def _rearm(self) -> None:
+        sim = self.sim
+        heappush(sim._heap, (sim._now + self._quantum, sim._seq, self._tick, ()))
+        sim._seq += 1
+
+    def _tick(self) -> None:
+        if not self.callbacks:
+            # The waiter was interrupted off this poll: like the timeout
+            # the loop left behind, the tick is dead and nothing re-arms.
+            return
+        if self._predicate():
+            self._fire()
+        else:
+            self._rearm()
+
+
+#: ``run()``'s stand-in target when it is not waiting for an event.
+_NEVER = Event(None)  # type: ignore[arg-type]
 
 
 class Simulator:
@@ -203,13 +279,16 @@ class Simulator:
     ):
         self.config = config if config is not None else SimConfig()
         self._now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        #: ``(time, seq, fn, arg)``: ``fn is None`` marks an event entry
+        #: (``arg`` is the Event), anything else is called as ``fn(*arg)``.
+        self._heap: list[tuple[float, int, Callable | None, Any]] = []
         self._seq = 0
         #: Optional lazy windowed sampler / wall-clock profiler hooks.
-        #: Disarmed cost is one attribute load per step; neither may
-        #: schedule events or draw RNG (determinism invariant).
+        #: Disarmed cost is one attribute load (``_hooked``) per dispatch;
+        #: neither may schedule events or draw RNG (determinism invariant).
         self._sampler = None
         self._profiler = None
+        self._hooked = False
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.telemetry.bind(self)
         if self.telemetry.timeseries is not None:
@@ -227,15 +306,17 @@ class Simulator:
     def attach_sampler(self, sampler) -> None:
         """Arm a :class:`~repro.telemetry.timeseries.TimeseriesSampler`.
 
-        The sampler's windows are closed lazily from :meth:`step` right
-        after the clock advances and *before* the event's callbacks run,
-        so a window ending at boundary ``B`` reflects state as of the
-        last event before ``B``.  Event-free and RNG-free by contract.
+        The sampler's windows are closed lazily on dispatch, right after
+        the clock advances and *before* the entry's callbacks run, so a
+        window ending at boundary ``B`` reflects state as of the last
+        event before ``B``.  Event-free and RNG-free by contract.  May be
+        attached mid-run: the very next dispatch honours it.
         """
         if self._sampler is not None and self._sampler is not sampler:
             raise SimulationError("a timeseries sampler is already attached")
         sampler.bind(self)
         self._sampler = sampler
+        self._hooked = True
 
     def attach_profiler(self, profiler) -> None:
         """Arm a :class:`~repro.sim.profile.SimProfiler` on dispatch."""
@@ -243,6 +324,7 @@ class Simulator:
             raise SimulationError("a profiler is already attached")
         profiler.bind(self)
         self._profiler = profiler
+        self._hooked = True
 
     # -- event creation -------------------------------------------------------
 
@@ -251,33 +333,57 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that fires ``delay`` seconds from now."""
+        """An event that fires ``delay`` seconds from now.
+
+        Costs one ``Event`` (with its callbacks list) and one heap entry;
+        use :meth:`call_in` when nothing waits on the result.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         ev = Event(self)
-        ev.succeed(value, delay=delay)
+        ev._state = _TRIGGERED
+        ev._value = value
+        heappush(self._heap, (self._now + delay, self._seq, None, ev))
+        self._seq += 1
         return ev
 
     def process(self, gen: Generator[Event, Any, Any]) -> Process:
         """Start a generator as a concurrent process."""
         return Process(self, gen)
 
-    def call_at(self, time: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        ev = Event(self)
-        cb = lambda _ev: fn()  # noqa: E731 - tiny adapter, kept allocation-free
-        # Expose the real target so SimProfiler charges the callback to the
-        # scheduling component, not to this engine trampoline.
-        cb.__wrapped__ = fn
-        ev.callbacks.append(cb)
-        ev.succeed(None, delay=time - self._now)
-        return ev
+    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated ``time``.
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn`` after ``delay`` simulated seconds."""
-        return self.call_at(self._now + delay, fn)
+        A callback-only heap entry: one tuple, no ``Event``, no callbacks
+        list and -- when the target takes its arguments here -- no closure.
+        Nothing can wait on it and there is no handle to cancel it.
+        """
+        now = self._now
+        if time < now:
+            raise SimulationError(f"cannot schedule in the past: {time} < {now}")
+        # The entry's time is now + (time - now), not ``time``: call_at has
+        # always gone through a relative delay, the two can differ in the
+        # last bit, and heap times are part of every same-seed trace.
+        heappush(self._heap, (now + (time - now), self._seq, fn, args))
+        self._seq += 1
+
+    def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds (see :meth:`call_at`)."""
+        self.call_at(self._now + delay, fn, *args)
+
+    def poll_until(self, predicate: Callable[[], bool], quantum: float) -> PollTimer:
+        """An event that fires at the first ``quantum`` tick where ``predicate()`` holds.
+
+        One re-arming heap entry (see :class:`PollTimer`) instead of a
+        ``timeout`` per tick.  If the predicate already holds the returned
+        event is already processed and nothing was scheduled; a process
+        that wants the loop's exact zero-iteration behaviour skips the
+        ``yield`` in that case (yielding a processed event costs a relay
+        dispatch).
+        """
+        if quantum <= 0:
+            raise SimulationError(f"poll quantum must be > 0, got {quantum}")
+        return PollTimer(self, predicate, quantum)
 
     def all_of(self, events: list[Event]) -> Event:
         """An event that fires once every event in ``events`` has fired."""
@@ -289,7 +395,7 @@ class Simulator:
 
         def _arm(ev: Event) -> None:
             def _done(e: Event) -> None:
-                if gate.triggered:
+                if gate._state != _PENDING:
                     return
                 if e._error is not None:
                     gate.fail(e._error)
@@ -298,7 +404,7 @@ class Simulator:
                 if remaining["n"] == 0:
                     gate.succeed([x._value for x in events])
 
-            if ev.processed:
+            if ev._state == _PROCESSED:
                 _done(ev)
             else:
                 ev.callbacks.append(_done)
@@ -314,7 +420,7 @@ class Simulator:
             raise SimulationError("any_of requires at least one event")
 
         def _done(e: Event) -> None:
-            if gate.triggered:
+            if gate._state != _PENDING:
                 return
             if e._error is not None:
                 gate.fail(e._error)
@@ -322,36 +428,40 @@ class Simulator:
                 gate.succeed(e._value)
 
         for ev in events:
-            if ev.processed:
+            if ev._state == _PROCESSED:
                 _done(ev)
             else:
                 ev.callbacks.append(_done)
         return gate
 
-    # -- scheduling / running --------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float) -> None:
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
-        self._seq += 1
+    # -- running ---------------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next heap entry."""
         if not self._heap:
             raise SimulationError("no scheduled events")
-        time, _seq, event = heapq.heappop(self._heap)
+        time, _seq, fn, arg = heappop(self._heap)
         self._now = time
+        self._dispatch(time, fn, arg)
+
+    def _dispatch(self, time: float, fn: Callable | None, arg: Any) -> None:
+        """Run one popped entry, honouring the sampler and profiler hooks."""
         sampler = self._sampler
         if sampler is not None and time >= sampler.next_deadline:
             sampler.poll(time)
-        event._state = Event._PROCESSED
-        callbacks, event.callbacks = event.callbacks, []
         profiler = self._profiler
         if profiler is None:
-            for cb in callbacks:
-                cb(event)
+            if fn is not None:
+                fn(*arg)
+            else:
+                arg._fire()
+        elif fn is not None:
+            profiler.call(fn, *arg)
         else:
+            arg._state = _PROCESSED
+            callbacks, arg.callbacks = arg.callbacks, []
             for cb in callbacks:
-                profiler.call(cb, event)
+                profiler.call(cb, arg)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the heap drains, a deadline passes, or an event fires.
@@ -359,20 +469,32 @@ class Simulator:
         ``until`` may be ``None`` (drain), a float (absolute simulated time)
         or an :class:`Event` (run until it is processed; returns its value).
         """
-        if isinstance(until, Event):
-            target = until
-            while not target.processed:
-                if not self._heap:
-                    raise SimulationError(
-                        "deadlock: event loop drained before target event fired"
-                    )
-                self.step()
-            return target.value
-        deadline = float("inf") if until is None else float(until)
+        waiting = isinstance(until, Event)
+        target = until if waiting else _NEVER
+        deadline = float("inf") if waiting or until is None else float(until)
         if deadline < self._now:
             raise SimulationError(f"deadline {deadline} is in the past")
-        while self._heap and self._heap[0][0] <= deadline:
-            self.step()
+        # The dispatch loop, inlined: :meth:`step` without the calls.  Hooks
+        # are re-read on every pop so one attached mid-run takes effect.
+        heap = self._heap
+        while target._state != _PROCESSED and heap and heap[0][0] <= deadline:
+            time, _seq, fn, arg = heappop(heap)
+            self._now = time
+            if self._hooked:
+                self._dispatch(time, fn, arg)
+            elif fn is not None:
+                fn(*arg)
+            else:
+                arg._state = _PROCESSED
+                callbacks, arg.callbacks = arg.callbacks, []
+                for cb in callbacks:
+                    cb(arg)
+        if waiting:
+            if target._state != _PROCESSED:
+                raise SimulationError(
+                    "deadlock: event loop drained before target event fired"
+                )
+            return target.value
         if until is not None:
             self._now = deadline
         if self._sampler is not None:

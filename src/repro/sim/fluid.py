@@ -313,10 +313,7 @@ class FluidSolver:
                 sel = np.flatnonzero(delivered[lo:hi]) + lo
                 at = float(exec_t[sel].max())
             sim.call_at(
-                at,
-                lambda c=int(chunk), f=fresh_pkts, nd=ndeliv, du=ndup: (
-                    self._apply_chunk(rhdl, c, f, nd, du)
-                ),
+                at, self._apply_chunk, rhdl, int(chunk), fresh_pkts, ndeliv, ndup
             )
 
         # DPA counters advance in bulk once the segment fully drains.

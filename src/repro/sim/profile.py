@@ -11,9 +11,14 @@ charged to a category derived from the code that actually ran:
 * a :class:`~repro.sim.engine.Process` resumption is charged to the
   *generator* being resumed (``repro.fabric.service:_run_flow``), not to
   the engine's ``Process._resume`` trampoline;
-* a plain function/lambda callback is charged to its defining module and
-  qualname (``repro.fabric.service:FabricService._on_ack.<locals>.<lambda>``
-  collapses to ``repro.fabric.service:FabricService._on_ack``).
+* a plain function/lambda callback -- an event's callback or the target
+  of a ``call_at``/``call_in`` callback entry -- is charged to its defining
+  module and qualname
+  (``repro.fabric.service:FabricService._on_ack.<locals>.<lambda>``
+  collapses to ``repro.fabric.service:FabricService._on_ack``);
+* a :class:`~repro.sim.engine.PollTimer` tick is charged to the
+  *predicate* it evaluates, i.e. to the component that armed the poll
+  (waiters resumed by the final tick run inside it).
 
 The profiler perturbs nothing observable: it draws no RNG, schedules no
 events, and touches only wall-clock state — simulated timestamps, metric
@@ -71,18 +76,18 @@ class SimProfiler:
         self._first_call = None
         self._last_call = 0.0
 
-    # -- dispatch (called from Simulator.step) ---------------------------------
+    # -- dispatch (called from Simulator._dispatch) ----------------------------
 
     def _key(self, cb) -> str:
-        # Engine trampolines (Simulator.call_at's adapter) expose the real
-        # target via __wrapped__; charge the scheduling component -- e.g. a
-        # fluid segment-advance lands under repro.sim.fluid, not call_at.
+        # Charge the scheduling component, never an engine trampoline: a
+        # decorated callback names its target via __wrapped__, a Process
+        # resumption its coroutine, a PollTimer tick its predicate.
         cb = getattr(cb, "__wrapped__", cb)
-        func = getattr(cb, "__func__", cb)
         owner = getattr(cb, "__self__", None)
+        func = getattr(owner, "_predicate", None) or getattr(cb, "__func__", cb)
         gen = getattr(owner, "_gen", None)
         if gen is not None and hasattr(gen, "gi_code"):
-            code = gen.gi_code  # Process._resume: charge the coroutine
+            code = gen.gi_code  # Process._resume
         else:
             code = getattr(func, "__code__", None)
         if code is None:
@@ -98,13 +103,17 @@ class SimProfiler:
             self._keys[code] = category
         return category
 
-    def call(self, cb, event) -> None:
-        """Run one callback under the clock (the engine's profiled path)."""
+    def call(self, cb, *args) -> None:
+        """Run one callback under the clock (the engine's profiled path).
+
+        ``args`` is the event for an event's callback and the scheduled
+        arguments for a callback-only entry (none for a poll tick).
+        """
         start = self._clock()
         if self._first_call is None:
             self._first_call = start
         try:
-            cb(event)
+            cb(*args)
         finally:
             end = self._clock()
             self._last_call = end

@@ -1,0 +1,199 @@
+"""Cross-commit byte-identity: replay pinned same-seed trace digests.
+
+Every other determinism test runs a scenario twice inside one commit and
+compares the two runs, which cannot see a change that moves both.  This
+one pins, per miniature scenario, the sha256 of the JSONL trace and of the
+full registry snapshot (plus the drained clock) in ``trace_digests.json``,
+recorded on the commit *before* an engine change and replayed after it.
+
+A host-time optimisation must leave every digest here untouched.  The
+file is regenerated (``PYTHONPATH=src python tests/golden/test_trace_digests.py``)
+only by a PR that declares a behaviour change.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cc.incast import run_incast
+from repro.common.units import KiB, MiB, distance_to_rtt
+from repro.fabric import ChaosConfig, ScaleConfig, chaos_scenario, scale_scenario
+from repro.faults import named_schedule
+from repro.reliability.sampling import SamplingConfig
+from repro.reliability.sr import SrConfig
+from repro.sim.engine import SimConfig
+from repro.telemetry import JsonlSink, Telemetry, TimeseriesSampler
+from repro.telemetry.demo import run_demo
+
+GOLDEN = Path(__file__).with_name("trace_digests.json")
+
+WAN_KM = 1000.0
+WAN_RTT = distance_to_rtt(WAN_KM)
+
+
+def _demo(telemetry, **kwargs):
+    run_demo(
+        messages=3, message_bytes=MiB, distance_km=WAN_KM, seed=7,
+        telemetry=telemetry, **kwargs,
+    )
+
+
+def _sr(telemetry):
+    _demo(telemetry, protocol="sr", drop=0.02)
+
+
+def _sr_nack_bare(telemetry):
+    # cc=None is the byte-identity reference (no pacer at all); NACKs and
+    # 16 KiB chunks put the injection-progress poll on every chunk.
+    _demo(
+        telemetry, protocol="sr", drop=0.01, cc=None, chunk_bytes=16 * KiB,
+        sr_config=SrConfig(nack_enabled=True),
+    )
+
+
+def _ec(telemetry):
+    _demo(telemetry, protocol="ec", drop=0.02)
+
+
+def _sampling(telemetry):
+    _demo(
+        telemetry, protocol="sampling", drop=0.02,
+        sampling_config=SamplingConfig(max_resumptions=2),
+    )
+
+
+def _sr_chaos(telemetry):
+    _demo(
+        telemetry, protocol="sr", drop=0.001,
+        faults=named_schedule("chaos-mix", rtt=WAN_RTT),
+        sr_config=SrConfig(
+            adaptive_rto=True, rto_backoff=True, max_message_retransmits=400,
+            serve_deadline_rtts=400.0, max_resumptions=2,
+        ),
+    )
+
+
+def _recovery(telemetry):
+    _demo(
+        telemetry, protocol="sr", drop=0.001, planes=2, recover=True,
+        faults=named_schedule("plane-blackout", rtt=WAN_RTT),
+    )
+
+
+def _incast(telemetry):
+    run_incast(senders=4, cc="swift", messages_per_sender=6, telemetry=telemetry)
+
+
+SCALE = ScaleConfig(
+    tenants=24, duration=0.003, offered_load_bps=30e9, tors=2,
+    hosts_per_tor=2, seed=3,
+)
+
+
+def _fabric_pkt(telemetry):
+    scale_scenario(SCALE, telemetry=telemetry)
+
+
+def _fabric_fluid(telemetry):
+    config = dataclasses.replace(
+        SCALE, fluid=True, mean_message_bytes=256 * KiB,
+        max_message_bytes=2 * MiB,
+    )
+    scale_scenario(config, telemetry=telemetry)
+
+
+def _fabric_chaos(telemetry):
+    chaos_scenario(
+        ChaosConfig(hosts_per_tor=1, schedule="tor_crash"), telemetry=telemetry
+    )
+
+
+def _sr_fluid(telemetry):
+    # The SDR-side fluid injector and its call_at continuations.
+    from tests.conftest import make_sdr_pair
+    from repro.reliability.sr import SrReceiver, SrSender
+
+    pair = make_sdr_pair(
+        drop=0.01, distance_km=WAN_KM, chunk=64 * KiB, seed=7,
+        sim_config=SimConfig(fluid=True), telemetry=telemetry,
+    )
+    sender = SrSender(pair.qp_a, pair.ctrl_a, SrConfig())
+    receiver = SrReceiver(pair.qp_b, pair.ctrl_b, SrConfig())
+    mr = pair.ctx_b.mr_reg(2 * MiB)
+    for _ in range(2):
+        receiver.post_receive(mr, 2 * MiB)
+        pair.sim.run(sender.write(2 * MiB).done)
+    pair.sim.run()
+
+
+#: name -> (runner, arm the windowed sampler).  The sampler is armed on two
+#: scenarios because its boundary poll lives inside the dispatch loop.
+SCENARIOS = {
+    "sr_lossy": (_sr, False),
+    "sr_nack_bare_sampled": (_sr_nack_bare, True),
+    "ec_lossy": (_ec, False),
+    "sampling_lossy": (_sampling, False),
+    "sr_chaos_mix": (_sr_chaos, False),
+    "recovery_plane_blackout": (_recovery, False),
+    "incast_swift_sampled": (_incast, True),
+    "fabric_packet": (_fabric_pkt, False),
+    "fabric_fluid": (_fabric_fluid, False),
+    "fabric_chaos_tor_crash": (_fabric_chaos, False),
+    "sr_fluid": (_sr_fluid, False),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(name: str) -> dict:
+    runner, sampled = SCENARIOS[name]
+    buf = io.StringIO()
+    telemetry = Telemetry(
+        trace=True, trace_sinks=[JsonlSink(buf)],
+        timeseries=TimeseriesSampler(window=2e-4, capacity=64) if sampled else None,
+    )
+    runner(telemetry)
+    trace = buf.getvalue()
+    assert trace, f"{name} traced nothing"
+    snapshot = telemetry.metrics.snapshot()
+    return {
+        "trace_sha256": _sha(trace),
+        "trace_lines": trace.count("\n"),
+        "registry_sha256": _sha(json.dumps(snapshot, sort_keys=True)),
+        "registry_entries": len(snapshot),
+        "sim_now": repr(telemetry.trace.now),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_digests_match_the_recorded_commit(name):
+    recorded = json.loads(GOLDEN.read_text())["scenarios"]
+    assert digests(name) == recorded[name]
+
+
+def test_every_scenario_is_recorded():
+    recorded = json.loads(GOLDEN.read_text())["scenarios"]
+    assert sorted(recorded) == sorted(SCENARIOS)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+    payload = {
+        "note": (
+            "sha256 of the JSONL trace and registry snapshot per scenario; "
+            "regenerate only in a PR that declares a behaviour change"
+        ),
+        "recorded_at": sys.argv[1] if len(sys.argv) > 1 else "unknown",
+        "scenarios": {name: digests(name) for name in sorted(SCENARIOS)},
+    }
+    GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -209,3 +209,289 @@ class TestProcesses:
             return value
 
         assert sim.run(sim.process(proc())) == "early"
+
+
+class TestCallbackEntries:
+    """``call_at``/``call_in`` push callback-only heap entries."""
+
+    def test_arguments_are_passed_and_nothing_is_returned(self):
+        sim = Simulator()
+        got = []
+        assert sim.call_at(1.0, got.append, "at") is None
+        assert sim.call_in(2.0, lambda a, b: got.append((a, b)), 1, 2) is None
+        sim.run()
+        assert got == ["at", (1, 2)]
+        assert sim.now == 2.0
+
+    def test_past_rejected_for_both_forms(self):
+        sim = Simulator()
+        sim.run(sim.timeout(5.0))
+        with pytest.raises(SimulationError):
+            sim.call_at(4.999, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.call_in(-0.001, lambda: None)
+        sim.call_at(5.0, lambda: None)  # "now" is not the past
+
+    def test_same_instant_kinds_fire_in_scheduling_order(self):
+        # One _seq per scheduling, whatever the entry kind: callback
+        # entries, event entries and a poll tick interleave exactly as
+        # they were scheduled.
+        sim = Simulator()
+        order = []
+        sim.call_at(1.0, order.append, "call_at-0")
+        sim.timeout(1.0).callbacks.append(lambda ev: order.append("timeout-1"))
+        sim.poll_until(lambda: sim.now >= 1.0, 1.0).callbacks.append(
+            lambda ev: order.append("poll-2")
+        )
+        sim.call_in(1.0, order.append, "call_in-3")
+        gate = sim.event()
+        gate.callbacks.append(lambda ev: order.append("event-4"))
+        gate.succeed(delay=1.0)
+        sim.call_at(1.0, order.append, "call_at-5")
+        sim.run()
+        assert order == [
+            "call_at-0", "timeout-1", "poll-2", "call_in-3", "event-4", "call_at-5",
+        ]
+
+    def test_entry_time_keeps_the_relative_delay_round_trip(self):
+        # call_at has always scheduled at now + (time - now); the last bit
+        # of that sum is part of every same-seed trace.
+        sim = Simulator()
+        sim.run(until=0.1)
+        seen = []
+        sim.call_at(0.3, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [0.1 + (0.3 - 0.1)]
+
+
+def _contended(sim, log, wait):
+    """A waiter polling a counter that a ticker bumps on the same grid.
+
+    Poll instants and tick instants tie on every quantum, and further
+    same-instant callbacks are scheduled around them, so the dispatch
+    order depends on every ``_seq`` the waiter's polling consumes.
+    """
+    state = {"n": 0}
+    q = 0.25
+
+    def ticker():
+        for _ in range(6):
+            yield sim.timeout(q)
+            state["n"] += 1
+            log.append(("tick", sim.now, state["n"]))
+            sim.call_in(q, log.append, ("echo", state["n"]))
+
+    def waiter():
+        log.append(("wait", sim.now))
+        yield from wait(lambda: state["n"] >= 4, q)
+        log.append(("woke", sim.now, state["n"]))
+        sim.call_in(0.0, log.append, ("after", sim.now))
+        yield sim.timeout(q)
+        log.append(("done", sim.now))
+
+    sim.process(waiter())
+    sim.process(ticker())
+    for i in range(1, 8):
+        sim.call_at(i * q, log.append, ("rival", i))
+
+
+class TestPollTimer:
+    def test_matches_the_timeout_loop_dispatch_for_dispatch(self):
+        def run(wait):
+            sim = Simulator()
+            log = []
+            _contended(sim, log, lambda pred, q: wait(sim, pred, q))
+            steps = 0
+            while sim._heap:
+                sim.step()
+                steps += 1
+            return log, sim.now, sim._seq, steps
+
+        def old_loop(sim, pred, q):
+            while not pred():
+                yield sim.timeout(q)
+
+        def poll_timer(sim, pred, q):
+            poll = sim.poll_until(pred, q)
+            if not poll.processed:
+                yield poll
+
+        old = run(old_loop)
+        new = run(poll_timer)
+        assert new == old
+        log = old[0]
+        # The tie is real: the counter reached 4 at t=1.0, but the waiter's
+        # poll for that instant was scheduled before the ticker's entry, so
+        # it saw 3 there and woke a whole quantum later -- ahead of the
+        # ticker again.  Any change in _seq allocation moves this.
+        assert ("tick", 1.0, 4) in log
+        assert ("woke", 1.25, 4) in log
+        assert log.index(("woke", 1.25, 4)) < log.index(("tick", 1.25, 5))
+
+    def test_predicate_true_at_arm_time_schedules_nothing(self):
+        sim = Simulator()
+        poll = sim.poll_until(lambda: True, 1.0)
+        assert poll.processed and poll.triggered
+        assert not sim._heap and sim._seq == 0
+
+        def proc():
+            if not poll.processed:
+                yield poll
+            return sim.now
+
+        assert sim.run(sim.process(proc())) == 0.0
+
+    def test_yielding_an_already_fired_poll_still_resumes(self):
+        sim = Simulator()
+
+        def proc():
+            yield sim.poll_until(lambda: True, 1.0)
+            return "resumed"
+
+        assert sim.run(sim.process(proc())) == "resumed"
+        assert sim.now == 0.0
+
+    def test_fires_on_the_first_grid_point_where_the_predicate_holds(self):
+        sim = Simulator()
+        flag = []
+        sim.call_at(2.5, flag.append, True)
+        fired = []
+        sim.poll_until(lambda: bool(flag), 1.0).callbacks.append(
+            lambda ev: fired.append(sim.now)
+        )
+        sim.run()
+        assert fired == [3.0]
+        assert sim._seq == 4  # call_at + arm + two re-arms: one entry at a time
+
+    def test_interrupted_waiter_leaves_one_dead_tick(self):
+        sim = Simulator()
+        trace = []
+
+        def waiter():
+            try:
+                yield sim.poll_until(lambda: False, 1.0)
+                trace.append("fired")
+            except Interrupt as exc:
+                trace.append(("interrupted", exc.cause, sim.now))
+
+        p = sim.process(waiter())
+        sim.call_at(2.5, p.interrupt, "stop")
+        sim.run()
+        assert trace == [("interrupted", "stop", 2.5)]
+        # Like the timeout the old loop left behind: the pending tick still
+        # pops (and advances the clock) but nothing re-arms after it.
+        assert sim.now == 3.0
+        assert not sim._heap
+
+    def test_bad_quantum_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().poll_until(lambda: False, 0.0)
+
+
+class TestRunVersusStep:
+    """``run()`` inlines the dispatch; ``step()`` is the same loop unrolled."""
+
+    @staticmethod
+    def _scenario(drive, *, attach_at=None):
+        from repro.sim.profile import SimProfiler
+        from repro.telemetry import Telemetry, TimeseriesSampler
+
+        ticks = iter(range(1, 1_000_000))
+        profiler = SimProfiler(clock=lambda: next(ticks) * 1e-3)
+        sampler = TimeseriesSampler(window=0.2, capacity=64)
+        early = attach_at is None
+        sim = Simulator(telemetry=Telemetry(
+            profiler=profiler if early else None,
+            timeseries=sampler if early else None,
+        ))
+        counter = sim.telemetry.metrics.counter("app.log_lines")
+
+        class Log(list):
+            def append(self, item):
+                counter.inc()
+                super().append(item)
+
+        log = Log()
+        _contended(sim, log, lambda pred, q: _poll(sim, pred, q))
+        if not early:
+            def attach():
+                sim.attach_sampler(sampler)
+                sim.attach_profiler(profiler)
+                log.append(("attached", sim.now))
+
+            sim.call_at(attach_at, attach)
+        drive(sim)
+        series = {
+            name: sampler.series(name).points() for name in sampler.names()
+        }
+        categories = sorted(
+            (c["category"], c["events"]) for c in profiler.report()["categories"]
+        )
+        return list(log), sim.now, profiler.events, categories, (
+            sampler.windows_closed, series
+        )
+
+    @staticmethod
+    def _by_run(sim):
+        sim.run()
+
+    @staticmethod
+    def _by_step(sim):
+        while sim._heap:
+            sim.step()
+        sim.run()  # nothing left to dispatch: only the final boundary poll
+
+    @pytest.mark.parametrize("attach_at", [None, 0.6])
+    def test_same_trace_with_sampler_and_profiler(self, attach_at):
+        ran = self._scenario(self._by_run, attach_at=attach_at)
+        stepped = self._scenario(self._by_step, attach_at=attach_at)
+        assert ran == stepped
+        log, _now, events, categories, (windows, _series) = ran
+        assert events > 0 and windows > 0
+        if attach_at is None:
+            # Every dispatch was profiled, poll ticks under the predicate's
+            # owner (this module), not under an engine trampoline.
+            assert not any(name.startswith("repro.sim.engine") for name, _n in categories)
+        else:
+            assert ("attached", attach_at) in log
+
+    def test_hooks_attached_mid_run_see_the_very_next_dispatch(self):
+        from repro.sim.profile import SimProfiler
+
+        sim = Simulator()
+        profiler = SimProfiler()
+        seen = []
+        sim.call_at(1.0, sim.attach_profiler, profiler)
+        sim.call_at(1.0, seen.append, "next")
+        sim.call_at(2.0, seen.append, "later")
+        sim.run()
+        assert seen == ["next", "later"]
+        assert profiler.events == 2
+
+    def test_run_until_event_and_deadline_match_stepping(self):
+        def build():
+            sim = Simulator()
+            log = []
+            _contended(sim, log, lambda pred, q: _poll(sim, pred, q))
+            return sim, log
+
+        sim_a, log_a = build()
+        done = sim_a.timeout(1.0, value="v")
+        assert sim_a.run(done) == "v"
+        sim_b, log_b = build()
+        done_b = sim_b.timeout(1.0)
+        while not done_b.processed:
+            sim_b.step()
+        assert log_a == log_b and sim_a.now == sim_b.now == 1.0
+
+        sim_a.run(until=1.6)
+        while sim_b._heap and sim_b._heap[0][0] <= 1.6:
+            sim_b.step()
+        assert log_a == log_b
+        assert sim_a.now == 1.6  # the deadline, not the last entry's time
+
+
+def _poll(sim, pred, q):
+    poll = sim.poll_until(pred, q)
+    if not poll.processed:
+        yield poll

@@ -67,6 +67,29 @@ class TestAttribution:
         assert "call_at" not in entry["category"]
         assert entry["events"] == 2
 
+    def test_call_at_with_arguments_charges_the_target(self):
+        sim, profiler = _profiled_sim()
+        sim.call_at(1.0, module_handler, "an argument")
+        sim.run()
+        [entry] = profiler.report()["categories"]
+        assert entry["category"].endswith("test_profile:module_handler")
+
+    def test_poll_ticks_charge_the_predicate_owner(self):
+        # One profiled dispatch per tick, charged to the code that armed the
+        # poll; the waiter resumed by the last tick runs inside that tick.
+        sim, profiler = _profiled_sim()
+        flag = []
+        resumed = []
+        sim.call_at(2.5, flag.append, True)
+        sim.poll_until(lambda: bool(flag), 1.0).callbacks.append(resumed.append)
+        sim.run()
+        assert len(resumed) == 1
+        by_name = {c["category"]: c["events"] for c in profiler.report()["categories"]}
+        [poll] = [n for n in by_name if "test_poll_ticks_charge" in n]
+        assert by_name[poll] == 3
+        assert not any("PollTimer" in n or "engine" in n for n in by_name)
+        assert profiler.events == 4  # three ticks and the call_at
+
     def test_process_charged_to_generator_not_trampoline(self):
         sim, profiler = _profiled_sim()
         sim.run(sim.process(module_flow(sim)))
