@@ -51,6 +51,7 @@ bitmap, never a wedge.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -267,7 +268,7 @@ class _FlowState:
     __slots__ = (
         "ticket", "pair", "qp", "segments", "seg_bytes", "remaining",
         "acked", "attempt", "uid", "sent_path", "route_lost_at",
-        "resumptions", "max_acked", "fluid_sizes", "fluid_sends",
+        "resumptions", "max_acked", "send_times",
     )
 
     def __init__(self, ticket, pair, qp, segments, seg_bytes):
@@ -289,10 +290,9 @@ class _FlowState:
         self.resumptions = 0
         #: Highest segment index ACKed so far (reorder detection).
         self.max_acked = -1
-        #: Fluid fast path only: per-segment sizes and admission-charged
-        #: send times, computed once at flow admission (None otherwise).
-        self.fluid_sizes: np.ndarray | None = None
-        self.fluid_sends: np.ndarray | None = None
+        #: Fluid fast path only: per-segment admission-charged send times,
+        #: computed once at flow admission (None otherwise).
+        self.send_times: list[float] | None = None
 
     def seg_size(self, idx: int) -> int:
         if idx < self.segments - 1:
@@ -448,20 +448,29 @@ class FabricService:
         self.sim.call_at(start, self._start_flow, ticket)
         return ticket
 
+    def _fluid_plan(self, ticket: FlowTicket) -> tuple | None:
+        """Hop plan when ``ticket``'s segments are booked fluidly.
+
+        ``None`` -- the event-driven path -- in packet mode, on a
+        monitored fabric (a breaker transition would invalidate journeys
+        already booked), while the pair has no route, and when an edge of
+        its path cannot be booked (:meth:`FabricNetwork.fluid_plan`).
+        """
+        if not self.sim.config.fluid or self.net.health is not None:
+            return None
+        try:
+            pair = self._pair(ticket.src, ticket.dst)
+        except ConfigError:
+            return None  # the generator's partition poll handles it
+        return self.net.fluid_plan(pair.path)
+
     def _start_flow(self, ticket: FlowTicket) -> None:
-        """Launch one flow: fluid callback chain or the event-driven
-        generator (default, and the fallback for monitored fabrics or
-        routes a fluid run cannot book)."""
-        if self.sim.config.fluid and self.net.health is None:
-            try:
-                pair = self._pair(ticket.src, ticket.dst)
-            except ConfigError:
-                pass  # no route: the generator's partition poll handles it
-            else:
-                if self.net.fluid_plan(pair.path) is not None:
-                    self._start_flow_fluid(ticket, pair)
-                    return
-        self.sim.process(self._run_flow(ticket))
+        """Launch one flow: the fluid callback chain when its path can be
+        booked, else the event-driven generator."""
+        if self._fluid_plan(ticket) is None:
+            self.sim.process(self._run_flow(ticket))
+        else:
+            self._start_flow_fluid(ticket, self._pair(ticket.src, ticket.dst))
 
     # -- flow lifecycle --------------------------------------------------------
 
@@ -602,91 +611,38 @@ class FabricService:
         approximation: a flow's schedule is fixed at admission).
         """
         ticket = state.ticket
-        pair = state.pair
         tenant = self.tenants[ticket.tenant]
         now = self.sim.now
         nseg = state.segments
-        plan = self.net.fluid_plan(pair.path)
         if nseg == 1:
-            # Scalar fast path: single-segment flows dominate a
-            # mice-heavy fabric, and ndarray setup costs more than the
-            # booking itself at n=1.
-            size = state.seg_size(0)
-            wait = self._admission_wait(tenant, state, size)
-            if wait > 0.0:
-                self._m_admission_stalls.inc()
-                self._m_admission_stall_seconds.inc(wait)
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "cc_stall", cat="cc", track=f"{self.name}.{ticket.src}",
-                        msg=ticket.seq, chunk=0, stall=wait,
-                    )
-            state.sent_path[0] = pair.path
-            self._m_segments_sent.inc()
-            if plan is None:
-                self.sim.call_at(now + wait, self._send_segment, state, 0, 0)
-                return
-            if wait > self._fluid_window(pair, plan):
-                # A hot tenant's bucket debt can push the send many
-                # milliseconds out; booking that far ahead would shift
-                # edge rings past the arrivals other flows are booking
-                # now (see _book_flow_fluid).  Re-enter at the send.
-                send = now + wait
-                self.sim.call_at(
-                    send, self._book_one_deferred, state, size, send
-                )
-                return
-            self._book_one_fluid(state, 0, size, now + wait, plan)
-            return
-        seg = state.seg_bytes
-        sizes = np.full(nseg, float(seg))
-        sizes[-1] = float(ticket.nbytes - (nseg - 1) * seg)
-        waits = self._admission_wait_batch(tenant, state, np.cumsum(sizes))
+            # Mice dominate the default mix, and ndarray setup costs more
+            # than a single reserve.
+            waits = [self._admission_wait(tenant, state, ticket.nbytes)]
+        else:
+            sizes = np.full(nseg, float(state.seg_bytes))
+            sizes[-1] = float(state.seg_size(nseg - 1))
+            waits = self._admission_wait_batch(
+                tenant, state, np.cumsum(sizes)
+            ).tolist()
         # Waits are nondecreasing (cumulative charges against buckets
         # refilled once), so the stall increments telescope to the last.
-        stalls = int(np.count_nonzero(np.diff(waits, prepend=0.0) > 0.0))
+        stalls = 0
+        prev = 0.0
+        for idx, wait in enumerate(waits):
+            if wait > prev:
+                stalls += 1
+                if self._trace.enabled:
+                    self._trace.instant(
+                        "cc_stall", cat="cc",
+                        track=f"{self.name}.{ticket.src}",
+                        msg=ticket.seq, chunk=idx, stall=wait - prev,
+                    )
+                prev = wait
         if stalls:
             self._m_admission_stalls.inc(stalls)
-            self._m_admission_stall_seconds.inc(float(waits[-1]))
-            if self._trace.enabled:
-                prev = 0.0
-                for idx in range(nseg):
-                    wait = float(waits[idx])
-                    if wait > prev:
-                        self._trace.instant(
-                            "cc_stall", cat="cc",
-                            track=f"{self.name}.{ticket.src}",
-                            msg=ticket.seq, chunk=idx, stall=wait - prev,
-                        )
-                        prev = wait
-        state.fluid_sizes = sizes
-        state.fluid_sends = now + waits
-        state.sent_path = [pair.path] * nseg
-        self._m_segments_sent.inc(nseg)
+            self._m_admission_stall_seconds.inc(waits[-1])
+        state.send_times = [now + wait for wait in waits]
         self._book_flow_fluid(state, 0)
-
-    def _fluid_window(self, pair: object, plan: tuple) -> float:
-        """Bookahead bound: smallest ring horizon along the path."""
-        window = pair.base_rtt
-        for channel, _owd in plan:
-            h = channel.fluid_horizon
-            if h < window:
-                window = h
-        return window
-
-    def _book_one_deferred(
-        self, state: _FlowState, size: int, send: float
-    ) -> None:
-        """Book a deferred single-segment flow, re-resolving the plan."""
-        if state.ticket.failed:
-            return
-        plan = self.net.fluid_plan(state.pair.path)
-        if plan is None:  # route mutated while waiting: finish eventfully
-            self.sim.call_at(
-                max(send, self.sim.now), self._send_segment, state, 0, 0
-            )
-            return
-        self._book_one_fluid(state, 0, size, send, plan)
 
     def _admission_wait_batch(
         self, tenant: TenantState, state: _FlowState, cum: np.ndarray
@@ -706,95 +662,113 @@ class FabricService:
                 np.maximum(waits, paced, out=waits)
         return waits
 
-    def _book_flow_fluid(self, state: _FlowState, start_idx: int) -> None:
-        """Book one tranche of a fluid flow's precomputed schedule.
+    def _book_flow_fluid(self, state: _FlowState, start: int) -> None:
+        """Book the next tranche of a fluid flow's precomputed schedule.
 
         Bookahead is bounded: only segments sending within one window of
-        now are booked; the rest re-enter via a continuation event one
-        window before the next send.  Each edge's booking ring retains a
-        finite span of arrival history (:attr:`Channel.fluid_horizon`),
-        so booking arbitrarily far ahead would shift rings forward and
-        discard buckets that flows starting a microsecond later still
-        need.  The window is the smallest horizon along the path.
+        now are booked; the rest re-enter via a continuation event at the
+        next send.  Each edge's booking ring retains a finite span of
+        arrival history (:attr:`FluidLink.horizon`), so booking
+        arbitrarily far ahead would shift rings forward and discard
+        buckets that flows starting a microsecond later still need.  The
+        window is the smallest horizon along the path, capped at one
+        base RTT.
         """
         ticket = state.ticket
         if ticket.failed:
             return
-        pair = state.pair
-        plan = self.net.fluid_plan(pair.path)
-        sends = state.fluid_sends
-        if plan is None:  # route mutated mid-flow: finish eventfully
-            now = self.sim.now
-            for idx in range(start_idx, state.segments):
-                self.sim.call_at(
-                    max(float(sends[idx]), now), self._send_segment, state, idx, 0
-                )
-            return
+        sends = state.send_times
         nseg = state.segments
         now = self.sim.now
-        window = self._fluid_window(pair, plan)
-        first = float(sends[start_idx])
-        if first > now + window:
+        plan = self._fluid_plan(ticket)
+        if plan is None:  # route mutated mid-flow: finish eventfully
+            for idx in range(start, nseg):
+                self.sim.call_at(
+                    max(sends[idx], now), self._send_segment, state, idx, 0
+                )
+            return
+        window = min(
+            state.pair.base_rtt, min(link.horizon for link, _owd in plan)
+        )
+        if sends[start] > now + window:
             # Bucket debt pushed the next send beyond the bookahead
             # window; booking it anyway would shift edge rings past the
             # arrivals other flows are booking now.  Re-enter at the
             # send instant, when a full window of sends is bookable.
-            self.sim.call_at(first, self._book_flow_fluid, state, start_idx)
+            self.sim.call_at(sends[start], self._book_flow_fluid, state, start)
             return
-        end = int(np.searchsorted(sends, now + window, side="right"))
-        if end <= start_idx:
-            end = start_idx + 1
-        if end > nseg:
-            end = nseg
+        end = bisect_right(sends, now + window, start)
         if end < nseg:
-            self.sim.call_at(
-                float(sends[end]), self._book_flow_fluid, state, end
-            )
-        n = end - start_idx
-        if n == 1:
-            self._book_one_fluid(
-                state, start_idx, int(state.fluid_sizes[start_idx]),
-                float(sends[start_idx]), plan,
-            )
-            return
-        tenant = self.tenants[ticket.tenant]
-        sizes = state.fluid_sizes[start_idx:end]
-        send_at = sends[start_idx:end]
-        # Chain the tranche down the path: one bulk booking per edge,
-        # survivors advance with each edge's serialization + propagation.
-        alive = np.arange(n)
-        times = send_at
-        ce = np.zeros(n, dtype=bool)
-        for channel, owd in plan:
-            dones, delivered, marked = channel.fluid_admit_chain(
-                sizes[alive], times, msg_seq=ticket.seq
-            )
-            if marked.any():
-                ce[alive[marked]] = True
-            alive = alive[delivered]
-            times = dones[delivered] + owd
-            if alive.size == 0:
-                break
-        acked_mask = np.zeros(n, dtype=bool)
-        if alive.size:
-            try:
-                ack_delay = self.net.path_one_way_delay(
-                    ticket.dst, ticket.src
+            self.sim.call_at(sends[end], self._book_flow_fluid, state, end)
+        sizes = [state.seg_bytes] * (end - start)
+        if end == nseg:
+            sizes[-1] = state.seg_size(nseg - 1)
+        self._book(state, start, sizes, sends[start:end], 0, plan)
+
+    def _book(
+        self,
+        state: _FlowState,
+        first: int,
+        sizes: list[int],
+        sends: list[float],
+        attempt: int,
+        plan: tuple,
+    ) -> None:
+        """Book segments ``first, first + 1, ...`` sent at ``sends``.
+
+        Fluid mode's one journey routine, for a first-transmission
+        tranche and for a single retransmitted segment alike.  Each edge
+        of ``plan`` admits the previous edge's survivors in one
+        :meth:`FluidLink.book` call at their computed arrival instants,
+        so no per-hop delivery event, destination callback or armed RTO
+        timer reaches the heap: the call schedules one
+        :meth:`_on_flow_acks` for what arrived and one :meth:`_on_rto`
+        per segment dropped on the way, whose stale-attempt guards make
+        raced callbacks safe.  A delivered segment therefore never
+        retransmits even if its computed ACK lands after the RTO would
+        have fired (a documented fluid approximation).
+        """
+        ticket = state.ticket
+        pair = state.pair
+        n = len(sizes)
+        state.attempt[first:first + n] = [attempt] * n
+        state.sent_path[first:first + n] = [pair.path] * n
+        if state.route_lost_at is not None:
+            state.route_lost_at = None
+            self._m_route_restored.inc()
+            if self._trace.enabled:
+                self._trace.instant(
+                    "route_restored", cat="fabric",
+                    track=f"{self.name}.{ticket.src}",
+                    msg=ticket.seq, chunk=first,
                 )
+        self._m_segments_sent.inc(n)
+        # ``alive`` holds the tranche positions still in flight; survivors
+        # advance with each edge's serialization + propagation.
+        alive = range(n)
+        times = sends
+        ce = [False] * n
+        for link, owd in plan:
+            dones, ok, marked = link.book(sizes, times, ticket.seq)
+            if True in marked:
+                for i, mark in zip(alive, marked):
+                    if mark:
+                        ce[i] = True
+            if False in ok:
+                alive = [i for i, o in zip(alive, ok) if o]
+                if not alive:
+                    break
+                sizes = [size for size, o in zip(sizes, ok) if o]
+                times = [done + owd for done, o in zip(dones, ok) if o]
+            else:
+                times = [done + owd for done in dones]
+        if alive:
+            try:
+                ack_delay = self.net.path_one_way_delay(ticket.dst, ticket.src)
             except ConfigError:
-                ack_delay = None  # no reverse route: RTOs take over
-            if ack_delay is not None:
-                acked_mask[alive] = True
-                acks = [
-                    (
-                        start_idx + int(i),
-                        float(send_at[i]),
-                        float(t) + ack_delay,
-                        bool(ce[i]),
-                    )
-                    for i, t in zip(alive, times)
-                ]
-                if tenant.spec.compliant:
+                alive = ()  # no reverse route: RTOs take over
+            else:
+                if self.tenants[ticket.tenant].spec.compliant:
                     # Synchronous feedback on a *virtual* clock: the
                     # booked journey already fixes each segment's RTT, CE
                     # mark and ACK instant, so the controller hears them
@@ -806,85 +780,37 @@ class FabricService:
                     # to one RTT -- a documented fluid approximation
                     # (docs/simulation.md).
                     controller = pair.pacer.controller
-                    for _i, seg_sent, seg_ack, seg_ce in acks:
-                        controller.on_rtt_sample(
-                            seg_ack - seg_sent, now=seg_ack
-                        )
-                        if seg_ce:
+                    for i, arrival in zip(alive, times):
+                        ack = arrival + ack_delay
+                        controller.on_rtt_sample(ack - sends[i], now=ack)
+                        if ce[i]:
                             self._m_ecn_echoes.inc()
-                            controller.on_ecn_echo(1, 1, now=seg_ack)
+                            controller.on_ecn_echo(1, 1, now=ack)
                         else:
-                            controller.on_ack_progress(now=seg_ack)
+                            controller.on_ack_progress(now=ack)
                 # FIFO chaining keeps arrivals nondecreasing, so the last
-                # entry is the flow's final ACK: one event applies them all.
-                self.sim.call_at(acks[-1][2], self._on_flow_acks, state, acks)
-        rto = min(pair.rto_base, 4.0)  # attempt 0
-        for j in np.flatnonzero(~acked_mask):
-            self.sim.call_at(
-                float(send_at[j]) + rto, self._on_rto, state, start_idx + int(j), 0
-            )
-
-    def _book_one_fluid(
-        self,
-        state: _FlowState,
-        idx: int,
-        size: int,
-        send: float,
-        plan: tuple,
-    ) -> None:
-        """Scalar tranche booking (see :meth:`_book_flow_fluid`, n=1)."""
-        ticket = state.ticket
-        pair = state.pair
-        self._m_segments_sent.inc()
-        t = send
-        ok = True
-        ce_flag = False
-        for channel, owd in plan:
-            done, ok, marked = channel.fluid_admit_one(
-                size, t, msg_seq=ticket.seq
-            )
-            if marked:
-                ce_flag = True
-            if not ok:
-                break
-            t = done + owd
-        if ok:
-            try:
-                ack_delay = self.net.path_one_way_delay(
-                    ticket.dst, ticket.src
+                # ACK is the latest: one event applies them all.
+                self.sim.call_at(
+                    times[-1] + ack_delay, self._on_flow_acks, state,
+                    [first + i for i in alive],
                 )
-            except ConfigError:
-                ack_delay = None  # no reverse route: RTO takes over
-            if ack_delay is not None:
-                ack_t = t + ack_delay
-                tenant = self.tenants[ticket.tenant]
-                if tenant.spec.compliant:
-                    controller = pair.pacer.controller
-                    controller.on_rtt_sample(ack_t - send, now=ack_t)
-                    if ce_flag:
-                        self._m_ecn_echoes.inc()
-                        controller.on_ecn_echo(1, 1, now=ack_t)
-                    else:
-                        controller.on_ack_progress(now=ack_t)
-                acks = [(idx, send, ack_t, ce_flag)]
-                self.sim.call_at(ack_t, self._on_flow_acks, state, acks)
-                return
-        self.sim.call_at(
-            send + min(pair.rto_base, 4.0), self._on_rto, state, idx, 0
-        )
+        if len(alive) < n:
+            rto = min(pair.rto_base * (2.0 ** attempt), 4.0)
+            delivered = set(alive)
+            for i in range(n):
+                if i not in delivered:
+                    self.sim.call_at(
+                        sends[i] + rto, self._on_rto, state, first + i, attempt
+                    )
 
-    def _on_flow_acks(
-        self,
-        state: _FlowState,
-        acks: list[tuple[int, float, float, bool]],
-    ) -> None:
-        """Apply one fluid flow's delivered-segment ACKs in one event.
+    def _on_flow_acks(self, state: _FlowState, idxs: list[int]) -> None:
+        """Apply the ACKs of one booking's delivered segments in one event.
 
         Fires at the last segment's ACK arrival.  Pacer feedback already
-        happened synchronously at booking time (see
-        :meth:`_admit_flow_fluid`), so this event only applies the
-        reliability bookkeeping: acked bits, byte/segment counters and
-        flow completion.  Semantics per segment mirror :meth:`_on_ack`.
+        happened at booking time (see :meth:`_book`), so this event only
+        applies the reliability bookkeeping: acked bits, byte/segment
+        counters and flow completion.  Semantics per segment mirror
+        :meth:`_on_ack`.
         """
         ticket = state.ticket
         if ticket.failed:
@@ -892,7 +818,7 @@ class FabricService:
         tenant = self.tenants[ticket.tenant]
         nacked = 0
         bytes_acked = 0
-        for idx, _sent_at, _ack_at, _ce in acks:
+        for idx in idxs:
             if state.acked[idx]:
                 self._m_dup_acks.inc()
                 continue
@@ -963,17 +889,12 @@ class FabricService:
         ticket = state.ticket
         if ticket.failed or state.acked[idx]:
             return
-        if self.sim.config.fluid and self.net.health is None:
-            # Fluid fast path (opt-in, unmonitored fabrics only: breaker
-            # transitions would invalidate future bookings mid-flight).
-            try:
-                path = self.net.route(ticket.src, ticket.dst)
-            except ConfigError:
-                self._on_no_route(state, idx, attempt)
-                return
-            if self.net.fluid_plan(path) is not None:
-                self._send_segment_fluid(state, idx, attempt)
-                return
+        plan = self._fluid_plan(ticket)
+        if plan is not None:
+            self._book(
+                state, idx, [state.seg_size(idx)], [self.sim.now], attempt, plan
+            )
+            return
         size = state.seg_size(idx)
         packet = Packet(
             dst_qpn=0,
@@ -1012,65 +933,6 @@ class FabricService:
         self._m_segments_sent.inc()
         rto = min(state.pair.rto_base * (2.0 ** attempt), 4.0)
         self.sim.call_in(rto, self._on_rto, state, idx, attempt)
-
-    def _send_segment_fluid(self, state: _FlowState, idx: int, attempt: int) -> None:
-        """Book the segment's whole journey now instead of relaying it.
-
-        Replaces the per-hop delivery events, the destination callback and
-        the always-armed RTO timer with exactly one scheduled event per
-        segment: an ``_on_ack`` at the computed arrival plus the reverse
-        path's delay when the segment survives every hop, or an ``_on_rto``
-        at the timeout when any hop drops it.  ``_on_ack`` and ``_on_rto``
-        are reused verbatim -- their duplicate/stale-attempt guards already
-        make late or raced callbacks safe.  A delivered segment therefore
-        never retransmits even if its computed ACK lands after the RTO
-        would have fired, one of the documented fluid approximations.
-        """
-        ticket = state.ticket
-        size = state.seg_size(idx)
-        packet = Packet(
-            dst_qpn=0,
-            opcode=Opcode.WRITE_ONLY_IMM,
-            length=size,
-            msg_seq=ticket.seq,
-            pkt_idx=idx,
-            chunk=idx,
-            attempt=attempt,
-        )
-        state.attempt[idx] = attempt
-        state.uid[idx] = packet.uid
-        sent_at = self.sim.now
-        path, outcome, arrival = self.net.fluid_send(
-            ticket.src, ticket.dst, packet, at=sent_at
-        )
-        state.sent_path[idx] = path
-        if state.route_lost_at is not None:
-            state.route_lost_at = None
-            self._m_route_restored.inc()
-            if self._trace.enabled:
-                self._trace.instant(
-                    "route_restored", cat="fabric",
-                    track=f"{self.name}.{ticket.src}",
-                    msg=ticket.seq, chunk=idx,
-                )
-        self._m_segments_sent.inc()
-        if outcome == "ok":
-            try:
-                ack_delay = self.net.path_one_way_delay(ticket.dst, ticket.src)
-            except ConfigError:
-                ack_delay = None
-            if ack_delay is not None:
-                self.sim.call_at(
-                    arrival + ack_delay,
-                    lambda: self._on_ack(
-                        state, idx, attempt, sent_at, packet.ce
-                    ),
-                )
-                return
-        # Dropped along the way (or no reverse route): arm the RTO -- only
-        # now, so the common delivered case costs zero timer events.
-        rto = min(state.pair.rto_base * (2.0 ** attempt), 4.0)
-        self.sim.call_at(sent_at + rto, self._on_rto, state, idx, attempt)
 
     def _on_delivered(
         self, state: _FlowState, idx: int, attempt: int, sent_at: float, packet: Packet

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
 from repro.net.channel import Channel
+from repro.net.fluid import FluidLink
 from repro.net.loss import LossModel
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
@@ -310,7 +311,7 @@ class FabricNetwork:
         self._delay_cache: dict[tuple[str, str], float] = {}
         #: Precompiled fluid hop plans per path; ``None`` = ineligible.
         self._fluid_plans: dict[
-            tuple[str, ...], tuple[tuple[Channel, float], ...] | None
+            tuple[str, ...], tuple[tuple[FluidLink, float], ...] | None
         ] = {}
         self._inflight: dict[int, _Transit] = {}
         self.health = None  # optional EdgeHealthMonitor (fabric.health)
@@ -448,14 +449,13 @@ class FabricNetwork:
     def fluid_path_eligible(self, path: tuple[str, ...]) -> bool:
         """True when every edge along ``path`` can be fluid-booked.
 
-        The fabric fluid fast path (see :meth:`fluid_send`) resolves a
-        packet's whole multi-hop journey synchronously at send time, using
-        each edge's fixed ``one_way_delay`` for flight time.  Edges that
+        A fluid booking resolves a segment's whole multi-hop journey at
+        send time from each edge's fixed ``one_way_delay``.  Edges that
         perturb per-packet timing or copy packets (jitter, duplication)
-        would need per-packet RNG draws at transit time, so they force the
+        need per-packet RNG draws at transit time, so they force the
         event-driven relay.  Tail-drop buffers, ECN marking and wire-loss
-        models are fine: :meth:`Channel.fluid_transmit_one` applies them
-        against the booking horizon.  Subclassed channels (fault
+        models are fine: :meth:`~repro.net.fluid.FluidLink.book` applies
+        them against the edge's ring.  Subclassed channels (fault
         injectors) are never eligible -- their wrapped behavior is an
         epoch boundary by definition.
         """
@@ -470,12 +470,12 @@ class FabricNetwork:
 
     def fluid_plan(
         self, path: tuple[str, ...]
-    ) -> tuple[tuple[Channel, float], ...] | None:
-        """Precompiled ``(channel, one_way_delay)`` hop list, or ``None``.
+    ) -> tuple[tuple[FluidLink, float], ...] | None:
+        """Precompiled ``(link, one_way_delay)`` hop list, or ``None``.
 
         ``None`` means the path is not fluid-eligible.  Plans are cached
-        (and cleared with the route cache) so the per-segment hot loop in
-        :meth:`fluid_send` does no dict or config lookups.
+        (and cleared with the route cache) so booking a journey does no
+        dict or config lookups per hop.
         """
         try:
             return self._fluid_plans[path]
@@ -485,43 +485,13 @@ class FabricNetwork:
         if self.fluid_path_eligible(path):
             plan = tuple(
                 (
-                    self.channels[(a, b)],
+                    self.channels[(a, b)].fluid,
                     self.channels[(a, b)].config.one_way_delay,
                 )
                 for a, b in zip(path, path[1:])
             )
         self._fluid_plans[path] = plan
         return plan
-
-    def fluid_send(
-        self, src: str, dst: str, packet: Packet, *, at: float
-    ) -> tuple[tuple[str, ...], str, float]:
-        """Book ``packet``'s whole multi-hop journey in one step.
-
-        Each hop is admitted via :meth:`Channel.fluid_transmit_one` at the
-        packet's computed arrival instant (previous hop's serialization
-        done plus that edge's propagation delay), so no per-hop relay
-        events enter the heap and nothing lands in the in-flight table.
-        Returns ``(path, outcome, arrival)`` where outcome is ``"ok"``,
-        ``"tail_drop"`` or ``"loss"`` and ``arrival`` is the delivery time
-        at the final host (meaningless for drops).  Scheduling the
-        delivery/ACK reaction is the caller's job.
-
-        Bookings advance each edge's horizon in *send* order rather than
-        arrival order, a FIFO approximation the caller accepts by gating
-        on :meth:`fluid_path_eligible` (see ``docs/simulation.md``).
-        """
-        path = self.route(src, dst)
-        plan = self.fluid_plan(path)
-        if plan is None:
-            raise ConfigError(f"path {path!r} is not fluid-eligible")
-        t = at
-        for channel, owd in plan:
-            outcome, done = channel.fluid_transmit_one(packet, at=t)
-            if outcome != "ok":
-                return path, outcome, t
-            t = done + owd
-        return path, "ok", t
 
     def abandon(self, uid: int) -> None:
         """Forget an in-flight packet (its RTO fired; a new attempt owns

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.common.config import ChannelConfig
+from repro.net.fluid import FluidLink
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
@@ -56,12 +58,6 @@ class ChannelStats:
 class Channel:
     """One direction of a link: FIFO serialization, delay, jitter, loss."""
 
-    #: Buckets in the fluid booking ring.  With the default bucket width
-    #: (one 64 KiB segment's serialization, or 1/32 of the buffer drain
-    #: time on buffered edges) this spans several milliseconds of
-    #: arrival history -- comfortably wider than any tranche bookahead.
-    _FL_N = 1024
-
     def __init__(
         self,
         sim: Simulator,
@@ -84,27 +80,6 @@ class Channel:
         self.loss = loss
         self._sink: Callable[[Packet], None] | None = None
         self._busy_until = 0.0
-        # Fluid-booking queue state (fabric fast path): a bucketed
-        # arrival-curve ring.  Flows book whole tranches ahead of the
-        # event clock, so arrivals from different flows reach a shared
-        # edge out of booking order; per-bucket byte accounting is
-        # commutative, which keeps the discrete Lindley recurrence
-        # q[j] = max(q[j-1] - rate*dt, 0) + a[j] correct up to bucket
-        # quantization no matter the booking order.  A scalar
-        # last/backlog integrator is identical for nondecreasing
-        # arrivals but mis-estimates by up to a full buffer once
-        # cross-flow skew approaches the drain time, manufacturing
-        # phantom tail drops that packet mode never sees.
-        bps = self._bps
-        dt = 65536.0 / bps
-        if config.buffer_bytes > 0:
-            dt = max(dt, config.buffer_bytes / bps / 32.0)
-        self._fl_bps = bps
-        self._fl_dt = dt
-        self._fl_drain = bps * dt
-        self._fl_t0 = 0.0
-        self._fl_a: list[float] | None = None
-        self._fl_q: list[float] | None = None
         scope = sim.telemetry.metrics.scope(f"net.{name}")
         self._m_offered = scope.counter("packets_offered")
         self._m_dropped = scope.counter("packets_dropped")
@@ -241,406 +216,11 @@ class Channel:
             sim.call_at(done + self._flight_delay(), self._deliver, packet)
         return done
 
-    # -- fluid fast path -------------------------------------------------------
-
-    def fluid_bulk_eligible(self) -> bool:
-        """True when a self-clocked bulk segment may book this channel.
-
-        The bulk fluid path (:mod:`repro.sim.fluid`) models a steady
-        transfer whose packets are paced by the wire itself, so the real
-        standing queue never exceeds a handful of MTUs.  Any feature that
-        reacts to queue depth or perturbs per-packet timing (ECN marking,
-        bounded buffers, jitter, duplication) is an epoch boundary by
-        definition and forces packet mode.
-        """
-        cfg = self.config
-        return (
-            self._sink is not None
-            and cfg.jitter_fraction == 0
-            and cfg.duplicate_probability == 0
-            and cfg.buffer_bytes == 0
-            and cfg.ecn_threshold_bytes == 0
-        )
-
-    def fluid_admit(
-        self, sizes: np.ndarray, *, at: float, msg_seq: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Book a whole back-to-back segment on the wire in one step.
-
-        ``sizes`` are per-packet byte lengths serialized FIFO starting no
-        earlier than ``at`` (and no earlier than the current booking
-        horizon).  Returns ``(dones, dropped)``: absolute serialization-done
-        times per packet and the wire-loss outcomes drawn via the loss
-        model's vectorized ``drop_mask`` -- for Bernoulli/NoLoss models the
-        draw stream is identical to per-packet ``drops()`` calls, so fluid
-        and packet mode agree bit-for-bit on which packets die.
-
-        The caller owns delivery (there is no per-packet ``_deliver``
-        event); counters and gauges advance exactly as ``transmit`` would
-        in aggregate, and a single ``fluid_segment`` trace record replaces
-        the per-packet ``tx`` completes.
-        """
-        if not self.fluid_bulk_eligible():
-            raise RuntimeError(f"{self.name}: channel not fluid-bulk eligible")
-        n = len(sizes)
-        total = int(sizes.sum())
-        start0 = max(at, self._busy_until)
-        dones = start0 + np.cumsum(sizes, dtype=np.float64) / (
-            self.config.bytes_per_second
-        )
-        self._busy_until = float(dones[-1])
-        dropped = self.loss.drop_mask(self.rng, sizes)
-        lost_bytes = int(sizes[dropped].sum()) if dropped.any() else 0
-        self._m_offered.inc(n)
-        self._m_bytes_offered.inc(total)
-        ndropped = int(dropped.sum())
-        if ndropped:
-            self._m_dropped.inc(ndropped)
-        self._m_bytes_delivered.inc(total - lost_bytes)
-        self._g_queue_delay.set(start0 - at)
-        self._g_backlog.set((start0 - at) * self.config.bytes_per_second)
-        if self._trace.enabled:
-            self._trace.complete(
-                "fluid_segment", cat="net", track=self._track,
-                start=start0, end=float(dones[-1]), packets=n, bytes=total,
-                dropped=ndropped, msg=msg_seq,
-            )
-        return dones, dropped
-
-    @property
-    def fluid_horizon(self) -> float:
-        """How far ahead fluid bookings may safely land on this edge.
-
-        Bookings further than this beyond the ring's retained history
-        force a shift that discards older buckets, so tranche planners
-        bound their bookahead by the smallest horizon along the path.
-        """
-        return self._FL_N * self._fl_dt * 0.25
-
-    def _fluid_index(self, at: float) -> int:
-        """Ring bucket for arrival time ``at``, shifting/clamping as needed.
-
-        Bucket 0 is reserved as the recurrence base (``q[k-1]`` is the
-        queue entering bucket ``k``), so the returned index is always
-        >= 1; arrivals older than the retained history clamp to bucket 1.
-        """
-        if self._fl_a is None:
-            self._fl_a = [0.0] * self._FL_N
-            self._fl_q = [0.0] * self._FL_N
-            self._fl_t0 = at - self._fl_dt
-            return 1
-        k = int((at - self._fl_t0) / self._fl_dt)
-        if k < 1:
-            return 1
-        if k >= self._FL_N:
-            return self._fluid_shift(k)
-        return k
-
-    def _fluid_shift(self, k: int) -> int:
-        """Advance the ring so bucket ``k`` fits, keeping 3/4 of the span."""
-        N = self._FL_N
-        a = self._fl_a
-        q = self._fl_q
-        drain = self._fl_drain
-        m = k - (N * 3) // 4
-        if m >= N:
-            # The whole retained window predates the booking: the queue
-            # decayed through the gap; restart the ring from its remnant.
-            v = q[N - 1] - (m - N) * drain
-            if v < 0.0:
-                v = 0.0
-            self._fl_a = [0.0] * N
-            nq = [0.0] * N
-            j = 0
-            while v > 0.0 and j < N:
-                v -= drain
-                if v < 0.0:
-                    v = 0.0
-                nq[j] = v
-                j += 1
-            self._fl_q = nq
-        else:
-            del a[:m]
-            a.extend([0.0] * m)
-            v = q[-1]
-            del q[:m]
-            for _ in range(m):
-                v -= drain
-                if v < 0.0:
-                    v = 0.0
-                q.append(v)
-        self._fl_t0 += m * self._fl_dt
-        return k - m
-
-    def _fluid_seen(self, k: int, at: float) -> float:
-        """Queue depth an arrival at ``at`` (bucket ``k``) queues behind."""
-        lead = at - (self._fl_t0 + k * self._fl_dt)
-        seen = self._fl_q[k - 1]
-        if lead > 0.0:
-            seen -= lead * self._fl_bps
-            if seen < 0.0:
-                seen = 0.0
-        return seen + self._fl_a[k]
-
-    def _fluid_push(self, k: int, size: float) -> None:
-        """Add ``size`` bytes to bucket ``k`` and repair the recurrence."""
-        a = self._fl_a
-        q = self._fl_q
-        drain = self._fl_drain
-        a[k] += size
-        v = q[k - 1]
-        N = self._FL_N
-        while k < N:
-            v -= drain
-            if v < 0.0:
-                v = 0.0
-            v += a[k]
-            if v == q[k]:
-                return
-            q[k] = v
-            k += 1
-
-    def fluid_transmit_one(
-        self, packet: Packet, *, at: float
-    ) -> tuple[str, float]:
-        """Single-packet admission booked at future time ``at``.
-
-        The fabric fluid path resolves a whole multi-hop journey at send
-        time: each hop is booked at the packet's computed arrival instant
-        with full ``transmit`` semantics (tail drop, ECN mark, wire loss)
-        against the booking ring.  Returns ``(outcome, done)`` where
-        outcome is ``"ok"``, ``"tail_drop"`` or ``"loss"`` and ``done`` is
-        the serialization-done time (``at`` for tail drops).  Delivery is
-        the caller's job -- no event is scheduled here.
-        """
-        if self._sink is None:
-            raise RuntimeError(f"{self.name}: no sink attached")
-        bps = self.config.bytes_per_second
-        k = self._fluid_index(at)
-        backlog = self._fluid_seen(k, at)
-        self._m_offered.inc()
-        self._m_bytes_offered.inc(packet.length)
-        self._g_queue_delay.set(backlog / bps)
-        self._g_backlog.set(backlog)
-        if (
-            self.config.buffer_bytes > 0
-            and backlog + packet.length > self.config.buffer_bytes
-        ):
-            self._m_dropped.inc()
-            self._m_tail_drops.inc()
-            if self._trace.enabled:
-                self._trace.instant(
-                    "tail_drop", cat="net", track=self._track,
-                    psn=packet.psn, bytes=packet.length,
-                    **self._lineage(packet),
-                )
-            return "tail_drop", at
-        if (
-            self.config.ecn_threshold_bytes > 0
-            and backlog >= self.config.ecn_threshold_bytes
-        ):
-            packet.ce = True
-            self._m_ecn_marked.inc()
-            if self._trace.enabled:
-                self._trace.counter(
-                    "net_backlog", cat="net", track=self._track,
-                    backlog_bytes=backlog,
-                )
-        self._fluid_push(k, float(packet.length))
-        backlog += packet.length
-        done = at + backlog / bps
-        if done > self._busy_until:
-            self._busy_until = done
-        if self.loss.drops(self.rng, packet.length):
-            self._m_dropped.inc()
-            if self._trace.enabled:
-                self._trace.instant(
-                    "loss_drop", cat="net", track=self._track,
-                    psn=packet.psn, bytes=packet.length,
-                    **self._lineage(packet),
-                )
-            return "loss", done
-        self._m_bytes_delivered.inc(packet.length)
-        if self._trace.enabled:
-            self._trace.complete(
-                "tx", cat="net", track=self._track,
-                start=at + backlog / bps, end=done,
-                psn=packet.psn, bytes=packet.length,
-                **self._lineage(packet),
-            )
-        return "ok", done
-
-    def fluid_admit_chain(
-        self,
-        sizes: np.ndarray,
-        arrivals: np.ndarray,
-        *,
-        msg_seq: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Book one flow's segments FIFO against the horizon in one call.
-
-        The fabric fluid path sends a whole flow's segments down a shared
-        path; booking them per call via :meth:`fluid_transmit_one` costs
-        as much Python as the packet path minus the heap.  This variant
-        runs the same admission logic -- tail drop against the standing
-        backlog, ECN mark, wire loss (drawn per segment, in order, from
-        the same stream), serialization chaining -- as one tight loop
-        with counters accumulated locally and published in bulk.
-
-        Returns ``(dones, ok, marked)``: per-segment serialization-done
-        times (arrival time for tail drops, which never serialize), a
-        delivered mask (False = tail drop or wire loss; wire-lost
-        segments still occupy the wire), and an ECN CE mask.
-        """
-        if self._sink is None:
-            raise RuntimeError(f"{self.name}: no sink attached")
-        cfg = self.config
-        bps = cfg.bytes_per_second
-        buffer_bytes = cfg.buffer_bytes
-        ecn_bytes = cfg.ecn_threshold_bytes
-        loss = self.loss
-        rng = self.rng
-        n = len(sizes)
-        dones = np.empty(n, dtype=np.float64)
-        ok = np.zeros(n, dtype=bool)
-        marked = np.zeros(n, dtype=bool)
-        offered_bytes = 0
-        delivered_bytes = 0
-        ndropped = ntail = nmarked = 0
-        backlog = 0.0
-        if n and self._fl_a is None:
-            self._fluid_index(float(arrivals[0]))
-        # The ring helpers (_fluid_index/_fluid_seen/_fluid_push) are
-        # inlined here with hoisted locals: this loop runs once per
-        # segment-hop and is the fluid fast path's hot spot.
-        a = self._fl_a
-        q = self._fl_q
-        t0 = self._fl_t0
-        dt = self._fl_dt
-        drain = self._fl_drain
-        N = self._FL_N
-        for j in range(n):
-            at = float(arrivals[j])
-            size = int(sizes[j])
-            offered_bytes += size
-            k = int((at - t0) / dt)
-            if k < 1:
-                k = 1
-            elif k >= N:
-                k = self._fluid_shift(k)
-                a = self._fl_a
-                q = self._fl_q
-                t0 = self._fl_t0
-            prev = q[k - 1]
-            lead = at - t0 - k * dt
-            if lead > 0.0:
-                prev -= lead * bps
-                if prev < 0.0:
-                    prev = 0.0
-            seen = prev + a[k]
-            if buffer_bytes > 0 and seen + size > buffer_bytes:
-                ntail += 1
-                ndropped += 1
-                dones[j] = at
-                backlog = seen
-                continue
-            if ecn_bytes > 0 and seen >= ecn_bytes:
-                marked[j] = True
-                nmarked += 1
-            a[k] += size
-            v = q[k - 1]
-            while k < N:
-                v -= drain
-                if v < 0.0:
-                    v = 0.0
-                v += a[k]
-                if v == q[k]:
-                    break
-                q[k] = v
-                k += 1
-            backlog = seen + size
-            dones[j] = at + backlog / bps
-            if loss.drops(rng, size):
-                ndropped += 1
-                continue
-            ok[j] = True
-            delivered_bytes += size
-        if n and dones[n - 1] > self._busy_until:
-            self._busy_until = float(dones[n - 1])
-        self._m_offered.inc(n)
-        self._m_bytes_offered.inc(offered_bytes)
-        if ndropped:
-            self._m_dropped.inc(ndropped)
-        if ntail:
-            self._m_tail_drops.inc(ntail)
-        if nmarked:
-            self._m_ecn_marked.inc(nmarked)
-        self._m_bytes_delivered.inc(delivered_bytes)
-        self._g_queue_delay.set(backlog / bps)
-        self._g_backlog.set(backlog)
-        if self._trace.enabled:
-            self._trace.complete(
-                "fluid_segment", cat="net", track=self._track,
-                start=float(arrivals[0]) if n else self.sim.now,
-                end=float(dones[n - 1]) if n else self.sim.now,
-                packets=n, bytes=offered_bytes,
-                dropped=ndropped, msg=msg_seq,
-            )
-        return dones, ok, marked
-
-    def fluid_admit_one(
-        self, size: int, at: float, *, msg_seq: int | None = None
-    ) -> tuple[float, bool, bool]:
-        """Scalar :meth:`fluid_admit_chain`: one segment, no arrays.
-
-        Single-segment flows dominate mice-heavy fabrics; spelling the
-        n=1 case without ndarray construction keeps the fluid fast path
-        fast.  Accounting, RNG draws and trace records are identical to
-        a one-element chain call.  Returns ``(done, ok, marked)``.
-        """
-        if self._sink is None:
-            raise RuntimeError(f"{self.name}: no sink attached")
-        cfg = self.config
-        bps = cfg.bytes_per_second
-        k = self._fluid_index(at)
-        seen = self._fluid_seen(k, at)
-        self._m_offered.inc()
-        self._m_bytes_offered.inc(size)
-        if cfg.buffer_bytes > 0 and seen + size > cfg.buffer_bytes:
-            self._g_queue_delay.set(seen / bps)
-            self._g_backlog.set(seen)
-            self._m_dropped.inc()
-            self._m_tail_drops.inc()
-            if self._trace.enabled:
-                self._trace.complete(
-                    "fluid_segment", cat="net", track=self._track,
-                    start=at, end=at, packets=1, bytes=size,
-                    dropped=1, msg=msg_seq,
-                )
-            return at, False, False
-        marked = False
-        if cfg.ecn_threshold_bytes > 0 and seen >= cfg.ecn_threshold_bytes:
-            marked = True
-            self._m_ecn_marked.inc()
-        self._fluid_push(k, float(size))
-        backlog = seen + size
-        self._g_queue_delay.set(backlog / bps)
-        self._g_backlog.set(backlog)
-        done = at + (seen + size) / bps
-        if done > self._busy_until:
-            self._busy_until = done
-        ok = not self.loss.drops(self.rng, size)
-        if ok:
-            self._m_bytes_delivered.inc(size)
-        else:
-            self._m_dropped.inc()
-        if self._trace.enabled:
-            self._trace.complete(
-                "fluid_segment", cat="net", track=self._track,
-                start=at, end=done, packets=1, bytes=size,
-                dropped=0 if ok else 1, msg=msg_seq,
-            )
-        return done, ok, marked
+    @cached_property
+    def fluid(self) -> FluidLink:
+        """This channel's fluid-booking state (:mod:`repro.net.fluid`),
+        built on first use so packet-mode channels never carry it."""
+        return FluidLink(self)
 
     def _flight_delay(self) -> float:
         delay = self._one_way

@@ -1,0 +1,270 @@
+"""Fluid booking on one channel: whole segments admitted without events.
+
+A :class:`FluidLink` is the fluid fast path's view of a
+:class:`~repro.net.channel.Channel` (``channel.fluid``, built on first
+use).  It has two entry points, both publishing to the channel's own
+counters, gauges and trace track:
+
+* :meth:`FluidLink.book` -- the fabric's shared edges.  Flows book whole
+  tranches ahead of the event clock, so arrivals from different flows
+  reach an edge out of booking order.  The link keeps a ring of time
+  buckets holding per-bucket arrival bytes ``a[j]`` and the queue depth
+  at bucket end ``q[j] = max(q[j-1] - rate*dt, 0) + a[j]`` (a discrete
+  Lindley recurrence).  Byte additions commute, so queue depth is right
+  up to bucket quantization whatever the booking order; a scalar
+  last/backlog integrator is identical for nondecreasing arrivals but
+  mis-estimates by up to a full buffer once cross-flow skew approaches
+  the drain time, manufacturing tail drops packet mode never sees.
+* :meth:`FluidLink.book_fifo` -- the SDR injector's dedicated link: one
+  in-order sender, so the channel's serialization horizon is the whole
+  queue model and loss is one vectorized ``drop_mask`` draw.
+
+Delivery is the caller's job in both; no event is scheduled here.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from itertools import compress
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from repro.net.channel import Channel
+
+
+class FluidLink:
+    """Arrival-curve ring and bulk admission for one channel."""
+
+    #: Buckets in the ring.  With the bucket width below this spans
+    #: several milliseconds of arrival history -- comfortably wider than
+    #: any tranche bookahead.
+    N = 1024
+
+    def __init__(self, channel: Channel):
+        self.channel = channel
+        bps = channel.config.bytes_per_second
+        # One 64 KiB segment's serialization, or 1/32 of the buffer's
+        # drain time on buffered edges.
+        dt = 65536.0 / bps
+        if channel.config.buffer_bytes > 0:
+            dt = max(dt, channel.config.buffer_bytes / bps / 32.0)
+        self._dt = dt
+        self._drain = bps * dt
+        #: How far ahead of the ring's history a booking may safely land.
+        #: A booking further out forces a shift that discards older
+        #: buckets, so tranche planners bound their bookahead by the
+        #: smallest horizon along the path.
+        self.horizon = self.N * dt * 0.25
+        self._t0 = 0.0
+        self._a: list[float] | None = None
+        self._q: list[float] | None = None
+
+    def fifo_eligible(self) -> bool:
+        """True when :meth:`book_fifo` models this channel faithfully.
+
+        A self-clocked bulk sender keeps the real standing queue at a
+        handful of MTUs, so any feature that reacts to queue depth or
+        perturbs per-packet timing (ECN marking, bounded buffers, jitter,
+        duplication) is an epoch boundary and forces packet mode.
+        """
+        cfg = self.channel.config
+        return (
+            self.channel._sink is not None
+            and cfg.jitter_fraction == 0
+            and cfg.duplicate_probability == 0
+            and cfg.buffer_bytes == 0
+            and cfg.ecn_threshold_bytes == 0
+        )
+
+    def _shift(self, k: int) -> int:
+        """Advance the ring so bucket ``k`` fits, keeping 3/4 of the span."""
+        N = self.N
+        a = self._a
+        q = self._q
+        drain = self._drain
+        m = k - (N * 3) // 4
+        if m >= N:
+            # The whole retained window predates the booking: the queue
+            # decayed through the gap; restart the ring from its remnant.
+            v = q[N - 1] - (m - N) * drain
+            if v < 0.0:
+                v = 0.0
+            self._a = [0.0] * N
+            nq = [0.0] * N
+            j = 0
+            while v > 0.0 and j < N:
+                v -= drain
+                if v < 0.0:
+                    v = 0.0
+                nq[j] = v
+                j += 1
+            self._q = nq
+        else:
+            del a[:m]
+            a.extend([0.0] * m)
+            v = q[-1]
+            del q[:m]
+            for _ in range(m):
+                v -= drain
+                if v < 0.0:
+                    v = 0.0
+                q.append(v)
+        self._t0 += m * self._dt
+        return k - m
+
+    def book(
+        self,
+        sizes: Sequence[int],
+        arrivals: Sequence[float],
+        msg_seq: int | None = None,
+    ) -> tuple[list[float], list[bool], list[bool]]:
+        """Admit segments of ``sizes`` bytes arriving at ``arrivals``.
+
+        Each segment gets ``Channel.transmit``'s admission against the
+        ring: tail drop when the queue it meets plus itself overflows the
+        buffer, ECN mark at the threshold, the bytes pushed into its
+        bucket, then a wire-loss draw (per segment, in order, from the
+        channel's stream).  Returns ``(dones, ok, marked)``: serialization
+        done times (the arrival time for tail drops, which never
+        serialize), delivered flags (False = tail drop or wire loss; a
+        wire-lost segment still occupied the wire) and CE-mark flags.
+        One call with n segments is n one-segment calls, except that it
+        writes one ``fluid_segment`` record instead of n.
+        """
+        ch = self.channel
+        if ch._sink is None:
+            raise RuntimeError(f"{ch.name}: no sink attached")
+        n = len(sizes)
+        if n == 0:
+            return [], [], []
+        cfg = ch.config
+        bps = cfg.bytes_per_second
+        buffer_bytes = cfg.buffer_bytes
+        ecn_bytes = cfg.ecn_threshold_bytes
+        drops = ch.loss.drops
+        rng = ch.rng
+        dones = list(arrivals)
+        ok = [True] * n
+        marked = [False] * n
+        ntail = 0
+        backlog = 0.0
+        busy = ch._busy_until
+        first = dones[0]
+        if self._a is None:
+            # Bucket 0 is the recurrence base (q[k-1] is the queue
+            # entering bucket k), so the first arrival lands in bucket 1.
+            self._a = [0.0] * self.N
+            self._q = [0.0] * self.N
+            self._t0 = first - self._dt
+        a = self._a
+        q = self._q
+        t0 = self._t0
+        dt = self._dt
+        drain = self._drain
+        N = self.N
+        for j in range(n):
+            at = dones[j]
+            size = sizes[j]
+            # Arrivals older than the retained history clamp to bucket 1.
+            k = int((at - t0) / dt)
+            if k < 1:
+                k = 1
+            elif k >= N:
+                k = self._shift(k)
+                a = self._a
+                q = self._q
+                t0 = self._t0
+            prev = q[k - 1]
+            lead = at - t0 - k * dt
+            if lead > 0.0:
+                prev -= lead * bps
+                if prev < 0.0:
+                    prev = 0.0
+            seen = prev + a[k]
+            if buffer_bytes > 0 and seen + size > buffer_bytes:
+                ntail += 1
+                ok[j] = False
+                backlog = seen
+                continue
+            if ecn_bytes > 0 and seen >= ecn_bytes:
+                marked[j] = True
+            a[k] += size
+            v = q[k - 1]
+            while k < N:
+                v -= drain
+                if v < 0.0:
+                    v = 0.0
+                v += a[k]
+                if v == q[k]:
+                    break
+                q[k] = v
+                k += 1
+            backlog = seen + size
+            done = dones[j] = at + backlog / bps
+            if done > busy:
+                busy = done
+            if drops(rng, size):
+                ok[j] = False
+        ch._busy_until = busy
+        self._publish(
+            n, sum(sizes), sum(compress(sizes, ok)), ok.count(False), ntail,
+            marked.count(True), backlog / bps, backlog, first, dones[-1],
+            msg_seq,
+        )
+        return dones, ok, marked
+
+    def book_fifo(
+        self, sizes: np.ndarray, at: float, msg_seq: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Serialize ``sizes`` back to back from ``at`` or the horizon.
+
+        Returns ``(dones, dropped)``: absolute serialization-done times
+        per packet and the wire-loss outcomes from the loss model's
+        ``drop_mask`` -- for Bernoulli/NoLoss models the draw stream is
+        identical to per-packet ``drops()`` calls, so fluid and packet
+        mode agree bit for bit on which packets die.
+        """
+        ch = self.channel
+        if not self.fifo_eligible():
+            raise RuntimeError(f"{ch.name}: channel not fluid-bulk eligible")
+        bps = ch.config.bytes_per_second
+        total = int(sizes.sum())
+        start = max(at, ch._busy_until)
+        dones = start + np.cumsum(sizes, dtype=np.float64) / bps
+        end = ch._busy_until = float(dones[-1])
+        dropped = ch.loss.drop_mask(ch.rng, sizes)
+        ndropped = int(dropped.sum())
+        lost = int(sizes[dropped].sum()) if ndropped else 0
+        self._publish(
+            len(sizes), total, total - lost, ndropped, 0, 0,
+            start - at, (start - at) * bps, start, end, msg_seq,
+        )
+        return dones, dropped
+
+    def _publish(
+        self, n, offered, delivered, ndropped, ntail, nmarked,
+        delay, backlog, start, end, msg_seq,
+    ) -> None:
+        """Advance the channel's counters and gauges as n ``transmit``
+        calls would in aggregate; one ``fluid_segment`` record stands in
+        for the per-packet ``tx`` completes."""
+        ch = self.channel
+        ch._m_offered.inc(n)
+        ch._m_bytes_offered.inc(offered)
+        if ndropped:
+            ch._m_dropped.inc(ndropped)
+        if ntail:
+            ch._m_tail_drops.inc(ntail)
+        if nmarked:
+            ch._m_ecn_marked.inc(nmarked)
+        ch._m_bytes_delivered.inc(delivered)
+        ch._g_queue_delay.set(delay)
+        ch._g_backlog.set(backlog)
+        if ch._trace.enabled:
+            ch._trace.complete(
+                "fluid_segment", cat="net", track=ch._track,
+                start=start, end=end, packets=n, bytes=offered,
+                dropped=ndropped, msg=msg_seq,
+            )

@@ -1,4 +1,4 @@
-"""Hybrid fluid/packet fast path for the DES (ROADMAP item 1).
+"""Hybrid fluid/packet fast path for the DES.
 
 The pure-Python engine spends one heap event (plus several callbacks) per
 packet; at Fig 16 scale that is tens of thousands of events per message.
@@ -164,7 +164,7 @@ class FluidSolver:
             return None
         if any(qp.channel is not channel for qp in qps[1:]):
             return None
-        if not channel.fluid_bulk_eligible():
+        if not channel.fluid.fifo_eligible():
             return None
         if type(channel.loss) not in PARITY_LOSS_MODELS:
             return None
@@ -216,7 +216,7 @@ class FluidSolver:
 
         # Wire booking: FIFO serialization in packet-index order (the UC
         # send pumps self-clock into exactly this order in packet mode).
-        dones, dropped = channel.fluid_admit(sizes, at=now, msg_seq=hdl.seq)
+        dones, dropped = channel.fluid.book_fifo(sizes, now, hdl.seq)
         arrivals = dones + pmap.owd
         delivered = ~dropped
 
