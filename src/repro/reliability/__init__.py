@@ -22,8 +22,11 @@ schemes without new silicon):
   a single Done instead of a per-RTT ACK stream, with the bitmap-driven
   resumption machinery as the backstop.
 
-Shared plumbing lives in :mod:`repro.reliability.base` (control path,
-tickets) and :mod:`repro.reliability.messages` (ACK/NACK wire formats).
+Every scheme is a policy over the substrate in :mod:`repro.reliability.base`
+(control path, tickets, and the ``Endpoint`` / ``Sender`` / ``Receiver``
+skeleton: streams, wire-paced injection, the bitmap serve loop, the one
+completion and one ``DeliveryError`` failure path);
+:mod:`repro.reliability.messages` holds the control wire formats.
 """
 
 from repro.reliability.adaptive import (

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigError, ProtocolError
+from repro.common.errors import ConfigError, DeliveryError
 from repro.models.ec_model import ec_expected_completion
 from repro.models.params import ModelParams
 from repro.models.sr_model import sr_expected_completion
-from repro.reliability.base import ControlPath, ReceiveTicket, WriteTicket
+from repro.reliability.base import ControlPath, Endpoint, ReceiveTicket, WriteTicket
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
 from repro.reliability.messages import Provision
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
@@ -161,8 +161,10 @@ def _default_advisor(qp: SdrQp, rtt: float, ec_config: EcConfig) -> ProtocolAdvi
     )
 
 
-class AdaptiveReceiver:
+class AdaptiveReceiver(Endpoint):
     """Chooses the protocol per message and announces it to the sender."""
+
+    scheme = "adaptive"
 
     def __init__(
         self,
@@ -175,10 +177,7 @@ class AdaptiveReceiver:
         estimator: DropRateEstimator | None = None,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
+        super().__init__(qp, ctrl, rtt=rtt)
         ec_config = ec_config if ec_config is not None else EcConfig()
         self.sr = SrReceiver(qp, ctrl, sr_config, rtt=self.rtt)
         self.ec = EcReceiver(qp, ctrl, ec_config, rtt=self.rtt)
@@ -189,13 +188,10 @@ class AdaptiveReceiver:
         self.estimator = estimator if estimator is not None else DropRateEstimator()
         self.protocol_history: list[str] = []
         self._msg_index = 0
-        scope = self.sim.telemetry.metrics.scope(f"adaptive.{qp.ctx.device.name}")
-        self._m_choices_sr = scope.counter("choices_sr")
-        self._m_choices_ec = scope.counter("choices_ec")
-        self._m_provisions_sent = scope.counter("provisions_sent")
-        self._g_drop_estimate = scope.gauge("drop_estimate")
-        self._trace = self.sim.telemetry.trace
-        self._track = f"adaptive.{qp.ctx.device.name}"
+        self._m_choices_sr = self._scope.counter("choices_sr")
+        self._m_choices_ec = self._scope.counter("choices_ec")
+        self._m_provisions_sent = self._scope.counter("provisions_sent")
+        self._g_drop_estimate = self._scope.gauge("drop_estimate")
 
     def post_receive(
         self, mr: MemoryRegion, length: int, mr_offset: int = 0
@@ -245,8 +241,10 @@ class AdaptiveReceiver:
         self._g_drop_estimate.set(self.estimator.observe(lost_chunks, total))
 
 
-class AdaptiveSender:
+class AdaptiveSender(Endpoint):
     """Dispatches each write through the receiver-provisioned protocol."""
+
+    scheme = "adaptive"
 
     def __init__(
         self,
@@ -260,10 +258,7 @@ class AdaptiveSender:
     ):
         if provision_timeout_rtts is not None and provision_timeout_rtts <= 0:
             raise ConfigError("provision_timeout_rtts must be > 0 or None")
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
+        super().__init__(qp, ctrl, rtt=rtt)
         self.provision_timeout_rtts = provision_timeout_rtts
         ec_config = ec_config if ec_config is not None else EcConfig()
         self.sr = SrSender(qp, ctrl, sr_config, rtt=self.rtt)
@@ -272,9 +267,7 @@ class AdaptiveSender:
         self._provisions: dict[int, str] = {}
         self._waiters: dict[int, object] = {}
         self._msg_index = 0
-        scope = self.sim.telemetry.metrics.scope(f"adaptive.{qp.ctx.device.name}")
-        self._m_provision_timeouts = scope.counter("provision_timeouts")
-        ctrl.on_message(self._on_ctrl)
+        self._m_provision_timeouts = self._scope.counter("provision_timeouts")
 
     def attach_recovery(self, recovery) -> None:
         """Feed plane-recovery signals to both underlying protocols."""
@@ -309,10 +302,7 @@ class AdaptiveSender:
         """
         index = self._msg_index
         self._msg_index += 1
-        facade = WriteTicket(
-            seq=index, length=length, start_time=self.sim.now,
-            done=self.sim.event(),
-        )
+        facade = self._write_ticket(index, length)
         self.sim.process(self._dispatch(facade, index, length, payload))
         return facade
 
@@ -341,9 +331,10 @@ class AdaptiveSender:
                 facade.failed = True
                 if not facade.done.triggered:
                     facade.done.fail(
-                        ProtocolError(
+                        DeliveryError(
                             f"no provision for message {index} within "
-                            f"{self.provision_timeout_rtts:g} RTTs"
+                            f"{self.provision_timeout_rtts:g} RTTs",
+                            total_chunks=self.qp.config.chunks_in(length),
                         )
                     )
                 return

@@ -1,9 +1,18 @@
-"""Shared plumbing for reliability protocols: control path and tickets.
+"""The substrate half of every reliability scheme, written once.
 
 The paper's two-connection design (Section 4.1) gives every protocol pair a
 data-path SDR QP and a control-path UD QP.  :class:`ControlPath` wraps the
 UD QP with message (de)serialization; :class:`WriteTicket` /
 :class:`ReceiveTicket` are the handles applications wait on.
+
+A scheme is a *policy* over the SDR chunk bitmap and nothing else.
+:class:`Endpoint`, :class:`Sender` and :class:`Receiver` own what is not
+policy -- opening streams and tickets, chunk -> byte-range injection, the
+poll-the-bitmap serve loop with its deadline and abandonment checks, slot
+completion with the grace re-signal, and the one completion / one failure
+path of a write -- so a scheme supplies only what to inject, what to tell
+the peer per bitmap poll, and how to react to a control message
+(docs/protocols.md, "Anatomy of a scheme").
 """
 
 from __future__ import annotations
@@ -12,13 +21,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.common.errors import ConfigError
+import numpy as np
+
+from repro.common.errors import ConfigError, DeliveryError
 from repro.reliability.messages import decode_message
 from repro.sdr.context import SdrContext
-from repro.sdr.handles import SendHandle
-from repro.sdr.qp import SdrQp
+from repro.sdr.handles import RecvHandle, SendHandle
+from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
 from repro.sim.engine import Event, Simulator
 from repro.verbs.cq import CompletionQueue
+from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import QpInfo, SendWr, UdQp
 
 #: Minimum wire size of a control datagram (header overheads dominate the
@@ -44,6 +56,24 @@ def wait_injected(qp: SdrQp, hdl: SendHandle, target: int):
     poll = qp.sim.poll_until(lambda: hdl.packets_injected >= target, quantum)
     if not poll.processed:
         yield poll
+
+
+def _delivery_error(
+    reason: str, delivered: np.ndarray | None, total: int
+) -> DeliveryError:
+    """The one failure contract: every give-up carries its partial bitmap.
+
+    ``delivered`` = per-chunk flags as far as the failing side knows them;
+    None (no per-chunk state by design) reports 0 of ``total``, no bitmap.
+    """
+    if delivered is None:
+        return DeliveryError(reason, total_chunks=total)
+    return DeliveryError(
+        reason,
+        delivered_chunks=int(delivered.sum()),
+        total_chunks=total,
+        bitmap=np.packbits(delivered).tobytes(),
+    )
 
 
 class ControlPath:
@@ -101,8 +131,18 @@ class ControlPath:
             handler(msg)
 
 
+class _Ticket:
+    """What both tickets share: resolve ``done`` once, stamping the time."""
+
+    def _finish(self, now: float) -> None:
+        if self.finish_time is None:
+            self.finish_time = now
+            if not self.done.triggered:
+                self.done.succeed(self)
+
+
 @dataclass
-class WriteTicket:
+class WriteTicket(_Ticket):
     """Sender-side handle for one reliable Write."""
 
     seq: int
@@ -125,15 +165,9 @@ class WriteTicket:
             raise ConfigError("write has not completed yet")
         return self.finish_time - self.start_time
 
-    def _finish(self, now: float) -> None:
-        if self.finish_time is None:
-            self.finish_time = now
-            if not self.done.triggered:
-                self.done.succeed(self)
-
 
 @dataclass
-class ReceiveTicket:
+class ReceiveTicket(_Ticket):
     """Receiver-side handle for one reliable Write."""
 
     seq: int
@@ -146,8 +180,321 @@ class ReceiveTicket:
     #: Resumption grants issued for this message (see ``repro.recovery``).
     resumptions: int = 0
 
-    def _finish(self, now: float) -> None:
-        if self.finish_time is None:
-            self.finish_time = now
-            if not self.done.triggered:
-                self.done.succeed(self)
+
+class Endpoint:
+    """What every reliability endpoint starts from.
+
+    The data-path QP, the control path (``_on_ctrl`` is registered as its
+    handler), the scheme's config, the RTT estimate and the telemetry
+    handles, all named after ``scheme``: metric scope and trace track
+    ``<scheme>.<device>``, trace category ``<scheme>``.
+    """
+
+    scheme = ""
+    #: Default-constructed when the caller passes no config.
+    config_type: type | None = None
+
+    def __init__(
+        self, qp: SdrQp, ctrl: ControlPath, config=None, *, rtt: float | None = None
+    ):
+        self.qp = qp
+        self.sim = qp.sim
+        self.ctrl = ctrl
+        if config is None and self.config_type is not None:
+            config = self.config_type()
+        self.config = config
+        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
+        self._track = f"{self.scheme}.{qp.ctx.device.name}"
+        self._scope = self.sim.telemetry.metrics.scope(self._track)
+        self._trace = self.sim.telemetry.trace
+        ctrl.on_message(self._on_ctrl)
+
+    def _on_ctrl(self, msg) -> None:
+        """Policy hook: react to one decoded control message."""
+
+    def _write_ticket(self, seq: int, length: int) -> WriteTicket:
+        return WriteTicket(
+            seq=seq, length=length, start_time=self.sim.now, done=self.sim.event()
+        )
+
+
+class WriteState:
+    """Sender bookkeeping of one write: its ticket, streams and payload."""
+
+    def __init__(
+        self, ticket: WriteTicket, handles: list[SendHandle], nchunks: int, payload
+    ):
+        self.ticket = ticket
+        self.handles = handles
+        self.nchunks = nchunks
+        self.payload = payload
+        #: ``ticket.retransmitted_chunks`` at state creation: the per-attempt
+        #: retry budget measures from here, so a resumed attempt gets a
+        #: fresh budget while the ticket keeps the cumulative count.
+        self.retx_base = ticket.retransmitted_chunks
+
+    @property
+    def hdl(self) -> SendHandle:
+        """The write's (first) stream; its seq keys the sender's state table."""
+        return self.handles[0]
+
+    @property
+    def delivered(self) -> np.ndarray | None:
+        """Per-chunk delivery flags as far as the sender knows them; None for
+        schemes that keep no per-chunk ACK state by design."""
+        return None
+
+
+class Sender(Endpoint):
+    """Sender substrate: streams in, one completion and one failure out.
+
+    A policy implements ``write`` on :meth:`_open` / :meth:`_send_chunk` /
+    :meth:`_inject` and ends every write through :meth:`_complete_write`
+    or :meth:`_fail` -> :meth:`_fail_write`, which are the only places a
+    stream is ended, a ``writes_*`` metric moves or a ticket resolves.
+    """
+
+    #: Per-write state class ``_open`` instantiates.
+    state_type = WriteState
+
+    def __init__(
+        self, qp: SdrQp, ctrl: ControlPath, config=None, *, rtt: float | None = None
+    ):
+        super().__init__(qp, ctrl, config, rtt=rtt)
+        self._states: dict[int, WriteState] = {}
+        self._m_writes_completed = self._scope.counter("writes_completed")
+        self._m_writes_failed = self._scope.counter("writes_failed")
+        self._h_write_seconds = self._scope.histogram("write_seconds")
+
+    def _open(
+        self,
+        length: int,
+        payload: bytes | None = None,
+        *,
+        streams: list[int] | None = None,
+        ticket: WriteTicket | None = None,
+    ) -> WriteState:
+        """Open the write's streaming send(s), its ticket and its state.
+
+        One stream of ``length`` bytes unless ``streams`` lists several
+        lengths; ``ticket`` re-uses an existing ticket (a resumed attempt).
+        """
+        handles = [
+            self.qp.send_stream_start(SdrSendWr(length=n))
+            for n in (streams if streams is not None else [length])
+        ]
+        if ticket is None:
+            ticket = self._write_ticket(handles[0].seq, length)
+        state = self.state_type(
+            ticket, handles, self.qp.config.chunks_in(length), payload
+        )
+        self._states[handles[0].seq] = state
+        return state
+
+    def _post(self, state: WriteState, **extra) -> None:
+        """Emit the ``msg_post`` instant lineage files the message under."""
+        if self._trace.enabled:
+            self._trace.instant(
+                "msg_post", cat=self.scheme, track=self._track,
+                msg=state.hdl.seq, bytes=state.ticket.length,
+                chunks=state.nchunks, **extra,
+            )
+
+    def _send_chunk(
+        self,
+        state: WriteState,
+        index: int,
+        *,
+        attempt: int = 0,
+        hdl: SendHandle | None = None,
+        origin: int = 0,
+    ) -> None:
+        """Inject message chunk ``index``: chunk -> byte range of a stream.
+
+        ``hdl`` / ``origin`` name the stream carrying the chunk and the
+        message byte that stream starts at (multi-stream schemes).
+        """
+        cb = self.qp.config.chunk_bytes
+        off = index * cb
+        clen = min(cb, state.ticket.length - off)
+        piece = None if state.payload is None else state.payload[off : off + clen]
+        self.qp.send_stream_continue(
+            hdl if hdl is not None else state.hdl, off - origin, clen, piece,
+            attempt=attempt,
+        )
+
+    def _inject(self, state: WriteState, indices, on_wire, *, first: bool = True):
+        """Wire-paced injection: ``on_wire(index)`` as each chunk leaves the NIC.
+
+        Waiting for a chunk's packets to hit the wire before telling the
+        policy avoids spurious RTOs when injecting the whole message takes
+        longer than the RTO (the ``t_start(M) > RTO`` case).  A first
+        transmission waits for its own packets, so a retransmission posted
+        meanwhile does not hold it back; a later (sparse) pass waits for
+        everything posted.  Stops once the stream is ended -- the write
+        completed, failed or was taken over.
+        """
+        hdl = state.hdl
+        ppc = self.qp.config.packets_per_chunk
+        for index in indices:
+            if hdl.ended:
+                break
+            self._send_chunk(state, index)
+            target = hdl.packets_posted
+            if first:
+                target = min((index + 1) * ppc, target)
+            yield from wait_injected(self.qp, hdl, target)
+            on_wire(index)
+
+    def _budget_exhausted(self, state: WriteState) -> bool:
+        """Per-message retry budget: give up (gracefully) when spent.
+
+        The budget is per *attempt* (``retx_base`` resets it on resumption);
+        the ticket still accumulates the total across attempts.
+        """
+        budget = self.config.max_message_retransmits
+        spent = state.ticket.retransmitted_chunks - state.retx_base
+        if budget is not None and spent >= budget:
+            self._fail(
+                state,
+                f"write seq={state.ticket.seq} exceeded message retransmit "
+                f"budget ({budget})",
+            )
+            return True
+        return False
+
+    def _end_streams(self, state: WriteState) -> None:
+        for hdl in state.handles:
+            if not hdl.ended:
+                self.qp.send_stream_end(hdl)
+
+    def _complete_write(self, state: WriteState, **span) -> None:
+        """The one success path: end the streams, resolve the ticket."""
+        ticket = state.ticket
+        self._end_streams(state)
+        ticket._finish(self.sim.now)
+        self._m_writes_completed.inc()
+        self._h_write_seconds.observe(self.sim.now - ticket.start_time)
+        if self._trace.enabled:
+            self._trace.complete(
+                f"{self.scheme}_write", cat=self.scheme, track=self._track,
+                start=ticket.start_time, msg=ticket.seq, seq=ticket.seq,
+                bytes=ticket.length, **span,
+            )
+
+    def _fail(
+        self, state: WriteState, reason: str, *, event: str = "write_failed"
+    ) -> None:
+        """Give up on ``state``: escalate if the scheme can, else fail for real."""
+        self._states.pop(state.hdl.seq, None)
+        if not self._escalate(state, reason):
+            self._fail_write(state, reason, event=event)
+
+    def _escalate(self, state: WriteState, reason: str) -> bool:
+        """Policy hook: hand a given-up write to a resumption (False = cannot)."""
+        return False
+
+    def _fail_write(
+        self, state: WriteState, reason: str, *, event: str = "write_failed"
+    ) -> None:
+        """The one give-up path: end the streams, fail the ticket.
+
+        Every failure is a :class:`DeliveryError` carrying the delivered-
+        chunk bitmap as far as this side knows it (``state.delivered``).
+        """
+        ticket = state.ticket
+        error = _delivery_error(reason, state.delivered, state.nchunks)
+        self._end_streams(state)
+        self._m_writes_failed.inc()
+        ticket.failed = True
+        if self._trace.enabled:
+            self._trace.instant(
+                event, cat=self.scheme, track=self._track,
+                msg=ticket.seq, seq=ticket.seq,
+                delivered=error.delivered_chunks, total=state.nchunks,
+            )
+        if not ticket.done.triggered:
+            ticket.done.fail(error)
+
+
+class Receiver(Endpoint):
+    """Receiver substrate: post, watch the bitmap, finish.
+
+    A policy implements ``_serve(ticket, rh)`` as ``_watch`` (telling the
+    peer what the bitmap says on every poll) followed by its completion
+    signal and ``_finish``.
+    """
+
+    def __init__(
+        self, qp: SdrQp, ctrl: ControlPath, config=None, *, rtt: float | None = None
+    ):
+        super().__init__(qp, ctrl, config, rtt=rtt)
+        #: What this receiver serves, by original seq (resumption looks the
+        #: message up here when the sender asks for a fresh slot).
+        self._serving: dict[int, tuple] = {}
+
+    def post_receive(
+        self, mr: MemoryRegion, length: int, mr_offset: int = 0
+    ) -> ReceiveTicket:
+        """Post a receive buffer; the scheme serves it until completion."""
+        rh = self.qp.recv_post(SdrRecvWr(mr=mr, length=length, mr_offset=mr_offset))
+        ticket = ReceiveTicket(
+            seq=rh.seq, length=length, done=self.sim.event(), recv_handles=[rh]
+        )
+        self._serving[rh.seq] = (ticket, rh)
+        self.sim.process(self._serve(ticket, rh))
+        return ticket
+
+    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle):
+        """Policy hook: the process serving one posted receive."""
+        raise NotImplementedError
+
+    def _watch(self, ticket: ReceiveTicket, rh: RecvHandle, interval: float, on_poll):
+        """Poll ``rh``'s chunk bitmap every ``interval`` until it is full.
+
+        ``on_poll()`` runs after every wait (the bitmap may be full by
+        then).  Returns True once every chunk arrived; False when the slot
+        was abandoned to a resumption grant or the serve deadline
+        (``config.serve_deadline_rtts``) failed the ticket.
+        """
+        rtts = self.config.serve_deadline_rtts
+        deadline = None if rtts is None else self.sim.now + rtts * self.rtt
+        while not rh.all_chunks_received():
+            if rh.completed:
+                return False  # abandoned by a resumption grant
+            if deadline is not None and self.sim.now >= deadline:
+                self._give_up(ticket, rh.bitmap().as_array())
+                return False
+            yield self.sim.any_of(
+                [self.sim.timeout(interval), rh.wait_all_chunks()]
+            )
+            if rh.completed and not rh.all_chunks_received():
+                return False  # abandoned while waiting
+            on_poll()
+        return True
+
+    def _give_up(self, ticket: ReceiveTicket, delivered: np.ndarray) -> None:
+        """Serve deadline passed: fail the ticket with the partial bitmap."""
+        if not ticket.done.triggered:
+            ticket.done.fail(
+                _delivery_error(
+                    f"receive seq={ticket.seq} incomplete at serve deadline",
+                    delivered, delivered.size,
+                )
+            )
+
+    def _finish(self, ticket: ReceiveTicket, handles, resignal, every: float):
+        """Complete the slots and the ticket, then re-signal through grace.
+
+        The caller has just sent its completion signal; ``resignal()``
+        repeats it every ``every`` seconds for ``config.grace_rtts`` in case
+        it is lost.  Completing frees the SDR resources and arms late-packet
+        protection.
+        """
+        for rh in handles:
+            rh.complete()
+        ticket._finish(self.sim.now)
+        grace_end = self.sim.now + self.config.grace_rtts * self.rtt
+        while self.sim.now < grace_end:
+            yield self.sim.timeout(every)
+            resignal()

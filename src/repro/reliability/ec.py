@@ -28,12 +28,16 @@ import numpy as np
 
 from repro.common.errors import ConfigError, DecodeFailure, ProtocolError
 from repro.ec.codec import ErasureCode, get_codec
-from repro.recovery.resume import ResumeToken
-from repro.reliability.base import ControlPath, ReceiveTicket, WriteTicket
-from repro.reliability.messages import EcAck, EcNack, ResumeAck, ResumeReq
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-from repro.sdr.handles import RecvHandle, SendHandle
-from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
+from repro.reliability.base import (
+    ControlPath,
+    ReceiveTicket,
+    WriteState,
+    WriteTicket,
+)
+from repro.reliability.messages import EcAck, EcNack, ResumeReq
+from repro.reliability.sr import SrBacked, SrBackedReceiver, SrConfig
+from repro.sdr.handles import RecvHandle
+from repro.sdr.qp import SdrQp, SdrRecvWr
 from repro.telemetry.trace import flow_key
 from repro.verbs.mr import MemoryRegion
 
@@ -109,6 +113,12 @@ class _Layout:
     k: int
     m: int
 
+    @classmethod
+    def of(cls, endpoint, length: int) -> "_Layout":
+        """The layout ``endpoint``'s QP and (k, m) give a ``length`` B message."""
+        config = endpoint.config
+        return cls(length, endpoint.qp.config.chunk_bytes, config.k, config.m)
+
     @property
     def nchunks(self) -> int:
         return -(-self.length // self.chunk_bytes)
@@ -134,35 +144,23 @@ class _Layout:
     def parity_bytes(self) -> int:
         return self.m * self.chunk_bytes
 
-    @property
-    def total_parity_chunks(self) -> int:
-        return self.nsub * self.m
 
-    def chunk_of(self, sub: int, chunk_in_sub: int) -> int:
-        return sub * self.k + chunk_in_sub
+class _EcSendState(WriteState):
+    """An EC write: ``handles`` = L data streams, then L parity streams."""
 
-
-class _EcSendState:
-    def __init__(
-        self,
-        ticket: WriteTicket,
-        layout: _Layout,
-        data_hdls: list[SendHandle],
-        parity_hdls: list[SendHandle],
-        payload: bytes | None,
-    ):
-        self.ticket = ticket
-        self.layout = layout
-        self.data_hdls = data_hdls
-        self.parity_hdls = parity_hdls
-        self.payload = payload
-        self.done = False
+    def __init__(self, ticket: WriteTicket, handles, nchunks: int, payload):
+        super().__init__(ticket, handles, nchunks, payload)
+        self.layout: _Layout | None = None
         #: Fallback retransmission attempts per absolute chunk index (lineage).
         self.fallback_attempts: dict[int, int] = {}
 
 
-class EcSender:
+class EcSender(SrBacked):
     """Sender endpoint of the Erasure Coding protocol."""
+
+    scheme = "ec"
+    config_type = EcConfig
+    state_type = _EcSendState
 
     def __init__(
         self,
@@ -172,121 +170,38 @@ class EcSender:
         *,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.config = config if config is not None else EcConfig()
+        super().__init__(qp, ctrl, config, rtt=rtt)
         self.codec = self.config.make_codec()
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
-        ctrl.on_message(self._on_ctrl)
-        self._states: dict[int, _EcSendState] = {}
-        #: Internal SR sender driving resumed (post-timeout) phases; created
-        #: lazily so the seed EC configuration stays process-identical.
-        self._sr: SrSender | None = None
-        #: Optional :class:`repro.recovery.PlaneRecovery` fed NACK signals.
-        self.recovery = None
-        scope = self.sim.telemetry.metrics.scope(f"ec.{qp.ctx.device.name}")
-        self._m_writes_completed = scope.counter("writes_completed")
-        self._m_writes_failed = scope.counter("writes_failed")
-        self._m_nacks_received = scope.counter("nacks_received")
-        self._m_fallback_retransmits = scope.counter("fallback_retransmits")
-        self._h_write_seconds = scope.histogram("write_seconds")
-        self._trace = self.sim.telemetry.trace
-        self._track = f"ec.{qp.ctx.device.name}"
+        self._m_nacks_received = self._scope.counter("nacks_received")
+        self._m_fallback_retransmits = self._scope.counter("fallback_retransmits")
 
-    # -- recovery-plane hooks -----------------------------------------------------------
-
-    def attach_recovery(self, recovery) -> None:
-        """Feed NACK loss signals into a plane-recovery monitor."""
-        self.recovery = recovery
-        if self._sr is not None and recovery is not None:
-            self._sr.attach_recovery(recovery)
-
-    def _sr_sender(self) -> SrSender:
-        """The internal SR sender running resumed phases (lazy)."""
-        if self._sr is None:
-            self._sr = SrSender(
-                self.qp,
-                self.ctrl,
-                SrConfig(
-                    nack_enabled=True,
-                    max_resumptions=self.config.max_resumptions,
-                ),
-                rtt=self.rtt,
-            )
-            if self.recovery is not None:
-                self._sr.attach_recovery(self.recovery)
-        return self._sr
-
-    def resume(self, token: ResumeToken, payload: bytes | None = None) -> WriteTicket:
-        """Resume a failed EC write: SR-style remainder under a fresh slot."""
-        return self._sr_sender().resume(token, payload)
-
-    def _try_resume(self, state: _EcSendState) -> bool:
-        """Hand the message to the SR resume path if the budget allows."""
-        cfg = self.config
-        if cfg.max_resumptions <= 0:
-            return False
-        if state.ticket.resumptions >= cfg.max_resumptions:
-            return False
-        self._states.pop(state.ticket.seq, None)
-        for hdl in state.data_hdls + state.parity_hdls:
-            if not hdl.ended:
-                self.qp.send_stream_end(hdl)
-        # The sender has no per-chunk ACK state in EC; the receiver's grant
-        # bitmap (which includes parity-decoded chunks) is authoritative,
-        # so the token starts from an all-missing view.
-        token = ResumeToken(
-            msg_seq=state.ticket.seq,
-            length=state.ticket.length,
-            total_chunks=state.layout.nchunks,
-            bitmap=b"",
-            reason="EC global timeout",
-            attempt=state.ticket.resumptions + 1,
-            protocol="ec",
+    def _backstop_config(self) -> SrConfig:
+        return SrConfig(
+            nack_enabled=True, max_resumptions=self.config.max_resumptions
         )
-        self._sr_sender()._start_resume(token, state.ticket, state.payload)
-        return True
 
     # -- public API --------------------------------------------------------------------
 
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
         """Reliably write ``length`` bytes with speculative parity."""
-        layout = _Layout(
-            length=length,
-            chunk_bytes=self.qp.config.chunk_bytes,
-            k=self.config.k,
-            m=self.config.m,
-        )
+        layout = _Layout.of(self, length)
         # Create all send contexts up front in the agreed matching order:
         # data submessages 0..L-1 first, then parity submessages 0..L-1.
-        data_hdls = [
-            self.qp.send_stream_start(SdrSendWr(length=layout.sub_bytes(i)))
-            for i in range(layout.nsub)
-        ]
-        parity_hdls = [
-            self.qp.send_stream_start(SdrSendWr(length=layout.parity_bytes))
-            for i in range(layout.nsub)
-        ]
-        ticket = WriteTicket(
-            seq=data_hdls[0].seq,
-            length=length,
-            start_time=self.sim.now,
-            done=self.sim.event(),
+        state = self._open(
+            length, payload,
+            streams=[layout.sub_bytes(i) for i in range(layout.nsub)]
+            + [layout.parity_bytes] * layout.nsub,
         )
-        state = _EcSendState(ticket, layout, data_hdls, parity_hdls, payload)
-        self._states[ticket.seq] = state
-        if self._trace.enabled:
-            self._trace.instant(
-                "msg_post", cat="ec", track=self._track,
-                msg=ticket.seq, bytes=length, chunks=layout.nchunks,
-                data_seqs=[h.seq for h in data_hdls],
-                parity_seqs=[h.seq for h in parity_hdls],
-            )
+        state.layout = layout
+        self._post(
+            state,
+            data_seqs=[h.seq for h in state.handles[: layout.nsub]],
+            parity_seqs=[h.seq for h in state.handles[layout.nsub :]],
+        )
         self.sim.process(self._inject_data(state))
         self.sim.process(self._encode_and_inject_parity(state))
         self.sim.process(self._global_timeout(state))
-        return ticket
+        return state.ticket
 
     # -- data / parity pumps -------------------------------------------------------------
 
@@ -298,7 +213,7 @@ class EcSender:
             if state.payload is not None:
                 off = layout.sub_offset(i)
                 piece = state.payload[off : off + sub_bytes]
-            self.qp.send_stream_continue(state.data_hdls[i], 0, sub_bytes, piece)
+            self.qp.send_stream_continue(state.handles[i], 0, sub_bytes, piece)
         return
         yield  # pragma: no cover - generator marker
 
@@ -312,7 +227,8 @@ class EcSender:
             if state.payload is not None:
                 parity_payload = self._compute_parity(state, i)
             self.qp.send_stream_continue(
-                state.parity_hdls[i], 0, layout.parity_bytes, parity_payload
+                state.handles[layout.nsub + i], 0, layout.parity_bytes,
+                parity_payload,
             )
 
     def _compute_parity(self, state: _EcSendState, sub: int) -> bytes:
@@ -330,51 +246,28 @@ class EcSender:
         return self.codec.encode(data).tobytes()
 
     def _global_timeout(self, state: _EcSendState):
-        """Deadlock guard: fail the write if no ACK within the global budget."""
+        """Deadlock guard: give up if no ACK arrives within the global budget."""
         assert self.qp.data_qps[0][0].channel is not None
         bw = self.qp.data_qps[0][0].channel.config.bytes_per_second
         expected = state.layout.length / bw + 2 * self.rtt
         budget = expected + self.config.global_timeout_rtts * self.rtt
         yield self.sim.timeout(budget)
-        if not state.done:
-            if self._try_resume(state):
-                return
-            self._m_writes_failed.inc()
-            state.ticket.failed = True
-            self._states.pop(state.ticket.seq, None)
-            if self._trace.enabled:
-                self._trace.instant(
-                    "global_timeout", cat="ec", track=self._track,
-                    msg=state.ticket.seq, seq=state.ticket.seq,
-                )
-            if not state.ticket.done.triggered:
-                state.ticket.done.fail(
-                    ProtocolError(
-                        f"EC write seq={state.ticket.seq} saw no ACK within "
-                        f"the global timeout"
-                    )
-                )
+        if state.ticket.seq in self._states:
+            self._fail(
+                state,
+                f"EC write seq={state.ticket.seq} saw no ACK within the "
+                f"global timeout",
+                event="global_timeout",
+            )
 
     # -- control-path handling --------------------------------------------------------------
 
     def _on_ctrl(self, msg) -> None:
         if isinstance(msg, EcAck):
             state = self._states.pop(msg.msg_seq, None)
-            if state is None:
-                return
-            state.done = True
-            for hdl in state.data_hdls + state.parity_hdls:
-                if not hdl.ended:
-                    self.qp.send_stream_end(hdl)
-            state.ticket._finish(self.sim.now)
-            self._m_writes_completed.inc()
-            self._h_write_seconds.observe(self.sim.now - state.ticket.start_time)
-            if self._trace.enabled:
-                self._trace.complete(
-                    "ec_write", cat="ec", track=self._track,
-                    start=state.ticket.start_time, msg=state.ticket.seq,
-                    seq=state.ticket.seq, bytes=state.ticket.length,
-                    fell_back=state.ticket.fell_back_to_sr,
+            if state is not None:
+                self._complete_write(
+                    state, fell_back=state.ticket.fell_back_to_sr
                 )
         elif isinstance(msg, EcNack):
             state = self._states.get(msg.msg_seq)
@@ -396,38 +289,58 @@ class EcSender:
                 )
             layout = state.layout
             for chunk in msg.missing_chunks:
-                sub, j = divmod(int(chunk), layout.k)
-                if sub >= layout.nsub or j >= layout.sub_chunks(sub):
+                chunk = int(chunk)
+                sub, j = divmod(chunk, layout.k)
+                if chunk >= state.nchunks:
                     continue
-                off = j * layout.chunk_bytes
-                clen = min(layout.chunk_bytes, layout.sub_bytes(sub) - off)
-                piece = None
-                if state.payload is not None:
-                    base = layout.sub_offset(sub) + off
-                    piece = state.payload[base : base + clen]
-                attempt = state.fallback_attempts.get(int(chunk), 0) + 1
-                state.fallback_attempts[int(chunk)] = attempt
-                sub_seq = state.data_hdls[sub].seq
+                attempt = state.fallback_attempts.get(chunk, 0) + 1
+                state.fallback_attempts[chunk] = attempt
+                hdl = state.handles[sub]
                 if self._trace.enabled:
                     self._trace.instant(
                         "nack_retx", cat="ec", track=self._track,
-                        msg=sub_seq, chunk=j, attempt=attempt,
+                        msg=hdl.seq, chunk=j, attempt=attempt,
                         parent=state.ticket.seq,
                     )
                     self._trace.flow_start(
                         "retx", cat="ec", track=self._track,
-                        flow_id=flow_key(sub_seq, j, attempt),
-                        msg=sub_seq, chunk=j, attempt=attempt,
+                        flow_id=flow_key(hdl.seq, j, attempt),
+                        msg=hdl.seq, chunk=j, attempt=attempt,
                     )
-                self.qp.send_stream_continue(
-                    state.data_hdls[sub], off, clen, piece, attempt=attempt
+                self._send_chunk(
+                    state, chunk, attempt=attempt, hdl=hdl,
+                    origin=layout.sub_offset(sub),
                 )
                 state.ticket.retransmitted_chunks += 1
                 self._m_fallback_retransmits.inc()
 
 
-class EcReceiver:
+@dataclass
+class _EcReceive:
+    """Receive-side state of one EC message (2L posted slots)."""
+
+    ticket: ReceiveTicket
+    layout: _Layout
+    mr: MemoryRegion
+    mr_offset: int
+    data: list[RecvHandle]
+    parity: list[RecvHandle]
+
+    @property
+    def handles(self) -> list[RecvHandle]:
+        return self.data + self.parity
+
+    def data_present(self, sub: int) -> np.ndarray:
+        """Arrival flags of submessage ``sub``'s real data chunks."""
+        real = self.layout.sub_chunks(sub)
+        return self.data[sub].bitmap().as_array()[:real]
+
+
+class EcReceiver(SrBackedReceiver):
     """Receiver endpoint of the Erasure Coding protocol."""
+
+    scheme = "ec"
+    config_type = EcConfig
 
     def __init__(
         self,
@@ -437,28 +350,12 @@ class EcReceiver:
         *,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.config = config if config is not None else EcConfig()
+        super().__init__(qp, ctrl, config, rtt=rtt)
         self.codec = self.config.make_codec()
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
-        ctrl.on_message(self._on_resume_req)
-        #: Receive state by original seq, for resumption grants.
-        self._serving: dict[int, tuple] = {}
-        #: Messages already handed off to the SR resume machinery.
-        self._resuming: set[int] = set()
-        #: Tickets whose EC serve loop must stop (slot abandoned).
-        self._abandoned: set[int] = set()
-        #: Internal SR receiver serving resumed phases (lazy).
-        self._sr: SrReceiver | None = None
-        scope = self.sim.telemetry.metrics.scope(f"ec.{qp.ctx.device.name}")
-        self._m_acks_sent = scope.counter("acks_sent")
-        self._m_nacks_sent = scope.counter("nacks_sent")
-        self._m_submessages_decoded = scope.counter("submessages_decoded")
-        self._m_decoded_chunks = scope.counter("decoded_chunks")
-        self._trace = self.sim.telemetry.trace
-        self._track = f"ec.{qp.ctx.device.name}"
+        self._m_acks_sent = self._scope.counter("acks_sent")
+        self._m_nacks_sent = self._scope.counter("nacks_sent")
+        self._m_submessages_decoded = self._scope.counter("submessages_decoded")
+        self._m_decoded_chunks = self._scope.counter("decoded_chunks")
 
     @property
     def acks_sent(self) -> int:
@@ -479,12 +376,7 @@ class EcReceiver:
         self, mr: MemoryRegion, length: int, mr_offset: int = 0
     ) -> ReceiveTicket:
         """Post user buffer + parity scratch; matching order = sender's."""
-        layout = _Layout(
-            length=length,
-            chunk_bytes=self.qp.config.chunk_bytes,
-            k=self.config.k,
-            m=self.config.m,
-        )
+        layout = _Layout.of(self, length)
         needed = 2 * layout.nsub
         if needed > self.qp.config.inflight_messages:
             raise ConfigError(
@@ -492,17 +384,16 @@ class EcReceiver:
                 f"(L={layout.nsub} submessages); configure "
                 f"inflight_messages >= {needed}"
             )
-        data_handles: list[RecvHandle] = []
-        for i in range(layout.nsub):
-            data_handles.append(
-                self.qp.recv_post(
-                    SdrRecvWr(
-                        mr=mr,
-                        length=layout.sub_bytes(i),
-                        mr_offset=mr_offset + layout.sub_offset(i),
-                    )
+        data_handles = [
+            self.qp.recv_post(
+                SdrRecvWr(
+                    mr=mr,
+                    length=layout.sub_bytes(i),
+                    mr_offset=mr_offset + layout.sub_offset(i),
                 )
             )
+            for i in range(layout.nsub)
+        ]
         parity_handles: list[RecvHandle] = []
         for i in range(layout.nsub):
             scratch = self.qp.ctx.mr_reg(
@@ -519,107 +410,51 @@ class EcReceiver:
             done=self.sim.event(),
             recv_handles=data_handles + parity_handles,
         )
-        self._serving[ticket.seq] = (
-            ticket, layout, mr, mr_offset, data_handles, parity_handles
-        )
-        self.sim.process(
-            self._serve(ticket, layout, mr, mr_offset, data_handles, parity_handles)
-        )
+        rx = _EcReceive(ticket, layout, mr, mr_offset, data_handles, parity_handles)
+        self._serving[ticket.seq] = (rx,)
+        self.sim.process(self._serve(rx))
         return ticket
 
     # -- resumption grants (repro.recovery) ----------------------------------------------
 
-    def _sr_receiver(self) -> SrReceiver:
-        """The internal SR receiver serving resumed phases (lazy)."""
-        if self._sr is None:
-            self._sr = SrReceiver(
-                self.qp, self.ctrl, SrConfig(nack_enabled=True), rtt=self.rtt
-            )
-        return self._sr
+    def _hand_over(self, msg: ResumeReq, rx: _EcReceive) -> None:
+        # Decoding takes simulated time; the serve loop sees the message gone
+        # from ``_serving`` and stops before the slots are abandoned.
+        self.sim.process(self._salvage_and_hand_over(msg, rx))
 
-    def _on_resume_req(self, msg) -> None:
-        if not isinstance(msg, ResumeReq):
-            return
-        entry = self._serving.get(msg.msg_seq)
-        if entry is None or msg.msg_seq in self._resuming:
-            # Unknown here, or the SR machinery already owns this message
-            # (its grant table answers duplicate and follow-up requests).
-            return
-        self._resuming.add(msg.msg_seq)
-        self._abandoned.add(msg.msg_seq)
-        self.sim.process(self._grant_resume(msg, *entry))
-
-    def _grant_resume(
-        self, msg, ticket, layout, mr, mr_offset, data_handles, parity_handles
-    ):
-        """Decode what parity can rescue, re-post the rest, grant SR-style.
+    def _salvage_and_hand_over(self, msg: ResumeReq, rx: _EcReceive):
+        """Decode what parity can rescue, hand the rest to the SR backstop.
 
         Data-or-parity aware: every submessage with >= k of its k+m coded
         chunks present is decoded *now*, so its chunks are pre-seeded into
         the resumed slot and never retransmitted; the remaining missing data
         chunks are finished by a Selective Repeat phase over a fresh slot.
         """
+        layout = rx.layout
         delivered = np.zeros(layout.nchunks, dtype=bool)
         for s in range(layout.nsub):
-            real = layout.sub_chunks(s)
             base = s * layout.k
-            presence = self._presence(layout, s, data_handles, parity_handles)
-            if self.codec.recoverable(presence):
-                yield from self._decode_sub(
-                    ticket, layout, mr, mr_offset, s, data_handles, parity_handles
-                )
+            real = layout.sub_chunks(s)
+            if self.codec.recoverable(self._presence(rx, s)):
+                yield from self._decode_sub(rx, s)
                 delivered[base : base + real] = True
             else:
-                delivered[base : base + real] = (
-                    data_handles[s].bitmap().as_array()[:real]
-                )
-        for h in data_handles + parity_handles:
-            if not h.completed:
-                self.qp.recv_abandon(h)
-        rh2 = self.qp.recv_post(
-            SdrRecvWr(mr=mr, length=layout.length, mr_offset=mr_offset),
-            preset_chunks=delivered,
+                delivered[base : base + real] = rx.data_present(s)
+        self._backstop().adopt(
+            msg, rx.ticket, rx.handles, rx.mr, layout.length, rx.mr_offset,
+            delivered,
         )
-        ticket.resumptions += 1
-        ticket.recv_handles.append(rh2)
-        srr = self._sr_receiver()
-        ack = ResumeAck(
-            msg_seq=msg.msg_seq,
-            new_seq=rh2.seq,
-            total_chunks=rh2.nchunks,
-            attempt=msg.attempt,
-            bitmap=np.packbits(delivered).tobytes(),
-        )
-        # Register with the SR receiver: it re-announces this grant on
-        # duplicate requests and serves any follow-up resumptions.
-        srr._serving[msg.msg_seq] = (ticket, rh2)
-        srr._resume_grants[msg.msg_seq] = (msg.attempt, ack)
-        srr._m_resumes_granted.inc()
-        if self._trace.enabled:
-            self._trace.instant(
-                "resume_grant", cat="recovery",
-                track=f"recovery.{self.qp.ctx.device.name}",
-                msg=msg.msg_seq, new_msg=rh2.seq, attempt=msg.attempt,
-                delivered=int(delivered.sum()), total=rh2.nchunks,
-            )
-        self.ctrl.send(ack)
-        self.sim.process(srr._serve(ticket, rh2))
 
     # -- receive logic -------------------------------------------------------------------
 
-    def _presence(
-        self,
-        layout: _Layout,
-        sub: int,
-        data_handles: list[RecvHandle],
-        parity_handles: list[RecvHandle],
-    ) -> np.ndarray:
+    def _presence(self, rx: _EcReceive, sub: int) -> np.ndarray:
         """Boolean k+m presence vector for submessage ``sub``."""
+        layout = rx.layout
         present = np.zeros(layout.k + layout.m, dtype=bool)
         real = layout.sub_chunks(sub)
         present[real : layout.k] = True  # zero-padding chunks always "present"
-        present[:real] = data_handles[sub].bitmap().as_array()[:real]
-        present[layout.k :] = parity_handles[sub].bitmap().as_array()[: layout.m]
+        present[:real] = rx.data_present(sub)
+        present[layout.k :] = rx.parity[sub].bitmap().as_array()[: layout.m]
         return present
 
     def _fto(self, layout: _Layout) -> float:
@@ -632,15 +467,14 @@ class EcReceiver:
             self.config.beta_rtts * self.rtt
         )
 
-    def _serve(self, ticket, layout, mr, mr_offset, data_handles, parity_handles):
+    def _serve(self, rx: _EcReceive):
+        ticket, layout = rx.ticket, rx.layout
         # Phase 1: wait for the first chunk of the message (arms FTO), with a
         # global guard in case the entire first transmission is lost.
-        first_chunk = self.sim.any_of(
-            [h.wait_chunk() for h in data_handles + parity_handles]
-        )
+        first_chunk = self.sim.any_of([h.wait_chunk() for h in rx.handles])
         guard = self._fto(layout) + 2 * self.rtt
         yield self.sim.any_of([first_chunk, self.sim.timeout(guard)])
-        if ticket.seq in self._abandoned:
+        if ticket.seq not in self._serving:
             return  # a resumption grant took over this message
 
         fto_deadline = self.sim.now + self._fto(layout)
@@ -651,69 +485,57 @@ class EcReceiver:
         )
         # Phase 2: wait until recoverable or FTO expiry.
         while True:
-            if ticket.seq in self._abandoned:
+            if ticket.seq not in self._serving:
                 return  # a resumption grant took over this message
             pending = [
                 s for s in range(layout.nsub)
-                if not self.codec.recoverable(
-                    self._presence(layout, s, data_handles, parity_handles)
-                )
+                if not self.codec.recoverable(self._presence(rx, s))
             ]
             if not pending:
                 break
             if serve_deadline is not None and self.sim.now >= serve_deadline:
-                if not ticket.done.triggered:
-                    ticket.done.fail(
-                        ProtocolError(
-                            f"EC receive seq={ticket.seq} unrecoverable at "
-                            f"serve deadline"
-                        )
-                    )
+                self._give_up(
+                    ticket,
+                    np.concatenate(
+                        [rx.data_present(s) for s in range(layout.nsub)]
+                    ),
+                )
                 return
             if self.sim.now >= fto_deadline:
                 ticket.fell_back_to_sr = True
-                self._send_nack(ticket.seq, layout, pending, data_handles)
+                self._send_nack(rx, pending)
                 yield self.sim.timeout(self.config.fallback_interval_rtts * self.rtt)
                 continue
             remaining = fto_deadline - self.sim.now
-            waits = [
-                data_handles[s].wait_chunk() for s in pending
-            ] + [
-                parity_handles[s].wait_chunk() for s in pending
+            waits = [rx.data[s].wait_chunk() for s in pending] + [
+                rx.parity[s].wait_chunk() for s in pending
             ]
             yield self.sim.any_of(waits + [self.sim.timeout(remaining)])
 
-        # Phase 3: decode missing chunks in place, complete, ACK.
-        yield from self._decode_all(
-            ticket, layout, mr, mr_offset, data_handles, parity_handles
-        )
-        for h in data_handles + parity_handles:
+        # Phase 3: decode missing chunks in place, complete, ACK.  EC frees
+        # its slots *before* the first ACK (the shared ``_finish`` then finds
+        # nothing left to complete); grace re-ACKs cover a dropped ACK.
+        for s in range(layout.nsub):
+            yield from self._decode_sub(rx, s)
+        for h in rx.handles:
             if not h.completed:
                 h.complete()
-        self.ctrl.send(EcAck(msg_seq=ticket.seq))
-        self._m_acks_sent.inc()
-        ticket._finish(self.sim.now)
-        # Grace re-ACKs in case the positive ACK is dropped.
-        grace_end = self.sim.now + self.config.grace_rtts * self.rtt
-        while self.sim.now < grace_end:
-            yield self.sim.timeout(2 * self.rtt)
-            self.ctrl.send(EcAck(msg_seq=ticket.seq))
-            self._m_acks_sent.inc()
+        self._send_ack(ticket.seq)
+        yield from self._finish(
+            ticket, (), lambda: self._send_ack(ticket.seq), 2 * self.rtt
+        )
 
-    def _send_nack(
-        self,
-        seq: int,
-        layout: _Layout,
-        pending: list[int],
-        data_handles: list[RecvHandle],
-    ) -> None:
+    def _send_ack(self, seq: int) -> None:
+        self.ctrl.send(EcAck(msg_seq=seq))
+        self._m_acks_sent.inc()
+
+    def _send_nack(self, rx: _EcReceive, pending: list[int]) -> None:
+        seq, layout = rx.ticket.seq, rx.layout
         missing: list[int] = []
         max_entries = (self.qp.config.mtu_bytes - 32) // 4
         for s in pending:
-            real = layout.sub_chunks(s)
-            absent = np.flatnonzero(~data_handles[s].bitmap().as_array()[:real])
-            for j in absent:
-                missing.append(layout.chunk_of(s, int(j)))
+            for j in np.flatnonzero(~rx.data_present(s)):
+                missing.append(s * layout.k + int(j))
                 if len(missing) >= max_entries:
                     break
             if len(missing) >= max_entries:
@@ -733,19 +555,11 @@ class EcReceiver:
                 missing=len(missing),
             )
 
-    def _decode_all(self, ticket, layout, mr, mr_offset, data_handles, parity_handles):
-        """Recover missing data chunks of every incomplete submessage."""
-        for s in range(layout.nsub):
-            yield from self._decode_sub(
-                ticket, layout, mr, mr_offset, s, data_handles, parity_handles
-            )
-
-    def _decode_sub(
-        self, ticket, layout, mr, mr_offset, s, data_handles, parity_handles
-    ):
+    def _decode_sub(self, rx: _EcReceive, s: int):
         """Decode one recoverable submessage in place (no-op if complete)."""
+        ticket, layout, mr = rx.ticket, rx.layout, rx.mr
         real = layout.sub_chunks(s)
-        data_present = data_handles[s].bitmap().as_array()[:real]
+        data_present = rx.data_present(s)
         if data_present.all():
             return
         self._m_submessages_decoded.inc()
@@ -765,7 +579,7 @@ class EcReceiver:
         if not mr.payload_mode:
             return  # sized mode: timing only
         chunks: dict[int, np.ndarray] = {}
-        base = mr_offset + layout.sub_offset(s)
+        base = rx.mr_offset + layout.sub_offset(s)
         for j in range(real):
             if data_present[j]:
                 off = base + j * layout.chunk_bytes
@@ -777,8 +591,8 @@ class EcReceiver:
                 chunks[j] = buf
         for j in range(real, layout.k):
             chunks[j] = np.zeros(layout.chunk_bytes, dtype=np.uint8)
-        parity_mr = parity_handles[s].mr
-        parity_present = parity_handles[s].bitmap().as_array()[: layout.m]
+        parity_mr = rx.parity[s].mr
+        parity_present = rx.parity[s].bitmap().as_array()[: layout.m]
         for j in range(layout.m):
             if parity_present[j]:
                 chunks[layout.k + j] = np.frombuffer(

@@ -16,17 +16,42 @@ exactly the bandwidth waste SR avoids.
 
 from __future__ import annotations
 
-from repro.common.errors import ProtocolError
-from repro.reliability.base import ControlPath, ReceiveTicket, WriteTicket
+import numpy as np
+
+from repro.reliability.base import (
+    ControlPath,
+    Receiver,
+    ReceiveTicket,
+    Sender,
+    WriteState,
+    WriteTicket,
+)
 from repro.reliability.messages import Ack
 from repro.reliability.sr import SrConfig
 from repro.sdr.handles import RecvHandle
-from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
-from repro.verbs.mr import MemoryRegion
+from repro.sdr.qp import SdrQp
 
 
-class GbnSender:
+class _GbnState(WriteState):
+    """A GBN write: the cumulative point and the pump's progress wake."""
+
+    def __init__(self, ticket: WriteTicket, handles, nchunks: int, payload):
+        super().__init__(ticket, handles, nchunks, payload)
+        self.una = 0
+        self.wake = None
+
+    @property
+    def delivered(self) -> np.ndarray:
+        # Cumulative ACKs are all GBN knows: the first ``una`` chunks.
+        return np.arange(self.nchunks) < self.una
+
+
+class GbnSender(Sender):
     """Sender endpoint of the Go-Back-N protocol."""
+
+    scheme = "gbn"
+    config_type = SrConfig
+    state_type = _GbnState
 
     def __init__(
         self,
@@ -37,117 +62,70 @@ class GbnSender:
         window_chunks: int = 256,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.config = config if config is not None else SrConfig()
+        super().__init__(qp, ctrl, config, rtt=rtt)
         self.window_chunks = window_chunks
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
         self.rto = self.config.rto_rtts * self.rtt
-        ctrl.on_message(self._on_ctrl)
-        self._tickets: dict[int, WriteTicket] = {}
-        self._una: dict[int, int] = {}
-        self._progress_event: dict[int, object] = {}
-        scope = self.sim.telemetry.metrics.scope(f"gbn.{qp.ctx.device.name}")
-        self._m_rewinds = scope.counter("rto_rewinds")
-        self._m_retransmitted = scope.counter("retransmitted_chunks")
-        self._m_writes_completed = scope.counter("writes_completed")
-        self._h_write_seconds = scope.histogram("write_seconds")
-        self._trace = self.sim.telemetry.trace
-        self._track = f"gbn.{qp.ctx.device.name}"
+        self._m_rewinds = self._scope.counter("rto_rewinds")
+        self._m_retransmitted = self._scope.counter("retransmitted_chunks")
 
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
-        hdl = self.qp.send_stream_start(SdrSendWr(length=length, payload=payload))
-        ticket = WriteTicket(
-            seq=hdl.seq, length=length, start_time=self.sim.now,
-            done=self.sim.event(),
-        )
-        self._tickets[hdl.seq] = ticket
-        self._una[hdl.seq] = 0
-        self.sim.process(self._pump(ticket, hdl, length, payload))
-        return ticket
+        state = self._open(length, payload)
+        self.sim.process(self._pump(state))
+        return state.ticket
 
-    def _chunk_range(self, index: int, length: int) -> tuple[int, int]:
-        cb = self.qp.config.chunk_bytes
-        off = index * cb
-        return off, min(cb, length - off)
-
-    def _send_chunk(
-        self, hdl, index: int, length: int, payload, *, attempt: int = 0
-    ) -> None:
-        off, clen = self._chunk_range(index, length)
-        piece = None if payload is None else payload[off : off + clen]
-        self.qp.send_stream_continue(hdl, off, clen, piece, attempt=attempt)
-
-    def _pump(self, ticket: WriteTicket, hdl, length: int, payload):
-        nchunks = self.qp.config.chunks_in(length)
-        seq = ticket.seq
+    def _pump(self, state: _GbnState):
+        ticket, nchunks = state.ticket, state.nchunks
         next_to_send = 0
         rounds_without_progress = 0
-        while self._una[seq] < nchunks:
-            una = self._una[seq]
+        while state.una < nchunks:
+            una = state.una
             # (Re)fill the window from the cumulative point.
             next_to_send = max(next_to_send, una)
             while next_to_send < min(una + self.window_chunks, nchunks):
-                self._send_chunk(hdl, next_to_send, length, payload)
+                self._send_chunk(state, next_to_send)
                 next_to_send += 1
             # Wait for cumulative progress or RTO.
-            wake = self.sim.event()
-            self._progress_event[seq] = wake
-            yield self.sim.any_of([wake, self.sim.timeout(self.rto)])
-            if self._una[seq] == una:
-                # RTO: rewind the whole window (the GBN waste).
-                rounds_without_progress += 1
-                if rounds_without_progress > self.config.max_chunk_retransmits:
-                    ticket.failed = True
-                    self._cleanup(seq)
-                    if not ticket.done.triggered:
-                        ticket.done.fail(ProtocolError("GBN retransmit budget"))
-                    return
-                rewound = min(self.window_chunks, nchunks - una)
-                ticket.retransmitted_chunks += rewound
-                self._m_rewinds.inc()
-                self._m_retransmitted.inc(rewound)
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "rto_rewind", cat="gbn", track=self._track,
-                        msg=seq, seq=seq, una=una, chunks=rewound,
-                        attempt=rounds_without_progress,
-                    )
-                next_to_send = una
-                for i in range(una, min(una + self.window_chunks, nchunks)):
-                    self._send_chunk(
-                        hdl, i, length, payload, attempt=rounds_without_progress
-                    )
-                    next_to_send = i + 1
-            else:
+            state.wake = self.sim.event()
+            yield self.sim.any_of([state.wake, self.sim.timeout(self.rto)])
+            if state.una != una:
                 rounds_without_progress = 0
-        if not hdl.ended:
-            self.qp.send_stream_end(hdl)
-        self._cleanup(seq)
-        ticket._finish(self.sim.now)
-        self._m_writes_completed.inc()
-        self._h_write_seconds.observe(self.sim.now - ticket.start_time)
-
-    def _cleanup(self, seq: int) -> None:
-        self._tickets.pop(seq, None)
-        self._progress_event.pop(seq, None)
+                continue
+            # RTO: rewind the whole window (the GBN waste).
+            rounds_without_progress += 1
+            if rounds_without_progress > self.config.max_chunk_retransmits:
+                self._fail(state, "GBN retransmit budget")
+                return
+            window_end = min(una + self.window_chunks, nchunks)
+            ticket.retransmitted_chunks += window_end - una
+            self._m_rewinds.inc()
+            self._m_retransmitted.inc(window_end - una)
+            if self._trace.enabled:
+                self._trace.instant(
+                    "rto_rewind", cat="gbn", track=self._track,
+                    msg=ticket.seq, seq=ticket.seq, una=una,
+                    chunks=window_end - una, attempt=rounds_without_progress,
+                )
+            for i in range(una, window_end):
+                self._send_chunk(state, i, attempt=rounds_without_progress)
+            next_to_send = window_end
+        del self._states[ticket.seq]
+        self._complete_write(state, retransmits=ticket.retransmitted_chunks)
 
     def _on_ctrl(self, msg) -> None:
         if not isinstance(msg, Ack):
             return
-        seq = msg.msg_seq
-        if seq not in self._una or seq not in self._tickets:
-            return
-        if msg.cumulative > self._una[seq]:
-            self._una[seq] = msg.cumulative
-            wake = self._progress_event.get(seq)
-            if wake is not None and not wake.triggered:
-                wake.succeed(None)
+        state = self._states.get(msg.msg_seq)
+        if state is not None and msg.cumulative > state.una:
+            state.una = msg.cumulative
+            if state.wake is not None and not state.wake.triggered:
+                state.wake.succeed(None)
 
 
-class GbnReceiver:
+class GbnReceiver(Receiver):
     """Receiver endpoint: cumulative-only acknowledgments."""
+
+    scheme = "gbn"
+    config_type = SrConfig
 
     def __init__(
         self,
@@ -157,44 +135,25 @@ class GbnReceiver:
         *,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.config = config if config is not None else SrConfig()
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
-        self._m_acks_sent = self.sim.telemetry.metrics.counter(
-            f"gbn.{qp.ctx.device.name}.acks_sent"
-        )
+        super().__init__(qp, ctrl, config, rtt=rtt)
+        self._m_acks_sent = self._scope.counter("acks_sent")
 
     @property
     def acks_sent(self) -> int:
         return self._m_acks_sent.value
 
-    def post_receive(
-        self, mr: MemoryRegion, length: int, mr_offset: int = 0
-    ) -> ReceiveTicket:
-        rh = self.qp.recv_post(SdrRecvWr(mr=mr, length=length, mr_offset=mr_offset))
-        ticket = ReceiveTicket(
-            seq=rh.seq, length=length, done=self.sim.event(), recv_handles=[rh]
-        )
-        self.sim.process(self._serve(ticket, rh))
-        return ticket
-
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle):
-        interval = self.config.ack_interval_rtts * self.rtt
-        while not rh.all_chunks_received():
-            yield self.sim.any_of(
-                [self.sim.timeout(interval), rh.wait_all_chunks()]
-            )
+        def ack() -> None:
             # Cumulative-only: no selective window (the GBN restriction).
-            self.ctrl.send(Ack(msg_seq=ticket.seq, cumulative=rh.bitmap().cumulative()))
+            self.ctrl.send(
+                Ack(msg_seq=ticket.seq, cumulative=rh.bitmap().cumulative())
+            )
             self._m_acks_sent.inc()
-        self.ctrl.send(Ack(msg_seq=ticket.seq, cumulative=rh.nchunks))
-        self._m_acks_sent.inc()
-        rh.complete()
-        ticket._finish(self.sim.now)
-        grace_end = self.sim.now + self.config.grace_rtts * self.rtt
-        while self.sim.now < grace_end:
-            yield self.sim.timeout(self.config.rto_rtts * self.rtt)
-            self.ctrl.send(Ack(msg_seq=ticket.seq, cumulative=rh.nchunks))
-            self._m_acks_sent.inc()
+
+        interval = self.config.ack_interval_rtts * self.rtt
+        if not (yield from self._watch(ticket, rh, interval, ack)):
+            return
+        ack()
+        yield from self._finish(
+            ticket, [rh], ack, self.config.rto_rtts * self.rtt
+        )

@@ -31,22 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import ConfigError, DeliveryError
+from repro.common.errors import ConfigError
 from repro.ec.sampling import draw_probes
-from repro.recovery.resume import ResumeToken
 from repro.reliability.base import (
     ControlPath,
     ReceiveTicket,
+    WriteState,
     WriteTicket,
-    wait_injected,
 )
-from repro.reliability.messages import Done, RepairReq, ResumeReq
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-from repro.sdr.handles import RecvHandle, SendHandle
-from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
+from repro.reliability.messages import Done, RepairReq
+from repro.reliability.sr import SrBacked, SrBackedReceiver, SrConfig
+from repro.sdr.handles import RecvHandle
+from repro.sdr.qp import SdrQp
 from repro.sim.rng import RngStreams
 from repro.telemetry.trace import flow_key
-from repro.verbs.mr import MemoryRegion
 
 
 @dataclass(frozen=True)
@@ -124,27 +122,25 @@ class SamplingConfig:
             )
 
 
-class _SamplingSendState:
+class _SamplingSendState(WriteState):
     """Per-message sender bookkeeping (no per-chunk ACK state by design)."""
 
-    def __init__(self, ticket: WriteTicket, hdl: SendHandle, nchunks: int):
-        self.ticket = ticket
-        self.hdl = hdl
-        self.nchunks = nchunks
+    def __init__(self, ticket: WriteTicket, handles, nchunks: int, payload):
+        super().__init__(ticket, handles, nchunks, payload)
         #: Simulated time each chunk last hit the wire (-inf = never).
         self.last_sent = np.full(nchunks, -np.inf)
         self.attempts = np.zeros(nchunks, dtype=np.int64)
         self.inject_done = False
-        self.done = False
         #: Last control-path signal for this write (feeds the watchdog).
-        self.last_activity = 0.0
-        #: Retry budget measures from here (fresh per attempt).
-        self.retx_base = ticket.retransmitted_chunks
-        self.payload: bytes | None = None
+        self.last_activity = ticket.start_time
 
 
-class SamplingSender:
+class SamplingSender(SrBacked):
     """Sender endpoint of the availability-sampling protocol."""
+
+    scheme = "sampling"
+    config_type = SamplingConfig
+    state_type = _SamplingSendState
 
     def __init__(
         self,
@@ -154,139 +150,40 @@ class SamplingSender:
         *,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.config = config if config is not None else SamplingConfig()
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
-        ctrl.on_message(self._on_ctrl)
-        self._states: dict[int, _SamplingSendState] = {}
-        #: Internal SR sender running resumed (backstop) phases; lazy so the
-        #: steady-state sampling run never constructs SR state.
-        self._sr: SrSender | None = None
-        #: Optional :class:`repro.recovery.PlaneRecovery` (see SR/EC).
-        self.recovery = None
-        scope = self.sim.telemetry.metrics.scope(
-            f"sampling.{qp.ctx.device.name}"
+        super().__init__(qp, ctrl, config, rtt=rtt)
+        self._m_repair_reqs = self._scope.counter("repair_requests_received")
+        self._m_repaired_chunks = self._scope.counter("repaired_chunks")
+        self._m_idle_strikes = self._scope.counter("idle_strikes")
+
+    def _backstop_config(self) -> SrConfig:
+        # The backstop must be sturdier than the mode that escalated to
+        # it: NACK fast path, adaptive RTO with backoff, and no repair
+        # budget (the sampling budget caps the cheap phase; SR's own
+        # chunk-retransmit valve still bounds pathological channels).
+        return SrConfig(
+            nack_enabled=True,
+            adaptive_rto=True,
+            rto_backoff=True,
+            max_resumptions=self.config.max_resumptions,
         )
-        self._m_writes_completed = scope.counter("writes_completed")
-        self._m_writes_failed = scope.counter("writes_failed")
-        self._m_repair_reqs = scope.counter("repair_requests_received")
-        self._m_repaired_chunks = scope.counter("repaired_chunks")
-        self._m_idle_strikes = scope.counter("idle_strikes")
-        self._h_write_seconds = scope.histogram("write_seconds")
-        self._trace = self.sim.telemetry.trace
-        self._track = f"sampling.{qp.ctx.device.name}"
-
-    # -- recovery-plane hooks ---------------------------------------------------------
-
-    def attach_recovery(self, recovery) -> None:
-        """Feed loss signals of the SR backstop into a plane monitor."""
-        self.recovery = recovery
-        if self._sr is not None and recovery is not None:
-            self._sr.attach_recovery(recovery)
-
-    def _sr_sender(self) -> SrSender:
-        if self._sr is None:
-            # The backstop must be sturdier than the mode that escalated to
-            # it: NACK fast path, adaptive RTO with backoff, and no repair
-            # budget (the sampling budget caps the cheap phase; SR's own
-            # chunk-retransmit valve still bounds pathological channels).
-            self._sr = SrSender(
-                self.qp,
-                self.ctrl,
-                SrConfig(
-                    nack_enabled=True,
-                    adaptive_rto=True,
-                    rto_backoff=True,
-                    max_resumptions=self.config.max_resumptions,
-                ),
-                rtt=self.rtt,
-            )
-            if self.recovery is not None:
-                self._sr.attach_recovery(self.recovery)
-        return self._sr
-
-    def resume(self, token: ResumeToken, payload: bytes | None = None) -> WriteTicket:
-        """Resume a failed sampling write: SR remainder under a fresh slot."""
-        return self._sr_sender().resume(token, payload)
-
-    def _try_resume(self, state: _SamplingSendState, reason: str) -> bool:
-        cfg = self.config
-        if cfg.max_resumptions <= 0:
-            return False
-        if state.ticket.resumptions >= cfg.max_resumptions:
-            return False
-        self._states.pop(state.hdl.seq, None)
-        if not state.hdl.ended:
-            self.qp.send_stream_end(state.hdl)
-        # The sampling sender keeps no delivery bitmap (that is the point);
-        # the receiver's grant bitmap is authoritative, as in EC resumption.
-        token = ResumeToken(
-            msg_seq=state.ticket.seq,
-            length=state.ticket.length,
-            total_chunks=state.nchunks,
-            bitmap=b"",
-            reason=reason,
-            attempt=state.ticket.resumptions + 1,
-            protocol="sampling",
-        )
-        self._sr_sender()._start_resume(token, state.ticket, state.payload)
-        return True
 
     # -- public API -------------------------------------------------------------------
 
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
         """Reliably write ``length`` bytes; repairs are receiver-driven."""
-        nchunks = self.qp.config.chunks_in(length)
-        hdl = self.qp.send_stream_start(SdrSendWr(length=length, payload=payload))
-        ticket = WriteTicket(
-            seq=hdl.seq, length=length, start_time=self.sim.now,
-            done=self.sim.event(),
-        )
-        state = _SamplingSendState(ticket, hdl, nchunks)
-        state.payload = payload
-        state.last_activity = self.sim.now
-        self._states[hdl.seq] = state
-        if self._trace.enabled:
-            self._trace.instant(
-                "msg_post", cat="sampling", track=self._track,
-                msg=hdl.seq, bytes=length, chunks=nchunks,
-            )
-        self.sim.process(self._inject_all(state))
+        state = self._open(length, payload)
+        self._post(state)
+        self.sim.process(self._inject_once(state))
         self.sim.process(self._watchdog(state))
-        return ticket
+        return state.ticket
 
-    # -- injection --------------------------------------------------------------------
-
-    def _chunk_range(self, index: int, length: int) -> tuple[int, int]:
-        cb = self.qp.config.chunk_bytes
-        off = index * cb
-        return off, min(cb, length - off)
-
-    def _send_chunk(
-        self, state: _SamplingSendState, index: int, *, attempt: int = 0
-    ) -> None:
-        off, clen = self._chunk_range(index, state.ticket.length)
-        piece = None
-        if state.payload is not None:
-            piece = state.payload[off : off + clen]
-        self.qp.send_stream_continue(state.hdl, off, clen, piece, attempt=attempt)
-
-    def _inject_all(self, state: _SamplingSendState):
+    def _inject_once(self, state: _SamplingSendState):
         """Wire-paced one-shot injection; stamps per-chunk send times."""
-        ppc = self.qp.config.packets_per_chunk
-        for index in range(state.nchunks):
-            if (
-                state.done
-                or state.ticket.failed
-                or state.hdl.seq not in self._states
-            ):
-                break  # completed, failed, or escalated to resumption
-            self._send_chunk(state, index)
-            target = min((index + 1) * ppc, state.hdl.packets_posted)
-            yield from wait_injected(self.qp, state.hdl, target)
+
+        def on_wire(index: int) -> None:
             state.last_sent[index] = self.sim.now
+
+        yield from self._inject(state, range(state.nchunks), on_wire)
         state.inject_done = True
         state.last_activity = self.sim.now
 
@@ -298,12 +195,8 @@ class SamplingSender:
         strikes = 0
         while True:
             yield self.sim.timeout(idle)
-            if (
-                state.done
-                or state.ticket.failed
-                or state.hdl.seq not in self._states
-            ):
-                return
+            if state.hdl.ended:
+                return  # completed, failed, or escalated to resumption
             if not state.inject_done:
                 continue  # first transmission still pacing out
             if self.sim.now - state.last_activity >= idle:
@@ -323,42 +216,6 @@ class SamplingSender:
                     return
             else:
                 strikes = 0
-
-    def _budget_exhausted(self, state: _SamplingSendState) -> bool:
-        budget = self.config.max_message_retransmits
-        spent = state.ticket.retransmitted_chunks - state.retx_base
-        if budget is not None and spent >= budget:
-            self._fail(
-                state,
-                f"write seq={state.ticket.seq} exceeded repair "
-                f"retransmit budget ({budget})",
-            )
-            return True
-        return False
-
-    def _fail(self, state: _SamplingSendState, reason: str) -> None:
-        if self._try_resume(state, reason):
-            return
-        self._m_writes_failed.inc()
-        state.ticket.failed = True
-        self._states.pop(state.hdl.seq, None)
-        if not state.hdl.ended:
-            self.qp.send_stream_end(state.hdl)
-        if self._trace.enabled:
-            self._trace.instant(
-                "write_failed", cat="sampling", track=self._track,
-                msg=state.ticket.seq, seq=state.ticket.seq,
-                total=state.nchunks,
-            )
-        if not state.ticket.done.triggered:
-            state.ticket.done.fail(
-                DeliveryError(
-                    reason,
-                    delivered_chunks=0,  # sender-side unknown by design
-                    total_chunks=state.nchunks,
-                    bitmap=b"",
-                )
-            )
 
     # -- control-path handling --------------------------------------------------------
 
@@ -398,27 +255,17 @@ class SamplingSender:
                 self._m_repaired_chunks.inc()
         elif isinstance(msg, Done):
             state = self._states.pop(msg.msg_seq, None)
-            if state is None:
-                return
-            state.done = True
-            if not state.hdl.ended:
-                self.qp.send_stream_end(state.hdl)
-            state.ticket._finish(self.sim.now)
-            self._m_writes_completed.inc()
-            self._h_write_seconds.observe(
-                self.sim.now - state.ticket.start_time
-            )
-            if self._trace.enabled:
-                self._trace.complete(
-                    "sampling_write", cat="sampling", track=self._track,
-                    start=state.ticket.start_time, msg=state.ticket.seq,
-                    seq=state.ticket.seq, bytes=state.ticket.length,
-                    retransmits=state.ticket.retransmitted_chunks,
+            if state is not None:
+                self._complete_write(
+                    state, retransmits=state.ticket.retransmitted_chunks
                 )
 
 
-class SamplingReceiver:
+class SamplingReceiver(SrBackedReceiver):
     """Receiver endpoint of the availability-sampling protocol."""
+
+    scheme = "sampling"
+    config_type = SamplingConfig
 
     def __init__(
         self,
@@ -428,117 +275,28 @@ class SamplingReceiver:
         *,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.config = config if config is not None else SamplingConfig()
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
-        ctrl.on_message(self._on_ctrl)
+        super().__init__(qp, ctrl, config, rtt=rtt)
         #: Deterministic probe substreams, one per served slot.
         self._rngs = RngStreams(self.config.probe_seed)
-        #: Receive state by original seq, for resumption grants.
-        self._serving: dict[int, tuple[ReceiveTicket, RecvHandle]] = {}
-        #: Messages already handed to the SR resume machinery.
-        self._resuming: set[int] = set()
-        #: Internal SR receiver serving resumed phases (lazy).
-        self._sr: SrReceiver | None = None
-        scope = self.sim.telemetry.metrics.scope(
-            f"sampling.{qp.ctx.device.name}"
-        )
-        self._m_sample_rounds = scope.counter("sample_rounds")
-        self._m_probes_drawn = scope.counter("probes_drawn")
-        self._m_repair_reqs = scope.counter("repair_requests_sent")
-        self._m_full_scans = scope.counter("full_scans")
-        self._m_dones_sent = scope.counter("dones_sent")
-        self._trace = self.sim.telemetry.trace
-        self._track = f"sampling.{qp.ctx.device.name}"
-        self._rtrack = f"recovery.{qp.ctx.device.name}"
+        self._m_sample_rounds = self._scope.counter("sample_rounds")
+        self._m_probes_drawn = self._scope.counter("probes_drawn")
+        self._m_repair_reqs = self._scope.counter("repair_requests_sent")
+        self._m_full_scans = self._scope.counter("full_scans")
+        self._m_dones_sent = self._scope.counter("dones_sent")
 
     @property
     def repair_requests_sent(self) -> int:
         return self._m_repair_reqs.value
 
-    # -- public API -------------------------------------------------------------------
-
-    def post_receive(
-        self, mr: MemoryRegion, length: int, mr_offset: int = 0
-    ) -> ReceiveTicket:
-        """Post a receive buffer; availability sampling runs to completion."""
-        rh = self.qp.recv_post(
-            SdrRecvWr(mr=mr, length=length, mr_offset=mr_offset)
-        )
-        ticket = ReceiveTicket(
-            seq=rh.seq, length=length, done=self.sim.event(), recv_handles=[rh]
-        )
-        self._serving[rh.seq] = (ticket, rh)
-        self.sim.process(self._serve(ticket, rh))
-        return ticket
-
     # -- resumption grants (repro.recovery) ---------------------------------------------
 
-    def _sr_receiver(self) -> SrReceiver:
-        if self._sr is None:
-            self._sr = SrReceiver(
-                self.qp,
-                self.ctrl,
-                SrConfig(
-                    nack_enabled=True,
-                    serve_deadline_rtts=self.config.serve_deadline_rtts,
-                ),
-                rtt=self.rtt,
-            )
-        return self._sr
-
-    def _on_ctrl(self, msg) -> None:
-        if not isinstance(msg, ResumeReq):
-            return
-        entry = self._serving.get(msg.msg_seq)
-        if entry is None or msg.msg_seq in self._resuming:
-            # Unknown here, or the SR machinery already owns the message
-            # (its grant table answers duplicates and follow-up attempts).
-            return
-        self._resuming.add(msg.msg_seq)
-        self._grant_resume(msg, *entry)
-
-    def _grant_resume(
-        self, msg: ResumeReq, ticket: ReceiveTicket, rh: RecvHandle
-    ) -> None:
-        """Abandon the sampled slot, re-post pre-seeded, grant SR-style."""
-        from repro.reliability.messages import ResumeAck
-
-        delivered = rh.bitmap().as_array().astype(bool).copy()
-        if not rh.completed and not rh.all_chunks_received():
-            self.qp.recv_abandon(rh)
-        rh2 = self.qp.recv_post(
-            SdrRecvWr(mr=rh.mr, length=rh.length, mr_offset=rh.mr_offset),
-            preset_chunks=delivered,
+    def _backstop_config(self) -> SrConfig:
+        return SrConfig(
+            nack_enabled=True,
+            serve_deadline_rtts=self.config.serve_deadline_rtts,
         )
-        ticket.resumptions += 1
-        ticket.recv_handles.append(rh2)
-        srr = self._sr_receiver()
-        ack = ResumeAck(
-            msg_seq=msg.msg_seq,
-            new_seq=rh2.seq,
-            total_chunks=rh2.nchunks,
-            attempt=msg.attempt,
-            bitmap=np.packbits(delivered).tobytes(),
-        )
-        srr._serving[msg.msg_seq] = (ticket, rh2)
-        srr._resume_grants[msg.msg_seq] = (msg.attempt, ack)
-        srr._m_resumes_granted.inc()
-        if self._trace.enabled:
-            self._trace.instant(
-                "resume_grant", cat="recovery", track=self._rtrack,
-                msg=msg.msg_seq, new_msg=rh2.seq, attempt=msg.attempt,
-                delivered=int(delivered.sum()), total=rh2.nchunks,
-            )
-        self.ctrl.send(ack)
-        self.sim.process(srr._serve(ticket, rh2))
 
     # -- sampling serve loop ------------------------------------------------------------
-
-    def _segments(self, nchunks: int) -> int:
-        return -(-nchunks // self.config.segment_chunks)
 
     def _segment_range(self, seg: int, nchunks: int) -> tuple[int, int]:
         start = seg * self.config.segment_chunks
@@ -546,44 +304,21 @@ class SamplingReceiver:
 
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle):
         cfg = self.config
-        interval = cfg.sample_interval_rtts * self.rtt
-        deadline = (
-            None
-            if cfg.serve_deadline_rtts is None
-            else self.sim.now + cfg.serve_deadline_rtts * self.rtt
-        )
-        nseg = self._segments(rh.nchunks)
+        nseg = -(-rh.nchunks // cfg.segment_chunks)
         seg_done = np.zeros(nseg, dtype=bool)
         rng = self._rngs.get(f"probe.{self.qp.ctx.device.name}.{rh.seq}")
         rounds = 0
         last_count = -1
-        while not rh.all_chunks_received():
-            if rh.completed:
-                return  # abandoned by a resumption grant
-            if deadline is not None and self.sim.now >= deadline:
-                delivered = rh.bitmap().as_array()
-                if not ticket.done.triggered:
-                    ticket.done.fail(
-                        DeliveryError(
-                            f"receive seq={ticket.seq} incomplete at serve "
-                            f"deadline",
-                            delivered_chunks=int(delivered.sum()),
-                            total_chunks=rh.nchunks,
-                            bitmap=np.packbits(delivered).tobytes(),
-                        )
-                    )
-                return
-            yield self.sim.any_of(
-                [self.sim.timeout(interval), rh.wait_all_chunks()]
-            )
-            if rh.completed and not rh.all_chunks_received():
-                return  # abandoned while waiting
+
+        def sample() -> None:
+            """One sampling round over the bitmap as it stands."""
+            nonlocal rounds, last_count
             if rh.all_chunks_received():
-                break
+                return
             present = rh.bitmap().as_array()
             count = int(present.sum())
             if count == 0:
-                continue  # nothing on the wire yet: sampling has no signal
+                return  # nothing on the wire yet: sampling has no signal
             rounds += 1
             # A stalled bitmap means losses, not in-flight data: scan
             # exactly.  Every Nth round scans too (deterministic valve).
@@ -625,15 +360,16 @@ class SamplingReceiver:
                 )
             for seg in flagged:
                 self._send_repair(rh, seg, present)
-        # Complete: free SDR resources, then re-send Done through the grace
-        # window in case the final datagram drops.
+
+        interval = cfg.sample_interval_rtts * self.rtt
+        if not (yield from self._watch(ticket, rh, interval, sample)):
+            return
+        # Re-send Done through the grace window in case the final datagram
+        # drops.
         self._send_done(rh.seq)
-        rh.complete()
-        ticket._finish(self.sim.now)
-        grace_end = self.sim.now + cfg.grace_rtts * self.rtt
-        while self.sim.now < grace_end:
-            yield self.sim.timeout(2 * self.rtt)
-            self._send_done(rh.seq)
+        yield from self._finish(
+            ticket, [rh], lambda: self._send_done(rh.seq), 2 * self.rtt
+        )
 
     def _send_repair(self, rh: RecvHandle, seg: int, present: np.ndarray) -> None:
         start, seg_len = self._segment_range(seg, rh.nchunks)

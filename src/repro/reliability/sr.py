@@ -21,18 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.config import SdrConfig
-from repro.common.errors import ConfigError, DeliveryError
+from repro.common.errors import ConfigError
 from repro.recovery.resume import ResumeToken
 from repro.reliability.base import (
     ControlPath,
+    Receiver,
     ReceiveTicket,
+    Sender,
+    WriteState,
     WriteTicket,
     wait_injected,
 )
 from repro.reliability.messages import Ack, ResumeAck, ResumeReq, SrNack
-from repro.sdr.handles import RecvHandle, SendHandle
-from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
+from repro.sdr.handles import RecvHandle
+from repro.sdr.qp import SdrQp, SdrRecvWr
 from repro.sim.engine import Event
 from repro.telemetry.trace import flow_key
 from repro.verbs.mr import MemoryRegion
@@ -118,24 +120,17 @@ class SrConfig:
             raise ConfigError("max_resume_requests must be > 0")
 
 
-class _SendState:
-    """Per-message sender bookkeeping."""
+class _SendState(WriteState):
+    """Per-message SR sender bookkeeping."""
 
-    def __init__(self, ticket: WriteTicket, hdl: SendHandle, nchunks: int):
-        self.ticket = ticket
-        self.hdl = hdl
-        self.nchunks = nchunks
+    def __init__(self, ticket: WriteTicket, handles, nchunks: int, payload):
+        super().__init__(ticket, handles, nchunks, payload)
         self.unacked = np.ones(nchunks, dtype=bool)
         self.deadline = np.full(nchunks, np.inf)
         self.retransmit_count = np.zeros(nchunks, dtype=np.int64)
         #: Simulated time each chunk last hit the wire (NaN = not yet);
         #: feeds Jacobson RTT samples and the NACK holdoff.
         self.sent_at = np.full(nchunks, np.nan)
-        self.inject_done = False
-        #: ``ticket.retransmitted_chunks`` at state creation: the per-attempt
-        #: retry budget measures from here, so a resumed attempt gets a
-        #: fresh budget while the ticket keeps the cumulative count.
-        self.retx_base = ticket.retransmitted_chunks
         #: True when this state serves a bitmap-driven resumption.
         self.resumed = False
         #: Retransmitted chunks waiting for wire injection before their
@@ -147,19 +142,30 @@ class _SendState:
     def complete(self) -> bool:
         return not self.unacked.any()
 
+    @property
+    def delivered(self) -> np.ndarray:
+        return ~self.unacked
 
-class _PendingResume:
-    """A resumption waiting for the receiver's grant."""
+
+class _PendingResume(WriteState):
+    """A resumption waiting for the receiver's grant (no stream open yet)."""
 
     def __init__(self, token: ResumeToken, ticket: WriteTicket, payload, granted):
+        super().__init__(ticket, [], token.total_chunks, payload)
         self.token = token
-        self.ticket = ticket
-        self.payload = payload
         self.granted = granted  # Event: fires when the ResumeAck arrives
 
+    @property
+    def delivered(self) -> np.ndarray | None:
+        return self.token.delivered_mask() if self.token.bitmap else None
 
-class SrSender:
+
+class SrSender(Sender):
     """Sender endpoint of the Selective Repeat protocol."""
+
+    scheme = "sr"
+    config_type = SrConfig
+    state_type = _SendState
 
     def __init__(
         self,
@@ -169,17 +175,11 @@ class SrSender:
         *,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.config = config if config is not None else SrConfig()
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
+        super().__init__(qp, ctrl, config, rtt=rtt)
         self._base_rto = self.config.rto_rtts * self.rtt
         self._srtt: float | None = None
         self._rttvar = 0.0
         self._backoff = 0
-        ctrl.on_message(self._on_ctrl)
-        self._states: dict[int, _SendState] = {}
         self._pending_resumes: dict[int, _PendingResume] = {}
         #: Optional :class:`repro.recovery.PlaneRecovery` fed RTO/NACK
         #: loss signals (see :meth:`attach_recovery`).
@@ -188,25 +188,17 @@ class SrSender:
         #: loss signals (see :meth:`attach_cc`).
         self.cc = None
         self._timer_wake: Event | None = None
-        self._timer = self.sim.process(self._timer_loop())
-        scope = self.sim.telemetry.metrics.scope(f"sr.{qp.ctx.device.name}")
-        self._m_rto_fires = scope.counter("rto_fires")
-        self._m_retransmitted = scope.counter("retransmitted_chunks")
-        self._m_nacks_received = scope.counter("nacks_received")
-        self._m_writes_completed = scope.counter("writes_completed")
-        self._m_writes_failed = scope.counter("writes_failed")
-        self._h_write_seconds = scope.histogram("write_seconds")
-        rscope = self.sim.telemetry.metrics.scope(
-            f"recovery.{qp.ctx.device.name}"
-        )
+        self.sim.process(self._timer_loop())
+        self._m_rto_fires = self._scope.counter("rto_fires")
+        self._m_retransmitted = self._scope.counter("retransmitted_chunks")
+        self._m_nacks_received = self._scope.counter("nacks_received")
+        self._rtrack = f"recovery.{qp.ctx.device.name}"
+        rscope = self.sim.telemetry.metrics.scope(self._rtrack)
         self._m_resumes_started = rscope.counter("resumes_started")
         self._m_resumes_completed = rscope.counter("resumes_completed")
         self._m_resume_failures = rscope.counter("resume_failures")
         self._m_chunks_skipped = rscope.counter("resumed_chunks_skipped")
         self._m_chunks_resent = rscope.counter("resumed_chunks_retransmitted")
-        self._trace = self.sim.telemetry.trace
-        self._track = f"sr.{qp.ctx.device.name}"
-        self._rtrack = f"recovery.{qp.ctx.device.name}"
 
     @property
     def rto(self) -> float:
@@ -284,22 +276,10 @@ class SrSender:
 
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
         """Reliably write ``length`` bytes to the peer's next posted receive."""
-        sdr: SdrConfig = self.qp.config
-        nchunks = sdr.chunks_in(length)
-        hdl = self.qp.send_stream_start(SdrSendWr(length=length, payload=payload))
-        ticket = WriteTicket(
-            seq=hdl.seq, length=length, start_time=self.sim.now, done=self.sim.event()
-        )
-        state = _SendState(ticket, hdl, nchunks)
-        state._payload = payload  # type: ignore[attr-defined]
-        self._states[hdl.seq] = state
-        if self._trace.enabled:
-            self._trace.instant(
-                "msg_post", cat="sr", track=self._track,
-                msg=hdl.seq, bytes=length, chunks=nchunks,
-            )
-        self.sim.process(self._inject_all(state, length, payload))
-        return ticket
+        state = self._open(length, payload)
+        self._post(state)
+        self.sim.process(self._inject_chunks(state))
+        return state.ticket
 
     def resume(self, token: ResumeToken, payload: bytes | None = None) -> WriteTicket:
         """Resume a failed write from ``token`` (bitmap-driven resumption).
@@ -310,40 +290,39 @@ class SrSender:
         missing.  Returns a fresh :class:`WriteTicket` (``seq`` keeps the
         original message's sequence number).
         """
-        ticket = WriteTicket(
-            seq=token.msg_seq,
-            length=token.length,
-            start_time=self.sim.now,
-            done=self.sim.event(),
-        )
+        ticket = self._write_ticket(token.msg_seq, token.length)
         self._start_resume(token, ticket, payload)
         return ticket
 
     # -- resumption (repro.recovery) --------------------------------------------------
 
-    def _try_resume(self, state: _SendState, reason: str) -> bool:
-        """Begin auto-resumption if the budget allows; False = fail for real."""
-        cfg = self.config
-        if cfg.max_resumptions <= 0:
+    def takeover(self, state: WriteState, reason: str, *, protocol: str = "sr") -> bool:
+        """Resume ``state``'s write under a fresh slot if its budget allows.
+
+        The single sender-side resumption hand-off, for this sender's own
+        writes and for the schemes SR backstops (:class:`SrBacked`): ends
+        the old streams, snapshots ``state.delivered`` (None = unknown, the
+        receiver's grant bitmap is authoritative) into a
+        :class:`ResumeToken` and starts the request/grant exchange.  False
+        means the budget is spent and the caller fails the write for real.
+        """
+        ticket, delivered = state.ticket, state.delivered
+        if (
+            ticket.resumptions >= self.config.max_resumptions
+            or ticket.seq in self._pending_resumes
+        ):
             return False
-        if state.ticket.resumptions >= cfg.max_resumptions:
-            return False
-        if state.ticket.seq in self._pending_resumes:
-            return False
-        self._states.pop(state.hdl.seq, None)
-        if not state.hdl.ended:
-            self.qp.send_stream_end(state.hdl)
-        delivered = ~state.unacked
+        self._end_streams(state)
         token = ResumeToken(
-            msg_seq=state.ticket.seq,
-            length=state.ticket.length,
+            msg_seq=ticket.seq,
+            length=ticket.length,
             total_chunks=state.nchunks,
-            bitmap=np.packbits(delivered).tobytes(),
+            bitmap=b"" if delivered is None else np.packbits(delivered).tobytes(),
             reason=reason,
-            attempt=state.ticket.resumptions + 1,
-            protocol="sr",
+            attempt=ticket.resumptions + 1,
+            protocol=protocol,
         )
-        self._start_resume(token, state.ticket, getattr(state, "_payload", None))
+        self._start_resume(token, ticket, state.payload)
         return True
 
     def _start_resume(self, token: ResumeToken, ticket: WriteTicket, payload):
@@ -360,7 +339,6 @@ class SrSender:
                 delivered=token.delivered_chunks, total=token.total_chunks,
             )
         self.sim.process(self._request_resume(pending))
-        return ticket
 
     def _request_resume(self, pending: _PendingResume):
         """Re-send the resume request until granted or out of retries."""
@@ -383,128 +361,93 @@ class SrSender:
         """Terminal resume failure: surface the token's partial bitmap."""
         token = pending.token
         self._m_resume_failures.inc()
-        self._m_writes_failed.inc()
-        pending.ticket.failed = True
         if self._trace.enabled:
             self._trace.instant(
                 "resume_failed", cat="recovery", track=self._rtrack,
                 msg=token.msg_seq, attempt=token.attempt,
             )
-        if not pending.ticket.done.triggered:
-            pending.ticket.done.fail(
-                DeliveryError(
-                    f"write seq={token.msg_seq} resume attempt "
-                    f"{token.attempt} failed: {why}",
-                    delivered_chunks=token.delivered_chunks,
-                    total_chunks=token.total_chunks,
-                    bitmap=token.bitmap,
-                )
-            )
+        self._fail_write(
+            pending,
+            f"write seq={token.msg_seq} resume attempt {token.attempt} "
+            f"failed: {why}",
+        )
 
     def _launch_resumed(self, pending: _PendingResume, ack: ResumeAck) -> None:
         """The receiver granted: re-post and inject only the missing chunks."""
         token = pending.token
-        delivered = np.zeros(token.total_chunks, dtype=bool)
-        if ack.bitmap:
-            delivered = np.unpackbits(
-                np.frombuffer(ack.bitmap, dtype=np.uint8),
-                count=token.total_chunks,
-            ).astype(bool)
-        hdl = self.qp.send_stream_start(
-            SdrSendWr(length=token.length, payload=pending.payload)
-        )
-        if hdl.seq != ack.new_seq:
+        state = self._open(token.length, pending.payload, ticket=pending.ticket)
+        new_seq = state.hdl.seq
+        if new_seq != ack.new_seq:
             # Order-based matching broke (another message was posted between
             # the grant and this re-post): the fresh slot does not line up
             # with the receiver's, so fail cleanly rather than corrupt data.
-            self.qp.send_stream_end(hdl)
+            del self._states[new_seq]
+            self._end_streams(state)
             self._resume_failed(
                 pending,
-                f"slot mismatch (local seq {hdl.seq}, peer {ack.new_seq})",
+                f"slot mismatch (local seq {new_seq}, peer {ack.new_seq})",
             )
             return
-        state = _SendState(pending.ticket, hdl, token.total_chunks)
-        state._payload = pending.payload  # type: ignore[attr-defined]
-        state.unacked = ~delivered
+        if ack.bitmap:
+            state.unacked = ~np.unpackbits(
+                np.frombuffer(ack.bitmap, dtype=np.uint8),
+                count=token.total_chunks,
+            ).astype(bool)
         state.resumed = True
-        self._states[hdl.seq] = state
-        skipped = int(delivered.sum())
-        self._m_chunks_skipped.inc(skipped)
+        missing = int(state.unacked.sum())
+        self._m_chunks_skipped.inc(state.nchunks - missing)
+        # The msg_post carries ``resumed_from`` so lineage folds the
+        # resumed slot into the original message's history.
+        self._post(state, resumed_from=token.msg_seq)
         if self._trace.enabled:
-            # The msg_post carries ``resumed_from`` so lineage folds the
-            # resumed slot into the original message's history.
-            self._trace.instant(
-                "msg_post", cat="sr", track=self._track,
-                msg=hdl.seq, bytes=token.length, chunks=token.total_chunks,
-                resumed_from=token.msg_seq,
-            )
             self._trace.instant(
                 "resume_post", cat="recovery", track=self._rtrack,
-                msg=token.msg_seq, new_msg=hdl.seq,
-                missing=int(state.unacked.sum()), skipped=skipped,
+                msg=token.msg_seq, new_msg=new_seq,
+                missing=missing, skipped=state.nchunks - missing,
                 attempt=token.attempt,
             )
-        self.sim.process(self._inject_missing(state))
-
-    def _inject_missing(self, state: _SendState):
-        """Wire-paced injection of only the chunks the receiver lacks."""
-        for index in np.flatnonzero(state.unacked.copy()):
-            index = int(index)
-            if not state.unacked[index]:
-                continue  # acked while earlier chunks were pacing
-            self._send_chunk(state, index)
-            self._m_chunks_resent.inc()
-            target = state.hdl.packets_posted
-            yield from wait_injected(self.qp, state.hdl, target)
-            if state.unacked[index]:
-                state.deadline[index] = self.sim.now + self.rto
-                state.sent_at[index] = self.sim.now
-                self._kick_timer()
-            if state.complete:
-                break
-        state.inject_done = True
-        self._maybe_finish(state)
+        self.sim.process(self._inject_chunks(state))
 
     # -- injection -------------------------------------------------------------------
 
-    def _chunk_range(self, index: int, length: int) -> tuple[int, int]:
-        cb = self.qp.config.chunk_bytes
-        off = index * cb
-        return off, min(cb, length - off)
+    def _inject_chunks(self, state: _SendState):
+        """First pass: every chunk; resumed pass: only what the grant lacks.
 
-    def _send_chunk(self, state: _SendState, index: int, *, attempt: int = 0) -> None:
-        off, clen = self._chunk_range(index, state.ticket.length)
-        payload = getattr(state, "_payload", None)
-        piece = None if payload is None else payload[off : off + clen]
-        self.qp.send_stream_continue(state.hdl, off, clen, piece, attempt=attempt)
-
-    def _inject_all(self, state: _SendState, length: int, payload):
-        """Initial wire-paced injection: stamp each chunk's RTO as it leaves."""
-        ppc = self.qp.config.packets_per_chunk
-        for index in range(state.nchunks):
-            self._send_chunk(state, index)
-            # Wait for this chunk's packets to hit the wire before stamping
-            # its timeout -- avoids spurious RTOs when the injection time of
-            # the whole message exceeds the RTO (the t_start(M) > RTO case).
-            target = min(
-                (index + 1) * ppc,
-                state.hdl.packets_posted,
+        Each chunk's RTO is stamped as it leaves the NIC.
+        """
+        if state.resumed:
+            # Re-checked at send time: a chunk may be acked while earlier
+            # ones are pacing.
+            indices = (
+                int(i) for i in np.flatnonzero(state.unacked.copy())
+                if state.unacked[i]
             )
-            yield from wait_injected(self.qp, state.hdl, target)
-            if state.unacked[index]:
-                state.deadline[index] = self.sim.now + self.rto
-                state.sent_at[index] = self.sim.now
-                self._kick_timer()
-            if state.complete:
-                break
-        state.inject_done = True
+        else:
+            indices = range(state.nchunks)
+
+        def on_wire(index: int) -> None:
+            if state.resumed:
+                self._m_chunks_resent.inc()
+            self._arm(state, index)
+
+        yield from self._inject(
+            state, indices, on_wire, first=not state.resumed
+        )
         self._maybe_finish(state)
+
+    def _arm(self, state: _SendState, index: int, *, kick: bool = True) -> None:
+        """Chunk ``index`` is on the wire: start its RTO clock from now."""
+        if state.unacked[index]:
+            state.deadline[index] = self.sim.now + self.rto
+            state.sent_at[index] = self.sim.now
+            if kick:
+                self._kick_timer()
 
     def _queue_restamp(self, state: _SendState, index: int) -> None:
         """Defer ``index``'s RTO until its retransmitted packets leave.
 
         The retransmit analogue of the ``t_start(M) > RTO`` guard in
-        ``_inject_all``: under cc pacing the injector can hold a chunk far
+        ``_inject``: under cc pacing the injector can hold a chunk far
         longer than the RTO itself, and stamping the deadline at trigger
         time would re-fire the timer while the chunk still sits in the
         pacer queue -- a self-feeding spurious-retransmit storm.
@@ -516,8 +459,8 @@ class SrSender:
         """
         pacer = self.qp.pacer
         if pacer is None or pacer.controller.rate_bps is None:
-            state.deadline[index] = self.sim.now + self.rto
-            state.sent_at[index] = self.sim.now
+            # No kick: the caller is the timer loop or re-reads it anyway.
+            self._arm(state, index, kick=False)
             return
         state.deadline[index] = np.inf
         state.sent_at[index] = np.nan
@@ -536,10 +479,7 @@ class SrSender:
             index, target = state.restamp[0]
             yield from wait_injected(self.qp, state.hdl, target)
             state.restamp.popleft()
-            if state.unacked[index]:
-                state.deadline[index] = self.sim.now + self.rto
-                state.sent_at[index] = self.sim.now
-                self._kick_timer()
+            self._arm(state, index)
         state.restamping = False
 
     # -- timers ------------------------------------------------------------------------
@@ -576,80 +516,51 @@ class SrSender:
             # carry the doubled timeout (Karn's backoff).
             self._backoff = min(self._backoff + 1, self.config.backoff_cap)
         for state in list(self._states.values()):
-            expired = np.flatnonzero(state.unacked & (state.deadline <= now))
-            for index in expired:
+            for index in np.flatnonzero(state.unacked & (state.deadline <= now)):
                 index = int(index)
-                state.retransmit_count[index] += 1
-                if state.retransmit_count[index] > self.config.max_chunk_retransmits:
+                if state.retransmit_count[index] >= self.config.max_chunk_retransmits:
                     self._fail(state, f"chunk {index} exceeded retransmit budget")
                     break
-                if self._budget_exhausted(state):
+                if not self._retransmit(state, index, rto=True):
                     break
-                self._m_rto_fires.inc()
-                self._m_retransmitted.inc()
-                if self.recovery is not None:
-                    self.recovery.note_rto(src_qpn=self._data_qpn())
-                if self.cc is not None:
-                    self.cc.on_loss()
-                attempt = int(state.retransmit_count[index])
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "rto_fire", cat="sr", track=self._track,
-                        msg=state.ticket.seq, seq=state.ticket.seq,
-                        chunk=index, attempt=attempt,
-                    )
-                    self._trace.flow_start(
-                        "retx", cat="sr", track=self._track,
-                        flow_id=flow_key(state.ticket.seq, index, attempt),
-                        msg=state.ticket.seq, chunk=index, attempt=attempt,
-                    )
-                self._send_chunk(state, index, attempt=attempt)
-                self._queue_restamp(state, index)
-                state.ticket.retransmitted_chunks += 1
 
-    def _budget_exhausted(self, state: _SendState) -> bool:
-        """Per-message retry budget: fail (gracefully) when spent.
-
-        The budget is per *attempt* (``retx_base`` resets it on resumption);
-        the ticket still accumulates the total across attempts.
-        """
-        budget = self.config.max_message_retransmits
-        spent = state.ticket.retransmitted_chunks - state.retx_base
-        if budget is not None and spent >= budget:
-            self._fail(
-                state,
-                f"write seq={state.ticket.seq} exceeded message retransmit "
-                f"budget ({budget})",
-            )
-            return True
-        return False
-
-    def _fail(self, state: _SendState, reason: str) -> None:
-        """Retry budget spent: resume if allowed, else fail for real."""
-        if self._try_resume(state, reason):
-            return
-        self._fail_final(state, reason)
-
-    def _fail_final(self, state: _SendState, reason: str) -> None:
-        self._m_writes_failed.inc()
-        state.ticket.failed = True
-        self._states.pop(state.hdl.seq, None)
-        delivered = ~state.unacked
+    def _retransmit(self, state: _SendState, index: int, *, rto: bool) -> bool:
+        """Re-inject one chunk on RTO expiry or NACK; False = the write gave up."""
+        if self._budget_exhausted(state):
+            return False
+        state.retransmit_count[index] += 1
+        attempt = int(state.retransmit_count[index])
+        seq = state.ticket.seq
+        self._m_retransmitted.inc()
+        if rto:
+            self._m_rto_fires.inc()
+            if self.recovery is not None:
+                self.recovery.note_rto(src_qpn=self._data_qpn())
+            if self.cc is not None:
+                self.cc.on_loss()
         if self._trace.enabled:
-            self._trace.instant(
-                "write_failed", cat="sr", track=self._track,
-                msg=state.ticket.seq, seq=state.ticket.seq,
-                delivered=int(delivered.sum()), total=state.nchunks,
-            )
-        if not state.ticket.done.triggered:
-            state.ticket.done.fail(
-                DeliveryError(
-                    reason,
-                    delivered_chunks=int(delivered.sum()),
-                    total_chunks=state.nchunks,
-                    bitmap=np.packbits(delivered).tobytes(),
+            if rto:
+                self._trace.instant(
+                    "rto_fire", cat="sr", track=self._track,
+                    msg=seq, seq=seq, chunk=index, attempt=attempt,
                 )
+            else:
+                self._trace.instant(
+                    "nack_retx", cat="sr", track=self._track,
+                    msg=seq, chunk=index, attempt=attempt,
+                )
+            self._trace.flow_start(
+                "retx", cat="sr", track=self._track,
+                flow_id=flow_key(seq, index, attempt),
+                msg=seq, chunk=index, attempt=attempt,
             )
+        self._send_chunk(state, index, attempt=attempt)
+        self._queue_restamp(state, index)
+        state.ticket.retransmitted_chunks += 1
+        return True
+
+    def _escalate(self, state: WriteState, reason: str) -> bool:
+        return self.takeover(state, reason)
 
     # -- control-path handling ----------------------------------------------------------
 
@@ -700,31 +611,14 @@ class SrSender:
             holdoff = self.config.nack_holdoff_rtts * self.rtt
             for index in msg.chunks:
                 if index < state.nchunks and state.unacked[index]:
-                    index = int(index)
                     # Skip chunks still injecting or retransmitted recently
                     # (avoids double-firing with an RTO retransmission).
                     if not np.isfinite(state.sent_at[index]) or (
                         now - state.sent_at[index] < holdoff
                     ):
                         continue
-                    if self._budget_exhausted(state):
+                    if not self._retransmit(state, int(index), rto=False):
                         return
-                    state.retransmit_count[index] += 1
-                    attempt = int(state.retransmit_count[index])
-                    if self._trace.enabled:
-                        self._trace.instant(
-                            "nack_retx", cat="sr", track=self._track,
-                            msg=state.ticket.seq, chunk=index, attempt=attempt,
-                        )
-                        self._trace.flow_start(
-                            "retx", cat="sr", track=self._track,
-                            flow_id=flow_key(state.ticket.seq, index, attempt),
-                            msg=state.ticket.seq, chunk=index, attempt=attempt,
-                        )
-                    self._send_chunk(state, index, attempt=attempt)
-                    self._queue_restamp(state, index)
-                    state.ticket.retransmitted_chunks += 1
-                    self._m_retransmitted.inc()
         elif isinstance(msg, ResumeAck):
             pending = self._pending_resumes.get(msg.msg_seq)
             if pending is None:
@@ -737,27 +631,64 @@ class SrSender:
             self._launch_resumed(pending, msg)
 
     def _maybe_finish(self, state: _SendState) -> None:
-        if state.complete and not state.ticket.failed:
-            if not state.hdl.ended:
-                self.qp.send_stream_end(state.hdl)
-            self._states.pop(state.hdl.seq, None)
-            state.ticket._finish(self.sim.now)
-            self._m_writes_completed.inc()
+        if state.complete and self._states.pop(state.hdl.seq, None) is not None:
+            self._complete_write(
+                state, retransmits=state.ticket.retransmitted_chunks
+            )
             if state.resumed:
                 self._m_resumes_completed.inc()
-            self._h_write_seconds.observe(self.sim.now - state.ticket.start_time)
-            if self._trace.enabled:
-                self._trace.complete(
-                    "sr_write", cat="sr", track=self._track,
-                    start=state.ticket.start_time, msg=state.ticket.seq,
-                    seq=state.ticket.seq, bytes=state.ticket.length,
-                    retransmits=state.ticket.retransmitted_chunks,
-                )
             self._kick_timer()
 
 
-class SrReceiver:
+class SrBacked(Sender):
+    """A sender whose last resort is a Selective Repeat phase (EC, sampling).
+
+    When such a scheme gives up, both sides re-post the remainder under a
+    fresh slot and an internal :class:`SrSender` finishes the message
+    (``repro.recovery``).  The backstop is built lazily, so a run that
+    never escalates constructs no SR state, and it is reached only through
+    its public :meth:`SrSender.takeover` / :meth:`SrSender.resume`.
+    """
+
+    _sr: SrSender | None = None
+    #: Optional :class:`repro.recovery.PlaneRecovery` fed NACK signals.
+    recovery = None
+
+    def _backstop_config(self) -> SrConfig:
+        """Policy hook: how the SR phase behind this scheme is tuned."""
+        raise NotImplementedError
+
+    def _backstop(self) -> SrSender:
+        if self._sr is None:
+            self._sr = SrSender(
+                self.qp, self.ctrl, self._backstop_config(), rtt=self.rtt
+            )
+            if self.recovery is not None:
+                self._sr.attach_recovery(self.recovery)
+        return self._sr
+
+    def attach_recovery(self, recovery) -> None:
+        """Feed loss signals (the backstop's included) into a plane monitor."""
+        self.recovery = recovery
+        if self._sr is not None and recovery is not None:
+            self._sr.attach_recovery(recovery)
+
+    def resume(self, token: ResumeToken, payload: bytes | None = None) -> WriteTicket:
+        """Resume a failed write: SR-style remainder under a fresh slot."""
+        return self._backstop().resume(token, payload)
+
+    def _escalate(self, state: WriteState, reason: str) -> bool:
+        # Never build the backstop for a scheme that cannot resume.
+        return self.config.max_resumptions > 0 and self._backstop().takeover(
+            state, reason, protocol=self.scheme
+        )
+
+
+class SrReceiver(Receiver):
     """Receiver endpoint of the Selective Repeat protocol."""
+
+    scheme = "sr"
+    config_type = SrConfig
 
     def __init__(
         self,
@@ -767,27 +698,15 @@ class SrReceiver:
         *,
         rtt: float | None = None,
     ):
-        self.qp = qp
-        self.sim = qp.sim
-        self.ctrl = ctrl
-        self.config = config if config is not None else SrConfig()
-        self.rtt = rtt if rtt is not None else qp.ctx.channel_rtt_hint()
-        ctrl.on_message(self._on_ctrl)
-        #: Messages this receiver is (or was) serving, by original seq;
-        #: resumption grants re-point the entry at the latest handle.
-        self._serving: dict[int, tuple[ReceiveTicket, RecvHandle]] = {}
+        super().__init__(qp, ctrl, config, rtt=rtt)
         #: Highest granted attempt + its ResumeAck, for idempotent re-grants.
         self._resume_grants: dict[int, tuple[int, ResumeAck]] = {}
-        scope = self.sim.telemetry.metrics.scope(f"sr.{qp.ctx.device.name}")
-        self._m_acks_sent = scope.counter("acks_sent")
-        self._m_nacks_sent = scope.counter("nacks_sent")
-        rscope = self.sim.telemetry.metrics.scope(
-            f"recovery.{qp.ctx.device.name}"
-        )
-        self._m_resumes_granted = rscope.counter("resumes_granted")
-        self._trace = self.sim.telemetry.trace
-        self._track = f"sr.{qp.ctx.device.name}"
+        self._m_acks_sent = self._scope.counter("acks_sent")
+        self._m_nacks_sent = self._scope.counter("nacks_sent")
         self._rtrack = f"recovery.{qp.ctx.device.name}"
+        self._m_resumes_granted = self.sim.telemetry.metrics.scope(
+            self._rtrack
+        ).counter("resumes_granted")
 
     @property
     def acks_sent(self) -> int:
@@ -796,18 +715,6 @@ class SrReceiver:
     @property
     def nacks_sent(self) -> int:
         return self._m_nacks_sent.value
-
-    def post_receive(
-        self, mr: MemoryRegion, length: int, mr_offset: int = 0
-    ) -> ReceiveTicket:
-        """Post a receive buffer; ACK generation runs until completion."""
-        rh = self.qp.recv_post(SdrRecvWr(mr=mr, length=length, mr_offset=mr_offset))
-        ticket = ReceiveTicket(
-            seq=rh.seq, length=length, done=self.sim.event(), recv_handles=[rh]
-        )
-        self._serving[rh.seq] = (ticket, rh)
-        self.sim.process(self._serve(ticket, rh))
-        return ticket
 
     # -- resumption grants (repro.recovery) --------------------------------------------
 
@@ -821,20 +728,44 @@ class SrReceiver:
             self.ctrl.send(prev[1])
             return
         entry = self._serving.get(msg.msg_seq)
-        if entry is None:
-            return  # not a message this receiver ever served
-        self._grant_resume(msg, *entry)
+        if entry is not None:  # else: not a message this receiver ever served
+            self.adopt(msg, entry[0], [entry[1]])
 
-    def _grant_resume(
-        self, msg: ResumeReq, ticket: ReceiveTicket, rh: RecvHandle
+    def adopt(
+        self,
+        msg: ResumeReq,
+        ticket: ReceiveTicket,
+        old_handles: list[RecvHandle],
+        mr: MemoryRegion | None = None,
+        length: int | None = None,
+        mr_offset: int = 0,
+        delivered: np.ndarray | None = None,
     ) -> None:
-        """Abandon the old slot, re-post pre-seeded, grant the resumption."""
-        delivered = rh.bitmap().as_array().astype(bool).copy()
-        if not rh.completed and not rh.all_chunks_received():
-            # Old in-flight packets die on the NULL mkey from here on.
-            self.qp.recv_abandon(rh)
+        """Grant a resumption: take over serving ``ticket`` under a fresh slot.
+
+        The single receiver-side resumption hand-off, for this receiver's
+        own messages and for the schemes SR backstops: abandons whichever
+        of ``old_handles`` are still open (in-flight packets die on the
+        NULL mkey from here on), re-posts the buffer pre-seeded with
+        ``delivered``, announces the grant, and serves the fresh slot.  The
+        grant is remembered, so duplicate and follow-up requests for the
+        message are answered here.
+
+        A single-buffer scheme passes only its one handle: the same buffer
+        is re-posted, seeded from the handle's live bitmap, and a slot
+        whose chunks all arrived is left to complete on its own.
+        """
+        if delivered is None:
+            (rh,) = old_handles
+            mr, length, mr_offset = rh.mr, rh.length, rh.mr_offset
+            delivered = rh.bitmap().as_array().astype(bool).copy()
+            if rh.all_chunks_received():
+                old_handles = []
+        for rh in old_handles:
+            if not rh.completed:
+                self.qp.recv_abandon(rh)
         rh2 = self.qp.recv_post(
-            SdrRecvWr(mr=rh.mr, length=rh.length, mr_offset=rh.mr_offset),
+            SdrRecvWr(mr=mr, length=length, mr_offset=mr_offset),
             preset_chunks=delivered,
         )
         ticket.resumptions += 1
@@ -858,52 +789,30 @@ class SrReceiver:
         self.ctrl.send(ack)
         self.sim.process(self._serve(ticket, rh2))
 
+    # -- serve loop ----------------------------------------------------------------------
+
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle):
-        interval = self.config.ack_interval_rtts * self.rtt
-        deadline = (
-            None
-            if self.config.serve_deadline_rtts is None
-            else self.sim.now + self.config.serve_deadline_rtts * self.rtt
-        )
-        last_nack = np.full(rh.nchunks, -np.inf)
         # ACK/NACK under the handle's own seq: for a resumed serve this is
         # the fresh slot's seq (what the sender's resumed state is keyed by),
         # for the original serve it equals ticket.seq.
-        while not rh.all_chunks_received():
-            if rh.completed:
-                return  # abandoned by a resumption grant: a new serve took over
-            if deadline is not None and self.sim.now >= deadline:
-                delivered = rh.bitmap().as_array()
-                if not ticket.done.triggered:
-                    ticket.done.fail(
-                        DeliveryError(
-                            f"receive seq={ticket.seq} incomplete at serve "
-                            f"deadline",
-                            delivered_chunks=int(delivered.sum()),
-                            total_chunks=rh.nchunks,
-                            bitmap=np.packbits(delivered).tobytes(),
-                        )
-                    )
-                return
-            yield self.sim.any_of(
-                [self.sim.timeout(interval), rh.wait_all_chunks()]
-            )
-            if rh.completed and not rh.all_chunks_received():
-                return  # abandoned while waiting
-            self._send_ack(rh.seq, rh)
-            if self.config.nack_enabled and not rh.all_chunks_received():
-                self._send_gap_nacks(rh.seq, rh, last_nack)
-        # Complete: free SDR resources (arming late-packet protection), then
-        # keep re-ACKing briefly in case the final ACK is lost.
-        self._send_ack(rh.seq, rh, final=True)
-        rh.complete()
-        ticket._finish(self.sim.now)
-        grace_end = self.sim.now + self.config.grace_rtts * self.rtt
-        while self.sim.now < grace_end:
-            yield self.sim.timeout(self.config.rto_rtts * self.rtt)
-            self._send_final_ack(rh.seq, rh.nchunks)
+        last_nack = np.full(rh.nchunks, -np.inf)
 
-    def _send_ack(self, seq: int, rh: RecvHandle, *, final: bool = False) -> None:
+        def on_poll() -> None:
+            self._send_ack(rh)
+            if self.config.nack_enabled and not rh.all_chunks_received():
+                self._send_gap_nacks(rh, last_nack)
+
+        interval = self.config.ack_interval_rtts * self.rtt
+        if not (yield from self._watch(ticket, rh, interval, on_poll)):
+            return
+        self._send_ack(rh, final=True)
+        # Keep re-ACKing briefly in case the final ACK is lost.
+        yield from self._finish(
+            ticket, [rh], lambda: self._send_final_ack(rh),
+            self.config.rto_rtts * self.rtt,
+        )
+
+    def _send_ack(self, rh: RecvHandle, *, final: bool = False) -> None:
         bitmap = rh.bitmap()
         cumulative = bitmap.cumulative()
         window_start = (cumulative // 8) * 8
@@ -924,7 +833,7 @@ class SrReceiver:
             marked = seen = 0
         self.ctrl.send(
             Ack(
-                msg_seq=seq,
+                msg_seq=rh.seq,
                 cumulative=cumulative,
                 window_start=window_start,
                 window=window,
@@ -934,13 +843,11 @@ class SrReceiver:
         )
         self._m_acks_sent.inc()
 
-    def _send_final_ack(self, seq: int, nchunks: int) -> None:
-        self.ctrl.send(Ack(msg_seq=seq, cumulative=nchunks))
+    def _send_final_ack(self, rh: RecvHandle) -> None:
+        self.ctrl.send(Ack(msg_seq=rh.seq, cumulative=rh.nchunks))
         self._m_acks_sent.inc()
 
-    def _send_gap_nacks(
-        self, seq: int, rh: RecvHandle, last_nack: np.ndarray
-    ) -> None:
+    def _send_gap_nacks(self, rh: RecvHandle, last_nack: np.ndarray) -> None:
         present = rh.bitmap().as_array()
         set_idx = np.flatnonzero(present)
         if set_idx.size == 0:
@@ -957,10 +864,47 @@ class SrReceiver:
         max_entries = (self.qp.config.mtu_bytes - 16) // 4
         gaps = gaps[:max_entries]
         last_nack[gaps] = now
-        self.ctrl.send(SrNack(msg_seq=seq, chunks=tuple(int(g) for g in gaps)))
+        self.ctrl.send(SrNack(msg_seq=rh.seq, chunks=tuple(int(g) for g in gaps)))
         self._m_nacks_sent.inc()
         if self._trace.enabled:
             self._trace.instant(
                 "gap_nack", cat="sr", track=self._track,
-                seq=seq, chunks=int(gaps.size),
+                seq=rh.seq, chunks=int(gaps.size),
             )
+
+
+class SrBackedReceiver(Receiver):
+    """A receiver that hands a message to SR when its sender resumes it.
+
+    The receiving half of :class:`SrBacked`: the first ``ResumeReq`` for a
+    served message calls the policy's ``_hand_over`` exactly once, which
+    ends in :meth:`SrReceiver.adopt` on the lazily built backstop.
+    """
+
+    _sr: SrReceiver | None = None
+
+    def _backstop_config(self) -> SrConfig:
+        """Policy hook: how the SR phase behind this scheme is tuned."""
+        return SrConfig(nack_enabled=True)
+
+    def _backstop(self) -> SrReceiver:
+        if self._sr is None:
+            self._sr = SrReceiver(
+                self.qp, self.ctrl, self._backstop_config(), rtt=self.rtt
+            )
+        return self._sr
+
+    def _on_ctrl(self, msg) -> None:
+        if isinstance(msg, ResumeReq):
+            # Popped: from here on the backstop owns the message (its grant
+            # table answers duplicates and follow-up attempts).
+            entry = self._serving.pop(msg.msg_seq, None)
+            if entry is not None:
+                self._hand_over(msg, *entry)
+
+    def _hand_over(self, msg: ResumeReq, ticket: ReceiveTicket, rh: RecvHandle) -> None:
+        """Policy hook: salvage what arrived, then ``_backstop().adopt``.
+
+        Default: a single-buffer receive, whose live bitmap is the seed.
+        """
+        self._backstop().adopt(msg, ticket, [rh])

@@ -331,6 +331,10 @@ class SdrQp:
         if hdl.ended:
             raise SdrStateError("stream already ended")
         hdl._on_end()
+        if hdl.poll():
+            # Every posted packet already left the NIC, so no later
+            # injection CQE will come by to drop the handle.
+            del self._send_handles[hdl.seq]
 
     def _new_send_handle(self, wr: SdrSendWr) -> SendHandle:
         self._require_connected()
