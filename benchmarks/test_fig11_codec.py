@@ -44,5 +44,5 @@ def test_fig11_codec_throughput_raw(benchmark):
     code = get_codec("mds", 32, 8)
     rng = np.random.default_rng(0)
     data = rng.integers(0, 256, size=(32, 64 * KiB), dtype=np.uint8)
-    code.encode(data)  # warm the pair tables
+    code.encode(data)  # warm-up
     benchmark(code.encode, data)

@@ -9,8 +9,8 @@ the DES event loop, and the vectorized Monte-Carlo samplers.  Run with
 import numpy as np
 
 from repro.common.bitmap import Bitmap
-from repro.common.units import KiB, MiB
-from repro.ec.gf256 import gf_mul_accumulate
+from repro.common.units import KiB
+from repro.ec.gf256 import gf_matmul_rows
 from repro.models.params import ModelParams
 from repro.models.sr_model import sr_expected_completion, sr_sample_completion
 from repro.sdr.imm import ImmLayout
@@ -56,16 +56,14 @@ def test_imm_encode_decode(benchmark):
 
 
 def test_gf256_multiply_accumulate(benchmark):
+    """The row kernel at the benchmark's MDS(32, 8) shape: 8 coefficient
+    rows x 32 data rows of 16 KiB, i.e. 256 multiply-accumulates."""
     rng = np.random.default_rng(0)
-    data = rng.integers(0, 256, 1 * MiB, dtype=np.uint8)
-    pairs = data.view(np.uint16).astype(np.intp)
-    acc = np.zeros(len(data) // 2, dtype=np.uint16)
-    gf_mul_accumulate(acc, 7, pairs)  # warm the pair table
+    matrix = rng.integers(1, 256, (8, 32), dtype=np.uint8)
+    data = rng.integers(0, 256, (32, 16 * KiB), dtype=np.uint8)
 
-    def run():
-        gf_mul_accumulate(acc, 7, pairs)
-
-    benchmark(run)
+    parity = benchmark(lambda: gf_matmul_rows(matrix, data))
+    assert parity.shape == (8, 16 * KiB)
 
 
 def test_des_event_throughput(benchmark):

@@ -4,8 +4,9 @@ The paper compares two submessage codes (Section 5.1.1, Appendix B):
 
 * an **MDS** code (Reed-Solomon): recovers a k-chunk data submessage from
   any k of the k+m coded chunks -- implemented in
-  :mod:`repro.ec.reed_solomon` over GF(2^8) with vectorized NumPy table
-  lookups (the stand-in for Intel ISA-L).
+  :mod:`repro.ec.reed_solomon` over GF(2^8) on one packed-lane NumPy table
+  kernel, :func:`~repro.ec.gf256.gf_matmul_rows` (the stand-in for Intel
+  ISA-L).
 * a **XOR modulo-group** code: parity i is the XOR of data chunks whose
   index j satisfies ``j mod m == i``; tolerates one loss per modulo group --
   implemented in :mod:`repro.ec.xor_code` (the stand-in for the paper's
@@ -29,6 +30,7 @@ from repro.ec.gf256 import (
     gf_inv,
     gf_mat_inv,
     gf_matmul,
+    gf_matmul_rows,
     gf_mul,
     gf_mul_bytes,
     gf_pow,
@@ -58,6 +60,7 @@ __all__ = [
     "gf_inv",
     "gf_mat_inv",
     "gf_matmul",
+    "gf_matmul_rows",
     "gf_mul",
     "gf_mul_bytes",
     "gf_pow",

@@ -30,6 +30,10 @@ class CodecStats:
     encode_seconds: float = 0.0
     decode_calls: int = 0
     decode_failures: int = 0
+    #: Data bytes and host seconds of the decodes that succeeded (a failed
+    #: decode moves ``decode_calls`` and ``decode_failures`` only).
+    decode_bytes: int = 0
+    decode_seconds: float = 0.0
 
     @property
     def encode_throughput_bps(self) -> float:
@@ -37,6 +41,13 @@ class CodecStats:
         if self.encode_seconds <= 0:
             return 0.0
         return self.encode_bytes * 8.0 / self.encode_seconds
+
+    @property
+    def decode_throughput_bps(self) -> float:
+        """Decoding throughput in bits/s of *data* recovered."""
+        if self.decode_seconds <= 0:
+            return 0.0
+        return self.decode_bytes * 8.0 / self.decode_seconds
 
 
 class ErasureCode(abc.ABC):
@@ -119,11 +130,15 @@ class ErasureCode(abc.ABC):
                     f"[0, {self.k + self.m})"
                 )
         self.stats.decode_calls += 1
+        start = time.perf_counter()
         try:
-            return self._decode(chunks, sizes.pop())
+            data = self._decode(chunks, sizes.pop())
         except DecodeFailure:
             self.stats.decode_failures += 1
             raise
+        self.stats.decode_seconds += time.perf_counter() - start
+        self.stats.decode_bytes += data.nbytes
+        return data
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(k={self.k}, m={self.m})"

@@ -4,11 +4,17 @@ The field is GF(256) with the primitive polynomial
 ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), the field used by ISA-L's
 Reed-Solomon and most storage erasure codes.  Hot paths avoid Python loops:
 
+* ``gf_matmul_rows(matrix, rows)`` -- the one bulk kernel under every
+  Reed-Solomon encode and decode: ``matrix (r x k)`` times k byte rows.  Per
+  block of <= 8 matrix rows it builds k 256-entry tables whose entries pack
+  the block's products into the 1/2/4/8 byte lanes of one word, gathers once
+  per data row, XOR-accumulates words and splits the lanes at the end.
 * ``gf_mul_bytes(coef, data)`` -- multiply a byte vector by a scalar via a
   single 256-entry lookup table gather (the NumPy analogue of the
   ``GF_MUL`` SIMD shuffle in ISA-L).
 * ``gf_matmul`` / ``gf_mat_inv`` -- dense GF matrix algebra used to build
-  systematic generator matrices and decoding matrices.
+  systematic generator matrices and decoding matrices, and the reference the
+  tests compare the row kernel against.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ def gf_mul(a, b):
 
 
 def gf_mul_bytes(coef: int, data: np.ndarray) -> np.ndarray:
-    """Multiply a uint8 vector by scalar ``coef`` (hot encode path)."""
+    """Multiply a uint8 vector by scalar ``coef`` (one table gather)."""
     if not 0 <= coef < 256:
         raise ConfigError(f"coefficient must be a GF(256) element, got {coef}")
     if coef == 0:
@@ -67,44 +73,55 @@ def gf_mul_bytes(coef: int, data: np.ndarray) -> np.ndarray:
     return _MUL[coef].take(data)
 
 
-# -- uint16 pair tables (fast bulk multiply) -----------------------------------
+# -- packed-lane row kernel (every bulk multiply) ---------------------------------
 #
 # NumPy's fancy-index gather runs ~20x slower than a plain XOR pass, so the
-# bulk multiply-accumulate path processes *pairs* of bytes per gather: for a
-# coefficient c, PAIR[c][two_bytes] = (c*lo) | (c*hi) << 8.  Tables are built
-# lazily (128 KiB per coefficient) -- the NumPy analogue of ISA-L's PSHUFB
-# nibble tables.
+# bulk path gathers once per *data row*, not once per coefficient: up to
+# eight matrix rows share a 256-entry table per data row whose entries pack
+# the products ``c_0j*b .. c_7j*b`` into the byte lanes of one unsigned word
+# -- the NumPy analogue of ISA-L's multi-destination dot products
+# (``gf_Nvect_dot_prod``), which read each source byte once for N parity
+# rows.  Lanes are packed and split through uint8 views only, so lane order
+# never depends on host endianness.
 
-_PAIR_LO = np.arange(65536, dtype=np.uint32) & 0xFF
-_PAIR_HI = np.arange(65536, dtype=np.uint32) >> 8
-_pair_tables: dict[int, np.ndarray] = {}
-
-
-def _pair_table(coef: int) -> np.ndarray:
-    table = _pair_tables.get(coef)
-    if table is None:
-        table = (
-            _MUL[coef][_PAIR_LO].astype(np.uint16)
-            | (_MUL[coef][_PAIR_HI].astype(np.uint16) << 8)
-        )
-        _pair_tables[coef] = table
-    return table
+#: Word type holding ``w`` one-byte lanes.
+_LANE_WORD = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+#: Bytes of each row processed per pass: the word accumulator (8x this) and
+#: the gather scratch stay cache resident however long the chunks are.
+_TILE = 16 * 1024
 
 
-def gf_mul_accumulate(
-    acc16: np.ndarray, coef: int, data_pairs: np.ndarray
-) -> None:
-    """``acc16 ^= coef * data`` where both sides are uint16 pair views.
+def gf_matmul_rows(matrix: np.ndarray, rows) -> np.ndarray:
+    """``matrix (r x k) . rows`` over GF(256): k byte rows in, r byte rows out.
 
-    ``data_pairs`` must be the ``intp``-converted uint16 view of the data
-    chunk (convert once per chunk, reuse across coefficients).
+    ``rows`` is a ``(k, n)`` uint8 array or any sequence of k equal-length
+    uint8 vectors (views, read-only buffers and strided slices are read in
+    place, never stacked).  Same bytes as ``gf_matmul(matrix, stack(rows))``
+    at one gather per data row and block of <= 8 matrix rows.
     """
-    if coef == 0:
-        return
-    if coef == 1:
-        acc16 ^= data_pairs.astype(np.uint16)
-        return
-    acc16 ^= _pair_table(coef).take(data_pairs)
+    matrix = np.asarray(matrix, dtype=np.uint8)
+    if matrix.ndim != 2 or matrix.shape[1] != len(rows) or not len(rows):
+        raise ConfigError(
+            f"incompatible shapes {matrix.shape} x {len(rows)} rows"
+        )
+    k, n = len(rows), len(rows[0])
+    out = np.empty((matrix.shape[0], n), dtype=np.uint8)
+    for first in range(0, matrix.shape[0], 8):
+        block = matrix[first : first + 8]
+        lanes = len(block)
+        width = next(w for w in _LANE_WORD if w >= lanes)
+        packed = np.zeros((k, 256, width), dtype=np.uint8)
+        packed[:, :, :lanes] = _MUL[block.T].transpose(0, 2, 1)
+        tables = packed.view(_LANE_WORD[width])[:, :, 0]
+        for lo in range(0, n, _TILE):
+            hi = lo + _TILE
+            acc = tables[0].take(rows[0][lo:hi])
+            for j in range(1, k):
+                acc ^= tables[j].take(rows[j][lo:hi])
+            out[first : first + lanes, lo:hi] = (
+                acc.view(np.uint8).reshape(-1, width).T[:lanes]
+            )
+    return out
 
 
 def gf_pow(a: int, n: int) -> int:

@@ -7,9 +7,11 @@ systematic by right-multiplying with the inverse of its top ``k x k`` block::
     G = V @ inv(V[:k])        # top k rows become the identity
 
 Any ``k`` rows of ``G`` remain linearly independent (the MDS property), so
-the decoder can invert the submatrix of surviving rows and recover the data
+the decoder can solve the surviving rows for the erased data and recover it
 from *any* k of the k+m coded chunks -- the behaviour
-``P(recovery) = P(drops <= m)`` that Appendix B models.
+``P(recovery) = P(drops <= m)`` that Appendix B models.  Encode and decode
+are each one call of the packed-lane row kernel
+(:func:`~repro.ec.gf256.gf_matmul_rows`), for even and odd chunk sizes alike.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError, DecodeFailure
 from repro.ec.codec import ErasureCode, register_codec
-from repro.ec.gf256 import (
-    gf_mat_inv,
-    gf_matmul,
-    gf_mul_accumulate,
-    gf_mul_bytes,
-    gf_pow,
-)
+from repro.ec.gf256 import gf_mat_inv, gf_matmul, gf_matmul_rows, gf_pow
 
 
 def _vandermonde(rows: int, cols: int) -> np.ndarray:
@@ -57,29 +53,7 @@ class ReedSolomonCode(ErasureCode):
     # -- encode ---------------------------------------------------------------------
 
     def _encode(self, data: np.ndarray) -> np.ndarray:
-        chunk_bytes = data.shape[1]
-        if chunk_bytes % 2:
-            return self._encode_slow(data)
-        # m*k multiply-accumulate passes (ISA-L's ec_encode_data pattern),
-        # but each data chunk is converted to pair-gather indices once and
-        # reused across all m parity rows.
-        parity16 = np.zeros((self.m, chunk_bytes // 2), dtype=np.uint16)
-        for j in range(self.k):
-            pairs = data[j].view(np.uint16).astype(np.intp)
-            for i in range(self.m):
-                gf_mul_accumulate(parity16[i], int(self.parity_matrix[i, j]), pairs)
-        return parity16.view(np.uint8)
-
-    def _encode_slow(self, data: np.ndarray) -> np.ndarray:
-        """Byte-at-a-time fallback for odd chunk sizes."""
-        parity = np.zeros((self.m, data.shape[1]), dtype=np.uint8)
-        for i in range(self.m):
-            acc = parity[i]
-            for j in range(self.k):
-                coef = int(self.parity_matrix[i, j])
-                if coef:
-                    acc ^= gf_mul_bytes(coef, data[j])
-        return parity
+        return gf_matmul_rows(self.parity_matrix, data)
 
     # -- decode ---------------------------------------------------------------------
 
@@ -92,39 +66,30 @@ class ReedSolomonCode(ErasureCode):
         return int(present.sum()) >= self.k
 
     def _decode(self, chunks: dict[int, np.ndarray], chunk_bytes: int) -> np.ndarray:
-        present = sorted(chunks)
-        if len(present) < self.k:
+        if len(chunks) < self.k:
             raise DecodeFailure(
-                f"only {len(present)} of {self.k} required chunks present"
+                f"only {len(chunks)} of {self.k} required chunks present"
             )
-        data_present = [i for i in present if i < self.k]
-        if len(data_present) == self.k:
-            return np.stack([chunks[i] for i in range(self.k)])
-        # Build the decode matrix from the first k surviving generator rows.
-        use = present[: self.k]
-        sub = self.generator[use]
-        inv = gf_mat_inv(sub)  # MDS: always invertible for any k rows
-        coded = np.stack([np.asarray(chunks[i], dtype=np.uint8) for i in use])
-        # Only the rows for *missing* data chunks need the full inverse-matrix
-        # product; surviving data chunks pass through.
-        out = np.zeros((self.k, chunk_bytes), dtype=np.uint8)
+        out = np.empty((self.k, chunk_bytes), dtype=np.uint8)
+        survivors = [r for r in range(self.k) if r in chunks]
         missing = [r for r in range(self.k) if r not in chunks]
-        for r in range(self.k):
-            if r in chunks:
-                out[r] = chunks[r]
-        if chunk_bytes % 2 == 0:
-            out16 = out.view(np.uint16)
-            pairs = [coded[c].view(np.uint16).astype(np.intp) for c in range(self.k)]
-            for r in missing:
-                for c in range(self.k):
-                    gf_mul_accumulate(out16[r], int(inv[r, c]), pairs[c])
-        else:
-            for r in missing:
-                acc = out[r]
-                for c in range(self.k):
-                    coef = int(inv[r, c])
-                    if coef:
-                        acc ^= gf_mul_bytes(coef, coded[c])
+        for r in survivors:
+            out[r] = chunks[r]
+        if not missing:
+            return out
+        # Surviving data passes through, so only the e erased rows are solved
+        # for.  With M the erased data indices, S the survivors and P the
+        # first e surviving parity rows, G[P,S].d_S + G[P,M].d_M = c_P gives
+        #   d_M = inv(G[P,M]) . (c_P + G[P,S].d_S)
+        # (MDS: G[P,M] is invertible for any such choice), folded into one
+        # e x k matrix over the k rows [d_S, c_P].
+        parity = sorted(i for i in chunks if i >= self.k)[: len(missing)]
+        rows = self.generator[parity]
+        inv = gf_mat_inv(rows[:, missing])
+        solve = np.concatenate([gf_matmul(inv, rows[:, survivors]), inv], axis=1)
+        out[missing] = gf_matmul_rows(
+            solve, [out[r] for r in survivors] + [chunks[i] for i in parity]
+        )
         return out
 
 

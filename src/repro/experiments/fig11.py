@@ -46,7 +46,7 @@ def measure_encode_throughput(
     codec = get_codec(codec_name, k, m)
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 256, size=(k, chunk_bytes), dtype=np.uint8)
-    codec.encode(data)  # warm-up (builds lookup tables)
+    codec.encode(data)  # warm-up
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()

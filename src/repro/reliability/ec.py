@@ -435,7 +435,7 @@ class EcReceiver(SrBackedReceiver):
         for s in range(layout.nsub):
             base = s * layout.k
             real = layout.sub_chunks(s)
-            if self.codec.recoverable(self._presence(rx, s)):
+            if self._recoverable(rx, s):
                 yield from self._decode_sub(rx, s)
                 delivered[base : base + real] = True
             else:
@@ -446,6 +446,16 @@ class EcReceiver(SrBackedReceiver):
         )
 
     # -- receive logic -------------------------------------------------------------------
+
+    def _recoverable(self, rx: _EcReceive, sub: int) -> bool:
+        """Whether submessage ``sub`` decodes from what has arrived so far."""
+        # By dimension no (k, m) code recovers k chunks from fewer than k
+        # (padding chunks count as present), so the O(1) popcounts settle
+        # almost every wake without unpacking a bitmap.
+        arrived = rx.data[sub].bitmap().count() + rx.parity[sub].bitmap().count()
+        if arrived < rx.layout.sub_chunks(sub):
+            return False
+        return self.codec.recoverable(self._presence(rx, sub))
 
     def _presence(self, rx: _EcReceive, sub: int) -> np.ndarray:
         """Boolean k+m presence vector for submessage ``sub``."""
@@ -489,7 +499,7 @@ class EcReceiver(SrBackedReceiver):
                 return  # a resumption grant took over this message
             pending = [
                 s for s in range(layout.nsub)
-                if not self.codec.recoverable(self._presence(rx, s))
+                if not self._recoverable(rx, s)
             ]
             if not pending:
                 break

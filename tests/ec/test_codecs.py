@@ -70,6 +70,15 @@ class TestReedSolomon:
         del chunks[1]
         assert np.array_equal(code.decode(chunks), data)
 
+    def test_all_data_lost_decodes_from_parity_alone(self):
+        # No survivor rows: the solve matrix is the e x e inverse alone.
+        code = ReedSolomonCode(3, 4)
+        data = random_data(3, 33, seed=4)
+        chunks = coded_chunks(code, data)
+        for idx in (0, 1, 2, 4):
+            del chunks[idx]
+        assert np.array_equal(code.decode(chunks), data)
+
     def test_generator_is_systematic(self):
         code = ReedSolomonCode(8, 4)
         assert np.array_equal(
@@ -172,6 +181,19 @@ class TestCodecInterface:
         with pytest.raises(DecodeFailure):
             code.decode(chunks)
         assert code.stats.decode_failures == 1
+        # A failed decode is a call, not bytes or seconds.
+        assert code.stats.decode_calls == 1
+        assert code.stats.decode_bytes == 0
+        assert code.stats.decode_seconds == 0.0
+        assert code.stats.decode_throughput_bps == 0.0
+        chunks[2] = data[2]
+        assert np.array_equal(code.decode(chunks), data)
+        assert code.stats.decode_calls == 2
+        assert code.stats.decode_bytes == data.nbytes
+        assert code.stats.decode_seconds > 0
+        assert code.stats.decode_throughput_bps == pytest.approx(
+            data.nbytes * 8.0 / code.stats.decode_seconds
+        )
 
     def test_shape_validation(self):
         code = get_codec("mds", 4, 2)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import DecodeFailure
 from repro.ec import (
@@ -26,6 +28,8 @@ from tests.ec.test_codecs import coded_chunks, random_data
 CODES = [
     pytest.param(lambda: ReedSolomonCode(8, 3), id="rs-8-3"),
     pytest.param(lambda: ReedSolomonCode(16, 8), id="rs-16-8"),
+    # m > 8 and up to 11 erasures: encode and decode cross a lane block.
+    pytest.param(lambda: ReedSolomonCode(12, 11), id="rs-12-11"),
     pytest.param(lambda: XorCode(8, 4), id="xor-8-4"),
     pytest.param(lambda: Rs2dCode(3, 4, 1, 2), id="rs2d-3x4"),
     pytest.param(lambda: get_codec("rs2d", 16, 8), id="rs2d-4x4"),
@@ -36,7 +40,7 @@ CODES = [
 def test_random_masks_decode_or_fail_cleanly(factory):
     code = factory()
     total = code.k + code.m
-    data = random_data(code.k, 24, seed=code.k * 31 + code.m)
+    data = random_data(code.k, 25, seed=code.k * 31 + code.m)  # odd length
     rng = RngStreams(1234).get(f"fuzz.{code!r}")
     for trial in range(150):
         present = rng.random(total) > rng.uniform(0.05, 0.6)
@@ -94,6 +98,52 @@ def test_just_unrecoverable_patterns_fail_cleanly(factory):
             del chunks[int(idx)]
         with pytest.raises(DecodeFailure):
             code.decode(chunks)
+
+
+@pytest.mark.parametrize("factory", CODES)
+@settings(max_examples=80, deadline=None)
+@given(share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_fewer_than_k_present_is_never_recoverable(factory, share, seed):
+    """By dimension: any mask, of any shape, with fewer than k chunks present
+    is pending -- what ``EcReceiver._recoverable``'s popcount test rests on."""
+    code = factory()
+    total = code.k + code.m
+    count = min(code.k - 1, int(share * code.k))
+    present = np.zeros(total, dtype=bool)
+    present[np.random.default_rng(seed).permutation(total)[:count]] = True
+    assert not code.recoverable(present)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.integers(1, 400),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segmented_tail_below_k_with_padding_is_never_recoverable(
+    length, share, seed
+):
+    """The same floor for a padded tail segment, whose padding chunks count
+    as present: real + padding + parity < k never decodes."""
+    code = SegmentedCode(ReedSolomonCode(4, 2), chunk_bytes=16)
+    layout = code.layout(length)
+    seg = layout.nsegments - 1
+    _, real = layout.chunk_range(seg)
+    padding = layout.k - real
+    real_slots = list(range(real)) + list(range(layout.k, layout.k + layout.m))
+    count = min(layout.k - padding - 1, int(share * (layout.k - padding)))
+    rng = np.random.default_rng(seed)
+    kept = [real_slots[i] for i in rng.permutation(len(real_slots))[:count]]
+    present = np.zeros(layout.k + layout.m, dtype=bool)
+    present[real:layout.k] = True
+    present[kept] = True
+    assert present.sum() < layout.k
+    assert not code.base.recoverable(present)
+    with pytest.raises(DecodeFailure):
+        code.decode_segment(
+            layout, seg,
+            {j: np.zeros(layout.chunk_bytes, np.uint8) for j in kept},
+        )
 
 
 def test_segmented_fuzz_over_message_sizes():

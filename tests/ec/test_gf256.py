@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.ec.gf256 import (
+    _TILE,
     gf_inv,
     gf_mat_inv,
     gf_matmul,
+    gf_matmul_rows,
     gf_mul,
-    gf_mul_accumulate,
     gf_mul_bytes,
     gf_pow,
 )
@@ -76,22 +77,78 @@ class TestVectorOps:
             gf_mul_bytes(256, np.zeros(4, np.uint8))
 
     def test_mul_accumulate_matches_mul_bytes(self):
+        # One coefficient, one row: the row kernel is gf_mul_bytes.
         rng = np.random.default_rng(1)
-        data = rng.integers(0, 256, 512, dtype=np.uint8)
-        pairs = data.view(np.uint16).astype(np.intp)
+        data = rng.integers(0, 256, 513, dtype=np.uint8)
         for coef in (0, 1, 7, 200):
-            acc = np.zeros(256, np.uint16)
-            gf_mul_accumulate(acc, coef, pairs)
-            assert np.array_equal(acc.view(np.uint8), gf_mul_bytes(coef, data))
+            out = gf_matmul_rows(np.array([[coef]], np.uint8), [data])
+            assert np.array_equal(out[0], gf_mul_bytes(coef, data))
 
     def test_mul_accumulate_accumulates(self):
+        # The same row under the same coefficient twice: x ^ x == 0, in
+        # every lane of a block and in the block after it.
         rng = np.random.default_rng(2)
         data = rng.integers(0, 256, 64, dtype=np.uint8)
-        pairs = data.view(np.uint16).astype(np.intp)
-        acc = np.zeros(32, np.uint16)
-        gf_mul_accumulate(acc, 3, pairs)
-        gf_mul_accumulate(acc, 3, pairs)
-        assert not acc.any()  # x ^ x == 0
+        coefs = rng.integers(1, 256, (11, 1), dtype=np.uint8)
+        out = gf_matmul_rows(np.hstack([coefs, coefs]), [data, data])
+        assert out.shape == (11, 64) and not out.any()
+
+
+ROW_FORMS = {
+    "array": lambda data: data,
+    "readonly": lambda data: [
+        np.frombuffer(row.tobytes(), dtype=np.uint8) for row in data
+    ],
+    # Rows that are strided views: every other byte of a wider buffer.
+    "strided": lambda data: list(np.repeat(data, 2, axis=1)[:, ::2]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(1, 20),
+    k=st.integers(1, 40),
+    n=st.sampled_from([0, 1, 2, 37, 64, 101]),
+    zero_row=st.integers(0, 19),
+    zero_col=st.integers(0, 39),
+    form=st.sampled_from(sorted(ROW_FORMS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_row_kernel_matches_dense_reference(
+    r, k, n, zero_row, zero_col, form, seed
+):
+    """Every lane width, block remainder, row layout and chunk parity gives
+    the bytes of the dense reference product."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, 256, (r, k), dtype=np.uint8)
+    matrix[zero_row % r] = 0
+    matrix[:, zero_col % k] = 0
+    data = rng.integers(0, 256, (k, n), dtype=np.uint8)
+    rows = ROW_FORMS[form](data)
+    if form == "readonly":
+        assert not rows[0].flags.writeable
+    if form == "strided" and n > 1:
+        assert not rows[0].flags.c_contiguous
+    out = gf_matmul_rows(matrix, rows)
+    assert out.dtype == np.uint8 and out.shape == (r, n)
+    assert np.array_equal(out, gf_matmul(matrix, data))
+
+
+@pytest.mark.parametrize("n", [_TILE - 1, _TILE + 5, 2 * _TILE])
+def test_row_kernel_tiles_long_rows(n):
+    rng = np.random.default_rng(n)
+    matrix = rng.integers(0, 256, (3, 5), dtype=np.uint8)
+    data = rng.integers(0, 256, (5, n), dtype=np.uint8)
+    assert np.array_equal(
+        gf_matmul_rows(matrix, data), gf_matmul(matrix, data)
+    )
+
+
+def test_row_kernel_shape_validation():
+    with pytest.raises(ConfigError):
+        gf_matmul_rows(np.zeros((2, 3), np.uint8), np.zeros((2, 8), np.uint8))
+    with pytest.raises(ConfigError):
+        gf_matmul_rows(np.zeros((2, 0), np.uint8), [])
 
 
 class TestMatrixOps:
