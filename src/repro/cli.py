@@ -191,11 +191,30 @@ def _write_metrics_json(path: str, registry, meta: dict) -> None:
     print(f"Metrics JSON written to {path}")
 
 
-def _export_openmetrics(path: str, registry) -> None:
-    from repro.telemetry import write_openmetrics
+def _export_registry(args, registry, meta: dict) -> None:
+    """The ``--metrics-json`` / ``--openmetrics`` epilogue of every DES command."""
+    if args.metrics_json:
+        _write_metrics_json(args.metrics_json, registry, meta)
+    if args.openmetrics:
+        from repro.telemetry import write_openmetrics
 
-    samples = write_openmetrics(registry, path)
-    print(f"OpenMetrics written to {path} ({samples} samples)")
+        samples = write_openmetrics(registry, args.openmetrics)
+        print(f"OpenMetrics written to {args.openmetrics} ({samples} samples)")
+
+
+def _add_export_args(
+    parser, trace_help: str = "write the raw trace-event stream as JSON Lines"
+) -> None:
+    """``--trace-jsonl`` / ``--metrics-json`` / ``--openmetrics``."""
+    parser.add_argument("--trace-jsonl", metavar="PATH", help=trace_help)
+    parser.add_argument(
+        "--metrics-json", metavar="PATH",
+        help="dump the final metrics registry snapshot as JSON",
+    )
+    parser.add_argument(
+        "--openmetrics", metavar="PATH",
+        help="export the final metrics registry in OpenMetrics text format",
+    )
 
 
 def _lineage_section(ring) -> str:
@@ -266,17 +285,14 @@ def cmd_report(args) -> int:
         written = jsonl.events_written
         jsonl.close()
         print(f"JSONL trace written to {args.trace_jsonl} ({written} events)")
-    if args.metrics_json:
-        _write_metrics_json(args.metrics_json, result.telemetry.metrics, {
-            "command": "report",
-            "protocol": result.protocol,
-            "seed": args.seed,
-            "messages": result.messages,
-            "elapsed_s": result.elapsed,
-            "goodput_gbps": result.goodput_gbps,
-        })
-    if args.openmetrics:
-        _export_openmetrics(args.openmetrics, result.telemetry.metrics)
+    _export_registry(args, result.telemetry.metrics, {
+        "command": "report",
+        "protocol": result.protocol,
+        "seed": args.seed,
+        "messages": result.messages,
+        "elapsed_s": result.elapsed,
+        "goodput_gbps": result.goodput_gbps,
+    })
     return 0
 
 
@@ -387,17 +403,14 @@ def cmd_chaos(args) -> int:
         written = jsonl.events_written
         jsonl.close()
         print(f"\nJSONL trace written to {args.trace_jsonl} ({written} events)")
-    if args.metrics_json:
-        _write_metrics_json(args.metrics_json, result.telemetry.metrics, {
-            "command": "chaos",
-            "schedule": schedule.name,
-            "protocol": result.protocol,
-            "seed": args.seed,
-            "messages": result.messages,
-            "failed_writes": result.failed_writes,
-        })
-    if args.openmetrics:
-        _export_openmetrics(args.openmetrics, result.telemetry.metrics)
+    _export_registry(args, result.telemetry.metrics, {
+        "command": "chaos",
+        "schedule": schedule.name,
+        "protocol": result.protocol,
+        "seed": args.seed,
+        "messages": result.messages,
+        "failed_writes": result.failed_writes,
+    })
     if args.recover and result.failed_writes:
         print(
             f"error: {result.failed_writes} write(s) still failed "
@@ -579,17 +592,14 @@ def _cmd_fabric_chaos(args, telemetry, ring, slo) -> int:
             "breaker_states": result.breaker_states,
             "slo": _slo_json(result.slo),
         })
-    if args.metrics_json:
-        _write_metrics_json(args.metrics_json, telemetry.metrics, {
-            "command": "fabric",
-            "preset": "chaos",
-            "schedule": config.schedule,
-            "seed": config.seed,
-            "cc": config.cc,
-            "digest": result.digest,
-        })
-    if args.openmetrics:
-        _export_openmetrics(args.openmetrics, telemetry.metrics)
+    _export_registry(args, telemetry.metrics, {
+        "command": "fabric",
+        "preset": "chaos",
+        "schedule": config.schedule,
+        "seed": config.seed,
+        "cc": config.cc,
+        "digest": result.digest,
+    })
     status = 0
     if result.slo is not None:
         status = _slo_gate(result.slo, status)
@@ -626,14 +636,9 @@ def cmd_fabric(args) -> int:
     if args.trace_jsonl:
         jsonl = JsonlSink(args.trace_jsonl)
         sinks.append(jsonl)
-    if sinks:
-        telemetry = Telemetry(trace=True, trace_sinks=sinks)
-    elif args.metrics_json or args.openmetrics:
-        # The scenario builds its own simulator; hand it a registry we
-        # keep a handle on so the exporters can read it afterwards.
-        telemetry = Telemetry()
-    else:
-        telemetry = None
+    # The scenario builds its own simulator; hand it a registry we keep
+    # a handle on so the exporters can read it afterwards.
+    telemetry = Telemetry(trace=bool(sinks), trace_sinks=sinks)
     slo = SloConfig(window=args.slo_window) if args.slo else None
     try:
         return _cmd_fabric_dispatch(args, telemetry, ring, slo)
@@ -706,16 +711,13 @@ def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
                 "digest": result.digest,
                 "slo": _slo_json(result.slo),
             })
-        if args.metrics_json:
-            _write_metrics_json(args.metrics_json, telemetry.metrics, {
-                "command": "fabric",
-                "preset": "scale",
-                "seed": config.seed,
-                "cc": config.cc,
-                "digest": result.digest,
-            })
-        if args.openmetrics:
-            _export_openmetrics(args.openmetrics, telemetry.metrics)
+        _export_registry(args, telemetry.metrics, {
+            "command": "fabric",
+            "preset": "scale",
+            "seed": config.seed,
+            "cc": config.cc,
+            "digest": result.digest,
+        })
         status = 0
         if result.slo is not None:
             status = _slo_gate(result.slo, status)
@@ -781,16 +783,13 @@ def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
             "tenants": _tenant_rows(result.reports),
             "slo": _slo_json(result.slo),
         })
-    if args.metrics_json:
-        _write_metrics_json(args.metrics_json, telemetry.metrics, {
-            "command": "fabric",
-            "preset": args.preset,
-            "seed": config.seed,
-            "cc": config.cc,
-            "digest": result.digest,
-        })
-    if args.openmetrics:
-        _export_openmetrics(args.openmetrics, telemetry.metrics)
+    _export_registry(args, telemetry.metrics, {
+        "command": "fabric",
+        "preset": args.preset,
+        "seed": config.seed,
+        "cc": config.cc,
+        "digest": result.digest,
+    })
     status = 0
     if result.slo is not None:
         status = _slo_gate(result.slo, status)
@@ -893,18 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH",
         help="write a Chrome/Perfetto trace_event JSON file",
     )
-    report.add_argument(
-        "--trace-jsonl", metavar="PATH",
-        help="write the raw trace-event stream as JSON Lines",
-    )
-    report.add_argument(
-        "--metrics-json", metavar="PATH",
-        help="dump the final metrics registry snapshot as JSON",
-    )
-    report.add_argument(
-        "--openmetrics", metavar="PATH",
-        help="export the final metrics registry in OpenMetrics text format",
-    )
+    _add_export_args(report)
     # The DES actually executes this transfer, so default to a small
     # fast point rather than the analytic commands' 128 MiB @ 3750 km.
     report.set_defaults(
@@ -936,10 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cc_args(chaos)
     chaos.add_argument(
-        "--trace-jsonl", metavar="PATH",
-        help="write the raw trace-event stream as JSON Lines",
-    )
-    chaos.add_argument(
         "--planes", type=int, default=None, metavar="N",
         help="bond the WAN link into N planes (required for plane-scoped "
              "schedules such as plane-blackout)",
@@ -954,14 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
              "links) + bitmap-driven resumption; exits non-zero if any "
              "write still fails",
     )
-    chaos.add_argument(
-        "--metrics-json", metavar="PATH",
-        help="dump the final metrics registry snapshot as JSON",
-    )
-    chaos.add_argument(
-        "--openmetrics", metavar="PATH",
-        help="export the final metrics registry in OpenMetrics text format",
-    )
+    _add_export_args(chaos)
     chaos.set_defaults(
         fn=cmd_chaos, size_mib=1.0, drop=0.0,
         distance_km=1000.0, bandwidth_gbps=100.0,
@@ -1081,17 +1058,8 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument(
         "--json", metavar="PATH", help="dump the result as JSON"
     )
-    fabric.add_argument(
-        "--trace-jsonl", metavar="PATH",
-        help="stream the trace as JSONL (view with `repro top PATH`)",
-    )
-    fabric.add_argument(
-        "--metrics-json", metavar="PATH",
-        help="dump the final metrics registry snapshot as JSON",
-    )
-    fabric.add_argument(
-        "--openmetrics", metavar="PATH",
-        help="export the final metrics registry in OpenMetrics text format",
+    _add_export_args(
+        fabric, "stream the trace as JSONL (view with `repro top PATH`)"
     )
     fabric.add_argument(
         "--slo", action="store_true",

@@ -43,6 +43,7 @@ from repro.common.errors import ConfigError
 from repro.common.units import KiB
 from repro.fabric.health import EdgeHealthMonitor
 from repro.fabric.report import metrics_digest
+from repro.fabric.scenarios import arm_slo
 from repro.fabric.service import FabricService, FabricServiceConfig, TenantSpec
 from repro.fabric.topology import FabricNetwork, two_tier
 from repro.faults.inject import install_edge_faults, uninstall_edge_faults
@@ -383,19 +384,7 @@ def chaos_scenario(
                 tenant, src, dst, config.message_bytes,
                 at=j * interval + offset,
             )
-    tracker = None
-    if slo is not None:
-        from repro.fabric.scenarios import arm_slo
-
-        tracker = arm_slo(
-            sim,
-            [
-                slo.spec_for(state.spec.name, state.spec.quota_bps)
-                for state in service.tenants.values()
-            ],
-            slo,
-            default_window=2.0 * rtt,
-        )
+    tracker = arm_slo(service, slo, default_window=2.0 * rtt)
     sim.run()
 
     failed = sum(1 for t in service.flows if t.failed)
@@ -418,10 +407,6 @@ def chaos_scenario(
         reroute=service.reroute_stats(),
         edge_health=edge_health,
         breaker_states=breaker_states,
-        slo=(
-            tracker.summary(duration=duration) if tracker is not None else None
-        ),
-        slo_burn_windows=(
-            sum(tracker.burns.values()) if tracker is not None else 0
-        ),
+        slo=tracker.summary(duration=duration) if tracker else None,
+        slo_burn_windows=sum(tracker.burns.values()) if tracker else 0,
     )

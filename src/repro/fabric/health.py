@@ -1,17 +1,11 @@
 """Per-edge health tracking and breaker-driven rerouting.
 
-This is PR 4's plane-recovery machinery (:mod:`repro.recovery.health`)
-generalized from "planes of one bonded link" to "directed edges of the
-fabric graph": every edge channel gets a :class:`PlaneHealth` EWMA fed
-from its drop/backlog counters plus service-layer RTO penalties, and a
-:class:`CircuitBreaker` walking the classic state machine:
-
-    closed --(EWMA loss >= open_threshold)--> open
-    open --(backoff expires)--> half_open
-    half_open --(deliveries observed)--> closed
-    half_open --(drops observed)--> open (backoff doubles, capped)
-
-The fabric-level consequences differ from the bonded-link case:
+The recovery plane's keyed breaker loop
+(:class:`repro.recovery.health.BreakerSet`; the state machine is
+described once, in ``docs/robustness.md``) with directed fabric edges as
+its keys: every edge channel's drop/backlog counters are the samples,
+service-layer RTOs the penalties.  This module owns only what an edge's
+transitions *mean* for the fabric:
 
 * An **open** edge is excluded from routing: the monitor invalidates the
   network's route cache on every exclusion change and Dijkstra re-runs
@@ -24,41 +18,24 @@ The fabric-level consequences differ from the bonded-link case:
   (capped) backoff, so a permanently dead edge is retried ever more
   rarely while a transient flap heals at the first quiet interval.
 
-Like the recovery plane, evaluation is lazy and RNG-free: it is driven
-from :meth:`FabricNetwork.send` (every launch attempt, including the
-no-route retry loop), consumes no random draws, and schedules no
-simulator events -- a drained simulation still terminates and a
-monitored-but-healthy run produces byte-identical traces to an
-unmonitored one.
+Evaluation is driven from :meth:`FabricNetwork.send` (every launch
+attempt, including the no-route retry loop), consumes no random draws,
+and schedules no simulator events -- a drained simulation still
+terminates and a monitored-but-healthy run produces byte-identical
+traces to an unmonitored one.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ConfigError
-from repro.recovery.health import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerConfig,
-    CircuitBreaker,
-    PlaneHealth,
-)
+from repro.recovery.health import CLOSED, HALF_OPEN, OPEN, BreakerConfig, BreakerSet
 
 __all__ = ["EdgeHealthMonitor", "BreakerConfig", "CLOSED", "HALF_OPEN", "OPEN"]
 
 
-class _EdgeState:
-    """Health EWMA + breaker of one directed edge."""
-
-    __slots__ = ("health", "breaker")
-
-    def __init__(self, health: PlaneHealth, breaker: CircuitBreaker):
-        self.health = health
-        self.breaker = breaker
-
-
-class EdgeHealthMonitor:
-    """Per-edge breakers over a :class:`~repro.fabric.topology.FabricNetwork`.
+class EdgeHealthMonitor(BreakerSet):
+    """A :class:`BreakerSet` keyed by directed edge over a
+    :class:`~repro.fabric.topology.FabricNetwork`.
 
     Construction registers the monitor on the network
     (``network.set_health(self)``); from then on every ``send`` drives
@@ -66,6 +43,9 @@ class EdgeHealthMonitor:
     ``rtt`` is the reference timescale for poll/backoff intervals
     (default: twice the costliest edge, i.e. the slowest span's RTT).
     """
+
+    _event = "edge"
+    _cat = "fabric"
 
     def __init__(
         self,
@@ -79,32 +59,18 @@ class EdgeHealthMonitor:
             rtt = 2.0 * max(
                 edge.cost for edge in network.topology.edges.values()
             )
-        if rtt <= 0:
-            raise ConfigError(f"rtt must be > 0, got {rtt}")
+        super().__init__(
+            network.sim, sorted(network.channels), rtt=rtt, config=config,
+            track=name,
+        )
         self.network = network
-        self.sim = network.sim
-        self.rtt = rtt
-        self.config = config if config is not None else BreakerConfig()
         self.name = name
-        self._keys = sorted(network.channels)
-        self._edges: dict[tuple[str, str], _EdgeState] = {
-            key: _EdgeState(
-                PlaneHealth(self.config.ewma_alpha),
-                CircuitBreaker(self.config, rtt),
-            )
-            for key in self._keys
-        }
-        self._last_eval = float("-inf")
         self._open: set[tuple[str, str]] = set()
 
         scope = self.sim.telemetry.metrics.scope(name)
-        self._m_opens = scope.counter("breaker_opens")
-        self._m_closes = scope.counter("breaker_closes")
         self._m_half_opens = scope.counter("breaker_half_opens")
         self._m_rto_signals = scope.counter("rto_signals")
         self._g_open = scope.gauge("edges_open")
-        self._trace = self.sim.telemetry.trace
-        self._track = name
         network.set_health(self)
 
     # -- queries ---------------------------------------------------------------
@@ -120,16 +86,16 @@ class EdgeHealthMonitor:
     def state(self, u: str, v: str) -> str:
         """Breaker state of the ``u`` -> ``v`` edge."""
         try:
-            return self._edges[(u, v)].breaker.state
+            return self.breakers[(u, v)].state
         except KeyError:
             raise ConfigError(f"no edge {u!r} -> {v!r}") from None
 
     def states(self) -> dict[tuple[str, str], str]:
         """Every non-closed edge's breaker state (for reports/tests)."""
         return {
-            key: st.breaker.state
-            for key in self._keys
-            if (st := self._edges[key]).breaker.state != CLOSED
+            key: br.state
+            for key, br in self.breakers.items()
+            if br.state != CLOSED
         }
 
     # -- signal feeds ----------------------------------------------------------
@@ -145,99 +111,40 @@ class EdgeHealthMonitor:
         if not edges:
             return
         self._m_rto_signals.inc()
-        weight = 0.5 / len(edges)
-        for key in edges:
-            st = self._edges.get(key)
-            if st is not None and st.breaker.state == CLOSED:
-                st.health.penalize(weight)
-        self._maybe_trip(self.sim.now)
-
-    # -- evaluation ------------------------------------------------------------
+        self._penalize(edges, 0.5 / len(edges))
 
     def on_datapath(self, now: float) -> None:
-        """Fold fresh channel stats into health, walk breaker transitions.
+        """The network's transmit path drives the loop (:meth:`evaluate`)."""
+        self.evaluate(now)
 
-        Called from the network's transmit path; rate-limited to one full
-        evaluation per poll interval (open->half-open expiry ticks every
-        call so recovery is never starved by a quiet fabric).
-        """
-        if now - self._last_eval < self.config.poll_rtts * self.rtt:
-            self._tick_open(now)
+    # -- what the loop asks of its owner ---------------------------------------
+
+    def _sample(self, key: tuple[str, str], now: float) -> tuple[int, int, float]:
+        channel = self.network.channels[key]
+        snap = channel.stats
+        return (
+            snap.packets_offered,
+            snap.packets_dropped,
+            max(0.0, channel.next_free - now),
+        )
+
+    def _transitioned(self, keys: list[tuple[str, str]], state: str) -> None:
+        if state == CLOSED:
             return
-        self._last_eval = now
-        for key in self._keys:
-            st = self._edges[key]
-            channel = self.network.channels[key]
-            snap = channel.stats
-            queue_delay = max(0.0, channel.next_free - now)
-            d_off, d_drop = st.health.update(
-                snap.packets_offered, snap.packets_dropped, queue_delay
-            )
-            if st.breaker.state == HALF_OPEN:
-                if d_drop > 0:
-                    self._trip(key, now, reason="probe_failed")
-                elif d_off > 0:
-                    st.breaker.probes_delivered += d_off
-                    if st.breaker.probes_delivered >= self.config.probe_successes:
-                        self._close(key)
-        self._tick_open(now)
-        self._maybe_trip(now)
-
-    def _tick_open(self, now: float) -> None:
-        reopened = False
-        for key in self._keys:
-            br = self._edges[key].breaker
-            if br.state == OPEN and now >= br.reopen_at:
-                br.half_open()
-                self._open.discard(key)
-                self._m_half_opens.inc()
-                self._g_open.set(len(self._open))
-                reopened = True
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "edge_half_open", cat="fabric", track=self._track,
-                        edge=f"{key[0]}->{key[1]}",
-                    )
-        if reopened:
-            # The edge is routable again: the primary path comes back and
-            # the traffic it attracts is the probe.
-            self.network.routes_changed()
-
-    def _maybe_trip(self, now: float) -> None:
-        for key in self._keys:
-            st = self._edges[key]
-            if (
-                st.breaker.state == CLOSED
-                and st.health.window_offered >= self.config.min_samples
-                and st.health.loss >= self.config.open_threshold
-            ):
-                self._trip(key, now, reason="loss")
-
-    def _trip(self, key: tuple[str, str], now: float, *, reason: str) -> None:
-        st = self._edges[key]
-        st.breaker.trip(now)
-        self._open.add(key)
-        self._m_opens.inc()
+        if state == OPEN:
+            self._open.update(keys)
+        else:
+            self._open.difference_update(keys)
+            self._m_half_opens.inc(len(keys))
         self._g_open.set(len(self._open))
-        if self._trace.enabled:
-            self._trace.instant(
-                "edge_open", cat="fabric", track=self._track,
-                edge=f"{key[0]}->{key[1]}", reason=reason,
-                loss=st.health.loss, reopen_at=st.breaker.reopen_at,
-            )
+        # An open edge leaves routing; a half-open one is routable again:
+        # the primary path comes back and the traffic it attracts is the
+        # probe.  Once per batch -- recomputing per key would route with
+        # later expired edges still excluded.
         self.network.routes_changed()
 
-    def _close(self, key: tuple[str, str]) -> None:
-        st = self._edges[key]
-        st.breaker.close()
-        st.health.loss = 0.0
-        st.health.reset_window()
-        self._m_closes.inc()
-        if self._trace.enabled:
-            self._trace.instant(
-                "edge_close", cat="fabric", track=self._track,
-                edge=f"{key[0]}->{key[1]}",
-            )
+    def _trace_args(self, key: tuple[str, str]) -> dict:
+        return {"edge": f"{key[0]}->{key[1]}"}
 
     def summary(self) -> dict[str, float]:
         """The ``fabric.edge_health.*`` counters as a plain dict (CLI JSON)."""
@@ -251,6 +158,6 @@ class EdgeHealthMonitor:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"EdgeHealthMonitor({self.name}, {len(self._keys)} edges, "
+            f"EdgeHealthMonitor({self.name}, {len(self.breakers)} edges, "
             f"{len(self._open)} open)"
         )

@@ -49,24 +49,30 @@ from repro.workloads.openloop import OpenLoopConfig, Workload, generate
 
 
 def arm_slo(
-    sim: Simulator,
-    specs,
-    slo: SloConfig,
+    service: FabricService,
+    slo: SloConfig | None,
     *,
     default_window: float,
-) -> SloTracker:
-    """Attach a windowed sampler + SLO tracker to a fabric simulation.
+) -> SloTracker | None:
+    """Attach a windowed sampler + SLO tracker over ``service``'s tenants.
 
+    ``None`` in, ``None`` out (the scenarios' ``slo=None`` default).
     Sampling is lazy, event-free and RNG-free, so arming this changes no
     simulated outcome: same-seed runs stay byte-identical (``slo_burn``
     trace instants are the only additions, and only when tracing is on).
     """
+    if slo is None:
+        return None
     sampler = TimeseriesSampler(
         window=slo.window if slo.window is not None else default_window,
         capacity=slo.capacity,
     )
-    sim.attach_sampler(sampler)
-    return SloTracker(sampler, list(specs), policy=slo.policy())
+    service.sim.attach_sampler(sampler)
+    specs = [
+        slo.spec_for(state.spec.name, state.spec.quota_bps)
+        for state in service.tenants.values()
+    ]
+    return SloTracker(sampler, specs, policy=slo.policy())
 
 
 @dataclass(frozen=True)
@@ -294,17 +300,7 @@ def fairness_scenario(
             ["rogue"],
             {0: (f"hL{config.victims}", "hR0")},
         )
-    tracker = None
-    if slo is not None:
-        tracker = arm_slo(
-            sim,
-            [
-                slo.spec_for(state.spec.name, state.spec.quota_bps)
-                for state in service.tenants.values()
-            ],
-            slo,
-            default_window=config.duration / 25.0,
-        )
+    tracker = arm_slo(service, slo, default_window=config.duration / 25.0)
     sim.run()
 
     reports = per_tenant_reports(service, config.duration)
@@ -317,11 +313,7 @@ def fairness_scenario(
         jain=jain_index(victim_goodputs),
         reports=reports,
         digest=metrics_digest(sim.telemetry.metrics),
-        slo=(
-            tracker.summary(duration=config.duration)
-            if tracker is not None
-            else None
-        ),
+        slo=tracker.summary(duration=config.duration) if tracker else None,
     )
 
 
@@ -459,17 +451,7 @@ def scale_scenario(
             dst = hosts[(t + 1) % len(hosts)]
         placement[t] = (src, dst)
     submit_schedule(service, workload, names, placement)
-    tracker = None
-    if slo is not None:
-        tracker = arm_slo(
-            sim,
-            [
-                slo.spec_for(state.spec.name, state.spec.quota_bps)
-                for state in service.tenants.values()
-            ],
-            slo,
-            default_window=config.duration / 25.0,
-        )
+    tracker = arm_slo(service, slo, default_window=config.duration / 25.0)
     sim.run()
 
     failed = sum(1 for t in service.flows if t.failed)
@@ -482,9 +464,5 @@ def scale_scenario(
         drained_at=sim.now,
         digest=metrics_digest(sim.telemetry.metrics),
         reports=per_tenant_reports(service, config.duration),
-        slo=(
-            tracker.summary(duration=config.duration)
-            if tracker is not None
-            else None
-        ),
+        slo=tracker.summary(duration=config.duration) if tracker else None,
     )

@@ -28,6 +28,15 @@ that provider:
      the host cannot offer more than its NIC serializes (the per-link
      shared bucket that multiplexed QPs must not each assume they own).
 
+A flow's life is one callback chain whichever mode simulates it:
+``_start_flow`` (route resolution, polling while there is none, then
+the one ``msg_post``) -> ``_admit`` (least-loaded QP or the pair's FIFO;
+registers the one ``_finish`` on ``ticket.done``) -> launch -> ``_on_acks``
+-> ``_finish``, with ``_fail`` the only failure exit.  The modes differ
+in the launch step alone: packet mode reserves the buckets sequentially
+and relays one packet per segment (``_send_from``), fluid mode reserves
+the whole flow upfront and books tranches of journeys (``_book``).
+
 Loss is handled at segment granularity: each segment arms an RTO
 (exponential backoff, bounded attempts); ACKs return after the reverse
 path's propagation delay and carry the accumulated ECN CE mark.  All
@@ -249,7 +258,8 @@ class _PairState:
     def __init__(self, key, qps, pacer, base_rtt, rto_base, path):
         self.key = key
         self.qps = qps
-        self.waiting: deque[Event] = deque()
+        #: FIFO of ``(ticket, queued_at)`` waiting for a QP slot.
+        self.waiting: deque[tuple[FlowTicket, float]] = deque()
         self.pacer = pacer
         self.base_rtt = base_rtt
         self.rto_base = rto_base
@@ -280,7 +290,9 @@ class _FlowState:
         self.remaining = segments
         self.acked = [False] * segments
         self.attempt = [0] * segments
-        self.uid = [0] * segments
+        #: uid of the relayed packet carrying each segment's latest attempt;
+        #: ``None`` until one is launched, and for a booked segment.
+        self.uid: list[int | None] = [None] * segments
         #: Path each segment's latest attempt launched on (RTO blame feed
         #: and the stale-path test that grants resumptions).
         self.sent_path: list[tuple[str, ...] | None] = [None] * segments
@@ -384,12 +396,22 @@ class FabricService:
             self._uplinks[host] = group
         return group
 
+    def _path_timing(
+        self, src: str, dst: str, path: tuple[str, ...]
+    ) -> tuple[float, float, float]:
+        """``(base_rtt, bottleneck_bps, rto_base)`` of a pair routed on ``path``."""
+        base_rtt = self.net.path_rtt(src, dst)
+        bottleneck = self.net.bottleneck_bps(src, dst)
+        seg_time = self.config.segment_bytes * 8.0 / bottleneck
+        rto_base = self.config.rto_rtts * (base_rtt + (len(path) - 1) * seg_time)
+        return base_rtt, bottleneck, rto_base
+
     def _pair(self, src: str, dst: str) -> _PairState:
         key = (src, dst)
         pair = self._pairs.get(key)
         if pair is None:
-            base_rtt = self.net.path_rtt(src, dst)
-            bottleneck = self.net.bottleneck_bps(src, dst)
+            path = self.net.route(src, dst)
+            base_rtt, bottleneck, rto_base = self._path_timing(src, dst, path)
             controller = make_controller(
                 self.config.cc, line_rate_bps=bottleneck, base_rtt=base_rtt
             )
@@ -399,19 +421,8 @@ class FabricService:
                 name=f"{self.name}.{src}->{dst}",
                 burst_bytes=max(self.config.segment_bytes, 16 * KiB),
             )
-            path = self.net.route(src, dst)
-            seg_time = self.config.segment_bytes * 8.0 / bottleneck
-            rto_base = self.config.rto_rtts * (
-                base_rtt + (len(path) - 1) * seg_time
-            )
-            pair = _PairState(
-                key,
-                [FabricQp(i) for i in range(self.config.qp_pool_per_pair)],
-                pacer,
-                base_rtt,
-                rto_base,
-                path,
-            )
+            qps = [FabricQp(i) for i in range(self.config.qp_pool_per_pair)]
+            pair = _PairState(key, qps, pacer, base_rtt, rto_base, path)
             self._pairs[key] = pair
         return pair
 
@@ -448,167 +459,232 @@ class FabricService:
         self.sim.call_at(start, self._start_flow, ticket)
         return ticket
 
-    def _fluid_plan(self, ticket: FlowTicket) -> tuple | None:
-        """Hop plan when ``ticket``'s segments are booked fluidly.
+    # -- flow lifecycle: resolve -> admit -> launch -> ACK -> finish -----------
 
-        ``None`` -- the event-driven path -- in packet mode, on a
-        monitored fabric (a breaker transition would invalidate journeys
-        already booked), while the pair has no route, and when an edge of
-        its path cannot be booked (:meth:`FabricNetwork.fluid_plan`).
+    def _start_flow(self, ticket: FlowTicket, deadline: float | None = None) -> None:
+        """Resolve the pair's route, post the message, hand it to admission.
+
+        Pair creation resolves a route; under a full partition there is
+        none yet.  Poll (deterministically, re-entering here) until the
+        partition deadline, then fail cleanly instead of wedging.
         """
-        if not self.sim.config.fluid or self.net.health is not None:
-            return None
         try:
             pair = self._pair(ticket.src, ticket.dst)
         except ConfigError:
-            return None  # the generator's partition poll handles it
-        return self.net.fluid_plan(pair.path)
-
-    def _start_flow(self, ticket: FlowTicket) -> None:
-        """Launch one flow: the fluid callback chain when its path can be
-        booked, else the event-driven generator."""
-        if self._fluid_plan(ticket) is None:
-            self.sim.process(self._run_flow(ticket))
-        else:
-            self._start_flow_fluid(ticket, self._pair(ticket.src, ticket.dst))
-
-    # -- flow lifecycle --------------------------------------------------------
-
-    def _run_flow(self, ticket: FlowTicket):
-        tenant = self.tenants[ticket.tenant]
-        # Pair creation resolves a route; under a full partition there is
-        # none yet.  Poll (deterministically) until the partition deadline,
-        # then fail cleanly instead of crashing the process.
-        deadline = self.sim.now + self.config.partition_deadline
-        while True:
-            try:
-                pair = self._pair(ticket.src, ticket.dst)
-                break
-            except ConfigError:
-                if self.sim.now >= deadline:
-                    self._fail_partitioned(
-                        ticket,
-                        None,
-                        f"no route {ticket.src!r} -> {ticket.dst!r} at "
-                        f"admission for {self.config.partition_deadline}s",
-                    )
-                    return
-                self._m_no_route_waits.inc()
-                wait = self.config.partition_deadline / 8.0
-                self._m_no_route_wait_seconds.inc(wait)
-                yield self.sim.timeout(wait)
+            if deadline is None:
+                deadline = self.sim.now + self.config.partition_deadline
+            if self.sim.now >= deadline:
+                self._fail(ticket, DeliveryError(
+                    f"no route {ticket.src!r} -> {ticket.dst!r} at "
+                    f"admission for {self.config.partition_deadline}s",
+                    delivered_chunks=0, total_chunks=0,
+                ))
+                return
+            self._m_no_route_waits.inc()
+            wait = self.config.partition_deadline / 8.0
+            self._m_no_route_wait_seconds.inc(wait)
+            self.sim.call_in(wait, self._start_flow, ticket, deadline)
+            return
         if self._trace.enabled:
             self._trace.instant(
                 "msg_post", cat="fabric", track=f"{self.name}.{ticket.src}",
                 msg=ticket.seq, bytes=ticket.nbytes, tenant=ticket.tenant,
-                chunks=max(
-                    1, math.ceil(ticket.nbytes / self.config.segment_bytes)
-                ),
+                chunks=self._segments(ticket),
             )
-        # Admission onto the bounded QP pool: least-loaded QP, FIFO wait
-        # when every QP is at its multiplexing limit.
-        while True:
-            qp = min(pair.qps, key=lambda q: (q.active, q.index))
-            if qp.active < self.config.max_flows_per_qp:
-                qp.active += 1
-                if qp.active == 1:
-                    self._g_qps.add(1)
-                break
-            gate = self.sim.event()
-            pair.waiting.append(gate)
-            self._m_qp_waits.inc()
-            t0 = self.sim.now
-            yield gate
-            self._m_qp_wait_seconds.inc(self.sim.now - t0)
-        ticket.started = self.sim.now
+        self._admit(pair, ticket)
 
-        segments = max(1, math.ceil(ticket.nbytes / self.config.segment_bytes))
-        state = _FlowState(ticket, pair, qp, segments, self.config.segment_bytes)
-        pair.flows.append(state)
-        for idx in range(segments):
-            if ticket.failed:
-                break  # partition deadline expired mid-submission
-            wait = self._admission_wait(tenant, state, state.seg_size(idx))
-            if wait > 0.0:
-                self._m_admission_stalls.inc()
-                self._m_admission_stall_seconds.inc(wait)
-                yield self.sim.timeout(wait)
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "cc_stall", cat="cc", track=f"{self.name}.{ticket.src}",
-                        msg=ticket.seq, chunk=idx, stall=wait,
-                    )
-            self._send_segment(state, idx, 0)
-        yield ticket.done
+    def _segments(self, ticket: FlowTicket) -> int:
+        return max(1, math.ceil(ticket.nbytes / self.config.segment_bytes))
 
-        pair.flows.remove(state)
-        qp.active -= 1
-        if qp.active == 0:
-            self._g_qps.add(-1)
-        if pair.waiting:
-            pair.waiting.popleft().succeed()
-        if ticket.completed is not None:
-            tenant.completion_times.append(ticket.span)
+    def _admit(
+        self, pair: _PairState, ticket: FlowTicket, queued_at: float | None = None
+    ) -> None:
+        """Admission onto the bounded QP pool, then the mode's launch step.
 
-    # -- fluid flow lifecycle --------------------------------------------------
-
-    def _start_flow_fluid(self, ticket: FlowTicket, pair: _PairState) -> None:
-        """Fluid flow runner: no generator, no per-segment stall timeouts.
-
-        The event-driven :meth:`_run_flow` sleeps between segments while
-        the admission buckets refill; for fixed-rate token buckets,
-        reserving every segment upfront yields the *same* absolute send
-        times (debt drains linearly), so the fluid runner charges all
-        reservations at admission and books each segment's journey at its
-        computed send instant.  What is lost is intra-flow feedback: a
-        congestion controller's rate change mid-flow no longer shifts the
-        flow's own later segments -- a documented fluid approximation
-        (``docs/simulation.md``).
+        Least-loaded QP; when every QP is at its multiplexing limit the
+        flow joins the pair's FIFO and re-enters here (re-checking the
+        pool) each time a finishing flow releases a slot.
         """
-        if self._trace.enabled:
-            self._trace.instant(
-                "msg_post", cat="fabric", track=f"{self.name}.{ticket.src}",
-                msg=ticket.seq, bytes=ticket.nbytes, tenant=ticket.tenant,
-                chunks=max(
-                    1, math.ceil(ticket.nbytes / self.config.segment_bytes)
-                ),
-            )
-        self._admit_flow_fluid(ticket, pair)
-
-    def _admit_flow_fluid(self, ticket: FlowTicket, pair: _PairState) -> None:
-        """QP-pool admission, callback-shaped (mirrors the generator's
-        least-loaded/FIFO-wait loop, re-checking after every gate)."""
+        if queued_at is not None:
+            self._m_qp_wait_seconds.inc(self.sim.now - queued_at)
         qp = min(pair.qps, key=lambda q: (q.active, q.index))
         if qp.active >= self.config.max_flows_per_qp:
-            gate = self.sim.event()
-            pair.waiting.append(gate)
+            pair.waiting.append((ticket, self.sim.now))
             self._m_qp_waits.inc()
-            t0 = self.sim.now
-            gate.callbacks.append(
-                lambda _event: self._requeue_flow_fluid(ticket, pair, t0)
-            )
             return
         qp.active += 1
         if qp.active == 1:
             self._g_qps.add(1)
         ticket.started = self.sim.now
-        segments = max(1, math.ceil(ticket.nbytes / self.config.segment_bytes))
-        state = _FlowState(ticket, pair, qp, segments, self.config.segment_bytes)
-        pair.flows.append(state)
-        ticket.done.callbacks.append(
-            lambda _event: self._finish_flow_fluid(state)
+        state = _FlowState(
+            ticket, pair, qp, self._segments(ticket), self.config.segment_bytes
         )
-        self._schedule_flow_fluid(state)
+        pair.flows.append(state)
+        ticket.done.callbacks.append(lambda _event: self._finish(state))
+        # The launch step: the one place the two modes part ways.
+        if self._fluid_plan(pair) is None:
+            self._send_from(state, 0)
+        else:
+            self._schedule_flow_fluid(state)
+
+    def _finish(self, state: _FlowState) -> None:
+        """Release the QP slot (completion or failure), wake the next waiter."""
+        ticket = state.ticket
+        pair = state.pair
+        pair.flows.remove(state)
+        state.qp.active -= 1
+        if state.qp.active == 0:
+            self._g_qps.add(-1)
+        if pair.waiting:
+            self.sim.call_in(0.0, self._admit, pair, *pair.waiting.popleft())
+        if ticket.completed is not None:
+            self.tenants[ticket.tenant].completion_times.append(ticket.span)
+
+    def _fluid_plan(self, pair: _PairState) -> tuple | None:
+        """Hop plan when ``pair``'s segments are booked fluidly.
+
+        ``None`` -- the event-driven relay -- in packet mode, on a
+        monitored fabric (a breaker transition would invalidate journeys
+        already booked) and when an edge of the pair's path cannot be
+        booked (:meth:`FabricNetwork.fluid_plan`).
+        """
+        if not self.sim.config.fluid or self.net.health is not None:
+            return None
+        return self.net.fluid_plan(pair.path)
+
+    # -- launch, packet mode: sequential reserves, one relayed packet each -----
+
+    def _send_from(self, state: _FlowState, idx: int, stalled: float = 0.0) -> None:
+        """Reserve for and launch segments ``idx, idx + 1, ...`` in turn.
+
+        A stall sleeps and re-enters here with ``stalled`` set; the
+        stalled segment then launches (``_send_segment`` drops it if the
+        flow failed meanwhile) and the loop goes on behind it.
+        """
+        ticket = state.ticket
+        if stalled > 0.0:
+            if self._trace.enabled:
+                self._trace.instant(
+                    "cc_stall", cat="cc", track=f"{self.name}.{ticket.src}",
+                    msg=ticket.seq, chunk=idx, stall=stalled,
+                )
+            self._send_segment(state, idx, 0)
+            idx += 1
+        tenant = self.tenants[ticket.tenant]
+        while idx < state.segments and not ticket.failed:
+            wait = self._admission_wait(tenant, state, state.seg_size(idx))
+            if wait > 0.0:
+                self._m_admission_stalls.inc()
+                self._m_admission_stall_seconds.inc(wait)
+                self.sim.call_in(wait, self._send_from, state, idx, wait)
+                return
+            self._send_segment(state, idx, 0)
+            idx += 1
+
+    def _admission_wait(
+        self, tenant: TenantState, state: _FlowState, nbytes: int
+    ) -> float:
+        """Longest of the three stacked buckets (all charged now)."""
+        ticket = state.ticket
+        wait = self._uplink(ticket.src).reserve(nbytes)
+        if self.config.enforce_quotas and tenant.bucket is not None:
+            wait = max(wait, tenant.bucket.reserve(nbytes))
+        if tenant.spec.compliant:
+            wait = max(
+                wait, state.pair.pacer.reserve(nbytes, flow=ticket.seq)
+            )
+        return wait
+
+    def _send_segment(self, state: _FlowState, idx: int, attempt: int) -> None:
+        """Launch one segment (first transmission or retransmit) now."""
+        ticket = state.ticket
+        if ticket.failed or state.acked[idx]:
+            return
+        plan = self._fluid_plan(state.pair)
+        if plan is not None:
+            self._book(
+                state, idx, [state.seg_size(idx)], [self.sim.now], attempt, plan
+            )
+            return
+        packet = Packet(
+            dst_qpn=0,
+            opcode=Opcode.WRITE_ONLY_IMM,
+            length=state.seg_size(idx),
+            msg_seq=ticket.seq,
+            pkt_idx=idx,
+            chunk=idx,
+            attempt=attempt,
+        )
+        state.attempt[idx] = attempt
+        state.uid[idx] = packet.uid
+        sent_at = self.sim.now
+        try:
+            path = self.net.send(
+                ticket.src,
+                ticket.dst,
+                packet,
+                lambda pkt: self._on_delivered(state, idx, attempt, sent_at, pkt),
+            )
+        except ConfigError:
+            # Every candidate path crosses an open breaker: no RTO armed
+            # (nothing is in flight), the partition clock runs instead.
+            self._on_no_route(state, idx, attempt)
+            return
+        self._launched(state, idx, 1, path)
+        self.sim.call_in(
+            self._rto(state.pair, attempt), self._on_rto, state, idx, attempt
+        )
+
+    def _on_delivered(
+        self, state: _FlowState, idx: int, attempt: int, sent_at: float, packet: Packet
+    ) -> None:
+        # Runs at the destination host; the ACK rides the control plane
+        # back after the reverse path's propagation delay.
+        ticket = state.ticket
+        try:
+            ack_delay = self.net.path_one_way_delay(ticket.dst, ticket.src)
+        except ConfigError:
+            # No reverse route (partition): the ACK cannot return; the
+            # sender's RTO / partition clock takes it from here.
+            return
+        self.sim.call_in(
+            ack_delay, self._on_ack, state, idx, attempt, sent_at, packet.ce
+        )
+
+    def _on_ack(
+        self, state: _FlowState, idx: int, attempt: int, sent_at: float, ce: bool
+    ) -> None:
+        """A relayed segment's ACK: pacer feedback, then :meth:`_on_acks`."""
+        ticket = state.ticket
+        if (
+            not state.acked[idx]
+            and not ticket.failed
+            and self.tenants[ticket.tenant].spec.compliant
+        ):
+            pacer = state.pair.pacer
+            if attempt == state.attempt[idx]:  # Karn: first-attempt samples only
+                pacer.on_rtt_sample(self.sim.now - sent_at)
+            if ce:
+                self._m_ecn_echoes.inc()
+                pacer.on_ecn_echo(1, 1)
+            else:
+                pacer.on_ack_progress()
+        self._on_acks(state, (idx,))
+
+    # -- launch, fluid mode: upfront reserves, booked journeys -----------------
 
     def _schedule_flow_fluid(self, state: _FlowState) -> None:
         """Charge the whole flow's admission upfront; book tranche 0.
 
-        All three stacked buckets refill lazily and every reserve in
-        this flow shares one ``sim.now``, so the per-segment waits
-        collapse to vectorized cumulative-charge expressions -- exactly
-        the waits the packet generator's sequential reserves would
-        compute, minus intra-flow rate feedback (a documented fluid
-        approximation: a flow's schedule is fixed at admission).
+        :meth:`_send_from` sleeps between segments while the buckets
+        refill; for fixed-rate token buckets, reserving every segment
+        upfront yields the *same* absolute send times (debt drains
+        linearly).  All three buckets refill lazily and every reserve
+        here shares one ``sim.now``, so the waits collapse to vectorized
+        cumulative-charge expressions.  What is lost is intra-flow
+        feedback: a controller's rate change mid-flow no longer shifts
+        the flow's own later segments -- its schedule is fixed at
+        admission (a documented fluid approximation, ``docs/simulation.md``).
         """
         ticket = state.ticket
         tenant = self.tenants[ticket.tenant]
@@ -680,7 +756,7 @@ class FabricService:
         sends = state.send_times
         nseg = state.segments
         now = self.sim.now
-        plan = self._fluid_plan(ticket)
+        plan = self._fluid_plan(state.pair)
         if plan is None:  # route mutated mid-flow: finish eventfully
             for idx in range(start, nseg):
                 self.sim.call_at(
@@ -721,28 +797,21 @@ class FabricService:
         of ``plan`` admits the previous edge's survivors in one
         :meth:`FluidLink.book` call at their computed arrival instants,
         so no per-hop delivery event, destination callback or armed RTO
-        timer reaches the heap: the call schedules one
-        :meth:`_on_flow_acks` for what arrived and one :meth:`_on_rto`
-        per segment dropped on the way, whose stale-attempt guards make
-        raced callbacks safe.  A delivered segment therefore never
-        retransmits even if its computed ACK lands after the RTO would
-        have fired (a documented fluid approximation).
+        timer reaches the heap: the call schedules one :meth:`_on_acks`
+        for what arrived and one :meth:`_on_rto` per segment dropped on
+        the way, whose stale-attempt guards make raced callbacks safe.  A
+        delivered segment therefore never retransmits even if its
+        computed ACK lands after the RTO would have fired (a documented
+        fluid approximation).
         """
         ticket = state.ticket
         pair = state.pair
         n = len(sizes)
         state.attempt[first:first + n] = [attempt] * n
-        state.sent_path[first:first + n] = [pair.path] * n
-        if state.route_lost_at is not None:
-            state.route_lost_at = None
-            self._m_route_restored.inc()
-            if self._trace.enabled:
-                self._trace.instant(
-                    "route_restored", cat="fabric",
-                    track=f"{self.name}.{ticket.src}",
-                    msg=ticket.seq, chunk=first,
-                )
-        self._m_segments_sent.inc(n)
+        # No packet is in flight for a booked segment: an RTO must not
+        # abandon the uid an earlier relayed attempt left in the slot.
+        state.uid[first:first + n] = [None] * n
+        self._launched(state, first, n, pair.path)
         # ``alive`` holds the tranche positions still in flight; survivors
         # advance with each edge's serialization + propagation.
         alive = range(n)
@@ -789,13 +858,14 @@ class FabricService:
                         else:
                             controller.on_ack_progress(now=ack)
                 # FIFO chaining keeps arrivals nondecreasing, so the last
-                # ACK is the latest: one event applies them all.
+                # ACK is the latest: one event applies them all (pacer
+                # feedback already happened above).
                 self.sim.call_at(
-                    times[-1] + ack_delay, self._on_flow_acks, state,
+                    times[-1] + ack_delay, self._on_acks, state,
                     [first + i for i in alive],
                 )
         if len(alive) < n:
-            rto = min(pair.rto_base * (2.0 ** attempt), 4.0)
+            rto = self._rto(pair, attempt)
             delivered = set(alive)
             for i in range(n):
                 if i not in delivered:
@@ -803,24 +873,47 @@ class FabricService:
                         sends[i] + rto, self._on_rto, state, first + i, attempt
                     )
 
-    def _on_flow_acks(self, state: _FlowState, idxs: list[int]) -> None:
-        """Apply the ACKs of one booking's delivered segments in one event.
+    # -- shared by both launch steps -------------------------------------------
 
-        Fires at the last segment's ACK arrival.  Pacer feedback already
-        happened at booking time (see :meth:`_book`), so this event only
-        applies the reliability bookkeeping: acked bits, byte/segment
-        counters and flow completion.  Semantics per segment mirror
-        :meth:`_on_ack`.
+    def _rto(self, pair: _PairState, attempt: int) -> float:
+        return min(pair.rto_base * (2.0 ** attempt), 4.0)
+
+    def _launched(
+        self, state: _FlowState, first: int, n: int, path: tuple[str, ...]
+    ) -> None:
+        """``n`` segments from ``first`` just left on ``path``, relayed or booked."""
+        ticket = state.ticket
+        state.sent_path[first:first + n] = [path] * n
+        if state.route_lost_at is not None:
+            state.route_lost_at = None
+            self._m_route_restored.inc()
+            if self._trace.enabled:
+                self._trace.instant(
+                    "route_restored", cat="fabric",
+                    track=f"{self.name}.{ticket.src}",
+                    msg=ticket.seq, chunk=first,
+                )
+        self._m_segments_sent.inc(n)
+
+    def _on_acks(self, state: _FlowState, idxs) -> None:
+        """The one ACK routine: acked bits, byte/segment counters, completion.
+
+        ``idxs`` is one relayed segment (from :meth:`_on_ack`) or one
+        booking's survivors, applied at the last one's ACK arrival.  A
+        duplicate is counted before the flow's fate is looked at.
         """
         ticket = state.ticket
-        if ticket.failed:
-            return
-        tenant = self.tenants[ticket.tenant]
         nacked = 0
         bytes_acked = 0
         for idx in idxs:
             if state.acked[idx]:
                 self._m_dup_acks.inc()
+                if state.pair.reroutes:
+                    # Old-path copy raced the new-path retransmit and both
+                    # landed: a reroute-induced duplicate, not a protocol bug.
+                    self._m_rr_dups.inc()
+                continue
+            if ticket.failed:
                 continue
             if idx < state.max_acked and state.pair.reroutes:
                 self._m_rr_reorders.inc()
@@ -832,6 +925,7 @@ class FabricService:
             bytes_acked += state.seg_size(idx)
         if nacked == 0:
             return
+        tenant = self.tenants[ticket.tenant]
         tenant.bytes_acked += bytes_acked
         tenant.last_ack = self.sim.now
         self._m_bytes_acked.inc(bytes_acked)
@@ -852,159 +946,13 @@ class FabricService:
                 )
             ticket.done.succeed()
 
-    def _requeue_flow_fluid(
-        self, ticket: FlowTicket, pair: _PairState, t0: float
-    ) -> None:
-        self._m_qp_wait_seconds.inc(self.sim.now - t0)
-        self._admit_flow_fluid(ticket, pair)
-
-    def _finish_flow_fluid(self, state: _FlowState) -> None:
-        """Completion/failure cleanup (the generator's tail, as a
-        ``ticket.done`` callback)."""
-        ticket = state.ticket
-        state.pair.flows.remove(state)
-        state.qp.active -= 1
-        if state.qp.active == 0:
-            self._g_qps.add(-1)
-        if state.pair.waiting:
-            state.pair.waiting.popleft().succeed()
-        if ticket.completed is not None:
-            self.tenants[ticket.tenant].completion_times.append(ticket.span)
-
-    def _admission_wait(
-        self, tenant: TenantState, state: _FlowState, nbytes: int
-    ) -> float:
-        """Longest of the three stacked buckets (all charged now)."""
-        ticket = state.ticket
-        wait = self._uplink(ticket.src).reserve(nbytes)
-        if self.config.enforce_quotas and tenant.bucket is not None:
-            wait = max(wait, tenant.bucket.reserve(nbytes))
-        if tenant.spec.compliant:
-            wait = max(
-                wait, state.pair.pacer.reserve(nbytes, flow=ticket.seq)
-            )
-        return wait
-
-    def _send_segment(self, state: _FlowState, idx: int, attempt: int) -> None:
-        ticket = state.ticket
-        if ticket.failed or state.acked[idx]:
-            return
-        plan = self._fluid_plan(ticket)
-        if plan is not None:
-            self._book(
-                state, idx, [state.seg_size(idx)], [self.sim.now], attempt, plan
-            )
-            return
-        size = state.seg_size(idx)
-        packet = Packet(
-            dst_qpn=0,
-            opcode=Opcode.WRITE_ONLY_IMM,
-            length=size,
-            msg_seq=ticket.seq,
-            pkt_idx=idx,
-            chunk=idx,
-            attempt=attempt,
-        )
-        state.attempt[idx] = attempt
-        state.uid[idx] = packet.uid
-        sent_at = self.sim.now
-        try:
-            path = self.net.send(
-                ticket.src,
-                ticket.dst,
-                packet,
-                lambda pkt: self._on_delivered(state, idx, attempt, sent_at, pkt),
-            )
-        except ConfigError:
-            # Every candidate path crosses an open breaker: no RTO armed
-            # (nothing is in flight), the partition clock runs instead.
-            self._on_no_route(state, idx, attempt)
-            return
-        state.sent_path[idx] = path
-        if state.route_lost_at is not None:
-            state.route_lost_at = None
-            self._m_route_restored.inc()
-            if self._trace.enabled:
-                self._trace.instant(
-                    "route_restored", cat="fabric",
-                    track=f"{self.name}.{ticket.src}",
-                    msg=ticket.seq, chunk=idx,
-                )
-        self._m_segments_sent.inc()
-        rto = min(state.pair.rto_base * (2.0 ** attempt), 4.0)
-        self.sim.call_in(rto, self._on_rto, state, idx, attempt)
-
-    def _on_delivered(
-        self, state: _FlowState, idx: int, attempt: int, sent_at: float, packet: Packet
-    ) -> None:
-        # Runs at the destination host; the ACK rides the control plane
-        # back after the reverse path's propagation delay.
-        ticket = state.ticket
-        try:
-            ack_delay = self.net.path_one_way_delay(ticket.dst, ticket.src)
-        except ConfigError:
-            # No reverse route (partition): the ACK cannot return; the
-            # sender's RTO / partition clock takes it from here.
-            return
-        self.sim.call_in(
-            ack_delay,
-            lambda: self._on_ack(state, idx, attempt, sent_at, packet.ce),
-        )
-
-    def _on_ack(
-        self, state: _FlowState, idx: int, attempt: int, sent_at: float, ce: bool
-    ) -> None:
-        if state.acked[idx]:
-            self._m_dup_acks.inc()
-            if state.pair.reroutes:
-                # Old-path copy raced the new-path retransmit and both
-                # landed: a reroute-induced duplicate, not a protocol bug.
-                self._m_rr_dups.inc()
-            return
-        ticket = state.ticket
-        if ticket.failed:
-            return
-        if idx < state.max_acked and state.pair.reroutes:
-            self._m_rr_reorders.inc()
-        state.max_acked = max(state.max_acked, idx)
-        state.acked[idx] = True
-        state.remaining -= 1
-        size = state.seg_size(idx)
-        tenant = self.tenants[ticket.tenant]
-        tenant.bytes_acked += size
-        tenant.last_ack = self.sim.now
-        self._m_bytes_acked.inc(size)
-        self._m_segments_acked.inc()
-        tenant.metrics.bytes_acked.inc(size)
-        tenant.metrics.segments_acked.inc()
-        if tenant.spec.compliant:
-            pacer = state.pair.pacer
-            if attempt == state.attempt[idx]:  # Karn: first-attempt samples only
-                pacer.on_rtt_sample(self.sim.now - sent_at)
-            if ce:
-                self._m_ecn_echoes.inc()
-                pacer.on_ecn_echo(1, 1)
-            else:
-                pacer.on_ack_progress()
-        if state.remaining == 0:
-            ticket.completed = self.sim.now
-            tenant.flows_completed += 1
-            self._m_flows_completed.inc()
-            tenant.metrics.flows_completed.inc()
-            tenant.metrics.completion_seconds.observe(ticket.span)
-            if self._trace.enabled:
-                self._trace.instant(
-                    "fabric_deliver", cat="fabric",
-                    track=f"{self.name}.{ticket.src}",
-                    msg=ticket.seq, tenant=ticket.tenant, bytes=ticket.nbytes,
-                )
-            ticket.done.succeed()
-
     def _on_rto(self, state: _FlowState, idx: int, attempt: int) -> None:
         ticket = state.ticket
         if state.acked[idx] or ticket.failed or state.attempt[idx] != attempt:
             return  # delivered meanwhile, or a newer attempt owns the range
-        self.net.abandon(state.uid[idx])
+        uid = state.uid[idx]
+        if uid is not None:  # a relayed packet; a booked segment has none
+            self.net.abandon(uid)
         sent_path = state.sent_path[idx]
         if sent_path is not None:
             # The loss was somewhere along the launch path: feed the edge
@@ -1042,12 +990,7 @@ class FabricService:
                     resumption=state.resumptions,
                 )
         elif next_attempt >= self.config.max_attempts:
-            ticket.failed = True
-            ticket.completed = None
-            tenant.flows_failed += 1
-            self._m_flows_failed.inc()
-            tenant.metrics.flows_failed.inc()
-            ticket.done.succeed()  # clean failure completion, never a wedge
+            self._fail(ticket)
             return
         wait = self._admission_wait(tenant, state, state.seg_size(idx))
         if wait > 0.0:
@@ -1077,14 +1020,10 @@ class FabricService:
             pair.path = path
             pair.reroutes += 1
             self._m_path_changes.inc()
-            base_rtt = self.net.path_rtt(*pair.key)
-            bottleneck = self.net.bottleneck_bps(*pair.key)
-            seg_time = self.config.segment_bytes * 8.0 / bottleneck
-            pair.base_rtt = base_rtt
-            pair.rto_base = self.config.rto_rtts * (
-                base_rtt + (len(path) - 1) * seg_time
+            pair.base_rtt, bottleneck, pair.rto_base = self._path_timing(
+                *pair.key, path
             )
-            pair.pacer.rebind(line_rate_bps=bottleneck, base_rtt=base_rtt)
+            pair.pacer.rebind(line_rate_bps=bottleneck, base_rtt=pair.base_rtt)
             migrated = 0
             for state in pair.flows:
                 if state.ticket.failed or state.remaining == 0:
@@ -1114,37 +1053,26 @@ class FabricService:
                     msg=ticket.seq, chunk=idx,
                 )
         if now - state.route_lost_at >= self.config.partition_deadline:
-            self._fail_flow(
-                state,
+            self._fail(ticket, DeliveryError(
                 f"no route {ticket.src!r} -> {ticket.dst!r} for "
                 f"{self.config.partition_deadline}s (partition deadline)",
-            )
+                delivered_chunks=state.segments - state.remaining,
+                total_chunks=state.segments,
+                bitmap=np.packbits(
+                    np.asarray(state.acked, dtype=bool)
+                ).tobytes(),
+            ))
             return
         self._m_no_route_waits.inc()
         wait = state.pair.base_rtt
         self._m_no_route_wait_seconds.inc(wait)
         self.sim.call_in(wait, self._send_segment, state, idx, attempt)
 
-    def _fail_flow(self, state: _FlowState, message: str) -> None:
-        ticket = state.ticket
+    def _fail(self, ticket: FlowTicket, error: DeliveryError | None = None) -> None:
+        """The one failure exit: a clean failure completion, never a wedge.
+        ``error`` is a partition's; plain RTO exhaustion passes none."""
         if ticket.failed:
             return
-        delivered = state.segments - state.remaining
-        error = DeliveryError(
-            message,
-            delivered_chunks=delivered,
-            total_chunks=state.segments,
-            bitmap=np.packbits(
-                np.asarray(state.acked, dtype=bool)
-            ).tobytes(),
-        )
-        self._fail_partitioned(ticket, error, message)
-
-    def _fail_partitioned(
-        self, ticket: FlowTicket, error: DeliveryError | None, message: str
-    ) -> None:
-        if error is None:
-            error = DeliveryError(message, delivered_chunks=0, total_chunks=0)
         ticket.failed = True
         ticket.completed = None
         ticket.error = error
@@ -1152,15 +1080,16 @@ class FabricService:
         tenant.flows_failed += 1
         self._m_flows_failed.inc()
         tenant.metrics.flows_failed.inc()
-        self._m_partition_failures.inc()
-        if self._trace.enabled:
-            self._trace.instant(
-                "delivery_error", cat="fabric",
-                track=f"{self.name}.{ticket.src}",
-                msg=ticket.seq,
-                delivered=error.delivered_chunks,
-                total=error.total_chunks,
-            )
+        if error is not None:
+            self._m_partition_failures.inc()
+            if self._trace.enabled:
+                self._trace.instant(
+                    "delivery_error", cat="fabric",
+                    track=f"{self.name}.{ticket.src}",
+                    msg=ticket.seq,
+                    delivered=error.delivered_chunks,
+                    total=error.total_chunks,
+                )
         ticket.done.succeed()
 
     # -- inspection ------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
@@ -277,8 +277,6 @@ class _Transit:
     path: tuple[str, ...]
     hop: int
     on_deliver: Callable[[Packet], None]
-    sent_at: float = 0.0
-    meta: dict = field(default_factory=dict)
 
 
 class FabricNetwork:
@@ -423,7 +421,6 @@ class FabricNetwork:
         dst: str,
         packet: Packet,
         on_deliver: Callable[[Packet], None],
-        **meta,
     ) -> tuple[str, ...]:
         """Launch ``packet`` from host ``src`` toward host ``dst``.
 
@@ -436,13 +433,7 @@ class FabricNetwork:
             # evaluation so a drained simulation still terminates.
             self.health.on_datapath(self.sim.now)
         path = self.route(src, dst)
-        self._inflight[packet.uid] = _Transit(
-            path=path,
-            hop=0,
-            on_deliver=on_deliver,
-            sent_at=self.sim.now,
-            meta=meta,
-        )
+        self._inflight[packet.uid] = _Transit(path, 0, on_deliver)
         self.channels[(path[0], path[1])].transmit(packet)
         return path
 

@@ -4,7 +4,8 @@ The recovery plane has two halves (see ``docs/robustness.md``):
 
 * :class:`PlaneRecovery` -- per-plane health monitoring over a
   :class:`~repro.net.multipath.BondedChannel` driving one
-  :class:`CircuitBreaker` per plane, so the spraying policies exclude
+  :class:`CircuitBreaker` per plane (the keyed :class:`BreakerSet` loop
+  the fabric's edge monitor shares), so the spraying policies exclude
   failed planes and re-admit them via probe packets; and
 * :class:`ResumeToken` -- bitmap-driven transfer resumption: a failed
   write re-posts under a fresh ``(msg_id, generation)`` slot and
@@ -17,6 +18,7 @@ from repro.recovery.health import (
     HALF_OPEN,
     OPEN,
     BreakerConfig,
+    BreakerSet,
     CircuitBreaker,
     PlaneHealth,
     PlaneRecovery,
@@ -28,6 +30,7 @@ __all__ = [
     "HALF_OPEN",
     "OPEN",
     "BreakerConfig",
+    "BreakerSet",
     "CircuitBreaker",
     "PlaneHealth",
     "PlaneRecovery",

@@ -1,28 +1,28 @@
-"""Plane health monitoring and circuit-breaker failover.
+"""Health monitoring and circuit breakers: one keyed loop, two owners.
 
-The recovery plane's first half: a per-plane health monitor over a
-:class:`~repro.net.multipath.BondedChannel` driving one circuit breaker
-per plane.
-
-Health is an EWMA of each plane's delivery/loss ratio (from the plane's
-channel counters) and serialization-queue latency, optionally sharpened
-by NACK/RTO signals the reliability layer feeds in through
-:meth:`PlaneRecovery.note_nack` / :meth:`PlaneRecovery.note_rto`.  Each
-breaker walks the classic state machine:
+:class:`BreakerSet` holds a :class:`PlaneHealth` EWMA and a
+:class:`CircuitBreaker` per key and is the only place breakers move.
+Health is an EWMA of each key's delivery/loss ratio (from its channel
+counters) and queue latency, sharpened by NACK/RTO penalties the layers
+above feed in.  Each breaker walks the classic state machine:
 
     closed --(EWMA loss >= open_threshold)--> open
     open --(backoff expires)--> half_open
     half_open --(probe packets delivered)--> closed
     half_open --(probe dropped)--> open (backoff doubles, capped)
 
-While a breaker is open its plane is excluded from both spreading
-policies: flow-hashed traffic re-hashes over the usable planes, packet
-spray round-robins over them.  A half-open plane admits a bounded number
-of probe packets per evaluation interval; delivered probes close the
-breaker, a dropped probe re-opens it with doubled (capped) backoff.
+:class:`PlaneRecovery` is the set keyed by the planes of a
+:class:`~repro.net.multipath.BondedChannel` (the recovery plane's first
+half); :class:`repro.fabric.health.EdgeHealthMonitor` is the same set
+keyed by the directed edges of a fabric.  While a plane's breaker is
+open the plane is excluded from both spreading policies: flow-hashed
+traffic re-hashes over the usable planes, packet spray round-robins over
+them.  A half-open plane admits a bounded number of probe packets per
+evaluation interval; delivered probes close the breaker, a dropped probe
+re-opens it with doubled (capped) backoff.
 
 Everything is deterministic: health evaluation happens lazily from the
-transmit path (``pick``), consuming no RNG draws and adding no pending
+owner's transmit path, consuming no RNG draws and adding no pending
 simulator events, so same-seed recovery runs are byte-identical and a
 drained simulation still terminates.
 """
@@ -198,8 +198,149 @@ class CircuitBreaker:
         )
 
 
-class PlaneRecovery:
-    """Health monitor + per-plane circuit breakers over a bonded channel.
+class BreakerSet:
+    """The keyed breaker loop: one health EWMA + one breaker per key.
+
+    Owns everything about *when* a breaker moves -- the rate-limited
+    evaluation, open -> half-open expiry, the trip test, floor-only
+    penalties -- over keys it never interprets.  An owner subclasses it
+    and supplies only what differs between "planes of a bonded link" and
+    "directed edges of a fabric":
+
+    * :meth:`_sample` -- a key's cumulative ``(offered, dropped)``
+      counters and its current queue delay;
+    * :meth:`_transitioned` -- what a state change *means* (gauges,
+      listeners, route invalidation), told after the trace instants;
+    * :attr:`_event` / :attr:`_cat` / :meth:`_trace_args` -- its trace
+      vocabulary (``breaker_open``/``recovery``/``plane=`` versus
+      ``edge_open``/``fabric``/``edge=``).
+
+    Evaluation is lazy: the owner calls :meth:`evaluate` from its
+    datapath, so the set schedules no simulator events and draws no RNG.
+    """
+
+    _event = "breaker"
+    _cat = "recovery"
+
+    def __init__(
+        self, sim, keys, *, rtt: float, config: BreakerConfig | None, track: str
+    ):
+        if rtt <= 0:
+            raise ConfigError(f"rtt must be > 0, got {rtt}")
+        self.sim = sim
+        self.rtt = rtt
+        self.config = config if config is not None else BreakerConfig()
+        self.health = {key: PlaneHealth(self.config.ewma_alpha) for key in keys}
+        self.breakers = {key: CircuitBreaker(self.config, rtt) for key in keys}
+        self._last_eval = float("-inf")
+        scope = sim.telemetry.metrics.scope(track)
+        self._m_opens = scope.counter("breaker_opens")
+        self._m_closes = scope.counter("breaker_closes")
+        self._trace = sim.telemetry.trace
+        self._track = track
+
+    # -- what an owner supplies ------------------------------------------------
+
+    def _sample(self, key, now: float) -> tuple[int, int, float]:
+        """``(packets_offered, packets_dropped, queue_delay)`` of ``key``."""
+        raise NotImplementedError
+
+    def _transitioned(self, keys: list, state: str) -> None:
+        """``keys`` just entered ``state`` (one key, or every breaker whose
+        backoff expired in the same tick: all of them are half-open
+        *before* the owner hears of any)."""
+        raise NotImplementedError
+
+    def _trace_args(self, key) -> dict:
+        raise NotImplementedError
+
+    def _instant(self, what: str, key, **args) -> None:
+        if self._trace.enabled:
+            self._trace.instant(
+                f"{self._event}_{what}", cat=self._cat, track=self._track,
+                **self._trace_args(key), **args,
+            )
+
+    # -- the loop --------------------------------------------------------------
+
+    def evaluate(self, now: float) -> bool:
+        """Fold fresh stats deltas into health, walk breaker transitions.
+
+        Rate-limited to one full evaluation per poll interval (returns
+        whether this call was one); open -> half-open expiry ticks on
+        every call so recovery is never starved by a quiet datapath.
+        """
+        if now - self._last_eval < self.config.poll_rtts * self.rtt:
+            self._tick_open(now)
+            return False
+        self._last_eval = now
+        for key, br in self.breakers.items():
+            d_off, d_drop = self.health[key].update(*self._sample(key, now))
+            if br.state == HALF_OPEN:
+                if d_drop > 0:
+                    self._trip(key, now, reason="probe_failed")
+                elif d_off > 0:
+                    br.probes_delivered += d_off
+                    if br.probes_delivered >= self.config.probe_successes:
+                        self._close(key)
+                if br.state == HALF_OPEN:
+                    br.probes_sent = 0  # fresh probe budget per interval
+        self._tick_open(now)
+        self._maybe_trip(now)
+        return True
+
+    def _tick_open(self, now: float) -> None:
+        expired = [
+            key for key, br in self.breakers.items()
+            if br.state == OPEN and now >= br.reopen_at
+        ]
+        for key in expired:
+            self.breakers[key].half_open()
+            self._instant("half_open", key)
+        if expired:
+            self._transitioned(expired, HALF_OPEN)
+
+    def _maybe_trip(self, now: float) -> None:
+        for key, br in self.breakers.items():
+            h = self.health[key]
+            if (
+                br.state == CLOSED
+                and h.window_offered >= self.config.min_samples
+                and h.loss >= self.config.open_threshold
+            ):
+                self._trip(key, now, reason="loss")
+
+    def _trip(self, key, now: float, *, reason: str) -> None:
+        br = self.breakers[key]
+        br.trip(now)
+        self._m_opens.inc()
+        self._instant(
+            "open", key, reason=reason, loss=self.health[key].loss,
+            reopen_at=br.reopen_at,
+        )
+        self._transitioned([key], OPEN)
+
+    def _close(self, key) -> None:
+        self.breakers[key].close()
+        self.health[key].loss = 0.0
+        self.health[key].reset_window()
+        self._m_closes.inc()
+        self._instant("close", key)
+        self._transitioned([key], CLOSED)
+
+    def _penalize(self, keys, weight: float) -> None:
+        """Fold a loss signal that bypassed the counters (NACK/RTO) into
+        the still-closed breakers among ``keys`` (floor-only, see
+        :meth:`PlaneHealth.penalize`), then re-check the trip condition."""
+        for key in keys:
+            br = self.breakers.get(key)
+            if br is not None and br.state == CLOSED:
+                self.health[key].penalize(weight)
+        self._maybe_trip(self.sim.now)
+
+
+class PlaneRecovery(BreakerSet):
+    """A :class:`BreakerSet` keyed by plane index over a bonded channel.
 
     Construct one per direction and it registers itself via
     ``bonded.set_recovery(self)``; from then on every ``transmit`` asks
@@ -216,37 +357,28 @@ class PlaneRecovery:
         config: BreakerConfig | None = None,
         name: str | None = None,
     ):
-        if rtt <= 0:
-            raise ConfigError(f"rtt must be > 0, got {rtt}")
         planes = getattr(bonded, "planes", None)
         if not planes:
             raise ConfigError(
                 "PlaneRecovery needs a BondedChannel (got a plain channel)"
             )
-        self.sim = sim
         self.bonded = bonded
-        self.rtt = rtt
-        self.config = config if config is not None else BreakerConfig()
         self.name = name if name is not None else bonded.name
         n = len(planes)
-        self.health = [PlaneHealth(self.config.ewma_alpha) for _ in range(n)]
-        self.breakers = [CircuitBreaker(self.config, rtt) for _ in range(n)]
+        super().__init__(
+            sim, range(n), rtt=rtt, config=config, track=f"recovery.{self.name}"
+        )
         self._rr = 0
-        self._last_eval = float("-inf")
         self._listeners: list = []
         self._pacer = None
 
-        scope = sim.telemetry.metrics.scope(f"recovery.{self.name}")
-        self._m_opens = scope.counter("breaker_opens")
-        self._m_closes = scope.counter("breaker_closes")
+        scope = sim.telemetry.metrics.scope(self._track)
         self._m_probes = scope.counter("probes_sent")
         self._m_failovers = scope.counter("failover_packets")
         self._m_rto_signals = scope.counter("rto_signals")
         self._m_nack_signals = scope.counter("nack_signals")
         self._g_state = [scope.gauge(f"plane{i}_state") for i in range(n)]
         self._g_loss = [scope.gauge(f"plane{i}_loss") for i in range(n)]
-        self._trace = sim.telemetry.trace
-        self._track = f"recovery.{self.name}"
         bonded.set_recovery(self)
 
     # -- reliability-layer signal feeds ---------------------------------------
@@ -270,110 +402,49 @@ class PlaneRecovery:
     def note_rto(self, src_qpn: int | None = None) -> None:
         """An RTO fired: a loss signal ahead of the next stats poll."""
         self._m_rto_signals.inc()
-        self._penalize(src_qpn, weight=0.5)
+        self._blame(src_qpn, weight=0.5)
 
     def note_nack(self, src_qpn: int | None = None, missing: int = 1) -> None:
         """A NACK reported ``missing`` chunks outstanding."""
         self._m_nack_signals.inc()
-        self._penalize(src_qpn, weight=min(1.0, 0.25 * max(missing, 1)))
+        self._blame(src_qpn, weight=min(1.0, 0.25 * max(missing, 1)))
 
-    def _penalize(self, src_qpn: int | None, weight: float) -> None:
+    def _blame(self, src_qpn: int | None, weight: float) -> None:
         n = len(self.breakers)
         if self.bonded.spread == "flow" and src_qpn is not None:
-            targets = [src_qpn % n]
+            self._penalize([src_qpn % n], weight)
         else:
             # Packet spray (or unknown flow): the loss could have been on
             # any plane; spread a diluted penalty.
-            targets = range(n)
-            weight = weight / n
-        for i in targets:
-            if self.breakers[i].state == CLOSED:
-                self.health[i].penalize(weight)
-        self._maybe_trip(self.sim.now)
+            self._penalize(range(n), weight / n)
 
-    # -- evaluation ------------------------------------------------------------
+    # -- what the loop asks of its owner ---------------------------------------
 
-    def _evaluate(self, now: float) -> None:
-        """Fold fresh stats deltas into health, walk breaker transitions."""
-        if now - self._last_eval < self.config.poll_rtts * self.rtt:
-            self._tick_open(now)
-            return
-        self._last_eval = now
-        for i, (h, br, plane) in enumerate(
-            zip(self.health, self.breakers, self.bonded.planes)
-        ):
-            snap = plane.stats
-            queue_delay = plane.queue_delay
-            if self._pacer is not None:
-                queue_delay += self._pacer.plane_backlog(i % self._pacer.planes)
-            d_off, d_drop = h.update(
-                snap.packets_offered, snap.packets_dropped, queue_delay
-            )
-            if br.state == HALF_OPEN:
-                if d_drop > 0:
-                    self._trip(i, now, reason="probe_failed")
-                elif d_off > 0:
-                    br.probes_delivered += d_off
-                    if br.probes_delivered >= self.config.probe_successes:
-                        self._close(i)
-                if br.state == HALF_OPEN:
-                    br.probes_sent = 0  # fresh probe budget per interval
-            self._g_loss[i].set(h.loss)
-        self._tick_open(now)
-        self._maybe_trip(now)
+    def _sample(self, key: int, now: float) -> tuple[int, int, float]:
+        plane = self.bonded.planes[key]
+        queue_delay = plane.queue_delay
+        if self._pacer is not None:
+            queue_delay += self._pacer.plane_backlog(key % self._pacer.planes)
+        snap = plane.stats
+        return snap.packets_offered, snap.packets_dropped, queue_delay
 
-    def _tick_open(self, now: float) -> None:
-        for i, br in enumerate(self.breakers):
-            if br.state == OPEN and now >= br.reopen_at:
-                br.half_open()
-                self._g_state[i].set(_STATE_GAUGE[HALF_OPEN])
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "breaker_half_open", cat="recovery", track=self._track,
-                        plane=i,
-                    )
+    def _transitioned(self, keys: list[int], state: str) -> None:
+        for plane in keys:
+            self._g_state[plane].set(_STATE_GAUGE[state])
+            if state == OPEN:
+                for callback in self._listeners:
+                    callback(plane)
 
-    def _maybe_trip(self, now: float) -> None:
-        for i, (h, br) in enumerate(zip(self.health, self.breakers)):
-            if (
-                br.state == CLOSED
-                and h.window_offered >= self.config.min_samples
-                and h.loss >= self.config.open_threshold
-            ):
-                self._trip(i, now, reason="loss")
-
-    def _trip(self, plane: int, now: float, *, reason: str) -> None:
-        br = self.breakers[plane]
-        br.trip(now)
-        self._m_opens.inc()
-        self._g_state[plane].set(_STATE_GAUGE[OPEN])
-        if self._trace.enabled:
-            self._trace.instant(
-                "breaker_open", cat="recovery", track=self._track,
-                plane=plane, reason=reason, loss=self.health[plane].loss,
-                reopen_at=br.reopen_at,
-            )
-        for callback in self._listeners:
-            callback(plane)
-
-    def _close(self, plane: int) -> None:
-        br = self.breakers[plane]
-        br.close()
-        self.health[plane].loss = 0.0
-        self.health[plane].reset_window()
-        self._m_closes.inc()
-        self._g_state[plane].set(_STATE_GAUGE[CLOSED])
-        if self._trace.enabled:
-            self._trace.instant(
-                "breaker_close", cat="recovery", track=self._track, plane=plane,
-            )
+    def _trace_args(self, key: int) -> dict:
+        return {"plane": key}
 
     # -- spreading-policy hook (called by BondedChannel._pick) -----------------
 
     def pick(self, bonded, packet) -> int | None:
         """Choose a plane for ``packet``; None falls through to the default."""
-        now = self.sim.now
-        self._evaluate(now)
+        if self.evaluate(self.sim.now):
+            for gauge, health in zip(self._g_loss, self.health.values()):
+                gauge.set(health.loss)
         n = len(self.breakers)
         closed = [i for i in range(n) if self.breakers[i].state == CLOSED]
         probing = [i for i in range(n) if self.breakers[i].admits_probe]
@@ -411,11 +482,8 @@ class PlaneRecovery:
     def _count_probe(self, plane: int) -> None:
         self.breakers[plane].probes_sent += 1
         self._m_probes.inc()
-        if self._trace.enabled:
-            self._trace.instant(
-                "breaker_probe", cat="recovery", track=self._track, plane=plane,
-            )
+        self._instant("probe", plane)
 
     def states(self) -> list[str]:
         """Current breaker states, one per plane (for tests/reports)."""
-        return [br.state for br in self.breakers]
+        return [br.state for br in self.breakers.values()]

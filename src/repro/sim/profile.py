@@ -9,8 +9,8 @@ and every dispatched callback is timed with ``time.perf_counter`` and
 charged to a category derived from the code that actually ran:
 
 * a :class:`~repro.sim.engine.Process` resumption is charged to the
-  *generator* being resumed (``repro.fabric.service:_run_flow``), not to
-  the engine's ``Process._resume`` trampoline;
+  *generator* being resumed (``repro.reliability.sr:SrSender._timer_loop``),
+  not to the engine's ``Process._resume`` trampoline;
 * a plain function/lambda callback -- an event's callback or the target
   of a ``call_at``/``call_in`` callback entry -- is charged to its defining
   module and qualname

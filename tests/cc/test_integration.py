@@ -52,6 +52,18 @@ class TestClosedLoop:
         assert paced.goodput_gbps > base.goodput_gbps
         assert paced.tail_drops < base.tail_drops
 
+    @pytest.mark.parametrize("cc", ["swift", "dcqcn"])
+    def test_controller_beats_unpaced_incast(self, cc):
+        """The CI ``cc-smoke`` gate: a tiny sustained incast per algorithm;
+        both closed-loop controllers must beat the unpaced goodput."""
+        base = run_incast(cc="none", senders=8, duration=0.01)
+        paced = run_incast(cc=cc, senders=8, duration=0.01)
+        assert paced.delivered_messages > 0
+        assert paced.goodput_gbps > base.goodput_gbps, (
+            f"{cc} goodput {paced.goodput_gbps} did not beat "
+            f"unpaced {base.goodput_gbps}"
+        )
+
     def test_null_controller_never_paces(self):
         result = run_demo(messages=2, message_bytes=MiB, cc="none")
         m = result.telemetry.metrics

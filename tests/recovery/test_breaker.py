@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
@@ -9,10 +11,13 @@ from repro.common.units import KiB
 from repro.net.loss import LossModel, NoLoss
 from repro.net.multipath import BondedChannel
 from repro.net.packet import Opcode, Packet
+from repro.fabric.health import EdgeHealthMonitor
 from repro.recovery import (
     CLOSED,
+    HALF_OPEN,
     OPEN,
     BreakerConfig,
+    BreakerSet,
     CircuitBreaker,
     PlaneHealth,
     PlaneRecovery,
@@ -283,3 +288,142 @@ class TestPlaneRecovery:
         first = run(3)
         second = run(3)
         assert first == second
+
+
+# -- the shared loop: state-machine legality, and one loop under both owners --------
+
+LEGAL = {(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED), (HALF_OPEN, OPEN)}
+EDGES = [("a", "b"), ("b", "c"), ("c", "d")]
+
+
+class Counters:
+    """A fake sample source: one plane's / edge channel's counters."""
+
+    queue_delay = 0.0
+    next_free = 0.0
+
+    def __init__(self):
+        self.stats = self
+        self.packets_offered = 0
+        self.packets_dropped = 0
+
+
+class AuditedSet(BreakerSet):
+    """The bare loop over fake counters, asserting legality at every move."""
+
+    def __init__(self, sim, sources, config):
+        super().__init__(sim, range(len(sources)), rtt=RTT, config=config, track="t")
+        self.sources = sources
+        self.was = dict.fromkeys(self.breakers, CLOSED)
+
+    def _sample(self, key, now):
+        src = self.sources[key]
+        return src.packets_offered, src.packets_dropped, src.queue_delay
+
+    def _trace_args(self, key):
+        return {"key": key}
+
+    def _transitioned(self, keys, state):
+        now, cfg = self.sim.now, self.config
+        for key in keys:
+            br = self.breakers[key]
+            assert br.state == state
+            assert (self.was[key], state) in LEGAL
+            if state == HALF_OPEN:
+                assert now >= br.reopen_at
+            elif state == OPEN:
+                if self.was[key] == CLOSED:
+                    assert self.health[key].window_offered >= cfg.min_samples
+                    assert self.health[key].loss >= cfg.open_threshold
+                escalations = min(br.consecutive_opens - 1, cfg.backoff_cap)
+                assert br.reopen_at - now == pytest.approx(
+                    cfg.open_rtts * RTT * cfg.backoff_factor**escalations
+                )
+            self.was[key] = state
+
+
+class StubBonded:
+    name = "stub"
+    spread = "flow"
+
+    def __init__(self, planes):
+        self.planes = planes
+
+    def set_recovery(self, recovery):
+        pass
+
+
+class StubNetwork:
+    def __init__(self, sim, channels):
+        self.sim = sim
+        self.channels = channels
+        self.invalidations = 0
+
+    def set_health(self, monitor):
+        pass
+
+    def routes_changed(self):
+        self.invalidations += 1
+
+
+STEP = st.tuples(
+    st.sampled_from([0.0, 0.3 * RTT, RTT, 3 * RTT, 9 * RTT, 40 * RTT]),
+    st.integers(0, 2),   # key the traffic / penalty lands on
+    st.integers(0, 12),  # packets offered since the last step
+    st.integers(0, 12),  # ... of which dropped (clamped to offered)
+    st.booleans(),       # an RTO penalty after the evaluation
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    steps=st.lists(STEP, max_size=60),
+    backoff_factor=st.sampled_from([1.0, 2.0]),
+)
+def test_shared_loop_is_legal_and_identical_under_both_owners(
+    n, steps, backoff_factor
+):
+    config = BreakerConfig(
+        min_samples=4, open_rtts=4.0, backoff_factor=backoff_factor,
+        backoff_cap=2, probe_successes=2,
+    )
+    sims = [Simulator() for _ in range(3)]
+    sources = [[Counters() for _ in range(n)] for _ in range(3)]
+    bare = AuditedSet(sims[0], sources[0], config)
+    bonded = StubBonded(sources[1])
+    planes = PlaneRecovery(sims[1], bonded, rtt=RTT, config=config)
+    network = StubNetwork(sims[2], dict(zip(EDGES, sources[2])))
+    edges = EdgeHealthMonitor(network, rtt=RTT, config=config)
+    assert list(edges.breakers) == EDGES[:n]
+
+    def view(owner):
+        return [
+            (br.state, br.reopen_at, br.consecutive_opens, owner.health[key].loss)
+            for key, br in owner.breakers.items()
+        ]
+
+    now = 0.0
+    for dt, key, offered, dropped, penalty in steps:
+        now += dt
+        key %= n
+        for sim, src in zip(sims, sources):
+            sim.run(until=now)
+            src[key].packets_offered += offered
+            src[key].packets_dropped += min(dropped, offered)
+        bare.evaluate(now)
+        planes.pick(bonded, pkt())
+        edges.on_datapath(now)
+        if penalty:
+            before = [h.loss for h in bare.health.values()]
+            bare._penalize([key], 0.5)
+            assert all(
+                h.loss >= was for h, was in zip(bare.health.values(), before)
+            )
+            planes.note_rto(src_qpn=key)
+            edges.note_rto(EDGES[key])
+        assert view(planes) == view(edges) == view(bare)
+    assert planes.states() == [br.state for br in bare.breakers.values()]
+    assert set(edges.excluded()) == {
+        EDGES[k] for k, br in bare.breakers.items() if br.state == OPEN
+    }
