@@ -144,9 +144,13 @@ class Bitmap:
         number for which all previous chunks have been received (exclusive
         upper bound, i.e. number of leading set bits).
         """
-        unpacked = np.unpackbits(self._bits, bitorder="little")[: self._nbits]
-        zeros = np.flatnonzero(unpacked == 0)
-        return int(zeros[0]) if zeros.size else self._nbits
+        if self._nset == self._nbits:
+            return self._nbits
+        # Not full, and padding bits are never set: some byte has a clear bit.
+        raw = self._bits.tobytes()
+        full = len(raw) - len(raw.lstrip(b"\xff"))
+        byte = raw[full]
+        return 8 * full + (~byte & (byte + 1)).bit_length() - 1
 
     def as_array(self) -> np.ndarray:
         """Boolean view of the bitmap (copy), index i == bit i."""

@@ -5,6 +5,10 @@ completion queues assigned to it.  Processing one CQE costs
 ``DpaConfig.per_cqe_seconds`` of the worker's time; if the handler reports
 that the completion closed a bitmap chunk, the worker additionally pays
 ``DpaConfig.pcie_update_seconds`` for the host-side chunk-bitmap write.
+The thread is completion-triggered, not scheduled: an idle worker is rung
+through its CQs' ``attach`` listener and a busy one is a chain of callback
+heap entries, so an idle worker owns nothing on the heap and parks no
+event on any CQ.
 
 :class:`DpaEngine` owns the worker pool of one SDR context and maps channel
 CQs onto workers round-robin -- the paper's multi-channel design, where
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.common.config import DpaConfig
 from repro.common.errors import ConfigError
-from repro.sim.engine import Event, Process, Simulator
+from repro.sim.engine import Simulator
 from repro.verbs.cq import CompletionQueue, Cqe
 
 #: Handler invoked once a worker finishes processing a CQE.  Returns True
@@ -50,8 +54,9 @@ class DpaWorker:
         self.config = config
         self.name = name
         self._queues: list[tuple[CompletionQueue, CqeHandler]] = []
-        self._proc: Process | None = None
-        self._wake: Event | None = None
+        #: True while a heap entry of this worker is pending (a CQE being
+        #: processed, a PCIe write or a stall); a doorbell then does nothing.
+        self._busy = False
         self._stall_until = 0.0
         self.crashed = False
         scope = sim.telemetry.metrics.scope(f"dpa.{name}")
@@ -76,12 +81,13 @@ class DpaWorker:
             raise ConfigError(f"{self.name} has crashed; cannot assign CQs")
         self._queues.append((cq, handler))
         cq.consumer = (self, handler)
-        if self._proc is None:
-            self._proc = self.sim.process(self._run())
-        elif self._wake is not None and not self._wake.triggered:
-            # The worker may be asleep waiting on its *previous* CQ set;
-            # kick it so the new queue is polled immediately.
-            self._wake.succeed(None)
+        cq.attach(self._ring)
+        if not self._busy:
+            # Poll the new queue (it may have a backlog) from the heap, not
+            # from here: a stall or crash called at this same instant, after
+            # this, has always been seen by that first poll.
+            self._busy = True
+            self.sim.call_in(0.0, self._step)
 
     def stall_until(self, time: float) -> None:
         """Freeze CQE processing until absolute simulated ``time``.
@@ -92,56 +98,65 @@ class DpaWorker:
         self._stall_until = max(self._stall_until, time)
 
     def crash(self) -> None:
-        """Kill this worker: its process stops and no CQs may be assigned."""
+        """Kill this worker: it stops mid-CQE and no CQs may be assigned."""
+        self.crashed = True
+
+    def _ring(self, _cq: CompletionQueue) -> None:
+        """CQ doorbell: an idle worker starts draining in the ``push`` itself."""
+        if not self._busy:
+            self._step()
+
+    def _step(self) -> None:
+        """Between completions: sit out a stall, take the next CQE or go idle."""
         if self.crashed:
             return
-        self.crashed = True
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("dpa_crash")
-
-    def _next_cqe(self) -> tuple[Cqe, CqeHandler] | None:
+        sim = self.sim
+        now = sim.now
+        self._busy = True
+        if now < self._stall_until:
+            sim.call_at(self._stall_until, self._step)
+            return
         for cq, handler in self._queues:
             got = cq.poll(1)
             if got:
-                return got[0], handler
-        return None
+                sim.call_in(
+                    self.config.per_cqe_seconds, self._handle, got[0], handler, now
+                )
+                return
+        self._busy = False
 
-    def _run(self):
-        while True:
-            while self.sim.now < self._stall_until:
-                yield self.sim.timeout(self._stall_until - self.sim.now)
-            nxt = self._next_cqe()
-            if nxt is None:
-                self._wake = self.sim.event()
-                yield self.sim.any_of(
-                    [cq.wait_nonempty() for cq, _ in self._queues]
-                    + [self._wake]
-                )
-                self._wake = None
-                continue
-            cqe, handler = nxt
-            start = self.sim.now
-            cost = self.config.per_cqe_seconds
-            yield self.sim.timeout(cost)
-            closed_chunk = handler(cqe)
-            if closed_chunk:
-                extra = self.config.pcie_update_seconds
-                if extra > 0:
-                    yield self.sim.timeout(extra)
-                cost += extra
-                self._m_chunks.inc()
-            self._m_cqes.inc()
-            self._m_busy.inc(cost)
-            if self._trace.enabled:
-                lineage = (
-                    {"msg": cqe.msg_seq, "pkt": cqe.pkt_idx, "chunk": cqe.chunk}
-                    if cqe.msg_seq is not None
-                    else {}
-                )
-                self._trace.complete(
-                    "cqe", cat="dpa", track=self._track, start=start,
-                    qpn=cqe.qpn, closed_chunk=closed_chunk, **lineage,
-                )
+    def _handle(self, cqe: Cqe, handler: CqeHandler, start: float) -> None:
+        """``per_cqe_seconds`` after the poll: run the backend handler."""
+        if self.crashed:
+            return
+        closed_chunk = handler(cqe)
+        extra = self.config.pcie_update_seconds if closed_chunk else 0.0
+        if extra > 0:
+            self.sim.call_in(extra, self._account, cqe, start, closed_chunk, extra)
+        else:
+            self._account(cqe, start, closed_chunk, extra)
+
+    def _account(
+        self, cqe: Cqe, start: float, closed_chunk: bool, extra: float
+    ) -> None:
+        """The CQE is done (PCIe write included): count it and carry on."""
+        if self.crashed:
+            return
+        if closed_chunk:
+            self._m_chunks.inc()
+        self._m_cqes.inc()
+        self._m_busy.inc(self.config.per_cqe_seconds + extra)
+        if self._trace.enabled:
+            lineage = (
+                {"msg": cqe.msg_seq, "pkt": cqe.pkt_idx, "chunk": cqe.chunk}
+                if cqe.msg_seq is not None
+                else {}
+            )
+            self._trace.complete(
+                "cqe", cat="dpa", track=self._track, start=start,
+                qpn=cqe.qpn, closed_chunk=closed_chunk, **lineage,
+            )
+        self._step()
 
 
 class DpaEngine:

@@ -48,12 +48,16 @@ def wait_injected(qp: SdrQp, hdl: SendHandle, target: int):
     order breaks the tie, and an event-driven wake would land the waiter on
     the other side of it -- a behaviour change (see docs/simulation.md).
     One re-arming :meth:`~repro.sim.engine.Simulator.poll_until` entry
-    carries the whole wait; nothing is scheduled if it is already over.
+    carries the whole wait; nothing is scheduled if it is already over, and
+    nothing ticks while the handle's clear-to-send is still in flight (no
+    packet of it can be injected before).
     """
     channel = qp.data_qps[0][0].channel
     assert channel is not None
     quantum = max(qp.config.chunk_bytes / channel.config.bytes_per_second, 1e-7)
-    poll = qp.sim.poll_until(lambda: hdl.packets_injected >= target, quantum)
+    poll = qp.sim.poll_until(
+        lambda: hdl.packets_injected >= target, quantum, after=hdl.cts_event
+    )
     if not poll.processed:
         yield poll
 

@@ -9,7 +9,9 @@ A deliberately small, dependency-free DES engine in the style of SimPy:
   once a predicate holds, checked on a fixed grid by one re-arming heap
   entry; :meth:`Simulator.call_at` schedules a bare callback with no event.
 * :class:`Process` wraps a generator that ``yield``\\ s events; processes are
-  how QPs, DPA workers and reliability protocols express concurrency.
+  how the reliability protocols and the SDR injector express concurrency
+  (the per-packet stages -- QP send pumps, DPA workers -- are callback
+  entries).
 
 The engine is deterministic: events scheduled for the same timestamp fire in
 insertion order, and all randomness flows through explicitly-seeded

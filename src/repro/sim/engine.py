@@ -227,24 +227,54 @@ class PollTimer(Event):
     whose final tick runs the waiters in the same dispatch, as the loop's
     generator would have carried on.  Created by
     :meth:`Simulator.poll_until`.
+
+    With ``after``, an event the predicate cannot hold before, the poll is
+    *gated*: nothing is on the heap until ``after`` is dispatched, and the
+    poll then rejoins its own grid at the first tick later than that
+    instant -- every tick it skipped would have evaluated a false
+    predicate.  The grid is replayed by the same repeated ``+ quantum``
+    the ticks would have done (``start + k * quantum`` differs in the last
+    bit, and tick times are in every trace).
     """
 
-    __slots__ = ("_predicate", "_quantum")
+    __slots__ = ("_predicate", "_quantum", "_start")
 
-    def __init__(self, sim: "Simulator", predicate: Callable[[], bool], quantum: float):
+    def __init__(
+        self,
+        sim: "Simulator",
+        predicate: Callable[[], bool],
+        quantum: float,
+        after: Event | None = None,
+    ):
         super().__init__(sim)
         self._predicate = predicate
         self._quantum = quantum
         if predicate():
             # The loop's zero-iteration case: nothing reaches the heap.
             self._state = _PROCESSED
-        else:
-            self._state = _TRIGGERED
+            return
+        self._state = _TRIGGERED
+        if after is None or after._state != _PENDING:
             self._rearm()
+        else:
+            self._start = sim._now
+            after.callbacks.append(self._ungate)
 
     def _rearm(self) -> None:
         sim = self.sim
         heappush(sim._heap, (sim._now + self._quantum, sim._seq, self._tick, ()))
+        sim._seq += 1
+
+    def _ungate(self, _after: Event) -> None:
+        if not self.callbacks:
+            return  # interrupted while gated: dead, like a tick
+        sim = self.sim
+        now = sim._now
+        quantum = self._quantum
+        tick = self._start + quantum
+        while tick <= now:
+            tick += quantum
+        heappush(sim._heap, (tick, sim._seq, self._tick, ()))
         sim._seq += 1
 
     def _tick(self) -> None:
@@ -371,7 +401,13 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` simulated seconds (see :meth:`call_at`)."""
         self.call_at(self._now + delay, fn, *args)
 
-    def poll_until(self, predicate: Callable[[], bool], quantum: float) -> PollTimer:
+    def poll_until(
+        self,
+        predicate: Callable[[], bool],
+        quantum: float,
+        *,
+        after: Event | None = None,
+    ) -> PollTimer:
         """An event that fires at the first ``quantum`` tick where ``predicate()`` holds.
 
         One re-arming heap entry (see :class:`PollTimer`) instead of a
@@ -380,10 +416,15 @@ class Simulator:
         that wants the loop's exact zero-iteration behaviour skips the
         ``yield`` in that case (yielding a processed event costs a relay
         dispatch).
+
+        ``after`` names an event the predicate cannot hold before.  While
+        it is untriggered the poll keeps off the heap, and on its dispatch
+        resumes at the bit-identical instants the ungated poll would have
+        ticked at; an already triggered ``after`` changes nothing.
         """
         if quantum <= 0:
             raise SimulationError(f"poll quantum must be > 0, got {quantum}")
-        return PollTimer(self, predicate, quantum)
+        return PollTimer(self, predicate, quantum, after)
 
     def all_of(self, events: list[Event]) -> Event:
         """An event that fires once every event in ``events`` has fired."""

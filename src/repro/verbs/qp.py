@@ -150,8 +150,10 @@ class UcQp(BaseQp):
         self._dropping = False
         self._in_message = False
         self._msg_bytes = 0
-        self._wake: Event | None = None
-        self._pump = self.sim.process(self._send_pump())
+        #: False while a ``_drive`` entry is on the heap.  The pump's first
+        #: dispatch is scheduled here, as the generator's boot was.
+        self._parked = False
+        self.sim.call_in(0.0, self._drive)
         self._m_aborted = self._metrics.counter("messages_aborted")
 
     @property
@@ -164,24 +166,78 @@ class UcQp(BaseQp):
     def post_send(self, wr: SendWr) -> None:
         self._require_ready()
         self._sq.append(wr)
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed(None)
+        if self._parked:
+            self._parked = False
+            self.sim.call_in(0.0, self._drive)
 
-    def _send_pump(self):
+    def _drive(self, wr: SendWr | None = None, i: int = 0, sent: int = 0) -> None:
+        """The send pump: fragment WRs into MTU packets, pace them onto the wire.
+
+        One callback entry per wake-up and per serialisation wait, each made
+        where the generator pump made its ``Event`` (same ``_seq``).  Entered
+        with ``wr`` to resume that WR at fragment ``i``, ``sent`` bytes in.
+        """
+        sim = self.sim
+        channel = self.channel
         while True:
-            if not self._sq:
-                self._wake = self.sim.event()
-                yield self._wake
-                continue
-            wr = self._sq.popleft()
-            yield from self._inject(wr)
+            if wr is None:
+                if not self._sq:
+                    self._parked = True
+                    return
+                wr = self._sq.popleft()
+                i = sent = 0
+            assert channel is not None
+            mtu = channel.config.mtu_bytes
+            nfrag = max(1, -(-wr.length // mtu))
+            while i < nfrag:
+                flen = min(mtu, wr.length - sent)
+                if nfrag == 1:
+                    op = Opcode.WRITE_ONLY_IMM if wr.immediate is not None else Opcode.WRITE_ONLY
+                elif i == 0:
+                    op = Opcode.WRITE_FIRST
+                elif i == nfrag - 1:
+                    op = (
+                        Opcode.WRITE_LAST_IMM
+                        if wr.immediate is not None
+                        else Opcode.WRITE_LAST
+                    )
+                else:
+                    op = Opcode.WRITE_MIDDLE
+                payload = (
+                    None if wr.payload is None else wr.payload[sent : sent + flen]
+                )
+                pkt = Packet(
+                    dst_qpn=self.dst_qpn,
+                    src_qpn=self.qpn,
+                    opcode=op,
+                    psn=self._sq_psn,
+                    rkey=wr.rkey,
+                    remote_offset=wr.remote_offset + sent,
+                    length=flen,
+                    payload=payload,
+                    immediate=wr.immediate if op.name.endswith("IMM") else None,
+                    msg_seq=wr.msg_seq,
+                    pkt_idx=wr.pkt_idx,
+                    chunk=wr.chunk,
+                    attempt=wr.attempt,
+                    flow_id=wr.flow_id if i == 0 else None,
+                )
+                self._sq_psn = (self._sq_psn + 1) % (1 << 24)
+                done = channel.transmit(pkt)
+                sent += flen
+                i += 1
+                if done > sim.now:
+                    # call_at(done) lands on now + (done - now), the instant
+                    # timeout(done - now) did.
+                    sim.call_at(done, self._drive, wr, i, sent)
+                    return
             if wr.signaled:
                 self.send_cq.push(
                     Cqe(
                         qpn=self.qpn,
                         opcode=Opcode.WRITE_ONLY,
                         byte_len=wr.length,
-                        timestamp=self.sim.now,
+                        timestamp=sim.now,
                         wr_id=wr.wr_id,
                         generation=self.generation,
                         msg_seq=wr.msg_seq,
@@ -189,51 +245,7 @@ class UcQp(BaseQp):
                         chunk=wr.chunk,
                     )
                 )
-
-    def _inject(self, wr: SendWr):
-        """Fragment a WR into MTU packets and pace them onto the wire."""
-        assert self.channel is not None
-        mtu = self.channel.config.mtu_bytes
-        nfrag = max(1, -(-wr.length // mtu))
-        sent = 0
-        for i in range(nfrag):
-            flen = min(mtu, wr.length - sent)
-            if nfrag == 1:
-                op = Opcode.WRITE_ONLY_IMM if wr.immediate is not None else Opcode.WRITE_ONLY
-            elif i == 0:
-                op = Opcode.WRITE_FIRST
-            elif i == nfrag - 1:
-                op = (
-                    Opcode.WRITE_LAST_IMM
-                    if wr.immediate is not None
-                    else Opcode.WRITE_LAST
-                )
-            else:
-                op = Opcode.WRITE_MIDDLE
-            payload = (
-                None if wr.payload is None else wr.payload[sent : sent + flen]
-            )
-            pkt = Packet(
-                dst_qpn=self.dst_qpn,
-                src_qpn=self.qpn,
-                opcode=op,
-                psn=self._sq_psn,
-                rkey=wr.rkey,
-                remote_offset=wr.remote_offset + sent,
-                length=flen,
-                payload=payload,
-                immediate=wr.immediate if op.name.endswith("IMM") else None,
-                msg_seq=wr.msg_seq,
-                pkt_idx=wr.pkt_idx,
-                chunk=wr.chunk,
-                attempt=wr.attempt,
-                flow_id=wr.flow_id if i == 0 else None,
-            )
-            self._sq_psn = (self._sq_psn + 1) % (1 << 24)
-            done = self.channel.transmit(pkt)
-            sent += flen
-            if done > self.sim.now:
-                yield self.sim.timeout(done - self.sim.now)
+            wr = None
 
     # -- receive side ------------------------------------------------------------
 
@@ -306,8 +318,8 @@ class UdQp(BaseQp):
     def __init__(self, device: Device, **kw):
         super().__init__(device, **kw)
         self._sq: deque[tuple[SendWr, int, str]] = deque()
-        self._wake: Event | None = None
-        self._pump = self.sim.process(self._send_pump())
+        self._parked = False  # as in UcQp
+        self.sim.call_in(0.0, self._drive)
         self._recv_handler = None
 
     def attach_recv_handler(self, handler) -> None:
@@ -325,43 +337,48 @@ class UdQp(BaseQp):
                 f"UD datagram of {wr.length} B exceeds the path MTU"
             )
         self._sq.append((wr, dst_qpn, dst_device))
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed(None)
+        if self._parked:
+            self._parked = False
+            self.sim.call_in(0.0, self._drive)
 
     def post_send(self, wr: SendWr) -> None:
         """Send to the connected peer (convenience for pseudo-connected use)."""
         self._require_ready()
         self.post_send_to(wr, self.dst_qpn, self.peer_device)
 
-    def _send_pump(self):
+    def _drive(self, wr: SendWr | None = None) -> None:
+        """The send pump (see :meth:`UcQp._drive`); ``wr`` is a datagram on the wire."""
+        sim = self.sim
         while True:
-            if not self._sq:
-                self._wake = self.sim.event()
-                yield self._wake
-                continue
-            wr, dst_qpn, dst_device = self._sq.popleft()
-            channel = self.device.link_to(dst_device)
-            pkt = Packet(
-                dst_qpn=dst_qpn,
-                src_qpn=self.qpn,
-                opcode=Opcode.UD_SEND,
-                length=wr.length,
-                payload=wr.payload,
-                immediate=wr.immediate,
-            )
-            done = channel.transmit(pkt)
-            if done > self.sim.now:
-                yield self.sim.timeout(done - self.sim.now)
+            if wr is None:
+                if not self._sq:
+                    self._parked = True
+                    return
+                wr, dst_qpn, dst_device = self._sq.popleft()
+                channel = self.device.link_to(dst_device)
+                pkt = Packet(
+                    dst_qpn=dst_qpn,
+                    src_qpn=self.qpn,
+                    opcode=Opcode.UD_SEND,
+                    length=wr.length,
+                    payload=wr.payload,
+                    immediate=wr.immediate,
+                )
+                done = channel.transmit(pkt)
+                if done > sim.now:
+                    sim.call_at(done, self._drive, wr)
+                    return
             if wr.signaled:
                 self.send_cq.push(
                     Cqe(
                         qpn=self.qpn,
                         opcode=Opcode.UD_SEND,
                         byte_len=wr.length,
-                        timestamp=self.sim.now,
+                        timestamp=sim.now,
                         wr_id=wr.wr_id,
                     )
                 )
+            wr = None
 
     def on_packet(self, packet: Packet) -> None:
         if packet.opcode is not Opcode.UD_SEND:
@@ -397,6 +414,11 @@ class RcQp(BaseQp):
     to ``ack_every`` packets) and NAKs the expected PSN on a sequence gap;
     the sender retransmits from the lowest unacknowledged PSN on NAK or on
     retransmission timeout.
+
+    Its send pump stays a generator process, unlike the ``_drive``
+    callbacks of :class:`UcQp` / :class:`UdQp`: it blocks on window credit
+    and the retransmission timer as well as on the wire, and no benchmark
+    workload runs it.
     """
 
     ACK_BYTES = 64  # wire footprint of an ACK/NAK frame

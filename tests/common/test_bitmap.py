@@ -168,6 +168,30 @@ def test_property_cumulative_is_prefix_length(nbits, data):
     assert cum == nbits or not arr[cum]
 
 
+def _cumulative_reference(bm: Bitmap) -> int:
+    """``cumulative()`` as it was computed before it stopped unpacking bits."""
+    unpacked = np.unpackbits(bm._bits, bitorder="little")[: len(bm)]
+    zeros = np.flatnonzero(unpacked == 0)
+    return int(zeros[0]) if zeros.size else len(bm)
+
+
+@settings(max_examples=300)
+@given(nbits=st.integers(1, 1000), data=st.data())
+def test_property_cumulative_matches_unpackbits_reference(nbits, data):
+    # A solid prefix (whole 0xff bytes are the fast path's first step), then
+    # scattered bits, then holes punched through ``clear``.
+    prefix = data.draw(st.integers(0, nbits))
+    extra = data.draw(st.lists(st.integers(0, nbits - 1), max_size=16))
+    bm = Bitmap(nbits)
+    bm.set_many(np.arange(prefix))
+    for i in extra:
+        bm.set(i)
+    assert bm.cumulative() == _cumulative_reference(bm)
+    for i in data.draw(st.lists(st.integers(0, nbits - 1), max_size=4)):
+        bm.clear(i)
+        assert bm.cumulative() == _cumulative_reference(bm)
+
+
 class TestEdgeCases:
     """Boundary geometries the SDR slot machinery actually produces."""
 
