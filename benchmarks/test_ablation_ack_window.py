@@ -8,27 +8,26 @@ bench shrinks the window from ample to starved and watches spurious
 retransmissions grow.
 """
 
-import sys
-
-sys.path.insert(0, "tests")
-
+from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.units import KiB, MiB
 from repro.experiments.report import Table
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-
-from tests.conftest import make_sdr_pair
+from repro.reliability.sr import SrConfig
+from repro.stack import build_pair, endpoints
 
 from conftest import run_once, show
 
 SIZE = 4 * MiB  # 512 chunks of 8 KiB
 DROP = 0.01
+CHANNEL = ChannelConfig(
+    bandwidth_bps=100e9, distance_km=500.0, drop_probability=DROP
+)
+SDR = SdrConfig(chunk_bytes=8 * KiB, max_message_bytes=4 * MiB, channels=4)
 
 
 def _run(window_bytes: int, seed: int):
-    pair = make_sdr_pair(drop=DROP, seed=seed, distance_km=500.0)
+    pair = build_pair(CHANNEL, SDR, seed=seed)
     cfg = SrConfig(nack_enabled=False, ack_window_bytes=window_bytes)
-    sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
-    receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
+    sender, receiver = endpoints("sr", pair, cfg)
     mr = pair.ctx_b.mr_reg(SIZE)
     receiver.post_receive(mr, SIZE)
     ticket = sender.write(SIZE)

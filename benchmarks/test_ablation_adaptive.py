@@ -7,45 +7,35 @@ always-SR, always-EC, and the adaptive layer (receiver-driven, model
 advised).  Adaptive should track the best static choice on each link.
 """
 
-import sys
-
-sys.path.insert(0, "tests")
-
-from repro.common.units import KiB
+from repro.common.config import ChannelConfig, SdrConfig
+from repro.common.units import KiB, MiB
 from repro.experiments.report import Table
-from repro.reliability.adaptive import (
-    AdaptiveReceiver,
-    AdaptiveSender,
-    DropRateEstimator,
-)
-from repro.reliability.ec import EcConfig, EcReceiver, EcSender
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-
-from tests.conftest import make_sdr_pair
+from repro.reliability.adaptive import DropRateEstimator
+from repro.reliability.ec import EcConfig
+from repro.stack import build_pair, endpoints
 
 from conftest import run_once, show
 
 SIZE = 512 * KiB
 N_MESSAGES = 6
 EC_CFG = EcConfig(codec="mds", k=8, m=4)
+SDR = SdrConfig(
+    chunk_bytes=8 * KiB, max_message_bytes=4 * MiB, channels=4,
+    inflight_messages=64,
+)
+#: policy -> what ``endpoints`` is given beyond the scheme's name.
+POLICIES = {"sr": {}, "ec": {"config": EC_CFG}, "adaptive": {"ec_config": EC_CFG}}
 
 
 def _run(policy: str, drop: float, seed: int) -> tuple[float, list[str]]:
-    pair = make_sdr_pair(drop=drop, seed=seed, inflight=64)
-    if policy == "sr":
-        sender = SrSender(pair.qp_a, pair.ctrl_a, SrConfig())
-        receiver = SrReceiver(pair.qp_b, pair.ctrl_b, SrConfig())
-        history = ["sr"] * N_MESSAGES
-    elif policy == "ec":
-        sender = EcSender(pair.qp_a, pair.ctrl_a, EC_CFG)
-        receiver = EcReceiver(pair.qp_b, pair.ctrl_b, EC_CFG)
-        history = ["ec"] * N_MESSAGES
-    else:
-        sender = AdaptiveSender(pair.qp_a, pair.ctrl_a, ec_config=EC_CFG)
-        receiver = AdaptiveReceiver(
-            pair.qp_b, pair.ctrl_b, ec_config=EC_CFG,
-            estimator=DropRateEstimator(initial=1e-6, alpha=0.5),
-        )
+    channel = ChannelConfig(
+        bandwidth_bps=100e9, distance_km=100.0, drop_probability=drop
+    )
+    pair = build_pair(channel, SDR, seed=seed)
+    sender, receiver = endpoints(policy, pair, **POLICIES[policy])
+    history = [policy] * N_MESSAGES
+    if policy == "adaptive":
+        receiver.estimator = DropRateEstimator(initial=1e-6, alpha=0.5)
         history = None
     mr = pair.ctx_b.mr_reg(SIZE)
     total = 0.0

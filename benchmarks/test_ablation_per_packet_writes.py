@@ -7,16 +7,13 @@ This bench sweeps path jitter and measures message survival for both
 strategies over raw UC QPs.
 """
 
-import sys
-
-sys.path.insert(0, "tests")
-
+from repro.common.config import ChannelConfig
 from repro.common.units import KiB
 from repro.experiments.report import Table
+from repro.stack import build_pair
+from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import SendWr, UcQp
-
-from tests.verbs.conftest import make_wire
 
 from conftest import run_once, show
 
@@ -25,13 +22,22 @@ N_CHUNKS = 32
 
 
 def _survival(jitter: float, per_packet: bool, seed: int) -> float:
-    wire = make_wire(jitter=jitter, distance_km=200.0, seed=seed)
-    qa = UcQp(wire.a, send_cq=wire.cq("s"), recv_cq=wire.cq("sr"))
-    qb = UcQp(wire.b, send_cq=wire.cq("r"), recv_cq=wire.cq("rr"))
+    # Only the two devices and their link are used: the QPs under test are
+    # raw UC QPs beside the (idle) SDR ones.
+    channel = ChannelConfig(
+        bandwidth_bps=100e9, distance_km=200.0, jitter_fraction=jitter
+    )
+    wire = build_pair(channel, seed=seed, names=("a", "b"))
+
+    def cq(name: str) -> CompletionQueue:
+        return CompletionQueue(wire.sim, name=name)
+
+    qa = UcQp(wire.dev_a, send_cq=cq("s"), recv_cq=cq("sr"))
+    qb = UcQp(wire.dev_b, send_cq=cq("r"), recv_cq=cq("rr"))
     qa.connect(qb.info())
     qb.connect(qa.info())
     mr = MemoryRegion(N_CHUNKS * CHUNK)
-    wire.b.reg_mr(mr)
+    wire.dev_b.reg_mr(mr)
     if per_packet:
         total = N_CHUNKS * (CHUNK // (4 * KiB))
         for i in range(total):

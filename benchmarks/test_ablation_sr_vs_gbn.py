@@ -5,29 +5,24 @@ that SR efficiency is at least as good as Go-back-N's".  This bench runs
 both protocols over the same lossy link and shows GBN's window-rewind waste.
 """
 
-import sys
-
-sys.path.insert(0, "tests")
-
+from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.units import KiB, MiB
 from repro.experiments.report import Table
-from repro.reliability.gbn import GbnReceiver, GbnSender
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-
-from tests.conftest import make_sdr_pair
+from repro.stack import build_pair, endpoints
 
 from conftest import run_once, show
 
+SDR = SdrConfig(chunk_bytes=8 * KiB, max_message_bytes=4 * MiB, channels=4)
+
 
 def _run(protocol: str, drop: float, seed: int, size: int):
-    pair = make_sdr_pair(drop=drop, seed=seed)
-    cfg = SrConfig()
+    channel = ChannelConfig(
+        bandwidth_bps=100e9, distance_km=100.0, drop_probability=drop
+    )
+    pair = build_pair(channel, SDR, seed=seed)
+    sender, receiver = endpoints(protocol, pair)
     if protocol == "gbn":
-        sender = GbnSender(pair.qp_a, pair.ctrl_a, cfg, window_chunks=64)
-        receiver = GbnReceiver(pair.qp_b, pair.ctrl_b, cfg)
-    else:
-        sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
-        receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
+        sender.window_chunks = 64
     mr = pair.ctx_b.mr_reg(size)
     receiver.post_receive(mr, size)
     ticket = sender.write(size)

@@ -8,30 +8,31 @@ protocol overheads (CTS, ACK cadence, repost), so ratios sit slightly
 above 1 and within documented bounds.
 """
 
-import sys
-
-sys.path.insert(0, "tests")
-
+from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.units import KiB, MiB
 from repro.experiments.report import Table
 from repro.models.params import ModelParams
 from repro.models.sr_model import sr_expected_completion
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-
-from tests.conftest import make_sdr_pair
+from repro.reliability.sr import SrConfig
+from repro.stack import build_pair, endpoints
 
 from conftest import run_once, show
 
 CHUNK = 8 * KiB
+SDR = SdrConfig(chunk_bytes=CHUNK, max_message_bytes=4 * MiB, channels=4)
+
+
+def _channel(drop: float) -> ChannelConfig:
+    return ChannelConfig(
+        bandwidth_bps=100e9, distance_km=100.0, drop_probability=drop
+    )
 
 
 def _des_mean(size: int, drop: float, seeds) -> float:
     total = 0.0
     for seed in seeds:
-        pair = make_sdr_pair(drop=drop, seed=seed, chunk=CHUNK)
-        cfg = SrConfig(nack_enabled=False)
-        sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
-        receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
+        pair = build_pair(_channel(drop), SDR, seed=seed)
+        sender, receiver = endpoints("sr", pair, SrConfig(nack_enabled=False))
         mr = pair.ctx_b.mr_reg(size)
         receiver.post_receive(mr, size)
         ticket = sender.write(size)
@@ -49,9 +50,8 @@ def test_validation_des_vs_model(benchmark):
         )
         for size in (512 * KiB, 2 * MiB):
             for drop in (0.0, 5e-3):
-                pair_probe = make_sdr_pair(drop=drop, chunk=CHUNK)
                 params = ModelParams.from_channel(
-                    pair_probe.channel, chunk_bytes=CHUNK
+                    _channel(drop), chunk_bytes=CHUNK
                 )
                 model = sr_expected_completion(params, params.chunks_in(size))
                 des = _des_mean(size, drop, seeds=(61, 62, 63))

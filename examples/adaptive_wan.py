@@ -16,16 +16,10 @@ from dataclasses import replace
 
 from repro.common import ChannelConfig, SdrConfig, KiB, MiB
 from repro.experiments.report import Table
-from repro.reliability import (
-    AdaptiveReceiver,
-    AdaptiveSender,
-    ControlPath,
-)
+from repro.net.loss import BernoulliLoss, NoLoss
 from repro.reliability.adaptive import DropRateEstimator
 from repro.reliability.ec import EcConfig
-from repro.sdr import context_create
-from repro.sim import Simulator
-from repro.verbs import Fabric
+from repro.stack import build_pair, endpoints
 
 SIZE = 512 * KiB
 PHASES = [
@@ -38,34 +32,23 @@ PHASES = [
 
 
 def main() -> None:
-    sim = Simulator()
-    fabric = Fabric(sim, seed=11)
-    a, b = fabric.add_device("dc-a"), fabric.add_device("dc-b")
     channel = ChannelConfig(
         bandwidth_bps=100e9, distance_km=1000.0, mtu_bytes=4 * KiB,
         drop_probability=0.0,
     )
-    fabric.connect(a, b, channel)
     cfg = SdrConfig(
         chunk_bytes=8 * KiB, max_message_bytes=1 * MiB,
         channels=4, inflight_messages=64,
     )
-    ctx_a, ctx_b = context_create(a, sdr_config=cfg), context_create(b, sdr_config=cfg)
-    qa, qb = ctx_a.qp_create(), ctx_b.qp_create()
-    qa.connect(qb.info_get())
-    qb.connect(qa.info_get())
-    ctrl_a, ctrl_b = ControlPath(ctx_a), ControlPath(ctx_b)
-    ctrl_a.connect(ctrl_b.info())
-    ctrl_b.connect(ctrl_a.info())
+    stack = build_pair(channel, cfg, seed=11)
+    sim = stack.sim
 
-    ec_cfg = EcConfig(codec="mds", k=8, m=4)
-    sender = AdaptiveSender(qa, ctrl_a, ec_config=ec_cfg)
-    receiver = AdaptiveReceiver(
-        qb, ctrl_b, ec_config=ec_cfg,
-        estimator=DropRateEstimator(initial=1e-6, alpha=0.5),
+    sender, receiver = endpoints(
+        "adaptive", stack, ec_config=EcConfig(codec="mds", k=8, m=4)
     )
-    mr = ctx_b.mr_reg(SIZE)
-    link = fabric.links[("dc-a", "dc-b")]
+    receiver.estimator = DropRateEstimator(initial=1e-6, alpha=0.5)
+    mr = stack.ctx_b.mr_reg(SIZE)
+    link = stack.fabric.links[("dc-a", "dc-b")]
 
     table = Table(
         title="Adaptive provisioning across link weather phases (512 KiB writes)",
@@ -76,8 +59,6 @@ def main() -> None:
     for phase, drop, count in PHASES:
         # The ISP weather changes: swap the loss process on the live link.
         link.forward.config = replace(link.forward.config, drop_probability=drop)
-        from repro.net.loss import BernoulliLoss, NoLoss
-
         link.forward.loss = BernoulliLoss(drop) if drop > 0 else NoLoss()
         for _ in range(count):
             receiver.post_receive(mr, SIZE)

@@ -11,8 +11,6 @@ protocol behaviour), then through the analytical model at full 128 MiB /
 Run:  python examples/gradient_sync.py
 """
 
-import numpy as np
-
 from repro.common import ChannelConfig, SdrConfig, KiB, MiB
 from repro.experiments.report import Table
 from repro.models import (
@@ -21,58 +19,31 @@ from repro.models import (
     sr_expected_completion,
 )
 from repro.models.params import packet_to_chunk_drop
-from repro.reliability import (
-    ControlPath,
-    EcConfig,
-    EcReceiver,
-    EcSender,
-    SrConfig,
-    SrReceiver,
-    SrSender,
-)
-from repro.sdr import context_create
-from repro.sim import Simulator
-from repro.verbs import Fabric
+from repro.reliability import EcConfig, SrConfig
+from repro.stack import build_pair, endpoints
 
-
-def build_pair(drop: float, seed: int):
-    sim = Simulator()
-    fabric = Fabric(sim, seed=seed)
-    a, b = fabric.add_device("dc-a"), fabric.add_device("dc-b")
-    channel = ChannelConfig(
-        bandwidth_bps=100e9, distance_km=1000.0, mtu_bytes=4 * KiB,
-        drop_probability=drop,
-    )
-    fabric.connect(a, b, channel)
-    cfg = SdrConfig(
-        chunk_bytes=16 * KiB, max_message_bytes=4 * MiB,
-        channels=8, inflight_messages=64,
-    )
-    ctx_a, ctx_b = context_create(a, sdr_config=cfg), context_create(b, sdr_config=cfg)
-    qa, qb = ctx_a.qp_create(), ctx_b.qp_create()
-    qa.connect(qb.info_get())
-    qb.connect(qa.info_get())
-    ctrl_a, ctrl_b = ControlPath(ctx_a), ControlPath(ctx_b)
-    ctrl_a.connect(ctrl_b.info())
-    ctrl_b.connect(ctrl_a.info())
-    return sim, ctx_b, qa, qb, ctrl_a, ctrl_b, channel
+CONFIGS = {
+    "sr": SrConfig(nack_enabled=False, rto_rtts=3.0),
+    "ec": EcConfig(codec="mds", k=8, m=2),
+}
 
 
 def run_des(protocol: str, drop: float, size: int, seed: int) -> float:
     """One reliable Write on the packet-level simulator; returns seconds."""
-    sim, ctx_b, qa, qb, ctrl_a, ctrl_b, channel = build_pair(drop, seed)
-    if protocol == "sr":
-        cfg = SrConfig(nack_enabled=False, rto_rtts=3.0)
-        sender = SrSender(qa, ctrl_a, cfg)
-        receiver = SrReceiver(qb, ctrl_b, cfg)
-    else:
-        cfg = EcConfig(codec="mds", k=8, m=2)
-        sender = EcSender(qa, ctrl_a, cfg)
-        receiver = EcReceiver(qb, ctrl_b, cfg)
-    mr = ctx_b.mr_reg(size)
+    channel = ChannelConfig(
+        bandwidth_bps=100e9, distance_km=1000.0, mtu_bytes=4 * KiB,
+        drop_probability=drop,
+    )
+    sdr = SdrConfig(
+        chunk_bytes=16 * KiB, max_message_bytes=4 * MiB,
+        channels=8, inflight_messages=64,
+    )
+    stack = build_pair(channel, sdr, seed=seed)
+    sender, receiver = endpoints(protocol, stack, CONFIGS[protocol])
+    mr = stack.ctx_b.mr_reg(size)
     receiver.post_receive(mr, size)
     ticket = sender.write(size)
-    sim.run(ticket.done)
+    stack.sim.run(ticket.done)
     return ticket.completion_time
 
 

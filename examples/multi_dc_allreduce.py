@@ -20,9 +20,9 @@ from repro.collectives import (
 from repro.common import ChannelConfig, SdrConfig, KiB, MiB
 from repro.models import ModelParams
 from repro.models.params import packet_to_chunk_drop
-from repro.reliability import ControlPath, SrConfig, SrReceiver, SrSender
 from repro.sdr import context_create
 from repro.sim import Simulator
+from repro.stack import endpoints, wire
 from repro.verbs import Fabric
 
 N_DCS = 4
@@ -48,21 +48,12 @@ def build_ring():
         channels=4, inflight_messages=16,
     )
     contexts = [context_create(d, sdr_config=sdr_cfg) for d in devices]
-    sr_cfg = SrConfig(nack_enabled=True)
 
     # senders[i] talks to datacenter i+1; receivers[i] listens to i-1.
-    senders, receivers = [], []
-    for i in range(N_DCS):
-        nxt = (i + 1) % N_DCS
-        qp_tx = contexts[i].qp_create()
-        qp_rx = contexts[nxt].qp_create()
-        qp_tx.connect(qp_rx.info_get())
-        qp_rx.connect(qp_tx.info_get())
-        ctrl_tx, ctrl_rx = ControlPath(contexts[i]), ControlPath(contexts[nxt])
-        ctrl_tx.connect(ctrl_rx.info())
-        ctrl_rx.connect(ctrl_tx.info())
-        senders.append(SrSender(qp_tx, ctrl_tx, sr_cfg))
-        receivers.append(SrReceiver(qp_rx, ctrl_rx, sr_cfg))
+    senders, receivers = zip(*(
+        endpoints("sr_nack", wire(contexts[i], contexts[(i + 1) % N_DCS]))
+        for i in range(N_DCS)
+    ))
     return sim, contexts, senders, receivers, channel
 
 

@@ -6,6 +6,11 @@ Builds two simulated datacenters 375 km apart connected by a lossy
 Selective Repeat reliable Write.  The receive-side SDR bitmap reports which
 chunks arrived; SR retransmits the rest.
 
+This is the one place the Table 1 bring-up (``context_create`` ->
+``qp_create`` -> ``qp_connect``, then the control path) is spelled out step
+by step.  Everything else in the tree gets steps 1-3 from ``repro.stack``:
+``build_pair(channel, sdr_cfg, seed=42)`` and ``endpoints("sr", stack, cfg)``.
+
 Run:  python examples/quickstart.py
 """
 

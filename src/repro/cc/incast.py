@@ -25,12 +25,11 @@ from repro.cc.pacer import Pacer
 from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.errors import ConfigError, ReproError
 from repro.common.units import KiB
-from repro.reliability.base import ControlPath, WriteTicket
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-from repro.sdr.context import context_create
+from repro.reliability.base import WriteTicket
+from repro.reliability.sr import SrConfig
 from repro.sim.engine import Simulator
+from repro.stack import build_pair, endpoints, wire
 from repro.telemetry import Telemetry
-from repro.verbs.device import Fabric
 
 
 @dataclass
@@ -118,10 +117,6 @@ def run_incast(
     if duration is not None and duration <= 0:
         raise ConfigError(f"duration must be > 0, got {duration}")
 
-    sim = Simulator(telemetry=telemetry)
-    fabric = Fabric(sim, seed=seed)
-    dev_src = fabric.add_device("src")
-    dev_dst = fabric.add_device("dst")
     channel = ChannelConfig(
         bandwidth_bps=bandwidth_bps,
         distance_km=distance_km,
@@ -129,16 +124,16 @@ def run_incast(
         buffer_bytes=buffer_bytes,
         ecn_threshold_bytes=ecn_threshold_bytes,
     )
-    fabric.connect(dev_src, dev_dst, channel)
-
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk_bytes,
         max_message_bytes=max(message_bytes, chunk_bytes),
         mtu_bytes=mtu_bytes,
         inflight_messages=max(16, messages_per_sender),
     )
-    ctx_src = context_create(dev_src, sdr_config=sdr_cfg)
-    ctx_dst = context_create(dev_dst, sdr_config=sdr_cfg)
+    stack = build_pair(
+        channel, sdr_cfg, seed=seed, telemetry=telemetry, names=("src", "dst")
+    )
+    sim, ctx_dst = stack.sim, stack.ctx_b
 
     # Tail-drop storms need a deep retry budget so unpaced runs end in
     # delivery (slowly), not clean failures that would flatter goodput.
@@ -149,19 +144,12 @@ def run_incast(
         serve_deadline_rtts=1e9,
     )
 
-    endpoints = []
+    pairs = []
     pacers: list[Pacer] = []
-    for i in range(senders):
-        qp_s = ctx_src.qp_create()
-        qp_d = ctx_dst.qp_create()
-        qp_s.connect(qp_d.info_get())
-        qp_d.connect(qp_s.info_get())
-        ctrl_s = ControlPath(ctx_src)
-        ctrl_d = ControlPath(ctx_dst)
-        ctrl_s.connect(ctrl_d.info())
-        ctrl_d.connect(ctrl_s.info())
-        sender = SrSender(qp_s, ctrl_s, sr_cfg)
-        receiver = SrReceiver(qp_d, ctrl_d, sr_cfg)
+    # Every further sender is one more edge between the same two contexts.
+    edges = [stack, *(wire(stack.ctx_a, ctx_dst) for _ in range(senders - 1))]
+    for i, edge in enumerate(edges):
+        sender, receiver = endpoints("sr", edge, sr_cfg)
         controller = make_controller(
             cc, line_rate_bps=bandwidth_bps, base_rtt=channel.rtt
         )
@@ -169,10 +157,10 @@ def run_incast(
         # sender blast four packets back-to-back, and N synchronized
         # bursts overflow the shared buffer even at a low average rate.
         pacer = Pacer(sim, controller, name=f"s{i}", burst_bytes=mtu_bytes)
-        qp_s.attach_pacer(pacer)
+        edge.qp_a.attach_pacer(pacer)
         sender.attach_cc(pacer)
         pacers.append(pacer)
-        endpoints.append((sender, receiver))
+        pairs.append((sender, receiver))
 
     write_tickets: list[WriteTicket] = []
 
@@ -194,7 +182,7 @@ def run_incast(
                 pass  # clean error completion: counted as a failed write
 
     done = sim.all_of(
-        [sim.process(_drive(s, r)) for s, r in endpoints]
+        [sim.process(_drive(s, r)) for s, r in pairs]
     )
     if duration is not None:
         sim.run(until=duration)

@@ -41,6 +41,7 @@ from repro.models.sr_model import (
     sr_sample_completion,
 )
 from repro.models.stats import summarize
+from repro.telemetry.demo import PROTOCOLS as DEMO_PROTOCOLS
 
 import numpy as np
 
@@ -228,6 +229,25 @@ def _lineage_section(ring) -> str:
     return "\n\n".join(parts)
 
 
+def _demo_kwargs(args, telemetry) -> dict:
+    """What ``report`` and ``chaos`` both hand :func:`run_demo`."""
+    return dict(
+        protocol=args.protocol,
+        messages=args.messages,
+        message_bytes=int(args.size_mib * MiB),
+        drop=args.drop,
+        bandwidth_bps=args.bandwidth_gbps * 1e9,
+        distance_km=args.distance_km,
+        mtu_bytes=int(args.mtu_kib * KiB),
+        chunk_bytes=int(args.chunk_kib * KiB),
+        seed=args.seed,
+        telemetry=telemetry,
+        cc=args.cc,
+        buffer_bytes=int(args.buffer_kib * KiB),
+        ecn_threshold_bytes=int(args.ecn_kib * KiB),
+    )
+
+
 def cmd_report(args) -> int:
     from repro.telemetry import ChromeTraceSink, JsonlSink, RingBufferSink, Telemetry
     from repro.telemetry.demo import run_demo
@@ -245,22 +265,7 @@ def cmd_report(args) -> int:
         jsonl = JsonlSink(args.trace_jsonl)
         sinks.append(jsonl)
     telemetry = Telemetry(trace=True, trace_sinks=sinks)
-    result = run_demo(
-        protocol=args.protocol,
-        messages=args.messages,
-        message_bytes=int(args.size_mib * MiB),
-        drop=args.drop,
-        bandwidth_bps=args.bandwidth_gbps * 1e9,
-        distance_km=args.distance_km,
-        mtu_bytes=int(args.mtu_kib * KiB),
-        chunk_bytes=int(args.chunk_kib * KiB),
-        seed=args.seed,
-        nack=args.nack,
-        telemetry=telemetry,
-        cc=args.cc,
-        buffer_bytes=int(args.buffer_kib * KiB),
-        ecn_threshold_bytes=int(args.ecn_kib * KiB),
-    )
+    result = run_demo(nack=args.nack, **_demo_kwargs(args, telemetry))
     summary = Table(
         title=(
             f"Run summary: {args.messages} x {args.size_mib:g} MiB via "
@@ -333,16 +338,6 @@ def cmd_chaos(args) -> int:
         serve_deadline_rtts=600.0,
     )
     result = run_demo(
-        protocol=args.protocol,
-        messages=args.messages,
-        message_bytes=int(args.size_mib * MiB),
-        drop=args.drop,
-        bandwidth_bps=args.bandwidth_gbps * 1e9,
-        distance_km=args.distance_km,
-        mtu_bytes=int(args.mtu_kib * KiB),
-        chunk_bytes=int(args.chunk_kib * KiB),
-        seed=args.seed,
-        telemetry=telemetry,
         faults=schedule,
         sr_config=sr_config,
         ec_config=ec_config,
@@ -350,9 +345,7 @@ def cmd_chaos(args) -> int:
         planes=args.planes,
         spread=args.spread,
         recover=args.recover,
-        cc=args.cc,
-        buffer_bytes=int(args.buffer_kib * KiB),
-        ecn_threshold_bytes=int(args.ecn_kib * KiB),
+        **_demo_kwargs(args, telemetry),
     )
     delivered = result.messages - result.failed_writes
     summary = Table(
@@ -879,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_link_args(report)
     report.add_argument(
         "--protocol", "--reliability", dest="protocol",
-        choices=("sr", "ec", "sampling"), default="sr",
+        choices=DEMO_PROTOCOLS, default="sr",
         help="reliability mode driving the transfer",
     )
     report.add_argument("--messages", type=int, default=4)
@@ -914,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--protocol", "--reliability", dest="protocol",
-        choices=("sr", "ec", "adaptive", "sampling"), default="sr",
+        choices=DEMO_PROTOCOLS, default="sr",
         help="reliability mode driving the transfer",
     )
     chaos.add_argument("--messages", type=int, default=8)

@@ -14,15 +14,19 @@ from dataclasses import dataclass, field
 
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
-from repro.reliability.base import ControlPath
-from repro.reliability.ec import EcConfig, EcReceiver, EcSender
-from repro.reliability.gbn import GbnReceiver, GbnSender
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
+from repro.reliability import SCHEMES
+from repro.reliability.ec import EcConfig
+from repro.reliability.sr import SrConfig
 from repro.sdr.context import context_create
 from repro.sim.engine import Simulator
+from repro.stack import endpoints, wire
 from repro.verbs.device import Fabric
 
-PROTOCOLS = ("sr", "sr_nack", "ec", "gbn")
+#: The registered schemes the ring configures: those taking the SR or EC config.
+PROTOCOLS = tuple(
+    name for name, (sender_type, _, _) in SCHEMES.items()
+    if sender_type.config_type in (SrConfig, EcConfig)
+)
 
 
 @dataclass
@@ -61,13 +65,15 @@ def run_des_ring_allreduce(
     segment = -(-buffer_bytes // n_datacenters)
     rounds = 2 * n_datacenters - 2
 
-    ec_cfg = ec_config if ec_config is not None else EcConfig(codec="mds", k=8, m=4)
-    if protocol == "ec":
+    config, inflight = sr_config, 16
+    if SCHEMES[protocol][0].config_type is EcConfig:
+        config = (
+            ec_config if ec_config is not None
+            else EcConfig(codec="mds", k=8, m=4)
+        )
         # EC needs 2L SDR slots per in-flight receive.
-        nsub = -(-(-(-segment // chunk_bytes)) // ec_cfg.k)
+        nsub = -(-(-(-segment // chunk_bytes)) // config.k)
         inflight = max(16, 2 * nsub + 2)
-    else:
-        inflight = 16
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk_bytes,
         max_message_bytes=max(segment, chunk_bytes),
@@ -85,31 +91,12 @@ def run_des_ring_allreduce(
         context_create(d, sdr_config=sdr_cfg, dpa_config=dpa) for d in devices
     ]
 
-    if protocol in ("sr", "sr_nack"):
-        proto_cfg = (
-            sr_config
-            if sr_config is not None
-            else SrConfig(nack_enabled=(protocol == "sr_nack"))
-        )
     senders, receivers = [], []
     for i in range(n_datacenters):
-        nxt = (i + 1) % n_datacenters
-        qp_tx = contexts[i].qp_create()
-        qp_rx = contexts[nxt].qp_create()
-        qp_tx.connect(qp_rx.info_get())
-        qp_rx.connect(qp_tx.info_get())
-        ctrl_tx, ctrl_rx = ControlPath(contexts[i]), ControlPath(contexts[nxt])
-        ctrl_tx.connect(ctrl_rx.info())
-        ctrl_rx.connect(ctrl_tx.info())
-        if protocol in ("sr", "sr_nack"):
-            senders.append(SrSender(qp_tx, ctrl_tx, proto_cfg))
-            receivers.append(SrReceiver(qp_rx, ctrl_rx, proto_cfg))
-        elif protocol == "ec":
-            senders.append(EcSender(qp_tx, ctrl_tx, ec_cfg))
-            receivers.append(EcReceiver(qp_rx, ctrl_rx, ec_cfg))
-        else:
-            senders.append(GbnSender(qp_tx, ctrl_tx, sr_config))
-            receivers.append(GbnReceiver(qp_rx, ctrl_rx, sr_config))
+        edge = wire(contexts[i], contexts[(i + 1) % n_datacenters])
+        sender, receiver = endpoints(protocol, edge, config)
+        senders.append(sender)
+        receivers.append(receiver)
 
     done = sim.event()
     finished = {"count": 0}

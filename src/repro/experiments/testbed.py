@@ -1,6 +1,6 @@
 """Reusable two-node SDR testbed for the end-to-end (Section 5.4) figures.
 
-Builds the client-server pair of the paper's benchmark loop (modeled on
+Drives the client-server pair of the paper's benchmark loop (modeled on
 ``ib_write_bw``): the server preposts ``inflight`` receives and emulates a
 reliability layer by watching the completion bitmap; on full reception it
 completes and reposts; the client keeps the pipe full, flow-controlled by
@@ -14,65 +14,13 @@ from dataclasses import dataclass
 
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
-from repro.sdr.context import SdrContext, context_create
-from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
+from repro.sdr.qp import SdrRecvWr, SdrSendWr
 from repro.sim.engine import SimConfig, Simulator
+from repro.stack import build_pair
 from repro.verbs.device import Fabric
 from repro.verbs.qp import RcQp, SendWr
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegion
-
-
-@dataclass
-class SdrTestbed:
-    """A wired client/server SDR pair over one simulated link."""
-
-    sim: Simulator
-    fabric: Fabric
-    client_ctx: SdrContext
-    server_ctx: SdrContext
-    client_qp: SdrQp
-    server_qp: SdrQp
-    channel: ChannelConfig
-
-    @classmethod
-    def build(
-        cls,
-        *,
-        channel: ChannelConfig | None = None,
-        sdr: SdrConfig | None = None,
-        dpa: DpaConfig | None = None,
-        seed: int = 0,
-        sim_config: SimConfig | None = None,
-    ) -> "SdrTestbed":
-        channel = channel if channel is not None else ChannelConfig()
-        sdr = sdr if sdr is not None else SdrConfig()
-        dpa = dpa if dpa is not None else DpaConfig()
-        if sdr.mtu_bytes != channel.mtu_bytes:
-            raise ConfigError(
-                f"SDR MTU {sdr.mtu_bytes} must match channel MTU "
-                f"{channel.mtu_bytes}"
-            )
-        sim = Simulator(config=sim_config)
-        fabric = Fabric(sim, seed=seed)
-        client_dev = fabric.add_device("client")
-        server_dev = fabric.add_device("server")
-        fabric.connect(client_dev, server_dev, channel)
-        client_ctx = context_create(client_dev, sdr_config=sdr, dpa_config=dpa)
-        server_ctx = context_create(server_dev, sdr_config=sdr, dpa_config=dpa)
-        client_qp = client_ctx.qp_create()
-        server_qp = server_ctx.qp_create()
-        client_qp.connect(server_qp.info_get())
-        server_qp.connect(client_qp.info_get())
-        return cls(
-            sim=sim,
-            fabric=fabric,
-            client_ctx=client_ctx,
-            server_ctx=server_ctx,
-            client_qp=client_qp,
-            server_qp=server_qp,
-            channel=channel,
-        )
 
 
 @dataclass
@@ -112,21 +60,22 @@ def run_sdr_throughput(
     """The paper's ``ib_write_bw``-style SDR benchmark loop (Section 5.4.1)."""
     if n_messages <= 0 or inflight <= 0:
         raise ConfigError("n_messages and inflight must be positive")
-    bed = SdrTestbed.build(
-        channel=channel, sdr=sdr, dpa=dpa, seed=seed, sim_config=sim_config
+    bed = build_pair(
+        channel if channel is not None else ChannelConfig(), sdr, dpa=dpa,
+        seed=seed, sim_config=sim_config, names=("client", "server"),
     )
-    sim = bed.sim
-    server_mr = bed.server_ctx.mr_reg(message_bytes, name="server.buf")
+    sim, client_qp, server_qp = bed.sim, bed.qp_a, bed.qp_b
+    server_mr = bed.ctx_b.mr_reg(message_bytes, name="server.buf")
     done = sim.event()
     state = {"completed": 0, "posted": 0}
 
     def server():
         # Prepost the pipeline, then complete/repost until all messages done.
-        window = min(inflight, n_messages, bed.server_qp.config.inflight_messages)
+        window = min(inflight, n_messages, server_qp.config.inflight_messages)
         handles = []
         for _ in range(window):
             handles.append(
-                bed.server_qp.recv_post(
+                server_qp.recv_post(
                     SdrRecvWr(mr=server_mr, length=message_bytes)
                 )
             )
@@ -141,7 +90,7 @@ def run_sdr_throughput(
                 # inside recv_post via the CTS delay; serialization here
                 # reflects the single benchmark thread).
                 handles.append(
-                    bed.server_qp.recv_post(
+                    server_qp.recv_post(
                         SdrRecvWr(mr=server_mr, length=message_bytes)
                     )
                 )
@@ -150,7 +99,7 @@ def run_sdr_throughput(
 
     def client():
         for _ in range(n_messages):
-            bed.client_qp.send_post(SdrSendWr(length=message_bytes))
+            client_qp.send_post(SdrSendWr(length=message_bytes))
         return
         yield  # pragma: no cover - generator marker
 
@@ -159,7 +108,7 @@ def run_sdr_throughput(
     start = sim.now
     sim.run(done)
     elapsed = sim.now - start
-    engine = bed.server_ctx.dpa
+    engine = bed.ctx_b.dpa
     return ThroughputResult(
         message_bytes=message_bytes,
         n_messages=n_messages,

@@ -26,7 +26,9 @@ Every scheme is a policy over the substrate in :mod:`repro.reliability.base`
 (control path, tickets, and the ``Endpoint`` / ``Sender`` / ``Receiver``
 skeleton: streams, wire-paced injection, the bitmap serve loop, the one
 completion and one ``DeliveryError`` failure path);
-:mod:`repro.reliability.messages` holds the control wire formats.
+:mod:`repro.reliability.messages` holds the control wire formats.  Each
+scheme module registers itself by name (:func:`register_scheme`, the table
+is :data:`SCHEMES`); :func:`repro.stack.endpoints` resolves names through it.
 """
 
 from repro.reliability.adaptive import (
@@ -35,7 +37,13 @@ from repro.reliability.adaptive import (
     DropRateEstimator,
     ProtocolAdvisor,
 )
-from repro.reliability.base import ControlPath, ReceiveTicket, WriteTicket
+from repro.reliability.base import (
+    SCHEMES,
+    ControlPath,
+    ReceiveTicket,
+    WriteTicket,
+    register_scheme,
+)
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
 from repro.reliability.gbn import GbnReceiver, GbnSender
 from repro.reliability.messages import (
@@ -71,6 +79,7 @@ __all__ = [
     "Provision",
     "ReceiveTicket",
     "RepairReq",
+    "SCHEMES",
     "SamplingConfig",
     "SamplingReceiver",
     "SamplingSender",
@@ -80,4 +89,5 @@ __all__ = [
     "SrSender",
     "WriteTicket",
     "decode_message",
+    "register_scheme",
 ]

@@ -34,7 +34,13 @@ from repro.common.errors import ConfigError, DeliveryError
 from repro.models.ec_model import ec_expected_completion
 from repro.models.params import ModelParams
 from repro.models.sr_model import sr_expected_completion
-from repro.reliability.base import ControlPath, Endpoint, ReceiveTicket, WriteTicket
+from repro.reliability.base import (
+    ControlPath,
+    Endpoint,
+    ReceiveTicket,
+    WriteTicket,
+    register_scheme,
+)
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
 from repro.reliability.messages import Provision
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
@@ -363,3 +369,6 @@ class AdaptiveSender(Endpoint):
             wake = self._waiters.pop(msg.msg_seq, None)
             if wake is not None and not wake.triggered:
                 wake.succeed(None)
+
+
+register_scheme("adaptive", AdaptiveSender, AdaptiveReceiver)

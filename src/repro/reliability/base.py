@@ -502,3 +502,21 @@ class Receiver(Endpoint):
         while self.sim.now < grace_end:
             yield self.sim.timeout(every)
             resignal()
+
+
+#: name -> (sender type, receiver type, config overrides).
+SCHEMES: dict[str, tuple[type, type, dict[str, Any]]] = {}
+
+
+def register_scheme(
+    name: str, sender_type: type, receiver_type: type, **config_overrides
+) -> None:
+    """Register a reliability scheme (the idiom of ``repro.ec.register_codec``).
+
+    ``config_overrides`` build the endpoints' ``config_type`` when the caller
+    brings no config.  Re-registering the same entry is a no-op; rebinding a
+    name to anything else raises, so a scheme is never silently replaced.
+    """
+    entry = (sender_type, receiver_type, config_overrides)
+    if SCHEMES.setdefault(name, entry) != entry:
+        raise ConfigError(f"scheme {name!r} already registered")

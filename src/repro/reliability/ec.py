@@ -33,6 +33,7 @@ from repro.reliability.base import (
     ReceiveTicket,
     WriteState,
     WriteTicket,
+    register_scheme,
 )
 from repro.reliability.messages import EcAck, EcNack, ResumeReq
 from repro.reliability.sr import SrBacked, SrBackedReceiver, SrConfig
@@ -622,3 +623,6 @@ class EcReceiver(SrBackedReceiver):
             off = base + j * layout.chunk_bytes
             clen = min(layout.chunk_bytes, sub_bytes - j * layout.chunk_bytes)
             mr.data[off : off + clen] = decoded[j, :clen].tobytes()
+
+
+register_scheme("ec", EcSender, EcReceiver)

@@ -25,6 +25,7 @@ from repro.reliability.base import (
     Sender,
     WriteState,
     WriteTicket,
+    register_scheme,
 )
 from repro.reliability.messages import Ack
 from repro.reliability.sr import SrConfig
@@ -157,3 +158,6 @@ class GbnReceiver(Receiver):
         yield from self._finish(
             ticket, [rh], ack, self.config.rto_rtts * self.rtt
         )
+
+
+register_scheme("gbn", GbnSender, GbnReceiver)

@@ -38,6 +38,7 @@ from repro.reliability.base import (
     ReceiveTicket,
     WriteState,
     WriteTicket,
+    register_scheme,
 )
 from repro.reliability.messages import Done, RepairReq
 from repro.reliability.sr import SrBacked, SrBackedReceiver, SrConfig
@@ -393,3 +394,6 @@ class SamplingReceiver(SrBackedReceiver):
     def _send_done(self, seq: int) -> None:
         self.ctrl.send(Done(msg_seq=seq))
         self._m_dones_sent.inc()
+
+
+register_scheme("sampling", SamplingSender, SamplingReceiver)

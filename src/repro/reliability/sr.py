@@ -30,6 +30,7 @@ from repro.reliability.base import (
     Sender,
     WriteState,
     WriteTicket,
+    register_scheme,
     wait_injected,
 )
 from repro.reliability.messages import Ack, ResumeAck, ResumeReq, SrNack
@@ -908,3 +909,7 @@ class SrBackedReceiver(Receiver):
         Default: a single-buffer receive, whose live bitmap is the seed.
         """
         self._backstop().adopt(msg, ticket, [rh])
+
+
+register_scheme("sr", SrSender, SrReceiver)
+register_scheme("sr_nack", SrSender, SrReceiver, nack_enabled=True)

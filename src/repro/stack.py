@@ -1,0 +1,132 @@
+"""The one place an SDR stack is wired.
+
+Table 1's bring-up (``context_create`` -> ``qp_create`` -> ``qp_connect``,
+plus a control path) behind three calls:
+
+* :func:`wire` -- the per-edge handshake between two contexts;
+* :func:`endpoints` -- a registered reliability scheme's sender / receiver
+  on a wired edge (:data:`repro.reliability.SCHEMES`);
+* :func:`build_pair` -- the two-node case end to end, in one fixed order.
+
+``examples/quickstart.py`` spells the same steps out by hand.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
+from repro.common.errors import ConfigError
+from repro.faults import FaultSchedule, install_dpa_faults, install_link_faults
+from repro.net.multipath import connect_bonded
+from repro.reliability import SCHEMES, ControlPath
+from repro.sdr.context import SdrContext, context_create
+from repro.sdr.qp import SdrQp
+from repro.sim.engine import SimConfig, Simulator
+from repro.telemetry import Telemetry
+from repro.verbs.device import Device, Fabric
+
+
+@dataclass
+class Wire:
+    """One connected edge: an SDR QP pair and its control paths (a -> b)."""
+
+    qp_a: SdrQp
+    qp_b: SdrQp
+    ctrl_a: ControlPath
+    ctrl_b: ControlPath
+
+
+@dataclass
+class Stack(Wire):
+    """A wired two-node stack: what :func:`build_pair` built, nothing more."""
+
+    sim: Simulator
+    fabric: Fabric
+    dev_a: Device
+    dev_b: Device
+    ctx_a: SdrContext
+    ctx_b: SdrContext
+    channel: ChannelConfig
+    #: (forward, reverse) BondedChannel when built with ``planes=...``.
+    bonded: tuple | None = None
+
+
+def wire(ctx_a: SdrContext, ctx_b: SdrContext) -> Wire:
+    """The handshake, once: a connected QP pair, then its control paths."""
+    qp_a, qp_b = ctx_a.qp_create(), ctx_b.qp_create()
+    qp_a.connect(qp_b.info_get())
+    qp_b.connect(qp_a.info_get())
+    ctrl_a, ctrl_b = ControlPath(ctx_a), ControlPath(ctx_b)
+    ctrl_a.connect(ctrl_b.info())
+    ctrl_b.connect(ctrl_a.info())
+    return Wire(qp_a, qp_b, ctrl_a, ctrl_b)
+
+
+def endpoints(scheme: str, edge, config=None, **kwargs):
+    """``scheme``'s (sender, receiver) on ``edge``, a :class:`Wire` or anything
+    else with ``qp_a`` / ``qp_b`` / ``ctrl_a`` / ``ctrl_b``.
+
+    ``config`` goes to both sides; without one the scheme's registered
+    overrides (if any) build it.  ``kwargs`` reach both constructors.
+    """
+    try:
+        sender_type, receiver_type, overrides = SCHEMES[scheme]
+    except KeyError:
+        raise ConfigError(
+            f"unknown scheme {scheme!r}; registered: {sorted(SCHEMES)}"
+        ) from None
+    if config is None and overrides:
+        config = sender_type.config_type(**overrides)
+    args = () if config is None else (config,)
+    return (
+        sender_type(edge.qp_a, edge.ctrl_a, *args, **kwargs),
+        receiver_type(edge.qp_b, edge.ctrl_b, *args, **kwargs),
+    )
+
+
+def build_pair(
+    channel: ChannelConfig,
+    sdr: SdrConfig | None = None,
+    *,
+    dpa: DpaConfig | None = None,
+    planes: int | None = None,
+    spread: str = "flow",
+    faults: FaultSchedule | None = None,
+    seed: int = 0,
+    sim_config: SimConfig | None = None,
+    telemetry: Telemetry | None = None,
+    names: tuple[str, str] = ("dc-a", "dc-b"),
+) -> Stack:
+    """Two devices over one link (``planes`` bonds it), wired a -> b.
+
+    The order is fixed -- Simulator, Fabric, devices, link, link faults,
+    contexts, DPA faults, :func:`wire` -- because QPs cache their channel
+    at connect time: fault wrappers must be on the link first.  ``faults``
+    arms both link directions and the receive-side (b) DPA engine.
+    """
+    sdr = sdr if sdr is not None else SdrConfig()
+    if sdr.mtu_bytes != channel.mtu_bytes:
+        raise ConfigError(
+            f"SDR MTU {sdr.mtu_bytes} must match channel MTU {channel.mtu_bytes}"
+        )
+    sim = Simulator(telemetry=telemetry, config=sim_config)
+    fabric = Fabric(sim, seed=seed)
+    dev_a, dev_b = fabric.add_device(names[0]), fabric.add_device(names[1])
+    bonded = None
+    if planes is not None:
+        bonded = connect_bonded(
+            fabric, dev_a, dev_b, channel, planes=planes, spread=spread
+        )
+    else:
+        fabric.connect(dev_a, dev_b, channel)
+    if faults is not None:
+        install_link_faults(fabric, dev_a, dev_b, faults)
+    ctx_a = context_create(dev_a, sdr_config=sdr, dpa_config=dpa)
+    ctx_b = context_create(dev_b, sdr_config=sdr, dpa_config=dpa)
+    if faults is not None:
+        install_dpa_faults(sim, ctx_b.dpa, faults)
+    return Stack(
+        sim=sim, fabric=fabric, dev_a=dev_a, dev_b=dev_b, ctx_a=ctx_a,
+        ctx_b=ctx_b, channel=channel, bonded=bonded, **vars(wire(ctx_a, ctx_b)),
+    )

@@ -13,25 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.cc import CC_ALGORITHMS, Pacer, make_controller
-from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
+from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.errors import ConfigError, ReproError
 from repro.common.units import KiB, MiB
-from repro.faults import FaultSchedule, install_dpa_faults, install_link_faults
-from repro.net.multipath import connect_bonded
+from repro.faults import FaultSchedule
 from repro.recovery import PlaneRecovery
-from repro.reliability.adaptive import AdaptiveReceiver, AdaptiveSender
+from repro.reliability import SCHEMES
 from repro.reliability.base import ControlPath, ReceiveTicket, WriteTicket
-from repro.reliability.ec import EcConfig, EcReceiver, EcSender
-from repro.reliability.sampling import (
-    SamplingConfig,
-    SamplingReceiver,
-    SamplingSender,
-)
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-from repro.sdr.context import context_create
+from repro.reliability.ec import EcConfig
+from repro.reliability.sampling import SamplingConfig
+from repro.reliability.sr import SrConfig
 from repro.sim.engine import Simulator
+from repro.stack import build_pair, endpoints
 from repro.telemetry import Telemetry
-from repro.verbs.device import Fabric
+
+#: The registered schemes ``run_demo`` configures: ``nack=`` already spells
+#: ``sr_nack``, and GBN has no recovery or congestion hooks to arm.
+PROTOCOLS = tuple(name for name in SCHEMES if name not in ("sr_nack", "gbn"))
 
 
 @dataclass
@@ -122,7 +120,7 @@ def run_demo(
     gives the null controller a fixed rate; ``buffer_bytes`` /
     ``ecn_threshold_bytes`` arm tail drop and CE marking on the link.
     """
-    if protocol not in ("sr", "ec", "adaptive", "sampling"):
+    if protocol not in PROTOCOLS:
         raise ConfigError(
             f"protocol must be 'sr', 'ec', 'adaptive' or 'sampling', "
             f"got {protocol!r}"
@@ -132,10 +130,6 @@ def run_demo(
     if cc is not None and cc not in CC_ALGORITHMS:
         raise ConfigError(f"cc must be one of {CC_ALGORITHMS}, got {cc!r}")
 
-    sim = Simulator(telemetry=telemetry)
-    fabric = Fabric(sim, seed=seed)
-    dev_a = fabric.add_device("dc-a")
-    dev_b = fabric.add_device("dc-b")
     channel = ChannelConfig(
         bandwidth_bps=bandwidth_bps,
         distance_km=distance_km,
@@ -144,24 +138,6 @@ def run_demo(
         buffer_bytes=buffer_bytes,
         ecn_threshold_bytes=ecn_threshold_bytes,
     )
-    bonded = None
-    if planes is not None:
-        bonded = connect_bonded(
-            fabric, dev_a, dev_b, channel, planes=planes, spread=spread
-        )
-    else:
-        fabric.connect(dev_a, dev_b, channel)
-    if faults is not None:
-        # Must precede QP / control-path connects: QPs cache their channel.
-        install_link_faults(fabric, dev_a, dev_b, faults)
-
-    recovery = None
-    if recover and bonded is not None:
-        # One monitor per direction; breakers attach to the *inner* bonded
-        # channels (the fault wrappers forward transmits through them).
-        recovery = PlaneRecovery(sim, bonded[0], rtt=channel.rtt)
-        PlaneRecovery(sim, bonded[1], rtt=channel.rtt)
-
     # EC needs 2L SDR receive slots per message (L data + L parity subs).
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk_bytes,
@@ -171,49 +147,38 @@ def run_demo(
         generations=generations,
         inflight_messages=64,
     )
-    dpa_cfg = DpaConfig()
-    ctx_a = context_create(dev_a, sdr_config=sdr_cfg, dpa_config=dpa_cfg)
-    ctx_b = context_create(dev_b, sdr_config=sdr_cfg, dpa_config=dpa_cfg)
-    if faults is not None and faults.dpa_windows:
-        install_dpa_faults(sim, ctx_b.dpa, faults)
-    qp_a = ctx_a.qp_create()
-    qp_b = ctx_b.qp_create()
-    qp_a.connect(qp_b.info_get())
-    qp_b.connect(qp_a.info_get())
-    ctrl_a = ControlPath(ctx_a)
-    ctrl_b = ControlPath(ctx_b)
-    ctrl_a.connect(ctrl_b.info())
-    ctrl_b.connect(ctrl_a.info())
-
-    sr_cfg = sr_config if sr_config is not None else SrConfig(nack_enabled=nack)
-    ec_cfg = ec_config if ec_config is not None else EcConfig()
-    smp_cfg = (
-        sampling_config if sampling_config is not None else SamplingConfig()
+    stack = build_pair(
+        channel, sdr_cfg, planes=planes, spread=spread, faults=faults,
+        seed=seed, telemetry=telemetry,
     )
+    sim, qp_a, ctx_b = stack.sim, stack.qp_a, stack.ctx_b
+
+    recovery = None
+    if recover and stack.bonded is not None:
+        # One monitor per direction; breakers attach to the *inner* bonded
+        # channels (the fault wrappers forward transmits through them).
+        recovery = PlaneRecovery(sim, stack.bonded[0], rtt=channel.rtt)
+        PlaneRecovery(sim, stack.bonded[1], rtt=channel.rtt)
+
+    configs = {
+        "sr": sr_config if sr_config is not None else SrConfig(nack_enabled=nack),
+        "ec": ec_config if ec_config is not None else EcConfig(),
+        "sampling": (
+            sampling_config if sampling_config is not None else SamplingConfig()
+        ),
+    }
     if recover:
         # Arm bitmap-driven resumption unless the caller already did.
-        if sr_cfg.max_resumptions <= 0:
-            sr_cfg = replace(sr_cfg, max_resumptions=resumptions)
-        if ec_cfg.max_resumptions <= 0:
-            ec_cfg = replace(ec_cfg, max_resumptions=resumptions)
-        if smp_cfg.max_resumptions <= 0:
-            smp_cfg = replace(smp_cfg, max_resumptions=resumptions)
-
-    if protocol == "sr":
-        sender = SrSender(qp_a, ctrl_a, sr_cfg)
-        receiver = SrReceiver(qp_b, ctrl_b, sr_cfg)
-    elif protocol == "ec":
-        sender = EcSender(qp_a, ctrl_a, ec_cfg)
-        receiver = EcReceiver(qp_b, ctrl_b, ec_cfg)
-    elif protocol == "sampling":
-        sender = SamplingSender(qp_a, ctrl_a, smp_cfg)
-        receiver = SamplingReceiver(qp_b, ctrl_b, smp_cfg)
-    else:
-        sender = AdaptiveSender(
-            qp_a, ctrl_a, sr_config=sr_cfg, ec_config=ec_cfg
-        )
-        receiver = AdaptiveReceiver(
-            qp_b, ctrl_b, sr_config=sr_cfg, ec_config=ec_cfg
+        configs = {
+            name: cfg if cfg.max_resumptions > 0
+            else replace(cfg, max_resumptions=resumptions)
+            for name, cfg in configs.items()
+        }
+    if protocol in configs:
+        sender, receiver = endpoints(protocol, stack, configs[protocol])
+    else:  # adaptive: provisions SR or EC per message, so it takes both
+        sender, receiver = endpoints(
+            protocol, stack, sr_config=configs["sr"], ec_config=configs["ec"]
         )
     if recovery is not None:
         sender.attach_recovery(recovery)
@@ -268,6 +233,6 @@ def run_demo(
         recv_tickets=recv_tickets,
         recovery=recovery,
         pacer=pacer,
-        ctrl_a=ctrl_a,
-        ctrl_b=ctrl_b,
+        ctrl_a=stack.ctrl_a,
+        ctrl_b=stack.ctrl_b,
     )

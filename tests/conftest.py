@@ -2,39 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB
-from repro.faults import FaultSchedule, install_link_faults
-from repro.net.multipath import connect_bonded
-from repro.reliability.base import ControlPath
-from repro.sdr.context import SdrContext, context_create
-from repro.sdr.qp import SdrQp
-from repro.sim.engine import SimConfig, Simulator
+from repro.faults import FaultSchedule
+from repro.sim.engine import SimConfig
+from repro.stack import Stack, build_pair
 from repro.telemetry import Telemetry
-from repro.verbs.device import Device, Fabric
 
 
-@dataclass
-class SdrPair:
-    """Two connected SDR endpoints over one link, plus control paths."""
-
-    sim: Simulator
-    fabric: Fabric
-    dev_a: Device
-    dev_b: Device
-    ctx_a: SdrContext
-    ctx_b: SdrContext
-    qp_a: SdrQp
-    qp_b: SdrQp
-    ctrl_a: ControlPath
-    ctrl_b: ControlPath
-    channel: ChannelConfig
-    #: (forward, reverse) BondedChannel when built with ``planes=...``.
-    bonded: tuple | None = None
+#: The fixtures hand out the public record under their older name.
+SdrPair = Stack
 
 
 def make_sdr_pair(
@@ -59,10 +38,7 @@ def make_sdr_pair(
     sim_config: SimConfig | None = None,
     telemetry: Telemetry | None = None,
 ) -> SdrPair:
-    sim = Simulator(telemetry=telemetry, config=sim_config)
-    fabric = Fabric(sim, seed=seed)
-    dev_a = fabric.add_device("dc-a")
-    dev_b = fabric.add_device("dc-b")
+    """The fixture's flattened kwargs over :func:`repro.stack.build_pair`."""
     channel = ChannelConfig(
         bandwidth_bps=bandwidth_bps,
         distance_km=distance_km,
@@ -72,16 +48,6 @@ def make_sdr_pair(
         buffer_bytes=buffer_bytes,
         ecn_threshold_bytes=ecn_threshold_bytes,
     )
-    bonded = None
-    if planes is not None:
-        bonded = connect_bonded(
-            fabric, dev_a, dev_b, channel, planes=planes, spread=spread
-        )
-    else:
-        fabric.connect(dev_a, dev_b, channel)
-    if faults is not None:
-        # Must precede QP / control-path connects: QPs cache their channel.
-        install_link_faults(fabric, dev_a, dev_b, faults)
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk,
         max_message_bytes=max_message,
@@ -90,29 +56,9 @@ def make_sdr_pair(
         generations=generations,
         inflight_messages=inflight,
     )
-    ctx_a = context_create(dev_a, sdr_config=sdr_cfg, dpa_config=dpa)
-    ctx_b = context_create(dev_b, sdr_config=sdr_cfg, dpa_config=dpa)
-    qp_a = ctx_a.qp_create()
-    qp_b = ctx_b.qp_create()
-    qp_a.connect(qp_b.info_get())
-    qp_b.connect(qp_a.info_get())
-    ctrl_a = ControlPath(ctx_a)
-    ctrl_b = ControlPath(ctx_b)
-    ctrl_a.connect(ctrl_b.info())
-    ctrl_b.connect(ctrl_a.info())
-    return SdrPair(
-        sim=sim,
-        fabric=fabric,
-        dev_a=dev_a,
-        dev_b=dev_b,
-        ctx_a=ctx_a,
-        ctx_b=ctx_b,
-        qp_a=qp_a,
-        qp_b=qp_b,
-        ctrl_a=ctrl_a,
-        ctrl_b=ctrl_b,
-        channel=channel,
-        bonded=bonded,
+    return build_pair(
+        channel, sdr_cfg, dpa=dpa, planes=planes, spread=spread, faults=faults,
+        seed=seed, sim_config=sim_config, telemetry=telemetry,
     )
 
 

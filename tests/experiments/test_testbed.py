@@ -5,28 +5,11 @@ import pytest
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB
-from repro.experiments.testbed import (
-    SdrTestbed,
-    run_rc_throughput,
-    run_sdr_throughput,
-)
+from repro.experiments.testbed import run_rc_throughput, run_sdr_throughput
 
 
 def channel():
     return ChannelConfig(bandwidth_bps=100e9, distance_km=0.1, mtu_bytes=4 * KiB)
-
-
-class TestBuild:
-    def test_build_wires_both_sides(self):
-        bed = SdrTestbed.build(channel=channel())
-        assert bed.client_qp.connected
-        assert bed.server_qp.connected
-
-    def test_mtu_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            SdrTestbed.build(
-                channel=channel(), sdr=SdrConfig(mtu_bytes=2 * KiB, chunk_bytes=64 * KiB)
-            )
 
 
 class TestThroughput:

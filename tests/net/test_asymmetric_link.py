@@ -2,10 +2,9 @@
 
 from repro.common.config import ChannelConfig
 from repro.common.units import KiB
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-from repro.reliability.base import ControlPath
 from repro.sdr import context_create
 from repro.sim import Simulator
+from repro.stack import endpoints, wire
 from repro.verbs import Fabric
 from repro.common.config import SdrConfig
 
@@ -34,14 +33,7 @@ def test_sr_write_over_asymmetric_link():
     fabric.connect(a, b, fwd, config_rev=rev)
     cfg = SdrConfig(chunk_bytes=8 * KiB, max_message_bytes=4 * 1024 * KiB)
     ctx_a, ctx_b = context_create(a, sdr_config=cfg), context_create(b, sdr_config=cfg)
-    qa, qb = ctx_a.qp_create(), ctx_b.qp_create()
-    qa.connect(qb.info_get())
-    qb.connect(qa.info_get())
-    ctrl_a, ctrl_b = ControlPath(ctx_a), ControlPath(ctx_b)
-    ctrl_a.connect(ctrl_b.info())
-    ctrl_b.connect(ctrl_a.info())
-    sender = SrSender(qa, ctrl_a, SrConfig())
-    receiver = SrReceiver(qb, ctrl_b, SrConfig())
+    sender, receiver = endpoints("sr", wire(ctx_a, ctx_b))
     size = 512 * KiB
     mr = ctx_b.mr_reg(size)
     receiver.post_receive(mr, size)

@@ -11,51 +11,26 @@ from repro.reliability.sampling import (
     SamplingSender,
 )
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
+from repro.stack import endpoints
 
 from tests.conftest import SdrPair, make_sdr_pair
 
 
-def make_sr(
-    *,
-    drop: float = 0.0,
-    config: SrConfig | None = None,
-    seed: int = 0,
-    **pair_kw,
-) -> tuple[SdrPair, SrSender, SrReceiver]:
+def _make(scheme, default, *, drop=0.0, config=None, seed=0, **pair_kw):
     pair = make_sdr_pair(drop=drop, seed=seed, **pair_kw)
-    cfg = config if config is not None else SrConfig()
-    sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
-    receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
-    return pair, sender, receiver
+    return (pair, *endpoints(scheme, pair, config if config is not None else default))
 
 
-def make_ec(
-    *,
-    drop: float = 0.0,
-    config: EcConfig | None = None,
-    seed: int = 0,
-    inflight: int = 64,
-    **pair_kw,
-) -> tuple[SdrPair, EcSender, EcReceiver]:
-    pair = make_sdr_pair(drop=drop, seed=seed, inflight=inflight, **pair_kw)
-    cfg = config if config is not None else EcConfig(k=8, m=4)
-    sender = EcSender(pair.qp_a, pair.ctrl_a, cfg)
-    receiver = EcReceiver(pair.qp_b, pair.ctrl_b, cfg)
-    return pair, sender, receiver
+def make_sr(**kw) -> tuple[SdrPair, SrSender, SrReceiver]:
+    return _make("sr", SrConfig(), **kw)
 
 
-def make_sampling(
-    *,
-    drop: float = 0.0,
-    config: SamplingConfig | None = None,
-    seed: int = 0,
-    **pair_kw,
-) -> tuple[SdrPair, SamplingSender, SamplingReceiver]:
-    pair = make_sdr_pair(drop=drop, seed=seed, **pair_kw)
-    cfg = config if config is not None else SamplingConfig()
-    sender = SamplingSender(pair.qp_a, pair.ctrl_a, cfg)
-    receiver = SamplingReceiver(pair.qp_b, pair.ctrl_b, cfg)
-    return pair, sender, receiver
+def make_ec(*, inflight: int = 64, **kw) -> tuple[SdrPair, EcSender, EcReceiver]:
+    return _make("ec", EcConfig(k=8, m=4), inflight=inflight, **kw)
+
+
+def make_sampling(**kw) -> tuple[SdrPair, SamplingSender, SamplingReceiver]:
+    return _make("sampling", SamplingConfig(), **kw)
 
 
 def random_payload(size: int, seed: int = 0) -> bytes:

@@ -7,7 +7,8 @@ both tickets in a :class:`DeliveryError` that tells the truth about the
 bitmap and leaves nothing open, an armed resumption completes, and a seed
 fixes the trace.  The toy scheme at the bottom is the paper's SDK claim as
 an executable check: a new scheme written only against the ``Sender`` /
-``Receiver`` hooks.
+``Receiver`` hooks, registered by name like the built-in ones.  The table
+must cover the scheme registry, so none can be added outside the matrix.
 """
 
 import io
@@ -19,16 +20,11 @@ import pytest
 from repro.common.errors import DeliveryError
 from repro.common.units import KiB, distance_to_rtt
 from repro.faults import FaultSchedule, FaultWindow
-from repro.reliability.adaptive import AdaptiveReceiver, AdaptiveSender
-from repro.reliability.ec import EcConfig, EcReceiver, EcSender
-from repro.reliability.gbn import GbnReceiver, GbnSender
+from repro.reliability import SCHEMES as REGISTRY, register_scheme
+from repro.reliability.ec import EcConfig
 from repro.reliability.messages import Done
-from repro.reliability.sampling import (
-    SamplingConfig,
-    SamplingReceiver,
-    SamplingSender,
-)
-from repro.reliability.sr import SrConfig, SrReceiver, SrSender
+from repro.reliability.sr import SrConfig
+from repro.stack import endpoints
 from repro.telemetry import JsonlSink, RingBufferSink
 
 from tests.conftest import make_sdr_pair
@@ -41,26 +37,21 @@ BANDWIDTH = 10e9
 RTT = distance_to_rtt(100.0)  # make_sdr_pair's default link
 
 
-def _pair_of(sender_type, receiver_type, config_type, **base):
-    """Builder for a scheme whose two endpoints share one config."""
+def _scheme(name, **base):
+    """Builder for a registered scheme whose two endpoints share one config."""
 
     def build(pair, **knobs):
-        config = config_type(**{**base, **knobs})
-        return (
-            sender_type(pair.qp_a, pair.ctrl_a, config),
-            receiver_type(pair.qp_b, pair.ctrl_b, config),
-        )
+        sender_type, _, overrides = REGISTRY[name]
+        config = sender_type.config_type(**{**overrides, **base, **knobs})
+        return endpoints(name, pair, config)
 
     return build
 
 
 def _adaptive(pair, *, sr=None, ec=None):
-    configs = dict(
-        sr_config=SrConfig(**(sr or {})), ec_config=EcConfig(k=8, m=4, **(ec or {}))
-    )
-    return (
-        AdaptiveSender(pair.qp_a, pair.ctrl_a, **configs),
-        AdaptiveReceiver(pair.qp_b, pair.ctrl_b, **configs),
+    return endpoints(
+        "adaptive", pair,
+        sr_config=SrConfig(**(sr or {})), ec_config=EcConfig(k=8, m=4, **(ec or {})),
     )
 
 
@@ -73,28 +64,27 @@ _SAMPLING_IDLE = dict(idle_timeout_rtts=2.0, max_idle_timeouts=2)
 #: scheme -> (builder, knobs that make a dead path fail fast, knobs that arm
 #: resumption instead -- None where the scheme has no resumption).
 SCHEMES = {
-    "sr": (_pair_of(SrSender, SrReceiver, SrConfig), _SR_TIGHT, _SR_RESUMABLE),
-    "sr_nack": (
-        _pair_of(SrSender, SrReceiver, SrConfig, nack_enabled=True),
-        _SR_TIGHT, _SR_RESUMABLE,
-    ),
-    "ec": (
-        _pair_of(EcSender, EcReceiver, EcConfig, k=8, m=4),
-        _EC_TIGHT, _EC_RESUMABLE,
-    ),
+    "sr": (_scheme("sr"), _SR_TIGHT, _SR_RESUMABLE),
+    "sr_nack": (_scheme("sr_nack"), _SR_TIGHT, _SR_RESUMABLE),
+    "ec": (_scheme("ec", k=8, m=4), _EC_TIGHT, _EC_RESUMABLE),
     "sampling": (
-        _pair_of(SamplingSender, SamplingReceiver, SamplingConfig),
+        _scheme("sampling"),
         dict(_SAMPLING_IDLE, serve_deadline_rtts=60.0),
         dict(_SAMPLING_IDLE, max_resumptions=2),
     ),
     "gbn": (
-        _pair_of(GbnSender, GbnReceiver, SrConfig),
+        _scheme("gbn"),
         dict(max_chunk_retransmits=3, serve_deadline_rtts=60.0),
         None,
     ),
     "adaptive": (_adaptive, dict(sr=_SR_TIGHT, ec=_EC_TIGHT), None),
 }
 RESUMABLE = [name for name, (_, _, knobs) in SCHEMES.items() if knobs is not None]
+
+
+def test_every_registered_scheme_is_in_the_matrix():
+    """A scheme cannot be registered without entering the table above."""
+    assert set(REGISTRY) <= set(SCHEMES)
 
 
 def data_blackout(start: float, end: float = math.inf) -> FaultSchedule:
@@ -254,11 +244,19 @@ def toy_scheme():
                 done()
                 yield from self._finish(ticket, [rh], done, 2 * self.rtt)
 
-    return _pair_of(TwiceSender, TwiceReceiver, SrConfig)
+    return TwiceSender, TwiceReceiver
 
 
-def test_toy_scheme_on_the_public_hooks_completes_under_loss(monkeypatch):
-    monkeypatch.setitem(SCHEMES, "twice", (toy_scheme(), None, None))
+@pytest.fixture
+def twice(monkeypatch):
+    """The toy scheme, registered the public way for one test."""
+    register_scheme("twice", *toy_scheme())
+    monkeypatch.setitem(SCHEMES, "twice", (_scheme("twice"), None, None))
+    yield
+    del REGISTRY["twice"]
+
+
+def test_toy_scheme_on_the_public_hooks_completes_under_loss(twice):
     pair, tx, rx, payload, buf = transfer("twice", drop=0.01, seed=2)
     assert_delivered(pair, tx, rx, payload, buf)
     assert pair.sim.telemetry.metrics.value("twice.dc-a.writes_completed") == 1

@@ -10,15 +10,11 @@ on the other.
 
 from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.units import KiB, MiB
-from repro.reliability.adaptive import (
-    AdaptiveReceiver,
-    AdaptiveSender,
-    DropRateEstimator,
-)
-from repro.reliability.base import ControlPath
+from repro.reliability.adaptive import DropRateEstimator
 from repro.reliability.ec import EcConfig
 from repro.sdr import context_create
 from repro.sim import Simulator
+from repro.stack import endpoints, wire
 from repro.verbs import Fabric
 
 
@@ -50,18 +46,11 @@ def build_hub():
 
 
 def wire_pair(ctx_a, ctx_b, peer_rtt):
-    qa, qb = ctx_a.qp_create(), ctx_b.qp_create()
-    qa.connect(qb.info_get())
-    qb.connect(qa.info_get())
-    ctrl_a, ctrl_b = ControlPath(ctx_a), ControlPath(ctx_b)
-    ctrl_a.connect(ctrl_b.info())
-    ctrl_b.connect(ctrl_a.info())
-    ec_cfg = EcConfig(codec="mds", k=8, m=4)
-    sender = AdaptiveSender(qa, ctrl_a, ec_config=ec_cfg, rtt=peer_rtt)
-    receiver = AdaptiveReceiver(
-        qb, ctrl_b, ec_config=ec_cfg, rtt=peer_rtt,
-        estimator=DropRateEstimator(initial=1e-6, alpha=0.5),
+    sender, receiver = endpoints(
+        "adaptive", wire(ctx_a, ctx_b),
+        ec_config=EcConfig(codec="mds", k=8, m=4), rtt=peer_rtt,
     )
+    receiver.estimator = DropRateEstimator(initial=1e-6, alpha=0.5)
     return sender, receiver
 
 

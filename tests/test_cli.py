@@ -71,6 +71,16 @@ class TestReport:
         assert "via EC" in out
         assert "ec" in out
 
+    def test_report_adaptive_protocol(self, capsys):
+        """``report`` takes every protocol ``run_demo`` does (one list)."""
+        assert main(
+            ["report", "--protocol", "adaptive", "--messages", "2",
+             "--size-mib", "1", "--seed", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "via ADAPTIVE" in out
+        assert "\nadaptive " in out  # its own rows in the reliability table
+
     def test_report_bad_config_clean_error(self, capsys):
         assert main(["report", "--messages", "0"]) == 2
         err = capsys.readouterr().err
