@@ -20,6 +20,19 @@ import numpy as np
 _BIT_MASKS = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
 
+def mask_bits(mask: int) -> Iterator[int]:
+    """The set bit positions of the integer ``mask``, in ascending order.
+
+    For chunk sets kept as Python integers (bit ``i`` = chunk ``i``), which
+    intersect and test for emptiness at scalar cost: the SR sender's
+    outstanding set and :meth:`repro.reliability.messages.Ack.acked_mask`.
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Bitmap:
     """Fixed-size bitmap with O(1) set/test and O(1) full-completion check."""
 

@@ -614,6 +614,7 @@ class FabricService:
             pkt_idx=idx,
             chunk=idx,
             attempt=attempt,
+            uid=self.sim.packet_uid(),
         )
         state.attempt[idx] = attempt
         state.uid[idx] = packet.uid

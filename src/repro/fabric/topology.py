@@ -432,6 +432,11 @@ class FabricNetwork:
             # Lazy, RNG-free, event-free: the datapath drives breaker
             # evaluation so a drained simulation still terminates.
             self.health.on_datapath(self.sim.now)
+        if packet.uid is None:
+            raise ConfigError(
+                "packet has no uid to track it by: build it with "
+                "uid=sim.packet_uid()"
+            )
         path = self.route(src, dst)
         self._inflight[packet.uid] = _Transit(path, 0, on_deliver)
         self.channels[(path[0], path[1])].transmit(packet)

@@ -111,20 +111,19 @@ class ControlPath:
     def send(self, message) -> None:
         """Serialize and send a control message to the connected peer."""
         raw = message.pack()
+        size = len(raw)
         mtu = self.qp.mtu
-        if len(raw) > mtu:
+        if size > mtu:
             raise ConfigError(
-                f"control message of {len(raw)} B exceeds path MTU {mtu}"
+                f"control message of {size} B exceeds path MTU {mtu}"
             )
-        self.qp.post_send(
-            SendWr(
-                length=max(len(raw), MIN_CTRL_BYTES),
-                payload=raw + b"\x00" * max(0, MIN_CTRL_BYTES - len(raw)),
-                signaled=False,
-            )
-        )
+        if size < MIN_CTRL_BYTES:
+            raw += b"\x00" * (MIN_CTRL_BYTES - size)
+            size = MIN_CTRL_BYTES
+        # SendWr(length, rkey, remote_offset, payload, immediate, wr_id, signaled)
+        self.qp.post_send(SendWr(size, 0, 0, raw, None, None, False))
         self.messages_sent += 1
-        self.bytes_sent += max(len(raw), MIN_CTRL_BYTES)
+        self.bytes_sent += size
 
     def _on_datagram(self, payload, immediate, src_qpn) -> None:
         if payload is None:
@@ -446,36 +445,25 @@ class Receiver(Endpoint):
             seq=rh.seq, length=length, done=self.sim.event(), recv_handles=[rh]
         )
         self._serving[rh.seq] = (ticket, rh)
-        self.sim.process(self._serve(ticket, rh))
+        # The serve starts on its own dispatch, as the process it was did.
+        self.sim.call_in(0.0, self._serve, ticket, rh)
         return ticket
 
-    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle):
-        """Policy hook: the process serving one posted receive."""
+    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
+        """Policy hook: start serving one posted receive (``_watch``)."""
         raise NotImplementedError
 
-    def _watch(self, ticket: ReceiveTicket, rh: RecvHandle, interval: float, on_poll):
+    def _watch(
+        self, ticket: ReceiveTicket, rh: RecvHandle, interval: float, on_poll, then
+    ) -> None:
         """Poll ``rh``'s chunk bitmap every ``interval`` until it is full.
 
         ``on_poll()`` runs after every wait (the bitmap may be full by
-        then).  Returns True once every chunk arrived; False when the slot
-        was abandoned to a resumption grant or the serve deadline
-        (``config.serve_deadline_rtts``) failed the ticket.
+        then); ``then()`` runs once every chunk arrived.  Neither runs
+        again after the slot was abandoned to a resumption grant or the
+        serve deadline (``config.serve_deadline_rtts``) failed the ticket.
         """
-        rtts = self.config.serve_deadline_rtts
-        deadline = None if rtts is None else self.sim.now + rtts * self.rtt
-        while not rh.all_chunks_received():
-            if rh.completed:
-                return False  # abandoned by a resumption grant
-            if deadline is not None and self.sim.now >= deadline:
-                self._give_up(ticket, rh.bitmap().as_array())
-                return False
-            yield self.sim.any_of(
-                [self.sim.timeout(interval), rh.wait_all_chunks()]
-            )
-            if rh.completed and not rh.all_chunks_received():
-                return False  # abandoned while waiting
-            on_poll()
-        return True
+        _Watch(self, ticket, rh, interval, on_poll, then)
 
     def _give_up(self, ticket: ReceiveTicket, delivered: np.ndarray) -> None:
         """Serve deadline passed: fail the ticket with the partial bitmap."""
@@ -487,7 +475,7 @@ class Receiver(Endpoint):
                 )
             )
 
-    def _finish(self, ticket: ReceiveTicket, handles, resignal, every: float):
+    def _finish(self, ticket: ReceiveTicket, handles, resignal, every: float) -> None:
         """Complete the slots and the ticket, then re-signal through grace.
 
         The caller has just sent its completion signal; ``resignal()``
@@ -497,11 +485,71 @@ class Receiver(Endpoint):
         """
         for rh in handles:
             rh.complete()
-        ticket._finish(self.sim.now)
-        grace_end = self.sim.now + self.config.grace_rtts * self.rtt
-        while self.sim.now < grace_end:
-            yield self.sim.timeout(every)
+        sim = self.sim
+        ticket._finish(sim.now)
+        grace_end = sim.now + self.config.grace_rtts * self.rtt
+
+        def tick() -> None:
             resignal()
+            if sim.now < grace_end:
+                timer.arm(every)
+
+        timer = sim.timer(tick)
+        if sim.now < grace_end:
+            timer.arm(every)
+
+
+class _Watch:
+    """One :meth:`Receiver._watch`: a poll timer raced against the last chunk.
+
+    Waiting is the timer being armed.  Its expiry takes one more
+    same-instant heap entry before the poll -- the dispatch of the
+    ``any_of`` gate this replaced: polls sit on an RTT grid other timers
+    share, and heap order decides which of them sees the other's datagram
+    (``docs/simulation.md``).  The last chunk's event polls directly.
+    """
+
+    __slots__ = (
+        "receiver", "ticket", "rh", "interval", "on_poll", "then", "deadline",
+        "timer",
+    )
+
+    def __init__(self, receiver: Receiver, ticket, rh, interval, on_poll, then):
+        self.receiver = receiver
+        self.ticket = ticket
+        self.rh = rh
+        self.interval = interval
+        self.on_poll = on_poll
+        self.then = then
+        sim = receiver.sim
+        rtts = receiver.config.serve_deadline_rtts
+        self.deadline = None if rtts is None else sim.now + rtts * receiver.rtt
+        self.timer = sim.timer(sim.call_in, 0.0, self._poll)
+        self._wait()
+        if self.timer.armed:
+            rh.wait_all_chunks().callbacks.append(self._all_arrived)
+
+    def _wait(self) -> None:
+        rh = self.rh
+        if rh.all_chunks_received():
+            self.then()
+        elif not rh.completed:  # else: abandoned by a resumption grant
+            if self.deadline is not None and self.receiver.sim.now >= self.deadline:
+                self.receiver._give_up(self.ticket, rh.bitmap().as_array())
+            else:
+                self.timer.arm(self.interval)
+
+    def _all_arrived(self, _event: Event) -> None:
+        if self.timer.armed:  # else: the poll is on its way, or the watch over
+            self.timer.cancel()
+            self._poll()
+
+    def _poll(self) -> None:
+        rh = self.rh
+        if rh.completed and not rh.all_chunks_received():
+            return  # abandoned while waiting
+        self.on_poll()
+        self._wait()
 
 
 #: name -> (sender type, receiver type, config overrides).

@@ -532,9 +532,7 @@ class EcReceiver(SrBackedReceiver):
             if not h.completed:
                 h.complete()
         self._send_ack(ticket.seq)
-        yield from self._finish(
-            ticket, (), lambda: self._send_ack(ticket.seq), 2 * self.rtt
-        )
+        self._finish(ticket, (), lambda: self._send_ack(ticket.seq), 2 * self.rtt)
 
     def _send_ack(self, seq: int) -> None:
         self.ctrl.send(EcAck(msg_seq=seq))

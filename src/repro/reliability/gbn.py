@@ -143,7 +143,7 @@ class GbnReceiver(Receiver):
     def acks_sent(self) -> int:
         return self._m_acks_sent.value
 
-    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle):
+    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
         def ack() -> None:
             # Cumulative-only: no selective window (the GBN restriction).
             self.ctrl.send(
@@ -151,13 +151,12 @@ class GbnReceiver(Receiver):
             )
             self._m_acks_sent.inc()
 
+        def finish() -> None:
+            ack()
+            self._finish(ticket, [rh], ack, self.config.rto_rtts * self.rtt)
+
         interval = self.config.ack_interval_rtts * self.rtt
-        if not (yield from self._watch(ticket, rh, interval, ack)):
-            return
-        ack()
-        yield from self._finish(
-            ticket, [rh], ack, self.config.rto_rtts * self.rtt
-        )
+        self._watch(ticket, rh, interval, ack, finish)
 
 
 register_scheme("gbn", GbnSender, GbnReceiver)

@@ -17,8 +17,9 @@ The SR ACK implements the paper's two-part encoding:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from repro.common.bitmap import mask_bits
 from repro.common.errors import ProtocolError
 
 _TYPE_ACK = 1
@@ -34,8 +35,31 @@ _TYPE_REPAIR_REQ = 9
 _HEADER = struct.Struct("<BI")  # type, msg_seq
 
 
-@dataclass(frozen=True)
-class Ack:
+def _eq(self, other) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _ne(self, other) -> bool:
+    return not _eq(self, other)
+
+
+def _message(cls):
+    """Class decorator of every control message below.
+
+    The messages are ``NamedTuple`` records: immutable, and built by one
+    ``tuple.__new__`` where a frozen dataclass pays an
+    ``object.__setattr__`` per field (an ACK goes out per bitmap poll; see
+    ``docs/simulation.md``, "Hot-path records").  Plain tuples compare by
+    value alone, which would make ``Done(3) == EcAck(3)``; this keeps the
+    dataclass rule that a message equals only its own type.
+    """
+    cls.__eq__ = _eq
+    cls.__ne__ = _ne
+    return cls
+
+
+@_message
+class Ack(NamedTuple):
     """SR acknowledgment: cumulative + selective bitmap window.
 
     When the receiver observed ECN CE marks since its last ACK, an optional
@@ -79,28 +103,27 @@ class Ack:
         off = cls._FIXED.size + wlen
         if len(body) >= off + cls._ECN.size and body[off] == cls._ECN_MARKER:
             _, marked, seen = cls._ECN.unpack_from(body, off)
-        return cls(
-            msg_seq=msg_seq, cumulative=cumulative, window_start=start,
-            window=window, ecn_marked=marked, ecn_seen=seen,
-        )
+        return cls(msg_seq, cumulative, start, window, marked, seen)
+
+    def acked_mask(self, nchunks: int) -> int:
+        """The chunks this ACK confirms, as an integer: bit ``i`` = chunk ``i``.
+
+        Cumulative prefix plus window bits, clipped to ``nchunks``.  A sender
+        intersects it with its own outstanding mask, so an ACK costs the
+        chunks it newly confirms and not the prefix every ACK repeats.
+        """
+        mask = (1 << min(self.cumulative, nchunks)) - 1
+        if self.window and self.window_start < nchunks:
+            mask |= int.from_bytes(self.window, "little") << self.window_start
+        return mask & ((1 << nchunks) - 1)
 
     def acked_chunks(self, nchunks: int) -> set[int]:
         """Chunk indices this ACK confirms (cumulative prefix + window bits)."""
-        acked = set(range(min(self.cumulative, nchunks)))
-        for byte_i, byte in enumerate(self.window):
-            if not byte:
-                continue
-            base = self.window_start + byte_i * 8
-            for bit in range(8):
-                if byte >> bit & 1:
-                    idx = base + bit
-                    if idx < nchunks:
-                        acked.add(idx)
-        return acked
+        return set(mask_bits(self.acked_mask(nchunks)))
 
 
-@dataclass(frozen=True)
-class SrNack:
+@_message
+class SrNack(NamedTuple):
     """SR negative acknowledgment: explicit missing-chunk indices."""
 
     msg_seq: int
@@ -120,8 +143,8 @@ class SrNack:
         return cls(msg_seq=msg_seq, chunks=tuple(chunks))
 
 
-@dataclass(frozen=True)
-class EcAck:
+@_message
+class EcAck(NamedTuple):
     """EC positive acknowledgment: all data submessages recoverable."""
 
     msg_seq: int
@@ -134,8 +157,8 @@ class EcAck:
         return cls(msg_seq=msg_seq)
 
 
-@dataclass(frozen=True)
-class EcNack:
+@_message
+class EcNack(NamedTuple):
     """EC fallback request: failed submessages + their missing data chunks.
 
     ``missing_chunks`` are message-global data-chunk indices, so the sender
@@ -171,8 +194,8 @@ class EcNack:
         )
 
 
-@dataclass(frozen=True)
-class Done:
+@_message
+class Done(NamedTuple):
     """Final ACK: message fully delivered, sender may release the buffer."""
 
     msg_seq: int
@@ -185,8 +208,8 @@ class Done:
         return cls(msg_seq=msg_seq)
 
 
-@dataclass(frozen=True)
-class Provision:
+@_message
+class Provision(NamedTuple):
     """Adaptive-layer announcement: message ``msg_seq`` uses ``protocol``.
 
     Sent by the receiver (which owns ground truth on observed loss) so both
@@ -217,8 +240,8 @@ class Provision:
         return cls(msg_seq=msg_seq, protocol=name)
 
 
-@dataclass(frozen=True)
-class ResumeReq:
+@_message
+class ResumeReq(NamedTuple):
     """Bitmap-driven resumption request (sender -> receiver).
 
     The write identified by ``msg_seq`` exhausted its retry budget (or a
@@ -242,8 +265,8 @@ class ResumeReq:
         return cls(msg_seq=msg_seq, attempt=attempt)
 
 
-@dataclass(frozen=True)
-class ResumeAck:
+@_message
+class ResumeAck(NamedTuple):
     """Resumption grant (receiver -> sender).
 
     ``new_seq`` is the freshly posted slot serving the resumed attempt;
@@ -282,8 +305,8 @@ class ResumeAck:
         )
 
 
-@dataclass(frozen=True)
-class RepairReq:
+@_message
+class RepairReq(NamedTuple):
     """Sampling-mode repair request (receiver -> sender).
 
     Availability sampling flagged segment ``segment`` of message

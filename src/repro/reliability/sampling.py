@@ -303,7 +303,7 @@ class SamplingReceiver(SrBackedReceiver):
         start = seg * self.config.segment_chunks
         return start, min(self.config.segment_chunks, nchunks - start)
 
-    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle):
+    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
         cfg = self.config
         nseg = -(-rh.nchunks // cfg.segment_chunks)
         seg_done = np.zeros(nseg, dtype=bool)
@@ -362,15 +362,16 @@ class SamplingReceiver(SrBackedReceiver):
             for seg in flagged:
                 self._send_repair(rh, seg, present)
 
+        def finish() -> None:
+            # Re-send Done through the grace window in case the final
+            # datagram drops.
+            self._send_done(rh.seq)
+            self._finish(
+                ticket, [rh], lambda: self._send_done(rh.seq), 2 * self.rtt
+            )
+
         interval = cfg.sample_interval_rtts * self.rtt
-        if not (yield from self._watch(ticket, rh, interval, sample)):
-            return
-        # Re-send Done through the grace window in case the final datagram
-        # drops.
-        self._send_done(rh.seq)
-        yield from self._finish(
-            ticket, [rh], lambda: self._send_done(rh.seq), 2 * self.rtt
-        )
+        self._watch(ticket, rh, interval, sample, finish)
 
     def _send_repair(self, rh: RecvHandle, seg: int, present: np.ndarray) -> None:
         start, seg_len = self._segment_range(seg, rh.nchunks)

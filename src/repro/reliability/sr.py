@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.bitmap import mask_bits
 from repro.common.errors import ConfigError
 from repro.recovery.resume import ResumeToken
 from repro.reliability.base import (
@@ -36,7 +37,6 @@ from repro.reliability.base import (
 from repro.reliability.messages import Ack, ResumeAck, ResumeReq, SrNack
 from repro.sdr.handles import RecvHandle
 from repro.sdr.qp import SdrQp, SdrRecvWr
-from repro.sim.engine import Event
 from repro.telemetry.trace import flow_key
 from repro.verbs.mr import MemoryRegion
 
@@ -126,7 +126,14 @@ class _SendState(WriteState):
 
     def __init__(self, ticket: WriteTicket, handles, nchunks: int, payload):
         super().__init__(ticket, handles, nchunks, payload)
-        self.unacked = np.ones(nchunks, dtype=bool)
+        #: The chunks not yet acknowledged, as an integer (bit ``i`` = chunk
+        #: ``i``): emptiness, membership and "what does this ACK add" are
+        #: scalar operations, whatever the message size.
+        self.unacked = (1 << nchunks) - 1
+        #: Per-chunk RTO expiry; ``inf`` = no timer running.  Only an
+        #: unacknowledged chunk ever holds a finite deadline (``_arm`` and
+        #: ``on_plane_failover`` write under ``unacked``, an ACK stores
+        #: ``inf``), so ``deadline.min()`` is the state's timer horizon.
         self.deadline = np.full(nchunks, np.inf)
         self.retransmit_count = np.zeros(nchunks, dtype=np.int64)
         #: Simulated time each chunk last hit the wire (NaN = not yet);
@@ -141,11 +148,14 @@ class _SendState(WriteState):
 
     @property
     def complete(self) -> bool:
-        return not self.unacked.any()
+        return not self.unacked
 
     @property
     def delivered(self) -> np.ndarray:
-        return ~self.unacked
+        raw = self.unacked.to_bytes(-(-self.nchunks // 8), "little")
+        return ~np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8), count=self.nchunks, bitorder="little"
+        ).astype(bool)
 
 
 class _PendingResume(WriteState):
@@ -188,8 +198,13 @@ class SrSender(Sender):
         #: Optional :class:`repro.cc.Pacer` fed RTT samples, ECN echoes and
         #: loss signals (see :meth:`attach_cc`).
         self.cc = None
-        self._timer_wake: Event | None = None
-        self.sim.process(self._timer_loop())
+        #: The retransmission clock: ``_rto_timer`` expires at the earliest
+        #: chunk deadline of any write; ``_wake`` is a kick on its way
+        #: (``_kick_timer``), allowed once per ``_retime``.
+        self._rto_timer = self.sim.timer(self._on_rto)
+        self._wake = self.sim.timer(self._on_wake)
+        self._kickable = False
+        self.sim.call_in(0.0, self._retime)
         self._m_rto_fires = self._scope.counter("rto_fires")
         self._m_retransmitted = self._scope.counter("retransmitted_chunks")
         self._m_nacks_received = self._scope.counter("nacks_received")
@@ -262,7 +277,7 @@ class SrSender(Sender):
         now = self.sim.now
         kicked = False
         for state in self._states.values():
-            mask = state.unacked & np.isfinite(state.deadline)
+            mask = np.isfinite(state.deadline)  # finite => unacked
             if mask.any():
                 state.deadline[mask] = np.minimum(state.deadline[mask], now)
                 kicked = True
@@ -390,12 +405,16 @@ class SrSender(Sender):
             )
             return
         if ack.bitmap:
-            state.unacked = ~np.unpackbits(
+            # The grant's bitmap is MSB-first (chunk 0 = top bit of byte 0).
+            have = np.unpackbits(
                 np.frombuffer(ack.bitmap, dtype=np.uint8),
                 count=token.total_chunks,
-            ).astype(bool)
+            )
+            state.unacked &= ~int.from_bytes(
+                np.packbits(have, bitorder="little").tobytes(), "little"
+            )
         state.resumed = True
-        missing = int(state.unacked.sum())
+        missing = state.unacked.bit_count()
         self._m_chunks_skipped.inc(state.nchunks - missing)
         # The msg_post carries ``resumed_from`` so lineage folds the
         # resumed slot into the original message's history.
@@ -420,8 +439,7 @@ class SrSender(Sender):
             # Re-checked at send time: a chunk may be acked while earlier
             # ones are pacing.
             indices = (
-                int(i) for i in np.flatnonzero(state.unacked.copy())
-                if state.unacked[i]
+                i for i in mask_bits(state.unacked) if state.unacked >> i & 1
             )
         else:
             indices = range(state.nchunks)
@@ -438,7 +456,7 @@ class SrSender(Sender):
 
     def _arm(self, state: _SendState, index: int, *, kick: bool = True) -> None:
         """Chunk ``index`` is on the wire: start its RTO clock from now."""
-        if state.unacked[index]:
+        if state.unacked >> index & 1:
             state.deadline[index] = self.sim.now + self.rto
             state.sent_at[index] = self.sim.now
             if kick:
@@ -486,38 +504,49 @@ class SrSender(Sender):
     # -- timers ------------------------------------------------------------------------
 
     def _kick_timer(self) -> None:
-        if self._timer_wake is not None and not self._timer_wake.triggered:
-            self._timer_wake.succeed(None)
+        """A deadline moved earlier or a write left: re-read the horizon."""
+        if self._kickable:
+            self._kickable = False
+            self._wake.arm(0.0)
 
-    def _timer_loop(self):
+    def _on_wake(self) -> None:
+        self._rto_timer.cancel()
+        self._retime()
+
+    def _on_rto(self) -> None:
+        self._wake.cancel()
+        # One more same-instant entry before anything is retransmitted: the
+        # dispatch of the ``any_of`` gate this replaced.  Senders sharing a
+        # bottleneck expire together, and who re-injects first is in every
+        # incast digest (docs/simulation.md).
+        self.sim.call_in(0.0, self._retime)
+
+    def _retime(self) -> None:
+        """Fire what expired, then wait for the next deadline (or a kick)."""
+        now = self.sim.now
         while True:
-            deadlines = [
-                float(s.deadline[s.unacked].min())
-                for s in self._states.values()
-                if s.unacked.any() and np.isfinite(s.deadline[s.unacked]).any()
-            ]
-            self._timer_wake = self.sim.event()
-            if not deadlines:
-                yield self._timer_wake
-                continue
-            horizon = min(deadlines)
-            if horizon > self.sim.now:
-                yield self.sim.any_of(
-                    [self.sim.timeout(horizon - self.sim.now), self._timer_wake]
-                )
-            if self.sim.now >= horizon:
-                self._fire_expired()
+            horizon = min(
+                (float(s.deadline.min()) for s in self._states.values()),
+                default=np.inf,
+            )
+            self._wake.cancel()
+            self._kickable = True
+            if horizon > now:
+                if horizon != np.inf:
+                    self._rto_timer.arm(horizon - now)
+                return
+            self._fire_expired()
 
     def _fire_expired(self) -> None:
         now = self.sim.now
         if self.config.rto_backoff and any(
-            (s.unacked & (s.deadline <= now)).any() for s in self._states.values()
+            s.deadline.min() <= now for s in self._states.values()
         ):
             # Back off *before* restamping so the new deadlines already
             # carry the doubled timeout (Karn's backoff).
             self._backoff = min(self._backoff + 1, self.config.backoff_cap)
         for state in list(self._states.values()):
-            for index in np.flatnonzero(state.unacked & (state.deadline <= now)):
+            for index in np.flatnonzero(state.deadline <= now):
                 index = int(index)
                 if state.retransmit_count[index] >= self.config.max_chunk_retransmits:
                     self._fail(state, f"chunk {index} exceeded retransmit budget")
@@ -573,11 +602,14 @@ class SrSender(Sender):
             now = self.sim.now
             progress = False
             want_rtt = self.config.adaptive_rto or self.cc is not None
-            for index in msg.acked_chunks(state.nchunks):
-                if state.unacked[index]:
-                    state.unacked[index] = False
+            # Only what this ACK adds: the prefix every ACK repeats is
+            # masked off before anything is visited.
+            new = msg.acked_mask(state.nchunks) & state.unacked
+            if new:
+                progress = True
+                state.unacked ^= new
+                for index in mask_bits(new):
                     state.deadline[index] = np.inf
-                    progress = True
                     # Karn's rule: only chunks never retransmitted yield an
                     # unambiguous RTT sample.
                     if (
@@ -611,7 +643,7 @@ class SrSender(Sender):
             now = self.sim.now
             holdoff = self.config.nack_holdoff_rtts * self.rtt
             for index in msg.chunks:
-                if index < state.nchunks and state.unacked[index]:
+                if index < state.nchunks and state.unacked >> index & 1:
                     # Skip chunks still injecting or retransmitted recently
                     # (avoids double-firing with an RTO retransmission).
                     if not np.isfinite(state.sent_at[index]) or (
@@ -788,11 +820,11 @@ class SrReceiver(Receiver):
                 delivered=int(delivered.sum()), total=rh2.nchunks,
             )
         self.ctrl.send(ack)
-        self.sim.process(self._serve(ticket, rh2))
+        self.sim.call_in(0.0, self._serve, ticket, rh2)
 
     # -- serve loop ----------------------------------------------------------------------
 
-    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle):
+    def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
         # ACK/NACK under the handle's own seq: for a resumed serve this is
         # the fresh slot's seq (what the sender's resumed state is keyed by),
         # for the original serve it equals ticket.seq.
@@ -803,15 +835,16 @@ class SrReceiver(Receiver):
             if self.config.nack_enabled and not rh.all_chunks_received():
                 self._send_gap_nacks(rh, last_nack)
 
+        def finish() -> None:
+            self._send_ack(rh, final=True)
+            # Keep re-ACKing briefly in case the final ACK is lost.
+            self._finish(
+                ticket, [rh], lambda: self._send_final_ack(rh),
+                self.config.rto_rtts * self.rtt,
+            )
+
         interval = self.config.ack_interval_rtts * self.rtt
-        if not (yield from self._watch(ticket, rh, interval, on_poll)):
-            return
-        self._send_ack(rh, final=True)
-        # Keep re-ACKing briefly in case the final ACK is lost.
-        yield from self._finish(
-            ticket, [rh], lambda: self._send_final_ack(rh),
-            self.config.rto_rtts * self.rtt,
-        )
+        self._watch(ticket, rh, interval, on_poll, finish)
 
     def _send_ack(self, rh: RecvHandle, *, final: bool = False) -> None:
         bitmap = rh.bitmap()
@@ -832,16 +865,7 @@ class SrReceiver(Receiver):
             rh.seen_echoed = rh.packets_seen
         else:
             marked = seen = 0
-        self.ctrl.send(
-            Ack(
-                msg_seq=rh.seq,
-                cumulative=cumulative,
-                window_start=window_start,
-                window=window,
-                ecn_marked=marked,
-                ecn_seen=seen,
-            )
-        )
+        self.ctrl.send(Ack(rh.seq, cumulative, window_start, window, marked, seen))
         self._m_acks_sent.inc()
 
     def _send_final_ack(self, rh: RecvHandle) -> None:

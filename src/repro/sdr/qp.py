@@ -403,6 +403,8 @@ class SdrQp:
         base = hdl.msg_id * self.config.max_message_bytes
         qps = self.data_qps[hdl.generation]
         nch = len(qps)
+        rkey = self._remote.root_rkey
+        seq = hdl.seq
         sent = 0
         while sent < length:
             byte_off = offset + sent
@@ -435,18 +437,11 @@ class SdrQp:
                             attempt=attempt, stall=wait,
                         )
             qp.post_send(
+                # (length, rkey, remote_offset, payload, immediate, wr_id,
+                # signaled, msg_seq, pkt_idx, chunk, attempt, flow_id)
                 SendWr(
-                    length=flen,
-                    rkey=self._remote.root_rkey,
-                    remote_offset=base + byte_off,
-                    payload=frag_payload,
-                    immediate=imm,
-                    wr_id=hdl.seq,
-                    msg_seq=hdl.seq,
-                    pkt_idx=pkt_idx,
-                    chunk=chunk,
-                    attempt=attempt,
-                    flow_id=flow,
+                    flen, rkey, base + byte_off, frag_payload, imm, seq, True,
+                    seq, pkt_idx, chunk, attempt, flow,
                 )
             )
             sent += flen

@@ -4,7 +4,7 @@ The kernel is intentionally minimal: an event heap keyed by
 ``(time, sequence)`` (sequence breaks ties deterministically), one-shot
 :class:`Event` futures, and generator-based :class:`Process` coroutines.
 
-Heap entries are ``(time, seq, fn, arg)`` tuples of three kinds:
+Heap entries are ``(time, seq, fn, arg)`` tuples of four kinds:
 
 * **event entries** (``fn is None``, ``arg`` an :class:`Event`): the
   dispatch marks the event processed and runs its callbacks list -- what
@@ -14,7 +14,10 @@ Heap entries are ``(time, seq, fn, arg)`` tuples of three kinds:
 * **poll ticks**: the callback entry of a :class:`PollTimer`, which
   re-pushes itself every quantum until its predicate holds and then runs
   its waiters in the same dispatch -- the ``while not cond: yield
-  timeout(q)`` idiom without an ``Event`` and a generator hop per tick.
+  timeout(q)`` idiom without an ``Event`` and a generator hop per tick;
+* **timer expiries**: the callback entry of a :class:`Timer`, live or
+  cancelled -- ``any_of([timeout(d), wake])`` without the ``Event``, the
+  gate and the closure per wait.
 
 Whatever the kind, every scheduling consumes exactly one ``_seq`` at the
 point in program order where it is made, so a cheaper entry kind cannot
@@ -35,6 +38,7 @@ Typical protocol code::
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
@@ -288,6 +292,56 @@ class PollTimer(Event):
             self._rearm()
 
 
+class Timer:
+    """A cancellable, re-armable callback timer: ``fn(*args)`` on expiry.
+
+    The heap-side replacement for ``any_of([timeout(d), wake])`` where
+    nothing but the waiter itself looks at the result: no ``Event``, no
+    gate, no closure per wait.  Created by :meth:`Simulator.timer`.
+
+    :meth:`arm` pushes one callback entry at ``now + delay`` -- the time
+    and the one ``_seq`` a ``timeout(delay)`` made at that point took --
+    and supersedes the expiry armed before; :meth:`cancel` drops the
+    pending expiry.  Cancellation is lazy: a superseded entry stays on
+    the heap and is dispatched at its instant as a no-op, so it still
+    advances the clock a drained ``run()`` ends on and still crosses the
+    sampler's window boundary, exactly as the ``timeout`` that lost its
+    ``any_of`` did (both are in every same-seed digest).
+    """
+
+    __slots__ = ("sim", "_fn", "_args", "_live")
+
+    def __init__(self, sim: "Simulator", fn: Callable[..., None], args: tuple):
+        self.sim = sim
+        self._fn = fn
+        self._args = args
+        #: Token of the one entry allowed to fire; 0 = disarmed.
+        self._live = 0
+
+    @property
+    def armed(self) -> bool:
+        """Whether an expiry is pending."""
+        return self._live != 0
+
+    def arm(self, delay: float) -> None:
+        """Expire ``delay`` seconds from now, instead of whenever it was to."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        sim = self.sim
+        self._live = seq = sim._seq + 1  # unique per entry, never 0
+        heappush(sim._heap, (sim._now + delay, sim._seq, self._expire, (seq,)))
+        sim._seq = seq
+
+    def cancel(self) -> None:
+        """Drop the pending expiry, if any (its heap entry dies in place)."""
+        self._live = 0
+
+    def _expire(self, token: int) -> None:
+        if token == self._live:
+            self._live = 0
+            self._fn(*self._args)
+
+
 #: ``run()``'s stand-in target when it is not waiting for an event.
 _NEVER = Event(None)  # type: ignore[arg-type]
 
@@ -313,6 +367,10 @@ class Simulator:
         #: (``arg`` is the Event), anything else is called as ``fn(*arg)``.
         self._heap: list[tuple[float, int, Callable | None, Any]] = []
         self._seq = 0
+        #: ``packet_uid()`` is the next :attr:`~repro.net.packet.Packet.uid`
+        #: of this simulation.  Per simulator, so two runs in one process
+        #: number their packets alike.
+        self.packet_uid: Callable[[], int] = itertools.count().__next__
         #: Optional lazy windowed sampler / wall-clock profiler hooks.
         #: Disarmed cost is one attribute load (``_hooked``) per dispatch;
         #: neither may schedule events or draw RNG (determinism invariant).
@@ -400,6 +458,10 @@ class Simulator:
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` simulated seconds (see :meth:`call_at`)."""
         self.call_at(self._now + delay, fn, *args)
+
+    def timer(self, fn: Callable[..., None], *args: Any) -> Timer:
+        """A disarmed :class:`Timer` that will call ``fn(*args)`` on expiry."""
+        return Timer(self, fn, args)
 
     def poll_until(
         self,

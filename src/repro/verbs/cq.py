@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.common.errors import ResourceError
 from repro.net.packet import Opcode
@@ -24,9 +24,13 @@ class CqeStatus(enum.Enum):
     LOCAL_ERROR = "local_error"
 
 
-@dataclass(frozen=True, slots=True)
-class Cqe:
-    """One completion entry."""
+class Cqe(NamedTuple):
+    """One completion entry.
+
+    Tuple-backed (``docs/simulation.md``, "Hot-path records"): built once
+    per packet, so construction is one ``tuple.__new__``; immutable as the
+    frozen dataclass it replaced was, and equal on the same seven fields.
+    """
 
     qpn: int
     opcode: Opcode
@@ -35,18 +39,36 @@ class Cqe:
     immediate: int | None = None
     wr_id: int | None = None
     status: CqeStatus = CqeStatus.SUCCESS
+    # -- lineage: carried along, left out of equality and hashing --
     #: Which internal QP generation delivered the entry (SDR backend tag;
     #: plain Verbs consumers ignore it).
-    generation: int = field(default=0, compare=False)
+    generation: int = 0
     #: Lineage correlation key copied from the triggering packet/WR (see
     #: ``repro.telemetry.lineage``); None outside the SDR data path.
-    msg_seq: int | None = field(default=None, compare=False)
-    pkt_idx: int | None = field(default=None, compare=False)
-    chunk: int | None = field(default=None, compare=False)
+    msg_seq: int | None = None
+    pkt_idx: int | None = None
+    chunk: int | None = None
     #: ECN Congestion Experienced, copied from the delivered packet so the
     #: SDR receive path can echo congestion back through the ACK path (see
     #: ``repro.cc``).
-    ce: bool = field(default=False, compare=False)
+    ce: bool = False
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Cqe:
+            return self[:_COMPARED] == other[:_COMPARED]
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        # tuple's own ``!=`` would compare all twelve fields.
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self) -> int:
+        return hash(self[:_COMPARED])
+
+
+#: Fields of a :class:`Cqe`, from the front, that take part in ``==``.
+_COMPARED = Cqe._fields.index("generation")
 
 
 class CompletionQueue:
@@ -96,6 +118,14 @@ class CompletionQueue:
             self._listener(self)
         while self._wakeups:
             self._wakeups.pop().succeed(self)
+
+    def count_consumed(self) -> None:
+        """NIC-side: count a completion its consumer took at delivery.
+
+        What a :class:`~repro.verbs.qp.UdQp` with a receive handler posts:
+        the handler has the datagram already, so no entry is queued.
+        """
+        self._m_posted.inc()
 
     def poll(self, max_entries: int = 1) -> list[Cqe]:
         """Consumer-side: pop up to ``max_entries`` completions."""

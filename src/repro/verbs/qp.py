@@ -23,9 +23,23 @@ from repro.common.errors import ConfigError, SdrStateError
 from repro.net.channel import Channel
 from repro.net.packet import Opcode, Packet
 from repro.sim.engine import Event, Simulator
-from repro.verbs.cq import CompletionQueue, Cqe
+from repro.verbs.cq import CompletionQueue, Cqe, CqeStatus
 from repro.verbs.device import Device
 from repro.verbs.mr import IndirectMkeyTable
+
+
+#: Positional ``Cqe(...)`` / ``Packet(...)`` calls below follow the field
+#: order of the two records; these are the constants they pass.
+_SUCCESS = CqeStatus.SUCCESS
+_UD_SEND = Opcode.UD_SEND
+_WRITE_ONLY = Opcode.WRITE_ONLY
+_WRITE_ONLY_IMM = Opcode.WRITE_ONLY_IMM
+_WRITE_FIRST = Opcode.WRITE_FIRST
+_WRITE_MIDDLE = Opcode.WRITE_MIDDLE
+_WRITE_LAST = Opcode.WRITE_LAST
+_WRITE_LAST_IMM = Opcode.WRITE_LAST_IMM
+#: The Write opcodes whose packet carries the WR's immediate.
+_IMM_WRITES = frozenset({_WRITE_ONLY_IMM, _WRITE_LAST_IMM})
 
 
 class QpState(enum.Enum):
@@ -34,34 +48,62 @@ class QpState(enum.Enum):
     ERROR = "error"
 
 
-@dataclass
 class SendWr:
-    """A send work request (RDMA Write, optionally with immediate)."""
+    """A send work request (RDMA Write, optionally with immediate).
 
-    length: int
-    rkey: int = 0
-    remote_offset: int = 0
-    payload: bytes | None = None
-    immediate: int | None = None
-    wr_id: int | None = None
-    signaled: bool = True
-    #: Lineage correlation key (see ``repro.telemetry.lineage``): the SDR
-    #: post-order message sequence, packet/chunk indices within that message
-    #: and the transmission attempt.  Stamped onto every wire packet and
-    #: copied into the resulting CQEs; None outside the SDR data path.
-    msg_seq: int | None = None
-    pkt_idx: int | None = None
-    chunk: int | None = None
-    attempt: int = 0
-    flow_id: int | None = None
+    One per SDR packet, so the constructor is written by hand over
+    ``__slots__`` (``docs/simulation.md``, "Hot-path records").
+    """
 
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ConfigError(f"WR length must be > 0, got {self.length}")
-        if self.payload is not None and len(self.payload) != self.length:
+    __slots__ = (
+        "length", "rkey", "remote_offset", "payload", "immediate", "wr_id",
+        "signaled", "msg_seq", "pkt_idx", "chunk", "attempt", "flow_id",
+    )
+
+    def __init__(
+        self,
+        length: int,
+        rkey: int = 0,
+        remote_offset: int = 0,
+        payload: bytes | None = None,
+        immediate: int | None = None,
+        wr_id: int | None = None,
+        signaled: bool = True,
+        msg_seq: int | None = None,
+        pkt_idx: int | None = None,
+        chunk: int | None = None,
+        attempt: int = 0,
+        flow_id: int | None = None,
+    ):
+        if length <= 0:
+            raise ConfigError(f"WR length must be > 0, got {length}")
+        if payload is not None and len(payload) != length:
             raise ConfigError(
-                f"payload length {len(self.payload)} != WR length {self.length}"
+                f"payload length {len(payload)} != WR length {length}"
             )
+        self.length = length
+        self.rkey = rkey
+        self.remote_offset = remote_offset
+        self.payload = payload
+        self.immediate = immediate
+        self.wr_id = wr_id
+        self.signaled = signaled
+        #: Lineage correlation key (see ``repro.telemetry.lineage``): the SDR
+        #: post-order message sequence, packet/chunk indices within that
+        #: message and the transmission attempt.  Stamped onto every wire
+        #: packet and copied into the resulting CQEs; None outside the SDR
+        #: data path.
+        self.msg_seq = msg_seq
+        self.pkt_idx = pkt_idx
+        self.chunk = chunk
+        self.attempt = attempt
+        self.flow_id = flow_id
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"SendWr(length={self.length}, rkey={self.rkey}, "
+            f"off={self.remote_offset}, imm={self.immediate}, wr_id={self.wr_id})"
+        )
 
 
 @dataclass
@@ -191,36 +233,33 @@ class UcQp(BaseQp):
             nfrag = max(1, -(-wr.length // mtu))
             while i < nfrag:
                 flen = min(mtu, wr.length - sent)
+                # The WR's immediate rides its last (or only) packet.
+                imm = wr.immediate if i == nfrag - 1 else None
                 if nfrag == 1:
-                    op = Opcode.WRITE_ONLY_IMM if wr.immediate is not None else Opcode.WRITE_ONLY
+                    op = _WRITE_ONLY if imm is None else _WRITE_ONLY_IMM
                 elif i == 0:
-                    op = Opcode.WRITE_FIRST
+                    op = _WRITE_FIRST
                 elif i == nfrag - 1:
-                    op = (
-                        Opcode.WRITE_LAST_IMM
-                        if wr.immediate is not None
-                        else Opcode.WRITE_LAST
-                    )
+                    op = _WRITE_LAST if imm is None else _WRITE_LAST_IMM
                 else:
-                    op = Opcode.WRITE_MIDDLE
-                payload = (
-                    None if wr.payload is None else wr.payload[sent : sent + flen]
-                )
+                    op = _WRITE_MIDDLE
                 pkt = Packet(
-                    dst_qpn=self.dst_qpn,
-                    src_qpn=self.qpn,
-                    opcode=op,
-                    psn=self._sq_psn,
-                    rkey=wr.rkey,
-                    remote_offset=wr.remote_offset + sent,
-                    length=flen,
-                    payload=payload,
-                    immediate=wr.immediate if op.name.endswith("IMM") else None,
-                    msg_seq=wr.msg_seq,
-                    pkt_idx=wr.pkt_idx,
-                    chunk=wr.chunk,
-                    attempt=wr.attempt,
-                    flow_id=wr.flow_id if i == 0 else None,
+                    self.dst_qpn,
+                    op,
+                    self._sq_psn,
+                    wr.rkey,
+                    wr.remote_offset + sent,
+                    flen,
+                    None if wr.payload is None else wr.payload[sent : sent + flen],
+                    imm,
+                    self.qpn,
+                    wr.msg_seq,
+                    wr.pkt_idx,
+                    wr.chunk,
+                    wr.attempt,
+                    wr.flow_id if i == 0 else None,
+                    False,
+                    sim.packet_uid(),
                 )
                 self._sq_psn = (self._sq_psn + 1) % (1 << 24)
                 done = channel.transmit(pkt)
@@ -234,15 +273,9 @@ class UcQp(BaseQp):
             if wr.signaled:
                 self.send_cq.push(
                     Cqe(
-                        qpn=self.qpn,
-                        opcode=Opcode.WRITE_ONLY,
-                        byte_len=wr.length,
-                        timestamp=sim.now,
-                        wr_id=wr.wr_id,
-                        generation=self.generation,
-                        msg_seq=wr.msg_seq,
-                        pkt_idx=wr.pkt_idx,
-                        chunk=wr.chunk,
+                        self.qpn, _WRITE_ONLY, wr.length, sim.now, None,
+                        wr.wr_id, _SUCCESS, self.generation, wr.msg_seq,
+                        wr.pkt_idx, wr.chunk,
                     )
                 )
             wr = None
@@ -251,15 +284,15 @@ class UcQp(BaseQp):
 
     def on_packet(self, packet: Packet) -> None:
         op = packet.opcode
-        if op in (Opcode.WRITE_ONLY, Opcode.WRITE_ONLY_IMM):
+        if op is _WRITE_ONLY_IMM or op is _WRITE_ONLY:
             # Single-packet message: always resynchronizes.
             self._abort_partial()
             self._epsn = (packet.psn + 1) % (1 << 24)
             self._place(packet)
-            if op is Opcode.WRITE_ONLY_IMM:
+            if op is _WRITE_ONLY_IMM:
                 self._complete(packet, packet.length)
             return
-        if op is Opcode.WRITE_FIRST:
+        if op is _WRITE_FIRST:
             self._abort_partial()
             self._dropping = False
             self._in_message = True
@@ -267,7 +300,7 @@ class UcQp(BaseQp):
             self._msg_bytes = packet.length
             self._place(packet)
             return
-        if op in (Opcode.WRITE_MIDDLE, Opcode.WRITE_LAST, Opcode.WRITE_LAST_IMM):
+        if op is _WRITE_MIDDLE or op is _WRITE_LAST or op is _WRITE_LAST_IMM:
             if self._dropping or not self._in_message or packet.psn != self._epsn:
                 # ePSN mismatch: the entire in-flight message is lost.
                 self._abort_partial()
@@ -276,10 +309,10 @@ class UcQp(BaseQp):
             self._epsn = (packet.psn + 1) % (1 << 24)
             self._msg_bytes += packet.length
             self._place(packet)
-            if op in (Opcode.WRITE_LAST, Opcode.WRITE_LAST_IMM):
+            if op is not _WRITE_MIDDLE:
                 total, self._msg_bytes = self._msg_bytes, 0
                 self._in_message = False
-                if op is Opcode.WRITE_LAST_IMM:
+                if op is _WRITE_LAST_IMM:
                     self._complete(packet, total)
             return
         # UC QPs ignore foreign opcodes (e.g. stray ACKs).
@@ -298,16 +331,9 @@ class UcQp(BaseQp):
     def _complete(self, packet: Packet, byte_len: int) -> None:
         self.recv_cq.push(
             Cqe(
-                qpn=self.qpn,
-                opcode=packet.opcode,
-                byte_len=byte_len,
-                timestamp=self.sim.now,
-                immediate=packet.immediate,
-                generation=self.generation,
-                msg_seq=packet.msg_seq,
-                pkt_idx=packet.pkt_idx,
-                chunk=packet.chunk,
-                ce=packet.ce,
+                self.qpn, packet.opcode, byte_len, self.sim.now,
+                packet.immediate, None, _SUCCESS, self.generation,
+                packet.msg_seq, packet.pkt_idx, packet.chunk, packet.ce,
             )
         )
 
@@ -357,12 +383,9 @@ class UdQp(BaseQp):
                 wr, dst_qpn, dst_device = self._sq.popleft()
                 channel = self.device.link_to(dst_device)
                 pkt = Packet(
-                    dst_qpn=dst_qpn,
-                    src_qpn=self.qpn,
-                    opcode=Opcode.UD_SEND,
-                    length=wr.length,
-                    payload=wr.payload,
-                    immediate=wr.immediate,
+                    dst_qpn, _UD_SEND, 0, 0, 0, wr.length, wr.payload,
+                    wr.immediate, self.qpn, None, None, None, 0, None, False,
+                    sim.packet_uid(),
                 )
                 done = channel.transmit(pkt)
                 if done > sim.now:
@@ -371,29 +394,26 @@ class UdQp(BaseQp):
             if wr.signaled:
                 self.send_cq.push(
                     Cqe(
-                        qpn=self.qpn,
-                        opcode=Opcode.UD_SEND,
-                        byte_len=wr.length,
-                        timestamp=sim.now,
-                        wr_id=wr.wr_id,
+                        self.qpn, _UD_SEND, wr.length, sim.now, None, wr.wr_id
                     )
                 )
             wr = None
 
     def on_packet(self, packet: Packet) -> None:
-        if packet.opcode is not Opcode.UD_SEND:
+        if packet.opcode is not _UD_SEND:
             return
         if self._recv_handler is not None:
+            # The handler consumes the datagram here and now: its completion
+            # is counted, not queued on a CQ that nothing would ever poll.
+            self.recv_cq.count_consumed()
             self._recv_handler(packet.payload, packet.immediate, packet.src_qpn)
-        self.recv_cq.push(
-            Cqe(
-                qpn=self.qpn,
-                opcode=Opcode.UD_SEND,
-                byte_len=packet.length,
-                timestamp=self.sim.now,
-                immediate=packet.immediate,
+        else:
+            self.recv_cq.push(
+                Cqe(
+                    self.qpn, _UD_SEND, packet.length, self.sim.now,
+                    packet.immediate,
+                )
             )
-        )
 
 
 @dataclass
@@ -556,9 +576,8 @@ class RcQp(BaseQp):
                 remote_offset=wr.remote_offset + desc.offset_in_wr,
                 length=desc.length,
                 payload=payload,
-                immediate=(
-                    wr.immediate if desc.opcode.name.endswith("IMM") else None
-                ),
+                immediate=wr.immediate if desc.opcode in _IMM_WRITES else None,
+                uid=self.sim.packet_uid(),
             )
             assert self.channel is not None
             done = self.channel.transmit(pkt)
@@ -676,5 +695,6 @@ class RcQp(BaseQp):
                 psn=psn,
                 rkey=1 if nak else 0,
                 length=self.ACK_BYTES,
+                uid=self.sim.packet_uid(),
             )
         )

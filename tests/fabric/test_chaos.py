@@ -40,8 +40,11 @@ HOST = ChannelConfig(bandwidth_bps=25e9, distance_km=0.05)
 WAN = ChannelConfig(bandwidth_bps=10e9, distance_km=100.0)
 
 
-def wpkt(length=4096, **kw):
-    return Packet(dst_qpn=0, opcode=Opcode.WRITE_ONLY, length=length, **kw)
+def wpkt(sim, length=4096, **kw):
+    return Packet(
+        dst_qpn=0, opcode=Opcode.WRITE_ONLY, length=length,
+        uid=sim.packet_uid(), **kw,
+    )
 
 #: Shrunk chaos run for unit-speed tests: one host per rack, same
 #: geometry and cadence (4 racks, 2 cores, dual-homed hosts).
@@ -205,7 +208,7 @@ class TestInstallFabricFaults:
         )
         plane.disarm()
         got = []
-        network.send("h0-0", "h1-0", wpkt(), got.append)
+        network.send("h0-0", "h1-0", wpkt(network.sim), got.append)
         sim.run()
         assert len(got) == 1  # the wrapper is a pure passthrough
 
@@ -247,7 +250,7 @@ class TestEdgeHealthMonitor:
         for i in range(32):
             sim.call_at(
                 i * monitor.rtt,
-                lambda: network.send("h0-0", "h1-0", wpkt(), lambda pkt: None),
+                lambda: network.send("h0-0", "h1-0", wpkt(network.sim), lambda pkt: None),
             )
         sim.run()
         assert monitor.state("tor0", "wan0") in (OPEN, HALF_OPEN)
@@ -263,7 +266,7 @@ class TestEdgeHealthMonitor:
         for i in range(32):
             sim.call_at(
                 i * monitor.rtt,
-                lambda: network.send("h0-0", "h1-0", wpkt(), lambda pkt: None),
+                lambda: network.send("h0-0", "h1-0", wpkt(network.sim), lambda pkt: None),
             )
         sim.run()
         assert monitor.states() == {}

@@ -142,10 +142,8 @@ def test_duplicate_ack_is_counted_before_the_flow_fate_is_read(fluid):
     assert value("fabric.segments_acked") == acked
 
 
-@MODES
-def test_rto_abandons_only_a_relayed_packet(fluid):
-    """A booked segment has no packet in flight: its RTO must not tell the
-    network to forget uid 0 (or a stale uid) -- some other flow's packet."""
+def _lossy_transfer(fluid):
+    """One 4 MiB flow over a lossy WAN, with the network's uid traffic tapped."""
     sim, service = build(fluid, wan=LOSSY_WAN)
     net = service.net
     launched, abandoned = [], []
@@ -156,7 +154,7 @@ def test_rto_abandons_only_a_relayed_packet(fluid):
         return send(src, dst, packet, on_deliver)
 
     def spy_abandon(uid):
-        abandoned.append(uid)
+        abandoned.append((uid, uid in net._inflight))
         abandon(uid)
 
     net.send, net.abandon = spy_send, spy_abandon
@@ -164,13 +162,36 @@ def test_rto_abandons_only_a_relayed_packet(fluid):
     ticket = service.submit("a", "h0-0", "h1-0", 4 * MiB)
     sim.run()
     assert ticket.completed is not None
+    assert net.inflight_count == 0
+    return sim, ticket, launched, abandoned
+
+
+@MODES
+def test_rto_abandons_only_a_relayed_packet(fluid):
+    """A booked segment has no packet in flight: its RTO must not tell the
+    network to forget uid 0 (or a stale uid) -- some other flow's packet."""
+    sim, ticket, launched, abandoned = _lossy_transfer(fluid)
     retx = counters(sim)[1]
     assert retx == ticket.retransmits > 0
     if fluid:
         assert launched == [] and abandoned == []
     else:
         assert len(abandoned) == retx
-        assert set(abandoned) <= set(launched)
+        assert {uid for uid, _ in abandoned} <= set(launched)
+
+
+def test_packet_uids_are_per_simulator():
+    """uids come from the simulator, not a process-wide counter: a second
+    run in the same process launches and abandons the very same uids, and
+    they still key ``FabricNetwork._inflight`` one packet each."""
+    _, _, launched, abandoned = _lossy_transfer(False)
+    assert launched == list(range(len(launched)))  # this run's own 0, 1, 2, ...
+    assert len(launched) > 100
+    # Some RTOs abandon a packet still in transit (dropped on the way, so
+    # never delivered), some a packet that did arrive; none a foreign uid.
+    assert any(live for _, live in abandoned)
+    assert all(uid in launched for uid, _ in abandoned)
+    assert _lossy_transfer(False)[2:] == (launched, abandoned)
 
 
 SMALL = OpenLoopConfig(

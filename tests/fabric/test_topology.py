@@ -17,8 +17,11 @@ HOST = ChannelConfig(bandwidth_bps=25e9, distance_km=0.05)
 WAN = ChannelConfig(bandwidth_bps=10e9, distance_km=100.0)
 
 
-def wpkt(length=4096, **kw):
-    return Packet(dst_qpn=0, opcode=Opcode.WRITE_ONLY, length=length, **kw)
+def wpkt(sim, length=4096, **kw):
+    return Packet(
+        dst_qpn=0, opcode=Opcode.WRITE_ONLY, length=length,
+        uid=sim.packet_uid(), **kw,
+    )
 
 
 class TestTopology:
@@ -125,7 +128,7 @@ class TestNetwork:
     def test_end_to_end_delivery(self):
         sim, net = self.make()
         got = []
-        net.send("hL0", "hR0", wpkt(), lambda p: got.append((sim.now, p)))
+        net.send("hL0", "hR0", wpkt(net.sim), lambda p: got.append((sim.now, p)))
         sim.run()
         assert len(got) == 1
         # Store-and-forward: at least the sum of per-hop costs.
@@ -149,8 +152,8 @@ class TestNetwork:
         times = {"hL0": [], "hL1": []}
         n = 8
         for i in range(n):
-            net.send("hL0", "hR0", wpkt(), lambda p, h="hL0": times[h].append(sim.now))
-            net.send("hL1", "hR0", wpkt(), lambda p, h="hL1": times[h].append(sim.now))
+            net.send("hL0", "hR0", wpkt(net.sim), lambda p, h="hL0": times[h].append(sim.now))
+            net.send("hL1", "hR0", wpkt(net.sim), lambda p, h="hL1": times[h].append(sim.now))
         sim.run()
         assert len(times["hL0"]) == len(times["hL1"]) == n
         all_times = sorted(times["hL0"] + times["hL1"])
@@ -162,7 +165,7 @@ class TestNetwork:
     def test_abandon_suppresses_delivery(self):
         sim, net = self.make()
         got = []
-        p = wpkt()
+        p = wpkt(net.sim)
         net.send("hL0", "hR0", p, lambda pkt: got.append(pkt))
         net.abandon(p.uid)
         sim.run()
@@ -185,7 +188,7 @@ class TestNetwork:
         net = FabricNetwork(sim, topo)
         got = []
         for _ in range(8):
-            net.send("hL0", "hR0", wpkt(), lambda p: got.append(p.ce))
+            net.send("hL0", "hR0", wpkt(net.sim), lambda p: got.append(p.ce))
         sim.run()
         assert any(got)
 
@@ -208,13 +211,15 @@ class TestNetwork:
             net = FabricNetwork(sim, topo, seed=seed)
             got = []
             for i in range(200):
-                net.send("a", "b", wpkt(), lambda p: got.append(p.uid))
+                net.send("a", "b", wpkt(net.sim), lambda p: got.append(p.uid))
             sim.run()
-            return len(got)
+            return got
 
+        # Packet uids come from the simulator, so the second run in this
+        # process sees the very uids the first did.
         a, b = run(0), run(0)
         assert a == b
-        assert 0 < a < 200  # loss actually happened, deterministically
+        assert 0 < len(a) < 200  # loss actually happened, deterministically
 
 class TestRedundantShapes:
     def test_wan_routers_mesh_every_tor(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.packet import Opcode, Packet
+from repro.sim.engine import Simulator
 
 
 class TestPacket:
@@ -20,9 +21,29 @@ class TestPacket:
             )
 
     def test_uids_are_unique(self):
-        a = Packet(dst_qpn=1, opcode=Opcode.WRITE_ONLY, length=1)
-        b = Packet(dst_qpn=1, opcode=Opcode.WRITE_ONLY, length=1)
+        sim = Simulator()
+        a = Packet(dst_qpn=1, opcode=Opcode.WRITE_ONLY, length=1, uid=sim.packet_uid())
+        b = Packet(dst_qpn=1, opcode=Opcode.WRITE_ONLY, length=1, uid=sim.packet_uid())
         assert a.uid != b.uid
+
+    def test_uids_restart_with_every_simulator(self):
+        # No process-global counter: a second simulation in the same
+        # process numbers its packets as the first did.
+        first, second = Simulator(), Simulator()
+        assert [first.packet_uid() for _ in range(3)] == [0, 1, 2]
+        assert [second.packet_uid() for _ in range(3)] == [0, 1, 2]
+
+    def test_packet_built_outside_a_simulation_has_no_uid(self):
+        assert Packet(dst_qpn=1, opcode=Opcode.WRITE_ONLY, length=1).uid is None
+
+    def test_positional_order_is_the_slot_order(self):
+        # Hot sites build packets positionally (docs/simulation.md).
+        p = Packet(1, Opcode.WRITE_ONLY_IMM, 2, 3, 4, 5, b"hello", 6, 7, 8, 9, 10,
+                   11, 12, True, 13)
+        assert [getattr(p, name) for name in Packet.__slots__] == [
+            1, Opcode.WRITE_ONLY_IMM, 2, 3, 4, 5, b"hello", 6, 7, 8, 9, 10, 11,
+            12, True, 13,
+        ]
 
     @pytest.mark.parametrize(
         "opcode,carries",

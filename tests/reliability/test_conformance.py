@@ -240,9 +240,11 @@ def toy_scheme():
             def done():
                 self.ctrl.send(Done(msg_seq=rh.seq))
 
-            if (yield from self._watch(ticket, rh, self.rtt, lambda: None)):
+            def finish():
                 done()
-                yield from self._finish(ticket, [rh], done, 2 * self.rtt)
+                self._finish(ticket, [rh], done, 2 * self.rtt)
+
+            self._watch(ticket, rh, self.rtt, lambda: None, finish)
 
     return TwiceSender, TwiceReceiver
 

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bitmap import Bitmap
+from repro.common.bitmap import Bitmap, mask_bits
 from repro.common.errors import ProtocolError
 from repro.reliability.messages import (
     Ack,
     Done,
     EcAck,
     EcNack,
+    Provision,
+    RepairReq,
+    ResumeAck,
+    ResumeReq,
     SrNack,
     decode_message,
 )
@@ -131,3 +135,75 @@ def test_property_ack_reflects_receiver_bitmap(nbits, data):
     # ...and with a 64-byte window covering 512 bits >= nbits, everything
     # received is acked.
     assert acked == truly_set
+
+
+def _acked_chunks_reference(ack: Ack, nchunks: int) -> set[int]:
+    """``Ack.acked_chunks`` as it stood before the integer mask: kept as
+    the reference the mask path is held to."""
+    acked = set(range(min(ack.cumulative, nchunks)))
+    for byte_i, byte in enumerate(ack.window):
+        if not byte:
+            continue
+        base = ack.window_start + byte_i * 8
+        for bit in range(8):
+            if byte >> bit & 1:
+                idx = base + bit
+                if idx < nchunks:
+                    acked.add(idx)
+    return acked
+
+
+@settings(max_examples=300)
+@given(
+    cumulative=st.integers(0, 300),
+    window_start=st.integers(0, 300) | st.just(2**32 - 1),
+    window=st.binary(max_size=40),
+    nchunks=st.integers(1, 260),
+    outstanding=st.integers(0, 2**260 - 1),
+)
+def test_acked_mask_matches_the_set_building_reference(
+    cumulative, window_start, window, nchunks, outstanding
+):
+    ack = Ack(1, cumulative, window_start, window)
+    want = _acked_chunks_reference(ack, nchunks)
+    mask = ack.acked_mask(nchunks)
+    assert set(mask_bits(mask)) == ack.acked_chunks(nchunks) == want
+    assert mask >> nchunks == 0
+    # What the SR sender does with it: only the chunks this ACK adds to
+    # what was outstanding are visited, in ascending order.
+    outstanding &= (1 << nchunks) - 1
+    newly = list(mask_bits(mask & outstanding))
+    assert newly == sorted(i for i in want if outstanding >> i & 1)
+
+
+class TestRecords:
+    """The messages are tuple-backed; the frozen-dataclass promises hold."""
+
+    MESSAGES = [
+        Ack(1, 2, 0, b"\x01", 3, 4), SrNack(1, (2, 3)), EcAck(1),
+        EcNack(1, (0,), (4, 5)), Done(1), Provision(1, "ec"),
+        ResumeReq(1, 2), ResumeAck(1, 2, 3, 4, b"\xf0"),
+        RepairReq(1, 2, 8, b"\x03"),
+    ]
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: type(m).__name__)
+    def test_fields_are_read_only(self, msg):
+        for name in msg._fields:
+            with pytest.raises(AttributeError):
+                setattr(msg, name, 0)
+        with pytest.raises(AttributeError):
+            msg.extra = 0
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: type(m).__name__)
+    def test_equal_only_to_its_own_type(self, msg):
+        twin = type(msg)(*msg)
+        assert msg == twin and not msg != twin and hash(msg) == hash(twin)
+        assert msg != tuple(msg) and not msg == tuple(msg)
+        assert tuple(msg) != msg
+        assert msg != msg._replace(msg_seq=9)
+
+    def test_same_shape_messages_of_different_types_differ(self):
+        # As plain tuples Done(3) and EcAck(3) would compare equal.
+        assert Done(3) != EcAck(3) and not Done(3) == EcAck(3)
+        assert EcAck(3) != Done(3)
+        assert len({Done(3), Done(3)}) == 1

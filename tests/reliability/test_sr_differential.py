@@ -1,0 +1,311 @@
+"""Differential test: the SR sender's clock and bookkeeping against what they replaced.
+
+``ReferenceSrSender`` carries the sender side of Selective Repeat as it
+stood before the feedback loop went scalar-cost: a ``_timer_loop``
+*process* parked on ``any_of([timeout, wake])``, a boolean ``unacked``
+array beside ``deadline``, the horizon read through two masked ``any()``
+and a masked ``min()``, ``complete`` as ``not unacked.any()`` and an ACK
+loop over the set of *every* acknowledged chunk.  It is kept here as the
+reference.  Hypothesis draws a schedule -- chunks hitting the wire, ACKs
+(cumulative + window), plane failovers, writes resumed from a grant's
+bitmap -- and both senders must retransmit the same chunks at the same
+instants, finish the same writes at the same instants, agree on horizon,
+``complete`` and ``delivered`` after every step, and leave the drained
+clock on the same dead timer entry.
+
+Ties are kept out by construction, because that is the one place the two
+differ by design (``docs/simulation.md``): a kick re-reads the horizon in
+its own dispatch, the generator one same-instant hop later.  Schedule
+steps sit on whole ticks and the RTO is a fractional number of ticks, so
+no expiry shares an instant with a step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.units import KiB
+from repro.recovery.resume import ResumeToken
+from repro.reliability.messages import Ack, ResumeAck
+from repro.reliability.sr import SrConfig, SrSender, _PendingResume, _SendState
+
+from tests.conftest import make_sdr_pair
+
+UNIT = 1e-6
+CHUNK = 8 * KiB
+RTT = 10.37 * UNIT  # RTO = 3 RTT = 31.11 ticks: never on a whole tick
+LAST_TICK = 200
+
+
+class RecordingSender(SrSender):
+    """The sender under test; only what would touch the wire is replaced."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.log: list[tuple] = []
+
+    def _retransmit(self, state, index, *, rto):
+        self.log.append((self.sim.now, "retx", state.hdl.seq, index, rto))
+        state.retransmit_count[index] += 1
+        self._queue_restamp(state, index)  # unpaced: re-arms inline, no kick
+        return True
+
+    def _inject_chunks(self, state):
+        self._maybe_finish(state)  # a grant with nothing missing ends here
+        return
+        yield
+
+    def _complete_write(self, state, **span):
+        self.log.append((self.sim.now, "done", state.hdl.seq))
+        super()._complete_write(state, **span)
+
+    def horizon(self):
+        """What ``_retime`` reads: the minimum over every ``deadline``."""
+        return min(
+            (float(s.deadline.min()) for s in self._states.values()),
+            default=np.inf,
+        )
+
+
+class _ReferenceSendState(_SendState):
+    def __init__(self, ticket, handles, nchunks, payload):
+        super().__init__(ticket, handles, nchunks, payload)
+        self.unacked = np.ones(nchunks, dtype=bool)
+
+    @property
+    def complete(self):
+        return not self.unacked.any()
+
+    @property
+    def delivered(self):
+        return ~self.unacked
+
+
+class ReferenceSrSender(RecordingSender):
+    """``SrSender``'s timer process and per-chunk bookkeeping, pre-change."""
+
+    state_type = _ReferenceSendState
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self._timer_wake = None
+        self.sim.process(self._timer_loop())
+
+    def _retime(self):
+        pass  # the callback clock never starts
+
+    def on_plane_failover(self, plane):
+        now = self.sim.now
+        kicked = False
+        for state in self._states.values():
+            mask = state.unacked & np.isfinite(state.deadline)
+            if mask.any():
+                state.deadline[mask] = np.minimum(state.deadline[mask], now)
+                kicked = True
+        if kicked:
+            self._kick_timer()
+
+    def _launch_resumed(self, pending, ack):
+        token = pending.token
+        state = self._open(token.length, pending.payload, ticket=pending.ticket)
+        assert state.hdl.seq == ack.new_seq
+        if ack.bitmap:
+            state.unacked = ~np.unpackbits(
+                np.frombuffer(ack.bitmap, dtype=np.uint8),
+                count=token.total_chunks,
+            ).astype(bool)
+        state.resumed = True
+        missing = int(state.unacked.sum())
+        self._m_chunks_skipped.inc(state.nchunks - missing)
+        self._post(state, resumed_from=token.msg_seq)
+        self.sim.process(self._inject_chunks(state))
+
+    def _arm(self, state, index, *, kick=True):
+        if state.unacked[index]:
+            state.deadline[index] = self.sim.now + self.rto
+            state.sent_at[index] = self.sim.now
+            if kick:
+                self._kick_timer()
+
+    def _kick_timer(self):
+        if self._timer_wake is not None and not self._timer_wake.triggered:
+            self._timer_wake.succeed(None)
+
+    def horizon(self):
+        deadlines = [
+            float(s.deadline[s.unacked].min())
+            for s in self._states.values()
+            if s.unacked.any() and np.isfinite(s.deadline[s.unacked]).any()
+        ]
+        return min(deadlines) if deadlines else np.inf
+
+    def _timer_loop(self):
+        while True:
+            deadlines = [
+                float(s.deadline[s.unacked].min())
+                for s in self._states.values()
+                if s.unacked.any() and np.isfinite(s.deadline[s.unacked]).any()
+            ]
+            self._timer_wake = self.sim.event()
+            if not deadlines:
+                yield self._timer_wake
+                continue
+            horizon = min(deadlines)
+            if horizon > self.sim.now:
+                yield self.sim.any_of(
+                    [self.sim.timeout(horizon - self.sim.now), self._timer_wake]
+                )
+            if self.sim.now >= horizon:
+                self._fire_expired()
+
+    def _fire_expired(self):
+        now = self.sim.now
+        for state in list(self._states.values()):
+            for index in np.flatnonzero(state.unacked & (state.deadline <= now)):
+                self._retransmit(state, int(index), rto=True)
+
+    def _on_ctrl(self, msg):
+        assert isinstance(msg, Ack)
+        state = self._states.get(msg.msg_seq)
+        if state is None:
+            return
+        acked = set(range(min(msg.cumulative, state.nchunks)))
+        for byte_i, byte in enumerate(msg.window):
+            for bit in range(8):
+                idx = msg.window_start + byte_i * 8 + bit
+                if byte >> bit & 1 and idx < state.nchunks:
+                    acked.add(idx)
+        for index in acked:
+            if state.unacked[index]:
+                state.unacked[index] = False
+                state.deadline[index] = np.inf
+        self._maybe_finish(state)
+
+
+@st.composite
+def schedules(draw):
+    nwrites = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, 20)) for _ in range(nwrites)]
+    steps = []
+    ticks = draw(
+        st.lists(st.integers(1, 150), min_size=1, max_size=30, unique=True)
+    )
+    for tick in sorted(ticks):
+        w = draw(st.integers(0, nwrites - 1))
+        n = sizes[w]
+        kind = draw(st.sampled_from(["arm", "arm", "ack", "ack", "failover"]))
+        if kind == "arm":
+            chunks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+            steps.append((tick, "arm", w, tuple(chunks)))
+        elif kind == "ack":
+            cumulative = draw(st.integers(0, n))
+            start = (cumulative // 8) * 8
+            window = draw(st.binary(max_size=3))
+            steps.append((tick, "ack", w, (cumulative, start, window)))
+        else:
+            steps.append((tick, "failover", w, ()))
+    # A write may start as a resumption: the grant's bitmap presets it.
+    presets = [
+        draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+        for n in sizes
+    ]
+    return sizes, presets, steps
+
+
+def drive(sender_cls, schedule):
+    sizes, presets, steps = schedule
+    pair = make_sdr_pair(chunk=CHUNK, inflight=8)
+    sender = sender_cls(pair.qp_a, pair.ctrl_a, SrConfig(), rtt=RTT)
+    sim = pair.sim
+    states = []
+    for n, preset in zip(sizes, presets):
+        if preset is None:
+            states.append(sender._open(n * CHUNK))
+            continue
+        # A write resumed from a grant: its bitmap presets what is unacked.
+        delivered = np.array(preset, dtype=bool)
+        token = ResumeToken(
+            msg_seq=len(states), length=n * CHUNK, total_chunks=n, bitmap=b"",
+            reason="test", attempt=1,
+        )
+        pending = _PendingResume(
+            token, sender._write_ticket(token.msg_seq, token.length), None,
+            sim.event(),
+        )
+        new_seq = pair.qp_a._send_seq
+        sender._launch_resumed(
+            pending,
+            ResumeAck(token.msg_seq, new_seq, n, 1, np.packbits(delivered).tobytes()),
+        )
+        states.append(sender._states[new_seq])
+        assert (states[-1].delivered == delivered).all()
+    views = []
+
+    def step(kind, w, arg):
+        state = states[w]
+        if state.hdl.seq not in sender._states:
+            return  # the write already completed
+        if kind == "arm":
+            for index in arg:
+                sender._arm(state, index)
+        elif kind == "ack":
+            sender._on_ctrl(Ack(state.hdl.seq, *arg))
+        else:
+            sender.on_plane_failover(0)
+        views.append((
+            sim.now, sender.horizon(),
+            [(s.complete, s.delivered.tolist(), s.deadline.tolist()) for s in states],
+        ))
+
+    for tick, kind, w, arg in steps:
+        sim.call_at(tick * UNIT, step, kind, w, arg)
+    # Retransmission never gives up by itself: a last ACK ends every write.
+    for w, n in enumerate(sizes):
+        sim.call_at(LAST_TICK * UNIT, step, "ack", w, (n, 0, b""))
+    sim.run()
+    assert not sender._states
+    return {"log": sender.log, "views": views, "clock": sim.now}
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+def test_callback_clock_matches_generator_timer_loop(schedule):
+    assert drive(RecordingSender, schedule) == drive(ReferenceSrSender, schedule)
+
+
+def test_schedule_reaching_every_branch():
+    """The fixed schedule the property would have to find."""
+    sizes = [12, 3, 9]
+    presets = [None, None, [True] * 4 + [False] * 5]
+    steps = [
+        (1, "arm", 0, (0, 1, 2, 3)),
+        (2, "arm", 1, (0, 1, 2)),
+        (3, "arm", 2, (0, 5, 6)),       # chunk 0 is preset: stays disarmed
+        (5, "ack", 0, (2, 0, b"\x08")),  # cumulative 2 + chunk 3
+        (9, "failover", 0, ()),          # clamps 0:2, 1:0-2, 2:5-6 to now
+        (20, "ack", 1, (3, 0, b"")),     # write 1 completes
+        (40, "arm", 0, (4, 5)),
+        (41, "ack", 0, (12, 8, b"")),    # write 0 completes with timers live
+        (90, "ack", 2, (9, 8, b"")),
+    ]
+    got = drive(RecordingSender, (sizes, presets, steps))
+    assert got == drive(ReferenceSrSender, (sizes, presets, steps))
+    kinds = [entry[1] for entry in got["log"]]
+    assert kinds.count("done") == 3 and kinds.count("retx") >= 5
+    # The failover fired everything that was running, in its own instant.
+    assert [e[2:4] for e in got["log"] if e[0] == 9 * UNIT] == [
+        (0, 2), (1, 0), (1, 1), (1, 2), (2, 5), (2, 6),
+    ]
+    # Write 0's cancelled expiries still drain: the clock ends on the last.
+    assert got["clock"] > 90 * UNIT
+
+
+@pytest.mark.parametrize("nchunks", [1, 7, 8, 9, 64, 200])
+def test_resumed_preset_reads_the_grant_bitmap_msb_first(nchunks):
+    rng = np.random.default_rng(nchunks)
+    delivered = rng.random(nchunks) < 0.5
+    got = drive(RecordingSender, ([nchunks], [delivered.tolist()], []))
+    assert got == drive(ReferenceSrSender, ([nchunks], [delivered.tolist()], []))

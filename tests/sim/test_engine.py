@@ -388,6 +388,92 @@ class TestPollTimer:
             Simulator().poll_until(lambda: False, 0.0)
 
 
+class TestTimer:
+    """``Simulator.timer``: the ``any_of([timeout, wake])`` a waiter raced."""
+
+    def test_fires_once_with_its_arguments_at_now_plus_delay(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(lambda *a: fired.append((sim.now, a)), "x", 2)
+        assert not timer.armed and not sim._heap
+        sim.call_at(0.1, timer.arm, 0.3)
+        sim.run()
+        # now + delay, what timeout(delay) lands on -- not call_in's
+        # now + ((now + delay) - now).
+        assert fired == [(0.1 + 0.3, ("x", 2))]
+        assert not timer.armed
+
+    def test_rearming_supersedes_the_pending_expiry(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(lambda: fired.append(sim.now))
+        timer.arm(1.0)
+        sim.call_at(0.5, timer.arm, 2.0)
+        sim.run()
+        assert fired == [2.5]
+        assert sim.now == 2.5
+
+    def test_cancelled_entry_still_advances_the_drained_clock(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(fired.append, "late")
+        timer.arm(3.0)
+        sim.call_at(1.0, timer.cancel)
+        sim.run()
+        # Lazy cancellation: the entry pops at its instant as a no-op, as
+        # the timeout that lost its any_of did.  The clock a drained run
+        # ends on is in every same-seed digest.
+        assert fired == [] and not timer.armed
+        assert sim.now == 3.0 and not sim._heap
+
+    def test_cancelled_entry_still_crosses_the_sampler_boundary(self):
+        from repro.telemetry import Telemetry, TimeseriesSampler
+
+        def sampled(timer_kind):
+            sampler = TimeseriesSampler(window=1.0, capacity=16)
+            sim = Simulator(telemetry=Telemetry(timeseries=sampler))
+            counter = sim.telemetry.metrics.scope("app").counter("ticks")
+            sim.call_at(0.5, counter.inc)
+            if timer_kind != "absent":
+                timer = sim.timer(lambda: None)
+                timer.arm(2.5)
+                if timer_kind == "dead":
+                    sim.call_at(0.6, timer.cancel)
+            sim.run()
+            series = sampler.series("app.ticks")
+            return sampler.windows_closed, series and series.points()
+
+        # A dead entry closes the windows a live one at its instant would.
+        assert sampled("dead") == sampled("live")
+        assert sampled("dead")[0] > sampled("absent")[0]
+
+    def test_every_arm_takes_one_seq_where_the_timeout_took_one(self):
+        def run(wait):
+            sim = Simulator()
+            log = []
+            sim.call_at(1.0, log.append, "rival-before")
+            wait(sim, log)
+            sim.call_at(1.0, log.append, "rival-after")
+            steps = []
+            while sim._heap:
+                steps.append(sim._heap[0][:2])
+                sim.step()
+            return log, steps, sim._seq
+
+        def with_timeout(sim, log):
+            sim.timeout(1.0).callbacks.append(lambda ev: log.append("expired"))
+
+        def with_timer(sim, log):
+            sim.timer(log.append, "expired").arm(1.0)
+
+        assert run(with_timer) == run(with_timeout)
+        assert run(with_timer)[0] == ["rival-before", "expired", "rival-after"]
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().timer(lambda: None).arm(-1.0)
+
+
 class TestRunVersusStep:
     """``run()`` inlines the dispatch; ``step()`` is the same loop unrolled."""
 

@@ -13,7 +13,6 @@ wire packet, send CQE and received byte.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -233,9 +232,9 @@ def drive(sender_cls, receiver_cls, posts, *, buffer_bytes, cross=()):
         sim.step()
     return {
         "wire": wire,
-        # astuple: Cqe equality skips its lineage fields.
-        "send_cqes": [astuple(c) for c in send_cq.poll(10_000)],
-        "recv_cqes": [astuple(c) for c in recv_cq.poll(10_000)],
+        # As plain tuples: Cqe equality skips its lineage fields.
+        "send_cqes": [tuple(c) for c in send_cq.poll(10_000)],
+        "recv_cqes": [tuple(c) for c in recv_cq.poll(10_000)],
         "memory": bytes(buf),
         "dispatched": dispatched,
     }

@@ -4,7 +4,7 @@ multi-packet UC messages die on ePSN mismatch, single-packet writes do not.
 
 import pytest
 
-from repro.common.errors import SdrStateError
+from repro.common.errors import ConfigError, SdrStateError
 from repro.common.units import KiB
 from repro.net.packet import Opcode, Packet
 from repro.verbs.mr import MemoryRegion
@@ -206,3 +206,29 @@ class TestEndToEndReordering:
 
         assert per_packet_done == npackets  # no losses, ever
         assert naive_done < 16  # at least one chunk aborted by reordering
+
+
+class TestSendWrRecord:
+    """``SendWr`` has a hand-written constructor; its validations are kept."""
+
+    def test_non_positive_length_rejected(self):
+        for length in (0, -4):
+            with pytest.raises(ConfigError, match="WR length must be > 0"):
+                SendWr(length=length)
+
+    def test_payload_length_must_match(self):
+        with pytest.raises(ConfigError, match="payload length 5 != WR length 4"):
+            SendWr(length=4, payload=b"abcde")
+
+    def test_positional_order_is_the_slot_order(self):
+        # Hot sites build WRs positionally (docs/simulation.md).
+        wr = SendWr(5, 1, 2, b"hello", 3, 4, False, 6, 7, 8, 9, 10)
+        assert [getattr(wr, name) for name in SendWr.__slots__] == [
+            5, 1, 2, b"hello", 3, 4, False, 6, 7, 8, 9, 10,
+        ]
+
+    def test_defaults(self):
+        wr = SendWr(8)
+        assert [getattr(wr, name) for name in SendWr.__slots__] == [
+            8, 0, 0, None, None, None, True, None, None, None, 0, None,
+        ]

@@ -32,6 +32,17 @@ class TestDatagrams:
         assert len(cqes) == 1
         assert cqes[0].immediate == 1
 
+    def test_handled_datagram_is_counted_but_not_queued(self, wire):
+        # The handler is the consumer: an entry left on the CQ as well
+        # would never be polled by anyone.
+        qa, qb = make_pair(wire)
+        qb.attach_recv_handler(lambda p, imm, src: None)
+        for i in range(3):
+            qa.post_send(SendWr(length=4, payload=b"ping", immediate=i))
+        wire.sim.run()
+        assert len(qb.recv_cq) == 0
+        assert qb.recv_cq.total_posted == 3
+
     def test_mtu_enforced(self, wire):
         qa, qb = make_pair(wire)
         with pytest.raises(ConfigError):
