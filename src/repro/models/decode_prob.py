@@ -27,7 +27,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from repro.common.errors import ConfigError
 
@@ -40,12 +39,19 @@ def _validate(p_drop: float, k: int, m: int) -> None:
 
 
 def p_decode_mds(p_drop: float, k: int, m: int) -> float:
-    """Probability an MDS(k, m) submessage is recoverable."""
+    """Probability an MDS(k, m) submessage is recoverable.
+
+    The only caller of SciPy in the package: ``scipy.stats`` (~0.5 s,
+    ~65 MiB) is imported here, by the first call that needs the CDF, so a
+    process that only simulates never loads it.
+    """
     _validate(p_drop, k, m)
     if p_drop == 0.0:
         return 1.0
     if p_drop == 1.0:
         return 0.0
+    from scipy import stats
+
     return float(stats.binom.cdf(m, k + m, p_drop))
 
 

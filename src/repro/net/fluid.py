@@ -30,6 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.net.loss import NoLoss
+
 if TYPE_CHECKING:
     from repro.net.channel import Channel
 
@@ -144,6 +146,9 @@ class FluidLink:
         buffer_bytes = cfg.buffer_bytes
         ecn_bytes = cfg.ecn_threshold_bytes
         drops = ch.loss.drops
+        # Read per call (a fault can swap the model): a lossless channel
+        # draws nothing, so its per-segment call is skipped.
+        lossy = type(ch.loss) is not NoLoss
         rng = ch.rng
         dones = list(arrivals)
         ok = [True] * n
@@ -205,7 +210,7 @@ class FluidLink:
             done = dones[j] = at + backlog / bps
             if done > busy:
                 busy = done
-            if drops(rng, size):
+            if lossy and drops(rng, size):
                 ok[j] = False
         ch._busy_until = busy
         self._publish(

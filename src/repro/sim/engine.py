@@ -325,8 +325,8 @@ class Timer:
 
     def arm(self, delay: float) -> None:
         """Expire ``delay`` seconds from now, instead of whenever it was to."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:  # negated so NaN is caught too
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         sim = self.sim
         self._live = seq = sim._seq + 1  # unique per entry, never 0
         heappush(sim._heap, (sim._now + delay, sim._seq, self._expire, (seq,)))
@@ -426,8 +426,8 @@ class Simulator:
         Costs one ``Event`` (with its callbacks list) and one heap entry;
         use :meth:`call_in` when nothing waits on the result.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:  # negated so NaN is caught too
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         ev = Event(self)
         ev._state = _TRIGGERED
         ev._value = value
@@ -447,8 +447,10 @@ class Simulator:
         Nothing can wait on it and there is no handle to cancel it.
         """
         now = self._now
-        if time < now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {now}")
+        # Negated so a NaN time is caught too: pushed, it would break the
+        # heap's order silently (the clock runs backwards, entries strand).
+        if not time >= now:
+            raise SimulationError(f"cannot schedule at {time}: now is {now}")
         # The entry's time is now + (time - now), not ``time``: call_at has
         # always gone through a relative delay, the two can differ in the
         # last bit, and heap times are part of every same-seed trace.
@@ -457,7 +459,15 @@ class Simulator:
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` simulated seconds (see :meth:`call_at`)."""
-        self.call_at(self._now + delay, fn, *args)
+        # call_at(now + delay), inlined: same guard, same two roundings.
+        now = self._now
+        time = now + delay
+        if not time >= now:
+            raise SimulationError(
+                f"cannot schedule {delay} s from now: {time} is not >= {now}"
+            )
+        heappush(self._heap, (now + (time - now), self._seq, fn, args))
+        self._seq += 1
 
     def timer(self, fn: Callable[..., None], *args: Any) -> Timer:
         """A disarmed :class:`Timer` that will call ``fn(*args)`` on expiry."""
@@ -484,7 +494,7 @@ class Simulator:
         resumes at the bit-identical instants the ungated poll would have
         ticked at; an already triggered ``after`` changes nothing.
         """
-        if quantum <= 0:
+        if not quantum > 0:  # negated so NaN is caught too
             raise SimulationError(f"poll quantum must be > 0, got {quantum}")
         return PollTimer(self, predicate, quantum, after)
 

@@ -1,5 +1,7 @@
 """Discrete-event engine semantics."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import Interrupt, Simulator
@@ -262,6 +264,67 @@ class TestCallbackEntries:
         sim.call_at(0.3, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [0.1 + (0.3 - 0.1)]
+
+    def test_call_in_pushes_the_entry_call_at_now_plus_delay_pushed(self):
+        # call_in used to be call_at(now + delay); inlined, it keeps both
+        # roundings, now + ((now + delay) - now), and takes one _seq.
+        rng = random.Random(24)
+        for _ in range(200):
+            now = rng.random() * 10.0 ** rng.randint(-6, 1)
+            delay = rng.choice([0.0, rng.random() * 10.0 ** rng.randint(-9, 1)])
+            via_at, via_in = Simulator(), Simulator()
+            via_at.run(until=now)
+            via_in.run(until=now)
+            via_at.call_at(now + delay, print)
+            via_in.call_in(delay, print)
+            assert via_in._heap == via_at._heap == [
+                (now + ((now + delay) - now), 0, print, ())
+            ]
+            assert via_in._seq == via_at._seq == 1
+
+
+class TestNanIsRejected:
+    """A NaN time compares False both ways; pushed, it breaks the heap."""
+
+    def test_nan_delay_cannot_strand_entries_or_turn_the_clock_back(self):
+        # Before the guards were negated this dispatched a then c (the
+        # clock ran 1.0 -> 0.5), never ran b and returned with 2 entries.
+        sim = Simulator()
+        ran = []
+        sim.call_in(1.0, lambda: ran.append(("a", sim.now)))
+        with pytest.raises(SimulationError, match="nan"):
+            sim.call_in(float("nan"), ran.append, "x")
+        sim.call_in(2.0, lambda: ran.append(("b", sim.now)))
+        sim.call_in(0.5, lambda: ran.append(("c", sim.now)))
+        sim.run()
+        assert ran == [("c", 0.5), ("a", 1.0), ("b", 2.0)]
+        assert not sim._heap
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda sim, t: sim.call_at(t, lambda: None),
+            lambda sim, t: sim.call_in(t, lambda: None),
+            lambda sim, t: sim.timeout(t),
+            lambda sim, t: sim.timer(lambda: None).arm(t),
+            lambda sim, t: sim.poll_until(lambda: False, t),
+        ],
+        ids=["call_at", "call_in", "timeout", "Timer.arm", "poll_until"],
+    )
+    def test_every_entry_point_names_the_value_and_pushes_nothing(self, schedule):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError, match="nan"):
+            schedule(sim, float("nan"))
+        assert not sim._heap
+
+    def test_infinity_is_still_a_time(self):
+        sim = Simulator()
+        sim.call_at(float("inf"), lambda: None)
+        sim.call_in(float("inf"), lambda: None)
+        sim.timeout(float("inf"))
+        sim.timer(lambda: None).arm(float("inf"))
+        assert [entry[0] for entry in sim._heap] == [float("inf")] * 4
 
 
 def _contended(sim, log, wait):
