@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
+from repro.ec.segmented import SegmentLayout
 from repro.reliability import SCHEMES
 from repro.reliability.ec import EcConfig
 from repro.reliability.sr import SrConfig
@@ -72,8 +73,8 @@ def run_des_ring_allreduce(
             else EcConfig(codec="mds", k=8, m=4)
         )
         # EC needs 2L SDR slots per in-flight receive.
-        nsub = -(-(-(-segment // chunk_bytes)) // config.k)
-        inflight = max(16, 2 * nsub + 2)
+        layout = SegmentLayout(segment, chunk_bytes, config.k, config.m)
+        inflight = max(16, 2 * layout.nsegments + 2)
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk_bytes,
         max_message_bytes=max(segment, chunk_bytes),

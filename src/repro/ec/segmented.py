@@ -8,10 +8,13 @@ is streaming-friendly -- :meth:`iter_encode` yields one segment's parity at
 a time so injection can overlap encoding -- and decoding is per-segment, so
 one unrecoverable segment never blocks the rest of the message.
 
-The sampling reliability mode (``repro.reliability.sampling``) shares this
-segment geometry: its availability probes and repair requests are addressed
-per segment, with :class:`SegmentLayout` mapping segment ids to absolute
-chunk ranges.
+This is the one place a message is cut into segments.  The EC reliability
+scheme (``repro.reliability.ec``) is a :class:`SegmentedCode` whose segments
+travel as SDR streams: its stream lengths and offsets, parity, recoverability
+test and decode all come from here.  The sampling reliability mode
+(``repro.reliability.sampling``) shares the geometry with ``m = 0``: its
+availability probes and repair requests are addressed per segment, with
+:class:`SegmentLayout` mapping segment ids to absolute chunk ranges.
 """
 
 from __future__ import annotations
@@ -141,6 +144,25 @@ class SegmentedCode:
             yield seg, self.encode_segment(payload, layout, seg)
 
     # -- decode -----------------------------------------------------------------------
+
+    def recoverable(
+        self,
+        layout: SegmentLayout,
+        seg: int,
+        data_present: np.ndarray,
+        parity_present: np.ndarray,
+    ) -> bool:
+        """Whether segment ``seg`` decodes from the chunks flagged present.
+
+        ``data_present`` flags the segment's real data chunks, ``parity_present``
+        its ``m`` parity chunks.  Padding chunks are zeros by construction, so
+        they always count as present -- the rule :meth:`decode_segment` applies.
+        """
+        _, real = layout.chunk_range(seg)
+        present = np.ones(layout.k + layout.m, dtype=bool)
+        present[:real] = data_present
+        present[layout.k :] = parity_present
+        return self.base.recoverable(present)
 
     def decode_segment(
         self, layout: SegmentLayout, seg: int, chunks: dict[int, np.ndarray]

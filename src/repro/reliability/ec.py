@@ -3,8 +3,11 @@
 The sender splits an M-chunk message into ``L = ceil(M / k)`` data
 submessages of ``k`` chunks, erasure-codes each into ``m`` parity chunks,
 and ships 2L SDR sends (data submessages first, parity alongside as
-encoding completes).  Encoding overlaps injection; its cost is simulated by
-an ``encode_bps`` budget (the paper hides it on spare CPU cores).
+encoding completes).  The submessages are the segments of a
+:class:`~repro.ec.segmented.SegmentedCode`, which owns the geometry,
+padding, parity, recoverability test and decode.  Encoding overlaps
+injection; its cost is simulated by an ``encode_bps`` budget (the paper
+hides it on spare CPU cores).
 
 The receiver watches the per-submessage bitmaps.  Once every data
 submessage is *recoverable* (enough of its k+m coded chunks arrived), it
@@ -28,6 +31,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError, DecodeFailure, ProtocolError
 from repro.ec.codec import ErasureCode, get_codec
+from repro.ec.segmented import SegmentedCode, SegmentLayout
 from repro.reliability.base import (
     ControlPath,
     ReceiveTicket,
@@ -105,53 +109,12 @@ class EcConfig:
         return get_codec(self.codec, self.k, self.m)
 
 
-@dataclass
-class _Layout:
-    """Chunk/submessage geometry shared by both endpoints."""
-
-    length: int
-    chunk_bytes: int
-    k: int
-    m: int
-
-    @classmethod
-    def of(cls, endpoint, length: int) -> "_Layout":
-        """The layout ``endpoint``'s QP and (k, m) give a ``length`` B message."""
-        config = endpoint.config
-        return cls(length, endpoint.qp.config.chunk_bytes, config.k, config.m)
-
-    @property
-    def nchunks(self) -> int:
-        return -(-self.length // self.chunk_bytes)
-
-    @property
-    def nsub(self) -> int:
-        return -(-self.nchunks // self.k)
-
-    def sub_chunks(self, i: int) -> int:
-        """Real data chunks in submessage ``i`` (the rest are zero padding)."""
-        if i < self.nsub - 1:
-            return self.k
-        return self.nchunks - (self.nsub - 1) * self.k
-
-    def sub_bytes(self, i: int) -> int:
-        start = i * self.k * self.chunk_bytes
-        return min(self.k * self.chunk_bytes, self.length - start)
-
-    def sub_offset(self, i: int) -> int:
-        return i * self.k * self.chunk_bytes
-
-    @property
-    def parity_bytes(self) -> int:
-        return self.m * self.chunk_bytes
-
-
 class _EcSendState(WriteState):
     """An EC write: ``handles`` = L data streams, then L parity streams."""
 
     def __init__(self, ticket: WriteTicket, handles, nchunks: int, payload):
         super().__init__(ticket, handles, nchunks, payload)
-        self.layout: _Layout | None = None
+        self.layout: SegmentLayout | None = None
         #: Fallback retransmission attempts per absolute chunk index (lineage).
         self.fallback_attempts: dict[int, int] = {}
 
@@ -172,7 +135,7 @@ class EcSender(SrBacked):
         rtt: float | None = None,
     ):
         super().__init__(qp, ctrl, config, rtt=rtt)
-        self.codec = self.config.make_codec()
+        self.code = SegmentedCode(self.config.make_codec(), qp.config.chunk_bytes)
         self._m_nacks_received = self._scope.counter("nacks_received")
         self._m_fallback_retransmits = self._scope.counter("fallback_retransmits")
 
@@ -185,19 +148,20 @@ class EcSender(SrBacked):
 
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
         """Reliably write ``length`` bytes with speculative parity."""
-        layout = _Layout.of(self, length)
+        layout = self.code.layout(length)
+        nsub = layout.nsegments
         # Create all send contexts up front in the agreed matching order:
         # data submessages 0..L-1 first, then parity submessages 0..L-1.
         state = self._open(
             length, payload,
-            streams=[layout.sub_bytes(i) for i in range(layout.nsub)]
-            + [layout.parity_bytes] * layout.nsub,
+            streams=[layout.segment_bytes(i) for i in range(nsub)]
+            + [layout.m * layout.chunk_bytes] * nsub,
         )
         state.layout = layout
         self._post(
             state,
-            data_seqs=[h.seq for h in state.handles[: layout.nsub]],
-            parity_seqs=[h.seq for h in state.handles[layout.nsub :]],
+            data_seqs=[h.seq for h in state.handles[:nsub]],
+            parity_seqs=[h.seq for h in state.handles[nsub:]],
         )
         self.sim.process(self._inject_data(state))
         self.sim.process(self._encode_and_inject_parity(state))
@@ -208,11 +172,11 @@ class EcSender(SrBacked):
 
     def _inject_data(self, state: _EcSendState):
         layout = state.layout
-        for i in range(layout.nsub):
-            sub_bytes = layout.sub_bytes(i)
+        for i in range(layout.nsegments):
+            sub_bytes = layout.segment_bytes(i)
             piece = None
             if state.payload is not None:
-                off = layout.sub_offset(i)
+                off = layout.segment_offset(i)
                 piece = state.payload[off : off + sub_bytes]
             self.qp.send_stream_continue(state.handles[i], 0, sub_bytes, piece)
         return
@@ -220,31 +184,20 @@ class EcSender(SrBacked):
 
     def _encode_and_inject_parity(self, state: _EcSendState):
         layout = state.layout
-        for i in range(layout.nsub):
+        nsub = layout.nsegments
+        for i in range(nsub):
             if self.config.encode_bps is not None:
                 rate = self.config.encode_bps * self.config.encode_workers
-                yield self.sim.timeout(layout.sub_bytes(i) * 8.0 / rate)
+                yield self.sim.timeout(layout.segment_bytes(i) * 8.0 / rate)
             parity_payload = None
             if state.payload is not None:
-                parity_payload = self._compute_parity(state, i)
+                parity_payload = self.code.encode_segment(
+                    state.payload, layout, i
+                ).tobytes()
             self.qp.send_stream_continue(
-                state.handles[layout.nsub + i], 0, layout.parity_bytes,
+                state.handles[nsub + i], 0, layout.m * layout.chunk_bytes,
                 parity_payload,
             )
-
-    def _compute_parity(self, state: _EcSendState, sub: int) -> bytes:
-        layout = state.layout
-        data = np.zeros((layout.k, layout.chunk_bytes), dtype=np.uint8)
-        off = layout.sub_offset(sub)
-        sub_bytes = layout.sub_bytes(sub)
-        raw = np.frombuffer(state.payload, dtype=np.uint8, count=sub_bytes, offset=off)
-        full = sub_bytes // layout.chunk_bytes
-        if full:
-            data[:full] = raw[: full * layout.chunk_bytes].reshape(full, -1)
-        tail = sub_bytes - full * layout.chunk_bytes
-        if tail:
-            data[full, :tail] = raw[full * layout.chunk_bytes :]
-        return self.codec.encode(data).tobytes()
 
     def _global_timeout(self, state: _EcSendState):
         """Deadlock guard: give up if no ACK arrives within the global budget."""
@@ -291,9 +244,10 @@ class EcSender(SrBacked):
             layout = state.layout
             for chunk in msg.missing_chunks:
                 chunk = int(chunk)
-                sub, j = divmod(chunk, layout.k)
                 if chunk >= state.nchunks:
                     continue
+                sub = layout.segment_of(chunk)
+                j = chunk - layout.chunk_range(sub)[0]
                 attempt = state.fallback_attempts.get(chunk, 0) + 1
                 state.fallback_attempts[chunk] = attempt
                 hdl = state.handles[sub]
@@ -310,7 +264,7 @@ class EcSender(SrBacked):
                     )
                 self._send_chunk(
                     state, chunk, attempt=attempt, hdl=hdl,
-                    origin=layout.sub_offset(sub),
+                    origin=layout.segment_offset(sub),
                 )
                 state.ticket.retransmitted_chunks += 1
                 self._m_fallback_retransmits.inc()
@@ -321,7 +275,7 @@ class _EcReceive:
     """Receive-side state of one EC message (2L posted slots)."""
 
     ticket: ReceiveTicket
-    layout: _Layout
+    layout: SegmentLayout
     mr: MemoryRegion
     mr_offset: int
     data: list[RecvHandle]
@@ -333,8 +287,7 @@ class _EcReceive:
 
     def data_present(self, sub: int) -> np.ndarray:
         """Arrival flags of submessage ``sub``'s real data chunks."""
-        real = self.layout.sub_chunks(sub)
-        return self.data[sub].bitmap().as_array()[:real]
+        return self.data[sub].bitmap().as_array()
 
 
 class EcReceiver(SrBackedReceiver):
@@ -352,7 +305,7 @@ class EcReceiver(SrBackedReceiver):
         rtt: float | None = None,
     ):
         super().__init__(qp, ctrl, config, rtt=rtt)
-        self.codec = self.config.make_codec()
+        self.code = SegmentedCode(self.config.make_codec(), qp.config.chunk_bytes)
         self._m_acks_sent = self._scope.counter("acks_sent")
         self._m_nacks_sent = self._scope.counter("nacks_sent")
         self._m_submessages_decoded = self._scope.counter("submessages_decoded")
@@ -377,33 +330,35 @@ class EcReceiver(SrBackedReceiver):
         self, mr: MemoryRegion, length: int, mr_offset: int = 0
     ) -> ReceiveTicket:
         """Post user buffer + parity scratch; matching order = sender's."""
-        layout = _Layout.of(self, length)
-        needed = 2 * layout.nsub
+        layout = self.code.layout(length)
+        nsub = layout.nsegments
+        parity_bytes = layout.m * layout.chunk_bytes
+        needed = 2 * nsub
         if needed > self.qp.config.inflight_messages:
             raise ConfigError(
                 f"EC receive needs {needed} SDR slots "
-                f"(L={layout.nsub} submessages); configure "
+                f"(L={nsub} submessages); configure "
                 f"inflight_messages >= {needed}"
             )
         data_handles = [
             self.qp.recv_post(
                 SdrRecvWr(
                     mr=mr,
-                    length=layout.sub_bytes(i),
-                    mr_offset=mr_offset + layout.sub_offset(i),
+                    length=layout.segment_bytes(i),
+                    mr_offset=mr_offset + layout.segment_offset(i),
                 )
             )
-            for i in range(layout.nsub)
+            for i in range(nsub)
         ]
         parity_handles: list[RecvHandle] = []
-        for i in range(layout.nsub):
+        for i in range(nsub):
             scratch = self.qp.ctx.mr_reg(
-                layout.parity_bytes,
-                data=bytearray(layout.parity_bytes) if mr.payload_mode else None,
+                parity_bytes,
+                data=bytearray(parity_bytes) if mr.payload_mode else None,
                 name=f"parity.{i}",
             )
             parity_handles.append(
-                self.qp.recv_post(SdrRecvWr(mr=scratch, length=layout.parity_bytes))
+                self.qp.recv_post(SdrRecvWr(mr=scratch, length=parity_bytes))
             )
         ticket = ReceiveTicket(
             seq=data_handles[0].seq,
@@ -433,14 +388,13 @@ class EcReceiver(SrBackedReceiver):
         """
         layout = rx.layout
         delivered = np.zeros(layout.nchunks, dtype=bool)
-        for s in range(layout.nsub):
-            base = s * layout.k
-            real = layout.sub_chunks(s)
+        for s in range(layout.nsegments):
+            start, real = layout.chunk_range(s)
             if self._recoverable(rx, s):
                 yield from self._decode_sub(rx, s)
-                delivered[base : base + real] = True
+                delivered[start : start + real] = True
             else:
-                delivered[base : base + real] = rx.data_present(s)
+                delivered[start : start + real] = rx.data_present(s)
         self._backstop().adopt(
             msg, rx.ticket, rx.handles, rx.mr, layout.length, rx.mr_offset,
             delivered,
@@ -450,25 +404,17 @@ class EcReceiver(SrBackedReceiver):
 
     def _recoverable(self, rx: _EcReceive, sub: int) -> bool:
         """Whether submessage ``sub`` decodes from what has arrived so far."""
-        # By dimension no (k, m) code recovers k chunks from fewer than k
-        # (padding chunks count as present), so the O(1) popcounts settle
-        # almost every wake without unpacking a bitmap.
-        arrived = rx.data[sub].bitmap().count() + rx.parity[sub].bitmap().count()
-        if arrived < rx.layout.sub_chunks(sub):
+        data, parity = rx.data[sub].bitmap(), rx.parity[sub].bitmap()
+        # By dimension no code rebuilds a segment's real data chunks from
+        # fewer arrived chunks than there are real data chunks, so the O(1)
+        # popcounts settle almost every wake without unpacking a bitmap.
+        if data.count() + parity.count() < len(data):
             return False
-        return self.codec.recoverable(self._presence(rx, sub))
+        return self.code.recoverable(
+            rx.layout, sub, data.as_array(), parity.as_array()
+        )
 
-    def _presence(self, rx: _EcReceive, sub: int) -> np.ndarray:
-        """Boolean k+m presence vector for submessage ``sub``."""
-        layout = rx.layout
-        present = np.zeros(layout.k + layout.m, dtype=bool)
-        real = layout.sub_chunks(sub)
-        present[real : layout.k] = True  # zero-padding chunks always "present"
-        present[:real] = rx.data_present(sub)
-        present[layout.k :] = rx.parity[sub].bitmap().as_array()[: layout.m]
-        return present
-
-    def _fto(self, layout: _Layout) -> float:
+    def _fto(self, layout: SegmentLayout) -> float:
         """FTO = (M + ceil(M/R)) * T_INJ + beta * RTT."""
         assert self.qp.data_qps[0][0].channel is not None
         bw = self.qp.data_qps[0][0].channel.config.bytes_per_second
@@ -499,7 +445,7 @@ class EcReceiver(SrBackedReceiver):
             if ticket.seq not in self._serving:
                 return  # a resumption grant took over this message
             pending = [
-                s for s in range(layout.nsub)
+                s for s in range(layout.nsegments)
                 if not self._recoverable(rx, s)
             ]
             if not pending:
@@ -508,7 +454,7 @@ class EcReceiver(SrBackedReceiver):
                 self._give_up(
                     ticket,
                     np.concatenate(
-                        [rx.data_present(s) for s in range(layout.nsub)]
+                        [rx.data_present(s) for s in range(layout.nsegments)]
                     ),
                 )
                 return
@@ -526,7 +472,7 @@ class EcReceiver(SrBackedReceiver):
         # Phase 3: decode missing chunks in place, complete, ACK.  EC frees
         # its slots *before* the first ACK (the shared ``_finish`` then finds
         # nothing left to complete); grace re-ACKs cover a dropped ACK.
-        for s in range(layout.nsub):
+        for s in range(layout.nsegments):
             yield from self._decode_sub(rx, s)
         for h in rx.handles:
             if not h.completed:
@@ -543,8 +489,9 @@ class EcReceiver(SrBackedReceiver):
         missing: list[int] = []
         max_entries = (self.qp.config.mtu_bytes - 32) // 4
         for s in pending:
+            start, _ = layout.chunk_range(s)
             for j in np.flatnonzero(~rx.data_present(s)):
-                missing.append(s * layout.k + int(j))
+                missing.append(start + int(j))
                 if len(missing) >= max_entries:
                     break
             if len(missing) >= max_entries:
@@ -567,7 +514,6 @@ class EcReceiver(SrBackedReceiver):
     def _decode_sub(self, rx: _EcReceive, s: int):
         """Decode one recoverable submessage in place (no-op if complete)."""
         ticket, layout, mr = rx.ticket, rx.layout, rx.mr
-        real = layout.sub_chunks(s)
         data_present = rx.data_present(s)
         if data_present.all():
             return
@@ -575,10 +521,11 @@ class EcReceiver(SrBackedReceiver):
         missing = int((~data_present).sum())
         ticket.decoded_chunks += missing
         self._m_decoded_chunks.inc(missing)
-        sub_bytes = layout.sub_bytes(s)
         decode_start = self.sim.now
         if self.config.decode_bps is not None:
-            yield self.sim.timeout(sub_bytes * 8.0 / self.config.decode_bps)
+            yield self.sim.timeout(
+                layout.segment_bytes(s) * 8.0 / self.config.decode_bps
+            )
         if self._trace.enabled:
             self._trace.complete(
                 "decode", cat="ec", track=self._track,
@@ -587,40 +534,26 @@ class EcReceiver(SrBackedReceiver):
             )
         if not mr.payload_mode:
             return  # sized mode: timing only
-        chunks: dict[int, np.ndarray] = {}
-        base = rx.mr_offset + layout.sub_offset(s)
-        for j in range(real):
-            if data_present[j]:
-                off = base + j * layout.chunk_bytes
-                clen = min(layout.chunk_bytes, sub_bytes - j * layout.chunk_bytes)
-                buf = np.zeros(layout.chunk_bytes, dtype=np.uint8)
-                buf[:clen] = np.frombuffer(
-                    mr.data, dtype=np.uint8, count=clen, offset=off
-                )
-                chunks[j] = buf
-        for j in range(real, layout.k):
-            chunks[j] = np.zeros(layout.chunk_bytes, dtype=np.uint8)
-        parity_mr = rx.parity[s].mr
-        parity_present = rx.parity[s].bitmap().as_array()[: layout.m]
-        for j in range(layout.m):
-            if parity_present[j]:
-                chunks[layout.k + j] = np.frombuffer(
-                    parity_mr.data,
-                    dtype=np.uint8,
-                    count=layout.chunk_bytes,
-                    offset=j * layout.chunk_bytes,
-                )
-        try:
-            decoded = self.codec.decode(chunks)
-        except DecodeFailure as exc:  # pragma: no cover - guarded by caller
-            raise ProtocolError(
-                f"submessage {s} marked recoverable but decode failed"
-            ) from exc
-        for j in np.flatnonzero(~data_present):
-            j = int(j)
-            off = base + j * layout.chunk_bytes
-            clen = min(layout.chunk_bytes, sub_bytes - j * layout.chunk_bytes)
-            mr.data[off : off + clen] = decoded[j, :clen].tobytes()
+        parity = np.frombuffer(rx.parity[s].mr.data, dtype=np.uint8).reshape(
+            layout.m, layout.chunk_bytes
+        )
+        end = rx.mr_offset + layout.length
+        with memoryview(mr.data)[rx.mr_offset : end] as message:
+            data = self.code.segment_data(message, layout, s)
+            chunks = {int(j): data[j] for j in np.flatnonzero(data_present)}
+            for j in np.flatnonzero(rx.parity[s].bitmap().as_array()):
+                chunks[layout.k + int(j)] = parity[j]
+            try:
+                piece = self.code.decode_segment(layout, s, chunks)
+            except DecodeFailure as exc:  # pragma: no cover - guarded by caller
+                raise ProtocolError(
+                    f"submessage {s} marked recoverable but decode failed"
+                ) from exc
+            base = layout.segment_offset(s)
+            for j in np.flatnonzero(~data_present):
+                lo = int(j) * layout.chunk_bytes
+                hi = min(lo + layout.chunk_bytes, len(piece))
+                message[base + lo : base + hi] = piece[lo:hi]
 
 
 register_scheme("ec", EcSender, EcReceiver)

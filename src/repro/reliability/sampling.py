@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.ec.sampling import draw_probes
+from repro.ec.segmented import SegmentLayout
 from repro.reliability.base import (
     ControlPath,
     ReceiveTicket,
@@ -299,13 +300,12 @@ class SamplingReceiver(SrBackedReceiver):
 
     # -- sampling serve loop ------------------------------------------------------------
 
-    def _segment_range(self, seg: int, nchunks: int) -> tuple[int, int]:
-        start = seg * self.config.segment_chunks
-        return start, min(self.config.segment_chunks, nchunks - start)
-
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
         cfg = self.config
-        nseg = -(-rh.nchunks // cfg.segment_chunks)
+        layout = SegmentLayout(
+            rh.length, self.qp.config.chunk_bytes, cfg.segment_chunks, 0
+        )
+        nseg = layout.nsegments
         seg_done = np.zeros(nseg, dtype=bool)
         rng = self._rngs.get(f"probe.{self.qp.ctx.device.name}.{rh.seq}")
         rounds = 0
@@ -333,7 +333,7 @@ class SamplingReceiver(SrBackedReceiver):
             for seg in range(nseg):
                 if seg_done[seg]:
                     continue
-                start, seg_len = self._segment_range(seg, rh.nchunks)
+                start, seg_len = layout.chunk_range(seg)
                 seg_present = present[start : start + seg_len]
                 if seg_present.all():
                     seg_done[seg] = True
@@ -360,7 +360,7 @@ class SamplingReceiver(SrBackedReceiver):
                     flagged=len(flagged), full=full,
                 )
             for seg in flagged:
-                self._send_repair(rh, seg, present)
+                self._send_repair(rh, layout, seg, present)
 
         def finish() -> None:
             # Re-send Done through the grace window in case the final
@@ -373,8 +373,10 @@ class SamplingReceiver(SrBackedReceiver):
         interval = cfg.sample_interval_rtts * self.rtt
         self._watch(ticket, rh, interval, sample, finish)
 
-    def _send_repair(self, rh: RecvHandle, seg: int, present: np.ndarray) -> None:
-        start, seg_len = self._segment_range(seg, rh.nchunks)
+    def _send_repair(
+        self, rh: RecvHandle, layout: SegmentLayout, seg: int, present: np.ndarray
+    ) -> None:
+        start, seg_len = layout.chunk_range(seg)
         missing = ~present[start : start + seg_len]
         window = np.packbits(missing, bitorder="little").tobytes()
         max_window = self.qp.config.mtu_bytes - 32

@@ -141,10 +141,12 @@ class Event:
 
 
 class Interrupt(ReproError):
-    """Raised inside a process that another process interrupted.
+    """Raised inside a process that :meth:`Process.interrupt` interrupted.
 
-    Used by the reliability layers to cancel pending retransmission timers
-    when an ACK arrives.
+    The SimPy-style way to cancel a parked generator.  No protocol layer
+    raises or catches it: retransmission timers are cancellable
+    :class:`Timer` entries and polls are :class:`PollTimer` entries.  The
+    generator reference models in the tests interrupt their processes.
     """
 
     def __init__(self, cause: Any = None):

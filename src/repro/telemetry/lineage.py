@@ -9,7 +9,7 @@ causal chain::
 
     msg_post -> cts_grant -> tx (attempt 0) -> [loss_drop / fault_drop]
              -> gap_nack / rto_fire / nack_retx -> tx (attempt >= 1)
-             -> chunk_close -> decode -> sr_write / ec_write
+             -> chunk_close -> decode -> <scheme>_write
 
 :class:`LineageAnalyzer` replays any trace (a live
 :class:`~repro.telemetry.trace.RingBufferSink` or a JSONL file) into
@@ -252,7 +252,8 @@ class LineageAnalyzer:
             if ev.dur is not None:
                 args["__dur"] = ev.dur
             rec.events.append((ev.ts, ev.name, args))
-            if ev.name in ("sr_write", "ec_write", "sampling_write"):
+            if ev.name == f"{ev.cat}_write":
+                # Every scheme's one success span (``Sender._complete_write``).
                 rec.completed = ev.ts + (ev.dur or 0.0)
                 rec.posted = ev.ts
             elif ev.name == "fabric_deliver":

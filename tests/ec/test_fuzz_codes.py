@@ -134,16 +134,55 @@ def test_segmented_tail_below_k_with_padding_is_never_recoverable(
     count = min(layout.k - padding - 1, int(share * (layout.k - padding)))
     rng = np.random.default_rng(seed)
     kept = [real_slots[i] for i in rng.permutation(len(real_slots))[:count]]
-    present = np.zeros(layout.k + layout.m, dtype=bool)
-    present[real:layout.k] = True
-    present[kept] = True
-    assert present.sum() < layout.k
-    assert not code.base.recoverable(present)
+    assert len(kept) + padding < layout.k
+    assert not code.recoverable(
+        layout, seg,
+        [j in kept for j in range(real)],
+        [layout.k + j in kept for j in range(layout.m)],
+    )
     with pytest.raises(DecodeFailure):
         code.decode_segment(
             layout, seg,
             {j: np.zeros(layout.chunk_bytes, np.uint8) for j in kept},
         )
+
+
+@pytest.mark.parametrize(
+    "base", [ReedSolomonCode(4, 2), XorCode(4, 2)], ids=["rs-4-2", "xor-4-2"]
+)
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.integers(1, 400),
+    seg=st.integers(0, 63),
+    erased=st.integers(0, 2**6 - 1),
+)
+def test_recoverable_iff_segment_decodes(base, length, seg, erased):
+    """One padding rule: ``SegmentedCode.recoverable`` says yes exactly when
+    ``decode_segment`` rebuilds the segment's bytes from the same survivors
+    (bit i of ``erased`` drops coded chunk i; padding cannot be dropped)."""
+    code = SegmentedCode(base, chunk_bytes=16)
+    layout = code.layout(length)
+    seg %= layout.nsegments
+    _, real = layout.chunk_range(seg)
+    payload = np.random.default_rng(length).integers(
+        0, 256, length, dtype=np.uint8
+    ).tobytes()
+    data = code.segment_data(payload, layout, seg)
+    parity = code.encode_segment(payload, layout, seg)
+    data_present = [not erased >> j & 1 for j in range(real)]
+    parity_present = [not erased >> (layout.k + j) & 1 for j in range(layout.m)]
+    chunks = {j: data[j] for j in range(real) if data_present[j]}
+    chunks.update(
+        {layout.k + j: parity[j] for j in range(layout.m) if parity_present[j]}
+    )
+    off = layout.segment_offset(seg)
+    try:
+        decoded = code.decode_segment(layout, seg, chunks)
+    except DecodeFailure:
+        decoded = None
+    assert code.recoverable(layout, seg, data_present, parity_present) == (
+        decoded == payload[off : off + layout.segment_bytes(seg)]
+    )
 
 
 def test_segmented_fuzz_over_message_sizes():
@@ -165,21 +204,15 @@ def test_segmented_fuzz_over_message_sizes():
                 chunks[layout.nchunks + seg * layout.m + j] = parity[j]
         drop_p = float(rng.uniform(0.0, 0.4))
         erased = [idx for idx in list(chunks) if rng.random() < drop_p]
-        # Per-segment recoverability: count surviving coded chunks,
-        # remembering padding chunks are implicit survivors.
         decodable = True
         for seg in range(layout.nsegments):
             start, real = layout.chunk_range(seg)
-            have = sum(
-                1 for j in range(real) if start + j in chunks
-                and start + j not in erased
-            ) + (layout.k - real)  # implicit padding
-            have += sum(
-                1 for j in range(layout.m)
-                if layout.nchunks + seg * layout.m + j not in erased
+            parity0 = layout.nchunks + seg * layout.m
+            decodable &= code.recoverable(
+                layout, seg,
+                [start + j not in erased for j in range(real)],
+                [parity0 + j not in erased for j in range(layout.m)],
             )
-            if have < layout.k:
-                decodable = False
         for idx in erased:
             del chunks[idx]
         if decodable:

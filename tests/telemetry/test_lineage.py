@@ -16,6 +16,8 @@ from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB, distance_to_rtt
 from repro.models.params import ModelParams
 from repro.models.sr_model import sr_expected_completion
+from repro.reliability import SCHEMES
+from repro.stack import endpoints
 from repro.telemetry import (
     ATTRIBUTION_CATEGORIES,
     JsonlSink,
@@ -25,6 +27,8 @@ from repro.telemetry import (
     Telemetry,
 )
 from repro.telemetry.demo import run_demo
+
+from tests.conftest import make_sdr_pair
 
 CHUNK = 64 * KiB
 
@@ -113,6 +117,24 @@ class TestLossyAttribution:
             assert m.attribution["first_transmit"] > 0
             # Parity rides along: more wire time than the data alone.
             assert m.bytes == MiB
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_every_scheme_completes_its_lineages(scheme):
+    """Lineage completes on each scheme's ``<scheme>_write`` span, not on a
+    hard-coded list of names (GBN's ``gbn_write`` used to be missed)."""
+    ring = RingBufferSink(capacity=1 << 20)
+    pair = make_sdr_pair(telemetry=Telemetry(trace=True, trace_sinks=[ring]))
+    sender, receiver = endpoints(scheme, pair)
+    size = 256 * KiB
+    tickets = []
+    for _ in range(3):
+        receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+        tickets.append(sender.write(size))
+    pair.sim.run(pair.sim.all_of([t.done for t in tickets]))
+    analyzer = LineageAnalyzer.from_events(ring.events)
+    assert [m.msg for m in analyzer.completed] == [t.seq for t in tickets]
+    analyzer.check()
 
 
 class TestDeterminismAndRoundTrip:
