@@ -15,24 +15,12 @@ from repro.collectives.ring_allreduce import (
     ideal_stage_sampler,
     sr_stage_sampler,
 )
-from repro.collectives.tree import (
-    BinomialBroadcast,
-    StagedCollective,
-    TreeAllreduce,
-    binomial_broadcast_schedule,
-    binomial_reduce_schedule,
-)
 
 __all__ = [
-    "BinomialBroadcast",
     "DesRingResult",
     "RingAllreduce",
     "run_des_ring_allreduce",
-    "StagedCollective",
-    "TreeAllreduce",
     "allreduce_lower_bound",
-    "binomial_broadcast_schedule",
-    "binomial_reduce_schedule",
     "ec_stage_sampler",
     "ideal_stage_sampler",
     "sr_stage_sampler",

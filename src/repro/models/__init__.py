@@ -18,10 +18,6 @@ from repro.models.ec_model import (
     ec_expected_completion,
     ec_sample_completion,
 )
-from repro.models.gbn_model import (
-    gbn_expected_completion,
-    gbn_sample_completion,
-)
 from repro.models.params import ModelParams
 from repro.models.sr_model import (
     sr_completion_percentile,
@@ -36,8 +32,6 @@ __all__ = [
     "ModelParams",
     "ec_expected_completion",
     "ec_sample_completion",
-    "gbn_expected_completion",
-    "gbn_sample_completion",
     "p_decode_mds",
     "p_decode_rs2d",
     "p_decode_xor",

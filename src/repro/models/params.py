@@ -76,10 +76,6 @@ class ModelParams:
         """The Appendix A per-drop overhead O = RTO + T_INJ."""
         return self.rto + self.t_inj
 
-    @property
-    def bdp_bytes(self) -> float:
-        return self.bandwidth_bps / 8.0 * self.rtt
-
     def chunks_in(self, message_bytes: int) -> int:
         if message_bytes <= 0:
             raise ConfigError(f"message size must be > 0, got {message_bytes}")

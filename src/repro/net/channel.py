@@ -45,10 +45,6 @@ class ChannelStats:
     busy_until: float = field(default=0.0, repr=False)
 
     @property
-    def packets_delivered(self) -> int:
-        return self.packets_offered - self.packets_dropped
-
-    @property
     def observed_drop_rate(self) -> float:
         if self.packets_offered == 0:
             return 0.0
@@ -117,9 +113,6 @@ class Channel:
         self._sink = sink
 
     # -- transmission ----------------------------------------------------------
-
-    def serialization_time(self, size_bytes: int) -> float:
-        return size_bytes / self._bps
 
     @staticmethod
     def _lineage(packet: Packet) -> dict:

@@ -343,18 +343,11 @@ class RepairReq(NamedTuple):
         )
 
     def missing_chunks(self, nchunks: int) -> list[int]:
-        """Absolute indices of the chunks this request asks for."""
-        out: list[int] = []
-        for byte_i, byte in enumerate(self.missing):
-            if not byte:
-                continue
-            base = self.window_start + byte_i * 8
-            for bit in range(8):
-                if byte >> bit & 1:
-                    idx = base + bit
-                    if idx < nchunks:
-                        out.append(idx)
-        return out
+        """Absolute indices of the chunks this request asks for, ascending."""
+        if self.window_start >= nchunks:
+            return []  # and no shift by a wire-supplied u32
+        window = int.from_bytes(self.missing, "little") << self.window_start
+        return list(mask_bits(window & ((1 << nchunks) - 1)))
 
 
 _DECODERS = {

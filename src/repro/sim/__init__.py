@@ -20,7 +20,6 @@ insertion order, and all randomness flows through explicitly-seeded
 
 from repro.sim.engine import (
     Event,
-    Interrupt,
     PollTimer,
     Process,
     SimConfig,
@@ -30,7 +29,6 @@ from repro.sim.rng import RngStreams
 
 __all__ = [
     "Event",
-    "Interrupt",
     "PollTimer",
     "Process",
     "RngStreams",

@@ -114,6 +114,8 @@ class Event:
         """Schedule this event to fire successfully after ``delay``."""
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
+        if not delay >= 0:  # negated so NaN is caught too
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         self._state = _TRIGGERED
         self._value = value
         sim = self.sim
@@ -125,6 +127,8 @@ class Event:
         """Schedule this event to fire with an error after ``delay``."""
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
+        if not delay >= 0:  # negated so NaN is caught too
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         self._state = _TRIGGERED
         self._error = error
         sim = self.sim
@@ -140,59 +144,25 @@ class Event:
             cb(self)
 
 
-class Interrupt(ReproError):
-    """Raised inside a process that :meth:`Process.interrupt` interrupted.
+class Process(Event):
+    """A running generator coroutine; also an Event that fires on return.
 
-    The SimPy-style way to cancel a parked generator.  No protocol layer
-    raises or catches it: retransmission timers are cancellable
-    :class:`Timer` entries and polls are :class:`PollTimer` entries.  The
-    generator reference models in the tests interrupt their processes.
+    Nothing cancels a parked process from outside: a generator that must
+    stop re-checks a flag after each ``yield``; a cancellable wait is a
+    :class:`Timer`.
     """
 
-    def __init__(self, cause: Any = None):
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
-
-
-class Process(Event):
-    """A running generator coroutine; also an Event that fires on return."""
-
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]):
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: Event | None = None
         # Bootstrap: resume the generator at time now.
         boot = Event(sim)
         boot.callbacks.append(self._resume)
         boot.succeed(None)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._state == _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._state != _PENDING:
-            return
-        target = self._waiting_on
-        if target is not None and target._state != _PROCESSED:
-            # Detach from the event we were waiting on (it may already be
-            # scheduled -- e.g. a pending timeout -- but has not yet been
-            # dispatched) and resume the process with the Interrupt instead.
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            kick = Event(self.sim)
-            kick.callbacks.append(self._resume)
-            kick.fail(Interrupt(cause))
-        # If the event was already dispatched, the interrupt lost the race:
-        # the process resumes normally, matching SimPy semantics.
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event._error is not None:
                 nxt = self._gen.throw(event._error)
@@ -200,10 +170,6 @@ class Process(Event):
                 nxt = self._gen.send(event._value)
         except StopIteration as stop:
             super().succeed(stop.value)
-            return
-        except Interrupt as exc:
-            # An un-handled interrupt terminates the process quietly.
-            super().fail(exc)
             return
         if not isinstance(nxt, Event):
             raise SimulationError(
@@ -220,7 +186,6 @@ class Process(Event):
                 relay.succeed(nxt._value)
         else:
             nxt.callbacks.append(self._resume)
-        self._waiting_on = nxt
 
 
 class PollTimer(Event):
@@ -272,8 +237,6 @@ class PollTimer(Event):
         sim._seq += 1
 
     def _ungate(self, _after: Event) -> None:
-        if not self.callbacks:
-            return  # interrupted while gated: dead, like a tick
         sim = self.sim
         now = sim._now
         quantum = self._quantum
@@ -284,10 +247,6 @@ class PollTimer(Event):
         sim._seq += 1
 
     def _tick(self) -> None:
-        if not self.callbacks:
-            # The waiter was interrupted off this poll: like the timeout
-            # the loop left behind, the tick is dead and nothing re-arms.
-            return
         if self._predicate():
             self._fire()
         else:
@@ -587,8 +546,8 @@ class Simulator:
         waiting = isinstance(until, Event)
         target = until if waiting else _NEVER
         deadline = float("inf") if waiting or until is None else float(until)
-        if deadline < self._now:
-            raise SimulationError(f"deadline {deadline} is in the past")
+        if not deadline >= self._now:  # negated so NaN is caught too
+            raise SimulationError(f"deadline {deadline} is not >= now ({self._now})")
         # The dispatch loop, inlined: :meth:`step` without the calls.  Hooks
         # are re-read on every pop so one attached mid-run takes effect.
         heap = self._heap

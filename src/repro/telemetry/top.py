@@ -9,8 +9,7 @@ sparkline rows so a terminal shows the *shape* of a run -- the incast
 collapse, the breaker flap, the SLO burn during a chaos window and the
 recovery after it -- without Perfetto.
 
-Used by the ``repro top`` CLI on a recorded trace and by
-``repro report --timeseries`` on a live run's windowed series.
+Used by the ``repro top`` CLI on a recorded trace.
 """
 
 from __future__ import annotations
@@ -162,64 +161,3 @@ def top_table(
             _format_value(row.last),
         )
     return table
-
-
-def series_table(
-    sampler, *, width: int = 48, limit: int = 24, match: str = ""
-) -> Table:
-    """Sparklines straight from a live :class:`TimeseriesSampler`.
-
-    Counter series are shown as per-window *rates*, gauges as raw values,
-    histogram series as per-window observation counts.
-    """
-    if width < 8:
-        raise ConfigError(f"sparkline width must be >= 8, got {width}")
-    names = [n for n in sampler.names() if match in n]
-    if not names:
-        raise ConfigError(
-            f"no sampled series match {match!r} (have {sampler.names()})"
-        )
-    table = Table(
-        title=(
-            f"timeseries: {len(names)} series, "
-            f"{sampler.windows_closed} windows of {sampler.window * 1e3:g} ms"
-        ),
-        columns=["series", "kind", "spark", "min", "max", "last"],
-        notes="counters plotted as per-window rates; histograms as "
-              "per-window observation counts"
-        + ("" if len(names) <= limit else f"; {len(names) - limit} hidden"),
-    )
-    for name in names[:limit]:
-        series = sampler.series(name)
-        if series.kind == "counter":
-            values = [v for _, v in series.rates()]
-        elif series.kind == "gauge":
-            values = [float(v) for v in series.values]
-        else:
-            counts = [v[0] for v in series.values]
-            values = [
-                float(c - (counts[i - 1] if i else 0))
-                for i, c in enumerate(counts)
-            ]
-        row = SeriesRow(name, _downsample(values, width))
-        table.add_row(
-            name, series.kind, row.render(),
-            _format_value(row.lo), _format_value(row.hi),
-            _format_value(row.last),
-        )
-    return table
-
-
-def _downsample(values: list[float], width: int) -> list[float | None]:
-    """Average consecutive windows down to at most ``width`` bins."""
-    if not values:
-        return [None] * width
-    if len(values) <= width:
-        return list(values) + [None] * (width - len(values))
-    out: list[float | None] = []
-    for b in range(width):
-        start = b * len(values) // width
-        stop = max(start + 1, (b + 1) * len(values) // width)
-        chunk = values[start:stop]
-        out.append(sum(chunk) / len(chunk))
-    return out

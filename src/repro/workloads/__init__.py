@@ -1,29 +1,14 @@
 """Workload generators for inter-datacenter traffic.
 
-The paper's motivating workload is multi-datacenter training: per-step
-gradient synchronization of hundreds-of-MiB buffers, bucketized DDP-style
-so communication overlaps the backward pass.
-:mod:`repro.workloads.training` generates those bucket traces and evaluates
-how the reliability layer's per-message completion time translates into
-end-to-end training-step time.
-
-:mod:`repro.workloads.openloop` generates the other regime: open-loop,
-heavy-tailed multi-tenant arrivals (thousands of tenants, up to millions
-of messages) that drive the ``repro.fabric`` RDMA-as-a-service layer.
+:mod:`repro.workloads.openloop` generates open-loop, heavy-tailed
+multi-tenant arrivals (thousands of tenants, up to millions of messages)
+that drive the ``repro.fabric`` RDMA-as-a-service layer.
 """
 
 from repro.workloads.openloop import OpenLoopConfig, Workload, generate
-from repro.workloads.training import (
-    BucketTrace,
-    TrainingStepConfig,
-    step_time_samples,
-)
 
 __all__ = [
-    "BucketTrace",
     "OpenLoopConfig",
-    "TrainingStepConfig",
     "Workload",
     "generate",
-    "step_time_samples",
 ]

@@ -1,6 +1,6 @@
 """Open-loop multi-tenant traffic: heavy-tailed arrivals at fabric scale.
 
-The closed-loop workloads elsewhere in the repo (incast, training steps)
+The closed-loop workloads elsewhere in the repo (incast, ring Allreduce)
 post the next message only when the previous one completes.  A
 RDMA-as-a-service fabric sees the opposite: thousands of tenants inject
 messages on their *own* clocks, indifferent to whether the fabric is

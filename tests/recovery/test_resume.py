@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, DeliveryError, ReproError
-from repro.common.units import KiB
+from repro.common.units import KiB, MiB
 from repro.faults import FaultSchedule, FaultWindow
 from repro.recovery import BreakerConfig, PlaneRecovery, ResumeToken
 from repro.reliability.adaptive import AdaptiveReceiver, AdaptiveSender
@@ -126,6 +126,41 @@ class TestSrResume:
         # defeated the resumed attempt too -- no completion.
         assert reg.value("recovery.dc-a.resumes_started") == 1
         assert reg.value("recovery.dc-a.resumes_completed") == 0
+
+    def test_resume_never_granted_fails_with_the_partial_bitmap(self):
+        """A blackout of data *and* control: every resume request is lost,
+        so the resumption fails before a grant, carrying the bitmap the
+        failed attempt left (2 MiB in 16 KiB chunks, 10 Gb/s, 100 km)."""
+        def build(faults=None):
+            return make_sdr_pair(
+                seed=1, bandwidth_bps=10e9, chunk=16 * KiB, faults=faults
+            )
+
+        rtt = build().channel.rtt
+        pair = build(
+            FaultSchedule((FaultWindow(kind="blackout", start=3 * rtt),))
+        )
+        cfg = SrConfig(
+            max_message_retransmits=4, max_resumptions=1,
+            max_resume_requests=3, resume_interval_rtts=1.0,
+        )
+        sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
+        receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
+        size = 2 * MiB
+        receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+        ticket = sender.write(size, random_payload(size, 1))
+        with pytest.raises(
+            DeliveryError, match="attempt 1 failed: resume request never granted"
+        ) as excinfo:
+            pair.sim.run(ticket.done)
+        err = excinfo.value
+        assert (err.delivered_chunks, err.total_chunks) == (49, 128)
+        assert len(err.bitmap) == 16
+        assert ticket.failed and ticket.resumptions == 1
+        reg = pair.sim.telemetry.metrics
+        assert reg.value("recovery.dc-a.resumes_started") == 1
+        assert reg.value("recovery.dc-a.resume_failures") == 1
+        assert reg.value("recovery.dc-b.resumes_granted") == 0
 
 
 def run_failover(*, seed=0, recover=True, trace_buf=None, resumptions=2):

@@ -176,6 +176,24 @@ def test_acked_mask_matches_the_set_building_reference(
     assert newly == sorted(i for i in want if outstanding >> i & 1)
 
 
+@settings(max_examples=300)
+@given(
+    window_start=st.integers(0, 300) | st.just(2**32 - 1),
+    missing=st.binary(max_size=40),
+    nchunks=st.integers(0, 260),
+)
+def test_repair_missing_chunks_are_the_window_bits_below_nchunks(
+    window_start, missing, nchunks
+):
+    req = decode_message(RepairReq(1, 0, window_start, missing).pack())
+
+    def asked(i):  # bit i of the window, read byte by byte
+        off = i - window_start
+        return 0 <= off < 8 * len(missing) and missing[off // 8] >> off % 8 & 1
+
+    assert req.missing_chunks(nchunks) == [i for i in range(nchunks) if asked(i)]
+
+
 class TestRecords:
     """The messages are tuple-backed; the frozen-dataclass promises hold."""
 

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Interrupt, Simulator
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimulationError, Simulator
 
 
 class TestClockAndTimeouts:
@@ -78,6 +77,19 @@ class TestEvents:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.run(sim.event())  # never triggered, heap empty
+
+    @pytest.mark.parametrize("trigger", ["succeed", "fail"])
+    def test_negative_delay_cannot_turn_the_clock_back(self, trigger):
+        # Unguarded, the entry dispatched at t = 0 after the clock reached 1.
+        sim = Simulator()
+        sim.run(until=1.0)
+        ev = sim.event()
+        arg = None if trigger == "succeed" else RuntimeError("boom")
+        with pytest.raises(SimulationError, match="-1.0"):
+            getattr(ev, trigger)(arg, delay=-1.0)
+        assert not ev.triggered and not sim._heap
+        ev.succeed("late", delay=0.5)
+        assert sim.run(ev) == "late" and sim.now == 1.5
 
 
 class TestCombinators:
@@ -153,32 +165,6 @@ class TestProcesses:
             return value + 1
 
         assert sim.run(sim.process(outer())) == 43
-
-    def test_interrupt_cancels_wait(self):
-        sim = Simulator()
-        trace = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-                trace.append("overslept")
-            except Interrupt as exc:
-                trace.append(("interrupted", exc.cause, sim.now))
-
-        p = sim.process(sleeper())
-        sim.call_in(1.0, lambda: p.interrupt("alarm"))
-        sim.run()
-        assert trace == [("interrupted", "alarm", pytest.approx(1.0))]
-
-    def test_interrupt_after_completion_is_noop(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(0.1)
-
-        p = sim.process(quick())
-        sim.run()
-        p.interrupt("late")  # must not raise
 
     def test_yielding_non_event_rejected(self):
         sim = Simulator()
@@ -308,8 +294,13 @@ class TestNanIsRejected:
             lambda sim, t: sim.timeout(t),
             lambda sim, t: sim.timer(lambda: None).arm(t),
             lambda sim, t: sim.poll_until(lambda: False, t),
+            lambda sim, t: sim.event().succeed(None, delay=t),
+            lambda sim, t: sim.event().fail(RuntimeError("boom"), delay=t),
         ],
-        ids=["call_at", "call_in", "timeout", "Timer.arm", "poll_until"],
+        ids=[
+            "call_at", "call_in", "timeout", "Timer.arm", "poll_until",
+            "Event.succeed", "Event.fail",
+        ],
     )
     def test_every_entry_point_names_the_value_and_pushes_nothing(self, schedule):
         sim = Simulator()
@@ -317,6 +308,16 @@ class TestNanIsRejected:
         with pytest.raises(SimulationError, match="nan"):
             schedule(sim, float("nan"))
         assert not sim._heap
+
+    def test_nan_deadline_is_rejected_and_leaves_the_clock(self):
+        # Unguarded, run(until=nan) returned at once with sim.now == nan.
+        sim = Simulator()
+        sim.call_in(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0
+        sim.run()
+        assert sim.now == 1.0
 
     def test_infinity_is_still_a_time(self):
         sim = Simulator()
@@ -425,26 +426,6 @@ class TestPollTimer:
         sim.run()
         assert fired == [3.0]
         assert sim._seq == 4  # call_at + arm + two re-arms: one entry at a time
-
-    def test_interrupted_waiter_leaves_one_dead_tick(self):
-        sim = Simulator()
-        trace = []
-
-        def waiter():
-            try:
-                yield sim.poll_until(lambda: False, 1.0)
-                trace.append("fired")
-            except Interrupt as exc:
-                trace.append(("interrupted", exc.cause, sim.now))
-
-        p = sim.process(waiter())
-        sim.call_at(2.5, p.interrupt, "stop")
-        sim.run()
-        assert trace == [("interrupted", "stop", 2.5)]
-        # Like the timeout the old loop left behind: the pending tick still
-        # pops (and advances the clock) but nothing re-arms after it.
-        assert sim.now == 3.0
-        assert not sim._heap
 
     def test_bad_quantum_rejected(self):
         with pytest.raises(SimulationError):

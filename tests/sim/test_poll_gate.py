@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Interrupt, Simulator
+from repro.sim.engine import Simulator
 
 
 def _run(start, quantum, gate_at, ready_at, *, gated):
@@ -83,23 +83,3 @@ def test_triggered_gate_is_no_gate():
     gate.succeed()  # triggered, not yet dispatched: the predicate may hold now
     sim.poll_until(lambda: False, 0.5, after=gate).callbacks.append(lambda _e: None)
     assert sorted(entry[0] for entry in sim._heap) == [0.0, 0.5]
-
-
-def test_gated_poll_is_dead_once_its_waiter_was_interrupted():
-    sim = Simulator()
-    gate = sim.event()
-    log = []
-
-    def waiter():
-        try:
-            yield sim.poll_until(lambda: True if log else False, 0.5, after=gate)
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-
-    proc = sim.process(waiter())
-    sim.call_at(1.0, proc.interrupt)
-    sim.call_at(2.0, gate.succeed)
-    sim.run()
-    # The gate opened on a poll nobody waits on: no tick was ever pushed.
-    assert log == [("interrupted", 1.0)]
-    assert sim.now == 2.0
