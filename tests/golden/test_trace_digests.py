@@ -25,7 +25,8 @@ import pytest
 from repro.cc.incast import run_incast
 from repro.common.units import KiB, MiB, distance_to_rtt
 from repro.fabric import ChaosConfig, ScaleConfig, chaos_scenario, scale_scenario
-from repro.faults import named_schedule
+from repro.faults import FaultSchedule, FaultWindow, named_schedule
+from repro.reliability.ec import EcConfig
 from repro.reliability.sampling import SamplingConfig
 from repro.reliability.sr import SrConfig
 from repro.sim.engine import SimConfig
@@ -39,9 +40,10 @@ WAN_RTT = distance_to_rtt(WAN_KM)
 
 
 def _demo(telemetry, **kwargs):
+    kwargs.setdefault("messages", 3)
     run_demo(
-        messages=3, message_bytes=MiB, distance_km=WAN_KM, seed=7,
-        telemetry=telemetry, **kwargs,
+        message_bytes=MiB, distance_km=WAN_KM, seed=7, telemetry=telemetry,
+        **kwargs,
     )
 
 
@@ -60,6 +62,47 @@ def _sr_nack_bare(telemetry):
 
 def _ec(telemetry):
     _demo(telemetry, protocol="ec", drop=0.02)
+
+
+def _ec_timed_salvage(telemetry):
+    # Timed encode and decode, and a data blackout that starts after the
+    # first message's sub 0 has its parity but before sub 1 has any: the
+    # global timeout resumes that message, the receiver decodes sub 0 in
+    # the salvage, and an SR phase finishes sub 1 once the link is back.
+    blackout = FaultWindow(
+        kind="blackout", start=2.0 * WAN_RTT, end=40 * WAN_RTT, selector="data"
+    )
+    _demo(
+        telemetry, protocol="ec", drop=0.02, bandwidth_bps=1e9,
+        faults=FaultSchedule((blackout,), name="ec-salvage"),
+        ec_config=EcConfig(
+            k=8, m=4, encode_bps=8e9, decode_bps=4e9, global_timeout_rtts=20.0,
+            max_resumptions=1,
+        ),
+    )
+
+
+def _adaptive(telemetry):
+    # The loss estimate moves the advisor: SR for the first message, EC
+    # for the three after it.
+    _demo(telemetry, protocol="adaptive", drop=0.02, messages=4,
+          ec_config=EcConfig(k=8, m=4))
+
+
+def _gbn(telemetry):
+    from tests.conftest import make_sdr_pair
+    from repro.stack import endpoints
+
+    pair = make_sdr_pair(
+        drop=0.02, distance_km=WAN_KM, chunk=64 * KiB, seed=7,
+        telemetry=telemetry,
+    )
+    sender, receiver = endpoints("gbn", pair)
+    mr = pair.ctx_b.mr_reg(MiB)
+    for _ in range(3):
+        receiver.post_receive(mr, MiB)
+        pair.sim.run(sender.write(MiB).done)
+    pair.sim.run()
 
 
 def _sampling(telemetry):
@@ -139,6 +182,9 @@ SCENARIOS = {
     "sr_lossy": (_sr, False),
     "sr_nack_bare_sampled": (_sr_nack_bare, True),
     "ec_lossy": (_ec, False),
+    "ec_timed_salvage": (_ec_timed_salvage, False),
+    "adaptive_lossy": (_adaptive, False),
+    "gbn_lossy": (_gbn, False),
     "sampling_lossy": (_sampling, False),
     "sr_chaos_mix": (_sr_chaos, False),
     "recovery_plane_blackout": (_recovery, False),
