@@ -100,11 +100,9 @@ def run_sdr_throughput(
     def client():
         for _ in range(n_messages):
             client_qp.send_post(SdrSendWr(length=message_bytes))
-        return
-        yield  # pragma: no cover - generator marker
 
     sim.process(server())
-    sim.process(client())
+    sim.call_in(0.0, client)
     start = sim.now
     sim.run(done)
     elapsed = sim.now - start

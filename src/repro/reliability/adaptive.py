@@ -29,6 +29,7 @@ Design
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.common.errors import ConfigError, DeliveryError
 from repro.models.ec_model import ec_expected_completion
@@ -215,7 +216,9 @@ class AdaptiveReceiver(Endpoint):
             )
         backend = self.ec if choice == "ec" else self.sr
         ticket = backend.post_receive(mr, length, mr_offset)
-        self.sim.process(self._announce(index, choice, ticket))
+        self.sim.call_in(
+            0.0, self._announce, index, choice, ticket, max(self.rtt, 1e-4)
+        )
         ticket.done.callbacks.append(lambda ev: self._learn(ticket, length))
         return ticket
 
@@ -223,18 +226,18 @@ class AdaptiveReceiver(Endpoint):
         best = self.advisor.best(length, self.estimator.estimate)
         return "ec" if best.name.startswith("ec") else "sr"
 
-    def _announce(self, index: int, choice: str, ticket: ReceiveTicket):
+    def _announce(self, index: int, choice: str, ticket, interval: float, sent=0):
         """Send the provision, re-announcing with capped exponential backoff
-        until the message completes (or fails)."""
-        interval = max(self.rtt, 1e-4)
-        cap = 32.0 * interval
-        for _ in range(20):
-            self.ctrl.send(Provision(msg_seq=index, protocol=choice))
-            self._m_provisions_sent.inc()
-            if ticket.done.triggered:
-                return
-            yield self.sim.timeout(interval)
-            interval = min(interval * 2.0, cap)
+        until the message completes (or fails), 20 times at most."""
+        if sent == 20:
+            return
+        self.ctrl.send(Provision(msg_seq=index, protocol=choice))
+        self._m_provisions_sent.inc()
+        if not ticket.done.triggered:
+            backoff = min(interval * 2.0, 32.0 * max(self.rtt, 1e-4))
+            self.sim.call_in(
+                interval, self._announce, index, choice, ticket, backoff, sent + 1
+            )
 
     def _learn(self, ticket: ReceiveTicket, length: int) -> None:
         total = self.qp.config.chunks_in(length)
@@ -309,41 +312,36 @@ class AdaptiveSender(Endpoint):
         index = self._msg_index
         self._msg_index += 1
         facade = self._write_ticket(index, length)
-        self.sim.process(self._dispatch(facade, index, length, payload))
+        rtts = self.provision_timeout_rtts
+        deadline = None if rtts is None else self.sim.now + rtts * self.rtt
+        self.sim.call_in(0.0, self._dispatch, facade, index, length, payload, deadline)
         return facade
 
-    def _dispatch(self, facade: WriteTicket, index: int, length: int, payload):
+    def _dispatch(self, facade, index: int, length: int, payload, deadline):
+        """Write through the provisioned protocol once the provision is in."""
         choice = self._provisions.get(index)
-        deadline = (
-            None
-            if self.provision_timeout_rtts is None
-            else self.sim.now + self.provision_timeout_rtts * self.rtt
-        )
-        while choice is None:
-            wake = self.sim.event()
-            self._waiters[index] = wake
-            if deadline is None:
-                yield wake
-            else:
-                yield self.sim.any_of(
-                    [wake, self.sim.timeout(max(deadline - self.sim.now, 0.0))]
-                )
-            choice = self._provisions.get(index)
-            if choice is None and deadline is not None and self.sim.now >= deadline:
-                # The control plane never delivered a provision: surface a
-                # clean failure instead of queueing the write forever.
-                self._waiters.pop(index, None)
-                self._m_provision_timeouts.inc()
-                facade.failed = True
-                if not facade.done.triggered:
-                    facade.done.fail(
-                        DeliveryError(
-                            f"no provision for message {index} within "
-                            f"{self.provision_timeout_rtts:g} RTTs",
-                            total_chunks=self.qp.config.chunks_in(length),
-                        )
-                    )
-                return
+        if choice is None and (deadline is None or self.sim.now < deadline):
+            resume = partial(self._dispatch, facade, index, length, payload, deadline)
+            if deadline is not None:
+                # Both ends of the race keep the ``any_of`` gate's hop.
+                timer = self.sim.timer(self.sim.call_in, 0.0, resume)
+                timer.arm(max(deadline - self.sim.now, 0.0))
+                resume = timer.expire_now
+            self._waiters[index] = resume
+            return
+        if choice is None:
+            # The control plane never delivered a provision: surface a
+            # clean failure instead of queueing the write forever.
+            self._waiters.pop(index, None)
+            self._m_provision_timeouts.inc()
+            facade.failed = True
+            if not facade.done.triggered:
+                facade.done.fail(DeliveryError(
+                    f"no provision for message {index} within "
+                    f"{self.provision_timeout_rtts:g} RTTs",
+                    total_chunks=self.qp.config.chunks_in(length),
+                ))
+            return
         self.protocol_history.append(choice)
         backend = self.ec if choice == "ec" else self.sr
         inner = backend.write(length, payload)
@@ -367,8 +365,8 @@ class AdaptiveSender(Endpoint):
         if msg.msg_seq not in self._provisions:
             self._provisions[msg.msg_seq] = msg.protocol
             wake = self._waiters.pop(msg.msg_seq, None)
-            if wake is not None and not wake.triggered:
-                wake.succeed(None)
+            if wake is not None:
+                self.sim.call_in(0.0, wake)
 
 
 register_scheme("adaptive", AdaptiveSender, AdaptiveReceiver)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -38,19 +39,19 @@ from repro.verbs.qp import QpInfo, SendWr, UdQp
 MIN_CTRL_BYTES = 64
 
 
-def wait_injected(qp: SdrQp, hdl: SendHandle, target: int):
-    """Park the calling process until ``target`` packets of ``hdl`` left the NIC.
+def wait_injected(qp: SdrQp, hdl: SendHandle, target: int, then) -> bool:
+    """Call ``then(poll)`` once ``target`` packets of ``hdl`` left the NIC;
+    False (and nothing scheduled) if they already have.
 
-    ``yield from`` this from a sender process.  Progress is *polled*, on a
-    grid of one chunk's wire time (resolved once per wait), not signalled
-    by the injector: poll-grid instants and injection instants tie
-    systematically (a chunk is a whole number of packets), heap sequence
-    order breaks the tie, and an event-driven wake would land the waiter on
-    the other side of it -- a behaviour change (see docs/simulation.md).
-    One re-arming :meth:`~repro.sim.engine.Simulator.poll_until` entry
-    carries the whole wait; nothing is scheduled if it is already over, and
-    nothing ticks while the handle's clear-to-send is still in flight (no
-    packet of it can be injected before).
+    Progress is *polled*, on a grid of one chunk's wire time (resolved
+    once per wait), not signalled by the injector: poll-grid instants and
+    injection instants tie systematically (a chunk is a whole number of
+    packets), heap sequence order breaks the tie, and an event-driven wake
+    would land the waiter on the other side of it -- a behaviour change
+    (see docs/simulation.md).  One re-arming
+    :meth:`~repro.sim.engine.Simulator.poll_until` entry carries the whole
+    wait; nothing ticks while the handle's clear-to-send is still in flight
+    (no packet of it can be injected before).
     """
     channel = qp.data_qps[0][0].channel
     assert channel is not None
@@ -58,8 +59,10 @@ def wait_injected(qp: SdrQp, hdl: SendHandle, target: int):
     poll = qp.sim.poll_until(
         lambda: hdl.packets_injected >= target, quantum, after=hdl.cts_event
     )
-    if not poll.processed:
-        yield poll
+    if poll.processed:
+        return False
+    poll.callbacks.append(then)
+    return True
 
 
 def _delivery_error(
@@ -326,28 +329,39 @@ class Sender(Endpoint):
             attempt=attempt,
         )
 
-    def _inject(self, state: WriteState, indices, on_wire, *, first: bool = True):
-        """Wire-paced injection: ``on_wire(index)`` as each chunk leaves the NIC.
+    def _inject(
+        self, state: WriteState, indices, on_wire, then, *, first: bool = True
+    ) -> None:
+        """Wire-paced injection: ``on_wire(index)`` as each chunk leaves the
+        NIC, ``then()`` after the last (or once the stream is ended -- the
+        write completed, failed or was taken over).
 
         Waiting for a chunk's packets to hit the wire before telling the
         policy avoids spurious RTOs when injecting the whole message takes
         longer than the RTO (the ``t_start(M) > RTO`` case).  A first
         transmission waits for its own packets, so a retransmission posted
         meanwhile does not hold it back; a later (sparse) pass waits for
-        everything posted.  Stops once the stream is ended -- the write
-        completed, failed or was taken over.
+        everything posted.
         """
         hdl = state.hdl
         ppc = self.qp.config.packets_per_chunk
-        for index in indices:
-            if hdl.ended:
-                break
-            self._send_chunk(state, index)
-            target = hdl.packets_posted
-            if first:
-                target = min((index + 1) * ppc, target)
-            yield from wait_injected(self.qp, hdl, target)
-            on_wire(index)
+        indices = iter(indices)
+
+        def step(index=None, _poll=None) -> None:
+            if index is not None:  # woken by the poll
+                on_wire(index)
+            for index in indices:
+                if hdl.ended:
+                    break
+                self._send_chunk(state, index)
+                posted = hdl.packets_posted
+                target = min((index + 1) * ppc, posted) if first else posted
+                if wait_injected(self.qp, hdl, target, partial(step, index)):
+                    return
+                on_wire(index)
+            then()
+
+        step()
 
     def _budget_exhausted(self, state: WriteState) -> bool:
         """Per-message retry budget: give up (gracefully) when spent.
@@ -481,22 +495,27 @@ class Receiver(Endpoint):
         The caller has just sent its completion signal; ``resignal()``
         repeats it every ``every`` seconds for ``config.grace_rtts`` in case
         it is lost.  Completing frees the SDR resources and arms late-packet
-        protection.
+        protection.  Grace over, the message leaves ``_serving`` (unless a
+        resumption granted meanwhile re-keyed it): a later request finds
+        nothing to adopt.
         """
         for rh in handles:
             rh.complete()
         sim = self.sim
         ticket._finish(sim.now)
         grace_end = sim.now + self.config.grace_rtts * self.rtt
+        entry = self._serving.get(ticket.seq)
 
-        def tick() -> None:
-            resignal()
+        def tick(resend: bool = True) -> None:
+            if resend:
+                resignal()
             if sim.now < grace_end:
                 timer.arm(every)
+            elif self._serving.get(ticket.seq) is entry:
+                self._serving.pop(ticket.seq, None)
 
         timer = sim.timer(tick)
-        if sim.now < grace_end:
-            timer.arm(every)
+        tick(resend=False)
 
 
 class _Watch:

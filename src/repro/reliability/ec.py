@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -163,49 +164,46 @@ class EcSender(SrBacked):
             data_seqs=[h.seq for h in state.handles[:nsub]],
             parity_seqs=[h.seq for h in state.handles[nsub:]],
         )
-        self.sim.process(self._inject_data(state))
-        self.sim.process(self._encode_and_inject_parity(state))
-        self.sim.process(self._global_timeout(state))
+        self.sim.call_in(0.0, self._launch, state)
         return state.ticket
 
     # -- data / parity pumps -------------------------------------------------------------
 
-    def _inject_data(self, state: _EcSendState):
-        layout = state.layout
+    def _launch(self, state: _EcSendState) -> None:
+        """Inject the data submessages, start encoding parity and arm the
+        deadlock guard: no ACK within the global budget fails the write."""
+        layout, payload = state.layout, state.payload
         for i in range(layout.nsegments):
-            sub_bytes = layout.segment_bytes(i)
-            piece = None
-            if state.payload is not None:
-                off = layout.segment_offset(i)
-                piece = state.payload[off : off + sub_bytes]
-            self.qp.send_stream_continue(state.handles[i], 0, sub_bytes, piece)
-        return
-        yield  # pragma: no cover - generator marker
-
-    def _encode_and_inject_parity(self, state: _EcSendState):
-        layout = state.layout
-        nsub = layout.nsegments
-        for i in range(nsub):
-            if self.config.encode_bps is not None:
-                rate = self.config.encode_bps * self.config.encode_workers
-                yield self.sim.timeout(layout.segment_bytes(i) * 8.0 / rate)
-            parity_payload = None
-            if state.payload is not None:
-                parity_payload = self.code.encode_segment(
-                    state.payload, layout, i
-                ).tobytes()
-            self.qp.send_stream_continue(
-                state.handles[nsub + i], 0, layout.m * layout.chunk_bytes,
-                parity_payload,
-            )
-
-    def _global_timeout(self, state: _EcSendState):
-        """Deadlock guard: give up if no ACK arrives within the global budget."""
+            off, n = layout.segment_offset(i), layout.segment_bytes(i)
+            piece = None if payload is None else payload[off : off + n]
+            self.qp.send_stream_continue(state.handles[i], 0, n, piece)
+        self._encode_and_inject_parity(state)
         assert self.qp.data_qps[0][0].channel is not None
         bw = self.qp.data_qps[0][0].channel.config.bytes_per_second
-        expected = state.layout.length / bw + 2 * self.rtt
+        expected = layout.length / bw + 2 * self.rtt
         budget = expected + self.config.global_timeout_rtts * self.rtt
-        yield self.sim.timeout(budget)
+        self.sim.call_in(budget, self._global_timeout, state)
+
+    def _encode_and_inject_parity(self, state: _EcSendState, i=0, encoded=False):
+        """Parity of submessage ``i`` on, in order; with ``encode_bps`` each
+        encode first takes its simulated time (``encoded``: it has)."""
+        layout, bps = state.layout, self.config.encode_bps
+        nsub = layout.nsegments
+        for i in range(i, nsub):
+            if bps is not None and not encoded:
+                rate = bps * self.config.encode_workers
+                delay = layout.segment_bytes(i) * 8.0 / rate
+                self.sim.call_in(delay, self._encode_and_inject_parity, state, i, True)
+                return
+            encoded = False
+            parity = None
+            if state.payload is not None:
+                parity = self.code.encode_segment(state.payload, layout, i).tobytes()
+            self.qp.send_stream_continue(
+                state.handles[nsub + i], 0, layout.m * layout.chunk_bytes, parity
+            )
+
+    def _global_timeout(self, state: _EcSendState) -> None:
         if state.ticket.seq in self._states:
             self._fail(
                 state,
@@ -280,6 +278,8 @@ class _EcReceive:
     mr_offset: int
     data: list[RecvHandle]
     parity: list[RecvHandle]
+    #: Armed by the first chunk (or the guard): the fallback timeout.
+    fto_deadline: float | None = None
 
     @property
     def handles(self) -> list[RecvHandle]:
@@ -368,37 +368,37 @@ class EcReceiver(SrBackedReceiver):
         )
         rx = _EcReceive(ticket, layout, mr, mr_offset, data_handles, parity_handles)
         self._serving[ticket.seq] = (rx,)
-        self.sim.process(self._serve(rx))
+        self.sim.call_in(0.0, self._serve, rx)
         return ticket
 
     # -- resumption grants (repro.recovery) ----------------------------------------------
 
     def _hand_over(self, msg: ResumeReq, rx: _EcReceive) -> None:
-        # Decoding takes simulated time; the serve loop sees the message gone
-        # from ``_serving`` and stops before the slots are abandoned.
-        self.sim.process(self._salvage_and_hand_over(msg, rx))
-
-    def _salvage_and_hand_over(self, msg: ResumeReq, rx: _EcReceive):
         """Decode what parity can rescue, hand the rest to the SR backstop.
 
         Data-or-parity aware: every submessage with >= k of its k+m coded
         chunks present is decoded *now*, so its chunks are pre-seeded into
         the resumed slot and never retransmitted; the remaining missing data
         chunks are finished by a Selective Repeat phase over a fresh slot.
+        Decoding takes simulated time; the serve loop sees the message gone
+        from ``_serving`` and stops before the slots are abandoned.
         """
         layout = rx.layout
         delivered = np.zeros(layout.nchunks, dtype=bool)
-        for s in range(layout.nsegments):
+
+        def salvage(s: int) -> bool:
             start, real = layout.chunk_range(s)
-            if self._recoverable(rx, s):
-                yield from self._decode_sub(rx, s)
-                delivered[start : start + real] = True
-            else:
-                delivered[start : start + real] = rx.data_present(s)
-        self._backstop().adopt(
-            msg, rx.ticket, rx.handles, rx.mr, layout.length, rx.mr_offset,
-            delivered,
-        )
+            rescued = self._recoverable(rx, s)
+            delivered[start : start + real] = rescued or rx.data_present(s)
+            return rescued
+
+        def adopt() -> None:
+            self._backstop().adopt(
+                msg, rx.ticket, rx.handles, rx.mr, layout.length, rx.mr_offset,
+                delivered,
+            )
+
+        self.sim.call_in(0.0, self._decode, rx, 0, salvage, adopt)
 
     # -- receive logic -------------------------------------------------------------------
 
@@ -424,61 +424,59 @@ class EcReceiver(SrBackedReceiver):
             self.config.beta_rtts * self.rtt
         )
 
-    def _serve(self, rx: _EcReceive):
-        ticket, layout = rx.ticket, rx.layout
-        # Phase 1: wait for the first chunk of the message (arms FTO), with a
-        # global guard in case the entire first transmission is lost.
-        first_chunk = self.sim.any_of([h.wait_chunk() for h in rx.handles])
-        guard = self._fto(layout) + 2 * self.rtt
-        yield self.sim.any_of([first_chunk, self.sim.timeout(guard)])
+    def _serve(self, rx: _EcReceive) -> None:
+        """Phase 1: wait for the first chunk of the message (arms FTO), with
+        a global guard in case the entire first transmission is lost.
+
+        Each wait races a timer against chunk events and keeps the hop of
+        the ``any_of`` gate it replaced (the first chunk crossed two).
+        """
+        guard = self.sim.timer(self.sim.call_in, 0.0, self._await_recoverable, rx)
+        first = partial(self.sim.call_in, 0.0, guard.expire_now)
+        for h in rx.handles:
+            h.wait_chunk().callbacks.append(first)
+        guard.arm(self._fto(rx.layout) + 2 * self.rtt)
+
+    def _await_recoverable(self, rx: _EcReceive) -> None:
+        """Phase 2: wait until recoverable or FTO expiry, then NACK rounds."""
+        ticket, layout, now = rx.ticket, rx.layout, self.sim.now
         if ticket.seq not in self._serving:
             return  # a resumption grant took over this message
+        if rx.fto_deadline is None:  # phase 1 just ended
+            rx.fto_deadline = now + self._fto(layout)
+        pending = [s for s in range(layout.nsegments) if not self._recoverable(rx, s)]
+        if not pending:
+            self._decode(rx, 0, lambda s: True, partial(self._complete, rx))
+            return
+        rtts = self.config.serve_deadline_rtts
+        if rtts is not None and now >= rx.fto_deadline + rtts * self.rtt:
+            present = [rx.data_present(s) for s in range(layout.nsegments)]
+            self._give_up(ticket, np.concatenate(present))
+            return
+        if now >= rx.fto_deadline:
+            ticket.fell_back_to_sr = True
+            self._send_nack(rx, pending)
+            retry = self.config.fallback_interval_rtts * self.rtt
+            self.sim.call_in(retry, self._await_recoverable, rx)
+            return
+        timer = self.sim.timer(self.sim.call_in, 0.0, self._await_recoverable, rx)
+        for handles in (rx.data, rx.parity):
+            for s in pending:
+                handles[s].wait_chunk().callbacks.append(timer.expire_now)
+        timer.arm(rx.fto_deadline - now)
 
-        fto_deadline = self.sim.now + self._fto(layout)
-        serve_deadline = (
-            None
-            if self.config.serve_deadline_rtts is None
-            else fto_deadline + self.config.serve_deadline_rtts * self.rtt
-        )
-        # Phase 2: wait until recoverable or FTO expiry.
-        while True:
-            if ticket.seq not in self._serving:
-                return  # a resumption grant took over this message
-            pending = [
-                s for s in range(layout.nsegments)
-                if not self._recoverable(rx, s)
-            ]
-            if not pending:
-                break
-            if serve_deadline is not None and self.sim.now >= serve_deadline:
-                self._give_up(
-                    ticket,
-                    np.concatenate(
-                        [rx.data_present(s) for s in range(layout.nsegments)]
-                    ),
-                )
-                return
-            if self.sim.now >= fto_deadline:
-                ticket.fell_back_to_sr = True
-                self._send_nack(rx, pending)
-                yield self.sim.timeout(self.config.fallback_interval_rtts * self.rtt)
-                continue
-            remaining = fto_deadline - self.sim.now
-            waits = [rx.data[s].wait_chunk() for s in pending] + [
-                rx.parity[s].wait_chunk() for s in pending
-            ]
-            yield self.sim.any_of(waits + [self.sim.timeout(remaining)])
+    def _complete(self, rx: _EcReceive) -> None:
+        """Phase 3's end: complete, ACK.
 
-        # Phase 3: decode missing chunks in place, complete, ACK.  EC frees
-        # its slots *before* the first ACK (the shared ``_finish`` then finds
-        # nothing left to complete); grace re-ACKs cover a dropped ACK.
-        for s in range(layout.nsegments):
-            yield from self._decode_sub(rx, s)
+        EC frees its slots *before* the first ACK (the shared ``_finish``
+        then finds nothing left to complete); grace re-ACKs cover a drop.
+        """
         for h in rx.handles:
             if not h.completed:
                 h.complete()
-        self._send_ack(ticket.seq)
-        self._finish(ticket, (), lambda: self._send_ack(ticket.seq), 2 * self.rtt)
+        seq = rx.ticket.seq
+        self._send_ack(seq)
+        self._finish(rx.ticket, (), partial(self._send_ack, seq), 2 * self.rtt)
 
     def _send_ack(self, seq: int) -> None:
         self.ctrl.send(EcAck(msg_seq=seq))
@@ -511,49 +509,58 @@ class EcReceiver(SrBackedReceiver):
                 missing=len(missing),
             )
 
-    def _decode_sub(self, rx: _EcReceive, s: int):
-        """Decode one recoverable submessage in place (no-op if complete)."""
-        ticket, layout, mr = rx.ticket, rx.layout, rx.mr
-        data_present = rx.data_present(s)
-        if data_present.all():
-            return
-        self._m_submessages_decoded.inc()
-        missing = int((~data_present).sum())
-        ticket.decoded_chunks += missing
-        self._m_decoded_chunks.inc(missing)
-        decode_start = self.sim.now
-        if self.config.decode_bps is not None:
-            yield self.sim.timeout(
-                layout.segment_bytes(s) * 8.0 / self.config.decode_bps
-            )
+    def _decode(self, rx: _EcReceive, s: int, want, then) -> None:
+        """Decode recoverable submessages ``s``.. in place where ``want(s)``,
+        then ``then()``; with ``decode_bps`` each decode takes simulated time."""
+        for s in range(s, rx.layout.nsegments):
+            if not want(s):
+                continue
+            data_present = rx.data_present(s)
+            if data_present.all():
+                continue
+            self._m_submessages_decoded.inc()
+            missing = int((~data_present).sum())
+            rx.ticket.decoded_chunks += missing
+            self._m_decoded_chunks.inc(missing)
+            args = (rx, s, data_present, missing, self.sim.now)
+            if self.config.decode_bps is not None:
+                delay = rx.layout.segment_bytes(s) * 8.0 / self.config.decode_bps
+                resume = partial(self._decode, rx, s + 1, want, then)
+                self.sim.call_in(delay, self._decode_now, *args, resume)
+                return
+            self._decode_now(*args)
+        then()
+
+    def _decode_now(self, rx: _EcReceive, s, data_present, missing, start, then=None):
+        layout, mr = rx.layout, rx.mr
         if self._trace.enabled:
             self._trace.complete(
-                "decode", cat="ec", track=self._track,
-                start=decode_start, msg=ticket.seq, sub=s,
-                missing_chunks=missing,
+                "decode", cat="ec", track=self._track, start=start,
+                msg=rx.ticket.seq, sub=s, missing_chunks=missing,
             )
-        if not mr.payload_mode:
-            return  # sized mode: timing only
-        parity = np.frombuffer(rx.parity[s].mr.data, dtype=np.uint8).reshape(
-            layout.m, layout.chunk_bytes
-        )
-        end = rx.mr_offset + layout.length
-        with memoryview(mr.data)[rx.mr_offset : end] as message:
-            data = self.code.segment_data(message, layout, s)
-            chunks = {int(j): data[j] for j in np.flatnonzero(data_present)}
-            for j in np.flatnonzero(rx.parity[s].bitmap().as_array()):
-                chunks[layout.k + int(j)] = parity[j]
-            try:
-                piece = self.code.decode_segment(layout, s, chunks)
-            except DecodeFailure as exc:  # pragma: no cover - guarded by caller
-                raise ProtocolError(
-                    f"submessage {s} marked recoverable but decode failed"
-                ) from exc
-            base = layout.segment_offset(s)
-            for j in np.flatnonzero(~data_present):
-                lo = int(j) * layout.chunk_bytes
-                hi = min(lo + layout.chunk_bytes, len(piece))
-                message[base + lo : base + hi] = piece[lo:hi]
+        if mr.payload_mode:  # else sized mode: timing only
+            parity = np.frombuffer(rx.parity[s].mr.data, dtype=np.uint8).reshape(
+                layout.m, layout.chunk_bytes
+            )
+            end = rx.mr_offset + layout.length
+            with memoryview(mr.data)[rx.mr_offset : end] as message:
+                data = self.code.segment_data(message, layout, s)
+                chunks = {int(j): data[j] for j in np.flatnonzero(data_present)}
+                for j in np.flatnonzero(rx.parity[s].bitmap().as_array()):
+                    chunks[layout.k + int(j)] = parity[j]
+                try:
+                    piece = self.code.decode_segment(layout, s, chunks)
+                except DecodeFailure as exc:  # pragma: no cover - guarded
+                    raise ProtocolError(
+                        f"submessage {s} marked recoverable but decode failed"
+                    ) from exc
+                base = layout.segment_offset(s)
+                for j in np.flatnonzero(~data_present):
+                    lo = int(j) * layout.chunk_bytes
+                    hi = min(lo + layout.chunk_bytes, len(piece))
+                    message[base + lo : base + hi] = piece[lo:hi]
+        if then is not None:
+            then()
 
 
 register_scheme("ec", EcSender, EcReceiver)

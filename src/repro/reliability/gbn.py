@@ -34,12 +34,13 @@ from repro.sdr.qp import SdrQp
 
 
 class _GbnState(WriteState):
-    """A GBN write: the cumulative point and the pump's progress wake."""
+    """A GBN write: the cumulative point and the pump's RTO timer."""
 
     def __init__(self, ticket: WriteTicket, handles, nchunks: int, payload):
         super().__init__(ticket, handles, nchunks, payload)
         self.una = 0
-        self.wake = None
+        self.next_to_send = 0
+        self.rto = None
 
     @property
     def delivered(self) -> np.ndarray:
@@ -71,29 +72,22 @@ class GbnSender(Sender):
 
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
         state = self._open(length, payload)
-        self.sim.process(self._pump(state))
+        self.sim.call_in(0.0, self._pump, state)
         return state.ticket
 
-    def _pump(self, state: _GbnState):
+    def _pump(self, state: _GbnState, una: int | None = None, rounds: int = 0):
+        """(Re)fill the window from the cumulative point, then wait for
+        progress or the RTO; ``una`` is the point the woken wait began at,
+        ``rounds`` the RTOs in a row without progress before it.
+
+        Both ends of the wait keep the same-instant hop of the ``any_of``
+        gate they replaced (docs/simulation.md).
+        """
         ticket, nchunks = state.ticket, state.nchunks
-        next_to_send = 0
-        rounds_without_progress = 0
-        while state.una < nchunks:
-            una = state.una
-            # (Re)fill the window from the cumulative point.
-            next_to_send = max(next_to_send, una)
-            while next_to_send < min(una + self.window_chunks, nchunks):
-                self._send_chunk(state, next_to_send)
-                next_to_send += 1
-            # Wait for cumulative progress or RTO.
-            state.wake = self.sim.event()
-            yield self.sim.any_of([state.wake, self.sim.timeout(self.rto)])
-            if state.una != una:
-                rounds_without_progress = 0
-                continue
+        if una is not None and state.una == una:
             # RTO: rewind the whole window (the GBN waste).
-            rounds_without_progress += 1
-            if rounds_without_progress > self.config.max_chunk_retransmits:
+            rounds += 1
+            if rounds > self.config.max_chunk_retransmits:
                 self._fail(state, "GBN retransmit budget")
                 return
             window_end = min(una + self.window_chunks, nchunks)
@@ -104,13 +98,26 @@ class GbnSender(Sender):
                 self._trace.instant(
                     "rto_rewind", cat="gbn", track=self._track,
                     msg=ticket.seq, seq=ticket.seq, una=una,
-                    chunks=window_end - una, attempt=rounds_without_progress,
+                    chunks=window_end - una, attempt=rounds,
                 )
             for i in range(una, window_end):
-                self._send_chunk(state, i, attempt=rounds_without_progress)
-            next_to_send = window_end
-        del self._states[ticket.seq]
-        self._complete_write(state, retransmits=ticket.retransmitted_chunks)
+                self._send_chunk(state, i, attempt=rounds)
+            state.next_to_send = window_end
+        else:
+            rounds = 0
+        una = state.una
+        if una >= nchunks:
+            del self._states[ticket.seq]
+            self._complete_write(state, retransmits=ticket.retransmitted_chunks)
+            return
+        state.next_to_send = max(state.next_to_send, una)
+        while state.next_to_send < min(una + self.window_chunks, nchunks):
+            self._send_chunk(state, state.next_to_send)
+            state.next_to_send += 1
+        state.rto = self.sim.timer(
+            self.sim.call_in, 0.0, self._pump, state, una, rounds
+        )
+        state.rto.arm(self.rto)
 
     def _on_ctrl(self, msg) -> None:
         if not isinstance(msg, Ack):
@@ -118,8 +125,8 @@ class GbnSender(Sender):
         state = self._states.get(msg.msg_seq)
         if state is not None and msg.cumulative > state.una:
             state.una = msg.cumulative
-            if state.wake is not None and not state.wake.triggered:
-                state.wake.succeed(None)
+            if state.rto is not None:  # progress ends the wait, one hop on
+                self.sim.call_in(0.0, state.rto.expire_now)
 
 
 class GbnReceiver(Receiver):

@@ -175,49 +175,51 @@ class SamplingSender(SrBacked):
         """Reliably write ``length`` bytes; repairs are receiver-driven."""
         state = self._open(length, payload)
         self._post(state)
-        self.sim.process(self._inject_once(state))
-        self.sim.process(self._watchdog(state))
+        self.sim.call_in(0.0, self._inject_once, state)
         return state.ticket
 
-    def _inject_once(self, state: _SamplingSendState):
-        """Wire-paced one-shot injection; stamps per-chunk send times."""
+    def _inject_once(self, state: _SamplingSendState) -> None:
+        """Wire-paced one-shot injection, stamping per-chunk send times,
+        watched by ``_watchdog`` every idle window from the write's start."""
 
         def on_wire(index: int) -> None:
             state.last_sent[index] = self.sim.now
 
-        yield from self._inject(state, range(state.nchunks), on_wire)
-        state.inject_done = True
-        state.last_activity = self.sim.now
+        def done() -> None:
+            state.inject_done = True
+            state.last_activity = self.sim.now
+
+        self._inject(state, range(state.nchunks), on_wire, done)
+        idle = self.config.idle_timeout_rtts * self.rtt
+        self.sim.call_in(idle, self._watchdog, state)
 
     # -- liveness ---------------------------------------------------------------------
 
-    def _watchdog(self, state: _SamplingSendState):
+    def _watchdog(self, state: _SamplingSendState, strikes: int = 0) -> None:
         """Escalate to resumption when the control path goes silent."""
+        if state.hdl.ended:
+            return  # completed, failed, or escalated to resumption
         idle = self.config.idle_timeout_rtts * self.rtt
-        strikes = 0
-        while True:
-            yield self.sim.timeout(idle)
-            if state.hdl.ended:
-                return  # completed, failed, or escalated to resumption
-            if not state.inject_done:
-                continue  # first transmission still pacing out
-            if self.sim.now - state.last_activity >= idle:
-                strikes += 1
-                self._m_idle_strikes.inc()
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "sampling_idle", cat="sampling", track=self._track,
-                        msg=state.ticket.seq, strikes=strikes,
-                    )
-                if strikes >= self.config.max_idle_timeouts:
-                    self._fail(
-                        state,
-                        f"write seq={state.ticket.seq} saw no receiver "
-                        f"signal for {strikes} idle windows",
-                    )
-                    return
-            else:
-                strikes = 0
+        if not state.inject_done:
+            pass  # first transmission still pacing out
+        elif self.sim.now - state.last_activity < idle:
+            strikes = 0
+        else:
+            strikes += 1
+            self._m_idle_strikes.inc()
+            if self._trace.enabled:
+                self._trace.instant(
+                    "sampling_idle", cat="sampling", track=self._track,
+                    msg=state.ticket.seq, strikes=strikes,
+                )
+            if strikes >= self.config.max_idle_timeouts:
+                self._fail(
+                    state,
+                    f"write seq={state.ticket.seq} saw no receiver "
+                    f"signal for {strikes} idle windows",
+                )
+                return
+        self.sim.call_in(idle, self._watchdog, state, strikes)
 
     # -- control-path handling --------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -142,9 +143,9 @@ class _SendState(WriteState):
         #: True when this state serves a bitmap-driven resumption.
         self.resumed = False
         #: Retransmitted chunks waiting for wire injection before their
-        #: RTO is (re)armed, in post order; drained by one restamp process.
+        #: RTO is (re)armed, in post order; while non-empty, one
+        #: ``_restamp`` drains it.
         self.restamp: deque[tuple[int, int]] = deque()
-        self.restamping = False
 
     @property
     def complete(self) -> bool:
@@ -161,10 +162,9 @@ class _SendState(WriteState):
 class _PendingResume(WriteState):
     """A resumption waiting for the receiver's grant (no stream open yet)."""
 
-    def __init__(self, token: ResumeToken, ticket: WriteTicket, payload, granted):
+    def __init__(self, token: ResumeToken, ticket: WriteTicket, payload):
         super().__init__(ticket, [], token.total_chunks, payload)
         self.token = token
-        self.granted = granted  # Event: fires when the ResumeAck arrives
 
     @property
     def delivered(self) -> np.ndarray | None:
@@ -294,7 +294,7 @@ class SrSender(Sender):
         """Reliably write ``length`` bytes to the peer's next posted receive."""
         state = self._open(length, payload)
         self._post(state)
-        self.sim.process(self._inject_chunks(state))
+        self.sim.call_in(0.0, self._inject_chunks, state)
         return state.ticket
 
     def resume(self, token: ResumeToken, payload: bytes | None = None) -> WriteTicket:
@@ -345,7 +345,7 @@ class SrSender(Sender):
         if token.msg_seq in self._pending_resumes:
             raise ConfigError(f"write seq={token.msg_seq} is already resuming")
         ticket.resumptions = token.attempt
-        pending = _PendingResume(token, ticket, payload, self.sim.event())
+        pending = _PendingResume(token, ticket, payload)
         self._pending_resumes[token.msg_seq] = pending
         self._m_resumes_started.inc()
         if self._trace.enabled:
@@ -354,24 +354,23 @@ class SrSender(Sender):
                 msg=token.msg_seq, attempt=token.attempt,
                 delivered=token.delivered_chunks, total=token.total_chunks,
             )
-        self.sim.process(self._request_resume(pending))
+        self.sim.call_in(0.0, self._request_resume, pending, 0)
 
-    def _request_resume(self, pending: _PendingResume):
-        """Re-send the resume request until granted or out of retries."""
-        interval = self.config.resume_interval_rtts * self.rtt
-        for _ in range(self.config.max_resume_requests):
-            if pending.granted.triggered:
-                return
-            self.ctrl.send(
-                ResumeReq(
-                    msg_seq=pending.token.msg_seq, attempt=pending.token.attempt
-                )
-            )
-            yield self.sim.any_of([pending.granted, self.sim.timeout(interval)])
-        if pending.granted.triggered:
+    def _request_resume(self, pending: _PendingResume, sent: int) -> None:
+        """Re-send the resume request until granted or out of retries (a
+        retry keeps the ``any_of`` gate's hop, docs/simulation.md)."""
+        seq = pending.token.msg_seq
+        if self._pending_resumes.get(seq) is not pending:
+            return  # granted
+        if sent == self.config.max_resume_requests:
+            del self._pending_resumes[seq]
+            self._resume_failed(pending, "resume request never granted")
             return
-        self._pending_resumes.pop(pending.token.msg_seq, None)
-        self._resume_failed(pending, "resume request never granted")
+        self.ctrl.send(ResumeReq(msg_seq=seq, attempt=pending.token.attempt))
+        self.sim.call_in(
+            self.config.resume_interval_rtts * self.rtt,
+            self.sim.call_in, 0.0, self._request_resume, pending, sent + 1,
+        )
 
     def _resume_failed(self, pending: _PendingResume, why: str) -> None:
         """Terminal resume failure: surface the token's partial bitmap."""
@@ -426,11 +425,11 @@ class SrSender(Sender):
                 missing=missing, skipped=state.nchunks - missing,
                 attempt=token.attempt,
             )
-        self.sim.process(self._inject_chunks(state))
+        self.sim.call_in(0.0, self._inject_chunks, state)
 
     # -- injection -------------------------------------------------------------------
 
-    def _inject_chunks(self, state: _SendState):
+    def _inject_chunks(self, state: _SendState) -> None:
         """First pass: every chunk; resumed pass: only what the grant lacks.
 
         Each chunk's RTO is stamped as it leaves the NIC.
@@ -449,10 +448,10 @@ class SrSender(Sender):
                 self._m_chunks_resent.inc()
             self._arm(state, index)
 
-        yield from self._inject(
-            state, indices, on_wire, first=not state.resumed
+        self._inject(
+            state, indices, on_wire, lambda: self._maybe_finish(state),
+            first=not state.resumed,
         )
-        self._maybe_finish(state)
 
     def _arm(self, state: _SendState, index: int, *, kick: bool = True) -> None:
         """Chunk ``index`` is on the wire: start its RTO clock from now."""
@@ -483,23 +482,23 @@ class SrSender(Sender):
             return
         state.deadline[index] = np.inf
         state.sent_at[index] = np.nan
+        if not state.restamp:
+            self.sim.call_in(0.0, self._restamp, state)
         state.restamp.append((index, state.hdl.packets_posted))
-        if not state.restamping:
-            state.restamping = True
-            self.sim.process(self._restamp_loop(state))
 
-    def _restamp_loop(self, state: _SendState):
+    def _restamp(self, state: _SendState, _poll=None) -> None:
         """Drain the restamp queue in post order (injection is FIFO).
 
-        One process per message regardless of how many chunks an RTO
-        storm retransmits at once, so the poller count stays bounded.
+        One drain per message regardless of how many chunks an RTO storm
+        retransmits at once, so the poller count stays bounded.
         """
         while state.restamp:
             index, target = state.restamp[0]
-            yield from wait_injected(self.qp, state.hdl, target)
+            # Re-checked on wake, when the wait is over.
+            if wait_injected(self.qp, state.hdl, target, partial(self._restamp, state)):
+                return
             state.restamp.popleft()
             self._arm(state, index)
-        state.restamping = False
 
     # -- timers ------------------------------------------------------------------------
 
@@ -659,8 +658,6 @@ class SrSender(Sender):
             if msg.attempt != pending.token.attempt:
                 return  # late grant for a superseded attempt
             del self._pending_resumes[msg.msg_seq]
-            if not pending.granted.triggered:
-                pending.granted.succeed(None)
             self._launch_resumed(pending, msg)
 
     def _maybe_finish(self, state: _SendState) -> None:

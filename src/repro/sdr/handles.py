@@ -182,8 +182,8 @@ class RecvHandle:
         """Event firing on the *next* chunk-bitmap update.
 
         Never fires retroactively: if the message is already complete and no
-        further chunks will arrive, the event stays pending (combine with a
-        timeout via ``Simulator.any_of`` when polling).
+        further chunks will arrive, the event stays pending (race it against
+        a :class:`~repro.sim.engine.Timer` when polling).
         """
         ev = self.sim.event()
         self._chunk_waiters.append(ev)

@@ -25,6 +25,7 @@ keeps the two sides in lockstep without exchanging per-message metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.common.config import SdrConfig
@@ -160,13 +161,11 @@ class SdrQp:
         #: Lazily created fluid fast-path planner (``sim.config.fluid``);
         #: see :mod:`repro.sim.fluid`.
         self._fluid = None
-        self._cts_idle_wake = None
+        self._cts_idle = False  # the refresher waits for the next recv_post
         #: Refreshes remaining before the CTS announcer goes idle; reset on
         #: every recv_post.  Bounds event-heap growth while still repairing
         #: dropped CTS datagrams on lossy control paths.
         self._cts_refresh_budget = 0
-
-        self._cts_refresher = None
 
         # Telemetry (registry scope sdr.<device>).
         scope = self.sim.telemetry.metrics.scope(f"sdr.{dev.name}")
@@ -239,15 +238,16 @@ class SdrQp:
                 )
         self._remote = remote
         self.connected = True
-        self._cts_refresher = self.sim.process(self._cts_refresh_loop())
+        self._cts_interval = max(self.ctx.channel_rtt_hint(), 1e-3)
+        self.sim.call_in(0.0, self._cts_refresh)
 
     def attach_pacer(self, pacer) -> None:
         """Attach a :class:`repro.cc.Pacer` governing ``_inject_range``.
 
         Every packet post -- first transmissions and SR/EC retransmissions
         alike -- reserves its bytes from the pacer's token bucket and
-        sleeps the returned wait, so injection is spaced at the attached
-        controller's rate.  Pass ``None`` to detach.
+        resumes the range after the returned wait, so injection is spaced
+        at the attached controller's rate.  Pass ``None`` to detach.
         """
         self.pacer = pacer
 
@@ -270,10 +270,11 @@ class SdrQp:
     def send_post(self, wr: SdrSendWr) -> SendHandle:
         """``send_post``: one-shot send of a contiguous message."""
         hdl = self._new_send_handle(wr)
-        npackets = self._npackets(wr.length)
-        hdl.packets_posted = npackets
+        hdl.packets_posted = self._npackets(wr.length)
         hdl.bytes_posted = wr.length
-        self.sim.process(self._one_shot(hdl, wr, npackets))
+        self.sim.call_in(
+            0.0, self._inject_range, hdl, 0, wr.length, wr.payload, wr.user_imm, 0, True
+        )
         return hdl
 
     def send_stream_start(self, wr: SdrSendWr) -> SendHandle:
@@ -322,8 +323,8 @@ class SdrQp:
         hdl.packets_posted += npackets
         hdl.bytes_posted += length
         user_imm = getattr(hdl, "_stream_user_imm", None)
-        self.sim.process(
-            self._inject_range(hdl, offset, length, payload, user_imm, attempt)
+        self.sim.call_in(
+            0.0, self._inject_range, hdl, offset, length, payload, user_imm, attempt
         )
 
     def send_stream_end(self, hdl: SendHandle) -> None:
@@ -372,24 +373,25 @@ class SdrQp:
         self._m_messages_sent.inc()
         return hdl
 
-    def _one_shot(self, hdl: SendHandle, wr: SdrSendWr, npackets: int):
-        yield from self._inject_range(hdl, 0, wr.length, wr.payload, wr.user_imm)
-        hdl._on_end()
-
     def _inject_range(
-        self,
-        hdl: SendHandle,
-        offset: int,
-        length: int,
-        payload: bytes | None,
-        user_imm: int | None,
-        attempt: int = 0,
-    ):
-        """Issue one WRITE_ONLY_IMM per MTU packet in the byte range."""
-        if not hdl.cts_event.triggered:
-            yield hdl.cts_event
-        assert self._remote is not None
-        if self.sim.config.fluid:
+        self, hdl: SendHandle, offset: int, length: int, payload: bytes | None,
+        user_imm: int | None, attempt: int = 0, end: bool = False, _cts=None,
+        sent: int = 0, stall: float = 0.0,
+    ) -> None:
+        """Issue one WRITE_ONLY_IMM per MTU packet in the byte range.
+
+        Runs on its own dispatch, once the handle's clear-to-send is in.  A
+        pacer stall parks the range: the call comes back ``stall`` seconds
+        on with its cursor ``sent``, so concurrent ranges interleave across
+        stalls.  ``end`` ends a one-shot send's stream after its last packet.
+        """
+        if not stall and not hdl.cts_event.triggered:
+            hdl.cts_event.callbacks.append(partial(
+                self._inject_range, hdl, offset, length, payload, user_imm,
+                attempt, end,
+            ))
+            return
+        if not stall and self.sim.config.fluid:
             if self._fluid is None:
                 from repro.sim.fluid import FluidSolver  # cycle guard
 
@@ -397,7 +399,8 @@ class SdrQp:
             if self._fluid.try_inject(hdl, offset, length, payload, user_imm, attempt):
                 # Steady bulk segment advanced in one step; per-packet
                 # injection (and its per-packet heap events) skipped.
-                return
+                sent = length
+        assert self._remote is not None
         mtu = self.config.mtu_bytes
         ppc = self.config.packets_per_chunk
         base = hdl.msg_id * self.config.max_message_bytes
@@ -405,7 +408,6 @@ class SdrQp:
         nch = len(qps)
         rkey = self._remote.root_rkey
         seq = hdl.seq
-        sent = 0
         while sent < length:
             byte_off = offset + sent
             flen = min(mtu, length - sent)
@@ -422,20 +424,26 @@ class SdrQp:
             if attempt > 0 and (sent == 0 or pkt_idx % ppc == 0):
                 flow = flow_key(hdl.seq, chunk, attempt)
             qp = qps[pkt_idx % nch]
-            if self.pacer is not None:
+            if stall:
+                if self._trace.enabled:
+                    # Emitted on wake so the instant lands at the *end* of
+                    # the idle gap it explains (lineage classifies gaps by
+                    # the trigger that ends them -> cc_wait).
+                    self._trace.instant(
+                        "cc_stall", cat="cc", track=self._track,
+                        msg=hdl.seq, pkt=pkt_idx, chunk=chunk,
+                        attempt=attempt, stall=stall,
+                    )
+                stall = 0.0
+            elif self.pacer is not None:
                 wait = self.pacer.reserve(flen, flow=qp.qpn)
                 if wait > 0.0:
                     self.pacer.note_stall(wait)
-                    yield self.sim.timeout(wait)
-                    if self._trace.enabled:
-                        # Emitted on wake so the instant lands at the *end*
-                        # of the idle gap it explains (lineage classifies
-                        # gaps by the trigger that ends them -> cc_wait).
-                        self._trace.instant(
-                            "cc_stall", cat="cc", track=self._track,
-                            msg=hdl.seq, pkt=pkt_idx, chunk=chunk,
-                            attempt=attempt, stall=wait,
-                        )
+                    self.sim.call_in(
+                        wait, self._inject_range, hdl, offset, length, payload,
+                        user_imm, attempt, end, None, sent, wait,
+                    )
+                    return
             qp.post_send(
                 # (length, rkey, remote_offset, payload, immediate, wr_id,
                 # signaled, msg_seq, pkt_idx, chunk, attempt, flow_id)
@@ -446,8 +454,8 @@ class SdrQp:
             )
             sent += flen
         # Injection completions arrive on the send CQ; nothing to await here.
-        return
-        yield  # pragma: no cover - makes this a generator
+        if end:
+            hdl._on_end()
 
     def _drain_send_cq(self, cq: CompletionQueue) -> None:
         for cqe in cq.poll(max_entries=len(cq)):
@@ -513,8 +521,9 @@ class SdrQp:
         self._recv_table[msg_id] = hdl
         self.root_table.bind(msg_id, wr.mr, wr.mr_offset)
         self._cts_refresh_budget = 50
-        if self._cts_idle_wake is not None and not self._cts_idle_wake.triggered:
-            self._cts_idle_wake.succeed(None)
+        if self._cts_idle:
+            self._cts_idle = False
+            self.sim.call_in(0.0, self._cts_refresh)
         # Slot reallocation (mkey update + bitmap cleanup) costs host time
         # before the CTS goes out -- the Section 5.4.1 small-message overhead.
         self.sim.call_in(self.ctx.dpa_config.repost_seconds, self._send_cts)
@@ -535,22 +544,19 @@ class SdrQp:
             SendWr(length=CTS_BYTES, immediate=high % (1 << 32), signaled=False)
         )
 
-    def _cts_refresh_loop(self):
+    def _cts_refresh(self, tick: bool = False) -> None:
         """Re-announce CTS periodically: repairs CTS drops on lossy paths.
 
-        Sleeps on an event while no receives are outstanding so an idle QP
-        leaves the simulator's event heap empty (``sim.run()`` can drain).
+        Goes idle while no receives are outstanding (``recv_post`` wakes it)
+        so an idle QP leaves the simulator's heap empty (``run()`` drains).
         """
-        interval = max(self.ctx.channel_rtt_hint(), 1e-3)
-        while True:
-            if not self._recv_table or self._cts_refresh_budget <= 0:
-                self._cts_idle_wake = self.sim.event()
-                yield self._cts_idle_wake
-                continue
-            yield self.sim.timeout(interval)
-            if self._recv_table and self._cts_refresh_budget > 0:
-                self._cts_refresh_budget -= 1
-                self._send_cts()
+        if tick and self._recv_table and self._cts_refresh_budget > 0:
+            self._cts_refresh_budget -= 1
+            self._send_cts()
+        if not self._recv_table or self._cts_refresh_budget <= 0:
+            self._cts_idle = True
+        else:
+            self.sim.call_in(self._cts_interval, self._cts_refresh, True)
 
     def _on_ctrl(self, payload, immediate, src_qpn) -> None:
         if immediate is None:

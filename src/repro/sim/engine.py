@@ -23,16 +23,15 @@ Whatever the kind, every scheduling consumes exactly one ``_seq`` at the
 point in program order where it is made, so a cheaper entry kind cannot
 reorder same-instant work (``docs/simulation.md`` has the argument).
 
-Typical protocol code::
+Protocol code waits in callbacks (``call_in``, :class:`Timer`,
+``Event.callbacks``); a :class:`Process` is for drivers that read as a
+script::
 
-    def sender(sim: Simulator, qp):
-        yield sim.timeout(0.001)          # wait 1 simulated millisecond
-        qp.post_send(...)
-        ack = yield qp.ack_event           # wait for an Event
-        ...
+    def driver(sim: Simulator, sender):
+        yield sender.write(1 << 20).done   # wait for an Event
+        yield sim.timeout(0.001)           # then 1 simulated millisecond
 
-    sim = Simulator()
-    sim.process(sender(sim, qp))
+    sim.process(driver(sim, sender))
     sim.run()
 """
 
@@ -297,6 +296,11 @@ class Timer:
         """Drop the pending expiry, if any (its heap entry dies in place)."""
         self._live = 0
 
+    def expire_now(self, _event: Event | None = None) -> None:
+        """Expire now if armed: an event's side of the race (its callback)."""
+        if self._live:
+            self._expire(self._live)
+
     def _expire(self, token: int) -> None:
         if token == self._live:
             self._live = 0
@@ -445,10 +449,9 @@ class Simulator:
 
         One re-arming heap entry (see :class:`PollTimer`) instead of a
         ``timeout`` per tick.  If the predicate already holds the returned
-        event is already processed and nothing was scheduled; a process
-        that wants the loop's exact zero-iteration behaviour skips the
-        ``yield`` in that case (yielding a processed event costs a relay
-        dispatch).
+        event is already processed and nothing was scheduled: the caller
+        carries on instead of hanging its continuation on the event (a
+        process yielding it would pay a relay dispatch).
 
         ``after`` names an event the predicate cannot hold before.  While
         it is untriggered the poll keeps off the heap, and on its dispatch

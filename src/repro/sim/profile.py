@@ -9,11 +9,11 @@ and every dispatched callback is timed with ``time.perf_counter`` and
 charged to a category derived from the code that actually ran:
 
 * a :class:`~repro.sim.engine.Process` resumption is charged to the
-  *generator* being resumed (``repro.reliability.sr:SrSender._timer_loop``),
-  not to the engine's ``Process._resume`` trampoline;
+  *generator* being resumed (``repro.verbs.qp:RcQp._send_pump``), not to
+  the engine's ``Process._resume`` trampoline;
 * a plain function/lambda callback -- an event's callback or the target
-  of a ``call_at``/``call_in`` callback entry -- is charged to its defining
-  module and qualname
+  of a ``call_at``/``call_in`` callback entry, a ``functools.partial``
+  unwrapped -- is charged to its defining module and qualname
   (``repro.fabric.service:FabricService._on_ack.<locals>.<lambda>``
   collapses to ``repro.fabric.service:FabricService._on_ack``);
 * a :class:`~repro.sim.engine.PollTimer` tick is charged to the
@@ -83,6 +83,7 @@ class SimProfiler:
         # decorated callback names its target via __wrapped__, a Process
         # resumption its coroutine, a PollTimer tick its predicate.
         cb = getattr(cb, "__wrapped__", cb)
+        cb = getattr(cb, "func", cb)  # functools.partial
         owner = getattr(cb, "__self__", None)
         func = getattr(owner, "_predicate", None) or getattr(cb, "__func__", cb)
         gen = getattr(owner, "_gen", None)

@@ -115,3 +115,50 @@ def test_no_completion_queue_is_left_holding_entries(run, monkeypatch):
     assert sum(1 for cq in handled if cq.total_posted > 2) >= 2
     # ...and every completion was consumed where its datagram was handled.
     assert [cq.name for cq in created if len(cq)] == []
+
+
+def _drain(scheme, messages=3, size=64 * 1024):
+    from repro.stack import endpoints
+    from tests.conftest import make_sdr_pair
+
+    pair = make_sdr_pair(drop=0.02, seed=3)
+    sender, receiver = endpoints(scheme, pair)
+    rx = []
+    for _ in range(messages):
+        mr = pair.ctx_b.mr_reg(size, data=bytearray(size))
+        rx.append(receiver.post_receive(mr, size))
+        sender.write(size, bytes(size))
+    return pair, receiver, rx
+
+
+@pytest.mark.parametrize("scheme", ["sr", "gbn", "ec", "sampling"])
+def test_serving_empties_once_every_grace_is_over(scheme):
+    """A receiver forgets each message when its grace re-signal ends: it
+    used to keep one ``_serving`` entry per message for its lifetime."""
+    pair, receiver, rx = _drain(scheme)
+    pair.sim.run()
+    assert all(t.finish_time is not None for t in rx)
+    assert receiver._serving == {}
+
+
+@pytest.mark.parametrize("scheme", ["sr", "ec"])
+@pytest.mark.parametrize("in_grace", [True, False], ids=["in_grace", "after"])
+def test_resume_request_is_granted_only_through_grace(scheme, in_grace):
+    """A resume request arriving while the receiver still re-signals its
+    completion is adopted; one arriving after grace finds nothing."""
+    from repro.reliability.messages import ResumeReq
+
+    pair, receiver, (ticket,) = _drain(scheme, messages=1)
+    rtt = pair.channel.rtt
+    # Sent as the receive completes, it lands half an RTT into grace
+    # (10 RTTs); sent 20 RTTs later, after it.
+    delay = 0.0 if in_grace else 20 * rtt
+    ticket.done.callbacks.append(
+        lambda _ev: pair.sim.call_in(
+            delay, pair.ctrl_a.send, ResumeReq(msg_seq=ticket.seq, attempt=1)
+        )
+    )
+    pair.sim.run()
+    granted = pair.sim.telemetry.metrics.value("recovery.dc-b.resumes_granted")
+    assert granted == (1 if in_grace else 0)
+    assert ticket.resumptions == (1 if in_grace else 0)

@@ -55,8 +55,6 @@ class RecordingSender(SrSender):
 
     def _inject_chunks(self, state):
         self._maybe_finish(state)  # a grant with nothing missing ends here
-        return
-        yield
 
     def _complete_write(self, state, **span):
         self.log.append((self.sim.now, "done", state.hdl.seq))
@@ -121,7 +119,7 @@ class ReferenceSrSender(RecordingSender):
         missing = int(state.unacked.sum())
         self._m_chunks_skipped.inc(state.nchunks - missing)
         self._post(state, resumed_from=token.msg_seq)
-        self.sim.process(self._inject_chunks(state))
+        self.sim.call_in(0.0, self._inject_chunks, state)
 
     def _arm(self, state, index, *, kick=True):
         if state.unacked[index]:
@@ -232,8 +230,7 @@ def drive(sender_cls, schedule):
             reason="test", attempt=1,
         )
         pending = _PendingResume(
-            token, sender._write_ticket(token.msg_seq, token.length), None,
-            sim.event(),
+            token, sender._write_ticket(token.msg_seq, token.length), None
         )
         new_seq = pair.qp_a._send_seq
         sender._launch_resumed(

@@ -1,4 +1,7 @@
-"""Differential test: the callback ``_watch`` / ``_finish`` against the generators.
+"""Differential tests: the callback serve loops against the generators.
+
+The substrate's ``_watch`` / ``_finish`` first, then ``EcReceiver``'s
+serve (at the end of this file).
 
 ``GeneratorReceiver`` carries the receiver substrate's serve loop as it
 stood before the timers went callback-only: ``_serve`` a *process*,
@@ -19,14 +22,21 @@ ticks, so no poll shares an instant with a step.
 
 from __future__ import annotations
 
+import io
+import json
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import DeliveryError
 from repro.common.units import KiB
 from repro.reliability.base import Receiver, ReceiveTicket
+from repro.reliability.ec import EcConfig, EcReceiver, _EcReceive
+from repro.reliability.messages import ResumeReq
 from repro.reliability.sr import SrConfig
 from repro.sdr.qp import SdrRecvWr
+from repro.telemetry import JsonlSink, Telemetry
 
 from tests.conftest import make_sdr_pair
 
@@ -231,3 +241,261 @@ def test_cancelled_poll_timer_still_sets_the_drained_clock():
     # Nothing live is left after tick 4, yet the run ends where the dead
     # poll entry armed at post time sat (CTS refreshes aside).
     assert got["clock"] >= INTERVAL
+
+
+# -- EcReceiver: first-chunk guard, FTO, fallback NACK rounds, decode -----------------
+
+
+class GeneratorEcReceiver(EcReceiver):
+    """``EcReceiver``'s serve as generator processes, pre-change: one
+    process per posted message parked on ``any_of`` gates (the first chunk
+    behind a gate of its own), ``timeout`` NACK rounds and decode times,
+    and one process per resumption hand-over."""
+
+    def post_receive(self, mr, length, mr_offset=0):
+        layout = self.code.layout(length)
+        nsub = layout.nsegments
+        parity_bytes = layout.m * layout.chunk_bytes
+        data = [
+            self.qp.recv_post(SdrRecvWr(
+                mr=mr, length=layout.segment_bytes(i),
+                mr_offset=mr_offset + layout.segment_offset(i),
+            ))
+            for i in range(nsub)
+        ]
+        parity = [
+            self.qp.recv_post(SdrRecvWr(
+                mr=self.qp.ctx.mr_reg(parity_bytes, name=f"parity.{i}"),
+                length=parity_bytes,
+            ))
+            for i in range(nsub)
+        ]
+        ticket = ReceiveTicket(
+            seq=data[0].seq, length=length, done=self.sim.event(),
+            recv_handles=data + parity,
+        )
+        rx = _EcReceive(ticket, layout, mr, mr_offset, data, parity)
+        self._serving[ticket.seq] = (rx,)
+        self.sim.process(self._serve_gen(rx))
+        return ticket
+
+    def _hand_over(self, msg, rx):
+        self.sim.process(self._salvage_gen(msg, rx))
+
+    def _salvage_gen(self, msg, rx):
+        layout = rx.layout
+        delivered = np.zeros(layout.nchunks, dtype=bool)
+        for s in range(layout.nsegments):
+            start, real = layout.chunk_range(s)
+            if self._recoverable(rx, s):
+                yield from self._decode_gen(rx, s)
+                delivered[start : start + real] = True
+            else:
+                delivered[start : start + real] = rx.data_present(s)
+        self._backstop().adopt(
+            msg, rx.ticket, rx.handles, rx.mr, layout.length, rx.mr_offset,
+            delivered,
+        )
+
+    def _serve_gen(self, rx):
+        ticket, layout, sim = rx.ticket, rx.layout, self.sim
+        first_chunk = sim.any_of([h.wait_chunk() for h in rx.handles])
+        guard = self._fto(layout) + 2 * self.rtt
+        yield sim.any_of([first_chunk, sim.timeout(guard)])
+        if ticket.seq not in self._serving:
+            return
+        fto_deadline = sim.now + self._fto(layout)
+        serve_deadline = (
+            None if self.config.serve_deadline_rtts is None
+            else fto_deadline + self.config.serve_deadline_rtts * self.rtt
+        )
+        while True:
+            if ticket.seq not in self._serving:
+                return
+            pending = [
+                s for s in range(layout.nsegments) if not self._recoverable(rx, s)
+            ]
+            if not pending:
+                break
+            if serve_deadline is not None and sim.now >= serve_deadline:
+                self._give_up(ticket, np.concatenate(
+                    [rx.data_present(s) for s in range(layout.nsegments)]
+                ))
+                return
+            if sim.now >= fto_deadline:
+                ticket.fell_back_to_sr = True
+                self._send_nack(rx, pending)
+                yield sim.timeout(self.config.fallback_interval_rtts * self.rtt)
+                continue
+            waits = [rx.data[s].wait_chunk() for s in pending] + [
+                rx.parity[s].wait_chunk() for s in pending
+            ]
+            yield sim.any_of(waits + [sim.timeout(fto_deadline - sim.now)])
+        for s in range(layout.nsegments):
+            yield from self._decode_gen(rx, s)
+        for h in rx.handles:
+            if not h.completed:
+                h.complete()
+        self._send_ack(ticket.seq)
+        self._finish(ticket, (), lambda: self._send_ack(ticket.seq), 2 * self.rtt)
+
+    def _decode_gen(self, rx, s):
+        # Sized buffers: the decode is its counters, its time and its span.
+        data_present = rx.data_present(s)
+        if data_present.all():
+            return
+        self._m_submessages_decoded.inc()
+        missing = int((~data_present).sum())
+        rx.ticket.decoded_chunks += missing
+        self._m_decoded_chunks.inc(missing)
+        start = self.sim.now
+        if self.config.decode_bps is not None:
+            yield self.sim.timeout(
+                rx.layout.segment_bytes(s) * 8.0 / self.config.decode_bps
+            )
+        if self._trace.enabled:
+            self._trace.complete(
+                "decode", cat="ec", track=self._track, start=start,
+                msg=rx.ticket.seq, sub=s, missing_chunks=missing,
+            )
+
+
+EC_K, EC_M = 4, 2
+
+
+@st.composite
+def ec_schedules(draw):
+    """Chunk arrivals per submessage (data and parity), the FTO slack, a
+    decode rate, a serve deadline and a resumption request.
+
+    Ties are drawn on purpose: every arrival comes through 0-3 zero-delay
+    hops of its own, so it lands before, between or after the serve's
+    same-instant hops -- the callback serve keeps each one.
+    """
+    nchunks = draw(st.integers(1, 3 * EC_K))
+    nsub = -(-nchunks // EC_K)
+    arrivals = []
+    for s in range(nsub):
+        real = min(EC_K, nchunks - s * EC_K)
+        for kind, count in (("data", real), ("parity", EC_M)):
+            for j in draw(st.lists(st.integers(0, count - 1), unique=True)):
+                tick, hops = draw(st.integers(1, 90)), draw(st.integers(0, 3))
+                arrivals.append((tick, hops, kind, s, j))
+    return {
+        "nchunks": nchunks,
+        "arrivals": sorted(arrivals),
+        "beta_rtts": draw(st.sampled_from([0.5, 1.0, 3.0])),
+        "decode_bps": draw(st.sampled_from([None, 1e10, 1e11])),
+        "deadline_rtts": draw(st.none() | st.sampled_from([1.0, 4.0])),
+        "resume": draw(st.none() | st.tuples(st.integers(1, 120), st.integers(0, 3))),
+    }
+
+
+def drive_ec(receiver_cls, sched):
+    buf = io.StringIO()
+    telemetry = Telemetry(trace=True, trace_sinks=[JsonlSink(buf)])
+    pair = make_sdr_pair(chunk=CHUNK, telemetry=telemetry)
+    config = EcConfig(
+        k=EC_K, m=EC_M, beta_rtts=sched["beta_rtts"], decode_bps=sched["decode_bps"],
+        serve_deadline_rtts=sched["deadline_rtts"], grace_rtts=3.0,
+        max_resumptions=1,
+    )
+    receiver = receiver_cls(pair.qp_b, pair.ctrl_b, config, rtt=RTT)
+    sim = pair.sim
+    sent, checks = [], []
+    send = receiver.ctrl.send
+    receiver.ctrl.send = lambda msg: (sent.append((sim.now, repr(msg))), send(msg))
+    recoverable = receiver._recoverable
+
+    def check(rx, s):
+        # Every look at the bitmaps, with what it saw: where a wake lands
+        # relative to a same-instant arrival shows here.
+        checks.append((sim.now, s, rx.data[s].bitmap().count(),
+                       rx.parity[s].bitmap().count()))
+        return recoverable(rx, s)
+
+    receiver._recoverable = check
+    length = sched["nchunks"] * CHUNK
+    ticket = receiver.post_receive(pair.ctx_b.mr_reg(length), length)
+    nsub = -(-sched["nchunks"] // EC_K)
+    outcome = []
+    ticket.done.callbacks.append(
+        lambda ev: outcome.append(
+            (sim.now, "failed", ev._error.delivered_chunks)
+            if isinstance(ev._error, DeliveryError) else (sim.now, "done")
+        )
+    )
+
+    def hop(hops, fn, *args):
+        if hops:
+            sim.call_in(0.0, hop, hops - 1, fn, *args)
+        else:
+            fn(*args)
+
+    for tick, hops, kind, s, j in sched["arrivals"]:
+        handle = ticket.recv_handles[s if kind == "data" else nsub + s]
+        sim.call_at(tick * UNIT, hop, hops, handle._publish_chunk, j)
+    if sched["resume"] is not None:
+        tick, hops = sched["resume"]
+        resume = ResumeReq(msg_seq=ticket.seq, attempt=1)
+        sim.call_at(tick * UNIT, hop, hops, receiver._on_ctrl, resume)
+    sim.run(until=LAST_TICK * UNIT)
+    return {
+        "sent": sent, "checks": checks, "outcome": outcome,
+        "decoded": ticket.decoded_chunks,
+        "fell_back": ticket.fell_back_to_sr, "trace": buf.getvalue(),
+        "metrics": json.dumps(telemetry.metrics.snapshot(), sort_keys=True),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(ec_schedules())
+def test_callback_ec_serve_matches_generator_ec_serve(sched):
+    assert drive_ec(EcReceiver, sched) == drive_ec(GeneratorEcReceiver, sched)
+
+
+def _ec_fixed(**kw):
+    # Two submessages: sub 0 decodes from parity, sub 1 loses two data
+    # chunks and both parity chunks, so it needs the SR fallback.
+    sched = {
+        "nchunks": 8,
+        "arrivals": [(2, 0, "data", 0, 0), (2, 1, "data", 0, 1),
+                     (3, 0, "data", 0, 3), (3, 2, "parity", 0, 0),
+                     (4, 0, "data", 1, 0), (4, 0, "data", 1, 2)],
+        "beta_rtts": 1.0, "decode_bps": 1e10, "deadline_rtts": None,
+        "resume": None,
+    }
+    sched.update(kw)
+    return sched
+
+
+def test_ec_fto_falls_back_to_nack_rounds_then_decodes():
+    late = [(70, 0, "data", 1, 1), (70, 0, "data", 1, 3)]
+    sched = _ec_fixed(arrivals=_ec_fixed()["arrivals"] + late)
+    got = drive_ec(EcReceiver, sched)
+    assert got == drive_ec(GeneratorEcReceiver, sched)
+    kinds = [msg.split("(")[0] for _, msg in got["sent"]]
+    assert kinds[0] == "EcNack" and "EcAck" in kinds
+    assert got["fell_back"] and got["decoded"] == 1  # sub 0's missing chunk
+    (done,) = got["outcome"]
+    assert done[1] == "done" and done[0] > 70 * UNIT
+
+
+def test_ec_resumption_salvages_then_hands_over():
+    sched = _ec_fixed(resume=(20, 0))
+    got = drive_ec(EcReceiver, sched)
+    assert got == drive_ec(GeneratorEcReceiver, sched)
+    assert any(msg.startswith("ResumeAck") for _, msg in got["sent"])
+    assert got["decoded"] == 1  # sub 0 rescued by parity before the hand-over
+
+
+def test_ec_wake_sees_an_arrival_one_hop_behind_it():
+    """A chunk wakes the recoverability wait and another lands one hop later
+    in the same instant: the wake looks after the gate's hop, as the
+    generator did, so it sees both."""
+    sched = _ec_fixed(nchunks=4, decode_bps=None, arrivals=[
+        (1, 0, "data", 0, 0), (5, 0, "data", 0, 1), (5, 1, "data", 0, 2),
+    ])
+    got = drive_ec(EcReceiver, sched)
+    assert got == drive_ec(GeneratorEcReceiver, sched)
+    assert [c[2] for c in got["checks"] if c[0] == 5 * UNIT] == [3]

@@ -3,7 +3,9 @@
 Wall-clock ratio gates flake with the host; dispatch counts repeat exactly
 for a seed, so a miniature of each SDR benchmark workload is held to a
 ceiling 10 % above the last measurement: 3.73 / 3.29 / 5.68 dispatches per
-packet since the SR timers went callback-only (3.83 / 3.29 / 6.37 with the
+packet with the per-write waits as callbacks too (EC 3.2863, was 3.2892;
+a generator's end event runs no callback, so the rest did not move), and
+since the SR timers went callback-only (3.83 / 3.29 / 6.37 with the
 callback datapath alone, 8.38 / 5.22 / 7.92 before it).  A change that puts
 a generator hop, a parked ``Event`` or a blind poll tick back on the
 per-packet path trips it; a change that removes more lowers the ceiling.
@@ -51,7 +53,7 @@ def _dispatches_per_packet(run) -> tuple[int, int]:
 
 @pytest.mark.parametrize(
     "run, ceiling",
-    [(_wan("sr"), 4.10), (_wan("ec"), 3.62), (_incast, 6.25)],
+    [(_wan("sr"), 4.10), (_wan("ec"), 3.61), (_incast, 6.25)],
     ids=["wan_sr", "wan_ec", "incast_swift"],
 )
 def test_dispatches_per_offered_packet(run, ceiling):
