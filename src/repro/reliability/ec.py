@@ -278,6 +278,8 @@ class _EcReceive:
     mr_offset: int
     data: list[RecvHandle]
     parity: list[RecvHandle]
+    #: The parity scratch MRs this message holds until its slots are freed.
+    scratch: list[MemoryRegion]
     #: Armed by the first chunk (or the guard): the fallback timeout.
     fto_deadline: float | None = None
 
@@ -310,6 +312,10 @@ class EcReceiver(SrBackedReceiver):
         self._m_nacks_sent = self._scope.counter("nacks_sent")
         self._m_submessages_decoded = self._scope.counter("submessages_decoded")
         self._m_decoded_chunks = self._scope.counter("decoded_chunks")
+        #: Parity scratch no slot points at, by payload mode: ``mr_reg`` runs
+        #: only when the list is empty, so registrations are bounded by the
+        #: receives in flight, not by the messages served (``_release``).
+        self._free_scratch: dict[bool, list[MemoryRegion]] = {False: [], True: []}
 
     @property
     def acks_sent(self) -> int:
@@ -329,7 +335,7 @@ class EcReceiver(SrBackedReceiver):
     def post_receive(
         self, mr: MemoryRegion, length: int, mr_offset: int = 0
     ) -> ReceiveTicket:
-        """Post user buffer + parity scratch; matching order = sender's."""
+        """Post user buffer + pooled parity scratch; matching order = sender's."""
         layout = self.code.layout(length)
         nsub = layout.nsegments
         parity_bytes = layout.m * layout.chunk_bytes
@@ -350,23 +356,27 @@ class EcReceiver(SrBackedReceiver):
             )
             for i in range(nsub)
         ]
-        parity_handles: list[RecvHandle] = []
-        for i in range(nsub):
-            scratch = self.qp.ctx.mr_reg(
+        free = self._free_scratch[mr.payload_mode]
+        scratch = [
+            free.pop() if free else self.qp.ctx.mr_reg(
                 parity_bytes,
                 data=bytearray(parity_bytes) if mr.payload_mode else None,
-                name=f"parity.{i}",
+                name="parity",
             )
-            parity_handles.append(
-                self.qp.recv_post(SdrRecvWr(mr=scratch, length=parity_bytes))
-            )
+            for _ in range(nsub)
+        ]
+        parity_handles = [
+            self.qp.recv_post(SdrRecvWr(mr=s, length=parity_bytes)) for s in scratch
+        ]
         ticket = ReceiveTicket(
             seq=data_handles[0].seq,
             length=length,
             done=self.sim.event(),
             recv_handles=data_handles + parity_handles,
         )
-        rx = _EcReceive(ticket, layout, mr, mr_offset, data_handles, parity_handles)
+        rx = _EcReceive(
+            ticket, layout, mr, mr_offset, data_handles, parity_handles, scratch
+        )
         self._serving[ticket.seq] = (rx,)
         self.sim.call_in(0.0, self._serve, rx)
         return ticket
@@ -397,6 +407,7 @@ class EcReceiver(SrBackedReceiver):
                 msg, rx.ticket, rx.handles, rx.mr, layout.length, rx.mr_offset,
                 delivered,
             )
+            self._release(rx)
 
         self.sim.call_in(0.0, self._decode, rx, 0, salvage, adopt)
 
@@ -474,9 +485,17 @@ class EcReceiver(SrBackedReceiver):
         for h in rx.handles:
             if not h.completed:
                 h.complete()
+        self._release(rx)
         seq = rx.ticket.seq
         self._send_ack(seq)
         self._finish(rx.ticket, (), partial(self._send_ack, seq), 2 * self.rtt)
+
+    def _release(self, rx: _EcReceive) -> None:
+        """Every slot of ``rx`` points at the NULL mkey, so late parity dies
+        there and its scratch can serve the next receive.  A second call
+        (a hand-over during grace) finds nothing left to give back."""
+        self._free_scratch[rx.mr.payload_mode] += rx.scratch
+        rx.scratch = []
 
     def _send_ack(self, seq: int) -> None:
         self.ctrl.send(EcAck(msg_seq=seq))
@@ -538,7 +557,9 @@ class EcReceiver(SrBackedReceiver):
                 "decode", cat="ec", track=self._track, start=start,
                 msg=rx.ticket.seq, sub=s, missing_chunks=missing,
             )
-        if mr.payload_mode:  # else sized mode: timing only
+        # Sized mode is timing only.  Released scratch may hold another
+        # receive's parity; whoever released it decoded this segment first.
+        if mr.payload_mode and rx.scratch:
             parity = np.frombuffer(rx.parity[s].mr.data, dtype=np.uint8).reshape(
                 layout.m, layout.chunk_bytes
             )

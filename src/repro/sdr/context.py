@@ -17,7 +17,7 @@ from repro.verbs.mr import MemoryRegion
 
 
 class SdrContext:
-    """Per-device SDR runtime state (CQs, DPA threads, registered memory)."""
+    """Per-device SDR runtime state (CQs, DPA threads, QPs)."""
 
     def __init__(
         self,
@@ -33,7 +33,6 @@ class SdrContext:
         self.dpa = DpaEngine(self.sim, self.dpa_config, name=f"{device.name}.dpa")
         self.dpa.spawn_workers()
         self.qps: list[SdrQp] = []
-        self.mrs: list[MemoryRegion] = []
 
     def qp_create(self, config: SdrConfig | None = None) -> SdrQp:
         """``qp_create``: a new SDR QP within this context."""
@@ -53,7 +52,6 @@ class SdrContext:
             raise ConfigError(f"MR length must be > 0, got {length}")
         mr = MemoryRegion(length, data=data, name=name or f"{self.device.name}.mr")
         self.device.reg_mr(mr)
-        self.mrs.append(mr)
         return mr
 
     def channel_rtt_hint(self) -> float:

@@ -274,7 +274,9 @@ class GeneratorEcReceiver(EcReceiver):
             seq=data[0].seq, length=length, done=self.sim.event(),
             recv_handles=data + parity,
         )
-        rx = _EcReceive(ticket, layout, mr, mr_offset, data, parity)
+        rx = _EcReceive(
+            ticket, layout, mr, mr_offset, data, parity, [h.mr for h in parity]
+        )
         self._serving[ticket.seq] = (rx,)
         self.sim.process(self._serve_gen(rx))
         return ticket
