@@ -105,6 +105,17 @@ class RateController:
     def on_loss(self, now: float = 0.0) -> None:
         """The reliability layer declared a loss (RTO fire)."""
 
+    def on_acks(
+        self, rtts: list[float], marks: list[bool], nows: list[float]
+    ) -> None:
+        """ACKs in order: each an RTT sample, then its CE echo or progress."""
+        for rtt, mark, now in zip(rtts, marks, nows):
+            self.on_rtt_sample(rtt, now)
+            if mark:
+                self.on_ecn_echo(1, 1, now)
+            else:
+                self.on_ack_progress(now)
+
 
 class StaticRateController(RateController):
     """The null controller: a fixed rate, or unpaced when ``rate_bps=None``.
@@ -199,6 +210,14 @@ class SwiftController(RateController):
     def on_ack_progress(self, now: float = 0.0) -> None:
         assert self.rate_bps is not None
         self._increase()
+
+    def on_acks(self, rtts, marks, nows) -> None:
+        # At line rate with every sample on target each step is
+        # min(line + ai, line) == line, a CE echo is a no-op and no cut
+        # consults _cut_allowed: the batch changes nothing.
+        at_line = self.rate_bps == self.line_rate_bps
+        if not at_line or max(rtts, default=0.0) > self.target_delay:
+            super().on_acks(rtts, marks, nows)
 
     def on_loss(self, now: float = 0.0) -> None:
         assert self.rate_bps is not None

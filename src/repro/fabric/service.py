@@ -63,6 +63,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -817,21 +818,17 @@ class FabricService:
         # advance with each edge's serialization + propagation.
         alive = range(n)
         times = sends
-        ce = [False] * n
+        ce = set()  # positions CE-marked on some edge
         for link, owd in plan:
-            dones, ok, marked = link.book(sizes, times, ticket.seq)
-            if True in marked:
-                for i, mark in zip(alive, marked):
-                    if mark:
-                        ce[i] = True
-            if False in ok:
-                alive = [i for i, o in zip(alive, ok) if o]
+            times, ok, marked = link.book(sizes, times, ticket.seq, owd)
+            if marked is not None:
+                ce.update(compress(alive, marked))
+            if ok is not None:
+                alive = list(compress(alive, ok))
                 if not alive:
                     break
-                sizes = [size for size, o in zip(sizes, ok) if o]
-                times = [done + owd for done, o in zip(dones, ok) if o]
-            else:
-                times = [done + owd for done in dones]
+                sizes = list(compress(sizes, ok))
+                times = list(compress(times, ok))
         if alive:
             try:
                 ack_delay = self.net.path_one_way_delay(ticket.dst, ticket.src)
@@ -849,15 +846,13 @@ class FabricService:
                     # tail-drop wholesale).  Earlier than reality by up
                     # to one RTT -- a documented fluid approximation
                     # (docs/simulation.md).
-                    controller = pair.pacer.controller
-                    for i, arrival in zip(alive, times):
-                        ack = arrival + ack_delay
-                        controller.on_rtt_sample(ack - sends[i], now=ack)
-                        if ce[i]:
-                            self._m_ecn_echoes.inc()
-                            controller.on_ecn_echo(1, 1, now=ack)
-                        else:
-                            controller.on_ack_progress(now=ack)
+                    acks = [arrival + ack_delay for arrival in times]
+                    rtts = [ack - sends[i] for i, ack in zip(alive, acks)]
+                    marks = [False] * len(acks)
+                    if ce:
+                        marks = [i in ce for i in alive]
+                        self._m_ecn_echoes.inc(marks.count(True))
+                    pair.pacer.controller.on_acks(rtts, marks, acks)
                 # FIFO chaining keeps arrivals nondecreasing, so the last
                 # ACK is the latest: one event applies them all (pacer
                 # feedback already happened above).
@@ -904,28 +899,35 @@ class FabricService:
         duplicate is counted before the flow's fate is looked at.
         """
         ticket = state.ticket
+        acked = state.acked
+        reroutes = state.pair.reroutes
+        failed = ticket.failed
+        seg_bytes = state.seg_bytes
+        last = state.segments - 1
+        max_acked = state.max_acked
         nacked = 0
         bytes_acked = 0
         for idx in idxs:
-            if state.acked[idx]:
+            if acked[idx]:
                 self._m_dup_acks.inc()
-                if state.pair.reroutes:
+                if reroutes:
                     # Old-path copy raced the new-path retransmit and both
                     # landed: a reroute-induced duplicate, not a protocol bug.
                     self._m_rr_dups.inc()
                 continue
-            if ticket.failed:
+            if failed:
                 continue
-            if idx < state.max_acked and state.pair.reroutes:
+            if idx < max_acked and reroutes:
                 self._m_rr_reorders.inc()
-            if idx > state.max_acked:
-                state.max_acked = idx
-            state.acked[idx] = True
-            state.remaining -= 1
+            if idx > max_acked:
+                max_acked = idx
+            acked[idx] = True
             nacked += 1
-            bytes_acked += state.seg_size(idx)
+            bytes_acked += seg_bytes if idx < last else state.seg_size(idx)
         if nacked == 0:
             return
+        state.max_acked = max_acked
+        state.remaining -= nacked
         tenant = self.tenants[ticket.tenant]
         tenant.bytes_acked += bytes_acked
         tenant.last_ack = self.sim.now

@@ -25,7 +25,7 @@ Delivery is the caller's job in both; no event is scheduled here.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress
+from math import inf
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -94,25 +94,23 @@ class FluidLink:
             if v < 0.0:
                 v = 0.0
             self._a = [0.0] * N
-            nq = [0.0] * N
-            j = 0
-            while v > 0.0 and j < N:
-                v -= drain
-                if v < 0.0:
-                    v = 0.0
-                nq[j] = v
-                j += 1
-            self._q = nq
+            q.clear()
+            fill = N
         else:
             del a[:m]
             a.extend([0.0] * m)
             v = q[-1]
             del q[:m]
-            for _ in range(m):
-                v -= drain
-                if v < 0.0:
-                    v = 0.0
-                q.append(v)
+            fill = m
+        # Drain the remnant into the new buckets; once it is empty every
+        # later bucket is max(0 - drain, 0) = 0.
+        while v > 0.0 and fill:
+            v -= drain
+            if v < 0.0:
+                v = 0.0
+            q.append(v)
+            fill -= 1
+        q.extend([0.0] * fill)
         self._t0 += m * self._dt
         return k - m
 
@@ -121,42 +119,45 @@ class FluidLink:
         sizes: Sequence[int],
         arrivals: Sequence[float],
         msg_seq: int | None = None,
-    ) -> tuple[list[float], list[bool], list[bool]]:
+        owd: float = 0.0,
+    ) -> tuple[list[float], list[bool] | None, list[bool] | None]:
         """Admit segments of ``sizes`` bytes arriving at ``arrivals``.
 
         Each segment gets ``Channel.transmit``'s admission against the
         ring: tail drop when the queue it meets plus itself overflows the
         buffer, ECN mark at the threshold, the bytes pushed into its
         bucket, then a wire-loss draw (per segment, in order, from the
-        channel's stream).  Returns ``(dones, ok, marked)``: serialization
-        done times (the arrival time for tail drops, which never
-        serialize), delivered flags (False = tail drop or wire loss; a
-        wire-lost segment still occupied the wire) and CE-mark flags.
-        One call with n segments is n one-segment calls, except that it
-        writes one ``fluid_segment`` record instead of n.
+        channel's stream).  Returns ``(times, ok, marked)``: arrivals at
+        the next hop, serialization done + ``owd`` (a tail drop never
+        serializes: its done time is its arrival), delivered flags (False
+        = tail drop or wire loss; a wire-lost segment still occupied the
+        wire) or ``None`` if all were, and CE-mark flags or ``None`` if
+        none was.  One call with n segments is n one-segment calls, except
+        that it writes one ``fluid_segment`` record instead of n.
         """
         ch = self.channel
         if ch._sink is None:
             raise RuntimeError(f"{ch.name}: no sink attached")
         n = len(sizes)
         if n == 0:
-            return [], [], []
+            return [], None, None
         cfg = ch.config
         bps = cfg.bytes_per_second
-        buffer_bytes = cfg.buffer_bytes
-        ecn_bytes = cfg.ecn_threshold_bytes
+        cap = cfg.buffer_bytes if cfg.buffer_bytes > 0 else inf
+        ecn = cfg.ecn_threshold_bytes if cfg.ecn_threshold_bytes > 0 else inf
         drops = ch.loss.drops
         # Read per call (a fault can swap the model): a lossless channel
         # draws nothing, so its per-segment call is skipped.
         lossy = type(ch.loss) is not NoLoss
         rng = ch.rng
-        dones = list(arrivals)
-        ok = [True] * n
-        marked = [False] * n
+        times: list[float] = []
+        push = times.append
+        ok = marked = None
         ntail = 0
+        lost = 0
         backlog = 0.0
         busy = ch._busy_until
-        first = dones[0]
+        first = arrivals[0]
         if self._a is None:
             # Bucket 0 is the recurrence base (q[k-1] is the queue
             # entering bucket k), so the first arrival lands in bucket 1.
@@ -169,11 +170,11 @@ class FluidLink:
         dt = self._dt
         drain = self._drain
         N = self.N
-        for j in range(n):
-            at = dones[j]
-            size = sizes[j]
+        # A segment's index is len(times) until its time is pushed.
+        for size, at in zip(sizes, arrivals):
+            x = at - t0
             # Arrivals older than the retained history clamp to bucket 1.
-            k = int((at - t0) / dt)
+            k = int(x / dt)
             if k < 1:
                 k = 1
             elif k >= N:
@@ -181,44 +182,60 @@ class FluidLink:
                 a = self._a
                 q = self._q
                 t0 = self._t0
-            prev = q[k - 1]
-            lead = at - t0 - k * dt
+                x = at - t0
+            prev = base = q[k - 1]
+            lead = x - k * dt
             if lead > 0.0:
                 prev -= lead * bps
                 if prev < 0.0:
                     prev = 0.0
             seen = prev + a[k]
-            if buffer_bytes > 0 and seen + size > buffer_bytes:
+            if seen + size > cap:
+                if ok is None:
+                    ok = [True] * n
+                ok[len(times)] = False
                 ntail += 1
-                ok[j] = False
+                lost += size
                 backlog = seen
+                done = at
+                push(at + owd)
                 continue
-            if ecn_bytes > 0 and seen >= ecn_bytes:
-                marked[j] = True
+            if seen >= ecn:
+                if marked is None:
+                    marked = [False] * n
+                marked[len(times)] = True
             a[k] += size
-            v = q[k - 1]
-            while k < N:
-                v -= drain
-                if v < 0.0:
-                    v = 0.0
-                v += a[k]
-                if v == q[k]:
-                    break
-                q[k] = v
-                k += 1
+            v = base
+            try:
+                while True:
+                    v -= drain
+                    if v < 0.0:
+                        v = 0.0
+                    v += a[k]
+                    if v == q[k]:
+                        break
+                    q[k] = v
+                    k += 1
+            except IndexError:  # propagated through the ring's last bucket
+                pass
             backlog = seen + size
-            done = dones[j] = at + backlog / bps
+            done = at + backlog / bps
             if done > busy:
                 busy = done
             if lossy and drops(rng, size):
-                ok[j] = False
+                if ok is None:
+                    ok = [True] * n
+                ok[len(times)] = False
+                lost += size
+            push(done + owd)
         ch._busy_until = busy
+        offered = sum(sizes)
         self._publish(
-            n, sum(sizes), sum(compress(sizes, ok)), ok.count(False), ntail,
-            marked.count(True), backlog / bps, backlog, first, dones[-1],
-            msg_seq,
+            n, offered, offered - lost, ok.count(False) if ok else 0, ntail,
+            marked.count(True) if marked else 0, backlog / bps, backlog,
+            first, done, msg_seq,
         )
-        return dones, ok, marked
+        return times, ok, marked
 
     def book_fifo(
         self, sizes: np.ndarray, at: float, msg_seq: int | None = None

@@ -1,6 +1,8 @@
 """Unit tests for the repro.cc rate controllers (pure state machines)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cc import (
     CC_ALGORITHMS,
@@ -246,3 +248,73 @@ class TestRebind:
             c.rebind(line_rate_bps=0.0, base_rtt=1e-3)
         with pytest.raises(ConfigError):
             c.rebind(line_rate_bps=10 * GBPS, base_rtt=0.0)
+
+
+class TestOnAcks:
+    """``on_acks`` is the per-ACK calls in order, bit for bit."""
+
+    MAKERS = {
+        "static": lambda: StaticRateController(),
+        "static_rate": lambda: StaticRateController(10 * GBPS),
+        "swift": lambda: SwiftController(line_rate_bps=100 * GBPS, base_rtt=1e-3),
+        "dcqcn": lambda: DcqcnController(
+            line_rate_bps=100 * GBPS, cut_interval=1e-3
+        ),
+    }
+    #: Swift's delay target for the base RTT above, to the last bit.
+    TARGET = 1e-3 * 1.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(MAKERS)),
+        # Start at line rate (where Swift may skip the batch) or below it.
+        st.sampled_from([1.0, 1.0, 0.97, 0.5, 0.05]),
+        # A cut window still open when the batch starts, or not.
+        st.floats(min_value=0.0, max_value=3e-3),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.just(TARGET),
+                    st.floats(min_value=0.2e-3, max_value=TARGET),
+                    st.floats(min_value=TARGET, max_value=10e-3),
+                ),
+                st.booleans(),
+                st.floats(min_value=0.0, max_value=1.5e-3),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_equals_the_per_ack_calls(self, kind, fraction, next_cut, acks):
+        batched, stepped = self.MAKERS[kind](), self.MAKERS[kind]()
+        for c in (batched, stepped):
+            if c.rate_bps is not None:
+                c.rate_bps = fraction * c.line_rate_bps
+            c._next_cut = next_cut
+        rtts, marks, nows = [], [], []
+        now = 0.0
+        for rtt, mark, step in acks:
+            now += step
+            rtts.append(rtt)
+            marks.append(mark)
+            nows.append(now)
+            stepped.on_rtt_sample(rtt, now=now)
+            if mark:
+                stepped.on_ecn_echo(1, 1, now=now)
+            else:
+                stepped.on_ack_progress(now=now)
+        batched.on_acks(rtts, marks, nows)
+        # rate_bps, _next_cut, DCQCN's alpha / target / recovery round.
+        assert vars(batched) == vars(stepped)
+
+    def test_swift_at_line_rate_and_on_target_skips_the_batch(self):
+        c = self.MAKERS["swift"]()
+        assert c.target_delay == self.TARGET
+
+        def per_ack(*args, **kwargs):
+            raise AssertionError("per-ACK call on a skippable batch")
+
+        c.on_rtt_sample = c.on_ecn_echo = c.on_ack_progress = per_ack
+        c.on_acks([1e-3, self.TARGET], [True, False], [0.0, 1e-3])
+        c.on_acks([], [], [])
+        with pytest.raises(AssertionError, match="per-ACK"):
+            c.on_acks([self.TARGET * 1.01], [False], [0.0])

@@ -25,6 +25,20 @@ def make_link(loss=None, seed=0):
     return ch.fluid, cfg.bytes_per_second
 
 
+def book(link, sizes, arrivals, *args):
+    """``link.book`` with its ``None`` flag lists spelled out."""
+    times, ok, marked = link.book(sizes, arrivals, *args)
+    # None stands for "all delivered" / "none marked", and only for that.
+    assert ok is None or False in ok
+    assert marked is None or True in marked
+    n = len(sizes)
+    return (
+        times,
+        [True] * n if ok is None else ok,
+        [False] * n if marked is None else marked,
+    )
+
+
 def lindley_seen(admitted, at, bps):
     """Exact fluid queue (bytes) an arrival at ``at`` meets.
 
@@ -55,7 +69,7 @@ def check_against_reference(link, bps, bookings, admitted):
     for at, size in bookings:
         exact = lindley_seen(admitted, at, bps)
         later = sum(s for t, s in admitted if at < t <= at + dt)
-        (done,), (ok,), (marked,) = link.book([size], [at])
+        (done,), (ok,), (marked,) = book(link, [size], [at])
         tail_dropped = not ok  # no wire loss on this link
         if tail_dropped:
             assert done == at
@@ -153,9 +167,9 @@ def test_one_call_equals_n_single_calls(draws, seed):
         sizes = [size for _u, size in draws]
         arrivals = [u * link._dt for u, _size in draws]
         if batched:
-            out = link.book(sizes, arrivals, 7)
+            out = book(link, sizes, arrivals, 7)
         else:
-            parts = [link.book([s], [t], 7) for s, t in zip(sizes, arrivals)]
+            parts = [book(link, [s], [t], 7) for s, t in zip(sizes, arrivals)]
             out = tuple([p[i][0] for p in parts] for i in range(3))
         ch = link.channel
         runs.append((
@@ -182,7 +196,7 @@ def test_no_sink_raises():
 
 def test_empty_call_publishes_nothing():
     link, _bps = make_link()
-    assert link.book([], []) == ([], [], [])
+    assert link.book([], []) == ([], None, None)
     assert link.channel.stats.packets_offered == 0
 
 

@@ -15,6 +15,14 @@ call; a masked NumPy reduction per state per timer wake; an ``Event``, a
 closure and a generator resume per timer wait.  (``object.__setattr__``,
 the other cost of a frozen dataclass, is a slot wrapper and raises no
 ``c_call`` event, so this floor under-counts that saving.)
+
+The fluid fast path gets its own floor, per ``fabric.segments_sent`` on a
+miniature of the ``fabric_fluid`` benchmark workload (167 messages,
+11,851 segments): 21.64 calls per segment (256,430) since a Swift
+controller at line rate and on target hears a whole booking in one
+``on_acks`` call, 35.23 (417,522) while ``_book`` made two or three
+controller calls per segment.  A miss means per-segment feedback calls,
+or a per-hop list pass, came back into the booking path.
 """
 
 from __future__ import annotations
@@ -24,12 +32,30 @@ import sys
 
 import pytest
 
+from repro.common.units import MiB
+from repro.fabric.scenarios import ScaleConfig, scale_scenario
 from repro.telemetry import Telemetry
 
 from tests.sim.test_dispatch_budget import _incast, _packets_offered, _wan
 
 
-def _calls_per_packet(run) -> tuple[int, int]:
+def _fabric_fluid(telemetry):
+    """The bench's ``fabric_fluid`` shape over 0.014 s: 167 messages."""
+    scale_scenario(
+        ScaleConfig(
+            tenants=1000, tors=4, hosts_per_tor=4, offered_load_bps=200e9,
+            mean_message_bytes=2 * MiB, max_message_bytes=32 * MiB,
+            duration=0.014, seed=0, fluid=True, rate_skew=0.0,
+        ),
+        telemetry=telemetry,
+    )
+
+
+def _segments_sent(metrics) -> int:
+    return metrics.value("fabric.segments_sent")
+
+
+def _calls_per_unit(run, per) -> tuple[int, int]:
     calls = 0
 
     def profile(_frame, event, _arg):
@@ -42,14 +68,15 @@ def _calls_per_packet(run) -> tuple[int, int]:
     # allocator happened to trigger it.
     gc.collect()
     gc.disable()
+    telemetry = Telemetry()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        sim = run(Telemetry())
+        run(telemetry)
     finally:
         sys.setprofile(previous)
         gc.enable()
-    return calls, _packets_offered(sim)
+    return calls, per(telemetry.metrics)
 
 
 @pytest.mark.parametrize(
@@ -59,7 +86,15 @@ def _calls_per_packet(run) -> tuple[int, int]:
 )
 def test_calls_per_offered_packet(run, ceiling):
     run(Telemetry())  # warm-up: lazy imports and memoised tables
-    calls, packets = _calls_per_packet(run)
-    assert (calls, packets) == _calls_per_packet(run)
+    calls, packets = _calls_per_unit(run, _packets_offered)
+    assert (calls, packets) == _calls_per_unit(run, _packets_offered)
     assert packets > 1000
     assert calls / packets <= ceiling, (calls, packets)
+
+
+def test_calls_per_fluid_segment():
+    _fabric_fluid(Telemetry())  # warm-up
+    calls, segments = _calls_per_unit(_fabric_fluid, _segments_sent)
+    assert (calls, segments) == _calls_per_unit(_fabric_fluid, _segments_sent)
+    assert segments > 10000
+    assert calls / segments <= 23.8, (calls, segments)

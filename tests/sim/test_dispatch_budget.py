@@ -37,8 +37,7 @@ def _incast(telemetry):
     ).sim
 
 
-def _packets_offered(sim) -> int:
-    metrics = sim.telemetry.metrics
+def _packets_offered(metrics) -> int:
     return sum(
         metrics.value(name) for name in metrics.names("net")
         if name.endswith(".packets_offered")
@@ -48,7 +47,7 @@ def _packets_offered(sim) -> int:
 def _dispatches_per_packet(run) -> tuple[int, int]:
     profiler = SimProfiler()
     sim = run(Telemetry(profiler=profiler))
-    return profiler.events, _packets_offered(sim)
+    return profiler.events, _packets_offered(sim.telemetry.metrics)
 
 
 @pytest.mark.parametrize(
