@@ -5,6 +5,10 @@ compares the two runs, which cannot see a change that moves both.  This
 one pins, per miniature scenario, the sha256 of the JSONL trace and of the
 full registry snapshot (plus the drained clock) in ``trace_digests.json``,
 recorded on the commit *before* an engine change and replayed after it.
+``lineage_sha256`` pins what ``LineageAnalyzer`` reads from the same trace
+(per message: protocol, completion, failure, retransmits, drops and the
+blame partition to 1 ns), so a change to the trace consumer shows even
+when every trace byte holds.
 
 A host-time optimisation must leave every digest here untouched.  The
 file is regenerated (``PYTHONPATH=src python tests/golden/test_trace_digests.py``)
@@ -30,7 +34,7 @@ from repro.reliability.ec import EcConfig
 from repro.reliability.sampling import SamplingConfig
 from repro.reliability.sr import SrConfig
 from repro.sim.engine import SimConfig
-from repro.telemetry import JsonlSink, Telemetry, TimeseriesSampler
+from repro.telemetry import JsonlSink, LineageAnalyzer, Telemetry, TimeseriesSampler
 from repro.telemetry.demo import run_demo
 
 GOLDEN = Path(__file__).with_name("trace_digests.json")
@@ -200,6 +204,20 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _lineage_sha(trace: str) -> str:
+    """sha256 of the per-message blame ``LineageAnalyzer`` reads from a trace."""
+    analyzer = LineageAnalyzer.from_events(JsonlSink.read(io.StringIO(trace)))
+    rows = [
+        [
+            m.msg, m.protocol, m.completed is not None, m.failed,
+            m.retransmits, m.drops,
+            sorted((cat, round(s * 1e9)) for cat, s in m.attribution.items()),
+        ]
+        for m in sorted(analyzer.messages.values(), key=lambda m: m.msg)
+    ]
+    return _sha(json.dumps(rows))
+
+
 def digests(name: str) -> dict:
     runner, sampled = SCENARIOS[name]
     buf = io.StringIO()
@@ -214,6 +232,7 @@ def digests(name: str) -> dict:
     return {
         "trace_sha256": _sha(trace),
         "trace_lines": trace.count("\n"),
+        "lineage_sha256": _lineage_sha(trace),
         "registry_sha256": _sha(json.dumps(snapshot, sort_keys=True)),
         "registry_entries": len(snapshot),
         "sim_now": repr(telemetry.trace.now),
