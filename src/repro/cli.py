@@ -174,9 +174,8 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def _write_metrics_json(path: str, registry, meta: dict) -> None:
-    """The uniform ``--metrics-json`` shape shared by report/chaos/fabric:
-    ``{"meta": <command context>, "metrics": <full registry snapshot>}``."""
+def _write_json(path: str, payload: dict, label: str = "JSON") -> None:
+    """Write ``payload`` as indented, key-sorted JSON, creating its directory."""
     import json
     import os
 
@@ -184,18 +183,22 @@ def _write_metrics_json(path: str, registry, meta: dict) -> None:
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"meta": meta, "metrics": registry.snapshot()},
-            fh, indent=2, sort_keys=True,
-        )
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"Metrics JSON written to {path}")
+    print(f"{label} written to {path}")
 
 
 def _export_registry(args, registry, meta: dict) -> None:
-    """The ``--metrics-json`` / ``--openmetrics`` epilogue of every DES command."""
+    """The ``--metrics-json`` / ``--openmetrics`` epilogue of every DES command.
+
+    ``--metrics-json`` has one shape for report/chaos/fabric:
+    ``{"meta": <command context>, "metrics": <full registry snapshot>}``.
+    """
     if args.metrics_json:
-        _write_metrics_json(args.metrics_json, registry, meta)
+        _write_json(
+            args.metrics_json, {"meta": meta, "metrics": registry.snapshot()},
+            "Metrics JSON",
+        )
     if args.openmetrics:
         from repro.telemetry import write_openmetrics
 
@@ -491,17 +494,15 @@ def _slo_gate(summary, status: int) -> int:
     return status
 
 
-def _fabric_json(path: str, payload: dict) -> None:
-    import json
-    import os
+def _print_tenant_lineage(ring) -> None:
+    """The per-tenant blame section ``fabric --lineage`` appends."""
+    if ring is None:
+        return
+    from repro.fabric import lineage_tenant_table
+    from repro.telemetry.lineage import LineageAnalyzer
 
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"JSON written to {path}")
+    print()
+    print(lineage_tenant_table(LineageAnalyzer.from_events(ring.events)).render())
 
 
 def _tenant_rows(reports) -> list[dict]:
@@ -522,7 +523,7 @@ def _tenant_rows(reports) -> list[dict]:
 
 
 def _cmd_fabric_chaos(args, telemetry, ring, slo) -> int:
-    from repro.fabric import ChaosConfig, chaos_scenario, lineage_tenant_table
+    from repro.fabric import ChaosConfig, chaos_scenario
 
     config = ChaosConfig(
         schedule=args.chaos,
@@ -556,17 +557,9 @@ def _cmd_fabric_chaos(args, telemetry, ring, slo) -> int:
             states.add_row(edge, state)
         print()
         print(states.render())
-    if ring is not None:
-        from repro.telemetry.lineage import LineageAnalyzer
-
-        print()
-        print(
-            lineage_tenant_table(
-                LineageAnalyzer.from_events(ring.events)
-            ).render()
-        )
+    _print_tenant_lineage(ring)
     if args.json:
-        _fabric_json(args.json, {
+        _write_json(args.json, {
             "preset": "chaos",
             "schedule": config.schedule,
             "seed": config.seed,
@@ -652,7 +645,6 @@ def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
         FairnessConfig,
         ScaleConfig,
         fairness_scenario,
-        lineage_tenant_table,
         scale_scenario,
         smoke_config,
         tenant_table,
@@ -692,7 +684,7 @@ def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
             ).render()
         )
         if args.json:
-            _fabric_json(args.json, {
+            _write_json(args.json, {
                 "preset": "scale",
                 "seed": config.seed,
                 "cc": config.cc,
@@ -752,17 +744,9 @@ def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
     print(summary.render())
     print()
     print(tenant_table(result.reports).render())
-    if ring is not None:
-        from repro.telemetry.lineage import LineageAnalyzer
-
-        print()
-        print(
-            lineage_tenant_table(
-                LineageAnalyzer.from_events(ring.events)
-            ).render()
-        )
+    _print_tenant_lineage(ring)
     if args.json:
-        _fabric_json(args.json, {
+        _write_json(args.json, {
             "preset": args.preset,
             "seed": config.seed,
             "cc": config.cc,

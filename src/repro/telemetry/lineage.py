@@ -1,11 +1,10 @@
 """Causal flight recorder: per-message lineage and completion-time attribution.
 
-The correlation pass (this PR) threads a ``(msg, pkt, chunk, attempt)``
-correlation key through every trace event the protocol layers emit: the
-reliability sender stamps each :class:`~repro.sdr.qp.SdrQp` injection, the
-verbs layer copies the key onto wire packets and CQEs, and the channel /
-DPA / fault planes echo it back.  Every event therefore joins a per-message
-causal chain::
+The protocol layers thread a ``(msg, pkt, chunk, attempt)`` correlation key
+through every trace event they emit: the reliability sender stamps each
+:class:`~repro.sdr.qp.SdrQp` injection, the verbs layer copies the key onto
+wire packets and CQEs, and the channel / DPA / fault planes echo it back.
+Every event therefore joins a per-message causal chain::
 
     msg_post -> cts_grant -> tx (attempt 0) -> [loss_drop / fault_drop]
              -> gap_nack / rto_fire / nack_retx -> tx (attempt >= 1)
@@ -14,33 +13,18 @@ causal chain::
 :class:`LineageAnalyzer` replays any trace (a live
 :class:`~repro.telemetry.trace.RingBufferSink` or a JSONL file) into
 :class:`MessageLineage` timelines and attributes each message's completion
-time to *exactly one* of the categories below.  The attribution is an exact
+time to *exactly one* category per instant.  The attribution is an exact
 partition of ``[posted, completed]`` -- busy intervals come from wire / CPU
 spans, idle gaps are classified by the trigger event that ends them -- so
 per-message attributions sum to the observed span by construction (the
 ``residual`` cross-check asserts this).
 
-Attribution categories
-======================
-
-==================  =========================================================
-``cts_wait``        posted but waiting for the receiver's clear-to-send
-``first_transmit``  wire serialization of attempt-0 packets (E[T_SR]'s
-                    ``t_start(M)`` term)
-``retransmit``      wire serialization of attempt >= 1 packets (loss waste)
-``rto_wait``        idle, ended by an RTO fire (the ``alpha*RTT`` penalty)
-``loss_recovery``   idle, ended by a NACK-triggered retransmission
-``decode``          EC decode CPU time on the receiver
-``recovery``        idle, ended by a resumption event (resume request /
-                    grant / re-post -- see ``repro.recovery``)
-``reroute_wait``    idle, ended by a fabric reroute event (path change,
-                    route restoration or a reroute-granted attempt reset
-                    -- see ``repro.fabric.health`` / ``chaos``)
-``cc_wait``         idle, ended by a congestion-control pacing stall
-                    (the sender chose to wait -- see ``repro.cc``)
-``ack_wait``        trailing propagation + final-ACK return (>= RTT/2)
-``other``           idle not explained by any recorded trigger
-==================  =========================================================
+What each event name means to attribution is decided in one place, the
+``_ROLES`` table below; ``ATTRIBUTION_CATEGORIES`` is derived from it.
+Three categories belong to no event: ``cts_wait`` (idle before the first
+busy span), ``ack_wait`` (idle after the last one: trailing propagation
+and the final ACK) and ``other`` (an idle gap no recorded trigger ends).
+docs/observability.md describes every category.
 
 A resumed transfer re-posts under a fresh slot whose ``msg_post`` carries
 ``resumed_from=<original seq>``; the analyzer folds the new slot's events
@@ -53,7 +37,9 @@ tests pin within 5%.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.common.errors import ConfigError
 from repro.experiments.report import Table
@@ -65,46 +51,82 @@ __all__ = [
     "MessageLineage",
 ]
 
+
+class _Role(NamedTuple):
+    """What one trace event name means to attribution."""
+
+    kind: str
+    #: The category a busy span covers or a trigger's idle gap is blamed on.
+    category: str = ""
+    #: Trigger precedence: a gap several triggers end goes to the lowest.
+    rank: int = 0
+    #: Retransmits per event: a constant, or the arg that carries the count.
+    retransmits: int | str = 0
+    #: Busy spans of attempt >= 1 land here instead of ``category``.
+    retry: str = ""
+
+
+POST, BUSY, TRIGGER, DONE, FAILED, DROP = (
+    "post", "busy", "trigger", "done", "failed", "drop"
+)
+
+#: The one place a trace event name means something to attribution.  Rows
+#: run in report order of the categories they feed.
+#:
+#: * ``busy`` -- a wire / CPU span covering its slice; where spans overlap
+#:   the category in the later row wins (the rarer cost).  A fluid segment
+#:   carries no attempt, so a fluid retransmit booking is ``first_transmit``.
+#: * ``trigger`` -- an instant that ends an idle gap.  A resume gap contains
+#:   the RTO that provoked it, a reroute-ended gap the RTOs the dead path
+#:   caused, and a pacing stall next to a retransmit trigger is a symptom
+#:   of the loss, not of the pacer: hence the ranks.
+#: * ``post`` opens a lineage; ``done`` completes it at the event (a fabric
+#:   flow's last ACK: the ``msg_post`` time stays its start); ``failed``
+#:   and ``drop`` mark and count.  Every scheme's success span,
+#:   ``<scheme>_write`` with ``cat=<scheme>``, completes a lineage by that
+#:   rule rather than by name, and names the protocol when no ``msg_post``
+#:   did (Go-Back-N posts none).
+_ROLES: dict[str, _Role] = {
+    "msg_post": _Role(POST),
+    "tx": _Role(BUSY, "first_transmit", retry="retransmit"),
+    "fluid_segment": _Role(BUSY, "first_transmit"),
+    "rto_fire": _Role(TRIGGER, "rto_wait", 2, retransmits=1),
+    "rto_rewind": _Role(TRIGGER, "rto_wait", 2, retransmits="chunks"),
+    "nack_retx": _Role(TRIGGER, "loss_recovery", 3, retransmits=1),
+    "gap_nack": _Role(TRIGGER, "loss_recovery", 3),
+    "ec_nack": _Role(TRIGGER, "loss_recovery", 3),
+    "sr_fallback": _Role(TRIGGER, "loss_recovery", 3),
+    "decode": _Role(BUSY, "decode"),
+    "resume_begin": _Role(TRIGGER, "recovery", 0),
+    "resume_grant": _Role(TRIGGER, "recovery", 0),
+    "resume_post": _Role(TRIGGER, "recovery", 0),
+    "recv_abandon": _Role(TRIGGER, "recovery", 0),
+    "reroute": _Role(TRIGGER, "reroute_wait", 1),
+    "route_restored": _Role(TRIGGER, "reroute_wait", 1),
+    "resumption": _Role(TRIGGER, "reroute_wait", 1),
+    "cc_stall": _Role(TRIGGER, "cc_wait", 4),
+    "sample_probe": _Role(TRIGGER, "sampling_wait", 5),
+    "repair_req": _Role(TRIGGER, "sampling_wait", 5),
+    "repair_retx": _Role(TRIGGER, "sampling_wait", 5, retransmits=1),
+    "fabric_deliver": _Role(DONE),
+    "write_failed": _Role(FAILED),
+    "global_timeout": _Role(FAILED),
+    "delivery_error": _Role(FAILED),
+    "loss_drop": _Role(DROP),
+    "tail_drop": _Role(DROP),
+    "fault_drop": _Role(DROP),
+}
+_NONE = _Role("")
+
 #: Every category an idle or busy slice can land in, in report order.
 ATTRIBUTION_CATEGORIES = (
     "cts_wait",
-    "first_transmit",
-    "retransmit",
-    "rto_wait",
-    "loss_recovery",
-    "decode",
-    "recovery",
-    "reroute_wait",
-    "cc_wait",
-    "sampling_wait",
+    *dict.fromkeys(
+        cat for role in _ROLES.values() for cat in (role.category, role.retry) if cat
+    ),
     "ack_wait",
     "other",
 )
-
-#: Events that mark a loss-recovery trigger when they end an idle gap.
-_NACK_TRIGGERS = frozenset({"nack_retx", "gap_nack", "ec_nack", "sr_fallback"})
-
-#: Events that mark a resumption trigger (blamed on ``recovery``).
-_RECOVERY_TRIGGERS = frozenset(
-    {"resume_begin", "resume_grant", "resume_post", "recv_abandon"}
-)
-
-#: Events that mark a fabric reroute trigger (blamed on ``reroute_wait``):
-#: the pair's path changed under the flow, a lost route came back, or the
-#: reroute granted the segment a fresh attempt budget.
-_REROUTE_TRIGGERS = frozenset({"reroute", "route_restored", "resumption"})
-
-#: Events that mark a congestion-control pacing stall (``repro.cc`` emits
-#: them on wake, i.e. at the *end* of the idle gap they explain).
-_CC_TRIGGERS = frozenset({"cc_stall"})
-
-#: Events of the availability-sampling mode: an idle gap ending with a
-#: probe round or repair request is the protocol's detection latency
-#: (blamed on ``sampling_wait`` -- the cost of sampling instead of ACKing).
-_SAMPLING_TRIGGERS = frozenset({"sample_probe", "repair_req", "repair_retx"})
-
-#: Busy-interval category priority when spans overlap (rarer wins).
-_BUSY_PRIORITY = {"decode": 3, "retransmit": 2, "first_transmit": 1}
 
 
 @dataclass
@@ -135,15 +157,11 @@ class MessageLineage:
         return self.completed - self.posted
 
     @property
-    def attributed_total(self) -> float:
-        return sum(self.attribution.values())
-
-    @property
     def residual(self) -> float:
         """``span - sum(attribution)`` -- ~0 by construction."""
         if self.span is None:
             return 0.0
-        return self.span - self.attributed_total
+        return self.span - sum(self.attribution.values())
 
     @property
     def dominant(self) -> str:
@@ -213,10 +231,8 @@ class LineageAnalyzer:
         # Pass 1: message creation + EC member->parent mapping must be known
         # before member events are filed.
         for ev in events:
-            if ev.name != "msg_post":
-                continue
             msg = self._msg_of(ev)
-            if msg is None:
+            if msg is None or _ROLES.get(ev.name, _NONE).kind != POST:
                 continue
             resumed_from = ev.args.get("resumed_from")
             if resumed_from is not None and int(resumed_from) != msg:
@@ -253,19 +269,19 @@ class LineageAnalyzer:
                 args["__dur"] = ev.dur
             rec.events.append((ev.ts, ev.name, args))
             if ev.name == f"{ev.cat}_write":
-                # Every scheme's one success span (``Sender._complete_write``).
                 rec.completed = ev.ts + (ev.dur or 0.0)
                 rec.posted = ev.ts
-            elif ev.name == "fabric_deliver":
-                # Fabric completions measure submit-to-last-ACK, so the
-                # posted timestamp (the msg_post) is kept as-is.
+                rec.protocol = rec.protocol or ev.cat
+                continue
+            role = _ROLES.get(ev.name, _NONE)
+            if role.kind == DONE:
                 rec.completed = ev.ts
-            elif ev.name == "write_failed" or ev.name == "global_timeout":
+            elif role.kind == FAILED:
                 rec.failed = True
-            elif ev.name in ("loss_drop", "tail_drop", "fault_drop"):
+            elif role.kind == DROP:
                 rec.drops += 1
-            elif ev.name in ("rto_fire", "nack_retx"):
-                rec.retransmits += 1
+            retx = role.retransmits
+            rec.retransmits += int(args.get(retx, 0)) if isinstance(retx, str) else retx
 
         for rec in self.messages.values():
             rec.events.sort(key=lambda item: item[0])
@@ -274,23 +290,20 @@ class LineageAnalyzer:
     # -- attribution -----------------------------------------------------------
 
     @staticmethod
-    def _busy_intervals(rec: MessageLineage) -> list[tuple[float, float, str]]:
-        """Wire/CPU spans inside [posted, completed], with their category."""
+    def _busy_intervals(rec: MessageLineage) -> list[tuple[float, float, int]]:
+        """Wire/CPU spans inside [posted, completed], with their category's
+        index in ``ATTRIBUTION_CATEGORIES``."""
         assert rec.completed is not None
-        out: list[tuple[float, float, str]] = []
+        out: list[tuple[float, float, int]] = []
         for ts, name, args in rec.events:
-            if name == "tx":
-                dur = float(args.get("__dur", 0.0))
-                cat = "first_transmit" if int(args.get("attempt", 0)) == 0 else "retransmit"
-            elif name == "decode":
-                dur = float(args.get("__dur", 0.0))
-                cat = "decode"
-            else:
+            role = _ROLES.get(name, _NONE)
+            if role.kind != BUSY:
                 continue
+            cat = role.retry if role.retry and args.get("attempt") else role.category
             start = max(ts, rec.posted)
-            end = min(ts + dur, rec.completed)
+            end = min(ts + float(args.get("__dur", 0.0)), rec.completed)
             if end > start:
-                out.append((start, end, cat))
+                out.append((start, end, ATTRIBUTION_CATEGORIES.index(cat)))
         return out
 
     def _attribute(self, rec: MessageLineage) -> None:
@@ -299,61 +312,39 @@ class LineageAnalyzer:
             return
         busy = self._busy_intervals(rec)
         # Sweep [posted, completed] over all interval boundaries; each slice
-        # is either covered (highest-priority covering category wins) or an
-        # idle gap classified by the trigger event that ends it.
+        # is either covered (the latest category in the table wins) or an
+        # idle gap classified by the trigger events that end it.
         cuts = {rec.posted, rec.completed}
         for start, end, _ in busy:
             cuts.add(start)
             cuts.add(end)
         points = sorted(cuts)
-        attribution = dict.fromkeys(ATTRIBUTION_CATEGORIES, 0.0)
-
+        slot = {p: i for i, p in enumerate(points)}
+        cover = [-1] * len(points)
+        for start, end, cat in busy:
+            for i in range(slot[start], slot[end]):
+                if cat > cover[i]:
+                    cover[i] = cat
         triggers = [
-            (ts, name)
+            (ts, role)
             for ts, name, _ in rec.events
-            if name == "rto_fire"
-            or name in _NACK_TRIGGERS
-            or name in _RECOVERY_TRIGGERS
-            or name in _REROUTE_TRIGGERS
-            or name in _CC_TRIGGERS
-            or name in _SAMPLING_TRIGGERS
+            if (role := _ROLES.get(name, _NONE)).kind == TRIGGER
         ]
+        times = [ts for ts, _ in triggers]
         last_busy_end = max((end for _, end, _ in busy), default=rec.posted)
         first_busy_start = min((start for start, _, _ in busy), default=rec.completed)
 
-        for lo, hi in zip(points, points[1:]):
-            if hi <= lo:
-                continue
-            covering = [c for s, e, c in busy if s <= lo and e >= hi]
-            if covering:
-                cat = max(covering, key=lambda c: _BUSY_PRIORITY.get(c, 0))
+        attribution = dict.fromkeys(ATTRIBUTION_CATEGORIES, 0.0)
+        for i, (lo, hi) in enumerate(zip(points, points[1:])):
+            if cover[i] >= 0:
+                cat = ATTRIBUTION_CATEGORIES[cover[i]]
             elif hi <= first_busy_start:
                 cat = "cts_wait"
             elif lo >= last_busy_end:
                 cat = "ack_wait"
             else:
-                # Idle gap in the middle: blame the trigger that ends it
-                # (recovery outranks reroute outranks RTO outranks NACK
-                # outranks pacing: a resume gap contains the RTO that
-                # provoked it, a reroute-ended gap contains the RTOs the
-                # dead path caused, and a stall coinciding with a
-                # retransmit trigger is a symptom of the loss, not of the
-                # pacer).
-                ending = [name for ts, name in triggers if lo < ts <= hi]
-                if any(n in _RECOVERY_TRIGGERS for n in ending):
-                    cat = "recovery"
-                elif any(n in _REROUTE_TRIGGERS for n in ending):
-                    cat = "reroute_wait"
-                elif any(n == "rto_fire" for n in ending):
-                    cat = "rto_wait"
-                elif any(n in _NACK_TRIGGERS for n in ending):
-                    cat = "loss_recovery"
-                elif any(n in _CC_TRIGGERS for n in ending):
-                    cat = "cc_wait"
-                elif any(n in _SAMPLING_TRIGGERS for n in ending):
-                    cat = "sampling_wait"
-                else:
-                    cat = "other"
+                ending = triggers[bisect_right(times, lo):bisect_right(times, hi)]
+                cat = min(ending, key=lambda t: t[1].rank)[1].category if ending else "other"
             attribution[cat] += hi - lo
         rec.attribution = attribution
 

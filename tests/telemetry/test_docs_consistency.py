@@ -3,7 +3,8 @@
 Every top-level metric prefix documented in ``docs/observability.md``'s
 naming-scheme table must appear in a real registry snapshot, and every
 prefix a demo run actually produces must be documented.  This keeps the
-table from rotting as producers come and go.
+table from rotting as producers come and go.  The same page's lineage
+attribution table must list exactly ``ATTRIBUTION_CATEGORIES``, in order.
 """
 
 import re
@@ -15,6 +16,7 @@ from repro.faults import named_schedule
 from repro.reliability.gbn import GbnReceiver, GbnSender
 from repro.reliability.sr import SrConfig
 from repro.telemetry import (
+    ATTRIBUTION_CATEGORIES,
     LineageAnalyzer,
     RingBufferSink,
     SloConfig,
@@ -77,7 +79,18 @@ def produced_prefixes() -> set[str]:
     return {name.split(".", 1)[0] for name in names}
 
 
+def documented_categories() -> list[str]:
+    """The category column of the attribution table, in order."""
+    text = DOCS.read_text(encoding="utf-8")
+    section = text.split("### Attribution categories", 1)[1]
+    section = section.split("\n## ", 1)[0].split("\n### ", 1)[0]
+    return re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.MULTILINE)
+
+
 class TestDocsConsistency:
+    def test_attribution_table_lists_every_category(self):
+        assert tuple(documented_categories()) == ATTRIBUTION_CATEGORIES
+
     def test_every_documented_prefix_is_produced(self):
         documented = documented_prefixes()
         assert documented, "failed to parse the naming-scheme table"

@@ -8,16 +8,24 @@ trace.  On a loss-free SR run the sender-side portion of the span
 (chunks * T_inj + RTT) -- the paper's E[T_SR] with p = 0.
 """
 
+import functools
 import io
 
 import pytest
 
+from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB, distance_to_rtt
+from repro.fabric import ChaosConfig, ScaleConfig, chaos_scenario, scale_scenario
+from repro.fabric.service import FabricService, TenantSpec
+from repro.fabric.topology import FabricEdge, FabricNetwork, dumbbell
+from repro.faults import named_schedule
 from repro.models.params import ModelParams
 from repro.models.sr_model import sr_expected_completion
+from repro.net.loss import BernoulliLoss
 from repro.reliability import SCHEMES
-from repro.stack import endpoints
+from repro.sim.engine import SimConfig, Simulator
+from repro.stack import build_pair, endpoints
 from repro.telemetry import (
     ATTRIBUTION_CATEGORIES,
     JsonlSink,
@@ -26,6 +34,7 @@ from repro.telemetry import (
     RingBufferSink,
     Telemetry,
 )
+from repro.telemetry import lineage
 from repro.telemetry.demo import run_demo
 
 from tests.conftest import make_sdr_pair
@@ -226,3 +235,176 @@ class TestFlowEvents:
         assert starts, "lossy run must emit retransmit flow starts"
         # Every flow arrow that lands on the wire originated at a trigger.
         assert finishes <= starts
+
+
+# -- one blame table ----------------------------------------------------------
+#
+# Every trace event name that means something to attribution is a row of
+# ``lineage._ROLES``.  The runs below are cached: the completeness guard and
+# the behaviour tests read the same traces.
+
+#: Correlated event names lineage deliberately reads no meaning from.
+IGNORED = {
+    "cts_grant": "cts_wait is the idle before the first busy span",
+    "chunk_close": "receiver-side bookkeeping, ends no sender gap",
+    "cqe": "receiver-side completion, ends no sender gap",
+    "recv_msg": "receiver-side bookkeeping",
+    "send_inject": "the injection its tx spans already show",
+    "retx": "the flow arrow of a retransmit its trigger already counts",
+    "sampling_idle": "an idle strike: the re-probe it schedules is the trigger",
+    "provision_choice": "the adaptive advisor's pick, at post time",
+    "route_lost": "opens a no-route wait; route_restored or reroute ends it",
+}
+
+RTT_1000KM = distance_to_rtt(1000.0)
+
+
+def _ring_telemetry():
+    ring = RingBufferSink(capacity=1 << 21)
+    return ring, Telemetry(trace=True, trace_sinks=[ring])
+
+
+@functools.cache
+def _pair_run(scheme):
+    """Three 1 MiB writes over a 2 %-lossy pair, no recovery."""
+    ring, telemetry = _ring_telemetry()
+    stack = build_pair(
+        ChannelConfig(drop_probability=0.02, distance_km=1000.0), seed=3,
+        telemetry=telemetry,
+    )
+    sender, receiver = endpoints(scheme, stack)
+    tickets = []
+    for _ in range(3):
+        receiver.post_receive(stack.ctx_b.mr_reg(MiB), MiB)
+        tickets.append(sender.write(MiB))
+        stack.sim.run(tickets[-1].done)
+    stack.sim.run()
+    return tickets, LineageAnalyzer.from_events(ring.events), ring.events
+
+
+@functools.cache
+def _demo_run(protocol, faulty):
+    ring, telemetry = _ring_telemetry()
+    faults = named_schedule("blackout", rtt=RTT_1000KM) if faulty else None
+    run_demo(
+        protocol=protocol, messages=3, message_bytes=MiB, drop=0.02,
+        faults=faults, recover=faulty, telemetry=telemetry,
+    )
+    return ring.events
+
+
+@functools.cache
+def _scale_run(seed, fluid):
+    ring, telemetry = _ring_telemetry()
+    scale_scenario(
+        ScaleConfig(
+            tenants=20, duration=0.002, offered_load_bps=50e9, seed=seed,
+            fluid=fluid,
+        ),
+        telemetry=telemetry,
+    )
+    return LineageAnalyzer.from_events(ring.events), ring.events
+
+
+@functools.cache
+def _chaos_run(schedule):
+    ring, telemetry = _ring_telemetry()
+    result = chaos_scenario(
+        ChaosConfig(hosts_per_tor=1, schedule=schedule), telemetry=telemetry
+    )
+    return result, LineageAnalyzer.from_events(ring.events), ring.events
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_cached_runs():
+    yield
+    for run in (_pair_run, _demo_run, _scale_run, _chaos_run):
+        run.cache_clear()
+
+
+def test_every_correlated_event_name_has_a_role():
+    traces = [
+        _demo_run(protocol, faulty)
+        for protocol in ("sr", "ec", "adaptive", "sampling")
+        for faulty in (False, True)
+    ]
+    traces += [_pair_run(scheme)[2] for scheme in ("sr_nack", "gbn")]
+    traces += [_scale_run(0, fluid)[1] for fluid in (False, True)]
+    traces += [_chaos_run(s)[2] for s in ("tor_crash", "fabric_partition")]
+    seen = {
+        e.name
+        for events in traces
+        for e in events
+        if ("msg" in e.args or "seq" in e.args) and e.name != f"{e.cat}_write"
+    }
+    assert not set(IGNORED) & set(lineage._ROLES)
+    unread = seen - set(lineage._ROLES) - set(IGNORED)
+    assert not unread, f"event names with no role and not ignored: {sorted(unread)}"
+
+
+@pytest.mark.parametrize("scheme", ["sr", "sr_nack", "gbn", "sampling"])
+def test_retransmits_match_the_ticket(scheme):
+    tickets, analyzer, _ = _pair_run(scheme)
+    analyzer.check()
+    assert sum(t.retransmitted_chunks for t in tickets) > 0
+    assert [analyzer.get(t.seq).retransmits for t in tickets] == [
+        t.retransmitted_chunks for t in tickets
+    ]
+    assert {analyzer.get(t.seq).protocol for t in tickets} == {
+        "sr" if scheme == "sr_nack" else scheme
+    }
+
+
+def test_gbn_rto_gaps_are_rto_wait():
+    tickets, analyzer, _ = _pair_run("gbn")
+    for t in tickets:
+        m = analyzer.get(t.seq)
+        assert m.attribution["rto_wait"] > 0.5 * m.span
+        assert m.attribution["other"] < 0.01 * m.span
+
+
+@pytest.mark.parametrize("fluid", [False, True], ids=["packet", "fluid"])
+def test_fabric_retransmits_and_wire_time(fluid):
+    ring, telemetry = _ring_telemetry()
+    wan = ChannelConfig(bandwidth_bps=10e9, distance_km=50.0)
+    topo = dumbbell(
+        left_hosts=2, right_hosts=1,
+        host_link=ChannelConfig(bandwidth_bps=25e9, distance_km=0.05),
+        bottleneck=wan,
+    )
+    topo.edges[("torL", "torR")] = FabricEdge("torL", "torR", wan, BernoulliLoss(0.1))
+    sim = Simulator(telemetry=telemetry, config=SimConfig(fluid=fluid))
+    service = FabricService(FabricNetwork(sim, topo, seed=1))
+    service.add_tenant(TenantSpec(name="a"))
+    tickets = [
+        service.submit("a", f"hL{i % 2}", "hR0", 256 * KiB, at=i * 1e-4)
+        for i in range(8)
+    ]
+    sim.run()
+    analyzer = LineageAnalyzer.from_events(ring.events)
+    analyzer.check()
+    assert sum(t.retransmits for t in tickets) > 0
+    assert [analyzer.get(t.seq).retransmits for t in tickets] == [
+        t.retransmits for t in tickets
+    ]
+    # Fluid segments are wire time too: no flow is all cts_wait.
+    for m in analyzer.completed:
+        assert m.attribution["first_transmit"] > 0
+
+
+def test_partition_failures_are_failed():
+    result, analyzer, _ = _chaos_run("fabric_partition")
+    assert result.delivery_errors > 0
+    assert sum(m.failed for m in analyzer.messages.values()) == result.delivery_errors
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fluid_and_packet_blame_have_the_same_shape(seed):
+    shares = []
+    for fluid in (False, True):
+        analyzer, _ = _scale_run(seed, fluid)
+        analyzer.check()
+        shares.append({row[0]: row[2] for row in analyzer.blame_table().rows})
+    packet, fluid = shares
+    for cat in ATTRIBUTION_CATEGORIES:
+        assert fluid[cat] == pytest.approx(packet[cat], abs=1.0), cat
