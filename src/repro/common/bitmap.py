@@ -1,23 +1,21 @@
-"""NumPy-backed bitmap used for SDR per-packet and chunk completion tracking.
+"""Bitmap used for SDR per-packet and chunk completion tracking.
 
-A single :class:`Bitmap` instance backs either the SDR *backend* per-packet
-bitmap or the *frontend* chunk bitmap (Section 3.2.1 of the paper).  The
-receive data path sets bits as packets land; the reliability layer polls the
-frontend bitmap via ``recv_bitmap_get``.
-
-The implementation keeps a ``uint8`` array, one byte per 8 bits, matching the
-wire encoding used by the ACK format (the receiver ships slices of this array
-inside selective ACKs), plus a running popcount so that ``count()`` and
-``all_set()`` are O(1) in the datapath hot loop.
+A :class:`Bitmap` backs either the SDR *backend* per-packet bitmap or the
+*frontend* chunk bitmap (Section 3.2.1 of the paper): the receive data
+path sets bits as packets land, and the reliability layer polls the
+frontend bitmap via ``recv_bitmap_get``.  The bits are one Python ``int``
+(bit ``i`` = index ``i``) whose little-endian bytes are the wire encoding
+of the ACK format, so a per-packet ``set`` and an ACK's ``cumulative`` are
+integer arithmetic; a running popcount keeps ``count()`` and ``all_set()``
+O(1), and the bulk queries unpack through NumPy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import index as _as_index
 
 import numpy as np
-
-_BIT_MASKS = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
 
 def mask_bits(mask: int) -> Iterator[int]:
@@ -34,7 +32,7 @@ def mask_bits(mask: int) -> Iterator[int]:
 
 
 class Bitmap:
-    """Fixed-size bitmap with O(1) set/test and O(1) full-completion check."""
+    """Fixed-size bitmap with O(1) count and O(1) full-completion check."""
 
     __slots__ = ("_bits", "_nbits", "_nset")
 
@@ -42,10 +40,8 @@ class Bitmap:
         if nbits <= 0:
             raise ValueError(f"bitmap must have at least 1 bit, got {nbits}")
         self._nbits = int(nbits)
-        self._bits = np.zeros((self._nbits + 7) // 8, dtype=np.uint8)
+        self._bits = 0
         self._nset = 0
-
-    # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_indices(cls, nbits: int, indices: Iterable[int]) -> "Bitmap":
@@ -59,28 +55,22 @@ class Bitmap:
     def from_bytes(cls, nbits: int, raw: bytes | np.ndarray) -> "Bitmap":
         """Reconstruct a bitmap from its wire encoding (LSB-first bytes)."""
         bm = cls(nbits)
-        buf = np.frombuffer(bytes(raw), dtype=np.uint8)
-        if buf.size != bm._bits.size:
+        raw = bytes(raw)
+        if len(raw) != bm._nbytes():
             raise ValueError(
-                f"need {bm._bits.size} bytes for {nbits} bits, got {buf.size}"
+                f"need {bm._nbytes()} bytes for {nbits} bits, got {len(raw)}"
             )
-        bm._bits[:] = buf
-        # Mask out padding bits beyond nbits so nset stays consistent.
-        tail = nbits % 8
-        if tail:
-            bm._bits[-1] &= np.uint8((1 << tail) - 1)
-        bm._nset = int(np.unpackbits(bm._bits, bitorder="little").sum())
+        # Padding bits beyond nbits are masked out so nset stays consistent.
+        bm._bits = int.from_bytes(raw, "little") & ((1 << bm._nbits) - 1)
+        bm._nset = bm._bits.bit_count()
         return bm
-
-    # -- core ops -------------------------------------------------------------
 
     def set(self, index: int) -> bool:
         """Set bit ``index``; return True if it transitioned 0 -> 1."""
-        self._check(index)
-        byte, mask = index >> 3, _BIT_MASKS[index & 7]
-        if self._bits[byte] & mask:
+        bit = self._bit(index)
+        if self._bits & bit:
             return False
-        self._bits[byte] |= mask
+        self._bits |= bit
         self._nset += 1
         return True
 
@@ -95,35 +85,31 @@ class Bitmap:
             return 0
         if idx.min() < 0 or idx.max() >= self._nbits:
             raise IndexError(f"bit index out of range [0, {self._nbits})")
-        unpacked = np.unpackbits(self._bits, bitorder="little")
-        newly = int((unpacked[idx] == 0).sum())
-        if newly:
-            unpacked[idx] = 1
-            self._bits[:] = np.packbits(unpacked, bitorder="little")
-            self._nset += newly
+        flags = np.zeros(self._nbits, dtype=np.uint8)
+        flags[idx] = 1
+        packed = np.packbits(flags, bitorder="little").tobytes()
+        new = int.from_bytes(packed, "little") & ~self._bits
+        newly = new.bit_count()
+        self._bits |= new
+        self._nset += newly
         return newly
 
     def clear(self, index: int) -> bool:
         """Clear bit ``index``; return True if it transitioned 1 -> 0."""
-        self._check(index)
-        byte, mask = index >> 3, _BIT_MASKS[index & 7]
-        if not (self._bits[byte] & mask):
+        bit = self._bit(index)
+        if not self._bits & bit:
             return False
-        self._bits[byte] &= np.uint8(~mask)
+        self._bits ^= bit
         self._nset -= 1
         return True
 
     def test(self, index: int) -> bool:
         """Return whether bit ``index`` is set."""
-        self._check(index)
-        return bool(self._bits[index >> 3] & _BIT_MASKS[index & 7])
+        return bool(self._bits & self._bit(index))
 
     def reset(self) -> None:
         """Clear all bits (message-slot reuse on repost, Section 5.4.1)."""
-        self._bits[:] = 0
-        self._nset = 0
-
-    # -- queries --------------------------------------------------------------
+        self._bits = self._nset = 0
 
     def __len__(self) -> int:
         return self._nbits
@@ -142,32 +128,25 @@ class Bitmap:
 
     def missing(self) -> np.ndarray:
         """Indices of clear bits -- the chunks a SR sender must retransmit."""
-        unpacked = np.unpackbits(self._bits, bitorder="little")[: self._nbits]
-        return np.flatnonzero(unpacked == 0)
+        return np.flatnonzero(self._unpacked() == 0)
 
     def set_indices(self) -> np.ndarray:
         """Indices of set bits."""
-        unpacked = np.unpackbits(self._bits, bitorder="little")[: self._nbits]
-        return np.flatnonzero(unpacked == 1)
+        return np.flatnonzero(self._unpacked())
 
     def cumulative(self) -> int:
         """Length of the fully-received prefix.
 
         This is the paper's *cumulative ACK*: the highest chunk sequence
         number for which all previous chunks have been received (exclusive
-        upper bound, i.e. number of leading set bits).
+        upper bound, i.e. number of leading set bits).  It is the lowest
+        clear bit, which is ``nbits`` for a full map: padding is never set.
         """
-        if self._nset == self._nbits:
-            return self._nbits
-        # Not full, and padding bits are never set: some byte has a clear bit.
-        raw = self._bits.tobytes()
-        full = len(raw) - len(raw.lstrip(b"\xff"))
-        byte = raw[full]
-        return 8 * full + (~byte & (byte + 1)).bit_length() - 1
+        return (~self._bits & (self._bits + 1)).bit_length() - 1
 
     def as_array(self) -> np.ndarray:
         """Boolean view of the bitmap (copy), index i == bit i."""
-        return np.unpackbits(self._bits, bitorder="little")[: self._nbits].astype(bool)
+        return self._unpacked().view(bool)
 
     def to_bytes(self, start_bit: int = 0, max_bytes: int | None = None) -> bytes:
         """Wire encoding starting at byte containing ``start_bit``.
@@ -178,11 +157,8 @@ class Bitmap:
         """
         if start_bit < 0 or start_bit > self._nbits:
             raise IndexError(f"start_bit {start_bit} out of range")
-        first = start_bit >> 3
-        window = self._bits[first:]
-        if max_bytes is not None:
-            window = window[:max_bytes]
-        return window.tobytes()
+        window = self._bits.to_bytes(self._nbytes(), "little")[start_bit >> 3 :]
+        return window if max_bytes is None else window[:max_bytes]
 
     def __iter__(self) -> Iterator[bool]:
         return iter(self.as_array().tolist())
@@ -190,6 +166,18 @@ class Bitmap:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Bitmap(nbits={self._nbits}, set={self._nset})"
 
-    def _check(self, index: int) -> None:
+    def _bit(self, index: int) -> int:
+        """The mask of bit ``index``, range-checked."""
+        if index.__class__ is not int:
+            index = _as_index(index)  # 1 << np.int64(70) would wrap
         if not 0 <= index < self._nbits:
             raise IndexError(f"bit {index} out of range [0, {self._nbits})")
+        return 1 << index
+
+    def _nbytes(self) -> int:
+        return (self._nbits + 7) // 8
+
+    def _unpacked(self) -> np.ndarray:
+        """One ``uint8`` 0/1 per bit, index i == bit i (a fresh array)."""
+        raw = np.frombuffer(self._bits.to_bytes(self._nbytes(), "little"), np.uint8)
+        return np.unpackbits(raw, count=self._nbits, bitorder="little")

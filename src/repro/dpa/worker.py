@@ -117,10 +117,11 @@ class DpaWorker:
             sim.call_at(self._stall_until, self._step)
             return
         for cq, handler in self._queues:
-            got = cq.poll(1)
-            if got:
+            entries = cq.entries
+            if entries:  # an empty queue costs a truth test, not a poll list
                 sim.call_in(
-                    self.config.per_cqe_seconds, self._handle, got[0], handler, now
+                    self.config.per_cqe_seconds, self._handle, entries.popleft(),
+                    handler, now,
                 )
                 return
         self._busy = False

@@ -100,6 +100,10 @@ class ControlPath:
         #: perturbs trace/metric determinism; the ACK-traffic benchmark
         #: reads it to compare protocols' control overhead.
         self.bytes_sent = 0
+        #: The last datagram received and its decoded message: a repeated
+        #: ACK arrives byte-identical, and messages are immutable.
+        self._last_raw: bytes | None = None
+        self._last_msg = None
 
     def info(self) -> QpInfo:
         return self.qp.info()
@@ -113,7 +117,11 @@ class ControlPath:
 
     def send(self, message) -> None:
         """Serialize and send a control message to the connected peer."""
-        raw = message.pack()
+        self.send_bytes(message.pack())
+
+    def send_bytes(self, raw: bytes) -> bytes:
+        """Send a packed control message; return its wire bytes (padded to
+        ``MIN_CTRL_BYTES``), which a caller may send again as they are."""
         size = len(raw)
         mtu = self.qp.mtu
         if size > mtu:
@@ -127,11 +135,17 @@ class ControlPath:
         self.qp.post_send(SendWr(size, 0, 0, raw, None, None, False))
         self.messages_sent += 1
         self.bytes_sent += size
+        return raw
 
     def _on_datagram(self, payload, immediate, src_qpn) -> None:
         if payload is None:
             return
-        msg = decode_message(bytes(payload))
+        if payload == self._last_raw:
+            msg = self._last_msg
+        else:
+            raw = bytes(payload)
+            msg = decode_message(raw)
+            self._last_raw, self._last_msg = raw, msg
         self.messages_received += 1
         for handler in self._handlers:
             handler(msg)
@@ -480,7 +494,12 @@ class Receiver(Endpoint):
         _Watch(self, ticket, rh, interval, on_poll, then)
 
     def _give_up(self, ticket: ReceiveTicket, delivered: np.ndarray) -> None:
-        """Serve deadline passed: fail the ticket with the partial bitmap."""
+        """Serve deadline passed: abandon the open slots (late chunks die on
+        the NULL mkey, not in a buffer reported failed), then fail the
+        ticket with the partial bitmap."""
+        for rh in ticket.recv_handles:
+            if not rh.completed:
+                self.qp.recv_abandon(rh)
         if not ticket.done.triggered:
             ticket.done.fail(
                 _delivery_error(

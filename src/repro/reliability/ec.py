@@ -463,6 +463,7 @@ class EcReceiver(SrBackedReceiver):
         if rtts is not None and now >= rx.fto_deadline + rtts * self.rtt:
             present = [rx.data_present(s) for s in range(layout.nsegments)]
             self._give_up(ticket, np.concatenate(present))
+            self._release(rx)
             return
         if now >= rx.fto_deadline:
             ticket.fell_back_to_sr = True

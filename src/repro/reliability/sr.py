@@ -146,6 +146,9 @@ class _SendState(WriteState):
         #: RTO is (re)armed, in post order; while non-empty, one
         #: ``_restamp`` drains it.
         self.restamp: deque[tuple[int, int]] = deque()
+        #: The last ``Ack`` applied here.  The control path hands a repeated
+        #: datagram over as the same object, and it confirms nothing new.
+        self.last_ack: Ack | None = None
 
     @property
     def complete(self) -> bool:
@@ -596,8 +599,9 @@ class SrSender(Sender):
     def _on_ctrl(self, msg) -> None:
         if isinstance(msg, Ack):
             state = self._states.get(msg.msg_seq)
-            if state is None:
-                return
+            if state is None or (msg is state.last_ack and not msg.ecn_marked):
+                return  # applied already: it confirms nothing new
+            state.last_ack = msg
             now = self.sim.now
             progress = False
             want_rtt = self.config.adaptive_rto or self.cc is not None
@@ -788,7 +792,7 @@ class SrReceiver(Receiver):
         if delivered is None:
             (rh,) = old_handles
             mr, length, mr_offset = rh.mr, rh.length, rh.mr_offset
-            delivered = rh.bitmap().as_array().astype(bool).copy()
+            delivered = rh.bitmap().as_array()  # a fresh array
             if rh.all_chunks_received():
                 old_handles = []
         for rh in old_handles:
@@ -826,9 +830,11 @@ class SrReceiver(Receiver):
         # the fresh slot's seq (what the sender's resumed state is keyed by),
         # for the original serve it equals ticket.seq.
         last_nack = np.full(rh.nchunks, -np.inf)
+        #: [chunks set, wire bytes] of the last trailer-free poll ACK.
+        last_ack = [-1, b""]
 
         def on_poll() -> None:
-            self._send_ack(rh)
+            self._send_ack(rh, last_ack)
             if self.config.nack_enabled and not rh.all_chunks_received():
                 self._send_gap_nacks(rh, last_nack)
 
@@ -843,8 +849,19 @@ class SrReceiver(Receiver):
         interval = self.config.ack_interval_rtts * self.rtt
         self._watch(ticket, rh, interval, on_poll, finish)
 
-    def _send_ack(self, rh: RecvHandle, *, final: bool = False) -> None:
+    def _send_ack(
+        self, rh: RecvHandle, last: list | None = None, *, final: bool = False
+    ) -> None:
+        """One ACK of ``rh``'s bitmap.  A poll passes ``last``, its memo of
+        the last trailer-free ACK: the chunk bitmap only gains bits, so an
+        unchanged count with no CE mark since is the same ACK, byte for
+        byte, and its wire bytes go out again."""
         bitmap = rh.bitmap()
+        marked = rh.ce_packets - rh.ce_echoed
+        if last is not None and marked == 0 and last[0] == bitmap.count():
+            self.ctrl.send_bytes(last[1])
+            self._m_acks_sent.inc()
+            return
         cumulative = bitmap.cumulative()
         window_start = (cumulative // 8) * 8
         window = b""
@@ -855,14 +872,17 @@ class SrReceiver(Receiver):
         # ECN echo (repro.cc): ship the CE delta since the last echo.  A
         # mark-free period keeps the cursors so the fraction is preserved,
         # and omits the trailer so the wire bytes match the pre-cc encoding.
-        marked = rh.ce_packets - rh.ce_echoed
         seen = rh.packets_seen - rh.seen_echoed
         if marked > 0:
             rh.ce_echoed = rh.ce_packets
             rh.seen_echoed = rh.packets_seen
         else:
             marked = seen = 0
-        self.ctrl.send(Ack(rh.seq, cumulative, window_start, window, marked, seen))
+        raw = self.ctrl.send_bytes(
+            Ack(rh.seq, cumulative, window_start, window, marked, seen).pack()
+        )
+        if last is not None and not marked:
+            last[:] = bitmap.count(), raw
         self._m_acks_sent.inc()
 
     def _send_final_ack(self, rh: RecvHandle) -> None:

@@ -127,11 +127,11 @@ class RecvHandle:
         self.packet_bitmap = Bitmap(npackets)
         # Frontend (host-side) chunk bitmap -- what the reliability layer polls.
         self.chunk_bitmap = Bitmap(nchunks)
-        # Per-chunk fill counters for O(1) chunk-close detection.
-        self._chunk_fill = np.zeros(nchunks, dtype=np.int64)
-        self._chunk_goal = np.full(nchunks, packets_per_chunk, dtype=np.int64)
-        tail = npackets - (nchunks - 1) * packets_per_chunk
-        self._chunk_goal[-1] = tail
+        # Per-chunk fill counters for O(1) chunk-close detection (lists:
+        # one packet's update is scalar arithmetic, not a NumPy scalar op).
+        self._chunk_fill = [0] * nchunks
+        self._chunk_goal = [packets_per_chunk] * nchunks
+        self._chunk_goal[-1] = npackets - (nchunks - 1) * packets_per_chunk
         self._imm = UserImmAssembler(layout)
         self.completed = False
         self.late_packets_filtered = 0
@@ -214,8 +214,9 @@ class RecvHandle:
             return False  # duplicate (e.g. spurious retransmission)
         self._imm.feed(packet_index, fragment)
         chunk = packet_index // self.packets_per_chunk
-        self._chunk_fill[chunk] += 1
-        return bool(self._chunk_fill[chunk] == self._chunk_goal[chunk])
+        fill = self._chunk_fill[chunk] + 1
+        self._chunk_fill[chunk] = fill
+        return fill == self._chunk_goal[chunk]
 
     def _publish_chunk(self, chunk_index: int) -> None:
         """Host-visible chunk-bitmap update (runs after the PCIe delay)."""
@@ -246,14 +247,13 @@ class RecvHandle:
             raise SdrStateError(
                 f"preseed mask has {mask.size} chunks, message has {self.nchunks}"
             )
-        for chunk in np.flatnonzero(mask):
-            chunk = int(chunk)
-            lo = chunk * self.packets_per_chunk
-            hi = min(lo + self.packets_per_chunk, self.npackets)
-            for pkt in range(lo, hi):
-                self.packet_bitmap.set(pkt)
+        chunks = np.flatnonzero(mask)
+        ppc = self.packets_per_chunk
+        packets = (chunks[:, None] * ppc + np.arange(ppc)).ravel()
+        self.packet_bitmap.set_many(packets[packets < self.npackets])
+        self.chunk_bitmap.set_many(chunks)
+        for chunk in chunks.tolist():
             self._chunk_fill[chunk] = self._chunk_goal[chunk]
-            self.chunk_bitmap.set(chunk)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

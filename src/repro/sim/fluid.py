@@ -251,7 +251,7 @@ class FluidSolver:
             hi = min((chunk + 1) * ppc - pkt0, n)
             local = np.arange(lo, hi)
             fresh_local = local[fresh[lo:hi]]
-            needed = int(rhdl._chunk_goal[chunk] - rhdl._chunk_fill[chunk])
+            needed = rhdl._chunk_goal[chunk] - rhdl._chunk_fill[chunk]
             if needed <= 0 or fresh_local.size < needed:
                 continue
             order = fresh_local[np.lexsort((fresh_local, exec_t[fresh_local]))]
@@ -357,7 +357,7 @@ class FluidSolver:
             return
         peer = rhdl.qp
         newly = rhdl.packet_bitmap.set_many(fresh_pkts)
-        fill_before = int(rhdl._chunk_fill[chunk])
+        fill_before = rhdl._chunk_fill[chunk]
         rhdl._chunk_fill[chunk] = fill_before + newly
         rhdl.packets_seen += ndeliv
         dup = ndup + (int(fresh_pkts.size) - newly)
@@ -371,7 +371,7 @@ class FluidSolver:
                 # every fragment is 0 -- same as packet mode's feeds.
                 for k in np.unique(fresh_pkts % uf).tolist():
                     rhdl._imm.feed(int(k), 0)
-        goal = int(rhdl._chunk_goal[chunk])
+        goal = rhdl._chunk_goal[chunk]
         if fill_before < goal <= fill_before + newly:
             peer._m_chunks_completed.inc()
             if peer._trace.enabled:

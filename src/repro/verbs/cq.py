@@ -80,7 +80,9 @@ class CompletionQueue:
         # registry metrics stay stable across same-seed runs.
         self.name = name or sim.telemetry.unique("cq")
         self.capacity = capacity
-        self._entries: deque[Cqe] = deque()
+        #: Pending completions, oldest first.  A push consumer that owns the
+        #: queue (a DPA worker) pops the head here instead of via ``poll``.
+        self.entries: deque[Cqe] = deque()
         self._listener: Callable[["CompletionQueue"], None] | None = None
         #: ``(worker, handler)`` when a DPA worker serves this CQ; lets the
         #: fluid fast path resolve which worker will drain a completion
@@ -102,17 +104,17 @@ class CompletionQueue:
         return self._m_overflows.value
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def push(self, cqe: Cqe) -> None:
         """NIC-side: append a completion entry."""
-        if self.capacity is not None and len(self._entries) >= self.capacity:
+        if self.capacity is not None and len(self.entries) >= self.capacity:
             # Real CQ overflow is fatal to the QP; for the simulation we
             # count and drop, which shows up in stats rather than crashing
             # long benchmark runs.
             self._m_overflows.inc()
             return
-        self._entries.append(cqe)
+        self.entries.append(cqe)
         self._m_posted.inc()
         if self._listener is not None:
             self._listener(self)
@@ -132,8 +134,8 @@ class CompletionQueue:
         if max_entries <= 0:
             raise ResourceError(f"max_entries must be > 0, got {max_entries}")
         out: list[Cqe] = []
-        while self._entries and len(out) < max_entries:
-            out.append(self._entries.popleft())
+        while self.entries and len(out) < max_entries:
+            out.append(self.entries.popleft())
         return out
 
     def attach(self, listener: Callable[["CompletionQueue"], None]) -> None:
@@ -147,11 +149,11 @@ class CompletionQueue:
         can ``yield cq.wait_nonempty()`` without races.
         """
         ev = self.sim.event()
-        if self._entries:
+        if self.entries:
             ev.succeed(self)
         else:
             self._wakeups.append(ev)
         return ev
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CompletionQueue({self.name or id(self)}, depth={len(self._entries)})"
+        return f"CompletionQueue({self.name or id(self)}, depth={len(self.entries)})"

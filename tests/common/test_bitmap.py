@@ -170,8 +170,7 @@ def test_property_cumulative_is_prefix_length(nbits, data):
 
 def _cumulative_reference(bm: Bitmap) -> int:
     """``cumulative()`` as it was computed before it stopped unpacking bits."""
-    unpacked = np.unpackbits(bm._bits, bitorder="little")[: len(bm)]
-    zeros = np.flatnonzero(unpacked == 0)
+    zeros = np.flatnonzero(~bm.as_array())
     return int(zeros[0]) if zeros.size else len(bm)
 
 

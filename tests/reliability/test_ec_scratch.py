@@ -5,8 +5,9 @@ pages); the paper's NULL mkey plus generations exist so that a buffer can
 be reused once its slot completes.  ``EcReceiver`` keeps a free list of
 parity scratch per payload mode.  A scratch goes back on it only once
 every slot that pointed at it points at the NULL mkey -- after completion,
-or after a resumption hand-over abandoned the slots -- so late parity dies
-there instead of landing in the next message's scratch.
+or after a resumption hand-over or the serve deadline abandoned the slots
+(``test_serve_deadline.py``) -- so late parity dies there instead of
+landing in the next message's scratch.
 """
 
 from repro.common.units import KiB, MiB, distance_to_rtt
