@@ -830,7 +830,7 @@ class SrReceiver(Receiver):
         # the fresh slot's seq (what the sender's resumed state is keyed by),
         # for the original serve it equals ticket.seq.
         last_nack = np.full(rh.nchunks, -np.inf)
-        #: [chunks set, wire bytes] of the last trailer-free poll ACK.
+        # [chunks set, wire bytes] of the last trailer-free poll ACK.
         last_ack = [-1, b""]
 
         def on_poll() -> None:
