@@ -240,7 +240,7 @@ class Pacer:
         if self.controller.rate_bps is None:
             return 0.0
         wait = self.buckets.reserve(nbytes, self.plane_of(flow))
-        self._m_paced.inc()
+        self._m_paced.value += 1
         return wait
 
     def reserve_batch(
@@ -254,7 +254,7 @@ class Pacer:
         if self.controller.rate_bps is None:
             return None
         waits = self.buckets.reserve_batch(cum_bytes, self.plane_of(flow))
-        self._m_paced.inc(len(cum_bytes))
+        self._m_paced.value += len(cum_bytes)
         return waits
 
     def note_stall(self, seconds: float) -> None:
@@ -286,18 +286,18 @@ class Pacer:
     # -- signal ingress ----------------------------------------------------------
 
     def on_rtt_sample(self, sample: float) -> None:
-        self._m_rtt_samples.inc()
+        self._m_rtt_samples.value += 1
         self.controller.on_rtt_sample(sample, now=self.sim.now)
         self._publish_rate()
 
     def on_ecn_echo(self, marked: int, seen: int) -> None:
-        self._m_ecn_marked.inc(marked)
-        self._m_ecn_seen.inc(max(seen, marked))
+        self._m_ecn_marked.value += marked
+        self._m_ecn_seen.value += seen if seen > marked else marked
         self.controller.on_ecn_echo(marked, seen, now=self.sim.now)
         self._publish_rate()
 
     def on_ack_progress(self) -> None:
-        self._m_acks.inc()
+        self._m_acks.value += 1
         self.controller.on_ack_progress(now=self.sim.now)
         self._publish_rate()
 
@@ -310,7 +310,7 @@ class Pacer:
         rate = self.controller.rate_bps
         if rate is None:
             return
-        self._g_rate.set(rate)
+        self._g_rate.value = rate
         if self._trace.enabled and (
             self._traced_rate is None
             or abs(rate - self._traced_rate) > 0.01 * self._traced_rate

@@ -454,9 +454,9 @@ class FabricService:
         self.flows.append(ticket)
         state.flows_submitted += 1
         state.bytes_submitted += nbytes
-        self._m_flows_submitted.inc()
-        self._m_bytes_submitted.inc(nbytes)
-        state.metrics.flows_submitted.inc()
+        self._m_flows_submitted.value += 1
+        self._m_bytes_submitted.value += nbytes
+        state.metrics.flows_submitted.value += 1
         self.sim.call_at(start, self._start_flow, ticket)
         return ticket
 
@@ -508,7 +508,13 @@ class FabricService:
         """
         if queued_at is not None:
             self._m_qp_wait_seconds.inc(self.sim.now - queued_at)
-        qp = min(pair.qps, key=lambda q: (q.active, q.index))
+        # Least-loaded, lowest index on a tie: ``pair.qps`` is in index
+        # order, so the first strict minimum is ``min(key=(active, index))``.
+        qps = pair.qps
+        qp = qps[0]
+        for q in qps:
+            if q.active < qp.active:
+                qp = q
         if qp.active >= self.config.max_flows_per_qp:
             pair.waiting.append((ticket, self.sim.now))
             self._m_qp_waits.inc()
@@ -575,8 +581,8 @@ class FabricService:
         while idx < state.segments and not ticket.failed:
             wait = self._admission_wait(tenant, state, state.seg_size(idx))
             if wait > 0.0:
-                self._m_admission_stalls.inc()
-                self._m_admission_stall_seconds.inc(wait)
+                self._m_admission_stalls.value += 1
+                self._m_admission_stall_seconds.value += wait
                 self.sim.call_in(wait, self._send_from, state, idx, wait)
                 return
             self._send_segment(state, idx, 0)
@@ -667,7 +673,7 @@ class FabricService:
             if attempt == state.attempt[idx]:  # Karn: first-attempt samples only
                 pacer.on_rtt_sample(self.sim.now - sent_at)
             if ce:
-                self._m_ecn_echoes.inc()
+                self._m_ecn_echoes.value += 1
                 pacer.on_ecn_echo(1, 1)
             else:
                 pacer.on_ack_progress()
@@ -889,7 +895,7 @@ class FabricService:
                     track=f"{self.name}.{ticket.src}",
                     msg=ticket.seq, chunk=first,
                 )
-        self._m_segments_sent.inc(n)
+        self._m_segments_sent.value += n
 
     def _on_acks(self, state: _FlowState, idxs) -> None:
         """The one ACK routine: acked bits, byte/segment counters, completion.
@@ -909,16 +915,16 @@ class FabricService:
         bytes_acked = 0
         for idx in idxs:
             if acked[idx]:
-                self._m_dup_acks.inc()
+                self._m_dup_acks.value += 1
                 if reroutes:
                     # Old-path copy raced the new-path retransmit and both
                     # landed: a reroute-induced duplicate, not a protocol bug.
-                    self._m_rr_dups.inc()
+                    self._m_rr_dups.value += 1
                 continue
             if failed:
                 continue
             if idx < max_acked and reroutes:
-                self._m_rr_reorders.inc()
+                self._m_rr_reorders.value += 1
             if idx > max_acked:
                 max_acked = idx
             acked[idx] = True
@@ -931,16 +937,17 @@ class FabricService:
         tenant = self.tenants[ticket.tenant]
         tenant.bytes_acked += bytes_acked
         tenant.last_ack = self.sim.now
-        self._m_bytes_acked.inc(bytes_acked)
-        self._m_segments_acked.inc(nacked)
-        tenant.metrics.bytes_acked.inc(bytes_acked)
-        tenant.metrics.segments_acked.inc(nacked)
+        self._m_bytes_acked.value += bytes_acked
+        self._m_segments_acked.value += nacked
+        metrics = tenant.metrics
+        metrics.bytes_acked.value += bytes_acked
+        metrics.segments_acked.value += nacked
         if state.remaining == 0:
             ticket.completed = self.sim.now
             tenant.flows_completed += 1
-            self._m_flows_completed.inc()
-            tenant.metrics.flows_completed.inc()
-            tenant.metrics.completion_seconds.observe(ticket.span)
+            self._m_flows_completed.value += 1
+            metrics.flows_completed.value += 1
+            metrics.completion_seconds.observe(ticket.span)
             if self._trace.enabled:
                 self._trace.instant(
                     "fabric_deliver", cat="fabric",

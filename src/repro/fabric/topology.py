@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
@@ -270,13 +271,21 @@ def two_tier(
 # -- instantiation -------------------------------------------------------------
 
 
-@dataclass
 class _Transit:
-    """Book-keeping for one packet in flight across the graph."""
+    """Book-keeping for one packet in flight across the graph.
 
-    path: tuple[str, ...]
-    hop: int
-    on_deliver: Callable[[Packet], None]
+    A hot-path record (one per relayed packet), so hand-built with
+    ``__slots__`` (``docs/simulation.md``, "Hot-path records").
+    """
+
+    __slots__ = ("path", "hop", "on_deliver")
+
+    def __init__(
+        self, path: tuple[str, ...], hop: int, on_deliver: Callable[[Packet], None]
+    ):
+        self.path = path
+        self.hop = hop
+        self.on_deliver = on_deliver
 
 
 class FabricNetwork:
@@ -306,6 +315,10 @@ class FabricNetwork:
         self.streams = streams if streams is not None else RngStreams(seed)
         self.channels: dict[tuple[str, str], Channel] = {}
         self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
+        #: Per path, the channel of each hop (``hops[i]`` carries
+        #: ``path[i] -> path[i + 1]``).  Dropped with the route cache and
+        #: whenever :attr:`channels` is re-bound (:meth:`replace_channel`).
+        self._hops: dict[tuple[str, ...], tuple[Channel, ...]] = {}
         self._delay_cache: dict[tuple[str, str], float] = {}
         #: Precompiled fluid hop plans per path; ``None`` = ineligible.
         self._fluid_plans: dict[
@@ -322,11 +335,7 @@ class FabricNetwork:
                 loss=edge.loss,
                 name=f"{name}.{a}->{b}",
             )
-            channel.attach_sink(
-                lambda packet, hop_key=(a, b): self._on_edge_delivery(
-                    hop_key, packet
-                )
-            )
+            channel.attach_sink(partial(self._on_edge_delivery, b))
             self.channels[(a, b)] = channel
 
     # -- routing ---------------------------------------------------------------
@@ -352,8 +361,22 @@ class FabricNetwork:
         serving stale paths forever.
         """
         self._routes.clear()
+        self._hops.clear()
         self._delay_cache.clear()
         self._fluid_plans.clear()
+
+    def replace_channel(self, key: tuple[str, str], channel) -> None:
+        """Re-bind the directed edge ``key`` to ``channel`` (a fault wrapper
+        or the channel it wrapped).  Packets already in flight use it from
+        their next hop on, exactly as newly launched ones do."""
+        self.channels[key] = channel
+        self._hops.clear()
+
+    def _hop_channels(self, path: tuple[str, ...]) -> tuple[Channel, ...]:
+        hops = self._hops[path] = tuple(
+            self.channels[(a, b)] for a, b in zip(path, path[1:])
+        )
+        return hops
 
     def routes_changed(self) -> None:
         """Invalidate cached routes and notify listeners (service layers
@@ -439,7 +462,11 @@ class FabricNetwork:
             )
         path = self.route(src, dst)
         self._inflight[packet.uid] = _Transit(path, 0, on_deliver)
-        self.channels[(path[0], path[1])].transmit(packet)
+        try:
+            hops = self._hops[path]
+        except KeyError:
+            hops = self._hop_channels(path)
+        hops[0].transmit(packet)
         return path
 
     def fluid_path_eligible(self, path: tuple[str, ...]) -> bool:
@@ -509,20 +536,29 @@ class FabricNetwork:
     def inflight_count(self) -> int:
         return len(self._inflight)
 
-    def _on_edge_delivery(self, hop_key: tuple[str, str], packet: Packet) -> None:
-        transit = self._inflight.get(packet.uid)
-        if transit is None:
+    def _on_edge_delivery(self, head: str, packet: Packet) -> None:
+        """A packet reached ``head`` (the sink of the edge it crossed)."""
+        try:
+            transit = self._inflight[packet.uid]
+        except KeyError:
             return  # abandoned (stale attempt) or duplicated copy
-        node = transit.path[transit.hop + 1]
-        if hop_key[1] != node:
+        path = transit.path
+        hop = transit.hop + 1
+        node = path[hop]
+        if head != node:
             return  # duplicate from an earlier hop; the fresh copy leads
-        if node == transit.path[-1]:
+        if node == path[-1]:
             del self._inflight[packet.uid]
             transit.on_deliver(packet)
             return
-        transit.hop += 1
-        nxt = transit.path[transit.hop + 1]
-        self.channels[(node, nxt)].transmit(packet)
+        transit.hop = hop
+        # Looked up per hop, not held by the transit: a channel re-bound
+        # while the packet is in flight carries its next hop.
+        try:
+            hops = self._hops[path]
+        except KeyError:
+            hops = self._hop_channels(path)
+        hops[hop].transmit(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -154,9 +154,9 @@ def install_edge_faults(
 
     Both directed channels of the ``u`` <-> ``v`` topology edge are swapped
     for :class:`FaultyChannel` wrappers in ``network.channels``; because
-    the network looks the channel dict up at **every** hop (launch and
-    relay), the swap takes effect immediately for in-flight and future
-    packets alike.  ``schedule`` drives ``u`` -> ``v``; ``schedule_rev``
+    the network looks each hop's channel up at **every** hop (launch and
+    relay) and the re-binding drops its cached hop tuples, the swap takes
+    effect immediately for in-flight and future packets alike.  ``schedule`` drives ``u`` -> ``v``; ``schedule_rev``
     the reverse (defaults to the same schedule -- a fiber cut severs both
     directions).  Returns the (forward, reverse) wrappers.
     """
@@ -178,8 +178,8 @@ def install_edge_faults(
         schedule if schedule_rev is None else schedule_rev,
         rng=network.streams.get(f"faults.edge.{v}->{u}"),
     )
-    network.channels[fwd_key] = fwd
-    network.channels[rev_key] = rev
+    network.replace_channel(fwd_key, fwd)
+    network.replace_channel(rev_key, rev)
     return fwd, rev
 
 
@@ -196,7 +196,7 @@ def uninstall_edge_faults(network, u: str, v: str) -> bool:
             raise ConfigError(f"no edge {key[0]!r} -> {key[1]!r}")
         if isinstance(channel, FaultyChannel):
             channel.disarm()
-            network.channels[key] = channel.inner
+            network.replace_channel(key, channel.inner)
             removed = True
     return removed
 

@@ -137,17 +137,20 @@ class Channel:
             raise RuntimeError(f"{self.name}: no sink attached")
         sim = self.sim
         now = sim.now
-        start = max(now, self._busy_until)
+        busy = self._busy_until
+        start = busy if busy > now else now
         length = packet.length
-        self._m_offered.inc()
-        self._m_bytes_offered.inc(length)
+        # Bookkeeping is a store, not a call: the per-packet counters and
+        # gauges are written through their ``value`` slots.
+        self._m_offered.value += 1
+        self._m_bytes_offered.value += length
 
         # Serialization backlog at enqueue: data already queued but not yet
         # on the wire.  It is both the tail-drop criterion and the gauge /
         # ECN congestion signal.
         backlog = (start - now) * self._bps
-        self._g_queue_delay.set(start - now)
-        self._g_backlog.set(backlog)
+        self._g_queue_delay.value = start - now
+        self._g_backlog.value = backlog
         if self._buffer > 0 and backlog + length > self._buffer:
             # Bounded egress buffer overflow tail-drops the new packet.
             self._m_dropped.inc()
@@ -175,7 +178,10 @@ class Channel:
         done = start + length / self._bps
         self._busy_until = done
 
-        if self.loss.drops(self.rng, length):
+        # Read per call (a fault can swap the model): a lossless channel
+        # draws nothing, so its ``drops`` call is skipped.
+        loss = self.loss
+        if type(loss) is not NoLoss and loss.drops(self.rng, length):
             # A wire (loss-model) drop still consumed serialization time,
             # unlike a tail drop; the distinct instant name keeps the two
             # separable in chaos traces.
@@ -188,7 +194,7 @@ class Channel:
                 )
             return done
 
-        self._m_bytes_delivered.inc(length)
+        self._m_bytes_delivered.value += length
         if self._trace.enabled:
             self._trace.complete(
                 "tx", cat="net", track=self._track, start=start, end=done,
@@ -202,7 +208,10 @@ class Channel:
                     flow_id=packet.flow_id, msg=packet.msg_seq,
                     chunk=packet.chunk, attempt=packet.attempt,
                 )
-        sim.call_at(done + self._flight_delay(), self._deliver, packet)
+        sim.call_at(
+            done + (self._flight_delay() if self._jitter > 0 else self._one_way),
+            self._deliver, packet,
+        )
         if self._dup > 0 and self.rng.random() < self._dup:
             # In-network duplication: the copy takes its own (jittered) path.
             self._m_duplicated.inc()

@@ -118,7 +118,7 @@ class Event:
         self._state = _TRIGGERED
         self._value = value
         sim = self.sim
-        heappush(sim._heap, (sim._now + delay, sim._seq, None, self))
+        heappush(sim._heap, (sim.now + delay, sim._seq, None, self))
         sim._seq += 1
         return self
 
@@ -131,7 +131,7 @@ class Event:
         self._state = _TRIGGERED
         self._error = error
         sim = self.sim
-        heappush(sim._heap, (sim._now + delay, sim._seq, None, self))
+        heappush(sim._heap, (sim.now + delay, sim._seq, None, self))
         sim._seq += 1
         return self
 
@@ -227,17 +227,17 @@ class PollTimer(Event):
         if after is None or after._state != _PENDING:
             self._rearm()
         else:
-            self._start = sim._now
+            self._start = sim.now
             after.callbacks.append(self._ungate)
 
     def _rearm(self) -> None:
         sim = self.sim
-        heappush(sim._heap, (sim._now + self._quantum, sim._seq, self._tick, ()))
+        heappush(sim._heap, (sim.now + self._quantum, sim._seq, self._tick, ()))
         sim._seq += 1
 
     def _ungate(self, _after: Event) -> None:
         sim = self.sim
-        now = sim._now
+        now = sim.now
         quantum = self._quantum
         tick = self._start + quantum
         while tick <= now:
@@ -289,7 +289,7 @@ class Timer:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         sim = self.sim
         self._live = seq = sim._seq + 1  # unique per entry, never 0
-        heappush(sim._heap, (sim._now + delay, sim._seq, self._expire, (seq,)))
+        heappush(sim._heap, (sim.now + delay, sim._seq, self._expire, (seq,)))
         sim._seq = seq
 
     def cancel(self) -> None:
@@ -327,7 +327,10 @@ class Simulator:
         config: SimConfig | None = None,
     ):
         self.config = config if config is not None else SimConfig()
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute, not a
+        #: property: it is read on every hop of every packet.  Only
+        #: :meth:`run` and :meth:`step` write it; everything else reads.
+        self.now = 0.0
         #: ``(time, seq, fn, arg)``: ``fn is None`` marks an event entry
         #: (``arg`` is the Event), anything else is called as ``fn(*arg)``.
         self._heap: list[tuple[float, int, Callable | None, Any]] = []
@@ -348,11 +351,6 @@ class Simulator:
             self.attach_sampler(self.telemetry.timeseries)
         if self.telemetry.profiler is not None:
             self.attach_profiler(self.telemetry.profiler)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- instrumentation hooks -------------------------------------------------
 
@@ -396,7 +394,7 @@ class Simulator:
         ev = Event(self)
         ev._state = _TRIGGERED
         ev._value = value
-        heappush(self._heap, (self._now + delay, self._seq, None, ev))
+        heappush(self._heap, (self.now + delay, self._seq, None, ev))
         self._seq += 1
         return ev
 
@@ -411,7 +409,7 @@ class Simulator:
         list and -- when the target takes its arguments here -- no closure.
         Nothing can wait on it and there is no handle to cancel it.
         """
-        now = self._now
+        now = self.now
         # Negated so a NaN time is caught too: pushed, it would break the
         # heap's order silently (the clock runs backwards, entries strand).
         if not time >= now:
@@ -425,7 +423,7 @@ class Simulator:
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` simulated seconds (see :meth:`call_at`)."""
         # call_at(now + delay), inlined: same guard, same two roundings.
-        now = self._now
+        now = self.now
         time = now + delay
         if not time >= now:
             raise SimulationError(
@@ -518,7 +516,7 @@ class Simulator:
         if not self._heap:
             raise SimulationError("no scheduled events")
         time, _seq, fn, arg = heappop(self._heap)
-        self._now = time
+        self.now = time
         self._dispatch(time, fn, arg)
 
     def _dispatch(self, time: float, fn: Callable | None, arg: Any) -> None:
@@ -549,14 +547,14 @@ class Simulator:
         waiting = isinstance(until, Event)
         target = until if waiting else _NEVER
         deadline = float("inf") if waiting or until is None else float(until)
-        if not deadline >= self._now:  # negated so NaN is caught too
-            raise SimulationError(f"deadline {deadline} is not >= now ({self._now})")
+        if not deadline >= self.now:  # negated so NaN is caught too
+            raise SimulationError(f"deadline {deadline} is not >= now ({self.now})")
         # The dispatch loop, inlined: :meth:`step` without the calls.  Hooks
         # are re-read on every pop so one attached mid-run takes effect.
         heap = self._heap
         while target._state != _PROCESSED and heap and heap[0][0] <= deadline:
             time, _seq, fn, arg = heappop(heap)
-            self._now = time
+            self.now = time
             if self._hooked:
                 self._dispatch(time, fn, arg)
             elif fn is not None:
@@ -573,9 +571,9 @@ class Simulator:
                 )
             return target.value
         if until is not None:
-            self._now = deadline
+            self.now = deadline
         if self._sampler is not None:
             # Close any windows the final inter-event gap left open (the
             # lazy poll only runs when a *later* event crosses a boundary).
-            self._sampler.poll(self._now)
+            self._sampler.poll(self.now)
         return None

@@ -7,10 +7,11 @@ time through a :class:`MetricsScope` and increment them on the hot path; the
 registry is the single source of truth the ``repro report`` CLI and the
 benchmarks read.
 
-The registry can be created *disabled*, in which case every factory returns
-a shared null instrument whose mutators are no-ops -- the disabled path
-costs one attribute lookup plus an empty method call, and nothing is ever
-registered or retained.
+The registry can be created *disabled*, in which case nothing is ever
+registered or retained: a counter or gauge request returns a fresh,
+unregistered instrument (hot paths store into its ``value`` slot, which a
+shared null object could not take), and a histogram request returns the
+shared no-op :data:`NULL_HISTOGRAM`.
 
 Histograms are log-bucketed in powers of two via ``math.frexp``: a value
 ``v`` lands in the bucket covering ``[2**(e-1), 2**e)`` where
@@ -60,58 +61,58 @@ def percentile_from_counts(
 
 
 class Counter:
-    """A monotonically increasing count (int or float increments)."""
+    """A monotonically increasing count (int or float increments).
 
-    __slots__ = ("name", "_value")
+    ``value`` is a public slot: a per-packet site writes ``c.value += n``
+    (a store) where a cold one calls :meth:`inc` (a call).
+    """
+
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
-        self._value = 0
+        self.value = 0
 
     def inc(self, amount: int | float = 1) -> None:
-        self._value += amount
-
-    @property
-    def value(self) -> int | float:
-        return self._value
+        self.value += amount
 
     def reset(self) -> None:
-        self._value = 0
+        self.value = 0
 
     def snapshot(self) -> int | float:
-        return self._value
+        return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self.name}={self._value})"
+        return f"Counter({self.name}={self.value})"
 
 
 class Gauge:
-    """A value that can go up and down (queue depths, window sizes)."""
+    """A value that can go up and down (queue depths, window sizes).
 
-    __slots__ = ("name", "_value")
+    ``value`` is a public slot, written directly on hot paths
+    (``g.value = v``); :meth:`set` / :meth:`add` are the cold spelling.
+    """
+
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
-        self._value = 0.0
+        self.value = 0.0
 
     def set(self, value: int | float) -> None:
-        self._value = value
+        self.value = value
 
     def add(self, delta: int | float) -> None:
-        self._value += delta
-
-    @property
-    def value(self) -> int | float:
-        return self._value
+        self.value += delta
 
     def reset(self) -> None:
-        self._value = 0.0
+        self.value = 0.0
 
     def snapshot(self) -> int | float:
-        return self._value
+        return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gauge({self.name}={self._value})"
+        return f"Gauge({self.name}={self.value})"
 
 
 class Histogram:
@@ -208,39 +209,6 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:g})"
 
 
-class _NullCounter:
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def snapshot(self) -> int:
-        return 0
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-
-    def set(self, value: int | float) -> None:
-        pass
-
-    def add(self, delta: int | float) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def snapshot(self) -> int:
-        return 0
-
-
 class _NullHistogram:
     __slots__ = ()
     name = "<null>"
@@ -270,9 +238,7 @@ class _NullHistogram:
                 "p50": 0.0, "p99": 0.0}
 
 
-#: Shared no-op instruments handed out by a disabled registry.
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
+#: Shared no-op histogram handed out by a disabled registry.
 NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -331,12 +297,12 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         if not self.enabled:
-            return NULL_COUNTER  # type: ignore[return-value]
+            return Counter(name)  # counts, but is never registered
         return self._get_or_create(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         if not self.enabled:
-            return NULL_GAUGE  # type: ignore[return-value]
+            return Gauge(name)  # holds a value, but is never registered
         return self._get_or_create(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.fabric.scenarios import ScaleConfig, scale_scenario
 from repro.telemetry import ChromeTraceSink, RingBufferSink, Telemetry
 from repro.telemetry.demo import run_demo
 from repro.telemetry.report import build_tables, render_report
@@ -123,5 +124,19 @@ class TestDisabledMetrics:
         )
         assert result.elapsed > 0
         assert len(result.telemetry.metrics) == 0
-        # Counter-backed legacy properties read zero but stay usable.
         assert result.sim is not None
+
+    def test_packet_mode_fabric_with_registry_off(self):
+        """The packet-mode fabric path stores into its counters and gauges
+        (``c.value += n``); with the registry off they are unregistered
+        instruments, so the run completes exactly as it does with it on."""
+        config = ScaleConfig(
+            tenants=20, tors=2, hosts_per_tor=2, offered_load_bps=20e9,
+            duration=0.001, seed=0, rate_skew=0.0,
+        )
+        off = scale_scenario(config, telemetry=Telemetry(metrics=False))
+        on = scale_scenario(config)
+        assert off.messages > 10
+        assert off.completed == off.messages and off.failed == 0
+        assert (off.messages, off.drained_at) == (on.messages, on.drained_at)
+        assert off.reports == on.reports

@@ -12,7 +12,7 @@ from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
 )
-from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
+from repro.telemetry.metrics import NULL_HISTOGRAM
 
 
 class TestCounterGauge:
@@ -191,26 +191,43 @@ class TestRegistry:
 
 
 class TestDisabledRegistry:
-    def test_null_singletons(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("a") is NULL_COUNTER
-        assert reg.gauge("b") is NULL_GAUGE
-        assert reg.histogram("c") is NULL_HISTOGRAM
-        assert len(reg) == 0
+    """A disabled registry retains nothing, but its counters and gauges
+    are real instruments: hot paths store into their ``value`` slot."""
 
-    def test_null_instruments_are_inert(self):
+    def test_instruments_count_and_are_never_registered(self):
         reg = MetricsRegistry(enabled=False)
         c, g, h = reg.counter("a"), reg.gauge("b"), reg.histogram("c")
         c.inc(10)
+        c.value += 5
         g.set(10)
+        g.value = 7
+        g.add(1)
         h.observe(10.0)
-        assert c.value == 0 and g.value == 0 and h.count == 0
+        assert (c.name, c.value) == ("a", 15)
+        assert (g.name, g.value) == ("b", 8)
+        assert h is NULL_HISTOGRAM and h.count == 0
         assert h.percentile(99) == 0.0
+        assert len(reg) == 0
         assert reg.snapshot() == {}
+        assert reg.get("a") is None and reg.value("a") == 0
+
+    def test_requests_do_not_share_state(self):
+        reg = MetricsRegistry(enabled=False)
+        c1, c2 = reg.counter("x"), reg.counter("x")
+        g1, g2 = reg.gauge("y"), reg.gauge("y")
+        assert c1 is not c2 and g1 is not g2
+        c1.value += 3
+        g1.value = 2.5
+        assert (c2.value, g2.value) == (0, 0.0)
+        assert len(reg) == 0
 
     def test_scopes_work_when_disabled(self):
         reg = MetricsRegistry(enabled=False)
-        assert reg.scope("x").scope("y").counter("z") is NULL_COUNTER
+        c = reg.scope("x").scope("y").counter("z")
+        assert c.name == "x.y.z"
+        c.value += 1
+        assert c.value == 1
+        assert len(reg) == 0
 
 
 class TestTelemetryFacade:
