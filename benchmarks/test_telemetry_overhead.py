@@ -4,10 +4,11 @@ The registry's contract is that a simulation instrumented everywhere can
 run with telemetry off at essentially the cost of the uninstrumented seed.
 Two checks enforce it:
 
-* A micro-benchmark: a null counter ``inc`` (what every hot-path call site
-  executes when the registry is disabled) must cost within a small factor
-  of a bare attribute increment -- the closest stand-in for the pre-registry
-  ``self.stats.x += 1`` pattern.
+* A micro-benchmark: a disabled registry's counter ``inc`` (an
+  unregistered ``Counter``: what a cold call site executes when the
+  registry is off; hot sites store into ``value`` directly) must cost
+  within a small factor of a bare attribute increment -- the closest
+  stand-in for the pre-registry ``self.stats.x += 1`` pattern.
 * A macro check: the same DES workload (SR over a lossy WAN) run with a
   disabled registry must be within a modest factor of the enabled-registry
   run -- i.e. metrics bookkeeping, enabled *or* disabled, is a small slice
@@ -103,7 +104,7 @@ def test_disabled_telemetry_is_cheap(benchmark):
 
     table, bare_s, null_s, on_s, off_s = run_once(benchmark, measure)
     show(table)
-    # Disabled inc() is one no-op method call; allow interpreter dispatch
+    # Disabled inc() is one method call and one add; allow interpreter dispatch
     # overhead vs the bare in-place add but nothing asymptotic.
     assert null_s < 10 * bare_s
     # The macro workload must not get *slower* with telemetry disabled

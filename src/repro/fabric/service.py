@@ -508,8 +508,7 @@ class FabricService:
         """
         if queued_at is not None:
             self._m_qp_wait_seconds.inc(self.sim.now - queued_at)
-        # Least-loaded, lowest index on a tie: ``pair.qps`` is in index
-        # order, so the first strict minimum is ``min(key=(active, index))``.
+        # ``min(key=(active, index))``: ``pair.qps`` is in index order.
         qps = pair.qps
         qp = qps[0]
         for q in qps:

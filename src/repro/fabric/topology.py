@@ -272,11 +272,7 @@ def two_tier(
 
 
 class _Transit:
-    """Book-keeping for one packet in flight across the graph.
-
-    A hot-path record (one per relayed packet), so hand-built with
-    ``__slots__`` (``docs/simulation.md``, "Hot-path records").
-    """
+    """Book-keeping for one packet in flight (a slotted hot-path record)."""
 
     __slots__ = ("path", "hop", "on_deliver")
 
@@ -286,6 +282,20 @@ class _Transit:
         self.path = path
         self.hop = hop
         self.on_deliver = on_deliver
+
+
+class _HopCache(dict):
+    """Per path, the channel of each hop (``hops[i]`` carries ``path[i] ->
+    path[i + 1]``), built from ``channels`` on first use."""
+
+    def __init__(self, channels: dict[tuple[str, str], Channel]):
+        super().__init__()
+        self.channels = channels
+
+    def __missing__(self, path: tuple[str, ...]) -> tuple[Channel, ...]:
+        channels = self.channels
+        hops = self[path] = tuple(channels[ab] for ab in zip(path, path[1:]))
+        return hops
 
 
 class FabricNetwork:
@@ -315,10 +325,8 @@ class FabricNetwork:
         self.streams = streams if streams is not None else RngStreams(seed)
         self.channels: dict[tuple[str, str], Channel] = {}
         self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
-        #: Per path, the channel of each hop (``hops[i]`` carries
-        #: ``path[i] -> path[i + 1]``).  Dropped with the route cache and
-        #: whenever :attr:`channels` is re-bound (:meth:`replace_channel`).
-        self._hops: dict[tuple[str, ...], tuple[Channel, ...]] = {}
+        #: Dropped with the route cache and by :meth:`replace_channel`.
+        self._hops = _HopCache(self.channels)
         self._delay_cache: dict[tuple[str, str], float] = {}
         #: Precompiled fluid hop plans per path; ``None`` = ineligible.
         self._fluid_plans: dict[
@@ -366,17 +374,10 @@ class FabricNetwork:
         self._fluid_plans.clear()
 
     def replace_channel(self, key: tuple[str, str], channel) -> None:
-        """Re-bind the directed edge ``key`` to ``channel`` (a fault wrapper
-        or the channel it wrapped).  Packets already in flight use it from
-        their next hop on, exactly as newly launched ones do."""
+        """Re-bind the directed edge ``key`` (to a fault wrapper or back);
+        packets in flight use the new channel from their next hop on."""
         self.channels[key] = channel
         self._hops.clear()
-
-    def _hop_channels(self, path: tuple[str, ...]) -> tuple[Channel, ...]:
-        hops = self._hops[path] = tuple(
-            self.channels[(a, b)] for a, b in zip(path, path[1:])
-        )
-        return hops
 
     def routes_changed(self) -> None:
         """Invalidate cached routes and notify listeners (service layers
@@ -462,11 +463,7 @@ class FabricNetwork:
             )
         path = self.route(src, dst)
         self._inflight[packet.uid] = _Transit(path, 0, on_deliver)
-        try:
-            hops = self._hops[path]
-        except KeyError:
-            hops = self._hop_channels(path)
-        hops[0].transmit(packet)
+        self._hops[path][0].transmit(packet)
         return path
 
     def fluid_path_eligible(self, path: tuple[str, ...]) -> bool:
@@ -482,8 +479,7 @@ class FabricNetwork:
         injectors) are never eligible -- their wrapped behavior is an
         epoch boundary by definition.
         """
-        for a, b in zip(path, path[1:]):
-            channel = self.channels[(a, b)]
+        for channel in self._hops[path]:
             if type(channel) is not Channel:
                 return False
             cfg = channel.config
@@ -507,11 +503,7 @@ class FabricNetwork:
         plan = None
         if self.fluid_path_eligible(path):
             plan = tuple(
-                (
-                    self.channels[(a, b)].fluid,
-                    self.channels[(a, b)].config.one_way_delay,
-                )
-                for a, b in zip(path, path[1:])
+                (ch.fluid, ch.config.one_way_delay) for ch in self._hops[path]
             )
         self._fluid_plans[path] = plan
         return plan
@@ -537,7 +529,6 @@ class FabricNetwork:
         return len(self._inflight)
 
     def _on_edge_delivery(self, head: str, packet: Packet) -> None:
-        """A packet reached ``head`` (the sink of the edge it crossed)."""
         try:
             transit = self._inflight[packet.uid]
         except KeyError:
@@ -554,11 +545,7 @@ class FabricNetwork:
         transit.hop = hop
         # Looked up per hop, not held by the transit: a channel re-bound
         # while the packet is in flight carries its next hop.
-        try:
-            hops = self._hops[path]
-        except KeyError:
-            hops = self._hop_channels(path)
-        hops[hop].transmit(packet)
+        self._hops[path][hop].transmit(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -140,8 +140,6 @@ class Channel:
         busy = self._busy_until
         start = busy if busy > now else now
         length = packet.length
-        # Bookkeeping is a store, not a call: the per-packet counters and
-        # gauges are written through their ``value`` slots.
         self._m_offered.value += 1
         self._m_bytes_offered.value += length
 
@@ -178,8 +176,7 @@ class Channel:
         done = start + length / self._bps
         self._busy_until = done
 
-        # Read per call (a fault can swap the model): a lossless channel
-        # draws nothing, so its ``drops`` call is skipped.
+        # Read per call (a fault can swap the model); NoLoss draws nothing.
         loss = self.loss
         if type(loss) is not NoLoss and loss.drops(self.rng, length):
             # A wire (loss-model) drop still consumed serialization time,
@@ -208,10 +205,8 @@ class Channel:
                     flow_id=packet.flow_id, msg=packet.msg_seq,
                     chunk=packet.chunk, attempt=packet.attempt,
                 )
-        sim.call_at(
-            done + (self._flight_delay() if self._jitter > 0 else self._one_way),
-            self._deliver, packet,
-        )
+        delay = self._flight_delay() if self._jitter > 0 else self._one_way
+        sim.call_at(done + delay, self._deliver, packet)
         if self._dup > 0 and self.rng.random() < self._dup:
             # In-network duplication: the copy takes its own (jittered) path.
             self._m_duplicated.inc()

@@ -61,11 +61,7 @@ def percentile_from_counts(
 
 
 class Counter:
-    """A monotonically increasing count (int or float increments).
-
-    ``value`` is a public slot: a per-packet site writes ``c.value += n``
-    (a store) where a cold one calls :meth:`inc` (a call).
-    """
+    """A monotonically increasing count; hot paths do ``c.value += n``."""
 
     __slots__ = ("name", "value")
 
@@ -87,11 +83,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depths, window sizes).
-
-    ``value`` is a public slot, written directly on hot paths
-    (``g.value = v``); :meth:`set` / :meth:`add` are the cold spelling.
-    """
+    """A value that goes up and down; hot paths do ``g.value = v``."""
 
     __slots__ = ("name", "value")
 

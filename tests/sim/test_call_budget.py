@@ -27,7 +27,7 @@ saving.)
 
 The fluid fast path gets its own floor, per ``fabric.segments_sent`` on a
 miniature of the ``fabric_fluid`` benchmark workload (167 messages,
-11,851 segments): 20.96 calls per segment (248,356) since the clock
+11,851 segments): 20.96 calls per segment (248,453) since the clock
 became an attribute, 21.64 (256,430) since a Swift
 controller at line rate and on target hears a whole booking in one
 ``on_acks`` call, 35.23 (417,522) while ``_book`` made two or three
@@ -36,7 +36,7 @@ or a per-hop list pass, came back into the booking path.
 
 Packet-mode fabric relay gets one too, per packet offered on a miniature
 of the ``fabric_pkt`` benchmark workload (200 tenants, 3,333 segments,
-13,332 packet-hops): 31.46 calls per packet-hop (419,487) since
+13,332 packet-hops): 31.46 calls per packet-hop (419,488) since
 bookkeeping became stores and the relay walks a precompiled hop tuple,
 49.58 (661,048) before.  A miss means a per-hop call came back: a counter
 ``inc``, a ``(node, nxt)`` channel lookup, a lambda sink, a ``drops``
