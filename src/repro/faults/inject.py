@@ -153,12 +153,12 @@ def install_edge_faults(
     fault plane.
 
     Both directed channels of the ``u`` <-> ``v`` topology edge are swapped
-    for :class:`FaultyChannel` wrappers in ``network.channels``; because
-    the network looks each hop's channel up at **every** hop (launch and
-    relay) and the re-binding drops its cached hop tuples, the swap takes
-    effect immediately for in-flight and future packets alike.  ``schedule`` drives ``u`` -> ``v``; ``schedule_rev``
-    the reverse (defaults to the same schedule -- a fiber cut severs both
-    directions).  Returns the (forward, reverse) wrappers.
+    for :class:`FaultyChannel` wrappers (``network.replace_channel``, which
+    drops the cached hop tuples); every hop looks its channel up afresh, so
+    the swap takes effect immediately for in-flight and future packets
+    alike.  ``schedule`` drives ``u`` -> ``v``; ``schedule_rev`` the reverse
+    (defaults to the same schedule -- a fiber cut severs both directions).
+    Returns the (forward, reverse) wrappers.
     """
     fwd_key, rev_key = (u, v), (v, u)
     for a, b in (fwd_key, rev_key):
