@@ -67,7 +67,9 @@ class Bitmap:
 
     def set(self, index: int) -> bool:
         """Set bit ``index``; return True if it transitioned 0 -> 1."""
-        bit = self._bit(index)
+        # Once per packet: an in-range ``int`` skips the checked ``_bit``.
+        plain = index.__class__ is int and 0 <= index < self._nbits
+        bit = 1 << index if plain else self._bit(index)
         if self._bits & bit:
             return False
         self._bits |= bit

@@ -144,9 +144,9 @@ class DpaWorker:
         if self.crashed:
             return
         if closed_chunk:
-            self._m_chunks.inc()
-        self._m_cqes.inc()
-        self._m_busy.inc(self.config.per_cqe_seconds + extra)
+            self._m_chunks.value += 1
+        self._m_cqes.value += 1
+        self._m_busy.value += self.config.per_cqe_seconds + extra
         if self._trace.enabled:
             lineage = (
                 {"msg": cqe.msg_seq, "pkt": cqe.pkt_idx, "chunk": cqe.chunk}

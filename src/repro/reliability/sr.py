@@ -841,8 +841,9 @@ class SrReceiver(Receiver):
         def finish() -> None:
             self._send_ack(rh, final=True)
             # Keep re-ACKing briefly in case the final ACK is lost.
+            wire: list[bytes] = []
             self._finish(
-                ticket, [rh], lambda: self._send_final_ack(rh),
+                ticket, [rh], lambda: self._send_final_ack(rh, wire),
                 self.config.rto_rtts * self.rtt,
             )
 
@@ -885,8 +886,13 @@ class SrReceiver(Receiver):
             last[:] = bitmap.count(), raw
         self._m_acks_sent.inc()
 
-    def _send_final_ack(self, rh: RecvHandle) -> None:
-        self.ctrl.send(Ack(msg_seq=rh.seq, cumulative=rh.nchunks))
+    def _send_final_ack(self, rh: RecvHandle, wire: list[bytes]) -> None:
+        """A grace re-ACK, ``Ack(seq, cumulative=nchunks)`` every time: packed
+        once per receive, its wire bytes kept in ``wire`` and resent."""
+        if wire:
+            self.ctrl.send_bytes(wire[0])
+        else:
+            wire.append(self.ctrl.send_bytes(Ack(rh.seq, rh.nchunks).pack()))
         self._m_acks_sent.inc()
 
     def _send_gap_nacks(self, rh: RecvHandle, last_nack: np.ndarray) -> None:

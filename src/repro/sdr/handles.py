@@ -64,10 +64,6 @@ class SendHandle:
 
     # -- backend -----------------------------------------------------------------
 
-    def _on_packet_injected(self) -> None:
-        self.packets_injected += 1
-        self._maybe_finish()
-
     def _on_end(self) -> None:
         self.ended = True
         self._maybe_finish()
@@ -210,7 +206,7 @@ class RecvHandle:
             return False
         if not self.packet_bitmap.set(packet_index):
             self.duplicate_packets += 1
-            self.qp._m_duplicate_packets.inc()
+            self.qp._m_duplicate_packets.value += 1
             return False  # duplicate (e.g. spurious retransmission)
         self._imm.feed(packet_index, fragment)
         chunk = packet_index // self.packets_per_chunk

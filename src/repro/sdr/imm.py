@@ -64,9 +64,9 @@ class ImmLayout:
 
     def encode(self, msg_id: int, packet_index: int, user_fragment: int = 0) -> int:
         """Pack the three fields into one 32-bit immediate."""
-        if not 0 <= msg_id < self.max_msg_ids:
+        if not 0 <= msg_id < 1 << self.msg_id_bits:
             raise ConfigError(f"msg_id {msg_id} exceeds {self.msg_id_bits} bits")
-        if not 0 <= packet_index < self.max_packet_index:
+        if not 0 <= packet_index < 1 << self.offset_bits:
             raise ConfigError(
                 f"packet index {packet_index} exceeds {self.offset_bits} bits"
             )
@@ -113,19 +113,16 @@ class UserImmAssembler:
 
     def __init__(self, layout: ImmLayout):
         self.layout = layout
+        self._fragments = layout.user_fragments  # 0: no user immediate
         self._nibbles: dict[int, int] = {}
 
     def feed(self, packet_index: int, fragment: int) -> None:
-        if self.layout.user_imm_bits == 0:
-            return
-        k = packet_index % self.layout.user_fragments
-        self._nibbles.setdefault(k, fragment)
+        if self._fragments:
+            self._nibbles.setdefault(packet_index % self._fragments, fragment)
 
     @property
     def ready(self) -> bool:
-        if self.layout.user_imm_bits == 0:
-            return False
-        return len(self._nibbles) == self.layout.user_fragments
+        return 0 < self._fragments == len(self._nibbles)
 
     def value(self) -> int:
         if not self.ready:

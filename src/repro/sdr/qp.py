@@ -410,7 +410,7 @@ class SdrQp:
         seq = hdl.seq
         while sent < length:
             byte_off = offset + sent
-            flen = min(mtu, length - sent)
+            flen = mtu if length - sent > mtu else length - sent
             pkt_idx = byte_off // mtu
             chunk = pkt_idx // ppc
             frag = (
@@ -458,13 +458,17 @@ class SdrQp:
             hdl._on_end()
 
     def _drain_send_cq(self, cq: CompletionQueue) -> None:
-        for cqe in cq.poll(max_entries=len(cq)):
-            hdl = self._send_handles.get(cqe.wr_id)
+        """Count injection CQEs; retire a handle once its ``poll()`` holds."""
+        entries = cq.entries
+        handles = self._send_handles
+        while entries:
+            hdl = handles.get(entries.popleft().wr_id)
             if hdl is None:
                 continue
-            hdl._on_packet_injected()
-            if hdl.poll():
-                del self._send_handles[hdl.seq]
+            hdl.packets_injected += 1
+            if hdl.ended and hdl.packets_injected >= hdl.packets_posted:  # poll()
+                hdl._maybe_finish()
+                del handles[hdl.seq]
 
     # ------------------------------------------------------------------ recv path
 
@@ -584,7 +588,7 @@ class SdrQp:
         if hdl is None or hdl.generation != cqe.generation or hdl.completed:
             # Stage-two late-packet filtering (stage one already discarded
             # the payload via the NULL mkey).
-            self._m_late_cqes.inc()
+            self._m_late_cqes.value += 1
             if self._trace.enabled:
                 self._trace.instant(
                     "late_cqe", cat="sdr", track=self._track,
@@ -603,7 +607,7 @@ class SdrQp:
         closes = hdl._on_packet(pkt_idx, frag)
         if closes:
             chunk = pkt_idx // hdl.packets_per_chunk
-            self._m_chunks_completed.inc()
+            self._m_chunks_completed.value += 1
             if self._trace.enabled:
                 self._trace.instant(
                     "chunk_close", cat="sdr", track=self._track,

@@ -115,7 +115,7 @@ class CompletionQueue:
             self._m_overflows.inc()
             return
         self.entries.append(cqe)
-        self._m_posted.inc()
+        self._m_posted.value += 1
         if self._listener is not None:
             self._listener(self)
         while self._wakeups:
@@ -127,7 +127,7 @@ class CompletionQueue:
         What a :class:`~repro.verbs.qp.UdQp` with a receive handler posts:
         the handler has the datagram already, so no entry is queued.
         """
-        self._m_posted.inc()
+        self._m_posted.value += 1
 
     def poll(self, max_entries: int = 1) -> list[Cqe]:
         """Consumer-side: pop up to ``max_entries`` completions."""

@@ -149,9 +149,15 @@ class IndirectMkeyTable:
         return entry.mr, entry.base_offset + (offset - slot * self.slot_bytes), slot
 
     def write(self, offset: int, length: int, payload: bytes | None) -> int:
-        """Apply a Write through the root mkey; returns the slot hit."""
-        mr, mr_offset, slot = self.resolve(offset)
-        mr.write(mr_offset, length, payload)
+        """Apply a Write through the root mkey; returns the slot hit.  Once
+        per SDR packet, so the slot is resolved inline: ``resolve`` raises."""
+        slot = offset // self.slot_bytes
+        if offset < 0 or slot >= self.num_slots:
+            self.resolve(offset)  # raises
+        entry = self._slots[slot]
+        entry.mr.write(
+            entry.base_offset + (offset - slot * self.slot_bytes), length, payload
+        )
         return slot
 
     def _check_slot(self, slot: int) -> None:

@@ -25,11 +25,12 @@ from repro.net.packet import Opcode, Packet
 from repro.sim.engine import Event, Simulator
 from repro.verbs.cq import CompletionQueue, Cqe, CqeStatus
 from repro.verbs.device import Device
-from repro.verbs.mr import IndirectMkeyTable
 
 
 #: Positional ``Cqe(...)`` / ``Packet(...)`` calls below follow the field
-#: order of the two records; these are the constants they pass.
+#: order of the two records; these are the constants they pass.  ``_record``
+#: builds a per-packet ``Cqe`` (all twelve fields) without the namedtuple frame.
+_record = tuple.__new__
 _SUCCESS = CqeStatus.SUCCESS
 _UD_SEND = Opcode.UD_SEND
 _WRITE_ONLY = Opcode.WRITE_ONLY
@@ -134,6 +135,7 @@ class BaseQp:
         self.generation = generation
         self.state = QpState.RESET
         self.channel: Optional[Channel] = None
+        self._mtu: int | None = None  # the channel's, fixed at connect
         self.dst_qpn = 0
         self.peer_device = ""
         device.register_qp(self)
@@ -163,6 +165,7 @@ class BaseQp:
         self.peer_device = remote.device
         self.dst_qpn = remote.qpn
         self.channel = self.device.link_to(remote.device)
+        self._mtu = self.channel.config.mtu_bytes
         self.state = QpState.READY
 
     def on_packet(self, packet: Packet) -> None:  # pragma: no cover - abstract
@@ -174,11 +177,9 @@ class BaseQp:
 
     def _place(self, packet: Packet) -> None:
         """Apply the packet's RDMA Write to receiver memory."""
-        target = self.device.lookup_mkey(packet.rkey)
-        if isinstance(target, IndirectMkeyTable):
-            target.write(packet.remote_offset, packet.length, packet.payload)
-        else:
-            target.write(packet.remote_offset, packet.length, packet.payload)
+        self.device.lookup_mkey(packet.rkey).write(
+            packet.remote_offset, packet.length, packet.payload
+        )
 
 
 class UcQp(BaseQp):
@@ -206,7 +207,8 @@ class UcQp(BaseQp):
     # -- send side --------------------------------------------------------------
 
     def post_send(self, wr: SendWr) -> None:
-        self._require_ready()
+        if self.state is not QpState.READY:
+            self._require_ready()  # raises
         self._sq.append(wr)
         if self._parked:
             self._parked = False
@@ -229,10 +231,11 @@ class UcQp(BaseQp):
                 wr = self._sq.popleft()
                 i = sent = 0
             assert channel is not None
-            mtu = channel.config.mtu_bytes
-            nfrag = max(1, -(-wr.length // mtu))
+            mtu = self._mtu
+            length = wr.length
+            nfrag = -(-length // mtu)  # >= 1: SendWr rejects length <= 0
             while i < nfrag:
-                flen = min(mtu, wr.length - sent)
+                flen = mtu if length - sent > mtu else length - sent
                 # The WR's immediate rides its last (or only) packet.
                 imm = wr.immediate if i == nfrag - 1 else None
                 if nfrag == 1:
@@ -271,13 +274,11 @@ class UcQp(BaseQp):
                     sim.call_at(done, self._drive, wr, i, sent)
                     return
             if wr.signaled:
-                self.send_cq.push(
-                    Cqe(
-                        self.qpn, _WRITE_ONLY, wr.length, sim.now, None,
-                        wr.wr_id, _SUCCESS, self.generation, wr.msg_seq,
-                        wr.pkt_idx, wr.chunk,
-                    )
-                )
+                self.send_cq.push(_record(Cqe, (
+                    self.qpn, _WRITE_ONLY, length, sim.now, None, wr.wr_id,
+                    _SUCCESS, self.generation, wr.msg_seq, wr.pkt_idx,
+                    wr.chunk, False,
+                )))
             wr = None
 
     # -- receive side ------------------------------------------------------------
@@ -286,14 +287,16 @@ class UcQp(BaseQp):
         op = packet.opcode
         if op is _WRITE_ONLY_IMM or op is _WRITE_ONLY:
             # Single-packet message: always resynchronizes.
-            self._abort_partial()
+            if self._in_message:
+                self._abort_partial()
             self._epsn = (packet.psn + 1) % (1 << 24)
             self._place(packet)
             if op is _WRITE_ONLY_IMM:
                 self._complete(packet, packet.length)
             return
         if op is _WRITE_FIRST:
-            self._abort_partial()
+            if self._in_message:
+                self._abort_partial()
             self._dropping = False
             self._in_message = True
             self._epsn = (packet.psn + 1) % (1 << 24)
@@ -303,7 +306,8 @@ class UcQp(BaseQp):
         if op is _WRITE_MIDDLE or op is _WRITE_LAST or op is _WRITE_LAST_IMM:
             if self._dropping or not self._in_message or packet.psn != self._epsn:
                 # ePSN mismatch: the entire in-flight message is lost.
-                self._abort_partial()
+                if self._in_message:
+                    self._abort_partial()
                 self._dropping = True
                 return
             self._epsn = (packet.psn + 1) % (1 << 24)
@@ -318,24 +322,22 @@ class UcQp(BaseQp):
         # UC QPs ignore foreign opcodes (e.g. stray ACKs).
 
     def _abort_partial(self) -> None:
-        if self._in_message:
-            self._m_aborted.inc()
-            if self._trace.enabled:
-                self._trace.instant(
-                    "psn_abort", cat="verbs", track=self._track,
-                    expected_psn=self._epsn,
-                )
+        """Drop the message in flight; called only while ``_in_message``."""
+        self._m_aborted.value += 1
+        if self._trace.enabled:
+            self._trace.instant(
+                "psn_abort", cat="verbs", track=self._track,
+                expected_psn=self._epsn,
+            )
         self._in_message = False
         self._msg_bytes = 0
 
     def _complete(self, packet: Packet, byte_len: int) -> None:
-        self.recv_cq.push(
-            Cqe(
-                self.qpn, packet.opcode, byte_len, self.sim.now,
-                packet.immediate, None, _SUCCESS, self.generation,
-                packet.msg_seq, packet.pkt_idx, packet.chunk, packet.ce,
-            )
-        )
+        self.recv_cq.push(_record(Cqe, (
+            self.qpn, packet.opcode, byte_len, self.sim.now, packet.immediate,
+            None, _SUCCESS, self.generation, packet.msg_seq, packet.pkt_idx,
+            packet.chunk, packet.ce,
+        )))
 
 
 class UdQp(BaseQp):

@@ -6,7 +6,10 @@ equal to the previous one over as the message it already decoded.  Both
 shortcuts are checked against the work they skip, on every ACK of a run:
 the datagram a poll sends must equal a fresh ``Ack(...).pack()`` of that
 poll (the encoder as it was before the reuse, kept below), and the message
-a datagram yields must equal ``decode_message`` of its bytes.
+a datagram yields must equal ``decode_message`` of its bytes.  A grace
+re-ACK (the same ``Ack(seq, cumulative=nchunks)`` every time) is packed once
+per receive and resent; a differential against the per-resend pack shows
+the same datagrams, ``acks_sent`` and control bytes.
 """
 
 from __future__ import annotations
@@ -99,3 +102,49 @@ def test_lossy_nack_and_ecn_polls_reuse_what_a_fresh_encode_rebuilds(tally):
     ) > 0
     assert tally["reused"] > 0 and tally["packed"] > tally["ecn_echoes"] > 0
     assert tally["memoised"] > 0 and tally["decoded"] > 0
+
+
+def _packed_final_ack(self, rh, wire):
+    """``SrReceiver._send_final_ack`` before the reuse: a pack per re-ACK."""
+    self.ctrl.send(Ack(msg_seq=rh.seq, cumulative=rh.nchunks))
+    self._m_acks_sent.inc()
+
+
+def _incast_control(monkeypatch, final_ack):
+    """Every control datagram, ``acks_sent`` and reverse-path bytes of a
+    swift incast, with ``final_ack`` as the grace re-ACK."""
+    sent: list[bytes] = []
+    reused = Counter()
+    send_bytes = ControlPath.send_bytes
+
+    def recording_send_bytes(self, raw):
+        sent.append(send_bytes(self, raw))
+        return sent[-1]
+
+    def counted_final_ack(self, rh, wire):
+        reused[bool(wire)] += 1
+        final_ack(self, rh, wire)
+
+    with monkeypatch.context() as m:
+        m.setattr(ControlPath, "send_bytes", recording_send_bytes)
+        m.setattr(SrReceiver, "_send_final_ack", counted_final_ack)
+        result = run_incast(senders=8, cc="swift", messages_per_sender=6)
+    assert result.delivered_messages == 48
+    metrics = result.telemetry.metrics
+    acks = sum(
+        metrics.value(n) for n in metrics.names("sr") if n.endswith(".acks_sent")
+    )
+    ctrl_bytes = sum(
+        metrics.value(n) for n in metrics.names("net")
+        if n.endswith(".rev.bytes_offered")
+    )
+    return sent, acks, ctrl_bytes, reused
+
+
+def test_grace_reacks_resend_the_bytes_a_fresh_pack_builds(monkeypatch):
+    new = _incast_control(monkeypatch, SrReceiver._send_final_ack)
+    ref = _incast_control(monkeypatch, _packed_final_ack)
+    assert new[:3] == ref[:3]
+    # One pack per receive (48), its bytes resent by every later re-ACK.
+    assert new[3][False] == 48 and new[3][True] > 48
+    assert new[3].total() == ref[3].total()
