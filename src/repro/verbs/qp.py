@@ -150,8 +150,8 @@ class BaseQp:
 
     @property
     def mtu(self) -> int:
-        if self.channel is not None:
-            return self.channel.config.mtu_bytes
+        if self._mtu is not None:
+            return self._mtu
         # Not yet connected: report the device's first link MTU if any.
         peers = self.device.peers
         if peers:

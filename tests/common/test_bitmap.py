@@ -57,6 +57,24 @@ class TestBasics:
         with pytest.raises(IndexError):
             bm.test(-1)
 
+    def test_set_takes_numpy_ints(self):
+        """An in-range ``int`` skips ``_bit``; anything else goes through it."""
+        bm = Bitmap(80)
+        assert bm.set(np.int64(70)) and not bm.set(70)
+        assert bm.set(np.uint8(3)) and bm.test(3)
+        assert bm.count() == 2
+        with pytest.raises(TypeError):
+            bm.set(1.0)
+
+    @pytest.mark.parametrize(
+        "index", [8, 9, 1 << 70, -1, -8, np.int64(8), np.int64(-1)]
+    )
+    def test_set_out_of_range(self, index):
+        bm = Bitmap(8)
+        with pytest.raises(IndexError):
+            bm.set(index)
+        assert bm.count() == 0
+
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             Bitmap(0)

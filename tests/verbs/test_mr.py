@@ -93,6 +93,26 @@ class TestIndirectTable:
         with pytest.raises(ResourceError):
             table.resolve(-1)
 
+    def test_write_raises_what_resolve_raises(self):
+        """``write`` resolves its slot inline and calls ``resolve`` to raise."""
+        table = IndirectMkeyTable(num_slots=2, slot_bytes=8)
+        for offset in (-1, -9, 16, 23):
+            with pytest.raises(ResourceError) as resolved:
+                table.resolve(offset)
+            with pytest.raises(ResourceError) as written:
+                table.write(offset, 1, None)
+            assert str(written.value) == str(resolved.value)
+        assert table.null_mr.write_count == 0
+
+    def test_write_lands_where_resolve_points(self):
+        table = IndirectMkeyTable(num_slots=3, slot_bytes=8)
+        buf = bytearray(32)
+        table.bind(1, MemoryRegion(32, data=buf), base_offset=4)
+        for offset in range(24):
+            assert table.write(offset, 1, b"\x01") == table.resolve(offset)[2]
+        assert buf == bytearray(4) + b"\x01" * 8 + bytearray(20)
+        assert table.null_mr.write_count == 16
+
     def test_slot_range_checked(self):
         table = IndirectMkeyTable(num_slots=2, slot_bytes=8)
         with pytest.raises(ResourceError):

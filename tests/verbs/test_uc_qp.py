@@ -8,7 +8,7 @@ from repro.common.errors import ConfigError, SdrStateError
 from repro.common.units import KiB
 from repro.net.packet import Opcode, Packet
 from repro.verbs.mr import MemoryRegion
-from repro.verbs.qp import SendWr, UcQp
+from repro.verbs.qp import QpState, SendWr, UcQp
 
 from tests.verbs.conftest import make_wire
 
@@ -83,6 +83,13 @@ class TestBasicWrites:
         qp = UcQp(wire.a, send_cq=wire.cq(), recv_cq=wire.cq())
         with pytest.raises(SdrStateError):
             qp.post_send(SendWr(length=8))
+
+    def test_errored_qp_rejects_send(self, wire):
+        qa, _ = make_pair(wire)
+        qa.state = QpState.ERROR
+        with pytest.raises(SdrStateError, match="not in READY state"):
+            qa.post_send(SendWr(length=8))
+        assert not qa._sq
 
 
 class TestEpsnSemantics:
