@@ -156,6 +156,17 @@ class TestEpsnSemantics:
         cqes = qb.recv_cq.poll(10)
         assert len(cqes) == 4
         assert bytes(buf[:32]) == b"".join(bytes([p]) * 8 for p in range(4))
+        assert qb.messages_aborted == 0  # nothing was in flight
+
+    def test_single_packet_write_aborts_only_a_message_in_flight(self, wire):
+        qb, mr, buf = self._recv_qp(wire)
+        qb.on_packet(self._packet(qb, mr, op=Opcode.WRITE_FIRST, psn=0))
+        for psn in (1, 2):
+            qb.on_packet(
+                self._packet(qb, mr, op=Opcode.WRITE_ONLY_IMM, psn=psn, imm=psn)
+            )
+        assert qb.messages_aborted == 1
+        assert [c.immediate for c in qb.recv_cq.poll(10)] == [1, 2]
 
     def test_first_resynchronizes_after_abort(self, wire):
         qb, mr, buf = self._recv_qp(wire)
