@@ -91,37 +91,53 @@ _LANE_WORD = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 _TILE = 16 * 1024
 
 
-def gf_matmul_rows(matrix: np.ndarray, rows) -> np.ndarray:
-    """``matrix (r x k) . rows`` over GF(256): k byte rows in, r byte rows out.
-
-    ``rows`` is a ``(k, n)`` uint8 array or any sequence of k equal-length
-    uint8 vectors (views, read-only buffers and strided slices are read in
-    place, never stacked).  Same bytes as ``gf_matmul(matrix, stack(rows))``
-    at one gather per data row and block of <= 8 matrix rows.
-    """
+def gf_lane_tables(matrix: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``matrix (r x k)`` as one ``(lanes, tables)`` pair per block of <= 8
+    rows, ``tables`` ``(k, 256)`` words whose byte lanes hold the block's
+    products with each byte value: built once for a fixed matrix."""
     matrix = np.asarray(matrix, dtype=np.uint8)
-    if matrix.ndim != 2 or matrix.shape[1] != len(rows) or not len(rows):
-        raise ConfigError(
-            f"incompatible shapes {matrix.shape} x {len(rows)} rows"
-        )
-    k, n = len(rows), len(rows[0])
-    out = np.empty((matrix.shape[0], n), dtype=np.uint8)
+    if matrix.ndim != 2 or not matrix.shape[1]:
+        raise ConfigError(f"need an r x k matrix with k > 0, got {matrix.shape}")
+    blocks = []
     for first in range(0, matrix.shape[0], 8):
         block = matrix[first : first + 8]
         lanes = len(block)
         width = next(w for w in _LANE_WORD if w >= lanes)
-        packed = np.zeros((k, 256, width), dtype=np.uint8)
+        packed = np.zeros((matrix.shape[1], 256, width), dtype=np.uint8)
         packed[:, :, :lanes] = _MUL[block.T].transpose(0, 2, 1)
-        tables = packed.view(_LANE_WORD[width])[:, :, 0]
+        blocks.append((lanes, packed.view(_LANE_WORD[width])[:, :, 0]))
+    return blocks
+
+
+def gf_apply_tables(blocks: list[tuple[int, np.ndarray]], rows) -> np.ndarray:
+    """The matrix :func:`gf_lane_tables` built ``blocks`` from, times ``rows``.
+
+    ``rows`` is a ``(k, n)`` uint8 array or any sequence of k equal-length
+    uint8 vectors (views, read-only buffers and strided slices are read in
+    place, never stacked): one gather per data row and block.
+    """
+    if any(tables.shape[0] != len(rows) for _, tables in blocks) or not len(rows):
+        raise ConfigError(f"tables do not take {len(rows)} rows")
+    n = len(rows[0])
+    out = np.empty((sum(lanes for lanes, _ in blocks), n), dtype=np.uint8)
+    first = 0
+    for lanes, tables in blocks:
         for lo in range(0, n, _TILE):
             hi = lo + _TILE
             acc = tables[0].take(rows[0][lo:hi])
-            for j in range(1, k):
+            for j in range(1, len(rows)):
                 acc ^= tables[j].take(rows[j][lo:hi])
             out[first : first + lanes, lo:hi] = (
-                acc.view(np.uint8).reshape(-1, width).T[:lanes]
+                acc.view(np.uint8).reshape(-1, tables.itemsize).T[:lanes]
             )
+        first += lanes
     return out
+
+
+def gf_matmul_rows(matrix: np.ndarray, rows) -> np.ndarray:
+    """``matrix (r x k) . rows`` over GF(256): k byte rows in, r byte rows out,
+    the same bytes as ``gf_matmul(matrix, stack(rows))``."""
+    return gf_apply_tables(gf_lane_tables(matrix), rows)
 
 
 def gf_pow(a: int, n: int) -> int:

@@ -20,7 +20,9 @@ import numpy as np
 
 from repro.common.errors import ConfigError, DecodeFailure
 from repro.ec.codec import ErasureCode, register_codec
-from repro.ec.gf256 import gf_mat_inv, gf_matmul, gf_matmul_rows, gf_pow
+from repro.ec.gf256 import (
+    gf_apply_tables, gf_lane_tables, gf_mat_inv, gf_matmul, gf_matmul_rows, gf_pow,
+)
 
 
 def _vandermonde(rows: int, cols: int) -> np.ndarray:
@@ -49,11 +51,13 @@ class ReedSolomonCode(ErasureCode):
             raise ConfigError("systematic construction failed")  # pragma: no cover
         #: Parity rows of the generator: parity = P @ data.
         self.parity_matrix = self.generator[k:]
+        #: Their lane tables, built once: every encode applies the same rows.
+        self._parity_tables = gf_lane_tables(self.parity_matrix)
 
     # -- encode ---------------------------------------------------------------------
 
     def _encode(self, data: np.ndarray) -> np.ndarray:
-        return gf_matmul_rows(self.parity_matrix, data)
+        return gf_apply_tables(self._parity_tables, data)
 
     # -- decode ---------------------------------------------------------------------
 

@@ -112,23 +112,20 @@ class SegmentedCode:
     # -- encode -----------------------------------------------------------------------
 
     def segment_data(self, payload: bytes, layout: SegmentLayout, seg: int) -> np.ndarray:
-        """The (k, chunk_bytes) zero-padded data array of segment ``seg``."""
+        """The (k, chunk_bytes) data array of segment ``seg``: a view of
+        ``payload`` for a full segment (it may alias the payload and must not be
+        written), a zero-padded copy for the short last one."""
         if len(payload) != layout.length:
             raise ConfigError(
                 f"payload is {len(payload)} B but layout says {layout.length}"
             )
-        data = np.full(
-            (layout.k, layout.chunk_bytes), PAD_BYTE, dtype=np.uint8
-        )
-        off = layout.segment_offset(seg)
+        shape, off = (layout.k, layout.chunk_bytes), layout.segment_offset(seg)
         nbytes = layout.segment_bytes(seg)
         raw = np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=off)
-        full = nbytes // layout.chunk_bytes
-        if full:
-            data[:full] = raw[: full * layout.chunk_bytes].reshape(full, -1)
-        tail = nbytes - full * layout.chunk_bytes
-        if tail:
-            data[full, :tail] = raw[full * layout.chunk_bytes :]
+        if nbytes == layout.k * layout.chunk_bytes:
+            return raw.reshape(shape)
+        data = np.full(shape, PAD_BYTE, dtype=np.uint8)
+        data.reshape(-1)[:nbytes] = raw
         return data
 
     def encode_segment(self, payload: bytes, layout: SegmentLayout, seg: int) -> np.ndarray:
@@ -164,24 +161,26 @@ class SegmentedCode:
         present[layout.k :] = parity_present
         return self.base.recoverable(present)
 
-    def decode_segment(
+    def decode_rows(
         self, layout: SegmentLayout, seg: int, chunks: dict[int, np.ndarray]
-    ) -> bytes:
-        """Recover segment ``seg``'s real payload bytes.
+    ) -> np.ndarray:
+        """Recover segment ``seg``'s (k, chunk_bytes) data array, padding and all.
 
         ``chunks`` maps segment-local coded indices (0..k-1 data, k..k+m-1
         parity) to their bytes.  Chunks the layout marks as pure padding are
         supplied implicitly (they are zeros by construction), so the final
         partial segment decodes from fewer real chunks.
         """
-        start, real = layout.chunk_range(seg)
-        supplied = dict(chunks)
-        for j in range(real, layout.k):
-            supplied.setdefault(
-                j, np.full(layout.chunk_bytes, PAD_BYTE, dtype=np.uint8)
-            )
-        data = self.base.decode(supplied)
-        return data.tobytes()[: layout.segment_bytes(seg)]
+        _, real = layout.chunk_range(seg)
+        pad = np.full(layout.chunk_bytes, PAD_BYTE, dtype=np.uint8)
+        return self.base.decode(dict.fromkeys(range(real, layout.k), pad) | chunks)
+
+    def decode_segment(
+        self, layout: SegmentLayout, seg: int, chunks: dict[int, np.ndarray]
+    ) -> bytes:
+        """Recover segment ``seg``'s real payload bytes (see :meth:`decode_rows`)."""
+        data = self.decode_rows(layout, seg, chunks)
+        return data.reshape(-1)[: layout.segment_bytes(seg)].tobytes()
 
     def decode(self, length: int, chunks: dict[int, np.ndarray]) -> bytes:
         """Recover the whole message from globally-indexed coded chunks.

@@ -25,7 +25,7 @@ the first transmission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -282,6 +282,8 @@ class _EcReceive:
     scratch: list[MemoryRegion]
     #: Armed by the first chunk (or the guard): the fallback timeout.
     fto_deadline: float | None = None
+    #: The chunk waiter (an ``Event``) the serve last set on each handle.
+    waiters: list = field(default_factory=list)
 
     @property
     def handles(self) -> list[RecvHandle]:
@@ -444,8 +446,9 @@ class EcReceiver(SrBackedReceiver):
         """
         guard = self.sim.timer(self.sim.call_in, 0.0, self._await_recoverable, rx)
         first = partial(self.sim.call_in, 0.0, guard.expire_now)
-        for h in rx.handles:
-            h.wait_chunk().callbacks.append(first)
+        rx.waiters = [h.wait_chunk() for h in rx.handles]
+        for ev in rx.waiters:
+            ev.callbacks.append(first)
         guard.arm(self._fto(rx.layout) + 2 * self.rtt)
 
     def _await_recoverable(self, rx: _EcReceive) -> None:
@@ -471,10 +474,14 @@ class EcReceiver(SrBackedReceiver):
             retry = self.config.fallback_interval_rtts * self.rtt
             self.sim.call_in(retry, self._await_recoverable, rx)
             return
+        # One waiter per handle: a pending segment's re-binds the dead one an
+        # earlier wake left to a fresh timer; a recoverable segment's stays dead.
         timer = self.sim.timer(self.sim.call_in, 0.0, self._await_recoverable, rx)
-        for handles in (rx.data, rx.parity):
-            for s in pending:
-                handles[s].wait_chunk().callbacks.append(timer.expire_now)
+        handles, waiters, nsub = rx.handles, rx.waiters, layout.nsegments
+        for i in pending + [nsub + s for s in pending]:
+            if waiters[i].triggered:
+                waiters[i] = handles[i].wait_chunk()
+            waiters[i].callbacks[:] = [timer.expire_now]
         timer.arm(rx.fto_deadline - now)
 
     def _complete(self, rx: _EcReceive) -> None:
@@ -504,20 +511,20 @@ class EcReceiver(SrBackedReceiver):
 
     def _send_nack(self, rx: _EcReceive, pending: list[int]) -> None:
         seq, layout = rx.ticket.seq, rx.layout
-        missing: list[int] = []
-        max_entries = (self.qp.config.mtu_bytes - 32) // 4
-        for s in pending:
-            start, _ = layout.chunk_range(s)
-            for j in np.flatnonzero(~rx.data_present(s)):
-                missing.append(start + int(j))
-                if len(missing) >= max_entries:
-                    break
-            if len(missing) >= max_entries:
-                break
+        # 13 B of header and counts, 4 B per failed submessage or missing
+        # chunk: list what fits the MTU (a pending segment misses a data chunk,
+        # so a NACK that fit before is unchanged); the next round the rest.
+        mtu = self.qp.config.mtu_bytes
+        room = (mtu - 13) // 4
+        failed = tuple(pending[: room - 1])
+        missing = [
+            layout.chunk_range(s)[0] + int(j)
+            for s in pending for j in np.flatnonzero(~rx.data_present(s))
+        ][: min((mtu - 32) // 4, room - len(failed))]
         self.ctrl.send(
             EcNack(
                 msg_seq=seq,
-                failed_submessages=tuple(pending),
+                failed_submessages=failed,
                 missing_chunks=tuple(missing),
             )
         )
@@ -525,7 +532,7 @@ class EcReceiver(SrBackedReceiver):
         if self._trace.enabled:
             self._trace.instant(
                 "ec_nack", cat="ec", track=self._track,
-                msg=seq, seq=seq, failed_subs=len(pending),
+                msg=seq, seq=seq, failed_subs=len(failed),
                 missing=len(missing),
             )
 
@@ -560,27 +567,27 @@ class EcReceiver(SrBackedReceiver):
             )
         # Sized mode is timing only.  Released scratch may hold another
         # receive's parity; whoever released it decoded this segment first.
+        # Survivors are views of the MR; only erased chunks are written back.
         if mr.payload_mode and rx.scratch:
             parity = np.frombuffer(rx.parity[s].mr.data, dtype=np.uint8).reshape(
                 layout.m, layout.chunk_bytes
             )
-            end = rx.mr_offset + layout.length
-            with memoryview(mr.data)[rx.mr_offset : end] as message:
-                data = self.code.segment_data(message, layout, s)
-                chunks = {int(j): data[j] for j in np.flatnonzero(data_present)}
-                for j in np.flatnonzero(rx.parity[s].bitmap().as_array()):
-                    chunks[layout.k + int(j)] = parity[j]
-                try:
-                    piece = self.code.decode_segment(layout, s, chunks)
-                except DecodeFailure as exc:  # pragma: no cover - guarded
-                    raise ProtocolError(
-                        f"submessage {s} marked recoverable but decode failed"
-                    ) from exc
-                base = layout.segment_offset(s)
-                for j in np.flatnonzero(~data_present):
-                    lo = int(j) * layout.chunk_bytes
-                    hi = min(lo + layout.chunk_bytes, len(piece))
-                    message[base + lo : base + hi] = piece[lo:hi]
+            message = np.frombuffer(mr.data, np.uint8, layout.length, rx.mr_offset)
+            data = self.code.segment_data(message, layout, s)
+            chunks = {int(j): data[j] for j in np.flatnonzero(data_present)}
+            for j in np.flatnonzero(rx.parity[s].bitmap().as_array()):
+                chunks[layout.k + int(j)] = parity[j]
+            try:
+                solved = self.code.decode_rows(layout, s, chunks)
+            except DecodeFailure as exc:  # pragma: no cover - guarded
+                raise ProtocolError(
+                    f"submessage {s} marked recoverable but decode failed"
+                ) from exc
+            segment = message[layout.segment_offset(s) :][: layout.segment_bytes(s)]
+            for j in np.flatnonzero(~data_present):
+                lo = int(j) * layout.chunk_bytes
+                hi = min(lo + layout.chunk_bytes, len(segment))
+                segment[lo:hi] = solved[j, : hi - lo]
         if then is not None:
             then()
 

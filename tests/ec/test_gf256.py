@@ -1,14 +1,21 @@
 """GF(256) field axioms and matrix algebra."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
+from repro.common.units import KiB
+from repro.ec import gf256, reed_solomon
 from repro.ec.gf256 import (
     _TILE,
+    gf_apply_tables,
     gf_inv,
+    gf_lane_tables,
     gf_mat_inv,
     gf_matmul,
     gf_matmul_rows,
@@ -16,6 +23,9 @@ from repro.ec.gf256 import (
     gf_mul_bytes,
     gf_pow,
 )
+from repro.ec.reed_solomon import ReedSolomonCode
+
+from tests.golden.test_ec_vectors import GOLDEN, vector_bytes
 
 elements = st.integers(0, 255)
 nonzero = st.integers(1, 255)
@@ -101,6 +111,8 @@ ROW_FORMS = {
     ],
     # Rows that are strided views: every other byte of a wider buffer.
     "strided": lambda data: list(np.repeat(data, 2, axis=1)[:, ::2]),
+    # A (k, n) view at an offset into wider rows: not one contiguous block.
+    "view": lambda data: np.hstack([data, data])[:, data.shape[1] :],
 }
 
 
@@ -142,6 +154,48 @@ def test_row_kernel_tiles_long_rows(n):
     assert np.array_equal(
         gf_matmul_rows(matrix, data), gf_matmul(matrix, data)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.integers(1, 17),
+    k=st.integers(1, 12),
+    n=st.sampled_from([1, 3, 37, 101, 255]),
+    form=st.sampled_from(sorted(ROW_FORMS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_table_apply_matches_dense_reference(r, k, n, form, seed):
+    """Tables built once and applied twice: 1/2/4/8-lane blocks and the
+    blocks after the first, odd lengths, strided and view rows."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, 256, (r, k), dtype=np.uint8)
+    data = rng.integers(0, 256, (k, n), dtype=np.uint8)
+    blocks = gf_lane_tables(matrix)
+    assert [lanes for lanes, _ in blocks] == [min(8, r - f) for f in range(0, r, 8)]
+    want = gf_matmul(matrix, data)
+    assert np.array_equal(gf_apply_tables(blocks, ROW_FORMS[form](data)), want)
+    assert np.array_equal(gf_apply_tables(blocks, data), want)
+
+
+@pytest.mark.parametrize(
+    "case, k, m, chunk_bytes, seed",
+    [("mds_32_8_16KiB_4_erasures", 32, 8, 16 * KiB, 1),
+     ("mds_12_11_64B_10_erasures", 12, 11, 64, 3)],
+)
+def test_reed_solomon_encodes_from_tables_built_at_construction(
+    monkeypatch, case, k, m, chunk_bytes, seed
+):
+    code = ReedSolomonCode(k, m)
+
+    def rebuilt(matrix):
+        raise AssertionError("lane tables built after construction")
+
+    monkeypatch.setattr(gf256, "gf_lane_tables", rebuilt)
+    monkeypatch.setattr(reed_solomon, "gf_lane_tables", rebuilt)
+    data = vector_bytes(k * chunk_bytes, seed).reshape(k, chunk_bytes)
+    want = json.loads(GOLDEN.read_text())["cases"][case]["parity_sha256"]
+    for _ in range(2):
+        assert hashlib.sha256(code.encode(data).tobytes()).hexdigest() == want
 
 
 def test_row_kernel_shape_validation():

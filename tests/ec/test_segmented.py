@@ -87,6 +87,26 @@ class TestRoundtrip:
         assert not data[3].any()  # chunk 3 is pure padding
         assert not data[2, 70 - 2 * 32 :].any()  # tail of chunk 2 padded
 
+    def test_full_segment_is_a_read_only_view_of_the_payload(self):
+        code = SegmentedCode(ReedSolomonCode(4, 2), chunk_bytes=32)
+        payload = payload_of(4 * 32 + 70, seed=11)
+        data = code.segment_data(payload, code.layout(len(payload)), 0)
+        assert data.shape == (4, 32)
+        assert np.shares_memory(data, np.frombuffer(payload, dtype=np.uint8))
+        assert not data.flags.writeable
+        assert data.tobytes() == payload[: 4 * 32]
+
+    def test_short_last_segment_is_a_zero_padded_copy(self):
+        code = SegmentedCode(ReedSolomonCode(4, 2), chunk_bytes=32)
+        payload = bytearray(payload_of(4 * 32 + 70, seed=12))
+        data = code.segment_data(payload, code.layout(len(payload)), 1)
+        assert data.shape == (4, 32)
+        assert not np.shares_memory(data, np.frombuffer(payload, dtype=np.uint8))
+        assert data.reshape(-1)[:70].tobytes() == payload[4 * 32 :]
+        assert not data.reshape(-1)[70:].any()
+        payload[4 * 32 :] = bytes(70)  # the copy does not follow its source
+        assert data.reshape(-1)[:70].any()
+
     def test_per_segment_erasures(self):
         # Each segment tolerates m losses independently.
         code = SegmentedCode(ReedSolomonCode(4, 2), chunk_bytes=16)

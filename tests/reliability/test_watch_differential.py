@@ -501,3 +501,41 @@ def test_ec_wake_sees_an_arrival_one_hop_behind_it():
     got = drive_ec(EcReceiver, sched)
     assert got == drive_ec(GeneratorEcReceiver, sched)
     assert [c[2] for c in got["checks"] if c[0] == 5 * UNIT] == [3]
+
+
+def test_ec_stale_waiter_of_a_recoverable_segment_stays_dead():
+    """Sub 0 (one real chunk) turns recoverable on its parity; the wakes
+    after it must not re-bind the waiters left on sub 0's handles, nor
+    reuse one timer for every wake, or a chunk of the recoverable segment
+    wakes the receiver where the generator slept."""
+    sched = _ec_fixed(nchunks=5, beta_rtts=0.5, arrivals=[
+        (1, 0, "parity", 0, 0), (2, 0, "data", 1, 0), (2, 1, "parity", 1, 0),
+    ])
+    assert drive_ec(EcReceiver, sched) == drive_ec(GeneratorEcReceiver, sched)
+
+
+class WaiterCountingEcReceiver(EcReceiver):
+    """Records, after every recoverability wake, the most untriggered chunk
+    waiters any handle of the receive holds."""
+
+    most: list[int] = []
+
+    def _await_recoverable(self, rx):
+        super()._await_recoverable(rx)
+        self.most.append(max(
+            sum(not ev.triggered for ev in h._chunk_waiters) for h in rx.handles
+        ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ec_schedules())
+def test_ec_keeps_at_most_one_live_waiter_per_handle(sched):
+    WaiterCountingEcReceiver.most = most = []
+    drive_ec(WaiterCountingEcReceiver, sched)
+    assert all(n <= 1 for n in most), most
+
+
+def test_ec_waiters_do_not_pile_up_over_many_wakes():
+    WaiterCountingEcReceiver.most = most = []
+    drive_ec(WaiterCountingEcReceiver, _ec_fixed())
+    assert len(most) >= 4 and max(most) == 1, most
