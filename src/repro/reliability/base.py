@@ -115,19 +115,21 @@ class ControlPath:
         """Register a handler invoked with each decoded control message."""
         self._handlers.append(handler)
 
-    def send(self, message) -> None:
-        """Serialize and send a control message to the connected peer."""
-        self.send_bytes(message.pack())
+    def send(self, message):
+        """Send ``message`` fitted to the path MTU (its ``fit``, if it does
+        not fit as it is); return ``(sent, wire)``: the message as it went
+        out and its wire bytes (see ``send_bytes``)."""
+        raw = message.pack()
+        if len(raw) > self.qp.mtu:
+            message = message.fit(self.qp.mtu)
+            raw = message.pack()
+        return message, self.send_bytes(raw)
 
     def send_bytes(self, raw: bytes) -> bytes:
         """Send a packed control message; return its wire bytes (padded to
-        ``MIN_CTRL_BYTES``), which a caller may send again as they are."""
+        ``MIN_CTRL_BYTES``), which a caller may send again as they are.
+        The UD QP refuses a datagram larger than the path MTU."""
         size = len(raw)
-        mtu = self.qp.mtu
-        if size > mtu:
-            raise ConfigError(
-                f"control message of {size} B exceeds path MTU {mtu}"
-            )
         if size < MIN_CTRL_BYTES:
             raw += b"\x00" * (MIN_CTRL_BYTES - size)
             size = MIN_CTRL_BYTES

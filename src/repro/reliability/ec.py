@@ -511,29 +511,18 @@ class EcReceiver(SrBackedReceiver):
 
     def _send_nack(self, rx: _EcReceive, pending: list[int]) -> None:
         seq, layout = rx.ticket.seq, rx.layout
-        # 13 B of header and counts, 4 B per failed submessage or missing
-        # chunk: list what fits the MTU (a pending segment misses a data chunk,
-        # so a NACK that fit before is unchanged); the next round the rest.
-        mtu = self.qp.config.mtu_bytes
-        room = (mtu - 13) // 4
-        failed = tuple(pending[: room - 1])
         missing = [
             layout.chunk_range(s)[0] + int(j)
             for s in pending for j in np.flatnonzero(~rx.data_present(s))
-        ][: min((mtu - 32) // 4, room - len(failed))]
-        self.ctrl.send(
-            EcNack(
-                msg_seq=seq,
-                failed_submessages=failed,
-                missing_chunks=tuple(missing),
-            )
-        )
+        ]
+        # What does not fit the MTU is listed again the next round.
+        nack, _ = self.ctrl.send(EcNack(seq, tuple(pending), tuple(missing)))
         self._m_nacks_sent.inc()
         if self._trace.enabled:
             self._trace.instant(
                 "ec_nack", cat="ec", track=self._track,
-                msg=seq, seq=seq, failed_subs=len(failed),
-                missing=len(missing),
+                msg=seq, seq=seq, failed_subs=len(nack.failed_submessages),
+                missing=len(nack.missing_chunks),
             )
 
     def _decode(self, rx: _EcReceive, s: int, want, then) -> None:

@@ -12,6 +12,10 @@ The SR ACK implements the paper's two-part encoding:
   previous chunks have been received, and
 * *selective ACK* -- a window of the receiver's chunk bitmap, as much as
   fits in the ACK payload, starting from the cumulative ACK.
+
+Every variable-length message declares ``FIXED_BYTES`` / ``ENTRY_BYTES``
+and a ``fit(room)``, which ``ControlPath.send`` applies at the path MTU
+(docs/protocols.md, "Control-message sizing").
 """
 
 from __future__ import annotations
@@ -22,17 +26,41 @@ from typing import NamedTuple
 from repro.common.bitmap import mask_bits
 from repro.common.errors import ProtocolError
 
-_TYPE_ACK = 1
-_TYPE_SR_NACK = 2
-_TYPE_EC_ACK = 3
-_TYPE_EC_NACK = 4
-_TYPE_DONE = 5
-_TYPE_PROVISION = 6
-_TYPE_RESUME_REQ = 7
-_TYPE_RESUME_ACK = 8
-_TYPE_REPAIR_REQ = 9
-
 _HEADER = struct.Struct("<BI")  # type, msg_seq
+_U32 = struct.Struct("<I")
+#: Type tag -> ``unpack`` of the message class registered under it.
+_DECODERS = {}
+
+
+def _windowed(cls, body: bytes) -> list:
+    """The one window decoder: ``cls._FIXED`` ends in (window_start,
+    window_len) and the window's bytes follow.  Returns the fixed fields,
+    ``window_start`` last, then the window."""
+    *fields, wlen = cls._FIXED.unpack_from(body)
+    window = body[cls._FIXED.size : cls._FIXED.size + wlen]
+    if len(window) != wlen:
+        raise ProtocolError(f"truncated {cls.__name__} window")
+    return [*fields, window]
+
+
+def _window_mask(below: int, start: int, window: bytes, nchunks: int) -> int:
+    """Chunks ``[0, below)`` plus the window's bits (byte ``b`` bit ``i`` is
+    chunk ``start + 8*b + i``) below ``nchunks``; bit ``i`` = chunk ``i``."""
+    mask = (1 << min(below, nchunks)) - 1
+    if window and start < nchunks:  # and no shift by a wire-supplied u32
+        mask |= (int.from_bytes(window, "little") << start) & ((1 << nchunks) - 1)
+    return mask
+
+
+def _fit(self, room: int):
+    """``fit`` of a one-list message: shed entries off the tail of field
+    ``_TAIL`` until it packs to at most ``room`` bytes (itself if it does)."""
+    over = len(self.pack()) - room
+    if over <= 0:
+        return self
+    tail = getattr(self, self._TAIL)
+    keep = max(len(tail) + (-over // self.ENTRY_BYTES), 0)
+    return self._replace(**{self._TAIL: tail[:keep]})
 
 
 def _eq(self, other) -> bool:
@@ -43,8 +71,9 @@ def _ne(self, other) -> bool:
     return not _eq(self, other)
 
 
-def _message(cls):
-    """Class decorator of every control message below.
+def _message(tag: int):
+    """Class decorator of every control message below: it goes on the wire
+    behind type ``tag``, and ``decode_message`` decodes that tag with it.
 
     The messages are ``NamedTuple`` records: immutable, and built by one
     ``tuple.__new__`` where a frozen dataclass pays an
@@ -53,12 +82,16 @@ def _message(cls):
     value alone, which would make ``Done(3) == EcAck(3)``; this keeps the
     dataclass rule that a message equals only its own type.
     """
-    cls.__eq__ = _eq
-    cls.__ne__ = _ne
-    return cls
+
+    def register(cls):
+        cls.__eq__, cls.__ne__, cls._TAG = _eq, _ne, tag
+        _DECODERS[tag] = cls.unpack
+        return cls
+
+    return register
 
 
-@_message
+@_message(1)
 class Ack(NamedTuple):
     """SR acknowledgment: cumulative + selective bitmap window.
 
@@ -82,10 +115,14 @@ class Ack(NamedTuple):
     _FIXED = struct.Struct("<III")  # cumulative, window_start, window_len
     _ECN = struct.Struct("<BII")  # marker (nonzero), ce_count, seen_count
     _ECN_MARKER = 1
+    #: Bytes before the window (and ``_ECN.size`` after it when echoing
+    #: marks), bytes per window byte (8 chunks).
+    FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _FIXED.size, 1
+    _TAIL, fit = "window", _fit  # the ECN trailer keeps its room
 
     def pack(self) -> bytes:
         raw = (
-            _HEADER.pack(_TYPE_ACK, self.msg_seq)
+            _HEADER.pack(self._TAG, self.msg_seq)
             + self._FIXED.pack(self.cumulative, self.window_start, len(self.window))
             + self.window
         )
@@ -95,12 +132,9 @@ class Ack(NamedTuple):
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "Ack":
-        cumulative, start, wlen = cls._FIXED.unpack_from(body)
-        window = body[cls._FIXED.size : cls._FIXED.size + wlen]
-        if len(window) != wlen:
-            raise ProtocolError("truncated ACK window")
+        cumulative, start, window = _windowed(cls, body)
         marked = seen = 0
-        off = cls._FIXED.size + wlen
+        off = cls._FIXED.size + len(window)
         if len(body) >= off + cls._ECN.size and body[off] == cls._ECN_MARKER:
             _, marked, seen = cls._ECN.unpack_from(body, off)
         return cls(msg_seq, cumulative, start, window, marked, seen)
@@ -112,52 +146,50 @@ class Ack(NamedTuple):
         intersects it with its own outstanding mask, so an ACK costs the
         chunks it newly confirms and not the prefix every ACK repeats.
         """
-        mask = (1 << min(self.cumulative, nchunks)) - 1
-        if self.window and self.window_start < nchunks:
-            mask |= int.from_bytes(self.window, "little") << self.window_start
-        return mask & ((1 << nchunks) - 1)
+        return _window_mask(self.cumulative, self.window_start, self.window, nchunks)
 
     def acked_chunks(self, nchunks: int) -> set[int]:
         """Chunk indices this ACK confirms (cumulative prefix + window bits)."""
         return set(mask_bits(self.acked_mask(nchunks)))
 
 
-@_message
+@_message(2)
 class SrNack(NamedTuple):
     """SR negative acknowledgment: explicit missing-chunk indices."""
 
     msg_seq: int
     chunks: tuple[int, ...]
 
+    FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _U32.size, 4
+    _TAIL, fit = "chunks", _fit
+
     def pack(self) -> bytes:
-        return (
-            _HEADER.pack(_TYPE_SR_NACK, self.msg_seq)
-            + struct.pack("<I", len(self.chunks))
-            + struct.pack(f"<{len(self.chunks)}I", *self.chunks)
+        n = len(self.chunks)
+        return _HEADER.pack(self._TAG, self.msg_seq) + struct.pack(
+            f"<I{n}I", n, *self.chunks
         )
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "SrNack":
-        (n,) = struct.unpack_from("<I", body)
-        chunks = struct.unpack_from(f"<{n}I", body, 4)
-        return cls(msg_seq=msg_seq, chunks=tuple(chunks))
+        (n,) = _U32.unpack_from(body)
+        return cls(msg_seq, struct.unpack_from(f"<{n}I", body, 4))
 
 
-@_message
+@_message(3)
 class EcAck(NamedTuple):
     """EC positive acknowledgment: all data submessages recoverable."""
 
     msg_seq: int
 
     def pack(self) -> bytes:
-        return _HEADER.pack(_TYPE_EC_ACK, self.msg_seq)
+        return _HEADER.pack(self._TAG, self.msg_seq)
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "EcAck":
         return cls(msg_seq=msg_seq)
 
 
-@_message
+@_message(4)
 class EcNack(NamedTuple):
     """EC fallback request: failed submessages + their missing data chunks.
 
@@ -170,45 +202,49 @@ class EcNack(NamedTuple):
     failed_submessages: tuple[int, ...]
     missing_chunks: tuple[int, ...]
 
+    _COUNTS = struct.Struct("<II")
+    FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _COUNTS.size, 4
+
+    def fit(self, room: int) -> "EcNack":
+        """Keep failed submessages first, then missing chunks, as many as
+        fit ``room`` bytes -- but always one missing chunk: the sender
+        resends only the chunks a NACK names."""
+        keep = max(room - self.FIXED_BYTES, 0) // self.ENTRY_BYTES
+        failed, missing = self.failed_submessages, self.missing_chunks
+        if len(failed) + len(missing) <= keep:
+            return self
+        failed = failed[: max(keep - (1 if missing else 0), 0)]
+        return EcNack(self.msg_seq, failed, missing[: keep - len(failed)])
+
     def pack(self) -> bytes:
-        return (
-            _HEADER.pack(_TYPE_EC_NACK, self.msg_seq)
-            + struct.pack("<II", len(self.failed_submessages), len(self.missing_chunks))
-            + struct.pack(
-                f"<{len(self.failed_submessages)}I", *self.failed_submessages
-            )
-            + struct.pack(f"<{len(self.missing_chunks)}I", *self.missing_chunks)
+        failed, missing = self.failed_submessages, self.missing_chunks
+        return _HEADER.pack(self._TAG, self.msg_seq) + struct.pack(
+            f"<II{len(failed) + len(missing)}I",
+            len(failed), len(missing), *failed, *missing,
         )
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "EcNack":
-        nf, nc = struct.unpack_from("<II", body)
-        off = 8
-        failed = struct.unpack_from(f"<{nf}I", body, off)
-        off += 4 * nf
-        chunks = struct.unpack_from(f"<{nc}I", body, off)
-        return cls(
-            msg_seq=msg_seq,
-            failed_submessages=tuple(failed),
-            missing_chunks=tuple(chunks),
-        )
+        nf, nc = cls._COUNTS.unpack_from(body)
+        entries = struct.unpack_from(f"<{nf + nc}I", body, cls._COUNTS.size)
+        return cls(msg_seq, entries[:nf], entries[nf:])
 
 
-@_message
+@_message(5)
 class Done(NamedTuple):
     """Final ACK: message fully delivered, sender may release the buffer."""
 
     msg_seq: int
 
     def pack(self) -> bytes:
-        return _HEADER.pack(_TYPE_DONE, self.msg_seq)
+        return _HEADER.pack(self._TAG, self.msg_seq)
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "Done":
         return cls(msg_seq=msg_seq)
 
 
-@_message
+@_message(6)
 class Provision(NamedTuple):
     """Adaptive-layer announcement: message ``msg_seq`` uses ``protocol``.
 
@@ -228,7 +264,7 @@ class Provision(NamedTuple):
             code = self._CODES[self.protocol]
         except KeyError:
             raise ProtocolError(f"unknown protocol {self.protocol!r}") from None
-        return _HEADER.pack(_TYPE_PROVISION, self.msg_seq) + bytes([code])
+        return _HEADER.pack(self._TAG, self.msg_seq) + bytes([code])
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "Provision":
@@ -240,7 +276,7 @@ class Provision(NamedTuple):
         return cls(msg_seq=msg_seq, protocol=name)
 
 
-@_message
+@_message(7)
 class ResumeReq(NamedTuple):
     """Bitmap-driven resumption request (sender -> receiver).
 
@@ -255,23 +291,22 @@ class ResumeReq(NamedTuple):
     attempt: int = 1
 
     def pack(self) -> bytes:
-        return _HEADER.pack(_TYPE_RESUME_REQ, self.msg_seq) + struct.pack(
-            "<I", self.attempt
-        )
+        return _HEADER.pack(self._TAG, self.msg_seq) + _U32.pack(self.attempt)
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "ResumeReq":
-        (attempt,) = struct.unpack_from("<I", body)
+        (attempt,) = _U32.unpack_from(body)
         return cls(msg_seq=msg_seq, attempt=attempt)
 
 
-@_message
+@_message(8)
 class ResumeAck(NamedTuple):
     """Resumption grant (receiver -> sender).
 
     ``new_seq`` is the freshly posted slot serving the resumed attempt;
-    ``bitmap`` is the receiver's delivered-chunk bitmap (chunk 0 = MSB of
-    byte 0) so the sender retransmits *only missing chunks*.  ``attempt``
+    ``window`` is its delivered-chunk bitmap as an :class:`Ack` window from
+    the cumulative byte, so the sender retransmits only what the grant does
+    not confirm (chunks past the window, until an ACK does).  ``attempt``
     echoes the request so a late grant for a superseded attempt is
     discarded instead of desynchronizing the slot lockstep.
     """
@@ -280,32 +315,31 @@ class ResumeAck(NamedTuple):
     new_seq: int
     total_chunks: int
     attempt: int = 1
-    bitmap: bytes = b""
+    window_start: int = 0
+    window: bytes = b""
 
-    _FIXED = struct.Struct("<IIII")  # new_seq, total_chunks, attempt, bitmap_len
+    # new_seq, total_chunks, attempt, window_start, window_len
+    _FIXED = struct.Struct("<IIIII")
+    FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _FIXED.size, 1
+    _TAIL, fit = "window", _fit
 
     def pack(self) -> bytes:
         return (
-            _HEADER.pack(_TYPE_RESUME_ACK, self.msg_seq)
-            + self._FIXED.pack(
-                self.new_seq, self.total_chunks, self.attempt, len(self.bitmap)
-            )
-            + self.bitmap
+            _HEADER.pack(self._TAG, self.msg_seq)
+            + self._FIXED.pack(*self[1:5], len(self.window))
+            + self.window
         )
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "ResumeAck":
-        new_seq, total, attempt, blen = cls._FIXED.unpack_from(body)
-        bitmap = body[cls._FIXED.size : cls._FIXED.size + blen]
-        if len(bitmap) != blen:
-            raise ProtocolError("truncated resume bitmap")
-        return cls(
-            msg_seq=msg_seq, new_seq=new_seq, total_chunks=total,
-            attempt=attempt, bitmap=bitmap,
-        )
+        return cls(msg_seq, *_windowed(cls, body))
+
+    def acked_mask(self, nchunks: int) -> int:
+        """The chunks this grant confirms delivered, as :meth:`Ack.acked_mask`."""
+        return _window_mask(self.window_start, self.window_start, self.window, nchunks)
 
 
-@_message
+@_message(9)
 class RepairReq(NamedTuple):
     """Sampling-mode repair request (receiver -> sender).
 
@@ -323,44 +357,23 @@ class RepairReq(NamedTuple):
     missing: bytes
 
     _FIXED = struct.Struct("<III")  # segment, window_start, missing_len
+    FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _FIXED.size, 1
+    _TAIL, fit = "missing", _fit
 
     def pack(self) -> bytes:
         return (
-            _HEADER.pack(_TYPE_REPAIR_REQ, self.msg_seq)
+            _HEADER.pack(self._TAG, self.msg_seq)
             + self._FIXED.pack(self.segment, self.window_start, len(self.missing))
             + self.missing
         )
 
     @classmethod
     def unpack(cls, msg_seq: int, body: bytes) -> "RepairReq":
-        segment, start, mlen = cls._FIXED.unpack_from(body)
-        missing = body[cls._FIXED.size : cls._FIXED.size + mlen]
-        if len(missing) != mlen:
-            raise ProtocolError("truncated repair-request bitmap")
-        return cls(
-            msg_seq=msg_seq, segment=segment, window_start=start,
-            missing=missing,
-        )
+        return cls(msg_seq, *_windowed(cls, body))
 
     def missing_chunks(self, nchunks: int) -> list[int]:
         """Absolute indices of the chunks this request asks for, ascending."""
-        if self.window_start >= nchunks:
-            return []  # and no shift by a wire-supplied u32
-        window = int.from_bytes(self.missing, "little") << self.window_start
-        return list(mask_bits(window & ((1 << nchunks) - 1)))
-
-
-_DECODERS = {
-    _TYPE_ACK: Ack.unpack,
-    _TYPE_SR_NACK: SrNack.unpack,
-    _TYPE_EC_ACK: EcAck.unpack,
-    _TYPE_EC_NACK: EcNack.unpack,
-    _TYPE_DONE: Done.unpack,
-    _TYPE_PROVISION: Provision.unpack,
-    _TYPE_RESUME_REQ: ResumeReq.unpack,
-    _TYPE_RESUME_ACK: ResumeAck.unpack,
-    _TYPE_REPAIR_REQ: RepairReq.unpack,
-}
+        return list(mask_bits(_window_mask(0, self.window_start, self.missing, nchunks)))
 
 
 def decode_message(raw: bytes):
@@ -371,4 +384,7 @@ def decode_message(raw: bytes):
     decoder = _DECODERS.get(mtype)
     if decoder is None:
         raise ProtocolError(f"unknown control message type {mtype}")
-    return decoder(msg_seq, raw[_HEADER.size :])
+    try:
+        return decoder(msg_seq, raw[_HEADER.size :])
+    except struct.error as exc:  # fields or counts past the end of the body
+        raise ProtocolError(f"truncated control message type {mtype}") from exc

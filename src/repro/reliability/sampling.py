@@ -381,14 +381,7 @@ class SamplingReceiver(SrBackedReceiver):
         start, seg_len = layout.chunk_range(seg)
         missing = ~present[start : start + seg_len]
         window = np.packbits(missing, bitorder="little").tobytes()
-        max_window = self.qp.config.mtu_bytes - 32
-        window = window[:max_window]
-        self.ctrl.send(
-            RepairReq(
-                msg_seq=rh.seq, segment=seg, window_start=start,
-                missing=window,
-            )
-        )
+        self.ctrl.send(RepairReq(rh.seq, seg, start, window))
         self._m_repair_reqs.inc()
         if self._trace.enabled:
             self._trace.instant(

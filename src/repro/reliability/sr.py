@@ -53,8 +53,9 @@ class SrConfig:
     nack_enabled: bool = False
     #: Receiver bitmap poll / ACK period in RTTs (None -> RTT / 4).
     ack_interval_rtts: float = 0.25
-    #: Bytes of selective-ACK bitmap window shipped per ACK.
-    ack_window_bytes: int = 512
+    #: Bytes of selective-ACK bitmap window per ACK: None = as much as fits
+    #: the path MTU (Section 4.1.1); a number is still clipped to that.
+    ack_window_bytes: int | None = None
     #: How long (in RTTs) the receiver keeps re-ACKing after completion, to
     #: survive final-ACK drops.
     grace_rtts: float = 10.0
@@ -98,8 +99,8 @@ class SrConfig:
             raise ConfigError(f"rto_rtts must be > 0, got {self.rto_rtts}")
         if self.ack_interval_rtts <= 0:
             raise ConfigError("ack_interval_rtts must be > 0")
-        if self.ack_window_bytes <= 0:
-            raise ConfigError("ack_window_bytes must be > 0")
+        if self.ack_window_bytes is not None and self.ack_window_bytes <= 0:
+            raise ConfigError("ack_window_bytes must be > 0 or None")
         if self.max_chunk_retransmits <= 0:
             raise ConfigError("max_chunk_retransmits must be > 0")
         if self.min_rto_rtts <= 0:
@@ -406,15 +407,7 @@ class SrSender(Sender):
                 f"slot mismatch (local seq {new_seq}, peer {ack.new_seq})",
             )
             return
-        if ack.bitmap:
-            # The grant's bitmap is MSB-first (chunk 0 = top bit of byte 0).
-            have = np.unpackbits(
-                np.frombuffer(ack.bitmap, dtype=np.uint8),
-                count=token.total_chunks,
-            )
-            state.unacked &= ~int.from_bytes(
-                np.packbits(have, bitorder="little").tobytes(), "little"
-            )
+        state.unacked &= ~ack.acked_mask(state.nchunks)
         state.resumed = True
         missing = state.unacked.bit_count()
         self._m_chunks_skipped.inc(state.nchunks - missing)
@@ -781,9 +774,10 @@ class SrReceiver(Receiver):
         own messages and for the schemes SR backstops: abandons whichever
         of ``old_handles`` are still open (in-flight packets die on the
         NULL mkey from here on), re-posts the buffer pre-seeded with
-        ``delivered``, announces the grant, and serves the fresh slot.  The
-        grant is remembered, so duplicate and follow-up requests for the
-        message are answered here.
+        ``delivered``, announces the grant (the fresh slot's bitmap from
+        its cumulative byte, as an ACK window), and serves the fresh slot.
+        The grant is remembered, so duplicate and follow-up requests for
+        the message are answered here.
 
         A single-buffer scheme passes only its one handle: the same buffer
         is re-posted, seeded from the handle's live bitmap, and a slot
@@ -805,12 +799,11 @@ class SrReceiver(Receiver):
         ticket.resumptions += 1
         ticket.recv_handles.append(rh2)
         self._serving[msg.msg_seq] = (ticket, rh2)
+        bitmap = rh2.bitmap()
+        cumulative = bitmap.cumulative()
         ack = ResumeAck(
-            msg_seq=msg.msg_seq,
-            new_seq=rh2.seq,
-            total_chunks=rh2.nchunks,
-            attempt=msg.attempt,
-            bitmap=np.packbits(delivered).tobytes(),
+            msg.msg_seq, rh2.seq, rh2.nchunks, msg.attempt, cumulative // 8 * 8,
+            bitmap.to_bytes(start_bit=cumulative),
         )
         self._resume_grants[msg.msg_seq] = (msg.attempt, ack)
         self._m_resumes_granted.inc()
@@ -866,10 +859,8 @@ class SrReceiver(Receiver):
         cumulative = bitmap.cumulative()
         window_start = (cumulative // 8) * 8
         window = b""
-        if not final and cumulative < rh.nchunks:
-            window = bitmap.to_bytes(
-                start_bit=cumulative, max_bytes=self.config.ack_window_bytes
-            )
+        if not final and cumulative < rh.nchunks:  # as much as fits, or less
+            window = bitmap.to_bytes(cumulative, self.config.ack_window_bytes)
         # ECN echo (repro.cc): ship the CE delta since the last echo.  A
         # mark-free period keeps the cursors so the fraction is preserved,
         # and omits the trailer so the wire bytes match the pre-cc encoding.
@@ -879,8 +870,8 @@ class SrReceiver(Receiver):
             rh.seen_echoed = rh.packets_seen
         else:
             marked = seen = 0
-        raw = self.ctrl.send_bytes(
-            Ack(rh.seq, cumulative, window_start, window, marked, seen).pack()
+        _, raw = self.ctrl.send(
+            Ack(rh.seq, cumulative, window_start, window, marked, seen)
         )
         if last is not None and not marked:
             last[:] = bitmap.count(), raw
@@ -892,7 +883,7 @@ class SrReceiver(Receiver):
         if wire:
             self.ctrl.send_bytes(wire[0])
         else:
-            wire.append(self.ctrl.send_bytes(Ack(rh.seq, rh.nchunks).pack()))
+            wire.append(self.ctrl.send(Ack(rh.seq, rh.nchunks))[1])
         self._m_acks_sent.inc()
 
     def _send_gap_nacks(self, rh: RecvHandle, last_nack: np.ndarray) -> None:
@@ -908,16 +899,13 @@ class SrReceiver(Receiver):
         )
         if gaps.size == 0:
             return
-        # Cap the NACK list to what fits a single control datagram.
-        max_entries = (self.qp.config.mtu_bytes - 16) // 4
-        gaps = gaps[:max_entries]
-        last_nack[gaps] = now
-        self.ctrl.send(SrNack(msg_seq=rh.seq, chunks=tuple(int(g) for g in gaps)))
+        nack, _ = self.ctrl.send(SrNack(rh.seq, tuple(gaps.tolist())))
+        last_nack[list(nack.chunks)] = now  # what fit the datagram
         self._m_nacks_sent.inc()
         if self._trace.enabled:
             self._trace.instant(
                 "gap_nack", cat="sr", track=self._track,
-                seq=rh.seq, chunks=int(gaps.size),
+                seq=rh.seq, chunks=len(nack.chunks),
             )
 
 

@@ -29,15 +29,20 @@ from tests.conftest import make_sdr_pair
 from tests.reliability.conftest import random_payload
 
 
-def _fresh_ack(rh, final: bool, window_bytes: int) -> bytes:
-    """The wire bytes of this poll's ACK, packed from scratch."""
+def _fresh_ack(rh, final: bool, window_bytes: int | None, mtu: int) -> bytes:
+    """The wire bytes of this poll's ACK, packed from scratch.  The window
+    is as much as fits the MTU after the ACK's 17 fixed bytes (and the 9 B
+    ECN trailer when marks are echoed), and no more than ``window_bytes``."""
     bitmap = rh.bitmap()
     cumulative = bitmap.cumulative()
-    window = b""
-    if not final and cumulative < rh.nchunks:
-        window = bitmap.to_bytes(start_bit=cumulative, max_bytes=window_bytes)
     marked = rh.ce_packets - rh.ce_echoed
     seen = rh.packets_seen - rh.seen_echoed if marked > 0 else 0
+    room = mtu - 17 - (9 if marked > 0 else 0)
+    if window_bytes is not None:
+        room = min(room, window_bytes)
+    window = b""
+    if not final and cumulative < rh.nchunks:
+        window = bitmap.to_bytes(start_bit=cumulative)[:room]
     ack = Ack(rh.seq, cumulative, cumulative // 8 * 8, window, max(marked, 0), seen)
     return ack.pack().ljust(MIN_CTRL_BYTES, b"\0")
 
@@ -56,12 +61,13 @@ def tally(monkeypatch):
         return send_bytes(self, raw)
 
     def checked_send_ack(self, rh, last=None, *, final=False):
-        want = _fresh_ack(rh, final, self.config.ack_window_bytes)
+        want = _fresh_ack(rh, final, self.config.ack_window_bytes, self.ctrl.qp.mtu)
         tally["ecn_echoes"] += rh.ce_packets > rh.ce_echoed
         before = None if last is None else last[1]
         send_ack(self, rh, last, final=final)
         raw = sent[-1]
         assert raw.ljust(MIN_CTRL_BYTES, b"\0") == want
+        tally["mtu_full"] += len(raw) == self.ctrl.qp.mtu
         tally["reused" if raw is before else "packed"] += 1
 
     def checked_on_datagram(self, payload, immediate, src_qpn):
@@ -148,3 +154,16 @@ def test_grace_reacks_resend_the_bytes_a_fresh_pack_builds(monkeypatch):
     # One pack per receive (48), its bytes resent by every later re-ACK.
     assert new[3][False] == 48 and new[3][True] > 48
     assert new[3].total() == ref[3].total()
+
+
+def test_small_mtu_polls_fit_what_a_fresh_encode_rebuilds(tally):
+    """At a 256 B MTU a 2,048-chunk window does not fit: the ACKs the
+    control path trims to the MTU are the ones the reference packs."""
+    pair = make_sdr_pair(drop=0.01, mtu=256, chunk=256, seed=3)
+    sender, receiver = endpoints("sr", pair)
+    size = 2048 * 256
+    ticket = sender.write(size)
+    receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+    pair.sim.run(ticket.done)
+    assert not ticket.failed
+    assert tally["mtu_full"] > 0 and tally["packed"] > 0 and tally["reused"] > 0

@@ -39,10 +39,22 @@ class TestControlPath:
         assert [m.msg_seq for m in a_got] == [2]
 
     def test_oversized_message_rejected(self, sdr_pair):
+        # A datagram past the path MTU is refused.  ``send`` fits a message
+        # first (below), so only raw bytes can get this far.
         p = sdr_pair
         huge = Ack(msg_seq=0, cumulative=0, window=b"\xff" * (8 * 1024))
         with pytest.raises(ConfigError):
-            p.ctrl_a.send(huge)
+            p.ctrl_a.send_bytes(huge.pack())
+
+    def test_oversized_message_is_fitted_to_the_mtu(self, sdr_pair):
+        p = sdr_pair
+        mtu = p.ctrl_a.qp.mtu
+        huge = Ack(msg_seq=0, cumulative=0, window=b"\xff" * (8 * 1024))
+        sent, wire = p.ctrl_a.send(huge)
+        assert sent == huge._replace(window=huge.window[: mtu - 17])
+        assert wire == sent.pack() and len(wire) == mtu
+        p.sim.run()
+        assert p.ctrl_b.messages_received == 1
 
     def test_small_messages_padded_to_min_frame(self, sdr_pair):
         p = sdr_pair

@@ -46,6 +46,11 @@ class TestRoundtrips:
     def test_done(self):
         assert decode_message(Done(msg_seq=4).pack()) == Done(msg_seq=4)
 
+    def test_resume_ack(self):
+        grant = ResumeAck(msg_seq=5, new_seq=6, total_chunks=20, attempt=2,
+                          window_start=8, window=b"\x0f\x01")
+        assert decode_message(grant.pack()) == grant
+
     def test_trailing_padding_tolerated(self):
         # ControlPath pads datagrams to a minimum wire size.
         raw = EcAck(msg_seq=1).pack() + b"\x00" * 50
@@ -92,6 +97,17 @@ class TestValidation:
         ack = Ack(msg_seq=1, cumulative=0, window_start=0, window=b"\xff" * 8)
         with pytest.raises(ProtocolError):
             decode_message(ack.pack()[:-4])
+
+    @pytest.mark.parametrize("raw", [
+        bytes([2, 0, 0, 0, 0]) + b"\xff" * 4,  # SR NACK counting 2**32 - 1
+        bytes([4, 0, 0, 0, 0]) + b"\x01\x00\x00\x00",  # EC NACK, no counts
+        bytes([7, 0, 0, 0, 0]),  # resume request, no attempt
+        bytes([8, 0, 0, 0, 0]) + b"\x00" * 19,  # grant one byte short
+        bytes([9, 0, 0, 0, 0]) + b"\x00" * 8 + b"\x05\x00\x00\x00",
+    ])
+    def test_truncated_bodies(self, raw):
+        with pytest.raises(ProtocolError):
+            decode_message(raw)
 
 
 class TestAckedChunks:
@@ -194,13 +210,140 @@ def test_repair_missing_chunks_are_the_window_bits_below_nchunks(
     assert req.missing_chunks(nchunks) == [i for i in range(nchunks) if asked(i)]
 
 
+_IDX = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def variable_messages(draw):
+    """A variable-length control message of random content, sized to
+    overflow small MTUs now and then."""
+    seq = draw(_IDX)
+    window = draw(st.binary(max_size=1200) | st.binary(min_size=9000, max_size=9400))
+    chunks = st.lists(_IDX, max_size=40).map(tuple) | st.integers(0, 2400).map(
+        lambda n: tuple(range(n))
+    )
+    kind = draw(st.sampled_from(["ack", "sr_nack", "ec_nack", "repair", "grant"]))
+    if kind == "ack":
+        marked = draw(st.integers(0, 5))  # (0, 0): no ECN trailer
+        seen = marked + 3 if marked else 0
+        return Ack(seq, draw(_IDX), draw(_IDX), window, marked, seen)
+    if kind == "sr_nack":
+        return SrNack(seq, draw(chunks))
+    if kind == "ec_nack":
+        return EcNack(seq, draw(chunks), draw(chunks))
+    if kind == "repair":
+        return RepairReq(seq, draw(_IDX), draw(_IDX), window)
+    return ResumeAck(seq, draw(_IDX), draw(_IDX), draw(_IDX), draw(_IDX), window)
+
+
+def _kept(msg) -> tuple:
+    """What ``fit`` may trim, in its trim order (the last item goes first)."""
+    if isinstance(msg, EcNack):
+        return msg.failed_submessages, msg.missing_chunks
+    if isinstance(msg, SrNack):
+        return (msg.chunks,)
+    return (msg.missing if isinstance(msg, RepairReq) else msg.window,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(msg=variable_messages(), mtu=st.integers(256, 9216))
+def test_fit_packs_to_the_mtu_keeping_a_prefix_in_trim_order(msg, mtu):
+    fitted = msg.fit(mtu)
+    raw = fitted.pack()
+    assert len(raw) <= mtu
+    assert decode_message(raw) == fitted
+    # Only the trimmed field changes, and only at its tail.
+    fields = [f for f in msg._fields if not isinstance(getattr(msg, f), (bytes, tuple))]
+    assert [getattr(fitted, f) for f in fields] == [getattr(msg, f) for f in fields]
+    before, after = _kept(msg), _kept(fitted)
+    assert all(a == b[: len(a)] for a, b in zip(after, before))
+    # The declared sizes are the packed sizes (+9 B for an ECN trailer).
+    trailer = 9 if isinstance(msg, Ack) and msg.ecn_marked else 0
+    for m, lists in ((msg, before), (fitted, after)):
+        entries = sum(map(len, lists))
+        assert len(m.pack()) == m.FIXED_BYTES + m.ENTRY_BYTES * entries + trailer
+    if len(msg.pack()) <= mtu:
+        assert fitted is msg  # a message that fits goes out as it is
+        return
+    # Trimmed: as much as fits (one more entry would not).
+    assert len(raw) + msg.ENTRY_BYTES > mtu
+    if isinstance(msg, EcNack):
+        failed, missing = after
+        # Failed submessages first, then missing chunks -- but one missing
+        # chunk always stays: the sender resends only named chunks.
+        if len(failed) < len(msg.failed_submessages):
+            assert len(missing) == min(1, len(msg.missing_chunks))
+        assert missing or not msg.missing_chunks
+
+
+def test_fit_reserves_the_ecn_trailer():
+    ack = Ack(1, 0, 0, b"\xff" * 600, ecn_marked=2, ecn_seen=9)
+    fitted = ack.fit(256)
+    assert len(fitted.window) == 256 - 17 - 9
+    assert decode_message(fitted.pack()) == fitted
+    assert len(Ack(1, 0, 0, b"\xff" * 600).fit(256).window) == 256 - 17
+
+
+_TAGS = range(1, 10)
+
+
+@settings(max_examples=500)
+@given(tag=st.sampled_from(_TAGS), seq=_IDX, body=st.binary(max_size=64))
+def test_garbage_decodes_to_a_message_or_a_protocol_error(tag, seq, body):
+    raw = bytes([tag]) + seq.to_bytes(4, "little") + body
+    try:
+        msg = decode_message(raw)
+    except ProtocolError:
+        return
+    assert msg.msg_seq == seq
+
+
+@settings(max_examples=300)
+@given(
+    tag=st.sampled_from(_TAGS), seq=_IDX,
+    counts=st.lists(st.integers(0, 40) | _IDX, min_size=5, max_size=5),
+    tail=st.binary(max_size=64),
+)
+def test_garbage_counts_decode_to_a_message_or_a_protocol_error(
+    tag, seq, counts, tail
+):
+    """Count and length fields that claim more than the body holds."""
+    body = b"".join(c.to_bytes(4, "little") for c in counts) + tail
+    for cut in (0, 3, 4, 8, 12, 16, 20, len(body)):
+        raw = bytes([tag]) + seq.to_bytes(4, "little") + body[:cut]
+        try:
+            decode_message(raw)
+        except ProtocolError:
+            pass
+
+
+class TestResumeAckWindow:
+    """The grant's window is the ACK's: below ``window_start`` delivered,
+    LSB-first bits from there, past the window missing."""
+
+    def test_below_the_window_is_delivered(self):
+        grant = ResumeAck(0, 1, 20, 1, 8, b"\x05")
+        assert set(mask_bits(grant.acked_mask(20))) == set(range(8)) | {8, 10}
+
+    def test_past_the_window_is_missing(self):
+        grant = ResumeAck(0, 1, 30, 1, 0, b"\xff")
+        assert grant.acked_mask(30) == 0xFF
+
+    def test_empty_grant_confirms_nothing(self):
+        assert ResumeAck(0, 1, 30).acked_mask(30) == 0
+
+    def test_clipped_to_the_message(self):
+        assert ResumeAck(0, 1, 3, 1, 0, b"\xff").acked_mask(3) == 0b111
+        assert ResumeAck(0, 1, 3, 1, 2**32 - 1, b"\xff").acked_mask(3) == 0b111
+
+
 class TestRecords:
     """The messages are tuple-backed; the frozen-dataclass promises hold."""
 
     MESSAGES = [
         Ack(1, 2, 0, b"\x01", 3, 4), SrNack(1, (2, 3)), EcAck(1),
         EcNack(1, (0,), (4, 5)), Done(1), Provision(1, "ec"),
-        ResumeReq(1, 2), ResumeAck(1, 2, 3, 4, b"\xf0"),
+        ResumeReq(1, 2), ResumeAck(1, 2, 3, 4, 8, b"\xf0"),
         RepairReq(1, 2, 8, b"\x03"),
     ]
 

@@ -10,8 +10,11 @@ carrying the whole bitmap, a default window wider than a small MTU.
 
 from __future__ import annotations
 
-import pytest
+from types import SimpleNamespace
 
+import numpy as np
+
+from repro.common.bitmap import Bitmap
 from repro.common.units import KiB, MiB
 from repro.reliability.sr import SrConfig
 from repro.stack import endpoints
@@ -31,7 +34,6 @@ def _write(pair, nchunks: int, chunk: int, config=None, payload=None):
     return ticket, buf
 
 
-@pytest.mark.xfail(strict=True, reason="fixed 512 B ACK window")
 def test_ack_window_as_wide_as_the_mtu_retransmits_only_drops():
     """8,192 chunks of 4 KiB at a 4 KiB MTU: a 512 B window covers half
     the message, so every chunk past it waits out an RTO whenever a drop
@@ -47,7 +49,6 @@ def test_ack_window_as_wide_as_the_mtu_retransmits_only_drops():
     assert 0 < ticket.retransmitted_chunks <= dropped
 
 
-@pytest.mark.xfail(strict=True, reason="ResumeAck carries the whole bitmap")
 def test_resume_grant_of_a_large_message_fits_the_mtu():
     """8,192 chunks of 1 KiB at a 1 KiB MTU, 1000 km: a data blackout
     outlives the retry budget, the sender resumes, and the grant must fit
@@ -71,10 +72,26 @@ def test_resume_grant_of_a_large_message_fits_the_mtu():
     assert bytes(buf) == payload
 
 
-@pytest.mark.xfail(strict=True, reason="default ACK window exceeds a 256 B MTU")
 def test_default_sr_completes_at_a_256_byte_mtu():
     pair = make_sdr_pair(
         drop=1e-3, mtu=256, chunk=256, max_message=1 * MiB, seed=3
     )
     ticket, _ = _write(pair, 4096, 256)
     assert not ticket.failed
+
+
+def test_gap_nack_holds_off_only_the_chunks_it_named():
+    """At a 256 B MTU one gap NACK names 61 chunks; the holdoff covers
+    those, so the next poll names the next 61 instead of nothing."""
+    pair = make_sdr_pair(mtu=256, chunk=256, max_message=1 * MiB)
+    _, receiver = endpoints("sr_nack", pair)
+    rh = SimpleNamespace(seq=0, bitmap=lambda: Bitmap.from_indices(300, [299]))
+    sent = []
+    send = receiver.ctrl.send
+    receiver.ctrl.send = lambda msg: sent.append(send(msg)) or sent[-1]
+    last_nack = np.full(300, -np.inf)
+    receiver._send_gap_nacks(rh, last_nack)
+    receiver._send_gap_nacks(rh, last_nack)
+    (first, _), (second, _) = sent
+    assert first.chunks == tuple(range(61))
+    assert second.chunks == tuple(range(61, 122))

@@ -110,11 +110,15 @@ class ReferenceSrSender(RecordingSender):
         token = pending.token
         state = self._open(token.length, pending.payload, ticket=pending.ticket)
         assert state.hdl.seq == ack.new_seq
-        if ack.bitmap:
-            state.unacked = ~np.unpackbits(
-                np.frombuffer(ack.bitmap, dtype=np.uint8),
-                count=token.total_chunks,
-            ).astype(bool)
+        # The grant's window: LSB-first bytes from chunk ``window_start``;
+        # below it delivered, past it missing.
+        have = np.zeros(token.total_chunks, dtype=bool)
+        have[: ack.window_start] = True
+        bits = np.unpackbits(
+            np.frombuffer(ack.window, dtype=np.uint8), bitorder="little"
+        )[: token.total_chunks - ack.window_start]
+        have[ack.window_start : ack.window_start + bits.size] = bits
+        state.unacked = ~have
         state.resumed = True
         missing = int(state.unacked.sum())
         self._m_chunks_skipped.inc(state.nchunks - missing)
@@ -205,7 +209,7 @@ def schedules(draw):
             steps.append((tick, "ack", w, (cumulative, start, window)))
         else:
             steps.append((tick, "failover", w, ()))
-    # A write may start as a resumption: the grant's bitmap presets it.
+    # A write may start as a resumption: the grant's window presets it.
     presets = [
         draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
         for n in sizes
@@ -223,19 +227,24 @@ def drive(sender_cls, schedule):
         if preset is None:
             states.append(sender._open(n * CHUNK))
             continue
-        # A write resumed from a grant: its bitmap presets what is unacked.
+        # A write resumed from a grant: its window presets what is unacked.
+        # The token carries a DeliveryError's MSB-first bitmap; the grant,
+        # built as ``SrReceiver.adopt`` builds it, an LSB-first window from
+        # the cumulative byte.
         delivered = np.array(preset, dtype=bool)
         token = ResumeToken(
-            msg_seq=len(states), length=n * CHUNK, total_chunks=n, bitmap=b"",
-            reason="test", attempt=1,
+            msg_seq=len(states), length=n * CHUNK, total_chunks=n,
+            bitmap=np.packbits(delivered).tobytes(), reason="test", attempt=1,
         )
         pending = _PendingResume(
             token, sender._write_ticket(token.msg_seq, token.length), None
         )
+        assert (pending.delivered == delivered).all()
         new_seq = pair.qp_a._send_seq
+        start = (n if delivered.all() else int(np.argmin(delivered))) // 8 * 8
+        window = np.packbits(delivered[start:], bitorder="little").tobytes()
         sender._launch_resumed(
-            pending,
-            ResumeAck(token.msg_seq, new_seq, n, 1, np.packbits(delivered).tobytes()),
+            pending, ResumeAck(token.msg_seq, new_seq, n, 1, start, window)
         )
         states.append(sender._states[new_seq])
         assert (states[-1].delivered == delivered).all()

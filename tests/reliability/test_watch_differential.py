@@ -406,7 +406,7 @@ def drive_ec(receiver_cls, sched):
     sim = pair.sim
     sent, checks = [], []
     send = receiver.ctrl.send
-    receiver.ctrl.send = lambda msg: (sent.append((sim.now, repr(msg))), send(msg))
+    receiver.ctrl.send = lambda msg: (sent.append((sim.now, repr(msg))), send(msg))[1]
     recoverable = receiver._recoverable
 
     def check(rx, s):
