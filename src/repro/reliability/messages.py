@@ -118,7 +118,8 @@ class Ack(NamedTuple):
     #: Bytes before the window (and ``_ECN.size`` after it when echoing
     #: marks), bytes per window byte (8 chunks).
     FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _FIXED.size, 1
-    _TAIL, fit = "window", _fit  # the ECN trailer keeps its room
+    _TAIL = "window"  # the ECN trailer keeps its room
+    fit = _fit
 
     def pack(self) -> bytes:
         raw = (
@@ -161,7 +162,8 @@ class SrNack(NamedTuple):
     chunks: tuple[int, ...]
 
     FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _U32.size, 4
-    _TAIL, fit = "chunks", _fit
+    _TAIL = "chunks"
+    fit = _fit
 
     def pack(self) -> bytes:
         n = len(self.chunks)
@@ -321,12 +323,16 @@ class ResumeAck(NamedTuple):
     # new_seq, total_chunks, attempt, window_start, window_len
     _FIXED = struct.Struct("<IIIII")
     FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _FIXED.size, 1
-    _TAIL, fit = "window", _fit
+    _TAIL = "window"
+    fit = _fit
 
     def pack(self) -> bytes:
         return (
             _HEADER.pack(self._TAG, self.msg_seq)
-            + self._FIXED.pack(*self[1:5], len(self.window))
+            + self._FIXED.pack(
+                self.new_seq, self.total_chunks, self.attempt, self.window_start,
+                len(self.window),
+            )
             + self.window
         )
 
@@ -358,7 +364,8 @@ class RepairReq(NamedTuple):
 
     _FIXED = struct.Struct("<III")  # segment, window_start, missing_len
     FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _FIXED.size, 1
-    _TAIL, fit = "missing", _fit
+    _TAIL = "missing"
+    fit = _fit
 
     def pack(self) -> bytes:
         return (
