@@ -23,7 +23,7 @@ import pytest
 from repro.cc.incast import run_incast
 from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.units import KiB, MiB
-from repro.reliability.ec import EcConfig
+from repro.reliability.ec import EcConfig, EcReceiver
 from repro.sim.profile import SimProfiler
 from repro.stack import build_pair, endpoints
 from repro.telemetry import Telemetry
@@ -96,3 +96,17 @@ def test_dispatches_per_offered_packet(run, ceiling):
     assert (dispatches, packets) == _dispatches_per_packet(run)
     assert packets > 1000
     assert dispatches / packets <= ceiling, (dispatches, packets)
+
+
+def test_wan_ec_payload_counts_exactly(monkeypatch):
+    """The payload EC miniature's exact counts, and how many times the
+    receivers' recoverability wait woke: 64 per write, one per chunk that
+    lands on a segment not yet recoverable."""
+    wakes = []
+    wake = EcReceiver._await_recoverable
+    monkeypatch.setattr(
+        EcReceiver, "_await_recoverable",
+        lambda self, rx: (wakes.append(rx), wake(self, rx))[1],
+    )
+    assert _dispatches_per_packet(_wan_ec_payload) == (10_848, 2_648)
+    assert len(wakes) == 512
