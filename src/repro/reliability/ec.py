@@ -25,7 +25,7 @@ the first transmission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -42,7 +42,7 @@ from repro.reliability.base import (
 )
 from repro.reliability.messages import EcAck, EcNack, ResumeReq
 from repro.reliability.sr import SrBacked, SrBackedReceiver, SrConfig
-from repro.sdr.handles import RecvHandle
+from repro.sdr.handles import ChunkCount, RecvHandle
 from repro.sdr.qp import SdrQp, SdrRecvWr
 from repro.telemetry.trace import flow_key
 from repro.verbs.mr import MemoryRegion
@@ -173,9 +173,10 @@ class EcSender(SrBacked):
         """Inject the data submessages, start encoding parity and arm the
         deadlock guard: no ACK within the global budget fails the write."""
         layout, payload = state.layout, state.payload
+        view = None if payload is None else memoryview(payload).toreadonly()
         for i in range(layout.nsegments):
             off, n = layout.segment_offset(i), layout.segment_bytes(i)
-            piece = None if payload is None else payload[off : off + n]
+            piece = None if view is None else view[off : off + n]
             self.qp.send_stream_continue(state.handles[i], 0, n, piece)
         self._encode_and_inject_parity(state)
         assert self.qp.data_qps[0][0].channel is not None
@@ -282,8 +283,6 @@ class _EcReceive:
     scratch: list[MemoryRegion]
     #: Armed by the first chunk (or the guard): the fallback timeout.
     fto_deadline: float | None = None
-    #: The chunk waiter (an ``Event``) the serve last set on each handle.
-    waiters: list = field(default_factory=list)
 
     @property
     def handles(self) -> list[RecvHandle]:
@@ -441,14 +440,14 @@ class EcReceiver(SrBackedReceiver):
         """Phase 1: wait for the first chunk of the message (arms FTO), with
         a global guard in case the entire first transmission is lost.
 
-        Each wait races a timer against chunk events and keeps the hop of
-        the ``any_of`` gate it replaced (the first chunk crossed two).
+        The wait keeps both hops of the ``any_of`` gates it replaced: the
+        first chunk on any handle schedules ``guard.expire_now`` a hop later.
         """
-        guard = self.sim.timer(self.sim.call_in, 0.0, self._await_recoverable, rx)
-        first = partial(self.sim.call_in, 0.0, guard.expire_now)
-        rx.waiters = [h.wait_chunk() for h in rx.handles]
-        for ev in rx.waiters:
-            ev.callbacks.append(first)
+        sim = self.sim
+        guard = sim.timer(sim.call_in, 0.0, self._await_recoverable, rx)
+        first = ChunkCount(1, sim.call_in, 0.0, guard.expire_now)
+        for h in rx.handles:
+            h.count = first
         guard.arm(self._fto(rx.layout) + 2 * self.rtt)
 
     def _await_recoverable(self, rx: _EcReceive) -> None:
@@ -474,15 +473,20 @@ class EcReceiver(SrBackedReceiver):
             retry = self.config.fallback_interval_rtts * self.rtt
             self.sim.call_in(retry, self._await_recoverable, rx)
             return
-        # One waiter per handle: a pending segment's re-binds the dead one an
-        # earlier wake left to a fresh timer; a recoverable segment's stays dead.
+        # A pending segment's two handles count down to the first chunk that
+        # can make it recoverable (``_recoverable``'s bound); a count at 0,
+        # and so a recoverable segment's, stays dead.  Before D/2 each chunk
+        # wakes: a wake re-arms the FTO, and now + (D - now) is D only from
+        # D/2 on.
         timer = self.sim.timer(self.sim.call_in, 0.0, self._await_recoverable, rx)
-        handles, waiters, nsub = rx.handles, rx.waiters, layout.nsegments
-        for i in pending + [nsub + s for s in pending]:
-            if waiters[i].triggered:
-                waiters[i] = handles[i].wait_chunk()
-            waiters[i].callbacks[:] = [timer.expire_now]
-        timer.arm(rx.fto_deadline - now)
+        deadline = rx.fto_deadline
+        for s in pending:
+            data, parity = rx.data[s], rx.parity[s]
+            short = data.nchunks - data.bitmap().count() - parity.bitmap().count()
+            if now < deadline / 2 or short < 1:
+                short = 1
+            data.count = parity.count = ChunkCount(short, timer.expire_now)
+        timer.arm(deadline - now)
 
     def _complete(self, rx: _EcReceive) -> None:
         """Phase 3's end: complete, ACK.

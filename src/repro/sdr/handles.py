@@ -90,6 +90,21 @@ class SendHandle:
         )
 
 
+class ChunkCount:
+    """A countdown of chunk-bitmap updates, shared by the handles whose
+    :attr:`RecvHandle.count` it is: the update that brings ``left`` to 0
+    schedules ``fn(*args)`` in its instant, in the heap slot a
+    :meth:`RecvHandle.wait_chunk` event would take; every other update
+    costs a decrement (no event, no timer, no heap entry)."""
+
+    __slots__ = ("left", "fn", "args")
+
+    def __init__(self, left: int, fn, *args):
+        self.left = left
+        self.fn = fn
+        self.args = args
+
+
 class RecvHandle:
     """Receive-side state of one posted SDR message."""
 
@@ -144,6 +159,8 @@ class RecvHandle:
         self.ce_echoed = 0
         self.seen_echoed = 0
         self._chunk_waiters: list[Event] = []
+        #: The :class:`ChunkCount` this handle's chunk updates count down.
+        self.count: ChunkCount | None = None
         self._all_event: Event | None = None
         self._posted_at = qp.sim.now
 
@@ -223,6 +240,11 @@ class RecvHandle:
         for ev in waiters:
             if not ev.triggered:
                 ev.succeed(self)
+        count = self.count
+        if count is not None:
+            count.left -= 1
+            if not count.left:
+                self.sim.call_in(0.0, count.fn, *count.args)
         if (
             self._all_event is not None
             and not self._all_event.triggered

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitmap import Bitmap
+from repro.reliability.base import _delivery_error
+from repro.reliability.messages import _window_mask
 
 
 class TestBasics:
@@ -283,3 +285,61 @@ class TestEdgeCases:
         assert list(bm.missing()) == [8]
         assert bm.set(8)
         assert bm.all_set()
+
+
+# -- packed-bitmap fuzz: the wire windows and the failure bitmap --------------
+
+
+@st.composite
+def bitmaps(draw, max_bits=300):
+    nbits = draw(st.integers(1, max_bits))
+    return Bitmap.from_indices(
+        nbits, draw(st.lists(st.integers(0, nbits - 1), max_size=nbits))
+    )
+
+
+@settings(max_examples=150)
+@given(bm=bitmaps(), data=st.data())
+def test_fuzz_wire_window_is_the_bitmap_from_its_byte(bm, data):
+    """A window is the whole encoding's bytes from ``start_bit``'s byte on,
+    cut to ``max_bytes``, and the one window decoder reads back exactly
+    the bits it covers; the whole encoding round-trips."""
+    nbits = len(bm)
+    assert np.array_equal(Bitmap.from_bytes(nbits, bm.to_bytes()).as_array(),
+                          bm.as_array())
+    start = data.draw(st.integers(0, nbits), label="start_bit")
+    room = data.draw(st.none() | st.integers(0, 48), label="max_bytes")
+    window = bm.to_bytes(start, room)
+    assert window == bm.to_bytes()[start // 8 :][:room]
+    base = start // 8 * 8
+    covered = range(base, min(nbits, base + 8 * len(window)))
+    mask = _window_mask(0, base, window, nbits)
+    assert [i for i in range(nbits) if mask >> i & 1] == [
+        i for i in covered if bm.test(i)
+    ]
+
+
+@settings(max_examples=100)
+@given(nbits=st.integers(1, 300), raw=st.binary(max_size=48))
+def test_fuzz_from_bytes_takes_exactly_its_byte_count(nbits, raw):
+    if len(raw) != -(-nbits // 8):
+        with pytest.raises(ValueError):
+            Bitmap.from_bytes(nbits, raw)
+    else:
+        clone = Bitmap.from_bytes(nbits, raw)
+        assert clone.count() == int(clone.as_array().sum()) <= nbits
+
+
+@settings(max_examples=100)
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=300))
+def test_fuzz_delivery_error_bitmap_unpacks_to_its_flags(flags):
+    """``DeliveryError.bitmap`` is MSB-first (chunk 0 in bit 7 of byte 0):
+    unpacked to ``total_chunks`` it gives back the flags it was made from."""
+    delivered = np.array(flags, dtype=bool)
+    err = _delivery_error("gave up", delivered, len(flags))
+    unpacked = np.unpackbits(
+        np.frombuffer(err.bitmap, np.uint8), count=err.total_chunks
+    )
+    assert unpacked.astype(bool).tolist() == flags
+    assert err.delivered_chunks == sum(flags)
+    assert len(err.bitmap) == -(-len(flags) // 8)

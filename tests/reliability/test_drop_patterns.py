@@ -1,0 +1,98 @@
+"""Every drop pattern of a tiny write, not a sample.
+
+``ScriptedLoss`` drops a channel's n-th packet when bit n of its pattern
+is set, and nothing after the pattern; it never draws from the RNG.  A
+4-chunk write (1 KiB chunks at a 1 KiB MTU, 10 Gb/s, 10 km) is small
+enough to try all 256 patterns of its first 8 forward packets.  The FTO
+and NACK rounds these patterns force sit at small absolute times, where a
+timer re-armed from ``now`` lands an ulp off its deadline unless ``now``
+is past half of it: the EC serve is held to its generator reference
+there, trace for trace, and to the payload byte for byte.
+"""
+
+from __future__ import annotations
+
+import io
+
+import pytest
+
+from repro.common.config import ChannelConfig, SdrConfig
+from repro.common.errors import DeliveryError
+from repro.common.units import KiB
+from repro.net.loss import LossModel
+from repro.reliability.ec import EcConfig, EcReceiver, EcSender
+from repro.reliability.sampling import (
+    SamplingConfig,
+    SamplingReceiver,
+    SamplingSender,
+)
+from repro.stack import build_pair
+from repro.telemetry import JsonlSink, Telemetry
+
+from tests.reliability.conftest import random_payload
+from tests.reliability.test_watch_differential import GeneratorEcReceiver
+
+LENGTH = 4 * KiB
+FORWARD = 8
+#: Past EC's global timeout (200 RTTs) and sampling's idle watchdog; a
+#: serve with no deadline of its own may otherwise poll forever.
+HORIZON = 0.05
+EC = EcConfig(k=4, m=2)
+
+
+class ScriptedLoss(LossModel):
+    """Drops packet ``n`` (in transmit order) iff bit ``n`` of ``pattern``
+    is set, among the first ``packets``; ignores the RNG."""
+
+    def __init__(self, pattern: int, packets: int):
+        self.script = [bool(pattern >> n & 1) for n in range(packets)]
+        self.sent = 0
+
+    def drops(self, rng, size_bytes: int) -> bool:
+        n = self.sent
+        self.sent = n + 1
+        return n < len(self.script) and self.script[n]
+
+
+def write_once(sender_type, receiver_type, config, pattern: int):
+    """One ``LENGTH``-byte write under ``pattern`` on the forward path:
+    (its ``done`` event, whether the MR holds the payload, the trace)."""
+    trace = io.StringIO()
+    st = build_pair(
+        ChannelConfig(bandwidth_bps=10e9, distance_km=10.0, mtu_bytes=KiB),
+        SdrConfig(
+            chunk_bytes=KiB, mtu_bytes=KiB, max_message_bytes=64 * KiB,
+            msg_id_bits=4, offset_bits=24, channels=2,
+        ),
+        telemetry=Telemetry(trace=True, trace_sinks=[JsonlSink(trace)]),
+    )
+    st.fabric.links[("dc-a", "dc-b")].forward.loss = ScriptedLoss(pattern, FORWARD)
+    sender = sender_type(st.qp_a, st.ctrl_a, config)
+    receiver = receiver_type(st.qp_b, st.ctrl_b, config)
+    buf = bytearray(LENGTH)
+    payload = random_payload(LENGTH, pattern)
+    receiver.post_receive(st.ctx_b.mr_reg(LENGTH, data=buf), LENGTH)
+    done = sender.write(LENGTH, payload).done
+    st.sim.run(until=HORIZON)
+    return done, buf == payload, trace.getvalue()
+
+
+def test_ec_survives_every_forward_drop_pattern_like_its_reference():
+    for pattern in range(1 << FORWARD):
+        done, intact, trace = write_once(EcSender, EcReceiver, EC, pattern)
+        assert done.ok and intact, (pattern, done._error)
+        reference = write_once(EcSender, GeneratorEcReceiver, EC, pattern)
+        assert trace == reference[2], pattern
+
+
+@pytest.mark.xfail(
+    strict=True, raises=DeliveryError,
+    reason="a sampling receiver that saw no chunk has nothing to sample, "
+    "and the sender's watchdog gives up after its idle windows",
+)
+def test_sampling_survives_losing_the_whole_first_transmission():
+    done, intact, _ = write_once(
+        SamplingSender, SamplingReceiver, SamplingConfig(), 0b1111
+    )
+    done.value  # raises the write's DeliveryError
+    assert intact

@@ -368,7 +368,8 @@ EC_K, EC_M = 4, 2
 @st.composite
 def ec_schedules(draw):
     """Chunk arrivals per submessage (data and parity), the FTO slack, a
-    decode rate, a serve deadline and a resumption request.
+    decode rate, a serve deadline, a resumption request and the codec (XOR
+    can leave a segment short at its bound).
 
     Ties are drawn on purpose: every arrival comes through 0-3 zero-delay
     hops of its own, so it lands before, between or after the serve's
@@ -390,6 +391,7 @@ def ec_schedules(draw):
         "decode_bps": draw(st.sampled_from([None, 1e10, 1e11])),
         "deadline_rtts": draw(st.none() | st.sampled_from([1.0, 4.0])),
         "resume": draw(st.none() | st.tuples(st.integers(1, 120), st.integers(0, 3))),
+        "codec": draw(st.sampled_from(["mds", "xor"])),
     }
 
 
@@ -398,7 +400,8 @@ def drive_ec(receiver_cls, sched):
     telemetry = Telemetry(trace=True, trace_sinks=[JsonlSink(buf)])
     pair = make_sdr_pair(chunk=CHUNK, telemetry=telemetry)
     config = EcConfig(
-        k=EC_K, m=EC_M, beta_rtts=sched["beta_rtts"], decode_bps=sched["decode_bps"],
+        codec=sched["codec"], k=EC_K, m=EC_M, beta_rtts=sched["beta_rtts"],
+        decode_bps=sched["decode_bps"],
         serve_deadline_rtts=sched["deadline_rtts"], grace_rtts=3.0,
         max_resumptions=1,
     )
@@ -450,10 +453,26 @@ def drive_ec(receiver_cls, sched):
     }
 
 
+def ec_serves_agree(sched):
+    """Drive both EC serves over ``sched``; return the callback one's run.
+
+    Everything either serve sends, traces, counts and completes must be
+    equal.  Its looks at the bitmaps (``checks``) need only be an ordered
+    subsequence of the generator's: it wakes only where a segment can turn
+    recoverable, the generator on every chunk of a pending one.
+    """
+    got, want = drive_ec(EcReceiver, sched), drive_ec(GeneratorEcReceiver, sched)
+    looks, reference = got.pop("checks"), want.pop("checks")
+    assert got == want
+    remaining = iter(reference)
+    assert all(look in remaining for look in looks), (looks, reference)
+    return {**got, "checks": looks}
+
+
 @settings(max_examples=150, deadline=None)
 @given(ec_schedules())
 def test_callback_ec_serve_matches_generator_ec_serve(sched):
-    assert drive_ec(EcReceiver, sched) == drive_ec(GeneratorEcReceiver, sched)
+    ec_serves_agree(sched)
 
 
 def _ec_fixed(**kw):
@@ -465,7 +484,7 @@ def _ec_fixed(**kw):
                      (3, 0, "data", 0, 3), (3, 2, "parity", 0, 0),
                      (4, 0, "data", 1, 0), (4, 0, "data", 1, 2)],
         "beta_rtts": 1.0, "decode_bps": 1e10, "deadline_rtts": None,
-        "resume": None,
+        "resume": None, "codec": "mds",
     }
     sched.update(kw)
     return sched
@@ -473,9 +492,7 @@ def _ec_fixed(**kw):
 
 def test_ec_fto_falls_back_to_nack_rounds_then_decodes():
     late = [(70, 0, "data", 1, 1), (70, 0, "data", 1, 3)]
-    sched = _ec_fixed(arrivals=_ec_fixed()["arrivals"] + late)
-    got = drive_ec(EcReceiver, sched)
-    assert got == drive_ec(GeneratorEcReceiver, sched)
+    got = ec_serves_agree(_ec_fixed(arrivals=_ec_fixed()["arrivals"] + late))
     kinds = [msg.split("(")[0] for _, msg in got["sent"]]
     assert kinds[0] == "EcNack" and "EcAck" in kinds
     assert got["fell_back"] and got["decoded"] == 1  # sub 0's missing chunk
@@ -484,9 +501,7 @@ def test_ec_fto_falls_back_to_nack_rounds_then_decodes():
 
 
 def test_ec_resumption_salvages_then_hands_over():
-    sched = _ec_fixed(resume=(20, 0))
-    got = drive_ec(EcReceiver, sched)
-    assert got == drive_ec(GeneratorEcReceiver, sched)
+    got = ec_serves_agree(_ec_fixed(resume=(20, 0)))
     assert any(msg.startswith("ResumeAck") for _, msg in got["sent"])
     assert got["decoded"] == 1  # sub 0 rescued by parity before the hand-over
 
@@ -495,47 +510,101 @@ def test_ec_wake_sees_an_arrival_one_hop_behind_it():
     """A chunk wakes the recoverability wait and another lands one hop later
     in the same instant: the wake looks after the gate's hop, as the
     generator did, so it sees both."""
-    sched = _ec_fixed(nchunks=4, decode_bps=None, arrivals=[
+    got = ec_serves_agree(_ec_fixed(nchunks=4, decode_bps=None, arrivals=[
         (1, 0, "data", 0, 0), (5, 0, "data", 0, 1), (5, 1, "data", 0, 2),
-    ])
-    got = drive_ec(EcReceiver, sched)
-    assert got == drive_ec(GeneratorEcReceiver, sched)
+    ]))
     assert [c[2] for c in got["checks"] if c[0] == 5 * UNIT] == [3]
 
 
 def test_ec_stale_waiter_of_a_recoverable_segment_stays_dead():
     """Sub 0 (one real chunk) turns recoverable on its parity; the wakes
-    after it must not re-bind the waiters left on sub 0's handles, nor
-    reuse one timer for every wake, or a chunk of the recoverable segment
-    wakes the receiver where the generator slept."""
-    sched = _ec_fixed(nchunks=5, beta_rtts=0.5, arrivals=[
+    after it must not count sub 0's chunks again, nor reuse one timer for
+    every wake, or a chunk of the recoverable segment wakes the receiver
+    where the generator slept."""
+    ec_serves_agree(_ec_fixed(nchunks=5, beta_rtts=0.5, arrivals=[
         (1, 0, "parity", 0, 0), (2, 0, "data", 1, 0), (2, 1, "parity", 1, 0),
-    ])
-    assert drive_ec(EcReceiver, sched) == drive_ec(GeneratorEcReceiver, sched)
+    ]))
+
+
+def test_ec_wakes_only_where_a_segment_can_decode():
+    """From D/2 on (D the FTO deadline) a pending segment sleeps through
+    the chunks below its bound: after the first chunk's wake the callback
+    serve looks once more, at the fourth data chunk, where the generator
+    looked at each of the three."""
+    got = ec_serves_agree(_ec_fixed(nchunks=4, decode_bps=None, arrivals=[
+        (30, 0, "data", 0, 0), (31, 0, "data", 0, 1), (32, 0, "data", 0, 2),
+        (33, 0, "data", 0, 3),
+    ]))
+    assert got["checks"] == [(30 * UNIT, 0, 1, 0), (33 * UNIT, 0, 4, 0)]
+    assert got["outcome"] == [(33 * UNIT, "done")]
+
+
+def test_ec_segment_short_at_its_bound_wakes_on_each_chunk():
+    """XOR repairs one loss per modulo group ({0, 2} and {1, 3} here), so
+    the fourth chunk can leave group 0 two short: from the bound on, each
+    chunk wakes the serve, and the fifth decodes."""
+    got = ec_serves_agree(_ec_fixed(
+        codec="xor", nchunks=4, decode_bps=None, arrivals=[
+            (30, 0, "data", 0, 1), (31, 0, "data", 0, 3),
+            (32, 0, "parity", 0, 1), (33, 0, "parity", 0, 0),
+            (34, 0, "data", 0, 0),
+        ],
+    ))
+    assert [look[0] for look in got["checks"]] == [30 * UNIT, 33 * UNIT, 34 * UNIT]
+    assert got["outcome"] == [(34 * UNIT, "done")]
+
+
+def test_ec_fto_expires_where_the_generator_last_rearmed_it():
+    """The second chunk (tick 18) is before D/2, and its wake re-arms the
+    FTO an ulp past the D the first chunk's wake armed: 17 + (D - 17) is D,
+    18 + (D - 18) is not.  The first NACK goes out there, as the
+    generator's did, not at D, where a serve that slept through the second
+    chunk would send it."""
+    got = ec_serves_agree(_ec_fixed(nchunks=4, beta_rtts=3.0, arrivals=[
+        (17, 0, "data", 0, 0), (18, 0, "data", 0, 1),
+    ]))
+    assert [look[0] for look in got["checks"][:2]] == [17 * UNIT, 18 * UNIT]
+    assert got["sent"][0][1].startswith("EcNack")
 
 
 class WaiterCountingEcReceiver(EcReceiver):
     """Records, after every recoverability wake, the most untriggered chunk
-    waiters any handle of the receive holds."""
+    waiters any handle of the receive holds, and every live chunk count
+    with the chunks its segment had then and needs to turn recoverable."""
 
     most: list[int] = []
+    counts: list[tuple] = []
 
     def _await_recoverable(self, rx):
         super()._await_recoverable(rx)
         self.most.append(max(
             sum(not ev.triggered for ev in h._chunk_waiters) for h in rx.handles
         ))
+        for data, parity in zip(rx.data, rx.parity):
+            count = data.count
+            if count is not None and count.left > 0:
+                assert parity.count is count
+                arrived = data.bitmap().count() + parity.bitmap().count()
+                self.counts.append((count.left, arrived, len(data.bitmap())))
 
 
 @settings(max_examples=60, deadline=None)
 @given(ec_schedules())
 def test_ec_keeps_at_most_one_live_waiter_per_handle(sched):
+    """No chunk waiter at all: a pending segment's two handles share one
+    count, which fires no earlier than the arrival that reaches its bound
+    (or the next one, once the bound is reached)."""
     WaiterCountingEcReceiver.most = most = []
+    WaiterCountingEcReceiver.counts = counts = []
     drive_ec(WaiterCountingEcReceiver, sched)
-    assert all(n <= 1 for n in most), most
+    assert all(n == 0 for n in most), most
+    assert all(
+        left == 1 or arrived + left == bound for left, arrived, bound in counts
+    ), counts
 
 
 def test_ec_waiters_do_not_pile_up_over_many_wakes():
     WaiterCountingEcReceiver.most = most = []
+    WaiterCountingEcReceiver.counts = []
     drive_ec(WaiterCountingEcReceiver, _ec_fixed())
-    assert len(most) >= 4 and max(most) == 1, most
+    assert len(most) >= 4 and max(most) == 0, most

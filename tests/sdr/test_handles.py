@@ -1,6 +1,7 @@
 """Send/receive handle state machines."""
 
 from repro.common.units import KiB
+from repro.sdr.handles import ChunkCount
 from repro.sdr.qp import SdrRecvWr, SdrSendWr
 
 
@@ -77,6 +78,26 @@ class TestRecvHandle:
         p.sim.run(rh.wait_all_chunks())
         p.sim.run()
         assert updates == [1, 2, 3]
+
+    def test_chunk_count_fires_once_on_the_nth_update_of_its_handles(
+        self, sdr_pair
+    ):
+        p = sdr_pair
+        size = 24 * KiB  # 3 chunks of 8 KiB per message
+        one, two = (
+            p.qp_b.recv_post(SdrRecvWr(mr=p.ctx_b.mr_reg(size), length=size))
+            for _ in range(2)
+        )
+        fired = []
+        one.count = two.count = count = ChunkCount(
+            4, lambda tag: fired.append((tag, one.bitmap().count(),
+                                         two.bitmap().count())), "fourth"
+        )
+        for _ in range(2):
+            p.qp_a.send_post(SdrSendWr(length=size))
+        p.sim.run()
+        assert fired == [("fourth", 3, 1)]
+        assert count.left == -2  # the updates after it only count
 
     def test_chunk_goal_for_partial_tail(self, sdr_pair):
         p = sdr_pair

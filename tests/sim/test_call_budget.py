@@ -6,12 +6,13 @@ dispatches *do*: every Python-level ``call`` and C-level ``c_call`` event
 three miniatures.  With the collector held off the count repeats exactly
 for a seed once imports and memoised tables are warm, so each workload is
 held to a ceiling 10 % above the measured floor (CPython 3.11, NumPy
-2.4): 58.35 / 55.78 / 80.65 calls per packet (108,773 / 1,864,
-131,531 / 2,358, 281,855 / 3,495) since the SDR datapath's counters
-became stores, the send CQ is drained in place, a CQE is one
-``tuple.__new__``, the MTU is fixed at connect and a grace re-ACK
-resends its bytes; 86.98 / 85.71 /
-91.28 (162,140, 202,096, 319,009 calls) since the clock became an
+2.4): 58.35 / 54.46 / 80.65 calls per packet (108,773 / 1,864,
+128,405 / 2,358, 281,855 / 3,495), EC's since its receiver wakes only on
+a chunk that can make its segment recoverable (55.67, 131,263, before),
+since the SDR datapath's counters became stores, the send CQ is drained
+in place, a CQE is one ``tuple.__new__``, the MTU is fixed at connect
+and a grace re-ACK resends its bytes; 86.98 / 85.71 / 91.28 (162,140,
+202,096, 319,009 calls) since the clock became an
 attribute and the channel's per-packet counters and gauges stores,
 99.86 / 98.65 / 104.32 since a quiet poll reuses its ACK, 104.64 / 102.51
 / 122.99 just before, 105.58 / 103.26 / 123.95 when ``call_in`` began to
@@ -120,7 +121,7 @@ def _calls_per_unit(run, per) -> tuple[int, int]:
 
 @pytest.mark.parametrize(
     "run, ceiling",
-    [(_wan("sr"), 64.2), (_wan("ec"), 61.4), (_incast, 88.8)],
+    [(_wan("sr"), 64.2), (_wan("ec"), 59.9), (_incast, 88.8)],
     ids=["wan_sr", "wan_ec", "incast_swift"],
 )
 def test_calls_per_offered_packet(run, ceiling):
