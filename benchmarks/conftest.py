@@ -3,22 +3,11 @@
 Every benchmark regenerates one paper table/figure (possibly at reduced
 scale to keep runtimes sane), asserts the paper's qualitative shape, and
 prints the regenerated table so ``pytest benchmarks/ --benchmark-only -s``
-doubles as the figure dump.
-
-Machine-readable baselines: :func:`run_once` additionally records each
-benchmark's result as ``BENCH_<name>.json`` (simulated-time metrics from
-any returned :class:`~repro.experiments.report.Table` plus pytest-benchmark
-wall-clock stats) under ``$REPRO_BENCH_DIR`` (default ``bench-results/``).
-CI uploads the directory as an artifact, so perf trajectories accumulate
-run over run.
+doubles as the figure dump.  Wall clock is measured and compared in
+``bench/`` (see ``bench/README.md``); this suite writes no results.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import re
-from typing import Any
 
 from repro.experiments.report import Table
 
@@ -30,60 +19,6 @@ def show(*tables: Table) -> None:
         print(table.render())
 
 
-def _table_payload(table: Table) -> dict[str, Any]:
-    return {
-        "title": table.title,
-        "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
-        "notes": table.notes,
-    }
-
-
-def _collect_tables(result: Any) -> list[dict[str, Any]]:
-    """Pull Table objects out of whatever the benchmark fn returned."""
-    if isinstance(result, Table):
-        return [_table_payload(result)]
-    if isinstance(result, (tuple, list)):
-        return [_table_payload(item) for item in result if isinstance(item, Table)]
-    return []
-
-
-def _wall_clock(benchmark) -> dict[str, float]:
-    stats = getattr(benchmark, "stats", None)
-    stats = getattr(stats, "stats", stats)
-    out: dict[str, float] = {}
-    for key in ("min", "max", "mean", "stddev", "rounds"):
-        value = getattr(stats, key, None)
-        if isinstance(value, (int, float)):
-            out[key] = float(value)
-    return out
-
-
-def record_baseline(benchmark, result: Any) -> None:
-    """Write ``BENCH_<name>.json`` for one finished benchmark run."""
-    name = getattr(benchmark, "name", None)
-    if not name:
-        return
-    slug = re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
-    out_dir = os.environ.get("REPRO_BENCH_DIR", "bench-results")
-    payload = {
-        "name": name,
-        "tables": _collect_tables(result),
-        "wall_clock": _wall_clock(benchmark),
-    }
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"BENCH_{slug}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-    except OSError:
-        # Baselines are best-effort; never fail a benchmark over disk state.
-        pass
-
-
 def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing."""
-    result = benchmark.pedantic(fn, iterations=1, rounds=1)
-    record_baseline(benchmark, result)
-    return result
+    return benchmark.pedantic(fn, iterations=1, rounds=1)

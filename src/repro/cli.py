@@ -783,42 +783,6 @@ def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
     return status
 
 
-def cmd_bench(args) -> int:
-    import os
-
-    from repro.benchdiff import diff_dirs, render_diff
-
-    fresh = args.fresh or os.environ.get("REPRO_BENCH_DIR", "bench-results")
-    report = diff_dirs(fresh, args.baseline)
-    if not report.deltas and not report.added and not report.missing:
-        print(
-            f"no comparable BENCH_*.json pairs between {fresh!r} "
-            f"and {args.baseline!r}"
-        )
-        return 2
-    print(render_diff(report).render())
-    if report.changed_text:
-        print()
-        print("non-numeric changes (digests/labels):")
-        for bench, metric, old, new in report.changed_text[:10]:
-            print(f"  {bench}: {metric}: {old!r} -> {new!r}")
-    for label, names in (("new", report.added), ("missing", report.missing)):
-        if names:
-            print(f"{label} benchmarks: {', '.join(names)}")
-    if args.threshold is not None:
-        breaches = report.breaches(args.threshold)
-        if breaches:
-            worst = max(breaches, key=lambda d: abs(d.pct))
-            print(
-                f"error: {len(breaches)} metric(s) moved more than "
-                f"{args.threshold:g}% (worst: {worst.bench} "
-                f"{worst.metric} {worst.pct:+.2f}%)",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def cmd_experiments(args) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
@@ -1058,31 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(currently fig16); others run unchanged",
     )
     experiments.set_defaults(fn=cmd_experiments)
-
-    bench = sub.add_parser(
-        "bench",
-        help="compare fresh BENCH_*.json results against committed baselines",
-    )
-    bench.add_argument(
-        "action", choices=("diff",),
-        help="diff = per-metric percentage deltas, fresh vs baseline",
-    )
-    bench.add_argument(
-        "--fresh", default=None, metavar="DIR",
-        help="directory of freshly generated BENCH_*.json files "
-             "(default: $REPRO_BENCH_DIR or bench-results)",
-    )
-    bench.add_argument(
-        "--baseline", default="bench-results", metavar="DIR",
-        help="directory of committed baseline BENCH_*.json files",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=None, metavar="PCT",
-        help="exit non-zero if any simulated-time metric moves by more "
-             "than PCT percent (wall-clock stats are reported but never "
-             "gated)",
-    )
-    bench.set_defaults(fn=cmd_bench)
 
     return parser
 

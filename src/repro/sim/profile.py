@@ -26,8 +26,8 @@ values and traces stay byte-identical to an unprofiled run.  (It does
 cost real time per event, so leave it detached on hot benchmarks you are
 not actively profiling.)
 
-:meth:`SimProfiler.report` emits the ``BENCH_profile_*.json`` schema
-(see ``docs/observability.md``): total events, sim/wall seconds,
+:meth:`SimProfiler.report` returns a JSON-ready dict (see
+``docs/observability.md``): total events, sim/wall seconds,
 events/sec, wall-seconds-per-sim-second, engine overhead, and one entry
 per category with call count, wall seconds and share.
 """
@@ -140,7 +140,7 @@ class SimProfiler:
         return sum(b[1] for b in self._categories.values())
 
     def report(self, *, wall_seconds: float | None = None) -> dict:
-        """The ``BENCH_profile_*.json`` payload (see module docstring).
+        """The JSON-ready attribution report (see module docstring).
 
         Pass the benchmark harness's measured ``wall_seconds`` when
         available; it includes heap pops and loop overhead that the

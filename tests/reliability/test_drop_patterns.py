@@ -7,7 +7,10 @@ enough to try all 256 patterns of its first 8 forward packets.  The FTO
 and NACK rounds these patterns force sit at small absolute times, where a
 timer re-armed from ``now`` lands an ulp off its deadline unless ``now``
 is past half of it: the EC serve is held to its generator reference
-there, trace for trace, and to the payload byte for byte.
+there, trace for trace, and to the payload byte for byte.  SR, SR with
+gap NACKs and Go-Back-N must complete under every pattern too, with the
+payload intact and at least one chunk retransmission per first-
+transmission packet the pattern drops.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from repro.common.errors import DeliveryError
 from repro.common.units import KiB
 from repro.net.loss import LossModel
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
+from repro.reliability.gbn import GbnReceiver, GbnSender
 from repro.reliability.sampling import (
     SamplingConfig,
     SamplingReceiver,
     SamplingSender,
 )
+from repro.reliability.sr import SrConfig, SrReceiver, SrSender
 from repro.stack import build_pair
 from repro.telemetry import JsonlSink, Telemetry
 
@@ -56,7 +61,7 @@ class ScriptedLoss(LossModel):
 
 def write_once(sender_type, receiver_type, config, pattern: int):
     """One ``LENGTH``-byte write under ``pattern`` on the forward path:
-    (its ``done`` event, whether the MR holds the payload, the trace)."""
+    (its ticket, whether the MR holds the payload, the trace)."""
     trace = io.StringIO()
     st = build_pair(
         ChannelConfig(bandwidth_bps=10e9, distance_km=10.0, mtu_bytes=KiB),
@@ -72,17 +77,48 @@ def write_once(sender_type, receiver_type, config, pattern: int):
     buf = bytearray(LENGTH)
     payload = random_payload(LENGTH, pattern)
     receiver.post_receive(st.ctx_b.mr_reg(LENGTH, data=buf), LENGTH)
-    done = sender.write(LENGTH, payload).done
+    ticket = sender.write(LENGTH, payload)
     st.sim.run(until=HORIZON)
-    return done, buf == payload, trace.getvalue()
+    return ticket, buf == payload, trace.getvalue()
 
 
 def test_ec_survives_every_forward_drop_pattern_like_its_reference():
     for pattern in range(1 << FORWARD):
-        done, intact, trace = write_once(EcSender, EcReceiver, EC, pattern)
-        assert done.ok and intact, (pattern, done._error)
+        ticket, intact, trace = write_once(EcSender, EcReceiver, EC, pattern)
+        assert ticket.done.ok and intact, (pattern, ticket.done._error)
         reference = write_once(EcSender, GeneratorEcReceiver, EC, pattern)
         assert trace == reference[2], pattern
+
+
+#: The schemes that recover by retransmission: (sender, receiver, config).
+RETRANSMITTING = {
+    "sr": (SrSender, SrReceiver, SrConfig()),
+    "sr_nack": (SrSender, SrReceiver, SrConfig(nack_enabled=True)),
+    "gbn": (GbnSender, GbnReceiver, SrConfig()),
+}
+
+
+def assert_recovers_from(scheme, patterns):
+    sender_type, receiver_type, config = RETRANSMITTING[scheme]
+    for pattern in patterns:
+        ticket, intact, _ = write_once(
+            sender_type, receiver_type, config, pattern
+        )
+        assert ticket.done.ok and intact, (pattern, ticket.done._error)
+        # Bits 0-3 are the write's four first-transmission packets.
+        dropped = bin(pattern & 0xF).count("1")
+        assert ticket.retransmitted_chunks >= dropped, pattern
+
+
+@pytest.mark.parametrize("scheme", sorted(RETRANSMITTING))
+def test_retransmitting_schemes_survive_the_first_64_patterns(scheme):
+    assert_recovers_from(scheme, range(64))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scheme", sorted(RETRANSMITTING))
+def test_retransmitting_schemes_survive_every_forward_drop_pattern(scheme):
+    assert_recovers_from(scheme, range(1 << FORWARD))
 
 
 @pytest.mark.xfail(
@@ -91,8 +127,8 @@ def test_ec_survives_every_forward_drop_pattern_like_its_reference():
     "and the sender's watchdog gives up after its idle windows",
 )
 def test_sampling_survives_losing_the_whole_first_transmission():
-    done, intact, _ = write_once(
+    ticket, intact, _ = write_once(
         SamplingSender, SamplingReceiver, SamplingConfig(), 0b1111
     )
-    done.value  # raises the write's DeliveryError
+    ticket.done.value  # raises the write's DeliveryError
     assert intact

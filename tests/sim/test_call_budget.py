@@ -65,7 +65,12 @@ from repro.common.units import MiB
 from repro.fabric.scenarios import ScaleConfig, scale_scenario
 from repro.telemetry import Telemetry
 
-from tests.sim.test_dispatch_budget import _incast, _packets_offered, _wan
+from tests.sim.test_dispatch_budget import (
+    _fabric_pkt,
+    _incast,
+    _packets_offered,
+    _wan,
+)
 
 
 def _fabric_fluid(telemetry):
@@ -75,17 +80,6 @@ def _fabric_fluid(telemetry):
             tenants=1000, tors=4, hosts_per_tor=4, offered_load_bps=200e9,
             mean_message_bytes=2 * MiB, max_message_bytes=32 * MiB,
             duration=0.014, seed=0, fluid=True, rate_skew=0.0,
-        ),
-        telemetry=telemetry,
-    )
-
-
-def _fabric_pkt(telemetry):
-    """The bench's ``fabric_pkt`` shape (packet mode) over 0.0065 s."""
-    scale_scenario(
-        ScaleConfig(
-            tenants=200, tors=2, hosts_per_tor=2, offered_load_bps=60e9,
-            duration=0.0065, seed=0, rate_skew=0.0,
         ),
         telemetry=telemetry,
     )

@@ -16,16 +16,28 @@ every chunk of a pending segment woke the receiver, 4.489 (11,887) while
 stale chunk waiters piled up.  A change that puts a generator hop, a
 parked ``Event``, a blind poll tick, a dead ``Event`` per stale waiter or
 a wake per chunk below a segment's bound back on the per-packet path
-trips it; a change that removes more lowers the ceiling.
+trips it; a change that removes more lowers the ceiling.  The packet-mode
+fabric relay (``fabric_pkt``'s shape, 200 tenants) reads 2.032
+dispatches per packet-hop (27,093 / 13,332).
+
+The same profiled runs check the profiler's attribution: the hottest
+category holds more than 5 % of handler time, the top twelve name the
+layer the run exercises (``repro.fabric`` for the fabric relay), and
+handler time never exceeds the wall clock around the run.  Wall-clock
+speed itself is ``bench/``'s ``wall_s`` on ``incast_cc`` and
+``fabric_pkt``.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro.cc.incast import run_incast
 from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.units import KiB, MiB
+from repro.fabric.scenarios import ScaleConfig, scale_scenario
 from repro.reliability.ec import EcConfig, EcReceiver
 from repro.sim.profile import SimProfiler
 from repro.stack import build_pair, endpoints
@@ -75,6 +87,17 @@ def _incast(telemetry):
     ).sim
 
 
+def _fabric_pkt(telemetry):
+    """The bench's ``fabric_pkt`` shape (packet mode) over 0.0065 s."""
+    scale_scenario(
+        ScaleConfig(
+            tenants=200, tors=2, hosts_per_tor=2, offered_load_bps=60e9,
+            duration=0.0065, seed=0, rate_skew=0.0,
+        ),
+        telemetry=telemetry,
+    )
+
+
 def _packets_offered(metrics) -> int:
     return sum(
         metrics.value(name) for name in metrics.names("net")
@@ -82,23 +105,39 @@ def _packets_offered(metrics) -> int:
     )
 
 
-def _dispatches_per_packet(run) -> tuple[int, int]:
+def _profiled(run) -> tuple[SimProfiler, int, float]:
+    """(the profiler, packets offered, wall seconds) of one run."""
     profiler = SimProfiler()
-    sim = run(Telemetry(profiler=profiler))
-    return profiler.events, _packets_offered(sim.telemetry.metrics)
+    telemetry = Telemetry(profiler=profiler)
+    start = time.perf_counter()
+    run(telemetry)
+    wall = time.perf_counter() - start
+    return profiler, _packets_offered(telemetry.metrics), wall
+
+
+def _dispatches_per_packet(run) -> tuple[int, int]:
+    profiler, packets, _ = _profiled(run)
+    return profiler.events, packets
 
 
 @pytest.mark.parametrize(
-    "run, ceiling",
-    [(_wan("sr"), 4.10), (_wan("ec"), 3.48), (_wan_ec_payload, 3.94),
-     (_incast, 6.25)],
-    ids=["wan_sr", "wan_ec", "wan_ec_payload", "incast_swift"],
+    "run, ceiling, layer",
+    [(_wan("sr"), 4.10, "repro."), (_wan("ec"), 3.48, "repro."),
+     (_wan_ec_payload, 3.94, "repro."), (_incast, 6.25, "repro."),
+     (_fabric_pkt, 2.24, "repro.fabric")],
+    ids=["wan_sr", "wan_ec", "wan_ec_payload", "incast_swift", "fabric_pkt"],
 )
-def test_dispatches_per_offered_packet(run, ceiling):
-    dispatches, packets = _dispatches_per_packet(run)
+def test_dispatches_per_offered_packet(run, ceiling, layer):
+    profiler, packets, wall = _profiled(run)
+    dispatches = profiler.events
     assert (dispatches, packets) == _dispatches_per_packet(run)
     assert packets > 1000
     assert dispatches / packets <= ceiling, (dispatches, packets)
+    report = profiler.report(wall_seconds=wall)
+    assert report["handler_seconds"] <= report["wall_seconds"]
+    hot = report["categories"][:12]
+    assert hot[0]["share"] > 0.05, hot[0]
+    assert any(c["category"].startswith(layer) for c in hot), hot
 
 
 def test_wan_ec_payload_counts_exactly(monkeypatch):
