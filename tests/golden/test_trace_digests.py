@@ -22,18 +22,27 @@ import hashlib
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.cc.incast import run_incast
+from repro.collectives import des_ring
+from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB, distance_to_rtt
+from repro.experiments import testbed
 from repro.fabric import ChaosConfig, ScaleConfig, chaos_scenario, scale_scenario
 from repro.faults import FaultSchedule, FaultWindow, named_schedule
 from repro.reliability.ec import EcConfig
 from repro.reliability.sampling import SamplingConfig
 from repro.reliability.sr import SrConfig
-from repro.sim.engine import SimConfig
+from repro.sdr import context_create
+from repro.sdr.qp import SdrRecvWr, SdrSendWr
+from repro.sdr.staged import StagedSdrQp
+from repro.sim.engine import SimConfig, Simulator
+from repro.stack import build_pair
 from repro.telemetry import JsonlSink, LineageAnalyzer, Telemetry, TimeseriesSampler
 from repro.telemetry.demo import run_demo
 
@@ -180,6 +189,84 @@ def _sr_fluid(telemetry):
     pair.sim.run()
 
 
+def _des_ring(protocol):
+    # Three datacenters on one lossy 100 Gb/s, 1000 km cell.  The runner
+    # builds its own Simulator; the patch only hands it this telemetry.
+    def run(telemetry):
+        channel = ChannelConfig(
+            bandwidth_bps=100e9, distance_km=WAN_KM, mtu_bytes=4 * KiB,
+            drop_probability=0.01,
+        )
+        with mock.patch.object(
+            des_ring, "Simulator", partial(Simulator, telemetry=telemetry)
+        ):
+            result = des_ring.run_des_ring_allreduce(
+                n_datacenters=3, buffer_bytes=768 * KiB, channel=channel,
+                protocol=protocol, seed=7,
+            )
+        return result.completion_time
+
+    return run
+
+
+#: Figure 14's testbed: 400 Gb/s, 100 m, 4 KiB MTU, 64 KiB chunks.
+FIG14_CHANNEL = ChannelConfig(bandwidth_bps=400e9, distance_km=0.1, mtu_bytes=4 * KiB)
+
+
+def _sdr_throughput(telemetry):
+    with mock.patch.object(
+        testbed, "build_pair", partial(build_pair, telemetry=telemetry)
+    ):
+        result = testbed.run_sdr_throughput(
+            message_bytes=256 * KiB, n_messages=24, inflight=16,
+            channel=FIG14_CHANNEL,
+            sdr=SdrConfig(
+                chunk_bytes=64 * KiB, max_message_bytes=256 * KiB, channels=16,
+                inflight_messages=16,
+            ),
+            dpa=DpaConfig(worker_threads=16),
+        )
+    return result.elapsed
+
+
+def _rc_throughput(telemetry):
+    # Fig 14's RC baseline on its channel with drops, so the Go-Back-N
+    # pump rewinds on NAKs and on its RTO.
+    lossy = dataclasses.replace(FIG14_CHANNEL, drop_probability=1e-2)
+    with mock.patch.object(
+        testbed, "Simulator", partial(Simulator, telemetry=telemetry)
+    ):
+        result = testbed.run_rc_throughput(
+            message_bytes=256 * KiB, n_messages=24, channel=lossy, seed=7,
+        )
+    return result.elapsed
+
+
+def _staged_sdr(telemetry):
+    # The staging ablation's pair with a copy engine slower than the wire.
+    from repro.verbs import Fabric
+
+    sim = Simulator(telemetry=telemetry)
+    fabric = Fabric(sim, seed=0)
+    a, b = fabric.add_device("a"), fabric.add_device("b")
+    fabric.connect(a, b, FIG14_CHANNEL)
+    cfg = SdrConfig(chunk_bytes=64 * KiB, max_message_bytes=512 * KiB, channels=16)
+    ctx_a, ctx_b = context_create(a, sdr_config=cfg), context_create(b, sdr_config=cfg)
+    qa = ctx_a.qp_create()
+    qb = StagedSdrQp(ctx_b, cfg, copy_bps=100e9)
+    ctx_b.qps.append(qb)
+    qa.connect(qb.info_get())
+    qb.connect(qa.info_get())
+    mr = ctx_b.mr_reg(512 * KiB)
+    handles = [qb.recv_post(SdrRecvWr(mr=mr, length=512 * KiB)) for _ in range(4)]
+    for _ in handles:
+        qa.send_post(SdrSendWr(length=512 * KiB))
+    for rh in handles:
+        sim.run(rh.wait_all_chunks())
+        rh.complete()
+    return sim.now
+
+
 #: name -> (runner, arm the windowed sampler).  The sampler is armed on two
 #: scenarios because its boundary poll lives inside the dispatch loop.
 SCENARIOS = {
@@ -197,6 +284,11 @@ SCENARIOS = {
     "fabric_fluid": (_fabric_fluid, False),
     "fabric_chaos_tor_crash": (_fabric_chaos, False),
     "sr_fluid": (_sr_fluid, False),
+    "des_ring_sr_lossy": (_des_ring("sr"), False),
+    "des_ring_ec_lossy": (_des_ring("ec"), False),
+    "sdr_throughput_fig14": (_sdr_throughput, False),
+    "rc_throughput_lossy": (_rc_throughput, False),
+    "staged_sdr": (_staged_sdr, False),
 }
 
 
@@ -225,11 +317,11 @@ def digests(name: str) -> dict:
         trace=True, trace_sinks=[JsonlSink(buf)],
         timeseries=TimeseriesSampler(window=2e-4, capacity=64) if sampled else None,
     )
-    runner(telemetry)
+    completion = runner(telemetry)
     trace = buf.getvalue()
     assert trace, f"{name} traced nothing"
     snapshot = telemetry.metrics.snapshot()
-    return {
+    recorded = {
         "trace_sha256": _sha(trace),
         "trace_lines": trace.count("\n"),
         "lineage_sha256": _lineage_sha(trace),
@@ -237,6 +329,10 @@ def digests(name: str) -> dict:
         "registry_entries": len(snapshot),
         "sim_now": repr(telemetry.trace.now),
     }
+    if completion is not None:
+        # What the runner reports: a completion time or an elapsed time.
+        recorded["completion"] = repr(completion)
+    return recorded
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
