@@ -45,23 +45,22 @@ def _throughput(copy_bps: float | None) -> float:
     qa.connect(qb.info_get())
     qb.connect(qa.info_get())
     mr = ctx_b.mr_reg(SIZE)
-    done = sim.event()
+    handles = []
 
-    def server():
+    def prepost():
         # Prepost the full pipeline so CTS/repost latency is off the path.
-        handles = [
-            qb.recv_post(SdrRecvWr(mr=mr, length=SIZE))
-            for _ in range(N_MESSAGES)
-        ]
-        for rh in handles:
-            yield rh.wait_all_chunks()
-            rh.complete()
-        done.succeed(sim.now)
+        handles.extend(
+            qb.recv_post(SdrRecvWr(mr=mr, length=SIZE)) for _ in range(N_MESSAGES)
+        )
 
-    sim.process(server())
+    # The server posts in the first dispatch at t = 0, after the sends.
+    sim.call_in(0.0, prepost)
     for _ in range(N_MESSAGES):
         qa.send_post(SdrSendWr(length=SIZE))
-    sim.run(done)
+    sim.run(until=0.0)
+    for rh in handles:
+        sim.run(rh.wait_all_chunks())
+        rh.complete()
     return SIZE * N_MESSAGES * 8 / sim.now
 
 

@@ -15,15 +15,12 @@ import numpy as np
 from repro.collectives import (
     RingAllreduce,
     allreduce_lower_bound,
+    run_des_ring_allreduce,
     sr_stage_sampler,
 )
-from repro.common import ChannelConfig, SdrConfig, KiB, MiB
+from repro.common import ChannelConfig, KiB, MiB
 from repro.models import ModelParams
 from repro.models.params import packet_to_chunk_drop
-from repro.sdr import context_create
-from repro.sim import Simulator
-from repro.stack import endpoints, wire
-from repro.verbs import Fabric
 
 N_DCS = 4
 BUFFER = 4 * MiB
@@ -31,54 +28,19 @@ DROP = 2e-3
 CHUNK = 16 * KiB
 
 
-def build_ring():
-    """N datacenters, SR endpoints on every directed ring edge."""
-    sim = Simulator()
-    fabric = Fabric(sim, seed=7)
+def main() -> None:
     channel = ChannelConfig(
         bandwidth_bps=100e9, distance_km=1000.0, mtu_bytes=4 * KiB,
         drop_probability=DROP,
     )
-    devices = [fabric.add_device(f"dc{i}") for i in range(N_DCS)]
-    for i in range(N_DCS):
-        fabric.connect(devices[i], devices[(i + 1) % N_DCS], channel)
-
-    sdr_cfg = SdrConfig(
-        chunk_bytes=CHUNK, max_message_bytes=2 * MiB,
-        channels=4, inflight_messages=16,
+    # SR-with-NACK endpoints on every directed ring edge; each datacenter
+    # receives a segment from dc i-1 while it sends one to dc i+1.
+    result = run_des_ring_allreduce(
+        n_datacenters=N_DCS, buffer_bytes=BUFFER, channel=channel,
+        protocol="sr_nack", chunk_bytes=CHUNK, seed=7,
     )
-    contexts = [context_create(d, sdr_config=sdr_cfg) for d in devices]
-
-    # senders[i] talks to datacenter i+1; receivers[i] listens to i-1.
-    senders, receivers = zip(*(
-        endpoints("sr_nack", wire(contexts[i], contexts[(i + 1) % N_DCS]))
-        for i in range(N_DCS)
-    ))
-    return sim, contexts, senders, receivers, channel
-
-
-def main() -> None:
-    sim, contexts, senders, receivers, channel = build_ring()
+    measured, rounds = result.completion_time, result.rounds
     segment = BUFFER // N_DCS
-    rounds = 2 * N_DCS - 2
-    done = sim.event()
-    finished = {"count": 0}
-
-    def datacenter(i: int):
-        """2N-2 rounds: receive a segment from i-1 while sending to i+1."""
-        mr = contexts[i].mr_reg(segment, name=f"dc{i}.seg")
-        for _ in range(rounds):
-            # receivers[(i-1) % N] is the endpoint listening to dc i-1.
-            ticket_in = receivers[(i - 1) % N_DCS].post_receive(mr, segment)
-            ticket_out = senders[i].write(segment)
-            yield sim.all_of([ticket_in.done, ticket_out.done])
-        finished["count"] += 1
-        if finished["count"] == N_DCS:
-            done.succeed(sim.now)
-
-    for i in range(N_DCS):
-        sim.process(datacenter(i))
-    measured = sim.run(done)
 
     # -- model-based comparison ------------------------------------------------
     params = ModelParams(

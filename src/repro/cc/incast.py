@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from repro.cc.controller import CC_ALGORITHMS, make_controller
 from repro.cc.pacer import Pacer
 from repro.common.config import ChannelConfig, SdrConfig
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ConfigError
 from repro.common.units import KiB
 from repro.reliability.base import WriteTicket
 from repro.reliability.sr import SrConfig
 from repro.sim.engine import Simulator
-from repro.stack import build_pair, endpoints, wire
+from repro.stack import build_pair, closed_loop, endpoints, wire
 from repro.telemetry import Telemetry
 
 
@@ -164,31 +164,19 @@ def run_incast(
 
     write_tickets: list[WriteTicket] = []
 
-    def _drive(sender, receiver):
-        mr = ctx_dst.mr_reg(message_bytes)
-        posted = 0
-        while (
-            sim.now < duration
-            if duration is not None
-            else posted < messages_per_sender
-        ):
-            posted += 1
-            receiver.post_receive(mr, message_bytes)
-            ticket = sender.write(message_bytes)
-            write_tickets.append(ticket)
-            try:
-                yield ticket.done
-            except ReproError:
-                pass  # clean error completion: counted as a failed write
+    def more(posted: int) -> bool:
+        return sim.now < duration if duration is not None else posted < messages_per_sender
 
-    done = sim.all_of(
-        [sim.process(_drive(s, r)) for s, r in pairs]
-    )
+    loops = [
+        closed_loop(sim, s, r, ctx_dst.mr_reg(message_bytes), message_bytes, more, write_tickets)
+        for s, r in pairs
+    ]
     if duration is not None:
         sim.run(until=duration)
         elapsed = duration
     else:
-        sim.run(done)
+        for loop in loops:
+            sim.run(loop)
         elapsed = sim.now
         sim.run()  # drain grace-period re-ACK traffic
 

@@ -3,8 +3,8 @@
 Unlike :mod:`repro.collectives.ring_allreduce` (which samples stage times
 from the Section 4.2 models), this module runs the collective on the full
 stack: N devices in a ring, real SDR QPs and reliability endpoints on every
-directed edge, and the 2N-2-round schedule executed as concurrent DES
-processes.  It is the ground truth the model-based simulator is validated
+directed edge, and the 2N-2-round schedule run by one callback chain per
+datacenter.  It is the ground truth the model-based simulator is validated
 against (`tests/collectives/test_des_ring.py`).
 """
 
@@ -19,7 +19,7 @@ from repro.reliability import SCHEMES
 from repro.reliability.ec import EcConfig
 from repro.reliability.sr import SrConfig
 from repro.sdr.context import context_create
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.stack import endpoints, wire
 from repro.verbs.device import Fabric
 
@@ -99,26 +99,9 @@ def run_des_ring_allreduce(
         senders.append(sender)
         receivers.append(receiver)
 
-    done = sim.event()
-    finished = {"count": 0}
-    retx = {"chunks": 0}
-
-    def datacenter(i: int):
-        mr = contexts[i].mr_reg(segment, name=f"dc{i}.segment")
-        for _ in range(rounds):
-            ticket_in = receivers[(i - 1) % n_datacenters].post_receive(
-                mr, segment
-            )
-            ticket_out = senders[i].write(segment)
-            yield sim.all_of([ticket_in.done, ticket_out.done])
-            retx["chunks"] += ticket_out.retransmitted_chunks
-        finished["count"] += 1
-        if finished["count"] == n_datacenters:
-            done.succeed(sim.now)
-
-    for i in range(n_datacenters):
-        sim.process(datacenter(i))
-    completion = sim.run(done)
+    completion, retransmitted = sim.run(
+        _drive(sim, contexts, senders, receivers, segment, rounds)
+    )
 
     drops = [
         link.forward.stats.packets_dropped for link in fabric.links.values()
@@ -129,6 +112,43 @@ def run_des_ring_allreduce(
         protocol=protocol,
         completion_time=completion,
         rounds=rounds,
-        total_retransmitted_chunks=retx["chunks"],
+        total_retransmitted_chunks=retransmitted,
         per_edge_drops=drops,
     )
+
+
+def _drive(sim: Simulator, contexts, senders, receivers, segment: int, rounds: int) -> Event:
+    """Every datacenter's ``rounds``, one callback chain each; the event fires
+    with ``(time, retransmitted chunks)`` once the last datacenter is done."""
+    n = len(contexts)
+    done = sim.event()
+    tally = {"finished": 0, "retx": 0}
+
+    def post_round(i: int, mr, left: int) -> None:
+        if not left:
+            tally["finished"] += 1
+            if tally["finished"] == n:
+                done.succeed((sim.now, tally["retx"]))
+            return
+        # Receive a segment from i-1 while sending one to i+1.  The next
+        # round starts in an entry of its own once both tickets are done;
+        # the first failure raises out of run() in one instead.
+        ticket_in = receivers[(i - 1) % n].post_receive(mr, segment)
+        ticket_out = senders[i].write(segment)
+        pending = [ticket_in.done, ticket_out.done]
+
+        def joined(ev: Event) -> None:
+            pending.remove(ev)
+            if not ev.ok:
+                sim.call_in(0.0, lambda: ev.value)
+            elif not pending:
+                tally["retx"] += ticket_out.retransmitted_chunks
+                sim.call_in(0.0, post_round, i, mr, left - 1)
+
+        for ev in (ticket_in.done, ticket_out.done):
+            ev.callbacks.append(joined)
+
+    for i in range(n):
+        mr = contexts[i].mr_reg(segment, name=f"dc{i}.segment")
+        sim.call_in(0.0, post_round, i, mr, rounds)
+    return done

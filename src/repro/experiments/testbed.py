@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.sdr.qp import SdrRecvWr, SdrSendWr
-from repro.sim.engine import SimConfig, Simulator
+from repro.sim.engine import Event, SimConfig, Simulator
 from repro.stack import build_pair
 from repro.verbs.device import Fabric
 from repro.verbs.qp import RcQp, SendWr
@@ -66,42 +66,13 @@ def run_sdr_throughput(
     )
     sim, client_qp, server_qp = bed.sim, bed.qp_a, bed.qp_b
     server_mr = bed.ctx_b.mr_reg(message_bytes, name="server.buf")
-    done = sim.event()
-    state = {"completed": 0, "posted": 0}
-
-    def server():
-        # Prepost the pipeline, then complete/repost until all messages done.
-        window = min(inflight, n_messages, server_qp.config.inflight_messages)
-        handles = []
-        for _ in range(window):
-            handles.append(
-                server_qp.recv_post(
-                    SdrRecvWr(mr=server_mr, length=message_bytes)
-                )
-            )
-            state["posted"] += 1
-        while state["completed"] < n_messages:
-            hdl = handles.pop(0)
-            yield hdl.wait_all_chunks()
-            hdl.complete()
-            state["completed"] += 1
-            if state["posted"] < n_messages:
-                # Serial host-side repost (slot reallocation cost is modeled
-                # inside recv_post via the CTS delay; serialization here
-                # reflects the single benchmark thread).
-                handles.append(
-                    server_qp.recv_post(
-                        SdrRecvWr(mr=server_mr, length=message_bytes)
-                    )
-                )
-                state["posted"] += 1
-        done.succeed(sim.now)
+    window = min(inflight, n_messages, server_qp.config.inflight_messages)
+    done = _serve(sim, server_qp, server_mr, message_bytes, n_messages, window)
 
     def client():
         for _ in range(n_messages):
             client_qp.send_post(SdrSendWr(length=message_bytes))
 
-    sim.process(server())
     sim.call_in(0.0, client)
     start = sim.now
     sim.run(done)
@@ -140,17 +111,7 @@ def run_rc_throughput(
     b.reg_mr(mr)
     for _ in range(n_messages):
         qa.post_send(SendWr(length=message_bytes, rkey=mr.rkey, remote_offset=0))
-    done = sim.event()
-
-    def waiter():
-        got = 0
-        while got < n_messages:
-            yield cq_a.wait_nonempty()
-            got += len(cq_a.poll(max_entries=n_messages))
-        done.succeed(sim.now)
-
-    sim.process(waiter())
-    sim.run(done)
+    sim.run(_await_cqes(sim, cq_a, n_messages))
     return ThroughputResult(
         message_bytes=message_bytes,
         n_messages=n_messages,
@@ -158,3 +119,45 @@ def run_rc_throughput(
         cqes_processed=0,
         dpa_utilization=0.0,
     )
+
+
+def _serve(sim, qp, mr, length: int, n_messages: int, window: int) -> Event:
+    """The one server thread: prepost ``window`` receives, then complete and
+    repost in order; the event fires, with the time, once all are in."""
+    done = sim.event()
+    handles = []
+    completed = [0]
+
+    def wait(received: Event | None = None) -> None:
+        if received is None:  # the server's first entry
+            for _ in range(window):
+                handles.append(qp.recv_post(SdrRecvWr(mr=mr, length=length)))
+        else:
+            handles.pop(0).complete()
+            completed[0] += 1
+            if completed[0] + len(handles) < n_messages:
+                handles.append(qp.recv_post(SdrRecvWr(mr=mr, length=length)))
+        if completed[0] < n_messages:
+            handles[0].wait_all_chunks().callbacks.append(wait)
+        else:
+            done.succeed(sim.now)
+
+    sim.call_in(0.0, wait)
+    return done
+
+
+def _await_cqes(sim, cq, n: int) -> Event:
+    """The event that fires, with the time, once ``n`` CQEs were polled."""
+    done = sim.event()
+    got = [0]
+
+    def wait(woken: Event | None = None) -> None:
+        if woken is not None:
+            got[0] += len(cq.poll(max_entries=n))
+        if got[0] < n:
+            cq.wait_nonempty().callbacks.append(wait)
+        else:
+            done.succeed(sim.now)
+
+    sim.call_in(0.0, wait)
+    return done

@@ -45,10 +45,10 @@ class StagedSdrQp(SdrQp):
         super().__init__(ctx, config)
         self.copy_bps = copy_bps
         self._copy_queue: deque[tuple[object, int, int, int]] = deque()
-        self._copy_wake = None
+        self._parked = False  # set while the copier waits for a packet
         self.bytes_copied = 0
         self.copy_busy_seconds = 0.0
-        self._copier = self.sim.process(self._copy_engine())
+        self.sim.call_in(0.0, self._copy)
 
     # -- receive path -----------------------------------------------------------
 
@@ -58,26 +58,26 @@ class StagedSdrQp(SdrQp):
             return False
         hdl, pkt_idx, frag = validated
         self._copy_queue.append((hdl, pkt_idx, frag, cqe.byte_len))
-        if self._copy_wake is not None and not self._copy_wake.triggered:
-            self._copy_wake.succeed(None)
+        if self._parked:
+            self._parked = False
+            self.sim.call_in(0.0, self._copy)
         # Chunk-close PCIe accounting happens after the copy, not here.
         return False
 
-    def _copy_engine(self):
-        """FIFO host copier: one packet's bytes per service interval."""
-        rate = self.copy_bps / 8.0  # bytes per second
-        while True:
-            if not self._copy_queue:
-                self._copy_wake = self.sim.event()
-                yield self._copy_wake
-                continue
-            hdl, pkt_idx, frag, nbytes = self._copy_queue.popleft()
-            cost = nbytes / rate
-            yield self.sim.timeout(cost)
+    def _copy(self, done: tuple | None = None, cost: float = 0.0) -> None:
+        """FIFO host copier: one packet per ``cost``; ``done`` is the one just copied."""
+        if done is not None:
+            hdl, pkt_idx, frag, nbytes = done
             self.bytes_copied += nbytes
             self.copy_busy_seconds += cost
             if not hdl.completed:
                 self._record_packet(hdl, pkt_idx, frag)
+        if not self._copy_queue:
+            self._parked = True
+            return
+        done = self._copy_queue.popleft()
+        cost = done[3] / (self.copy_bps / 8.0)  # bytes / (bytes per second)
+        self.sim.call_in(cost, self._copy, done, cost)
 
     @property
     def copy_backlog(self) -> int:

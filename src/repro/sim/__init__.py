@@ -8,10 +8,9 @@ A deliberately small, dependency-free DES engine in the style of SimPy:
 * :class:`PollTimer` (:meth:`Simulator.poll_until`) is an event that fires
   once a predicate holds, checked on a fixed grid by one re-arming heap
   entry; :meth:`Simulator.call_at` schedules a bare callback with no event.
-* :class:`Process` wraps a generator that ``yield``\\ s events; processes are
-  how the reliability protocols and the SDR injector express concurrency
-  (the per-packet stages -- QP send pumps, DPA workers -- are callback
-  entries).
+* Components wait in callbacks (``call_in``, ``Timer``, ``Event.callbacks``);
+  :class:`Process` wraps a generator that ``yield``\\ s events, for the
+  ``bench/`` client scripts and the tests' generator references only.
 
 The engine is deterministic: events scheduled for the same timestamp fire in
 insertion order, and all randomness flows through explicitly-seeded

@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation engine.
 
 The kernel is intentionally minimal: an event heap keyed by
-``(time, sequence)`` (sequence breaks ties deterministically), one-shot
-:class:`Event` futures, and generator-based :class:`Process` coroutines.
+``(time, sequence)`` (sequence breaks ties deterministically) and one-shot
+:class:`Event` futures.
 
 Heap entries are ``(time, seq, fn, arg)`` tuples of four kinds:
 
@@ -23,16 +23,11 @@ Whatever the kind, every scheduling consumes exactly one ``_seq`` at the
 point in program order where it is made, so a cheaper entry kind cannot
 reorder same-instant work (``docs/simulation.md`` has the argument).
 
-Protocol code waits in callbacks (``call_in``, :class:`Timer`,
-``Event.callbacks``); a :class:`Process` is for drivers that read as a
-script::
-
-    def driver(sim: Simulator, sender):
-        yield sender.write(1 << 20).done   # wait for an Event
-        yield sim.timeout(0.001)           # then 1 simulated millisecond
-
-    sim.process(driver(sim, sender))
-    sim.run()
+Everything under ``repro`` waits in callbacks (``call_in``, :class:`Timer`,
+``Event.callbacks``).  :class:`Process`, :meth:`Simulator.process` and
+:meth:`Simulator.any_of` -- generator coroutines that ``yield`` events --
+remain only for the ``bench/`` client scripts and the generator references
+the tests keep beside each callback that replaced one.
 """
 
 from __future__ import annotations
@@ -399,7 +394,7 @@ class Simulator:
         return ev
 
     def process(self, gen: Generator[Event, Any, Any]) -> Process:
-        """Start a generator as a concurrent process."""
+        """Start a generator as a concurrent process (``bench/`` and tests only)."""
         return Process(self, gen)
 
     def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
@@ -459,34 +454,6 @@ class Simulator:
         if not quantum > 0:  # negated so NaN is caught too
             raise SimulationError(f"poll quantum must be > 0, got {quantum}")
         return PollTimer(self, predicate, quantum, after)
-
-    def all_of(self, events: list[Event]) -> Event:
-        """An event that fires once every event in ``events`` has fired."""
-        gate = Event(self)
-        if not events:
-            gate.succeed([])
-            return gate
-        remaining = {"n": len(events)}
-
-        def _arm(ev: Event) -> None:
-            def _done(e: Event) -> None:
-                if gate._state != _PENDING:
-                    return
-                if e._error is not None:
-                    gate.fail(e._error)
-                    return
-                remaining["n"] -= 1
-                if remaining["n"] == 0:
-                    gate.succeed([x._value for x in events])
-
-            if ev._state == _PROCESSED:
-                _done(ev)
-            else:
-                ev.callbacks.append(_done)
-
-        for ev in events:
-            _arm(ev)
-        return gate
 
     def any_of(self, events: list[Event]) -> Event:
         """An event that fires when the first of ``events`` fires."""

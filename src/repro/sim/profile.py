@@ -8,9 +8,9 @@ Attach a :class:`SimProfiler` to a :class:`~repro.sim.engine.Simulator`
 and every dispatched callback is timed with ``time.perf_counter`` and
 charged to a category derived from the code that actually ran:
 
-* a :class:`~repro.sim.engine.Process` resumption is charged to the
-  *generator* being resumed (``repro.verbs.qp:RcQp._send_pump``), not to
-  the engine's ``Process._resume`` trampoline;
+* a :class:`~repro.sim.engine.Process` resumption (a ``bench/`` client
+  script's) is charged to the *generator* being resumed, not to the
+  engine's ``Process._resume`` trampoline;
 * a plain function/lambda callback -- an event's callback or the target
   of a ``call_at``/``call_in`` callback entry, a ``functools.partial``
   unwrapped -- is charged to its defining module and qualname

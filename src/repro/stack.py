@@ -1,12 +1,13 @@
 """The one place an SDR stack is wired.
 
 Table 1's bring-up (``context_create`` -> ``qp_create`` -> ``qp_connect``,
-plus a control path) behind three calls:
+plus a control path) behind three calls, and one loop that drives a pair:
 
 * :func:`wire` -- the per-edge handshake between two contexts;
 * :func:`endpoints` -- a registered reliability scheme's sender / receiver
   on a wired edge (:data:`repro.reliability.SCHEMES`);
-* :func:`build_pair` -- the two-node case end to end, in one fixed order.
+* :func:`build_pair` -- the two-node case end to end, in one fixed order;
+* :func:`closed_loop` -- one write at a time over a sender / receiver pair.
 
 ``examples/quickstart.py`` spells the same steps out by hand.
 """
@@ -14,15 +15,16 @@ plus a control path) behind three calls:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ReproError
 from repro.faults import FaultSchedule, install_dpa_faults, install_link_faults
 from repro.net.multipath import connect_bonded
 from repro.reliability import SCHEMES, ControlPath
 from repro.sdr.context import SdrContext, context_create
 from repro.sdr.qp import SdrQp
-from repro.sim.engine import SimConfig, Simulator
+from repro.sim.engine import Event, SimConfig, Simulator
 from repro.telemetry import Telemetry
 from repro.verbs.device import Device, Fabric
 
@@ -130,3 +132,33 @@ def build_pair(
         sim=sim, fabric=fabric, dev_a=dev_a, dev_b=dev_b, ctx_a=ctx_a,
         ctx_b=ctx_b, channel=channel, bonded=bonded, **vars(wire(ctx_a, ctx_b)),
     )
+
+
+def closed_loop(
+    sim, sender, receiver, mr, length, more, write_tickets, recv_tickets=None
+) -> Event:
+    """Post a receive and a write, wait for the write; again while ``more(posted)``.
+
+    Starts in an entry of its own; a clean error completion stays on its
+    ticket.  Receive tickets are kept only if ``recv_tickets`` is a list.
+    Returns the event that fires once the loop stops.
+    """
+    done = sim.event()
+
+    def post(posted: int, ended: Event | None = None) -> None:
+        if ended is not None:
+            try:
+                ended.value
+            except ReproError:
+                pass
+        if not more(posted):
+            done.succeed()
+            return
+        received = receiver.post_receive(mr, length)
+        if recv_tickets is not None:
+            recv_tickets.append(received)
+        write_tickets.append(ticket := sender.write(length))
+        ticket.done.callbacks.append(partial(post, posted + 1))
+
+    sim.call_in(0.0, post, 0)
+    return done

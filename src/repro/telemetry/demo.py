@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.cc import CC_ALGORITHMS, Pacer, make_controller
 from repro.common.config import ChannelConfig, SdrConfig
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB
 from repro.faults import FaultSchedule
 from repro.recovery import PlaneRecovery
@@ -24,7 +24,7 @@ from repro.reliability.ec import EcConfig
 from repro.reliability.sampling import SamplingConfig
 from repro.reliability.sr import SrConfig
 from repro.sim.engine import Simulator
-from repro.stack import build_pair, endpoints
+from repro.stack import build_pair, closed_loop, endpoints
 from repro.telemetry import Telemetry
 
 #: The registered schemes ``run_demo`` configures: ``nack=`` already spells
@@ -200,20 +200,10 @@ def run_demo(
     write_tickets: list[WriteTicket] = []
     recv_tickets: list[ReceiveTicket] = []
 
-    def _drive():
-        for _ in range(messages):
-            recv_tickets.append(receiver.post_receive(mr, message_bytes))
-            ticket = sender.write(message_bytes)
-            write_tickets.append(ticket)
-            try:
-                yield ticket.done
-            except ReproError:
-                # Clean error completion (retry budget / timeout); the
-                # failure is recorded on the ticket -- keep driving.
-                pass
-
-    done = sim.process(_drive())
-    sim.run(done)
+    sim.run(closed_loop(
+        sim, sender, receiver, mr, message_bytes, lambda posted: posted < messages,
+        write_tickets, recv_tickets,
+    ))
     elapsed = sim.now
     if faults is None:
         sim.run()  # drain grace-period re-ACK traffic

@@ -22,7 +22,7 @@ from typing import Optional
 from repro.common.errors import ConfigError, SdrStateError
 from repro.net.channel import Channel
 from repro.net.packet import Opcode, Packet
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.verbs.cq import CompletionQueue, Cqe, CqeStatus
 from repro.verbs.device import Device
 
@@ -437,10 +437,8 @@ class RcQp(BaseQp):
     the sender retransmits from the lowest unacknowledged PSN on NAK or on
     retransmission timeout.
 
-    Its send pump stays a generator process, unlike the ``_drive``
-    callbacks of :class:`UcQp` / :class:`UdQp`: it blocks on window credit
-    and the retransmission timer as well as on the wire, and no benchmark
-    workload runs it.
+    Its send pump is a ``_drive`` callback like :class:`UcQp`'s, parked
+    on window credit (an ACK or a rewind wakes it) as well as on the wire.
     """
 
     ACK_BYTES = 64  # wire footprint of an ACK/NAK frame
@@ -468,8 +466,8 @@ class RcQp(BaseQp):
         self._snd_una = 0
         self._snd_nxt = 0
         self._built = 0
-        self._wake: Event | None = None
-        self._pump = self.sim.process(self._send_pump())
+        self._parked = False  # set while the pump waits for a _kick
+        self.sim.call_in(0.0, self._drive)
         self._timer_armed_at: float | None = None
         # Receiver state.
         self._epsn = 0
@@ -543,19 +541,16 @@ class RcQp(BaseQp):
         self._kick()
 
     def _kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed(None)
+        if self._parked:
+            self._parked = False
+            self.sim.call_in(0.0, self._drive)
 
-    def _send_pump(self):
-        while True:
-            can_send = (
-                self._snd_nxt < len(self._descs)
-                and self._snd_nxt - self._snd_una < self.window_packets
-            )
-            if not can_send:
-                self._wake = self.sim.event()
-                yield self._wake
-                continue
+    def _drive(self) -> None:
+        """The send pump: one packet per serialisation wait while the window allows."""
+        while (
+            self._snd_nxt < len(self._descs)
+            and self._snd_nxt - self._snd_una < self.window_packets
+        ):
             psn = self._snd_nxt
             self._snd_nxt += 1
             if psn < self._built:
@@ -585,7 +580,9 @@ class RcQp(BaseQp):
             done = self.channel.transmit(pkt)
             self._arm_timer()
             if done > self.sim.now:
-                yield self.sim.timeout(done - self.sim.now)
+                self.sim.call_at(done, self._drive)
+                return
+        self._parked = True
 
     def _arm_timer(self) -> None:
         if self._timer_armed_at is not None:

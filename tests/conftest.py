@@ -2,18 +2,114 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB
 from repro.faults import FaultSchedule
-from repro.sim.engine import SimConfig
+from repro.sim.engine import Event, SimConfig, SimulationError, Simulator
 from repro.stack import Stack, build_pair
 from repro.telemetry import Telemetry
 
 
 #: The fixtures hand out the public record under their older name.
 SdrPair = Stack
+
+
+def all_of(sim, events):
+    """An event that fires, with every value, once all ``events`` have fired.
+
+    The first failure fails it instead.  Nothing under ``repro`` joins
+    events this way any more; tests that wait on several tickets and the
+    generator references (the gate they yielded) use this one.
+    """
+    gate = sim.event()
+    if not events:
+        return gate.succeed([])
+    remaining = [len(events)]
+
+    def done(ev):
+        if gate.triggered:
+            return
+        if ev._error is not None:
+            gate.fail(ev._error)
+            return
+        remaining[0] -= 1
+        if not remaining[0]:
+            gate.succeed([e._value for e in events])
+
+    for ev in events:
+        if ev.processed:
+            done(ev)
+        else:
+            ev.callbacks.append(done)
+    return gate
+
+
+class RecordingSimulator(Simulator):
+    """A :class:`Simulator` whose :meth:`run` steps and logs every entry.
+
+    ``dispatched`` holds ``(time, seq, dead)`` per dispatched heap entry,
+    ``dead`` marking an event entry with no callbacks -- what ends a
+    generator nothing waits on.  Patched in for ``Simulator`` where a
+    runner builds its own, it gives a callback chain's whole-run dispatch
+    sequence to compare against its generator reference.
+    """
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.dispatched: list[tuple[float, int, bool]] = []
+
+    def run(self, until=None):
+        waiting = isinstance(until, Event)
+        deadline = float("inf") if waiting or until is None else float(until)
+        heap = self._heap
+        while not (waiting and until.processed) and heap and heap[0][0] <= deadline:
+            time, seq, fn, arg = heap[0]
+            self.dispatched.append((time, seq, fn is None and not arg.callbacks))
+            self.step()
+        if waiting:
+            if not until.processed:
+                raise SimulationError("deadlock: heap drained before the target")
+            return until.value
+        if until is not None:
+            self.now = deadline
+        if self._sampler is not None:
+            self._sampler.poll(self.now)
+        return None
+
+
+@contextlib.contextmanager
+def recording_sims(*modules):
+    """Have each module's ``Simulator`` build a :class:`RecordingSimulator`.
+
+    Yields the list the simulators land in, in build order.
+    """
+    sims = []
+
+    def build(**kw):
+        sims.append(RecordingSimulator(**kw))
+        return sims[-1]
+
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "Simulator", build))
+        yield sims
+
+
+def live_dispatches(dispatched):
+    """``dispatched`` without its dead entries, each seq replaced by its rank.
+
+    The form two runs are compared in when one of them drops the dead
+    entry that ended a generator: every other entry keeps its instant and
+    its order, and only the numbering of the ``_seq`` counter shifts.
+    """
+    live = [(time, seq) for time, seq, dead in dispatched if not dead]
+    rank = {seq: i for i, seq in enumerate(sorted(seq for _, seq in live))}
+    return [(time, rank[seq]) for time, seq in live]
 
 
 def make_sdr_pair(

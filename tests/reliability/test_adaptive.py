@@ -12,7 +12,7 @@ from repro.reliability.adaptive import (
 )
 from repro.reliability.ec import EcConfig
 
-from tests.conftest import make_sdr_pair
+from tests.conftest import all_of, make_sdr_pair
 from tests.reliability.conftest import random_payload
 
 
@@ -129,7 +129,7 @@ class TestEndToEnd:
         for _ in range(4):
             receiver.post_receive(mr, size)
             tickets.append(sender.write(size))
-        pair.sim.run(pair.sim.all_of([t.done for t in tickets]))
+        pair.sim.run(all_of(pair.sim, [t.done for t in tickets]))
         assert sender.protocol_history == receiver.protocol_history
         assert all(t.finish_time is not None for t in tickets)
 

@@ -17,6 +17,8 @@ from repro.sim import Simulator
 from repro.stack import endpoints, wire
 from repro.verbs import Fabric
 
+from tests.conftest import all_of
+
 
 def build_hub():
     sim = Simulator()
@@ -74,7 +76,7 @@ class TestMultiPeerProvisioning:
             ):
                 receiver.post_receive(mr, size)
                 tickets.append(sender.write(size))
-            sim.run(sim.all_of([t.done for t in tickets]))
+            sim.run(all_of(sim, [t.done for t in tickets]))
         near_history = to_near[1].protocol_history
         far_history = to_far[1].protocol_history
         # The clean short link stays on SR throughout...
@@ -101,7 +103,7 @@ class TestMultiPeerProvisioning:
         to_far[1].post_receive(mr_far, size)
         t1 = to_near[0].write(size)
         t2 = to_far[0].write(size)
-        sim.run(sim.all_of([t1.done, t2.done]))
+        sim.run(all_of(sim, [t1.done, t2.done]))
         assert t1.finish_time is not None and t2.finish_time is not None
         # The near write completes long before the 25 ms-RTT one.
         assert t1.completion_time < t2.completion_time / 5

@@ -5,6 +5,7 @@ import pytest
 from repro.common.units import KiB, MiB
 from repro.reliability.sr import SrConfig
 
+from tests.conftest import all_of
 from tests.reliability.conftest import make_sr, random_payload
 
 
@@ -42,7 +43,7 @@ class TestLossless:
         for _ in range(3):
             receiver.post_receive(mr, size)
             tickets.append(sender.write(size))
-        pair.sim.run(pair.sim.all_of([t.done for t in tickets]))
+        pair.sim.run(all_of(pair.sim, [t.done for t in tickets]))
         assert all(t.finish_time is not None for t in tickets)
         assert [t.seq for t in tickets] == [0, 1, 2]
 

@@ -7,7 +7,7 @@ from repro.common.errors import ConfigError, ResourceError, SdrStateError
 from repro.common.units import KiB
 from repro.sdr.qp import SdrRecvWr, SdrSendWr
 
-from tests.conftest import make_sdr_pair
+from tests.conftest import all_of, make_sdr_pair
 
 
 def payload_of(size, seed=0):
@@ -63,7 +63,7 @@ class TestOneShot:
         first, second = payload_of(size, 1), payload_of(size, 2)
         p.qp_a.send_post(SdrSendWr(length=size, payload=first))
         p.qp_a.send_post(SdrSendWr(length=size, payload=second))
-        p.sim.run(p.sim.all_of([h.wait_all_chunks() for h in handles]))
+        p.sim.run(all_of(p.sim, [h.wait_all_chunks() for h in handles]))
         assert bytes(bufs[0]) == first
         assert bytes(bufs[1]) == second
 

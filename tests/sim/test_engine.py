@@ -6,6 +6,8 @@ import pytest
 
 from repro.sim.engine import SimulationError, Simulator
 
+from tests.conftest import all_of
+
 
 class TestClockAndTimeouts:
     def test_time_starts_at_zero(self):
@@ -96,14 +98,14 @@ class TestCombinators:
     def test_all_of(self):
         sim = Simulator()
         evs = [sim.timeout(t, value=t) for t in (0.3, 0.1, 0.2)]
-        gate = sim.all_of(evs)
+        gate = all_of(sim, evs)
         values = sim.run(gate)
         assert values == [0.3, 0.1, 0.2]
         assert sim.now == pytest.approx(0.3)
 
     def test_all_of_empty(self):
         sim = Simulator()
-        assert sim.run(sim.all_of([])) == []
+        assert sim.run(all_of(sim, [])) == []
 
     def test_any_of_fires_on_first(self):
         sim = Simulator()

@@ -37,7 +37,7 @@ from repro.telemetry import (
 from repro.telemetry import lineage
 from repro.telemetry.demo import run_demo
 
-from tests.conftest import make_sdr_pair
+from tests.conftest import all_of, make_sdr_pair
 
 CHUNK = 64 * KiB
 
@@ -140,7 +140,7 @@ def test_every_scheme_completes_its_lineages(scheme):
     for _ in range(3):
         receiver.post_receive(pair.ctx_b.mr_reg(size), size)
         tickets.append(sender.write(size))
-    pair.sim.run(pair.sim.all_of([t.done for t in tickets]))
+    pair.sim.run(all_of(pair.sim, [t.done for t in tickets]))
     analyzer = LineageAnalyzer.from_events(ring.events)
     assert [m.msg for m in analyzer.completed] == [t.seq for t in tickets]
     analyzer.check()

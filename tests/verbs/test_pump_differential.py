@@ -1,9 +1,10 @@
 """Differential test: the ``_drive`` send pumps against the generators they replaced.
 
-``GeneratorUcQp`` / ``GeneratorUdQp`` carry the send side of ``UcQp`` /
-``UdQp`` as it stood before the datapath went callback-only (a
-``_send_pump`` process woken through an ``Event``, one ``timeout`` per
-serialisation wait).  They are kept here as the reference.  Every
+``GeneratorUcQp`` / ``GeneratorUdQp`` / ``GeneratorRcQp`` carry the send
+side of ``UcQp`` / ``UdQp`` / ``RcQp`` as it stood before the datapath
+went callback-only (a ``_send_pump`` process woken through an ``Event``,
+one ``timeout`` per serialisation wait; RC's also parked on window
+credit).  They are kept here as the reference.  Every
 scheduling of the callback pump takes the heap slot the ``Event`` it
 replaces took, so the comparison is the strongest there is: the whole
 run's ``(time, seq)`` dispatch sequence must be equal, on top of every
@@ -25,10 +26,14 @@ from repro.sim.engine import Simulator
 from repro.verbs.cq import CompletionQueue, Cqe
 from repro.verbs.device import Fabric
 from repro.verbs.mr import MemoryRegion
-from repro.verbs.qp import BaseQp, SendWr, UcQp, UdQp
+from repro.verbs.qp import _IMM_WRITES, BaseQp, RcQp, SendWr, UcQp, UdQp
 
 MTU = 4 * KiB
 UNIT = 50e-9  # a 4 KiB packet serialises in 328 ns at 100 Gb/s
+#: A run is compared up to here.  Go-Back-N behind cross traffic in a
+#: 6 KiB buffer can rewind forever (the generator pump did too), so an RC
+#: run is compared on its first dispatches; the others drain long before.
+MAX_DISPATCHES = 2_000
 
 
 class GeneratorUcQp(BaseQp):
@@ -166,7 +171,75 @@ class GeneratorUdQp(BaseQp):
                 )
 
 
-def drive(sender_cls, receiver_cls, posts, *, buffer_bytes, cross=()):
+class GeneratorRcQp(RcQp):
+    """Send pump of the pre-callback ``RcQp``; its receive side and ACKs are ``RcQp``'s."""
+
+    def __init__(self, device, *, window_packets=1024, rto=None, ack_every=16, **kw):
+        BaseQp.__init__(self, device, **kw)
+        self.window_packets = window_packets
+        self.rto = rto
+        self.ack_every = ack_every
+        self._wrs = []
+        self._descs = []
+        self._snd_una = 0
+        self._snd_nxt = 0
+        self._built = 0
+        self._wake = None
+        self._pump = self.sim.process(self._send_pump())
+        self._timer_armed_at = None
+        self._epsn = 0
+        self._nak_sent_for = -1
+        self._unacked_rx = 0
+        self._m_retransmissions = self._metrics.counter("retransmissions")
+        self._m_naks_sent = self._metrics.counter("naks_sent")
+        self._m_rto_rewinds = self._metrics.counter("rto_rewinds")
+
+    def _kick(self):
+        if self._wake is not None and not self._wake.triggered:
+            self._wake.succeed(None)
+
+    def _send_pump(self):
+        while True:
+            can_send = (
+                self._snd_nxt < len(self._descs)
+                and self._snd_nxt - self._snd_una < self.window_packets
+            )
+            if not can_send:
+                self._wake = self.sim.event()
+                yield self._wake
+                continue
+            psn = self._snd_nxt
+            self._snd_nxt += 1
+            if psn < self._built:
+                self._m_retransmissions.inc()
+            else:
+                self._built = psn + 1
+            desc = self._descs[psn]
+            wr = self._wrs[desc.wr_index]
+            payload = (
+                None
+                if wr.payload is None
+                else wr.payload[desc.offset_in_wr : desc.offset_in_wr + desc.length]
+            )
+            pkt = Packet(
+                dst_qpn=self.dst_qpn,
+                src_qpn=self.qpn,
+                opcode=desc.opcode,
+                psn=psn,
+                rkey=wr.rkey,
+                remote_offset=wr.remote_offset + desc.offset_in_wr,
+                length=desc.length,
+                payload=payload,
+                immediate=wr.immediate if desc.opcode in _IMM_WRITES else None,
+                uid=self.sim.packet_uid(),
+            )
+            done = self.channel.transmit(pkt)
+            self._arm_timer()
+            if done > self.sim.now:
+                yield self.sim.timeout(done - self.sim.now)
+
+
+def drive(sender_cls, receiver_cls, posts, *, buffer_bytes, cross=(), **qp_kw):
     """Run one posting schedule; everything observable about the send side.
 
     ``cross`` ticks each put one MTU packet of a second QP pair on the same
@@ -185,7 +258,9 @@ def drive(sender_cls, receiver_cls, posts, *, buffer_bytes, cross=()):
     )
     send_cq = CompletionQueue(sim, name="a.s")
     recv_cq = CompletionQueue(sim, name="b.r")
-    qa = sender_cls(a, send_cq=send_cq, recv_cq=CompletionQueue(sim, name="a.r"))
+    qa = sender_cls(
+        a, send_cq=send_cq, recv_cq=CompletionQueue(sim, name="a.r"), **qp_kw
+    )
     qb = receiver_cls(b, send_cq=CompletionQueue(sim, name="b.s"), recv_cq=recv_cq)
     qa.connect(qb.info())
     qb.connect(qa.info())
@@ -227,7 +302,7 @@ def drive(sender_cls, receiver_cls, posts, *, buffer_bytes, cross=()):
         else:
             sim.call_at(tick * UNIT, qx.post_send, wr)
     dispatched = []
-    while sim._heap:
+    while sim._heap and len(dispatched) < MAX_DISPATCHES:
         dispatched.append(sim._heap[0][:2])
         sim.step()
     return {
@@ -305,6 +380,27 @@ def test_uc_drive_matches_generator_pump(posts, buffer_bytes, cross):
 def test_ud_drive_matches_generator_pump(posts, buffer_bytes, cross):
     kw = dict(buffer_bytes=buffer_bytes, cross=sorted(cross))
     assert drive(UdQp, UdQp, posts, **kw) == drive(GeneratorUdQp, UdQp, posts, **kw)
+
+
+@settings(max_examples=80, deadline=None)
+@given(schedules(uc_wrs()), BUFFERS, CROSS, st.sampled_from([1, 3, 1024]))
+def test_rc_drive_matches_generator_pump(posts, buffer_bytes, cross, window):
+    """5 % loss both ways: NAK and RTO rewinds, retransmissions, window stalls."""
+    kw = dict(buffer_bytes=buffer_bytes, cross=sorted(cross), window_packets=window)
+    got = drive(RcQp, RcQp, posts, **kw)
+    assert got == drive(GeneratorRcQp, RcQp, posts, **kw)
+
+
+def test_rc_rewinds_are_reached():
+    """A pinned schedule that rewinds and parks on window credit."""
+    posts = [(0, [dict(length=5 * MTU + 7, wr_id=i) for i in range(3)]),
+             (40, [dict(length=3 * MTU, wr_id=9)])]
+    kw = dict(buffer_bytes=0, window_packets=3)
+    got = drive(RcQp, RcQp, posts, **kw)
+    assert got == drive(GeneratorRcQp, RcQp, posts, **kw)
+    psns = [psn for _, _, _, psn, *_ in got["wire"]]
+    assert len(psns) > len(set(psns))  # something was sent twice
+    assert len(got["dispatched"]) < MAX_DISPATCHES  # and the run drained
 
 
 @pytest.mark.parametrize(
