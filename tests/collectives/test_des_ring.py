@@ -106,6 +106,22 @@ class TestLossy:
         assert des.completion_time <= np.percentile(model, 99.9) * 2.5
 
 
+class TestEcSizing:
+    @pytest.mark.xfail(
+        strict=True, raises=ConfigError,
+        reason="the SDR message limit is sized to the segment, not to m parity chunks",
+    )
+    def test_parity_receive_larger_than_the_segment(self):
+        """MDS(8, 4) over 16 KiB chunks posts 64 KiB parity receives for a
+        48 KiB segment: the SDR message limit must cover them."""
+        ch = ChannelConfig(bandwidth_bps=100e9, distance_km=1000.0, mtu_bytes=4 * KiB)
+        result = run_des_ring_allreduce(
+            n_datacenters=3, buffer_bytes=144 * KiB, channel=ch, protocol="ec",
+        )
+        assert result.rounds == 4
+        assert result.completion_time > 0
+
+
 class TestValidation:
     def test_invalid_args(self):
         with pytest.raises(ConfigError):

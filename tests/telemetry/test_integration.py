@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.fabric.scenarios import ScaleConfig, scale_scenario
+from repro.reliability.ec import EcConfig
 from repro.telemetry import ChromeTraceSink, RingBufferSink, Telemetry
 from repro.telemetry.demo import run_demo
 from repro.telemetry.report import build_tables, render_report
@@ -114,6 +115,20 @@ class TestEcDemo:
         assert reg.value("ec.dc-a.writes_completed") == 1
         assert reg.value("ec.dc-b.acks_sent") > 0
         assert reg.value("ec.dc-b.submessages_decoded") > 0
+
+    @pytest.mark.xfail(
+        strict=True, raises=ConfigError,
+        reason="the SDR message limit is sized to the message, not to m parity chunks",
+    )
+    def test_parity_receive_larger_than_the_message(self):
+        """A 48 KiB message under MDS(8, 4) over 16 KiB chunks posts 64 KiB
+        parity receives: the SDR message limit must cover them."""
+        result = run_demo(
+            protocol="ec", messages=2, message_bytes=48 * 1024, chunk_bytes=16 * 1024,
+            ec_config=EcConfig(codec="mds", k=8, m=4),
+        )
+        assert result.failed_writes == 0
+        assert result.telemetry.metrics.value("ec.dc-a.writes_completed") == 2
 
 
 class TestDisabledMetrics:
