@@ -18,10 +18,9 @@ from repro.ec.segmented import SegmentLayout
 from repro.reliability import SCHEMES
 from repro.reliability.ec import EcConfig
 from repro.reliability.sr import SrConfig
-from repro.sdr.context import context_create
-from repro.sim.engine import Event, Simulator
-from repro.stack import endpoints, wire
-from repro.verbs.device import Fabric
+from repro.sim.engine import Event, SimConfig, Simulator
+from repro.stack import build_ring
+from repro.telemetry import Telemetry
 
 #: The registered schemes the ring configures: those taking the SR or EC config.
 PROTOCOLS = tuple(
@@ -54,6 +53,8 @@ def run_des_ring_allreduce(
     ec_config: EcConfig | None = None,
     dpa: DpaConfig | None = None,
     seed: int = 0,
+    sim_config: SimConfig | None = None,
+    telemetry: Telemetry | None = None,
 ) -> DesRingResult:
     """Build the ring, run the 2N-2-round schedule, return timings."""
     if n_datacenters < 2:
@@ -66,54 +67,34 @@ def run_des_ring_allreduce(
     segment = -(-buffer_bytes // n_datacenters)
     rounds = 2 * n_datacenters - 2
 
-    config, inflight = sr_config, 16
+    config, inflight, largest = sr_config, 16, segment
     if SCHEMES[protocol][0].config_type is EcConfig:
-        config = (
-            ec_config if ec_config is not None
-            else EcConfig(codec="mds", k=8, m=4)
-        )
-        # EC needs 2L SDR slots per in-flight receive.
+        config = ec_config if ec_config is not None else EcConfig(codec="mds", k=8, m=4)
+        # EC: 2L SDR slots per receive; an m-chunk parity sub can outgrow a segment.
         layout = SegmentLayout(segment, chunk_bytes, config.k, config.m)
         inflight = max(16, 2 * layout.nsegments + 2)
+        largest = max(segment, layout.largest_receive)
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk_bytes,
-        max_message_bytes=max(segment, chunk_bytes),
+        max_message_bytes=max(largest, chunk_bytes),
         mtu_bytes=channel.mtu_bytes,
         channels=4,
         inflight_messages=min(inflight, 1024),
     )
-
-    sim = Simulator()
-    fabric = Fabric(sim, seed=seed)
-    devices = [fabric.add_device(f"dc{i}") for i in range(n_datacenters)]
-    for i in range(n_datacenters):
-        fabric.connect(devices[i], devices[(i + 1) % n_datacenters], channel)
-    contexts = [
-        context_create(d, sdr_config=sdr_cfg, dpa_config=dpa) for d in devices
-    ]
-
-    senders, receivers = [], []
-    for i in range(n_datacenters):
-        edge = wire(contexts[i], contexts[(i + 1) % n_datacenters])
-        sender, receiver = endpoints(protocol, edge, config)
-        senders.append(sender)
-        receivers.append(receiver)
-
-    completion, retransmitted = sim.run(
-        _drive(sim, contexts, senders, receivers, segment, rounds)
+    fabric, contexts, ends = build_ring(
+        channel, sdr_cfg, n_datacenters, protocol, config, dpa=dpa, seed=seed,
+        sim_config=sim_config, telemetry=telemetry,
     )
-
-    drops = [
-        link.forward.stats.packets_dropped for link in fabric.links.values()
-    ]
+    completion, retransmitted = fabric.sim.run(
+        _drive(fabric.sim, contexts, *zip(*ends), segment, rounds)
+    )
     return DesRingResult(
-        n_datacenters=n_datacenters,
-        buffer_bytes=buffer_bytes,
-        protocol=protocol,
-        completion_time=completion,
-        rounds=rounds,
+        n_datacenters=n_datacenters, buffer_bytes=buffer_bytes, protocol=protocol,
+        completion_time=completion, rounds=rounds,
         total_retransmitted_chunks=retransmitted,
-        per_edge_drops=drops,
+        per_edge_drops=[
+            link.forward.stats.packets_dropped for link in fabric.links.values()
+        ],
     )
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.sdr.qp import SdrRecvWr, SdrSendWr
-from repro.sim.engine import Event, SimConfig, Simulator
-from repro.stack import build_pair
-from repro.verbs.device import Fabric
+from repro.sim.engine import Event, SimConfig
+from repro.stack import build_link, build_pair
+from repro.telemetry import Telemetry
 from repro.verbs.qp import RcQp, SendWr
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegion
@@ -30,8 +30,8 @@ class ThroughputResult:
     message_bytes: int
     n_messages: int
     elapsed: float
-    cqes_processed: int
-    dpa_utilization: float
+    cqes_processed: int = 0
+    dpa_utilization: float = 0.0
 
     @property
     def total_bytes(self) -> int:
@@ -56,13 +56,15 @@ def run_sdr_throughput(
     dpa: DpaConfig | None = None,
     seed: int = 0,
     sim_config: SimConfig | None = None,
+    telemetry: Telemetry | None = None,
 ) -> ThroughputResult:
     """The paper's ``ib_write_bw``-style SDR benchmark loop (Section 5.4.1)."""
     if n_messages <= 0 or inflight <= 0:
         raise ConfigError("n_messages and inflight must be positive")
     bed = build_pair(
         channel if channel is not None else ChannelConfig(), sdr, dpa=dpa,
-        seed=seed, sim_config=sim_config, names=("client", "server"),
+        seed=seed, sim_config=sim_config, telemetry=telemetry,
+        names=("client", "server"),
     )
     sim, client_qp, server_qp = bed.sim, bed.qp_a, bed.qp_b
     server_mr = bed.ctx_b.mr_reg(message_bytes, name="server.buf")
@@ -74,14 +76,11 @@ def run_sdr_throughput(
             client_qp.send_post(SdrSendWr(length=message_bytes))
 
     sim.call_in(0.0, client)
-    start = sim.now
     sim.run(done)
-    elapsed = sim.now - start
+    elapsed = sim.now
     engine = bed.ctx_b.dpa
     return ThroughputResult(
-        message_bytes=message_bytes,
-        n_messages=n_messages,
-        elapsed=elapsed,
+        message_bytes=message_bytes, n_messages=n_messages, elapsed=elapsed,
         cqes_processed=engine.cqes_processed,
         dpa_utilization=engine.utilization(elapsed),
     )
@@ -93,14 +92,15 @@ def run_rc_throughput(
     n_messages: int = 32,
     channel: ChannelConfig | None = None,
     seed: int = 0,
+    sim_config: SimConfig | None = None,
+    telemetry: Telemetry | None = None,
 ) -> ThroughputResult:
     """Baseline: the same loop over a commodity RC QP (reliable writes)."""
-    channel = channel if channel is not None else ChannelConfig()
-    sim = Simulator()
-    fabric = Fabric(sim, seed=seed)
-    a = fabric.add_device("client")
-    b = fabric.add_device("server")
-    fabric.connect(a, b, channel)
+    link = build_link(
+        channel if channel is not None else ChannelConfig(), seed=seed,
+        sim_config=sim_config, telemetry=telemetry, names=("client", "server"),
+    )
+    sim, a, b = link.sim, link.dev_a, link.dev_b
     cq_a = CompletionQueue(sim, name="rc.client.cq")
     cq_b = CompletionQueue(sim, name="rc.server.cq")
     qa = RcQp(a, send_cq=cq_a, recv_cq=cq_a)
@@ -113,11 +113,7 @@ def run_rc_throughput(
         qa.post_send(SendWr(length=message_bytes, rkey=mr.rkey, remote_offset=0))
     sim.run(_await_cqes(sim, cq_a, n_messages))
     return ThroughputResult(
-        message_bytes=message_bytes,
-        n_messages=n_messages,
-        elapsed=sim.now,
-        cqes_processed=0,
-        dpa_utilization=0.0,
+        message_bytes=message_bytes, n_messages=n_messages, elapsed=sim.now
     )
 
 

@@ -38,17 +38,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB
 from repro.fabric.health import EdgeHealthMonitor
 from repro.fabric.report import metrics_digest
-from repro.fabric.scenarios import arm_slo
+from repro.fabric.scenarios import arm_slo, two_tier_of
 from repro.fabric.service import FabricService, FabricServiceConfig, TenantSpec
-from repro.fabric.topology import FabricNetwork, two_tier
+from repro.fabric.topology import FabricNetwork
 from repro.faults.inject import install_edge_faults, uninstall_edge_faults
 from repro.faults.schedule import FaultSchedule, FaultWindow
-from repro.sim.engine import Simulator
+from repro.stack import build_fabric
 from repro.telemetry import SloConfig, SloSummary, Telemetry
 
 __all__ = [
@@ -321,23 +320,12 @@ def chaos_scenario(
     time snapshot cannot give.
     """
     config = config if config is not None else ChaosConfig()
-    topo = two_tier(
-        tors=config.tors,
-        hosts_per_tor=config.hosts_per_tor,
-        host_link=ChannelConfig(
-            bandwidth_bps=config.host_bps, distance_km=config.host_km
-        ),
-        wan_link=ChannelConfig(
-            bandwidth_bps=config.wan_bps,
-            distance_km=config.wan_km,
-            buffer_bytes=512 * KiB,
-            ecn_threshold_bytes=128 * KiB,
-        ),
-        wan_routers=config.wan_routers,
+    topo = two_tier_of(
+        config, 512 * KiB, wan_routers=config.wan_routers,
         host_uplinks=config.host_uplinks,
     )
-    sim = Simulator(telemetry=telemetry)
-    network = FabricNetwork(sim, topo, seed=config.seed)
+    network = build_fabric(topo, seed=config.seed, telemetry=telemetry)
+    sim = network.sim
 
     # Reference RTT: the canonical cross-rack path (rack 0 -> opposite
     # rack), measured on the healthy topology.
@@ -348,13 +336,9 @@ def chaos_scenario(
     if config.health:
         monitor = EdgeHealthMonitor(network)
 
-    service_config = (
-        config.service if config.service is not None else FabricServiceConfig()
-    )
     service_config = replace(
-        service_config,
-        cc=config.cc,
-        partition_deadline=config.partition_deadline_rtts * rtt,
+        config.service if config.service is not None else FabricServiceConfig(),
+        cc=config.cc, partition_deadline=config.partition_deadline_rtts * rtt,
     )
     service = FabricService(network, config=service_config)
 

@@ -36,8 +36,9 @@ from repro.fabric.report import (
     per_tenant_reports,
 )
 from repro.fabric.service import FabricService, FabricServiceConfig, TenantSpec
-from repro.fabric.topology import FabricNetwork, dumbbell, two_tier
-from repro.sim.engine import SimConfig, Simulator
+from repro.fabric.topology import FabricTopology, dumbbell, two_tier
+from repro.sim.engine import SimConfig
+from repro.stack import build_fabric
 from repro.telemetry import (
     SloConfig,
     SloSummary,
@@ -181,6 +182,20 @@ def _rogue_workload(config: FairnessConfig) -> Workload:
     )
 
 
+def two_tier_of(config, wan_buffer_bytes: int, **shape) -> FabricTopology:
+    """``config``'s two-tier WAN (a scale or chaos config); its WAN links
+    tail-drop at ``wan_buffer_bytes`` and mark ECN at a quarter of that."""
+    host = ChannelConfig(bandwidth_bps=config.host_bps, distance_km=config.host_km)
+    return two_tier(
+        tors=config.tors, hosts_per_tor=config.hosts_per_tor, host_link=host,
+        wan_link=ChannelConfig(
+            bandwidth_bps=config.wan_bps, distance_km=config.wan_km,
+            buffer_bytes=wan_buffer_bytes, ecn_threshold_bytes=wan_buffer_bytes // 4,
+        ),
+        **shape,
+    )
+
+
 def submit_schedule(
     service: FabricService,
     workload: Workload,
@@ -203,7 +218,7 @@ def submit_schedule(
 
 def _fairness_fabric(
     config: FairnessConfig, *, telemetry: Telemetry | None = None
-) -> tuple[Simulator, FabricService]:
+) -> FabricService:
     """Build the dumbbell and service (identical for solo and contended)."""
     left = config.victims + (1 if config.rogue else 0)
     host_link = ChannelConfig(
@@ -220,18 +235,12 @@ def _fairness_fabric(
         left_hosts=left, right_hosts=1, host_link=host_link,
         bottleneck=bottleneck,
     )
-    sim = Simulator(telemetry=telemetry)
-    network = FabricNetwork(sim, topo, seed=config.seed)
-    service_config = (
-        config.service
-        if config.service is not None
-        else FabricServiceConfig(cc=config.cc)
-    )
+    network = build_fabric(topo, seed=config.seed, telemetry=telemetry)
     service_config = replace(
-        service_config, cc=config.cc, enforce_quotas=config.enforce_quotas
+        config.service if config.service is not None else FabricServiceConfig(),
+        cc=config.cc, enforce_quotas=config.enforce_quotas,
     )
-    service = FabricService(network, config=service_config)
-    return sim, service
+    return FabricService(network, config=service_config)
 
 
 def _victim_specs(config: FairnessConfig) -> list[TenantSpec]:
@@ -274,16 +283,16 @@ def fairness_scenario(
     placement = {i: (f"hL{i}", "hR0") for i in range(config.victims)}
 
     # Solo baseline: victim t0's sub-schedule, otherwise empty fabric.
-    sim, service = _fairness_fabric(config)
+    service = _fairness_fabric(config)
     service.add_tenant(specs[0])
     submit_schedule(service, victims_wl.for_tenant(0), names, placement)
-    sim.run()
+    service.sim.run()
     solo = {
         r.name: r for r in per_tenant_reports(service, config.duration)
     }[names[0]].goodput_bps
 
     # Contended run: all victims plus (optionally) the rogue.
-    sim, service = _fairness_fabric(config, telemetry=telemetry)
+    service = _fairness_fabric(config, telemetry=telemetry)
     for spec in specs:
         service.add_tenant(spec)
     submit_schedule(service, victims_wl, names, placement)
@@ -301,7 +310,7 @@ def fairness_scenario(
             {0: (f"hL{config.victims}", "hR0")},
         )
     tracker = arm_slo(service, slo, default_window=config.duration / 25.0)
-    sim.run()
+    service.sim.run()
 
     reports = per_tenant_reports(service, config.duration)
     by_name = {r.name: r for r in reports}
@@ -312,7 +321,7 @@ def fairness_scenario(
         contended_goodput_bps=by_name[names[0]].goodput_bps,
         jain=jain_index(victim_goodputs),
         reports=reports,
-        digest=metrics_digest(sim.telemetry.metrics),
+        digest=metrics_digest(service.sim.telemetry.metrics),
         slo=tracker.summary(duration=config.duration) if tracker else None,
     )
 
@@ -399,23 +408,11 @@ def scale_scenario(
 ) -> ScaleResult:
     """Run the open-loop scale experiment; see module docstring."""
     config = config if config is not None else ScaleConfig()
-    topo = two_tier(
-        tors=config.tors,
-        hosts_per_tor=config.hosts_per_tor,
-        host_link=ChannelConfig(
-            bandwidth_bps=config.host_bps, distance_km=config.host_km
-        ),
-        wan_link=ChannelConfig(
-            bandwidth_bps=config.wan_bps,
-            distance_km=config.wan_km,
-            buffer_bytes=4 * MiB,
-            ecn_threshold_bytes=1 * MiB,
-        ),
+    network = build_fabric(
+        two_tier_of(config, 4 * MiB), seed=config.seed,
+        sim_config=SimConfig(fluid=config.fluid), telemetry=telemetry,
     )
-    sim = Simulator(
-        telemetry=telemetry, config=SimConfig(fluid=config.fluid)
-    )
-    network = FabricNetwork(sim, topo, seed=config.seed)
+    hosts, sim = network.topology.hosts, network.sim
     service = FabricService(
         network, config=FabricServiceConfig(cc=config.cc, max_flows_per_qp=256)
     )
@@ -431,7 +428,6 @@ def scale_scenario(
         ),
         seed=config.seed,
     )
-    hosts = topo.hosts
     names = []
     placement = {}
     fair_share = config.offered_load_bps / config.tenants

@@ -1,12 +1,14 @@
-"""The one place an SDR stack is wired.
+"""The one place a run is built and an SDR stack is wired.
 
 Table 1's bring-up (``context_create`` -> ``qp_create`` -> ``qp_connect``,
-plus a control path) behind three calls, and one loop that drives a pair:
+plus a control path) behind a few calls.  Every runner builds its
+``Simulator`` here from the ``telemetry`` / ``sim_config`` it takes:
 
 * :func:`wire` -- the per-edge handshake between two contexts;
 * :func:`endpoints` -- a registered reliability scheme's sender / receiver
   on a wired edge (:data:`repro.reliability.SCHEMES`);
-* :func:`build_pair` -- the two-node case end to end, in one fixed order;
+* :func:`build_link`, :func:`build_pair`, :func:`build_ring`,
+  :func:`build_fabric` -- a bare link, a wired pair, a wired ring, a fabric;
 * :func:`closed_loop` -- one write at a time over a sender / receiver pair.
 
 ``examples/quickstart.py`` spells the same steps out by hand.
@@ -40,18 +42,24 @@ class Wire:
 
 
 @dataclass
-class Stack(Wire):
-    """A wired two-node stack: what :func:`build_pair` built, nothing more."""
+class Link:
+    """Two devices over one link: what :func:`build_link` built."""
 
     sim: Simulator
     fabric: Fabric
     dev_a: Device
     dev_b: Device
-    ctx_a: SdrContext
-    ctx_b: SdrContext
     channel: ChannelConfig
     #: (forward, reverse) BondedChannel when built with ``planes=...``.
     bonded: tuple | None = None
+
+
+@dataclass(kw_only=True)
+class Stack(Link, Wire):
+    """A wired two-node stack: what :func:`build_pair` built, nothing more."""
+
+    ctx_a: SdrContext
+    ctx_b: SdrContext
 
 
 def wire(ctx_a: SdrContext, ctx_b: SdrContext) -> Wire:
@@ -87,31 +95,14 @@ def endpoints(scheme: str, edge, config=None, **kwargs):
     )
 
 
-def build_pair(
-    channel: ChannelConfig,
-    sdr: SdrConfig | None = None,
-    *,
-    dpa: DpaConfig | None = None,
-    planes: int | None = None,
-    spread: str = "flow",
-    faults: FaultSchedule | None = None,
-    seed: int = 0,
-    sim_config: SimConfig | None = None,
-    telemetry: Telemetry | None = None,
+def build_link(
+    channel: ChannelConfig, *, planes: int | None = None, spread: str = "flow",
+    faults: FaultSchedule | None = None, seed: int = 0,
+    sim_config: SimConfig | None = None, telemetry: Telemetry | None = None,
     names: tuple[str, str] = ("dc-a", "dc-b"),
-) -> Stack:
-    """Two devices over one link (``planes`` bonds it), wired a -> b.
-
-    The order is fixed -- Simulator, Fabric, devices, link, link faults,
-    contexts, DPA faults, :func:`wire` -- because QPs cache their channel
-    at connect time: fault wrappers must be on the link first.  ``faults``
-    arms both link directions and the receive-side (b) DPA engine.
-    """
-    sdr = sdr if sdr is not None else SdrConfig()
-    if sdr.mtu_bytes != channel.mtu_bytes:
-        raise ConfigError(
-            f"SDR MTU {sdr.mtu_bytes} must match channel MTU {channel.mtu_bytes}"
-        )
+) -> Link:
+    """Simulator, Fabric, two devices, the link (``planes`` bonds it), then
+    ``faults`` on both link directions: one fixed order."""
     sim = Simulator(telemetry=telemetry, config=sim_config)
     fabric = Fabric(sim, seed=seed)
     dev_a, dev_b = fabric.add_device(names[0]), fabric.add_device(names[1])
@@ -124,14 +115,56 @@ def build_pair(
         fabric.connect(dev_a, dev_b, channel)
     if faults is not None:
         install_link_faults(fabric, dev_a, dev_b, faults)
-    ctx_a = context_create(dev_a, sdr_config=sdr, dpa_config=dpa)
-    ctx_b = context_create(dev_b, sdr_config=sdr, dpa_config=dpa)
+    return Link(sim, fabric, dev_a, dev_b, channel, bonded)
+
+
+def build_pair(
+    channel: ChannelConfig, sdr: SdrConfig | None = None, *,
+    dpa: DpaConfig | None = None, faults: FaultSchedule | None = None, **link,
+) -> Stack:
+    """:func:`build_link` (``link`` are its keywords), contexts, DPA faults,
+    then :func:`wire` a -> b: QPs cache their channel at connect time, so
+    fault wrappers must be on the link first.  ``faults`` arms both link
+    directions and the receive-side (b) DPA engine.
+    """
+    sdr = sdr if sdr is not None else SdrConfig()
+    if sdr.mtu_bytes != channel.mtu_bytes:
+        raise ConfigError(
+            f"SDR MTU {sdr.mtu_bytes} must match channel MTU {channel.mtu_bytes}"
+        )
+    built = build_link(channel, faults=faults, **link)
+    ctx_a = context_create(built.dev_a, sdr_config=sdr, dpa_config=dpa)
+    ctx_b = context_create(built.dev_b, sdr_config=sdr, dpa_config=dpa)
     if faults is not None:
-        install_dpa_faults(sim, ctx_b.dpa, faults)
-    return Stack(
-        sim=sim, fabric=fabric, dev_a=dev_a, dev_b=dev_b, ctx_a=ctx_a,
-        ctx_b=ctx_b, channel=channel, bonded=bonded, **vars(wire(ctx_a, ctx_b)),
-    )
+        install_dpa_faults(built.sim, ctx_b.dpa, faults)
+    return Stack(**vars(built), ctx_a=ctx_a, ctx_b=ctx_b, **vars(wire(ctx_a, ctx_b)))
+
+
+def build_ring(
+    channel: ChannelConfig, sdr: SdrConfig, n: int, scheme: str, config=None, *,
+    dpa: DpaConfig | None = None, seed: int = 0,
+    sim_config: SimConfig | None = None, telemetry: Telemetry | None = None,
+) -> tuple[Fabric, list[SdrContext], list[tuple]]:
+    """``(fabric, contexts, ends)``: ``n`` devices in a ring in :func:`build_link`'s
+    order, ``ends[i]`` ``scheme``'s (sender, receiver) on edge i -> i+1.  QPs and
+    senders schedule t = 0 entries, so each edge's :func:`endpoints` follow
+    its :func:`wire` at once: wiring every edge first would reorder t = 0."""
+    fabric = Fabric(Simulator(telemetry=telemetry, config=sim_config), seed=seed)
+    devices = [fabric.add_device(f"dc{i}") for i in range(n)]
+    for i in range(n):
+        fabric.connect(devices[i], devices[(i + 1) % n], channel)
+    ctxs = [context_create(d, sdr_config=sdr, dpa_config=dpa) for d in devices]
+    return fabric, ctxs, [
+        endpoints(scheme, wire(ctxs[i], ctxs[(i + 1) % n]), config) for i in range(n)
+    ]
+
+
+def build_fabric(topology, *, seed=0, sim_config=None, telemetry=None):
+    """A :class:`~repro.fabric.topology.FabricNetwork` on a Simulator of its own."""
+    from repro.fabric.topology import FabricNetwork  # repro.fabric imports this
+
+    sim = Simulator(telemetry=telemetry, config=sim_config)
+    return FabricNetwork(sim, topology, seed=seed)
 
 
 def closed_loop(

@@ -16,6 +16,7 @@ from repro.cc import CC_ALGORITHMS, Pacer, make_controller
 from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB
+from repro.ec.segmented import SegmentLayout
 from repro.faults import FaultSchedule
 from repro.recovery import PlaneRecovery
 from repro.reliability import SCHEMES
@@ -138,10 +139,14 @@ def run_demo(
         buffer_bytes=buffer_bytes,
         ecn_threshold_bytes=ecn_threshold_bytes,
     )
-    # EC needs 2L SDR receive slots per message (L data + L parity subs).
+    ec_config = ec_config if ec_config is not None else EcConfig()
+    largest = max(message_bytes, chunk_bytes)
+    if protocol in ("ec", "adaptive"):  # EC also posts m-chunk parity receives
+        layout = SegmentLayout(message_bytes, chunk_bytes, ec_config.k, ec_config.m)
+        largest = max(largest, layout.largest_receive)
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk_bytes,
-        max_message_bytes=max(message_bytes, chunk_bytes),
+        max_message_bytes=largest,
         mtu_bytes=mtu_bytes,
         channels=channels,
         generations=generations,
@@ -162,7 +167,7 @@ def run_demo(
 
     configs = {
         "sr": sr_config if sr_config is not None else SrConfig(nack_enabled=nack),
-        "ec": ec_config if ec_config is not None else EcConfig(),
+        "ec": ec_config,
         "sampling": (
             sampling_config if sampling_config is not None else SamplingConfig()
         ),

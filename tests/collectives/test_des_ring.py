@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro import stack
 from repro.collectives import des_ring
 from repro.collectives.bounds import allreduce_lower_bound
 from repro.collectives.des_ring import run_des_ring_allreduce
@@ -107,10 +108,6 @@ class TestLossy:
 
 
 class TestEcSizing:
-    @pytest.mark.xfail(
-        strict=True, raises=ConfigError,
-        reason="the SDR message limit is sized to the segment, not to m parity chunks",
-    )
     def test_parity_receive_larger_than_the_segment(self):
         """MDS(8, 4) over 16 KiB chunks posts 64 KiB parity receives for a
         48 KiB segment: the SDR message limit must cover them."""
@@ -163,7 +160,7 @@ def ring_run(drive, **kw):
     The generator ends each datacenter with a dead entry the callbacks do
     not make, so the two are compared on :func:`live_dispatches`.
     """
-    with recording_sims(des_ring) as sims, mock.patch.object(des_ring, "_drive", drive):
+    with recording_sims(stack) as sims, mock.patch.object(des_ring, "_drive", drive):
         try:
             outcome = run_des_ring_allreduce(**kw)
         except DeliveryError as error:

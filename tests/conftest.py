@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+from collections import Counter, deque
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB
 from repro.faults import FaultSchedule
 from repro.sim.engine import Event, SimConfig, SimulationError, Simulator
+from repro.sim.profile import SimProfiler
 from repro.stack import Stack, build_pair
 from repro.telemetry import Telemetry
 
@@ -54,9 +56,10 @@ class RecordingSimulator(Simulator):
 
     ``dispatched`` holds ``(time, seq, dead)`` per dispatched heap entry,
     ``dead`` marking an event entry with no callbacks -- what ends a
-    generator nothing waits on.  Patched in for ``Simulator`` where a
-    runner builds its own, it gives a callback chain's whole-run dispatch
-    sequence to compare against its generator reference.
+    generator nothing waits on.  Patched in for ``repro.stack``'s
+    ``Simulator``, where every runner builds its own, it gives a callback
+    chain's whole-run dispatch sequence to compare against its generator
+    reference.
     """
 
     def __init__(self, **kw):
@@ -110,6 +113,42 @@ def live_dispatches(dispatched):
     live = [(time, seq) for time, seq, dead in dispatched if not dead]
     rank = {seq: i for i, seq in enumerate(sorted(seq for _, seq in live))}
     return [(time, rank[seq]) for time, seq in live]
+
+
+def drains_within(sim: Simulator, *, dispatches: int, sim_seconds: float) -> int:
+    """Run ``sim``'s heap dry; fail if either budget runs out first.
+
+    ``dispatches`` bounds the heap entries run and ``sim_seconds`` the
+    simulated time from now.  A run that outlives either fails naming the
+    profiler categories (``module:qualname``) of the last 4,096 callbacks
+    it ran, so a run that never ends points at the layer keeping it
+    alive.  Returns the dispatches a drained run took.
+    """
+    name = SimProfiler()._key
+    recent: deque[str] = deque(maxlen=4096)
+    heap, deadline = sim._heap, sim.now + sim_seconds
+    for n in range(dispatches):
+        if not heap:
+            return n
+        time, _seq, fn, arg = heap[0]
+        if time > deadline:
+            break
+        if fn is not None:
+            recent.append(name(fn))
+        elif arg.callbacks:
+            recent.extend(map(name, arg.callbacks))
+        else:
+            recent.append("an event nothing waits on")
+        sim.step()
+    else:
+        if not heap:
+            return dispatches
+    top = ", ".join(f"{cat} x{k}" for cat, k in Counter(recent).most_common(5))
+    pytest.fail(
+        f"no drain within {dispatches:,} dispatches / {sim_seconds:g} s "
+        f"simulated (now {sim.now:.6g} s, {len(heap):,} entries pending); "
+        f"its last {len(recent):,} callbacks ran {top}"
+    )
 
 
 def make_sdr_pair(

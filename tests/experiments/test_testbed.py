@@ -114,13 +114,12 @@ def generator_await_cqes(sim, cq, n):
     return done
 
 
-def recorded(module, name, replacement, run, **kw):
+def recorded(name, replacement, run, **kw):
     """``run(**kw)`` with ``testbed.name`` replaced by ``replacement``.
 
-    ``module`` is where the run finds its ``Simulator``.  Returns the
-    result and every dispatched entry.
+    Returns the result and every dispatched entry.
     """
-    with recording_sims(module) as sims, mock.patch.object(testbed, name, replacement):
+    with recording_sims(stack) as sims, mock.patch.object(testbed, name, replacement):
         result = run(**kw)
     return result, sims[0].dispatched
 
@@ -139,8 +138,8 @@ def test_serve_chain_matches_generator_server(size, n_messages, inflight, thread
         channel=channel(), dpa=DpaConfig(worker_threads=threads),
         sdr=SdrConfig(chunk_bytes=16 * KiB, max_message_bytes=256 * KiB),
     )
-    got = recorded(stack, "_serve", testbed._serve, run_sdr_throughput, **kw)
-    assert got == recorded(stack, "_serve", generator_serve, run_sdr_throughput, **kw)
+    got = recorded("_serve", testbed._serve, run_sdr_throughput, **kw)
+    assert got == recorded("_serve", generator_serve, run_sdr_throughput, **kw)
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,7 +153,5 @@ def test_cqe_wait_matches_generator_waiter(size, n_messages, drop):
         message_bytes=size, n_messages=n_messages, seed=5,
         channel=dataclasses.replace(channel(), drop_probability=drop),
     )
-    got = recorded(testbed, "_await_cqes", testbed._await_cqes, run_rc_throughput, **kw)
-    assert got == recorded(
-        testbed, "_await_cqes", generator_await_cqes, run_rc_throughput, **kw
-    )
+    got = recorded("_await_cqes", testbed._await_cqes, run_rc_throughput, **kw)
+    assert got == recorded("_await_cqes", generator_await_cqes, run_rc_throughput, **kw)

@@ -22,17 +22,15 @@ import hashlib
 import io
 import json
 import sys
-from functools import partial
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 from repro.cc.incast import run_incast
-from repro.collectives import des_ring
+from repro.collectives.des_ring import run_des_ring_allreduce
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB, distance_to_rtt
-from repro.experiments import testbed
+from repro.experiments.testbed import run_rc_throughput, run_sdr_throughput
 from repro.fabric import ChaosConfig, ScaleConfig, chaos_scenario, scale_scenario
 from repro.faults import FaultSchedule, FaultWindow, named_schedule
 from repro.reliability.ec import EcConfig
@@ -42,7 +40,6 @@ from repro.sdr import context_create
 from repro.sdr.qp import SdrRecvWr, SdrSendWr
 from repro.sdr.staged import StagedSdrQp
 from repro.sim.engine import SimConfig, Simulator
-from repro.stack import build_pair
 from repro.telemetry import JsonlSink, LineageAnalyzer, Telemetry, TimeseriesSampler
 from repro.telemetry.demo import run_demo
 
@@ -190,20 +187,16 @@ def _sr_fluid(telemetry):
 
 
 def _des_ring(protocol):
-    # Three datacenters on one lossy 100 Gb/s, 1000 km cell.  The runner
-    # builds its own Simulator; the patch only hands it this telemetry.
+    # Three datacenters on one lossy 100 Gb/s, 1000 km cell.
     def run(telemetry):
         channel = ChannelConfig(
             bandwidth_bps=100e9, distance_km=WAN_KM, mtu_bytes=4 * KiB,
             drop_probability=0.01,
         )
-        with mock.patch.object(
-            des_ring, "Simulator", partial(Simulator, telemetry=telemetry)
-        ):
-            result = des_ring.run_des_ring_allreduce(
-                n_datacenters=3, buffer_bytes=768 * KiB, channel=channel,
-                protocol=protocol, seed=7,
-            )
+        result = run_des_ring_allreduce(
+            n_datacenters=3, buffer_bytes=768 * KiB, channel=channel,
+            protocol=protocol, seed=7, telemetry=telemetry,
+        )
         return result.completion_time
 
     return run
@@ -214,18 +207,15 @@ FIG14_CHANNEL = ChannelConfig(bandwidth_bps=400e9, distance_km=0.1, mtu_bytes=4 
 
 
 def _sdr_throughput(telemetry):
-    with mock.patch.object(
-        testbed, "build_pair", partial(build_pair, telemetry=telemetry)
-    ):
-        result = testbed.run_sdr_throughput(
-            message_bytes=256 * KiB, n_messages=24, inflight=16,
-            channel=FIG14_CHANNEL,
-            sdr=SdrConfig(
-                chunk_bytes=64 * KiB, max_message_bytes=256 * KiB, channels=16,
-                inflight_messages=16,
-            ),
-            dpa=DpaConfig(worker_threads=16),
-        )
+    result = run_sdr_throughput(
+        message_bytes=256 * KiB, n_messages=24, inflight=16,
+        channel=FIG14_CHANNEL,
+        sdr=SdrConfig(
+            chunk_bytes=64 * KiB, max_message_bytes=256 * KiB, channels=16,
+            inflight_messages=16,
+        ),
+        dpa=DpaConfig(worker_threads=16), telemetry=telemetry,
+    )
     return result.elapsed
 
 
@@ -233,12 +223,10 @@ def _rc_throughput(telemetry):
     # Fig 14's RC baseline on its channel with drops, so the Go-Back-N
     # pump rewinds on NAKs and on its RTO.
     lossy = dataclasses.replace(FIG14_CHANNEL, drop_probability=1e-2)
-    with mock.patch.object(
-        testbed, "Simulator", partial(Simulator, telemetry=telemetry)
-    ):
-        result = testbed.run_rc_throughput(
-            message_bytes=256 * KiB, n_messages=24, channel=lossy, seed=7,
-        )
+    result = run_rc_throughput(
+        message_bytes=256 * KiB, n_messages=24, channel=lossy, seed=7,
+        telemetry=telemetry,
+    )
     return result.elapsed
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.engine import SimulationError, Simulator
 
-from tests.conftest import all_of
+from tests.conftest import all_of, drains_within
 
 
 class TestClockAndTimeouts:
@@ -627,3 +627,32 @@ def _poll(sim, pred, q):
     poll = sim.poll_until(pred, q)
     if not poll.processed:
         yield poll
+
+
+def _tick(sim):
+    sim.call_in(1e-6, _tick, sim)
+
+
+class TestDrainsWithin:
+    """The tests' liveness budget: drain, or fail naming what kept running."""
+
+    def test_a_drained_run_returns_its_dispatches(self):
+        sim = Simulator()
+        for delay in (1.0, 2.0, 3.0):
+            sim.call_in(delay, lambda: None)
+        sim.timeout(0.5)  # an event nothing waits on still counts
+        assert drains_within(sim, dispatches=4, sim_seconds=3.0) == 4
+        assert sim.now == 3.0
+
+    @pytest.mark.parametrize(
+        "budget, spent",
+        [(dict(dispatches=50, sim_seconds=1.0), "50 dispatches"),
+         (dict(dispatches=10**6, sim_seconds=1e-4), "0.0001 s")],
+    )
+    def test_a_run_past_either_budget_fails_naming_its_callback(self, budget, spent):
+        sim = Simulator()
+        sim.call_in(0.0, _tick, sim)
+        with pytest.raises(pytest.fail.Exception) as failure:
+            drains_within(sim, **budget)
+        assert spent in str(failure.value)
+        assert "test_engine:_tick" in str(failure.value)

@@ -116,10 +116,6 @@ class TestEcDemo:
         assert reg.value("ec.dc-b.acks_sent") > 0
         assert reg.value("ec.dc-b.submessages_decoded") > 0
 
-    @pytest.mark.xfail(
-        strict=True, raises=ConfigError,
-        reason="the SDR message limit is sized to the message, not to m parity chunks",
-    )
     def test_parity_receive_larger_than_the_message(self):
         """A 48 KiB message under MDS(8, 4) over 16 KiB chunks posts 64 KiB
         parity receives: the SDR message limit must cover them."""

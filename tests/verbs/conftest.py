@@ -9,6 +9,7 @@ import pytest
 from repro.common.config import ChannelConfig
 from repro.common.units import KiB
 from repro.sim.engine import Simulator
+from repro.stack import build_link
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.device import Device, Fabric
 
@@ -34,10 +35,6 @@ def make_wire(
     mtu: int = 4 * KiB,
     seed: int = 0,
 ) -> Wire:
-    sim = Simulator()
-    fabric = Fabric(sim, seed=seed)
-    a = fabric.add_device("a")
-    b = fabric.add_device("b")
     channel = ChannelConfig(
         bandwidth_bps=bandwidth_bps,
         distance_km=distance_km,
@@ -45,8 +42,10 @@ def make_wire(
         drop_probability=drop,
         jitter_fraction=jitter,
     )
-    fabric.connect(a, b, channel)
-    return Wire(sim=sim, fabric=fabric, a=a, b=b, channel=channel)
+    link = build_link(channel, seed=seed, names=("a", "b"))
+    return Wire(
+        sim=link.sim, fabric=link.fabric, a=link.dev_a, b=link.dev_b, channel=channel
+    )
 
 
 @pytest.fixture

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.common.config import ChannelConfig
 from repro.common.units import KiB, MiB
+from repro.stack import build_link
+from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import RcQp, SendWr
 
+from tests.conftest import drains_within
 from tests.verbs.conftest import make_wire
 
 
@@ -104,3 +108,43 @@ class TestWindow:
         assert qa._snd_nxt - qa._snd_una <= 4
         wire.sim.run()
         assert len(qa.send_cq.poll(10)) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Go-Back-N behind cross traffic in a 6 KiB buffer rewinds forever",
+)
+def test_go_back_n_drains_behind_cross_traffic():
+    """Four WRs posted at 3.35 us, 50 ns behind one MTU of a second QP pair
+    on the same wire, at 5 % loss: every rewind must end in a drain."""
+    link = build_link(
+        ChannelConfig(
+            bandwidth_bps=100e9, distance_km=1.0, mtu_bytes=4 * KiB,
+            drop_probability=0.05, buffer_bytes=6 * KiB,
+        ),
+        seed=3, names=("a", "b"),
+    )
+    sim, a, b = link.sim, link.dev_a, link.dev_b
+
+    def rc_pair():
+        qps = [
+            RcQp(dev, send_cq=CompletionQueue(sim), recv_cq=CompletionQueue(sim))
+            for dev in (a, b)
+        ]
+        qps[0].connect(qps[1].info())
+        qps[1].connect(qps[0].info())
+        return qps[0]
+
+    qa, qx = rc_pair(), rc_pair()
+    mr = MemoryRegion(64 * KiB)
+    b.reg_mr(mr)
+    lengths = (4 * KiB, 4 * KiB - 1, 20 * KiB + 7, 64)
+    sim.call_at(67 * 50e-9, lambda: [
+        qa.post_send(SendWr(length=n, rkey=mr.rkey, wr_id=i))
+        for i, n in enumerate(lengths)
+    ])
+    sim.call_at(66 * 50e-9, qx.post_send, SendWr(
+        length=4 * KiB, rkey=mr.rkey, remote_offset=60 * KiB, signaled=False,
+    ))
+    drains_within(sim, dispatches=20_000, sim_seconds=0.01)
+    assert len(qa.send_cq.poll(10)) == len(lengths)
