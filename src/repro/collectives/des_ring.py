@@ -16,9 +16,9 @@ from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.ec.segmented import SegmentLayout
 from repro.reliability import SCHEMES
-from repro.reliability.ec import EcConfig
+from repro.reliability.ec import EcConfig, largest_receive
 from repro.reliability.sr import SrConfig
-from repro.sim.engine import Event, SimConfig, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.stack import build_ring
 from repro.telemetry import Telemetry
 
@@ -53,7 +53,6 @@ def run_des_ring_allreduce(
     ec_config: EcConfig | None = None,
     dpa: DpaConfig | None = None,
     seed: int = 0,
-    sim_config: SimConfig | None = None,
     telemetry: Telemetry | None = None,
 ) -> DesRingResult:
     """Build the ring, run the 2N-2-round schedule, return timings."""
@@ -67,34 +66,41 @@ def run_des_ring_allreduce(
     segment = -(-buffer_bytes // n_datacenters)
     rounds = 2 * n_datacenters - 2
 
-    config, inflight, largest = sr_config, 16, segment
+    config, inflight, ec = sr_config, 16, None
     if SCHEMES[protocol][0].config_type is EcConfig:
-        config = ec_config if ec_config is not None else EcConfig(codec="mds", k=8, m=4)
-        # EC: 2L SDR slots per receive; an m-chunk parity sub can outgrow a segment.
+        config = ec = (
+            ec_config if ec_config is not None
+            else EcConfig(codec="mds", k=8, m=4)
+        )
+        # EC needs 2L SDR slots per in-flight receive.
         layout = SegmentLayout(segment, chunk_bytes, config.k, config.m)
         inflight = max(16, 2 * layout.nsegments + 2)
-        largest = max(segment, layout.largest_receive)
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk_bytes,
-        max_message_bytes=max(largest, chunk_bytes),
+        max_message_bytes=largest_receive(segment, chunk_bytes, ec),
         mtu_bytes=channel.mtu_bytes,
         channels=4,
         inflight_messages=min(inflight, 1024),
     )
     fabric, contexts, ends = build_ring(
         channel, sdr_cfg, n_datacenters, protocol, config, dpa=dpa, seed=seed,
-        sim_config=sim_config, telemetry=telemetry,
+        telemetry=telemetry,
     )
     completion, retransmitted = fabric.sim.run(
         _drive(fabric.sim, contexts, *zip(*ends), segment, rounds)
     )
+
+    drops = [
+        link.forward.stats.packets_dropped for link in fabric.links.values()
+    ]
     return DesRingResult(
-        n_datacenters=n_datacenters, buffer_bytes=buffer_bytes, protocol=protocol,
-        completion_time=completion, rounds=rounds,
+        n_datacenters=n_datacenters,
+        buffer_bytes=buffer_bytes,
+        protocol=protocol,
+        completion_time=completion,
+        rounds=rounds,
         total_retransmitted_chunks=retransmitted,
-        per_edge_drops=[
-            link.forward.stats.packets_dropped for link in fabric.links.values()
-        ],
+        per_edge_drops=drops,
     )
 
 

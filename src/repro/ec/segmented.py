@@ -59,11 +59,6 @@ class SegmentLayout:
     def nsegments(self) -> int:
         return -(-self.nchunks // self.k)
 
-    @property
-    def largest_receive(self) -> int:
-        """The largest receive an EC scheme posts: a data or an m-chunk parity sub."""
-        return max(self.segment_bytes(0), self.m * self.chunk_bytes)
-
     def segment_of(self, chunk: int) -> int:
         """Segment owning absolute data chunk ``chunk``."""
         if not 0 <= chunk < self.nchunks:

@@ -30,8 +30,8 @@ class ThroughputResult:
     message_bytes: int
     n_messages: int
     elapsed: float
-    cqes_processed: int = 0
-    dpa_utilization: float = 0.0
+    cqes_processed: int
+    dpa_utilization: float
 
     @property
     def total_bytes(self) -> int:
@@ -80,7 +80,9 @@ def run_sdr_throughput(
     elapsed = sim.now
     engine = bed.ctx_b.dpa
     return ThroughputResult(
-        message_bytes=message_bytes, n_messages=n_messages, elapsed=elapsed,
+        message_bytes=message_bytes,
+        n_messages=n_messages,
+        elapsed=elapsed,
         cqes_processed=engine.cqes_processed,
         dpa_utilization=engine.utilization(elapsed),
     )
@@ -92,13 +94,12 @@ def run_rc_throughput(
     n_messages: int = 32,
     channel: ChannelConfig | None = None,
     seed: int = 0,
-    sim_config: SimConfig | None = None,
     telemetry: Telemetry | None = None,
 ) -> ThroughputResult:
     """Baseline: the same loop over a commodity RC QP (reliable writes)."""
     link = build_link(
         channel if channel is not None else ChannelConfig(), seed=seed,
-        sim_config=sim_config, telemetry=telemetry, names=("client", "server"),
+        telemetry=telemetry, names=("client", "server"),
     )
     sim, a, b = link.sim, link.dev_a, link.dev_b
     cq_a = CompletionQueue(sim, name="rc.client.cq")
@@ -113,7 +114,11 @@ def run_rc_throughput(
         qa.post_send(SendWr(length=message_bytes, rkey=mr.rkey, remote_offset=0))
     sim.run(_await_cqes(sim, cq_a, n_messages))
     return ThroughputResult(
-        message_bytes=message_bytes, n_messages=n_messages, elapsed=sim.now
+        message_bytes=message_bytes,
+        n_messages=n_messages,
+        elapsed=sim.now,
+        cqes_processed=0,
+        dpa_utilization=0.0,
     )
 
 

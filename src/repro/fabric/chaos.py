@@ -321,7 +321,9 @@ def chaos_scenario(
     """
     config = config if config is not None else ChaosConfig()
     topo = two_tier_of(
-        config, 512 * KiB, wan_routers=config.wan_routers,
+        config,
+        512 * KiB,
+        wan_routers=config.wan_routers,
         host_uplinks=config.host_uplinks,
     )
     network = build_fabric(topo, seed=config.seed, telemetry=telemetry)
@@ -336,9 +338,13 @@ def chaos_scenario(
     if config.health:
         monitor = EdgeHealthMonitor(network)
 
+    service_config = (
+        config.service if config.service is not None else FabricServiceConfig()
+    )
     service_config = replace(
-        config.service if config.service is not None else FabricServiceConfig(),
-        cc=config.cc, partition_deadline=config.partition_deadline_rtts * rtt,
+        service_config,
+        cc=config.cc,
+        partition_deadline=config.partition_deadline_rtts * rtt,
     )
     service = FabricService(network, config=service_config)
 

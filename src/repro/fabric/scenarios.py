@@ -185,12 +185,17 @@ def _rogue_workload(config: FairnessConfig) -> Workload:
 def two_tier_of(config, wan_buffer_bytes: int, **shape) -> FabricTopology:
     """``config``'s two-tier WAN (a scale or chaos config); its WAN links
     tail-drop at ``wan_buffer_bytes`` and mark ECN at a quarter of that."""
-    host = ChannelConfig(bandwidth_bps=config.host_bps, distance_km=config.host_km)
     return two_tier(
-        tors=config.tors, hosts_per_tor=config.hosts_per_tor, host_link=host,
+        tors=config.tors,
+        hosts_per_tor=config.hosts_per_tor,
+        host_link=ChannelConfig(
+            bandwidth_bps=config.host_bps, distance_km=config.host_km
+        ),
         wan_link=ChannelConfig(
-            bandwidth_bps=config.wan_bps, distance_km=config.wan_km,
-            buffer_bytes=wan_buffer_bytes, ecn_threshold_bytes=wan_buffer_bytes // 4,
+            bandwidth_bps=config.wan_bps,
+            distance_km=config.wan_km,
+            buffer_bytes=wan_buffer_bytes,
+            ecn_threshold_bytes=wan_buffer_bytes // 4,
         ),
         **shape,
     )
@@ -236,9 +241,13 @@ def _fairness_fabric(
         bottleneck=bottleneck,
     )
     network = build_fabric(topo, seed=config.seed, telemetry=telemetry)
+    service_config = (
+        config.service
+        if config.service is not None
+        else FabricServiceConfig(cc=config.cc)
+    )
     service_config = replace(
-        config.service if config.service is not None else FabricServiceConfig(),
-        cc=config.cc, enforce_quotas=config.enforce_quotas,
+        service_config, cc=config.cc, enforce_quotas=config.enforce_quotas
     )
     return FabricService(network, config=service_config)
 
@@ -408,11 +417,12 @@ def scale_scenario(
 ) -> ScaleResult:
     """Run the open-loop scale experiment; see module docstring."""
     config = config if config is not None else ScaleConfig()
+    topo = two_tier_of(config, 4 * MiB)
     network = build_fabric(
-        two_tier_of(config, 4 * MiB), seed=config.seed,
-        sim_config=SimConfig(fluid=config.fluid), telemetry=telemetry,
+        topo, seed=config.seed, sim_config=SimConfig(fluid=config.fluid),
+        telemetry=telemetry,
     )
-    hosts, sim = network.topology.hosts, network.sim
+    sim = network.sim
     service = FabricService(
         network, config=FabricServiceConfig(cc=config.cc, max_flows_per_qp=256)
     )
@@ -428,6 +438,7 @@ def scale_scenario(
         ),
         seed=config.seed,
     )
+    hosts = topo.hosts
     names = []
     placement = {}
     fair_share = config.offered_load_bps / config.tenants

@@ -110,6 +110,16 @@ class EcConfig:
         return get_codec(self.codec, self.k, self.m)
 
 
+def largest_receive(
+    message_bytes: int, chunk_bytes: int, ec: EcConfig | None = None
+) -> int:
+    """The SDR ``max_message_bytes`` that ``message_bytes`` writes need: the
+    message itself (at least a chunk), and under ``ec`` each submessage's
+    ``m``-chunk parity receive, which can outgrow a small message."""
+    parity = ec.m * chunk_bytes if ec is not None else 0
+    return max(message_bytes, chunk_bytes, parity)
+
+
 class _EcSendState(WriteState):
     """An EC write: ``handles`` = L data streams, then L parity streams."""
 

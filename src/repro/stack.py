@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError, ReproError
@@ -29,6 +30,9 @@ from repro.sdr.qp import SdrQp
 from repro.sim.engine import Event, SimConfig, Simulator
 from repro.telemetry import Telemetry
 from repro.verbs.device import Device, Fabric
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fabric.topology import FabricNetwork, FabricTopology
 
 
 @dataclass
@@ -96,9 +100,14 @@ def endpoints(scheme: str, edge, config=None, **kwargs):
 
 
 def build_link(
-    channel: ChannelConfig, *, planes: int | None = None, spread: str = "flow",
-    faults: FaultSchedule | None = None, seed: int = 0,
-    sim_config: SimConfig | None = None, telemetry: Telemetry | None = None,
+    channel: ChannelConfig,
+    *,
+    planes: int | None = None,
+    spread: str = "flow",
+    faults: FaultSchedule | None = None,
+    seed: int = 0,
+    sim_config: SimConfig | None = None,
+    telemetry: Telemetry | None = None,
     names: tuple[str, str] = ("dc-a", "dc-b"),
 ) -> Link:
     """Simulator, Fabric, two devices, the link (``planes`` bonds it), then
@@ -119,8 +128,12 @@ def build_link(
 
 
 def build_pair(
-    channel: ChannelConfig, sdr: SdrConfig | None = None, *,
-    dpa: DpaConfig | None = None, faults: FaultSchedule | None = None, **link,
+    channel: ChannelConfig,
+    sdr: SdrConfig | None = None,
+    *,
+    dpa: DpaConfig | None = None,
+    faults: FaultSchedule | None = None,
+    **link,
 ) -> Stack:
     """:func:`build_link` (``link`` are its keywords), contexts, DPA faults,
     then :func:`wire` a -> b: QPs cache their channel at connect time, so
@@ -137,21 +150,34 @@ def build_pair(
     ctx_b = context_create(built.dev_b, sdr_config=sdr, dpa_config=dpa)
     if faults is not None:
         install_dpa_faults(built.sim, ctx_b.dpa, faults)
-    return Stack(**vars(built), ctx_a=ctx_a, ctx_b=ctx_b, **vars(wire(ctx_a, ctx_b)))
+    return Stack(
+        **vars(built), ctx_a=ctx_a, ctx_b=ctx_b, **vars(wire(ctx_a, ctx_b))
+    )
 
 
 def build_ring(
-    channel: ChannelConfig, sdr: SdrConfig, n: int, scheme: str, config=None, *,
-    dpa: DpaConfig | None = None, seed: int = 0,
-    sim_config: SimConfig | None = None, telemetry: Telemetry | None = None,
+    channel: ChannelConfig,
+    sdr: SdrConfig,
+    n: int,
+    scheme: str,
+    config=None,
+    *,
+    dpa: DpaConfig | None = None,
+    seed: int = 0,
+    telemetry: Telemetry | None = None,
 ) -> tuple[Fabric, list[SdrContext], list[tuple]]:
-    """``(fabric, contexts, ends)``: ``n`` devices in a ring in :func:`build_link`'s
-    order, ``ends[i]`` ``scheme``'s (sender, receiver) on edge i -> i+1.  QPs and
-    senders schedule t = 0 entries, so each edge's :func:`endpoints` follow
-    its :func:`wire` at once: wiring every edge first would reorder t = 0."""
-    fabric = Fabric(Simulator(telemetry=telemetry, config=sim_config), seed=seed)
-    devices = [fabric.add_device(f"dc{i}") for i in range(n)]
-    for i in range(n):
+    """``(fabric, contexts, ends)``: ``n`` devices in a ring, ``ends[i]``
+    ``scheme``'s (sender, receiver) on edge i -> i+1.
+
+    :func:`build_link` builds dc0 -> dc1; the other devices and edges
+    follow, then the contexts.  QPs and senders schedule t = 0 entries, so
+    each edge's :func:`endpoints` follow its :func:`wire` at once: wiring
+    every edge first would reorder t = 0.
+    """
+    link = build_link(channel, seed=seed, telemetry=telemetry, names=("dc0", "dc1"))
+    fabric, devices = link.fabric, [link.dev_a, link.dev_b]
+    devices += [fabric.add_device(f"dc{i}") for i in range(2, n)]
+    for i in range(1, n):
         fabric.connect(devices[i], devices[(i + 1) % n], channel)
     ctxs = [context_create(d, sdr_config=sdr, dpa_config=dpa) for d in devices]
     return fabric, ctxs, [
@@ -159,7 +185,13 @@ def build_ring(
     ]
 
 
-def build_fabric(topology, *, seed=0, sim_config=None, telemetry=None):
+def build_fabric(
+    topology: FabricTopology,
+    *,
+    seed: int = 0,
+    sim_config: SimConfig | None = None,
+    telemetry: Telemetry | None = None,
+) -> FabricNetwork:
     """A :class:`~repro.fabric.topology.FabricNetwork` on a Simulator of its own."""
     from repro.fabric.topology import FabricNetwork  # repro.fabric imports this
 

@@ -16,12 +16,11 @@ from repro.cc import CC_ALGORITHMS, Pacer, make_controller
 from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB
-from repro.ec.segmented import SegmentLayout
 from repro.faults import FaultSchedule
 from repro.recovery import PlaneRecovery
 from repro.reliability import SCHEMES
 from repro.reliability.base import ControlPath, ReceiveTicket, WriteTicket
-from repro.reliability.ec import EcConfig
+from repro.reliability.ec import EcConfig, largest_receive
 from repro.reliability.sampling import SamplingConfig
 from repro.reliability.sr import SrConfig
 from repro.sim.engine import Simulator
@@ -140,13 +139,14 @@ def run_demo(
         ecn_threshold_bytes=ecn_threshold_bytes,
     )
     ec_config = ec_config if ec_config is not None else EcConfig()
-    largest = max(message_bytes, chunk_bytes)
-    if protocol in ("ec", "adaptive"):  # EC also posts m-chunk parity receives
-        layout = SegmentLayout(message_bytes, chunk_bytes, ec_config.k, ec_config.m)
-        largest = max(largest, layout.largest_receive)
+    # EC needs 2L SDR receive slots per message (L data + L parity subs).
     sdr_cfg = SdrConfig(
         chunk_bytes=chunk_bytes,
-        max_message_bytes=largest,
+        max_message_bytes=largest_receive(
+            message_bytes,
+            chunk_bytes,
+            ec_config if protocol in ("ec", "adaptive") else None,
+        ),
         mtu_bytes=mtu_bytes,
         channels=channels,
         generations=generations,

@@ -10,7 +10,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import stack
 from repro.collectives import des_ring
 from repro.collectives.bounds import allreduce_lower_bound
 from repro.collectives.des_ring import run_des_ring_allreduce
@@ -160,7 +159,7 @@ def ring_run(drive, **kw):
     The generator ends each datacenter with a dead entry the callbacks do
     not make, so the two are compared on :func:`live_dispatches`.
     """
-    with recording_sims(stack) as sims, mock.patch.object(des_ring, "_drive", drive):
+    with recording_sims() as sims, mock.patch.object(des_ring, "_drive", drive):
         try:
             outcome = run_des_ring_allreduce(**kw)
         except DeliveryError as error:

@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from repro import stack
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB
 from repro.faults import FaultSchedule
@@ -86,8 +87,9 @@ class RecordingSimulator(Simulator):
 
 
 @contextlib.contextmanager
-def recording_sims(*modules):
-    """Have each module's ``Simulator`` build a :class:`RecordingSimulator`.
+def recording_sims():
+    """Have ``repro.stack``, where every runner builds its ``Simulator``,
+    build a :class:`RecordingSimulator` instead.
 
     Yields the list the simulators land in, in build order.
     """
@@ -97,9 +99,7 @@ def recording_sims(*modules):
         sims.append(RecordingSimulator(**kw))
         return sims[-1]
 
-    with contextlib.ExitStack() as stack:
-        for module in modules:
-            stack.enter_context(mock.patch.object(module, "Simulator", build))
+    with mock.patch.object(stack, "Simulator", build):
         yield sims
 
 

@@ -12,8 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import stack
-
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB
@@ -119,7 +117,7 @@ def recorded(name, replacement, run, **kw):
 
     Returns the result and every dispatched entry.
     """
-    with recording_sims(stack) as sims, mock.patch.object(testbed, name, replacement):
+    with recording_sims() as sims, mock.patch.object(testbed, name, replacement):
         result = run(**kw)
     return result, sims[0].dispatched
 

@@ -53,7 +53,7 @@ def generator_closed_loop(
 
 def run(module, runner, loop, **kw):
     """``runner(**kw)`` with ``module.closed_loop`` replaced by ``loop``."""
-    with recording_sims(stack) as sims, mock.patch.object(module, "closed_loop", loop):
+    with recording_sims() as sims, mock.patch.object(module, "closed_loop", loop):
         result = runner(**kw)
     return {
         "dispatched": sims[0].dispatched,

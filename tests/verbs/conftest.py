@@ -2,28 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 
 from repro.common.config import ChannelConfig
 from repro.common.units import KiB
-from repro.sim.engine import Simulator
-from repro.stack import build_link
+from repro.stack import Link, build_link
 from repro.verbs.cq import CompletionQueue
-from repro.verbs.device import Device, Fabric
 
 
-@dataclass
-class Wire:
-    sim: Simulator
-    fabric: Fabric
-    a: Device
-    b: Device
-    channel: ChannelConfig
-
-    def cq(self, name: str = "cq") -> CompletionQueue:
-        return CompletionQueue(self.sim, name=name)
+def cq(link: Link, name: str = "cq") -> CompletionQueue:
+    return CompletionQueue(link.sim, name=name)
 
 
 def make_wire(
@@ -34,7 +22,7 @@ def make_wire(
     distance_km: float = 10.0,
     mtu: int = 4 * KiB,
     seed: int = 0,
-) -> Wire:
+) -> Link:
     channel = ChannelConfig(
         bandwidth_bps=bandwidth_bps,
         distance_km=distance_km,
@@ -42,12 +30,9 @@ def make_wire(
         drop_probability=drop,
         jitter_fraction=jitter,
     )
-    link = build_link(channel, seed=seed, names=("a", "b"))
-    return Wire(
-        sim=link.sim, fabric=link.fabric, a=link.dev_a, b=link.dev_b, channel=channel
-    )
+    return build_link(channel, seed=seed, names=("a", "b"))
 
 
 @pytest.fixture
-def wire() -> Wire:
+def wire() -> Link:
     return make_wire()

@@ -35,24 +35,24 @@ class TestFabric:
 
 class TestDevice:
     def test_qpn_allocation_unique(self, wire):
-        qpns = {wire.a.alloc_qpn() for _ in range(10)}
+        qpns = {wire.dev_a.alloc_qpn() for _ in range(10)}
         assert len(qpns) == 10
 
     def test_unknown_rkey(self, wire):
         with pytest.raises(ResourceError):
-            wire.a.lookup_mkey(424242)
+            wire.dev_a.lookup_mkey(424242)
 
     def test_reg_mr_lookup(self, wire):
         mr = MemoryRegion(64)
-        wire.a.reg_mr(mr)
-        assert wire.a.lookup_mkey(mr.rkey) is mr
+        wire.dev_a.reg_mr(mr)
+        assert wire.dev_a.lookup_mkey(mr.rkey) is mr
 
     def test_link_to_unknown_peer(self, wire):
         with pytest.raises(ConfigError):
-            wire.a.link_to("nonexistent")
+            wire.dev_a.link_to("nonexistent")
 
     def test_packets_to_unknown_qpn_vanish(self, wire):
         # Deliver directly: must not raise.
         from repro.net.packet import Opcode, Packet
 
-        wire.a._rx(Packet(dst_qpn=999, opcode=Opcode.WRITE_ONLY, length=1))
+        wire.dev_a._rx(Packet(dst_qpn=999, opcode=Opcode.WRITE_ONLY, length=1))

@@ -5,17 +5,16 @@ import pytest
 from repro.common.config import ChannelConfig
 from repro.common.units import KiB, MiB
 from repro.stack import build_link
-from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import RcQp, SendWr
 
 from tests.conftest import drains_within
-from tests.verbs.conftest import make_wire
+from tests.verbs.conftest import cq, make_wire
 
 
 def make_pair(wire, **kw):
-    qa = RcQp(wire.a, send_cq=wire.cq("a.s"), recv_cq=wire.cq("a.r"), **kw)
-    qb = RcQp(wire.b, send_cq=wire.cq("b.s"), recv_cq=wire.cq("b.r"), **kw)
+    qa = RcQp(wire.dev_a, send_cq=cq(wire, "a.s"), recv_cq=cq(wire, "a.r"), **kw)
+    qb = RcQp(wire.dev_b, send_cq=cq(wire, "b.s"), recv_cq=cq(wire, "b.r"), **kw)
     qa.connect(qb.info())
     qb.connect(qa.info())
     return qa, qb
@@ -26,7 +25,7 @@ class TestLossless:
         qa, qb = make_pair(wire)
         buf = bytearray(64 * KiB)
         mr = MemoryRegion(64 * KiB, data=buf)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         payload = bytes(range(256)) * 256
         qa.post_send(SendWr(length=64 * KiB, rkey=mr.rkey, payload=payload, wr_id=1))
         wire.sim.run()
@@ -38,7 +37,7 @@ class TestLossless:
     def test_multiple_writes_in_order(self, wire):
         qa, qb = make_pair(wire)
         mr = MemoryRegion(1 * MiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         for i in range(4):
             qa.post_send(SendWr(length=128 * KiB, rkey=mr.rkey, wr_id=i))
         wire.sim.run()
@@ -47,7 +46,7 @@ class TestLossless:
     def test_write_with_immediate_delivers_recv_cqe(self, wire):
         qa, qb = make_pair(wire)
         mr = MemoryRegion(64 * KiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         qa.post_send(SendWr(length=32 * KiB, rkey=mr.rkey, immediate=42))
         wire.sim.run()
         cqes = qb.recv_cq.poll(10)
@@ -62,7 +61,7 @@ class TestLossy:
         qa, qb = make_pair(wire)
         buf = bytearray(256 * KiB)
         mr = MemoryRegion(256 * KiB, data=buf)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         payload = bytes(i % 251 for i in range(256 * KiB))
         qa.post_send(SendWr(length=256 * KiB, rkey=mr.rkey, payload=payload, wr_id=9))
         wire.sim.run(until=30.0)
@@ -78,7 +77,7 @@ class TestLossy:
         wire = make_wire(drop=0.05, distance_km=50.0, seed=7)
         qa, qb = make_pair(wire)
         mr = MemoryRegion(512 * KiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         qa.post_send(SendWr(length=512 * KiB, rkey=mr.rkey, wr_id=0))
         wire.sim.run(until=30.0)
         assert len(qa.send_cq.poll(10)) == 1
@@ -89,7 +88,7 @@ class TestLossy:
         wire = make_wire(drop=0.05, distance_km=100.0, seed=11)
         qa, qb = make_pair(wire)
         mr = MemoryRegion(1 * MiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         qa.post_send(SendWr(length=1 * MiB, rkey=mr.rkey, wr_id=0))
         wire.sim.run(until=60.0)
         assert len(qa.send_cq.poll(10)) == 1
@@ -101,7 +100,7 @@ class TestWindow:
     def test_window_limits_outstanding(self, wire):
         qa, qb = make_pair(wire, window_packets=4)
         mr = MemoryRegion(1 * MiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         qa.post_send(SendWr(length=256 * KiB, rkey=mr.rkey, wr_id=0))
         # After the first scheduling rounds, outstanding <= window.
         wire.sim.run(until=1e-5)
@@ -112,6 +111,7 @@ class TestWindow:
 
 @pytest.mark.xfail(
     strict=True,
+    raises=pytest.fail.Exception,
     reason="Go-Back-N behind cross traffic in a 6 KiB buffer rewinds forever",
 )
 def test_go_back_n_drains_behind_cross_traffic():
@@ -127,10 +127,7 @@ def test_go_back_n_drains_behind_cross_traffic():
     sim, a, b = link.sim, link.dev_a, link.dev_b
 
     def rc_pair():
-        qps = [
-            RcQp(dev, send_cq=CompletionQueue(sim), recv_cq=CompletionQueue(sim))
-            for dev in (a, b)
-        ]
+        qps = [RcQp(dev, send_cq=cq(link), recv_cq=cq(link)) for dev in (a, b)]
         qps[0].connect(qps[1].info())
         qps[1].connect(qps[0].info())
         return qps[0]

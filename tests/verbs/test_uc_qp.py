@@ -10,12 +10,12 @@ from repro.net.packet import Opcode, Packet
 from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import QpState, SendWr, UcQp
 
-from tests.verbs.conftest import make_wire
+from tests.verbs.conftest import cq, make_wire
 
 
 def make_pair(wire):
-    qa = UcQp(wire.a, send_cq=wire.cq("a.s"), recv_cq=wire.cq("a.r"))
-    qb = UcQp(wire.b, send_cq=wire.cq("b.s"), recv_cq=wire.cq("b.r"))
+    qa = UcQp(wire.dev_a, send_cq=cq(wire, "a.s"), recv_cq=cq(wire, "a.r"))
+    qb = UcQp(wire.dev_b, send_cq=cq(wire, "b.s"), recv_cq=cq(wire, "b.r"))
     qa.connect(qb.info())
     qb.connect(qa.info())
     return qa, qb
@@ -26,7 +26,7 @@ class TestBasicWrites:
         qa, qb = make_pair(wire)
         buf = bytearray(4 * KiB)
         mr = MemoryRegion(4 * KiB, data=buf)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         qa.post_send(
             SendWr(length=8, rkey=mr.rkey, remote_offset=16, payload=b"sdr-rdma")
         )
@@ -36,7 +36,7 @@ class TestBasicWrites:
     def test_write_with_immediate_generates_cqe(self, wire):
         qa, qb = make_pair(wire)
         mr = MemoryRegion(4 * KiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         qa.post_send(
             SendWr(length=100, rkey=mr.rkey, immediate=0xABCD)
         )
@@ -49,7 +49,7 @@ class TestBasicWrites:
     def test_write_without_immediate_is_silent(self, wire):
         qa, qb = make_pair(wire)
         mr = MemoryRegion(4 * KiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         qa.post_send(SendWr(length=100, rkey=mr.rkey))
         wire.sim.run()
         assert len(qb.recv_cq.poll(10)) == 0
@@ -57,7 +57,7 @@ class TestBasicWrites:
     def test_send_cqe_on_injection(self, wire):
         qa, qb = make_pair(wire)
         mr = MemoryRegion(64 * KiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         qa.post_send(SendWr(length=64 * KiB, rkey=mr.rkey, wr_id=7))
         wire.sim.run()
         cqes = qa.send_cq.poll(10)
@@ -68,7 +68,7 @@ class TestBasicWrites:
         qa, qb = make_pair(wire)
         buf = bytearray(64 * KiB)
         mr = MemoryRegion(64 * KiB, data=buf)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         payload = bytes(range(256)) * 256  # 64 KiB
         qa.post_send(
             SendWr(length=64 * KiB, rkey=mr.rkey, payload=payload, immediate=1)
@@ -80,7 +80,7 @@ class TestBasicWrites:
         assert cqes[0].byte_len == 64 * KiB
 
     def test_unconnected_qp_rejects_send(self, wire):
-        qp = UcQp(wire.a, send_cq=wire.cq(), recv_cq=wire.cq())
+        qp = UcQp(wire.dev_a, send_cq=cq(wire), recv_cq=cq(wire))
         with pytest.raises(SdrStateError):
             qp.post_send(SendWr(length=8))
 
@@ -96,10 +96,10 @@ class TestEpsnSemantics:
     """The Section 3.2.1 behaviours, driven with raw injected packets."""
 
     def _recv_qp(self, wire):
-        qb = UcQp(wire.b, send_cq=wire.cq(), recv_cq=wire.cq("rcq"))
+        qb = UcQp(wire.dev_b, send_cq=cq(wire), recv_cq=cq(wire, "rcq"))
         buf = bytearray(64 * KiB)
         mr = MemoryRegion(64 * KiB, data=buf)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         return qb, mr, buf
 
     def _packet(self, qp, mr, *, op, psn, offset=0, payload=b"x" * 8, imm=None):
@@ -195,7 +195,7 @@ class TestEndToEndReordering:
         wire = make_wire(jitter=2.0, distance_km=200.0)
         qa, qb = make_pair(wire)
         mr = MemoryRegion(1024 * KiB)
-        wire.b.reg_mr(mr)
+        wire.dev_b.reg_mr(mr)
         for i in range(16):
             qa.post_send(
                 SendWr(
@@ -210,7 +210,7 @@ class TestEndToEndReordering:
         wire2 = make_wire(jitter=2.0, distance_km=200.0)
         qa2, qb2 = make_pair(wire2)
         mr2 = MemoryRegion(1024 * KiB)
-        wire2.b.reg_mr(mr2)
+        wire2.dev_b.reg_mr(mr2)
         npackets = 16 * 16
         for i in range(npackets):
             qa2.post_send(

@@ -6,10 +6,12 @@ from repro.common.errors import ConfigError
 from repro.common.units import KiB
 from repro.verbs.qp import SendWr, UdQp
 
+from tests.verbs.conftest import cq
+
 
 def make_pair(wire):
-    qa = UdQp(wire.a, send_cq=wire.cq("a"), recv_cq=wire.cq("a.r"))
-    qb = UdQp(wire.b, send_cq=wire.cq("b"), recv_cq=wire.cq("b.r"))
+    qa = UdQp(wire.dev_a, send_cq=cq(wire, "a"), recv_cq=cq(wire, "a.r"))
+    qb = UdQp(wire.dev_b, send_cq=cq(wire, "b"), recv_cq=cq(wire, "b.r"))
     qa.connect(qb.info())
     qb.connect(qa.info())
     return qa, qb
@@ -49,8 +51,8 @@ class TestDatagrams:
             qa.post_send(SendWr(length=8 * KiB))
 
     def test_connectionless_send_to(self, wire):
-        qa = UdQp(wire.a, send_cq=wire.cq(), recv_cq=wire.cq())
-        qb = UdQp(wire.b, send_cq=wire.cq(), recv_cq=wire.cq())
+        qa = UdQp(wire.dev_a, send_cq=cq(wire), recv_cq=cq(wire))
+        qb = UdQp(wire.dev_b, send_cq=cq(wire), recv_cq=cq(wire))
         got = []
         qb.attach_recv_handler(lambda p, imm, src: got.append(imm))
         # No connect(): explicit destination addressing.
