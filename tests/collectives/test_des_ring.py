@@ -118,6 +118,27 @@ class TestEcSizing:
         assert result.completion_time > 0
 
 
+class TestTwoDatacenters:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConfigError,
+        reason="build_ring connects dc1 -> dc0 after dc0 -> dc1",
+    )
+    @pytest.mark.parametrize("protocol", ["sr", "ec"])
+    @pytest.mark.parametrize("drop", [0.0, 0.01])
+    def test_two_datacenters_share_one_duplex_link(self, protocol, drop):
+        """A two-node ring is one duplex link: edge 1 -> 0 runs on its
+        reverse channel, and each direction reports its own drops."""
+        result = run_des_ring_allreduce(
+            n_datacenters=2, buffer_bytes=2 * MiB, channel=channel(drop=drop),
+            protocol=protocol, seed=1,
+        )
+        assert result.rounds == 2
+        assert result.completion_time > 0
+        assert len(result.per_edge_drops) == 2
+        assert all((d > 0) == (drop > 0) for d in result.per_edge_drops)
+
+
 class TestValidation:
     def test_invalid_args(self):
         with pytest.raises(ConfigError):

@@ -4,13 +4,19 @@ import json
 
 import pytest
 
+from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.fabric.scenarios import ScaleConfig, scale_scenario
 from repro.reliability.ec import EcConfig
+from repro.reliability.sr import SrConfig
+from repro.stack import build_pair, closed_loop, endpoints
 from repro.telemetry import ChromeTraceSink, RingBufferSink, Telemetry
 from repro.telemetry.demo import run_demo
 from repro.telemetry.report import build_tables, render_report
 
+from tests.conftest import drains_within
+
+KIB = 1 << 10
 MIB = 1 << 20
 
 
@@ -125,6 +131,38 @@ class TestEcDemo:
         )
         assert result.failed_writes == 0
         assert result.telemetry.metrics.value("ec.dc-a.writes_completed") == 2
+
+
+class TestFailedWritesDrain:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=pytest.fail.Exception,
+        reason="a receiver with no serve deadline keeps serving a failed write",
+    )
+    def test_drain_ends_after_failed_sr_writes(self):
+        """``run_demo``'s set-up: three 256 KiB SR writes at 30 % loss, each
+        chunk retransmitted at most once, so writes fail; the heap must
+        still drain."""
+        stack = build_pair(
+            ChannelConfig(
+                bandwidth_bps=100e9, distance_km=1000.0, mtu_bytes=4 * KIB,
+                drop_probability=0.3,
+            ),
+            SdrConfig(
+                chunk_bytes=64 * KIB, max_message_bytes=256 * KIB,
+                mtu_bytes=4 * KIB, channels=4, generations=4,
+                inflight_messages=64,
+            ),
+        )
+        sender, receiver = endpoints("sr", stack, SrConfig(max_chunk_retransmits=1))
+        mr = stack.ctx_b.mr_reg(256 * KIB)
+        tickets = []
+        closed_loop(
+            stack.sim, sender, receiver, mr, 256 * KIB,
+            lambda posted: posted < 3, tickets,
+        )
+        drains_within(stack.sim, dispatches=500_000, sim_seconds=10.0)
+        assert len(tickets) == 3
 
 
 class TestDisabledMetrics:
