@@ -91,7 +91,8 @@ def run_des_ring_allreduce(
     )
 
     drops = [
-        link.forward.stats.packets_dropped for link in fabric.links.values()
+        ctx.device.link_to(f"dc{(i + 1) % n_datacenters}").stats.packets_dropped
+        for i, ctx in enumerate(contexts)
     ]
     return DesRingResult(
         n_datacenters=n_datacenters,

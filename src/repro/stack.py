@@ -169,15 +169,15 @@ def build_ring(
     """``(fabric, contexts, ends)``: ``n`` devices in a ring, ``ends[i]``
     ``scheme``'s (sender, receiver) on edge i -> i+1.
 
-    :func:`build_link` builds dc0 -> dc1; the other devices and edges
-    follow, then the contexts.  QPs and senders schedule t = 0 entries, so
-    each edge's :func:`endpoints` follow its :func:`wire` at once: wiring
-    every edge first would reorder t = 0.
+    :func:`build_link` builds dc0 -> dc1 (for n = 2 edge 1 -> 0 is its
+    reverse); the other devices and edges follow, then the contexts.  QPs
+    and senders schedule t = 0 entries, so each edge's :func:`endpoints`
+    follow its :func:`wire` at once: wiring every edge first reorders t = 0.
     """
     link = build_link(channel, seed=seed, telemetry=telemetry, names=("dc0", "dc1"))
     fabric, devices = link.fabric, [link.dev_a, link.dev_b]
     devices += [fabric.add_device(f"dc{i}") for i in range(2, n)]
-    for i in range(1, n):
+    for i in range(1, n if n > 2 else 1):
         fabric.connect(devices[i], devices[(i + 1) % n], channel)
     ctxs = [context_create(d, sdr_config=sdr, dpa_config=dpa) for d in devices]
     return fabric, ctxs, [

@@ -119,11 +119,6 @@ class TestEcSizing:
 
 
 class TestTwoDatacenters:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ConfigError,
-        reason="build_ring connects dc1 -> dc0 after dc0 -> dc1",
-    )
     @pytest.mark.parametrize("protocol", ["sr", "ec"])
     @pytest.mark.parametrize("drop", [0.0, 0.01])
     def test_two_datacenters_share_one_duplex_link(self, protocol, drop):
