@@ -12,8 +12,8 @@ congestion signal (RTT inflation / CE marks, plus RTO losses) backs each
 sender off until the aggregate rate fits the bottleneck, drops stop, and
 goodput recovers.
 
-``benchmarks/test_incast_cc.py`` asserts the recovery is >= 2x and the
-CI cc-smoke job runs it at tiny scale for every algorithm.
+The claim row ``incast_cc_recovery`` asserts the recovery is >= 2x and
+the CI cc-smoke job runs it at tiny scale for every algorithm.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Each ``figNN`` module exposes a ``run(...)`` function returning one or more
 :class:`~repro.experiments.report.Table` objects whose rows regenerate the
-corresponding figure's series.  The benchmarks under ``benchmarks/`` call
-these and assert the paper's qualitative shapes (who wins, where the
-crossovers fall); ``python -m repro.experiments`` prints them all.
+corresponding figure's series.  The claims table (``tests/claims.py``)
+calls these and asserts the paper's qualitative shapes (who wins, where
+the crossovers fall); ``python -m repro.experiments`` prints them all.
 
 ==========  ==================================================================
 Module      Paper content

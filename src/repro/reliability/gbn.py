@@ -4,7 +4,7 @@ The commodity-NIC baseline scheme, reimplemented as an SDR *user* so it can
 be compared head-to-head with Selective Repeat on identical substrate.  The
 paper chooses SR "since it can be proven theoretically that SR efficiency
 is at least as good as Go-back-N's" (Section 4); this module provides the
-other side of that comparison (see ``benchmarks/test_ablation_sr_vs_gbn``).
+other side of that comparison (claim row ``ablation_sr_vs_gbn``).
 
 Protocol: the sender maintains a window of unacknowledged chunks starting
 at ``snd_una``; the receiver only advances its cumulative ACK (it ignores

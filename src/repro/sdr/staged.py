@@ -12,8 +12,7 @@ exactly as in the zero-copy path, but bitmap updates (and hence chunk
 publication) wait behind a FIFO host copy engine with finite ``copy_bps``
 memory bandwidth.  When the wire outruns the copy engine, the copy queue --
 not the DPA -- becomes the bottleneck, which is the quantitative argument
-for the zero-copy UC design (see
-``benchmarks/test_ablation_staging_backend.py``).
+for the zero-copy UC design (claim row ``ablation_staging_backend``).
 """
 
 from __future__ import annotations

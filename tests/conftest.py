@@ -17,6 +17,9 @@ from repro.sim.profile import SimProfiler
 from repro.stack import Stack, build_pair
 from repro.telemetry import Telemetry
 
+# The claims table's predicates assert outside a test module.
+pytest.register_assert_rewrite("tests.claims")
+
 
 #: The fixtures hand out the public record under their older name.
 SdrPair = Stack

@@ -117,7 +117,7 @@ class TestLineageIntegration:
 
 
 class TestScaleSmall:
-    """Scaled-down scale scenario (the full version lives in benchmarks/)."""
+    """Scaled-down scale scenario (the full version is a claims-table row)."""
 
     CFG = ScaleConfig(
         tenants=40, duration=0.005, offered_load_bps=40e9,

@@ -283,7 +283,7 @@ def test_fluid_mode_books_10x_fewer_events_per_sim_second():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pinned_bulk_mix_is_faithful(seed):
     """The faithfulness half of the fabric fast-path gate (its speed half
-    is ``benchmarks/test_fabric_scale.py::test_fabric_scale_fluid_speedup``)."""
+    is the claim row ``fabric_scale_fluid_speedup``)."""
     config = ScaleConfig(
         tenants=200, duration=0.02, offered_load_bps=120e9, tors=4,
         hosts_per_tor=4, mean_message_bytes=8 * MiB,
