@@ -185,6 +185,10 @@ class SdrConfig:
         return math.ceil(message_bytes / self.mtu_bytes)
 
 
+#: DPA hardware threads a device has (the worker pool's ceiling).
+DPA_TOTAL_THREADS = 256
+
+
 @dataclass(frozen=True)
 class DpaConfig:
     """Emulated Data Path Accelerator (Section 3.4).
@@ -196,28 +200,23 @@ class DpaConfig:
     """
 
     worker_threads: int = 16
-    total_threads: int = 256
     #: Seconds of DPA worker time to process one packet completion
     #: (validate generation, update per-packet bitmap).
     per_cqe_seconds: float = 16 / 15e6
     #: Extra seconds when a completion closes a chunk and the worker updates
     #: the host-side chunk bitmap over PCIe.
     pcie_update_seconds: float = 2.0e-7
-    #: Host-side cost to repost a receive buffer (slot reallocation, mkey
-    #: table update, bitmap cleanup) -- the Section 5.4.1 small-message
-    #: overhead.
-    repost_seconds: float = 12.0e-6
 
     def __post_init__(self) -> None:
-        if not 0 < self.worker_threads <= self.total_threads:
+        if not 0 < self.worker_threads <= DPA_TOTAL_THREADS:
             raise ConfigError(
-                f"worker threads must be in (0, {self.total_threads}], "
+                f"worker threads must be in (0, {DPA_TOTAL_THREADS}], "
                 f"got {self.worker_threads}"
             )
         if self.per_cqe_seconds <= 0:
             raise ConfigError(f"per-CQE cost must be > 0, got {self.per_cqe_seconds}")
-        if self.pcie_update_seconds < 0 or self.repost_seconds < 0:
-            raise ConfigError("PCIe/repost costs must be >= 0")
+        if self.pcie_update_seconds < 0:
+            raise ConfigError("PCIe update cost must be >= 0")
 
     @property
     def aggregate_packet_rate(self) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.common.config import DpaConfig
+from repro.common.config import DPA_TOTAL_THREADS, DpaConfig
 from repro.common.errors import ConfigError
 from repro.sim.engine import Simulator
 from repro.verbs.cq import CompletionQueue, Cqe
@@ -179,10 +179,10 @@ class DpaEngine:
         n = self.config.worker_threads if count is None else count
         if n <= 0:
             raise ConfigError(f"worker count must be > 0, got {n}")
-        if n + len(self.workers) > self.config.total_threads:
+        if n + len(self.workers) > DPA_TOTAL_THREADS:
             raise ConfigError(
                 f"requested {n} workers exceeds DPA capacity of "
-                f"{self.config.total_threads} threads"
+                f"{DPA_TOTAL_THREADS} threads"
             )
         for _ in range(n):
             self.workers.append(

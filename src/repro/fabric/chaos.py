@@ -36,7 +36,8 @@ substreams -- same seed, byte-identical ``fabric.*`` digests and traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.common.errors import ConfigError
 from repro.common.units import KiB
@@ -214,6 +215,16 @@ def install_fabric_faults(
 # -- the survival experiment -----------------------------------------------------
 
 
+#: Fixed-cadence workload: every host sends this many messages to its
+#: cross-rack peer over the arrival window (deterministic, RNG-free).
+MESSAGES_PER_HOST = 6
+#: Arrival window in reference-RTT multiples.
+DURATION_RTTS = 15.0
+#: Partition deadline in reference-RTT multiples (shorter than the
+#: ``fabric_partition`` window, so its flows fail cleanly).
+PARTITION_DEADLINE_RTTS = 8.0
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
     """One fabric chaos run (see module docstring)."""
@@ -235,20 +246,12 @@ class ChaosConfig:
     hosts_per_tor: int = 2
     wan_routers: int = 2
     host_uplinks: int = 2
-    host_bps: float = 25e9
-    wan_bps: float = 10e9
-    host_km: float = 0.05
-    wan_km: float = 100.0
-    #: Fixed-cadence workload: every host sends this many messages to its
-    #: cross-rack peer over the arrival window (deterministic, RNG-free).
-    messages_per_host: int = 6
     message_bytes: int = 128 * KiB
-    #: Arrival window in reference-RTT multiples.
-    duration_rtts: float = 15.0
-    #: Partition deadline in reference-RTT multiples (must be shorter
-    #: than the ``fabric_partition`` window for clean failures).
-    partition_deadline_rtts: float = 8.0
-    service: FabricServiceConfig | None = None
+    #: The two-tier links (``two_tier_of``).
+    host_bps: ClassVar[float] = 25e9
+    wan_bps: ClassVar[float] = 10e9
+    host_km: ClassVar[float] = 0.05
+    wan_km: ClassVar[float] = 100.0
 
     def __post_init__(self) -> None:
         if self.schedule is not None and self.schedule not in FABRIC_SCHEDULES:
@@ -258,16 +261,10 @@ class ChaosConfig:
             )
         if self.tors < 2 or self.hosts_per_tor < 1:
             raise ConfigError("chaos topology needs >= 2 tors and >= 1 host")
-        if self.messages_per_host < 1:
-            raise ConfigError(
-                f"need >= 1 message per host, got {self.messages_per_host}"
-            )
         if self.message_bytes <= 0:
             raise ConfigError(
                 f"message bytes must be > 0, got {self.message_bytes}"
             )
-        if self.duration_rtts <= 0 or self.partition_deadline_rtts <= 0:
-            raise ConfigError("chaos durations must be > 0")
 
 
 @dataclass
@@ -338,13 +335,8 @@ def chaos_scenario(
     if config.health:
         monitor = EdgeHealthMonitor(network)
 
-    service_config = (
-        config.service if config.service is not None else FabricServiceConfig()
-    )
-    service_config = replace(
-        service_config,
-        cc=config.cc,
-        partition_deadline=config.partition_deadline_rtts * rtt,
+    service_config = FabricServiceConfig(
+        cc=config.cc, partition_deadline=PARTITION_DEADLINE_RTTS * rtt
     )
     service = FabricService(network, config=service_config)
 
@@ -361,15 +353,15 @@ def chaos_scenario(
     # peer h{(t + tors//2) % tors}-{h}, staggered so submissions never
     # collide on one instant.
     hosts = topo.hosts
-    duration = config.duration_rtts * rtt
-    interval = duration / config.messages_per_host
+    duration = DURATION_RTTS * rtt
+    interval = duration / MESSAGES_PER_HOST
     for i, src in enumerate(hosts):
         t, h = src[1:].split("-")
         dst = f"h{(int(t) + across) % config.tors}-{h}"
         tenant = f"t{src[1:]}"
         service.add_tenant(TenantSpec(name=tenant))
         offset = interval * i / max(len(hosts), 1)
-        for j in range(config.messages_per_host):
+        for j in range(MESSAGES_PER_HOST):
             service.submit(
                 tenant, src, dst, config.message_bytes,
                 at=j * interval + offset,

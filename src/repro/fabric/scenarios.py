@@ -22,7 +22,8 @@ byte-identical metric snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,6 +77,18 @@ def arm_slo(
     return SloTracker(sampler, specs, policy=slo.policy())
 
 
+#: The fairness dumbbell's host links (the bottleneck's rate is
+#: ``FairnessConfig.bottleneck_bps``).
+DUMBBELL_HOST_BPS = 25e9
+DUMBBELL_HOST_KM = 0.05
+DUMBBELL_BOTTLENECK_KM = 100.0
+#: Victims' aggregate offered load as a fraction of the bottleneck.
+VICTIM_LOAD_FRACTION = 0.5
+#: Rogue's offered load as a fraction of the bottleneck (> 1 = abuse).
+ROGUE_LOAD_FRACTION = 2.0
+ROGUE_MESSAGE_BYTES = 256 * KiB
+
+
 @dataclass(frozen=True)
 class FairnessConfig:
     """One fairness/isolation experiment (see module docstring)."""
@@ -90,42 +103,20 @@ class FairnessConfig:
     #: Arrival window in seconds (goodput window for both runs).
     duration: float = 0.05
     seed: int = 0
-    bottleneck_bps: float = 10e9
-    host_bps: float = 25e9
-    bottleneck_km: float = 100.0
-    host_km: float = 0.05
     buffer_bytes: int = 256 * KiB
     ecn_threshold_bytes: int = 64 * KiB
-    #: Victims' aggregate offered load as a fraction of the bottleneck.
-    victim_load_fraction: float = 0.5
-    #: Rogue's offered load as a fraction of the bottleneck (> 1 = abuse).
-    rogue_load_fraction: float = 2.0
-    #: Rogue's enforced quota as a fraction of the bottleneck.
-    rogue_quota_fraction: float = 0.3
     mean_message_bytes: int = 64 * KiB
     max_message_bytes: int = 1 * MiB
-    rogue_message_bytes: int = 256 * KiB
-    service: FabricServiceConfig | None = None
+    #: The dumbbell's bottleneck rate.
+    bottleneck_bps: ClassVar[float] = 10e9
+    #: Rogue's enforced quota as a fraction of the bottleneck.
+    rogue_quota_fraction: ClassVar[float] = 0.3
 
     def __post_init__(self) -> None:
         if self.victims < 1:
             raise ConfigError(f"need >= 1 victim, got {self.victims}")
         if self.duration <= 0:
             raise ConfigError(f"duration must be > 0, got {self.duration}")
-        if not 0 < self.victim_load_fraction < 1:
-            raise ConfigError(
-                "victim load must leave bottleneck headroom, got "
-                f"{self.victim_load_fraction}"
-            )
-        if self.rogue_load_fraction <= 0:
-            raise ConfigError(
-                f"rogue load must be > 0, got {self.rogue_load_fraction}"
-            )
-        if not 0 < self.rogue_quota_fraction < 1:
-            raise ConfigError(
-                f"rogue quota fraction must be in (0, 1), got "
-                f"{self.rogue_quota_fraction}"
-            )
 
 
 @dataclass
@@ -160,8 +151,8 @@ def _rogue_workload(config: FairnessConfig) -> Workload:
     Deterministic by construction (no RNG): the abuse pattern should not
     change shape with the seed, only the victims' traffic does.
     """
-    size = config.rogue_message_bytes
-    offered = config.rogue_load_fraction * config.bottleneck_bps
+    size = ROGUE_MESSAGE_BYTES
+    offered = ROGUE_LOAD_FRACTION * config.bottleneck_bps
     interval = size * 8.0 / offered
     times = np.arange(0.0, config.duration, interval)
     wl_config = OpenLoopConfig(
@@ -227,12 +218,12 @@ def _fairness_fabric(
     """Build the dumbbell and service (identical for solo and contended)."""
     left = config.victims + (1 if config.rogue else 0)
     host_link = ChannelConfig(
-        bandwidth_bps=config.host_bps,
-        distance_km=config.host_km,
+        bandwidth_bps=DUMBBELL_HOST_BPS,
+        distance_km=DUMBBELL_HOST_KM,
     )
     bottleneck = ChannelConfig(
         bandwidth_bps=config.bottleneck_bps,
-        distance_km=config.bottleneck_km,
+        distance_km=DUMBBELL_BOTTLENECK_KM,
         buffer_bytes=config.buffer_bytes,
         ecn_threshold_bytes=config.ecn_threshold_bytes,
     )
@@ -241,13 +232,8 @@ def _fairness_fabric(
         bottleneck=bottleneck,
     )
     network = build_fabric(topo, seed=config.seed, telemetry=telemetry)
-    service_config = (
-        config.service
-        if config.service is not None
-        else FabricServiceConfig(cc=config.cc)
-    )
-    service_config = replace(
-        service_config, cc=config.cc, enforce_quotas=config.enforce_quotas
+    service_config = FabricServiceConfig(
+        cc=config.cc, enforce_quotas=config.enforce_quotas
     )
     return FabricService(network, config=service_config)
 
@@ -281,7 +267,7 @@ def fairness_scenario(
         OpenLoopConfig(
             tenants=config.victims,
             duration=config.duration,
-            offered_load_bps=config.victim_load_fraction * config.bottleneck_bps,
+            offered_load_bps=VICTIM_LOAD_FRACTION * config.bottleneck_bps,
             mean_message_bytes=config.mean_message_bytes,
             max_message_bytes=config.max_message_bytes,
         ),
@@ -364,31 +350,28 @@ class ScaleConfig:
     hosts_per_tor: int = 4
     cc: str = "swift"
     seed: int = 0
-    host_bps: float = 25e9
-    wan_bps: float = 100e9
-    host_km: float = 0.05
-    wan_km: float = 200.0
     mean_message_bytes: int = 16 * KiB
     max_message_bytes: int = 512 * KiB
     #: Pareto tail of per-tenant rate weights (elephants and mice).
     rate_skew: float = 1.8
-    #: Per-tenant quota as a multiple of the tenant's fair share.
-    quota_headroom: float = 8.0
     #: Run the simulator with the fluid fast path (``--fast-path``): whole
     #: segment journeys are booked synchronously instead of relayed hop by
     #: hop.  Same seed + same flag stays byte-identical; fluid vs packet
     #: digests differ (documented approximation, see docs/simulation.md).
     fluid: bool = False
+    #: The two-tier links (``two_tier_of``).
+    host_bps: ClassVar[float] = 25e9
+    wan_bps: ClassVar[float] = 100e9
+    host_km: ClassVar[float] = 0.05
+    wan_km: ClassVar[float] = 200.0
+    #: Per-tenant quota as a multiple of the tenant's fair share.
+    quota_headroom: ClassVar[float] = 8.0
 
     def __post_init__(self) -> None:
         if self.tenants < 1:
             raise ConfigError(f"need >= 1 tenant, got {self.tenants}")
         if self.tors * self.hosts_per_tor < 2:
             raise ConfigError("scale topology needs >= 2 hosts")
-        if self.quota_headroom <= 0:
-            raise ConfigError(
-                f"quota headroom must be > 0, got {self.quota_headroom}"
-            )
 
 
 @dataclass

@@ -99,6 +99,10 @@ class TenantSpec:
             raise ConfigError(f"burst must be > 0, got {self.burst_bytes}")
 
 
+#: Burst depth of the shared per-uplink line-rate bucket.
+UPLINK_BURST_BYTES = 128 * KiB
+
+
 @dataclass(frozen=True)
 class FabricServiceConfig:
     """Service-level knobs (the provider's side of the contract)."""
@@ -117,8 +121,6 @@ class FabricServiceConfig:
     rto_rtts: float = 8.0
     #: Attempts per segment before the whole flow fails.
     max_attempts: int = 8
-    #: Burst depth of the shared per-uplink line-rate bucket.
-    uplink_burst_bytes: int = 128 * KiB
     #: Seconds a flow tolerates *no route at all* (every candidate path
     #: crosses an open breaker) before failing with
     #: :class:`~repro.common.errors.DeliveryError`.  The clock starts at
@@ -148,10 +150,6 @@ class FabricServiceConfig:
             raise ConfigError(f"rto_rtts must be > 0, got {self.rto_rtts}")
         if self.max_attempts < 1:
             raise ConfigError(f"need >= 1 attempt, got {self.max_attempts}")
-        if self.uplink_burst_bytes <= 0:
-            raise ConfigError(
-                f"uplink burst must be > 0, got {self.uplink_burst_bytes}"
-            )
         if self.partition_deadline <= 0:
             raise ConfigError(
                 f"partition_deadline must be > 0, got {self.partition_deadline}"
@@ -392,7 +390,7 @@ class FabricService:
             group = TokenBucketGroup(
                 self.sim,
                 StaticRateController(self.net.uplink_bps(host)),
-                burst_bytes=self.config.uplink_burst_bytes,
+                burst_bytes=UPLINK_BURST_BYTES,
             )
             self._uplinks[host] = group
         return group

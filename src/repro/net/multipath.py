@@ -25,7 +25,6 @@ import numpy as np
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
 from repro.net.channel import Channel, ChannelStats
-from repro.net.loss import LossModel
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 
@@ -50,17 +49,12 @@ class BondedChannel:
         planes: int,
         rng: np.random.Generator,
         spread: str = "flow",
-        plane_loss: list[LossModel] | None = None,
         name: str = "bonded",
     ):
         if planes < 1:
             raise ConfigError(f"need >= 1 plane, got {planes}")
         if spread not in ("flow", "packet"):
             raise ConfigError(f"spread must be 'flow' or 'packet', got {spread!r}")
-        if plane_loss is not None and len(plane_loss) != planes:
-            raise ConfigError(
-                f"plane_loss needs {planes} entries, got {len(plane_loss)}"
-            )
         self.sim = sim
         self.config = config
         self.planes_count = planes
@@ -72,7 +66,6 @@ class BondedChannel:
                 sim,
                 per_plane,
                 rng=np.random.default_rng(rng.integers(0, 2**63)),
-                loss=plane_loss[i] if plane_loss is not None else None,
                 name=f"{name}.plane{i}",
             )
             for i in range(planes)
@@ -145,8 +138,6 @@ def connect_bonded(
     *,
     planes: int,
     spread: str = "flow",
-    plane_loss_fwd: list[LossModel] | None = None,
-    plane_loss_rev: list[LossModel] | None = None,
 ):
     """Install a bonded multi-plane link between devices ``a`` and ``b``.
 
@@ -162,7 +153,6 @@ def connect_bonded(
         planes=planes,
         rng=fabric.rng.get(f"bond.{a.name}->{b.name}"),
         spread=spread,
-        plane_loss=plane_loss_fwd,
         name=f"{a.name}->{b.name}",
     )
     rev = BondedChannel(
@@ -171,7 +161,6 @@ def connect_bonded(
         planes=planes,
         rng=fabric.rng.get(f"bond.{b.name}->{a.name}"),
         spread=spread,
-        plane_loss=plane_loss_rev,
         name=f"{b.name}->{a.name}",
     )
     a.attach_link(b.name, fwd, rev)

@@ -222,6 +222,11 @@ class AdaptiveReceiver(Endpoint):
         ticket.done.callbacks.append(lambda ev: self._learn(ticket, length))
         return ticket
 
+    def abandon(self, ticket: ReceiveTicket) -> None:
+        """Stop serving a failed write's receive, in whichever protocol has it."""
+        self.sr.abandon(ticket)
+        self.ec.abandon(ticket)
+
     def _choose(self, length: int) -> str:
         best = self.advisor.best(length, self.estimator.estimate)
         return "ec" if best.name.startswith("ec") else "sr"

@@ -495,6 +495,18 @@ class Receiver(Endpoint):
         """
         _Watch(self, ticket, rh, interval, on_poll, then)
 
+    def abandon(self, ticket: ReceiveTicket) -> None:
+        """Stop serving ``ticket``, whose write failed: what is missing is
+        not coming.  It fails with the chunks that arrived, as at the serve
+        deadline.  A completed ticket, or one served elsewhere, is left alone."""
+        entry = None if ticket.done.triggered else self._serving.pop(ticket.seq, None)
+        if entry is not None:
+            self._give_up(ticket, self._arrived(*entry))
+
+    def _arrived(self, ticket: ReceiveTicket, rh: RecvHandle) -> np.ndarray:
+        """The chunks that arrived of the message ``_serving`` holds as ``rh``."""
+        return rh.bitmap().as_array()
+
     def _give_up(self, ticket: ReceiveTicket, delivered: np.ndarray) -> None:
         """Serve deadline passed: abandon the open slots (late chunks die on
         the NULL mkey, not in a buffer reported failed), then fail the

@@ -47,6 +47,9 @@ from repro.sdr.qp import SdrQp, SdrRecvWr
 from repro.telemetry.trace import flow_key
 from repro.verbs.mr import MemoryRegion
 
+#: Spacing of fallback NACK rounds, in RTTs.
+FALLBACK_INTERVAL_RTTS = 1.0
+
 
 @dataclass(frozen=True)
 class EcConfig:
@@ -58,15 +61,10 @@ class EcConfig:
     #: FTO slack in RTTs (the paper's beta; with alpha = 2 switch buffering,
     #: beta = 0.5 * alpha = 1).
     beta_rtts: float = 1.0
-    #: Spacing of fallback NACK rounds, in RTTs.
-    fallback_interval_rtts: float = 1.0
     #: Simulated encode/decode throughput in bits/s (None = free, i.e. fully
     #: hidden on spare cores as the paper assumes).
     encode_bps: float | None = None
     decode_bps: float | None = None
-    #: Spare CPU cores encoding in parallel (Figure 11's "cores needed to
-    #: hide encoding"); effective encode rate = encode_bps * encode_workers.
-    encode_workers: int = 1
     #: Receiver re-ACK grace period after completion, in RTTs.
     grace_rtts: float = 10.0
     #: Sender-side deadlock guard, in RTTs past the expected completion.
@@ -84,15 +82,11 @@ class EcConfig:
     def __post_init__(self) -> None:
         if self.k <= 0 or self.m <= 0:
             raise ConfigError(f"need k, m > 0, got k={self.k}, m={self.m}")
-        if self.beta_rtts < 0 or self.fallback_interval_rtts <= 0:
-            raise ConfigError("invalid EC timing parameters")
+        if self.beta_rtts < 0:
+            raise ConfigError(f"beta_rtts must be >= 0, got {self.beta_rtts}")
         for bps in (self.encode_bps, self.decode_bps):
             if bps is not None and bps <= 0:
                 raise ConfigError("encode/decode rates must be positive")
-        if self.encode_workers < 1:
-            raise ConfigError(
-                f"need >= 1 encode worker, got {self.encode_workers}"
-            )
         if self.global_timeout_rtts <= 0:
             raise ConfigError("global_timeout_rtts must be > 0")
         if self.serve_deadline_rtts is not None and self.serve_deadline_rtts <= 0:
@@ -202,8 +196,7 @@ class EcSender(SrBacked):
         nsub = layout.nsegments
         for i in range(i, nsub):
             if bps is not None and not encoded:
-                rate = bps * self.config.encode_workers
-                delay = layout.segment_bytes(i) * 8.0 / rate
+                delay = layout.segment_bytes(i) * 8.0 / bps
                 self.sim.call_in(delay, self._encode_and_inject_parity, state, i, True)
                 return
             encoded = False
@@ -473,14 +466,13 @@ class EcReceiver(SrBackedReceiver):
             return
         rtts = self.config.serve_deadline_rtts
         if rtts is not None and now >= rx.fto_deadline + rtts * self.rtt:
-            present = [rx.data_present(s) for s in range(layout.nsegments)]
-            self._give_up(ticket, np.concatenate(present))
+            self._give_up(ticket, self._arrived(rx))
             self._release(rx)
             return
         if now >= rx.fto_deadline:
             ticket.fell_back_to_sr = True
             self._send_nack(rx, pending)
-            retry = self.config.fallback_interval_rtts * self.rtt
+            retry = FALLBACK_INTERVAL_RTTS * self.rtt
             self.sim.call_in(retry, self._await_recoverable, rx)
             return
         # A pending segment's two handles count down to the first chunk that
@@ -497,6 +489,17 @@ class EcReceiver(SrBackedReceiver):
                 short = 1
             data.count = parity.count = ChunkCount(short, timer.expire_now)
         timer.arm(deadline - now)
+
+    def abandon(self, ticket: ReceiveTicket) -> None:
+        entry = self._serving.get(ticket.seq)
+        super().abandon(ticket)
+        if entry is not None:
+            self._release(*entry)
+
+    def _arrived(self, rx: _EcReceive) -> np.ndarray:
+        return np.concatenate(
+            [rx.data_present(s) for s in range(rx.layout.nsegments)]
+        )
 
     def _complete(self, rx: _EcReceive) -> None:
         """Phase 3's end: complete, ACK.

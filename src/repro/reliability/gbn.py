@@ -28,7 +28,7 @@ from repro.reliability.base import (
     register_scheme,
 )
 from repro.reliability.messages import Ack
-from repro.reliability.sr import SrConfig
+from repro.reliability.sr import ACK_INTERVAL_RTTS, SrConfig
 from repro.sdr.handles import RecvHandle
 from repro.sdr.qp import SdrQp
 
@@ -162,7 +162,7 @@ class GbnReceiver(Receiver):
             ack()
             self._finish(ticket, [rh], ack, self.config.rto_rtts * self.rtt)
 
-        interval = self.config.ack_interval_rtts * self.rtt
+        interval = ACK_INTERVAL_RTTS * self.rtt
         self._watch(ticket, rh, interval, ack, finish)
 
 

@@ -17,7 +17,7 @@ Liveness is layered:
 
 * probe rounds only consider segments at or below the receive frontier
   (the highest chunk seen), so in-flight tails are not misread as loss;
-* a stalled bitmap or every ``full_scan_every``-th round triggers an exact
+* a stalled bitmap or every ``FULL_SCAN_EVERY``-th round triggers an exact
   full scan, bounding detection latency deterministically;
 * the sender arms an idle watchdog and a per-message retransmit budget;
   exhausting either hands the message to the existing bitmap-driven
@@ -48,25 +48,26 @@ from repro.sdr.qp import SdrQp
 from repro.sim.rng import RngStreams
 from repro.telemetry.trace import flow_key
 
+#: Chunks per availability segment (probe and repair granularity).
+SEGMENT_CHUNKS = 64
+#: Random probes drawn per incomplete segment per sampling round; the
+#: round misses a g-gap with probability ``C(n-g, s) / C(n, s)``
+#: (:mod:`repro.ec.sampling`).
+PROBES_PER_SEGMENT = 8
+#: Every Nth round is an exact full bitmap scan (a stalled bitmap always
+#: forces one regardless).
+FULL_SCAN_EVERY = 4
+#: Seed of the receiver's deterministic probe RNG substream family.
+PROBE_SEED = 0
+
 
 @dataclass(frozen=True)
 class SamplingConfig:
     """Tuning knobs for the availability-sampling layer."""
 
-    #: Chunks per availability segment (probe and repair granularity).
-    segment_chunks: int = 64
-    #: Random probes drawn per incomplete segment per sampling round; the
-    #: round misses a g-gap with probability ``C(n-g, s) / C(n, s)``
-    #: (:mod:`repro.ec.sampling`).
-    probes_per_segment: int = 8
     #: Receiver sampling period in RTTs (SR ACKs every 0.25 RTT; sampling
     #: checks 4x less often and mostly stays silent).
     sample_interval_rtts: float = 1.0
-    #: Every Nth round is an exact full bitmap scan (0 disables the valve;
-    #: a stalled bitmap always forces one regardless).
-    full_scan_every: int = 4
-    #: Seed of the receiver's deterministic probe RNG substream family.
-    probe_seed: int = 0
     #: Minimum spacing (in RTTs) between retransmissions of one chunk
     #: (absorbs duplicate repair requests crossing in flight).
     repair_holdoff_rtts: float = 1.0
@@ -90,20 +91,8 @@ class SamplingConfig:
     max_resumptions: int = 0
 
     def __post_init__(self) -> None:
-        if self.segment_chunks <= 0:
-            raise ConfigError(
-                f"segment_chunks must be > 0, got {self.segment_chunks}"
-            )
-        if self.probes_per_segment <= 0:
-            raise ConfigError(
-                f"probes_per_segment must be > 0, got {self.probes_per_segment}"
-            )
         if self.sample_interval_rtts <= 0:
             raise ConfigError("sample_interval_rtts must be > 0")
-        if self.full_scan_every < 0:
-            raise ConfigError(
-                f"full_scan_every must be >= 0, got {self.full_scan_every}"
-            )
         if self.repair_holdoff_rtts < 0:
             raise ConfigError("repair_holdoff_rtts must be >= 0")
         if self.grace_rtts < 0:
@@ -281,7 +270,7 @@ class SamplingReceiver(SrBackedReceiver):
     ):
         super().__init__(qp, ctrl, config, rtt=rtt)
         #: Deterministic probe substreams, one per served slot.
-        self._rngs = RngStreams(self.config.probe_seed)
+        self._rngs = RngStreams(PROBE_SEED)
         self._m_sample_rounds = self._scope.counter("sample_rounds")
         self._m_probes_drawn = self._scope.counter("probes_drawn")
         self._m_repair_reqs = self._scope.counter("repair_requests_sent")
@@ -305,7 +294,7 @@ class SamplingReceiver(SrBackedReceiver):
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
         cfg = self.config
         layout = SegmentLayout(
-            rh.length, self.qp.config.chunk_bytes, cfg.segment_chunks, 0
+            rh.length, self.qp.config.chunk_bytes, SEGMENT_CHUNKS, 0
         )
         nseg = layout.nsegments
         seg_done = np.zeros(nseg, dtype=bool)
@@ -325,9 +314,7 @@ class SamplingReceiver(SrBackedReceiver):
             rounds += 1
             # A stalled bitmap means losses, not in-flight data: scan
             # exactly.  Every Nth round scans too (deterministic valve).
-            full = (count == last_count) or (
-                cfg.full_scan_every > 0 and rounds % cfg.full_scan_every == 0
-            )
+            full = count == last_count or rounds % FULL_SCAN_EVERY == 0
             last_count = count
             frontier = int(np.flatnonzero(present)[-1])
             flagged: list[int] = []
@@ -346,7 +333,7 @@ class SamplingReceiver(SrBackedReceiver):
                 if start + seg_len - 1 > frontier:
                     continue  # above the receive frontier: still in flight
                 idx = draw_probes(
-                    rng, seg_len, min(cfg.probes_per_segment, seg_len)
+                    rng, seg_len, min(PROBES_PER_SEGMENT, seg_len)
                 )
                 probes += int(idx.size)
                 if not seg_present[idx].all():

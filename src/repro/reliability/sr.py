@@ -41,6 +41,13 @@ from repro.sdr.qp import SdrQp, SdrRecvWr
 from repro.telemetry.trace import flow_key
 from repro.verbs.mr import MemoryRegion
 
+#: Receiver bitmap poll / ACK period in RTTs (GBN's too).
+ACK_INTERVAL_RTTS = 0.25
+#: Minimum spacing (in RTTs) between NACKs for the same chunk.
+NACK_HOLDOFF_RTTS = 1.0
+#: Cap of the adaptive and backed-off RTO, in RTTs.
+MAX_RTO_RTTS = 64.0
+
 
 @dataclass(frozen=True)
 class SrConfig:
@@ -51,16 +58,12 @@ class SrConfig:
     rto_rtts: float = 3.0
     #: Enable the receiver-side gap NACK fast path ("SR NACK" scenario).
     nack_enabled: bool = False
-    #: Receiver bitmap poll / ACK period in RTTs (None -> RTT / 4).
-    ack_interval_rtts: float = 0.25
     #: Bytes of selective-ACK bitmap window per ACK: None = as much as fits
     #: the path MTU (Section 4.1.1); a number is still clipped to that.
     ack_window_bytes: int | None = None
     #: How long (in RTTs) the receiver keeps re-ACKing after completion, to
     #: survive final-ACK drops.
     grace_rtts: float = 10.0
-    #: Minimum spacing (in RTTs) between NACKs for the same chunk.
-    nack_holdoff_rtts: float = 1.0
     #: Safety valve: a write fails after this many retransmissions of a
     #: single chunk (pathological channels only).
     max_chunk_retransmits: int = 100
@@ -68,11 +71,11 @@ class SrConfig:
     #: (RTO = SRTT + 4*RTTVAR, samples only from never-retransmitted chunks)
     #: instead of the fixed ``rto_rtts * RTT``.
     adaptive_rto: bool = False
-    #: Clamp for the adaptive RTO estimate, in RTTs.
+    #: Floor of the adaptive RTO estimate, in RTTs (``MAX_RTO_RTTS`` is
+    #: its cap).
     min_rto_rtts: float = 1.0
-    max_rto_rtts: float = 64.0
     #: Double the RTO on consecutive timer fires (capped at ``2**backoff_cap``
-    #: and by ``max_rto_rtts``); reset on ACK progress.
+    #: and by ``MAX_RTO_RTTS``); reset on ACK progress.
     rto_backoff: bool = False
     backoff_cap: int = 6
     #: Per-message retransmission budget (None = unlimited).  Exhausting it
@@ -97,16 +100,14 @@ class SrConfig:
     def __post_init__(self) -> None:
         if self.rto_rtts <= 0:
             raise ConfigError(f"rto_rtts must be > 0, got {self.rto_rtts}")
-        if self.ack_interval_rtts <= 0:
-            raise ConfigError("ack_interval_rtts must be > 0")
         if self.ack_window_bytes is not None and self.ack_window_bytes <= 0:
             raise ConfigError("ack_window_bytes must be > 0 or None")
         if self.max_chunk_retransmits <= 0:
             raise ConfigError("max_chunk_retransmits must be > 0")
         if self.min_rto_rtts <= 0:
             raise ConfigError(f"min_rto_rtts must be > 0, got {self.min_rto_rtts}")
-        if self.max_rto_rtts < self.min_rto_rtts:
-            raise ConfigError("max_rto_rtts must be >= min_rto_rtts")
+        if self.min_rto_rtts > MAX_RTO_RTTS:
+            raise ConfigError(f"min_rto_rtts must be <= {MAX_RTO_RTTS}")
         if self.backoff_cap < 0:
             raise ConfigError(f"backoff_cap must be >= 0, got {self.backoff_cap}")
         if self.max_message_retransmits is not None and self.max_message_retransmits <= 0:
@@ -226,20 +227,20 @@ class SrSender(Sender):
 
         Fixed ``rto_rtts * RTT`` by default; with ``adaptive_rto`` the
         Jacobson estimate ``SRTT + 4*RTTVAR`` clamped to
-        ``[min_rto_rtts, max_rto_rtts] * RTT``.  With ``rto_backoff`` the
+        ``[min_rto_rtts, MAX_RTO_RTTS] * RTT``.  With ``rto_backoff`` the
         result is doubled per consecutive timer fire (Karn's backoff),
-        still capped by ``max_rto_rtts``.
+        still capped by ``MAX_RTO_RTTS``.
         """
         if self.config.adaptive_rto and self._srtt is not None:
             rto = self._srtt + 4.0 * self._rttvar
             rto = min(
                 max(rto, self.config.min_rto_rtts * self.rtt),
-                self.config.max_rto_rtts * self.rtt,
+                MAX_RTO_RTTS * self.rtt,
             )
         else:
             rto = self._base_rto
         if self._backoff:
-            rto = min(rto * (2.0 ** self._backoff), self.config.max_rto_rtts * self.rtt)
+            rto = min(rto * (2.0 ** self._backoff), MAX_RTO_RTTS * self.rtt)
         return rto
 
     def _rtt_sample(self, sample: float) -> None:
@@ -637,7 +638,7 @@ class SrSender(Sender):
                     src_qpn=self._data_qpn(), missing=len(msg.chunks)
                 )
             now = self.sim.now
-            holdoff = self.config.nack_holdoff_rtts * self.rtt
+            holdoff = NACK_HOLDOFF_RTTS * self.rtt
             for index in msg.chunks:
                 if index < state.nchunks and state.unacked >> index & 1:
                     # Skip chunks still injecting or retransmitted recently
@@ -840,7 +841,7 @@ class SrReceiver(Receiver):
                 self.config.rto_rtts * self.rtt,
             )
 
-        interval = self.config.ack_interval_rtts * self.rtt
+        interval = ACK_INTERVAL_RTTS * self.rtt
         self._watch(ticket, rh, interval, on_poll, finish)
 
     def _send_ack(
@@ -893,7 +894,7 @@ class SrReceiver(Receiver):
             return
         highest = int(set_idx[-1])
         now = self.sim.now
-        holdoff = self.config.nack_holdoff_rtts * self.rtt
+        holdoff = NACK_HOLDOFF_RTTS * self.rtt
         gaps = np.flatnonzero(
             ~present[:highest] & (now - last_nack[:highest] > holdoff)
         )
@@ -929,6 +930,11 @@ class SrBackedReceiver(Receiver):
                 self.qp, self.ctrl, self._backstop_config(), rtt=self.rtt
             )
         return self._sr
+
+    def abandon(self, ticket: ReceiveTicket) -> None:
+        super().abandon(ticket)
+        if self._sr is not None:  # the message may have been handed over
+            self._sr.abandon(ticket)
 
     def _on_ctrl(self, msg) -> None:
         if isinstance(msg, ResumeReq):

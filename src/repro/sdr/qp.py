@@ -42,6 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Wire size of a CTS control datagram.
 CTS_BYTES = 64
+#: Host-side cost to repost a receive buffer (slot reallocation, mkey table
+#: update, bitmap cleanup) -- the Section 5.4.1 small-message overhead.
+REPOST_SECONDS = 12.0e-6
 
 
 @dataclass
@@ -530,7 +533,7 @@ class SdrQp:
             self.sim.call_in(0.0, self._cts_refresh)
         # Slot reallocation (mkey update + bitmap cleanup) costs host time
         # before the CTS goes out -- the Section 5.4.1 small-message overhead.
-        self.sim.call_in(self.ctx.dpa_config.repost_seconds, self._send_cts)
+        self.sim.call_in(REPOST_SECONDS, self._send_cts)
         self._m_messages_received.inc()
         return hdl
 

@@ -205,17 +205,18 @@ def closed_loop(
     """Post a receive and a write, wait for the write; again while ``more(posted)``.
 
     Starts in an entry of its own; a clean error completion stays on its
-    ticket.  Receive tickets are kept only if ``recv_tickets`` is a list.
-    Returns the event that fires once the loop stops.
+    ticket, and the receive of a failed write is abandoned.  Receive
+    tickets are kept only if ``recv_tickets`` is a list.  Returns the event
+    that fires once the loop stops.
     """
     done = sim.event()
 
-    def post(posted: int, ended: Event | None = None) -> None:
+    def post(posted: int, received=None, ended: Event | None = None) -> None:
         if ended is not None:
             try:
                 ended.value
             except ReproError:
-                pass
+                receiver.abandon(received)
         if not more(posted):
             done.succeed()
             return
@@ -223,7 +224,7 @@ def closed_loop(
         if recv_tickets is not None:
             recv_tickets.append(received)
         write_tickets.append(ticket := sender.write(length))
-        ticket.done.callbacks.append(partial(post, posted + 1))
+        ticket.done.callbacks.append(partial(post, posted + 1, received))
 
     sim.call_in(0.0, post, 0)
     return done

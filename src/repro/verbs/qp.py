@@ -668,8 +668,10 @@ class RcQp(BaseQp):
                 self._send_ack(self._epsn - 1, nak=False)
                 self._unacked_rx = 0
         elif packet.psn > self._epsn:
-            # Sequence gap: NAK the expected PSN once.
-            if self._nak_sent_for != self._epsn:
+            # Sequence gap: NAK the expected PSN once.  A frame acknowledges
+            # PSNs up to its own, so before PSN 0 lands there is nothing to
+            # NAK with: the sender's RTO rewinds to PSN 0 instead.
+            if self._nak_sent_for != self._epsn and self._epsn > 0:
                 self._nak_sent_for = self._epsn
                 self._m_naks_sent.inc()
                 if self._trace.enabled:
@@ -683,8 +685,6 @@ class RcQp(BaseQp):
             self._send_ack(self._epsn - 1, nak=False)
 
     def _send_ack(self, psn: int, *, nak: bool) -> None:
-        if psn < 0:
-            psn = 0
         channel = self.device.link_to(self.peer_device)
         channel.transmit(
             Packet(

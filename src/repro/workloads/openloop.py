@@ -38,6 +38,11 @@ from repro.common.units import KiB, MiB
 from repro.sim.rng import RngStreams
 
 SIZE_DISTRIBUTIONS = ("pareto", "lognormal", "fixed")
+#: Pareto tail index of the sizes; it exceeds 1, so the mean exists.  2.0
+#: is a moderate tail, 1.2 a violent one.
+PARETO_SHAPE = 1.5
+#: Lognormal sigma of the sizes (log-space standard deviation).
+LOGNORMAL_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -54,11 +59,6 @@ class OpenLoopConfig:
     size_dist: str = "pareto"
     #: Mean message size in bytes (all families are parameterized to it).
     mean_message_bytes: int = 32 * KiB
-    #: Pareto tail index; must exceed 1 for the mean to exist.  2.0 is a
-    #: moderate tail, 1.2 a violent one.
-    pareto_shape: float = 1.5
-    #: Lognormal sigma (log-space standard deviation).
-    lognormal_sigma: float = 1.0
     #: Hard cap on a single message (truncation keeps the DES event count
     #: bounded and models the fabric's max registered-buffer size).
     max_message_bytes: int = 8 * MiB
@@ -85,14 +85,6 @@ class OpenLoopConfig:
         if self.mean_message_bytes <= 0:
             raise ConfigError(
                 f"mean message size must be > 0, got {self.mean_message_bytes}"
-            )
-        if self.pareto_shape <= 1.0:
-            raise ConfigError(
-                f"Pareto shape must be > 1 (finite mean), got {self.pareto_shape}"
-            )
-        if self.lognormal_sigma <= 0:
-            raise ConfigError(
-                f"lognormal sigma must be > 0, got {self.lognormal_sigma}"
             )
         if self.max_message_bytes < self.mean_message_bytes:
             raise ConfigError(
@@ -176,11 +168,11 @@ def _draw_sizes(
         sizes = np.full(n, mean)
     elif config.size_dist == "pareto":
         # Lomax + scale parameterized so E[size] = mean.
-        shape = config.pareto_shape
+        shape = PARETO_SHAPE
         scale = mean * (shape - 1.0) / shape
         sizes = scale * (rng.pareto(shape, size=n) + 1.0)
     else:  # lognormal
-        sigma = config.lognormal_sigma
+        sigma = LOGNORMAL_SIGMA
         mu = math.log(mean) - sigma * sigma / 2.0
         sizes = rng.lognormal(mu, sigma, size=n)
     return np.clip(

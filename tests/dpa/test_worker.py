@@ -97,7 +97,7 @@ class TestEngine:
 
     def test_worker_capacity_enforced(self):
         sim = Simulator()
-        engine = DpaEngine(sim, DpaConfig(worker_threads=16, total_threads=256))
+        engine = DpaEngine(sim, DpaConfig(worker_threads=16))
         engine.spawn_workers(250)
         with pytest.raises(ConfigError):
             engine.spawn_workers(10)

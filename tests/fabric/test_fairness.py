@@ -68,10 +68,6 @@ class TestFairness:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             FairnessConfig(victims=0)
-        with pytest.raises(ConfigError):
-            FairnessConfig(victim_load_fraction=1.5)
-        with pytest.raises(ConfigError):
-            FairnessConfig(rogue_quota_fraction=1.0)
 
 
 class TestDeterminism:

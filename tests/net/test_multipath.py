@@ -6,7 +6,7 @@ import pytest
 from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB
-from repro.net.loss import BernoulliLoss, NoLoss
+from repro.net.loss import BernoulliLoss
 from repro.net.multipath import BondedChannel, connect_bonded
 from repro.net.packet import Opcode, Packet
 from repro.sdr import context_create
@@ -78,16 +78,6 @@ class TestSpreading:
                 sim, cfg, planes=2, rng=np.random.default_rng(0), spread="magic"
             )
 
-    @pytest.mark.parametrize("entries", [0, 1, 3])
-    def test_plane_loss_length_must_match_planes(self, entries):
-        sim = Simulator()
-        cfg = ChannelConfig()
-        with pytest.raises(ConfigError, match="plane_loss"):
-            BondedChannel(
-                sim, cfg, planes=2, rng=np.random.default_rng(0),
-                plane_loss=[NoLoss() for _ in range(entries)],
-            )
-
     def test_single_plane_matches_plain_channel(self):
         """planes=1 is a degenerate bond: identical delivery schedule to a
         plain Channel at the same aggregate bandwidth (loss/jitter off, so
@@ -151,8 +141,8 @@ class TestAsymmetricPlanes:
         cfg = ChannelConfig(bandwidth_bps=100e9, distance_km=1.0, mtu_bytes=4 * KiB)
         bonded = BondedChannel(
             sim, cfg, planes=2, rng=np.random.default_rng(1), spread="packet",
-            plane_loss=[NoLoss(), BernoulliLoss(0.5)],
         )
+        bonded.planes[1].loss = BernoulliLoss(0.5)
         got = []
         bonded.attach_sink(lambda p: got.append(p))
         for i in range(400):

@@ -142,17 +142,17 @@ class TestCircuitBreaker:
 RTT = 1e-3
 
 
-def make_recovery(
-    *, planes=2, spread="packet", plane_loss=None, config=None, seed=0
-):
+def make_recovery(*, planes=2, spread="packet", losses=(), config=None, seed=0):
     sim = Simulator()
     cfg = ChannelConfig(
         bandwidth_bps=100e9, distance_km=100.0, mtu_bytes=4 * KiB
     )
     bonded = BondedChannel(
         sim, cfg, planes=planes, rng=np.random.default_rng(seed),
-        spread=spread, plane_loss=plane_loss, name="bond",
+        spread=spread, name="bond",
     )
+    for plane, loss in zip(bonded.planes, losses):
+        plane.loss = loss
     bonded.attach_sink(lambda p: None)
     recovery = PlaneRecovery(
         sim, bonded, rtt=RTT,
@@ -193,7 +193,7 @@ class TestPlaneRecovery:
 
     def test_dead_plane_trips_and_traffic_fails_over(self):
         flip = FlipLoss(dropping=True)
-        sim, bonded, recovery = make_recovery(plane_loss=[flip, NoLoss()])
+        sim, bonded, recovery = make_recovery(losses=[flip, NoLoss()])
         t = self._drive(sim, bonded, 0.0, 16)
         assert recovery.states()[0] == OPEN
         assert recovery.states()[1] == CLOSED
@@ -207,7 +207,7 @@ class TestPlaneRecovery:
 
     def test_failed_probe_reopens_with_doubled_backoff(self):
         flip = FlipLoss(dropping=True)
-        sim, bonded, recovery = make_recovery(plane_loss=[flip, NoLoss()])
+        sim, bonded, recovery = make_recovery(losses=[flip, NoLoss()])
         self._drive(sim, bonded, 0.0, 16)
         br = recovery.breakers[0]
         assert br.state == OPEN
@@ -221,7 +221,7 @@ class TestPlaneRecovery:
 
     def test_recovered_plane_closes_after_probe_successes(self):
         flip = FlipLoss(dropping=True)
-        sim, bonded, recovery = make_recovery(plane_loss=[flip, NoLoss()])
+        sim, bonded, recovery = make_recovery(losses=[flip, NoLoss()])
         self._drive(sim, bonded, 0.0, 16)
         br = recovery.breakers[0]
         assert br.state == OPEN
@@ -236,7 +236,7 @@ class TestPlaneRecovery:
 
     def test_trip_fires_listeners(self):
         flip = FlipLoss(dropping=True)
-        sim, bonded, recovery = make_recovery(plane_loss=[flip, NoLoss()])
+        sim, bonded, recovery = make_recovery(losses=[flip, NoLoss()])
         tripped = []
         recovery.add_listener(tripped.append)
         self._drive(sim, bonded, 0.0, 16)
@@ -246,7 +246,7 @@ class TestPlaneRecovery:
         """Counter-based polling needs wire traffic; NACK signals trip the
         flow's plane between polls."""
         sim, bonded, recovery = make_recovery(
-            spread="flow", plane_loss=[NoLoss(), NoLoss()]
+            spread="flow", losses=[NoLoss(), NoLoss()]
         )
         # Give plane 0 its min_samples window of (clean) traffic first.
         self._drive(sim, bonded, 0.0, 8)
@@ -259,7 +259,7 @@ class TestPlaneRecovery:
     def test_flow_spread_rehashes_around_open_plane(self):
         flip = FlipLoss(dropping=True)
         sim, bonded, recovery = make_recovery(
-            spread="flow", plane_loss=[flip, NoLoss()]
+            spread="flow", losses=[flip, NoLoss()]
         )
         # src_qpn=0 hashes to the dead plane 0.
         for i in range(16):
@@ -276,7 +276,7 @@ class TestPlaneRecovery:
         def run(seed):
             flip = FlipLoss(dropping=True)
             sim, bonded, recovery = make_recovery(
-                plane_loss=[flip, NoLoss()], seed=seed
+                losses=[flip, NoLoss()], seed=seed
             )
             got = []
             bonded.attach_sink(lambda p: got.append((sim.now, p.psn)))

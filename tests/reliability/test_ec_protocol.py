@@ -226,8 +226,6 @@ class TestConfiguration:
             EcConfig(k=0)
         with pytest.raises(ConfigError):
             EcConfig(encode_bps=0)
-        with pytest.raises(ConfigError):
-            EcConfig(fallback_interval_rtts=0)
 
     def test_encode_budget_delays_parity(self):
         """A slow encoder throttles parity injection but not correctness."""

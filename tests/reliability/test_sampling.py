@@ -36,10 +36,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"segment_chunks": 0},
-            {"probes_per_segment": 0},
             {"sample_interval_rtts": 0.0},
-            {"full_scan_every": -1},
             {"repair_holdoff_rtts": -1.0},
             {"idle_timeout_rtts": 0.0},
             {"max_idle_timeouts": 0},

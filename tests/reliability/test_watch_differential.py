@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.common.errors import DeliveryError
 from repro.common.units import KiB
 from repro.reliability.base import Receiver, ReceiveTicket
-from repro.reliability.ec import EcConfig, EcReceiver, _EcReceive
+from repro.reliability.ec import FALLBACK_INTERVAL_RTTS, EcConfig, EcReceiver, _EcReceive
 from repro.reliability.messages import ResumeReq
 from repro.reliability.sr import SrConfig
 from repro.sdr.qp import SdrRecvWr
@@ -327,7 +327,7 @@ class GeneratorEcReceiver(EcReceiver):
             if sim.now >= fto_deadline:
                 ticket.fell_back_to_sr = True
                 self._send_nack(rx, pending)
-                yield sim.timeout(self.config.fallback_interval_rtts * self.rtt)
+                yield sim.timeout(FALLBACK_INTERVAL_RTTS * self.rtt)
                 continue
             waits = [rx.data[s].wait_chunk() for s in pending] + [
                 rx.parity[s].wait_chunk() for s in pending

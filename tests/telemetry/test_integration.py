@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.common.config import ChannelConfig, SdrConfig
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, DeliveryError
 from repro.fabric.scenarios import ScaleConfig, scale_scenario
 from repro.reliability.ec import EcConfig
 from repro.reliability.sr import SrConfig
@@ -134,15 +134,25 @@ class TestEcDemo:
 
 
 class TestFailedWritesDrain:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=pytest.fail.Exception,
-        reason="a receiver with no serve deadline keeps serving a failed write",
-    )
     def test_drain_ends_after_failed_sr_writes(self):
         """``run_demo``'s set-up: three 256 KiB SR writes at 30 % loss, each
         chunk retransmitted at most once, so writes fail; the heap must
-        still drain."""
+        still drain, and a failed write's receive fails with it."""
+        self.drain("sr", config=SrConfig(max_chunk_retransmits=1))
+
+    @pytest.mark.parametrize("scheme", ["ec", "adaptive"])
+    def test_drain_ends_after_failed_ec_writes(self, scheme):
+        """The same under EC(4, 2), bare and provisioned by ``adaptive``:
+        a write fails at its global timeout, and its receive, which would
+        NACK the missing chunks round after round, is abandoned."""
+        config = EcConfig(k=4, m=2, global_timeout_rtts=5.0)
+        if scheme == "ec":
+            self.drain(scheme, config=config)
+        else:
+            self.drain(scheme, ec_config=config)
+
+    @staticmethod
+    def drain(scheme, **configs):
         stack = build_pair(
             ChannelConfig(
                 bandwidth_bps=100e9, distance_km=1000.0, mtu_bytes=4 * KIB,
@@ -154,15 +164,19 @@ class TestFailedWritesDrain:
                 inflight_messages=64,
             ),
         )
-        sender, receiver = endpoints("sr", stack, SrConfig(max_chunk_retransmits=1))
+        sender, receiver = endpoints(scheme, stack, **configs)
         mr = stack.ctx_b.mr_reg(256 * KIB)
-        tickets = []
+        tickets, receives = [], []
         closed_loop(
             stack.sim, sender, receiver, mr, 256 * KIB,
-            lambda posted: posted < 3, tickets,
+            lambda posted: posted < 3, tickets, receives,
         )
         drains_within(stack.sim, dispatches=500_000, sim_seconds=10.0)
-        assert len(tickets) == 3
+        assert len(tickets) == 3 and any(t.failed for t in tickets)
+        for write, receive in zip(tickets, receives):
+            if write.failed:
+                with pytest.raises(DeliveryError):
+                    receive.done.value
 
 
 class TestDisabledMetrics:

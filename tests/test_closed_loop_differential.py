@@ -2,7 +2,7 @@
 
 ``generator_closed_loop`` is the closed loop ``run_demo`` and ``run_incast``
 each ran as a generator process before: post a receive and a write, yield
-the write's ``done``, swallow a clean error completion, go again.  The
+the write's ``done``, abandon the receive of a failed write, go again.  The
 callback loop starts and ends where the process did (its boot entry, the
 event its return fired), so under either runner the whole run's ``(time,
 seq)`` dispatch sequence must be equal, on top of every ticket and the
@@ -46,7 +46,7 @@ def generator_closed_loop(
             try:
                 yield ticket.done
             except ReproError:
-                pass
+                receiver.abandon(received)
 
     return sim.process(loop())
 
@@ -76,7 +76,8 @@ RTT = distance_to_rtt(1000.0)
         dict(protocol="ec", messages=2, message_bytes=MiB, drop=0.02),
         dict(protocol="sampling", messages=2, message_bytes=256 * KiB, drop=0.02),
         # A data blackout runs the first writes out of retransmits: each
-        # failure is swallowed and the loop goes on to the next message.
+        # failure abandons its receive and the loop goes on to the next
+        # message.
         dict(
             protocol="sr", messages=3, message_bytes=256 * KiB, drop=0.01,
             sr_config=SrConfig(max_chunk_retransmits=1),

@@ -27,13 +27,10 @@ from repro.verbs.cq import CompletionQueue, Cqe
 from repro.verbs.device import Fabric
 from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import _IMM_WRITES, BaseQp, RcQp, SendWr, UcQp, UdQp
+from tests.conftest import drains_within
 
 MTU = 4 * KiB
 UNIT = 50e-9  # a 4 KiB packet serialises in 328 ns at 100 Gb/s
-#: A run is compared up to here.  Go-Back-N behind cross traffic in a
-#: 6 KiB buffer can rewind forever (the generator pump did too), so an RC
-#: run is compared on its first dispatches; the others drain long before.
-MAX_DISPATCHES = 2_000
 
 
 class GeneratorUcQp(BaseQp):
@@ -302,9 +299,14 @@ def drive(sender_cls, receiver_cls, posts, *, buffer_bytes, cross=(), **qp_kw):
         else:
             sim.call_at(tick * UNIT, qx.post_send, wr)
     dispatched = []
-    while sim._heap and len(dispatched) < MAX_DISPATCHES:
+    step = sim.step
+
+    def recorded_step():
         dispatched.append(sim._heap[0][:2])
-        sim.step()
+        step()
+
+    sim.step = recorded_step
+    drains_within(sim, dispatches=200_000, sim_seconds=1.0)
     return {
         "wire": wire,
         # As plain tuples: Cqe equality skips its lineage fields.
@@ -400,7 +402,6 @@ def test_rc_rewinds_are_reached():
     assert got == drive(GeneratorRcQp, RcQp, posts, **kw)
     psns = [psn for _, _, _, psn, *_ in got["wire"]]
     assert len(psns) > len(set(psns))  # something was sent twice
-    assert len(got["dispatched"]) < MAX_DISPATCHES  # and the run drained
 
 
 @pytest.mark.parametrize(

@@ -109,11 +109,6 @@ class TestWindow:
         assert len(qa.send_cq.poll(10)) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=pytest.fail.Exception,
-    reason="Go-Back-N behind cross traffic in a 6 KiB buffer rewinds forever",
-)
 def test_go_back_n_drains_behind_cross_traffic():
     """Four WRs posted at 3.35 us, 50 ns behind one MTU of a second QP pair
     on the same wire, at 5 % loss: every rewind must end in a drain."""

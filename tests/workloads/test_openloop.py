@@ -109,8 +109,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg(size_dist="weibull")
         with pytest.raises(ConfigError):
-            cfg(pareto_shape=1.0)  # infinite mean
-        with pytest.raises(ConfigError):
             cfg(max_message_bytes=1 * KiB)  # below mean
         with pytest.raises(ConfigError):
             cfg(rate_skew=-1.0)
