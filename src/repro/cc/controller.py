@@ -30,6 +30,12 @@ from __future__ import annotations
 from repro.common.errors import ConfigError
 
 CC_ALGORITHMS = ("none", "swift", "dcqcn")
+#: Additive increase per step, as a fraction of line rate (Swift and DCQCN).
+AI_FRACTION = 0.02
+#: Swift's delay target, in base RTTs.
+SWIFT_TARGET_RTTS = 1.5
+#: Swift's multiplicative-decrease gain on the relative overshoot.
+SWIFT_BETA = 0.8
 
 
 class RateController:
@@ -137,10 +143,11 @@ class StaticRateController(RateController):
 class SwiftController(RateController):
     """Swift-style delay-target AIMD (Kumar et al., SIGCOMM '20).
 
-    Each RTT sample is compared against ``target_delay``: at or below it
-    the rate additively increases by ``ai_fraction`` of line rate; above
-    it the rate is cut multiplicatively by ``beta`` scaled with the
-    relative overshoot, capped at ``max_decrease``.  RTO fires apply the
+    Each RTT sample is compared against ``target_delay``
+    (``SWIFT_TARGET_RTTS`` base RTTs): at or below it the rate additively
+    increases by ``AI_FRACTION`` of line rate; above it the rate is cut
+    multiplicatively by ``SWIFT_BETA`` scaled with the relative
+    overshoot, capped at ``max_decrease``.  RTO fires apply the
     full ``max_decrease`` cut.  Clean ACK progress also increases
     additively (Swift updates on every ACK), and -- as in Swift -- at
     most one multiplicative decrease happens per ``base_rtt``.
@@ -153,31 +160,21 @@ class SwiftController(RateController):
         *,
         line_rate_bps: float,
         base_rtt: float,
-        target_rtts: float = 1.5,
-        ai_fraction: float = 0.02,
-        beta: float = 0.8,
         max_decrease: float = 0.5,
         min_rate_fraction: float = 0.01,
     ):
         super().__init__(line_rate_bps=line_rate_bps)
         if base_rtt <= 0:
             raise ConfigError(f"base RTT must be > 0, got {base_rtt}")
-        if target_rtts < 1.0:
-            raise ConfigError(f"target must be >= 1 RTT, got {target_rtts}")
-        if not 0 < ai_fraction <= 1:
-            raise ConfigError(f"ai fraction must be in (0, 1], got {ai_fraction}")
-        if not 0 < beta <= 1:
-            raise ConfigError(f"beta must be in (0, 1], got {beta}")
         if not 0 < max_decrease < 1:
             raise ConfigError(f"max decrease must be in (0, 1), got {max_decrease}")
         if not 0 < min_rate_fraction <= 1:
             raise ConfigError(
                 f"min rate fraction must be in (0, 1], got {min_rate_fraction}"
             )
-        self.target_delay = base_rtt * target_rtts
+        self.target_delay = base_rtt * SWIFT_TARGET_RTTS
         self.cut_interval = base_rtt
-        self._ai_bps = ai_fraction * line_rate_bps
-        self._beta = beta
+        self._ai_bps = AI_FRACTION * line_rate_bps
         self._max_decrease = max_decrease
         self._min_rate_bps = min_rate_fraction * line_rate_bps
 
@@ -204,7 +201,7 @@ class SwiftController(RateController):
             self._increase()
         elif self._cut_allowed(now):
             overshoot = (sample - self.target_delay) / sample
-            factor = max(1.0 - self._beta * overshoot, 1.0 - self._max_decrease)
+            factor = max(1.0 - SWIFT_BETA * overshoot, 1.0 - self._max_decrease)
             self.rate_bps = max(self.rate_bps * factor, self._min_rate_bps)
 
     def on_ack_progress(self, now: float = 0.0) -> None:
@@ -235,7 +232,7 @@ class DcqcnController(RateController):
     feedback round with marks records the current rate as the recovery
     target and cuts by ``alpha/2``; mark-free ACK rounds first halve back
     toward the target (fast recovery) and after ``fast_recovery_rounds``
-    raise the target additively by ``ai_fraction`` of line rate.  Rate
+    raise the target additively by ``AI_FRACTION`` of line rate.  Rate
     cuts (CE or loss) happen at most once per ``cut_interval`` of
     simulated time -- DCQCN's rate-decrease timer -- so a burst of
     feedback is one congestion event; ``alpha`` still updates on every
@@ -255,7 +252,6 @@ class DcqcnController(RateController):
         line_rate_bps: float,
         g: float = 1.0 / 16.0,
         fast_recovery_rounds: int = 1,
-        ai_fraction: float = 0.02,
         min_rate_fraction: float = 0.05,
         cut_interval: float = 0.0,
     ):
@@ -266,8 +262,6 @@ class DcqcnController(RateController):
             raise ConfigError(
                 f"fast-recovery rounds must be >= 0, got {fast_recovery_rounds}"
             )
-        if not 0 < ai_fraction <= 1:
-            raise ConfigError(f"ai fraction must be in (0, 1], got {ai_fraction}")
         if not 0 < min_rate_fraction <= 1:
             raise ConfigError(
                 f"min rate fraction must be in (0, 1], got {min_rate_fraction}"
@@ -276,7 +270,7 @@ class DcqcnController(RateController):
             raise ConfigError(f"cut interval must be >= 0, got {cut_interval}")
         self._g = g
         self._fast_recovery_rounds = fast_recovery_rounds
-        self._ai_bps = ai_fraction * line_rate_bps
+        self._ai_bps = AI_FRACTION * line_rate_bps
         self._min_rate_bps = min_rate_fraction * line_rate_bps
         self.cut_interval = cut_interval
         self.alpha = 1.0

@@ -31,6 +31,17 @@ from repro.sim.engine import Simulator
 from repro.stack import build_pair, closed_loop, endpoints, wire
 from repro.telemetry import Telemetry
 
+#: The shared bottleneck: its buffer holds fewer bytes than one
+#: outstanding packet per sender.
+CHANNEL = ChannelConfig(
+    bandwidth_bps=10e9,
+    distance_km=10.0,
+    mtu_bytes=4 * KiB,
+    buffer_bytes=16 * KiB,
+    ecn_threshold_bytes=8 * KiB,
+)
+CHUNK_BYTES = 16 * KiB
+
 
 @dataclass
 class IncastResult:
@@ -86,20 +97,14 @@ def run_incast(
     messages_per_sender: int = 4,
     duration: float | None = None,
     message_bytes: int = 64 * KiB,
-    bandwidth_bps: float = 10e9,
-    distance_km: float = 10.0,
-    mtu_bytes: int = 4 * KiB,
-    chunk_bytes: int = 16 * KiB,
-    buffer_bytes: int = 16 * KiB,
-    ecn_threshold_bytes: int = 8 * KiB,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> IncastResult:
     """Run the incast workload under one cc algorithm; returns goodput.
 
     All ``senders`` live on one source device, so their packets contend
-    for the single forward channel; the buffer defaults to fewer bytes
-    than one outstanding packet per sender, the regime where unpaced
+    for the single forward ``CHANNEL``; its buffer holds fewer bytes than
+    one outstanding packet per sender, the regime where unpaced
     retransmission storms feed on themselves.
 
     With ``duration`` set the workload is *sustained*: every sender posts
@@ -117,21 +122,14 @@ def run_incast(
     if duration is not None and duration <= 0:
         raise ConfigError(f"duration must be > 0, got {duration}")
 
-    channel = ChannelConfig(
-        bandwidth_bps=bandwidth_bps,
-        distance_km=distance_km,
-        mtu_bytes=mtu_bytes,
-        buffer_bytes=buffer_bytes,
-        ecn_threshold_bytes=ecn_threshold_bytes,
-    )
     sdr_cfg = SdrConfig(
-        chunk_bytes=chunk_bytes,
-        max_message_bytes=max(message_bytes, chunk_bytes),
-        mtu_bytes=mtu_bytes,
+        chunk_bytes=CHUNK_BYTES,
+        max_message_bytes=max(message_bytes, CHUNK_BYTES),
+        mtu_bytes=CHANNEL.mtu_bytes,
         inflight_messages=max(16, messages_per_sender),
     )
     stack = build_pair(
-        channel, sdr_cfg, seed=seed, telemetry=telemetry, names=("src", "dst")
+        CHANNEL, sdr_cfg, seed=seed, telemetry=telemetry, names=("src", "dst")
     )
     sim, ctx_dst = stack.sim, stack.ctx_b
 
@@ -151,12 +149,12 @@ def run_incast(
     for i, edge in enumerate(edges):
         sender, receiver = endpoints("sr", edge, sr_cfg)
         controller = make_controller(
-            cc, line_rate_bps=bandwidth_bps, base_rtt=channel.rtt
+            cc, line_rate_bps=CHANNEL.bandwidth_bps, base_rtt=CHANNEL.rtt
         )
         # One-MTU burst: the default 16 KiB bucket would let every idle
         # sender blast four packets back-to-back, and N synchronized
         # bursts overflow the shared buffer even at a low average rate.
-        pacer = Pacer(sim, controller, name=f"s{i}", burst_bytes=mtu_bytes)
+        pacer = Pacer(sim, controller, name=f"s{i}", burst_bytes=CHANNEL.mtu_bytes)
         edge.qp_a.attach_pacer(pacer)
         sender.attach_cc(pacer)
         pacers.append(pacer)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
+from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.ec.segmented import SegmentLayout
 from repro.reliability import SCHEMES
@@ -50,8 +50,6 @@ def run_des_ring_allreduce(
     protocol: str = "sr",
     chunk_bytes: int = 16 * 1024,
     sr_config: SrConfig | None = None,
-    ec_config: EcConfig | None = None,
-    dpa: DpaConfig | None = None,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> DesRingResult:
@@ -68,10 +66,7 @@ def run_des_ring_allreduce(
 
     config, inflight, ec = sr_config, 16, None
     if SCHEMES[protocol][0].config_type is EcConfig:
-        config = ec = (
-            ec_config if ec_config is not None
-            else EcConfig(codec="mds", k=8, m=4)
-        )
+        config = ec = EcConfig(codec="mds", k=8, m=4)
         # EC needs 2L SDR slots per in-flight receive.
         layout = SegmentLayout(segment, chunk_bytes, config.k, config.m)
         inflight = max(16, 2 * layout.nsegments + 2)
@@ -83,7 +78,7 @@ def run_des_ring_allreduce(
         inflight_messages=min(inflight, 1024),
     )
     fabric, contexts, ends = build_ring(
-        channel, sdr_cfg, n_datacenters, protocol, config, dpa=dpa, seed=seed,
+        channel, sdr_cfg, n_datacenters, protocol, config, seed=seed,
         telemetry=telemetry,
     )
     completion, retransmitted = fabric.sim.run(

@@ -44,14 +44,12 @@ def sr_stage_sampler(params: ModelParams) -> StageSampler:
     return sample
 
 
-def ec_stage_sampler(
-    params: ModelParams, *, k: int = 32, m: int = 8, codec: str = "mds"
-) -> StageSampler:
-    """Per-stage times from the Erasure Coding model."""
+def ec_stage_sampler(params: ModelParams) -> StageSampler:
+    """Per-stage times from the Erasure Coding model, MDS(32, 8)."""
 
     def sample(message_bytes: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return ec_sample_completion(
-            params, params.chunks_in(message_bytes), n, k=k, m=m, codec=codec, rng=rng
+            params, params.chunks_in(message_bytes), n, k=32, m=8, codec="mds", rng=rng
         )
 
     return sample

@@ -22,6 +22,13 @@ from repro.models.sr_model import sr_expected_completion
 MTU = 4 * KiB
 CHUNK = 64 * KiB
 PPC = CHUNK // MTU
+#: EC(K, M), the code every sweep compares SR against.
+K, M = 32, 8
+DISTANCE_KM = 3750.0
+P_PACKET = 1e-5
+#: The fixed message of sweep (b) and of sweep (c).
+DISTANCE_SWEEP_SIZE = 8 * GiB
+DROP_SWEEP_SIZE = 128 * MiB
 
 DEFAULT_SIZES = [
     4 * KiB, 64 * KiB, 1 * MiB, 16 * MiB, 128 * MiB, 1 * GiB,
@@ -40,79 +47,62 @@ def _params(*, distance_km: float, p_packet: float) -> ModelParams:
     )
 
 
-def _slowdowns(params: ModelParams, size: int, k: int, m: int) -> tuple[float, float]:
+def _slowdowns(params: ModelParams, size: int) -> tuple[float, float]:
     chunks = params.chunks_in(size)
     ideal = params.ideal_completion(size)
     sr = sr_expected_completion(params, chunks) / ideal
-    ec = ec_expected_completion(params, chunks, k=k, m=m) / ideal
+    ec = ec_expected_completion(params, chunks, k=K, m=M) / ideal
     return sr, ec
 
 
 def run_size_sweep(
-    *,
-    sizes: list[int] | None = None,
-    distance_km: float = 3750.0,
-    p_packet: float = 1e-5,
-    k: int = 32,
-    m: int = 8,
+    *, sizes: list[int] | None = None, p_packet: float = P_PACKET
 ) -> Table:
     """(a): slowdown vs message size."""
     sizes = sizes if sizes is not None else DEFAULT_SIZES
-    params = _params(distance_km=distance_km, p_packet=p_packet)
+    params = _params(distance_km=DISTANCE_KM, p_packet=p_packet)
     table = Table(
         title=(
             f"Figure 3a: slowdown vs message size "
-            f"({distance_km:g} km, P_pkt={p_packet:g})"
+            f"({DISTANCE_KM:g} km, P_pkt={p_packet:g})"
         ),
         columns=["size_B", "chunks", "sr_slowdown", "ec_slowdown"],
     )
     for size in sizes:
-        sr, ec = _slowdowns(params, size, k, m)
+        sr, ec = _slowdowns(params, size)
         table.add_row(size, params.chunks_in(size), round(sr, 4), round(ec, 4))
     return table
 
 
-def run_distance_sweep(
-    *,
-    distances_km: list[float] | None = None,
-    size: int = 8 * GiB,
-    p_packet: float = 1e-5,
-    k: int = 32,
-    m: int = 8,
-) -> Table:
+def run_distance_sweep(*, distances_km: list[float] | None = None) -> Table:
     """(b): slowdown vs inter-DC distance for a fixed message."""
     distances = distances_km if distances_km is not None else DEFAULT_DISTANCES
+    size = DISTANCE_SWEEP_SIZE
     table = Table(
-        title=f"Figure 3b: slowdown vs distance ({size >> 30} GiB, P_pkt={p_packet:g})",
+        title=f"Figure 3b: slowdown vs distance ({size >> 30} GiB, P_pkt={P_PACKET:g})",
         columns=["distance_km", "rtt_ms", "sr_slowdown", "ec_slowdown"],
     )
     for d in distances:
-        params = _params(distance_km=d, p_packet=p_packet)
-        sr, ec = _slowdowns(params, size, k, m)
+        params = _params(distance_km=d, p_packet=P_PACKET)
+        sr, ec = _slowdowns(params, size)
         table.add_row(d, round(params.rtt * 1e3, 3), round(sr, 4), round(ec, 4))
     return table
 
 
-def run_drop_sweep(
-    *,
-    drops: list[float] | None = None,
-    size: int = 128 * MiB,
-    distance_km: float = 3750.0,
-    k: int = 32,
-    m: int = 8,
-) -> Table:
+def run_drop_sweep(*, drops: list[float] | None = None) -> Table:
     """(c): slowdown vs packet drop rate for a fixed message."""
     drops = drops if drops is not None else DEFAULT_DROPS
+    size = DROP_SWEEP_SIZE
     table = Table(
         title=(
             f"Figure 3c: slowdown vs drop rate "
-            f"({size >> 20} MiB, {distance_km:g} km)"
+            f"({size >> 20} MiB, {DISTANCE_KM:g} km)"
         ),
         columns=["p_packet", "p_chunk", "sr_slowdown", "ec_slowdown"],
     )
     for p in drops:
-        params = _params(distance_km=distance_km, p_packet=p)
-        sr, ec = _slowdowns(params, size, k, m)
+        params = _params(distance_km=DISTANCE_KM, p_packet=p)
+        sr, ec = _slowdowns(params, size)
         table.add_row(p, round(params.drop_probability, 8), round(sr, 4), round(ec, 4))
     return table
 

@@ -23,14 +23,14 @@ DEFAULT_SIZES = [
     128 * MiB, 512 * MiB, 1 * GiB, 8 * GiB,
 ]
 DEFAULT_DROPS = [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
+DISTANCE_KM = 3750.0
+BANDWIDTH_BPS = 400e9
 
 
 def run(
     *,
     sizes: list[int] | None = None,
     drops: list[float] | None = None,
-    distance_km: float = 3750.0,
-    bandwidth_bps: float = 400e9,
     k: int = 32,
     m: int = 8,
     codec: str = "mds",
@@ -45,7 +45,7 @@ def run(
     table = Table(
         title=(
             f"Figure 9: EC {codec.upper()}({k},{m}) speedup over SR "
-            f"(mean, {bandwidth_bps / 1e9:g} Gbit/s, {distance_km:g} km)"
+            f"(mean, {BANDWIDTH_BPS / 1e9:g} Gbit/s, {DISTANCE_KM:g} km)"
         ),
         columns=["size_B"] + [f"p={p:g}" for p in drops],
         notes="speedup = E[T_SR] / E[T_EC]; > 1 means EC wins",
@@ -54,8 +54,8 @@ def run(
         row: list = [size]
         for p in drops:
             params = ModelParams(
-                bandwidth_bps=bandwidth_bps,
-                rtt=distance_to_rtt(distance_km),
+                bandwidth_bps=BANDWIDTH_BPS,
+                rtt=distance_to_rtt(DISTANCE_KM),
                 chunk_bytes=CHUNK,
                 drop_probability=packet_to_chunk_drop(p, PPC),
             )

@@ -24,11 +24,15 @@ MTU = 4 * KiB
 CHUNK = 64 * KiB
 PPC = CHUNK // MTU
 
-DEFAULT_SIZES = [
+#: Sweep (a): message sizes at ``P_PACKET``, drawn from seed 0.
+SIZES = [
     1 * MiB, 8 * MiB, 32 * MiB, 128 * MiB, 512 * MiB, 1 * GiB, 8 * GiB,
 ]
+P_PACKET = 1e-5
 DEFAULT_DROPS = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
 DEFAULT_SPLITS = [(32, 2), (32, 4), (32, 8), (16, 8), (8, 8)]
+#: Sweep (d)'s message.
+SPLIT_SIZE = 128 * MiB
 
 
 def _params(p_packet: float, *, rto_rtts: float = 3.0) -> ModelParams:
@@ -64,18 +68,11 @@ def _protocol_stats(
     return out
 
 
-def run_size_sweep(
-    *,
-    sizes: list[int] | None = None,
-    p_packet: float = 1e-5,
-    n_samples: int = 4000,
-    seed: int = 0,
-) -> Table:
+def run_size_sweep(*, n_samples: int = 4000) -> Table:
     """(a): mean + p99.9 slowdowns vs message size."""
-    sizes = sizes if sizes is not None else DEFAULT_SIZES
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     table = Table(
-        title=f"Figure 10a: slowdown vs size (P_pkt={p_packet:g}, 3750 km)",
+        title=f"Figure 10a: slowdown vs size (P_pkt={P_PACKET:g}, 3750 km)",
         columns=[
             "size_B",
             "sr_rto_mean", "sr_rto_p999",
@@ -83,8 +80,8 @@ def run_size_sweep(
             "ec_mean", "ec_p999",
         ],
     )
-    for size in sizes:
-        st = _protocol_stats(size, p_packet, n_samples, rng)
+    for size in SIZES:
+        st = _protocol_stats(size, P_PACKET, n_samples, rng)
         table.add_row(
             size,
             round(st["sr_rto"][0], 3), round(st["sr_rto"][1], 3),
@@ -128,13 +125,13 @@ def run_split_sweep(
     *,
     splits: list[tuple[int, int]] | None = None,
     drops: list[float] | None = None,
-    size: int = 128 * MiB,
     n_samples: int = 2000,
     seed: int = 2,
 ) -> Table:
     """(d): MDS (k, m) splits across drop rates -- mean slowdown."""
     splits = splits if splits is not None else DEFAULT_SPLITS
     drops = drops if drops is not None else DEFAULT_DROPS
+    size = SPLIT_SIZE
     rng = np.random.default_rng(seed)
     table = Table(
         title=f"Figure 10d: MDS split comparison ({size >> 20} MiB, mean slowdown)",

@@ -30,7 +30,14 @@ from repro.models.decode_prob import p_decode_mds, p_decode_xor, p_fallback
 from repro.models.params import packet_to_chunk_drop
 
 CHUNK = 64 * KiB
+MTU = 4 * KiB
 DEFAULT_DROPS = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2]
+#: Timed encodes per measurement (the best one counts), after a warm-up.
+REPEATS = 3
+LINK_BPS = 400 * Gbit
+#: The right panel's buffer and code.
+BUFFER_BYTES = 128 * MiB
+K, M = 32, 8
 
 
 def measure_encode_throughput(
@@ -39,29 +46,21 @@ def measure_encode_throughput(
     k: int = 32,
     m: int = 8,
     chunk_bytes: int = CHUNK,
-    repeats: int = 3,
-    seed: int = 0,
 ) -> float:
     """Single-core encode throughput in bits of data per second."""
     codec = get_codec(codec_name, k, m)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     data = rng.integers(0, 256, size=(k, chunk_bytes), dtype=np.uint8)
     codec.encode(data)  # warm-up
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         codec.encode(data)
         best = min(best, time.perf_counter() - start)
     return data.nbytes * 8.0 / best
 
 
-def run_throughput(
-    *,
-    k: int = 32,
-    m: int = 8,
-    link_bps: float = 400 * Gbit,
-    chunk_bytes: int = CHUNK,
-) -> Table:
+def run_throughput(*, k: int = 32, m: int = 8, chunk_bytes: int = CHUNK) -> Table:
     """Left panel: encode rate and cores needed to keep up with the link."""
     table = Table(
         title=f"Figure 11 (left): encode throughput, k={k}, m={m}",
@@ -70,36 +69,28 @@ def run_throughput(
     )
     for name in ("xor", "mds"):
         bps = measure_encode_throughput(name, k=k, m=m, chunk_bytes=chunk_bytes)
-        cores = math.ceil(link_bps / bps)
+        cores = math.ceil(LINK_BPS / bps)
         table.add_row(name, round(bps / 1e9, 2), cores)
     return table
 
 
-def run_fallback(
-    *,
-    drops: list[float] | None = None,
-    buffer_bytes: int = 128 * MiB,
-    chunk_bytes: int = CHUNK,
-    mtu_bytes: int = 4 * KiB,
-    k: int = 32,
-    m: int = 8,
-) -> Table:
+def run_fallback(*, drops: list[float] | None = None) -> Table:
     """Right panel: P(fallback to SR) for MDS vs XOR across drop rates."""
     drops = drops if drops is not None else DEFAULT_DROPS
-    nchunks = buffer_bytes // chunk_bytes
-    nsub = math.ceil(nchunks / k)
-    ppc = chunk_bytes // mtu_bytes
+    nchunks = BUFFER_BYTES // CHUNK
+    nsub = math.ceil(nchunks / K)
+    ppc = CHUNK // MTU
     table = Table(
         title=(
             f"Figure 11 (right): SR-fallback probability "
-            f"({buffer_bytes >> 20} MiB, k={k}, m={m})"
+            f"({BUFFER_BYTES >> 20} MiB, k={K}, m={M})"
         ),
         columns=["p_packet", "p_chunk", "mds_fallback", "xor_fallback"],
     )
     for p in drops:
         pc = packet_to_chunk_drop(p, ppc)
-        mds = p_fallback(p_decode_mds(pc, k, m), nsub)
-        xor = p_fallback(p_decode_xor(pc, k, m), nsub)
+        mds = p_fallback(p_decode_mds(pc, K, M), nsub)
+        xor = p_fallback(p_decode_xor(pc, K, M), nsub)
         table.add_row(p, round(pc, 8), round(mds, 6), round(xor, 6))
     return table
 

@@ -21,23 +21,23 @@ PPC = CHUNK // MTU
 
 DEFAULT_DISTANCES = [10.0, 100.0, 375.0, 1000.0, 3750.0, 10000.0, 37500.0, 100000.0]
 DEFAULT_BANDWIDTHS = [100 * Gbit, 400 * Gbit, 800 * Gbit, 1.6 * Tbit]
+#: The written message, the packet drop rate and EC(K, M).
+SIZE = 128 * MiB
+P_PACKET = 1e-5
+K, M = 32, 8
 
 
 def run(
     *,
     distances_km: list[float] | None = None,
     bandwidths_bps: list[float] | None = None,
-    size: int = 128 * MiB,
-    p_packet: float = 1e-5,
-    k: int = 32,
-    m: int = 8,
 ) -> Table:
     distances = distances_km if distances_km is not None else DEFAULT_DISTANCES
     bandwidths = bandwidths_bps if bandwidths_bps is not None else DEFAULT_BANDWIDTHS
     table = Table(
         title=(
             f"Figure 12: normalized completion vs distance x bandwidth "
-            f"({size >> 20} MiB, P_pkt={p_packet:g})"
+            f"({SIZE >> 20} MiB, P_pkt={P_PACKET:g})"
         ),
         columns=["distance_km"]
         + [
@@ -47,7 +47,7 @@ def run(
         ],
         notes="each value = mean completion / lossless completion",
     )
-    p_chunk = packet_to_chunk_drop(p_packet, PPC)
+    p_chunk = packet_to_chunk_drop(P_PACKET, PPC)
     for d in distances:
         row: list = [d]
         for bw in bandwidths:
@@ -57,37 +57,28 @@ def run(
                 chunk_bytes=CHUNK,
                 drop_probability=p_chunk,
             )
-            chunks = params.chunks_in(size)
-            ideal = params.ideal_completion(size)
+            chunks = params.chunks_in(SIZE)
+            ideal = params.ideal_completion(SIZE)
             row.append(round(sr_expected_completion(params, chunks) / ideal, 3))
             row.append(
-                round(ec_expected_completion(params, chunks, k=k, m=m) / ideal, 3)
+                round(ec_expected_completion(params, chunks, k=K, m=M) / ideal, 3)
             )
         table.add_row(*row)
     return table
 
 
-def crossover_distance(
-    *,
-    bandwidth_bps: float,
-    size: int = 128 * MiB,
-    p_packet: float = 1e-5,
-    k: int = 32,
-    m: int = 8,
-    distances_km: list[float] | None = None,
-) -> float | None:
+def crossover_distance(*, bandwidth_bps: float) -> float | None:
     """Smallest swept distance at which EC beats SR (None if never)."""
-    distances = distances_km if distances_km is not None else DEFAULT_DISTANCES
-    p_chunk = packet_to_chunk_drop(p_packet, PPC)
-    for d in distances:
+    p_chunk = packet_to_chunk_drop(P_PACKET, PPC)
+    for d in DEFAULT_DISTANCES:
         params = ModelParams(
             bandwidth_bps=bandwidth_bps,
             rtt=distance_to_rtt(d),
             chunk_bytes=CHUNK,
             drop_probability=p_chunk,
         )
-        chunks = params.chunks_in(size)
-        if ec_expected_completion(params, chunks, k=k, m=m) < sr_expected_completion(
+        chunks = params.chunks_in(SIZE)
+        if ec_expected_completion(params, chunks, k=K, m=M) < sr_expected_completion(
             params, chunks
         ):
             return d

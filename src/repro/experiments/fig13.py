@@ -31,7 +31,10 @@ PPC = CHUNK // MTU
 
 DEFAULT_DROPS = [1e-6, 1e-5, 1e-4, 1e-3]
 DEFAULT_RING_SIZES = [2, 4, 8, 16]
-DEFAULT_BUFFERS = [32 * MiB, 128 * MiB, 512 * MiB]
+#: The left panel's buffer; the right panel's buffers and ring length.
+RING_SWEEP_BUFFER = 128 * MiB
+BUFFERS = [32 * MiB, 128 * MiB, 512 * MiB]
+N_DCS = 4
 
 
 def _params(p_packet: float) -> ModelParams:
@@ -49,15 +52,12 @@ def _speedup(
     p_packet: float,
     n_samples: int,
     rng: np.random.Generator,
-    *,
-    k: int = 32,
-    m: int = 8,
 ) -> float:
     params = _params(p_packet)
     ring = RingAllreduce(n_datacenters=n_dcs, buffer_bytes=buffer_bytes)
     sr = summarize(ring.sample(sr_stage_sampler(params), n_samples, rng=rng))
     ec = summarize(
-        ring.sample(ec_stage_sampler(params, k=k, m=m), n_samples, rng=rng)
+        ring.sample(ec_stage_sampler(params), n_samples, rng=rng)
     )
     return sr.p999 / ec.p999
 
@@ -66,7 +66,6 @@ def run_ring_sweep(
     *,
     ring_sizes: list[int] | None = None,
     drops: list[float] | None = None,
-    buffer_bytes: int = 128 * MiB,
     n_samples: int = 2000,
     seed: int = 0,
 ) -> Table:
@@ -77,38 +76,29 @@ def run_ring_sweep(
     table = Table(
         title=(
             f"Figure 13 (left): Allreduce p99.9 speedup, EC over SR "
-            f"({buffer_bytes >> 20} MiB buffer)"
+            f"({RING_SWEEP_BUFFER >> 20} MiB buffer)"
         ),
         columns=["p_packet"] + [f"N={n}" for n in ring_sizes],
     )
     for p in drops:
         row: list = [p]
         for n in ring_sizes:
-            row.append(round(_speedup(n, buffer_bytes, p, n_samples, rng), 3))
+            row.append(round(_speedup(n, RING_SWEEP_BUFFER, p, n_samples, rng), 3))
         table.add_row(*row)
     return table
 
 
-def run_buffer_sweep(
-    *,
-    buffers: list[int] | None = None,
-    drops: list[float] | None = None,
-    n_dcs: int = 4,
-    n_samples: int = 2000,
-    seed: int = 1,
-) -> Table:
+def run_buffer_sweep(*, n_samples: int = 2000, seed: int = 1) -> Table:
     """(right): p99.9 speedup vs drop rate, one column per buffer size."""
-    buffers = buffers if buffers is not None else DEFAULT_BUFFERS
-    drops = drops if drops is not None else DEFAULT_DROPS
     rng = np.random.default_rng(seed)
     table = Table(
-        title=f"Figure 13 (right): Allreduce p99.9 speedup ({n_dcs} datacenters)",
-        columns=["p_packet"] + [f"{b >> 20}MiB" for b in buffers],
+        title=f"Figure 13 (right): Allreduce p99.9 speedup ({N_DCS} datacenters)",
+        columns=["p_packet"] + [f"{b >> 20}MiB" for b in BUFFERS],
     )
-    for p in drops:
+    for p in DEFAULT_DROPS:
         row: list = [p]
-        for b in buffers:
-            row.append(round(_speedup(n_dcs, b, p, n_samples, rng), 3))
+        for b in BUFFERS:
+            row.append(round(_speedup(N_DCS, b, p, n_samples, rng), 3))
         table.add_row(*row)
     return table
 

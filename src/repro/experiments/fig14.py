@@ -16,6 +16,8 @@ from repro.experiments.testbed import run_rc_throughput, run_sdr_throughput
 
 DEFAULT_SIZES = [64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, 1 * MiB, 4 * MiB, 16 * MiB]
 DEFAULT_THREADS = [1, 2, 4, 8, 16]
+#: DPA receive threads of the left panel.
+RX_THREADS = 16
 
 
 def _channel() -> ChannelConfig:
@@ -33,10 +35,7 @@ def _sdr(max_message: int, channels: int = 16) -> SdrConfig:
 
 
 def run_message_size_sweep(
-    *,
-    sizes: list[int] | None = None,
-    n_messages: int = 24,
-    rx_threads: int = 16,
+    *, sizes: list[int] | None = None, n_messages: int = 24
 ) -> Table:
     """(left): SDR vs RC throughput across message sizes."""
     sizes = sizes if sizes is not None else DEFAULT_SIZES
@@ -44,7 +43,7 @@ def run_message_size_sweep(
     table = Table(
         title=(
             f"Figure 14 (left): throughput vs message size "
-            f"(16 in-flight, 64 KiB chunks, {rx_threads} DPA rx threads)"
+            f"(16 in-flight, 64 KiB chunks, {RX_THREADS} DPA rx threads)"
         ),
         columns=["size_B", "sdr_gbps", "rc_gbps", "sdr_frac_of_line", "dpa_util"],
     )
@@ -55,7 +54,7 @@ def run_message_size_sweep(
             inflight=16,
             channel=channel,
             sdr=_sdr(size),
-            dpa=DpaConfig(worker_threads=rx_threads),
+            dpa=DpaConfig(worker_threads=RX_THREADS),
         )
         rc = run_rc_throughput(
             message_bytes=size, n_messages=n_messages, channel=channel

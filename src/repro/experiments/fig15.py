@@ -17,6 +17,9 @@ from repro.experiments.testbed import run_sdr_throughput
 from repro.models.params import packet_to_chunk_drop
 
 DEFAULT_CHUNKS = [4 * KiB, 8 * KiB, 16 * KiB, 32 * KiB, 64 * KiB, 128 * KiB, 256 * KiB]
+#: DPA receive threads, and the per-packet drop rate of the P_chunk column.
+RX_THREADS = 16
+P_PACKET = 1e-5
 
 
 def run(
@@ -24,8 +27,6 @@ def run(
     chunk_sizes: list[int] | None = None,
     message_bytes: int = 4 * MiB,
     n_messages: int = 16,
-    rx_threads: int = 16,
-    p_packet: float = 1e-5,
 ) -> Table:
     """Throughput and P_chunk_drop per chunk size (4 KiB MTU, 400 Gbit/s)."""
     chunks = chunk_sizes if chunk_sizes is not None else DEFAULT_CHUNKS
@@ -33,7 +34,7 @@ def run(
     table = Table(
         title=(
             f"Figure 15: bitmap chunk size sweep "
-            f"({message_bytes >> 20} MiB messages, {rx_threads} DPA threads)"
+            f"({message_bytes >> 20} MiB messages, {RX_THREADS} DPA threads)"
         ),
         columns=[
             "chunk_B",
@@ -43,7 +44,7 @@ def run(
             "chunk_updates",
             "p_chunk_drop",
         ],
-        notes=f"theoretical P_chunk at per-packet P_drop = {p_packet:g}",
+        notes=f"theoretical P_chunk at per-packet P_drop = {P_PACKET:g}",
     )
     for chunk in chunks:
         ppc = chunk // channel.mtu_bytes
@@ -59,7 +60,7 @@ def run(
             inflight=16,
             channel=channel,
             sdr=sdr,
-            dpa=DpaConfig(worker_threads=rx_threads),
+            dpa=DpaConfig(worker_threads=RX_THREADS),
         )
         table.add_row(
             chunk,
@@ -67,6 +68,6 @@ def run(
             round(res.throughput_bps / 1e9, 1),
             round(res.throughput_bps / channel.bandwidth_bps, 3),
             (message_bytes // chunk) * n_messages,
-            round(packet_to_chunk_drop(p_packet, ppc), 8),
+            round(packet_to_chunk_drop(P_PACKET, ppc), 8),
         )
     return table

@@ -53,8 +53,8 @@ class EdgeHealthMonitor(BreakerSet):
         *,
         rtt: float | None = None,
         config: BreakerConfig | None = None,
-        name: str = "fabric.edge_health",
     ):
+        name = "fabric.edge_health"
         if rtt is None:
             rtt = 2.0 * max(
                 edge.cost for edge in network.topology.edges.values()

@@ -144,8 +144,9 @@ def lineage_tenant_table(analyzer: LineageAnalyzer) -> Table:
     return table
 
 
-def metrics_digest(registry: MetricsRegistry, prefix: str = "fabric") -> str:
-    """Stable hash of a metrics snapshot (same-seed determinism checks)."""
-    snapshot = registry.snapshot(prefix)
+def metrics_digest(registry: MetricsRegistry) -> str:
+    """Stable hash of the ``fabric`` metrics snapshot (same-seed
+    determinism checks)."""
+    snapshot = registry.snapshot("fabric")
     payload = json.dumps(snapshot, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()

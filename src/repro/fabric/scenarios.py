@@ -74,7 +74,7 @@ def arm_slo(
         slo.spec_for(state.spec.name, state.spec.quota_bps)
         for state in service.tenants.values()
     ]
-    return SloTracker(sampler, specs, policy=slo.policy())
+    return SloTracker(sampler, specs)
 
 
 #: The fairness dumbbell's host links (the bottleneck's rate is
@@ -82,6 +82,8 @@ def arm_slo(
 DUMBBELL_HOST_BPS = 25e9
 DUMBBELL_HOST_KM = 0.05
 DUMBBELL_BOTTLENECK_KM = 100.0
+DUMBBELL_BUFFER_BYTES = 256 * KiB
+DUMBBELL_ECN_THRESHOLD_BYTES = 64 * KiB
 #: Victims' aggregate offered load as a fraction of the bottleneck.
 VICTIM_LOAD_FRACTION = 0.5
 #: Rogue's offered load as a fraction of the bottleneck (> 1 = abuse).
@@ -103,8 +105,6 @@ class FairnessConfig:
     #: Arrival window in seconds (goodput window for both runs).
     duration: float = 0.05
     seed: int = 0
-    buffer_bytes: int = 256 * KiB
-    ecn_threshold_bytes: int = 64 * KiB
     mean_message_bytes: int = 64 * KiB
     max_message_bytes: int = 1 * MiB
     #: The dumbbell's bottleneck rate.
@@ -224,8 +224,8 @@ def _fairness_fabric(
     bottleneck = ChannelConfig(
         bandwidth_bps=config.bottleneck_bps,
         distance_km=DUMBBELL_BOTTLENECK_KM,
-        buffer_bytes=config.buffer_bytes,
-        ecn_threshold_bytes=config.ecn_threshold_bytes,
+        buffer_bytes=DUMBBELL_BUFFER_BYTES,
+        ecn_threshold_bytes=DUMBBELL_ECN_THRESHOLD_BYTES,
     )
     topo = dumbbell(
         left_hosts=left, right_hosts=1, host_link=host_link,

@@ -64,6 +64,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import ClassVar
 
 import numpy as np
 
@@ -112,13 +113,8 @@ class FabricServiceConfig:
     qp_pool_per_pair: int = 2
     #: Concurrent flows one fabric QP multiplexes before admission queues.
     max_flows_per_qp: int = 64
-    #: Flow segmentation: one wire packet per segment.
-    segment_bytes: int = 32 * KiB
     #: Whether tenant quota buckets are enforced at admission.
     enforce_quotas: bool = True
-    #: Segment RTO as a multiple of the pair's base RTT (plus one segment
-    #: serialization per hop); doubled per attempt.
-    rto_rtts: float = 8.0
     #: Attempts per segment before the whole flow fails.
     max_attempts: int = 8
     #: Seconds a flow tolerates *no route at all* (every candidate path
@@ -126,12 +122,17 @@ class FabricServiceConfig:
     #: :class:`~repro.common.errors.DeliveryError`.  The clock starts at
     #: the first no-route send and resets when any segment launches.
     partition_deadline: float = 0.5
+    #: Flow segmentation: one wire packet per segment.
+    segment_bytes: ClassVar[int] = 32 * KiB
+    #: Segment RTO as a multiple of the pair's base RTT (plus one segment
+    #: serialization per hop); doubled per attempt.
+    rto_rtts: ClassVar[float] = 8.0
     #: Times a flow's per-segment attempt counter may reset after a
     #: reroute (the segment timed out on a path that no longer exists;
     #: the detour deserves a fresh retry budget).  Sized so a flow
     #: survives several half-open probe cycles of a permanently dead
     #: primary path before its RTO backoff escalates to the cap.
-    max_resumptions: int = 4
+    max_resumptions: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
         if self.cc not in CC_ALGORITHMS:
@@ -144,19 +145,11 @@ class FabricServiceConfig:
             raise ConfigError(
                 f"need >= 1 flow per QP, got {self.max_flows_per_qp}"
             )
-        if self.segment_bytes <= 0:
-            raise ConfigError(f"segment must be > 0, got {self.segment_bytes}")
-        if self.rto_rtts <= 0:
-            raise ConfigError(f"rto_rtts must be > 0, got {self.rto_rtts}")
         if self.max_attempts < 1:
             raise ConfigError(f"need >= 1 attempt, got {self.max_attempts}")
         if self.partition_deadline <= 0:
             raise ConfigError(
                 f"partition_deadline must be > 0, got {self.partition_deadline}"
-            )
-        if self.max_resumptions < 0:
-            raise ConfigError(
-                f"max_resumptions must be >= 0, got {self.max_resumptions}"
             )
 
 
@@ -319,12 +312,11 @@ class FabricService:
         network: FabricNetwork,
         *,
         config: FabricServiceConfig | None = None,
-        name: str = "fabric",
     ):
         self.net = network
         self.sim: Simulator = network.sim
         self.config = config if config is not None else FabricServiceConfig()
-        self.name = name
+        self.name = name = "fabric"
         self.tenants: dict[str, TenantState] = {}
         self.flows: list[FlowTicket] = []
         self._pairs: dict[tuple[str, str], _PairState] = {}

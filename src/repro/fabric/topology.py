@@ -106,7 +106,6 @@ class FabricTopology:
         b: str,
         config: ChannelConfig,
         *,
-        config_rev: ChannelConfig | None = None,
         loss_fwd: LossModel | None = None,
         loss_rev: LossModel | None = None,
     ) -> tuple[FabricEdge, FabricEdge]:
@@ -119,9 +118,7 @@ class FabricTopology:
         if (a, b) in self.edges or (b, a) in self.edges:
             raise ConfigError(f"{a!r} and {b!r} are already linked")
         fwd = FabricEdge(a, b, config, loss_fwd)
-        rev = FabricEdge(
-            b, a, config_rev if config_rev is not None else config, loss_rev
-        )
+        rev = FabricEdge(b, a, config, loss_rev)
         self.edges[(a, b)] = fwd
         self.edges[(b, a)] = rev
         self._adjacency[a].append(b)
@@ -315,14 +312,12 @@ class FabricNetwork:
         sim: Simulator,
         topology: FabricTopology,
         *,
-        streams: RngStreams | None = None,
         seed: int = 0,
-        name: str = "fabric",
     ):
         self.sim = sim
         self.topology = topology
-        self.name = name
-        self.streams = streams if streams is not None else RngStreams(seed)
+        self.name = name = "fabric"
+        self.streams = RngStreams(seed)
         self.channels: dict[tuple[str, str], Channel] = {}
         self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
         #: Dropped with the route cache and by :meth:`replace_channel`.

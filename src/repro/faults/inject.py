@@ -40,19 +40,12 @@ def _link_lookup(fabric, a, b):
 
 
 def install_link_faults(
-    fabric,
-    a,
-    b,
-    schedule: FaultSchedule,
-    *,
-    schedule_rev: FaultSchedule | None = None,
+    fabric, a, b, schedule: FaultSchedule
 ) -> tuple[FaultyChannel, FaultyChannel]:
     """Wrap the ``a``->``b`` link of ``fabric`` in the fault plane.
 
-    ``schedule`` drives the forward (``a`` -> ``b``) direction;
-    ``schedule_rev`` the reverse (defaults to the same schedule, so e.g. a
-    blackout severs both directions like a real fiber cut).  Returns the
-    (forward, reverse) wrappers.
+    ``schedule`` drives both directions, so e.g. a blackout severs both
+    like a real fiber cut.  Returns the (forward, reverse) wrappers.
     """
     key, link, flipped = _link_lookup(fabric, a, b)
     if isinstance(link, DuplexLink):
@@ -69,8 +62,7 @@ def install_link_faults(
         rng=fabric.rng.get(f"faults.{a.name}->{b.name}"),
     )
     rev = FaultyChannel(
-        inner_rev, schedule if schedule_rev is None else schedule_rev,
-        rng=fabric.rng.get(f"faults.{b.name}->{a.name}"),
+        inner_rev, schedule, rng=fabric.rng.get(f"faults.{b.name}->{a.name}"),
     )
     a.replace_link(b.name, outgoing=fwd, incoming=rev)
     b.replace_link(a.name, outgoing=rev, incoming=fwd)
@@ -121,20 +113,13 @@ def uninstall_link_faults(fabric, a, b) -> bool:
 
 
 @contextlib.contextmanager
-def link_faults(
-    fabric,
-    a,
-    b,
-    schedule: FaultSchedule,
-    *,
-    schedule_rev: FaultSchedule | None = None,
-):
+def link_faults(fabric, a, b, schedule: FaultSchedule):
     """Context-manager form of :func:`install_link_faults`.
 
     Yields the ``(forward, reverse)`` wrappers and uninstalls the fault
     plane on exit, restoring the original links.
     """
-    wrappers = install_link_faults(fabric, a, b, schedule, schedule_rev=schedule_rev)
+    wrappers = install_link_faults(fabric, a, b, schedule)
     try:
         yield wrappers
     finally:
@@ -142,12 +127,7 @@ def link_faults(
 
 
 def install_edge_faults(
-    network,
-    u: str,
-    v: str,
-    schedule: FaultSchedule,
-    *,
-    schedule_rev: FaultSchedule | None = None,
+    network, u: str, v: str, schedule: FaultSchedule
 ) -> tuple[FaultyChannel, FaultyChannel]:
     """Wrap one :class:`~repro.fabric.topology.FabricNetwork` link in the
     fault plane.
@@ -156,8 +136,7 @@ def install_edge_faults(
     for :class:`FaultyChannel` wrappers (``network.replace_channel``, which
     drops the cached hop tuples); every hop looks its channel up afresh, so
     the swap takes effect immediately for in-flight and future packets
-    alike.  ``schedule`` drives ``u`` -> ``v``; ``schedule_rev`` the reverse
-    (defaults to the same schedule -- a fiber cut severs both directions).
+    alike.  ``schedule`` drives both directions (a fiber cut severs both).
     Returns the (forward, reverse) wrappers.
     """
     fwd_key, rev_key = (u, v), (v, u)
@@ -175,7 +154,7 @@ def install_edge_faults(
     )
     rev = FaultyChannel(
         network.channels[rev_key],
-        schedule if schedule_rev is None else schedule_rev,
+        schedule,
         rng=network.streams.get(f"faults.edge.{v}->{u}"),
     )
     network.replace_channel(fwd_key, fwd)

@@ -64,6 +64,10 @@ FABRIC_KINDS = frozenset({"edge_down", "node_crash"})
 KINDS = CHANNEL_KINDS | DPA_KINDS | FABRIC_KINDS
 
 SELECTORS = ("all", "control", "data")
+#: Shape of :meth:`FaultSchedule.random`: at most this many windows, each
+#: starting within this many RTTs.
+RANDOM_MAX_WINDOWS = 3
+RANDOM_HORIZON_RTTS = 60.0
 
 
 @dataclass(frozen=True)
@@ -226,14 +230,9 @@ class FaultSchedule:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def random(
-        rng: np.random.Generator,
-        *,
-        rtt: float,
-        max_windows: int = 3,
-        horizon_rtts: float = 60.0,
-    ) -> "FaultSchedule":
-        """Seeded random blackout / reorder windows (the chaos-fuzz axis).
+    def random(rng: np.random.Generator, *, rtt: float) -> "FaultSchedule":
+        """Seeded random blackout / reorder windows (the chaos-fuzz axis):
+        one to three, each starting within the first 60 RTTs.
 
         Windows are short relative to the horizon so that a retry budget of
         default size always outlives them -- the fuzz invariant stays
@@ -241,11 +240,11 @@ class FaultSchedule:
         """
         if rtt <= 0:
             raise ConfigError(f"rtt must be > 0, got {rtt}")
-        n = int(rng.integers(1, max_windows + 1))
+        n = int(rng.integers(1, RANDOM_MAX_WINDOWS + 1))
         windows = []
         for _ in range(n):
             kind = ["blackout", "reorder"][int(rng.integers(0, 2))]
-            start = float(rng.uniform(0.0, horizon_rtts * rtt))
+            start = float(rng.uniform(0.0, RANDOM_HORIZON_RTTS * rtt))
             duration = float(rng.uniform(1.0, 10.0)) * rtt
             if kind == "blackout":
                 windows.append(

@@ -72,31 +72,31 @@ def p_decode_xor(p_drop: float, k: int, m: int) -> float:
     return float(math.exp(m * math.log(group_ok)))
 
 
+#: Monte-Carlo trials of :func:`p_decode_rs2d`, drawn from seed 0.
+RS2D_TRIALS = 2000
+
+
 @lru_cache(maxsize=4096)
-def p_decode_rs2d(
-    p_drop: float, k: int, m: int, *, trials: int = 2000, seed: int = 0
-) -> float:
+def p_decode_rs2d(p_drop: float, k: int, m: int) -> float:
     """Probability an rs2d(k, m) submessage peels (Monte-Carlo estimate).
 
     Geometry matches the ``"rs2d"`` registry factory: a sqrt(k) x sqrt(k)
     data grid with ``m`` parity chunks split evenly between the row and
-    column axes.  Deterministic for a given ``seed``; cached so heatmap
-    sweeps evaluate each parameter point once.
+    column axes.  Deterministic (``RS2D_TRIALS`` draws from seed 0);
+    cached so heatmap sweeps evaluate each parameter point once.
     """
     from repro.ec import get_codec
 
     _validate(p_drop, k, m)
-    if trials <= 0:
-        raise ConfigError(f"trials must be > 0, got {trials}")
     if p_drop == 0.0:
         return 1.0
     if p_drop == 1.0:
         return 0.0
     code = get_codec("rs2d", k, m)
-    rng = np.random.default_rng(seed)
-    present = rng.random((trials, k + m)) >= p_drop
+    rng = np.random.default_rng(0)
+    present = rng.random((RS2D_TRIALS, k + m)) >= p_drop
     hits = sum(1 for row in present if code.recoverable(row))
-    return hits / trials
+    return hits / RS2D_TRIALS
 
 
 def p_fallback(p_decode: float, n_submessages: int) -> float:

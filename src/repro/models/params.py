@@ -94,7 +94,6 @@ class ModelParams:
         *,
         chunk_bytes: int = 64 * KiB,
         rto_rtts: float = 3.0,
-        beta_rtts: float = 1.0,
         chunk_drop: bool = False,
     ) -> "ModelParams":
         """Build model parameters from a simulated channel config.
@@ -111,7 +110,6 @@ class ModelParams:
             chunk_bytes=chunk_bytes,
             drop_probability=p,
             rto_rtts=rto_rtts,
-            beta_rtts=beta_rtts,
         )
 
     def at_distance(self, distance_km: float) -> "ModelParams":

@@ -27,19 +27,20 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.models.params import ModelParams
 
+#: Truncation of the exponent sums: terms with ``p^n`` below it are dropped.
+TOL = 1e-12
+#: Midpoint-rule grid of :func:`sr_expected_completion`'s integral.
+GRID_POINTS = 4096
+#: Relative bracket width at which :func:`sr_completion_percentile` stops.
+REL_TOL = 1e-4
+
 
 def _validate(params: ModelParams, chunks: int) -> None:
     if chunks <= 0:
         raise ConfigError(f"message must have >= 1 chunk, got {chunks}")
 
 
-def sr_expected_completion(
-    params: ModelParams,
-    chunks: int,
-    *,
-    grid_points: int = 4096,
-    tol: float = 1e-12,
-) -> float:
+def sr_expected_completion(params: ModelParams, chunks: int) -> float:
     """Analytical E[T_SR(M)] per Appendix A.
 
     ``E[max_i X_i]`` is computed as ``t_start(M) + integral of
@@ -47,7 +48,8 @@ def sr_expected_completion(
     chunk ``j`` contributes the factor ``1 - p^ceil((u + j T) / O)``; for a
     fixed ``u`` the exponent ``n`` is constant over contiguous ranges of
     ``j``, so the log-product reduces to a sum over n with closed-form
-    counts.  Exponents with ``p^n < tol`` are truncated.
+    counts.  Exponents with ``p^n < TOL`` are truncated; the integral is
+    a ``GRID_POINTS``-point midpoint rule.
     """
     _validate(params, chunks)
     p = params.drop_probability
@@ -57,12 +59,12 @@ def sr_expected_completion(
         return chunks * t + rtt
     o = params.retransmission_overhead
     m = chunks
-    # Exponent cutoff: p^n below tol contributes < tol * M to the product.
-    n_cut = max(1, math.ceil(math.log(tol / max(m, 1)) / math.log(p)))
+    # Exponent cutoff: p^n below TOL contributes < TOL * M to the product.
+    n_cut = max(1, math.ceil(math.log(TOL / max(m, 1)) / math.log(p)))
     # Integration domain: P(max >= t_M + u) becomes negligible once even the
     # most-delayed chunk needs exponent > n_cut, i.e. u > n_cut * O.
     u_max = n_cut * o
-    u = np.linspace(0.0, u_max, grid_points)
+    u = np.linspace(0.0, u_max, GRID_POINTS)
     du = u[1] - u[0]
     mid = u[:-1] + du / 2.0  # midpoint rule on the (piecewise-flat) integrand
 
@@ -80,13 +82,7 @@ def sr_expected_completion(
     return m * t + integral + rtt
 
 
-def sr_completion_tail(
-    params: ModelParams,
-    chunks: int,
-    t: float,
-    *,
-    tol: float = 1e-12,
-) -> float:
+def sr_completion_tail(params: ModelParams, chunks: int, t: float) -> float:
     """P(T_SR(M) >= t): the analytic tail from Appendix A.
 
     ``P(max_i X_i >= q) = 1 - prod_i [1 - p^ceil((q - t_start(i)) / O)]``
@@ -103,7 +99,7 @@ def sr_completion_tail(
     if p == 0.0:
         return 0.0
     o = params.retransmission_overhead
-    n_cut = max(1, math.ceil(math.log(tol / max(chunks, 1)) / math.log(p)))
+    n_cut = max(1, math.ceil(math.log(TOL / max(chunks, 1)) / math.log(p)))
     log_ok = 0.0
     for n in range(1, n_cut + 1):
         hi = min(math.floor((n * o - u) / t_inj), chunks - 1)
@@ -116,13 +112,10 @@ def sr_completion_tail(
 
 
 def sr_completion_percentile(
-    params: ModelParams,
-    chunks: int,
-    percentile: float,
-    *,
-    rel_tol: float = 1e-4,
+    params: ModelParams, chunks: int, percentile: float
 ) -> float:
-    """Analytic percentile of T_SR(M) by bisection on the tail function.
+    """Analytic percentile of T_SR(M) by bisection on the tail function,
+    to ``REL_TOL`` of the result.
 
     ``percentile`` is in (0, 100), e.g. 99.9 for the paper's tail metric.
     """
@@ -140,7 +133,7 @@ def sr_completion_percentile(
         hi += params.retransmission_overhead
         if hi > lo + 1e4 * params.retransmission_overhead:  # pragma: no cover
             raise ConfigError("percentile search diverged")
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > REL_TOL * hi:
         mid = (lo + hi) / 2.0
         if sr_completion_tail(params, chunks, mid) > target:
             lo = mid

@@ -276,18 +276,13 @@ class DuplexLink:
         rng_fwd: np.random.Generator,
         rng_rev: np.random.Generator,
         config_rev: ChannelConfig | None = None,
-        loss_fwd: LossModel | None = None,
-        loss_rev: LossModel | None = None,
         name: str = "link",
     ):
-        self.forward = Channel(
-            sim, config, rng=rng_fwd, loss=loss_fwd, name=f"{name}.fwd"
-        )
+        self.forward = Channel(sim, config, rng=rng_fwd, name=f"{name}.fwd")
         self.reverse = Channel(
             sim,
             config_rev if config_rev is not None else config,
             rng=rng_rev,
-            loss=loss_rev,
             name=f"{name}.rev",
         )
         self.config = config

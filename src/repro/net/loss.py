@@ -154,29 +154,21 @@ class CongestedWanLoss(LossModel):
     The multiplicative size term captures that an 8 KiB datagram needs 2x the
     contiguous buffer of a 4 KiB one in a congested queue; the measured
     campaign saw 1 KiB drop rates of 1e-4..1e-2 and 8 KiB rates of 1e-3..>1e-1,
-    i.e. roughly an order of magnitude per ~3x in size -- matched by the
-    default ``size_exponent`` of 1.1.
+    i.e. roughly an order of magnitude per ~3x in size -- matched by
+    ``size_exponent`` 1.1.
     """
 
+    ref_bytes = 1024
+    size_exponent = 1.1
+
     def __init__(
-        self,
-        c_min: float = 1e-4,
-        c_max: float = 1e-2,
-        ref_bytes: int = 1024,
-        size_exponent: float = 1.1,
-        p_max: float = 0.5,
+        self, c_min: float = 1e-4, c_max: float = 1e-2, p_max: float = 0.5
     ):
         if not 0 < c_min <= c_max < 1:
             raise ConfigError(f"need 0 < c_min <= c_max < 1, got {c_min}, {c_max}")
-        if ref_bytes <= 0:
-            raise ConfigError(f"ref_bytes must be > 0, got {ref_bytes}")
-        if size_exponent < 0:
-            raise ConfigError(f"size_exponent must be >= 0, got {size_exponent}")
         if not 0 < p_max <= 1:
             raise ConfigError(f"p_max must be in (0, 1], got {p_max}")
         self.c_min, self.c_max = float(c_min), float(c_max)
-        self.ref_bytes = int(ref_bytes)
-        self.size_exponent = float(size_exponent)
         self.p_max = float(p_max)
         self._c = c_min
 

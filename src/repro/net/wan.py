@@ -59,24 +59,16 @@ class PayloadSummary:
 
 
 class WanCampaign:
-    """Replays the Figure 2 measurement campaign against the WAN loss model."""
+    """Replays the Figure 2 measurement campaign against the WAN loss model:
+    16 flows sharing a 100 Gbit/s link, 15-second trials."""
 
-    def __init__(
-        self,
-        *,
-        loss: CongestedWanLoss | None = None,
-        bandwidth_bps: float = 100 * Gbit,
-        flows: int = 16,
-        trial_seconds: float = 15.0,
-        trials: int = 200,
-        seed: int = 0,
-    ):
-        if flows <= 0 or trials <= 0 or trial_seconds <= 0:
-            raise ConfigError("flows, trials and trial_seconds must be positive")
-        self.loss = loss if loss is not None else CongestedWanLoss()
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.flows = int(flows)
-        self.trial_seconds = float(trial_seconds)
+    bandwidth_bps = 100 * Gbit
+    trial_seconds = 15.0
+
+    def __init__(self, *, trials: int = 200, seed: int = 0):
+        if trials <= 0:
+            raise ConfigError("trials must be positive")
+        self.loss = CongestedWanLoss()
         self.trials = int(trials)
         self.rng = np.random.default_rng(seed)
 

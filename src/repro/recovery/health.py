@@ -30,6 +30,7 @@ drained simulation still terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.common.errors import ConfigError
 
@@ -44,13 +45,6 @@ _STATE_GAUGE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 class BreakerConfig:
     """Tuning for :class:`PlaneRecovery` (all times in RTT multiples)."""
 
-    #: Health-evaluation period: stats deltas are folded into the EWMA at
-    #: most this often (evaluated lazily from the transmit path).
-    poll_rtts: float = 1.0
-    #: EWMA smoothing factor for the loss/latency estimates.
-    ewma_alpha: float = 0.4
-    #: EWMA loss ratio at which a closed breaker trips open.
-    open_threshold: float = 0.5
     #: Packets a plane must have carried since (re-)closing before the
     #: loss EWMA is trusted enough to trip the breaker.
     min_samples: int = 8
@@ -64,18 +58,15 @@ class BreakerConfig:
     probe_packets: int = 4
     #: Delivered probes required to close a half-open breaker.
     probe_successes: int = 3
+    #: Health-evaluation period: stats deltas are folded into the EWMA at
+    #: most this often (evaluated lazily from the transmit path).
+    poll_rtts: ClassVar[float] = 1.0
+    #: EWMA smoothing factor for the loss/latency estimates.
+    ewma_alpha: ClassVar[float] = 0.4
+    #: EWMA loss ratio at which a closed breaker trips open.
+    open_threshold: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
-        if self.poll_rtts <= 0:
-            raise ConfigError(f"poll_rtts must be > 0, got {self.poll_rtts}")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ConfigError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if not 0 < self.open_threshold <= 1:
-            raise ConfigError(
-                f"open_threshold must be in (0, 1], got {self.open_threshold}"
-            )
         if self.min_samples < 1:
             raise ConfigError(f"min_samples must be >= 1, got {self.min_samples}")
         if self.open_rtts <= 0:
@@ -355,7 +346,6 @@ class PlaneRecovery(BreakerSet):
         *,
         rtt: float,
         config: BreakerConfig | None = None,
-        name: str | None = None,
     ):
         planes = getattr(bonded, "planes", None)
         if not planes:
@@ -363,7 +353,7 @@ class PlaneRecovery(BreakerSet):
                 "PlaneRecovery needs a BondedChannel (got a plain channel)"
             )
         self.bonded = bonded
-        self.name = name if name is not None else bonded.name
+        self.name = bonded.name
         n = len(planes)
         super().__init__(
             sim, range(n), rtt=rtt, config=config, track=f"recovery.{self.name}"

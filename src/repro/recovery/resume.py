@@ -58,7 +58,7 @@ class ResumeToken:
         return self.total_chunks - self.delivered_chunks
 
     @classmethod
-    def from_failure(cls, ticket, error, *, protocol: str = "sr") -> "ResumeToken":
+    def from_failure(cls, ticket, error) -> "ResumeToken":
         """Build a token from a failed ticket and its ``DeliveryError``.
 
         ``error`` must carry bitmap state (``total_chunks > 0``); errors
@@ -76,5 +76,4 @@ class ResumeToken:
             bitmap=getattr(error, "bitmap", b"") or b"",
             reason=str(error),
             attempt=getattr(ticket, "resumptions", 0) + 1,
-            protocol=protocol,
         )

@@ -48,6 +48,9 @@ from repro.reliability.sr import SrConfig, SrReceiver, SrSender
 from repro.sdr.qp import SdrQp
 from repro.verbs.mr import MemoryRegion
 
+#: RTTs a write waits for the receiver's provision before failing cleanly.
+PROVISION_TIMEOUT_RTTS = 200.0
+
 
 @dataclass(frozen=True)
 class Recommendation:
@@ -180,7 +183,6 @@ class AdaptiveReceiver(Endpoint):
         *,
         sr_config: SrConfig | None = None,
         ec_config: EcConfig | None = None,
-        advisor: ProtocolAdvisor | None = None,
         estimator: DropRateEstimator | None = None,
         rtt: float | None = None,
     ):
@@ -188,10 +190,7 @@ class AdaptiveReceiver(Endpoint):
         ec_config = ec_config if ec_config is not None else EcConfig()
         self.sr = SrReceiver(qp, ctrl, sr_config, rtt=self.rtt)
         self.ec = EcReceiver(qp, ctrl, ec_config, rtt=self.rtt)
-        self.advisor = (
-            advisor if advisor is not None
-            else _default_advisor(qp, self.rtt, ec_config)
-        )
+        self.advisor = _default_advisor(qp, self.rtt, ec_config)
         self.estimator = estimator if estimator is not None else DropRateEstimator()
         self.protocol_history: list[str] = []
         self._msg_index = 0
@@ -268,12 +267,8 @@ class AdaptiveSender(Endpoint):
         sr_config: SrConfig | None = None,
         ec_config: EcConfig | None = None,
         rtt: float | None = None,
-        provision_timeout_rtts: float | None = 200.0,
     ):
-        if provision_timeout_rtts is not None and provision_timeout_rtts <= 0:
-            raise ConfigError("provision_timeout_rtts must be > 0 or None")
         super().__init__(qp, ctrl, rtt=rtt)
-        self.provision_timeout_rtts = provision_timeout_rtts
         ec_config = ec_config if ec_config is not None else EcConfig()
         self.sr = SrSender(qp, ctrl, sr_config, rtt=self.rtt)
         self.ec = EcSender(qp, ctrl, ec_config, rtt=self.rtt)
@@ -297,7 +292,7 @@ class AdaptiveSender(Endpoint):
         """
         self.sr.attach_cc(pacer)
 
-    def resume(self, token, payload: bytes | None = None) -> WriteTicket:
+    def resume(self, token) -> WriteTicket:
         """Resume a failed transfer from a :class:`~repro.recovery.ResumeToken`.
 
         Dispatches to the protocol that originally carried the message
@@ -305,7 +300,7 @@ class AdaptiveSender(Endpoint):
         chunks absent from the token's bitmap.
         """
         backend = self.ec if token.protocol == "ec" else self.sr
-        return backend.resume(token, payload)
+        return backend.resume(token)
 
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
         """Reliable write via whatever protocol the receiver provisioned.
@@ -317,22 +312,19 @@ class AdaptiveSender(Endpoint):
         index = self._msg_index
         self._msg_index += 1
         facade = self._write_ticket(index, length)
-        rtts = self.provision_timeout_rtts
-        deadline = None if rtts is None else self.sim.now + rtts * self.rtt
+        deadline = self.sim.now + PROVISION_TIMEOUT_RTTS * self.rtt
         self.sim.call_in(0.0, self._dispatch, facade, index, length, payload, deadline)
         return facade
 
     def _dispatch(self, facade, index: int, length: int, payload, deadline):
         """Write through the provisioned protocol once the provision is in."""
         choice = self._provisions.get(index)
-        if choice is None and (deadline is None or self.sim.now < deadline):
+        if choice is None and self.sim.now < deadline:
             resume = partial(self._dispatch, facade, index, length, payload, deadline)
-            if deadline is not None:
-                # Both ends of the race keep the ``any_of`` gate's hop.
-                timer = self.sim.timer(self.sim.call_in, 0.0, resume)
-                timer.arm(max(deadline - self.sim.now, 0.0))
-                resume = timer.expire_now
-            self._waiters[index] = resume
+            # Both ends of the race keep the ``any_of`` gate's hop.
+            timer = self.sim.timer(self.sim.call_in, 0.0, resume)
+            timer.arm(max(deadline - self.sim.now, 0.0))
+            self._waiters[index] = timer.expire_now
             return
         if choice is None:
             # The control plane never delivered a provision: surface a
@@ -343,7 +335,7 @@ class AdaptiveSender(Endpoint):
             if not facade.done.triggered:
                 facade.done.fail(DeliveryError(
                     f"no provision for message {index} within "
-                    f"{self.provision_timeout_rtts:g} RTTs",
+                    f"{PROVISION_TIMEOUT_RTTS:g} RTTs",
                     total_chunks=self.qp.config.chunks_in(length),
                 ))
             return

@@ -86,10 +86,10 @@ def _delivery_error(
 class ControlPath:
     """A UD control endpoint carrying reliability-protocol messages."""
 
-    def __init__(self, ctx: SdrContext, *, name: str = "ctrl"):
+    def __init__(self, ctx: SdrContext):
         self.ctx = ctx
         self.sim: Simulator = ctx.sim
-        cq = CompletionQueue(self.sim, name=f"{ctx.device.name}.{name}.cq")
+        cq = CompletionQueue(self.sim, name=f"{ctx.device.name}.ctrl.cq")
         self.qp = UdQp(ctx.device, send_cq=cq, recv_cq=cq)
         self.qp.attach_recv_handler(self._on_datagram)
         self._handlers: list[Callable[[Any], None]] = []

@@ -28,6 +28,7 @@ Liveness is layered:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,9 +72,6 @@ class SamplingConfig:
     #: Minimum spacing (in RTTs) between retransmissions of one chunk
     #: (absorbs duplicate repair requests crossing in flight).
     repair_holdoff_rtts: float = 1.0
-    #: How long (in RTTs) the receiver keeps re-sending Done after
-    #: completion, to survive final-datagram drops.
-    grace_rtts: float = 10.0
     #: Sender watchdog period in RTTs: a window with no control-path signal
     #: for an in-flight write is one idle strike.
     idle_timeout_rtts: float = 8.0
@@ -89,14 +87,15 @@ class SamplingConfig:
     #: a fresh slot and a Selective Repeat phase finishes the message
     #: (``repro.recovery``).
     max_resumptions: int = 0
+    #: How long (in RTTs) the receiver keeps re-sending Done after
+    #: completion, to survive final-datagram drops.
+    grace_rtts: ClassVar[float] = 10.0
 
     def __post_init__(self) -> None:
         if self.sample_interval_rtts <= 0:
             raise ConfigError("sample_interval_rtts must be > 0")
         if self.repair_holdoff_rtts < 0:
             raise ConfigError("repair_holdoff_rtts must be >= 0")
-        if self.grace_rtts < 0:
-            raise ConfigError("grace_rtts must be >= 0")
         if self.idle_timeout_rtts <= 0:
             raise ConfigError("idle_timeout_rtts must be > 0")
         if self.max_idle_timeouts <= 0:

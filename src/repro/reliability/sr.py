@@ -47,6 +47,8 @@ ACK_INTERVAL_RTTS = 0.25
 NACK_HOLDOFF_RTTS = 1.0
 #: Cap of the adaptive and backed-off RTO, in RTTs.
 MAX_RTO_RTTS = 64.0
+#: Cap on consecutive RTO doublings (``rto_backoff``).
+BACKOFF_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,9 @@ class SrConfig:
     #: Floor of the adaptive RTO estimate, in RTTs (``MAX_RTO_RTTS`` is
     #: its cap).
     min_rto_rtts: float = 1.0
-    #: Double the RTO on consecutive timer fires (capped at ``2**backoff_cap``
+    #: Double the RTO on consecutive timer fires (capped at ``2**BACKOFF_CAP``
     #: and by ``MAX_RTO_RTTS``); reset on ACK progress.
     rto_backoff: bool = False
-    backoff_cap: int = 6
     #: Per-message retransmission budget (None = unlimited).  Exhausting it
     #: degrades gracefully: the write fails with a
     #: :class:`~repro.common.errors.DeliveryError` carrying the partial
@@ -108,8 +109,6 @@ class SrConfig:
             raise ConfigError(f"min_rto_rtts must be > 0, got {self.min_rto_rtts}")
         if self.min_rto_rtts > MAX_RTO_RTTS:
             raise ConfigError(f"min_rto_rtts must be <= {MAX_RTO_RTTS}")
-        if self.backoff_cap < 0:
-            raise ConfigError(f"backoff_cap must be >= 0, got {self.backoff_cap}")
         if self.max_message_retransmits is not None and self.max_message_retransmits <= 0:
             raise ConfigError("max_message_retransmits must be > 0 or None")
         if self.serve_deadline_rtts is not None and self.serve_deadline_rtts <= 0:
@@ -302,7 +301,7 @@ class SrSender(Sender):
         self.sim.call_in(0.0, self._inject_chunks, state)
         return state.ticket
 
-    def resume(self, token: ResumeToken, payload: bytes | None = None) -> WriteTicket:
+    def resume(self, token: ResumeToken) -> WriteTicket:
         """Resume a failed write from ``token`` (bitmap-driven resumption).
 
         Re-posts the message under a fresh ``(msg_id, generation)`` slot --
@@ -312,7 +311,7 @@ class SrSender(Sender):
         original message's sequence number).
         """
         ticket = self._write_ticket(token.msg_seq, token.length)
-        self._start_resume(token, ticket, payload)
+        self._start_resume(token, ticket, None)
         return ticket
 
     # -- resumption (repro.recovery) --------------------------------------------------
@@ -540,7 +539,7 @@ class SrSender(Sender):
         ):
             # Back off *before* restamping so the new deadlines already
             # carry the doubled timeout (Karn's backoff).
-            self._backoff = min(self._backoff + 1, self.config.backoff_cap)
+            self._backoff = min(self._backoff + 1, BACKOFF_CAP)
         for state in list(self._states.values()):
             for index in np.flatnonzero(state.deadline <= now):
                 index = int(index)
@@ -701,9 +700,9 @@ class SrBacked(Sender):
         if self._sr is not None and recovery is not None:
             self._sr.attach_recovery(recovery)
 
-    def resume(self, token: ResumeToken, payload: bytes | None = None) -> WriteTicket:
+    def resume(self, token: ResumeToken) -> WriteTicket:
         """Resume a failed write: SR-style remainder under a fresh slot."""
-        return self._backstop().resume(token, payload)
+        return self._backstop().resume(token)
 
     def _escalate(self, state: WriteState, reason: str) -> bool:
         # Never build the backstop for a scheme that cannot resume.

@@ -178,8 +178,8 @@ class SimProfiler:
             "categories": categories,
         }
 
-    def table(self, *, limit: int = 12) -> Table:
-        """The hotspot ranking as a plain-text table."""
+    def table(self) -> Table:
+        """The hotspot ranking as a plain-text table (top 12 categories)."""
         report = self.report()
         t = Table(
             title="DES self-profile (wall-clock attribution)",
@@ -191,7 +191,7 @@ class SimProfiler:
                 f"overhead {report['engine_overhead_seconds'] * 1e3:.1f} ms"
             ),
         )
-        for entry in report["categories"][:limit]:
+        for entry in report["categories"][:12]:
             t.add_row(
                 entry["category"],
                 entry["events"],

@@ -162,7 +162,6 @@ def build_ring(
     scheme: str,
     config=None,
     *,
-    dpa: DpaConfig | None = None,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> tuple[Fabric, list[SdrContext], list[tuple]]:
@@ -179,7 +178,7 @@ def build_ring(
     devices += [fabric.add_device(f"dc{i}") for i in range(2, n)]
     for i in range(1, n if n > 2 else 1):
         fabric.connect(devices[i], devices[(i + 1) % n], channel)
-    ctxs = [context_create(d, sdr_config=sdr, dpa_config=dpa) for d in devices]
+    ctxs = [context_create(d, sdr_config=sdr) for d in devices]
     return fabric, ctxs, [
         endpoints(scheme, wire(ctxs[i], ctxs[(i + 1) % n]), config) for i in range(n)
     ]

@@ -30,6 +30,11 @@ from repro.telemetry import Telemetry
 #: The registered schemes ``run_demo`` configures: ``nack=`` already spells
 #: ``sr_nack``, and GBN has no recovery or congestion hooks to arm.
 PROTOCOLS = tuple(name for name in SCHEMES if name not in ("sr_nack", "gbn"))
+#: SDR channels and generations of the demo's QPs.
+CHANNELS = 4
+GENERATIONS = 4
+#: Resumptions per message that ``recover=True`` arms.
+RESUMPTIONS = 4
 
 
 @dataclass
@@ -80,8 +85,6 @@ def run_demo(
     distance_km: float = 1000.0,
     mtu_bytes: int = 4 * KiB,
     chunk_bytes: int = 64 * KiB,
-    channels: int = 4,
-    generations: int = 4,
     seed: int = 0,
     nack: bool = False,
     telemetry: Telemetry | None = None,
@@ -92,7 +95,6 @@ def run_demo(
     planes: int | None = None,
     spread: str = "flow",
     recover: bool = False,
-    resumptions: int = 4,
     cc: str | None = "none",
     cc_rate_bps: float | None = None,
     buffer_bytes: int = 0,
@@ -108,7 +110,7 @@ def run_demo(
 
     ``planes`` bonds the WAN link into that many planes (``spread`` picks
     the spraying policy).  ``recover=True`` arms the recovery plane:
-    bitmap-driven resumption on the reliability layer (``resumptions``
+    bitmap-driven resumption on the reliability layer (``RESUMPTIONS``
     per message, unless the caller's config already allows some) and --
     on a bonded link -- per-plane circuit-breaker failover.
 
@@ -148,8 +150,8 @@ def run_demo(
             ec_config if protocol in ("ec", "adaptive") else None,
         ),
         mtu_bytes=mtu_bytes,
-        channels=channels,
-        generations=generations,
+        channels=CHANNELS,
+        generations=GENERATIONS,
         inflight_messages=64,
     )
     stack = build_pair(
@@ -176,7 +178,7 @@ def run_demo(
         # Arm bitmap-driven resumption unless the caller already did.
         configs = {
             name: cfg if cfg.max_resumptions > 0
-            else replace(cfg, max_resumptions=resumptions)
+            else replace(cfg, max_resumptions=RESUMPTIONS)
             for name, cfg in configs.items()
         }
     if protocol in configs:

@@ -430,7 +430,7 @@ class LineageAnalyzer:
             table.add_row(cat, seconds, 100.0 * seconds / total)
         return table
 
-    def summary_table(self, limit: int | None = None) -> Table:
+    def summary_table(self) -> Table:
         """Per-message attribution summary (``repro explain``)."""
         table = Table(
             title="Per-message attribution",
@@ -439,8 +439,7 @@ class LineageAnalyzer:
                 "dominant", "dominant_ms",
             ],
         )
-        rows = self.completed if limit is None else self.completed[:limit]
-        for m in rows:
+        for m in self.completed:
             table.add_row(
                 m.msg,
                 m.protocol,

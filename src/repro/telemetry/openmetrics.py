@@ -76,11 +76,9 @@ def render_openmetrics(registry: MetricsRegistry, prefix: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_openmetrics(
-    registry: MetricsRegistry, path: str, prefix: str = ""
-) -> int:
+def write_openmetrics(registry: MetricsRegistry, path: str) -> int:
     """Render to ``path``; returns the number of sample lines written."""
-    text = render_openmetrics(registry, prefix)
+    text = render_openmetrics(registry)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return sum(

@@ -47,6 +47,7 @@ engine's existing event dispatch):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.common.errors import ConfigError
 from repro.experiments.report import Table
@@ -191,14 +192,7 @@ class SloSummary:
 class SloTracker:
     """Evaluate :class:`SloSpec` targets on every closed sampler window."""
 
-    def __init__(
-        self,
-        sampler: TimeseriesSampler,
-        specs: list[SloSpec],
-        *,
-        prefix: str = "fabric.tenant",
-        policy: BurnPolicy | None = None,
-    ):
+    def __init__(self, sampler: TimeseriesSampler, specs: list[SloSpec]):
         seen: set[str] = set()
         for spec in specs:
             if spec.tenant in seen:
@@ -206,8 +200,8 @@ class SloTracker:
             seen.add(spec.tenant)
         self.sampler = sampler
         self.specs = list(specs)
-        self.prefix = prefix
-        self.policy = policy if policy is not None else BurnPolicy()
+        self.prefix = prefix = "fabric.tenant"
+        self.policy = BurnPolicy()
         self.windows_evaluated = 0
         #: (tenant, sli) -> burning window count.
         self.burns: dict[tuple[str, str], int] = {}
@@ -420,32 +414,17 @@ class SloConfig:
     """
 
     window: float | None = None
-    capacity: int = 256
     goodput_fraction: float | None = 0.25
     delivery_ratio: float | None = 0.9
-    p99_completion_s: float | None = None
     max_retx_overhead: float | None = None
-    error_budget: float = 0.25
-    short_windows: int = 2
-    long_windows: int = 8
-    threshold: float = 1.0
+    #: Sampler ring capacity, in windows.
+    capacity: ClassVar[int] = 256
+    #: Every spec's error budget.
+    error_budget: ClassVar[float] = 0.25
 
     def __post_init__(self) -> None:
         if self.window is not None and self.window <= 0:
             raise ConfigError(f"window must be > 0, got {self.window}")
-        # Delegate range checks to the dataclasses built from this config.
-        BurnPolicy(
-            short_windows=self.short_windows,
-            long_windows=self.long_windows,
-            threshold=self.threshold,
-        )
-
-    def policy(self) -> BurnPolicy:
-        return BurnPolicy(
-            short_windows=self.short_windows,
-            long_windows=self.long_windows,
-            threshold=self.threshold,
-        )
 
     def spec_for(self, tenant: str, quota_bps: float | None) -> SloSpec:
         """A :class:`SloSpec` for one tenant under these defaults.
@@ -460,7 +439,6 @@ class SloConfig:
                 self.goodput_fraction if quota_bps is not None else None
             ),
             delivery_ratio=self.delivery_ratio,
-            p99_completion_s=self.p99_completion_s,
             max_retx_overhead=self.max_retx_overhead,
             error_budget=self.error_budget,
         )

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError, ResourceError
 from repro.net.channel import Channel, DuplexLink
-from repro.net.loss import LossModel
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -124,8 +123,6 @@ class Fabric:
         config: ChannelConfig,
         *,
         config_rev: ChannelConfig | None = None,
-        loss_fwd: LossModel | None = None,
-        loss_rev: LossModel | None = None,
     ) -> DuplexLink:
         """Install a duplex link between devices ``a`` and ``b``.
 
@@ -141,8 +138,6 @@ class Fabric:
             config_rev=config_rev,
             rng_fwd=self.rng.get(f"link.{a.name}->{b.name}"),
             rng_rev=self.rng.get(f"link.{b.name}->{a.name}"),
-            loss_fwd=loss_fwd,
-            loss_rev=loss_rev,
             name=f"{a.name}<->{b.name}",
         )
         a.attach_link(b.name, link.forward, link.reverse)

@@ -433,7 +433,7 @@ class RcQp(BaseQp):
     """Reliable Connected QP with Go-Back-N (the commodity-NIC baseline).
 
     The receiver delivers strictly in order, ACKs cumulatively (coalescing up
-    to ``ack_every`` packets) and NAKs the expected PSN on a sequence gap;
+    to ``ACK_EVERY`` packets) and NAKs the expected PSN on a sequence gap;
     the sender retransmits from the lowest unacknowledged PSN on NAK or on
     retransmission timeout.
 
@@ -442,24 +442,13 @@ class RcQp(BaseQp):
     """
 
     ACK_BYTES = 64  # wire footprint of an ACK/NAK frame
+    ACK_EVERY = 16  # packets one cumulative ACK covers at most
 
-    def __init__(
-        self,
-        device: Device,
-        *,
-        window_packets: int = 1024,
-        rto: float | None = None,
-        ack_every: int = 16,
-        **kw,
-    ):
+    def __init__(self, device: Device, *, window_packets: int = 1024, **kw):
         super().__init__(device, **kw)
         if window_packets <= 0:
             raise ConfigError(f"window must be > 0, got {window_packets}")
-        if ack_every <= 0:
-            raise ConfigError(f"ack_every must be > 0, got {ack_every}")
         self.window_packets = window_packets
-        self.rto = rto
-        self.ack_every = ack_every
         # Sender state.
         self._wrs: list[SendWr] = []
         self._descs: list[_RcPacketDesc] = []
@@ -490,14 +479,12 @@ class RcQp(BaseQp):
     # -- configuration -----------------------------------------------------------
 
     def _effective_rto(self) -> float:
-        if self.rto is not None:
-            return self.rto
         assert self.channel is not None
         cfg = self.channel.config
         # The timeout must cover both the propagation RTO and the ACK
-        # coalescing interval (ack_every packets of serialization), or a
+        # coalescing interval (ACK_EVERY packets of serialization), or a
         # short-RTT link would rewind spuriously between coalesced ACKs.
-        coalesce = 4.0 * self.ack_every * cfg.packet_time()
+        coalesce = 4.0 * self.ACK_EVERY * cfg.packet_time()
         return max(cfg.rtt * (1.0 + cfg.alpha), coalesce + cfg.rtt)
 
     # -- send side ----------------------------------------------------------------
@@ -664,7 +651,7 @@ class RcQp(BaseQp):
                         immediate=packet.immediate,
                     )
                 )
-            if boundary or self._unacked_rx >= self.ack_every:
+            if boundary or self._unacked_rx >= self.ACK_EVERY:
                 self._send_ack(self._epsn - 1, nak=False)
                 self._unacked_rx = 0
         elif packet.psn > self._epsn:

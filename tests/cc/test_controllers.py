@@ -96,10 +96,6 @@ class TestSwift:
         with pytest.raises(ConfigError):
             self.make(base_rtt=0.0)
         with pytest.raises(ConfigError):
-            self.make(target_rtts=0.5)
-        with pytest.raises(ConfigError):
-            self.make(beta=0.0)
-        with pytest.raises(ConfigError):
             self.make(max_decrease=1.0)
         with pytest.raises(ConfigError):
             SwiftController(line_rate_bps=0.0, base_rtt=1e-3)

@@ -35,7 +35,7 @@ class TestChannelConfig:
             {"duplicate_probability": 1.0},
             {"duplicate_probability": -0.1},
             {"buffer_bytes": -1},
-            {"alpha": -1},
+            {"ecn_threshold_bytes": -1},
         ],
     )
     def test_invalid(self, kw):

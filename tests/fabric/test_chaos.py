@@ -450,5 +450,5 @@ class TestChaosScenarios:
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="unknown fabric chaos schedule"):
             ChaosConfig(schedule="nope")
-        with pytest.raises(ConfigError, match="tors"):
-            ChaosConfig(tors=1)
+        with pytest.raises(ConfigError, match="host"):
+            ChaosConfig(hosts_per_tor=0)

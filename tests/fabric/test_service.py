@@ -63,7 +63,7 @@ class TestTenancy:
         with pytest.raises(ConfigError):
             FabricServiceConfig(qp_pool_per_pair=0)
         with pytest.raises(ConfigError):
-            FabricServiceConfig(segment_bytes=0)
+            FabricServiceConfig(max_flows_per_qp=0)
         with pytest.raises(ConfigError):
             FabricServiceConfig(max_attempts=0)
 

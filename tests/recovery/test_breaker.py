@@ -46,10 +46,10 @@ class TestBreakerConfig:
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(poll_rtts=0.0),
-            dict(ewma_alpha=0.0),
-            dict(ewma_alpha=1.5),
-            dict(open_threshold=0.0),
+            dict(min_samples=-1),
+            dict(open_rtts=-1.0),
+            dict(backoff_factor=0.0),
+            dict(probe_packets=-1),
             dict(min_samples=0),
             dict(open_rtts=0.0),
             dict(backoff_factor=0.5),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, DeliveryError
@@ -141,7 +140,7 @@ class TestEscalation:
 
     def test_idle_watchdog_escalates(self):
         # Drop every repair/Done datagram: the sender must not wedge.
-        from repro.faults import FaultSchedule, install_link_faults
+        from repro.faults import FaultSchedule
         from repro.faults.schedule import FaultWindow
 
         cfg = SamplingConfig(

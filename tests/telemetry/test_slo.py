@@ -66,7 +66,7 @@ class TestSpecValidation:
 class _Harness:
     """A tenant's fabric counters on a sampled simulator, driven by hand."""
 
-    def __init__(self, spec, *, policy=None, trace=False):
+    def __init__(self, spec, *, trace=False):
         self.ring = RingBufferSink(capacity=4096)
         self.sampler = TimeseriesSampler(window=WINDOW, capacity=64)
         self.sim = Simulator(
@@ -84,7 +84,7 @@ class _Harness:
         self.segments_acked = scope.counter("segments_acked")
         self.retransmits = scope.counter("retransmits")
         self.completion = scope.histogram("completion_seconds")
-        self.tracker = SloTracker(self.sampler, [spec], policy=policy)
+        self.tracker = SloTracker(self.sampler, [spec])
 
     def at(self, t, fn):
         self.sim.call_at(t, fn)

@@ -171,11 +171,9 @@ class GeneratorUdQp(BaseQp):
 class GeneratorRcQp(RcQp):
     """Send pump of the pre-callback ``RcQp``; its receive side and ACKs are ``RcQp``'s."""
 
-    def __init__(self, device, *, window_packets=1024, rto=None, ack_every=16, **kw):
+    def __init__(self, device, *, window_packets=1024, **kw):
         BaseQp.__init__(self, device, **kw)
         self.window_packets = window_packets
-        self.rto = rto
-        self.ack_every = ack_every
         self._wrs = []
         self._descs = []
         self._snd_una = 0
