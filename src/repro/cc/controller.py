@@ -58,17 +58,6 @@ class RateController:
         self.cut_interval = 0.0
         self._next_cut = 0.0
 
-    @property
-    def is_quiescent(self) -> bool:
-        """True when the rate can never change mid-segment.
-
-        The hybrid fluid fast path (:mod:`repro.sim.fluid`) treats a rate
-        cut as an epoch boundary; a controller that adapts to signals is
-        never quiescent, so transfers it paces stay in packet mode (or are
-        advanced one rate-constant slice at a time by the fabric path).
-        """
-        return False
-
     def _cut_allowed(self, now: float) -> bool:
         """True at most once per ``cut_interval`` of simulated time."""
         if self.cut_interval > 0.0 and now < self._next_cut:
@@ -134,10 +123,6 @@ class StaticRateController(RateController):
 
     def __init__(self, rate_bps: float | None = None):
         super().__init__(line_rate_bps=rate_bps)
-
-    @property
-    def is_quiescent(self) -> bool:
-        return True
 
 
 class SwiftController(RateController):

@@ -786,7 +786,7 @@ def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
 def cmd_experiments(args) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
-    return experiments_main(args.figures, fast_path=args.fast_path)
+    return experiments_main(args.figures)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1016,11 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiments = sub.add_parser("experiments", help="regenerate paper figures")
     experiments.add_argument("figures", nargs="*", help="e.g. fig09 fig13")
-    experiments.add_argument(
-        "--fast-path", action="store_true",
-        help="use the fluid fast path for experiments that support it "
-             "(currently fig16); others run unchanged",
-    )
     experiments.set_defaults(fn=cmd_experiments)
 
     return parser

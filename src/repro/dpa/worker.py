@@ -80,7 +80,6 @@ class DpaWorker:
         if self.crashed:
             raise ConfigError(f"{self.name} has crashed; cannot assign CQs")
         self._queues.append((cq, handler))
-        cq.consumer = (self, handler)
         cq.attach(self._ring)
         if not self._busy:
             # Poll the new queue (it may have a backlog) from the heap, not

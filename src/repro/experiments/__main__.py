@@ -14,20 +14,15 @@ ALL_FIGURES = [
 ]
 
 
-def main(argv: list[str], *, fast_path: bool = False) -> int:
-    import inspect
-
+def main(argv: list[str]) -> int:
     names = argv or ALL_FIGURES
     for name in names:
         if name not in ALL_FIGURES:
             print(f"unknown experiment {name!r}; choose from {ALL_FIGURES}")
             return 2
         module = __import__(f"repro.experiments.{name}", fromlist=["run"])
-        kwargs = {}
-        if fast_path and "fluid" in inspect.signature(module.run).parameters:
-            kwargs["fluid"] = True
         start = time.perf_counter()
-        result = module.run(**kwargs)
+        result = module.run()
         tables = result if isinstance(result, list) else [result]
         for table in tables:
             print(table.render())

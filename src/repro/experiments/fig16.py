@@ -18,7 +18,6 @@ from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB
 from repro.experiments.report import Table
 from repro.experiments.testbed import run_sdr_throughput
-from repro.sim.engine import SimConfig
 
 DEFAULT_THREADS = [4, 8, 16, 32, 64, 128]
 TINY_MTU = 64
@@ -30,7 +29,6 @@ def run(
     threads: list[int] | None = None,
     message_bytes: int = 128 * KiB,
     n_messages: int = 12,
-    fluid: bool = False,
 ) -> Table:
     """Packet rate vs receive DPA threads with 64 B transport writes."""
     threads = threads if threads is not None else DEFAULT_THREADS
@@ -57,7 +55,6 @@ def run(
             channel=channel,
             sdr=sdr,
             dpa=DpaConfig(worker_threads=n),
-            sim_config=SimConfig(fluid=fluid),
         )
         rate = res.packet_rate
         table.add_row(

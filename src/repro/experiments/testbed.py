@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.sdr.qp import SdrRecvWr, SdrSendWr
-from repro.sim.engine import Event, SimConfig
+from repro.sim.engine import Event
 from repro.stack import build_link, build_pair
 from repro.telemetry import Telemetry
 from repro.verbs.qp import RcQp, SendWr
@@ -55,7 +55,6 @@ def run_sdr_throughput(
     sdr: SdrConfig | None = None,
     dpa: DpaConfig | None = None,
     seed: int = 0,
-    sim_config: SimConfig | None = None,
     telemetry: Telemetry | None = None,
 ) -> ThroughputResult:
     """The paper's ``ib_write_bw``-style SDR benchmark loop (Section 5.4.1)."""
@@ -63,7 +62,7 @@ def run_sdr_throughput(
         raise ConfigError("n_messages and inflight must be positive")
     bed = build_pair(
         channel if channel is not None else ChannelConfig(), sdr, dpa=dpa,
-        seed=seed, sim_config=sim_config, telemetry=telemetry,
+        seed=seed, telemetry=telemetry,
         names=("client", "server"),
     )
     sim, client_qp, server_qp = bed.sim, bed.qp_a, bed.qp_b

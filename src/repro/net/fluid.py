@@ -1,25 +1,20 @@
 """Fluid booking on one channel: whole segments admitted without events.
 
-A :class:`FluidLink` is the fluid fast path's view of a
+A :class:`FluidLink` is the fabric fluid fast path's view of a
 :class:`~repro.net.channel.Channel` (``channel.fluid``, built on first
-use).  It has two entry points, both publishing to the channel's own
-counters, gauges and trace track:
+use).  :meth:`FluidLink.book` publishes to the channel's own counters,
+gauges and trace track.  Flows book whole tranches ahead of the event
+clock, so arrivals from different flows reach an edge out of booking
+order.  The link keeps a ring of time buckets holding per-bucket arrival
+bytes ``a[j]`` and the queue depth at bucket end
+``q[j] = max(q[j-1] - rate*dt, 0) + a[j]`` (a discrete Lindley
+recurrence).  Byte additions commute, so queue depth is right up to
+bucket quantization whatever the booking order; a scalar last/backlog
+integrator is identical for nondecreasing arrivals but mis-estimates by
+up to a full buffer once cross-flow skew approaches the drain time,
+manufacturing tail drops packet mode never sees.
 
-* :meth:`FluidLink.book` -- the fabric's shared edges.  Flows book whole
-  tranches ahead of the event clock, so arrivals from different flows
-  reach an edge out of booking order.  The link keeps a ring of time
-  buckets holding per-bucket arrival bytes ``a[j]`` and the queue depth
-  at bucket end ``q[j] = max(q[j-1] - rate*dt, 0) + a[j]`` (a discrete
-  Lindley recurrence).  Byte additions commute, so queue depth is right
-  up to bucket quantization whatever the booking order; a scalar
-  last/backlog integrator is identical for nondecreasing arrivals but
-  mis-estimates by up to a full buffer once cross-flow skew approaches
-  the drain time, manufacturing tail drops packet mode never sees.
-* :meth:`FluidLink.book_fifo` -- the SDR injector's dedicated link: one
-  in-order sender, so the channel's serialization horizon is the whole
-  queue model and loss is one vectorized ``drop_mask`` draw.
-
-Delivery is the caller's job in both; no event is scheduled here.
+Delivery is the caller's job; no event is scheduled here.
 """
 
 from __future__ import annotations
@@ -27,8 +22,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import inf
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.net.loss import NoLoss
 
@@ -62,23 +55,6 @@ class FluidLink:
         self._t0 = 0.0
         self._a: list[float] | None = None
         self._q: list[float] | None = None
-
-    def fifo_eligible(self) -> bool:
-        """True when :meth:`book_fifo` models this channel faithfully.
-
-        A self-clocked bulk sender keeps the real standing queue at a
-        handful of MTUs, so any feature that reacts to queue depth or
-        perturbs per-packet timing (ECN marking, bounded buffers, jitter,
-        duplication) is an epoch boundary and forces packet mode.
-        """
-        cfg = self.channel.config
-        return (
-            self.channel._sink is not None
-            and cfg.jitter_fraction == 0
-            and cfg.duplicate_probability == 0
-            and cfg.buffer_bytes == 0
-            and cfg.ecn_threshold_bytes == 0
-        )
 
     def _shift(self, k: int) -> int:
         """Advance the ring so bucket ``k`` fits, keeping 3/4 of the span."""
@@ -236,34 +212,6 @@ class FluidLink:
             first, done, msg_seq,
         )
         return times, ok, marked
-
-    def book_fifo(
-        self, sizes: np.ndarray, at: float, msg_seq: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Serialize ``sizes`` back to back from ``at`` or the horizon.
-
-        Returns ``(dones, dropped)``: absolute serialization-done times
-        per packet and the wire-loss outcomes from the loss model's
-        ``drop_mask`` -- for Bernoulli/NoLoss models the draw stream is
-        identical to per-packet ``drops()`` calls, so fluid and packet
-        mode agree bit for bit on which packets die.
-        """
-        ch = self.channel
-        if not self.fifo_eligible():
-            raise RuntimeError(f"{ch.name}: channel not fluid-bulk eligible")
-        bps = ch.config.bytes_per_second
-        total = int(sizes.sum())
-        start = max(at, ch._busy_until)
-        dones = start + np.cumsum(sizes, dtype=np.float64) / bps
-        end = ch._busy_until = float(dones[-1])
-        dropped = ch.loss.drop_mask(ch.rng, sizes)
-        ndropped = int(dropped.sum())
-        lost = int(sizes[dropped].sum()) if ndropped else 0
-        self._publish(
-            len(sizes), total, total - lost, ndropped, 0, 0,
-            start - at, (start - at) * bps, start, end, msg_seq,
-        )
-        return dones, dropped
 
     def _publish(
         self, n, offered, delivered, ndropped, ntail, nmarked,

@@ -161,9 +161,6 @@ class SdrQp:
         #: Optional repro.cc token-bucket pacer spacing packet posts; None =
         #: inject at line rate (see ``attach_pacer``).
         self.pacer = None
-        #: Lazily created fluid fast-path planner (``sim.config.fluid``);
-        #: see :mod:`repro.sim.fluid`.
-        self._fluid = None
         self._cts_idle = False  # the refresher waits for the next recv_post
         #: Refreshes remaining before the CTS announcer goes idle; reset on
         #: every recv_post.  Bounds event-heap growth while still repairing
@@ -394,15 +391,6 @@ class SdrQp:
                 attempt, end,
             ))
             return
-        if not stall and self.sim.config.fluid:
-            if self._fluid is None:
-                from repro.sim.fluid import FluidSolver  # cycle guard
-
-                self._fluid = FluidSolver(self)
-            if self._fluid.try_inject(hdl, offset, length, payload, user_imm, attempt):
-                # Steady bulk segment advanced in one step; per-packet
-                # injection (and its per-packet heap events) skipped.
-                sent = length
         assert self._remote is not None
         mtu = self.config.mtu_bytes
         ppc = self.config.packets_per_chunk

@@ -50,12 +50,12 @@ class SimulationError(ReproError):
 class SimConfig:
     """Engine-level feature switches shared by every component of a run.
 
-    ``fluid`` opts into the hybrid fluid/packet fast path
-    (:mod:`repro.sim.fluid`): steady bulk transfers advance as vectorized
-    rate segments instead of per-packet heap events.  Packet mode
-    (``fluid=False``) is the default and keeps same-seed traces
-    byte-identical; components that cannot model a transfer fluidly fall
-    back to packet mode per segment.
+    ``fluid`` opts a fabric run into the fluid fast path: a
+    :class:`~repro.fabric.service.FabricService` books a flow's segments
+    whole along its path (:class:`~repro.net.fluid.FluidLink`) instead of
+    relaying one heap event per packet.  Packet mode (``fluid=False``) is
+    the default and keeps same-seed traces byte-identical; a pair whose
+    path cannot be booked fluidly stays on the packet relay.
     """
 
     fluid: bool = False

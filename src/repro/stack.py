@@ -106,13 +106,12 @@ def build_link(
     spread: str = "flow",
     faults: FaultSchedule | None = None,
     seed: int = 0,
-    sim_config: SimConfig | None = None,
     telemetry: Telemetry | None = None,
     names: tuple[str, str] = ("dc-a", "dc-b"),
 ) -> Link:
     """Simulator, Fabric, two devices, the link (``planes`` bonds it), then
     ``faults`` on both link directions: one fixed order."""
-    sim = Simulator(telemetry=telemetry, config=sim_config)
+    sim = Simulator(telemetry=telemetry)
     fabric = Fabric(sim, seed=seed)
     dev_a, dev_b = fabric.add_device(names[0]), fabric.add_device(names[1])
     bonded = None

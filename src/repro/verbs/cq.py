@@ -84,10 +84,6 @@ class CompletionQueue:
         #: queue (a DPA worker) pops the head here instead of via ``poll``.
         self.entries: deque[Cqe] = deque()
         self._listener: Callable[["CompletionQueue"], None] | None = None
-        #: ``(worker, handler)`` when a DPA worker serves this CQ; lets the
-        #: fluid fast path resolve which worker will drain a completion
-        #: without walking the engine's pool (see repro.sim.fluid).
-        self.consumer = None
         self._wakeups: list[Event] = []
         scope = sim.telemetry.metrics.scope(f"cq.{self.name}")
         self._m_posted = scope.counter("cqes_posted")

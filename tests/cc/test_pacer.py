@@ -1,9 +1,11 @@
 """Unit tests for the sim-time token-bucket pacer."""
 
+import numpy as np
 import pytest
 
 from repro.cc import Pacer, StaticRateController, SwiftController, TokenBucketGroup
 from repro.common.errors import ConfigError
+from repro.common.units import KiB
 from repro.sim.engine import Simulator
 
 GBPS = 1e9
@@ -179,3 +181,31 @@ class TestSignals:
         m = sim.telemetry.metrics
         assert m.value("cc.cc.pacing_stalls") == 2
         assert m.value("cc.cc.stall_seconds") == pytest.approx(0.75)
+
+
+class TestReserveBatch:
+    def test_matches_sequential_scalar_reserves(self):
+        from repro.cc.controller import StaticRateController
+        from repro.cc.pacer import TokenBucketGroup
+        from repro.sim.engine import Simulator
+
+        def build():
+            sim = Simulator()
+            sim.call_at(0.001, lambda: None)
+            sim.run()  # park the clock mid-run at t=1ms
+            group = TokenBucketGroup(
+                sim, controller=StaticRateController(10e9), planes=1
+            )
+            return sim, group
+
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(1, 256 * KiB, 40).astype(np.float64)
+
+        _, seq = build()
+        waits_seq = [seq.reserve(int(s)) for s in sizes]
+
+        _, bat = build()
+        waits_bat = bat.reserve_batch(np.cumsum(sizes))
+        np.testing.assert_allclose(
+            waits_bat, np.array(waits_seq), rtol=1e-9, atol=1e-15
+        )

@@ -12,7 +12,7 @@ from repro import stack
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB
 from repro.faults import FaultSchedule
-from repro.sim.engine import Event, SimConfig, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.profile import SimProfiler
 from repro.stack import Stack, build_pair
 from repro.telemetry import Telemetry
@@ -173,7 +173,6 @@ def make_sdr_pair(
     spread: str = "flow",
     buffer_bytes: int = 0,
     ecn_threshold_bytes: int = 0,
-    sim_config: SimConfig | None = None,
     telemetry: Telemetry | None = None,
 ) -> SdrPair:
     """The fixture's flattened kwargs over :func:`repro.stack.build_pair`."""
@@ -196,7 +195,7 @@ def make_sdr_pair(
     )
     return build_pair(
         channel, sdr_cfg, dpa=dpa, planes=planes, spread=spread, faults=faults,
-        seed=seed, sim_config=sim_config, telemetry=telemetry,
+        seed=seed, telemetry=telemetry,
     )
 
 

@@ -59,7 +59,6 @@ class GeneratorWorker:
         if self.crashed:
             raise ConfigError(f"{self.name} has crashed; cannot assign CQs")
         self._queues.append((cq, handler))
-        cq.consumer = (self, handler)
         if self._proc is None:
             self._proc = self.sim.process(self._run())
         elif self._wake is not None and not self._wake.triggered:

@@ -39,7 +39,7 @@ from repro.reliability.sr import SrConfig
 from repro.sdr import context_create
 from repro.sdr.qp import SdrRecvWr, SdrSendWr
 from repro.sdr.staged import StagedSdrQp
-from repro.sim.engine import SimConfig, Simulator
+from repro.sim.engine import Simulator
 from repro.telemetry import JsonlSink, LineageAnalyzer, Telemetry, TimeseriesSampler
 from repro.telemetry.demo import run_demo
 
@@ -168,24 +168,6 @@ def _fabric_chaos(telemetry):
     )
 
 
-def _sr_fluid(telemetry):
-    # The SDR-side fluid injector and its call_at continuations.
-    from tests.conftest import make_sdr_pair
-    from repro.reliability.sr import SrReceiver, SrSender
-
-    pair = make_sdr_pair(
-        drop=0.01, distance_km=WAN_KM, chunk=64 * KiB, seed=7,
-        sim_config=SimConfig(fluid=True), telemetry=telemetry,
-    )
-    sender = SrSender(pair.qp_a, pair.ctrl_a, SrConfig())
-    receiver = SrReceiver(pair.qp_b, pair.ctrl_b, SrConfig())
-    mr = pair.ctx_b.mr_reg(2 * MiB)
-    for _ in range(2):
-        receiver.post_receive(mr, 2 * MiB)
-        pair.sim.run(sender.write(2 * MiB).done)
-    pair.sim.run()
-
-
 def _des_ring(protocol):
     # Three datacenters on one lossy 100 Gb/s, 1000 km cell.
     def run(telemetry):
@@ -271,7 +253,6 @@ SCENARIOS = {
     "fabric_packet": (_fabric_pkt, False),
     "fabric_fluid": (_fabric_fluid, False),
     "fabric_chaos_tor_crash": (_fabric_chaos, False),
-    "sr_fluid": (_sr_fluid, False),
     "des_ring_sr_lossy": (_des_ring("sr"), False),
     "des_ring_ec_lossy": (_des_ring("ec"), False),
     "sdr_throughput_fig14": (_sdr_throughput, False),

@@ -190,8 +190,6 @@ def test_no_sink_raises():
     )
     with pytest.raises(RuntimeError, match="no sink"):
         ch.fluid.book([4096], [0.0])
-    with pytest.raises(RuntimeError, match="not fluid-bulk eligible"):
-        ch.fluid.book_fifo(np.array([4096]), 0.0)
 
 
 def test_empty_call_publishes_nothing():

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, DeliveryError
 from repro.common.units import KiB, MiB
 from repro.reliability.adaptive import (
+    PROVISION_TIMEOUT_RTTS,
     AdaptiveReceiver,
     AdaptiveSender,
     DropRateEstimator,
@@ -12,7 +13,7 @@ from repro.reliability.adaptive import (
 )
 from repro.reliability.ec import EcConfig
 
-from tests.conftest import all_of, make_sdr_pair
+from tests.conftest import all_of, drains_within, make_sdr_pair
 from tests.reliability.conftest import random_payload
 
 
@@ -161,3 +162,29 @@ class TestEndToEnd:
         assert receiver.protocol_history[0] == "sr"
         assert "ec" in receiver.protocol_history
         assert sender.protocol_history == receiver.protocol_history
+
+    def test_write_without_a_provision_fails_cleanly(self):
+        """The receiver never posts, so no provision for message 0 comes:
+        the write fails after the provision wait and reaches no backend."""
+        pair, sender, receiver = make_adaptive()
+        backend_writes = []
+        for backend in (sender.sr, sender.ec):
+            backend.write = lambda *a, _b=backend.scheme: backend_writes.append(_b)
+        size = 256 * KiB
+        ticket = sender.write(size)
+        errors = []
+        ticket.done.callbacks.append(lambda ev: errors.append(ev._error))
+        drains_within(
+            pair.sim, dispatches=1_000,
+            sim_seconds=2 * PROVISION_TIMEOUT_RTTS * sender.rtt,
+        )
+        [error] = errors
+        assert isinstance(error, DeliveryError)
+        assert str(error).startswith("no provision for message 0 ")
+        assert error.total_chunks == pair.qp_a.config.chunks_in(size)
+        assert ticket.failed and ticket.finish_time is None
+        assert pair.sim.telemetry.metrics.value(
+            f"{sender._track}.provision_timeouts"
+        ) == 1
+        assert backend_writes == [] and sender.protocol_history == []
+        assert pair.sim.now >= PROVISION_TIMEOUT_RTTS * sender.rtt

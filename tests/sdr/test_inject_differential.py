@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.cc import Pacer, StaticRateController
 from repro.common.units import KiB
 from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
-from repro.sim.engine import SimConfig
 from repro.sim.profile import SimProfiler
 from repro.telemetry import JsonlSink, Telemetry
 from repro.telemetry.trace import flow_key
@@ -69,13 +68,6 @@ class GeneratorQp(SdrQp):
         if not hdl.cts_event.triggered:
             yield hdl.cts_event
         assert self._remote is not None
-        if self.sim.config.fluid:
-            if self._fluid is None:
-                from repro.sim.fluid import FluidSolver
-
-                self._fluid = FluidSolver(self)
-            if self._fluid.try_inject(hdl, offset, length, payload, user_imm, attempt):
-                return
         mtu = self.config.mtu_bytes
         ppc = self.config.packets_per_chunk
         base = hdl.msg_id * self.config.max_message_bytes
@@ -167,7 +159,6 @@ def scenarios(draw):
         "rate_bps": draw(st.sampled_from([None, 0.2e9, 1e9, 8e9, 200e9])),
         "burst": draw(st.sampled_from([1, 4, 16])),
         "recv_tick": draw(st.sampled_from([0, 2, 6])),
-        "fluid": draw(st.booleans()),
         "sends": sends,
     }
 
@@ -179,7 +170,6 @@ def drive(qp_cls, scenario):
     mtu = scenario["mtu"]
     pair = make_sdr_pair(
         mtu=mtu, chunk=scenario["chunk"], distance_km=10.0, telemetry=telemetry,
-        sim_config=SimConfig(fluid=scenario["fluid"]),
     )
     sim, qp_a = pair.sim, pair.qp_a
     qp_a.__class__ = qp_cls
@@ -255,7 +245,7 @@ def test_ranges_stalling_together_interleave_across_stalls():
     would lose."""
     scenario = {
         "mtu": 4 * KiB, "chunk": 8 * KiB, "rate_bps": 1e9, "burst": 1,
-        "recv_tick": 0, "fluid": False,
+        "recv_tick": 0,
         "sends": [
             {"kind": "oneshot", "tick": 1, "npackets": 4, "payload": True},
             {"kind": "stream", "npackets": 4, "ranges": [(0, 4, 0, 1)]},

@@ -2,17 +2,13 @@
 injected" and "stream ended" comes last.
 
 The lifecycle tests pin the retire rule the send-CQ drain spells out inline
-(``SendHandle.poll``: ended and every posted packet injected) on all three
-paths that retire a handle: the packet-mode drain, ``send_stream_end``
-after the last injection CQE, and the fluid fast path's single completion.
-After each, no handle is left on the QP and ``done()`` fired exactly once.
+(``SendHandle.poll``: ended and every posted packet injected) on both
+paths that retire a handle: the send-CQ drain and ``send_stream_end``
+after the last injection CQE.  After each, no handle is left on the QP and ``done()`` fired exactly once.
 """
-
-import pytest
 
 from repro.common.units import KiB
 from repro.sdr.qp import SdrRecvWr, SdrSendWr
-from repro.sim.engine import SimConfig
 from repro.telemetry import RingBufferSink, Telemetry
 
 from tests.conftest import make_sdr_pair
@@ -66,12 +62,9 @@ def test_one_shot_send_drops_its_handle(sdr_pair):
 # -- lifecycle: one retirement, one done() and one span per handle ------------
 
 
-def _traced_pair(fluid: bool):
+def _traced_pair():
     ring = RingBufferSink()
-    p = make_sdr_pair(
-        sim_config=SimConfig(fluid=fluid),
-        telemetry=Telemetry(trace=True, trace_sinks=[ring]),
-    )
+    p = make_sdr_pair(telemetry=Telemetry(trace=True, trace_sinks=[ring]))
     return p, ring
 
 
@@ -93,7 +86,7 @@ def _assert_retired_once(p, ring, handles, fired):
 
 def test_lifecycle_packet_mode_drain():
     """One-shot sends end before their CQEs land: the drain retires them."""
-    p, ring = _traced_pair(fluid=False)
+    p, ring = _traced_pair()
     handles, fired = [], []
     for _ in range(3):
         mr = p.ctx_b.mr_reg(SIZE)
@@ -107,7 +100,7 @@ def test_lifecycle_packet_mode_drain():
 
 
 def test_lifecycle_stream_end_after_the_last_injection_cqe():
-    p, ring = _traced_pair(fluid=False)
+    p, ring = _traced_pair()
     sh = _stream(p)
     fired = _watch(p, sh)
     p.sim.run(until=p.channel.rtt * 3)
@@ -117,25 +110,8 @@ def test_lifecycle_stream_end_after_the_last_injection_cqe():
     _assert_retired_once(p, ring, [sh], [fired])
 
 
-def test_lifecycle_fluid_completion():
-    """The fluid fast path counts a whole range at its last packet's time
-    (``sim/fluid.py``) instead of one injection CQE per packet."""
-    p, ring = _traced_pair(fluid=True)
-    handles, fired = [], []
-    for _ in range(2):
-        mr = p.ctx_b.mr_reg(SIZE)
-        p.qp_b.recv_post(SdrRecvWr(mr=mr, length=SIZE))
-        sh = p.qp_a.send_post(SdrSendWr(length=SIZE))
-        handles.append(sh)
-        fired.append(_watch(p, sh))
-    p.sim.run()
-    assert p.qp_a.send_cq.total_posted == 0  # no per-packet CQE: fluid ran
-    _assert_retired_once(p, ring, handles, fired)
-
-
-@pytest.mark.parametrize("fluid", [False, True])
-def test_done_taken_after_retirement_fires_once(fluid):
-    p, ring = _traced_pair(fluid=fluid)
+def test_done_taken_after_retirement_fires_once():
+    p, ring = _traced_pair()
     mr = p.ctx_b.mr_reg(SIZE)
     p.qp_b.recv_post(SdrRecvWr(mr=mr, length=SIZE))
     sh = p.qp_a.send_post(SdrSendWr(length=SIZE))

@@ -55,8 +55,7 @@ class TestAttribution:
 
     def test_call_at_closures_charge_the_scheduled_fn(self):
         # call_at wraps the user fn in an adapter lambda but exposes it via
-        # __wrapped__, so events attribute to the scheduling component (the
-        # fluid fast path relies on this for repro.sim.fluid attribution)
+        # __wrapped__, so events attribute to the scheduling component
         # rather than the engine trampoline.
         sim, profiler = _profiled_sim()
         sim.call_at(1.0, module_handler_noargs)

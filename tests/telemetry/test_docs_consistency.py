@@ -113,19 +113,9 @@ class TestDocsConsistency:
         a fluid run must not mint undocumented metric prefixes."""
         from repro.common.units import MiB as _MiB
         from repro.fabric import ScaleConfig, scale_scenario
-        from repro.sdr.qp import SdrRecvWr, SdrSendWr
-        from repro.sim.engine import SimConfig
 
         documented = documented_prefixes()
         names: set[str] = set()
-
-        pair = make_sdr_pair(sim_config=SimConfig(fluid=True))
-        size = 1 * _MiB
-        mr = pair.ctx_b.mr_reg(size)
-        rh = pair.qp_b.recv_post(SdrRecvWr(mr=mr, length=size))
-        pair.qp_a.send_post(SdrSendWr(length=size))
-        pair.sim.run(rh.wait_all_chunks())
-        names.update(pair.sim.telemetry.metrics.names())
 
         fabric_telemetry = Telemetry()
         scale_scenario(

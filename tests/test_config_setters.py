@@ -13,7 +13,8 @@ scan resolves each call's target through imports and aliases (a method
 called on an object it cannot type matches every method of that name;
 a name unpacked from a registry, every ``register_*``-ed value), then
 maps its keywords and positional arguments onto the target's
-parameters.  Beyond plain calls it follows ``dataclasses.replace``,
+parameters.  Beyond plain calls it follows ``dataclasses.replace`` (of a
+value it can type; an untyped one sets nothing),
 ``functools.partial(fn, ...)``, a claims-table row ``claim(figure, fn,
 ...)``, a call through a parameter (to what callers pass for it), a
 ``**mapping`` built with the key in reach (``dict(k=...)``, ``{"k":
@@ -470,10 +471,7 @@ class _Calls(ast.NodeVisitor):
                     targets = self.targets(args[0])
                     args = args[1:]
                 elif ref[1:] == ("dataclasses", "replace") and args:
-                    targets = self.value_classes(args[0], 0) or [
-                        cls for classes in self.scan.classes.values()
-                        for cls in classes.values() if cls.fields is not None
-                    ]
+                    targets = self.value_classes(args[0], 0)
                     args = []
         if any(
             isinstance(t, Callee) and (t.module, t.qualname) == CLAIM for t in targets
@@ -778,6 +776,14 @@ def claim(figure, fn, *args, slow=True, params=(), **shape):
 '''
 
 
+UNTYPED = '''
+import dataclasses
+
+def tweak(cfg):
+    return dataclasses.replace(cfg, planted=9)
+'''
+
+
 def _scan(**sources) -> list[str]:
     return OptionScan(
         {"pkg.lib": LIB, "tests.claims": CLAIMS, **sources}, package="pkg"
@@ -804,6 +810,12 @@ def test_scan_matches_by_callee_not_by_name():
     # ``Estimator(alpha=...)`` does not set ``LinkConfig.alpha``: the name
     # match this scan replaced counted it.
     assert "pkg.lib: LinkConfig.alpha" in _scan(**{"tests.user": USER})
+
+
+def test_untyped_replace_sets_no_field():
+    # ``replace`` on a value the scan cannot type reaches no class; it does
+    # not count for every dataclass that has a field of that name.
+    assert "pkg.lib: LinkConfig.planted" in _scan(**{"tests.untyped": UNTYPED})
 
 
 def test_range_check_alone_is_not_a_setter():
