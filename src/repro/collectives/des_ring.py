@@ -24,7 +24,7 @@ from repro.telemetry import Telemetry
 
 #: The registered schemes the ring configures: those taking the SR or EC config.
 PROTOCOLS = tuple(
-    name for name, (sender_type, _, _) in SCHEMES.items()
+    name for name, (sender_type, _, _) in SCHEMES.complete().items()
     if sender_type.config_type in (SrConfig, EcConfig)
 )
 

@@ -25,6 +25,9 @@ reliability mode builds on (Animica DA-style, see ``docs/protocols.md``):
 * :mod:`repro.ec.sampling` -- availability-sampling detection math.
 """
 
+from typing import TYPE_CHECKING
+
+from repro.common import lazy_exports
 from repro.ec.codec import CodecStats, ErasureCode, get_codec, register_codec
 from repro.ec.gf256 import (
     gf_inv,
@@ -36,15 +39,28 @@ from repro.ec.gf256 import (
     gf_pow,
 )
 from repro.ec.reed_solomon import ReedSolomonCode
-from repro.ec.rs2d import Rs2dCode
-from repro.ec.sampling import (
-    detection_probability,
-    draw_probes,
-    miss_probability,
-    probes_for_confidence,
-)
 from repro.ec.segmented import SegmentedCode, SegmentLayout
-from repro.ec.xor_code import XorCode
+
+if TYPE_CHECKING:
+    from repro.ec.rs2d import Rs2dCode
+    from repro.ec.sampling import (
+        detection_probability,
+        draw_probes,
+        miss_probability,
+        probes_for_confidence,
+    )
+    from repro.ec.xor_code import XorCode
+
+#: The codecs beyond MDS, and the sampling math, load when a name is first
+#: read (:func:`get_codec` loads a built-in codec by its name).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "rs2d": ("Rs2dCode",),
+    "sampling": (
+        "detection_probability", "draw_probes", "miss_probability",
+        "probes_for_confidence",
+    ),
+    "xor_code": ("XorCode",),
+})
 
 __all__ = [
     "CodecStats",

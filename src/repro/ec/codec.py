@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common import Registry
 from repro.common.errors import ConfigError, DecodeFailure
 
 
@@ -144,7 +145,14 @@ class ErasureCode(abc.ABC):
         return f"{type(self).__name__}(k={self.k}, m={self.m})"
 
 
-_REGISTRY: dict[str, Callable[[int, int], ErasureCode]] = {}
+#: Codec factories by lower-case name; a built-in registers when its module
+#: is imported, at the latest by the first lookup of its name.
+_REGISTRY: Registry = Registry({
+    "mds": "repro.ec.reed_solomon",
+    "rs": "repro.ec.reed_solomon",
+    "xor": "repro.ec.xor_code",
+    "rs2d": "repro.ec.rs2d",
+})
 
 
 def register_codec(name: str, factory: Callable[[int, int], ErasureCode]) -> None:
@@ -169,6 +177,6 @@ def get_codec(name: str, k: int, m: int) -> ErasureCode:
         factory = _REGISTRY[name.lower()]
     except KeyError:
         raise ConfigError(
-            f"unknown codec {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown codec {name!r}; available: {_REGISTRY.names()}"
         ) from None
     return factory(k, m)

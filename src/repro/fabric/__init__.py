@@ -21,16 +21,9 @@ layers:
   the ``repro fabric`` CLI subcommand and the fabric benchmarks.
 """
 
-from repro.fabric.chaos import (
-    FABRIC_SCHEDULES,
-    ChaosConfig,
-    ChaosResult,
-    FabricChaosPlane,
-    chaos_scenario,
-    fabric_schedule,
-    install_fabric_faults,
-)
-from repro.fabric.health import BreakerConfig, EdgeHealthMonitor
+from typing import TYPE_CHECKING
+
+from repro.common import lazy_exports
 from repro.fabric.report import (
     TenantReport,
     jain_index,
@@ -62,6 +55,27 @@ from repro.fabric.topology import (
     dumbbell,
     two_tier,
 )
+
+if TYPE_CHECKING:
+    from repro.fabric.chaos import (
+        FABRIC_SCHEDULES,
+        ChaosConfig,
+        ChaosResult,
+        FabricChaosPlane,
+        chaos_scenario,
+        fabric_schedule,
+        install_fabric_faults,
+    )
+    from repro.fabric.health import BreakerConfig, EdgeHealthMonitor
+
+#: Chaos and edge health load when a name is first read.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "chaos": (
+        "FABRIC_SCHEDULES", "ChaosConfig", "ChaosResult", "FabricChaosPlane",
+        "chaos_scenario", "fabric_schedule", "install_fabric_faults",
+    ),
+    "health": ("BreakerConfig", "EdgeHealthMonitor"),
+})
 
 __all__ = [
     "BreakerConfig",

@@ -14,13 +14,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.experiments.report import Table
 from repro.fabric.service import FabricService
-from repro.telemetry.lineage import LineageAnalyzer
 from repro.telemetry.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.experiments.report import Table
+    from repro.telemetry.lineage import LineageAnalyzer
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,8 @@ def tenant_table(
     limit: int | None = None,
 ) -> Table:
     """Goodput + completion-tail table, worst goodput first."""
+    from repro.experiments.report import Table
+
     table = Table(
         title=title,
         columns=[
@@ -122,6 +127,8 @@ def lineage_tenant_table(analyzer: LineageAnalyzer) -> Table:
     operator can tell quota throttling (``cc_wait``) apart from
     loss recovery (``rto_wait``) without reading raw traces.
     """
+    from repro.experiments.report import Table
+
     table = Table(
         title="Per-tenant lineage",
         columns=["tenant", "msgs", "span_p50_ms", "retx", "dominant"],

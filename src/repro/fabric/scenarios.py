@@ -23,7 +23,7 @@ byte-identical metric snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -40,14 +40,11 @@ from repro.fabric.service import FabricService, FabricServiceConfig, TenantSpec
 from repro.fabric.topology import FabricTopology, dumbbell, two_tier
 from repro.sim.engine import SimConfig
 from repro.stack import build_fabric
-from repro.telemetry import (
-    SloConfig,
-    SloSummary,
-    SloTracker,
-    Telemetry,
-    TimeseriesSampler,
-)
+from repro.telemetry import Telemetry
 from repro.workloads.openloop import OpenLoopConfig, Workload, generate
+
+if TYPE_CHECKING:
+    from repro.telemetry.slo import SloConfig, SloSummary, SloTracker
 
 
 def arm_slo(
@@ -65,6 +62,9 @@ def arm_slo(
     """
     if slo is None:
         return None
+    from repro.telemetry.slo import SloTracker
+    from repro.telemetry.timeseries import TimeseriesSampler
+
     sampler = TimeseriesSampler(
         window=slo.window if slo.window is not None else default_window,
         capacity=slo.capacity,

@@ -11,6 +11,9 @@ This package models the physical/link layer under the simulated RDMA stack:
   (drop rate vs payload size) substituting the Lugano-Lausanne link.
 """
 
+from typing import TYPE_CHECKING
+
+from repro.common import lazy_exports
 from repro.net.channel import Channel, DuplexLink
 from repro.net.loss import (
     BernoulliLoss,
@@ -19,8 +22,15 @@ from repro.net.loss import (
     LossModel,
     NoLoss,
 )
-from repro.net.multipath import BondedChannel, connect_bonded
 from repro.net.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.net.multipath import BondedChannel, connect_bonded
+
+#: Multi-plane bonding loads when a name is first read.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "multipath": ("BondedChannel", "connect_bonded"),
+})
 
 __all__ = [
     "BernoulliLoss",

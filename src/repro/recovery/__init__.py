@@ -13,17 +13,30 @@ The recovery plane has two halves (see ``docs/robustness.md``):
   ``EcSender.resume`` / ``AdaptiveSender.resume``).
 """
 
-from repro.recovery.health import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerConfig,
-    BreakerSet,
-    CircuitBreaker,
-    PlaneHealth,
-    PlaneRecovery,
-)
+from typing import TYPE_CHECKING
+
+from repro.common import lazy_exports
 from repro.recovery.resume import ResumeToken
+
+if TYPE_CHECKING:
+    from repro.recovery.health import (
+        CLOSED,
+        HALF_OPEN,
+        OPEN,
+        BreakerConfig,
+        BreakerSet,
+        CircuitBreaker,
+        PlaneHealth,
+        PlaneRecovery,
+    )
+
+#: Plane health loads when a name is first read.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "health": (
+        "CLOSED", "HALF_OPEN", "OPEN", "BreakerConfig", "BreakerSet",
+        "CircuitBreaker", "PlaneHealth", "PlaneRecovery",
+    ),
+})
 
 __all__ = [
     "CLOSED",

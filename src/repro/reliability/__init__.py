@@ -31,12 +31,9 @@ scheme module registers itself by name (:func:`register_scheme`, the table
 is :data:`SCHEMES`); :func:`repro.stack.endpoints` resolves names through it.
 """
 
-from repro.reliability.adaptive import (
-    AdaptiveReceiver,
-    AdaptiveSender,
-    DropRateEstimator,
-    ProtocolAdvisor,
-)
+from typing import TYPE_CHECKING
+
+from repro.common import lazy_exports
 from repro.reliability.base import (
     SCHEMES,
     ControlPath,
@@ -45,7 +42,6 @@ from repro.reliability.base import (
     register_scheme,
 )
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
-from repro.reliability.gbn import GbnReceiver, GbnSender
 from repro.reliability.messages import (
     Ack,
     EcAck,
@@ -55,12 +51,32 @@ from repro.reliability.messages import (
     SrNack,
     decode_message,
 )
-from repro.reliability.sampling import (
-    SamplingConfig,
-    SamplingReceiver,
-    SamplingSender,
-)
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
+
+if TYPE_CHECKING:
+    from repro.reliability.adaptive import (
+        AdaptiveReceiver,
+        AdaptiveSender,
+        DropRateEstimator,
+        ProtocolAdvisor,
+    )
+    from repro.reliability.gbn import GbnReceiver, GbnSender
+    from repro.reliability.sampling import (
+        SamplingConfig,
+        SamplingReceiver,
+        SamplingSender,
+    )
+
+#: The schemes beyond SR and EC load when a name is first read, or when
+#: :data:`SCHEMES` is first asked for them.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "adaptive": (
+        "AdaptiveReceiver", "AdaptiveSender", "DropRateEstimator",
+        "ProtocolAdvisor",
+    ),
+    "gbn": ("GbnReceiver", "GbnSender"),
+    "sampling": ("SamplingConfig", "SamplingReceiver", "SamplingSender"),
+})
 
 __all__ = [
     "Ack",

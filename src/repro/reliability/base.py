@@ -24,6 +24,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.common import Registry
 from repro.common.errors import ConfigError, DeliveryError
 from repro.reliability.messages import decode_message
 from repro.sdr.context import SdrContext
@@ -604,8 +605,17 @@ class _Watch:
         self._wait()
 
 
-#: name -> (sender type, receiver type, config overrides).
-SCHEMES: dict[str, tuple[type, type, dict[str, Any]]] = {}
+#: name -> (sender type, receiver type, config overrides).  A built-in
+#: registers when its module is imported, at the latest by the first lookup
+#: of its name; :meth:`~repro.common.Registry.complete` loads them all.
+SCHEMES: Registry = Registry({
+    "sr": "repro.reliability.sr",
+    "sr_nack": "repro.reliability.sr",
+    "ec": "repro.reliability.ec",
+    "adaptive": "repro.reliability.adaptive",
+    "gbn": "repro.reliability.gbn",
+    "sampling": "repro.reliability.sampling",
+})
 
 
 def register_scheme(

@@ -35,9 +35,12 @@ per category with call count, wall seconds and share.
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
-from repro.experiments.report import Table
+
+if TYPE_CHECKING:
+    from repro.experiments.report import Table
 
 
 def _category_of_code(code) -> str:
@@ -180,6 +183,8 @@ class SimProfiler:
 
     def table(self) -> Table:
         """The hotspot ranking as a plain-text table (top 12 categories)."""
+        from repro.experiments.report import Table
+
         report = self.report()
         t = Table(
             title="DES self-profile (wall-clock attribution)",

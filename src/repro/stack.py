@@ -22,8 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError, ReproError
-from repro.faults import FaultSchedule, install_dpa_faults, install_link_faults
-from repro.net.multipath import connect_bonded
 from repro.reliability import SCHEMES, ControlPath
 from repro.sdr.context import SdrContext, context_create
 from repro.sdr.qp import SdrQp
@@ -33,6 +31,7 @@ from repro.verbs.device import Device, Fabric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.topology import FabricNetwork, FabricTopology
+    from repro.faults import FaultSchedule
 
 
 @dataclass
@@ -88,7 +87,7 @@ def endpoints(scheme: str, edge, config=None, **kwargs):
         sender_type, receiver_type, overrides = SCHEMES[scheme]
     except KeyError:
         raise ConfigError(
-            f"unknown scheme {scheme!r}; registered: {sorted(SCHEMES)}"
+            f"unknown scheme {scheme!r}; registered: {SCHEMES.names()}"
         ) from None
     if config is None and overrides:
         config = sender_type.config_type(**overrides)
@@ -116,12 +115,16 @@ def build_link(
     dev_a, dev_b = fabric.add_device(names[0]), fabric.add_device(names[1])
     bonded = None
     if planes is not None:
+        from repro.net.multipath import connect_bonded
+
         bonded = connect_bonded(
             fabric, dev_a, dev_b, channel, planes=planes, spread=spread
         )
     else:
         fabric.connect(dev_a, dev_b, channel)
     if faults is not None:
+        from repro.faults import install_link_faults
+
         install_link_faults(fabric, dev_a, dev_b, faults)
     return Link(sim, fabric, dev_a, dev_b, channel, bonded)
 
@@ -148,6 +151,8 @@ def build_pair(
     ctx_a = context_create(built.dev_a, sdr_config=sdr, dpa_config=dpa)
     ctx_b = context_create(built.dev_b, sdr_config=sdr, dpa_config=dpa)
     if faults is not None:
+        from repro.faults import install_dpa_faults
+
         install_dpa_faults(built.sim, ctx_b.dpa, faults)
     return Stack(
         **vars(built), ctx_a=ctx_a, ctx_b=ctx_b, **vars(wire(ctx_a, ctx_b))

@@ -32,12 +32,9 @@ prefix                 producer
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-from repro.telemetry.lineage import (
-    ATTRIBUTION_CATEGORIES,
-    LineageAnalyzer,
-    MessageLineage,
-)
+from repro.common import lazy_exports
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -45,24 +42,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     MetricsScope,
     percentile_from_counts,
-)
-from repro.telemetry.openmetrics import (
-    metric_name,
-    render_openmetrics,
-    write_openmetrics,
-)
-from repro.telemetry.slo import (
-    BurnPolicy,
-    SloConfig,
-    SloSpec,
-    SloStatus,
-    SloSummary,
-    SloTracker,
-)
-from repro.telemetry.timeseries import (
-    HistogramWindow,
-    TimeseriesSampler,
-    WindowedSeries,
 )
 from repro.telemetry.trace import (
     ChromeTraceSink,
@@ -73,6 +52,42 @@ from repro.telemetry.trace import (
     Tracer,
     flow_key,
 )
+
+if TYPE_CHECKING:
+    from repro.telemetry.lineage import (
+        ATTRIBUTION_CATEGORIES,
+        LineageAnalyzer,
+        MessageLineage,
+    )
+    from repro.telemetry.openmetrics import (
+        metric_name,
+        render_openmetrics,
+        write_openmetrics,
+    )
+    from repro.telemetry.slo import (
+        BurnPolicy,
+        SloConfig,
+        SloSpec,
+        SloStatus,
+        SloSummary,
+        SloTracker,
+    )
+    from repro.telemetry.timeseries import (
+        HistogramWindow,
+        TimeseriesSampler,
+        WindowedSeries,
+    )
+
+#: Subsystems no simulation executes: each loads when a name is first read.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "lineage": ("ATTRIBUTION_CATEGORIES", "LineageAnalyzer", "MessageLineage"),
+    "openmetrics": ("metric_name", "render_openmetrics", "write_openmetrics"),
+    "slo": (
+        "BurnPolicy", "SloConfig", "SloSpec", "SloStatus", "SloSummary",
+        "SloTracker",
+    ),
+    "timeseries": ("HistogramWindow", "TimeseriesSampler", "WindowedSeries"),
+})
 
 __all__ = [
     "ATTRIBUTION_CATEGORIES",

@@ -29,7 +29,9 @@ from repro.telemetry import Telemetry
 
 #: The registered schemes ``run_demo`` configures: ``nack=`` already spells
 #: ``sr_nack``, and GBN has no recovery or congestion hooks to arm.
-PROTOCOLS = tuple(name for name in SCHEMES if name not in ("sr_nack", "gbn"))
+PROTOCOLS = tuple(
+    name for name in SCHEMES.complete() if name not in ("sr_nack", "gbn")
+)
 #: SDR channels and generations of the demo's QPs.
 CHANNELS = 4
 GENERATIONS = 4

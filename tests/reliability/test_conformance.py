@@ -84,7 +84,7 @@ RESUMABLE = [name for name, (_, _, knobs) in SCHEMES.items() if knobs is not Non
 
 def test_every_registered_scheme_is_in_the_matrix():
     """A scheme cannot be registered without entering the table above."""
-    assert set(REGISTRY) <= set(SCHEMES)
+    assert set(REGISTRY.complete()) <= set(SCHEMES)
 
 
 def data_blackout(start: float, end: float = math.inf) -> FaultSchedule:

@@ -32,7 +32,7 @@ def _live_bytes() -> int:
     return tracemalloc.get_traced_memory()[0]
 
 
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES.complete()))
 def test_live_memory_does_not_grow_with_messages_served(scheme):
     payloads = [random_payload(SIZE, seed) for seed in range(2)]
     # 2 % loss: EC decodes, SR retransmits, adaptive picks EC.

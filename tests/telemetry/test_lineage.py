@@ -128,7 +128,7 @@ class TestLossyAttribution:
             assert m.bytes == MiB
 
 
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES.complete()))
 def test_every_scheme_completes_its_lineages(scheme):
     """Lineage completes on each scheme's ``<scheme>_write`` span, not on a
     hard-coded list of names (GBN's ``gbn_write`` used to be missed)."""

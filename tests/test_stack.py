@@ -244,7 +244,7 @@ def test_duplicate_register_scheme_raises():
 def test_unknown_scheme_names_the_registered_ones(sdr_pair):
     with pytest.raises(ConfigError) as excinfo:
         endpoints("nope", sdr_pair)
-    assert all(name in str(excinfo.value) for name in SCHEMES)
+    assert all(name in str(excinfo.value) for name in SCHEMES.complete())
 
 
 def test_sr_nack_is_sr_with_the_registered_override(sdr_pair):
