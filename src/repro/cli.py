@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from repro.cc import CC_ALGORITHMS
 from repro.common.errors import ConfigError
@@ -466,17 +467,7 @@ def _slo_json(summary) -> dict | None:
         "compliant": summary.compliant,
         "burn_windows": summary.burn_windows,
         "windows_evaluated": summary.windows_evaluated,
-        "rows": [
-            {
-                "tenant": r.tenant,
-                "sli": r.sli,
-                "target": r.target,
-                "value": r.value,
-                "burn_windows": r.burn_windows,
-                "compliant": r.compliant,
-            }
-            for r in summary.rows
-        ],
+        "rows": [asdict(r) for r in summary.rows],
     }
 
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.config import Bounded, bound
 from repro.common.errors import ConfigError
 from repro.models.ec_model import ec_sample_completion
 from repro.models.params import ModelParams
@@ -65,19 +66,11 @@ def ideal_stage_sampler(params: ModelParams) -> StageSampler:
 
 
 @dataclass
-class RingAllreduce:
+class RingAllreduce(Bounded):
     """Monte-Carlo simulator of the inter-DC ring Allreduce."""
 
-    n_datacenters: int
-    buffer_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.n_datacenters < 2:
-            raise ConfigError(
-                f"ring Allreduce needs >= 2 datacenters, got {self.n_datacenters}"
-            )
-        if self.buffer_bytes <= 0:
-            raise ConfigError(f"buffer must be > 0, got {self.buffer_bytes}")
+    n_datacenters: int = field(metadata=bound(ge=2))
+    buffer_bytes: int = field(metadata=bound(gt=0))
 
     @property
     def rounds(self) -> int:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from repro.common.config import Bounded, bound
 from repro.common.errors import ConfigError
 from repro.common.units import KiB
 from repro.fabric.health import EdgeHealthMonitor
@@ -226,11 +227,13 @@ PARTITION_DEADLINE_RTTS = 8.0
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(Bounded):
     """One fabric chaos run (see module docstring)."""
 
     #: Named fabric schedule, or ``None`` for a fault-free baseline.
-    schedule: str | None = "tor_crash"
+    schedule: str | None = field(
+        default="tor_crash", metadata=bound(one_of=FABRIC_SCHEDULES, optional=True)
+    )
     #: ``False`` installs the wrappers and immediately disarms them: the
     #: run must be byte-identical to ``schedule=None`` (zero-diff check).
     enabled: bool = True
@@ -239,7 +242,7 @@ class ChaosConfig:
     health: bool = True
     seed: int = 0
     cc: str = "swift"
-    hosts_per_tor: int = 2
+    hosts_per_tor: int = field(default=2, metadata=bound(ge=1))
     #: Two-tier shape with enough redundancy to survive single faults:
     #: dual-homed hosts, two WAN cores, four racks (so cross-rack flows
     #: genuinely cross the WAN even with ``host_uplinks=2``).
@@ -252,15 +255,6 @@ class ChaosConfig:
     wan_bps: ClassVar[float] = 10e9
     host_km: ClassVar[float] = 0.05
     wan_km: ClassVar[float] = 100.0
-
-    def __post_init__(self) -> None:
-        if self.schedule is not None and self.schedule not in FABRIC_SCHEDULES:
-            raise ConfigError(
-                f"unknown fabric chaos schedule {self.schedule!r}; known: "
-                f"{', '.join(sorted(FABRIC_SCHEDULES))}"
-            )
-        if self.hosts_per_tor < 1:
-            raise ConfigError("chaos topology needs >= 1 host per tor")
 
 
 @dataclass

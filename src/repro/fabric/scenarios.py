@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from repro.common.config import ChannelConfig
+from repro.common.config import Bounded, ChannelConfig, bound, check_bounds
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB
 from repro.fabric.report import (
@@ -92,18 +92,18 @@ ROGUE_MESSAGE_BYTES = 256 * KiB
 
 
 @dataclass(frozen=True)
-class FairnessConfig:
+class FairnessConfig(Bounded):
     """One fairness/isolation experiment (see module docstring)."""
 
     #: Well-behaved tenants, one per left-side host.
-    victims: int = 2
+    victims: int = field(default=2, metadata=bound(ge=1))
     #: Whether the misbehaving tenant participates in the contended run.
     rogue: bool = True
     #: Whether the service enforces per-tenant quota buckets.
     enforce_quotas: bool = True
     cc: str = "swift"
     #: Arrival window in seconds (goodput window for both runs).
-    duration: float = 0.05
+    duration: float = field(default=0.05, metadata=bound(gt=0))
     seed: int = 0
     mean_message_bytes: int = 64 * KiB
     max_message_bytes: int = 1 * MiB
@@ -111,12 +111,6 @@ class FairnessConfig:
     bottleneck_bps: ClassVar[float] = 10e9
     #: Rogue's enforced quota as a fraction of the bottleneck.
     rogue_quota_fraction: ClassVar[float] = 0.3
-
-    def __post_init__(self) -> None:
-        if self.victims < 1:
-            raise ConfigError(f"need >= 1 victim, got {self.victims}")
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be > 0, got {self.duration}")
 
 
 @dataclass
@@ -339,10 +333,10 @@ def smoke_config(*, seed: int = 0, cc: str = "swift") -> FairnessConfig:
 
 
 @dataclass(frozen=True)
-class ScaleConfig:
+class ScaleConfig(Bounded):
     """Open-loop scale run on the two-tier WAN topology."""
 
-    tenants: int = 1000
+    tenants: int = field(default=1000, metadata=bound(ge=1))
     duration: float = 0.05
     #: Aggregate offered load; the default yields >= 100k messages.
     offered_load_bps: float = 280e9
@@ -368,8 +362,7 @@ class ScaleConfig:
     quota_headroom: ClassVar[float] = 8.0
 
     def __post_init__(self) -> None:
-        if self.tenants < 1:
-            raise ConfigError(f"need >= 1 tenant, got {self.tenants}")
+        check_bounds(self)
         if self.tors * self.hosts_per_tor < 2:
             raise ConfigError("scale topology needs >= 2 hosts")
 

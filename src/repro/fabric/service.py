@@ -70,6 +70,7 @@ import numpy as np
 
 from repro.cc.controller import CC_ALGORITHMS, StaticRateController, make_controller
 from repro.cc.pacer import Pacer, TokenBucketGroup
+from repro.common.config import Bounded, bound
 from repro.common.errors import ConfigError, DeliveryError
 from repro.common.units import KiB
 from repro.fabric.topology import FabricNetwork
@@ -78,26 +79,18 @@ from repro.sim.engine import Event, Simulator
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Bounded):
     """One tenant's service contract."""
 
-    name: str
+    name: str = field(metadata=bound(gt=""))
     #: Provider-assigned rate cap in bits/second; ``None`` = uncapped.
-    quota_bps: float | None = None
+    quota_bps: float | None = field(default=None, metadata=bound(gt=0, optional=True))
     #: Burst depth of the tenant's quota bucket.
-    burst_bytes: int = 64 * KiB
+    burst_bytes: int = field(default=64 * KiB, metadata=bound(gt=0))
     #: Compliant tenants pace through the pair's congestion controller;
     #: a non-compliant ("misbehaving") tenant ignores it and injects at
     #: whatever rate its quota bucket (if enforced) lets through.
     compliant: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("tenant name must be non-empty")
-        if self.quota_bps is not None and self.quota_bps <= 0:
-            raise ConfigError(f"quota must be > 0, got {self.quota_bps}")
-        if self.burst_bytes <= 0:
-            raise ConfigError(f"burst must be > 0, got {self.burst_bytes}")
 
 
 #: Burst depth of the shared per-uplink line-rate bucket.
@@ -105,23 +98,23 @@ UPLINK_BURST_BYTES = 128 * KiB
 
 
 @dataclass(frozen=True)
-class FabricServiceConfig:
+class FabricServiceConfig(Bounded):
     """Service-level knobs (the provider's side of the contract)."""
 
-    cc: str = "swift"
+    cc: str = field(default="swift", metadata=bound(one_of=CC_ALGORITHMS))
     #: Fabric QPs per (src, dst) host pair.
-    qp_pool_per_pair: int = 2
+    qp_pool_per_pair: int = field(default=2, metadata=bound(ge=1))
     #: Concurrent flows one fabric QP multiplexes before admission queues.
-    max_flows_per_qp: int = 64
+    max_flows_per_qp: int = field(default=64, metadata=bound(ge=1))
     #: Whether tenant quota buckets are enforced at admission.
     enforce_quotas: bool = True
     #: Attempts per segment before the whole flow fails.
-    max_attempts: int = 8
+    max_attempts: int = field(default=8, metadata=bound(ge=1))
     #: Seconds a flow tolerates *no route at all* (every candidate path
     #: crosses an open breaker) before failing with
     #: :class:`~repro.common.errors.DeliveryError`.  The clock starts at
     #: the first no-route send and resets when any segment launches.
-    partition_deadline: float = 0.5
+    partition_deadline: float = field(default=0.5, metadata=bound(gt=0))
     #: Flow segmentation: one wire packet per segment.
     segment_bytes: ClassVar[int] = 32 * KiB
     #: Segment RTO as a multiple of the pair's base RTT (plus one segment
@@ -133,24 +126,6 @@ class FabricServiceConfig:
     #: survives several half-open probe cycles of a permanently dead
     #: primary path before its RTO backoff escalates to the cap.
     max_resumptions: ClassVar[int] = 4
-
-    def __post_init__(self) -> None:
-        if self.cc not in CC_ALGORITHMS:
-            raise ConfigError(f"cc must be one of {CC_ALGORITHMS}, got {self.cc!r}")
-        if self.qp_pool_per_pair < 1:
-            raise ConfigError(
-                f"need >= 1 QP per pair, got {self.qp_pool_per_pair}"
-            )
-        if self.max_flows_per_qp < 1:
-            raise ConfigError(
-                f"need >= 1 flow per QP, got {self.max_flows_per_qp}"
-            )
-        if self.max_attempts < 1:
-            raise ConfigError(f"need >= 1 attempt, got {self.max_attempts}")
-        if self.partition_deadline <= 0:
-            raise ConfigError(
-                f"partition_deadline must be > 0, got {self.partition_deadline}"
-            )
 
 
 @dataclass

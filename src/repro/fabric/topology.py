@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
-from repro.common.config import ChannelConfig
+from repro.common.config import Bounded, ChannelConfig, bound
 from repro.common.errors import ConfigError
 from repro.net.channel import Channel
 from repro.net.fluid import FluidLink
@@ -44,19 +44,11 @@ NODE_KINDS = ("host", "tor", "wan")
 
 
 @dataclass(frozen=True)
-class FabricNode:
+class FabricNode(Bounded):
     """One vertex of the topology graph."""
 
-    name: str
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in NODE_KINDS:
-            raise ConfigError(
-                f"node kind must be one of {NODE_KINDS}, got {self.kind!r}"
-            )
-        if not self.name:
-            raise ConfigError("node name must be non-empty")
+    name: str = field(metadata=bound(gt=""))
+    kind: str = field(metadata=bound(one_of=NODE_KINDS))
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,11 @@ named RNG substreams, so same-seed chaos runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.config import Bounded, bound, check_bounds
 from repro.common.errors import ConfigError
 
 #: Channel-plane fault kinds (handled by :class:`repro.faults.FaultyChannel`).
@@ -71,31 +72,31 @@ RANDOM_HORIZON_RTTS = 60.0
 
 
 @dataclass(frozen=True)
-class FaultWindow:
+class FaultWindow(Bounded):
     """One time-boxed fault. See module docstring for the kind semantics."""
 
-    kind: str
-    start: float
+    kind: str = field(metadata=bound(one_of=KINDS))
+    start: float = field(metadata=bound(ge=0))
     end: float = math.inf
     #: Which packet class a channel fault hits: "all", "control" or "data".
-    selector: str = "all"
+    selector: str = field(default="all", metadata=bound(one_of=SELECTORS))
     #: Loss override for ``brownout`` (``blackout`` forces 1.0).
-    drop_probability: float = 1.0
+    drop_probability: float = field(default=1.0, metadata=bound(ge=0, le=1))
     #: Fixed extra one-way latency for ``delay_spike``.
-    delay_seconds: float = 0.0
+    delay_seconds: float = field(default=0.0, metadata=bound(ge=0))
     #: Upper bound of the uniform extra delay (``reorder`` / ``delay_spike``).
-    delay_jitter: float = 0.0
+    delay_jitter: float = field(default=0.0, metadata=bound(ge=0))
     #: Duplication probability for ``duplicate``.
-    duplicate_probability: float = 0.5
+    duplicate_probability: float = field(default=0.5, metadata=bound(ge=0, le=1))
     #: Corruption probability for ``corrupt``.
-    corrupt_probability: float = 1.0
+    corrupt_probability: float = field(default=1.0, metadata=bound(ge=0, le=1))
     #: Target worker index for ``dpa_stall`` / ``dpa_crash``.
-    worker: int = 0
+    worker: int = field(default=0, metadata=bound(ge=0))
     #: Optional plane index: restrict a channel fault to one plane of a
     #: :class:`repro.net.multipath.BondedChannel`.  ``None`` hits every
     #: plane; installing a plane-scoped window on a non-bonded link is a
     #: :class:`ConfigError`.
-    plane: int | None = None
+    plane: int | None = field(default=None, metadata=bound(ge=0, optional=True))
     #: Target fabric link for ``edge_down`` in a fabric-level schedule
     #: (``(u, v)`` node names; both directed channels go dark).  ``None``
     #: when the window is already installed on a specific edge channel.
@@ -104,41 +105,17 @@ class FaultWindow:
     node: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(
-                f"unknown fault kind {self.kind!r}; expected one of "
-                f"{sorted(KINDS)}"
-            )
-        if self.start < 0:
-            raise ConfigError(f"window start must be >= 0, got {self.start}")
+        check_bounds(self)
         if not self.end > self.start:
             raise ConfigError(
                 f"window end must be > start, got [{self.start}, {self.end})"
             )
-        if self.selector not in SELECTORS:
-            raise ConfigError(
-                f"selector must be one of {SELECTORS}, got {self.selector!r}"
-            )
-        for name in (
-            "drop_probability", "duplicate_probability", "corrupt_probability"
-        ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.delay_seconds < 0 or self.delay_jitter < 0:
-            raise ConfigError("fault delays must be >= 0")
-        if self.worker < 0:
-            raise ConfigError(f"worker index must be >= 0, got {self.worker}")
         if self.kind == "dpa_stall" and not math.isfinite(self.end):
             raise ConfigError("dpa_stall windows need a finite end")
-        if self.plane is not None:
-            if self.kind not in CHANNEL_KINDS:
-                raise ConfigError(
-                    f"plane selector only applies to channel faults, "
-                    f"not {self.kind!r}"
-                )
-            if self.plane < 0:
-                raise ConfigError(f"plane index must be >= 0, got {self.plane}")
+        if self.plane is not None and self.kind not in CHANNEL_KINDS:
+            raise ConfigError(
+                f"plane selector only applies to channel faults, not {self.kind!r}"
+            )
         if self.edge is not None:
             if self.kind != "edge_down":
                 raise ConfigError(

@@ -16,9 +16,9 @@ offers the packet->chunk drop conversion of Section 5.4.2:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from repro.common.config import ChannelConfig
+from repro.common.config import Bounded, ChannelConfig, bound
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, distance_to_rtt
 
@@ -33,32 +33,20 @@ def packet_to_chunk_drop(p_packet: float, packets_per_chunk: int) -> float:
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Bounded):
     """Everything the SR/EC completion-time models need."""
 
-    bandwidth_bps: float = 400e9
-    rtt: float = 25e-3
-    chunk_bytes: int = 64 * KiB
+    bandwidth_bps: float = field(default=400e9, metadata=bound(gt=0))
+    rtt: float = field(default=25e-3, metadata=bound(ge=0))
+    chunk_bytes: int = field(default=64 * KiB, metadata=bound(gt=0))
     #: Per-*chunk* i.i.d. drop probability (convert per-packet rates with
     #: :func:`packet_to_chunk_drop`).
-    drop_probability: float = 1e-5
+    drop_probability: float = field(default=1e-5, metadata=bound(ge=0, lt=1))
     #: SR retransmission timeout in RTTs (RTO = rto_rtts * RTT).  3 models
     #: the paper's "SR RTO" scenario; 1 approximates "SR NACK".
-    rto_rtts: float = 3.0
+    rto_rtts: float = field(default=3.0, metadata=bound(gt=0))
     #: EC fallback-timeout slack in RTTs (the paper's beta).
-    beta_rtts: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ConfigError("bandwidth must be positive")
-        if self.rtt < 0:
-            raise ConfigError("rtt must be non-negative")
-        if self.chunk_bytes <= 0:
-            raise ConfigError("chunk size must be positive")
-        if not 0.0 <= self.drop_probability < 1.0:
-            raise ConfigError("drop probability must be in [0, 1)")
-        if self.rto_rtts <= 0 or self.beta_rtts < 0:
-            raise ConfigError("invalid timeout parameters")
+    beta_rtts: float = field(default=1.0, metadata=bound(ge=0))
 
     # -- derived quantities ---------------------------------------------------------
 

@@ -29,9 +29,10 @@ drained simulation still terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
+from repro.common.config import Bounded, bound
 from repro.common.errors import ConfigError
 
 #: Breaker states (also exported as gauge values: closed=0, half=1, open=2).
@@ -42,22 +43,22 @@ _STATE_GAUGE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
 
 @dataclass(frozen=True)
-class BreakerConfig:
+class BreakerConfig(Bounded):
     """Tuning for :class:`PlaneRecovery` (all times in RTT multiples)."""
 
     #: Packets a plane must have carried since (re-)closing before the
     #: loss EWMA is trusted enough to trip the breaker.
-    min_samples: int = 8
+    min_samples: int = field(default=8, metadata=bound(ge=1))
     #: First open -> half-open backoff.
-    open_rtts: float = 8.0
+    open_rtts: float = field(default=8.0, metadata=bound(gt=0))
     #: Backoff multiplier per consecutive re-open.
-    backoff_factor: float = 2.0
+    backoff_factor: float = field(default=2.0, metadata=bound(ge=1))
     #: Cap on consecutive backoff escalations.
-    backoff_cap: int = 6
+    backoff_cap: int = field(default=6, metadata=bound(ge=0))
     #: Probe packets a half-open plane admits per evaluation interval.
-    probe_packets: int = 4
+    probe_packets: int = field(default=4, metadata=bound(ge=1))
     #: Delivered probes required to close a half-open breaker.
-    probe_successes: int = 3
+    probe_successes: int = field(default=3, metadata=bound(ge=1))
     #: Health-evaluation period: stats deltas are folded into the EWMA at
     #: most this often (evaluated lazily from the transmit path).
     poll_rtts: ClassVar[float] = 1.0
@@ -65,26 +66,6 @@ class BreakerConfig:
     ewma_alpha: ClassVar[float] = 0.4
     #: EWMA loss ratio at which a closed breaker trips open.
     open_threshold: ClassVar[float] = 0.5
-
-    def __post_init__(self) -> None:
-        if self.min_samples < 1:
-            raise ConfigError(f"min_samples must be >= 1, got {self.min_samples}")
-        if self.open_rtts <= 0:
-            raise ConfigError(f"open_rtts must be > 0, got {self.open_rtts}")
-        if self.backoff_factor < 1.0:
-            raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.backoff_cap < 0:
-            raise ConfigError(f"backoff_cap must be >= 0, got {self.backoff_cap}")
-        if self.probe_packets < 1:
-            raise ConfigError(
-                f"probe_packets must be >= 1, got {self.probe_packets}"
-            )
-        if not 1 <= self.probe_successes:
-            raise ConfigError(
-                f"probe_successes must be >= 1, got {self.probe_successes}"
-            )
 
 
 class PlaneHealth:

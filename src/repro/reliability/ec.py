@@ -25,11 +25,12 @@ the first transmission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from repro.common.config import Bounded, bound
 from repro.common.errors import ConfigError, DecodeFailure, ProtocolError
 from repro.ec.codec import ErasureCode, get_codec
 from repro.ec.segmented import SegmentedCode, SegmentLayout
@@ -52,49 +53,34 @@ FALLBACK_INTERVAL_RTTS = 1.0
 
 
 @dataclass(frozen=True)
-class EcConfig:
+class EcConfig(Bounded):
     """Tuning knobs for the Erasure Coding layer."""
 
     codec: str = "mds"
-    k: int = 32
-    m: int = 8
+    k: int = field(default=32, metadata=bound(gt=0))
+    m: int = field(default=8, metadata=bound(gt=0))
     #: FTO slack in RTTs (the paper's beta; with alpha = 2 switch buffering,
     #: beta = 0.5 * alpha = 1).
-    beta_rtts: float = 1.0
+    beta_rtts: float = field(default=1.0, metadata=bound(ge=0))
     #: Simulated encode/decode throughput in bits/s (None = free, i.e. fully
     #: hidden on spare cores as the paper assumes).
-    encode_bps: float | None = None
-    decode_bps: float | None = None
+    encode_bps: float | None = field(default=None, metadata=bound(gt=0, optional=True))
+    decode_bps: float | None = field(default=None, metadata=bound(gt=0, optional=True))
     #: Receiver re-ACK grace period after completion, in RTTs.
     grace_rtts: float = 10.0
     #: Sender-side deadlock guard, in RTTs past the expected completion.
-    global_timeout_rtts: float = 200.0
+    global_timeout_rtts: float = field(default=200.0, metadata=bound(gt=0))
     #: Receiver-side liveness valve: stop the fallback NACK loop after this
     #: many RTTs past the FTO (None = NACK forever, the default).
-    serve_deadline_rtts: float | None = None
+    serve_deadline_rtts: float | None = field(
+        default=None, metadata=bound(gt=0, optional=True)
+    )
     #: Bitmap-driven resumptions allowed per message (0 = disabled).  On
     #: global timeout the receiver decodes whatever is recoverable
     #: (data-or-parity aware), both sides re-post the remainder under a
     #: fresh slot, and a Selective Repeat phase finishes the message
     #: (``repro.recovery``).
-    max_resumptions: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k <= 0 or self.m <= 0:
-            raise ConfigError(f"need k, m > 0, got k={self.k}, m={self.m}")
-        if self.beta_rtts < 0:
-            raise ConfigError(f"beta_rtts must be >= 0, got {self.beta_rtts}")
-        for bps in (self.encode_bps, self.decode_bps):
-            if bps is not None and bps <= 0:
-                raise ConfigError("encode/decode rates must be positive")
-        if self.global_timeout_rtts <= 0:
-            raise ConfigError("global_timeout_rtts must be > 0")
-        if self.serve_deadline_rtts is not None and self.serve_deadline_rtts <= 0:
-            raise ConfigError("serve_deadline_rtts must be > 0 or None")
-        if self.max_resumptions < 0:
-            raise ConfigError(
-                f"max_resumptions must be >= 0, got {self.max_resumptions}"
-            )
+    max_resumptions: int = field(default=0, metadata=bound(ge=0))
 
     @property
     def parity_ratio(self) -> float:

@@ -27,12 +27,12 @@ Liveness is layered:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from repro.common.errors import ConfigError
+from repro.common.config import Bounded, bound
 from repro.ec.sampling import draw_probes
 from repro.ec.segmented import SegmentLayout
 from repro.reliability.base import (
@@ -63,53 +63,37 @@ PROBE_SEED = 0
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
+class SamplingConfig(Bounded):
     """Tuning knobs for the availability-sampling layer."""
 
     #: Receiver sampling period in RTTs (SR ACKs every 0.25 RTT; sampling
     #: checks 4x less often and mostly stays silent).
-    sample_interval_rtts: float = 1.0
+    sample_interval_rtts: float = field(default=1.0, metadata=bound(gt=0))
     #: Minimum spacing (in RTTs) between retransmissions of one chunk
     #: (absorbs duplicate repair requests crossing in flight).
-    repair_holdoff_rtts: float = 1.0
+    repair_holdoff_rtts: float = field(default=1.0, metadata=bound(ge=0))
     #: Sender watchdog period in RTTs: a window with no control-path signal
     #: for an in-flight write is one idle strike.
-    idle_timeout_rtts: float = 8.0
+    idle_timeout_rtts: float = field(default=8.0, metadata=bound(gt=0))
     #: Idle strikes before the sender escalates to resumption / failure.
-    max_idle_timeouts: int = 8
+    max_idle_timeouts: int = field(default=8, metadata=bound(gt=0))
     #: Per-message repair retransmission budget (None = unlimited).
-    max_message_retransmits: int | None = None
+    max_message_retransmits: int | None = field(
+        default=None, metadata=bound(gt=0, optional=True)
+    )
     #: Receiver-side liveness valve: give up serving an incomplete message
     #: after this many RTTs (None = wait forever, the default).
-    serve_deadline_rtts: float | None = None
+    serve_deadline_rtts: float | None = field(
+        default=None, metadata=bound(gt=0, optional=True)
+    )
     #: Bitmap-driven resumptions allowed per message (0 = disabled).  On
     #: watchdog or budget exhaustion both sides re-post the remainder under
     #: a fresh slot and a Selective Repeat phase finishes the message
     #: (``repro.recovery``).
-    max_resumptions: int = 0
+    max_resumptions: int = field(default=0, metadata=bound(ge=0))
     #: How long (in RTTs) the receiver keeps re-sending Done after
     #: completion, to survive final-datagram drops.
     grace_rtts: ClassVar[float] = 10.0
-
-    def __post_init__(self) -> None:
-        if self.sample_interval_rtts <= 0:
-            raise ConfigError("sample_interval_rtts must be > 0")
-        if self.repair_holdoff_rtts < 0:
-            raise ConfigError("repair_holdoff_rtts must be >= 0")
-        if self.idle_timeout_rtts <= 0:
-            raise ConfigError("idle_timeout_rtts must be > 0")
-        if self.max_idle_timeouts <= 0:
-            raise ConfigError("max_idle_timeouts must be > 0")
-        if self.max_message_retransmits is not None and (
-            self.max_message_retransmits <= 0
-        ):
-            raise ConfigError("max_message_retransmits must be > 0 or None")
-        if self.serve_deadline_rtts is not None and self.serve_deadline_rtts <= 0:
-            raise ConfigError("serve_deadline_rtts must be > 0 or None")
-        if self.max_resumptions < 0:
-            raise ConfigError(
-                f"max_resumptions must be >= 0, got {self.max_resumptions}"
-            )
 
 
 class _SamplingSendState(WriteState):

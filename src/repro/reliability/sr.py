@@ -17,12 +17,13 @@ optimization.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from repro.common.bitmap import mask_bits
+from repro.common.config import Bounded, bound
 from repro.common.errors import ConfigError
 from repro.recovery.resume import ResumeToken
 from repro.reliability.base import (
@@ -52,30 +53,32 @@ BACKOFF_CAP = 6
 
 
 @dataclass(frozen=True)
-class SrConfig:
+class SrConfig(Bounded):
     """Tuning knobs for the Selective Repeat layer."""
 
     #: RTO in network round-trip times: RTO = rto_rtts * RTT.  The paper's
     #: "SR RTO" scenario uses 3 (RTT + alpha*RTT with alpha = 2).
-    rto_rtts: float = 3.0
+    rto_rtts: float = field(default=3.0, metadata=bound(gt=0))
     #: Enable the receiver-side gap NACK fast path ("SR NACK" scenario).
     nack_enabled: bool = False
     #: Bytes of selective-ACK bitmap window per ACK: None = as much as fits
     #: the path MTU (Section 4.1.1); a number is still clipped to that.
-    ack_window_bytes: int | None = None
+    ack_window_bytes: int | None = field(
+        default=None, metadata=bound(gt=0, optional=True)
+    )
     #: How long (in RTTs) the receiver keeps re-ACKing after completion, to
     #: survive final-ACK drops.
     grace_rtts: float = 10.0
     #: Safety valve: a write fails after this many retransmissions of a
     #: single chunk (pathological channels only).
-    max_chunk_retransmits: int = 100
+    max_chunk_retransmits: int = field(default=100, metadata=bound(gt=0))
     #: Jacobson/Karn adaptive RTO: estimate SRTT/RTTVAR from ACK timestamps
     #: (RTO = SRTT + 4*RTTVAR, samples only from never-retransmitted chunks)
     #: instead of the fixed ``rto_rtts * RTT``.
     adaptive_rto: bool = False
     #: Floor of the adaptive RTO estimate, in RTTs (``MAX_RTO_RTTS`` is
     #: its cap).
-    min_rto_rtts: float = 1.0
+    min_rto_rtts: float = field(default=1.0, metadata=bound(gt=0, le=MAX_RTO_RTTS))
     #: Double the RTO on consecutive timer fires (capped at ``2**BACKOFF_CAP``
     #: and by ``MAX_RTO_RTTS``); reset on ACK progress.
     rto_backoff: bool = False
@@ -83,44 +86,24 @@ class SrConfig:
     #: degrades gracefully: the write fails with a
     #: :class:`~repro.common.errors.DeliveryError` carrying the partial
     #: delivered-chunk bitmap instead of retransmitting forever.
-    max_message_retransmits: int | None = None
+    max_message_retransmits: int | None = field(
+        default=None, metadata=bound(gt=0, optional=True)
+    )
     #: Receiver-side liveness valve: give up serving an incomplete message
     #: after this many RTTs (None = wait forever, the default).
-    serve_deadline_rtts: float | None = None
+    serve_deadline_rtts: float | None = field(
+        default=None, metadata=bound(gt=0, optional=True)
+    )
     #: Bitmap-driven resumptions allowed per message (0 = disabled, the
     #: seed behaviour).  When the retry budget is exhausted the sender
     #: snapshots the chunk bitmap and re-posts the remainder under a fresh
     #: ``(msg_id, generation)`` slot instead of failing (``repro.recovery``).
-    max_resumptions: int = 0
+    max_resumptions: int = field(default=0, metadata=bound(ge=0))
     #: Spacing of resume-request retries, in RTTs (covers lost control
     #: datagrams in either direction).
-    resume_interval_rtts: float = 4.0
+    resume_interval_rtts: float = field(default=4.0, metadata=bound(gt=0))
     #: Resume requests sent without a grant before the write finally fails.
-    max_resume_requests: int = 25
-
-    def __post_init__(self) -> None:
-        if self.rto_rtts <= 0:
-            raise ConfigError(f"rto_rtts must be > 0, got {self.rto_rtts}")
-        if self.ack_window_bytes is not None and self.ack_window_bytes <= 0:
-            raise ConfigError("ack_window_bytes must be > 0 or None")
-        if self.max_chunk_retransmits <= 0:
-            raise ConfigError("max_chunk_retransmits must be > 0")
-        if self.min_rto_rtts <= 0:
-            raise ConfigError(f"min_rto_rtts must be > 0, got {self.min_rto_rtts}")
-        if self.min_rto_rtts > MAX_RTO_RTTS:
-            raise ConfigError(f"min_rto_rtts must be <= {MAX_RTO_RTTS}")
-        if self.max_message_retransmits is not None and self.max_message_retransmits <= 0:
-            raise ConfigError("max_message_retransmits must be > 0 or None")
-        if self.serve_deadline_rtts is not None and self.serve_deadline_rtts <= 0:
-            raise ConfigError("serve_deadline_rtts must be > 0 or None")
-        if self.max_resumptions < 0:
-            raise ConfigError(
-                f"max_resumptions must be >= 0, got {self.max_resumptions}"
-            )
-        if self.resume_interval_rtts <= 0:
-            raise ConfigError("resume_interval_rtts must be > 0")
-        if self.max_resume_requests <= 0:
-            raise ConfigError("max_resume_requests must be > 0")
+    max_resume_requests: int = field(default=25, metadata=bound(gt=0))
 
 
 class _SendState(WriteState):

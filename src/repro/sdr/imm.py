@@ -16,28 +16,27 @@ packets of the message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.common.config import SdrConfig
+from repro.common.config import Bounded, SdrConfig, bound, check_bounds
 from repro.common.errors import ConfigError
 
 
 @dataclass(frozen=True)
-class ImmLayout:
+class ImmLayout(Bounded):
     """Encoder/decoder for the three-field transport immediate."""
 
-    msg_id_bits: int = 10
-    offset_bits: int = 18
-    user_imm_bits: int = 4
+    msg_id_bits: int = field(default=10, metadata=bound(gt=0))
+    offset_bits: int = field(default=18, metadata=bound(gt=0))
+    user_imm_bits: int = field(default=4, metadata=bound(ge=0))
 
     def __post_init__(self) -> None:
+        check_bounds(self)
         if self.msg_id_bits + self.offset_bits + self.user_imm_bits != 32:
             raise ConfigError(
                 "immediate fields must total 32 bits, got "
                 f"{self.msg_id_bits}+{self.offset_bits}+{self.user_imm_bits}"
             )
-        if self.msg_id_bits <= 0 or self.offset_bits <= 0 or self.user_imm_bits < 0:
-            raise ConfigError("msg_id and offset fields must be positive")
 
     @classmethod
     def from_config(cls, config: SdrConfig) -> "ImmLayout":

@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from repro.common.config import Bounded, bound, check_bounds
 from repro.common.errors import ConfigError
 from repro.experiments.report import Table
 from repro.telemetry.timeseries import TimeseriesSampler
@@ -58,46 +59,36 @@ SLI_NAMES = ("goodput", "delivery", "p99", "retx")
 
 
 @dataclass(frozen=True)
-class SloSpec:
+class SloSpec(Bounded):
     """One tenant's declared objectives (unset targets are skipped)."""
 
-    tenant: str
+    tenant: str = field(metadata=bound(gt=""))
     #: The tenant's contracted rate (needed for the ``goodput`` SLI).
-    quota_bps: float | None = None
+    quota_bps: float | None = field(default=None, metadata=bound(gt=0, optional=True))
     #: Minimum realized fraction of quota while the tenant has demand.
-    goodput_fraction: float | None = None
+    goodput_fraction: float | None = field(
+        default=None, metadata=bound(gt=0, le=1, optional=True)
+    )
     #: Minimum completed / resolved flow ratio.
-    delivery_ratio: float | None = None
+    delivery_ratio: float | None = field(
+        default=None, metadata=bound(gt=0, le=1, optional=True)
+    )
     #: Maximum windowed p99 flow-completion seconds.
-    p99_completion_s: float | None = None
+    p99_completion_s: float | None = field(
+        default=None, metadata=bound(gt=0, optional=True)
+    )
     #: Maximum retransmit overhead: retx / (retx + acked) segments.
-    max_retx_overhead: float | None = None
+    max_retx_overhead: float | None = field(
+        default=None, metadata=bound(gt=0, le=1, optional=True)
+    )
     #: Mean error fraction the tenant may sustain before burn_rate = 1.
-    error_budget: float = 0.1
+    error_budget: float = field(default=0.1, metadata=bound(gt=0, le=1))
 
     def __post_init__(self) -> None:
-        if not self.tenant:
-            raise ConfigError("SloSpec tenant must be non-empty")
-        if self.quota_bps is not None and self.quota_bps <= 0:
-            raise ConfigError(f"quota_bps must be > 0, got {self.quota_bps}")
-        for name, value, lo, hi in (
-            ("goodput_fraction", self.goodput_fraction, 0.0, 1.0),
-            ("delivery_ratio", self.delivery_ratio, 0.0, 1.0),
-            ("max_retx_overhead", self.max_retx_overhead, 0.0, 1.0),
-        ):
-            if value is not None and not lo < value <= hi:
-                raise ConfigError(f"{name} must be in ({lo}, {hi}], got {value}")
-        if self.p99_completion_s is not None and self.p99_completion_s <= 0:
-            raise ConfigError(
-                f"p99_completion_s must be > 0, got {self.p99_completion_s}"
-            )
+        check_bounds(self)
         if self.goodput_fraction is not None and self.quota_bps is None:
             raise ConfigError(
                 f"tenant {self.tenant!r}: goodput_fraction needs quota_bps"
-            )
-        if not 0 < self.error_budget <= 1:
-            raise ConfigError(
-                f"error_budget must be in (0, 1], got {self.error_budget}"
             )
 
     @property
@@ -116,28 +107,23 @@ class SloSpec:
 
 
 @dataclass(frozen=True)
-class BurnPolicy:
+class BurnPolicy(Bounded):
     """Multi-window burn-rate alerting knobs."""
 
     #: Short lookback in closed windows (catches fast burns).
-    short_windows: int = 2
+    short_windows: int = field(default=2, metadata=bound(ge=1))
     #: Long lookback in closed windows (suppresses single-window noise).
     long_windows: int = 8
     #: Burn-rate multiple (error / budget) that counts as burning.
-    threshold: float = 1.0
+    threshold: float = field(default=1.0, metadata=bound(gt=0))
 
     def __post_init__(self) -> None:
-        if self.short_windows < 1:
-            raise ConfigError(
-                f"short_windows must be >= 1, got {self.short_windows}"
-            )
+        check_bounds(self)
         if self.long_windows < self.short_windows:
             raise ConfigError(
                 f"long_windows ({self.long_windows}) must be >= "
                 f"short_windows ({self.short_windows})"
             )
-        if self.threshold <= 0:
-            raise ConfigError(f"threshold must be > 0, got {self.threshold}")
 
 
 @dataclass
@@ -406,14 +392,14 @@ class SloTracker:
 
 
 @dataclass(frozen=True)
-class SloConfig:
+class SloConfig(Bounded):
     """Scenario/CLI-level arming knobs: sampler shape + default targets.
 
     ``window=None`` lets the scenario pick a natural width (a few RTTs
     for chaos runs, duration/25 for fairness/scale runs).
     """
 
-    window: float | None = None
+    window: float | None = field(default=None, metadata=bound(gt=0, optional=True))
     goodput_fraction: float | None = 0.25
     delivery_ratio: float | None = 0.9
     max_retx_overhead: float | None = None
@@ -421,10 +407,6 @@ class SloConfig:
     capacity: ClassVar[int] = 256
     #: Every spec's error budget.
     error_budget: ClassVar[float] = 0.25
-
-    def __post_init__(self) -> None:
-        if self.window is not None and self.window <= 0:
-            raise ConfigError(f"window must be > 0, got {self.window}")
 
     def spec_for(self, tenant: str, quota_bps: float | None) -> SloSpec:
         """A :class:`SloSpec` for one tenant under these defaults.

@@ -29,10 +29,11 @@ algorithms) for apples-to-apples fairness comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.config import Bounded, bound, check_bounds
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB
 from repro.sim.rng import RngStreams
@@ -46,57 +47,39 @@ LOGNORMAL_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
-class OpenLoopConfig:
+class OpenLoopConfig(Bounded):
     """Shape of one open-loop multi-tenant arrival process."""
 
     #: Number of tenants injecting traffic.
-    tenants: int
+    tenants: int = field(metadata=bound(ge=1))
     #: Arrival window in seconds; tenants stop injecting at this time.
-    duration: float
+    duration: float = field(metadata=bound(gt=0))
     #: Aggregate offered load across all tenants in bits/second.
-    offered_load_bps: float
+    offered_load_bps: float = field(metadata=bound(gt=0))
     #: Message-size distribution family.
-    size_dist: str = "pareto"
+    size_dist: str = field(default="pareto", metadata=bound(one_of=SIZE_DISTRIBUTIONS))
     #: Mean message size in bytes (all families are parameterized to it).
-    mean_message_bytes: int = 32 * KiB
+    mean_message_bytes: int = field(default=32 * KiB, metadata=bound(gt=0))
     #: Hard cap on a single message (truncation keeps the DES event count
     #: bounded and models the fabric's max registered-buffer size).
     max_message_bytes: int = 8 * MiB
     #: 0 = equal per-tenant rates; > 0 draws per-tenant rate weights from
     #: a Pareto with this tail index (smaller = more skewed).
-    rate_skew: float = 0.0
+    rate_skew: float = field(default=0.0, metadata=bound(ge=0))
     #: Smallest message the generator will emit.
-    min_message_bytes: int = 256
+    min_message_bytes: int = field(default=256, metadata=bound(gt=0))
 
     def __post_init__(self) -> None:
-        if self.tenants < 1:
-            raise ConfigError(f"need >= 1 tenant, got {self.tenants}")
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be > 0, got {self.duration}")
-        if self.offered_load_bps <= 0:
-            raise ConfigError(
-                f"offered load must be > 0, got {self.offered_load_bps}"
-            )
-        if self.size_dist not in SIZE_DISTRIBUTIONS:
-            raise ConfigError(
-                f"size_dist must be one of {SIZE_DISTRIBUTIONS}, "
-                f"got {self.size_dist!r}"
-            )
-        if self.mean_message_bytes <= 0:
-            raise ConfigError(
-                f"mean message size must be > 0, got {self.mean_message_bytes}"
-            )
+        check_bounds(self)
         if self.max_message_bytes < self.mean_message_bytes:
             raise ConfigError(
                 f"max message size {self.max_message_bytes} below mean "
                 f"{self.mean_message_bytes}"
             )
-        if self.rate_skew < 0:
-            raise ConfigError(f"rate skew must be >= 0, got {self.rate_skew}")
-        if not 0 < self.min_message_bytes <= self.mean_message_bytes:
+        if self.min_message_bytes > self.mean_message_bytes:
             raise ConfigError(
-                f"min message size must be in (0, mean], got "
-                f"{self.min_message_bytes}"
+                f"min message size {self.min_message_bytes} above mean "
+                f"{self.mean_message_bytes}"
             )
 
     @property

@@ -448,7 +448,7 @@ class TestChaosScenarios:
         assert disarmed.survival == 1.0
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError, match="unknown fabric chaos schedule"):
+        with pytest.raises(ConfigError, match="schedule must be one of"):
             ChaosConfig(schedule="nope")
         with pytest.raises(ConfigError, match="host"):
             ChaosConfig(hosts_per_tor=0)

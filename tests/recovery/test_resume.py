@@ -21,7 +21,7 @@ from repro.reliability.ec import EcConfig, EcReceiver, EcSender
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
 from repro.telemetry import JsonlSink, RingBufferSink
 
-from tests.conftest import make_sdr_pair
+from tests.conftest import drains_within, make_sdr_pair
 from tests.reliability.conftest import random_payload
 
 
@@ -161,6 +161,95 @@ class TestSrResume:
         assert reg.value("recovery.dc-a.resumes_started") == 1
         assert reg.value("recovery.dc-a.resume_failures") == 1
         assert reg.value("recovery.dc-b.resumes_granted") == 0
+
+    def test_write_posted_while_resume_pending_fails_the_resume_cleanly(self):
+        """Order-based matching: the receiver grants the resumed write its
+        next slot, but a second write posted while the grant is in flight
+        takes that slot on the sender.  The re-posted slot no longer lines
+        up, so the resume fails naming the mismatch and leaves no state."""
+        size = 256 * KiB
+        rtt = make_sdr_pair(seed=0).channel.rtt
+        # The blackout outlives the first write's budget and ends before
+        # the second write posts, so only the resume can fail.
+        pair = make_sdr_pair(seed=0, faults=data_blackout(rtt, end_rtts=3.6))
+        ring = RingBufferSink()
+        pair.sim.telemetry.trace.enabled = True
+        pair.sim.telemetry.trace.add_sink(ring)
+        cfg = SrConfig(max_message_retransmits=8, max_resumptions=1)
+        sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
+        receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
+        receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+        ticket = sender.write(size, random_payload(size, 0))
+        while ticket.resumptions == 0:
+            pair.sim.step()
+        pair.sim.run(until=4.0 * rtt)
+        assert ticket.seq in sender._pending_resumes  # the grant is in flight
+        second = sender.write(size, random_payload(size, 1))
+        drains_within(pair.sim, dispatches=50_000, sim_seconds=1000 * rtt)
+        assert ticket.failed
+        with pytest.raises(
+            DeliveryError,
+            match=r"seq=0 resume attempt 1 failed: "
+            r"slot mismatch \(local seq 2, peer 1\)",
+        ):
+            ticket.done.value
+        assert 2 not in sender._states and not sender._pending_resumes
+        reg = pair.sim.telemetry.metrics
+        assert reg.value("recovery.dc-a.resume_failures") == 1
+        assert reg.value("recovery.dc-a.resumes_completed") == 0
+        failed = [e.args for e in ring.events if e.name == "resume_failed"]
+        assert failed == [{"msg": 0, "attempt": 1}]
+        assert second.seq == 1 and second.done.triggered
+
+
+class TestSrNackFeedsRecovery:
+    """An SR sender with ``nack_enabled`` reports every NACK it acts on to
+    an attached :class:`PlaneRecovery` (``note_nack``), which blames the
+    flow's plane under flow spreading and every plane, diluted, under
+    packet spray."""
+
+    def _run(self, spread):
+        pair = make_sdr_pair(seed=3, planes=2, spread=spread, drop=0.02)
+        rtt = pair.channel.rtt
+        # An RTO far beyond the run: every loss signal is a NACK.
+        cfg = SrConfig(nack_enabled=True, rto_rtts=40.0)
+        sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
+        receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
+        recovery = PlaneRecovery(pair.sim, pair.bonded[0], rtt=rtt)
+        sender.attach_recovery(recovery)
+        penalties = []
+        penalize = recovery._penalize
+
+        def spy(keys, weight):
+            penalties.append((tuple(keys), weight))
+            penalize(keys, weight)
+
+        recovery._penalize = spy
+        size = 512 * KiB
+        buf = bytearray(size)
+        receiver.post_receive(pair.ctx_b.mr_reg(size, data=buf), size)
+        payload = random_payload(size, 3)
+        ticket = sender.write(size, payload)
+        drains_within(pair.sim, dispatches=50_000, sim_seconds=100 * rtt)
+        assert not ticket.failed and bytes(buf) == payload
+        reg = pair.sim.telemetry.metrics
+        assert reg.value("sr.dc-a.rto_fires") == 0
+        nacks = reg.value("sr.dc-a.nacks_received")
+        assert nacks == ticket.nacks_received > 0
+        assert reg.value("recovery.dc-a->dc-b.nack_signals") == nacks
+        assert len(penalties) == nacks
+        return sender, penalties
+
+    def test_flow_spread_blames_the_flows_plane(self):
+        sender, penalties = self._run("flow")
+        plane = sender._data_qpn() % 2
+        assert all(keys == (plane,) for keys, _ in penalties)
+        assert all(0 < weight <= 1.0 for _, weight in penalties)
+
+    def test_packet_spray_dilutes_the_blame_over_every_plane(self):
+        _, penalties = self._run("packet")
+        assert all(keys == (0, 1) for keys, _ in penalties)
+        assert all(0 < weight <= 0.5 for _, weight in penalties)
 
 
 def run_failover(*, seed=0, recover=True, trace_buf=None, resumptions=2):
