@@ -178,8 +178,10 @@ class TestSrResume:
         cfg = SrConfig(max_message_retransmits=8, max_resumptions=1)
         sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
         receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
-        receiver.post_receive(pair.ctx_b.mr_reg(size), size)
-        ticket = sender.write(size, random_payload(size, 0))
+        buf = bytearray(size)
+        recv = receiver.post_receive(pair.ctx_b.mr_reg(size, data=buf), size)
+        first = random_payload(size, 0)
+        ticket = sender.write(size, first)
         while ticket.resumptions == 0:
             pair.sim.step()
         pair.sim.run(until=4.0 * rtt)
@@ -200,6 +202,8 @@ class TestSrResume:
         failed = [e.args for e in ring.events if e.name == "resume_failed"]
         assert failed == [{"msg": 0, "attempt": 1}]
         assert second.seq == 1 and second.done.triggered
+        # The receiver's one receive holds the first write's bytes, if any.
+        assert recv.done.triggered and bytes(buf) == first
 
 
 class TestSrNackFeedsRecovery:
