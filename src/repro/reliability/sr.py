@@ -179,6 +179,10 @@ class SrSender(Sender):
         self._rttvar = 0.0
         self._backoff = 0
         self._pending_resumes: dict[int, _PendingResume] = {}
+        #: Writes posted while a resume grant is in flight, in post order.
+        #: The receiver re-posts a resumed message under its next slot, so
+        #: they take theirs only after that re-post or its failure.
+        self._held: deque[tuple[WriteTicket, bytes | None]] = deque()
         #: Optional :class:`repro.recovery.PlaneRecovery` fed RTO/NACK
         #: loss signals (see :meth:`attach_recovery`).
         self.recovery = None
@@ -278,11 +282,34 @@ class SrSender(Sender):
     # -- public API -----------------------------------------------------------------
 
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
-        """Reliably write ``length`` bytes to the peer's next posted receive."""
-        state = self._open(length, payload)
+        """Reliably write ``length`` bytes to the peer's next posted receive.
+
+        A write posted while a resume grant is in flight is held until the
+        resumed attempt has taken its slot (``_held``); its ticket's ``seq``
+        is None until then.
+        """
+        if self._pending_resumes:
+            ticket = self._write_ticket(None, length)
+            self._held.append((ticket, payload))
+            return ticket
+        return self._launch(self._open(length, payload))
+
+    def _launch(self, state: _SendState) -> WriteTicket:
         self._post(state)
         self.sim.call_in(0.0, self._inject_chunks, state)
         return state.ticket
+
+    def _launch_held(self) -> None:
+        """Give the oldest held write its slot."""
+        ticket, payload = self._held.popleft()
+        state = self._open(ticket.length, payload, ticket=ticket)
+        ticket.seq = state.hdl.seq
+        self._launch(state)
+
+    def _release_held(self) -> None:
+        """Launch the held writes in post order once no grant is in flight."""
+        while self._held and not self._pending_resumes:
+            self._launch_held()
 
     def resume(self, token: ResumeToken) -> WriteTicket:
         """Resume a failed write from ``token`` (bitmap-driven resumption).
@@ -352,6 +379,7 @@ class SrSender(Sender):
         if sent == self.config.max_resume_requests:
             del self._pending_resumes[seq]
             self._resume_failed(pending, "resume request never granted")
+            self._release_held()
             return
         self.ctrl.send(ResumeReq(msg_seq=seq, attempt=pending.token.attempt))
         self.sim.call_in(
@@ -375,21 +403,26 @@ class SrSender(Sender):
         )
 
     def _launch_resumed(self, pending: _PendingResume, ack: ResumeAck) -> None:
-        """The receiver granted: re-post and inject only the missing chunks."""
+        """The receiver granted: re-post and inject only the missing chunks.
+
+        Slots are taken in the receiver's order: held writes first fill the
+        slots of the receives the peer posted before its grant.
+        """
         token = pending.token
-        state = self._open(token.length, pending.payload, ticket=pending.ticket)
-        new_seq = state.hdl.seq
-        if new_seq != ack.new_seq:
-            # Order-based matching broke (another message was posted between
-            # the grant and this re-post): the fresh slot does not line up
-            # with the receiver's, so fail cleanly rather than corrupt data.
-            del self._states[new_seq]
-            self._end_streams(state)
+        while self._held and self.qp.next_send_seq < ack.new_seq:
+            self._launch_held()
+        if self.qp.next_send_seq != ack.new_seq:
+            # Order-based matching broke (the two sides posted different
+            # messages before the grant): no slot of ours lines up with the
+            # receiver's re-post, so the resume fails and takes none.
             self._resume_failed(
                 pending,
-                f"slot mismatch (local seq {new_seq}, peer {ack.new_seq})",
+                f"slot mismatch (local seq {self.qp.next_send_seq}, "
+                f"peer {ack.new_seq})",
             )
             return
+        state = self._open(token.length, pending.payload, ticket=pending.ticket)
+        new_seq = state.hdl.seq
         state.unacked &= ~ack.acked_mask(state.nchunks)
         state.resumed = True
         missing = state.unacked.bit_count()
@@ -639,6 +672,7 @@ class SrSender(Sender):
                 return  # late grant for a superseded attempt
             del self._pending_resumes[msg.msg_seq]
             self._launch_resumed(pending, msg)
+            self._release_held()
 
     def _maybe_finish(self, state: _SendState) -> None:
         if state.complete and self._states.pop(state.hdl.seq, None) is not None:

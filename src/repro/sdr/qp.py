@@ -253,6 +253,12 @@ class SdrQp:
 
     # ------------------------------------------------------------------ helpers
 
+    @property
+    def next_send_seq(self) -> int:
+        """The seq the next send takes (matched to the peer's receive of
+        the same seq)."""
+        return self._send_seq
+
     def _slot_of(self, seq: int) -> tuple[int, int]:
         """Map a post-order sequence number to (msg_id, generation)."""
         msg_id = seq % self.config.max_message_ids

@@ -162,15 +162,11 @@ class TestSrResume:
         assert reg.value("recovery.dc-a.resume_failures") == 1
         assert reg.value("recovery.dc-b.resumes_granted") == 0
 
-    def test_write_posted_while_resume_pending_fails_the_resume_cleanly(self):
-        """Order-based matching: the receiver grants the resumed write its
-        next slot, but a second write posted while the grant is in flight
-        takes that slot on the sender.  The re-posted slot no longer lines
-        up, so the resume fails naming the mismatch and leaves no state."""
+    def _slot_race(self):
+        """Write 0 under a data blackout that outlives its retry budget (and
+        ends at 3.6 RTT); the simulation stops as the resume is requested."""
         size = 256 * KiB
         rtt = make_sdr_pair(seed=0).channel.rtt
-        # The blackout outlives the first write's budget and ends before
-        # the second write posts, so only the resume can fail.
         pair = make_sdr_pair(seed=0, faults=data_blackout(rtt, end_rtts=3.6))
         ring = RingBufferSink()
         pair.sim.telemetry.trace.enabled = True
@@ -178,32 +174,96 @@ class TestSrResume:
         cfg = SrConfig(max_message_retransmits=8, max_resumptions=1)
         sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
         receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
-        buf = bytearray(size)
-        recv = receiver.post_receive(pair.ctx_b.mr_reg(size, data=buf), size)
-        first = random_payload(size, 0)
-        ticket = sender.write(size, first)
+        bufs = [bytearray(size), bytearray(size)]
+        payloads = [random_payload(size, 0), random_payload(size, 1)]
+
+        def post_receive(i):
+            return receiver.post_receive(
+                pair.ctx_b.mr_reg(size, data=bufs[i]), size
+            )
+
+        recv = post_receive(0)
+        ticket = sender.write(size, payloads[0])
         while ticket.resumptions == 0:
             pair.sim.step()
+        return pair, ring, sender, ticket, recv, post_receive, bufs, payloads
+
+    def test_write_posted_while_resume_pending_waits_for_the_resumed_slot(self):
+        """Order-based matching: the receiver grants the resumed write its
+        next slot, so a second write posted while the grant is in flight
+        is held until the resumed attempt has taken that slot.  Each
+        receive then holds its own write's bytes."""
+        pair, ring, sender, ticket, recv, post_receive, bufs, payloads = (
+            self._slot_race()
+        )
+        rtt = pair.channel.rtt
         pair.sim.run(until=4.0 * rtt)
         assert ticket.seq in sender._pending_resumes  # the grant is in flight
-        second = sender.write(size, random_payload(size, 1))
+        second = sender.write(len(payloads[1]), payloads[1])
+        assert second.seq is None  # held behind the grant
+        pair.sim.run(ticket.done)
+        recv2 = post_receive(1)
         drains_within(pair.sim, dispatches=50_000, sim_seconds=1000 * rtt)
-        assert ticket.failed
+        assert not ticket.failed and not second.failed
+        assert (ticket.seq, second.seq) == (0, 2)
+        assert recv.done.triggered and bytes(bufs[0]) == payloads[0]
+        assert recv2.done.triggered and bytes(bufs[1]) == payloads[1]
+        reg = pair.sim.telemetry.metrics
+        assert reg.value("recovery.dc-a.resumes_completed") == 1
+        assert reg.value("recovery.dc-a.resume_failures") == 0
+        posts = [e.args for e in ring.events if e.name == "msg_post"]
+        assert [(a["msg"], a.get("resumed_from")) for a in posts] == [
+            (0, None), (1, 0), (2, None),
+        ]
+
+    def test_held_writes_fill_the_slots_the_receiver_posted_first(self):
+        """The receiver posts its second receive before the resume request
+        arrives, so its grant names slot 2: the held second write takes
+        slot 1, the resumed attempt slot 2, and both complete intact."""
+        pair, ring, sender, ticket, recv, post_receive, bufs, payloads = (
+            self._slot_race()
+        )
+        recv2 = post_receive(1)
+        second = sender.write(len(payloads[1]), payloads[1])
+        drains_within(
+            pair.sim, dispatches=50_000, sim_seconds=1000 * pair.channel.rtt
+        )
+        assert not ticket.failed and not second.failed
+        assert second.seq == 1
+        assert recv.done.triggered and bytes(bufs[0]) == payloads[0]
+        assert recv2.done.triggered and bytes(bufs[1]) == payloads[1]
+        posts = [e.args for e in ring.events if e.name == "msg_post"]
+        assert [(a["msg"], a.get("resumed_from")) for a in posts] == [
+            (0, None), (1, None), (2, 0),
+        ]
+
+    def test_resume_behind_the_receivers_slots_fails_cleanly(self):
+        """The receiver posted a second receive before granting and the
+        sender has no write to fill it: the resume fails naming the
+        mismatch and takes no slot, so the next write still lands in the
+        second receive, and the first receive never completes."""
+        pair, ring, sender, ticket, recv, post_receive, bufs, payloads = (
+            self._slot_race()
+        )
+        recv2 = post_receive(1)
         with pytest.raises(
             DeliveryError,
             match=r"seq=0 resume attempt 1 failed: "
-            r"slot mismatch \(local seq 2, peer 1\)",
+            r"slot mismatch \(local seq 1, peer 2\)",
         ):
-            ticket.done.value
-        assert 2 not in sender._states and not sender._pending_resumes
+            pair.sim.run(ticket.done)
+        assert ticket.failed
+        assert not sender._states and not sender._pending_resumes
         reg = pair.sim.telemetry.metrics
         assert reg.value("recovery.dc-a.resume_failures") == 1
         assert reg.value("recovery.dc-a.resumes_completed") == 0
         failed = [e.args for e in ring.events if e.name == "resume_failed"]
         assert failed == [{"msg": 0, "attempt": 1}]
-        assert second.seq == 1 and second.done.triggered
-        # The receiver's one receive holds the first write's bytes, if any.
-        assert recv.done.triggered and bytes(buf) == first
+        second = sender.write(len(payloads[1]), payloads[1])
+        pair.sim.run(second.done)
+        assert second.seq == 1 and not second.failed
+        assert recv2.done.triggered and bytes(bufs[1]) == payloads[1]
+        assert not recv.done.triggered and not any(bufs[0])
 
 
 class TestSrNackFeedsRecovery:
