@@ -169,8 +169,8 @@ class SdrConfig(Bounded):
     split is 10 + 18 + 4.
     """
 
-    chunk_bytes: int = 64 * KiB
-    max_message_bytes: int = 1024 * MiB
+    chunk_bytes: int = field(default=64 * KiB, metadata=bound(gt=0))
+    max_message_bytes: int = field(default=1024 * MiB, metadata=bound(gt=0))
     mtu_bytes: int = field(default=4 * KiB, metadata=bound(gt=0))
     msg_id_bits: int = field(default=10, metadata=bound(gt=0))
     offset_bits: int = field(default=18, metadata=bound(gt=0))

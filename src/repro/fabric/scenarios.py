@@ -340,8 +340,8 @@ class ScaleConfig(Bounded):
     duration: float = 0.05
     #: Aggregate offered load; the default yields >= 100k messages.
     offered_load_bps: float = 280e9
-    tors: int = 4
-    hosts_per_tor: int = 4
+    tors: int = field(default=4, metadata=bound(ge=1))
+    hosts_per_tor: int = field(default=4, metadata=bound(ge=1))
     cc: str = "swift"
     seed: int = 0
     mean_message_bytes: int = 16 * KiB

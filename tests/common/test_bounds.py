@@ -62,6 +62,8 @@ TABLES: dict[type, dict[str, str]] = {
         "ecn_threshold_bytes": ">= 0",
     },
     SdrConfig: {
+        "chunk_bytes": "> 0",
+        "max_message_bytes": "> 0",
         "mtu_bytes": "> 0",
         "msg_id_bits": "> 0",
         "offset_bits": "> 0",
@@ -130,7 +132,7 @@ TABLES: dict[type, dict[str, str]] = {
         "kind": "one of ['host', 'tor', 'wan']",
     },
     FairnessConfig: {"victims": ">= 1", "duration": "> 0"},
-    ScaleConfig: {"tenants": ">= 1"},
+    ScaleConfig: {"tenants": ">= 1", "tors": ">= 1", "hosts_per_tor": ">= 1"},
     ChaosConfig: {
         "schedule": "one of ['fabric_partition', 'tor_crash', 'wan_flap'] or None",
         "hosts_per_tor": ">= 1",
@@ -199,6 +201,7 @@ REQUIRED: dict[type, tuple] = {
 #: ``(class, field, value inside the bound)`` -> the message of the check
 #: spanning fields that rejects it with every other field at its default.
 CROSS_AT_EDGE: dict[tuple[type, str, object], str] = {
+    (SdrConfig, "chunk_bytes", 1): "chunk size must be a multiple of the MTU",
     (SdrConfig, "mtu_bytes", 1): "max message .* not addressable",
     (SdrConfig, "msg_id_bits", 1): "immediate split must total 32 bits",
     (SdrConfig, "offset_bits", 1): "immediate split must total 32 bits",
