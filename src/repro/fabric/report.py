@@ -50,10 +50,14 @@ def per_tenant_reports(
     service: FabricService, duration: float
 ) -> list[TenantReport]:
     """Reduce a finished service run to per-tenant rows, sorted by name."""
+    spans: dict[str, list[float]] = {name: [] for name in service.tenants}
+    for ticket in service.flows:
+        if ticket.completed is not None:
+            spans[ticket.tenant].append(ticket.span)
     out = []
     for name in sorted(service.tenants):
         state = service.tenants[name]
-        times = np.asarray(state.completion_times)
+        times = np.asarray(spans[name])
         window = max(duration, state.last_ack)
         out.append(
             TenantReport(

@@ -201,7 +201,6 @@ class TenantState:
     #: delayed past the arrival window by contention sees that delay as
     #: lost goodput, even though the bytes eventually land.
     last_ack: float = 0.0
-    completion_times: list[float] = field(default_factory=list)
 
 
 class FabricQp:
@@ -500,7 +499,6 @@ class FabricService:
 
     def _finish(self, state: _FlowState) -> None:
         """Release the QP slot (completion or failure), wake the next waiter."""
-        ticket = state.ticket
         pair = state.pair
         pair.flows.remove(state)
         state.qp.active -= 1
@@ -508,8 +506,6 @@ class FabricService:
             self._g_qps.add(-1)
         if pair.waiting:
             self.sim.call_in(0.0, self._admit, pair, *pair.waiting.popleft())
-        if ticket.completed is not None:
-            self.tenants[ticket.tenant].completion_times.append(ticket.span)
 
     def _fluid_plan(self, pair: _PairState) -> tuple | None:
         """Hop plan when ``pair``'s segments are booked fluidly.
