@@ -233,6 +233,23 @@ def _lineage_section(ring) -> str:
     return "\n\n".join(parts)
 
 
+def _telemetry(args, *sinks):
+    """A tracing ``Telemetry`` over ``sinks`` (None entries skipped) and a
+    ``--trace-jsonl`` sink when asked; returns it and that sink."""
+    from repro.telemetry import JsonlSink, Telemetry
+
+    jsonl = JsonlSink(args.trace_jsonl) if args.trace_jsonl else None
+    sinks = [sink for sink in (*sinks, jsonl) if sink is not None]
+    return Telemetry(trace=bool(sinks), trace_sinks=sinks), jsonl
+
+
+def _close_jsonl(args, jsonl, lead: str = "") -> None:
+    if jsonl is not None:
+        written = jsonl.events_written
+        jsonl.close()
+        print(f"{lead}JSONL trace written to {args.trace_jsonl} ({written} events)")
+
+
 def _demo_kwargs(args, telemetry) -> dict:
     """What ``report`` and ``chaos`` both hand :func:`run_demo`."""
     return dict(
@@ -253,22 +270,15 @@ def _demo_kwargs(args, telemetry) -> dict:
 
 
 def cmd_report(args) -> int:
-    from repro.telemetry import ChromeTraceSink, JsonlSink, RingBufferSink, Telemetry
+    from repro.telemetry import ChromeTraceSink, RingBufferSink
     from repro.telemetry.demo import run_demo
     from repro.telemetry.report import render_report
 
     # The lineage section always needs events; the ring is internal and
     # bounded, so it rides along even when no trace file was requested.
     ring = RingBufferSink(capacity=1 << 20)
-    sinks = [ring]
-    chrome = jsonl = None
-    if args.trace:
-        chrome = ChromeTraceSink()
-        sinks.append(chrome)
-    if args.trace_jsonl:
-        jsonl = JsonlSink(args.trace_jsonl)
-        sinks.append(jsonl)
-    telemetry = Telemetry(trace=True, trace_sinks=sinks)
+    chrome = ChromeTraceSink() if args.trace else None
+    telemetry, jsonl = _telemetry(args, ring, chrome)
     result = run_demo(nack=args.nack, **_demo_kwargs(args, telemetry))
     summary = Table(
         title=(
@@ -290,10 +300,7 @@ def cmd_report(args) -> int:
     if chrome is not None:
         chrome.write(args.trace)
         print(f"\nChrome trace written to {args.trace} ({len(chrome)} events)")
-    if jsonl is not None:
-        written = jsonl.events_written
-        jsonl.close()
-        print(f"JSONL trace written to {args.trace_jsonl} ({written} events)")
+    _close_jsonl(args, jsonl)
     _export_registry(args, result.telemetry.metrics, {
         "command": "report",
         "protocol": result.protocol,
@@ -310,7 +317,7 @@ def cmd_chaos(args) -> int:
     from repro.reliability.ec import EcConfig
     from repro.reliability.sampling import SamplingConfig
     from repro.reliability.sr import SrConfig
-    from repro.telemetry import JsonlSink, RingBufferSink, Telemetry
+    from repro.telemetry import RingBufferSink
     from repro.telemetry.demo import run_demo
     from repro.telemetry.report import render_report
 
@@ -321,12 +328,7 @@ def cmd_chaos(args) -> int:
     rtt = distance_to_rtt(args.distance_km)
     schedule = named_schedule(args.schedule, rtt=rtt)
     ring = RingBufferSink(capacity=1 << 20)
-    sinks = [ring]
-    jsonl = None
-    if args.trace_jsonl:
-        jsonl = JsonlSink(args.trace_jsonl)
-        sinks.append(jsonl)
-    telemetry = Telemetry(trace=True, trace_sinks=sinks)
+    telemetry, jsonl = _telemetry(args, ring)
     # Hardened configs: adaptive RTO + backoff + bounded retry budgets so
     # every fault ends in delivery or a clean error completion, never a wedge.
     sr_config = SrConfig(
@@ -396,10 +398,7 @@ def cmd_chaos(args) -> int:
         print(recovery.render())
     print()
     print(_lineage_section(ring))
-    if jsonl is not None:
-        written = jsonl.events_written
-        jsonl.close()
-        print(f"\nJSONL trace written to {args.trace_jsonl} ({written} events)")
+    _close_jsonl(args, jsonl, "\n")
     _export_registry(args, result.telemetry.metrics, {
         "command": "chaos",
         "schedule": schedule.name,
@@ -471,90 +470,86 @@ def _slo_json(summary) -> dict | None:
     }
 
 
-def _slo_gate(summary, status: int) -> int:
-    """Print the compliance table; escalate ``status`` on violations."""
-    print()
-    print(summary.table().render())
-    if not summary.compliant:
-        print(
-            f"error: {len(summary.violations)} tenant-SLI(s) out of "
-            f"compliance ({summary.burn_windows} burning windows)",
-            file=sys.stderr,
+def cmd_fabric(args) -> int:
+    from repro.telemetry import RingBufferSink, SloConfig
+
+    ring = None
+    if args.lineage:
+        if args.preset == "scale":
+            raise ConfigError("--lineage traces are too large at scale")
+        ring = RingBufferSink(capacity=1 << 20)
+    # The scenario builds its own simulator; hand it a registry we keep
+    # a handle on so the exporters can read it afterwards.
+    telemetry, jsonl = _telemetry(args, ring)
+    slo = SloConfig(window=args.slo_window) if args.slo else None
+    try:
+        return _cmd_fabric_dispatch(args, telemetry, ring, slo)
+    finally:
+        _close_jsonl(args, jsonl)
+
+
+#: The per-tenant fields of the smoke / fairness ``--json`` rows.
+_TENANT_FIELDS = (
+    "compliant", "flows_submitted", "flows_completed", "flows_failed",
+    "retransmits", "goodput_bps", "p50_s", "p99_s",
+)
+
+
+def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
+    """Run one fabric preset, then the epilogue every preset shares.
+
+    A preset builds its tables, its own ``--json`` fields and the messages
+    of the gates it fails; the epilogue prints the tables and the tenant
+    lineage, writes ``--json`` and the registry exports under the common
+    fields, and applies the SLO gate before the preset's.
+    """
+    import dataclasses
+
+    from repro.fabric import (
+        ChaosConfig,
+        FairnessConfig,
+        ScaleConfig,
+        chaos_scenario,
+        fairness_scenario,
+        scale_scenario,
+        smoke_config,
+        tenant_table,
+    )
+
+    errors = []
+    if args.chaos:
+        config = ChaosConfig(
+            schedule=args.chaos,
+            seed=args.seed,
+            cc=args.cc,
+            health=not args.no_health,
         )
-        return 1
-    return status
-
-
-def _print_tenant_lineage(ring) -> None:
-    """The per-tenant blame section ``fabric --lineage`` appends."""
-    if ring is None:
-        return
-    from repro.fabric import lineage_tenant_table
-    from repro.telemetry.lineage import LineageAnalyzer
-
-    print()
-    print(lineage_tenant_table(LineageAnalyzer.from_events(ring.events)).render())
-
-
-def _tenant_rows(reports) -> list[dict]:
-    return [
-        {
-            "tenant": r.name,
-            "compliant": r.compliant,
-            "flows_submitted": r.flows_submitted,
-            "flows_completed": r.flows_completed,
-            "flows_failed": r.flows_failed,
-            "retransmits": r.retransmits,
-            "goodput_bps": r.goodput_bps,
-            "p50_s": r.p50_s,
-            "p99_s": r.p99_s,
-        }
-        for r in reports
-    ]
-
-
-def _cmd_fabric_chaos(args, telemetry, ring, slo) -> int:
-    from repro.fabric import ChaosConfig, chaos_scenario
-
-    config = ChaosConfig(
-        schedule=args.chaos,
-        seed=args.seed,
-        cc=args.cc,
-        health=not args.no_health,
-    )
-    result = chaos_scenario(config, telemetry=telemetry, slo=slo)
-    summary = Table(
-        title=(
-            f"Fabric chaos: {config.schedule}, cc={config.cc}, "
-            f"seed={config.seed}, edge health "
-            f"{'on' if config.health else 'OFF (static routing)'}"
-        ),
-        columns=["messages", "completed", "failed", "delivery_errors",
-                 "survival", "reroutes", "drained_ms", "digest"],
-        notes="survival = completed / messages; reroutes = pair path changes",
-    )
-    summary.add_row(
-        result.messages, result.completed, result.failed,
-        result.delivery_errors, round(result.survival, 4),
-        int(result.reroute["path_changes"]),
-        round(result.drained_at * 1e3, 3), result.digest[:16],
-    )
-    print(summary.render())
-    if result.breaker_states:
-        states = Table(
-            title="Non-closed breakers at drain", columns=["edge", "state"]
+        result = chaos_scenario(config, telemetry=telemetry, slo=slo)
+        summary = Table(
+            title=(
+                f"Fabric chaos: {config.schedule}, cc={config.cc}, "
+                f"seed={config.seed}, edge health "
+                f"{'on' if config.health else 'OFF (static routing)'}"
+            ),
+            columns=["messages", "completed", "failed", "delivery_errors",
+                     "survival", "reroutes", "drained_ms", "digest"],
+            notes="survival = completed / messages; reroutes = pair path changes",
         )
-        for edge, state in sorted(result.breaker_states.items()):
-            states.add_row(edge, state)
-        print()
-        print(states.render())
-    _print_tenant_lineage(ring)
-    if args.json:
-        _write_json(args.json, {
-            "preset": "chaos",
-            "schedule": config.schedule,
-            "seed": config.seed,
-            "cc": config.cc,
+        summary.add_row(
+            result.messages, result.completed, result.failed,
+            result.delivery_errors, round(result.survival, 4),
+            int(result.reroute["path_changes"]),
+            round(result.drained_at * 1e3, 3), result.digest[:16],
+        )
+        tables = [summary]
+        if result.breaker_states:
+            states = Table(
+                title="Non-closed breakers at drain", columns=["edge", "state"]
+            )
+            for edge, state in sorted(result.breaker_states.items()):
+                states.add_row(edge, state)
+            tables.append(states)
+        fields = {
             "health": config.health,
             "rtt_s": result.rtt,
             "messages": result.messages,
@@ -563,88 +558,23 @@ def _cmd_fabric_chaos(args, telemetry, ring, slo) -> int:
             "delivery_errors": result.delivery_errors,
             "survival": result.survival,
             "drained_s": result.drained_at,
-            "digest": result.digest,
             "reroute": result.reroute,
             "edge_health": result.edge_health,
             "breaker_states": result.breaker_states,
-            "slo": _slo_json(result.slo),
-        })
-    _export_registry(args, telemetry.metrics, {
-        "command": "fabric",
-        "preset": "chaos",
-        "schedule": config.schedule,
-        "seed": config.seed,
-        "cc": config.cc,
-        "digest": result.digest,
-    })
-    status = 0
-    if result.slo is not None:
-        status = _slo_gate(result.slo, status)
-    if args.min_survival is not None and result.survival < args.min_survival:
-        print(
-            f"error: survival {result.survival:.4f} below required "
-            f"{args.min_survival:g}",
-            file=sys.stderr,
-        )
-        status = 1
-    if result.delivery_errors and config.schedule != "fabric_partition":
-        # Only a true partition may end flows in DeliveryError; under any
-        # single-fault schedule rerouting must carry every flow through.
-        print(
-            f"error: {result.delivery_errors} flow(s) ended in "
-            f"DeliveryError under non-partition chaos",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
-
-
-def cmd_fabric(args) -> int:
-    from repro.telemetry import JsonlSink, RingBufferSink, SloConfig, Telemetry
-
-    ring = None
-    jsonl = None
-    sinks = []
-    if args.lineage:
-        if args.preset == "scale":
-            raise ConfigError("--lineage traces are too large at scale")
-        ring = RingBufferSink(capacity=1 << 20)
-        sinks.append(ring)
-    if args.trace_jsonl:
-        jsonl = JsonlSink(args.trace_jsonl)
-        sinks.append(jsonl)
-    # The scenario builds its own simulator; hand it a registry we keep
-    # a handle on so the exporters can read it afterwards.
-    telemetry = Telemetry(trace=bool(sinks), trace_sinks=sinks)
-    slo = SloConfig(window=args.slo_window) if args.slo else None
-    try:
-        return _cmd_fabric_dispatch(args, telemetry, ring, slo)
-    finally:
-        if jsonl is not None:
-            written = jsonl.events_written
-            jsonl.close()
-            print(
-                f"JSONL trace written to {args.trace_jsonl} "
-                f"({written} events)"
+        }
+        if args.min_survival is not None and result.survival < args.min_survival:
+            errors.append(
+                f"survival {result.survival:.4f} below required "
+                f"{args.min_survival:g}"
             )
-
-
-def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
-    import dataclasses
-
-    from repro.fabric import (
-        FairnessConfig,
-        ScaleConfig,
-        fairness_scenario,
-        scale_scenario,
-        smoke_config,
-        tenant_table,
-    )
-
-    if args.chaos:
-        return _cmd_fabric_chaos(args, telemetry, ring, slo)
-
-    if args.preset == "scale":
+        if result.delivery_errors and config.schedule != "fabric_partition":
+            # Only a true partition may end flows in DeliveryError; under any
+            # single-fault schedule rerouting must carry every flow through.
+            errors.append(
+                f"{result.delivery_errors} flow(s) ended in DeliveryError "
+                f"under non-partition chaos"
+            )
+    elif args.preset == "scale":
         config = ScaleConfig(
             tenants=args.tenants,
             duration=args.duration,
@@ -667,111 +597,99 @@ def _cmd_fabric_dispatch(args, telemetry, ring, slo) -> int:
             round(result.total_bytes / (1 << 30), 3),
             round(result.drained_at * 1e3, 3), result.digest[:16],
         )
-        print(summary.render())
-        print()
-        print(
-            tenant_table(
-                result.reports, title="Slowest tenants", limit=args.worst
-            ).render()
-        )
-        if args.json:
-            _write_json(args.json, {
-                "preset": "scale",
-                "seed": config.seed,
-                "cc": config.cc,
-                "tenants": config.tenants,
-                "messages": result.messages,
-                "completed": result.completed,
-                "failed": result.failed,
-                "drained_s": result.drained_at,
-                "digest": result.digest,
-                "slo": _slo_json(result.slo),
-            })
-        _export_registry(args, telemetry.metrics, {
-            "command": "fabric",
-            "preset": "scale",
-            "seed": config.seed,
-            "cc": config.cc,
-            "digest": result.digest,
-        })
-        status = 0
-        if result.slo is not None:
-            status = _slo_gate(result.slo, status)
+        tables = [
+            summary,
+            tenant_table(result.reports, title="Slowest tenants", limit=args.worst),
+        ]
+        fields = {
+            "tenants": config.tenants,
+            "messages": result.messages,
+            "completed": result.completed,
+            "failed": result.failed,
+            "drained_s": result.drained_at,
+        }
         if result.completed + result.failed < result.messages:
-            print("error: fabric did not drain", file=sys.stderr)
-            return 1
-        return status
-
-    if args.preset == "smoke":
-        config = smoke_config(seed=args.seed, cc=args.cc)
+            errors.append("fabric did not drain")
     else:
-        config = FairnessConfig(
-            victims=args.victims, duration=args.duration,
-            seed=args.seed, cc=args.cc,
+        if args.preset == "smoke":
+            config = smoke_config(seed=args.seed, cc=args.cc)
+        else:
+            config = FairnessConfig(
+                victims=args.victims, duration=args.duration,
+                seed=args.seed, cc=args.cc,
+            )
+        config = dataclasses.replace(
+            config,
+            enforce_quotas=not args.no_enforce,
+            rogue=not args.no_rogue,
         )
-    config = dataclasses.replace(
-        config,
-        enforce_quotas=not args.no_enforce,
-        rogue=not args.no_rogue,
-    )
-    result = fairness_scenario(config, telemetry=telemetry, slo=slo)
-    summary = Table(
-        title=(
-            f"Fabric fairness ({args.preset}): {config.victims} victim(s)"
-            f"{' + rogue' if config.rogue else ''}, cc={config.cc}, "
-            f"seed={config.seed}, quotas "
-            f"{'enforced' if config.enforce_quotas else 'OFF'}"
-        ),
-        columns=["solo_gbps", "contended_gbps", "retention", "jain", "digest"],
-        notes="retention = victim t0's contended / solo goodput",
-    )
-    summary.add_row(
-        round(result.solo_goodput_bps / 1e9, 3),
-        round(result.contended_goodput_bps / 1e9, 3),
-        round(result.retention, 4),
-        round(result.jain, 4),
-        result.digest[:16],
-    )
-    print(summary.render())
-    print()
-    print(tenant_table(result.reports).render())
-    _print_tenant_lineage(ring)
-    if args.json:
-        _write_json(args.json, {
-            "preset": args.preset,
-            "seed": config.seed,
-            "cc": config.cc,
+        result = fairness_scenario(config, telemetry=telemetry, slo=slo)
+        summary = Table(
+            title=(
+                f"Fabric fairness ({args.preset}): {config.victims} victim(s)"
+                f"{' + rogue' if config.rogue else ''}, cc={config.cc}, "
+                f"seed={config.seed}, quotas "
+                f"{'enforced' if config.enforce_quotas else 'OFF'}"
+            ),
+            columns=["solo_gbps", "contended_gbps", "retention", "jain", "digest"],
+            notes="retention = victim t0's contended / solo goodput",
+        )
+        summary.add_row(
+            round(result.solo_goodput_bps / 1e9, 3),
+            round(result.contended_goodput_bps / 1e9, 3),
+            round(result.retention, 4),
+            round(result.jain, 4),
+            result.digest[:16],
+        )
+        tables = [summary, tenant_table(result.reports)]
+        fields = {
             "enforce_quotas": config.enforce_quotas,
             "rogue": config.rogue,
             "solo_goodput_bps": result.solo_goodput_bps,
             "contended_goodput_bps": result.contended_goodput_bps,
             "retention": result.retention,
             "jain": result.jain,
-            "digest": result.digest,
-            "tenants": _tenant_rows(result.reports),
-            "slo": _slo_json(result.slo),
-        })
-    _export_registry(args, telemetry.metrics, {
-        "command": "fabric",
-        "preset": args.preset,
+            "tenants": [
+                {"tenant": r.name, **{f: getattr(r, f) for f in _TENANT_FIELDS}}
+                for r in result.reports
+            ],
+        }
+        floor = args.min_victim_fraction
+        if floor is not None and result.retention < floor:
+            errors.append(
+                f"victim retained {result.retention:.3f} of solo goodput, "
+                f"below required {floor:g}"
+            )
+
+    print("\n\n".join(table.render() for table in tables))
+    if ring is not None:
+        from repro.fabric import lineage_tenant_table
+        from repro.telemetry.lineage import LineageAnalyzer
+
+        print()
+        print(lineage_tenant_table(LineageAnalyzer.from_events(ring.events)).render())
+    common = {
+        "preset": "chaos" if args.chaos else args.preset,
         "seed": config.seed,
         "cc": config.cc,
         "digest": result.digest,
-    })
-    status = 0
+    }
+    if args.chaos:
+        common["schedule"] = config.schedule
+    if args.json:
+        _write_json(args.json, {**common, "slo": _slo_json(result.slo), **fields})
+    _export_registry(args, telemetry.metrics, {"command": "fabric", **common})
     if result.slo is not None:
-        status = _slo_gate(result.slo, status)
-    if (
-        args.min_victim_fraction is not None
-        and result.retention < args.min_victim_fraction
-    ):
-        print(
-            f"error: victim retained {result.retention:.3f} of solo "
-            f"goodput, below required {args.min_victim_fraction:g}",
-            file=sys.stderr,
-        )
-        return 1
-    return status
+        print()
+        print(result.slo.table().render())
+        if not result.slo.compliant:
+            errors.insert(0, (
+                f"{len(result.slo.violations)} tenant-SLI(s) out of "
+                f"compliance ({result.slo.burn_windows} burning windows)"
+            ))
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def cmd_experiments(args) -> int:
