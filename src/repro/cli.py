@@ -941,7 +941,3 @@ def main(argv: list[str] | None = None) -> int:
         # Unreadable/unwritable trace paths and the like.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,10 +1,24 @@
 """CLI entry points."""
 
+import dataclasses
 import json
+import runpy
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _wrap_result(monkeypatch, module, name, change):
+    """Patch ``module.name`` to run the real function, then ``change`` its
+    result: a gate's failing branch without a run that trips it."""
+    real = getattr(module, name)
+
+    def patched(*args, **kwargs):
+        return change(real(*args, **kwargs))
+
+    monkeypatch.setattr(module, name, patched)
 
 
 class TestPlan:
@@ -126,6 +140,26 @@ class TestChaos:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_recover_exits_nonzero_when_a_write_still_fails(
+        self, capsys, monkeypatch
+    ):
+        import repro.telemetry.demo as demo
+
+        def fail_one(result):
+            result.write_tickets[0].failed = True
+            return result
+
+        _wrap_result(monkeypatch, demo, "run_demo", fail_one)
+        assert main(
+            ["chaos", "--schedule", "blackout", "--recover", "--messages", "2",
+             "--seed", "1"]
+        ) == 1
+        out = capsys.readouterr().out
+        assert "== Recovery: resumed vs retransmitted chunks ==" in out
+        assert out.endswith(
+            "error: 1 write(s) still failed with recovery armed\n"
+        )
+
 
 class TestExplain:
     @pytest.fixture()
@@ -158,6 +192,16 @@ class TestExplain:
         assert main(["explain", str(tmp_path / "missing.jsonl")]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "cannot read" in err
+
+    def test_explain_trace_without_messages_exits_nonzero(self, capsys, tmp_path):
+        trace = tmp_path / "cts.jsonl"
+        trace.write_text(
+            '{"args":{"high":0},"cat":"sdr","name":"cts","ph":"i",'
+            '"track":"sdr.dc-b","ts":0.0}\n'
+        )
+        assert main(["explain", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "contains no correlated message events" in err
 
     def test_explain_corrupt_trace_exits_nonzero(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -232,6 +276,20 @@ class TestFabricChaos:
     def test_chaos_unknown_schedule_clean_error(self, capsys):
         assert main(["fabric", "--chaos", "solar-flare"]) == 2
         assert "schedule must be one of" in capsys.readouterr().err
+
+    def test_delivery_error_gate_fails_non_partition_chaos(
+        self, capsys, monkeypatch
+    ):
+        import repro.fabric
+
+        _wrap_result(
+            monkeypatch, repro.fabric, "chaos_scenario",
+            lambda r: dataclasses.replace(r, delivery_errors=2),
+        )
+        assert main(["fabric", "--chaos", "wan_flap"]) == 1
+        assert capsys.readouterr().err == (
+            "error: 2 flow(s) ended in DeliveryError under non-partition chaos\n"
+        )
 
     def test_chaos_lineage_table(self, capsys):
         assert main(["fabric", "--chaos", "wan_flap", "--lineage"]) == 0
@@ -380,7 +438,37 @@ class TestFabricSlo:
         assert json.loads(path.read_text())["slo"] is None
 
 
+class TestFabricScale:
+    def test_lineage_refused_at_scale(self, capsys):
+        assert main(["fabric", "--preset", "scale", "--lineage"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --lineage traces are too large at scale\n"
+        )
+
+    def test_drain_gate_fails_an_undrained_run(self, capsys, monkeypatch):
+        import repro.fabric
+
+        _wrap_result(
+            monkeypatch, repro.fabric, "scale_scenario",
+            lambda r: dataclasses.replace(r, completed=r.completed - 1),
+        )
+        assert main(
+            ["fabric", "--preset", "scale", "--tenants", "20",
+             "--duration", "0.002", "--offered-gbps", "50"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "== Slowest tenants ==" in captured.out
+        assert captured.err == "error: fabric did not drain\n"
+
+
 class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_python_dash_m_repro_runs_the_cli(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["repro", "chaos", "--list"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("repro", run_name="__main__")
+        assert exit_info.value.code == 0
+        assert "plane-blackout" in capsys.readouterr().out.split()
