@@ -1,0 +1,146 @@
+"""Both sides of a write agree on its fate across a resumption.
+
+Order-based matching pairs the n-th send with the n-th receive (PAPER.md
+§1), and a resumption re-posts a message under a fresh slot on both
+sides.  Whatever happens around it, the verdict for every write is
+two-sided: the sender's ticket succeeds if and only if the receiver's
+does, and a receive that completes holds its own write's bytes, never
+another's.  Each scenario below breaks that verdict today; each is a
+strict xfail until the slot lockstep is mended (ROADMAP item 21).
+"""
+
+import pytest
+
+from repro.common.errors import DeliveryError
+from repro.common.units import KiB
+from repro.faults import FaultSchedule, FaultWindow
+from repro.reliability.ec import EcConfig, EcReceiver, EcSender
+from repro.reliability.sr import SrConfig, SrReceiver, SrSender
+
+from tests.conftest import make_sdr_pair
+from tests.recovery.test_resume import data_blackout
+from tests.reliability.conftest import random_payload
+
+SIZE = 256 * KiB
+
+
+class _Run:
+    """Seed 0, 256 KiB writes, each receive into a data-backed MR."""
+
+    def __init__(self, sender_cls, receiver_cls, config, faults):
+        self.rtt = make_sdr_pair(seed=0).channel.rtt
+        self.pair = make_sdr_pair(seed=0, faults=faults(self.rtt))
+        self.sender = sender_cls(self.pair.qp_a, self.pair.ctrl_a, config)
+        self.receiver = receiver_cls(self.pair.qp_b, self.pair.ctrl_b, config)
+        self.payloads = [random_payload(SIZE, i) for i in range(2)]
+        self.bufs = [bytearray(SIZE) for _ in range(2)]
+        self.writes = []
+        self.receives = []
+
+    def post_receive(self) -> None:
+        buf = self.bufs[len(self.receives)]
+        mr = self.pair.ctx_b.mr_reg(SIZE, data=buf)
+        self.receives.append(self.receiver.post_receive(mr, SIZE))
+
+    def write(self) -> None:
+        payload = self.payloads[len(self.writes)]
+        self.writes.append(self.sender.write(SIZE, payload))
+
+    def run(self, until=None) -> None:
+        """Run to ``until`` (an event or a time); a failed write is a
+        verdict to check, not an error to raise."""
+        try:
+            self.pair.sim.run(until)
+        except DeliveryError:
+            pass
+
+    def assert_fates_agree(self) -> None:
+        for i, (write, receive) in enumerate(zip(self.writes, self.receives)):
+            sent = write.done.triggered and not write.failed
+            received = receive.done.triggered and receive.done.ok
+            assert sent == received, (
+                f"write {i}: the sender says {'delivered' if sent else 'failed'}, "
+                f"the receiver {'completed' if received else 'did not'}"
+            )
+            if received:
+                assert bytes(self.bufs[i]) == self.payloads[i], (
+                    f"receive {i} completed holding another write's bytes"
+                )
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="SrBacked opens a write's slots at once, so a write posted as "
+    "the SR backstop takes over owns the slot the resume grant names",
+)
+def test_ec_write_posted_during_the_backstop_takeover():
+    """EC with an SR backstop, a 12-RTT data blackout: the global timeout
+    hands write 0 to SR, and write 1 is posted as that takeover starts."""
+    run = _Run(
+        EcSender, EcReceiver,
+        EcConfig(global_timeout_rtts=10.0, max_resumptions=1),
+        data_blackout,
+    )
+    run.post_receive()
+    run.write()
+    while run.writes[0].resumptions == 0:
+        run.pair.sim.step()
+    run.write()
+    run.run(run.writes[0].done)
+    run.post_receive()
+    run.run(1000 * run.rtt)
+    run.assert_fates_agree()
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a write the sender posted before the resume began already owns "
+    "the slot the receiver re-posts for the resumed message",
+)
+def test_sr_sender_ahead_of_the_receiver():
+    """SR, a data blackout to 3.6 RTT, one posted receive and two writes
+    back to back; the second receive is posted once write 0's fate is
+    known."""
+    run = _Run(
+        SrSender, SrReceiver,
+        SrConfig(max_message_retransmits=8, max_resumptions=1),
+        lambda rtt: data_blackout(rtt, end_rtts=3.6),
+    )
+    run.post_receive()
+    run.write()
+    run.write()
+    run.run(run.writes[0].done)
+    run.post_receive()
+    run.run(1000 * run.rtt)
+    run.assert_fates_agree()
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a receiver answers neither a retransmission into a slot it "
+    "finished (after the grace window) nor a resume request for it",
+)
+def test_sr_delivered_write_whose_final_acks_died():
+    """SR with resumption armed, a control blackout from 0.9 to 20 RTT:
+    the write lands, every ACK for it dies, the sender's retransmissions
+    run out and its resume requests reach the receiver after the
+    blackout (the ``repro chaos --schedule ack-blackout --recover``
+    failure, one write at 100 km)."""
+    run = _Run(
+        SrSender, SrReceiver,
+        SrConfig(max_message_retransmits=8, max_resumptions=1),
+        lambda rtt: FaultSchedule(
+            (
+                FaultWindow(
+                    kind="blackout", start=0.9 * rtt, end=20 * rtt,
+                    selector="control",
+                ),
+            ),
+            name="ack-blackout",
+        ),
+    )
+    run.post_receive()
+    run.write()
+    run.run(1000 * run.rtt)
+    assert run.receives[0].done.triggered  # the write landed
+    run.assert_fates_agree()
