@@ -63,6 +63,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress
 from typing import ClassVar
 
@@ -128,9 +129,9 @@ class FabricServiceConfig(Bounded):
     max_resumptions: ClassVar[int] = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowTicket:
-    """One tenant message moving through the fabric."""
+    """One tenant message moving through the fabric (kept for the whole run)."""
 
     seq: int
     tenant: str
@@ -324,6 +325,10 @@ class FabricService:
         self._m_rr_dups = rscope.counter("dup_deliveries")
         self._m_rr_reorders = rscope.counter("reorders")
         self._trace = self.sim.telemetry.trace
+        # Bound once: a preloaded arrival or an idle RTO timer would hold a
+        # bound method of its own on the heap for a long time.
+        self._start_flow_cb = self._start_flow
+        self._on_rto_cb = self._on_rto
         network.add_route_listener(self._on_routes_changed)
 
     # -- registration ----------------------------------------------------------
@@ -421,7 +426,7 @@ class FabricService:
         self._m_flows_submitted.value += 1
         self._m_bytes_submitted.value += nbytes
         state.metrics.flows_submitted.value += 1
-        self.sim.call_at(start, self._start_flow, ticket)
+        self.sim.call_at(start, self._start_flow_cb, ticket)
         return ticket
 
     # -- flow lifecycle: resolve -> admit -> launch -> ACK -> finish -----------
@@ -448,7 +453,7 @@ class FabricService:
             self._m_no_route_waits.inc()
             wait = self.config.partition_deadline / 8.0
             self._m_no_route_wait_seconds.inc(wait)
-            self.sim.call_in(wait, self._start_flow, ticket, deadline)
+            self.sim.call_in(wait, self._start_flow_cb, ticket, deadline)
             return
         if self._trace.enabled:
             self._trace.instant(
@@ -490,14 +495,14 @@ class FabricService:
             ticket, pair, qp, self._segments(ticket), self.config.segment_bytes
         )
         pair.flows.append(state)
-        ticket.done.callbacks.append(lambda _event: self._finish(state))
+        ticket.done.callbacks.append(partial(self._finish, state))
         # The launch step: the one place the two modes part ways.
         if self._fluid_plan(pair) is None:
             self._send_from(state, 0)
         else:
             self._schedule_flow_fluid(state)
 
-    def _finish(self, state: _FlowState) -> None:
+    def _finish(self, state: _FlowState, _done: Event) -> None:
         """Release the QP slot (completion or failure), wake the next waiter."""
         pair = state.pair
         pair.flows.remove(state)
@@ -573,25 +578,20 @@ class FabricService:
                 state, idx, [state.seg_size(idx)], [self.sim.now], attempt, plan
             )
             return
+        # Positional, in field order (docs/simulation.md, "Hot-path records").
+        uid = self.sim.packet_uid()
         packet = Packet(
-            dst_qpn=0,
-            opcode=Opcode.WRITE_ONLY_IMM,
-            length=state.seg_size(idx),
-            msg_seq=ticket.seq,
-            pkt_idx=idx,
-            chunk=idx,
-            attempt=attempt,
-            uid=self.sim.packet_uid(),
+            0, Opcode.WRITE_ONLY_IMM, 0, 0, 0, state.seg_size(idx), None,
+            None, 0, ticket.seq, idx, idx, attempt, None, False, uid,
         )
         state.attempt[idx] = attempt
-        state.uid[idx] = packet.uid
-        sent_at = self.sim.now
+        state.uid[idx] = uid
         try:
             path = self.net.send(
                 ticket.src,
                 ticket.dst,
                 packet,
-                lambda pkt: self._on_delivered(state, idx, attempt, sent_at, pkt),
+                partial(self._on_delivered, state, idx, attempt, self.sim.now),
             )
         except ConfigError:
             # Every candidate path crosses an open breaker: no RTO armed
@@ -600,7 +600,7 @@ class FabricService:
             return
         self._launched(state, idx, 1, path)
         self.sim.call_in(
-            self._rto(state.pair, attempt), self._on_rto, state, idx, attempt
+            self._rto(state.pair, attempt), self._on_rto_cb, state, idx, attempt
         )
 
     def _on_delivered(
@@ -832,7 +832,7 @@ class FabricService:
             for i in range(n):
                 if i not in delivered:
                     self.sim.call_at(
-                        sends[i] + rto, self._on_rto, state, first + i, attempt
+                        sends[i] + rto, self._on_rto_cb, state, first + i, attempt
                     )
 
     # -- shared by both launch steps -------------------------------------------

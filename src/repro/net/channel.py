@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappush
 
 import numpy as np
 
@@ -91,6 +92,8 @@ class Channel:
         self._g_backlog = scope.gauge("backlog_bytes")
         self._trace = sim.telemetry.trace
         self._track = f"net.{name}"
+        # Bound once: every packet in flight waits on the heap holding it.
+        self._deliver_cb = self._deliver
 
     @property
     def config(self) -> ChannelConfig:
@@ -206,11 +209,16 @@ class Channel:
                     chunk=packet.chunk, attempt=packet.attempt,
                 )
         delay = self._flight_delay() if self._jitter > 0 else self._one_way
-        sim.call_at(done + delay, self._deliver, packet)
+        # ``sim.call_at(done + delay, ...)`` inlined: the same key and
+        # ``_seq``.  Its guard cannot fire, as ``done >= now`` and the
+        # flight delay is never negative (``_flight_delay`` clamps at 0).
+        t = done + delay
+        heappush(sim._heap, (now + (t - now), sim._seq, self._deliver_cb, (packet,)))
+        sim._seq += 1
         if self._dup > 0 and self.rng.random() < self._dup:
             # In-network duplication: the copy takes its own (jittered) path.
             self._m_duplicated.inc()
-            sim.call_at(done + self._flight_delay(), self._deliver, packet)
+            sim.call_at(done + self._flight_delay(), self._deliver_cb, packet)
         return done
 
     @cached_property

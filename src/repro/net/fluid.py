@@ -117,10 +117,9 @@ class FluidLink:
         n = len(sizes)
         if n == 0:
             return [], None, None
-        cfg = ch.config
-        bps = cfg.bytes_per_second
-        cap = cfg.buffer_bytes if cfg.buffer_bytes > 0 else inf
-        ecn = cfg.ecn_threshold_bytes if cfg.ecn_threshold_bytes > 0 else inf
+        bps = ch._bps
+        cap = ch._buffer if ch._buffer > 0 else inf
+        ecn = ch._ecn if ch._ecn > 0 else inf
         drops = ch.loss.drops
         # Read per call (a fault can swap the model): a lossless channel
         # draws nothing, so its per-segment call is skipped.
@@ -221,17 +220,14 @@ class FluidLink:
         calls would in aggregate; one ``fluid_segment`` record stands in
         for the per-packet ``tx`` completes."""
         ch = self.channel
-        ch._m_offered.inc(n)
-        ch._m_bytes_offered.inc(offered)
-        if ndropped:
-            ch._m_dropped.inc(ndropped)
-        if ntail:
-            ch._m_tail_drops.inc(ntail)
-        if nmarked:
-            ch._m_ecn_marked.inc(nmarked)
-        ch._m_bytes_delivered.inc(delivered)
-        ch._g_queue_delay.set(delay)
-        ch._g_backlog.set(backlog)
+        ch._m_offered.value += n
+        ch._m_bytes_offered.value += offered
+        ch._m_dropped.value += ndropped
+        ch._m_tail_drops.value += ntail
+        ch._m_ecn_marked.value += nmarked
+        ch._m_bytes_delivered.value += delivered
+        ch._g_queue_delay.value = delay
+        ch._g_backlog.value = backlog
         if ch._trace.enabled:
             ch._trace.complete(
                 "fluid_segment", cat="net", track=ch._track,
