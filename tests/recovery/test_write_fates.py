@@ -15,6 +15,11 @@ from repro.common.errors import DeliveryError
 from repro.common.units import KiB
 from repro.faults import FaultSchedule, FaultWindow
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
+from repro.reliability.sampling import (
+    SamplingConfig,
+    SamplingReceiver,
+    SamplingSender,
+)
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
 
 from tests.conftest import make_sdr_pair
@@ -68,19 +73,37 @@ class _Run:
                 )
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="SrBacked opens a write's slots at once, so a write posted as "
-    "the SR backstop takes over owns the slot the resume grant names",
-)
-def test_ec_write_posted_during_the_backstop_takeover():
-    """EC with an SR backstop, a 12-RTT data blackout: the global timeout
-    hands write 0 to SR, and write 1 is posted as that takeover starts."""
-    run = _Run(
+_SR_BACKED = {
+    # The global timeout hands write 0 to SR after a 12-RTT data blackout.
+    "ec": (
         EcSender, EcReceiver,
         EcConfig(global_timeout_rtts=10.0, max_resumptions=1),
         data_blackout,
-    )
+    ),
+    # The idle watchdog hands write 0 to SR inside a 20-RTT data blackout.
+    "sampling": (
+        SamplingSender, SamplingReceiver,
+        SamplingConfig(max_resumptions=1),
+        lambda rtt: data_blackout(rtt, end_rtts=20.0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        pytest.param(scheme, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="SrBacked opens a write's slots at once, so a write posted "
+            "as the SR backstop takes over owns the slot the resume grant names",
+        ))
+        for scheme in sorted(_SR_BACKED)
+    ],
+)
+def test_write_posted_during_the_backstop_takeover(scheme):
+    """An SR-backed scheme gives write 0 to its SR backstop, and write 1 is
+    posted as that takeover starts."""
+    run = _Run(*_SR_BACKED[scheme])
     run.post_receive()
     run.write()
     while run.writes[0].resumptions == 0:
