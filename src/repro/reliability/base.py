@@ -168,7 +168,8 @@ class _Ticket:
 class WriteTicket(_Ticket):
     """Sender-side handle for one reliable Write."""
 
-    seq: int
+    #: The message's first stream's seq; None while the write is held.
+    seq: int | None
     length: int
     start_time: float
     done: Event
@@ -235,7 +236,7 @@ class Endpoint:
     def _on_ctrl(self, msg) -> None:
         """Policy hook: react to one decoded control message."""
 
-    def _write_ticket(self, seq: int, length: int) -> WriteTicket:
+    def _write_ticket(self, seq: int | None, length: int) -> WriteTicket:
         return WriteTicket(
             seq=seq, length=length, start_time=self.sim.now, done=self.sim.event()
         )
@@ -271,7 +272,8 @@ class WriteState:
 class Sender(Endpoint):
     """Sender substrate: streams in, one completion and one failure out.
 
-    A policy implements ``write`` on :meth:`_open` / :meth:`_send_chunk` /
+    :meth:`write` takes a write's slots through the QP; a policy supplies
+    ``_start(ticket, payload)`` on :meth:`_open` / :meth:`_send_chunk` /
     :meth:`_inject` and ends every write through :meth:`_complete_write`
     or :meth:`_fail` -> :meth:`_fail_write`, which are the only places a
     stream is ended, a ``writes_*`` metric moves or a ticket resolves.
@@ -289,27 +291,34 @@ class Sender(Endpoint):
         self._m_writes_failed = self._scope.counter("writes_failed")
         self._h_write_seconds = self._scope.histogram("write_seconds")
 
-    def _open(
-        self,
-        length: int,
-        payload: bytes | None = None,
-        *,
-        streams: list[int] | None = None,
-        ticket: WriteTicket | None = None,
-    ) -> WriteState:
-        """Open the write's streaming send(s), its ticket and its state.
+    def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
+        """Reliably write ``length`` bytes to the peer's next posted receive.
 
-        One stream of ``length`` bytes unless ``streams`` lists several
-        lengths; ``ticket`` re-uses an existing ticket (a resumed attempt).
-        """
+        The policy's ``_start`` opens the write through :meth:`SdrQp.take_slots`,
+        which holds it (``seq`` None) while a resume grant is in flight; what
+        the QP would refuse of its streams raises here, held or not."""
+        self.qp.check_send(max(self._streams(length)))
+        ticket = self._write_ticket(None, length)
+        self.qp.take_slots(partial(self._start, ticket, payload))
+        return ticket
+
+    def _streams(self, length: int) -> list[int]:
+        """The stream lengths a write of ``length`` bytes opens, in the
+        matching order both sides agree on: one stream by default."""
+        return [length]
+
+    def _open(self, ticket: WriteTicket, payload: bytes | None) -> WriteState:
+        """Open the write's streaming send(s) (:meth:`_streams`) and its
+        state.  A ticket without a ``seq`` takes its first stream's; a
+        resumed attempt's keeps the original message's."""
         handles = [
             self.qp.send_stream_start(SdrSendWr(length=n))
-            for n in (streams if streams is not None else [length])
+            for n in self._streams(ticket.length)
         ]
-        if ticket is None:
-            ticket = self._write_ticket(handles[0].seq, length)
+        if ticket.seq is None:
+            ticket.seq = handles[0].seq
         state = self.state_type(
-            ticket, handles, self.qp.config.chunks_in(length), payload
+            ticket, handles, self.qp.config.chunks_in(ticket.length), payload
         )
         self._states[handles[0].seq] = state
         return state

@@ -135,27 +135,28 @@ class EcSender(SrBacked):
             nack_enabled=True, max_resumptions=self.config.max_resumptions
         )
 
-    # -- public API --------------------------------------------------------------------
+    # -- the write path ----------------------------------------------------------------
 
-    def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
-        """Reliably write ``length`` bytes with speculative parity."""
+    def _streams(self, length: int) -> list[int]:
+        # All send contexts up front in the agreed matching order: data
+        # submessages 0..L-1 first, then parity submessages 0..L-1.
         layout = self.code.layout(length)
         nsub = layout.nsegments
-        # Create all send contexts up front in the agreed matching order:
-        # data submessages 0..L-1 first, then parity submessages 0..L-1.
-        state = self._open(
-            length, payload,
-            streams=[layout.segment_bytes(i) for i in range(nsub)]
-            + [layout.m * layout.chunk_bytes] * nsub,
-        )
-        state.layout = layout
+        return [layout.segment_bytes(i) for i in range(nsub)] + [
+            layout.m * layout.chunk_bytes
+        ] * nsub
+
+    def _start(self, ticket: WriteTicket, payload: bytes | None) -> None:
+        """Write with speculative parity."""
+        state = self._open(ticket, payload)
+        state.layout = layout = self.code.layout(ticket.length)
+        nsub = layout.nsegments
         self._post(
             state,
             data_seqs=[h.seq for h in state.handles[:nsub]],
             parity_seqs=[h.seq for h in state.handles[nsub:]],
         )
         self.sim.call_in(0.0, self._launch, state)
-        return state.ticket
 
     # -- data / parity pumps -------------------------------------------------------------
 

@@ -141,14 +141,13 @@ class SamplingSender(SrBacked):
             max_resumptions=self.config.max_resumptions,
         )
 
-    # -- public API -------------------------------------------------------------------
+    # -- the write path ---------------------------------------------------------------
 
-    def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
-        """Reliably write ``length`` bytes; repairs are receiver-driven."""
-        state = self._open(length, payload)
+    def _start(self, ticket: WriteTicket, payload: bytes | None) -> None:
+        """Inject once; repairs are receiver-driven."""
+        state = self._open(ticket, payload)
         self._post(state)
         self.sim.call_in(0.0, self._inject_once, state)
-        return state.ticket
 
     def _inject_once(self, state: _SamplingSendState) -> None:
         """Wire-paced one-shot injection, stamping per-chunk send times,

@@ -24,6 +24,7 @@ keeps the two sides in lockstep without exchanging per-message metadata.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -155,6 +156,12 @@ class SdrQp:
         self._recv_table: dict[int, RecvHandle] = {}
         self._cts_high = -1  # highest receiver seq we may send to
         self._cts_waiters: list[SendHandle] = []
+        #: Resume grants in flight, and the launches held behind them in
+        #: post order: the receiver re-posts a resumed message under its
+        #: next slot, so no send takes a slot while a grant is on its way
+        #: (``take_slots``, ``resume_begin`` / ``_granted`` / ``_end``).
+        self._grants_in_flight = 0
+        self._held: deque = deque()
 
         self.connected = False
         self._remote: SdrQpInfo | None = None
@@ -251,13 +258,38 @@ class SdrQp:
         """
         self.pacer = pacer
 
-    # ------------------------------------------------------------------ helpers
+    # ------------------------------------------------------------------ slot lockstep
 
-    @property
-    def next_send_seq(self) -> int:
-        """The seq the next send takes (matched to the peer's receive of
-        the same seq)."""
-        return self._send_seq
+    def take_slots(self, launch) -> None:
+        """Run ``launch()``, which opens a write's sends, now; or hold it
+        while a resume grant is in flight."""
+        if self._grants_in_flight:
+            self._held.append(launch)
+        else:
+            launch()
+
+    def resume_begin(self) -> None:
+        """A resume request goes out: hold new launches until its grant."""
+        self._grants_in_flight += 1
+
+    def resume_granted(self, new_seq: int) -> str | None:
+        """The grant names the receiver's slot ``new_seq``: held launches
+        fill the slots before it.  None if the next send takes it; else why
+        not (the sides posted different messages), and the resume takes none."""
+        while self._held and self._send_seq < new_seq:
+            self._held.popleft()()
+        if self._send_seq != new_seq:
+            return f"slot mismatch (local seq {self._send_seq}, peer {new_seq})"
+        return None
+
+    def resume_end(self) -> None:
+        """A grant was used or given up: once none is in flight, release
+        the held launches in post order."""
+        self._grants_in_flight -= 1
+        while self._held and not self._grants_in_flight:
+            self._held.popleft()()
+
+    # ------------------------------------------------------------------ helpers
 
     def _slot_of(self, seq: int) -> tuple[int, int]:
         """Map a post-order sequence number to (msg_id, generation)."""
@@ -343,13 +375,21 @@ class SdrQp:
             # injection CQE will come by to drop the handle.
             del self._send_handles[hdl.seq]
 
-    def _new_send_handle(self, wr: SdrSendWr) -> SendHandle:
+    def check_send(self, length: int) -> None:
+        """Refuse now what ``send_stream_start`` would refuse of a send of
+        ``length`` bytes: a QP not connected, or a message that is empty or
+        longer than ``max_message_bytes``."""
         self._require_connected()
-        if wr.length > self.config.max_message_bytes:
+        if length <= 0:
+            raise ConfigError(f"send length must be > 0, got {length}")
+        if length > self.config.max_message_bytes:
             raise ConfigError(
-                f"message of {wr.length} B exceeds max message size "
+                f"message of {length} B exceeds max message size "
                 f"{self.config.max_message_bytes} B"
             )
+
+    def _new_send_handle(self, wr: SdrSendWr) -> SendHandle:
+        self.check_send(wr.length)
         if (
             wr.user_imm is not None
             and self._npackets(wr.length) < self.layout.user_fragments

@@ -266,6 +266,51 @@ class TestSrResume:
         assert not recv.done.triggered and not any(bufs[0])
 
 
+    def test_a_held_write_the_qp_would_refuse_raises_at_the_call(self):
+        """While the grant is in flight, a write whose stream the QP would
+        refuse raises at ``write()``, as on an idle QP, and nothing is
+        held for it: the resumed write and the next one complete intact."""
+        pair, ring, sender, ticket, recv, post_receive, bufs, payloads = (
+            self._slot_race()
+        )
+        too_long = pair.qp_a.config.max_message_bytes + 1
+        with pytest.raises(ConfigError, match="exceeds max message size"):
+            sender.write(too_long)
+        with pytest.raises(ConfigError, match="send length must be > 0"):
+            sender.write(0)
+        assert not pair.qp_a._held
+        second = sender.write(len(payloads[1]), payloads[1])
+        assert second.seq is None  # held behind the grant
+        pair.sim.run(ticket.done)
+        recv2 = post_receive(1)
+        drains_within(
+            pair.sim, dispatches=50_000, sim_seconds=1000 * pair.channel.rtt
+        )
+        assert not ticket.failed and not second.failed
+        assert recv.done.triggered and bytes(bufs[0]) == payloads[0]
+        assert recv2.done.triggered and bytes(bufs[1]) == payloads[1]
+
+    def test_resuming_a_write_already_resuming_is_refused(self):
+        """A second resume of the message whose grant is in flight raises,
+        and the QP still counts one grant in flight, not two: the first
+        resume completes and releases the slots."""
+        pair, ring, sender, ticket, recv, post_receive, bufs, payloads = (
+            self._slot_race()
+        )
+        assert pair.qp_a._grants_in_flight == 1
+        token = ResumeToken(
+            msg_seq=ticket.seq, length=ticket.length, total_chunks=32, attempt=2
+        )
+        with pytest.raises(ConfigError, match="seq=0 is already resuming"):
+            sender.resume(token)
+        assert pair.qp_a._grants_in_flight == 1
+        drains_within(
+            pair.sim, dispatches=50_000, sim_seconds=1000 * pair.channel.rtt
+        )
+        assert not ticket.failed and bytes(bufs[0]) == payloads[0]
+        assert pair.qp_a._grants_in_flight == 0
+
+
 class TestSrNackFeedsRecovery:
     """An SR sender with ``nack_enabled`` reports every NACK it acts on to
     an attached :class:`PlaneRecovery` (``note_nack``), which blames the

@@ -5,8 +5,8 @@ Order-based matching pairs the n-th send with the n-th receive (PAPER.md
 sides.  Whatever happens around it, the verdict for every write is
 two-sided: the sender's ticket succeeds if and only if the receiver's
 does, and a receive that completes holds its own write's bytes, never
-another's.  Each scenario below breaks that verdict today; each is a
-strict xfail until the slot lockstep is mended (ROADMAP item 21).
+another's.  A scenario that still breaks that verdict is a strict xfail
+until it is mended (ROADMAP item 21).
 """
 
 import pytest
@@ -89,20 +89,11 @@ _SR_BACKED = {
 }
 
 
-@pytest.mark.parametrize(
-    "scheme",
-    [
-        pytest.param(scheme, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="SrBacked opens a write's slots at once, so a write posted "
-            "as the SR backstop takes over owns the slot the resume grant names",
-        ))
-        for scheme in sorted(_SR_BACKED)
-    ],
-)
+@pytest.mark.parametrize("scheme", sorted(_SR_BACKED))
 def test_write_posted_during_the_backstop_takeover(scheme):
     """An SR-backed scheme gives write 0 to its SR backstop, and write 1 is
-    posted as that takeover starts."""
+    posted as that takeover starts: the QP holds write 1 until the resumed
+    attempt has taken the slot the grant names."""
     run = _Run(*_SR_BACKED[scheme])
     run.post_receive()
     run.write()

@@ -221,12 +221,11 @@ def toy_scheme():
         scheme = "twice"
         config_type = SrConfig
 
-        def write(self, length, payload=None):
-            state = self._open(length, payload)
+        def _start(self, ticket, payload):
+            state = self._open(ticket, payload)
             for attempt in (0, 1):
                 for index in range(state.nchunks):
                     self._send_chunk(state, index, attempt=attempt)
-            return state.ticket
 
         def _on_ctrl(self, msg):
             if isinstance(msg, Done) and msg.msg_seq in self._states:

@@ -108,7 +108,7 @@ class ReferenceSrSender(RecordingSender):
 
     def _launch_resumed(self, pending, ack):
         token = pending.token
-        state = self._open(token.length, pending.payload, ticket=pending.ticket)
+        state = self._open(pending.ticket, pending.payload)
         assert state.hdl.seq == ack.new_seq
         # The grant's window: LSB-first bytes from chunk ``window_start``;
         # below it delivered, past it missing.
@@ -225,7 +225,7 @@ def drive(sender_cls, schedule):
     states = []
     for n, preset in zip(sizes, presets):
         if preset is None:
-            states.append(sender._open(n * CHUNK))
+            states.append(sender._open(sender._write_ticket(None, n * CHUNK), None))
             continue
         # A write resumed from a grant: its window presets what is unacked.
         # The token carries a DeliveryError's MSB-first bitmap; the grant,
