@@ -154,8 +154,8 @@ class Channel:
         self._g_backlog.value = backlog
         if self._buffer > 0 and backlog + length > self._buffer:
             # Bounded egress buffer overflow tail-drops the new packet.
-            self._m_dropped.inc()
-            self._m_tail_drops.inc()
+            self._m_dropped.value += 1
+            self._m_tail_drops.value += 1
             if self._trace.enabled:
                 self._trace.instant(
                     "tail_drop", cat="net", track=self._track,
@@ -169,7 +169,7 @@ class Channel:
             # delivered, the receiver echoes the mark through the
             # reliability ACK path (see repro.cc).
             packet.ce = True
-            self._m_ecn_marked.inc()
+            self._m_ecn_marked.value += 1
             if self._trace.enabled:
                 self._trace.counter(
                     "net_backlog", cat="net", track=self._track,
@@ -185,7 +185,7 @@ class Channel:
             # A wire (loss-model) drop still consumed serialization time,
             # unlike a tail drop; the distinct instant name keeps the two
             # separable in chaos traces.
-            self._m_dropped.inc()
+            self._m_dropped.value += 1
             if self._trace.enabled:
                 self._trace.instant(
                     "loss_drop", cat="net", track=self._track,
@@ -217,7 +217,7 @@ class Channel:
         sim._seq += 1
         if self._dup > 0 and self.rng.random() < self._dup:
             # In-network duplication: the copy takes its own (jittered) path.
-            self._m_duplicated.inc()
+            self._m_duplicated.value += 1
             sim.call_at(done + self._flight_delay(), self._deliver_cb, packet)
         return done
 

@@ -309,10 +309,6 @@ class EcReceiver(SrBackedReceiver):
         self._free_scratch: dict[bool, list[MemoryRegion]] = {False: [], True: []}
 
     @property
-    def acks_sent(self) -> int:
-        return self._m_acks_sent.value
-
-    @property
     def nacks_sent(self) -> int:
         return self._m_nacks_sent.value
 

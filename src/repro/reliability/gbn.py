@@ -144,10 +144,6 @@ class GbnReceiver(Receiver):
         super().__init__(qp, ctrl, config, rtt=rtt)
         self._m_acks_sent = self._scope.counter("acks_sent")
 
-    @property
-    def acks_sent(self) -> int:
-        return self._m_acks_sent.value
-
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
         def ack() -> None:
             # Cumulative-only: no selective window (the GBN restriction).

@@ -657,16 +657,13 @@ class SrBacked(Sender):
     fresh slot and an internal :class:`SrSender` finishes the message
     (``repro.recovery``).  The backstop is built lazily, so a run that
     never escalates constructs no SR state, and it is reached only through
-    its public :meth:`SrSender.takeover` / :meth:`SrSender.resume`.
+    its public :meth:`SrSender.takeover` / :meth:`SrSender.resume`.  A
+    subclass says how that SR phase is tuned in ``_backstop_config()``.
     """
 
     _sr: SrSender | None = None
     #: Optional :class:`repro.recovery.PlaneRecovery` fed NACK signals.
     recovery = None
-
-    def _backstop_config(self) -> SrConfig:
-        """Policy hook: how the SR phase behind this scheme is tuned."""
-        raise NotImplementedError
 
     def _backstop(self) -> SrSender:
         if self._sr is None:
@@ -717,10 +714,6 @@ class SrReceiver(Receiver):
         self._m_resumes_granted = self.sim.telemetry.metrics.scope(
             self._rtrack
         ).counter("resumes_granted")
-
-    @property
-    def acks_sent(self) -> int:
-        return self._m_acks_sent.value
 
     @property
     def nacks_sent(self) -> int:

@@ -269,6 +269,24 @@ class TestPlaneRecovery:
         choice = recovery.pick(bonded, pkt(src_qpn=0))
         assert choice == 1  # re-hashed onto the surviving plane
 
+    def test_flow_spread_fails_static_when_every_plane_is_open(self):
+        """Both planes dead and open: there is nowhere to fail over to, so
+        a packet keeps its preferred plane and no failover is counted."""
+        sim, bonded, recovery = make_recovery(
+            spread="flow", losses=[FlipLoss(), FlipLoss()]
+        )
+        for i in range(16):
+            sim.call_at(
+                i * RTT, lambda i=i: bonded.transmit(pkt(psn=i, src_qpn=i % 2))
+            )
+        sim.run(until=16 * RTT)
+        assert recovery.states() == [OPEN, OPEN]
+        reg = sim.telemetry.metrics
+        failovers = reg.value("recovery.bond.failover_packets")
+        assert recovery.pick(bonded, pkt(src_qpn=0)) == 0
+        assert recovery.pick(bonded, pkt(src_qpn=1)) == 1
+        assert reg.value("recovery.bond.failover_packets") == failovers
+
     def test_deterministic_and_event_free(self):
         """Lazy evaluation schedules no simulator events: after traffic
         drains, the sim terminates with no recovery residue."""

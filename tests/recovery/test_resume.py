@@ -486,6 +486,115 @@ class TestEcResume:
         assert reg.value("recovery.dc-a.resumes_completed") == 1
 
 
+    def _failed_write(self, *, drop=0.0, end_rtts=40.0, max_resumptions=0):
+        """256 KiB under a data blackout from 0.53 RTT, mid-injection: 14
+        data chunks (at ``drop=0``) and no parity arrive, too few to
+        decode, and the global timeout fails the write at 12 RTT."""
+        size = 256 * KiB
+        rtt = make_sdr_pair(seed=0).channel.rtt
+        pair = make_sdr_pair(
+            seed=0, drop=drop,
+            faults=data_blackout(rtt, start=0.53 * rtt, end_rtts=end_rtts),
+        )
+        cfg = EcConfig(global_timeout_rtts=10.0, max_resumptions=max_resumptions)
+        sender = EcSender(pair.qp_a, pair.ctrl_a, cfg)
+        receiver = EcReceiver(pair.qp_b, pair.ctrl_b, cfg)
+        payload = random_payload(size, 0)
+        buf = bytearray(size)
+        recv = receiver.post_receive(pair.ctx_b.mr_reg(size, data=buf), size)
+        ticket = sender.write(size, payload)
+        with pytest.raises(DeliveryError):
+            pair.sim.run(ticket.done)
+        return pair, sender, receiver, ticket, recv, payload, buf
+
+    def _resume_from_the_receivers_bitmap(self, drop, monitor=None):
+        """Fail the write, wait out the blackout, then ``resume`` it from a
+        token carrying what the receiver holds."""
+        pair, sender, receiver, ticket, recv, payload, buf = (
+            self._failed_write(drop=drop)
+        )
+        if monitor is not None:
+            sender.attach_recovery(monitor)
+        pair.sim.run(until=40 * pair.channel.rtt)
+        have = recv.recv_handles[0].bitmap().as_array()
+        token = ResumeToken(
+            msg_seq=ticket.seq, length=ticket.length, total_chunks=have.size,
+            bitmap=np.packbits(have).tobytes(), protocol="ec",
+        )
+        resumed = sender.resume(token)
+        return pair, sender, resumed, recv, payload, buf, have
+
+    def test_resume_from_a_token_sends_only_what_the_token_lacks(self):
+        pair, sender, resumed, recv, payload, buf, have = (
+            self._resume_from_the_receivers_bitmap(drop=0.0)
+        )
+        assert have.sum() == 14
+        drains_within(
+            pair.sim, dispatches=50_000, sim_seconds=1000 * pair.channel.rtt
+        )
+        assert resumed.seq == 0 and not resumed.failed
+        assert recv.done.triggered and recv.done.ok
+        reg = pair.sim.telemetry.metrics
+        assert reg.value("recovery.dc-a.resumed_chunks_skipped") == 14
+        assert reg.value("recovery.dc-a.resumed_chunks_retransmitted") == 18
+        chunk = pair.qp_a.config.chunk_bytes
+        for index in np.flatnonzero(have):
+            span = slice(index * chunk, (index + 1) * chunk)
+            assert buf[span] == payload[span]  # delivered, never resent
+
+    @pytest.mark.parametrize("attached", ["before", "after"])
+    def test_recovery_hears_the_backstops_nacks(self, attached):
+        """``resume`` builds the SR backstop; a monitor attached before it
+        existed or after gets every NACK the backstop acts on (2 % loss)."""
+
+        class Monitor:
+            def __init__(self):
+                self.nacks = []
+
+            def add_listener(self, listener):
+                pass
+
+            def note_nack(self, src_qpn, missing):
+                self.nacks.append(missing)
+
+            def note_rto(self, src_qpn):
+                pass
+
+        monitor = Monitor()
+        pair, sender, resumed, recv, payload, buf, have = (
+            self._resume_from_the_receivers_bitmap(
+                drop=0.02, monitor=monitor if attached == "before" else None
+            )
+        )
+        if attached == "after":
+            sender.attach_recovery(monitor)
+        drains_within(
+            pair.sim, dispatches=50_000, sim_seconds=1000 * pair.channel.rtt
+        )
+        assert not resumed.failed and recv.done.ok
+        nacks = pair.sim.telemetry.metrics.value("sr.dc-a.nacks_received")
+        assert nacks >= 1 and len(monitor.nacks) == nacks
+
+    def test_abandoning_a_receive_the_backstop_serves_fails_it(self):
+        """Under a blackout that never ends the resumed attempt fails too;
+        ``abandon`` on the EC receiver reaches the SR backstop that serves
+        the message since the hand-over, which frees the fresh slot and
+        fails the receive with the 14 chunks that arrived."""
+        pair, sender, receiver, ticket, recv, payload, buf = (
+            self._failed_write(end_rtts=float("inf"), max_resumptions=1)
+        )
+        assert ticket.resumptions == 1 and not recv.done.triggered
+        receiver.abandon(recv)
+        with pytest.raises(DeliveryError) as excinfo:
+            pair.sim.run(recv.done)
+        err = excinfo.value
+        assert (err.delivered_chunks, err.total_chunks) == (14, 32)
+        assert all(rh.completed for rh in recv.recv_handles)
+        drains_within(
+            pair.sim, dispatches=50_000, sim_seconds=1000 * pair.channel.rtt
+        )
+
+
 class TestAdaptiveResume:
     def test_auto_resume_rides_the_provisioned_protocol(self):
         size = 256 * KiB
@@ -514,6 +623,13 @@ class TestAdaptiveResume:
         assert pair.sim.telemetry.metrics.value(
             "recovery.dc-a.resumes_completed"
         ) >= 1
+
+    def test_recovery_reaches_both_protocols(self):
+        pair = make_sdr_pair(planes=2)
+        sender = AdaptiveSender(pair.qp_a, pair.ctrl_a)
+        recovery = PlaneRecovery(pair.sim, pair.bonded[0], rtt=pair.channel.rtt)
+        sender.attach_recovery(recovery)
+        assert sender.sr.recovery is recovery and sender.ec.recovery is recovery
 
     def test_resume_dispatches_by_token_protocol(self):
         pair = make_sdr_pair(inflight=64)
