@@ -265,7 +265,6 @@ class TestSrResume:
         assert recv2.done.triggered and bytes(bufs[1]) == payloads[1]
         assert not recv.done.triggered and not any(bufs[0])
 
-
     def test_a_held_write_the_qp_would_refuse_raises_at_the_call(self):
         """While the grant is in flight, a write whose stream the QP would
         refuse raises at ``write()``, as on an idle QP, and nothing is
@@ -485,7 +484,6 @@ class TestEcResume:
         reg = pair.sim.telemetry.metrics
         assert reg.value("recovery.dc-a.resumes_completed") == 1
 
-
     def _failed_write(self, *, drop=0.0, end_rtts=40.0, max_resumptions=0):
         """256 KiB under a data blackout from 0.53 RTT, mid-injection: 14
         data chunks (at ``drop=0``) and no parity arrive, too few to
@@ -525,6 +523,8 @@ class TestEcResume:
         return pair, sender, resumed, recv, payload, buf, have
 
     def test_resume_from_a_token_sends_only_what_the_token_lacks(self):
+        """The resumed attempt skips the 14 chunks the token marks delivered
+        and sends the other 18; the delivered ones keep the payload."""
         pair, sender, resumed, recv, payload, buf, have = (
             self._resume_from_the_receivers_bitmap(drop=0.0)
         )
