@@ -1,22 +1,20 @@
-"""``repro.recovery``: plane health, circuit-breaker failover, resumption.
+"""``repro.recovery``: plane health and circuit-breaker failover.
 
-The recovery plane has two halves (see ``docs/robustness.md``):
+:class:`PlaneRecovery` monitors per-plane health over a
+:class:`~repro.net.multipath.BondedChannel` and drives one
+:class:`CircuitBreaker` per plane (the keyed :class:`BreakerSet` loop the
+fabric's edge monitor shares), so the spraying policies exclude failed
+planes and re-admit them via probe packets.  A sender attached to it
+(``attach_recovery``) feeds it RTO and NACK loss signals.
 
-* :class:`PlaneRecovery` -- per-plane health monitoring over a
-  :class:`~repro.net.multipath.BondedChannel` driving one
-  :class:`CircuitBreaker` per plane (the keyed :class:`BreakerSet` loop
-  the fabric's edge monitor shares), so the spraying policies exclude
-  failed planes and re-admit them via probe packets; and
-* :class:`ResumeToken` -- bitmap-driven transfer resumption: a failed
-  write re-posts under a fresh ``(msg_id, generation)`` slot and
-  retransmits only the missing chunks (``SrSender.resume`` /
-  ``EcSender.resume`` / ``AdaptiveSender.resume``).
+The other half of recovery, resuming a write in its own slot once its
+retry budget is spent, lives in the reliability substrate
+(:meth:`repro.reliability.base.Sender._resume`; ``docs/robustness.md``).
 """
 
 from typing import TYPE_CHECKING
 
 from repro.common import lazy_exports
-from repro.recovery.resume import ResumeToken
 
 if TYPE_CHECKING:
     from repro.recovery.health import (
@@ -47,5 +45,4 @@ __all__ = [
     "CircuitBreaker",
     "PlaneHealth",
     "PlaneRecovery",
-    "ResumeToken",
 ]

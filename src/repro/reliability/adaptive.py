@@ -22,7 +22,8 @@ Design
   announcement rides the same ordering that clear-to-send relies on).
 * :class:`AdaptiveSender` -- queues writes until the matching provision
   arrives, then dispatches each write through the protocol the receiver
-  chose.  Provisions are re-announced on a short timer until the message
+  chose, in write order: the n-th write takes the n-th receive's slots
+  whichever provision arrives first.  Provisions are re-announced on a short timer until the message
   completes, so a dropped control datagram cannot wedge the connection.
 """
 
@@ -276,6 +277,8 @@ class AdaptiveSender(Endpoint):
         self._provisions: dict[int, str] = {}
         self._waiters: dict[int, object] = {}
         self._msg_index = 0
+        #: The index of the next write to take its slots.
+        self._turn = 0
         self._m_provision_timeouts = self._scope.counter("provision_timeouts")
 
     def attach_recovery(self, recovery) -> None:
@@ -292,16 +295,6 @@ class AdaptiveSender(Endpoint):
         """
         self.sr.attach_cc(pacer)
 
-    def resume(self, token) -> WriteTicket:
-        """Resume a failed transfer from a :class:`~repro.recovery.ResumeToken`.
-
-        Dispatches to the protocol that originally carried the message
-        (``token.protocol``); the resumed write retransmits only the
-        chunks absent from the token's bitmap.
-        """
-        backend = self.ec if token.protocol == "ec" else self.sr
-        return backend.resume(token)
-
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
         """Reliable write via whatever protocol the receiver provisioned.
 
@@ -317,16 +310,22 @@ class AdaptiveSender(Endpoint):
         return facade
 
     def _dispatch(self, facade, index: int, length: int, payload, deadline):
-        """Write through the provisioned protocol once the provision is in."""
+        """Write through the provisioned protocol once the provision is in
+        and every earlier write took its slots (order-based matching)."""
         choice = self._provisions.get(index)
-        if choice is None and self.sim.now < deadline:
+        turn = index == self._turn
+        if (choice is None or not turn) and self.sim.now < deadline:
             resume = partial(self._dispatch, facade, index, length, payload, deadline)
             # Both ends of the race keep the ``any_of`` gate's hop.
             timer = self.sim.timer(self.sim.call_in, 0.0, resume)
             timer.arm(max(deadline - self.sim.now, 0.0))
             self._waiters[index] = timer.expire_now
             return
-        if choice is None:
+        if turn:
+            self._turn += 1
+            if self._turn in self._provisions:
+                self._wake(self._turn)
+        if choice is None or not turn:
             # The control plane never delivered a provision: surface a
             # clean failure instead of queueing the write forever.
             self._waiters.pop(index, None)
@@ -361,9 +360,13 @@ class AdaptiveSender(Endpoint):
             return
         if msg.msg_seq not in self._provisions:
             self._provisions[msg.msg_seq] = msg.protocol
-            wake = self._waiters.pop(msg.msg_seq, None)
-            if wake is not None:
-                self.sim.call_in(0.0, wake)
+            if msg.msg_seq == self._turn:
+                self._wake(msg.msg_seq)
+
+    def _wake(self, index: int) -> None:
+        wake = self._waiters.pop(index, None)
+        if wake is not None:
+            self.sim.call_in(0.0, wake)
 
 
 register_scheme("adaptive", AdaptiveSender, AdaptiveReceiver)

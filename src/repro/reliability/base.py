@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.common import Registry
 from repro.common.errors import ConfigError, DeliveryError
-from repro.reliability.messages import decode_message
+from repro.reliability.messages import ResumeReq, decode_message
 from repro.sdr.context import SdrContext
 from repro.sdr.handles import RecvHandle, SendHandle
 from repro.sdr.qp import SdrQp, SdrRecvWr, SdrSendWr
@@ -38,6 +38,11 @@ from repro.verbs.qp import QpInfo, SendWr, UdQp
 #: Minimum wire size of a control datagram (header overheads dominate the
 #: tiny payloads; a 64-byte frame matches real UD control traffic).
 MIN_CTRL_BYTES = 64
+#: Spacing of a resuming sender's ``ResumeReq`` retries, in RTTs (covers
+#: lost control datagrams in either direction).
+RESUME_INTERVAL_RTTS = 4.0
+#: ``ResumeReq`` datagrams sent without an answer before the write fails.
+MAX_RESUME_REQUESTS = 25
 
 
 def wait_injected(qp: SdrQp, hdl: SendHandle, target: int, then) -> bool:
@@ -168,8 +173,8 @@ class _Ticket:
 class WriteTicket(_Ticket):
     """Sender-side handle for one reliable Write."""
 
-    #: The message's first stream's seq; None while the write is held.
-    seq: int | None
+    #: The message's first stream's seq.
+    seq: int
     length: int
     start_time: float
     done: Event
@@ -179,7 +184,7 @@ class WriteTicket(_Ticket):
     nacks_received: int = 0
     fell_back_to_sr: bool = False
     failed: bool = False
-    #: Bitmap-driven resumptions consumed so far (see ``repro.recovery``).
+    #: Resumptions in place consumed so far (docs/robustness.md).
     resumptions: int = 0
 
     @property
@@ -201,7 +206,7 @@ class ReceiveTicket(_Ticket):
     decoded_chunks: int = 0
     fell_back_to_sr: bool = False
     finish_time: float | None = None
-    #: Resumption grants issued for this message (see ``repro.recovery``).
+    #: Resume requests this receiver answered for the message.
     resumptions: int = 0
 
 
@@ -231,12 +236,20 @@ class Endpoint:
         self._track = f"{self.scheme}.{qp.ctx.device.name}"
         self._scope = self.sim.telemetry.metrics.scope(self._track)
         self._trace = self.sim.telemetry.trace
+        #: Metric scope and trace track of the resumption exchange.
+        self._rtrack = f"recovery.{qp.ctx.device.name}"
         ctrl.on_message(self._on_ctrl)
 
     def _on_ctrl(self, msg) -> None:
         """Policy hook: react to one decoded control message."""
 
-    def _write_ticket(self, seq: int | None, length: int) -> WriteTicket:
+    def _count(self, name: str, n: int = 1) -> None:
+        """Move the resumption counter ``recovery.<device>.<name>`` by ``n``.
+        Made on first use: a scheme that never resumes registers none (SR
+        makes its own eagerly, with ``n=0``)."""
+        self.sim.telemetry.metrics.counter(f"{self._rtrack}.{name}").inc(n)
+
+    def _write_ticket(self, seq: int, length: int) -> WriteTicket:
         return WriteTicket(
             seq=seq, length=length, start_time=self.sim.now, done=self.sim.event()
         )
@@ -272,56 +285,58 @@ class WriteState:
 class Sender(Endpoint):
     """Sender substrate: streams in, one completion and one failure out.
 
-    :meth:`write` takes a write's slots through the QP; a policy supplies
-    ``_start(ticket, payload)`` on :meth:`_open` / :meth:`_send_chunk` /
-    :meth:`_inject` and ends every write through :meth:`_complete_write`
-    or :meth:`_fail` -> :meth:`_fail_write`, which are the only places a
-    stream is ended, a ``writes_*`` metric moves or a ticket resolves.
+    :meth:`write` opens a write's streams in the QP's send order and hands
+    its state to the policy's ``_start(state)``, which injects through
+    :meth:`_send_chunk` / :meth:`_inject` and ends every write through
+    :meth:`_complete_write` or :meth:`_fail` -> :meth:`_fail_write`, the
+    only places a stream is ended, a ``writes_*`` metric moves or a ticket
+    resolves.  A write given up may first resume in place (:meth:`_resume`).
     """
 
-    #: Per-write state class ``_open`` instantiates.
+    #: Per-write state class ``write`` instantiates.
     state_type = WriteState
+    #: Optional :class:`repro.recovery.PlaneRecovery` fed loss signals.
+    recovery = None
 
     def __init__(
         self, qp: SdrQp, ctrl: ControlPath, config=None, *, rtt: float | None = None
     ):
         super().__init__(qp, ctrl, config, rtt=rtt)
         self._states: dict[int, WriteState] = {}
+        #: Writes waiting for the receiver's answer to a resume request.
+        self._resuming: dict[int, WriteState] = {}
         self._m_writes_completed = self._scope.counter("writes_completed")
         self._m_writes_failed = self._scope.counter("writes_failed")
         self._h_write_seconds = self._scope.histogram("write_seconds")
 
+    def attach_recovery(self, recovery) -> None:
+        """Feed loss signals into a plane-recovery monitor."""
+        self.recovery = recovery
+
     def write(self, length: int, payload: bytes | None = None) -> WriteTicket:
         """Reliably write ``length`` bytes to the peer's next posted receive.
 
-        The policy's ``_start`` opens the write through :meth:`SdrQp.take_slots`,
-        which holds it (``seq`` None) while a resume grant is in flight; what
-        the QP would refuse of its streams raises here, held or not."""
-        self.qp.check_send(max(self._streams(length)))
-        ticket = self._write_ticket(None, length)
-        self.qp.take_slots(partial(self._start, ticket, payload))
+        The write's streams (:meth:`_streams`) take the QP's next send seqs,
+        in the matching order both sides agree on; what the QP would refuse
+        of any of them raises before one is opened."""
+        streams = self._streams(length)
+        self.qp.check_send(max(streams))
+        handles = [self.qp.send_stream_start(SdrSendWr(length=n)) for n in streams]
+        ticket = self._write_ticket(handles[0].seq, length)
+        state = self.state_type(
+            ticket, handles, self.qp.config.chunks_in(length), payload
+        )
+        self._states[ticket.seq] = state
+        self._start(state)
         return ticket
+
+    def _start(self, state: WriteState) -> None:
+        """Policy hook: start injecting the write ``state`` opened."""
 
     def _streams(self, length: int) -> list[int]:
         """The stream lengths a write of ``length`` bytes opens, in the
         matching order both sides agree on: one stream by default."""
         return [length]
-
-    def _open(self, ticket: WriteTicket, payload: bytes | None) -> WriteState:
-        """Open the write's streaming send(s) (:meth:`_streams`) and its
-        state.  A ticket without a ``seq`` takes its first stream's; a
-        resumed attempt's keeps the original message's."""
-        handles = [
-            self.qp.send_stream_start(SdrSendWr(length=n))
-            for n in self._streams(ticket.length)
-        ]
-        if ticket.seq is None:
-            ticket.seq = handles[0].seq
-        state = self.state_type(
-            ticket, handles, self.qp.config.chunks_in(ticket.length), payload
-        )
-        self._states[handles[0].seq] = state
-        return state
 
     def _post(self, state: WriteState, **extra) -> None:
         """Emit the ``msg_post`` instant lineage files the message under."""
@@ -417,6 +432,8 @@ class Sender(Endpoint):
         self._end_streams(state)
         ticket._finish(self.sim.now)
         self._m_writes_completed.inc()
+        if ticket.resumptions:
+            self._count("resumes_completed")
         self._h_write_seconds.observe(self.sim.now - ticket.start_time)
         if self._trace.enabled:
             self._trace.complete(
@@ -434,8 +451,83 @@ class Sender(Endpoint):
             self._fail_write(state, reason, event=event)
 
     def _escalate(self, state: WriteState, reason: str) -> bool:
-        """Policy hook: hand a given-up write to a resumption (False = cannot)."""
+        """Policy hook: hand a given-up write to :meth:`_resume` (False = cannot)."""
         return False
+
+    # -- resumption in place -------------------------------------------------------
+
+    def _resume(self, state: WriteState) -> bool:
+        """Resume the given-up write ``state`` in its own slot, if its budget
+        (``config.max_resumptions``) allows; False = fail it for real.
+
+        The streams stay open and the write's timers stop (it has left
+        ``_states``); ``ResumeReq(seq, attempt)`` goes out every
+        ``RESUME_INTERVAL_RTTS`` until the receiver's first signal for the
+        message revives it (:meth:`_revive`), ``MAX_RESUME_REQUESTS`` at most.
+        """
+        ticket = state.ticket
+        if ticket.resumptions >= self.config.max_resumptions:
+            return False
+        ticket.resumptions += 1
+        self._resuming[ticket.seq] = state
+        self._count("resumes_started")
+        if self._trace.enabled:
+            delivered = state.delivered
+            self._trace.instant(
+                "resume_begin", cat="recovery", track=self._rtrack,
+                msg=ticket.seq, attempt=ticket.resumptions,
+                delivered=0 if delivered is None else int(delivered.sum()),
+                total=state.nchunks,
+            )
+        self.sim.call_in(0.0, self._request_resume, state, ticket.resumptions, 0)
+        return True
+
+    def _request_resume(self, state: WriteState, attempt: int, sent: int) -> None:
+        """Re-send the resume request until answered or out of retries (a
+        retry keeps the ``any_of`` gate's hop, docs/simulation.md)."""
+        seq = state.ticket.seq
+        if state.ticket.resumptions != attempt or seq not in self._resuming:
+            return  # answered
+        if sent == MAX_RESUME_REQUESTS:
+            del self._resuming[seq]
+            self._count("resume_failures")
+            if self._trace.enabled:
+                self._trace.instant(
+                    "resume_failed", cat="recovery", track=self._rtrack,
+                    msg=seq, attempt=attempt,
+                )
+            self._fail_write(
+                state,
+                f"write seq={seq} resume attempt {attempt} failed: "
+                f"resume request never answered",
+            )
+            return
+        self.ctrl.send(ResumeReq(msg_seq=seq, attempt=attempt))
+        self.sim.call_in(
+            RESUME_INTERVAL_RTTS * self.rtt,
+            self.sim.call_in, 0.0, self._request_resume, state, attempt, sent + 1,
+        )
+
+    def _revive(self, seq: int) -> WriteState | None:
+        """The receiver signalled about ``seq``: if that write is resuming,
+        it is live again with a fresh per-attempt budget (``retx_base``),
+        and the policy's ``_resumed`` re-arms it.  Returns the revived
+        state (None: ``seq`` was not resuming), which the caller hands the
+        signal to, so only what the receiver lacks is sent again."""
+        state = self._resuming.pop(seq, None)
+        if state is not None:
+            state.retx_base = state.ticket.retransmitted_chunks
+            self._states[seq] = state
+            if self._trace.enabled:
+                self._trace.instant(
+                    "resume_post", cat="recovery", track=self._rtrack,
+                    msg=seq, attempt=state.ticket.resumptions,
+                )
+            self._resumed(state)
+        return state
+
+    def _resumed(self, state: WriteState) -> None:
+        """Policy hook: re-arm a revived write's timers."""
 
     def _fail_write(
         self, state: WriteState, reason: str, *, event: str = "write_failed"
@@ -461,20 +553,26 @@ class Sender(Endpoint):
 
 
 class Receiver(Endpoint):
-    """Receiver substrate: post, watch the bitmap, finish.
+    """Receiver substrate: post, watch the bitmap, finish, answer resumes.
 
     A policy implements ``_serve(ticket, rh)`` as ``_watch`` (telling the
     peer what the bitmap says on every poll) followed by its completion
-    signal and ``_finish``.
+    signal and ``_finish``, and answers a sender resuming a message in
+    place through ``_answer_serving`` / ``_answer_finished``.
     """
 
     def __init__(
         self, qp: SdrQp, ctrl: ControlPath, config=None, *, rtt: float | None = None
     ):
         super().__init__(qp, ctrl, config, rtt=rtt)
-        #: What this receiver serves, by original seq (resumption looks the
-        #: message up here when the sender asks for a fresh slot).
+        #: What this receiver serves, by seq: ``(ticket, what the policy
+        #: serves it with)``, until the grace window after completion ends.
         self._serving: dict[int, tuple] = {}
+        #: The seqs this receiver posted, as ``[first, stop)`` runs: one run
+        #: unless another receiver posts on the same QP in between.
+        self._posted: list[list[int]] = []
+        #: The seqs it gave up (abandoned or past the serve deadline).
+        self._given_up: set[int] = set()
 
     def post_receive(
         self, mr: MemoryRegion, length: int, mr_offset: int = 0
@@ -484,14 +582,64 @@ class Receiver(Endpoint):
         ticket = ReceiveTicket(
             seq=rh.seq, length=length, done=self.sim.event(), recv_handles=[rh]
         )
-        self._serving[rh.seq] = (ticket, rh)
+        self._file(ticket, rh)
         # The serve starts on its own dispatch, as the process it was did.
         self.sim.call_in(0.0, self._serve, ticket, rh)
         return ticket
 
+    def _file(self, ticket: ReceiveTicket, served) -> None:
+        """Serve ``ticket`` with ``served``; its slots join this receiver's
+        posts."""
+        self._serving[ticket.seq] = (ticket, served)
+        stop = ticket.recv_handles[-1].seq + 1
+        if self._posted and self._posted[-1][1] == ticket.seq:
+            self._posted[-1][1] = stop
+        else:
+            self._posted.append([ticket.seq, stop])
+
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
         """Policy hook: start serving one posted receive (``_watch``)."""
-        raise NotImplementedError
+
+    # -- answering a resumption in place -----------------------------------------------
+
+    def _on_ctrl(self, msg) -> None:
+        if isinstance(msg, ResumeReq):
+            self._answer(msg)
+
+    def _answer(self, msg: ResumeReq) -> None:
+        """A sender resumes ``msg.msg_seq`` in its own slot: tell it what
+        this receiver holds.  A message still served gets the policy's
+        bitmap signal (``_answer_serving``), and its serve deadline starts
+        over; a finished one, after its grace window too, its completion
+        signal (``_answer_finished``).  A seq this receiver never posted
+        (another receiver on the QP owns it) or gave up gets no answer."""
+        seq = msg.msg_seq
+        entry = self._serving.get(seq)
+        if entry is None:
+            if seq in self._given_up or not any(
+                first <= seq < stop for first, stop in self._posted
+            ):
+                return
+            self._answer_finished(seq)
+        else:
+            ticket = entry[0]
+            ticket.resumptions += 1
+            if ticket.done.triggered:  # completed: re-signalling through grace
+                self._answer_finished(seq)
+            else:
+                self._answer_serving(*entry)
+        self._count("resumes_granted")
+        if self._trace.enabled:
+            self._trace.instant(
+                "resume_grant", cat="recovery", track=self._rtrack,
+                msg=seq, attempt=msg.attempt, serving=entry is not None,
+            )
+
+    def _answer_serving(self, ticket: ReceiveTicket, served) -> None:
+        """Policy hook: the bitmap signal for a message still served."""
+
+    def _answer_finished(self, seq: int) -> None:
+        """Policy hook: the completion signal for a finished message."""
 
     def _watch(
         self, ticket: ReceiveTicket, rh: RecvHandle, interval: float, on_poll, then
@@ -500,8 +648,9 @@ class Receiver(Endpoint):
 
         ``on_poll()`` runs after every wait (the bitmap may be full by
         then); ``then()`` runs once every chunk arrived.  Neither runs
-        again after the slot was abandoned to a resumption grant or the
-        serve deadline (``config.serve_deadline_rtts``) failed the ticket.
+        again after the slot was abandoned or the serve deadline
+        (``config.serve_deadline_rtts``, restarted by each answered resume
+        request) failed the ticket.
         """
         _Watch(self, ticket, rh, interval, on_poll, then)
 
@@ -509,8 +658,8 @@ class Receiver(Endpoint):
         """Stop serving ``ticket``, whose write failed: what is missing is
         not coming.  It fails with the chunks that arrived, as at the serve
         deadline.  A completed ticket, or one served elsewhere, is left alone."""
-        entry = None if ticket.done.triggered else self._serving.pop(ticket.seq, None)
-        if entry is not None:
+        entry = self._serving.get(ticket.seq)
+        if entry is not None and not ticket.done.triggered:
             self._give_up(ticket, self._arrived(*entry))
 
     def _arrived(self, ticket: ReceiveTicket, rh: RecvHandle) -> np.ndarray:
@@ -518,9 +667,11 @@ class Receiver(Endpoint):
         return rh.bitmap().as_array()
 
     def _give_up(self, ticket: ReceiveTicket, delivered: np.ndarray) -> None:
-        """Serve deadline passed: abandon the open slots (late chunks die on
-        the NULL mkey, not in a buffer reported failed), then fail the
-        ticket with the partial bitmap."""
+        """Serve deadline passed: stop serving, abandon the open slots (late
+        chunks die on the NULL mkey, not in a buffer reported failed), then
+        fail the ticket with the partial bitmap."""
+        del self._serving[ticket.seq]
+        self._given_up.add(ticket.seq)
         for rh in ticket.recv_handles:
             if not rh.completed:
                 self.qp.recv_abandon(rh)
@@ -538,24 +689,22 @@ class Receiver(Endpoint):
         The caller has just sent its completion signal; ``resignal()``
         repeats it every ``every`` seconds for ``config.grace_rtts`` in case
         it is lost.  Completing frees the SDR resources and arms late-packet
-        protection.  Grace over, the message leaves ``_serving`` (unless a
-        resumption granted meanwhile re-keyed it): a later request finds
-        nothing to adopt.
+        protection.  Grace over, the message leaves ``_serving``: a resume
+        request for it is answered from this receiver's posts (``_answer``).
         """
         for rh in handles:
             rh.complete()
         sim = self.sim
         ticket._finish(sim.now)
         grace_end = sim.now + self.config.grace_rtts * self.rtt
-        entry = self._serving.get(ticket.seq)
 
         def tick(resend: bool = True) -> None:
             if resend:
                 resignal()
             if sim.now < grace_end:
                 timer.arm(every)
-            elif self._serving.get(ticket.seq) is entry:
-                self._serving.pop(ticket.seq, None)
+            else:
+                del self._serving[ticket.seq]
 
         timer = sim.timer(tick)
         tick(resend=False)
@@ -573,7 +722,7 @@ class _Watch:
 
     __slots__ = (
         "receiver", "ticket", "rh", "interval", "on_poll", "then", "deadline",
-        "timer",
+        "answered", "timer",
     )
 
     def __init__(self, receiver: Receiver, ticket, rh, interval, on_poll, then):
@@ -586,6 +735,7 @@ class _Watch:
         sim = receiver.sim
         rtts = receiver.config.serve_deadline_rtts
         self.deadline = None if rtts is None else sim.now + rtts * receiver.rtt
+        self.answered = ticket.resumptions
         self.timer = sim.timer(sim.call_in, 0.0, self._poll)
         self._wait()
         if self.timer.armed:
@@ -595,9 +745,14 @@ class _Watch:
         rh = self.rh
         if rh.all_chunks_received():
             self.then()
-        elif not rh.completed:  # else: abandoned by a resumption grant
-            if self.deadline is not None and self.receiver.sim.now >= self.deadline:
-                self.receiver._give_up(self.ticket, rh.bitmap().as_array())
+        elif not rh.completed:  # else: abandoned
+            receiver, now = self.receiver, self.receiver.sim.now
+            if self.deadline is not None and self.answered != self.ticket.resumptions:
+                # A resume request was answered: the deadline starts over.
+                self.answered = self.ticket.resumptions
+                self.deadline = now + receiver.config.serve_deadline_rtts * receiver.rtt
+            if self.deadline is not None and now >= self.deadline:
+                receiver._give_up(self.ticket, rh.bitmap().as_array())
             else:
                 self.timer.arm(self.interval)
 

@@ -36,13 +36,14 @@ from repro.ec.codec import ErasureCode, get_codec
 from repro.ec.segmented import SegmentedCode, SegmentLayout
 from repro.reliability.base import (
     ControlPath,
+    Receiver,
     ReceiveTicket,
+    Sender,
     WriteState,
     WriteTicket,
     register_scheme,
 )
-from repro.reliability.messages import EcAck, EcNack, ResumeReq
-from repro.reliability.sr import SrBacked, SrBackedReceiver, SrConfig
+from repro.reliability.messages import EcAck, EcNack
 from repro.sdr.handles import ChunkCount, RecvHandle
 from repro.sdr.qp import SdrQp, SdrRecvWr
 from repro.telemetry.trace import flow_key
@@ -75,11 +76,10 @@ class EcConfig(Bounded):
     serve_deadline_rtts: float | None = field(
         default=None, metadata=bound(gt=0, optional=True)
     )
-    #: Bitmap-driven resumptions allowed per message (0 = disabled).  On
-    #: global timeout the receiver decodes whatever is recoverable
-    #: (data-or-parity aware), both sides re-post the remainder under a
-    #: fresh slot, and a Selective Repeat phase finishes the message
-    #: (``repro.recovery``).
+    #: Resumptions in place allowed per message (0 = disabled).  On global
+    #: timeout the write keeps its slots and asks the receiver, whose EC
+    #: NACK names what it still lacks; the fallback repeats those chunks
+    #: under a fresh global timeout (docs/robustness.md).
     max_resumptions: int = field(default=0, metadata=bound(ge=0))
 
     @property
@@ -110,7 +110,7 @@ class _EcSendState(WriteState):
         self.fallback_attempts: dict[int, int] = {}
 
 
-class EcSender(SrBacked):
+class EcSender(Sender):
     """Sender endpoint of the Erasure Coding protocol."""
 
     scheme = "ec"
@@ -130,11 +130,6 @@ class EcSender(SrBacked):
         self._m_nacks_received = self._scope.counter("nacks_received")
         self._m_fallback_retransmits = self._scope.counter("fallback_retransmits")
 
-    def _backstop_config(self) -> SrConfig:
-        return SrConfig(
-            nack_enabled=True, max_resumptions=self.config.max_resumptions
-        )
-
     # -- the write path ----------------------------------------------------------------
 
     def _streams(self, length: int) -> list[int]:
@@ -146,10 +141,9 @@ class EcSender(SrBacked):
             layout.m * layout.chunk_bytes
         ] * nsub
 
-    def _start(self, ticket: WriteTicket, payload: bytes | None) -> None:
+    def _start(self, state: _EcSendState) -> None:
         """Write with speculative parity."""
-        state = self._open(ticket, payload)
-        state.layout = layout = self.code.layout(ticket.length)
+        state.layout = layout = self.code.layout(state.ticket.length)
         nsub = layout.nsegments
         self._post(
             state,
@@ -170,9 +164,13 @@ class EcSender(SrBacked):
             piece = None if view is None else view[off : off + n]
             self.qp.send_stream_continue(state.handles[i], 0, n, piece)
         self._encode_and_inject_parity(state)
+        self._arm_global_timeout(state)
+
+    def _arm_global_timeout(self, state: _EcSendState) -> None:
+        """The deadlock guard: no ACK within the global budget fails the write."""
         assert self.qp.data_qps[0][0].channel is not None
         bw = self.qp.data_qps[0][0].channel.config.bytes_per_second
-        expected = layout.length / bw + 2 * self.rtt
+        expected = state.layout.length / bw + 2 * self.rtt
         budget = expected + self.config.global_timeout_rtts * self.rtt
         self.sim.call_in(budget, self._global_timeout, state)
 
@@ -203,17 +201,25 @@ class EcSender(SrBacked):
                 event="global_timeout",
             )
 
+    def _escalate(self, state: WriteState, reason: str) -> bool:
+        return self._resume(state)
+
+    #: A revived write's global timeout starts over; the receiver's NACK
+    #: that revived it drives the fallback repeats.
+    _resumed = _arm_global_timeout
+
     # -- control-path handling --------------------------------------------------------------
 
     def _on_ctrl(self, msg) -> None:
         if isinstance(msg, EcAck):
+            self._revive(msg.msg_seq)
             state = self._states.pop(msg.msg_seq, None)
             if state is not None:
                 self._complete_write(
                     state, fell_back=state.ticket.fell_back_to_sr
                 )
         elif isinstance(msg, EcNack):
-            state = self._states.get(msg.msg_seq)
+            state = self._states.get(msg.msg_seq) or self._revive(msg.msg_seq)
             if state is None:
                 return
             state.ticket.nacks_received += 1
@@ -283,7 +289,7 @@ class _EcReceive:
         return self.data[sub].bitmap().as_array()
 
 
-class EcReceiver(SrBackedReceiver):
+class EcReceiver(Receiver):
     """Receiver endpoint of the Erasure Coding protocol."""
 
     scheme = "ec"
@@ -364,39 +370,27 @@ class EcReceiver(SrBackedReceiver):
         rx = _EcReceive(
             ticket, layout, mr, mr_offset, data_handles, parity_handles, scratch
         )
-        self._serving[ticket.seq] = (rx,)
+        self._file(ticket, rx)
         self.sim.call_in(0.0, self._serve, rx)
         return ticket
 
-    # -- resumption grants (repro.recovery) ----------------------------------------------
+    # -- answering a resumption ------------------------------------------------------
 
-    def _hand_over(self, msg: ResumeReq, rx: _EcReceive) -> None:
-        """Decode what parity can rescue, hand the rest to the SR backstop.
+    def _answer_serving(self, ticket: ReceiveTicket, rx: _EcReceive) -> None:
+        """NACK what is still pending, or ACK a message already recoverable.
+        The serve deadline, which counts from a passed FTO, starts over."""
+        if rx.fto_deadline is not None:
+            rx.fto_deadline = max(rx.fto_deadline, self.sim.now)
+        pending = [
+            s for s in range(rx.layout.nsegments) if not self._recoverable(rx, s)
+        ]
+        if pending:
+            self._send_nack(rx, pending)
+        else:
+            self._send_ack(ticket.seq)
 
-        Data-or-parity aware: every submessage with >= k of its k+m coded
-        chunks present is decoded *now*, so its chunks are pre-seeded into
-        the resumed slot and never retransmitted; the remaining missing data
-        chunks are finished by a Selective Repeat phase over a fresh slot.
-        Decoding takes simulated time; the serve loop sees the message gone
-        from ``_serving`` and stops before the slots are abandoned.
-        """
-        layout = rx.layout
-        delivered = np.zeros(layout.nchunks, dtype=bool)
-
-        def salvage(s: int) -> bool:
-            start, real = layout.chunk_range(s)
-            rescued = self._recoverable(rx, s)
-            delivered[start : start + real] = rescued or rx.data_present(s)
-            return rescued
-
-        def adopt() -> None:
-            self._backstop().adopt(
-                msg, rx.ticket, rx.handles, rx.mr, layout.length, rx.mr_offset,
-                delivered,
-            )
-            self._release(rx)
-
-        self.sim.call_in(0.0, self._decode, rx, 0, salvage, adopt)
+    def _answer_finished(self, seq: int) -> None:
+        self._send_ack(seq)
 
     # -- receive logic -------------------------------------------------------------------
 
@@ -440,7 +434,7 @@ class EcReceiver(SrBackedReceiver):
         """Phase 2: wait until recoverable or FTO expiry, then NACK rounds."""
         ticket, layout, now = rx.ticket, rx.layout, self.sim.now
         if ticket.seq not in self._serving:
-            return  # a resumption grant took over this message
+            return  # given up
         if rx.fto_deadline is None:  # phase 1 just ended
             rx.fto_deadline = now + self._fto(layout)
         pending = [s for s in range(layout.nsegments) if not self._recoverable(rx, s)]
@@ -449,7 +443,7 @@ class EcReceiver(SrBackedReceiver):
             return
         rtts = self.config.serve_deadline_rtts
         if rtts is not None and now >= rx.fto_deadline + rtts * self.rtt:
-            self._give_up(ticket, self._arrived(rx))
+            self._give_up(ticket, self._arrived(ticket, rx))
             self._release(rx)
             return
         if now >= rx.fto_deadline:
@@ -477,9 +471,9 @@ class EcReceiver(SrBackedReceiver):
         entry = self._serving.get(ticket.seq)
         super().abandon(ticket)
         if entry is not None:
-            self._release(*entry)
+            self._release(entry[1])
 
-    def _arrived(self, rx: _EcReceive) -> np.ndarray:
+    def _arrived(self, ticket: ReceiveTicket, rx: _EcReceive) -> np.ndarray:
         return np.concatenate(
             [rx.data_present(s) for s in range(rx.layout.nsegments)]
         )
@@ -501,7 +495,7 @@ class EcReceiver(SrBackedReceiver):
     def _release(self, rx: _EcReceive) -> None:
         """Every slot of ``rx`` points at the NULL mkey, so late parity dies
         there and its scratch can serve the next receive.  A second call
-        (a hand-over during grace) finds nothing left to give back."""
+        (an abandon during grace) finds nothing left to give back."""
         self._free_scratch[rx.mr.payload_mode] += rx.scratch
         rx.scratch = []
 

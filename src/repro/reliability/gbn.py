@@ -70,8 +70,8 @@ class GbnSender(Sender):
         self._m_rewinds = self._scope.counter("rto_rewinds")
         self._m_retransmitted = self._scope.counter("retransmitted_chunks")
 
-    def _start(self, ticket: WriteTicket, payload: bytes | None) -> None:
-        self.sim.call_in(0.0, self._pump, self._open(ticket, payload))
+    def _start(self, state: _GbnState) -> None:
+        self.sim.call_in(0.0, self._pump, state)
 
     def _pump(self, state: _GbnState, una: int | None = None, rounds: int = 0):
         """(Re)fill the window from the cumulative point, then wait for

@@ -280,13 +280,14 @@ class Provision(NamedTuple):
 
 @_message(7)
 class ResumeReq(NamedTuple):
-    """Bitmap-driven resumption request (sender -> receiver).
+    """Resumption request (sender -> receiver).
 
-    The write identified by ``msg_seq`` exhausted its retry budget (or a
-    plane failed over mid-transfer); the sender asks the receiver to
-    abandon the old slot and re-post the remainder under a fresh
-    ``(msg_id, generation)`` slot.  ``attempt`` numbers the resumption
-    (1-based) so duplicate requests are idempotent.
+    The write identified by ``msg_seq`` exhausted its retry budget; it
+    keeps its slot and asks the receiver what it holds.  The receiver
+    answers with its scheme's own signal: the bitmap (SR ``Ack``, EC
+    ``EcNack``, sampling ``RepairReq``) while it serves the message, its
+    completion signal once it finished it.  ``attempt`` numbers the
+    resumption (1-based).
     """
 
     msg_seq: int
@@ -299,50 +300,6 @@ class ResumeReq(NamedTuple):
     def unpack(cls, msg_seq: int, body: bytes) -> "ResumeReq":
         (attempt,) = _U32.unpack_from(body)
         return cls(msg_seq=msg_seq, attempt=attempt)
-
-
-@_message(8)
-class ResumeAck(NamedTuple):
-    """Resumption grant (receiver -> sender).
-
-    ``new_seq`` is the freshly posted slot serving the resumed attempt;
-    ``window`` is its delivered-chunk bitmap as an :class:`Ack` window from
-    the cumulative byte, so the sender retransmits only what the grant does
-    not confirm (chunks past the window, until an ACK does).  ``attempt``
-    echoes the request so a late grant for a superseded attempt is
-    discarded instead of desynchronizing the slot lockstep.
-    """
-
-    msg_seq: int
-    new_seq: int
-    total_chunks: int
-    attempt: int = 1
-    window_start: int = 0
-    window: bytes = b""
-
-    # new_seq, total_chunks, attempt, window_start, window_len
-    _FIXED = struct.Struct("<IIIII")
-    FIXED_BYTES, ENTRY_BYTES = _HEADER.size + _FIXED.size, 1
-    _TAIL = "window"
-    fit = _fit
-
-    def pack(self) -> bytes:
-        return (
-            _HEADER.pack(self._TAG, self.msg_seq)
-            + self._FIXED.pack(
-                self.new_seq, self.total_chunks, self.attempt, self.window_start,
-                len(self.window),
-            )
-            + self.window
-        )
-
-    @classmethod
-    def unpack(cls, msg_seq: int, body: bytes) -> "ResumeAck":
-        return cls(msg_seq, *_windowed(cls, body))
-
-    def acked_mask(self, nchunks: int) -> int:
-        """The chunks this grant confirms delivered, as :meth:`Ack.acked_mask`."""
-        return _window_mask(self.window_start, self.window_start, self.window, nchunks)
 
 
 @_message(9)

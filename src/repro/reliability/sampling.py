@@ -20,9 +20,10 @@ Liveness is layered:
 * a stalled bitmap or every ``FULL_SCAN_EVERY``-th round triggers an exact
   full scan, bounding detection latency deterministically;
 * the sender arms an idle watchdog and a per-message retransmit budget;
-  exhausting either hands the message to the existing bitmap-driven
-  resumption machinery (``repro.recovery``) -- a Selective Repeat phase
-  over a fresh slot finishes the transfer rather than failing it.
+  exhausting either resumes the write in place (docs/robustness.md): the
+  receiver answers a resume request with a repair request for every
+  incomplete segment, and the repair loop finishes the transfer rather
+  than failing it.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ from repro.ec.sampling import draw_probes
 from repro.ec.segmented import SegmentLayout
 from repro.reliability.base import (
     ControlPath,
+    Receiver,
     ReceiveTicket,
+    Sender,
     WriteState,
     WriteTicket,
     register_scheme,
 )
 from repro.reliability.messages import Done, RepairReq
-from repro.reliability.sr import SrBacked, SrBackedReceiver, SrConfig
 from repro.sdr.handles import RecvHandle
 from repro.sdr.qp import SdrQp
 from repro.sim.rng import RngStreams
@@ -86,10 +88,10 @@ class SamplingConfig(Bounded):
     serve_deadline_rtts: float | None = field(
         default=None, metadata=bound(gt=0, optional=True)
     )
-    #: Bitmap-driven resumptions allowed per message (0 = disabled).  On
-    #: watchdog or budget exhaustion both sides re-post the remainder under
-    #: a fresh slot and a Selective Repeat phase finishes the message
-    #: (``repro.recovery``).
+    #: Resumptions in place allowed per message (0 = disabled).  On
+    #: watchdog or budget exhaustion the write keeps its slot and asks the
+    #: receiver for repair requests, with a fresh budget and watchdog
+    #: (docs/robustness.md).
     max_resumptions: int = field(default=0, metadata=bound(ge=0))
     #: How long (in RTTs) the receiver keeps re-sending Done after
     #: completion, to survive final-datagram drops.
@@ -109,7 +111,7 @@ class _SamplingSendState(WriteState):
         self.last_activity = ticket.start_time
 
 
-class SamplingSender(SrBacked):
+class SamplingSender(Sender):
     """Sender endpoint of the availability-sampling protocol."""
 
     scheme = "sampling"
@@ -129,23 +131,10 @@ class SamplingSender(SrBacked):
         self._m_repaired_chunks = self._scope.counter("repaired_chunks")
         self._m_idle_strikes = self._scope.counter("idle_strikes")
 
-    def _backstop_config(self) -> SrConfig:
-        # The backstop must be sturdier than the mode that escalated to
-        # it: NACK fast path, adaptive RTO with backoff, and no repair
-        # budget (the sampling budget caps the cheap phase; SR's own
-        # chunk-retransmit valve still bounds pathological channels).
-        return SrConfig(
-            nack_enabled=True,
-            adaptive_rto=True,
-            rto_backoff=True,
-            max_resumptions=self.config.max_resumptions,
-        )
-
     # -- the write path ---------------------------------------------------------------
 
-    def _start(self, ticket: WriteTicket, payload: bytes | None) -> None:
+    def _start(self, state: _SamplingSendState) -> None:
         """Inject once; repairs are receiver-driven."""
-        state = self._open(ticket, payload)
         self._post(state)
         self.sim.call_in(0.0, self._inject_once, state)
 
@@ -161,15 +150,22 @@ class SamplingSender(SrBacked):
             state.last_activity = self.sim.now
 
         self._inject(state, range(state.nchunks), on_wire, done)
-        idle = self.config.idle_timeout_rtts * self.rtt
-        self.sim.call_in(idle, self._watchdog, state)
+        self._resumed(state)
 
     # -- liveness ---------------------------------------------------------------------
 
-    def _watchdog(self, state: _SamplingSendState, strikes: int = 0) -> None:
+    def _resumed(self, state: _SamplingSendState) -> None:
+        """Start the write's watchdog (a revived write's starts over)."""
+        state.last_activity = self.sim.now
+        idle = self.config.idle_timeout_rtts * self.rtt
+        self.sim.call_in(idle, self._watchdog, state, state.ticket.resumptions)
+
+    def _watchdog(
+        self, state: _SamplingSendState, attempt: int, strikes: int = 0
+    ) -> None:
         """Escalate to resumption when the control path goes silent."""
-        if state.hdl.ended:
-            return  # completed, failed, or escalated to resumption
+        if state.hdl.ended or state.ticket.resumptions != attempt:
+            return  # completed, failed, or resuming since ``attempt``
         idle = self.config.idle_timeout_rtts * self.rtt
         if not state.inject_done:
             pass  # first transmission still pacing out
@@ -190,13 +186,16 @@ class SamplingSender(SrBacked):
                     f"signal for {strikes} idle windows",
                 )
                 return
-        self.sim.call_in(idle, self._watchdog, state, strikes)
+        self.sim.call_in(idle, self._watchdog, state, attempt, strikes)
+
+    def _escalate(self, state: WriteState, reason: str) -> bool:
+        return self._resume(state)
 
     # -- control-path handling --------------------------------------------------------
 
     def _on_ctrl(self, msg) -> None:
         if isinstance(msg, RepairReq):
-            state = self._states.get(msg.msg_seq)
+            state = self._states.get(msg.msg_seq) or self._revive(msg.msg_seq)
             if state is None:
                 return
             state.last_activity = self.sim.now
@@ -229,6 +228,7 @@ class SamplingSender(SrBacked):
                 state.ticket.retransmitted_chunks += 1
                 self._m_repaired_chunks.inc()
         elif isinstance(msg, Done):
+            self._revive(msg.msg_seq)
             state = self._states.pop(msg.msg_seq, None)
             if state is not None:
                 self._complete_write(
@@ -236,7 +236,7 @@ class SamplingSender(SrBacked):
                 )
 
 
-class SamplingReceiver(SrBackedReceiver):
+class SamplingReceiver(Receiver):
     """Receiver endpoint of the availability-sampling protocol."""
 
     scheme = "sampling"
@@ -263,21 +263,28 @@ class SamplingReceiver(SrBackedReceiver):
     def repair_requests_sent(self) -> int:
         return self._m_repair_reqs.value
 
-    # -- resumption grants (repro.recovery) ---------------------------------------------
+    # -- answering a resumption ------------------------------------------------------
 
-    def _backstop_config(self) -> SrConfig:
-        return SrConfig(
-            nack_enabled=True,
-            serve_deadline_rtts=self.config.serve_deadline_rtts,
-        )
+    def _layout(self, rh: RecvHandle) -> SegmentLayout:
+        return SegmentLayout(rh.length, self.qp.config.chunk_bytes, SEGMENT_CHUNKS, 0)
+
+    def _answer_serving(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
+        """A repair request for every incomplete segment, whether or not
+        any chunk arrived yet (a sampling round has no signal then)."""
+        layout, present = self._layout(rh), rh.bitmap().as_array()
+        for seg in range(layout.nsegments):
+            start, seg_len = layout.chunk_range(seg)
+            if not present[start : start + seg_len].all():
+                self._send_repair(rh, layout, seg, present)
+
+    def _answer_finished(self, seq: int) -> None:
+        self._send_done(seq)
 
     # -- sampling serve loop ------------------------------------------------------------
 
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
         cfg = self.config
-        layout = SegmentLayout(
-            rh.length, self.qp.config.chunk_bytes, SEGMENT_CHUNKS, 0
-        )
+        layout = self._layout(rh)
         nseg = layout.nsegments
         seg_done = np.zeros(nseg, dtype=bool)
         rng = self._rngs.get(f"probe.{self.qp.ctx.device.name}.{rh.seq}")

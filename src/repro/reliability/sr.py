@@ -24,8 +24,6 @@ import numpy as np
 
 from repro.common.bitmap import mask_bits
 from repro.common.config import Bounded, bound
-from repro.common.errors import ConfigError
-from repro.recovery.resume import ResumeToken
 from repro.reliability.base import (
     ControlPath,
     Receiver,
@@ -36,11 +34,10 @@ from repro.reliability.base import (
     register_scheme,
     wait_injected,
 )
-from repro.reliability.messages import Ack, ResumeAck, ResumeReq, SrNack
+from repro.reliability.messages import Ack, SrNack
 from repro.sdr.handles import RecvHandle
-from repro.sdr.qp import SdrQp, SdrRecvWr
+from repro.sdr.qp import SdrQp
 from repro.telemetry.trace import flow_key
-from repro.verbs.mr import MemoryRegion
 
 #: Receiver bitmap poll / ACK period in RTTs (GBN's too).
 ACK_INTERVAL_RTTS = 0.25
@@ -50,6 +47,10 @@ NACK_HOLDOFF_RTTS = 1.0
 MAX_RTO_RTTS = 64.0
 #: Cap on consecutive RTO doublings (``rto_backoff``).
 BACKOFF_CAP = 6
+#: The cumulative of the ACK answering a resume request for a message this
+#: receiver finished: past its grace window it no longer knows the size,
+#: and a sender clips a cumulative to its own chunk count.
+FINISHED = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -94,16 +95,11 @@ class SrConfig(Bounded):
     serve_deadline_rtts: float | None = field(
         default=None, metadata=bound(gt=0, optional=True)
     )
-    #: Bitmap-driven resumptions allowed per message (0 = disabled, the
-    #: seed behaviour).  When the retry budget is exhausted the sender
-    #: snapshots the chunk bitmap and re-posts the remainder under a fresh
-    #: ``(msg_id, generation)`` slot instead of failing (``repro.recovery``).
+    #: Resumptions in place allowed per message (0 = disabled, the seed
+    #: behaviour).  When the retry budget is exhausted the write keeps its
+    #: slot, asks the receiver for its bitmap and re-sends only what it
+    #: lacks, with a fresh budget (docs/robustness.md).
     max_resumptions: int = field(default=0, metadata=bound(ge=0))
-    #: Spacing of resume-request retries, in RTTs (covers lost control
-    #: datagrams in either direction).
-    resume_interval_rtts: float = field(default=4.0, metadata=bound(gt=0))
-    #: Resume requests sent without a grant before the write finally fails.
-    max_resume_requests: int = field(default=25, metadata=bound(gt=0))
 
 
 class _SendState(WriteState):
@@ -124,7 +120,7 @@ class _SendState(WriteState):
         #: Simulated time each chunk last hit the wire (NaN = not yet);
         #: feeds Jacobson RTT samples and the NACK holdoff.
         self.sent_at = np.full(nchunks, np.nan)
-        #: True when this state serves a bitmap-driven resumption.
+        #: True once the write was revived from a resumption.
         self.resumed = False
         #: Retransmitted chunks waiting for wire injection before their
         #: RTO is (re)armed, in post order; while non-empty, one
@@ -144,18 +140,6 @@ class _SendState(WriteState):
         return ~np.unpackbits(
             np.frombuffer(raw, dtype=np.uint8), count=self.nchunks, bitorder="little"
         ).astype(bool)
-
-
-class _PendingResume(WriteState):
-    """A resumption waiting for the receiver's grant (no stream open yet)."""
-
-    def __init__(self, token: ResumeToken, ticket: WriteTicket, payload):
-        super().__init__(ticket, [], token.total_chunks, payload)
-        self.token = token
-
-    @property
-    def delivered(self) -> np.ndarray | None:
-        return self.token.delivered_mask() if self.token.bitmap else None
 
 
 class SrSender(Sender):
@@ -178,10 +162,6 @@ class SrSender(Sender):
         self._srtt: float | None = None
         self._rttvar = 0.0
         self._backoff = 0
-        self._pending_resumes: dict[int, _PendingResume] = {}
-        #: Optional :class:`repro.recovery.PlaneRecovery` fed RTO/NACK
-        #: loss signals (see :meth:`attach_recovery`).
-        self.recovery = None
         #: Optional :class:`repro.cc.Pacer` fed RTT samples, ECN echoes and
         #: loss signals (see :meth:`attach_cc`).
         self.cc = None
@@ -195,13 +175,11 @@ class SrSender(Sender):
         self._m_rto_fires = self._scope.counter("rto_fires")
         self._m_retransmitted = self._scope.counter("retransmitted_chunks")
         self._m_nacks_received = self._scope.counter("nacks_received")
-        self._rtrack = f"recovery.{qp.ctx.device.name}"
-        rscope = self.sim.telemetry.metrics.scope(self._rtrack)
-        self._m_resumes_started = rscope.counter("resumes_started")
-        self._m_resumes_completed = rscope.counter("resumes_completed")
-        self._m_resume_failures = rscope.counter("resume_failures")
-        self._m_chunks_skipped = rscope.counter("resumed_chunks_skipped")
-        self._m_chunks_resent = rscope.counter("resumed_chunks_retransmitted")
+        for name in (
+            "resumes_started", "resumes_completed", "resume_failures",
+            "resumed_chunks_skipped", "resumed_chunks_retransmitted",
+        ):
+            self._count(name, 0)
 
     @property
     def rto(self) -> float:
@@ -243,7 +221,7 @@ class SrSender(Sender):
         immediately re-arms the in-flight chunk timers (the lost chunks
         retransmit over the surviving planes instead of waiting out RTOs).
         """
-        self.recovery = recovery
+        super().attach_recovery(recovery)
         if recovery is not None:
             recovery.add_listener(self.on_plane_failover)
 
@@ -275,144 +253,35 @@ class SrSender(Sender):
         """A representative data-path QPN (plane attribution under ECMP)."""
         return self.qp.data_qps[0][0].qpn
 
-    # -- public API -----------------------------------------------------------------
+    # -- the write path ---------------------------------------------------------------
 
-    def _start(self, ticket: WriteTicket, payload: bytes | None) -> None:
+    def _start(self, state: _SendState) -> None:
         """Inject every chunk, each RTO stamped as it leaves the NIC."""
-        state = self._open(ticket, payload)
         self._post(state)
         self.sim.call_in(0.0, self._inject_chunks, state)
 
-    def resume(self, token: ResumeToken) -> WriteTicket:
-        """Resume a failed write from ``token`` (bitmap-driven resumption).
+    def _escalate(self, state: WriteState, reason: str) -> bool:
+        return self._resume(state)
 
-        Re-posts the message under a fresh ``(msg_id, generation)`` slot --
-        packets still in flight toward the old slot die on the NULL mkey --
-        and retransmits only the chunks the receiver's bitmap marks
-        missing.  Returns a fresh :class:`WriteTicket` (``seq`` keeps the
-        original message's sequence number).
-        """
-        ticket = self._write_ticket(token.msg_seq, token.length)
-        self._start_resume(token, ticket, None)
-        return ticket
-
-    # -- resumption (repro.recovery) --------------------------------------------------
-
-    def takeover(self, state: WriteState, reason: str, *, protocol: str = "sr") -> bool:
-        """Resume ``state``'s write under a fresh slot if its budget allows.
-
-        The single sender-side resumption hand-off, for this sender's own
-        writes and for the schemes SR backstops (:class:`SrBacked`): ends
-        the old streams, snapshots ``state.delivered`` (None = unknown, the
-        receiver's grant bitmap is authoritative) into a
-        :class:`ResumeToken` and starts the request/grant exchange.  False
-        means the budget is spent and the caller fails the write for real.
-        """
-        ticket, delivered = state.ticket, state.delivered
-        if (
-            ticket.resumptions >= self.config.max_resumptions
-            or ticket.seq in self._pending_resumes
-        ):
-            return False
-        self._end_streams(state)
-        token = ResumeToken(
-            msg_seq=ticket.seq,
-            length=ticket.length,
-            total_chunks=state.nchunks,
-            bitmap=b"" if delivered is None else np.packbits(delivered).tobytes(),
-            reason=reason,
-            attempt=ticket.resumptions + 1,
-            protocol=protocol,
-        )
-        self._start_resume(token, ticket, state.payload)
-        return True
-
-    def _start_resume(self, token: ResumeToken, ticket: WriteTicket, payload):
-        if token.msg_seq in self._pending_resumes:
-            raise ConfigError(f"write seq={token.msg_seq} is already resuming")
-        ticket.resumptions = token.attempt
-        pending = _PendingResume(token, ticket, payload)
-        self._pending_resumes[token.msg_seq] = pending
-        self.qp.resume_begin()
-        self._m_resumes_started.inc()
-        if self._trace.enabled:
-            self._trace.instant(
-                "resume_begin", cat="recovery", track=self._rtrack,
-                msg=token.msg_seq, attempt=token.attempt,
-                delivered=token.delivered_chunks, total=token.total_chunks,
-            )
-        self.sim.call_in(0.0, self._request_resume, pending, 0)
-
-    def _request_resume(self, pending: _PendingResume, sent: int) -> None:
-        """Re-send the resume request until granted or out of retries (a
-        retry keeps the ``any_of`` gate's hop, docs/simulation.md)."""
-        seq = pending.token.msg_seq
-        if self._pending_resumes.get(seq) is not pending:
-            return  # granted
-        if sent == self.config.max_resume_requests:
-            del self._pending_resumes[seq]
-            self._resume_failed(pending, "resume request never granted")
-            self.qp.resume_end()
-            return
-        self.ctrl.send(ResumeReq(msg_seq=seq, attempt=pending.token.attempt))
-        self.sim.call_in(
-            self.config.resume_interval_rtts * self.rtt,
-            self.sim.call_in, 0.0, self._request_resume, pending, sent + 1,
-        )
-
-    def _resume_failed(self, pending: _PendingResume, why: str) -> None:
-        """Terminal resume failure: surface the token's partial bitmap."""
-        token = pending.token
-        self._m_resume_failures.inc()
-        if self._trace.enabled:
-            self._trace.instant(
-                "resume_failed", cat="recovery", track=self._rtrack,
-                msg=token.msg_seq, attempt=token.attempt,
-            )
-        self._fail_write(
-            pending,
-            f"write seq={token.msg_seq} resume attempt {token.attempt} "
-            f"failed: {why}",
-        )
-
-    def _launch_resumed(self, pending: _PendingResume, ack: ResumeAck) -> None:
-        """The receiver granted: re-post and inject only the missing chunks.
-
-        Slots are taken in the receiver's order: held writes first fill the
-        slots of the receives the peer posted before its grant
-        (:meth:`SdrQp.resume_granted`).
-        """
-        token = pending.token
-        mismatch = self.qp.resume_granted(ack.new_seq)
-        if mismatch is not None:
-            self._resume_failed(pending, mismatch)
-            return
-        state = self._open(pending.ticket, pending.payload)
-        new_seq = state.hdl.seq
-        state.unacked &= ~ack.acked_mask(state.nchunks)
+    def _resumed(self, state: _SendState) -> None:
+        """Revived: the old RTO deadlines are void, and once the receiver's
+        ACK is applied a pass re-sends what it still lacks."""
         state.resumed = True
-        missing = state.unacked.bit_count()
-        self._m_chunks_skipped.inc(state.nchunks - missing)
-        # The msg_post carries ``resumed_from`` so lineage folds the
-        # resumed slot into the original message's history.
-        self._post(state, resumed_from=token.msg_seq)
-        if self._trace.enabled:
-            self._trace.instant(
-                "resume_post", cat="recovery", track=self._rtrack,
-                msg=token.msg_seq, new_msg=new_seq,
-                missing=missing, skipped=state.nchunks - missing,
-                attempt=token.attempt,
-            )
+        state.deadline.fill(np.inf)
         self.sim.call_in(0.0, self._inject_chunks, state)
 
     # -- injection -------------------------------------------------------------------
 
     def _inject_chunks(self, state: _SendState) -> None:
-        """First pass: every chunk; resumed pass: only what the grant lacks.
+        """First pass: every chunk; resumed pass: only what the receiver's
+        answer left unacknowledged.
 
         Each chunk's RTO is stamped as it leaves the NIC.
         """
         if state.resumed:
+            self._count(
+                "resumed_chunks_skipped", state.nchunks - state.unacked.bit_count()
+            )
             # Re-checked at send time: a chunk may be acked while earlier
             # ones are pacing.
             indices = (
@@ -423,7 +292,7 @@ class SrSender(Sender):
 
         def on_wire(index: int) -> None:
             if state.resumed:
-                self._m_chunks_resent.inc()
+                self._count("resumed_chunks_retransmitted")
             self._arm(state, index)
 
         self._inject(
@@ -566,14 +435,11 @@ class SrSender(Sender):
         state.ticket.retransmitted_chunks += 1
         return True
 
-    def _escalate(self, state: WriteState, reason: str) -> bool:
-        return self.takeover(state, reason)
-
     # -- control-path handling ----------------------------------------------------------
 
     def _on_ctrl(self, msg) -> None:
         if isinstance(msg, Ack):
-            state = self._states.get(msg.msg_seq)
+            state = self._states.get(msg.msg_seq) or self._revive(msg.msg_seq)
             if state is None or (msg is state.last_ack and not msg.ecn_marked):
                 return  # applied already: it confirms nothing new
             state.last_ack = msg
@@ -630,65 +496,13 @@ class SrSender(Sender):
                         continue
                     if not self._retransmit(state, int(index), rto=False):
                         return
-        elif isinstance(msg, ResumeAck):
-            pending = self._pending_resumes.get(msg.msg_seq)
-            if pending is None:
-                return  # duplicate grant: the resumed state already launched
-            if msg.attempt != pending.token.attempt:
-                return  # late grant for a superseded attempt
-            del self._pending_resumes[msg.msg_seq]
-            self._launch_resumed(pending, msg)
-            self.qp.resume_end()
 
     def _maybe_finish(self, state: _SendState) -> None:
         if state.complete and self._states.pop(state.hdl.seq, None) is not None:
             self._complete_write(
                 state, retransmits=state.ticket.retransmitted_chunks
             )
-            if state.resumed:
-                self._m_resumes_completed.inc()
             self._kick_timer()
-
-
-class SrBacked(Sender):
-    """A sender whose last resort is a Selective Repeat phase (EC, sampling).
-
-    When such a scheme gives up, both sides re-post the remainder under a
-    fresh slot and an internal :class:`SrSender` finishes the message
-    (``repro.recovery``).  The backstop is built lazily, so a run that
-    never escalates constructs no SR state, and it is reached only through
-    its public :meth:`SrSender.takeover` / :meth:`SrSender.resume`.  A
-    subclass says how that SR phase is tuned in ``_backstop_config()``.
-    """
-
-    _sr: SrSender | None = None
-    #: Optional :class:`repro.recovery.PlaneRecovery` fed NACK signals.
-    recovery = None
-
-    def _backstop(self) -> SrSender:
-        if self._sr is None:
-            self._sr = SrSender(
-                self.qp, self.ctrl, self._backstop_config(), rtt=self.rtt
-            )
-            if self.recovery is not None:
-                self._sr.attach_recovery(self.recovery)
-        return self._sr
-
-    def attach_recovery(self, recovery) -> None:
-        """Feed loss signals (the backstop's included) into a plane monitor."""
-        self.recovery = recovery
-        if self._sr is not None and recovery is not None:
-            self._sr.attach_recovery(recovery)
-
-    def resume(self, token: ResumeToken) -> WriteTicket:
-        """Resume a failed write: SR-style remainder under a fresh slot."""
-        return self._backstop().resume(token)
-
-    def _escalate(self, state: WriteState, reason: str) -> bool:
-        # Never build the backstop for a scheme that cannot resume.
-        return self.config.max_resumptions > 0 and self._backstop().takeover(
-            state, reason, protocol=self.scheme
-        )
 
 
 class SrReceiver(Receiver):
@@ -706,98 +520,26 @@ class SrReceiver(Receiver):
         rtt: float | None = None,
     ):
         super().__init__(qp, ctrl, config, rtt=rtt)
-        #: Highest granted attempt + its ResumeAck, for idempotent re-grants.
-        self._resume_grants: dict[int, tuple[int, ResumeAck]] = {}
         self._m_acks_sent = self._scope.counter("acks_sent")
         self._m_nacks_sent = self._scope.counter("nacks_sent")
-        self._rtrack = f"recovery.{qp.ctx.device.name}"
-        self._m_resumes_granted = self.sim.telemetry.metrics.scope(
-            self._rtrack
-        ).counter("resumes_granted")
+        self._count("resumes_granted", 0)
 
     @property
     def nacks_sent(self) -> int:
         return self._m_nacks_sent.value
 
-    # -- resumption grants (repro.recovery) --------------------------------------------
+    # -- answering a resumption ------------------------------------------------------
 
-    def _on_ctrl(self, msg) -> None:
-        if not isinstance(msg, ResumeReq):
-            return
-        prev = self._resume_grants.get(msg.msg_seq)
-        if prev is not None and prev[0] >= msg.attempt:
-            # Duplicate request (our grant was lost or is in flight):
-            # re-announce the same grant instead of re-posting.
-            self.ctrl.send(prev[1])
-            return
-        entry = self._serving.get(msg.msg_seq)
-        if entry is not None:  # else: not a message this receiver ever served
-            self.adopt(msg, entry[0], [entry[1]])
+    def _answer_serving(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
+        self._send_ack(rh)
 
-    def adopt(
-        self,
-        msg: ResumeReq,
-        ticket: ReceiveTicket,
-        old_handles: list[RecvHandle],
-        mr: MemoryRegion | None = None,
-        length: int | None = None,
-        mr_offset: int = 0,
-        delivered: np.ndarray | None = None,
-    ) -> None:
-        """Grant a resumption: take over serving ``ticket`` under a fresh slot.
-
-        The single receiver-side resumption hand-off, for this receiver's
-        own messages and for the schemes SR backstops: abandons whichever
-        of ``old_handles`` are still open (in-flight packets die on the
-        NULL mkey from here on), re-posts the buffer pre-seeded with
-        ``delivered``, announces the grant (the fresh slot's bitmap from
-        its cumulative byte, as an ACK window), and serves the fresh slot.
-        The grant is remembered, so duplicate and follow-up requests for
-        the message are answered here.
-
-        A single-buffer scheme passes only its one handle: the same buffer
-        is re-posted, seeded from the handle's live bitmap, and a slot
-        whose chunks all arrived is left to complete on its own.
-        """
-        if delivered is None:
-            (rh,) = old_handles
-            mr, length, mr_offset = rh.mr, rh.length, rh.mr_offset
-            delivered = rh.bitmap().as_array()  # a fresh array
-            if rh.all_chunks_received():
-                old_handles = []
-        for rh in old_handles:
-            if not rh.completed:
-                self.qp.recv_abandon(rh)
-        rh2 = self.qp.recv_post(
-            SdrRecvWr(mr=mr, length=length, mr_offset=mr_offset),
-            preset_chunks=delivered,
-        )
-        ticket.resumptions += 1
-        ticket.recv_handles.append(rh2)
-        self._serving[msg.msg_seq] = (ticket, rh2)
-        bitmap = rh2.bitmap()
-        cumulative = bitmap.cumulative()
-        ack = ResumeAck(
-            msg.msg_seq, rh2.seq, rh2.nchunks, msg.attempt, cumulative // 8 * 8,
-            bitmap.to_bytes(start_bit=cumulative),
-        )
-        self._resume_grants[msg.msg_seq] = (msg.attempt, ack)
-        self._m_resumes_granted.inc()
-        if self._trace.enabled:
-            self._trace.instant(
-                "resume_grant", cat="recovery", track=self._rtrack,
-                msg=msg.msg_seq, new_msg=rh2.seq, attempt=msg.attempt,
-                delivered=int(delivered.sum()), total=rh2.nchunks,
-            )
-        self.ctrl.send(ack)
-        self.sim.call_in(0.0, self._serve, ticket, rh2)
+    def _answer_finished(self, seq: int) -> None:
+        self.ctrl.send(Ack(seq, FINISHED))
+        self._m_acks_sent.inc()
 
     # -- serve loop ----------------------------------------------------------------------
 
     def _serve(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:
-        # ACK/NACK under the handle's own seq: for a resumed serve this is
-        # the fresh slot's seq (what the sender's resumed state is keyed by),
-        # for the original serve it equals ticket.seq.
         last_nack = np.full(rh.nchunks, -np.inf)
         # [chunks set, wire bytes] of the last trailer-free poll ACK.
         last_ack = [-1, b""]
@@ -883,48 +625,6 @@ class SrReceiver(Receiver):
                 "gap_nack", cat="sr", track=self._track,
                 seq=rh.seq, chunks=len(nack.chunks),
             )
-
-
-class SrBackedReceiver(Receiver):
-    """A receiver that hands a message to SR when its sender resumes it.
-
-    The receiving half of :class:`SrBacked`: the first ``ResumeReq`` for a
-    served message calls the policy's ``_hand_over`` exactly once, which
-    ends in :meth:`SrReceiver.adopt` on the lazily built backstop.
-    """
-
-    _sr: SrReceiver | None = None
-
-    def _backstop_config(self) -> SrConfig:
-        """Policy hook: how the SR phase behind this scheme is tuned."""
-        return SrConfig(nack_enabled=True)
-
-    def _backstop(self) -> SrReceiver:
-        if self._sr is None:
-            self._sr = SrReceiver(
-                self.qp, self.ctrl, self._backstop_config(), rtt=self.rtt
-            )
-        return self._sr
-
-    def abandon(self, ticket: ReceiveTicket) -> None:
-        super().abandon(ticket)
-        if self._sr is not None:  # the message may have been handed over
-            self._sr.abandon(ticket)
-
-    def _on_ctrl(self, msg) -> None:
-        if isinstance(msg, ResumeReq):
-            # Popped: from here on the backstop owns the message (its grant
-            # table answers duplicates and follow-up attempts).
-            entry = self._serving.pop(msg.msg_seq, None)
-            if entry is not None:
-                self._hand_over(msg, *entry)
-
-    def _hand_over(self, msg: ResumeReq, ticket: ReceiveTicket, rh: RecvHandle) -> None:
-        """Policy hook: salvage what arrived, then ``_backstop().adopt``.
-
-        Default: a single-buffer receive, whose live bitmap is the seed.
-        """
-        self._backstop().adopt(msg, ticket, [rh])
 
 
 register_scheme("sr", SrSender, SrReceiver)

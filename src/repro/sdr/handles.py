@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.common.bitmap import Bitmap
 from repro.common.errors import SdrStateError
 from repro.sdr.imm import ImmLayout, UserImmAssembler
@@ -251,27 +249,6 @@ class RecvHandle:
             and self.chunk_bitmap.all_set()
         ):
             self._all_event.succeed(self)
-
-    def _preseed(self, chunk_mask) -> None:
-        """Mark chunks already delivered by a previous attempt (resumption).
-
-        Runs at post time, before any packet can arrive: seeds the backend
-        packet bitmap, the fill counters and the frontend chunk bitmap so
-        pre-delivered chunks never count as missing, and any late packets
-        for them are filtered as duplicates.
-        """
-        mask = np.asarray(chunk_mask, dtype=bool)
-        if mask.size != self.nchunks:
-            raise SdrStateError(
-                f"preseed mask has {mask.size} chunks, message has {self.nchunks}"
-            )
-        chunks = np.flatnonzero(mask)
-        ppc = self.packets_per_chunk
-        packets = (chunks[:, None] * ppc + np.arange(ppc)).ravel()
-        self.packet_bitmap.set_many(packets[packets < self.npackets])
-        self.chunk_bitmap.set_many(chunks)
-        for chunk in chunks.tolist():
-            self._chunk_fill[chunk] = self._chunk_goal[chunk]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -24,7 +24,6 @@ keeps the two sides in lockstep without exchanging per-message metadata.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -156,12 +155,6 @@ class SdrQp:
         self._recv_table: dict[int, RecvHandle] = {}
         self._cts_high = -1  # highest receiver seq we may send to
         self._cts_waiters: list[SendHandle] = []
-        #: Resume grants in flight, and the launches held behind them in
-        #: post order: the receiver re-posts a resumed message under its
-        #: next slot, so no send takes a slot while a grant is on its way
-        #: (``take_slots``, ``resume_begin`` / ``_granted`` / ``_end``).
-        self._grants_in_flight = 0
-        self._held: deque = deque()
 
         self.connected = False
         self._remote: SdrQpInfo | None = None
@@ -257,37 +250,6 @@ class SdrQp:
         at the attached controller's rate.  Pass ``None`` to detach.
         """
         self.pacer = pacer
-
-    # ------------------------------------------------------------------ slot lockstep
-
-    def take_slots(self, launch) -> None:
-        """Run ``launch()``, which opens a write's sends, now; or hold it
-        while a resume grant is in flight."""
-        if self._grants_in_flight:
-            self._held.append(launch)
-        else:
-            launch()
-
-    def resume_begin(self) -> None:
-        """A resume request goes out: hold new launches until its grant."""
-        self._grants_in_flight += 1
-
-    def resume_granted(self, new_seq: int) -> str | None:
-        """The grant names the receiver's slot ``new_seq``: held launches
-        fill the slots before it.  None if the next send takes it; else why
-        not (the sides posted different messages), and the resume takes none."""
-        while self._held and self._send_seq < new_seq:
-            self._held.popleft()()
-        if self._send_seq != new_seq:
-            return f"slot mismatch (local seq {self._send_seq}, peer {new_seq})"
-        return None
-
-    def resume_end(self) -> None:
-        """A grant was used or given up: once none is in flight, release
-        the held launches in post order."""
-        self._grants_in_flight -= 1
-        while self._held and not self._grants_in_flight:
-            self._held.popleft()()
 
     # ------------------------------------------------------------------ helpers
 
@@ -509,15 +471,8 @@ class SdrQp:
 
     # ------------------------------------------------------------------ recv path
 
-    def recv_post(self, wr: SdrRecvWr, *, preset_chunks=None) -> RecvHandle:
-        """``recv_post``: post a receive buffer and send clear-to-send.
-
-        ``preset_chunks`` (a boolean array of chunk flags) marks chunks
-        that are *already present* in the buffer -- the resumption path
-        re-posts a partially delivered message under a fresh
-        ``(msg_id, generation)`` slot and pre-seeds the bitmap so only the
-        missing chunks are outstanding.
-        """
+    def recv_post(self, wr: SdrRecvWr) -> RecvHandle:
+        """``recv_post``: post a receive buffer and send clear-to-send."""
         self._require_connected()
         if wr.length > self.config.max_message_bytes:
             raise ConfigError(
@@ -557,8 +512,6 @@ class SdrQp:
             packets_per_chunk=self.config.packets_per_chunk,
             layout=self.layout,
         )
-        if preset_chunks is not None:
-            hdl._preseed(preset_chunks)
         self._recv_table[msg_id] = hdl
         self.root_table.bind(msg_id, wr.mr, wr.mr_offset)
         self._cts_refresh_budget = 50
@@ -668,10 +621,9 @@ class SdrQp:
     def recv_abandon(self, hdl: RecvHandle) -> None:
         """Abandon an incomplete receive: free the slot, arm late protection.
 
-        The resumption path abandons the original slot before re-posting
-        the remainder of the message under a fresh ``(msg_id, generation)``
-        slot; packets still in flight towards the old slot die on the NULL
-        mkey (stage one) or the generation/completed CQE filter (stage two).
+        A reliability layer abandons a receive it gave up on; packets still
+        in flight towards the slot die on the NULL mkey (stage one) or the
+        generation/completed CQE filter (stage two).
         """
         if hdl.completed:
             raise SdrStateError(f"receive (seq={hdl.seq}) already completed")

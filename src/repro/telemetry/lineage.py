@@ -26,9 +26,7 @@ busy span), ``ack_wait`` (idle after the last one: trailing propagation
 and the final ACK) and ``other`` (an idle gap no recorded trigger ends).
 docs/observability.md describes every category.
 
-A resumed transfer re-posts under a fresh slot whose ``msg_post`` carries
-``resumed_from=<original seq>``; the analyzer folds the new slot's events
-into the original message's lineage, exactly like EC submessage members.
+A resumed transfer keeps its slot, so its events stay under its own seq.
 
 On a loss-free SR run ``span - cts_wait`` reproduces the analytical
 ``sr_expected_completion`` (chunks * T_inj + RTT) -- the validation the
@@ -233,12 +231,6 @@ class LineageAnalyzer:
         for ev in events:
             msg = self._msg_of(ev)
             if msg is None or _ROLES.get(ev.name, _NONE).kind != POST:
-                continue
-            resumed_from = ev.args.get("resumed_from")
-            if resumed_from is not None and int(resumed_from) != msg:
-                # A resumed transfer's fresh slot: fold its events into the
-                # original message instead of opening a new lineage.
-                self._member_of[msg] = int(resumed_from)
                 continue
             rec = self.messages.setdefault(msg, MessageLineage(msg=msg))
             rec.protocol = ev.cat

@@ -85,8 +85,6 @@ TABLES: dict[type, dict[str, str]] = {
         "max_message_retransmits": "> 0 or None",
         "serve_deadline_rtts": "> 0 or None",
         "max_resumptions": ">= 0",
-        "resume_interval_rtts": "> 0",
-        "max_resume_requests": "> 0",
     },
     EcConfig: {
         "k": "> 0",

@@ -77,8 +77,8 @@ def _ec(telemetry):
 def _ec_timed_salvage(telemetry):
     # Timed encode and decode, and a data blackout that starts after the
     # first message's sub 0 has its parity but before sub 1 has any: the
-    # global timeout resumes that message, the receiver decodes sub 0 in
-    # the salvage, and an SR phase finishes sub 1 once the link is back.
+    # global timeout resumes that message in place, and the EC fallback
+    # repeats sub 1's chunks once the link is back.
     blackout = FaultWindow(
         kind="blackout", start=2.0 * WAN_RTT, end=40 * WAN_RTT, selector="data"
     )

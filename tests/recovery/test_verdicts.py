@@ -22,7 +22,6 @@ are a function of the tree.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -159,13 +158,8 @@ FAULTS = st.tuples(
 )
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="resumption re-posts a write under a fresh slot, and adaptive "
-    "dispatches writes in the order their provisions arrive (ROADMAP item 21)",
-)
 @settings(
-    max_examples=30,
+    max_examples=50,
     deadline=None,
     derandomize=True,
     report_multiple_bugs=False,
@@ -182,8 +176,8 @@ FAULTS = st.tuples(
     seed=st.integers(0, 3),
     late=st.sampled_from(LATE_RTTS),
 )
-# Scenarios the oracle found before resumption kept each write in its own
-# slot, pinned so they run first on every tree:
+# Scenarios the oracle found while a resumption re-posted its write under a
+# fresh slot, pinned so they run first on every tree:
 # - the receiver finished the write, its acknowledgments died, and the
 #   resume request went unanswered (SR, EC, sampling);
 @example("sr_nack", ("between", "between"), ("blackout", "control", 0.5, 15.0), 1, 1, 1.0)

@@ -1,12 +1,12 @@
 """Both sides of a write agree on its fate across a resumption.
 
 Order-based matching pairs the n-th send with the n-th receive (PAPER.md
-§1), and a resumption re-posts a message under a fresh slot on both
-sides.  Whatever happens around it, the verdict for every write is
-two-sided: the sender's ticket succeeds if and only if the receiver's
-does, and a receive that completes holds its own write's bytes, never
-another's.  A scenario that still breaks that verdict is a strict xfail
-until it is mended (ROADMAP item 21).
+§1), and a resumed write keeps its seq and its slot on both sides.
+Whatever happens around it, the verdict for every write is two-sided: the
+sender's ticket succeeds if and only if the receiver's does, and a receive
+that completes holds its own write's bytes, never another's.  Each
+scenario here broke that verdict while a resumption re-posted its write
+under a fresh slot (ROADMAP item 21).
 """
 
 import pytest
@@ -74,13 +74,13 @@ class _Run:
 
 
 _SR_BACKED = {
-    # The global timeout hands write 0 to SR after a 12-RTT data blackout.
+    # The global timeout resumes write 0 inside a 12-RTT data blackout.
     "ec": (
         EcSender, EcReceiver,
         EcConfig(global_timeout_rtts=10.0, max_resumptions=1),
         data_blackout,
     ),
-    # The idle watchdog hands write 0 to SR inside a 20-RTT data blackout.
+    # The idle watchdog resumes write 0 inside a 20-RTT data blackout.
     "sampling": (
         SamplingSender, SamplingReceiver,
         SamplingConfig(max_resumptions=1),
@@ -91,9 +91,10 @@ _SR_BACKED = {
 
 @pytest.mark.parametrize("scheme", sorted(_SR_BACKED))
 def test_write_posted_during_the_backstop_takeover(scheme):
-    """An SR-backed scheme gives write 0 to its SR backstop, and write 1 is
-    posted as that takeover starts: the QP holds write 1 until the resumed
-    attempt has taken the slot the grant names."""
+    """Write 0 resumes, and write 1 is posted as the resumption starts:
+    it takes the next seq, and its receive, posted once write 0 is done,
+    gets its bytes.  (The name is from when an SR backstop took the
+    resumed write over under a fresh slot.)"""
     run = _Run(*_SR_BACKED[scheme])
     run.post_receive()
     run.write()
@@ -106,11 +107,6 @@ def test_write_posted_during_the_backstop_takeover(scheme):
     run.assert_fates_agree()
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="a write the sender posted before the resume began already owns "
-    "the slot the receiver re-posts for the resumed message",
-)
 def test_sr_sender_ahead_of_the_receiver():
     """SR, a data blackout to 3.6 RTT, one posted receive and two writes
     back to back; the second receive is posted once write 0's fate is
@@ -129,11 +125,6 @@ def test_sr_sender_ahead_of_the_receiver():
     run.assert_fates_agree()
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="a receiver answers neither a retransmission into a slot it "
-    "finished (after the grace window) nor a resume request for it",
-)
 def test_sr_delivered_write_whose_final_acks_died():
     """SR with resumption armed, a control blackout from 0.9 to 20 RTT:
     the write lands, every ACK for it dies, the sender's retransmissions

@@ -153,24 +153,79 @@ def test_serving_empties_once_every_grace_is_over(scheme):
     assert receiver._serving == {}
 
 
-@pytest.mark.parametrize("scheme", ["sr", "ec"])
+@pytest.mark.parametrize("scheme", ["sr", "ec", "sampling"])
 @pytest.mark.parametrize("in_grace", [True, False], ids=["in_grace", "after"])
-def test_resume_request_is_granted_only_through_grace(scheme, in_grace):
-    """A resume request arriving while the receiver still re-signals its
-    completion is adopted; one arriving after grace finds nothing."""
-    from repro.reliability.messages import ResumeReq
+def test_a_finished_message_is_answered_through_grace_and_after(scheme, in_grace):
+    """A resume request for a message the receiver completed gets its
+    completion signal, whether it arrives while the receiver still
+    re-signals (grace, 10 RTTs) or 20 RTTs later, when only the
+    receiver's posts remember the message."""
+    from repro.reliability.messages import Done, ResumeReq
+    from repro.reliability.sr import FINISHED
 
     pair, receiver, (ticket,) = _drain(scheme, messages=1)
     rtt = pair.channel.rtt
-    # Sent as the receive completes, it lands half an RTT into grace
-    # (10 RTTs); sent 20 RTTs later, after it.
     delay = 0.0 if in_grace else 20 * rtt
-    ticket.done.callbacks.append(
-        lambda _ev: pair.sim.call_in(
-            delay, pair.ctrl_a.send, ResumeReq(msg_seq=ticket.seq, attempt=1)
-        )
-    )
+    heard = []  # what the receiver sends from the request on (2 % loss)
+
+    def request() -> None:
+        send = pair.ctrl_b.send
+        pair.ctrl_b.send = lambda msg: heard.append(msg) or send(msg)
+        pair.ctrl_a.send(ResumeReq(msg_seq=ticket.seq, attempt=1))
+
+    ticket.done.callbacks.append(lambda _ev: pair.sim.call_in(delay, request))
     pair.sim.run()
     granted = pair.sim.telemetry.metrics.value("recovery.dc-b.resumes_granted")
-    assert granted == (1 if in_grace else 0)
+    assert granted == 1
     assert ticket.resumptions == (1 if in_grace else 0)
+    final = {
+        "sr": Ack(ticket.seq, FINISHED), "ec": EcAck(ticket.seq),
+        "sampling": Done(ticket.seq),
+    }[scheme]
+    assert final in heard
+
+
+@pytest.mark.parametrize("scheme", ["sr", "ec", "sampling"])
+def test_a_message_given_up_is_not_answered(scheme):
+    """An abandoned receive is given up: a later resume request for it
+    gets no answer (nor does a seq the receiver never posted)."""
+    from repro.reliability.messages import ResumeReq
+
+    pair, receiver, (ticket,) = _drain(scheme, messages=1)
+    receiver.abandon(ticket)
+    for seq in (ticket.seq, 99):
+        pair.ctrl_a.send(ResumeReq(msg_seq=seq, attempt=1))
+    pair.sim.run()
+    assert pair.sim.telemetry.metrics.value("recovery.dc-b.resumes_granted") == 0
+    assert not ticket.done.ok and receiver._serving == {}
+
+
+def test_receivers_sharing_a_qp_answer_only_their_own_messages():
+    """Adaptive's SR and EC receivers share one QP: a resume request for
+    the EC message, after both messages finished, is answered with an
+    ``EcAck`` by the EC receiver alone."""
+    from repro.reliability.ec import EcConfig
+    from repro.reliability.messages import ResumeReq
+    from repro.stack import endpoints
+    from tests.conftest import make_sdr_pair
+
+    pair = make_sdr_pair(seed=3, inflight=64)
+    sender, receiver = endpoints(
+        "adaptive", pair, ec_config=EcConfig(k=8, m=4)
+    )
+    size = 256 * 1024
+    tickets = []
+    for estimate in (0.0, 0.05):  # the advisor's pick: SR, then EC
+        receiver.estimator.estimate = estimate
+        tickets.append(receiver.post_receive(pair.ctx_b.mr_reg(size), size))
+        pair.sim.run(sender.write(size).done)
+    pair.sim.run()
+    assert receiver.protocol_history == ["sr", "ec"]
+    ec_seq = tickets[1].seq
+    assert receiver.sr._posted == [[0, 1]] and receiver.ec._posted[0][0] == ec_seq
+    heard = []
+    send = pair.ctrl_b.send
+    pair.ctrl_b.send = lambda msg: heard.append(msg) or send(msg)
+    pair.ctrl_a.send(ResumeReq(msg_seq=ec_seq, attempt=1))
+    pair.sim.run()
+    assert heard == [EcAck(ec_seq)]

@@ -221,8 +221,7 @@ def toy_scheme():
         scheme = "twice"
         config_type = SrConfig
 
-        def _start(self, ticket, payload):
-            state = self._open(ticket, payload)
+        def _start(self, state):
             for attempt in (0, 1):
                 for index in range(state.nchunks):
                     self._send_chunk(state, index, attempt=attempt)

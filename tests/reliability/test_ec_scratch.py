@@ -5,7 +5,7 @@ pages); the paper's NULL mkey plus generations exist so that a buffer can
 be reused once its slot completes.  ``EcReceiver`` keeps a free list of
 parity scratch per payload mode.  A scratch goes back on it only once
 every slot that pointed at it points at the NULL mkey -- after completion,
-or after a resumption hand-over or the serve deadline abandoned the slots
+or after an abandon or the serve deadline freed the slots
 (``test_serve_deadline.py``) -- so late parity dies there instead of
 landing in the next message's scratch.
 """
@@ -77,10 +77,10 @@ def test_late_parity_dies_on_the_null_mkey_while_its_scratch_serves_on():
     assert bytes(bufs[0]) == payloads[0]
 
 
-def test_scratch_comes_back_after_a_resumption_hand_over():
+def test_scratch_comes_back_after_a_resumption():
     # The ec_timed_salvage golden's shape: timed encode and decode, and a
-    # data blackout long enough that the global timeout resumes message 1;
-    # the receiver salvages what parity rescues, then SR finishes it.
+    # data blackout long enough that the global timeout resumes message 1
+    # in place; the fallback repeats finish it once the link is back.
     rtt = distance_to_rtt(1000.0)
     blackout = FaultWindow(
         kind="blackout", start=2.0 * rtt, end=40 * rtt, selector="data"
@@ -107,11 +107,11 @@ def test_scratch_comes_back_after_a_resumption_hand_over():
     assert set(_scratch(second, nsub)) == set(_scratch(first, nsub))
 
 
-def test_a_hand_over_during_grace_decodes_nothing_from_reused_scratch():
+def test_a_resume_request_during_grace_decodes_nothing_from_reused_scratch():
     # Message 1 decoded, then gave its scratch to message 2, whose parity
     # now fills it.  A resume request for message 1 inside its grace
-    # period is still granted; the salvage must not decode message 1's
-    # missing chunks again from message 2's parity.
+    # period is answered with its EcAck, and nothing of message 1 is
+    # decoded again from message 2's parity.
     pair, sender, receiver = _ec(drop=0.02, seed=1)
     bufs = [bytearray(SIZE), bytearray(SIZE)]
     payloads = [random_payload(SIZE, s) for s in (1, 2)]
@@ -125,9 +125,11 @@ def test_a_hand_over_during_grace_decodes_nothing_from_reused_scratch():
         assert receiver.submessages_decoded > decoded
     first, second = tickets
     assert set(_scratch(second)) == set(_scratch(first))
+    decoded = receiver.submessages_decoded
     pair.ctrl_a.send(ResumeReq(msg_seq=first.seq, attempt=1))
     pair.sim.run()
     assert first.resumptions == 1
+    assert receiver.submessages_decoded == decoded
     assert bytes(bufs[0]) == payloads[0] and bytes(bufs[1]) == payloads[1]
 
 

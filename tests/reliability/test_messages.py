@@ -13,7 +13,6 @@ from repro.reliability.messages import (
     EcNack,
     Provision,
     RepairReq,
-    ResumeAck,
     ResumeReq,
     SrNack,
     decode_message,
@@ -46,10 +45,14 @@ class TestRoundtrips:
     def test_done(self):
         assert decode_message(Done(msg_seq=4).pack()) == Done(msg_seq=4)
 
-    def test_resume_ack(self):
-        grant = ResumeAck(msg_seq=5, new_seq=6, total_chunks=20, attempt=2,
-                          window_start=8, window=b"\x0f\x01")
-        assert decode_message(grant.pack()) == grant
+    def test_resume_req(self):
+        req = ResumeReq(msg_seq=5, attempt=2)
+        assert decode_message(req.pack()) == req
+
+    def test_the_retired_resume_grant_tag_is_unknown(self):
+        # Type 8 carried a resumption grant naming a fresh slot.
+        with pytest.raises(ProtocolError, match="unknown control message type 8"):
+            decode_message(bytes([8, 5, 0, 0, 0]) + bytes(20))
 
     def test_trailing_padding_tolerated(self):
         # ControlPath pads datagrams to a minimum wire size.
@@ -222,7 +225,7 @@ def variable_messages(draw):
     chunks = st.lists(_IDX, max_size=40).map(tuple) | st.integers(0, 2400).map(
         lambda n: tuple(range(n))
     )
-    kind = draw(st.sampled_from(["ack", "sr_nack", "ec_nack", "repair", "grant"]))
+    kind = draw(st.sampled_from(["ack", "sr_nack", "ec_nack", "repair"]))
     if kind == "ack":
         marked = draw(st.integers(0, 5))  # (0, 0): no ECN trailer
         seen = marked + 3 if marked else 0
@@ -231,9 +234,7 @@ def variable_messages(draw):
         return SrNack(seq, draw(chunks))
     if kind == "ec_nack":
         return EcNack(seq, draw(chunks), draw(chunks))
-    if kind == "repair":
-        return RepairReq(seq, draw(_IDX), draw(_IDX), window)
-    return ResumeAck(seq, draw(_IDX), draw(_IDX), draw(_IDX), draw(_IDX), window)
+    return RepairReq(seq, draw(_IDX), draw(_IDX), window)
 
 
 def _kept(msg) -> tuple:
@@ -317,24 +318,27 @@ def test_garbage_counts_decode_to_a_message_or_a_protocol_error(
             pass
 
 
-class TestResumeAckWindow:
-    """The grant's window is the ACK's: below ``window_start`` delivered,
-    LSB-first bits from there, past the window missing."""
+class TestAckMask:
+    """An ACK's window: below ``window_start`` delivered, LSB-first bits
+    from there, past the window missing, all clipped to the message."""
 
     def test_below_the_window_is_delivered(self):
-        grant = ResumeAck(0, 1, 20, 1, 8, b"\x05")
-        assert set(mask_bits(grant.acked_mask(20))) == set(range(8)) | {8, 10}
+        ack = Ack(0, 8, 8, b"\x05")
+        assert set(mask_bits(ack.acked_mask(20))) == set(range(8)) | {8, 10}
 
     def test_past_the_window_is_missing(self):
-        grant = ResumeAck(0, 1, 30, 1, 0, b"\xff")
-        assert grant.acked_mask(30) == 0xFF
-
-    def test_empty_grant_confirms_nothing(self):
-        assert ResumeAck(0, 1, 30).acked_mask(30) == 0
+        assert Ack(0, 0, 0, b"\xff").acked_mask(30) == 0xFF
 
     def test_clipped_to_the_message(self):
-        assert ResumeAck(0, 1, 3, 1, 0, b"\xff").acked_mask(3) == 0b111
-        assert ResumeAck(0, 1, 3, 1, 2**32 - 1, b"\xff").acked_mask(3) == 0b111
+        assert Ack(0, 0, 0, b"\xff").acked_mask(3) == 0b111
+        assert Ack(0, 0, 2**32 - 1, b"\xff").acked_mask(3) == 0
+
+    def test_a_finished_answer_confirms_every_chunk(self):
+        from repro.reliability.sr import FINISHED
+
+        assert decode_message(Ack(4, FINISHED).pack()) == Ack(4, FINISHED)
+        for nchunks in (1, 9, 512):
+            assert Ack(4, FINISHED).acked_mask(nchunks) == (1 << nchunks) - 1
 
 
 class TestRecords:
@@ -343,8 +347,7 @@ class TestRecords:
     MESSAGES = [
         Ack(1, 2, 0, b"\x01", 3, 4), SrNack(1, (2, 3)), EcAck(1),
         EcNack(1, (0,), (4, 5)), Done(1), Provision(1, "ec"),
-        ResumeReq(1, 2), ResumeAck(1, 2, 3, 4, 8, b"\xf0"),
-        RepairReq(1, 2, 8, b"\x03"),
+        ResumeReq(1, 2), RepairReq(1, 2, 8, b"\x03"),
     ]
 
     @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: type(m).__name__)

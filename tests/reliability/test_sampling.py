@@ -129,8 +129,10 @@ class TestEscalation:
             pair.sim.run(done)
         assert wt.failed
 
-    def test_budget_exhaustion_resumes_via_sr_backstop(self):
-        cfg = SamplingConfig(max_message_retransmits=2, max_resumptions=2)
+    def test_budget_exhaustion_resumes_in_place(self):
+        # Each resumption keeps the slot and gets a fresh budget of 48
+        # repairs; 30 % loss spends about 150 before the write completes.
+        cfg = SamplingConfig(max_message_retransmits=48, max_resumptions=4)
         pair, s, r = make_sampling(drop=0.3, seed=8, config=cfg)
         wt, rt, mr, payload = deliver(pair, s, r, MIB, seed=8)
         assert wt.done.triggered and not wt.failed

@@ -7,8 +7,8 @@ array beside ``deadline``, the horizon read through two masked ``any()``
 and a masked ``min()``, ``complete`` as ``not unacked.any()`` and an ACK
 loop over the set of *every* acknowledged chunk.  It is kept here as the
 reference.  Hypothesis draws a schedule -- chunks hitting the wire, ACKs
-(cumulative + window), plane failovers, writes resumed from a grant's
-bitmap -- and both senders must retransmit the same chunks at the same
+(cumulative + window), plane failovers, writes revived from a resumption
+by the receiver's answering ACK -- and both senders must retransmit the same chunks at the same
 instants, finish the same writes at the same instants, agree on horizon,
 ``complete`` and ``delivered`` after every step, and leave the drained
 clock on the same dead timer entry.
@@ -28,9 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.units import KiB
-from repro.recovery.resume import ResumeToken
-from repro.reliability.messages import Ack, ResumeAck
-from repro.reliability.sr import SrConfig, SrSender, _PendingResume, _SendState
+from repro.reliability.messages import Ack
+from repro.reliability.sr import SrConfig, SrSender, _SendState
 
 from tests.conftest import make_sdr_pair
 
@@ -54,7 +53,7 @@ class RecordingSender(SrSender):
         return True
 
     def _inject_chunks(self, state):
-        self._maybe_finish(state)  # a grant with nothing missing ends here
+        self._maybe_finish(state)  # an answer with nothing missing ends here
 
     def _complete_write(self, state, **span):
         self.log.append((self.sim.now, "done", state.hdl.seq))
@@ -106,25 +105,6 @@ class ReferenceSrSender(RecordingSender):
         if kicked:
             self._kick_timer()
 
-    def _launch_resumed(self, pending, ack):
-        token = pending.token
-        state = self._open(pending.ticket, pending.payload)
-        assert state.hdl.seq == ack.new_seq
-        # The grant's window: LSB-first bytes from chunk ``window_start``;
-        # below it delivered, past it missing.
-        have = np.zeros(token.total_chunks, dtype=bool)
-        have[: ack.window_start] = True
-        bits = np.unpackbits(
-            np.frombuffer(ack.window, dtype=np.uint8), bitorder="little"
-        )[: token.total_chunks - ack.window_start]
-        have[ack.window_start : ack.window_start + bits.size] = bits
-        state.unacked = ~have
-        state.resumed = True
-        missing = int(state.unacked.sum())
-        self._m_chunks_skipped.inc(state.nchunks - missing)
-        self._post(state, resumed_from=token.msg_seq)
-        self.sim.call_in(0.0, self._inject_chunks, state)
-
     def _arm(self, state, index, *, kick=True):
         if state.unacked[index]:
             state.deadline[index] = self.sim.now + self.rto
@@ -171,7 +151,7 @@ class ReferenceSrSender(RecordingSender):
 
     def _on_ctrl(self, msg):
         assert isinstance(msg, Ack)
-        state = self._states.get(msg.msg_seq)
+        state = self._states.get(msg.msg_seq) or self._revive(msg.msg_seq)
         if state is None:
             return
         acked = set(range(min(msg.cumulative, state.nchunks)))
@@ -209,7 +189,8 @@ def schedules(draw):
             steps.append((tick, "ack", w, (cumulative, start, window)))
         else:
             steps.append((tick, "failover", w, ()))
-    # A write may start as a resumption: the grant's window presets it.
+    # A write may be revived from a resumption: the answer's window
+    # presets what is unacked.
     presets = [
         draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
         for n in sizes
@@ -224,29 +205,19 @@ def drive(sender_cls, schedule):
     sim = pair.sim
     states = []
     for n, preset in zip(sizes, presets):
+        seq = sender.write(n * CHUNK).seq
+        states.append(sender._states[seq])
         if preset is None:
-            states.append(sender._open(sender._write_ticket(None, n * CHUNK), None))
             continue
-        # A write resumed from a grant: its window presets what is unacked.
-        # The token carries a DeliveryError's MSB-first bitmap; the grant,
-        # built as ``SrReceiver.adopt`` builds it, an LSB-first window from
-        # the cumulative byte.
+        # A write revived from a resumption: it waits for the receiver's
+        # answer, an ACK whose LSB-first window runs from the cumulative
+        # byte (as ``SrReceiver._send_ack`` builds it); the sender reports
+        # what it holds as a DeliveryError's MSB-first bitmap.
         delivered = np.array(preset, dtype=bool)
-        token = ResumeToken(
-            msg_seq=len(states), length=n * CHUNK, total_chunks=n,
-            bitmap=np.packbits(delivered).tobytes(), reason="test", attempt=1,
-        )
-        pending = _PendingResume(
-            token, sender._write_ticket(token.msg_seq, token.length), None
-        )
-        assert (pending.delivered == delivered).all()
-        new_seq = pair.qp_a._send_seq
+        sender._resuming[seq] = sender._states.pop(seq)
         start = (n if delivered.all() else int(np.argmin(delivered))) // 8 * 8
         window = np.packbits(delivered[start:], bitorder="little").tobytes()
-        sender._launch_resumed(
-            pending, ResumeAck(token.msg_seq, new_seq, n, 1, start, window)
-        )
-        states.append(sender._states[new_seq])
+        sender._on_ctrl(Ack(seq, start, start, window))
         assert (states[-1].delivered == delivered).all()
     views = []
 
@@ -310,7 +281,7 @@ def test_schedule_reaching_every_branch():
 
 
 @pytest.mark.parametrize("nchunks", [1, 7, 8, 9, 64, 200])
-def test_resumed_preset_reads_the_grant_bitmap_msb_first(nchunks):
+def test_revived_write_reads_the_answer_bitmap(nchunks):
     rng = np.random.default_rng(nchunks)
     delivered = rng.random(nchunks) < 0.5
     got = drive(RecordingSender, ([nchunks], [delivered.tolist()], []))

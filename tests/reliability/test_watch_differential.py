@@ -8,8 +8,9 @@ stood before the timers went callback-only: ``_serve`` a *process*,
 ``_watch`` parked on ``any_of([timeout(interval), wait_all_chunks()])``
 per poll, ``_finish`` on one ``timeout`` per grace re-signal.  It is kept
 here as the reference.  Hypothesis draws a schedule -- chunks published
-to the handle one by one, some never; an abandonment; a serve deadline --
-and both receivers must poll at the same instants seeing the same bitmap,
+to the handle one by one, some never; an abandonment; a serve deadline; a
+resume request answered in place, which restarts that deadline -- and
+both receivers must poll at the same instants seeing the same bitmap,
 finish or give up at the same instant, re-signal through the same grace
 window and leave the drained clock on the same (possibly dead) entry.
 
@@ -67,10 +68,6 @@ class RecordingReceiver(Receiver):
 
         self._watch(ticket, rh, INTERVAL, lambda: self._note("poll", rh), finish)
 
-    def adopt_slot(self, ticket, rh):
-        """Start serving a re-posted slot the way ``SrReceiver.adopt`` does."""
-        self.sim.call_in(0.0, self._serve, ticket, rh)
-
 
 class GeneratorReceiver(RecordingReceiver):
     """``Receiver``'s serve loop as generator processes, pre-change."""
@@ -80,12 +77,9 @@ class GeneratorReceiver(RecordingReceiver):
         ticket = ReceiveTicket(
             seq=rh.seq, length=length, done=self.sim.event(), recv_handles=[rh]
         )
-        self._serving[rh.seq] = (ticket, rh)
+        self._file(ticket, rh)
         self.sim.process(self._serve(ticket, rh))
         return ticket
-
-    def adopt_slot(self, ticket, rh):
-        self.sim.process(self._serve(ticket, rh))
 
     def _serve(self, ticket, rh):
         poll = lambda: self._note("poll", rh)  # noqa: E731
@@ -99,9 +93,13 @@ class GeneratorReceiver(RecordingReceiver):
     def _watch(self, ticket, rh, interval, on_poll):
         rtts = self.config.serve_deadline_rtts
         deadline = None if rtts is None else self.sim.now + rtts * self.rtt
+        answered = ticket.resumptions
         while not rh.all_chunks_received():
             if rh.completed:
                 return False
+            if deadline is not None and answered != ticket.resumptions:
+                answered = ticket.resumptions
+                deadline = self.sim.now + rtts * self.rtt
             if deadline is not None and self.sim.now >= deadline:
                 self._give_up(ticket, rh.bitmap().as_array())
                 return False
@@ -133,11 +131,11 @@ def schedules(draw):
             min_size=len(arriving), max_size=len(arriving),
         )
     )
-    preset = draw(st.none() | st.lists(st.booleans(), min_size=nchunks, max_size=nchunks))
     return {
         "nchunks": nchunks,
         "publish": sorted(zip(ticks, arriving)),
-        "preset": preset,
+        # A resume request answered in place (whole ticks, off the poll grid).
+        "answer": draw(st.none() | st.integers(1, 120)),
         "abandon": draw(st.none() | st.integers(0, 130)),
         "deadline_rtts": draw(st.none() | st.sampled_from([0.5, 3.0, 9.0, 40.0])),
         "grace_rtts": draw(st.sampled_from([0.0, 1.0, 5.0])),
@@ -153,18 +151,11 @@ def drive(receiver_cls, sched):
     sim = pair.sim
     length = sched["nchunks"] * CHUNK
     mr = pair.ctx_b.mr_reg(length)
-    if sched["preset"] is None:
-        ticket = receiver.post_receive(mr, length)
-        (rh,) = ticket.recv_handles
-    else:
-        # A slot re-posted by a resumption grant: some chunks already there.
-        rh = pair.qp_b.recv_post(
-            SdrRecvWr(mr=mr, length=length), preset_chunks=sched["preset"]
-        )
-        ticket = ReceiveTicket(
-            seq=rh.seq, length=length, done=sim.event(), recv_handles=[rh]
-        )
-        receiver.adopt_slot(ticket, rh)
+    ticket = receiver.post_receive(mr, length)
+    (rh,) = ticket.recv_handles
+    if sched["answer"] is not None:
+        resume = ResumeReq(msg_seq=ticket.seq, attempt=1)
+        sim.call_at(sched["answer"] * UNIT, receiver._on_ctrl, resume)
     outcome = []
     ticket.done.callbacks.append(
         lambda ev: outcome.append(
@@ -197,7 +188,7 @@ def test_callback_watch_matches_generator_watch(sched):
 def _fixed(**kw):
     sched = {
         "nchunks": 4, "publish": [(5, 0), (20, 1), (21, 2), (50, 3)],
-        "preset": None, "abandon": None, "deadline_rtts": None,
+        "answer": None, "abandon": None, "deadline_rtts": None,
         "grace_rtts": 5.0,
     }
     sched.update(kw)
@@ -233,6 +224,15 @@ def test_serve_deadline_gives_up_with_the_partial_bitmap():
     assert failed[1:] == ("failed", 3) and failed[0] > 30 * UNIT
 
 
+def test_an_answered_resume_restarts_the_serve_deadline():
+    """Answered at tick 25, the 3-RTT deadline starts over at the next
+    poll, so the last chunk (tick 50) lands in time."""
+    sched = _fixed(deadline_rtts=3.0, answer=25)
+    got = drive(RecordingReceiver, sched)
+    assert got == drive(GeneratorReceiver, sched)
+    assert got["outcome"] == [(50 * UNIT, "done")]
+
+
 def test_cancelled_poll_timer_still_sets_the_drained_clock():
     sched = _fixed(publish=[(1, 0), (2, 1), (3, 2), (4, 3)], grace_rtts=0.0)
     got = drive(RecordingReceiver, sched)
@@ -249,8 +249,9 @@ def test_cancelled_poll_timer_still_sets_the_drained_clock():
 class GeneratorEcReceiver(EcReceiver):
     """``EcReceiver``'s serve as generator processes, pre-change: one
     process per posted message parked on ``any_of`` gates (the first chunk
-    behind a gate of its own), ``timeout`` NACK rounds and decode times,
-    and one process per resumption hand-over."""
+    behind a gate of its own), ``timeout`` NACK rounds and decode times.
+    An answered resume request moves ``rx.fto_deadline`` (the inherited
+    ``_answer_serving``), which the loop reads at every wake."""
 
     def post_receive(self, mr, length, mr_offset=0):
         layout = self.code.layout(length)
@@ -277,27 +278,9 @@ class GeneratorEcReceiver(EcReceiver):
         rx = _EcReceive(
             ticket, layout, mr, mr_offset, data, parity, [h.mr for h in parity]
         )
-        self._serving[ticket.seq] = (rx,)
+        self._file(ticket, rx)
         self.sim.process(self._serve_gen(rx))
         return ticket
-
-    def _hand_over(self, msg, rx):
-        self.sim.process(self._salvage_gen(msg, rx))
-
-    def _salvage_gen(self, msg, rx):
-        layout = rx.layout
-        delivered = np.zeros(layout.nchunks, dtype=bool)
-        for s in range(layout.nsegments):
-            start, real = layout.chunk_range(s)
-            if self._recoverable(rx, s):
-                yield from self._decode_gen(rx, s)
-                delivered[start : start + real] = True
-            else:
-                delivered[start : start + real] = rx.data_present(s)
-        self._backstop().adopt(
-            msg, rx.ticket, rx.handles, rx.mr, layout.length, rx.mr_offset,
-            delivered,
-        )
 
     def _serve_gen(self, rx):
         ticket, layout, sim = rx.ticket, rx.layout, self.sim
@@ -306,11 +289,9 @@ class GeneratorEcReceiver(EcReceiver):
         yield sim.any_of([first_chunk, sim.timeout(guard)])
         if ticket.seq not in self._serving:
             return
-        fto_deadline = sim.now + self._fto(layout)
-        serve_deadline = (
-            None if self.config.serve_deadline_rtts is None
-            else fto_deadline + self.config.serve_deadline_rtts * self.rtt
-        )
+        if rx.fto_deadline is None:
+            rx.fto_deadline = sim.now + self._fto(layout)
+        rtts = self.config.serve_deadline_rtts
         while True:
             if ticket.seq not in self._serving:
                 return
@@ -319,7 +300,8 @@ class GeneratorEcReceiver(EcReceiver):
             ]
             if not pending:
                 break
-            if serve_deadline is not None and sim.now >= serve_deadline:
+            fto_deadline = rx.fto_deadline
+            if rtts is not None and sim.now >= fto_deadline + rtts * self.rtt:
                 self._give_up(ticket, np.concatenate(
                     [rx.data_present(s) for s in range(layout.nsegments)]
                 ))
@@ -368,8 +350,8 @@ EC_K, EC_M = 4, 2
 @st.composite
 def ec_schedules(draw):
     """Chunk arrivals per submessage (data and parity), the FTO slack, a
-    decode rate, a serve deadline, a resumption request and the codec (XOR
-    can leave a segment short at its bound).
+    decode rate, a serve deadline, a resume request answered in place and
+    the codec (XOR can leave a segment short at its bound).
 
     Ties are drawn on purpose: every arrival comes through 0-3 zero-delay
     hops of its own, so it lands before, between or after the serve's
@@ -500,10 +482,17 @@ def test_ec_fto_falls_back_to_nack_rounds_then_decodes():
     assert done[1] == "done" and done[0] > 70 * UNIT
 
 
-def test_ec_resumption_salvages_then_hands_over():
-    got = ec_serves_agree(_ec_fixed(resume=(20, 0)))
-    assert any(msg.startswith("ResumeAck") for _, msg in got["sent"])
-    assert got["decoded"] == 1  # sub 0 rescued by parity before the hand-over
+def test_ec_resumption_is_answered_in_place():
+    """A resume request at tick 20, just after the first NACK round: the
+    answer is an EC NACK naming sub 1 (sub 0 decodes from parity), and it
+    restarts the 1-RTT serve deadline, which gives up a round later."""
+    alone = ec_serves_agree(_ec_fixed(deadline_rtts=1.0))
+    got = ec_serves_agree(_ec_fixed(deadline_rtts=1.0, resume=(20, 0)))
+    answer = [msg for t, msg in got["sent"] if t == 20 * UNIT]
+    assert answer == ["EcNack(msg_seq=0, failed_submessages=(1,), missing_chunks=(5, 7))"]
+    (gave_up,), (gave_up_later,) = alone["outcome"], got["outcome"]
+    assert gave_up_later[1:] == gave_up[1:] == ("failed", 5)
+    assert gave_up_later[0] == gave_up[0] + RTT
 
 
 def test_ec_wake_sees_an_arrival_one_hop_behind_it():
