@@ -19,13 +19,13 @@ schemes without new silicon):
   a model-driven advisor fed by its observed drop rate.
 * :mod:`repro.reliability.sampling` -- receiver-driven availability
   sampling: deterministic bitmap probes, compact segment repair requests,
-  a single Done instead of a per-RTT ACK stream, with the bitmap-driven
-  resumption machinery as the backstop.
+  a single Done instead of a per-RTT ACK stream, with resumption in place
+  as its liveness backstop.
 
 Every scheme is a policy over the substrate in :mod:`repro.reliability.base`
 (control path, tickets, and the ``Endpoint`` / ``Sender`` / ``Receiver``
 skeleton: streams, wire-paced injection, the bitmap serve loop, the one
-completion and one ``DeliveryError`` failure path);
+completion and one ``DeliveryError`` failure path, resumption in place);
 :mod:`repro.reliability.messages` holds the control wire formats.  Each
 scheme module registers itself by name (:func:`register_scheme`, the table
 is :data:`SCHEMES`); :func:`repro.stack.endpoints` resolves names through it.

@@ -439,7 +439,7 @@ class EcReceiver(Receiver):
             rx.fto_deadline = now + self._fto(layout)
         pending = [s for s in range(layout.nsegments) if not self._recoverable(rx, s)]
         if not pending:
-            self._decode(rx, 0, lambda s: True, partial(self._complete, rx))
+            self._decode(rx, 0, partial(self._complete, rx))
             return
         rtts = self.config.serve_deadline_rtts
         if rtts is not None and now >= rx.fto_deadline + rtts * self.rtt:
@@ -519,12 +519,10 @@ class EcReceiver(Receiver):
                 missing=len(nack.missing_chunks),
             )
 
-    def _decode(self, rx: _EcReceive, s: int, want, then) -> None:
-        """Decode recoverable submessages ``s``.. in place where ``want(s)``,
-        then ``then()``; with ``decode_bps`` each decode takes simulated time."""
+    def _decode(self, rx: _EcReceive, s: int, then) -> None:
+        """Decode submessages ``s``.. (all recoverable) in place, then
+        ``then()``; with ``decode_bps`` each decode takes simulated time."""
         for s in range(s, rx.layout.nsegments):
-            if not want(s):
-                continue
             data_present = rx.data_present(s)
             if data_present.all():
                 continue
@@ -535,7 +533,7 @@ class EcReceiver(Receiver):
             args = (rx, s, data_present, missing, self.sim.now)
             if self.config.decode_bps is not None:
                 delay = rx.layout.segment_bytes(s) * 8.0 / self.config.decode_bps
-                resume = partial(self._decode, rx, s + 1, want, then)
+                resume = partial(self._decode, rx, s + 1, then)
                 self.sim.call_in(delay, self._decode_now, *args, resume)
                 return
             self._decode_now(*args)

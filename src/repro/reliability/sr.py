@@ -439,7 +439,9 @@ class SrSender(Sender):
 
     def _on_ctrl(self, msg) -> None:
         if isinstance(msg, Ack):
-            state = self._states.get(msg.msg_seq) or self._revive(msg.msg_seq)
+            state = self._states.get(msg.msg_seq)
+            if state is None and self._resuming:
+                state = self._revive(msg.msg_seq)
             if state is None or (msg is state.last_ack and not msg.ecn_marked):
                 return  # applied already: it confirms nothing new
             state.last_ack = msg

@@ -107,6 +107,9 @@ class TestSrResume:
         pair = build(
             FaultSchedule((FaultWindow(kind="blackout", start=3 * rtt),))
         )
+        ring = RingBufferSink()
+        pair.sim.telemetry.trace.enabled = True
+        pair.sim.telemetry.trace.add_sink(ring)
         cfg = SrConfig(max_message_retransmits=4, max_resumptions=1)
         sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
         receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
@@ -125,6 +128,8 @@ class TestSrResume:
         assert reg.value("recovery.dc-a.resumes_started") == 1
         assert reg.value("recovery.dc-a.resume_failures") == 1
         assert reg.value("recovery.dc-b.resumes_granted") == 0
+        failed = [e.args for e in ring.events if e.name == "resume_failed"]
+        assert failed == [{"msg": 0, "attempt": 1}]
 
     def _slot_race(self):
         """Write 0 under a data blackout that outlives its retry budget (and

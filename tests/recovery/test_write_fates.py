@@ -93,8 +93,7 @@ _SR_BACKED = {
 def test_write_posted_during_the_backstop_takeover(scheme):
     """Write 0 resumes, and write 1 is posted as the resumption starts:
     it takes the next seq, and its receive, posted once write 0 is done,
-    gets its bytes.  (The name is from when an SR backstop took the
-    resumed write over under a fresh slot.)"""
+    gets its bytes."""
     run = _Run(*_SR_BACKED[scheme])
     run.post_receive()
     run.write()

@@ -1,11 +1,12 @@
 """Control messages sized by the path MTU, end to end.
 
 The selective ACK ships "a portion of the bitmap (as much as fits in the
-ACK payload), starting from the cumulative ACK" (Section 4.1.1), and a
-resumption grant must reach the sender whatever the message size.  Each
-case below is a run whose control traffic outgrows a fixed-size encoding:
-a window narrower than the path allows (spurious retransmits), a grant
-carrying the whole bitmap, a default window wider than a small MTU.
+ACK payload), starting from the cumulative ACK" (Section 4.1.1), and the
+answer to a resume request must reach the sender whatever the message
+size.  Each case below is a run whose control traffic outgrows a
+fixed-size encoding: a window narrower than the path allows (spurious
+retransmits), an answer carrying the whole bitmap, a default window
+wider than a small MTU.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ def test_ack_window_as_wide_as_the_mtu_retransmits_only_drops():
 
 def test_resume_grant_of_a_large_message_fits_the_mtu():
     """8,192 chunks of 1 KiB at a 1 KiB MTU, 1000 km: a data blackout
-    outlives the retry budget, the sender resumes, and the grant must fit
-    one datagram (the whole packed bitmap is 1,024 B on its own).  Nothing
-    landed before the blackout, so the grant's window is trimmed and the
-    chunks past it are resent as missing."""
+    outlives the retry budget, the sender resumes, and the receiver's
+    answering ACK must fit one datagram (the whole packed bitmap is
+    1,024 B on its own), so its window is trimmed and the chunks past it
+    are resent as missing."""
 
     def build(faults=None):
         return make_sdr_pair(

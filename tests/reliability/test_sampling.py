@@ -60,6 +60,18 @@ class TestDelivery:
         # No gaps -> no repair requests; the receiver only sent Done(s).
         assert r.repair_requests_sent == 0
 
+    def test_a_repair_request_after_completion_is_ignored(self):
+        """A repair request that crossed the ``Done`` finds no write to
+        repair (nor one to revive) and sends nothing."""
+        from repro.reliability.messages import RepairReq
+
+        pair, s, r = make_sampling()
+        wt, rt, mr, payload = deliver(pair, s, r, 512 * 1024)
+        pair.ctrl_b.send(RepairReq(wt.seq, 0, 0, b"\xff"))
+        pair.sim.run()
+        assert not wt.failed and wt.retransmitted_chunks == 0
+        assert s._m_repair_reqs.value == 0
+
     @pytest.mark.parametrize("drop", [0.01, 0.05, 0.2])
     def test_lossy(self, drop):
         pair, s, r = make_sampling(drop=drop, seed=3)

@@ -281,7 +281,10 @@ def test_schedule_reaching_every_branch():
 
 
 @pytest.mark.parametrize("nchunks", [1, 7, 8, 9, 64, 200])
-def test_revived_write_reads_the_answer_bitmap(nchunks):
+def test_resumed_preset_reads_the_grant_bitmap_msb_first(nchunks):
+    """A revived write's unacked chunks are preset from the receiver's
+    answer (its ``resume_grant``), an LSB-first ACK window, and it reports
+    them back MSB-first, as a ``DeliveryError`` bitmap."""
     rng = np.random.default_rng(nchunks)
     delivered = rng.random(nchunks) < 0.5
     got = drive(RecordingSender, ([nchunks], [delivered.tolist()], []))

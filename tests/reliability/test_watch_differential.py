@@ -495,6 +495,19 @@ def test_ec_resumption_is_answered_in_place():
     assert gave_up_later[0] == gave_up[0] + RTT
 
 
+def test_ec_resume_while_decoding_is_answered_with_an_ack():
+    """Sub 0 turns recoverable at tick 3 and decodes for 26 ticks: a
+    resume request at tick 10 finds nothing pending and gets an ``EcAck``
+    before the completion's own."""
+    got = ec_serves_agree(_ec_fixed(nchunks=4, resume=(10, 0), arrivals=[
+        (2, 0, "data", 0, 0), (2, 0, "data", 0, 1), (2, 0, "data", 0, 2),
+        (3, 0, "parity", 0, 0),
+    ]))
+    assert got["sent"][0] == (10 * UNIT, "EcAck(msg_seq=0)")
+    (done,) = got["outcome"]
+    assert done[1] == "done" and done[0] > 29 * UNIT
+
+
 def test_ec_wake_sees_an_arrival_one_hop_behind_it():
     """A chunk wakes the recoverability wait and another lands one hop later
     in the same instant: the wake looks after the gate's hop, as the
