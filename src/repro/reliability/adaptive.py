@@ -23,8 +23,9 @@ Design
 * :class:`AdaptiveSender` -- queues writes until the matching provision
   arrives, then dispatches each write through the protocol the receiver
   chose, in write order: the n-th write takes the n-th receive's slots
-  whichever provision arrives first.  Provisions are re-announced on a short timer until the message
-  completes, so a dropped control datagram cannot wedge the connection.
+  whichever provision arrives first.  Provisions are re-announced on a
+  short timer until the message completes, so a dropped control datagram
+  cannot wedge the connection.
 """
 
 from __future__ import annotations
