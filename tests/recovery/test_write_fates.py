@@ -6,7 +6,7 @@ Whatever happens around it, the verdict for every write is two-sided: the
 sender's ticket succeeds if and only if the receiver's does, and a receive
 that completes holds its own write's bytes, never another's.  Each
 scenario here broke that verdict while a resumption re-posted its write
-under a fresh slot (ROADMAP item 21).
+under a fresh slot.
 """
 
 import pytest
