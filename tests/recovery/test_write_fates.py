@@ -12,8 +12,8 @@ under a fresh slot.
 import pytest
 
 from repro.common.errors import DeliveryError
-from repro.common.units import KiB
-from repro.faults import FaultSchedule, FaultWindow
+from repro.common.units import KiB, MiB, distance_to_rtt
+from repro.faults import FaultSchedule, FaultWindow, named_schedule
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
 from repro.reliability.sampling import (
     SamplingConfig,
@@ -21,6 +21,7 @@ from repro.reliability.sampling import (
     SamplingSender,
 )
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
+from repro.telemetry.demo import run_demo
 
 from tests.conftest import make_sdr_pair
 from tests.recovery.test_resume import data_blackout
@@ -148,3 +149,31 @@ def test_sr_delivered_write_whose_final_acks_died():
     run.run(1000 * run.rtt)
     assert run.receives[0].done.triggered  # the write landed
     run.assert_fates_agree()
+
+
+@pytest.mark.xfail(
+    strict=True, reason="an SR write resumes only once a budget runs out"
+)
+def test_sr_write_whose_final_acks_died_resumes_without_waiting_out_its_budget():
+    """``repro chaos --schedule ack-blackout --recover --messages 2 --drop
+    0.01``: write 1 lands inside the control blackout, and every ACK for it
+    dies until the receiver's grace window is over.  With resumption armed
+    the sender asks for the bitmap after a few silent RTO rounds, and the
+    receiver's finished answer completes the write; it does not spend its
+    per-chunk retransmission valve (about 42 simulated seconds) first."""
+    result = run_demo(
+        protocol="sr", messages=2, message_bytes=MiB, drop=0.01,
+        distance_km=1000.0, seed=0,
+        faults=named_schedule("ack-blackout", rtt=distance_to_rtt(1000.0)),
+        sr_config=SrConfig(
+            adaptive_rto=True, rto_backoff=True, max_message_retransmits=2000,
+            serve_deadline_rtts=600.0,
+        ),
+        recover=True,
+    )
+    assert result.failed_writes == 0
+    assert all(t.done.ok for t in result.recv_tickets)
+    write = result.write_tickets[1]
+    assert write.resumptions == 1
+    assert write.completion_time < 1.0
+    assert write.retransmitted_chunks < 100
