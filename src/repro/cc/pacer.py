@@ -154,11 +154,6 @@ class TokenBucketGroup:
         )
         return max(0.0, -tokens) / rate
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        rate = self.controller.rate_bps
-        shown = "unpaced" if rate is None else f"{rate / 1e9:g} Gbit/s"
-        return f"TokenBucketGroup({self.planes} planes, {shown})"
-
 
 class Pacer:
     """Token bucket(s) spacing packet posts at the controller's rate."""
@@ -319,8 +314,3 @@ class Pacer:
                 "cc_rate", cat="cc", track=self._track, rate_bps=rate
             )
             self._traced_rate = rate
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        rate = self.controller.rate_bps
-        shown = "unpaced" if rate is None else f"{rate / 1e9:g} Gbit/s"
-        return f"Pacer({self.name}, {self.controller.name}, {shown})"

@@ -165,9 +165,6 @@ class Bitmap:
     def __iter__(self) -> Iterator[bool]:
         return iter(self.as_array().tolist())
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Bitmap(nbits={self._nbits}, set={self._nset})"
-
     def _bit(self, index: int) -> int:
         """The mask of bit ``index``, range-checked."""
         if index.__class__ is not int:

@@ -212,6 +212,3 @@ class SegmentedCode:
             off = layout.segment_offset(seg)
             out[off : off + len(piece)] = piece
         return bytes(out)
-
-    def __repr__(self) -> str:
-        return f"SegmentedCode({self.base!r}, chunk_bytes={self.chunk_bytes})"

@@ -65,6 +65,3 @@ class Table:
         if self.notes:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()

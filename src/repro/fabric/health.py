@@ -108,8 +108,6 @@ class EdgeHealthMonitor(BreakerSet):
         packet-spray attribution), then re-check trip conditions.
         """
         edges = list(zip(path, path[1:]))
-        if not edges:
-            return
         self._m_rto_signals.inc()
         self._penalize(edges, 0.5 / len(edges))
 
@@ -155,9 +153,3 @@ class EdgeHealthMonitor(BreakerSet):
             "rto_signals": self._m_rto_signals.value,
             "edges_open": len(self._open),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"EdgeHealthMonitor({self.name}, {len(self.breakers)} edges, "
-            f"{len(self._open)} open)"
-        )

@@ -134,8 +134,6 @@ class FairnessResult:
     @property
     def retention(self) -> float:
         """Fraction of solo goodput the victim kept under contention."""
-        if self.solo_goodput_bps <= 0:
-            return 0.0
         return self.contended_goodput_bps / self.solo_goodput_bps
 
 
@@ -430,8 +428,6 @@ def scale_scenario(
         # sit half the host list away, so most pairs cross the WAN core.
         src = hosts[t % len(hosts)]
         dst = hosts[(t + len(hosts) // 2) % len(hosts)]
-        if src == dst:
-            dst = hosts[(t + 1) % len(hosts)]
         placement[t] = (src, dst)
     submit_schedule(service, workload, names, placement)
     tracker = arm_slo(service, slo, default_window=config.duration / 25.0)

@@ -694,8 +694,6 @@ class FabricService:
         """Vectorized :meth:`_admission_wait` over one flow's segments."""
         ticket = state.ticket
         waits = self._uplink(ticket.src).reserve_batch(cum)
-        if waits is None:
-            waits = np.zeros(len(cum))
         if self.config.enforce_quotas and tenant.bucket is not None:
             quota = tenant.bucket.reserve_batch(cum)
             if quota is not None:
@@ -796,36 +794,34 @@ class FabricService:
                 sizes = list(compress(sizes, ok))
                 times = list(compress(times, ok))
         if alive:
-            try:
-                ack_delay = self.net.path_one_way_delay(ticket.dst, ticket.src)
-            except ConfigError:
-                alive = ()  # no reverse route: RTOs take over
-            else:
-                if self.tenants[ticket.tenant].spec.compliant:
-                    # Synchronous feedback on a *virtual* clock: the
-                    # booked journey already fixes each segment's RTT, CE
-                    # mark and ACK instant, so the controller hears them
-                    # at booking time, stamped with the computed ACK time
-                    # (controllers rate-limit cuts per interval of their
-                    # clock; collapsing all feedback onto one sim.now
-                    # would allow a single cut and the core buffer would
-                    # tail-drop wholesale).  Earlier than reality by up
-                    # to one RTT -- a documented fluid approximation
-                    # (docs/simulation.md).
-                    acks = [arrival + ack_delay for arrival in times]
-                    rtts = [ack - sends[i] for i, ack in zip(alive, acks)]
-                    marks = [False] * len(acks)
-                    if ce:
-                        marks = [i in ce for i in alive]
-                        self._m_ecn_echoes.inc(marks.count(True))
-                    pair.pacer.controller.on_acks(rtts, marks, acks)
-                # FIFO chaining keeps arrivals nondecreasing, so the last
-                # ACK is the latest: one event applies them all (pacer
-                # feedback already happened above).
-                self.sim.call_at(
-                    times[-1] + ack_delay, self._on_acks, state,
-                    [first + i for i in alive],
-                )
+            # Booking runs only on an unmonitored fabric, whose routes never
+            # change: the reverse route the forward one implies is there.
+            ack_delay = self.net.path_one_way_delay(ticket.dst, ticket.src)
+            if self.tenants[ticket.tenant].spec.compliant:
+                # Synchronous feedback on a *virtual* clock: the
+                # booked journey already fixes each segment's RTT, CE
+                # mark and ACK instant, so the controller hears them
+                # at booking time, stamped with the computed ACK time
+                # (controllers rate-limit cuts per interval of their
+                # clock; collapsing all feedback onto one sim.now
+                # would allow a single cut and the core buffer would
+                # tail-drop wholesale).  Earlier than reality by up
+                # to one RTT -- a documented fluid approximation
+                # (docs/simulation.md).
+                acks = [arrival + ack_delay for arrival in times]
+                rtts = [ack - sends[i] for i, ack in zip(alive, acks)]
+                marks = [False] * len(acks)
+                if ce:
+                    marks = [i in ce for i in alive]
+                    self._m_ecn_echoes.inc(marks.count(True))
+                pair.pacer.controller.on_acks(rtts, marks, acks)
+            # FIFO chaining keeps arrivals nondecreasing, so the last
+            # ACK is the latest: one event applies them all (pacer
+            # feedback already happened above).
+            self.sim.call_at(
+                times[-1] + ack_delay, self._on_acks, state,
+                [first + i for i in alive],
+            )
         if len(alive) < n:
             rto = self._rto(pair, attempt)
             delivered = set(alive)
@@ -1040,9 +1036,8 @@ class FabricService:
 
     def _fail(self, ticket: FlowTicket, error: DeliveryError | None = None) -> None:
         """The one failure exit: a clean failure completion, never a wedge.
-        ``error`` is a partition's; plain RTO exhaustion passes none."""
-        if ticket.failed:
-            return
+        ``error`` is a partition's; plain RTO exhaustion passes none.
+        Every caller has checked ``ticket.failed`` first."""
         ticket.failed = True
         ticket.completed = None
         ticket.error = error
@@ -1063,12 +1058,6 @@ class FabricService:
         ticket.done.succeed()
 
     # -- inspection ------------------------------------------------------------
-
-    def tenant(self, name: str) -> TenantState:
-        try:
-            return self.tenants[name]
-        except KeyError:
-            raise ConfigError(f"unknown tenant {name!r}") from None
 
     @property
     def completed_flows(self) -> int:
@@ -1093,9 +1082,3 @@ class FabricService:
             "dup_deliveries": self._m_rr_dups.value,
             "reorders": self._m_rr_reorders.value,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FabricService({self.name}, {len(self.tenants)} tenants, "
-            f"{len(self.flows)} flows)"
-        )

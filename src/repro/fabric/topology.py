@@ -420,8 +420,6 @@ class FabricNetwork:
             self.topology.edges[(host, peer)].config.bandwidth_bps
             for peer in self.topology.neighbors(host)
         ]
-        if not rates:
-            raise ConfigError(f"host {host!r} has no links")
         return max(rates)
 
     # -- datapath --------------------------------------------------------------
@@ -533,9 +531,3 @@ class FabricNetwork:
         # Looked up per hop, not held by the transit: a channel re-bound
         # while the packet is in flight carries its next hop.
         self._hops[path][hop].transmit(packet)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FabricNetwork({self.name}, {len(self.topology.nodes)} nodes, "
-            f"{len(self.channels)} directed edges)"
-        )

@@ -80,9 +80,6 @@ class _OverrideLoss(LossModel):
             self.owner._note_fault_drop(size_bytes, plane=self.plane)
         return dropped
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"_OverrideLoss({self.base!r})"
-
 
 class FaultyChannel:
     """Executes a :class:`FaultSchedule` around an inner (possibly bonded)
@@ -341,6 +338,3 @@ class FaultyChannel:
     def _pass(self, packet: Packet) -> None:
         if self._downstream is not None:
             self._downstream(packet)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultyChannel({self.name}, schedule={self.schedule.name!r})"

@@ -269,9 +269,6 @@ class Channel:
         """
         return max(0.0, self._busy_until - self.sim.now)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Channel({self.name}, {self.config.bandwidth_bps / 1e9:g} Gbit/s)"
-
 
 class DuplexLink:
     """The two directions of a physical link between two devices."""

@@ -62,9 +62,6 @@ class BernoulliLoss(LossModel):
             return np.zeros(len(sizes), dtype=bool)
         return rng.random(len(sizes)) < self.p
 
-    def __repr__(self) -> str:
-        return f"BernoulliLoss(p={self.p:g})"
-
 
 class GilbertElliottLoss(LossModel):
     """Two-state Markov (Gilbert-Elliott) bursty loss.
@@ -135,12 +132,6 @@ class GilbertElliottLoss(LossModel):
         self._bad = bad
         return out
 
-    def __repr__(self) -> str:
-        return (
-            f"GilbertElliottLoss(p_good={self.p_good:g}, p_bad={self.p_bad:g}, "
-            f"p_gb={self.p_gb:g}, p_bg={self.p_bg:g})"
-        )
-
 
 class CongestedWanLoss(LossModel):
     """Congestion-modulated WAN loss (synthetic Figure 2 substrate).
@@ -191,9 +182,3 @@ class CongestedWanLoss(LossModel):
             self.p_max,
         )
         return rng.random(len(sizes)) < probs
-
-    def __repr__(self) -> str:
-        return (
-            f"CongestedWanLoss(c=[{self.c_min:g},{self.c_max:g}], "
-            f"exp={self.size_exponent:g})"
-        )

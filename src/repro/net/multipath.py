@@ -123,12 +123,6 @@ class BondedChannel:
             agg.busy_until = max(agg.busy_until, snap.busy_until)
         return agg
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"BondedChannel({self.name}, {self.planes_count} planes, "
-            f"{self.spread} spread)"
-        )
-
 
 def connect_bonded(
     fabric,

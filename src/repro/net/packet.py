@@ -114,9 +114,3 @@ class Packet:
             Opcode.WRITE_LAST_IMM,
             Opcode.UD_SEND,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Packet(#{self.uid} {self.opcode.value} psn={self.psn} "
-            f"dst_qpn={self.dst_qpn} off={self.remote_offset} len={self.length})"
-        )

@@ -47,6 +47,10 @@ NACK_HOLDOFF_RTTS = 1.0
 MAX_RTO_RTTS = 64.0
 #: Cap on consecutive RTO doublings (``rto_backoff``).
 BACKOFF_CAP = 6
+#: RTO rounds without ACK progress after which a write with a resumption
+#: left resumes: the receiver is not answering, so it is asked for its
+#: bitmap instead of being sent the same chunks again.
+STALL_RTO_ROUNDS = 3
 #: The cumulative of the ACK answering a resume request for a message this
 #: receiver finished: past its grace window it no longer knows the size,
 #: and a sender clips a cumulative to its own chunk count.
@@ -129,6 +133,8 @@ class _SendState(WriteState):
         #: The last ``Ack`` applied here.  The control path hands a repeated
         #: datagram over as the same object, and it confirms nothing new.
         self.last_ack: Ack | None = None
+        #: RTO retransmissions since the last ACK progress.
+        self.silent_rtos = 0
 
     @property
     def complete(self) -> bool:
@@ -267,6 +273,7 @@ class SrSender(Sender):
         """Revived: the old RTO deadlines are void, and once the receiver's
         ACK is applied a pass re-sends what it still lacks."""
         state.resumed = True
+        state.silent_rtos = 0
         state.deadline.fill(np.inf)
         self.sim.call_in(0.0, self._inject_chunks, state)
 
@@ -397,6 +404,15 @@ class SrSender(Sender):
                 if state.retransmit_count[index] >= self.config.max_chunk_retransmits:
                     self._fail(state, f"chunk {index} exceeded retransmit budget")
                     break
+                if (
+                    state.ticket.resumptions < self.config.max_resumptions
+                    and state.silent_rtos
+                    >= STALL_RTO_ROUNDS * state.unacked.bit_count()
+                ):
+                    self._fail(
+                        state, f"no ACK progress in {STALL_RTO_ROUNDS} RTO rounds"
+                    )
+                    break
                 if not self._retransmit(state, index, rto=True):
                     break
 
@@ -409,6 +425,7 @@ class SrSender(Sender):
         seq = state.ticket.seq
         self._m_retransmitted.inc()
         if rto:
+            state.silent_rtos += 1
             self._m_rto_fires.inc()
             if self.recovery is not None:
                 self.recovery.note_rto(src_qpn=self._data_qpn())
@@ -453,6 +470,7 @@ class SrSender(Sender):
             new = msg.acked_mask(state.nchunks) & state.unacked
             if new:
                 progress = True
+                state.silent_rtos = 0
                 state.unacked ^= new
                 for index in mask_bits(new):
                     state.deadline[index] = np.inf

@@ -9,7 +9,6 @@ an :class:`SdrContext` owns one :class:`~repro.dpa.DpaEngine` and provides
 from __future__ import annotations
 
 from repro.common.config import DpaConfig, SdrConfig
-from repro.common.errors import ConfigError
 from repro.dpa.worker import DpaEngine
 from repro.sdr.qp import SdrQp
 from repro.verbs.device import Device
@@ -48,18 +47,14 @@ class SdrContext:
         Pass ``data`` (a bytearray of ``length``) for payload-carrying runs;
         omit it for sized-only benchmark runs.
         """
-        if length <= 0:
-            raise ConfigError(f"MR length must be > 0, got {length}")
         mr = MemoryRegion(length, data=data, name=name or f"{self.device.name}.mr")
         self.device.reg_mr(mr)
         return mr
 
     def channel_rtt_hint(self) -> float:
-        """RTT of the device's first link; used for CTS refresh pacing."""
-        peers = self.device.peers
-        if not peers:
-            return 1e-3
-        return self.device.link_to(peers[0]).config.rtt
+        """RTT of the device's first link (a connected QP's device has one);
+        used for CTS refresh pacing."""
+        return self.device.link_to(self.device.peers[0]).config.rtt
 
 
 def context_create(

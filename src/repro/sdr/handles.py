@@ -19,7 +19,7 @@ from repro.common.errors import SdrStateError
 from repro.sdr.imm import ImmLayout, UserImmAssembler
 from repro.sim.engine import Event, Simulator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # import cycle guard
     from repro.sdr.qp import SdrQp
     from repro.verbs.mr import MemoryRegion
 
@@ -80,12 +80,6 @@ class SendHandle:
                 )
         if self._done_event is not None and not self._done_event.triggered:
             self._done_event.succeed(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SendHandle(seq={self.seq}, injected={self.packets_injected}/"
-            f"{self.packets_posted}, ended={self.ended})"
-        )
 
 
 class ChunkCount:
@@ -249,9 +243,3 @@ class RecvHandle:
             and self.chunk_bitmap.all_set()
         ):
             self._all_event.succeed(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"RecvHandle(seq={self.seq}, chunks={self.chunk_bitmap.count()}/"
-            f"{self.nchunks}, completed={self.completed})"
-        )

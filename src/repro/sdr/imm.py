@@ -99,8 +99,6 @@ class ImmLayout(Bounded):
         """
         if self.user_imm_bits == 0:
             return 0
-        if not 0 <= user_imm < 2**32:
-            raise ConfigError(f"user immediate must fit 32 bits, got {user_imm}")
         k = packet_index % self.user_fragments
         return (user_imm >> (k * self.user_imm_bits)) & (
             (1 << self.user_imm_bits) - 1

@@ -37,7 +37,7 @@ from repro.verbs.cq import CompletionQueue, Cqe
 from repro.verbs.mr import IndirectMkeyTable, MemoryRegion
 from repro.verbs.qp import QpInfo, SendWr, UcQp, UdQp
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # import cycle guard
     from repro.sdr.context import SdrContext
 
 #: Wire size of a CTS control datagram.
@@ -56,14 +56,12 @@ class SdrSendWr:
     user_imm: int | None = None
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ConfigError(f"send length must be > 0, got {self.length}")
         if self.payload is not None and len(self.payload) != self.length:
             raise ConfigError(
                 f"payload length {len(self.payload)} != declared {self.length}"
             )
         if self.user_imm is not None and not 0 <= self.user_imm < 2**32:
-            raise ConfigError(f"user immediate must fit 32 bits")
+            raise ConfigError(f"user immediate must fit 32 bits, got {self.user_imm}")
 
 
 @dataclass
@@ -179,14 +177,6 @@ class SdrQp:
         self._m_recv_abandoned = scope.counter("receives_abandoned")
         self._trace = self.sim.telemetry.trace
         self._track = f"sdr.{dev.name}"
-
-    @property
-    def messages_sent(self) -> int:
-        return self._m_messages_sent.value
-
-    @property
-    def messages_received(self) -> int:
-        return self._m_messages_received.value
 
     @property
     def late_cqes_filtered(self) -> int:
@@ -461,9 +451,7 @@ class SdrQp:
         entries = cq.entries
         handles = self._send_handles
         while entries:
-            hdl = handles.get(entries.popleft().wr_id)
-            if hdl is None:
-                continue
+            hdl = handles[entries.popleft().wr_id]
             hdl.packets_injected += 1
             if hdl.ended and hdl.packets_injected >= hdl.packets_posted:  # poll()
                 hdl._maybe_finish()
@@ -484,8 +472,13 @@ class SdrQp:
                 f"receive table full ({self.config.inflight_messages} in flight)"
             )
         seq = self._recv_seq
-        self._recv_seq += 1
         msg_id, generation = self._slot_of(seq)
+        if msg_id in self._recv_table:
+            # Refused before the seq is taken: the next post gets this one.
+            raise ResourceError(
+                f"message ID {msg_id} wrapped around while still in flight"
+            )
+        self._recv_seq += 1
         if seq and msg_id == 0:
             self._m_generation_rollovers.inc()
             if self._trace.enabled:
@@ -493,10 +486,6 @@ class SdrQp:
                     "generation_rollover", cat="sdr", track=self._track,
                     side="recv", generation=generation,
                 )
-        if msg_id in self._recv_table:
-            raise ResourceError(
-                f"message ID {msg_id} wrapped around while still in flight"
-            )
         npackets = self._npackets(wr.length)
         nchunks = self._nchunks(wr.length)
         hdl = RecvHandle(
@@ -526,11 +515,7 @@ class SdrQp:
 
     def _send_cts(self) -> None:
         """Announce the highest posted receive seq (cumulative CTS)."""
-        if not self.connected:
-            return
         high = self._recv_seq - 1
-        if high < 0:
-            return
         self._m_cts_sent.inc()
         if self._trace.enabled:
             self._trace.instant("cts", cat="sdr", track=self._track, high=high)
@@ -553,8 +538,6 @@ class SdrQp:
             self.sim.call_in(self._cts_interval, self._cts_refresh, True)
 
     def _on_ctrl(self, payload, immediate, src_qpn) -> None:
-        if immediate is None:
-            return
         high = int(immediate)
         if high > self._cts_high:
             self._cts_high = high
@@ -571,8 +554,6 @@ class SdrQp:
 
     def _validate_data_cqe(self, cqe: Cqe) -> tuple[RecvHandle, int, int] | None:
         """Decode + generation-check a data CQE; None if it must be dropped."""
-        if cqe.immediate is None:
-            return None
         msg_id, pkt_idx, frag = self.layout.decode(cqe.immediate)
         hdl = self._recv_table.get(msg_id)
         if hdl is None or hdl.generation != cqe.generation or hdl.completed:
@@ -603,11 +584,9 @@ class SdrQp:
                     "chunk_close", cat="sdr", track=self._track,
                     msg=hdl.seq, msg_id=hdl.msg_id, chunk=chunk,
                 )
-            delay = self.ctx.dpa_config.pcie_update_seconds
-            if delay > 0:
-                self.sim.call_in(delay, hdl._publish_chunk, chunk)
-            else:
-                hdl._publish_chunk(chunk)
+            self.sim.call_in(
+                self.ctx.dpa_config.pcie_update_seconds, hdl._publish_chunk, chunk
+            )
         return closes
 
     def _process_data_cqe(self, cqe: Cqe) -> bool:

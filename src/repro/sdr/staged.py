@@ -25,7 +25,7 @@ from repro.common.errors import ConfigError
 from repro.sdr.qp import SdrQp
 from repro.verbs.cq import Cqe
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # import cycle guard
     from repro.sdr.context import SdrContext
 
 

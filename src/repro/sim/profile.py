@@ -204,9 +204,3 @@ class SimProfiler:
                 round(entry["share"], 4),
             )
         return t
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SimProfiler({self.events} events, "
-            f"{len(self._categories)} categories)"
-        )

@@ -29,7 +29,7 @@ from repro.sim.engine import Event, SimConfig, Simulator
 from repro.telemetry import Telemetry
 from repro.verbs.device import Device, Fabric
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # import cycle guard
     from repro.fabric.topology import FabricNetwork, FabricTopology
     from repro.faults import FaultSchedule
 

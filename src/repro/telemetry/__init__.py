@@ -163,6 +163,3 @@ class Telemetry:
         index = self._sequences.get(label, 0)
         self._sequences[label] = index + 1
         return f"{label}{index}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Telemetry(metrics={self.metrics!r}, trace_on={self.trace.enabled})"

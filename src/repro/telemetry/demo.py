@@ -71,8 +71,6 @@ class DemoResult:
 
     @property
     def goodput_gbps(self) -> float:
-        if self.elapsed <= 0:
-            return 0.0
         delivered = self.messages - self.failed_writes
         return delivered * self.message_bytes * 8 / self.elapsed / 1e9
 

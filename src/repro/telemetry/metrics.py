@@ -48,16 +48,12 @@ def percentile_from_counts(
     seen = zeros
     if seen >= target and zeros:
         return 0.0
-    last = 0.0
-    for e in sorted(buckets):
-        if not buckets[e]:
-            continue
+    # Some bucket is reached: ``zeros`` and the counts sum to ``count``.
+    for e in [e for e in sorted(buckets) if buckets[e]]:
         seen += buckets[e]
-        lo, hi = 2.0 ** (e - 1), 2.0**e
-        last = math.sqrt(lo * hi)
         if seen >= target:
-            return last
-    return last  # pragma: no cover - float-rounding fallback
+            break
+    return math.sqrt(2.0 ** (e - 1) * 2.0**e)
 
 
 class Counter:
@@ -72,14 +68,8 @@ class Counter:
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def snapshot(self) -> int | float:
         return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self.name}={self.value})"
 
 
 class Gauge:
@@ -97,14 +87,8 @@ class Gauge:
     def add(self, delta: int | float) -> None:
         self.value += delta
 
-    def reset(self) -> None:
-        self.value = 0.0
-
     def snapshot(self) -> int | float:
         return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gauge({self.name}={self.value})"
 
 
 class Histogram:
@@ -178,14 +162,6 @@ class Histogram:
         """
         return self._zeros, dict(self._buckets)
 
-    def reset(self) -> None:
-        self._buckets.clear()
-        self._zeros = 0
-        self.count = 0
-        self.sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
     def snapshot(self) -> dict[str, float]:
         return {
             "count": self.count,
@@ -196,9 +172,6 @@ class Histogram:
             "p50": self.percentile(50),
             "p99": self.percentile(99),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Histogram({self.name}, n={self.count}, mean={self.mean:g})"
 
 
 class _NullHistogram:
@@ -213,21 +186,8 @@ class _NullHistogram:
     def observe(self, value: int | float) -> None:
         pass
 
-    def buckets(self) -> list:
-        return []
-
-    def bucket_counts(self) -> tuple[int, dict]:
-        return 0, {}
-
     def percentile(self, q: float) -> float:
         return 0.0
-
-    def reset(self) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                "p50": 0.0, "p99": 0.0}
 
 
 #: Shared no-op histogram handed out by a disabled registry.
@@ -333,14 +293,5 @@ class MetricsRegistry:
         """Point-in-time ``{name: scalar-or-dict}`` in sorted name order."""
         return {n: self._instruments[n].snapshot() for n in self.names(prefix)}
 
-    def reset(self) -> None:
-        """Zero every registered instrument (registrations are kept)."""
-        for instrument in self._instruments.values():
-            instrument.reset()
-
     def __len__(self) -> int:
         return len(self._instruments)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "enabled" if self.enabled else "disabled"
-        return f"MetricsRegistry({state}, {len(self._instruments)} metrics)"

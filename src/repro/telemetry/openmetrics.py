@@ -38,8 +38,6 @@ def metric_name(dotted: str) -> str:
 
 
 def _format_value(value: int | float) -> str:
-    if isinstance(value, bool):  # pragma: no cover - never registered
-        return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     return repr(float(value))

@@ -24,8 +24,6 @@ def _groups(registry: MetricsRegistry, prefix: str) -> dict[str, dict[str, objec
     for name in registry.names(prefix):
         rest = name[len(dotted):]
         group, _, leaf = rest.rpartition(".")
-        if not group:
-            group, leaf = leaf, ""
         out.setdefault(group, {})[leaf] = registry.get(name)
     return out
 

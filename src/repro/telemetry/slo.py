@@ -205,8 +205,9 @@ class SloTracker:
         return series.delta_over(windows) if series is not None else 0.0
 
     def _span(self, tenant: str, windows: int) -> float:
-        series = self.sampler.series(self._metric(tenant, "bytes_acked"))
-        return series.span_over(windows) if series is not None else 0.0
+        return self.sampler.series(
+            self._metric(tenant, "bytes_acked")
+        ).span_over(windows)
 
     def _cumulative(self, tenant: str, leaf: str) -> float:
         series = self.sampler.series(self._metric(tenant, leaf))
@@ -251,8 +252,6 @@ class SloTracker:
         tenant = spec.tenant
         if sli == "goodput":
             span = self._span(tenant, windows)
-            if span <= 0:
-                return None, None
             rate = self._delta(tenant, "bytes_acked", windows) * 8.0 / span
             value = rate / spec.quota_bps
             error = max(0.0, (target - value) / target)
@@ -266,12 +265,9 @@ class SloTracker:
             error = max(0.0, (target - value) / target)
             return value, min(1.0, error)
         if sli == "p99":
-            series = self.sampler.series(
+            hw = self.sampler.series(
                 self._metric(tenant, "completion_seconds")
-            )
-            if series is None:
-                return None, None
-            hw = series.histogram_window(windows)
+            ).histogram_window(windows)
             if hw.count == 0:
                 return None, None
             value = hw.percentile(99)
@@ -333,8 +329,6 @@ class SloTracker:
         tenant = spec.tenant
         registry = self.sampler.sim.telemetry.metrics
         if sli == "goodput":
-            if duration <= 0:
-                return None
             bits = registry.value(self._metric(tenant, "bytes_acked")) * 8.0
             return bits / duration / spec.quota_bps
         if sli == "delivery":
@@ -382,12 +376,6 @@ class SloTracker:
             rows=rows,
             burn_windows=sum(self.burns.values()),
             windows_evaluated=self.windows_evaluated,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SloTracker({len(self.specs)} specs, "
-            f"{sum(self.burns.values())} burn windows)"
         )
 
 

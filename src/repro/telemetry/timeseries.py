@@ -70,9 +70,6 @@ class HistogramWindow:
         """Percentile of the observations made *within* this window."""
         return percentile_from_counts(self.zeros, self.buckets, self.count, q)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"HistogramWindow(n={self.count}, mean={self.mean:g})"
-
 
 class WindowedSeries:
     """Fixed-capacity ring of per-window samples of one instrument.
@@ -152,8 +149,6 @@ class WindowedSeries:
         """Actual seconds covered by the last ``windows`` closed windows."""
         if windows < 1:
             raise ConfigError(f"lookback must be >= 1 window, got {windows}")
-        if not self.times:
-            return 0.0
         if windows >= len(self.times):
             return self.times[-1]
         return self.times[-1] - self.times[-1 - windows]
@@ -162,8 +157,6 @@ class WindowedSeries:
         """Histogram delta over the last ``windows`` closed windows."""
         if self.kind != "histogram":
             raise ConfigError(f"{self.name!r} is a {self.kind} series")
-        if not self.values:
-            return HistogramWindow(0, 0.0, 0, {})
         count, total, zeros, buckets = self.values[-1]
         if windows < len(self.values):
             c0, s0, z0, b0 = self.values[-1 - windows]
@@ -176,9 +169,6 @@ class WindowedSeries:
                 if n - b0.get(e, 0)
             }
         return HistogramWindow(count, total, zeros, buckets)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"WindowedSeries({self.name}, {self.kind}, n={len(self)})"
 
 
 class TimeseriesSampler:
@@ -294,9 +284,3 @@ class TimeseriesSampler:
                 fn(boundary)
             boundary += window
         self.next_deadline = boundary
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"TimeseriesSampler(window={self.window}, "
-            f"series={len(self._names)}, closed={self.windows_closed})"
-        )

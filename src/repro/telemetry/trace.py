@@ -95,8 +95,8 @@ class TraceEvent:
 class TraceSink:
     """Interface every sink implements."""
 
-    def emit(self, event: TraceEvent) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
+    def emit(self, event: TraceEvent) -> None:
+        """Take one event."""
 
     def close(self) -> None:
         """Flush and release resources (no-op by default)."""
@@ -124,10 +124,6 @@ class RingBufferSink(TraceSink):
     def dropped(self) -> int:
         """Events evicted because the ring wrapped."""
         return self.total_emitted - len(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.total_emitted = 0
 
 
 def _canonical_json(obj: Any) -> str:
@@ -244,12 +240,9 @@ class ChromeTraceSink(TraceSink):
             {"traceEvents": self.trace_events(), "displayTimeUnit": "ms"}
         )
 
-    def write(self, dest: str | TextIO) -> None:
-        if isinstance(dest, str):
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(self.to_json())
-        else:
-            dest.write(self.to_json())
+    def write(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.to_json())
 
     def __len__(self) -> int:
         return len(self._events)
@@ -343,8 +336,6 @@ class Tracer:
         self, name: str, *, cat: str, track: str, flow_id: int, **args: Any
     ) -> None:
         """Open a Perfetto flow arrow (``ph: "s"``), e.g. a retransmit trigger."""
-        if not self.enabled:
-            return
         self._emit(
             TraceEvent(
                 name=name, cat=cat, ph="s", ts=self._clock(), track=track,
@@ -356,15 +347,9 @@ class Tracer:
         self, name: str, *, cat: str, track: str, flow_id: int, **args: Any
     ) -> None:
         """Close a flow arrow (``ph: "f"``) at the effect site."""
-        if not self.enabled:
-            return
         self._emit(
             TraceEvent(
                 name=name, cat=cat, ph="f", ts=self._clock(), track=track,
                 args={"flow_id": flow_id, **args},
             )
         )
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()

@@ -150,6 +150,3 @@ class CompletionQueue:
         else:
             self._wakeups.append(ev)
         return ev
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CompletionQueue({self.name or id(self)}, depth={len(self.entries)})"

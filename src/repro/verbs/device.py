@@ -20,7 +20,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.verbs.mr import IndirectMkeyTable, MemoryRegion
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # import cycle guard
     from repro.verbs.qp import BaseQp
 
 
@@ -95,9 +95,6 @@ class Device:
             # Packets to torn-down QPs vanish silently, as on real fabrics.
             return
         qp.on_packet(packet)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Device({self.name}, qps={len(self.qps)})"
 
 
 class Fabric:

@@ -71,10 +71,6 @@ class MemoryRegion:
             return None
         return bytes(self.data[offset : offset + length])
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        mode = "payload" if self.payload_mode else "sized"
-        return f"MemoryRegion(rkey={self.rkey}, len={self.length}, {mode})"
-
 
 class NullMemoryRegion(MemoryRegion):
     """Write sink that discards payloads but still yields completions."""
@@ -90,9 +86,6 @@ class NullMemoryRegion(MemoryRegion):
 
     def read(self, offset: int, length: int) -> bytes | None:
         raise ResourceError("cannot read from the NULL memory region")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"NullMemoryRegion(rkey={self.rkey})"
 
 
 @dataclass
@@ -122,8 +115,6 @@ class IndirectMkeyTable:
     def bind(self, slot: int, mr: MemoryRegion, base_offset: int = 0) -> None:
         """Point slot ``slot`` at user buffer ``mr`` (post-receive path)."""
         self._check_slot(slot)
-        if base_offset < 0:
-            raise ConfigError(f"base offset must be >= 0, got {base_offset}")
         self._slots[slot] = _Slot(mr=mr, base_offset=base_offset)
 
     def invalidate(self, slot: int) -> None:

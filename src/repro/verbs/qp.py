@@ -100,12 +100,6 @@ class SendWr:
         self.attempt = attempt
         self.flow_id = flow_id
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SendWr(length={self.length}, rkey={self.rkey}, "
-            f"off={self.remote_offset}, imm={self.immediate}, wr_id={self.wr_id})"
-        )
-
 
 @dataclass
 class QpInfo:
@@ -168,8 +162,8 @@ class BaseQp:
         self._mtu = self.channel.config.mtu_bytes
         self.state = QpState.READY
 
-    def on_packet(self, packet: Packet) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def on_packet(self, packet: Packet) -> None:
+        """Take one packet the device demultiplexed to this QP."""
 
     def _require_ready(self) -> None:
         if self.state is not QpState.READY:
@@ -402,8 +396,6 @@ class UdQp(BaseQp):
             wr = None
 
     def on_packet(self, packet: Packet) -> None:
-        if packet.opcode is not _UD_SEND:
-            return
         if self._recv_handler is not None:
             # The handler consumes the datagram here and now: its completion
             # is counted, not queued on a CQ that nothing would ever poll.

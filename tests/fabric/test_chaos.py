@@ -452,3 +452,26 @@ class TestChaosScenarios:
             ChaosConfig(schedule="nope")
         with pytest.raises(ConfigError, match="host"):
             ChaosConfig(hosts_per_tor=0)
+
+
+def test_a_flow_finished_this_instant_is_not_migrated():
+    """A breaker trips in the instant a small flow completes, before the
+    service released it: the pair reroutes, and only the flow still
+    sending counts as migrated."""
+    sim, network = make_network()
+    monitor = EdgeHealthMonitor(network)
+    service = FabricService(network)
+    service.add_tenant(TenantSpec(name="t"))
+    small = service.submit("t", "h0-0", "h1-0", 4096)
+    big = service.submit("t", "h0-0", "h1-0", 16 << 20)
+    # Registered before the launch step registers the release.
+    small.done.callbacks.append(
+        lambda _: monitor._trip(("tor0", "wan0"), sim.now, reason="test")
+    )
+    sim.run()
+    assert small.completed is not None and big.completed is not None
+    # The big flow moves on every path change (off wan0, and back once
+    # the breaker half-opens); the small one on none.
+    stats = service.reroute_stats()
+    assert stats["path_changes"] == 2
+    assert stats["flows_migrated"] == 2

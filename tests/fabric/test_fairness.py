@@ -64,6 +64,7 @@ class TestFairness:
         assert jain_index([]) == 1.0
         assert jain_index([5.0, 5.0, 5.0]) == pytest.approx(1.0)
         assert jain_index([1.0, 0.0, 0.0]) == pytest.approx(1.0 / 3.0)
+        assert jain_index([0.0, 0.0]) == 1.0  # nobody got anything: equal
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -300,3 +300,19 @@ def test_pinned_bulk_mix_is_faithful(seed):
     assert sum(r.retransmits for r in fl.reports) == 0
     assert abs(total(fl) / total(pkt) - 1) <= 0.01
     assert fl.digest == again.digest
+
+
+def test_a_failed_flow_books_no_further_tranche():
+    """A 256 MiB flow is booked a window at a time; its first lost segment
+    exhausts ``max_attempts=1`` long before its last send, and the next
+    tranche's continuation finds the flow failed and books nothing."""
+    sim, service = build(
+        True, wan=replace(WAN, drop_probability=0.5),
+        service_config=FabricServiceConfig(max_attempts=1),
+    )
+    service.add_tenant(TenantSpec(name="t"))
+    ticket = service.submit("t", "h0-0", "h1-0", 256 * MiB)
+    sim.run()
+    assert ticket.failed
+    sent, _ = counters(sim)
+    assert 0 < sent < 256 * MiB // service.config.segment_bytes

@@ -98,7 +98,7 @@ def test_black_holed_path_fails_every_flow_through_the_one_exit(fluid):
     assert sorted(fired) == [t.seq for t in tickets]  # each done fired once
     assert value("fabric.flows_failed") == n
     assert value("fabric.tenant.t.flows_failed") == n
-    assert service.tenant("t").flows_failed == n
+    assert service.tenants["t"].flows_failed == n
     assert value("fabric.flows_completed") == 0
     assert value("fabric.reroute.partition_failures") == 0
     # Three segments a flow, the first to exhaust its attempts fails it.

@@ -5,6 +5,7 @@ import pytest
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB
+from repro.fabric.health import EdgeHealthMonitor
 from repro.fabric.service import (
     FabricService,
     FabricServiceConfig,
@@ -77,7 +78,7 @@ class TestFlows:
         assert ticket.completed is not None
         assert not ticket.failed
         assert ticket.span > service.net.path_rtt("hL0", "hR0")
-        state = service.tenant("a")
+        state = service.tenants["a"]
         assert state.bytes_acked == 256 * KiB
         assert state.flows_completed == 1
 
@@ -120,7 +121,7 @@ class TestFlows:
         sim.run()
         offered_bits = 20 * 64 * KiB * 8
         assert sim.now >= offered_bits / 1e9 * 0.8
-        assert service.tenant("hog").flows_completed == 20
+        assert service.tenants["hog"].flows_completed == 20
 
     def test_unenforced_quota_is_ignored(self):
         cfg = FabricServiceConfig(cc="none", enforce_quotas=False)
@@ -176,7 +177,7 @@ class TestReliability:
         assert all(t.completed is not None for t in tickets)
         m = sim.telemetry.metrics
         assert m.value("fabric.segments_retransmitted") > 0
-        assert service.tenant("a").bytes_acked == 8 * 128 * KiB
+        assert service.tenants["a"].bytes_acked == 8 * 128 * KiB
 
     def test_hopeless_loss_fails_cleanly(self):
         sim, service = make_service(
@@ -187,7 +188,7 @@ class TestReliability:
         sim.run()  # must drain: bounded attempts, clean failure
         assert ticket.failed
         assert ticket.completed is None
-        assert service.tenant("a").flows_failed == 1
+        assert service.tenants["a"].flows_failed == 1
         assert sim.telemetry.metrics.value("fabric.flows_failed") == 1
 
     def test_ecn_echo_reaches_controller(self):
@@ -245,3 +246,33 @@ class TestDeterminism:
         # This scenario has no loss/jitter, so metrics must not depend on
         # the seed at all -- catching accidental RNG coupling.
         assert self.run_digest(0) == self.run_digest(1)
+
+class TestAcksWithoutAReverseRoute:
+    def test_an_unfinished_flow_has_no_span(self):
+        sim, service = make_service()
+        service.add_tenant(TenantSpec(name="a"))
+        ticket = service.submit("a", "hL0", "hR0", 64 * KiB)
+        assert ticket.span is None
+        sim.run()
+        assert ticket.span > 0
+
+    def test_segments_delivered_while_the_reverse_edge_is_open_are_not_acked(
+        self,
+    ):
+        """The flow is admitted, then only the reverse bottleneck edge's
+        breaker opens: data still reaches hR0, but no ACK route leads
+        back, so nothing is acked until that breaker half-opens, and the
+        sender's RTOs carry the flow until then."""
+        sim, service = make_service()
+        monitor = EdgeHealthMonitor(service.net)
+        reverse = ("torR", "torL")
+        service.add_tenant(TenantSpec(name="a"))
+        ticket = service.submit("a", "hL0", "hR0", 64 * KiB)
+        sim.run(until=1e-5)  # admitted, its first segments on the wire
+        assert ticket.started is not None
+        monitor._trip(reverse, sim.now, reason="reverse only")
+        reopen_at = monitor.breakers[reverse].reopen_at
+        sim.run()
+        assert not ticket.failed
+        assert ticket.completed > reopen_at
+        assert service.tenants["a"].retransmits > 0

@@ -1,5 +1,6 @@
 """Fabric topology graph: construction, routing, network instantiation."""
 
+import numpy as np
 import pytest
 
 from repro.common.config import ChannelConfig
@@ -10,6 +11,7 @@ from repro.fabric.topology import (
     dumbbell,
     two_tier,
 )
+from repro.net.channel import Channel
 from repro.net.packet import Opcode, Packet
 from repro.sim.engine import Simulator
 
@@ -308,3 +310,68 @@ class TestRouteCacheAndExclusion:
         net.routes_changed()
         # Listeners run after invalidation (they re-resolve fresh paths).
         assert fired == [0, 0]
+
+
+class TestRefusalsAndEligibility:
+    def test_an_unknown_edge_is_refused(self):
+        topo = dumbbell(left_hosts=1, right_hosts=1, host_link=HOST, bottleneck=WAN)
+        with pytest.raises(ConfigError, match="no edge 'hL0' -> 'hR0'"):
+            topo.edge("hL0", "hR0")
+
+    def test_empty_shapes_are_refused(self):
+        with pytest.raises(ConfigError, match="dumbbell needs"):
+            dumbbell(left_hosts=0, right_hosts=1, host_link=HOST, bottleneck=WAN)
+        with pytest.raises(ConfigError, match="two_tier needs"):
+            two_tier(tors=2, hosts_per_tor=0, host_link=HOST, wan_link=WAN)
+
+    def test_a_costlier_second_way_to_a_switch_is_not_expanded(self):
+        """s1 is queued twice (via s0 at 200 km, via s2 at 150 km) and
+        popped twice before h1: the costlier copy is skipped."""
+        topo = FabricTopology()
+        for name in ("s0", "s1", "s2"):
+            topo.add_switch(name)
+        topo.add_host("h0")
+        topo.add_host("h1")
+
+        def km(distance):
+            return ChannelConfig(bandwidth_bps=100e9, distance_km=distance)
+
+        topo.add_link("h0", "s0", km(1.0))
+        topo.add_link("s0", "s1", km(200.0))
+        topo.add_link("s0", "s2", km(100.0))
+        topo.add_link("s2", "s1", km(50.0))
+        topo.add_link("s1", "h1", km(100.0))
+        assert topo.shortest_path("h0", "h1") == ("h0", "s0", "s2", "s1", "h1")
+
+    def test_a_packet_without_a_uid_is_refused(self):
+        topo = dumbbell(left_hosts=1, right_hosts=1, host_link=HOST, bottleneck=WAN)
+        sim = Simulator()
+        net = FabricNetwork(sim, topo)
+        packet = Packet(dst_qpn=0, opcode=Opcode.WRITE_ONLY, length=64)
+        with pytest.raises(ConfigError, match="no uid"):
+            net.send("hL0", "hR0", packet, lambda p: None)
+        assert net.inflight_count == 0
+
+    def test_only_plain_steady_channels_are_booked_fluidly(self):
+        jittery = ChannelConfig(
+            bandwidth_bps=10e9, distance_km=50.0, jitter_fraction=0.1
+        )
+        plain = dumbbell(left_hosts=1, right_hosts=1, host_link=HOST, bottleneck=WAN)
+        net = FabricNetwork(Simulator(), plain)
+        path = net.route("hL0", "hR0")
+        assert net.fluid_plan(path) is not None
+
+        class Wrapper(Channel):
+            pass
+
+        old = net.channels[("torL", "torR")]
+        net.replace_channel(("torL", "torR"), Wrapper(
+            net.sim, old.config, rng=np.random.default_rng(0)
+        ))
+        assert not net.fluid_path_eligible(path)
+
+        shaky = dumbbell(
+            left_hosts=1, right_hosts=1, host_link=HOST, bottleneck=jittery
+        )
+        net = FabricNetwork(Simulator(), shaky)
+        assert net.fluid_plan(net.route("hL0", "hR0")) is None

@@ -151,9 +151,6 @@ def test_sr_delivered_write_whose_final_acks_died():
     run.assert_fates_agree()
 
 
-@pytest.mark.xfail(
-    strict=True, reason="an SR write resumes only once a budget runs out"
-)
 def test_sr_write_whose_final_acks_died_resumes_without_waiting_out_its_budget():
     """``repro chaos --schedule ack-blackout --recover --messages 2 --drop
     0.01``: write 1 lands inside the control blackout, and every ACK for it

@@ -90,6 +90,22 @@ class TestStagedCorrectness:
         assert rh.bitmap().all_set()
         assert qb.bytes_copied == size
 
+    def test_packets_into_an_abandoned_slot_are_never_copied(self):
+        """The receive is abandoned before its packets land: stage two
+        filters their CQEs, so the copier never sees them."""
+        sim, ctx_b, qa, qb, channel = make_staged_pair()
+        size = 64 * KiB
+        mr = ctx_b.mr_reg(size)
+        rh = qb.recv_post(SdrRecvWr(mr=mr, length=size))
+        qa.send_post(SdrSendWr(length=size))
+        sim.run(until=channel.rtt / 2)  # too early for any packet to land
+        assert not rh.bitmap().count()
+        qb.recv_abandon(rh)
+        sim.run()
+        assert qb.bytes_copied == 0
+        late = sim.telemetry.metrics.value("sdr.b.late_cqes_filtered")
+        assert late == size // (4 * KiB)
+
     def test_invalid_copy_bandwidth(self):
         with pytest.raises(ConfigError):
             make_staged_pair(copy_bps=0)

@@ -408,3 +408,25 @@ def test_fluid_and_packet_blame_have_the_same_shape(seed):
     packet, fluid = shares
     for cat in ATTRIBUTION_CATEGORIES:
         assert fluid[cat] == pytest.approx(packet[cat], abs=1.0), cat
+
+
+class TestMessagesWithoutASpan:
+    def test_a_failed_message_has_no_span_and_no_blame(self):
+        m = lineage.MessageLineage(msg=0, failed=True)
+        assert m.span is None
+        assert m.residual == 0.0
+        assert m.dominant == "other"
+
+    def test_a_trace_with_nothing_completed_has_no_stragglers(self):
+        analyzer = LineageAnalyzer([])
+        assert analyzer.p50_span() == 0.0
+        assert analyzer.stragglers() == []
+
+
+def test_check_refuses_an_attribution_that_misses_its_span():
+    _, ring = _traced_run(drop=0.0, messages=1)
+    analyzer = LineageAnalyzer.from_events(ring.events)
+    analyzer.check()
+    analyzer.completed[0].attribution["other"] += 1e-6
+    with pytest.raises(ConfigError, match="msg=0 off by -1.000e-06 s"):
+        analyzer.check()

@@ -21,8 +21,6 @@ class TestCounterGauge:
         c.inc()
         c.inc(3)
         assert c.value == 4
-        c.reset()
-        assert c.value == 0
 
     def test_counter_float_increments(self):
         c = Counter("busy")
@@ -35,8 +33,6 @@ class TestCounterGauge:
         g.set(5)
         g.add(-2)
         assert g.value == 3
-        g.reset()
-        assert g.value == 0.0
 
 
 class TestHistogram:
@@ -179,15 +175,6 @@ class TestRegistry:
         assert reg.snapshot("sr.dc-a") == {"sr.dc-a.x": 1}
         assert set(reg.snapshot("sr")) == {"sr.dc-a.x", "sr.dc-ab.x"}
         assert list(reg.snapshot()) == reg.names()
-
-    def test_reset_keeps_registrations(self):
-        reg = MetricsRegistry()
-        c = reg.counter("a")
-        c.inc(5)
-        reg.reset()
-        assert len(reg) == 1
-        assert c.value == 0
-        assert reg.counter("a") is c
 
 
 class TestDisabledRegistry:

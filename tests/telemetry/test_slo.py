@@ -206,6 +206,28 @@ class TestSummary:
         assert not summary.compliant
         assert [r.sli for r in summary.violations] == ["delivery"]
 
+    def test_a_tenant_without_signal_is_vacuously_compliant(self):
+        spec = SloSpec(
+            tenant="t0", delivery_ratio=0.9, p99_completion_s=0.01,
+            max_retx_overhead=0.1,
+        )
+        h = _Harness(spec)
+        h.run(0.05)
+        summary = h.tracker.summary(duration=0.05)
+        assert summary.compliant
+        assert {r.sli: r.value for r in summary.rows} == {
+            "delivery": None, "p99": None, "retx": None,
+        }
+
+    def test_lifetime_p99_reads_the_completion_histogram(self):
+        spec = SloSpec(tenant="t0", p99_completion_s=0.01)
+        h = _Harness(spec)
+        h.at(0.001, lambda: [h.completion.observe(0.08) for _ in range(4)])
+        h.run(0.05)
+        (row,) = h.tracker.summary(duration=0.05).rows
+        assert row.value == h.completion.percentile(99) > 0.01
+        assert not row.compliant
+
     def test_duration_must_be_positive(self):
         h = _Harness(SloSpec(tenant="t0", delivery_ratio=0.9))
         h.run(0.05)

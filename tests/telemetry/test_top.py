@@ -90,6 +90,13 @@ class TestTopTable:
         out = top_table(events, width=8, instants=False).render()
         assert "slo_burn" not in out
 
+    def test_values_print_in_their_magnitude_format(self):
+        events = [_counter(0.0, "q", depth=0.5), _counter(1.0, "q", depth=12345.0)]
+        (row,) = top_table(events, width=8).rows
+        # lo, hi, last: a fraction at four significant digits, a large
+        # value in scientific notation at three.
+        assert row[-3:] == ["0.5", "1.23e+04", "1.23e+04"]
+
     def test_match_filters_series(self):
         events = [_counter(0.0, "cc", rate=1.0), _counter(0.0, "net", depth=1.0),
                   _counter(1.0, "cc", rate=2.0)]

@@ -11,8 +11,9 @@ traced from their first line.  Only frames whose file lies under
 At the end of the session every module under ``src/repro`` is compiled
 and its executable lines are read from the line tables of its code
 objects (``co_lines()``); a module no test imported counts whole.  The
-report, ``linecov.txt`` in the working directory, opens with one summary
-line::
+body of an ``if TYPE_CHECKING:`` block does not count: CPython never runs
+it, so no test can reach it.  The report, ``linecov.txt`` in the working
+directory, opens with one summary line::
 
     linecov: <executable> executable lines, <unreached> unreached
 
@@ -23,6 +24,7 @@ counts from one version only.
 
 from __future__ import annotations
 
+import ast
 import sys
 import threading
 from pathlib import Path
@@ -64,16 +66,31 @@ sys.settrace(_call)
 threading.settrace(_call)
 
 
+def _type_checking_only(tree: ast.AST) -> set[int]:
+    """The lines of every ``if TYPE_CHECKING:`` body in ``tree``."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if isinstance(node, ast.If) and (
+            isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+            or isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+        ):
+            lines.update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+    return lines
+
+
 def executable_lines(path: Path) -> set[int]:
-    """Line numbers of ``path`` that some instruction belongs to."""
-    code = compile(path.read_text(), str(path), "exec")
+    """Line numbers of ``path`` that some instruction belongs to, less
+    those only a type checker reads."""
+    source = path.read_text()
+    code = compile(source, str(path), "exec")
     lines: set[int] = set()
     stack = [code]
     while stack:
         co = stack.pop()
         lines.update(line for _, _, line in co.co_lines() if line)
         stack.extend(c for c in co.co_consts if hasattr(c, "co_lines"))
-    return lines
+    return lines - _type_checking_only(ast.parse(source))
 
 
 def _ranges(lines: list[int]) -> str:
