@@ -22,8 +22,9 @@ per-message attributions sum to the observed span by construction (the
 What each event name means to attribution is decided in one place, the
 ``_ROLES`` table below; ``ATTRIBUTION_CATEGORIES`` is derived from it.
 Three categories belong to no event: ``cts_wait`` (idle before the first
-busy span), ``ack_wait`` (idle after the last one: trailing propagation
-and the final ACK) and ``other`` (an idle gap no recorded trigger ends).
+busy span), ``ack_wait`` (idle after the last one that no trigger ends:
+trailing propagation and the final ACK) and ``other`` (any other idle gap
+no recorded trigger ends).
 docs/observability.md describes every category.
 
 A resumed transfer keeps its slot, so its events stay under its own seq.
@@ -332,11 +333,10 @@ class LineageAnalyzer:
                 cat = ATTRIBUTION_CATEGORIES[cover[i]]
             elif hi <= first_busy_start:
                 cat = "cts_wait"
-            elif lo >= last_busy_end:
-                cat = "ack_wait"
+            elif ending := triggers[bisect_right(times, lo):bisect_right(times, hi)]:
+                cat = min(ending, key=lambda t: t[1].rank)[1].category
             else:
-                ending = triggers[bisect_right(times, lo):bisect_right(times, hi)]
-                cat = min(ending, key=lambda t: t[1].rank)[1].category if ending else "other"
+                cat = "ack_wait" if lo >= last_busy_end else "other"
             attribution[cat] += hi - lo
         rec.attribution = attribution
 

@@ -63,9 +63,11 @@ class TestWraparound:
         received = f"sdr.{pair.ctx_b.device.name}.messages_received"
         assert pair.sim.telemetry.metrics.value(received) == n
 
-    def test_wraparound_collision_detected(self):
-        """Posting into a slot whose previous use is still in flight is a
-        hard error, not silent corruption."""
+    def test_a_full_table_refuses_then_slot_0_serves_generation_1(self):
+        """With every message ID posted the receive table is full: the next
+        post is refused (the table-full check fires before the in-flight
+        wrap check, see TestGenerationRollover), and completing slot 0 frees
+        exactly that slot for the next generation."""
         pair = make_sdr_pair(chunk=4 * KiB, max_message=4 * KiB, inflight=1024)
         ids = pair.qp_b.config.max_message_ids
         mr = pair.ctx_b.mr_reg(4 * KiB)
@@ -73,7 +75,7 @@ class TestWraparound:
             pair.qp_b.recv_post(SdrRecvWr(mr=mr, length=4 * KiB))
             for _ in range(ids)
         ]
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError, match=r"receive table full \(1024 in flight\)"):
             pair.qp_b.recv_post(SdrRecvWr(mr=mr, length=4 * KiB))
         # Completing slot 0 frees exactly that slot for reuse.
         handles[0].complete()

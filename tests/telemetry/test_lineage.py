@@ -13,6 +13,7 @@ import io
 
 import pytest
 
+from repro.cli import main
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB, distance_to_rtt
@@ -430,3 +431,33 @@ def test_check_refuses_an_attribution_that_misses_its_span():
     analyzer.completed[0].attribution["other"] += 1e-6
     with pytest.raises(ConfigError, match="msg=0 off by -1.000e-06 s"):
         analyzer.check()
+
+
+def test_the_stall_a_resume_ends_is_recovery(tmp_path, capsys):
+    """``repro chaos --schedule ack-blackout --recover --messages 2 --drop
+    0.01``: every ACK for write 1 dies, and after its silent RTO rounds the
+    sender resumes.  The idle time from its last transmission to
+    ``resume_post`` is the stall the resume ends: it lands in ``recovery``,
+    in the message's blame and in the blame table the command prints."""
+    trace = tmp_path / "t.jsonl"
+    assert main([
+        "chaos", "--schedule", "ack-blackout", "--recover", "--messages", "2",
+        "--drop", "0.01", "--trace-jsonl", str(trace),
+    ]) == 0
+    out = capsys.readouterr().out
+    analyzer = LineageAnalyzer.from_jsonl(str(trace))
+    analyzer.check()
+    write = analyzer.get(1)
+    times = {name: ts for ts, name, _ in write.events if name.startswith("resume_")}
+    assert list(times) == ["resume_begin", "resume_grant", "resume_post"]
+    last_tx = max(
+        ts + args["__dur"]
+        for ts, name, args in write.events
+        if name == "tx" and ts < times["resume_begin"]
+    )
+    assert write.attribution["recovery"] == pytest.approx(
+        times["resume_post"] - last_tx, abs=1e-9
+    )
+    assert write.attribution["recovery"] > 0.01
+    recovery_row = next(line for line in out.splitlines() if line.startswith("recovery "))
+    assert recovery_row.split()[1] == f"{write.attribution['recovery']:.4g}"
