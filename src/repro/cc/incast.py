@@ -61,10 +61,6 @@ class IncastResult:
         return self.sim.telemetry
 
     @property
-    def failed_writes(self) -> int:
-        return sum(1 for t in self.write_tickets if t.failed)
-
-    @property
     def delivered_messages(self) -> int:
         """Writes fully acknowledged within the run (in-flight ones don't count)."""
         return sum(
@@ -79,15 +75,6 @@ class IncastResult:
         if self.elapsed <= 0:
             return 0.0
         return self.delivered_messages * self.message_bytes * 8 / self.elapsed / 1e9
-
-    @property
-    def tail_drops(self) -> int:
-        metrics = self.telemetry.metrics
-        return sum(
-            metrics.value(name)
-            for name in metrics.names("net")
-            if name.endswith(".tail_drops")
-        )
 
 
 def run_incast(

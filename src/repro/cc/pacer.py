@@ -83,10 +83,6 @@ class TokenBucketGroup:
         self._tokens = [float(burst_bytes)] * planes
         self._last = [0.0] * planes
 
-    @property
-    def rate_bps(self) -> float | None:
-        return self.controller.rate_bps
-
     def _plane_rate(self, rate_bps: float) -> float:
         """Bytes/s budget of one plane's bucket."""
         return rate_bps / 8.0 / self.planes
@@ -94,13 +90,10 @@ class TokenBucketGroup:
     def reserve(self, nbytes: int, plane: int = 0) -> float:
         """Charge ``nbytes`` to ``plane``'s bucket; seconds to wait.
 
-        A ``None`` controller rate bypasses the buckets entirely (the
-        null-controller fast path -- no state touched, no wait).
+        The controller must have a rate: an unpaced :class:`Pacer` never
+        reaches its buckets.
         """
-        rate_bps = self.controller.rate_bps
-        if rate_bps is None:
-            return 0.0
-        rate = self._plane_rate(rate_bps)
+        rate = self._plane_rate(self.controller.rate_bps)
         now = self.sim.now
         tokens = min(
             float(self.burst_bytes),
@@ -113,9 +106,7 @@ class TokenBucketGroup:
             return 0.0
         return -tokens / rate
 
-    def reserve_batch(
-        self, cum_bytes: np.ndarray, plane: int = 0
-    ) -> np.ndarray | None:
+    def reserve_batch(self, cum_bytes: np.ndarray, plane: int = 0) -> np.ndarray:
         """Charge a run of same-instant reserves in one call.
 
         ``cum_bytes`` is the inclusive cumulative byte count of the run
@@ -124,13 +115,8 @@ class TokenBucketGroup:
         is a pure function of the running charge -- so the whole run
         collapses to one vectorized expression, returning exactly the
         waits ``len(cum_bytes)`` sequential :meth:`reserve` calls would.
-        Returns ``None`` for a ``None`` controller rate (unpaced: all
-        waits zero, no state touched).
         """
-        rate_bps = self.controller.rate_bps
-        if rate_bps is None:
-            return None
-        rate = self._plane_rate(rate_bps)
+        rate = self._plane_rate(self.controller.rate_bps)
         now = self.sim.now
         tokens = min(
             float(self.burst_bytes),

@@ -76,26 +76,6 @@ class Bitmap:
         self._nset += 1
         return True
 
-    def set_many(self, indices: np.ndarray) -> int:
-        """Set a batch of *unique* bit indices; return how many were new.
-
-        The fluid fast path applies a whole chunk's worth of packet
-        arrivals in one call instead of per-packet ``set`` loops.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return 0
-        if idx.min() < 0 or idx.max() >= self._nbits:
-            raise IndexError(f"bit index out of range [0, {self._nbits})")
-        flags = np.zeros(self._nbits, dtype=np.uint8)
-        flags[idx] = 1
-        packed = np.packbits(flags, bitorder="little").tobytes()
-        new = int.from_bytes(packed, "little") & ~self._bits
-        newly = new.bit_count()
-        self._bits |= new
-        self._nset += newly
-        return newly
-
     def clear(self, index: int) -> bool:
         """Clear bit ``index``; return True if it transitioned 1 -> 0."""
         bit = self._bit(index)

@@ -223,12 +223,6 @@ class SdrConfig(Bounded):
             raise ConfigError(f"message size must be > 0, got {message_bytes}")
         return math.ceil(message_bytes / self.chunk_bytes)
 
-    def packets_in(self, message_bytes: int) -> int:
-        """Number of MTU packets covering a message of ``message_bytes``."""
-        if message_bytes <= 0:
-            raise ConfigError(f"message size must be > 0, got {message_bytes}")
-        return math.ceil(message_bytes / self.mtu_bytes)
-
 
 #: DPA hardware threads a device has (the worker pool's ceiling).
 DPA_TOTAL_THREADS = 256

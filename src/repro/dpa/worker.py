@@ -235,10 +235,6 @@ class DpaEngine:
         return sum(w.stats.cqes_processed for w in self.workers)
 
     @property
-    def chunks_closed(self) -> int:
-        return sum(w.stats.chunks_closed for w in self.workers)
-
-    @property
     def busy_seconds(self) -> float:
         return sum(w.stats.busy_seconds for w in self.workers)
 

@@ -36,20 +36,6 @@ class CodecStats:
     decode_bytes: int = 0
     decode_seconds: float = 0.0
 
-    @property
-    def encode_throughput_bps(self) -> float:
-        """Encoding throughput in bits/s of *data* processed."""
-        if self.encode_seconds <= 0:
-            return 0.0
-        return self.encode_bytes * 8.0 / self.encode_seconds
-
-    @property
-    def decode_throughput_bps(self) -> float:
-        """Decoding throughput in bits/s of *data* recovered."""
-        if self.decode_seconds <= 0:
-            return 0.0
-        return self.decode_bytes * 8.0 / self.decode_seconds
-
 
 class ErasureCode(abc.ABC):
     """A (k, m) erasure code over equal-sized byte chunks."""
@@ -88,8 +74,8 @@ class ErasureCode(abc.ABC):
         """
 
     @abc.abstractmethod
-    def recoverable(self, present: np.ndarray) -> bool:
-        """Whether a boolean presence vector of length k+m is decodable."""
+    def _recoverable(self, present: np.ndarray) -> bool:
+        """Whether a k+m boolean presence vector is decodable."""
 
     # -- public wrappers (validation + accounting) ----------------------------------
 
@@ -102,6 +88,13 @@ class ErasureCode(abc.ABC):
     def rate(self) -> float:
         """Code rate k / (k + m): fraction of wire bytes carrying data."""
         return self.k / (self.k + self.m)
+
+    def recoverable(self, present) -> bool:
+        """Whether a boolean presence vector of length k+m is decodable."""
+        present = np.asarray(present, dtype=bool)
+        if present.size != self.k + self.m:
+            raise ConfigError(f"presence vector must have {self.k + self.m} entries")
+        return self._recoverable(present)
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Parity chunks for a (k, chunk_bytes) uint8 data array."""

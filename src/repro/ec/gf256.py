@@ -52,14 +52,9 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _EXP, _LOG, _MUL = _build_tables()
 
 
-def gf_mul(a, b):
-    """Elementwise GF(256) product of scalars or uint8 arrays."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    out = _MUL[a.astype(np.intp), b.astype(np.intp)]
-    if out.ndim == 0:
-        return int(out)
-    return out
+def gf_mul(a: int, b: int) -> int:
+    """GF(256) product of two field elements."""
+    return int(_MUL[a, b])
 
 
 def gf_mul_bytes(coef: int, data: np.ndarray) -> np.ndarray:

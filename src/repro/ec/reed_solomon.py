@@ -48,7 +48,7 @@ class ReedSolomonCode(ErasureCode):
         top_inv = gf_mat_inv(v[:k])
         self.generator = gf_matmul(v, top_inv)
         if not np.array_equal(self.generator[: self.k], np.eye(k, dtype=np.uint8)):
-            raise ConfigError("systematic construction failed")  # pragma: no cover
+            raise ConfigError("systematic construction failed")
         #: Parity rows of the generator: parity = P @ data.
         self.parity_matrix = self.generator[k:]
         #: Their lane tables, built once: every encode applies the same rows.
@@ -61,12 +61,7 @@ class ReedSolomonCode(ErasureCode):
 
     # -- decode ---------------------------------------------------------------------
 
-    def recoverable(self, present: np.ndarray) -> bool:
-        present = np.asarray(present, dtype=bool)
-        if present.size != self.k + self.m:
-            raise ConfigError(
-                f"presence vector must have {self.k + self.m} entries"
-            )
+    def _recoverable(self, present: np.ndarray) -> bool:
         return int(present.sum()) >= self.k
 
     def _decode(self, chunks: dict[int, np.ndarray], chunk_bytes: int) -> np.ndarray:

@@ -114,12 +114,7 @@ class Rs2dCode(ErasureCode):
                     progress = True
         return present
 
-    def recoverable(self, present: np.ndarray) -> bool:
-        present = np.asarray(present, dtype=bool)
-        if present.size != self.k + self.m:
-            raise ConfigError(
-                f"presence vector must have {self.k + self.m} entries"
-            )
+    def _recoverable(self, present: np.ndarray) -> bool:
         return bool(self._peel_presence(present)[: self.k].all())
 
     # -- decode -----------------------------------------------------------------------

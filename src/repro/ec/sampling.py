@@ -39,9 +39,7 @@ def _validate(population: int, missing: int, probes: int) -> None:
 def miss_probability(population: int, missing: int, probes: int) -> float:
     """P(``probes`` draws without replacement all avoid ``missing`` gaps)."""
     _validate(population, missing, probes)
-    if missing == 0:
-        return 1.0
-    if probes == 0:
+    if missing == 0 or probes == 0:
         return 1.0
     if probes > population - missing:
         return 0.0  # pigeonhole: more probes than present chunks
@@ -68,10 +66,10 @@ def probes_for_confidence(
         )
     if missing == 0:
         raise ConfigError("a zero-chunk gap can never be detected")
-    for probes in range(1, population + 1):
+    for probes in range(1, population):
         if detection_probability(population, missing, probes) >= confidence:
             return probes
-    return population  # pragma: no cover - full scan always detects
+    return population  # a full scan always detects
 
 
 def draw_probes(

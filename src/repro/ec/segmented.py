@@ -95,14 +95,6 @@ class SegmentedCode:
         self.base = base
         self.chunk_bytes = chunk_bytes
 
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
     def layout(self, length: int) -> SegmentLayout:
         return SegmentLayout(
             length=length, chunk_bytes=self.chunk_bytes,

@@ -45,12 +45,7 @@ class XorCode(ErasureCode):
 
     # -- decode ---------------------------------------------------------------------
 
-    def recoverable(self, present: np.ndarray) -> bool:
-        present = np.asarray(present, dtype=bool)
-        if present.size != self.k + self.m:
-            raise ConfigError(
-                f"presence vector must have {self.k + self.m} entries"
-            )
+    def _recoverable(self, present: np.ndarray) -> bool:
         for i, members in enumerate(self.groups):
             missing_data = sum(1 for j in members if not present[j])
             if missing_data == 0:

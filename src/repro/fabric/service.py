@@ -695,9 +695,7 @@ class FabricService:
         ticket = state.ticket
         waits = self._uplink(ticket.src).reserve_batch(cum)
         if self.config.enforce_quotas and tenant.bucket is not None:
-            quota = tenant.bucket.reserve_batch(cum)
-            if quota is not None:
-                np.maximum(waits, quota, out=waits)
+            np.maximum(waits, tenant.bucket.reserve_batch(cum), out=waits)
         if tenant.spec.compliant:
             paced = state.pair.pacer.reserve_batch(cum, flow=ticket.seq)
             if paced is not None:

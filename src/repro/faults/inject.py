@@ -24,19 +24,29 @@ from repro.net.channel import DuplexLink
 def _link_lookup(fabric, a, b):
     """Resolve the (possibly flipped) fabric link between ``a`` and ``b``.
 
-    Returns ``(key, link, flipped)`` where ``flipped`` means the registry
-    stores the ``b`` -> ``a`` orientation.
+    Returns ``(key, link, flipped, (a_to_b, b_to_a))`` where ``flipped``
+    means the registry stores the ``b`` -> ``a`` orientation.
     """
     key = (a.name, b.name)
     link = fabric.links.get(key)
-    flipped = False
-    if link is None:
+    flipped = link is None
+    if flipped:
         key = (b.name, a.name)
         link = fabric.links.get(key)
         if link is None:
             raise ConfigError(f"{a.name} and {b.name} are not connected")
-        flipped = True
-    return key, link, flipped
+    # connect_bonded stores a (fwd, rev) tuple of BondedChannels.
+    pair = (link.forward, link.reverse) if isinstance(link, DuplexLink) else link
+    return key, link, flipped, pair[::-1] if flipped else pair
+
+
+def _link_store(fabric, key, link, flipped, a_to_b, b_to_a) -> None:
+    """Record the ``a`` <-> ``b`` channels in the fabric's link registry."""
+    stored = (b_to_a, a_to_b) if flipped else (a_to_b, b_to_a)
+    if isinstance(link, DuplexLink):
+        link.forward, link.reverse = stored
+    else:
+        fabric.links[key] = stored
 
 
 def install_link_faults(
@@ -47,14 +57,7 @@ def install_link_faults(
     ``schedule`` drives both directions, so e.g. a blackout severs both
     like a real fiber cut.  Returns the (forward, reverse) wrappers.
     """
-    key, link, flipped = _link_lookup(fabric, a, b)
-    if isinstance(link, DuplexLink):
-        inner_fwd, inner_rev = link.forward, link.reverse
-    else:  # connect_bonded stores a (fwd, rev) tuple of BondedChannels
-        inner_fwd, inner_rev = link
-    if flipped:
-        # Stored forward direction is b -> a; keep ``schedule`` on a -> b.
-        inner_fwd, inner_rev = inner_rev, inner_fwd
+    key, link, flipped, (inner_fwd, inner_rev) = _link_lookup(fabric, a, b)
     if isinstance(inner_fwd, FaultyChannel) or isinstance(inner_rev, FaultyChannel):
         raise ConfigError(f"link {a.name}<->{b.name} already has fault injection")
     fwd = FaultyChannel(
@@ -68,12 +71,8 @@ def install_link_faults(
     b.replace_link(a.name, outgoing=rev, incoming=fwd)
     # Record the wrappers in the fabric's link registry too, so later
     # introspection (and the double-install guard above) sees the fault
-    # plane.  ``fwd`` always carries the a -> b direction.
-    stored = (rev, fwd) if flipped else (fwd, rev)
-    if isinstance(link, DuplexLink):
-        link.forward, link.reverse = stored
-    else:
-        fabric.links[key] = stored
+    # plane.
+    _link_store(fabric, key, link, flipped, fwd, rev)
     return fwd, rev
 
 
@@ -90,13 +89,7 @@ def uninstall_link_faults(fabric, a, b) -> bool:
     Idempotent: returns ``True`` when a fault plane was removed, ``False``
     when the link had none (so chaos teardown can be unconditional).
     """
-    key, link, flipped = _link_lookup(fabric, a, b)
-    if isinstance(link, DuplexLink):
-        fwd, rev = link.forward, link.reverse
-    else:
-        fwd, rev = link
-    if flipped:
-        fwd, rev = rev, fwd
+    key, link, flipped, (fwd, rev) = _link_lookup(fabric, a, b)
     if not (isinstance(fwd, FaultyChannel) and isinstance(rev, FaultyChannel)):
         return False
     fwd.disarm()
@@ -104,11 +97,7 @@ def uninstall_link_faults(fabric, a, b) -> bool:
     inner_fwd, inner_rev = fwd.inner, rev.inner
     a.replace_link(b.name, outgoing=inner_fwd, incoming=inner_rev)
     b.replace_link(a.name, outgoing=inner_rev, incoming=inner_fwd)
-    stored = (inner_rev, inner_fwd) if flipped else (inner_fwd, inner_rev)
-    if isinstance(link, DuplexLink):
-        link.forward, link.reverse = stored
-    else:
-        fabric.links[key] = stored
+    _link_store(fabric, key, link, flipped, inner_fwd, inner_rev)
     return True
 
 

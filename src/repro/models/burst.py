@@ -100,8 +100,8 @@ def burst_masking_gain(
     bursty = ge_chunk_drop_probability(
         packets_per_chunk, p_good=p_good, p_bad=p_bad, p_gb=p_gb, p_bg=p_bg
     )
-    if bursty <= 0.0:
-        return 1.0 if iid <= 0.0 else float("inf")
+    if bursty <= 0.0:  # a lossless chain (the i.i.d. rate is 0 too)
+        return 1.0
     return iid / bursty
 
 

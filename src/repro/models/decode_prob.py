@@ -99,12 +99,16 @@ def p_decode_rs2d(p_drop: float, k: int, m: int) -> float:
     return hits / RS2D_TRIALS
 
 
-def p_fallback(p_decode: float, n_submessages: int) -> float:
-    """P(at least one of L submessages fails) = 1 - P_EC^L (Section 4.2.3)."""
+def _validate_fallback(p_decode: float, n_submessages: int) -> None:
     if not 0.0 <= p_decode <= 1.0:
         raise ConfigError(f"decode probability must be in [0, 1], got {p_decode}")
     if n_submessages <= 0:
         raise ConfigError(f"need >= 1 submessage, got {n_submessages}")
+
+
+def p_fallback(p_decode: float, n_submessages: int) -> float:
+    """P(at least one of L submessages fails) = 1 - P_EC^L (Section 4.2.3)."""
+    _validate_fallback(p_decode, n_submessages)
     if p_decode == 0.0:
         return 1.0
     if p_decode == 1.0:
@@ -114,8 +118,5 @@ def p_fallback(p_decode: float, n_submessages: int) -> float:
 
 def expected_failures(p_decode: float, n_submessages: int) -> float:
     """E[failed submessages] = L (1 - P_EC) (Section 4.2.3)."""
-    if not 0.0 <= p_decode <= 1.0:
-        raise ConfigError(f"decode probability must be in [0, 1], got {p_decode}")
-    if n_submessages <= 0:
-        raise ConfigError(f"need >= 1 submessage, got {n_submessages}")
+    _validate_fallback(p_decode, n_submessages)
     return n_submessages * (1.0 - p_decode)

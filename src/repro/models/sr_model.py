@@ -131,7 +131,7 @@ def sr_completion_percentile(
     hi = lo + params.retransmission_overhead
     while sr_completion_tail(params, chunks, hi) > target:
         hi += params.retransmission_overhead
-        if hi > lo + 1e4 * params.retransmission_overhead:  # pragma: no cover
+        if hi > lo + 1e4 * params.retransmission_overhead:
             raise ConfigError("percentile search diverged")
     while (hi - lo) > REL_TOL * hi:
         mid = (lo + hi) / 2.0

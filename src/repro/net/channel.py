@@ -45,12 +45,6 @@ class ChannelStats:
     bytes_delivered: int = 0
     busy_until: float = field(default=0.0, repr=False)
 
-    @property
-    def observed_drop_rate(self) -> float:
-        if self.packets_offered == 0:
-            return 0.0
-        return self.packets_dropped / self.packets_offered
-
 
 class Channel:
     """One direction of a link: FIFO serialization, delay, jitter, loss."""

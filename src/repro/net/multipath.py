@@ -104,10 +104,6 @@ class BondedChannel:
         return index
 
     @property
-    def next_free(self) -> float:
-        return min(plane.next_free for plane in self.planes)
-
-    @property
     def stats(self) -> ChannelStats:
         """Aggregate statistics across planes (fresh snapshot)."""
         agg = ChannelStats()

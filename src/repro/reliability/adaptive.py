@@ -160,13 +160,10 @@ class DropRateEstimator:
 
 
 def _default_advisor(qp: SdrQp, rtt: float, ec_config: EcConfig) -> ProtocolAdvisor:
-    bw = (
-        qp.data_qps[0][0].channel.config.bandwidth_bps
-        if qp.connected and qp.data_qps[0][0].channel is not None
-        else 100e9
-    )
+    channel = qp.data_qps[0][0].channel
+    assert channel is not None
     return ProtocolAdvisor(
-        bandwidth_bps=bw,
+        bandwidth_bps=channel.config.bandwidth_bps,
         rtt=rtt,
         chunk_bytes=qp.config.chunk_bytes,
         ec_menu=((ec_config.codec, ec_config.k, ec_config.m),),

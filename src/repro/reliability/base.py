@@ -146,8 +146,6 @@ class ControlPath:
         return raw
 
     def _on_datagram(self, payload, immediate, src_qpn) -> None:
-        if payload is None:
-            return
         if payload == self._last_raw:
             msg = self._last_msg
         else:

@@ -237,10 +237,9 @@ class EcSender(Sender):
                     missing=len(msg.missing_chunks),
                 )
             layout = state.layout
+            # The receiver lists only missing data chunks (``_send_nack``).
             for chunk in msg.missing_chunks:
                 chunk = int(chunk)
-                if chunk >= state.nchunks:
-                    continue
                 sub = layout.segment_of(chunk)
                 j = chunk - layout.chunk_range(sub)[0]
                 attempt = state.fallback_attempts.get(chunk, 0) + 1
@@ -560,7 +559,7 @@ class EcReceiver(Receiver):
                 chunks[layout.k + int(j)] = parity[j]
             try:
                 solved = self.code.decode_rows(layout, s, chunks)
-            except DecodeFailure as exc:  # pragma: no cover - guarded
+            except DecodeFailure as exc:
                 raise ProtocolError(
                     f"submessage {s} marked recoverable but decode failed"
                 ) from exc

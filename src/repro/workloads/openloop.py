@@ -183,12 +183,11 @@ def generate(
     )  # aggregate messages/second
 
     arrivals_rng = streams.get("workload.openloop.arrivals")
-    all_times: list[np.ndarray] = []
-    all_tenants: list[np.ndarray] = []
+    # A window shorter than every first gap leaves the empty seeds alone.
+    all_times: list[np.ndarray] = [np.empty(0)]
+    all_tenants: list[np.ndarray] = [np.empty(0, dtype=np.int32)]
     for tenant in range(config.tenants):
         lam = mean_rate_msgs * weights[tenant]
-        if lam <= 0.0:
-            continue
         # Draw exponential gaps in blocks until the window is covered; the
         # expected count plus 4 sigma rarely needs a second block.
         expect = lam * config.duration
@@ -201,17 +200,11 @@ def generate(
             times = np.concatenate([times, chunk])
             t_end = float(times[-1])
         times = times[times < config.duration]
-        if len(times) == 0:
-            continue
         all_times.append(times)
         all_tenants.append(np.full(len(times), tenant, dtype=np.int32))
 
-    if all_times:
-        times = np.concatenate(all_times)
-        tenants = np.concatenate(all_tenants)
-    else:  # pathological config: window shorter than every first gap
-        times = np.empty(0)
-        tenants = np.empty(0, dtype=np.int32)
+    times = np.concatenate(all_times)
+    tenants = np.concatenate(all_tenants)
     order = np.argsort(times, kind="stable")
     times = times[order]
     tenants = tenants[order]

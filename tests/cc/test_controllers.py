@@ -100,6 +100,11 @@ class TestSwift:
         with pytest.raises(ConfigError):
             SwiftController(line_rate_bps=0.0, base_rtt=1e-3)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_a_rate_floor_outside_the_line_rate_is_refused(self, fraction):
+        with pytest.raises(ConfigError, match=f"min rate fraction .* got {fraction}"):
+            self.make(min_rate_fraction=fraction)
+
 
 class TestDcqcn:
     def make(self, **kw):
@@ -176,6 +181,11 @@ class TestDcqcn:
             self.make(fast_recovery_rounds=-1)
         with pytest.raises(ConfigError):
             self.make(cut_interval=-1.0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_a_rate_floor_outside_the_line_rate_is_refused(self, fraction):
+        with pytest.raises(ConfigError, match=f"min rate fraction .* got {fraction}"):
+            self.make(min_rate_fraction=fraction)
 
 
 class TestFactory:

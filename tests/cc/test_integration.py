@@ -165,3 +165,21 @@ class TestValidation:
 
         with pytest.raises(ConfigError):
             run_demo(messages=1, cc="cubic")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"cc": "cubic"}, "cc must be one of"),
+            ({"senders": 0}, "need >= 1 sender, got 0"),
+            ({"duration": 0.0}, "duration must be > 0, got 0.0"),
+        ],
+    )
+    def test_incast_refusals(self, kwargs, message):
+        from repro.common.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=message):
+            run_incast(**kwargs)
+
+    def test_an_incast_of_no_messages_has_zero_goodput(self):
+        result = run_incast(senders=2, messages_per_sender=0)
+        assert (result.messages, result.elapsed, result.goodput_gbps) == (0, 0.0, 0.0)

@@ -25,6 +25,11 @@ class TestReserve:
         # The fast path must not even count packets (zero overhead).
         assert sim.telemetry.metrics.value("cc.cc.paced_packets") == 0
 
+    def test_unpaced_batch_has_no_waits(self):
+        sim, pacer = make(rate_bps=None)
+        assert pacer.reserve_batch(np.cumsum(np.full(64, 4096.0))) is None
+        assert sim.telemetry.metrics.value("cc.cc.paced_packets") == 0
+
     def test_burst_passes_then_paces(self):
         # 8 Gbit/s = 1 GB/s; 16 KiB burst = four 4 KiB packets for free.
         sim, pacer = make(burst_bytes=16 * 4096)

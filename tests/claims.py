@@ -269,6 +269,18 @@ def fig10d_mds_splits(table):
     assert at[1e-3]["k=32,m=8"] < 1.1
 
 
+@claim("Figure 10", fig10.run_size_sweep, slow=False, n_samples=200)
+def fig10_size_sweep_peaks_in_the_critical_band(table):
+    """SR's mean slowdown peaks in the hundreds-of-MiB band while EC stays
+    near ideal at every size; at 8 GiB SR with NACK beats EC's parity cost."""
+    rows = {row[0]: dict(zip(table.columns[1:], row[1:])) for row in table.rows}
+    peak = max(rows, key=lambda size: rows[size]["sr_rto_mean"])
+    assert peak in (512 * MiB, 1 * GiB)
+    assert rows[peak]["sr_rto_mean"] > 2.0
+    assert all(r["ec_mean"] < 1.3 for r in rows.values())
+    assert rows[8 * GiB]["sr_nack_mean"] < rows[8 * GiB]["ec_mean"]
+
+
 @claim(
     "Figure 10", fig10.run_drop_sweep, slow=False,
     drops=[1e-4], size=128 * MiB, n_samples=800, seed=0,
@@ -392,6 +404,13 @@ def fig12_crossover_distance_shrinks_with_bandwidth(crossovers):
     assert fast <= slow
 
 
+@claim("Figure 12", lambda: fig12.crossover_distance(bandwidth_bps=100e6), slow=False)
+def fig12_a_thin_pipe_has_no_crossover(crossover):
+    """At 100 Mbit/s retransmissions stay cheap next to the wire time at
+    every swept distance, so EC never overtakes SR."""
+    assert crossover is None
+
+
 @claim(
     "Figure 12", fig12.run, slow=False,
     distances_km=[10.0, 37500.0], bandwidths_bps=[400e9],
@@ -430,6 +449,18 @@ def fig13_speedup_grows_with_drop(table):
     speedups = table.column("N=4")
     assert speedups[1] > speedups[0]
     assert all(s > 1.0 for s in speedups)
+
+
+@claim("Figure 13", fig13.run_buffer_sweep, slow=False, n_samples=200, seed=1)
+def fig13_buffer_sweep_grows_with_drop_and_buffer(table):
+    """Every buffer's speedup grows with drop rate, beyond 3x at 1e-3, where
+    the largest buffer gains most."""
+    for col in table.columns[1:]:
+        series = table.column(col)
+        assert series[-1] > series[0], col
+    at_1e3 = table.rows[-1][1:]
+    assert all(v > 3.0 for v in at_1e3)
+    assert at_1e3[-1] > at_1e3[0]
 
 
 @claim("Figure 14", fig14.run_message_size_sweep, n_messages=20)

@@ -145,6 +145,8 @@ class TestValidation:
                 n_datacenters=4, buffer_bytes=1 * MiB, channel=channel(),
                 protocol="tcp",
             )
+        with pytest.raises(ConfigError, match="at least one byte per datacenter"):
+            run_des_ring_allreduce(n_datacenters=4, buffer_bytes=3, channel=channel())
 
 
 def generator_drive(sim, contexts, senders, receivers, segment, rounds):

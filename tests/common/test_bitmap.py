@@ -202,7 +202,8 @@ def test_property_cumulative_matches_unpackbits_reference(nbits, data):
     prefix = data.draw(st.integers(0, nbits))
     extra = data.draw(st.lists(st.integers(0, nbits - 1), max_size=16))
     bm = Bitmap(nbits)
-    bm.set_many(np.arange(prefix))
+    for i in range(prefix):
+        bm.set(i)
     for i in extra:
         bm.set(i)
     assert bm.cumulative() == _cumulative_reference(bm)

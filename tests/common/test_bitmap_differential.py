@@ -56,20 +56,6 @@ class NumpyBitmap:
         self._nset += 1
         return True
 
-    def set_many(self, indices):
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return 0
-        if idx.min() < 0 or idx.max() >= self._nbits:
-            raise IndexError(f"bit index out of range [0, {self._nbits})")
-        unpacked = np.unpackbits(self._bits, bitorder="little")
-        newly = int((unpacked[idx] == 0).sum())
-        if newly:
-            unpacked[idx] = 1
-            self._bits[:] = np.packbits(unpacked, bitorder="little")
-            self._nset += newly
-        return newly
-
     def clear(self, index):
         self._check(index)
         byte, mask = index >> 3, _BIT_MASKS[index & 7]
@@ -167,12 +153,7 @@ def _index(nbits):
 
 @st.composite
 def _ops(draw, nbits):
-    op = draw(st.sampled_from(["set", "set", "set", "clear", "test", "set_many",
-                               "reset"]))
-    if op == "set_many":
-        picks = draw(st.lists(st.integers(0, nbits - 1), unique=True,
-                              max_size=min(nbits, 40)))
-        return op, np.array(picks, dtype=np.int64)
+    op = draw(st.sampled_from(["set", "set", "set", "clear", "test", "reset"]))
     if op == "reset":
         return (op,)
     return op, draw(_index(nbits))
@@ -192,8 +173,8 @@ def test_random_op_sequences_match_the_numpy_bitmap(nbits, data):
     # A solid prefix first, sometimes: whole 0xff bytes are where
     # ``cumulative`` and the window encoder differ most in shape.
     prefix = data.draw(st.integers(0, nbits))
-    if prefix:
-        assert new.set_many(np.arange(prefix)) == old.set_many(np.arange(prefix))
+    for i in range(prefix):
+        assert new.set(i) and old.set(i)
     for op, *args in data.draw(st.lists(_ops(nbits), max_size=40)):
         assert _outcome(getattr(new, op), *args) == _outcome(getattr(old, op), *args)
         _assert_same(new, old, data.draw(_windows(nbits)))

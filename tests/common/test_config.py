@@ -53,11 +53,10 @@ class TestSdrConfig:
         cfg = SdrConfig(chunk_bytes=64 * KiB, mtu_bytes=4 * KiB)
         assert cfg.packets_per_chunk == 16
 
-    def test_chunks_and_packets_in(self):
+    def test_chunks_in(self):
         cfg = SdrConfig(chunk_bytes=64 * KiB, mtu_bytes=4 * KiB)
         assert cfg.chunks_in(64 * KiB) == 1
         assert cfg.chunks_in(64 * KiB + 1) == 2
-        assert cfg.packets_in(4 * KiB + 1) == 2
 
     def test_chunk_must_be_mtu_multiple(self):
         with pytest.raises(ConfigError):

@@ -76,7 +76,8 @@ class TestFormatting:
 
     @pytest.mark.parametrize(
         "bw,expected",
-        [(400e9, "400 Gbit/s"), (3.2e12, "3.2 Tbit/s"), (100e6, "100 Mbit/s")],
+        [(400e9, "400 Gbit/s"), (3.2e12, "3.2 Tbit/s"), (100e6, "100 Mbit/s"),
+         (5e5, "500000 bit/s")],
     )
     def test_format_bandwidth(self, bw, expected):
         assert format_bandwidth(bw) == expected

@@ -53,6 +53,20 @@ class TestWorker:
         assert worker.stats.chunks_closed == 4
         assert worker.stats.busy_seconds == pytest.approx(4 * 1.5e-6)
 
+    def test_a_crash_during_the_pcie_write_loses_that_cqe(self):
+        """The handler ran, but the worker died before its bitmap write
+        reached the host: the CQE is neither counted nor traced."""
+        sim = Simulator()
+        worker = DpaWorker(sim, DpaConfig(per_cqe_seconds=1e-6, pcie_update_seconds=5e-7))
+        cq = CompletionQueue(sim)
+        handled = []
+        worker.assign(cq, lambda c: (handled.append(sim.now), True)[1])
+        cq.push(cqe())
+        sim.call_in(1.2e-6, worker.crash)
+        sim.run(until=1.0)
+        assert handled == [pytest.approx(1e-6)]
+        assert (worker.stats.cqes_processed, worker.stats.chunks_closed) == (0, 0)
+
     def test_wakes_on_late_arrivals(self):
         sim = Simulator()
         worker = DpaWorker(sim, DpaConfig(per_cqe_seconds=1e-6))
@@ -101,6 +115,9 @@ class TestEngine:
         engine.spawn_workers(250)
         with pytest.raises(ConfigError):
             engine.spawn_workers(10)
+        with pytest.raises(ConfigError, match="worker count must be > 0, got 0"):
+            engine.spawn_workers(0)
+        assert len(engine.workers) == 250
 
     def test_utilization(self):
         sim = Simulator()

@@ -54,6 +54,11 @@ class TestScalarOps:
         with pytest.raises(ConfigError):
             gf_inv(0)
 
+    @pytest.mark.parametrize("base", [-1, 256])
+    def test_pow_of_a_non_element_is_refused(self, base):
+        with pytest.raises(ConfigError, match=f"base must be a GF\\(256\\) element, got {base}"):
+            gf_pow(base, 2)
+
     def test_pow(self):
         assert gf_pow(2, 0) == 1
         assert gf_pow(2, 1) == 2
@@ -226,6 +231,12 @@ class TestMatrixOps:
             assert np.array_equal(
                 gf_matmul(m, inv), np.eye(6, dtype=np.uint8)
             )
+
+    def test_mat_inv_swaps_in_a_pivot_below_a_zero_diagonal(self):
+        m = np.array([[0, 3, 1], [5, 7, 0], [0, 0, 9]], dtype=np.uint8)
+        inv = gf_mat_inv(m)
+        assert np.array_equal(gf_matmul(m, inv), np.eye(3, dtype=np.uint8))
+        assert np.array_equal(gf_matmul(inv, m), np.eye(3, dtype=np.uint8))
 
     def test_singular_rejected(self):
         m = np.zeros((3, 3), dtype=np.uint8)

@@ -36,6 +36,8 @@ class TestGeometry:
             get_codec("rs2d", 15, 8)  # k not a perfect square
         with pytest.raises(ConfigError):
             get_codec("rs2d", 16, 6)  # m not divisible by 2*sqrt(k)
+        with pytest.raises(ConfigError, match="need k > 0 and m > 0, got k=0, m=8"):
+            get_codec("rs2d", 0, 8)  # 0 is a perfect square: refused first
 
     def test_axes_validated(self):
         with pytest.raises(ConfigError):

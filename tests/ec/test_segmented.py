@@ -60,6 +60,8 @@ class TestLayout:
             SegmentLayout(length=8, chunk_bytes=0, k=4, m=2)
         with pytest.raises(ConfigError):
             SegmentLayout(length=8, chunk_bytes=8, k=0, m=2)
+        with pytest.raises(ConfigError, match="chunk_bytes must be > 0, got 0"):
+            SegmentedCode(ReedSolomonCode(4, 2), chunk_bytes=0)
         lo = SegmentLayout(length=80, chunk_bytes=8, k=4, m=2)
         with pytest.raises(ConfigError):
             lo.segment_of(10)

@@ -31,7 +31,7 @@ from repro.fabric import (
 )
 from repro.fabric.health import HALF_OPEN, OPEN
 from repro.faults import FaultSchedule, FaultWindow, FaultyChannel
-from repro.faults.inject import install_edge_faults
+from repro.faults.inject import install_edge_faults, uninstall_edge_faults
 from repro.net.packet import Opcode, Packet
 from repro.sim.engine import Simulator
 from repro.telemetry import JsonlSink, Telemetry
@@ -101,6 +101,14 @@ class TestFabricSchedules:
 
 
 class TestInstallFabricFaults:
+    @pytest.mark.parametrize("call", [install_edge_faults, uninstall_edge_faults])
+    def test_an_edge_the_topology_lacks_is_refused(self, call):
+        _, network = make_network()
+        args = (FaultSchedule(()),) if call is install_edge_faults else ()
+        with pytest.raises(ConfigError, match="no edge 'h0-0' -> 'tor1'"):
+            call(network, "h0-0", "tor1", *args)
+        assert not any(isinstance(c, FaultyChannel) for c in network.channels.values())
+
     def test_node_crash_expands_to_incident_edges(self):
         _, network = make_network()
         plane = install_fabric_faults(

@@ -19,6 +19,7 @@ from repro.faults import (
 from repro.net.multipath import connect_bonded
 from repro.net.packet import Opcode, Packet
 from repro.sim.engine import Simulator
+from repro.telemetry import RingBufferSink, Telemetry
 from repro.verbs.device import Fabric
 
 
@@ -106,6 +107,23 @@ class TestDelayAndReorder:
             f"faults.{fwd.name}.fault_delayed"
         ) == 1
 
+    def test_delay_spike_jitter_spreads_arrivals_past_the_spike(self):
+        spike, jitter = 10e-3, 1e-3
+        sched = FaultSchedule(
+            (FaultWindow(kind="delay_spike", start=0.0, end=1.0,
+                         delay_seconds=spike, delay_jitter=jitter),)
+        )
+        sim, fabric, fwd, cfg = make_link(sched)
+        got = []
+        fwd.attach_sink(lambda p: got.append(sim.now))
+        for psn in range(10):
+            fwd.transmit(data_pkt(psn))
+        sim.run(until=1.0)
+        floor = spike + cfg.one_way_delay
+        assert len(got) == 10
+        assert all(floor <= t <= floor + jitter + 1e-5 for t in got)
+        assert len(set(got)) == 10
+
     def test_reorder_storm_scrambles_order(self):
         sched = FaultSchedule(
             (FaultWindow(kind="reorder", start=0.0, end=1.0,
@@ -152,6 +170,21 @@ class TestDuplicateAndCorrupt:
         assert reg.value(f"faults.{fwd.name}.fault_corrupted") == 1
         # Corruption is not a wire drop: the inner channel delivered it.
         assert reg.value(f"net.{fwd.name}.packets_dropped") == 0
+
+    def test_a_traced_corruption_names_the_packet(self):
+        ring = RingBufferSink()
+        sim = Simulator(telemetry=Telemetry(trace=True, trace_sinks=[ring]))
+        fabric = Fabric(sim, seed=0)
+        a, b = fabric.add_device("a"), fabric.add_device("b")
+        fabric.connect(a, b, ChannelConfig(bandwidth_bps=100e9, distance_km=100.0))
+        sched = FaultSchedule(
+            (FaultWindow(kind="corrupt", start=0.0, end=1.0, corrupt_probability=1.0),)
+        )
+        fwd, _ = install_link_faults(fabric, a, b, sched)
+        fwd.transmit(data_pkt(5))
+        sim.run(until=1.0)
+        [event] = [e for e in ring.events if e.name == "fault_corrupt"]
+        assert (event.cat, event.args["psn"], event.args["bytes"]) == ("fault", 5, 4 * KiB)
 
 
 class TestDeterminism:
@@ -256,6 +289,32 @@ class TestUninstall:
         assert got == [1]
         reg = sim.telemetry.metrics
         assert reg.value(f"faults.{fwd.name}.fault_drops") == 1
+
+    def test_a_link_named_in_reverse_order_keeps_the_schedule_on_that_direction(self):
+        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
+        sim, fabric, a, b = self._fabric(sched)
+        link = fabric.links[("a", "b")]
+        orig_fwd, orig_rev = link.forward, link.reverse
+        b_to_a, a_to_b = install_link_faults(fabric, b, a, sched)
+        assert (b_to_a.inner, a_to_b.inner) == (orig_rev, orig_fwd)
+        assert (link.forward, link.reverse) == (a_to_b, b_to_a)
+        assert b.link_to("a") is b_to_a
+        assert uninstall_link_faults(fabric, b, a) is True
+        assert (link.forward, link.reverse) == (orig_fwd, orig_rev)
+        assert b.link_to("a") is orig_rev
+
+    def test_uninstall_restores_a_bonded_link(self):
+        sim = Simulator()
+        fabric = Fabric(sim, seed=0)
+        a, b = fabric.add_device("a"), fabric.add_device("b")
+        connect_bonded(fabric, a, b, ChannelConfig(distance_km=100.0), planes=2)
+        orig = fabric.links[("a", "b")]
+        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
+        fwd, rev = install_link_faults(fabric, a, b, sched)
+        assert fabric.links[("a", "b")] == (fwd, rev)
+        assert uninstall_link_faults(fabric, a, b) is True
+        assert fabric.links[("a", "b")] == orig
+        assert a.link_to("b") is orig[0]
 
     def test_context_manager_round_trips(self):
         sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))

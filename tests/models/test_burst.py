@@ -73,6 +73,9 @@ class TestMaskingGain:
         gain = burst_masking_gain(64, p_gb=2e-4, p_bg=0.05)
         assert gain > 2.0
 
+    def test_a_lossless_chain_masks_nothing(self):
+        assert burst_masking_gain(64, p_good=0.0, p_bad=0.0) == 1.0
+
     def test_gain_is_one_for_iid(self):
         gain = burst_masking_gain(64, p_good=0.01, p_bad=0.01, p_gb=0.5, p_bg=0.5)
         assert gain == pytest.approx(1.0, rel=1e-9)

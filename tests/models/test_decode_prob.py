@@ -8,6 +8,7 @@ from repro.ec import get_codec
 from repro.models.decode_prob import (
     expected_failures,
     p_decode_mds,
+    p_decode_rs2d,
     p_decode_xor,
     p_fallback,
 )
@@ -37,10 +38,39 @@ class TestMds:
         assert p_decode_mds(p, k, m) == pytest.approx(success, abs=0.01)
 
 
+@pytest.mark.parametrize("p_decode", [p_decode_mds, p_decode_xor, p_decode_rs2d])
+@pytest.mark.parametrize(
+    "p_drop, k, m, message",
+    [
+        (1.5, 4, 2, r"drop probability must be in \[0, 1\], got 1.5"),
+        (-0.1, 4, 2, r"drop probability must be in \[0, 1\], got -0.1"),
+        (0.1, 0, 2, "need k, m > 0, got k=0, m=2"),
+        (0.1, 4, 0, "need k, m > 0, got k=4, m=0"),
+    ],
+)
+def test_decode_probability_refusals(p_decode, p_drop, k, m, message):
+    with pytest.raises(ConfigError, match=message):
+        p_decode(p_drop, k, m)
+
+
+class TestRs2d:
+    def test_boundary_values(self):
+        assert p_decode_rs2d(0.0, 16, 8) == 1.0
+        assert p_decode_rs2d(1.0, 16, 8) == 0.0
+
+    def test_peeling_sits_between_mds_and_xor_at_the_same_overhead(self):
+        for p in (0.05, 0.1, 0.2):
+            assert p_decode_xor(p, 16, 8) < p_decode_rs2d(p, 16, 8) < p_decode_mds(p, 16, 8)
+
+
 class TestXor:
     def test_boundary_values(self):
         assert p_decode_xor(0.0, 32, 8) == 1.0
         assert p_decode_xor(1.0, 32, 8) == 0.0
+
+    def test_a_group_success_that_underflows_reads_zero(self):
+        # q**255 and 255 p q**254 both underflow at p = 1 - 1e-6.
+        assert p_decode_xor(1 - 1e-6, 254, 1) == 0.0
 
     def test_requires_m_divides_k(self):
         with pytest.raises(ConfigError):
@@ -90,3 +120,5 @@ class TestFallback:
             p_fallback(0.5, 0)
         with pytest.raises(ConfigError):
             expected_failures(-0.1, 10)
+        with pytest.raises(ConfigError, match="need >= 1 submessage, got 0"):
+            expected_failures(0.5, 0)

@@ -55,6 +55,14 @@ class TestExpected:
         t_xor = ec_expected_completion(p, m_chunks, codec="xor")
         assert t_xor > t_mds
 
+    def test_rs2d_sits_between_mds_and_xor_at_the_same_overhead(self):
+        p = params(drop_probability=0.1)
+        t = {
+            codec: ec_expected_completion(p, 2048, k=16, m=8, codec=codec)
+            for codec in ("mds", "rs2d", "xor")
+        }
+        assert t["mds"] < t["rs2d"] < t["xor"]
+
     def test_unknown_codec_rejected(self):
         with pytest.raises(ConfigError):
             ec_expected_completion(params(), 100, codec="fountain")

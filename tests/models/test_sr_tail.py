@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.units import KiB
+from repro.models import sr_model
 from repro.models.params import ModelParams
 from repro.models.sr_model import (
     sr_completion_percentile,
@@ -79,6 +80,12 @@ class TestPercentiles:
         p99 = sr_completion_percentile(p, m, 99)
         p999 = sr_completion_percentile(p, m, 99.9)
         assert p50 <= p99 <= p999
+
+    def test_a_search_that_never_brackets_the_percentile_is_refused(self, monkeypatch):
+        # A tail stuck at 1 would widen the bracket forever.
+        monkeypatch.setattr(sr_model, "sr_completion_tail", lambda *args: 1.0)
+        with pytest.raises(ConfigError, match="percentile search diverged"):
+            sr_completion_percentile(params(), 100, 99.9)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

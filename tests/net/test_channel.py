@@ -77,7 +77,7 @@ class TestLoss:
             ch.transmit(pkt())
         sim.run()
         assert ch.stats.packets_dropped + len(got) == n
-        assert ch.stats.observed_drop_rate == pytest.approx(0.3, abs=0.03)
+        assert ch.stats.packets_dropped / n == pytest.approx(0.3, abs=0.03)
 
     def test_default_loss_from_config(self):
         sim = Simulator()

@@ -8,8 +8,25 @@ from repro.net.loss import (
     BernoulliLoss,
     CongestedWanLoss,
     GilbertElliottLoss,
+    LossModel,
     NoLoss,
 )
+
+
+class _EveryOther(LossModel):
+    """A model without a vectorised override: drops each second draw < 0.5."""
+
+    def drops(self, rng, size_bytes):
+        return bool(rng.random() < 0.5) and size_bytes > 1024
+
+
+def test_the_default_batch_decision_replays_the_per_packet_ones():
+    sizes = np.array([4096, 512, 4096, 4096, 100, 8192] * 50)
+    mask = _EveryOther().drop_mask(np.random.default_rng(3), sizes)
+    rng = np.random.default_rng(3)
+    assert mask.dtype == bool
+    assert mask.tolist() == [_EveryOther().drops(rng, int(s)) for s in sizes]
+    assert 0 < mask.sum() < len(sizes) and not mask[sizes <= 1024].any()
 
 
 class TestNoLoss:
@@ -134,6 +151,14 @@ class TestCongestedWan:
         sizes = np.full(50_000, 1024)
         rate = model.drop_mask(rng, sizes).mean()
         assert rate == pytest.approx(model.drop_probability(1024), rel=0.15)
+
+    def test_per_packet_drops_match_probability(self):
+        model = CongestedWanLoss(c_min=5e-2, c_max=5e-2)
+        rng = np.random.default_rng(9)
+        model.new_trial(rng)
+        rate = np.mean([model.drops(rng, 8192) for _ in range(20_000)])
+        assert rate == pytest.approx(model.drop_probability(8192), rel=0.1)
+        assert model.drop_probability(8192) > 0.4
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):

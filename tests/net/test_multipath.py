@@ -78,6 +78,14 @@ class TestSpreading:
                 sim, cfg, planes=2, rng=np.random.default_rng(0), spread="magic"
             )
 
+    def test_a_connected_pair_is_refused_a_second_link(self):
+        fabric = Fabric(Simulator(), seed=0)
+        a, b = fabric.add_device("a"), fabric.add_device("b")
+        fabric.connect(a, b, ChannelConfig())
+        with pytest.raises(ConfigError, match="b and a are already connected"):
+            connect_bonded(fabric, b, a, ChannelConfig(), planes=2)
+        assert list(fabric.links) == [("a", "b")]
+
     def test_single_plane_matches_plain_channel(self):
         """planes=1 is a degenerate bond: identical delivery schedule to a
         plain Channel at the same aggregate bandwidth (loss/jitter off, so

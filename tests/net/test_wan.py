@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.units import KiB
-from repro.net.wan import WanCampaign
+from repro.net.wan import PayloadSummary, WanCampaign
 
 
 class TestCampaign:
@@ -48,3 +48,12 @@ class TestCampaign:
         a = WanCampaign(trials=5, seed=9).run_trial(1024)
         b = WanCampaign(trials=5, seed=9).run_trial(1024)
         assert a.drop_rate == b.drop_rate
+
+
+@pytest.mark.parametrize("max_rate, spread", [(0.1, float("inf")), (0.0, 0.0)])
+def test_a_trial_without_drops_makes_the_spread_unbounded(max_rate, spread):
+    summary = PayloadSummary(
+        payload_bytes=KiB, trials=3, min_rate=0.0, p25=0.0, median=0.0,
+        p75=max_rate, max_rate=max_rate,
+    )
+    assert summary.spread_orders == spread

@@ -287,6 +287,20 @@ class TestPlaneRecovery:
         assert recovery.pick(bonded, pkt(src_qpn=1)) == 1
         assert reg.value("recovery.bond.failover_packets") == failovers
 
+    def test_packet_spray_degrades_to_plain_spray_when_every_plane_is_open(self):
+        """Both planes dead and open under packet spray: the spray keeps
+        round-robining over every plane, and no failover is counted."""
+        sim, bonded, recovery = make_recovery(losses=[FlipLoss(), FlipLoss()])
+        for i in range(16):
+            sim.call_at(i * RTT, lambda i=i: bonded.transmit(pkt(psn=i)))
+        sim.run(until=16 * RTT)
+        assert recovery.states() == [OPEN, OPEN]
+        reg = sim.telemetry.metrics
+        failovers = reg.value("recovery.bond.failover_packets")
+        picks = [recovery.pick(bonded, pkt(psn=i)) for i in range(4)]
+        assert sorted(picks) == [0, 0, 1, 1] and picks[0] != picks[1]
+        assert reg.value("recovery.bond.failover_packets") == failovers
+
     def test_deterministic_and_event_free(self):
         """Lazy evaluation schedules no simulator events: after traffic
         drains, the sim terminates with no recovery residue."""

@@ -259,6 +259,34 @@ class TestSrNackFeedsRecovery:
         assert all(0 < weight <= 0.5 for _, weight in penalties)
 
 
+def test_an_ec_fallback_nack_blames_the_flows_plane():
+    """An EC sender reports each fallback NACK to an attached
+    :class:`PlaneRecovery` too, blaming the plane its data flow hashes to."""
+    pair = make_sdr_pair(seed=3, planes=2, spread="flow", drop=0.2)
+    cfg = EcConfig(k=8, m=2)
+    sender = EcSender(pair.qp_a, pair.ctrl_a, cfg)
+    receiver = EcReceiver(pair.qp_b, pair.ctrl_b, cfg)
+    recovery = PlaneRecovery(pair.sim, pair.bonded[0], rtt=pair.channel.rtt)
+    sender.attach_recovery(recovery)
+    penalties = []
+    penalize = recovery._penalize
+    recovery._penalize = lambda keys, weight: (
+        penalties.append(tuple(keys)), penalize(keys, weight)
+    )
+    size = 512 * KiB
+    buf = bytearray(size)
+    receiver.post_receive(pair.ctx_b.mr_reg(size, data=buf), size)
+    payload = random_payload(size, 3)
+    ticket = sender.write(size, payload)
+    drains_within(pair.sim, dispatches=100_000, sim_seconds=300 * pair.channel.rtt)
+    assert not ticket.failed and bytes(buf) == payload
+    reg = pair.sim.telemetry.metrics
+    assert ticket.nacks_received > 0
+    assert reg.value("recovery.dc-a->dc-b.nack_signals") == ticket.nacks_received
+    plane = pair.qp_a.data_qps[0][0].qpn % 2
+    assert penalties and set(penalties) == {(plane,)}
+
+
 def run_failover(*, seed=0, recover=True, trace_buf=None, resumptions=2):
     """512 KiB over a 2-plane sprayed link whose plane 0 data path dies
     for 30 RTT -- longer than the 64-retransmit SR budget survives."""

@@ -163,6 +163,21 @@ class TestEndToEnd:
         assert "ec" in receiver.protocol_history
         assert sender.protocol_history == receiver.protocol_history
 
+    def test_a_provision_is_announced_twenty_times_at_most(self):
+        """The receiver posts and the sender never writes: the provision is
+        re-announced with capped backoff twenty times, then it stops."""
+        pair, sender, receiver = make_adaptive()
+        ticket = receiver.post_receive(pair.ctx_b.mr_reg(256 * KiB), 256 * KiB)
+        sent = f"{receiver._track}.provisions_sent"
+        metrics = pair.sim.telemetry.metrics
+        # 1 + 2 + 4 + 8 + 16 RTTs, then the 32-RTT cap for the rest.
+        last = (31 + 14 * 32) * receiver.rtt
+        pair.sim.run(until=0.99 * last)
+        assert metrics.value(sent) == 19
+        pair.sim.run(until=last + 100 * receiver.rtt)
+        assert metrics.value(sent) == 20
+        assert not ticket.done.triggered
+
     def test_write_without_a_provision_fails_cleanly(self):
         """The receiver never posts, so no provision for message 0 comes:
         the write fails after the provision wait and reaches no backend."""

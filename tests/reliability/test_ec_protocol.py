@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, DecodeFailure, ProtocolError
 from repro.common.units import KiB, MiB
 from repro.ec import SegmentLayout
 from repro.reliability.ec import EcConfig
@@ -104,6 +104,23 @@ class TestRecovery:
         assert bytes(buf[before : before + length]) == payload
         assert buf[:before] == b"\xa5" * before
         assert buf[before + length :] == b"\xa5" * after
+
+    def test_a_decode_that_fails_after_recoverable_said_yes_is_a_protocol_error(self):
+        """The codec's ``recoverable`` and its decode must agree: a segment
+        judged recoverable whose decode fails is a codec fault, raised as
+        one, never a silently corrupt buffer."""
+        pair, sender, receiver = make_ec(drop=0.02, seed=7)
+
+        def fail(layout, s, chunks):
+            raise DecodeFailure("codec disagrees")
+
+        receiver.code.decode_rows = fail
+        size = 1 * MiB
+        mr = pair.ctx_b.mr_reg(size, data=bytearray(size))
+        receiver.post_receive(mr, size)
+        ticket = sender.write(size, random_payload(size, 2))
+        with pytest.raises(ProtocolError, match="marked recoverable but decode failed"):
+            pair.sim.run(ticket.done)
 
     def test_xor_codec_end_to_end(self):
         pair, sender, receiver = make_ec(

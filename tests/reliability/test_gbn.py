@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.units import KiB, MiB
 from repro.reliability.gbn import GbnReceiver, GbnSender
+from repro.reliability.messages import EcAck
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
 
 from tests.conftest import make_sdr_pair
@@ -30,6 +31,21 @@ class TestLossless:
         pair.sim.run(ticket.done)
         assert bytes(buf) == payload
         assert ticket.retransmitted_chunks == 0
+
+    def test_a_control_message_other_than_an_ack_is_ignored(self):
+        """Another scheme's message for the same seq (here an EC ACK) on a
+        shared control path neither completes nor disturbs the write."""
+        pair, sender, receiver = make_gbn(window=4)
+        size = 256 * KiB
+        payload = random_payload(size)
+        buf = bytearray(size)
+        receiver.post_receive(pair.ctx_b.mr_reg(size, data=buf), size)
+        ticket = sender.write(size, payload)
+        pair.ctrl_b.send(EcAck(msg_seq=ticket.seq))
+        pair.sim.run(ticket.done)
+        assert bytes(buf) == payload
+        assert ticket.retransmitted_chunks == 0
+        assert ticket.completion_time > pair.channel.rtt
 
     def test_window_paces_injection(self):
         pair, sender, receiver = make_gbn(window=4)

@@ -88,6 +88,11 @@ class TestRoundtrips:
 
 
 class TestValidation:
+    def test_a_provision_names_a_protocol_its_wire_code_carries(self):
+        assert Provision(msg_seq=3, protocol="ec").pack()
+        with pytest.raises(ProtocolError, match="unknown protocol 'gbn'"):
+            Provision(msg_seq=3, protocol="gbn").pack()
+
     def test_too_short(self):
         with pytest.raises(ProtocolError):
             decode_message(b"\x01")

@@ -60,6 +60,16 @@ class TestDelivery:
         # No gaps -> no repair requests; the receiver only sent Done(s).
         assert r.repair_requests_sent == 0
 
+    def test_a_repair_request_for_an_unsent_chunk_waits_for_the_first_pass(self):
+        """Injecting 4 MiB at 10 Gbit/s outlasts the RTT, so the receiver's
+        early probes report gaps the sender has not reached yet; on a
+        lossless link none of them is re-sent."""
+        pair, s, r = make_sampling(bandwidth_bps=10e9, seed=1)
+        wt, rt, mr, payload = deliver(pair, s, r, 4 * 1024 * 1024)
+        assert r.repair_requests_sent > 0 and wt.nacks_received > 0
+        assert wt.retransmitted_chunks == 0
+        assert bytes(mr.data) == payload
+
     def test_a_repair_request_after_completion_is_ignored(self):
         """A repair request that crossed the ``Done`` finds no write to
         repair (nor one to revive) and sends nothing."""

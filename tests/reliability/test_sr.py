@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.common.errors import DeliveryError
 from repro.common.units import KiB, MiB
+from repro.reliability import base
 from repro.reliability.sr import SrConfig
 
 from tests.conftest import all_of
@@ -116,6 +118,54 @@ class TestNack:
         pair.sim.run(ticket.done)
         assert receiver.nacks_sent > 0
         assert ticket.nacks_received > 0
+
+
+class TestFirstPass:
+    """The first transmission paces itself chunk by chunk on the wire."""
+
+    def test_every_chunk_starts_its_rto_clock_once_in_order(self, monkeypatch):
+        """At 1 Gbit/s NACK retransmissions interleave with the first pass,
+        and their injections can already meet a chunk's wire target as it
+        is posted: that chunk's clock starts at once, never skipped."""
+        met_at_post = []
+        wait = base.wait_injected
+
+        def spy(qp, hdl, target, then):
+            waiting = wait(qp, hdl, target, then)
+            met_at_post.append(not waiting)
+            return waiting
+
+        monkeypatch.setattr(base, "wait_injected", spy)
+        cfg = SrConfig(nack_enabled=True)
+        pair, sender, receiver = make_sr(drop=0.02, seed=3, config=cfg, bandwidth_bps=1e9)
+        armed = []
+        arm = sender._arm
+
+        def record(state, index, *, kick=True):
+            if kick:  # the first pass; unpaced retransmissions arm inline
+                armed.append(index)
+            arm(state, index, kick=kick)
+
+        sender._arm = record
+        size = 512 * KiB
+        receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+        ticket = sender.write(size)
+        pair.sim.run(ticket.done)
+        assert any(met_at_post) and ticket.retransmitted_chunks > 0
+        assert armed == list(range(size // (8 * KiB)))
+
+    def test_a_write_that_fails_mid_pass_posts_no_more_chunks(self):
+        cfg = SrConfig(nack_enabled=True, max_message_retransmits=1)
+        pair, sender, receiver = make_sr(drop=0.05, seed=2, config=cfg, bandwidth_bps=1e9)
+        size = 4 * MiB
+        receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+        ticket = sender.write(size)
+        hdl = sender._states[ticket.seq].hdl
+        with pytest.raises(DeliveryError, match="retransmit budget"):
+            pair.sim.run(ticket.done)
+        posted = hdl.packets_posted
+        pair.sim.run(until=pair.sim.now + 0.05)  # past the whole 33 ms pass
+        assert hdl.packets_posted == posted < size // (4 * KiB)
 
 
 class TestControlPathLoss:

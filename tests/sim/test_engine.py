@@ -63,6 +63,22 @@ class TestEvents:
         with pytest.raises(SimulationError):
             ev.succeed(2)
 
+    def test_failing_a_triggered_event_is_rejected(self):
+        sim = Simulator()
+        ev = sim.event()
+        ev.succeed(1)
+        with pytest.raises(SimulationError, match="event already triggered"):
+            ev.fail(RuntimeError("late"))
+        assert sim.run(ev) == 1
+
+    def test_stepping_an_empty_heap_is_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="no scheduled events"):
+            sim.step()
+        sim.call_at(0.5, lambda: None)
+        sim.step()
+        assert sim.now == 0.5
+
     def test_value_before_trigger_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
@@ -116,6 +132,15 @@ class TestCombinators:
     def test_any_of_empty_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().any_of([])
+
+    def test_any_of_fails_with_its_first_failing_event(self):
+        sim = Simulator()
+        failing = sim.event()
+        failing.fail(RuntimeError("boom"), delay=0.1)
+        gate = sim.any_of([failing, sim.timeout(0.5, "slow")])
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run(gate)
+        assert sim.now == pytest.approx(0.1)
 
     def test_any_of_with_already_processed_event(self):
         sim = Simulator()
@@ -199,6 +224,21 @@ class TestProcesses:
             return value
 
         assert sim.run(sim.process(proc())) == "early"
+
+    def test_yield_already_failed_event_raises_inside_the_process(self):
+        sim = Simulator()
+        pre = sim.event()
+        pre.fail(KeyError("gone"))
+        with pytest.raises(KeyError):
+            sim.run(pre)
+
+        def proc():
+            try:
+                yield pre
+            except KeyError as exc:
+                return f"caught {exc}"
+
+        assert sim.run(sim.process(proc())) == "caught 'gone'"
 
 
 class TestCallbackEntries:

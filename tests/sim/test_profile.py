@@ -204,3 +204,13 @@ class TestNonPerturbation:
         Simulator(telemetry=Telemetry(profiler=profiler))
         assert profiler.events == 0
         assert profiler.report()["categories"] == []
+
+
+def test_a_second_profiler_is_rejected():
+    from repro.sim.engine import SimulationError
+
+    first = SimProfiler(clock=FakeClock())
+    sim = Simulator(telemetry=Telemetry(profiler=first))
+    sim.attach_profiler(first)  # the same one again is a no-op
+    with pytest.raises(SimulationError, match="a profiler is already attached"):
+        sim.attach_profiler(SimProfiler(clock=FakeClock()))

@@ -472,3 +472,12 @@ class TestParser:
             runpy.run_module("repro", run_name="__main__")
         assert exit_info.value.code == 0
         assert "plane-blackout" in capsys.readouterr().out.split()
+
+    def test_python_dash_m_repro_experiments_exits_with_its_status(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["repro.experiments", "fig99"])
+        # The CLI imported it already; run it afresh as ``__main__``.
+        monkeypatch.delitem(sys.modules, "repro.experiments.__main__", raising=False)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("repro.experiments", run_name="__main__")
+        assert exit_info.value.code == 2
+        assert "unknown experiment 'fig99'" in capsys.readouterr().out

@@ -19,6 +19,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -187,3 +189,15 @@ print("ok")
 
 def test_lazy_names_and_builtin_registry_names_resolve_on_first_use():
     assert _fresh(LAZY_SCRIPT) == "ok"
+
+
+def test_lazy_exports_list_names_before_loading_and_refuse_unknown_ones():
+    from repro.common import lazy_exports
+
+    namespace = {"eager": 1}
+    getattr_, dir_ = lazy_exports("repro.net", namespace, {"loss": ("BernoulliLoss",)})
+    assert dir_() == ["BernoulliLoss", "eager"]
+    with pytest.raises(AttributeError, match="module 'repro.net' has no attribute 'Channel'"):
+        getattr_("Channel")
+    loaded = getattr_("BernoulliLoss")
+    assert loaded.__name__ == "BernoulliLoss" and namespace["BernoulliLoss"] is loaded

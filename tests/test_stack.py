@@ -217,11 +217,11 @@ def test_build_pair_wires_both_sides_and_records_what_it_built():
 
 
 def test_mtu_mismatch_rejected():
-    with pytest.raises(ConfigError, match="MTU"):
-        build_pair(
-            ChannelConfig(mtu_bytes=4 * KiB),
-            SdrConfig(mtu_bytes=2 * KiB, chunk_bytes=64 * KiB),
-        )
+    # A valid 2 KiB-MTU SDR config: the refusal is build_pair's, not the
+    # config's own offset-bits check.
+    sdr = SdrConfig(mtu_bytes=2 * KiB, chunk_bytes=64 * KiB, max_message_bytes=64 * MiB)
+    with pytest.raises(ConfigError, match="SDR MTU 2048 must match channel MTU 4096"):
+        build_pair(ChannelConfig(mtu_bytes=4 * KiB), sdr)
 
 
 def test_faults_means_link_and_receive_side_dpa_windows():

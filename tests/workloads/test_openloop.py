@@ -98,6 +98,12 @@ class TestForTenant:
         assert sub.sizes.tobytes() == wl.sizes[mask].tobytes()
 
 
+def test_a_window_shorter_than_every_first_gap_is_an_empty_schedule():
+    wl = generate(cfg(duration=1e-9, offered_load_bps=1e6), seed=0)
+    assert (len(wl.times), len(wl.tenants), len(wl.sizes)) == (0, 0, 0)
+    assert wl.tenants.dtype == np.int32
+
+
 class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
