@@ -39,7 +39,9 @@ def _validate(population: int, missing: int, probes: int) -> None:
 def miss_probability(population: int, missing: int, probes: int) -> float:
     """P(``probes`` draws without replacement all avoid ``missing`` gaps)."""
     _validate(population, missing, probes)
-    if missing == 0 or probes == 0:
+    if missing == 0:
+        return 1.0
+    if probes == 0:
         return 1.0
     if probes > population - missing:
         return 0.0  # pigeonhole: more probes than present chunks

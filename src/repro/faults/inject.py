@@ -29,12 +29,13 @@ def _link_lookup(fabric, a, b):
     """
     key = (a.name, b.name)
     link = fabric.links.get(key)
-    flipped = link is None
-    if flipped:
+    flipped = False
+    if link is None:
         key = (b.name, a.name)
         link = fabric.links.get(key)
         if link is None:
             raise ConfigError(f"{a.name} and {b.name} are not connected")
+        flipped = True
     # connect_bonded stores a (fwd, rev) tuple of BondedChannels.
     pair = (link.forward, link.reverse) if isinstance(link, DuplexLink) else link
     return key, link, flipped, pair[::-1] if flipped else pair

@@ -183,7 +183,7 @@ def generate(
     )  # aggregate messages/second
 
     arrivals_rng = streams.get("workload.openloop.arrivals")
-    # A window shorter than every first gap leaves the empty seeds alone.
+    # Seeded empty: a window shorter than every first gap is no arrival.
     all_times: list[np.ndarray] = [np.empty(0)]
     all_tenants: list[np.ndarray] = [np.empty(0, dtype=np.int32)]
     for tenant in range(config.tenants):

@@ -122,7 +122,8 @@ class TestDelayAndReorder:
         floor = spike + cfg.one_way_delay
         assert len(got) == 10
         assert all(floor <= t <= floor + jitter + 1e-5 for t in got)
-        assert len(set(got)) == 10
+        # Back to back, ten packets serialize in 3.3 us; the jitter spreads them.
+        assert max(got) - min(got) > 0.1 * jitter
 
     def test_reorder_storm_scrambles_order(self):
         sched = FaultSchedule(

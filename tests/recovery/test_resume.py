@@ -270,9 +270,12 @@ def test_an_ec_fallback_nack_blames_the_flows_plane():
     sender.attach_recovery(recovery)
     penalties = []
     penalize = recovery._penalize
-    recovery._penalize = lambda keys, weight: (
-        penalties.append(tuple(keys)), penalize(keys, weight)
-    )
+
+    def spy(keys, weight):
+        penalties.append(tuple(keys))
+        penalize(keys, weight)
+
+    recovery._penalize = spy
     size = 512 * KiB
     buf = bytearray(size)
     receiver.post_receive(pair.ctx_b.mr_reg(size, data=buf), size)
