@@ -31,9 +31,9 @@ def ctrl_pkt(psn=0):
     return Packet(dst_qpn=1, opcode=Opcode.UD_SEND, psn=psn, length=64, immediate=0)
 
 
-def make_link(schedule, *, seed=0, drop=0.0):
+def make_link(schedule, *, seed=0, drop=0.0, telemetry=None):
     """A two-device fabric whose a->b direction runs ``schedule``."""
-    sim = Simulator()
+    sim = Simulator(telemetry=telemetry)
     fabric = Fabric(sim, seed=seed)
     a = fabric.add_device("a")
     b = fabric.add_device("b")
@@ -174,14 +174,12 @@ class TestDuplicateAndCorrupt:
 
     def test_a_traced_corruption_names_the_packet(self):
         ring = RingBufferSink()
-        sim = Simulator(telemetry=Telemetry(trace=True, trace_sinks=[ring]))
-        fabric = Fabric(sim, seed=0)
-        a, b = fabric.add_device("a"), fabric.add_device("b")
-        fabric.connect(a, b, ChannelConfig(bandwidth_bps=100e9, distance_km=100.0))
         sched = FaultSchedule(
             (FaultWindow(kind="corrupt", start=0.0, end=1.0, corrupt_probability=1.0),)
         )
-        fwd, _ = install_link_faults(fabric, a, b, sched)
+        sim, fabric, fwd, cfg = make_link(
+            sched, telemetry=Telemetry(trace=True, trace_sinks=[ring])
+        )
         fwd.transmit(data_pkt(5))
         sim.run(until=1.0)
         [event] = [e for e in ring.events if e.name == "fault_corrupt"]
