@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from repro.common.errors import ConfigError, DeliveryError
+from repro.common.errors import ConfigError, DeliveryError, SdrStateError
 from repro.models.ec_model import ec_expected_completion
 from repro.models.params import ModelParams
 from repro.models.sr_model import sr_expected_completion
@@ -185,6 +185,11 @@ class AdaptiveReceiver(Endpoint):
         estimator: DropRateEstimator | None = None,
         rtt: float | None = None,
     ):
+        if not qp.connected:
+            # The advisor prices each protocol at the link's bandwidth.
+            raise SdrStateError(
+                "connect the SDR QP before building an AdaptiveReceiver"
+            )
         super().__init__(qp, ctrl, rtt=rtt)
         ec_config = ec_config if ec_config is not None else EcConfig()
         self.sr = SrReceiver(qp, ctrl, sr_config, rtt=self.rtt)

@@ -237,9 +237,12 @@ class EcSender(Sender):
                     missing=len(msg.missing_chunks),
                 )
             layout = state.layout
-            # The receiver lists only missing data chunks (``_send_nack``).
             for chunk in msg.missing_chunks:
                 chunk = int(chunk)
+                # The peer names chunks of its receive's layout; one posted
+                # longer than this write asks for chunks it never had.
+                if chunk >= state.nchunks:
+                    continue
                 sub = layout.segment_of(chunk)
                 j = chunk - layout.chunk_range(sub)[0]
                 attempt = state.fallback_attempts.get(chunk, 0) + 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigError, DeliveryError
+from repro.common.errors import ConfigError, DeliveryError, SdrStateError
 from repro.common.units import KiB, MiB
 from repro.reliability.adaptive import (
     PROVISION_TIMEOUT_RTTS,
@@ -11,6 +11,7 @@ from repro.reliability.adaptive import (
     DropRateEstimator,
     ProtocolAdvisor,
 )
+from repro.reliability.base import ControlPath
 from repro.reliability.ec import EcConfig
 
 from tests.conftest import all_of, drains_within, make_sdr_pair
@@ -92,6 +93,12 @@ class TestEstimator:
 
 
 class TestEndToEnd:
+    def test_a_receiver_on_an_unconnected_qp_is_refused(self):
+        pair = make_sdr_pair()
+        qp = pair.ctx_b.qp_create()
+        with pytest.raises(SdrStateError, match="connect the SDR QP before"):
+            AdaptiveReceiver(qp, ControlPath(pair.ctx_b), rtt=1e-3)
+
     def test_clean_link_uses_sr_and_delivers(self):
         pair, sender, receiver = make_adaptive()
         size = 256 * KiB

@@ -5,7 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError, DecodeFailure, ProtocolError
+from repro.common.errors import (
+    ConfigError,
+    DecodeFailure,
+    DeliveryError,
+    ProtocolError,
+)
 from repro.common.units import KiB, MiB
 from repro.ec import SegmentLayout
 from repro.reliability.ec import EcConfig
@@ -167,6 +172,20 @@ class TestFallback:
         # Completion must exceed base send + FTO slack (beta RTT).
         base = size * 1.5 / pair.channel.bytes_per_second
         assert ticket.completion_time > base + pair.channel.rtt
+
+    def test_a_nack_for_chunks_past_the_write_is_ignored(self):
+        """The receiver NACKs by its own layout: a receive posted longer
+        than the write asks for chunks the write never had.  The sender
+        skips them, and the write ends by its global timeout."""
+        pair, sender, receiver = make_ec()
+        mr = pair.ctx_b.mr_reg(256 * KiB)
+        receiver.post_receive(mr, 256 * KiB)
+        ticket = sender.write(128 * KiB)
+        with pytest.raises(DeliveryError, match="no ACK within the global timeout"):
+            pair.sim.run(ticket.done)
+        assert ticket.failed
+        assert ticket.nacks_received > 0
+        assert ticket.retransmitted_chunks == 0
 
 
 def _nack(pending: int, k: int) -> EcNack:
