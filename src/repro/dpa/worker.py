@@ -4,7 +4,9 @@ Each :class:`DpaWorker` is a simulated hardware thread that drains the
 completion queues assigned to it.  Processing one CQE costs
 ``DpaConfig.per_cqe_seconds`` of the worker's time; if the handler reports
 that the completion closed a bitmap chunk, the worker additionally pays
-``DpaConfig.pcie_update_seconds`` for the host-side chunk-bitmap write.
+``DpaConfig.pcie_update_seconds`` for the host-side chunk-bitmap write,
+and a handler that hands that write over has it land, then the CQE
+counted, in one heap entry.
 The thread is completion-triggered, not scheduled: an idle worker is rung
 through its CQs' ``attach`` listener and a busy one is a chain of callback
 heap entries, so an idle worker owns nothing on the heap and parks no
@@ -26,9 +28,11 @@ from repro.common.errors import ConfigError
 from repro.sim.engine import Simulator
 from repro.verbs.cq import CompletionQueue, Cqe
 
-#: Handler invoked once a worker finishes processing a CQE.  Returns True
-#: when the completion closed a chunk (triggering the PCIe update cost).
-CqeHandler = Callable[[Cqe], bool]
+#: Handler invoked once a worker finishes processing a CQE.  Returns a
+#: falsy value, or, when the completion closed a chunk (triggering the PCIe
+#: update cost), True or the host-side chunk-bitmap write as ``(fn, arg)``:
+#: the worker runs ``fn(arg)`` when the write lands.
+CqeHandler = Callable[[Cqe], "bool | tuple[Callable[[int], None], int]"]
 
 
 @dataclass
@@ -129,12 +133,28 @@ class DpaWorker:
         """``per_cqe_seconds`` after the poll: run the backend handler."""
         if self.crashed:
             return
-        closed_chunk = handler(cqe)
-        extra = self.config.pcie_update_seconds if closed_chunk else 0.0
+        closed = handler(cqe)
+        if not closed:
+            self._account(cqe, start, False, 0.0)
+            return
+        extra = self.config.pcie_update_seconds
         if extra > 0:
-            self.sim.call_in(extra, self._account, cqe, start, closed_chunk, extra)
-        else:
-            self._account(cqe, start, closed_chunk, extra)
+            self.sim.call_in(extra, self._write_landed, cqe, start, closed, extra)
+            return
+        if closed is not True:
+            # A free write still lands on the heap, behind this CQE's count.
+            self.sim.call_in(0.0, *closed)
+        self._account(cqe, start, True, 0.0)
+
+    def _write_landed(
+        self, cqe: Cqe, start: float, closed: "bool | tuple", extra: float
+    ) -> None:
+        """The PCIe write is done: the chunk is host-visible (a crash since
+        does not stop that), then the CQE counts."""
+        if closed is not True:
+            fn, arg = closed
+            fn(arg)
+        self._account(cqe, start, True, extra)
 
     def _account(
         self, cqe: Cqe, start: float, closed_chunk: bool, extra: float

@@ -173,10 +173,13 @@ class SrSender(Sender):
         self.cc = None
         #: The retransmission clock: ``_rto_timer`` expires at the earliest
         #: chunk deadline of any write; ``_wake`` is a kick on its way
-        #: (``_kick_timer``), allowed once per ``_retime``.
+        #: (``_kick_timer``), allowed once per ``_retime``.  ``_horizon`` is
+        #: the earliest deadline ``_retime`` last read, while it still is
+        #: one (-inf once a deadline may have left or gone below it unkicked).
         self._rto_timer = self.sim.timer(self._on_rto)
         self._wake = self.sim.timer(self._on_wake)
         self._kickable = False
+        self._horizon = -np.inf
         self.sim.call_in(0.0, self._retime)
         self._m_rto_fires = self._scope.counter("rto_fires")
         self._m_retransmitted = self._scope.counter("retransmitted_chunks")
@@ -267,6 +270,7 @@ class SrSender(Sender):
         self.sim.call_in(0.0, self._inject_chunks, state)
 
     def _escalate(self, state: WriteState, reason: str) -> bool:
+        self._horizon = -np.inf  # its deadlines left with it
         return self._resume(state)
 
     def _resumed(self, state: _SendState) -> None:
@@ -308,11 +312,24 @@ class SrSender(Sender):
         )
 
     def _arm(self, state: _SendState, index: int, *, kick: bool = True) -> None:
-        """Chunk ``index`` is on the wire: start its RTO clock from now."""
+        """Chunk ``index`` is on the wire: start its RTO clock from now.
+
+        A kick re-reads the horizon.  A deadline at or after it, for a
+        chunk that did not hold it, cannot move it: the clock is re-armed
+        there in place, the ``(time, seq)`` the kick's ``_retime`` would
+        have pushed, without the kick's dispatch and scan.
+        """
         if state.unacked >> index & 1:
-            state.deadline[index] = self.sim.now + self.rto
-            state.sent_at[index] = self.sim.now
-            if kick:
+            now = self.sim.now
+            horizon = self._horizon
+            held = state.deadline[index] == horizon
+            deadline = state.deadline[index] = now + self.rto
+            state.sent_at[index] = now
+            if not kick:
+                return
+            if self._kickable and not held and deadline >= horizon > now:
+                self._rto_timer.arm(horizon - now)
+            else:
                 self._kick_timer()
 
     def _queue_restamp(self, state: _SendState, index: int) -> None:
@@ -329,6 +346,8 @@ class SrSender(Sender):
         keeping unpaced retransmission timing (backoff batching, budget
         exhaustion, failover clamps) exactly as before cc existed.
         """
+        # Either way the deadline moves unkicked: the horizon is re-read.
+        self._horizon = -np.inf
         pacer = self.qp.pacer
         if pacer is None or pacer.controller.rate_bps is None:
             # No kick: the caller is the timer loop or re-reads it anyway.
@@ -385,6 +404,7 @@ class SrSender(Sender):
             self._wake.cancel()
             self._kickable = True
             if horizon > now:
+                self._horizon = horizon
                 if horizon != np.inf:
                     self._rto_timer.arm(horizon - now)
                 return
@@ -472,6 +492,7 @@ class SrSender(Sender):
                 progress = True
                 state.silent_rtos = 0
                 state.unacked ^= new
+                self._horizon = -np.inf  # its holder may be acked
                 for index in mask_bits(new):
                     state.deadline[index] = np.inf
                     # Karn's rule: only chunks never retransmitted yield an

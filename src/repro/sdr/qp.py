@@ -117,9 +117,11 @@ class SdrQp:
             ctx.dpa.attach(cq, self._process_data_cqe)
 
         # Send CQ: host-polled (send-side offloading is modeled as free;
-        # the receive side dominates the datapath per Section 3.4).
+        # the receive side dominates the datapath per Section 3.4).  All it
+        # reads of a completion is the WR's handle, so it counts them by
+        # ``wr_id`` and queues no record.
         self.send_cq = CompletionQueue(self.sim, name=f"{dev.name}.sdr.scq")
-        self.send_cq.attach(self._drain_send_cq)
+        self.send_cq.attach_wr_counter(self._count_injected)
 
         # Internal data QPs, [generation][channel].
         self.data_qps: list[list[UcQp]] = [
@@ -442,20 +444,18 @@ class SdrQp:
                 )
             )
             sent += flen
-        # Injection completions arrive on the send CQ; nothing to await here.
+        # Injection completions are counted on the send CQ; nothing to await here.
         if end:
             hdl._on_end()
 
-    def _drain_send_cq(self, cq: CompletionQueue) -> None:
-        """Count injection CQEs; retire a handle once its ``poll()`` holds."""
-        entries = cq.entries
-        handles = self._send_handles
-        while entries:
-            hdl = handles[entries.popleft().wr_id]
-            hdl.packets_injected += 1
-            if hdl.ended and hdl.packets_injected >= hdl.packets_posted:  # poll()
-                hdl._maybe_finish()
-                del handles[hdl.seq]
+    def _count_injected(self, wr_id: int) -> None:
+        """Count an injection completion; retire the handle once its
+        ``poll()`` holds."""
+        hdl = self._send_handles[wr_id]
+        hdl.packets_injected += 1
+        if hdl.ended and hdl.packets_injected >= hdl.packets_posted:  # poll()
+            hdl._maybe_finish()
+            del self._send_handles[hdl.seq]
 
     # ------------------------------------------------------------------ recv path
 
@@ -573,29 +573,40 @@ class SdrQp:
             hdl.ce_packets += 1
         return hdl, pkt_idx, frag
 
+    def _close_chunk(self, hdl: RecvHandle, pkt_idx: int) -> int:
+        """Count and trace the chunk ``pkt_idx`` just closed; its index."""
+        chunk = pkt_idx // hdl.packets_per_chunk
+        self._m_chunks_completed.value += 1
+        if self._trace.enabled:
+            self._trace.instant(
+                "chunk_close", cat="sdr", track=self._track,
+                msg=hdl.seq, msg_id=hdl.msg_id, chunk=chunk,
+            )
+        return chunk
+
     def _record_packet(self, hdl: RecvHandle, pkt_idx: int, frag: int) -> bool:
         """Apply a validated packet to the bitmaps; publish chunk if closed."""
         closes = hdl._on_packet(pkt_idx, frag)
         if closes:
-            chunk = pkt_idx // hdl.packets_per_chunk
-            self._m_chunks_completed.value += 1
-            if self._trace.enabled:
-                self._trace.instant(
-                    "chunk_close", cat="sdr", track=self._track,
-                    msg=hdl.seq, msg_id=hdl.msg_id, chunk=chunk,
-                )
             self.sim.call_in(
-                self.ctx.dpa_config.pcie_update_seconds, hdl._publish_chunk, chunk
+                self.ctx.dpa_config.pcie_update_seconds, hdl._publish_chunk,
+                self._close_chunk(hdl, pkt_idx),
             )
         return closes
 
-    def _process_data_cqe(self, cqe: Cqe) -> bool:
-        """DPA worker handler: generation check + bitmap update (S3.4.2)."""
+    def _process_data_cqe(self, cqe: Cqe) -> "bool | tuple":
+        """DPA worker handler: generation check + bitmap update (S3.4.2).
+
+        A closing packet hands the worker its chunk-bitmap write, which
+        lands with the worker's PCIe update (``DpaWorker._write_landed``).
+        """
         validated = self._validate_data_cqe(cqe)
         if validated is None:
             return False
         hdl, pkt_idx, frag = validated
-        return self._record_packet(hdl, pkt_idx, frag)
+        if not hdl._on_packet(pkt_idx, frag):
+            return False
+        return hdl._publish_chunk, self._close_chunk(hdl, pkt_idx)
 
     def recv_abandon(self, hdl: RecvHandle) -> None:
         """Abandon an incomplete receive: free the slot, arm late protection.

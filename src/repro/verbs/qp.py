@@ -268,11 +268,15 @@ class UcQp(BaseQp):
                     sim.call_at(done, self._drive, wr, i, sent)
                     return
             if wr.signaled:
-                self.send_cq.push(_record(Cqe, (
-                    self.qpn, _WRITE_ONLY, length, sim.now, None, wr.wr_id,
-                    _SUCCESS, self.generation, wr.msg_seq, wr.pkt_idx,
-                    wr.chunk, False,
-                )))
+                send_cq = self.send_cq
+                if send_cq.wr_counter is not None:
+                    send_cq.count_wr(wr.wr_id)
+                else:
+                    send_cq.push(_record(Cqe, (
+                        self.qpn, _WRITE_ONLY, length, sim.now, None, wr.wr_id,
+                        _SUCCESS, self.generation, wr.msg_seq, wr.pkt_idx,
+                        wr.chunk, False,
+                    )))
             wr = None
 
     # -- receive side ------------------------------------------------------------

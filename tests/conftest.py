@@ -3,22 +3,30 @@
 from __future__ import annotations
 
 import contextlib
+import os
 from collections import Counter, deque
 from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 from repro import stack
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB
 from repro.faults import FaultSchedule
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator, Timer
 from repro.sim.profile import SimProfiler
 from repro.stack import Stack, build_pair
 from repro.telemetry import Telemetry
 
 # The claims table's predicates assert outside a test module.
 pytest.register_assert_rewrite("tests.claims")
+
+# ``HYPOTHESIS_PROFILE=ci`` (CI's tier-1 jobs): a failing draw also prints
+# the ``@reproduce_failure`` blob that replays it.  Each test's own
+# ``max_examples`` and ``derandomize`` hold under either profile.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 #: The fixtures hand out the public record under their older name.
@@ -89,17 +97,58 @@ class RecordingSimulator(Simulator):
         return None
 
 
+class NamingSimulator(RecordingSimulator):
+    """A :class:`RecordingSimulator` that also names each entry it runs.
+
+    ``ran`` holds ``(time, callback, owner, live)`` per dispatched entry:
+    the callback's ``__qualname__`` (``"event"`` for an event entry), the
+    object it is bound to, and whether it does anything.  A
+    :class:`~repro.sim.engine.Timer` entry is named for the timer's
+    function, and is dead once the timer was re-armed or cancelled.
+    :func:`numbered` turns the owners into comparable ordinals.
+    """
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.ran: list[tuple[float, str, object, bool]] = []
+
+    def step(self):
+        time, _seq, fn, arg = self._heap[0]
+        live = True
+        if fn is None:
+            self.ran.append((time, "event", None, bool(arg.callbacks)))
+        else:
+            fn = getattr(fn, "func", fn)  # functools.partial
+            owner = getattr(fn, "__self__", None)
+            if isinstance(owner, Timer):
+                live = arg[0] == owner._live
+                fn = owner._fn
+                owner = getattr(fn, "__self__", None)
+            self.ran.append((time, fn.__qualname__, owner, live))
+        super().step()
+
+
+def numbered(ran):
+    """``NamingSimulator.ran`` with each owner replaced by the order of its
+    first appearance, the form two runs' sequences are compared in."""
+    ordinals: dict[int, int] = {}
+    return [
+        (time, name, ordinals.setdefault(id(owner), len(ordinals)), live)
+        for time, name, owner, live in ran
+    ]
+
+
 @contextlib.contextmanager
-def recording_sims():
+def recording_sims(cls=RecordingSimulator):
     """Have ``repro.stack``, where every runner builds its ``Simulator``,
-    build a :class:`RecordingSimulator` instead.
+    build a ``cls`` (a :class:`RecordingSimulator`) instead.
 
     Yields the list the simulators land in, in build order.
     """
     sims = []
 
     def build(**kw):
-        sims.append(RecordingSimulator(**kw))
+        sims.append(cls(**kw))
         return sims[-1]
 
     with mock.patch.object(stack, "Simulator", build):

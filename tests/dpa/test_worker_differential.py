@@ -13,23 +13,41 @@ is the one place the two differ by design (``docs/simulation.md``): an
 idle callback worker takes a CQE in the ``push`` itself, the generator two
 same-instant hops later.  Bursts land on distinct instants (even multiples
 of ``UNIT``), and stall/crash/assign calls on odd multiples.
+
+The chunk close has a reference too.  A CQE that closes a chunk used to
+cost two heap entries at the PCIe write's instant, pushed back to back:
+the SDR handler's ``RecvHandle._publish_chunk`` and the worker's
+``_account``.  The worker now runs both in one (``_write_landed``).  Whole
+SDR runs with the two-entry close patched back in must dispatch the same
+live entries at the same instants, trace the same lines and leave the same
+registry, with the PCIe write free and with a worker crashing between a
+closing CQE and its write.
 """
 
 from __future__ import annotations
 
+import io
+import json
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import DpaConfig
 from repro.common.errors import ConfigError
+from repro.common.units import KiB
 from repro.dpa.worker import DpaWorker
 from repro.net.packet import Opcode
+from repro.sdr.qp import SdrQp
 from repro.sim.engine import Event, Process, Simulator
-from repro.telemetry import Telemetry
+from repro.stack import endpoints
+from repro.telemetry import JsonlSink, Telemetry
 from repro.telemetry.trace import RingBufferSink
 from repro.verbs.cq import CompletionQueue, Cqe
+
+from tests.conftest import NamingSimulator, make_sdr_pair, numbered, recording_sims
+from tests.reliability.conftest import random_payload
 
 UNIT = 0.125e-6
 
@@ -294,3 +312,121 @@ def test_idle_worker_takes_same_instant_arrivals_in_arrival_order():
     assert [idx for _t, idx in run(DpaWorker)] == [1, 0]
     assert [idx for _t, idx in run(GeneratorWorker)] == [0, 1]
     assert [t for t, _idx in run(DpaWorker)] == [t for t, _idx in run(GeneratorWorker)]
+
+
+# -- the one-entry chunk close against the two entries it replaced --------------
+
+
+def _two_entry_handle(self, cqe, handler, start):
+    """``DpaWorker._handle`` before the merge: the PCIe write's accounting is
+    an entry of its own, pushed right behind the handler's publish entry."""
+    if self.crashed:
+        return
+    closed_chunk = handler(cqe)
+    extra = self.config.pcie_update_seconds if closed_chunk else 0.0
+    if extra > 0:
+        self.sim.call_in(extra, self._account, cqe, start, closed_chunk, extra)
+    else:
+        self._account(cqe, start, closed_chunk, extra)
+
+
+def _self_publishing_handler(self, cqe):
+    """``SdrQp._process_data_cqe`` before the merge: a closing packet pushes
+    its own chunk-bitmap write (``_record_packet``, as the staged QP does)."""
+    validated = self._validate_data_cqe(cqe)
+    if validated is None:
+        return False
+    return self._record_packet(*validated)
+
+
+def _one_entry_per_close(ran):
+    """The reference's ``_publish_chunk`` + ``_account`` pair, named as the
+    one entry that replaced it (and its ``_handle`` by the method's name)."""
+    out = []
+    for time, name, owner, live in ran:
+        if name == "DpaWorker._account" and out[-1][:2] == (
+            time, "RecvHandle._publish_chunk"
+        ):
+            out[-1] = (time, "DpaWorker._write_landed", owner, live)
+        elif name == _two_entry_handle.__qualname__:
+            out.append((time, "DpaWorker._handle", owner, live))
+        else:
+            out.append((time, name, owner, live))
+    return out
+
+
+def sdr_run(monkeypatch, *, two_entry, pcie, crash_on=None):
+    """Three lossy SR writes; ``crash_on`` = the receiver's n-th chunk close
+    crashes the worker handling it halfway through its PCIe write."""
+    with monkeypatch.context() as patch:
+        if two_entry:
+            patch.setattr(DpaWorker, "_handle", _two_entry_handle)
+            patch.setattr(SdrQp, "_process_data_cqe", _self_publishing_handler)
+        closes = []
+        close = SdrQp._close_chunk
+
+        def counted_close(self, hdl, pkt_idx):
+            closes.append(self.sim.now)
+            if len(closes) == crash_on:
+                cq = self.recv_cqs[pkt_idx % len(self.recv_cqs)]
+                engine = self.ctx.dpa
+                (index,) = [
+                    i for i, w in enumerate(engine.workers)
+                    if any(q is cq for q, _ in w._queues)
+                ]
+                self.sim.call_in(pcie / 2, engine.crash_worker, index)
+            return close(self, hdl, pkt_idx)
+
+        patch.setattr(SdrQp, "_close_chunk", counted_close)
+        buf = io.StringIO()
+        telemetry = Telemetry(trace=True, trace_sinks=[JsonlSink(buf)])
+        with recording_sims(NamingSimulator) as sims:
+            pair = make_sdr_pair(
+                drop=0.02, seed=5, telemetry=telemetry,
+                dpa=DpaConfig(pcie_update_seconds=pcie),
+            )
+        sender, receiver = endpoints("sr", pair)
+        size = 256 * KiB
+        rx_buf = bytearray(size)
+        mr = pair.ctx_b.mr_reg(size, data=rx_buf)
+        for seed in range(3):
+            payload = random_payload(size, seed)
+            rx = receiver.post_receive(mr, size)
+            pair.sim.run(sender.write(size, payload).done)
+            assert rx.done.ok and rx_buf == payload
+        pair.sim.run()
+    (sim,) = sims
+    ran = sim.ran
+    return {
+        "ran": numbered(_one_entry_per_close(ran) if two_entry else ran),
+        "trace": buf.getvalue(),
+        "registry": json.dumps(telemetry.metrics.snapshot(), sort_keys=True),
+        "clock": sim.now,
+        "closes": closes,
+    }
+
+
+@pytest.mark.parametrize(
+    "pcie, crash_on", [(2e-7, None), (0.0, None), (2e-7, 40)],
+    ids=["pcie", "free_pcie", "crash_before_the_write"],
+)
+def test_one_entry_chunk_close_matches_two_entries(monkeypatch, pcie, crash_on):
+    got = sdr_run(monkeypatch, two_entry=False, pcie=pcie, crash_on=crash_on)
+    want = sdr_run(monkeypatch, two_entry=True, pcie=pcie, crash_on=crash_on)
+    assert got == want
+    assert len(got["closes"]) > 40
+    names = [name for _t, name, _o, _live in got["ran"]]
+    if pcie:
+        assert names.count("DpaWorker._write_landed") >= len(got["closes"]) - 1
+        assert "RecvHandle._publish_chunk" not in names
+    else:
+        assert names.count("RecvHandle._publish_chunk") == len(got["closes"])
+    if crash_on is not None:
+        # The write the crash cut short still published its chunk; its
+        # CQE was neither counted nor traced.
+        snapshot = json.loads(got["registry"])
+        closed = sum(
+            v for k, v in snapshot.items()
+            if k.startswith("dpa.") and k.endswith(".chunks_closed")
+        )
+        assert closed == len(got["closes"]) - 1

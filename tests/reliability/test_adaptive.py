@@ -185,6 +185,19 @@ class TestEndToEnd:
         assert metrics.value(sent) == 20
         assert not ticket.done.triggered
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 25: the receive watch has no idle rule, so under "
+        "the default serve_deadline_rtts=None a receive no write reaches "
+        "polls its bitmap and re-sends its ACK for ever",
+    )
+    def test_a_receive_no_write_reaches_drains(self):
+        """The receiver posts and the sender never writes: once the
+        provision announcements stop, nothing should keep the run alive."""
+        pair, _sender, receiver = make_adaptive()
+        receiver.post_receive(pair.ctx_b.mr_reg(256 * KiB), 256 * KiB)
+        drains_within(pair.sim, dispatches=200_000, sim_seconds=10.0)
+
     def test_write_without_a_provision_fails_cleanly(self):
         """The receiver never posts, so no provision for message 0 comes:
         the write fails after the provision wait and reaches no backend."""

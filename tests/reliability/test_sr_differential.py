@@ -18,20 +18,38 @@ differ by design (``docs/simulation.md``): a kick re-reads the horizon in
 its own dispatch, the generator one same-instant hop later.  Schedule
 steps sit on whole ticks and the RTO is a fractional number of ticks, so
 no expiry shares an instant with a step.
+
+The clock has a second reference, where same-instant order is the point:
+the sender as it kicked the clock on every armed chunk, one ``_wake``
+dispatch each to re-read a horizon that an arm at or after it cannot
+move.  The sender now re-arms ``_rto_timer`` at that horizon in place.  An
+8-sender Swift incast with ``adaptive_rto`` and ``rto_backoff``, where
+senders' expiries share instants, must trace, count and dispatch the same
+with either, ``_wake`` entries aside.  Hypothesis draws schedules with
+NACKs, backoff and retry budgets against the same reference, and two
+fixed schedules pin the cached horizon's invalidations: an unkicked NACK
+re-arm below it, and a write failed by a NACK while it held it.
 """
 
 from __future__ import annotations
+
+import contextlib
+import io
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cc.incast import run_incast
 from repro.common.units import KiB
-from repro.reliability.messages import Ack
+from repro.reliability.messages import Ack, SrNack
 from repro.reliability.sr import SrConfig, SrSender, _SendState
+from repro.telemetry import JsonlSink, Telemetry
 
-from tests.conftest import make_sdr_pair
+from tests.conftest import NamingSimulator, make_sdr_pair, numbered, recording_sims
 
 UNIT = 1e-6
 CHUNK = 8 * KiB
@@ -168,7 +186,7 @@ class ReferenceSrSender(RecordingSender):
 
 
 @st.composite
-def schedules(draw):
+def schedules(draw, kinds=("arm", "arm", "ack", "ack", "failover")):
     nwrites = draw(st.integers(1, 3))
     sizes = [draw(st.integers(1, 20)) for _ in range(nwrites)]
     steps = []
@@ -178,10 +196,10 @@ def schedules(draw):
     for tick in sorted(ticks):
         w = draw(st.integers(0, nwrites - 1))
         n = sizes[w]
-        kind = draw(st.sampled_from(["arm", "arm", "ack", "ack", "failover"]))
-        if kind == "arm":
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("arm", "nack"):
             chunks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
-            steps.append((tick, "arm", w, tuple(chunks)))
+            steps.append((tick, kind, w, tuple(chunks)))
         elif kind == "ack":
             cumulative = draw(st.integers(0, n))
             start = (cumulative // 8) * 8
@@ -198,10 +216,10 @@ def schedules(draw):
     return sizes, presets, steps
 
 
-def drive(sender_cls, schedule):
+def drive(sender_cls, schedule, config=SrConfig()):
     sizes, presets, steps = schedule
     pair = make_sdr_pair(chunk=CHUNK, inflight=8)
-    sender = sender_cls(pair.qp_a, pair.ctrl_a, SrConfig(), rtt=RTT)
+    sender = sender_cls(pair.qp_a, pair.ctrl_a, config, rtt=RTT)
     sim = pair.sim
     states = []
     for n, preset in zip(sizes, presets):
@@ -230,6 +248,8 @@ def drive(sender_cls, schedule):
                 sender._arm(state, index)
         elif kind == "ack":
             sender._on_ctrl(Ack(state.hdl.seq, *arg))
+        elif kind == "nack":
+            sender._on_ctrl(SrNack(state.hdl.seq, arg))
         else:
             sender.on_plane_failover(0)
         views.append((
@@ -289,3 +309,134 @@ def test_resumed_preset_reads_the_grant_bitmap_msb_first(nchunks):
     delivered = rng.random(nchunks) < 0.5
     got = drive(RecordingSender, ([nchunks], [delivered.tolist()], []))
     assert got == drive(ReferenceSrSender, ([nchunks], [delivered.tolist()], []))
+
+
+# -- the in-place re-arm against a kick per armed chunk -------------------------
+
+
+def _kick_every_arm(self, state, index, *, kick=True):
+    """``SrSender._arm`` before the in-place re-arm: every kicked arm costs a
+    ``_wake`` dispatch that re-reads the horizon over every write."""
+    if state.unacked >> index & 1:
+        state.deadline[index] = self.sim.now + self.rto
+        state.sent_at[index] = self.sim.now
+        if kick:
+            self._kick_timer()
+
+
+def incast_run(monkeypatch, *, kick_every_arm):
+    with monkeypatch.context() as patch:
+        if kick_every_arm:
+            patch.setattr(SrSender, "_arm", _kick_every_arm)
+        buf = io.StringIO()
+        telemetry = Telemetry(trace=True, trace_sinks=[JsonlSink(buf)])
+        with recording_sims(NamingSimulator) as sims:
+            result = run_incast(
+                senders=8, cc="swift", messages_per_sender=6, telemetry=telemetry
+            )
+    (sim,) = sims
+    ran = numbered(sim.ran)
+    return {
+        "ran": [entry for entry in ran if entry[1] != "SrSender._on_wake"],
+        "trace": buf.getvalue(),
+        "registry": json.dumps(telemetry.metrics.snapshot(), sort_keys=True),
+        "clock": sim.now,
+        "elapsed": result.elapsed,
+    }, sum(entry[1] == "SrSender._on_wake" for entry in ran)
+
+
+def test_in_place_rearm_matches_a_kick_per_arm(monkeypatch):
+    got, wakes = incast_run(monkeypatch, kick_every_arm=False)
+    want, kicks = incast_run(monkeypatch, kick_every_arm=True)
+    assert got == want
+    trace = got["trace"]
+    assert trace.count('"rto_fire"') > 10 and trace.count('"cc_stall"') > 10
+    assert 0 < wakes < kicks - 100, (wakes, kicks)  # most arms re-armed in place
+
+
+class BudgetedSender(RecordingSender):
+    """Spends the per-message retry budget as ``SrSender._retransmit`` does,
+    so a NACK can fail its write (and take its deadlines with it)."""
+
+    def _retransmit(self, state, index, *, rto):
+        if self._budget_exhausted(state):
+            return False
+        state.ticket.retransmitted_chunks += 1
+        return super()._retransmit(state, index, rto=rto)
+
+
+def clock_run(schedule, config, *, kick_every_arm):
+    """``drive`` with the live dispatches beside it, ``_wake``'s aside.
+
+    Dead entries are left out: two arms re-armed in place in one instant
+    leave one more superseded expiry than the one kick they replace did.
+    """
+    with contextlib.ExitStack() as stack:
+        if kick_every_arm:
+            stack.enter_context(mock.patch.object(SrSender, "_arm", _kick_every_arm))
+        sims = stack.enter_context(recording_sims(NamingSimulator))
+        got = drive(BudgetedSender, schedule, config)
+    (sim,) = sims
+    got["ran"] = [
+        e for e in numbered(sim.ran) if e[3] and e[1] != "SrSender._on_wake"
+    ]
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    schedules(kinds=("arm", "arm", "ack", "ack", "failover", "nack")),
+    st.builds(
+        SrConfig, rto_backoff=st.booleans(),
+        max_message_retransmits=st.none() | st.integers(1, 4),
+    ),
+)
+def test_in_place_rearm_matches_a_kick_per_arm_on_any_schedule(schedule, config):
+    """Re-arms of a chunk already armed, NACK retransmissions (unkicked),
+    backoff and writes failed by a NACK, drawn: the senders agree on
+    every retransmission, view and timer entry."""
+    got = clock_run(schedule, config, kick_every_arm=False)
+    assert got == clock_run(schedule, config, kick_every_arm=True)
+
+
+def test_an_unkicked_arm_below_the_horizon_still_wakes_the_clock():
+    """A NACK retransmission re-arms its chunk without a kick.  With Karn's
+    backoff just reset by an ACK, that deadline falls below the horizon a
+    backed-off chunk holds, so a later arm at or after that horizon must
+    still wake the clock: re-armed in place, the NACKed chunk's expiry
+    would wait for the old horizon."""
+    schedule = ([2, 1], [None, None], [
+        (1, "arm", 0, (0,)),  # expires at 32.11, backs off to 94.33
+        (40, "ack", 1, (1, 0, b"")),  # progress resets the backoff
+        (50, "nack", 0, (0,)),  # due at 81.11, below 94.33
+        (70, "arm", 0, (1,)),  # due at 101.11, after 94.33
+    ])
+    config = SrConfig(rto_backoff=True)
+    got = clock_run(schedule, config, kick_every_arm=False)
+    assert got == clock_run(schedule, config, kick_every_arm=True)
+    retx = [(round(e[0] / UNIT, 2), e[3], e[4]) for e in got["log"] if e[1] == "retx"]
+    assert retx[:3] == [(32.11, 0, True), (50.0, 0, False), (81.11, 0, True)]
+
+
+def test_a_write_failed_by_a_nack_takes_its_deadlines_off_the_horizon():
+    """The horizon is write 0's NACK-restamped chunk when a second NACK
+    spends write 0's budget: the write fails and leaves ``_states``, so a
+    later arm must re-read the horizon, not re-arm the clock at the dead
+    write's deadline."""
+    schedule = ([1, 2], [None, None], [
+        (1, "arm", 0, (0,)),
+        (20, "nack", 0, (0,)),  # budget spent; due at 51.11; re-read at 32.11
+        (35, "arm", 1, (0,)),  # due at 66.11: re-armed in place at 51.11
+        (40, "nack", 0, (0,)),  # over budget: write 0 fails
+        (45, "arm", 1, (1,)),  # due at 76.11: the horizon is 66.11 now
+    ])
+    config = SrConfig(max_message_retransmits=1)
+    got = clock_run(schedule, config, kick_every_arm=False)
+    assert got == clock_run(schedule, config, kick_every_arm=True)
+    # Write 0's second NACK retransmits nothing; write 1's chunk 0 expires.
+    assert [(round(e[0] / UNIT, 2), *e[1:]) for e in got["log"]] == [
+        (20.0, "retx", 0, 0, False), (66.11, "retx", 1, 0, True),
+    ]
+    expiries = [round(t / UNIT, 2) for t, name, _o, _live in got["ran"]
+                if name == "SrSender._on_rto"]
+    assert 51.11 not in expiries and 66.11 in expiries

@@ -1,11 +1,16 @@
-"""The per-packet CQEs are the full record.
+"""The per-packet completions are the full record, or counted by ``wr_id``.
 
-The two per-packet CQE sites of :class:`~repro.verbs.qp.UcQp` build their
-:class:`~repro.verbs.cq.Cqe` with ``tuple.__new__`` and every field spelled
-out (``docs/simulation.md``, "Hot-path records").  On a lossy run with ECN
-marking, every CQE pushed on either side must be the full twelve-field
-record the named constructor builds, carrying the WR's or the packet's
-lineage fields and its CE bit.
+The per-packet receive CQE of :class:`~repro.verbs.qp.UcQp` is built with
+``tuple.__new__`` and every field spelled out (``docs/simulation.md``,
+"Hot-path records").  On a lossy run with ECN marking, every CQE pushed
+must be the full twelve-field record the named constructor builds,
+carrying the packet's lineage fields and its CE bit.
+
+The SDR send CQ reads nothing of an injection completion but its WR's
+handle, so a UC QP completing a signaled send there counts it by
+``wr_id`` (:meth:`~repro.verbs.cq.CompletionQueue.count_wr`) and builds no
+record.  The same run checks that hook: every signaled WR is counted once,
+oldest first per QP, at the instant its last packet left the wire.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 from repro.common.units import KiB
-from repro.net.packet import Opcode
+from repro.net.channel import Channel
 from repro.stack import endpoints
 from repro.verbs.cq import CompletionQueue, Cqe, CqeStatus
 from repro.verbs.qp import UcQp
@@ -25,14 +30,29 @@ from tests.reliability.conftest import random_payload
 def test_every_cqe_of_a_lossy_ecn_run_is_the_full_record(monkeypatch):
     posted = defaultdict(deque)  # qpn -> (wr, generation) in post order
     arriving = []  # (qp, packet) whose on_packet is running
+    driving = []  # the UC QP whose send pump is running
+    wire_done = {}  # src qpn -> when its last transmitted packet left
     seen = {"send": 0, "recv": 0, "ce": 0}
-    push, post_send, on_packet = (
-        CompletionQueue.push, UcQp.post_send, UcQp.on_packet
+    push, count_wr, post_send, drive, on_packet, transmit = (
+        CompletionQueue.push, CompletionQueue.count_wr, UcQp.post_send,
+        UcQp._drive, UcQp.on_packet, Channel.transmit,
     )
 
     def recording_post_send(self, wr):
         post_send(self, wr)
         posted[self.qpn].append((wr, self.generation))
+
+    def recording_drive(self, *args):
+        driving.append(self)
+        try:
+            drive(self, *args)
+        finally:
+            driving.pop()
+
+    def recording_transmit(self, packet):
+        done = transmit(self, packet)
+        wire_done[packet.src_qpn] = done
+        return done
 
     def recording_on_packet(self, packet):
         arriving.append((self, packet))
@@ -44,31 +64,38 @@ def test_every_cqe_of_a_lossy_ecn_run_is_the_full_record(monkeypatch):
     def checked_push(self, cqe):
         assert cqe.__class__ is Cqe and len(cqe) == len(Cqe._fields)
         assert tuple(cqe) == tuple(Cqe(*cqe))
-        if arriving:  # receive side: the packet being placed completed
-            qp, pkt = arriving[-1]
-            want = (
-                qp.qpn, pkt.opcode, pkt.length, self.sim.now, pkt.immediate,
-                None, CqeStatus.SUCCESS, qp.generation, pkt.msg_seq,
-                pkt.pkt_idx, pkt.chunk, pkt.ce,
-            )
-            assert pkt.msg_seq is not None and pkt.pkt_idx is not None
-            seen["recv"] += 1
-            seen["ce"] += pkt.ce
-        else:  # send side: the oldest signaled WR of that QP left the wire
-            wr, generation = posted[cqe.qpn].popleft()
-            want = (
-                cqe.qpn, Opcode.WRITE_ONLY, wr.length, self.sim.now, None,
-                wr.wr_id, CqeStatus.SUCCESS, generation, wr.msg_seq,
-                wr.pkt_idx, wr.chunk, False,
-            )
-            assert wr.msg_seq is not None and wr.chunk is not None
-            seen["send"] += 1
+        # Receive side only: every send CQ of the SDR pair counts by wr_id.
+        assert arriving and not driving
+        qp, pkt = arriving[-1]
+        want = (
+            qp.qpn, pkt.opcode, pkt.length, self.sim.now, pkt.immediate,
+            None, CqeStatus.SUCCESS, qp.generation, pkt.msg_seq,
+            pkt.pkt_idx, pkt.chunk, pkt.ce,
+        )
+        assert pkt.msg_seq is not None and pkt.pkt_idx is not None
+        seen["recv"] += 1
+        seen["ce"] += pkt.ce
         assert tuple(cqe) == want
         push(self, cqe)
 
+    def checked_count_wr(self, wr_id):
+        # The oldest signaled WR of the driving QP left the wire just now.
+        (qp,) = driving
+        assert qp.send_cq is self
+        wr, generation = posted[qp.qpn].popleft()
+        assert wr.signaled
+        assert wr.msg_seq is not None and wr.chunk is not None
+        assert (wr_id, generation) == (wr.wr_id, qp.generation)
+        assert self.sim.now == wire_done[qp.qpn]
+        seen["send"] += 1
+        count_wr(self, wr_id)
+
     monkeypatch.setattr(UcQp, "post_send", recording_post_send)
+    monkeypatch.setattr(UcQp, "_drive", recording_drive)
     monkeypatch.setattr(UcQp, "on_packet", recording_on_packet)
+    monkeypatch.setattr(Channel, "transmit", recording_transmit)
     monkeypatch.setattr(CompletionQueue, "push", checked_push)
+    monkeypatch.setattr(CompletionQueue, "count_wr", checked_count_wr)
 
     pair = make_sdr_pair(drop=0.02, ecn_threshold_bytes=4 * KiB, seed=3)
     sender, receiver = endpoints("sr", pair)
@@ -82,4 +109,5 @@ def test_every_cqe_of_a_lossy_ecn_run_is_the_full_record(monkeypatch):
         assert rx.done.ok and bytes(buf) == payload
     assert seen["send"] > seen["recv"] > seen["ce"] > 0
     assert not any(posted.values())  # every signaled WR completed once
-
+    scq = pair.qp_a.send_cq
+    assert scq.total_posted == seen["send"] and not scq.entries
