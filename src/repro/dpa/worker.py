@@ -4,9 +4,7 @@ Each :class:`DpaWorker` is a simulated hardware thread that drains the
 completion queues assigned to it.  Processing one CQE costs
 ``DpaConfig.per_cqe_seconds`` of the worker's time; if the handler reports
 that the completion closed a bitmap chunk, the worker additionally pays
-``DpaConfig.pcie_update_seconds`` for the host-side chunk-bitmap write,
-and a handler that hands that write over has it land, then the CQE
-counted, in one heap entry.
+``DpaConfig.pcie_update_seconds`` for the host-side chunk-bitmap write.
 The thread is completion-triggered, not scheduled: an idle worker is rung
 through its CQs' ``attach`` listener and a busy one is a chain of callback
 heap entries, so an idle worker owns nothing on the heap and parks no
@@ -146,11 +144,9 @@ class DpaWorker:
             self.sim.call_in(0.0, *closed)
         self._account(cqe, start, True, 0.0)
 
-    def _write_landed(
-        self, cqe: Cqe, start: float, closed: "bool | tuple", extra: float
-    ) -> None:
-        """The PCIe write is done: the chunk is host-visible (a crash since
-        does not stop that), then the CQE counts."""
+    def _write_landed(self, cqe: Cqe, start: float, closed, extra: float) -> None:
+        """The PCIe write is done: publish (a crash since does not stop
+        that), then count the CQE, in one heap entry."""
         if closed is not True:
             fn, arg = closed
             fn(arg)

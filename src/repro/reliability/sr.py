@@ -175,7 +175,7 @@ class SrSender(Sender):
         #: chunk deadline of any write; ``_wake`` is a kick on its way
         #: (``_kick_timer``), allowed once per ``_retime``.  ``_horizon`` is
         #: the earliest deadline ``_retime`` last read, while it still is
-        #: one (-inf once a deadline may have left or gone below it unkicked).
+        #: one (-inf once a deadline may have moved without a kick).
         self._rto_timer = self.sim.timer(self._on_rto)
         self._wake = self.sim.timer(self._on_wake)
         self._kickable = False

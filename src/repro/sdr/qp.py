@@ -117,11 +117,10 @@ class SdrQp:
             ctx.dpa.attach(cq, self._process_data_cqe)
 
         # Send CQ: host-polled (send-side offloading is modeled as free;
-        # the receive side dominates the datapath per Section 3.4).  All it
-        # reads of a completion is the WR's handle, so it counts them by
-        # ``wr_id`` and queues no record.
+        # the receive side dominates the datapath per Section 3.4).  It
+        # reads only a completion's wr_id, so it takes no record.
         self.send_cq = CompletionQueue(self.sim, name=f"{dev.name}.sdr.scq")
-        self.send_cq.attach_wr_counter(self._count_injected)
+        self.send_cq.wr_counter = self._count_injected
 
         # Internal data QPs, [generation][channel].
         self.data_qps: list[list[UcQp]] = [
@@ -449,8 +448,7 @@ class SdrQp:
             hdl._on_end()
 
     def _count_injected(self, wr_id: int) -> None:
-        """Count an injection completion; retire the handle once its
-        ``poll()`` holds."""
+        """Count an injection; retire the handle once its ``poll()`` holds."""
         hdl = self._send_handles[wr_id]
         hdl.packets_injected += 1
         if hdl.ended and hdl.packets_injected >= hdl.packets_posted:  # poll()
@@ -595,11 +593,8 @@ class SdrQp:
         return closes
 
     def _process_data_cqe(self, cqe: Cqe) -> "bool | tuple":
-        """DPA worker handler: generation check + bitmap update (S3.4.2).
-
-        A closing packet hands the worker its chunk-bitmap write, which
-        lands with the worker's PCIe update (``DpaWorker._write_landed``).
-        """
+        """DPA worker handler: generation check + bitmap update (S3.4.2);
+        a closing packet hands the worker its chunk-bitmap write."""
         validated = self._validate_data_cqe(cqe)
         if validated is None:
             return False

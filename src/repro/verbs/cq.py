@@ -4,9 +4,8 @@ A :class:`Cqe` mirrors ``ibv_wc``: the QP it arrived on, the opcode, status,
 byte count, the 32-bit immediate (when present) and the simulated timestamp.
 :class:`CompletionQueue` supports both a *polling* consumer (``poll``) and a
 *push* consumer (``attach``), the latter used by emulated DPA worker threads
-that sleep until a completion lands (Section 3.4.2 of the paper).  A
-consumer that needs only a send's ``wr_id`` takes it without a record
-(``attach_wr_counter``).
+that sleep until a completion lands (Section 3.4.2 of the paper).  One that
+needs only a send's ``wr_id`` takes it without a record (``wr_counter``).
 """
 
 from __future__ import annotations
@@ -86,8 +85,8 @@ class CompletionQueue:
         #: queue (a DPA worker) pops the head here instead of via ``poll``.
         self.entries: deque[Cqe] = deque()
         self._listener: Callable[["CompletionQueue"], None] | None = None
-        #: Consumer of a UC QP's send completions by ``wr_id``
-        #: (:meth:`attach_wr_counter`); None queues them as records.
+        #: Set, a UC QP's signaled send is counted as posted and handed over
+        #: as ``wr_counter(wr_id)``: no :class:`Cqe` is built or queued.
         self.wr_counter: Callable[[int], None] | None = None
         self._wakeups: list[Event] = []
         scope = sim.telemetry.metrics.scope(f"cq.{self.name}")
@@ -125,16 +124,11 @@ class CompletionQueue:
     def count_consumed(self) -> None:
         """NIC-side: count a completion its consumer took at delivery.
 
-        What a :class:`~repro.verbs.qp.UdQp` with a receive handler posts:
-        the handler has the datagram already, so no entry is queued.
+        What a :class:`~repro.verbs.qp.UdQp` with a receive handler posts
+        (the handler has the datagram already), and a send handed to
+        :attr:`wr_counter`: no entry is queued.
         """
         self._m_posted.value += 1
-
-    def count_wr(self, wr_id: int) -> None:
-        """NIC-side: a signaled send completed; its consumer takes it by
-        ``wr_id`` (:meth:`attach_wr_counter`) and no entry is queued."""
-        self._m_posted.value += 1
-        self.wr_counter(wr_id)
 
     def poll(self, max_entries: int = 1) -> list[Cqe]:
         """Consumer-side: pop up to ``max_entries`` completions."""
@@ -148,13 +142,6 @@ class CompletionQueue:
     def attach(self, listener: Callable[["CompletionQueue"], None]) -> None:
         """Register a push consumer invoked on every new entry."""
         self._listener = listener
-
-    def attach_wr_counter(self, counter: Callable[[int], None]) -> None:
-        """Have a :class:`~repro.verbs.qp.UcQp` completing a signaled send
-        on this queue count it as posted and call ``counter(wr_id)``
-        (:meth:`count_wr`) instead of pushing a :class:`Cqe`: for a
-        consumer that reads nothing of the record but its ``wr_id``."""
-        self.wr_counter = counter
 
     def wait_nonempty(self) -> Event:
         """Event that fires when the CQ next receives an entry.

@@ -269,14 +269,15 @@ class UcQp(BaseQp):
                     return
             if wr.signaled:
                 send_cq = self.send_cq
-                if send_cq.wr_counter is not None:
-                    send_cq.count_wr(wr.wr_id)
-                else:
+                if send_cq.wr_counter is None:
                     send_cq.push(_record(Cqe, (
                         self.qpn, _WRITE_ONLY, length, sim.now, None, wr.wr_id,
                         _SUCCESS, self.generation, wr.msg_seq, wr.pkt_idx,
                         wr.chunk, False,
                     )))
+                else:
+                    send_cq.count_consumed()
+                    send_cq.wr_counter(wr.wr_id)
             wr = None
 
     # -- receive side ------------------------------------------------------------

@@ -7,10 +7,10 @@ must be the full twelve-field record the named constructor builds,
 carrying the packet's lineage fields and its CE bit.
 
 The SDR send CQ reads nothing of an injection completion but its WR's
-handle, so a UC QP completing a signaled send there counts it by
-``wr_id`` (:meth:`~repro.verbs.cq.CompletionQueue.count_wr`) and builds no
-record.  The same run checks that hook: every signaled WR is counted once,
-oldest first per QP, at the instant its last packet left the wire.
+handle, so a UC QP completing a signaled send there counts it and hands
+its ``wr_id`` to the queue's ``wr_counter``, building no record.  The same
+run checks that hook: every signaled WR is counted once, oldest first per
+QP, at the instant its last packet left the wire.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def test_every_cqe_of_a_lossy_ecn_run_is_the_full_record(monkeypatch):
     driving = []  # the UC QP whose send pump is running
     wire_done = {}  # src qpn -> when its last transmitted packet left
     seen = {"send": 0, "recv": 0, "ce": 0}
-    push, count_wr, post_send, drive, on_packet, transmit = (
-        CompletionQueue.push, CompletionQueue.count_wr, UcQp.post_send,
-        UcQp._drive, UcQp.on_packet, Channel.transmit,
+    push, post_send, drive, on_packet, transmit = (
+        CompletionQueue.push, UcQp.post_send, UcQp._drive, UcQp.on_packet,
+        Channel.transmit,
     )
 
     def recording_post_send(self, wr):
@@ -78,26 +78,32 @@ def test_every_cqe_of_a_lossy_ecn_run_is_the_full_record(monkeypatch):
         assert tuple(cqe) == want
         push(self, cqe)
 
-    def checked_count_wr(self, wr_id):
-        # The oldest signaled WR of the driving QP left the wire just now.
-        (qp,) = driving
-        assert qp.send_cq is self
-        wr, generation = posted[qp.qpn].popleft()
-        assert wr.signaled
-        assert wr.msg_seq is not None and wr.chunk is not None
-        assert (wr_id, generation) == (wr.wr_id, qp.generation)
-        assert self.sim.now == wire_done[qp.qpn]
-        seen["send"] += 1
-        count_wr(self, wr_id)
+    def checked_counter(cq):
+        count = cq.wr_counter
+
+        def counter(wr_id):
+            # The oldest signaled WR of the driving QP left the wire just
+            # now, and was counted as posted.
+            (qp,) = driving
+            assert qp.send_cq is cq
+            wr, generation = posted[qp.qpn].popleft()
+            assert wr.signaled
+            assert wr.msg_seq is not None and wr.chunk is not None
+            assert (wr_id, generation) == (wr.wr_id, qp.generation)
+            assert cq.sim.now == wire_done[qp.qpn]
+            seen["send"] += 1
+            count(wr_id)
+        return counter
 
     monkeypatch.setattr(UcQp, "post_send", recording_post_send)
     monkeypatch.setattr(UcQp, "_drive", recording_drive)
     monkeypatch.setattr(UcQp, "on_packet", recording_on_packet)
     monkeypatch.setattr(Channel, "transmit", recording_transmit)
     monkeypatch.setattr(CompletionQueue, "push", checked_push)
-    monkeypatch.setattr(CompletionQueue, "count_wr", checked_count_wr)
 
     pair = make_sdr_pair(drop=0.02, ecn_threshold_bytes=4 * KiB, seed=3)
+    for qp in (pair.qp_a, pair.qp_b):
+        qp.send_cq.wr_counter = checked_counter(qp.send_cq)
     sender, receiver = endpoints("sr", pair)
     size = 512 * KiB
     buf = bytearray(size)
@@ -109,5 +115,7 @@ def test_every_cqe_of_a_lossy_ecn_run_is_the_full_record(monkeypatch):
         assert rx.done.ok and bytes(buf) == payload
     assert seen["send"] > seen["recv"] > seen["ce"] > 0
     assert not any(posted.values())  # every signaled WR completed once
-    scq = pair.qp_a.send_cq
-    assert scq.total_posted == seen["send"] and not scq.entries
+    # Each was counted as posted, and none queued.
+    scqs = (pair.qp_a.send_cq, pair.qp_b.send_cq)
+    assert sum(cq.total_posted for cq in scqs) == seen["send"]
+    assert not any(cq.entries for cq in scqs)
