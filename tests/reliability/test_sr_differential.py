@@ -324,16 +324,20 @@ def _kick_every_arm(self, state, index, *, kick=True):
             self._kick_timer()
 
 
-def incast_run(monkeypatch, *, kick_every_arm):
-    with monkeypatch.context() as patch:
-        if kick_every_arm:
-            patch.setattr(SrSender, "_arm", _kick_every_arm)
-        buf = io.StringIO()
-        telemetry = Telemetry(trace=True, trace_sinks=[JsonlSink(buf)])
-        with recording_sims(NamingSimulator) as sims:
-            result = run_incast(
-                senders=8, cc="swift", messages_per_sender=6, telemetry=telemetry
-            )
+def clock(*, kick_every_arm):
+    """The kick-per-arm ``_arm`` patched in, or the sender as it is."""
+    if kick_every_arm:
+        return mock.patch.object(SrSender, "_arm", _kick_every_arm)
+    return contextlib.nullcontext()
+
+
+def incast_run(*, kick_every_arm):
+    buf = io.StringIO()
+    telemetry = Telemetry(trace=True, trace_sinks=[JsonlSink(buf)])
+    with clock(kick_every_arm=kick_every_arm), recording_sims(NamingSimulator) as sims:
+        result = run_incast(
+            senders=8, cc="swift", messages_per_sender=6, telemetry=telemetry
+        )
     (sim,) = sims
     ran = numbered(sim.ran)
     return {
@@ -345,9 +349,9 @@ def incast_run(monkeypatch, *, kick_every_arm):
     }, sum(entry[1] == "SrSender._on_wake" for entry in ran)
 
 
-def test_in_place_rearm_matches_a_kick_per_arm(monkeypatch):
-    got, wakes = incast_run(monkeypatch, kick_every_arm=False)
-    want, kicks = incast_run(monkeypatch, kick_every_arm=True)
+def test_in_place_rearm_matches_a_kick_per_arm():
+    got, wakes = incast_run(kick_every_arm=False)
+    want, kicks = incast_run(kick_every_arm=True)
     assert got == want
     trace = got["trace"]
     assert trace.count('"rto_fire"') > 10 and trace.count('"cc_stall"') > 10
@@ -371,10 +375,7 @@ def clock_run(schedule, config, *, kick_every_arm):
     Dead entries are left out: two arms re-armed in place in one instant
     leave one more superseded expiry than the one kick they replace did.
     """
-    with contextlib.ExitStack() as stack:
-        if kick_every_arm:
-            stack.enter_context(mock.patch.object(SrSender, "_arm", _kick_every_arm))
-        sims = stack.enter_context(recording_sims(NamingSimulator))
+    with clock(kick_every_arm=kick_every_arm), recording_sims(NamingSimulator) as sims:
         got = drive(BudgetedSender, schedule, config)
     (sim,) = sims
     got["ran"] = [

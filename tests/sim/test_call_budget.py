@@ -6,8 +6,8 @@ dispatches *do*: every Python-level ``call`` and C-level ``c_call`` event
 three miniatures.  With the collector held off the count repeats exactly
 for a seed once imports and memoised tables are warm, so each workload is
 held to a ceiling 10 % above the measured floor (CPython 3.11, NumPy
-2.4): 52.16 / 48.89 / 77.77 calls per packet (97,227 / 1,864,
-115,289 / 2,358, 271,815 / 3,495) since a closed chunk's PCIe write and
+2.4): 52.16 / 48.89 / 77.77 calls per packet (97,225 / 1,864,
+115,287 / 2,358, 271,799 / 3,495) since a closed chunk's PCIe write and
 its CQE's accounting are one heap entry, an SR chunk armed at or after
 the RTO horizon re-arms the clock without a wake, and the SDR send CQ
 counts an injection by ``wr_id`` (``CompletionQueue.wr_counter``) instead
