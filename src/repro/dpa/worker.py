@@ -26,10 +26,10 @@ from repro.common.errors import ConfigError
 from repro.sim.engine import Simulator
 from repro.verbs.cq import CompletionQueue, Cqe
 
-#: Handler invoked once a worker finishes processing a CQE.  Returns a
-#: falsy value, or, when the completion closed a chunk (triggering the PCIe
-#: update cost), True or the host-side chunk-bitmap write as ``(fn, arg)``:
-#: the worker runs ``fn(arg)`` when the write lands.
+#: Handler invoked once a worker finishes processing a CQE.  Returns False,
+#: or, when the completion closed a chunk (triggering the PCIe update cost),
+#: the host-side chunk-bitmap write as ``(fn, arg)``: the worker runs
+#: ``fn(arg)`` when the write lands.
 CqeHandler = Callable[[Cqe], "bool | tuple[Callable[[int], None], int]"]
 
 
@@ -139,17 +139,15 @@ class DpaWorker:
         if extra > 0:
             self.sim.call_in(extra, self._write_landed, cqe, start, closed, extra)
             return
-        if closed is not True:
-            # A free write still lands on the heap, behind this CQE's count.
-            self.sim.call_in(0.0, *closed)
+        # A free write still lands on the heap, behind this CQE's count.
+        self.sim.call_in(0.0, *closed)
         self._account(cqe, start, True, 0.0)
 
     def _write_landed(self, cqe: Cqe, start: float, closed, extra: float) -> None:
         """The PCIe write is done: publish (a crash since does not stop
         that), then count the CQE, in one heap entry."""
-        if closed is not True:
-            fn, arg = closed
-            fn(arg)
+        fn, arg = closed
+        fn(arg)
         self._account(cqe, start, True, extra)
 
     def _account(

@@ -118,9 +118,9 @@ class SdrQp:
 
         # Send CQ: host-polled (send-side offloading is modeled as free;
         # the receive side dominates the datapath per Section 3.4).  It
-        # reads only a completion's wr_id, so it takes no record.
+        # reads only a completion's wr_id, so the data QPs below hand over
+        # just that (``UcQp._wr_counter``), building no record.
         self.send_cq = CompletionQueue(self.sim, name=f"{dev.name}.sdr.scq")
-        self.send_cq.wr_counter = self._count_injected
 
         # Internal data QPs, [generation][channel].
         self.data_qps: list[list[UcQp]] = [
@@ -135,6 +135,9 @@ class SdrQp:
             ]
             for g in range(config.generations)
         ]
+        for row in self.data_qps:
+            for qp in row:
+                qp._wr_counter = self._count_injected
 
         # Control UD QP for CTS (and available to reliability layers).
         self.ctrl_cq = CompletionQueue(self.sim, name=f"{dev.name}.sdr.ctrl")

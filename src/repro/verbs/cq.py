@@ -4,8 +4,7 @@ A :class:`Cqe` mirrors ``ibv_wc``: the QP it arrived on, the opcode, status,
 byte count, the 32-bit immediate (when present) and the simulated timestamp.
 :class:`CompletionQueue` supports both a *polling* consumer (``poll``) and a
 *push* consumer (``attach``), the latter used by emulated DPA worker threads
-that sleep until a completion lands (Section 3.4.2 of the paper).  One that
-needs only a send's ``wr_id`` takes it without a record (``wr_counter``).
+that sleep until a completion lands (Section 3.4.2 of the paper).
 """
 
 from __future__ import annotations
@@ -85,9 +84,6 @@ class CompletionQueue:
         #: queue (a DPA worker) pops the head here instead of via ``poll``.
         self.entries: deque[Cqe] = deque()
         self._listener: Callable[["CompletionQueue"], None] | None = None
-        #: Set, a UC QP's signaled send is counted as posted and handed over
-        #: as ``wr_counter(wr_id)``: no :class:`Cqe` is built or queued.
-        self.wr_counter: Callable[[int], None] | None = None
         self._wakeups: list[Event] = []
         scope = sim.telemetry.metrics.scope(f"cq.{self.name}")
         self._m_posted = scope.counter("cqes_posted")
@@ -125,8 +121,9 @@ class CompletionQueue:
         """NIC-side: count a completion its consumer took at delivery.
 
         What a :class:`~repro.verbs.qp.UdQp` with a receive handler posts
-        (the handler has the datagram already), and a send handed to
-        :attr:`wr_counter`: no entry is queued.
+        (the handler has the datagram already), and a
+        :class:`~repro.verbs.qp.UcQp` whose send completions go to a
+        ``wr_id`` counter: no entry is queued.
         """
         self._m_posted.value += 1
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -192,6 +193,10 @@ class UcQp(BaseQp):
         self._parked = False
         self.sim.call_in(0.0, self._drive)
         self._m_aborted = self._metrics.counter("messages_aborted")
+        #: Set (by :class:`~repro.sdr.qp.SdrQp`), a signaled send's
+        #: completion is counted on the send CQ and handed over as
+        #: ``_wr_counter(wr_id)``: no :class:`Cqe` is built or queued.
+        self._wr_counter: Callable[[int], None] | None = None
 
     @property
     def messages_aborted(self) -> int:
@@ -268,16 +273,15 @@ class UcQp(BaseQp):
                     sim.call_at(done, self._drive, wr, i, sent)
                     return
             if wr.signaled:
-                send_cq = self.send_cq
-                if send_cq.wr_counter is None:
-                    send_cq.push(_record(Cqe, (
+                if self._wr_counter is None:
+                    self.send_cq.push(_record(Cqe, (
                         self.qpn, _WRITE_ONLY, length, sim.now, None, wr.wr_id,
                         _SUCCESS, self.generation, wr.msg_seq, wr.pkt_idx,
                         wr.chunk, False,
                     )))
                 else:
-                    send_cq.count_consumed()
-                    send_cq.wr_counter(wr.wr_id)
+                    self.send_cq.count_consumed()
+                    self._wr_counter(wr.wr_id)
             wr = None
 
     # -- receive side ------------------------------------------------------------

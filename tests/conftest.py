@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import contextlib
-import os
 from collections import Counter, deque
 from unittest import mock
 
 import pytest
-from hypothesis import settings
 
 from repro import stack
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
@@ -21,12 +19,6 @@ from repro.telemetry import Telemetry
 
 # The claims table's predicates assert outside a test module.
 pytest.register_assert_rewrite("tests.claims")
-
-# ``HYPOTHESIS_PROFILE=ci`` (CI's tier-1 jobs): a failing draw also prints
-# the ``@reproduce_failure`` blob that replays it.  Each test's own
-# ``max_examples`` and ``derandomize`` hold under either profile.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 #: The fixtures hand out the public record under their older name.

@@ -14,6 +14,11 @@ def cqe(ts=0.0):
     return Cqe(qpn=1, opcode=Opcode.WRITE_ONLY_IMM, byte_len=64, timestamp=ts)
 
 
+#: What a handler returns for a CQE that closed a chunk: the host-side
+#: chunk-bitmap write, here one that publishes nothing.
+CLOSED = (lambda _chunk: None, 0)
+
+
 class TestWorker:
     def test_processes_all_cqes(self):
         sim = Simulator()
@@ -46,7 +51,7 @@ class TestWorker:
         cfg = DpaConfig(per_cqe_seconds=1e-6, pcie_update_seconds=5e-7)
         worker = DpaWorker(sim, cfg)
         cq = CompletionQueue(sim)
-        worker.assign(cq, lambda c: True)  # every CQE closes a chunk
+        worker.assign(cq, lambda c: CLOSED)  # every CQE closes a chunk
         for _ in range(4):
             cq.push(cqe())
         sim.run(until=1.0)
@@ -60,7 +65,7 @@ class TestWorker:
         worker = DpaWorker(sim, DpaConfig(per_cqe_seconds=1e-6, pcie_update_seconds=5e-7))
         cq = CompletionQueue(sim)
         handled = []
-        worker.assign(cq, lambda c: (handled.append(sim.now), True)[1])
+        worker.assign(cq, lambda c: (handled.append(sim.now), CLOSED)[1])
         cq.push(cqe())
         sim.call_in(1.2e-6, worker.crash)
         sim.run(until=1.0)

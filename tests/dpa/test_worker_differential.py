@@ -118,7 +118,7 @@ class GeneratorWorker:
             yield self.sim.timeout(cost)
             if self.crashed:
                 return
-            closed_chunk = handler(cqe)
+            closed_chunk = bool(handler(cqe))
             if closed_chunk:
                 extra = self.config.pcie_update_seconds
                 if extra > 0:
@@ -198,7 +198,9 @@ def drive(worker_cls, sched: Schedule):
     def handler_for(idx):
         def handler(cqe):
             calls.append((sim.now, idx, cqe.wr_id))
-            return bool(sched.close_every) and cqe.wr_id % sched.close_every == 0
+            if sched.close_every and cqe.wr_id % sched.close_every == 0:
+                return (lambda _chunk: None, 0)  # a chunk-bitmap write
+            return False
         return handler
 
     def assign(idx):

@@ -7,9 +7,9 @@ must be the full twelve-field record the named constructor builds,
 carrying the packet's lineage fields and its CE bit.
 
 The SDR send CQ reads nothing of an injection completion but its WR's
-handle, so a UC QP completing a signaled send there counts it and hands
-its ``wr_id`` to the queue's ``wr_counter``, building no record.  The same
-run checks that hook: every signaled WR is counted once, oldest first per
+handle, so an SDR data QP completing a signaled send counts it on that
+queue and hands its ``wr_id`` to its ``_wr_counter``, building no record.
+The same run checks that hook: every signaled WR is counted once, oldest first per
 QP, at the instant its last packet left the wire.
 """
 
@@ -78,19 +78,19 @@ def test_every_cqe_of_a_lossy_ecn_run_is_the_full_record(monkeypatch):
         assert tuple(cqe) == want
         push(self, cqe)
 
-    def checked_counter(cq):
-        count = cq.wr_counter
+    def checked_counter(uc):
+        count = uc._wr_counter
 
         def counter(wr_id):
             # The oldest signaled WR of the driving QP left the wire just
             # now, and was counted as posted.
             (qp,) = driving
-            assert qp.send_cq is cq
+            assert qp is uc
             wr, generation = posted[qp.qpn].popleft()
             assert wr.signaled
             assert wr.msg_seq is not None and wr.chunk is not None
             assert (wr_id, generation) == (wr.wr_id, qp.generation)
-            assert cq.sim.now == wire_done[qp.qpn]
+            assert qp.sim.now == wire_done[qp.qpn]
             seen["send"] += 1
             count(wr_id)
         return counter
@@ -103,7 +103,9 @@ def test_every_cqe_of_a_lossy_ecn_run_is_the_full_record(monkeypatch):
 
     pair = make_sdr_pair(drop=0.02, ecn_threshold_bytes=4 * KiB, seed=3)
     for qp in (pair.qp_a, pair.qp_b):
-        qp.send_cq.wr_counter = checked_counter(qp.send_cq)
+        for row in qp.data_qps:
+            for uc in row:
+                uc._wr_counter = checked_counter(uc)
     sender, receiver = endpoints("sr", pair)
     size = 512 * KiB
     buf = bytearray(size)
