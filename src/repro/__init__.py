@@ -22,7 +22,6 @@ from repro.common import (
     ChannelConfig,
     DpaConfig,
     SdrConfig,
-    default_wan_channel,
 )
 from repro.sim import Simulator
 
@@ -34,6 +33,5 @@ __all__ = [
     "DpaConfig",
     "SdrConfig",
     "Simulator",
-    "default_wan_channel",
     "__version__",
 ]

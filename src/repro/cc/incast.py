@@ -57,10 +57,6 @@ class IncastResult:
     pacers: list[Pacer] = field(default_factory=list)
 
     @property
-    def telemetry(self) -> Telemetry:
-        return self.sim.telemetry
-
-    @property
     def delivered_messages(self) -> int:
         """Writes fully acknowledged within the run (in-flight ones don't count)."""
         return sum(

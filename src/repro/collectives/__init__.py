@@ -12,7 +12,6 @@ from repro.collectives.des_ring import DesRingResult, run_des_ring_allreduce
 from repro.collectives.ring_allreduce import (
     RingAllreduce,
     ec_stage_sampler,
-    ideal_stage_sampler,
     sr_stage_sampler,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "run_des_ring_allreduce",
     "allreduce_lower_bound",
     "ec_stage_sampler",
-    "ideal_stage_sampler",
     "sr_stage_sampler",
 ]

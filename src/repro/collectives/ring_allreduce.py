@@ -10,9 +10,8 @@ where ``t`` is the P2P reliable-Write completion time -- here sampled i.i.d.
 from one of the Section 4.2 protocol models.  Tail completion time is the
 maximum of ``T(i, 2N-2)`` over datacenters.
 
-Stage samplers adapt the models: :func:`sr_stage_sampler`,
-:func:`ec_stage_sampler` and :func:`ideal_stage_sampler` (the LogGP-style
-lossless baseline).
+Stage samplers adapt the models: :func:`sr_stage_sampler` and
+:func:`ec_stage_sampler`.
 """
 
 from __future__ import annotations
@@ -52,15 +51,6 @@ def ec_stage_sampler(params: ModelParams) -> StageSampler:
         return ec_sample_completion(
             params, params.chunks_in(message_bytes), n, k=32, m=8, codec="mds", rng=rng
         )
-
-    return sample
-
-
-def ideal_stage_sampler(params: ModelParams) -> StageSampler:
-    """Deterministic lossless baseline (LogGP-style)."""
-
-    def sample(message_bytes: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, params.ideal_completion(message_bytes))
 
     return sample
 

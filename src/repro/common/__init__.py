@@ -21,7 +21,6 @@ from repro.common.config import (
     ChannelConfig,
     DpaConfig,
     SdrConfig,
-    default_wan_channel,
 )
 from repro.common.errors import (
     ConfigError,
@@ -36,9 +35,7 @@ from repro.common.units import (
     Gbit,
     Mbit,
     Tbit,
-    bytes_per_second,
     distance_to_rtt,
-    injection_time,
     rtt_to_distance,
 )
 
@@ -58,10 +55,7 @@ __all__ = [
     "SdrConfig",
     "SdrStateError",
     "Tbit",
-    "bytes_per_second",
-    "default_wan_channel",
     "distance_to_rtt",
-    "injection_time",
     "lazy_exports",
     "rtt_to_distance",
 ]

@@ -104,17 +104,9 @@ class Bitmap:
         """True when every bit in the bitmap is set (message complete)."""
         return self._nset == self._nbits
 
-    def any_set(self) -> bool:
-        """True when at least one bit is set (used to arm the EC FTO)."""
-        return self._nset > 0
-
     def missing(self) -> np.ndarray:
         """Indices of clear bits -- the chunks a SR sender must retransmit."""
         return np.flatnonzero(self._unpacked() == 0)
-
-    def set_indices(self) -> np.ndarray:
-        """Indices of set bits."""
-        return np.flatnonzero(self._unpacked())
 
     def cumulative(self) -> int:
         """Length of the fully-received prefix.

@@ -148,11 +148,6 @@ class ChannelConfig(Bounded):
     def bytes_per_second(self) -> float:
         return self.bandwidth_bps / 8.0
 
-    @property
-    def bandwidth_delay_product(self) -> float:
-        """Bytes in flight on the full round trip (the paper's BDP)."""
-        return self.bytes_per_second * self.rtt
-
     def packet_time(self, size_bytes: int | None = None) -> float:
         """Serialization time of one packet (default: one MTU)."""
         size = self.mtu_bytes if size_bytes is None else size_bytes
@@ -245,14 +240,3 @@ class DpaConfig(Bounded):
     #: Extra seconds when a completion closes a chunk and the worker updates
     #: the host-side chunk bitmap over PCIe.
     pcie_update_seconds: float = field(default=2.0e-7, metadata=bound(ge=0))
-
-    @property
-    def aggregate_packet_rate(self) -> float:
-        """Packets/s the configured worker pool can process."""
-        return self.worker_threads / self.per_cqe_seconds
-
-
-def default_wan_channel(*, drop_probability: float = 1e-5) -> ChannelConfig:
-    """The paper's canonical cross-continent channel (Section 5.2): the
-    :class:`ChannelConfig` defaults, 400 Gbit/s over 3750 km."""
-    return ChannelConfig(drop_probability=drop_probability)

@@ -43,39 +43,3 @@ def rtt_to_distance(rtt_s: float) -> float:
     if rtt_s < 0:
         raise ValueError(f"rtt must be non-negative, got {rtt_s}")
     return rtt_s * FIBER_KM_PER_S / 2.0
-
-
-def bytes_per_second(bandwidth_bps: float) -> float:
-    """Convert a bandwidth in bits/s to bytes/s."""
-    if bandwidth_bps <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-    return bandwidth_bps / 8.0
-
-
-def injection_time(size_bytes: float, bandwidth_bps: float) -> float:
-    """Serialization (injection) time of ``size_bytes`` on a link.
-
-    This is the paper's ``T_INJ`` when called with the chunk size: the inverse
-    of chunk size divided by link bandwidth (LogGP ``G`` times size).
-    """
-    if size_bytes < 0:
-        raise ValueError(f"size must be non-negative, got {size_bytes}")
-    return float(size_bytes) / bytes_per_second(bandwidth_bps)
-
-
-def format_bytes(size_bytes: float) -> str:
-    """Human-readable byte size (``128.0 MiB``) used by experiment reports."""
-    size = float(size_bytes)
-    for unit, factor in (("GiB", GiB), ("MiB", MiB), ("KiB", KiB)):
-        if size >= factor:
-            return f"{size / factor:g} {unit}"
-    return f"{size:g} B"
-
-
-def format_bandwidth(bandwidth_bps: float) -> str:
-    """Human-readable bandwidth (``400 Gbit/s``) used by experiment reports."""
-    bw = float(bandwidth_bps)
-    for unit, factor in (("Tbit/s", Tbit), ("Gbit/s", Gbit), ("Mbit/s", Mbit)):
-        if bw >= factor:
-            return f"{bw / factor:g} {unit}"
-    return f"{bw:g} bit/s"

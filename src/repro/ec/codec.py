@@ -134,9 +134,6 @@ class ErasureCode(abc.ABC):
         self.stats.decode_bytes += data.nbytes
         return data
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(k={self.k}, m={self.m})"
-
 
 #: Codec factories by lower-case name; a built-in registers when its module
 #: is imported, at the latest by the first lookup of its name.

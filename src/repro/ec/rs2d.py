@@ -185,12 +185,6 @@ class Rs2dCode(ErasureCode):
                 have[col[r]] = True
         return True
 
-    def __repr__(self) -> str:
-        return (
-            f"Rs2dCode({self.k_rows}x{self.k_cols} data, "
-            f"{self.m_cols}/row + {self.m_rows}/col parity)"
-        )
-
 
 def _rs2d_factory(k: int, m: int) -> Rs2dCode:
     """Build a square 2-D code from flat (k, m) registry parameters.

@@ -509,10 +509,6 @@ class FabricNetwork:
         if self.health is not None:
             self.health.note_rto(path)
 
-    @property
-    def inflight_count(self) -> int:
-        return len(self._inflight)
-
     def _on_edge_delivery(self, head: str, packet: Packet) -> None:
         try:
             transit = self._inflight[packet.uid]

@@ -146,10 +146,6 @@ class FaultWindow(Bounded):
         """Does this window hit a packet riding ``plane`` (None = unknown)?"""
         return self.plane is None or self.plane == plane
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class FaultSchedule:
@@ -200,9 +196,6 @@ class FaultSchedule:
         ends = [w.end for w in self.windows if math.isfinite(w.end)]
         starts = [w.start for w in self.windows]
         return max(ends + starts, default=0.0)
-
-    def __len__(self) -> int:
-        return len(self.windows)
 
     # -- constructors ----------------------------------------------------------
 

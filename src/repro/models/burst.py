@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.net.loss import GilbertElliottLoss
 
 
 def ge_stationary(p_gb: float, p_bg: float) -> tuple[float, float]:
@@ -67,50 +66,3 @@ def ge_chunk_drop_probability(
     step = transition @ survive
     weights = pi @ np.linalg.matrix_power(step, packets_per_chunk)
     return float(1.0 - weights.sum())
-
-
-def ge_average_loss_rate(
-    *,
-    p_good: float = 0.0,
-    p_bad: float = 0.5,
-    p_gb: float = 1e-4,
-    p_bg: float = 0.1,
-) -> float:
-    """Marginal per-packet loss rate of the chain (for iid comparisons)."""
-    pi_good, pi_bad = ge_stationary(p_gb, p_bg)
-    return pi_good * p_good + pi_bad * p_bad
-
-
-def burst_masking_gain(
-    packets_per_chunk: int,
-    *,
-    p_good: float = 0.0,
-    p_bad: float = 0.5,
-    p_gb: float = 1e-4,
-    p_bg: float = 0.1,
-) -> float:
-    """i.i.d. chunk-drop rate / bursty chunk-drop rate at equal avg loss.
-
-    > 1 means bursts are being masked inside chunks (Section 3.1.1).
-    """
-    avg = ge_average_loss_rate(
-        p_good=p_good, p_bad=p_bad, p_gb=p_gb, p_bg=p_bg
-    )
-    iid = 1.0 - (1.0 - avg) ** packets_per_chunk
-    bursty = ge_chunk_drop_probability(
-        packets_per_chunk, p_good=p_good, p_bad=p_bad, p_gb=p_gb, p_bg=p_bg
-    )
-    if bursty <= 0.0:  # a lossless chain (the i.i.d. rate is 0 too)
-        return 1.0
-    return iid / bursty
-
-
-def make_loss_model(
-    *,
-    p_good: float = 0.0,
-    p_bad: float = 0.5,
-    p_gb: float = 1e-4,
-    p_bg: float = 0.1,
-) -> GilbertElliottLoss:
-    """The matching sampling model for empirical validation."""
-    return GilbertElliottLoss(p_good=p_good, p_bad=p_bad, p_gb=p_gb, p_bg=p_bg)

@@ -114,9 +114,3 @@ def p_fallback(p_decode: float, n_submessages: int) -> float:
     if p_decode == 1.0:
         return 0.0
     return max(0.0, -math.expm1(n_submessages * math.log(p_decode)))
-
-
-def expected_failures(p_decode: float, n_submessages: int) -> float:
-    """E[failed submessages] = L (1 - P_EC) (Section 4.2.3)."""
-    _validate_fallback(p_decode, n_submessages)
-    return n_submessages * (1.0 - p_decode)

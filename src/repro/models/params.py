@@ -103,9 +103,3 @@ class ModelParams(Bounded):
     def at_distance(self, distance_km: float) -> "ModelParams":
         """Same link with a different fiber distance."""
         return replace(self, rtt=distance_to_rtt(distance_km))
-
-    def with_drop(self, p: float) -> "ModelParams":
-        return replace(self, drop_probability=p)
-
-    def with_bandwidth(self, bandwidth_bps: float) -> "ModelParams":
-        return replace(self, bandwidth_bps=bandwidth_bps)

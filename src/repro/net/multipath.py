@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
-from repro.net.channel import Channel, ChannelStats
+from repro.net.channel import Channel
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 
@@ -102,22 +102,6 @@ class BondedChannel:
         index = self._rr
         self._rr = (self._rr + 1) % self.planes_count
         return index
-
-    @property
-    def stats(self) -> ChannelStats:
-        """Aggregate statistics across planes (fresh snapshot)."""
-        agg = ChannelStats()
-        for plane in self.planes:
-            snap = plane.stats
-            agg.packets_offered += snap.packets_offered
-            agg.packets_dropped += snap.packets_dropped
-            agg.packets_duplicated += snap.packets_duplicated
-            agg.tail_drops += snap.tail_drops
-            agg.ecn_marked += snap.ecn_marked
-            agg.bytes_offered += snap.bytes_offered
-            agg.bytes_delivered += snap.bytes_delivered
-            agg.busy_until = max(agg.busy_until, snap.busy_until)
-        return agg
 
 
 def connect_bonded(

@@ -454,7 +454,3 @@ class PlaneRecovery(BreakerSet):
         self.breakers[plane].probes_sent += 1
         self._m_probes.inc()
         self._instant("probe", plane)
-
-    def states(self) -> list[str]:
-        """Current breaker states, one per plane (for tests/reports)."""
-        return [br.state for br in self.breakers.values()]

@@ -316,15 +316,6 @@ class EcReceiver(Receiver):
         #: receives in flight, not by the messages served (``_release``).
         self._free_scratch: dict[bool, list[MemoryRegion]] = {False: [], True: []}
 
-    @property
-    def nacks_sent(self) -> int:
-        return self._m_nacks_sent.value
-
-    @property
-    def submessages_decoded(self) -> int:
-        """Submessages that needed speculative-parity decoding."""
-        return self._m_submessages_decoded.value
-
     # -- public API ---------------------------------------------------------------------
 
     def post_receive(

@@ -149,10 +149,6 @@ class Ack(NamedTuple):
         """
         return _window_mask(self.cumulative, self.window_start, self.window, nchunks)
 
-    def acked_chunks(self, nchunks: int) -> set[int]:
-        """Chunk indices this ACK confirms (cumulative prefix + window bits)."""
-        return set(mask_bits(self.acked_mask(nchunks)))
-
 
 @_message(2)
 class SrNack(NamedTuple):

@@ -259,10 +259,6 @@ class SamplingReceiver(Receiver):
         self._m_full_scans = self._scope.counter("full_scans")
         self._m_dones_sent = self._scope.counter("dones_sent")
 
-    @property
-    def repair_requests_sent(self) -> int:
-        return self._m_repair_reqs.value
-
     # -- answering a resumption ------------------------------------------------------
 
     def _layout(self, rh: RecvHandle) -> SegmentLayout:

@@ -565,10 +565,6 @@ class SrReceiver(Receiver):
         self._m_nacks_sent = self._scope.counter("nacks_sent")
         self._count("resumes_granted", 0)
 
-    @property
-    def nacks_sent(self) -> int:
-        return self._m_nacks_sent.value
-
     # -- answering a resumption ------------------------------------------------------
 
     def _answer_serving(self, ticket: ReceiveTicket, rh: RecvHandle) -> None:

@@ -47,14 +47,6 @@ class ImmLayout(Bounded):
         )
 
     @property
-    def max_msg_ids(self) -> int:
-        return 1 << self.msg_id_bits
-
-    @property
-    def max_packet_index(self) -> int:
-        return 1 << self.offset_bits
-
-    @property
     def user_fragments(self) -> int:
         """Packets needed to reconstruct a 32-bit user immediate."""
         if self.user_imm_bits == 0:

@@ -182,11 +182,6 @@ class SdrQp:
         self._trace = self.sim.telemetry.trace
         self._track = f"sdr.{dev.name}"
 
-    @property
-    def late_cqes_filtered(self) -> int:
-        """Data CQEs discarded by stage-two late-packet filtering."""
-        return self._m_late_cqes.value
-
     # ------------------------------------------------------------------ wiring
 
     def info_get(self) -> SdrQpInfo:

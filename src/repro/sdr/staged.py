@@ -77,8 +77,3 @@ class StagedSdrQp(SdrQp):
         done = self._copy_queue.popleft()
         cost = done[3] / (self.copy_bps / 8.0)  # bytes / (bytes per second)
         self.sim.call_in(cost, self._copy, done, cost)
-
-    @property
-    def copy_backlog(self) -> int:
-        """Packets waiting for the host copy engine."""
-        return len(self._copy_queue)

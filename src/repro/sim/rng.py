@@ -29,10 +29,6 @@ class RngStreams:
         self._root = np.random.SeedSequence(self._seed)
         self._streams: dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def get(self, name: str) -> np.random.Generator:
         """Return the substream for ``name``, creating it on first use."""
         gen = self._streams.get(name)
@@ -47,7 +43,3 @@ class RngStreams:
             gen = np.random.default_rng(child)
             self._streams[name] = gen
         return gen
-
-    def fork(self, salt: int) -> "RngStreams":
-        """A new independent family, e.g. one per Monte-Carlo trial."""
-        return RngStreams(seed=(self._seed * 1_000_003 + salt) & 0x7FFFFFFF)

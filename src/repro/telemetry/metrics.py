@@ -203,10 +203,6 @@ class MetricsScope:
         self._registry = registry
         self._prefix = prefix
 
-    @property
-    def prefix(self) -> str:
-        return self._prefix
-
     def _join(self, name: str) -> str:
         return f"{self._prefix}.{name}" if self._prefix else name
 

@@ -89,9 +89,6 @@ class WindowedSeries:
         self.times: deque[float] = deque(maxlen=capacity)
         self.values: deque = deque(maxlen=capacity)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     def _record(self, boundary: float, instrument) -> None:
         if self.kind == "histogram":
             zeros, buckets = instrument.bucket_counts()
@@ -105,25 +102,6 @@ class WindowedSeries:
     def latest(self):
         """The most recent recorded point (or None before the first window)."""
         return self.values[-1] if self.values else None
-
-    def points(self) -> list[tuple[float, float]]:
-        """``(window_end, value)`` pairs, oldest first (counters/gauges)."""
-        return list(zip(self.times, self.values))
-
-    def deltas(self) -> list[tuple[float, float]]:
-        """Per-point increments of a cumulative counter series.
-
-        The first retained point diffs against 0 at t=0: counters start at
-        zero when created, so the baseline is exact for a series watched
-        from the first window and a safe lower bound for one whose older
-        points were evicted by the ring.
-        """
-        out = []
-        prev = 0.0
-        for t, v in zip(self.times, self.values):
-            out.append((t, v - prev))
-            prev = v
-        return out
 
     def rates(self) -> list[tuple[float, float]]:
         """Per-point rates (delta / actual spacing) of a counter series."""

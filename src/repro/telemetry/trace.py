@@ -267,17 +267,6 @@ class Tracer:
         """Set the simulated-time source (done by ``Simulator.__init__``)."""
         self._clock = clock
 
-    def add_sink(self, sink: TraceSink) -> None:
-        self._sinks.append(sink)
-
-    @property
-    def sinks(self) -> list[TraceSink]:
-        return list(self._sinks)
-
-    @property
-    def now(self) -> float:
-        return self._clock()
-
     # -- emission --------------------------------------------------------------
 
     def _emit(self, event: TraceEvent) -> None:

@@ -89,19 +89,6 @@ class CompletionQueue:
         self._m_posted = scope.counter("cqes_posted")
         self._m_overflows = scope.counter("overflows")
 
-    @property
-    def total_posted(self) -> int:
-        """Total CQEs ever accepted (registry-backed)."""
-        return self._m_posted.value
-
-    @property
-    def overflows(self) -> int:
-        """CQEs dropped because the queue was at capacity (registry-backed)."""
-        return self._m_overflows.value
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def push(self, cqe: Cqe) -> None:
         """NIC-side: append a completion entry."""
         if self.capacity is not None and len(self.entries) >= self.capacity:

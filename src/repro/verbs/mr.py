@@ -122,10 +122,6 @@ class IndirectMkeyTable:
         self._check_slot(slot)
         self._slots[slot] = _Slot(mr=self.null_mr)
 
-    def is_null(self, slot: int) -> bool:
-        self._check_slot(slot)
-        return self._slots[slot].mr is self.null_mr
-
     def resolve(self, offset: int) -> tuple[MemoryRegion, int, int]:
         """Translate a root-mkey byte ``offset`` to (MR, MR-offset, slot)."""
         if offset < 0:

@@ -198,11 +198,6 @@ class UcQp(BaseQp):
         #: ``_wr_counter(wr_id)``: no :class:`Cqe` is built or queued.
         self._wr_counter: Callable[[int], None] | None = None
 
-    @property
-    def messages_aborted(self) -> int:
-        """Messages aborted at the receiver due to a PSN mismatch."""
-        return self._m_aborted.value
-
     # -- send side --------------------------------------------------------------
 
     def post_send(self, wr: SendWr) -> None:
@@ -466,16 +461,6 @@ class RcQp(BaseQp):
         self._m_retransmissions = self._metrics.counter("retransmissions")
         self._m_naks_sent = self._metrics.counter("naks_sent")
         self._m_rto_rewinds = self._metrics.counter("rto_rewinds")
-
-    @property
-    def retransmissions(self) -> int:
-        """Packets re-sent by a Go-Back-N rewind (registry-backed)."""
-        return self._m_retransmissions.value
-
-    @property
-    def naks_sent(self) -> int:
-        """NAK frames the receive side emitted on a sequence gap."""
-        return self._m_naks_sent.value
 
     # -- configuration -----------------------------------------------------------
 

@@ -82,12 +82,6 @@ class OpenLoopConfig(Bounded):
                 f"{self.mean_message_bytes}"
             )
 
-    @property
-    def expected_messages(self) -> float:
-        """E[#messages] = offered bytes / mean message bytes."""
-        offered_bytes = self.offered_load_bps / 8.0 * self.duration
-        return offered_bytes / self.mean_message_bytes
-
 
 @dataclass(frozen=True)
 class Workload:
@@ -113,16 +107,6 @@ class Workload:
     @property
     def total_bytes(self) -> int:
         return int(self.sizes.sum())
-
-    def digest(self) -> str:
-        """Stable content hash of the schedule (determinism checks)."""
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(self.times.tobytes())
-        h.update(self.tenants.tobytes())
-        h.update(self.sizes.tobytes())
-        return h.hexdigest()
 
     def for_tenant(self, tenant: int) -> "Workload":
         """The sub-schedule of one tenant (solo-baseline replays)."""

@@ -25,7 +25,7 @@ def traced_demo(**kw):
 
 def tail_drops(result):
     """Packets every channel of the run dropped at a full queue."""
-    m = result.telemetry.metrics
+    m = result.sim.telemetry.metrics
     return sum(m.value(n) for n in m.names("net") if n.endswith(".tail_drops"))
 
 
@@ -52,7 +52,7 @@ class TestClosedLoop:
         # from line rate, and beat the unpaced baseline.
         base = run_incast(cc="none", senders=8, duration=0.015)
         paced = run_incast(cc="swift", senders=8, duration=0.015)
-        m = paced.telemetry.metrics
+        m = paced.sim.telemetry.metrics
         assert m.value("cc.s0.rtt_samples") > 0
         assert all(p.controller.rate_bps < 10e9 for p in paced.pacers)
         assert paced.goodput_gbps > base.goodput_gbps

@@ -7,12 +7,16 @@ from repro.collectives.bounds import allreduce_lower_bound
 from repro.collectives.ring_allreduce import (
     RingAllreduce,
     ec_stage_sampler,
-    ideal_stage_sampler,
     sr_stage_sampler,
 )
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB
 from repro.models.params import ModelParams
+
+
+def ideal_stage_sampler(p: ModelParams):
+    """Every stage takes its lossless time (the LogGP-style baseline)."""
+    return lambda message_bytes, n, rng: np.full(n, p.ideal_completion(message_bytes))
 
 
 def params(drop=1e-4):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import ChannelConfig, DpaConfig, SdrConfig, default_wan_channel
+from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.common.units import GiB, KiB
 
@@ -16,7 +16,7 @@ class TestChannelConfig:
     def test_bdp(self):
         cfg = ChannelConfig(bandwidth_bps=400e9, distance_km=3750.0)
         # 50 GB/s * 25 ms = 1.25 GB
-        assert cfg.bandwidth_delay_product == pytest.approx(1.25e9)
+        assert cfg.bytes_per_second * cfg.rtt == pytest.approx(1.25e9)
 
     def test_packet_time(self):
         cfg = ChannelConfig(bandwidth_bps=400e9, mtu_bytes=4 * KiB)
@@ -94,7 +94,7 @@ class TestSdrConfig:
 class TestDpaConfig:
     def test_calibration_16_threads_15mpps(self):
         cfg = DpaConfig()
-        assert cfg.aggregate_packet_rate == pytest.approx(15e6, rel=0.01)
+        assert cfg.worker_threads / cfg.per_cqe_seconds == pytest.approx(15e6, rel=0.01)
 
     def test_worker_bounds(self):
         with pytest.raises(ConfigError):
@@ -111,6 +111,6 @@ class TestDpaConfig:
 
 class TestDefaultWan:
     def test_default_wan_channel(self):
-        cfg = default_wan_channel(drop_probability=1e-4)
+        cfg = ChannelConfig(drop_probability=1e-4)
         assert cfg.drop_probability == 1e-4
         assert cfg.distance_km == 3750.0

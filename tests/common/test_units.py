@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro.common.units import (
-    GiB,
-    KiB,
-    MiB,
-    bytes_per_second,
-    distance_to_rtt,
-    format_bandwidth,
-    format_bytes,
-    injection_time,
-    rtt_to_distance,
-)
+from repro.common.config import ChannelConfig
+from repro.common.errors import ConfigError
+from repro.common.units import GiB, KiB, MiB, distance_to_rtt, rtt_to_distance
 
 
 class TestSizes:
@@ -48,36 +40,17 @@ class TestDistanceRtt:
 
 class TestBandwidth:
     def test_bytes_per_second(self):
-        assert bytes_per_second(400e9) == 50e9
+        assert ChannelConfig(bandwidth_bps=400e9).bytes_per_second == 50e9
 
     def test_injection_time_4kib_at_400g(self):
         # One MTU at 400 Gbit/s is ~82 ns.
-        assert injection_time(4 * KiB, 400e9) == pytest.approx(81.92e-9)
+        assert ChannelConfig(bandwidth_bps=400e9).packet_time(4 * KiB) == pytest.approx(
+            81.92e-9
+        )
 
     def test_injection_time_zero_size(self):
-        assert injection_time(0, 100e9) == 0.0
+        assert ChannelConfig(bandwidth_bps=100e9).packet_time(0) == 0.0
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            bytes_per_second(0)
-        with pytest.raises(ValueError):
-            injection_time(-1, 100e9)
-        with pytest.raises(ValueError):
-            injection_time(10, 0)
-
-
-class TestFormatting:
-    @pytest.mark.parametrize(
-        "size,expected",
-        [(512, "512 B"), (2 * KiB, "2 KiB"), (128 * MiB, "128 MiB"), (8 * GiB, "8 GiB")],
-    )
-    def test_format_bytes(self, size, expected):
-        assert format_bytes(size) == expected
-
-    @pytest.mark.parametrize(
-        "bw,expected",
-        [(400e9, "400 Gbit/s"), (3.2e12, "3.2 Tbit/s"), (100e6, "100 Mbit/s"),
-         (5e5, "500000 bit/s")],
-    )
-    def test_format_bandwidth(self, bw, expected):
-        assert format_bandwidth(bw) == expected
+        with pytest.raises(ConfigError):
+            ChannelConfig(bandwidth_bps=0)

@@ -244,7 +244,7 @@ def drive(worker_cls, sched: Schedule):
         "calls": calls,
         "stats": worker.stats,
         "spans": spans,
-        "left": [len(cq) for cq in cqs],
+        "left": [len(cq.entries) for cq in cqs],
         "rejected": rejected,
         "clock": sim.now,
     }

@@ -117,7 +117,7 @@ class TestAgainstPacketMode:
         assert_every_launch_counted_once(fl_sim, fl)
         # A retransmission is a fluid_segment booking, never a relayed
         # packet: nothing reached the event-driven datapath.
-        assert fl.net.inflight_count == 0
+        assert not fl.net._inflight
         hops = sum(c.stats.packets_offered for c in fl.net.channels.values())
         assert hops > 3 * counters(fl_sim)[0]
 

@@ -162,7 +162,7 @@ def _lossy_transfer(fluid):
     ticket = service.submit("a", "h0-0", "h1-0", 4 * MiB)
     sim.run()
     assert ticket.completed is not None
-    assert net.inflight_count == 0
+    assert not net._inflight
     return sim, ticket, launched, abandoned
 
 

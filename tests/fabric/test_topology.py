@@ -135,7 +135,7 @@ class TestNetwork:
         assert len(got) == 1
         # Store-and-forward: at least the sum of per-hop costs.
         assert got[0][0] >= net.path_one_way_delay("hL0", "hR0")
-        assert net.inflight_count == 0
+        assert not net._inflight
 
     def test_path_properties(self):
         sim, net = self.make()
@@ -172,7 +172,7 @@ class TestNetwork:
         net.abandon(p.uid)
         sim.run()
         assert got == []
-        assert net.inflight_count == 0
+        assert not net._inflight
 
     def test_ce_accumulates_across_hops(self):
         # Tight ECN threshold on the bottleneck: burst packets pick up CE
@@ -350,7 +350,7 @@ class TestRefusalsAndEligibility:
         packet = Packet(dst_qpn=0, opcode=Opcode.WRITE_ONLY, length=64)
         with pytest.raises(ConfigError, match="no uid"):
             net.send("hL0", "hR0", packet, lambda p: None)
-        assert net.inflight_count == 0
+        assert not net._inflight
 
     def test_only_plain_steady_channels_are_booked_fluidly(self):
         jittery = ChannelConfig(

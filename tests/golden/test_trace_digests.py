@@ -296,7 +296,7 @@ def digests(name: str) -> dict:
         "lineage_sha256": _lineage_sha(trace),
         "registry_sha256": _sha(json.dumps(snapshot, sort_keys=True)),
         "registry_entries": len(snapshot),
-        "sim_now": repr(telemetry.trace.now),
+        "sim_now": repr(telemetry.trace._clock()),
     }
     if completion is not None:
         # What the runner reports: a completion time or an elapsed time.

@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.models.burst import (
-    burst_masking_gain,
-    ge_average_loss_rate,
-    ge_chunk_drop_probability,
-    ge_stationary,
-    make_loss_model,
-)
+from repro.models.burst import ge_chunk_drop_probability, ge_stationary
+from repro.net.loss import GilbertElliottLoss
+
+#: The chain's defaults in ``repro.models.burst``.
+GE = dict(p_good=0.0, p_bad=0.5, p_gb=1e-4, p_bg=0.1)
+
+
+def average_loss(**kw) -> float:
+    """Marginal per-packet loss rate of the chain."""
+    kw = {**GE, **kw}
+    good, bad = ge_stationary(kw["p_gb"], kw["p_bg"])
+    return good * kw["p_good"] + bad * kw["p_bad"]
+
+
+def masking_gain(n: int, **kw) -> float:
+    """i.i.d. / bursty chunk-drop rate at equal average loss: > 1 means
+    bursts are masked inside chunks (Section 3.1.1)."""
+    iid = 1.0 - (1.0 - average_loss(**kw)) ** n
+    return iid / ge_chunk_drop_probability(n, **{**GE, **kw})
 
 
 class TestStationary:
@@ -28,7 +40,7 @@ class TestChunkDrop:
     def test_single_packet_equals_average_rate(self):
         kw = dict(p_good=0.0, p_bad=0.5, p_gb=1e-3, p_bg=0.05)
         assert ge_chunk_drop_probability(1, **kw) == pytest.approx(
-            ge_average_loss_rate(**kw)
+            average_loss(**kw)
         )
 
     def test_iid_limit(self):
@@ -52,7 +64,7 @@ class TestChunkDrop:
         """The closed form must match the actual GilbertElliottLoss."""
         kw = dict(p_good=0.0, p_bad=0.5, p_gb=2e-3, p_bg=0.05)
         rng = np.random.default_rng(0)
-        model = make_loss_model(**kw)
+        model = GilbertElliottLoss(**kw)
         n_packets = 600_000
         mask = model.drop_mask(rng, np.full(n_packets, 4096))
         for n in (4, 16):
@@ -70,19 +82,21 @@ class TestChunkDrop:
 
 class TestMaskingGain:
     def test_gain_exceeds_one_for_bursty_loss(self):
-        gain = burst_masking_gain(64, p_gb=2e-4, p_bg=0.05)
+        gain = masking_gain(64, p_gb=2e-4, p_bg=0.05)
         assert gain > 2.0
 
     def test_a_lossless_chain_masks_nothing(self):
-        assert burst_masking_gain(64, p_good=0.0, p_bad=0.0) == 1.0
+        assert ge_chunk_drop_probability(64, p_good=0.0, p_bad=0.0) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_gain_is_one_for_iid(self):
-        gain = burst_masking_gain(64, p_good=0.01, p_bad=0.01, p_gb=0.5, p_bg=0.5)
+        gain = masking_gain(64, p_good=0.01, p_bad=0.01, p_gb=0.5, p_bg=0.5)
         assert gain == pytest.approx(1.0, rel=1e-9)
 
     def test_gain_grows_with_chunk_size(self):
         gains = [
-            burst_masking_gain(n, p_gb=2e-4, p_bg=0.05)
+            masking_gain(n, p_gb=2e-4, p_bg=0.05)
             for n in (1, 4, 16, 64)
         ]
         assert gains == sorted(gains)

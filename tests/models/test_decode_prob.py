@@ -6,7 +6,6 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.ec import get_codec
 from repro.models.decode_prob import (
-    expected_failures,
     p_decode_mds,
     p_decode_rs2d,
     p_decode_xor,
@@ -109,16 +108,12 @@ class TestFallback:
         # L independent submessages compound.
         assert p_fallback(0.99, 100) == pytest.approx(1 - 0.99**100)
 
-    def test_expected_failures(self):
-        assert expected_failures(0.9, 10) == pytest.approx(1.0)
-        assert expected_failures(1.0, 5) == 0.0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             p_fallback(1.5, 10)
         with pytest.raises(ConfigError):
             p_fallback(0.5, 0)
         with pytest.raises(ConfigError):
-            expected_failures(-0.1, 10)
+            p_fallback(-0.1, 10)
         with pytest.raises(ConfigError, match="need >= 1 submessage, got 0"):
-            expected_failures(0.5, 0)
+            p_fallback(0.5, 0)

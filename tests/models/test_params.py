@@ -61,8 +61,6 @@ class TestModelParams:
     def test_modifiers(self):
         p = ModelParams()
         assert p.at_distance(3750.0).rtt == pytest.approx(25e-3)
-        assert p.with_drop(0.5).drop_probability == 0.5
-        assert p.with_bandwidth(1e12).bandwidth_bps == 1e12
 
     def test_validation(self):
         with pytest.raises(ConfigError):

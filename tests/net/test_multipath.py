@@ -158,9 +158,7 @@ class TestAsymmetricPlanes:
         sim.run()
         assert bonded.planes[0].stats.packets_dropped == 0
         assert bonded.planes[1].stats.packets_dropped > 50
-        agg = bonded.stats
-        assert agg.packets_offered == 400
-        assert agg.packets_dropped == bonded.planes[1].stats.packets_dropped
+        assert sum(p.stats.packets_offered for p in bonded.planes) == 400
 
 
 class TestSdrOverBondedLink:

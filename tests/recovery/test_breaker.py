@@ -180,7 +180,7 @@ class TestPlaneRecovery:
 
     def test_all_closed_pick_falls_through(self):
         sim, bonded, recovery = make_recovery()
-        assert recovery.states() == [CLOSED, CLOSED]
+        assert [br.state for br in recovery.breakers.values()] == [CLOSED, CLOSED]
         assert recovery.pick(bonded, pkt()) is None
 
     def _drive(self, sim, bonded, start, count, spacing=RTT):
@@ -195,8 +195,8 @@ class TestPlaneRecovery:
         flip = FlipLoss(dropping=True)
         sim, bonded, recovery = make_recovery(losses=[flip, NoLoss()])
         t = self._drive(sim, bonded, 0.0, 16)
-        assert recovery.states()[0] == OPEN
-        assert recovery.states()[1] == CLOSED
+        assert [br.state for br in recovery.breakers.values()][0] == OPEN
+        assert [br.state for br in recovery.breakers.values()][1] == CLOSED
         # After the trip, everything sprays onto the surviving plane.
         before = bonded.planes[0].stats.packets_offered
         self._drive(sim, bonded, t, 6)
@@ -250,10 +250,10 @@ class TestPlaneRecovery:
         )
         # Give plane 0 its min_samples window of (clean) traffic first.
         self._drive(sim, bonded, 0.0, 8)
-        assert recovery.states()[0] == CLOSED
+        assert [br.state for br in recovery.breakers.values()][0] == CLOSED
         for _ in range(3):
             recovery.note_nack(src_qpn=0, missing=4)  # weight 1.0 each
-        assert recovery.states()[0] == OPEN
+        assert [br.state for br in recovery.breakers.values()][0] == OPEN
         assert sim.telemetry.metrics.value("recovery.bond.nack_signals") == 3
 
     def test_flow_spread_rehashes_around_open_plane(self):
@@ -265,7 +265,7 @@ class TestPlaneRecovery:
         for i in range(16):
             sim.call_at(i * RTT, lambda i=i: bonded.transmit(pkt(psn=i)))
         sim.run(until=16 * RTT)
-        assert recovery.states()[0] == OPEN
+        assert [br.state for br in recovery.breakers.values()][0] == OPEN
         choice = recovery.pick(bonded, pkt(src_qpn=0))
         assert choice == 1  # re-hashed onto the surviving plane
 
@@ -280,7 +280,7 @@ class TestPlaneRecovery:
                 i * RTT, lambda i=i: bonded.transmit(pkt(psn=i, src_qpn=i % 2))
             )
         sim.run(until=16 * RTT)
-        assert recovery.states() == [OPEN, OPEN]
+        assert [br.state for br in recovery.breakers.values()] == [OPEN, OPEN]
         reg = sim.telemetry.metrics
         failovers = reg.value("recovery.bond.failover_packets")
         assert recovery.pick(bonded, pkt(src_qpn=0)) == 0
@@ -294,7 +294,7 @@ class TestPlaneRecovery:
         for i in range(16):
             sim.call_at(i * RTT, lambda i=i: bonded.transmit(pkt(psn=i)))
         sim.run(until=16 * RTT)
-        assert recovery.states() == [OPEN, OPEN]
+        assert [br.state for br in recovery.breakers.values()] == [OPEN, OPEN]
         reg = sim.telemetry.metrics
         failovers = reg.value("recovery.bond.failover_packets")
         picks = [recovery.pick(bonded, pkt(psn=i)) for i in range(4)]
@@ -315,7 +315,7 @@ class TestPlaneRecovery:
             for i in range(24):
                 sim.call_at(i * RTT, lambda i=i: bonded.transmit(pkt(psn=i)))
             sim.run()  # unbounded: must terminate
-            return got, recovery.states()
+            return got, [br.state for br in recovery.breakers.values()]
 
         first = run(3)
         second = run(3)
@@ -455,7 +455,7 @@ def test_shared_loop_is_legal_and_identical_under_both_owners(
             planes.note_rto(src_qpn=key)
             edges.note_rto(EDGES[key])
         assert view(planes) == view(edges) == view(bare)
-    assert planes.states() == [br.state for br in bare.breakers.values()]
+    assert [br.state for br in planes.breakers.values()] == [br.state for br in bare.breakers.values()]
     assert set(edges.excluded()) == {
         EDGES[k] for k, br in bare.breakers.items() if br.state == OPEN
     }

@@ -18,7 +18,7 @@ from repro.recovery import BreakerConfig, PlaneRecovery
 from repro.reliability.adaptive import AdaptiveReceiver, AdaptiveSender
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
-from repro.telemetry import JsonlSink, RingBufferSink
+from repro.telemetry import JsonlSink, RingBufferSink, Telemetry
 
 from tests.conftest import drains_within, make_sdr_pair
 from tests.reliability.conftest import random_payload
@@ -98,18 +98,18 @@ class TestSrResume:
         """A blackout of data *and* control: every resume request is lost,
         so the resumption fails unanswered, carrying the bitmap the failed
         attempt left (2 MiB in 16 KiB chunks, 10 Gb/s, 100 km)."""
-        def build(faults=None):
+        def build(faults=None, telemetry=None):
             return make_sdr_pair(
-                seed=1, bandwidth_bps=10e9, chunk=16 * KiB, faults=faults
+                seed=1, bandwidth_bps=10e9, chunk=16 * KiB, faults=faults,
+                telemetry=telemetry,
             )
 
         rtt = build().channel.rtt
-        pair = build(
-            FaultSchedule((FaultWindow(kind="blackout", start=3 * rtt),))
-        )
         ring = RingBufferSink()
-        pair.sim.telemetry.trace.enabled = True
-        pair.sim.telemetry.trace.add_sink(ring)
+        pair = build(
+            FaultSchedule((FaultWindow(kind="blackout", start=3 * rtt),)),
+            Telemetry(trace=True, trace_sinks=[ring]),
+        )
         cfg = SrConfig(max_message_retransmits=4, max_resumptions=1)
         sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
         receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
@@ -136,10 +136,11 @@ class TestSrResume:
         ends at 3.6 RTT); the simulation stops as the resume begins."""
         size = 256 * KiB
         rtt = make_sdr_pair(seed=0).channel.rtt
-        pair = make_sdr_pair(seed=0, faults=data_blackout(rtt, end_rtts=3.6))
         ring = RingBufferSink()
-        pair.sim.telemetry.trace.enabled = True
-        pair.sim.telemetry.trace.add_sink(ring)
+        pair = make_sdr_pair(
+            seed=0, faults=data_blackout(rtt, end_rtts=3.6),
+            telemetry=Telemetry(trace=True, trace_sinks=[ring]),
+        )
         cfg = SrConfig(max_message_retransmits=8, max_resumptions=1)
         sender = SrSender(pair.qp_a, pair.ctrl_a, cfg)
         receiver = SrReceiver(pair.qp_b, pair.ctrl_b, cfg)
@@ -296,16 +297,13 @@ def run_failover(*, seed=0, recover=True, trace_buf=None, resumptions=2):
     size = 512 * KiB  # 64 chunks at the 8 KiB default
     pair = make_sdr_pair(seed=seed, planes=2, spread="packet")
     rtt = pair.channel.rtt
+    ring = RingBufferSink()
+    sinks = [ring] if trace_buf is None else [JsonlSink(trace_buf), ring]
     pair = make_sdr_pair(
         seed=seed, planes=2, spread="packet",
         faults=data_blackout(rtt, end_rtts=30.0, plane=0),
+        telemetry=Telemetry(trace=True, trace_sinks=sinks),
     )
-    if trace_buf is not None:
-        pair.sim.telemetry.trace.enabled = True
-        pair.sim.telemetry.trace.add_sink(JsonlSink(trace_buf))
-    ring = RingBufferSink()
-    pair.sim.telemetry.trace.enabled = True
-    pair.sim.telemetry.trace.add_sink(ring)
     cfg = SrConfig(
         max_message_retransmits=64,
         max_resumptions=resumptions if recover else 0,

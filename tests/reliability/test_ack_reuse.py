@@ -102,7 +102,7 @@ def test_lossy_nack_and_ecn_polls_reuse_what_a_fresh_encode_rebuilds(tally):
         pair.sim.run(sender.write(size, payload).done)
         assert rx.done.ok and bytes(buf) == payload
     metrics = pair.sim.telemetry.metrics
-    assert receiver.nacks_sent > 0
+    assert receiver._m_nacks_sent.value > 0
     assert sum(
         metrics.value(n) for n in metrics.names("net") if n.endswith("ecn_marked")
     ) > 0
@@ -136,7 +136,7 @@ def _incast_control(monkeypatch, final_ack):
         m.setattr(SrReceiver, "_send_final_ack", counted_final_ack)
         result = run_incast(senders=8, cc="swift", messages_per_sender=6)
     assert result.delivered_messages == 48
-    metrics = result.telemetry.metrics
+    metrics = result.sim.telemetry.metrics
     acks = sum(
         metrics.value(n) for n in metrics.names("sr") if n.endswith(".acks_sent")
     )

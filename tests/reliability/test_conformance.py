@@ -25,7 +25,7 @@ from repro.reliability.ec import EcConfig
 from repro.reliability.messages import Done
 from repro.reliability.sr import SrConfig
 from repro.stack import endpoints
-from repro.telemetry import JsonlSink, RingBufferSink
+from repro.telemetry import JsonlSink, RingBufferSink, Telemetry
 
 from tests.conftest import make_sdr_pair
 from tests.reliability.conftest import random_payload
@@ -97,10 +97,9 @@ def data_blackout(start: float, end: float = math.inf) -> FaultSchedule:
 
 def transfer(scheme, knobs=None, *, seed=0, trace=None, **pair_kw):
     """One SIZE-byte write under ``scheme``; the simulation runs dry."""
-    pair = make_sdr_pair(seed=seed, inflight=64, **pair_kw)
     if trace is not None:
-        pair.sim.telemetry.trace.enabled = True
-        pair.sim.telemetry.trace.add_sink(trace)
+        pair_kw["telemetry"] = Telemetry(trace=True, trace_sinks=[trace])
+    pair = make_sdr_pair(seed=seed, inflight=64, **pair_kw)
     sender, receiver = SCHEMES[scheme][0](pair, **(knobs or {}))
     payload = random_payload(SIZE, seed)
     buf = bytearray(SIZE)

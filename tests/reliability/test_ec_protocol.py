@@ -29,7 +29,7 @@ class TestLossless:
         pair.sim.run(ticket.done)
         assert not ticket.fell_back_to_sr
         assert ticket.retransmitted_chunks == 0
-        assert receiver.submessages_decoded == 0
+        assert receiver._m_submessages_decoded.value == 0
 
     def test_data_integrity(self):
         pair, sender, receiver = make_ec()
@@ -81,7 +81,7 @@ class TestRecovery:
         dropped = pair.fabric.links[("dc-a", "dc-b")].forward.stats.packets_dropped
         assert dropped > 0
         assert bytes(buf) == payload
-        assert receiver.submessages_decoded > 0
+        assert receiver._m_submessages_decoded.value > 0
         assert not ticket.fell_back_to_sr
 
     def test_decode_writes_back_only_the_erased_chunks_of_its_message(self):
@@ -156,7 +156,7 @@ class TestFallback:
         pair.sim.run(ticket.done)
         assert ticket.fell_back_to_sr
         assert ticket.retransmitted_chunks > 0
-        assert receiver.nacks_sent > 0
+        assert receiver._m_nacks_sent.value > 0
         assert bytes(buf) == payload
 
     def test_fallback_time_includes_fto(self):

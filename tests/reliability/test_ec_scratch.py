@@ -47,7 +47,7 @@ def test_registrations_stop_growing_and_every_buffer_is_exact():
         mkeys[i] = len(pair.dev_b.mkeys)
     assert mkeys[10] == mkeys[40] == mkeys[1]
     assert len(scratch) == L  # one message's worth, serving all 40
-    assert receiver.submessages_decoded > 0  # and reused for decodes
+    assert receiver._m_submessages_decoded.value > 0  # and reused for decodes
 
 
 def test_late_parity_dies_on_the_null_mkey_while_its_scratch_serves_on():
@@ -70,9 +70,9 @@ def test_late_parity_dies_on_the_null_mkey_while_its_scratch_serves_on():
     assert null.write_count > null_writes
     assert sum(s.write_count for s in scratch) == scratch_writes
 
-    decoded = receiver.submessages_decoded
+    decoded = receiver._m_submessages_decoded.value
     pair.sim.run(sender.write(SIZE, payloads[1]).done)
-    assert receiver.submessages_decoded > decoded  # decoded from reused scratch
+    assert receiver._m_submessages_decoded.value > decoded  # decoded from reused scratch
     assert rx2.done.ok and bytes(bufs[1]) == payloads[1]
     assert bytes(bufs[0]) == payloads[0]
 
@@ -117,19 +117,19 @@ def test_a_resume_request_during_grace_decodes_nothing_from_reused_scratch():
     payloads = [random_payload(SIZE, s) for s in (1, 2)]
     tickets = []
     for buf, payload in zip(bufs, payloads):
-        decoded = receiver.submessages_decoded
+        decoded = receiver._m_submessages_decoded.value
         tickets.append(
             receiver.post_receive(pair.ctx_b.mr_reg(SIZE, data=buf), SIZE)
         )
         pair.sim.run(sender.write(SIZE, payload).done)
-        assert receiver.submessages_decoded > decoded
+        assert receiver._m_submessages_decoded.value > decoded
     first, second = tickets
     assert set(_scratch(second)) == set(_scratch(first))
-    decoded = receiver.submessages_decoded
+    decoded = receiver._m_submessages_decoded.value
     pair.ctrl_a.send(ResumeReq(msg_seq=first.seq, attempt=1))
     pair.sim.run()
     assert first.resumptions == 1
-    assert receiver.submessages_decoded == decoded
+    assert receiver._m_submessages_decoded.value == decoded
     assert bytes(bufs[0]) == payloads[0] and bytes(bufs[1]) == payloads[1]
 
 

@@ -1,8 +1,11 @@
 """Go-Back-N over SDR: correctness and the SR-beats-GBN comparison."""
 
+import numpy as np
 import pytest
 
+from repro.common.errors import DeliveryError
 from repro.common.units import KiB, MiB
+from repro.faults import FaultSchedule, FaultWindow
 from repro.reliability.gbn import GbnReceiver, GbnSender
 from repro.reliability.messages import EcAck
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
@@ -11,12 +14,38 @@ from tests.conftest import make_sdr_pair
 from tests.reliability.conftest import random_payload
 
 
-def make_gbn(*, drop=0.0, seed=0, window=64, **pair_kw):
+def make_gbn(*, drop=0.0, seed=0, window=64, cfg=None, **pair_kw):
     pair = make_sdr_pair(drop=drop, seed=seed, **pair_kw)
-    cfg = SrConfig()
+    cfg = cfg or SrConfig()
     sender = GbnSender(pair.qp_a, pair.ctrl_a, cfg, window_chunks=window)
     receiver = GbnReceiver(pair.qp_b, pair.ctrl_b, cfg)
     return pair, sender, receiver
+
+
+class TestGiveUp:
+    def test_a_spent_budget_fails_with_the_acked_prefix(self):
+        """A data path that dies mid-write spends GBN's retransmit budget:
+        the write fails naming the budget, and its bitmap is the
+        cumulatively ACKed prefix, all that GBN knows arrived."""
+        rtt = make_sdr_pair().channel.rtt
+        pair, sender, receiver = make_gbn(
+            cfg=SrConfig(max_message_retransmits=4), window=8,
+            faults=FaultSchedule(
+                (FaultWindow(kind="blackout", start=2 * rtt, selector="data"),)
+            ),
+        )
+        size = 1 * MiB
+        receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+        ticket = sender.write(size)
+        with pytest.raises(DeliveryError, match="retransmit budget") as excinfo:
+            pair.sim.run(ticket.done)
+        err = excinfo.value
+        bits = np.unpackbits(np.frombuffer(err.bitmap, dtype=np.uint8))
+        delivered = bits[: err.total_chunks].astype(bool)
+        assert 0 < err.delivered_chunks < err.total_chunks
+        assert delivered.tolist() == [
+            i < err.delivered_chunks for i in range(err.total_chunks)
+        ]
 
 
 class TestLossless:

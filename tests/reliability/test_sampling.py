@@ -58,7 +58,7 @@ class TestDelivery:
         assert bytes(mr.data) == payload
         assert wt.retransmitted_chunks == 0
         # No gaps -> no repair requests; the receiver only sent Done(s).
-        assert r.repair_requests_sent == 0
+        assert r._m_repair_reqs.value == 0
 
     def test_a_repair_request_for_an_unsent_chunk_waits_for_the_first_pass(self):
         """Injecting 4 MiB at 10 Gbit/s outlasts the RTT, so the receiver's
@@ -66,7 +66,7 @@ class TestDelivery:
         lossless link none of them is re-sent."""
         pair, s, r = make_sampling(bandwidth_bps=10e9, seed=1)
         wt, rt, mr, payload = deliver(pair, s, r, 4 * 1024 * 1024)
-        assert r.repair_requests_sent > 0 and wt.nacks_received > 0
+        assert r._m_repair_reqs.value > 0 and wt.nacks_received > 0
         assert wt.retransmitted_chunks == 0
         assert bytes(mr.data) == payload
 
@@ -89,7 +89,7 @@ class TestDelivery:
         assert wt.done.triggered and not wt.failed
         assert bytes(mr.data) == payload
         assert wt.retransmitted_chunks > 0
-        assert r.repair_requests_sent > 0
+        assert r._m_repair_reqs.value > 0
 
     def test_sends_far_fewer_control_bytes_than_sr(self):
         # The protocol's reason to exist: at moderate loss the receiver

@@ -116,7 +116,7 @@ class TestNack:
         receiver.post_receive(mr, size)
         ticket = sender.write(size)
         pair.sim.run(ticket.done)
-        assert receiver.nacks_sent > 0
+        assert receiver._m_nacks_sent.value > 0
         assert ticket.nacks_received > 0
 
 
@@ -154,6 +154,37 @@ class TestFirstPass:
         assert any(met_at_post) and ticket.retransmitted_chunks > 0
         assert armed == list(range(size // (8 * KiB)))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 24(a): the first pass's wire target "
+        "min((index + 1) * ppc, posted) counts retransmitted packets as the "
+        "chunk's own, so a chunk can be armed before its last packet leaves",
+    )
+    def test_no_chunk_is_armed_before_its_own_last_packet_leaves(self):
+        """Same setup as above: each first-pass chunk's RTO clock starts only
+        once the NIC injected every packet posted up to and with it."""
+        cfg = SrConfig(nack_enabled=True)
+        pair, sender, receiver = make_sr(drop=0.02, seed=3, config=cfg, bandwidth_bps=1e9)
+        own_last, early = {}, []
+        send, arm = sender._send_chunk, sender._arm
+
+        def record_send(state, index, **kw):
+            send(state, index, **kw)
+            own_last.setdefault(index, state.hdl.packets_posted)
+
+        def record_arm(state, index, *, kick=True):
+            if kick and state.hdl.packets_injected < own_last[index]:
+                early.append(index)
+            arm(state, index, kick=kick)
+
+        sender._send_chunk, sender._arm = record_send, record_arm
+        size = 512 * KiB
+        receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+        ticket = sender.write(size)
+        pair.sim.run(ticket.done)
+        assert not ticket.failed
+        assert early == []
+
     def test_a_write_that_fails_mid_pass_posts_no_more_chunks(self):
         cfg = SrConfig(nack_enabled=True, max_message_retransmits=1)
         pair, sender, receiver = make_sr(drop=0.05, seed=2, config=cfg, bandwidth_bps=1e9)
@@ -166,6 +197,22 @@ class TestFirstPass:
         posted = hdl.packets_posted
         pair.sim.run(until=pair.sim.now + 0.05)  # past the whole 33 ms pass
         assert hdl.packets_posted == posted < size // (4 * KiB)
+
+
+class TestServeDeadline:
+    def test_a_receive_past_its_serve_deadline_fails_with_what_arrived(self):
+        """No write reaches a receive whose serve deadline is finite: it
+        fails at the deadline, naming it, with an empty chunk bitmap."""
+        pair, sender, receiver = make_sr(config=SrConfig(serve_deadline_rtts=4.0))
+        size = 64 * KiB
+        ticket = receiver.post_receive(pair.ctx_b.mr_reg(size), size)
+        with pytest.raises(
+            DeliveryError, match="receive seq=0 incomplete at serve deadline"
+        ) as excinfo:
+            pair.sim.run(ticket.done)
+        err = excinfo.value
+        assert (err.delivered_chunks, err.total_chunks) == (0, size // (8 * KiB))
+        assert pair.sim.now >= 4.0 * pair.channel.rtt
 
 
 class TestControlPathLoss:

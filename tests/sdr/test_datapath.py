@@ -114,7 +114,7 @@ class TestPartialCompletion:
             hi = min(lo + ppc, rh.npackets)
             assert not pkt_arr[lo:hi].all()
         # And every set chunk is fully backed by received packets.
-        for chunk in rh.bitmap().set_indices():
+        for chunk in np.flatnonzero(rh.bitmap().as_array()):
             lo = int(chunk) * ppc
             hi = min(lo + ppc, rh.npackets)
             assert pkt_arr[lo:hi].all()

@@ -12,14 +12,14 @@ from repro.sdr.imm import ImmLayout, UserImmAssembler
 class TestLayout:
     def test_default_split_capacities(self):
         layout = ImmLayout()
-        assert layout.max_msg_ids == 1024
-        assert layout.max_packet_index == 2**18
+        assert 1 << layout.msg_id_bits == 1024
+        assert 1 << layout.offset_bits == 2**18
         assert layout.user_fragments == 8
 
     def test_alternative_split(self):
         layout = ImmLayout(msg_id_bits=8, offset_bits=22, user_imm_bits=2)
-        assert layout.max_msg_ids == 256
-        assert layout.max_packet_index == 2**22
+        assert 1 << layout.msg_id_bits == 256
+        assert 1 << layout.offset_bits == 2**22
         assert layout.user_fragments == 16
 
     def test_split_must_total_32(self):

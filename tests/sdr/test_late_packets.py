@@ -31,7 +31,7 @@ class TestEarlyCompletion:
         assert bytes(buf) == snapshot
         assert p.qp_b.root_table.null_mr.write_count > 0
         # ...and completions filtered before corrupting bitmaps.
-        assert p.qp_b.late_cqes_filtered > 0
+        assert p.qp_b._m_late_cqes.value > 0
         assert rh.packet_bitmap.count() == 0
 
     def test_slot_reuse_after_complete(self):
@@ -89,7 +89,7 @@ class TestGenerations:
             generation=3,  # wrong generation
         )
         assert p.qp_b._process_data_cqe(stale) is False
-        assert p.qp_b.late_cqes_filtered == 1
+        assert p.qp_b._m_late_cqes.value == 1
         assert rh.packet_bitmap.count() == 0
 
     def test_current_generation_cqe_accepted(self, sdr_pair):
@@ -119,7 +119,7 @@ class TestGenerations:
             generation=0,
         )
         assert p.qp_b._process_data_cqe(cqe) is False
-        assert p.qp_b.late_cqes_filtered == 1
+        assert p.qp_b._m_late_cqes.value == 1
 
     def test_out_of_range_packet_index_filtered(self, sdr_pair):
         p = sdr_pair

@@ -95,7 +95,7 @@ def test_lifecycle_packet_mode_drain():
         handles.append(sh)
         fired.append(_watch(p, sh))
     p.sim.run()
-    assert p.qp_a.send_cq.total_posted == 3 * SIZE // (4 * KiB)
+    assert p.qp_a.send_cq.sim.telemetry.metrics.value(f"cq.{p.qp_a.send_cq.name}.cqes_posted") == 3 * SIZE // (4 * KiB)
     _assert_retired_once(p, ring, handles, fired)
 
 

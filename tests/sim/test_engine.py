@@ -527,7 +527,7 @@ class TestTimer:
                     sim.call_at(0.6, timer.cancel)
             sim.run()
             series = sampler.series("app.ticks")
-            return sampler.windows_closed, series and series.points()
+            return sampler.windows_closed, series and list(zip(series.times, series.values))
 
         # A dead entry closes the windows a live one at its instant would.
         assert sampled("dead") == sampled("live")
@@ -594,7 +594,8 @@ class TestRunVersusStep:
             sim.call_at(attach_at, attach)
         drive(sim)
         series = {
-            name: sampler.series(name).points() for name in sampler.names()
+            name: list(zip(sampler.series(name).times, sampler.series(name).values))
+            for name in sampler.names()
         }
         categories = sorted(
             (c["category"], c["events"]) for c in profiler.report()["categories"]

@@ -75,8 +75,9 @@ class TestSamplerDeterminism:
         assert trace_a == trace_b
         assert snap_a == snap_b
         for name in sampler_a.names():
-            assert sampler_a.series(name).points() == (
-                sampler_b.series(name).points()
+            a, b = sampler_a.series(name), sampler_b.series(name)
+            assert list(zip(a.times, a.values)) == (
+                list(zip(b.times, b.values))
             )
 
     def test_armed_trace_equals_unarmed_trace(self):

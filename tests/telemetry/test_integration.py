@@ -21,14 +21,17 @@ MIB = 1 << 20
 
 
 @pytest.fixture(scope="module")
-def sr_result():
+def sr_sinks():
+    """The ring and Chrome sinks :func:`sr_result` traces into."""
+    return RingBufferSink(), ChromeTraceSink()
+
+
+@pytest.fixture(scope="module")
+def sr_result(sr_sinks):
     """One lossy SR-over-WAN run, shared across this module's tests."""
     return run_demo(
         protocol="sr", messages=2, message_bytes=MIB, drop=0.01, seed=1,
-        telemetry=Telemetry(
-            trace=True,
-            trace_sinks=[RingBufferSink(), ChromeTraceSink()],
-        ),
+        telemetry=Telemetry(trace=True, trace_sinks=list(sr_sinks)),
     )
 
 
@@ -62,8 +65,8 @@ class TestDemoRun:
         )
         assert cqes > 0
 
-    def test_trace_spans_cover_layers(self, sr_result):
-        ring = sr_result.telemetry.trace.sinks[0]
+    def test_trace_spans_cover_layers(self, sr_result, sr_sinks):
+        ring = sr_sinks[0]
         cats = {e.cat for e in ring.events}
         assert {"net", "sdr", "sr", "dpa"} <= cats
         spans = [e for e in ring.events if e.ph == "X"]
@@ -73,8 +76,8 @@ class TestDemoRun:
             "net.dc-a<->dc-b.fwd.packets_dropped"
         )
 
-    def test_chrome_trace_validates(self, sr_result):
-        chrome = sr_result.telemetry.trace.sinks[1]
+    def test_chrome_trace_validates(self, sr_result, sr_sinks):
+        chrome = sr_sinks[1]
         doc = json.loads(chrome.to_json())
         assert isinstance(doc["traceEvents"], list) and doc["traceEvents"]
         for e in doc["traceEvents"]:

@@ -66,8 +66,7 @@ class TestTracer:
 
     def test_fan_out_to_multiple_sinks(self):
         a, b = RingBufferSink(), RingBufferSink()
-        tracer = make_tracer(a)
-        tracer.add_sink(b)
+        tracer = make_tracer(a, b)
         tracer.instant("x", cat="c", track="t")
         assert a.total_emitted == b.total_emitted == 1
 

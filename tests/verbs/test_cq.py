@@ -22,14 +22,14 @@ class TestCq:
             cq.push(cqe(imm=i))
         got = cq.poll(max_entries=10)
         assert [c.immediate for c in got] == [0, 1, 2]
-        assert len(cq) == 0
+        assert len(cq.entries) == 0
 
     def test_poll_limit(self):
         cq = CompletionQueue(Simulator())
         for i in range(5):
             cq.push(cqe())
         assert len(cq.poll(max_entries=2)) == 2
-        assert len(cq) == 3
+        assert len(cq.entries) == 3
 
     def test_poll_invalid_limit(self):
         with pytest.raises(ResourceError):
@@ -39,14 +39,15 @@ class TestCq:
         cq = CompletionQueue(Simulator(), capacity=2)
         for _ in range(4):
             cq.push(cqe())
-        assert len(cq) == 2
-        assert cq.overflows == 2
-        assert cq.total_posted == 2
+        assert len(cq.entries) == 2
+        metrics = cq.sim.telemetry.metrics
+        assert metrics.value(f"cq.{cq.name}.overflows") == 2
+        assert metrics.value(f"cq.{cq.name}.cqes_posted") == 2
 
     def test_listener_invoked(self):
         cq = CompletionQueue(Simulator())
         seen = []
-        cq.attach(lambda q: seen.append(len(q)))
+        cq.attach(lambda q: seen.append(len(q.entries)))
         cq.push(cqe())
         assert seen == [1]
 

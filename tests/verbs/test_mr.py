@@ -51,7 +51,7 @@ class TestNullMr:
 class TestIndirectTable:
     def test_slots_start_null(self):
         table = IndirectMkeyTable(num_slots=4, slot_bytes=100)
-        assert all(table.is_null(i) for i in range(4))
+        assert all(table.resolve(i * 100)[0] is table.null_mr for i in range(4))
 
     def test_bind_and_resolve(self):
         table = IndirectMkeyTable(num_slots=4, slot_bytes=100)

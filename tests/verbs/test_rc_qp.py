@@ -32,7 +32,7 @@ class TestLossless:
         assert bytes(buf) == payload
         cqes = qa.send_cq.poll(10)
         assert [c.wr_id for c in cqes] == [1]
-        assert qa.retransmissions == 0
+        assert qa._m_retransmissions.value == 0
 
     def test_multiple_writes_in_order(self, wire):
         qa, qb = make_pair(wire)
@@ -71,7 +71,7 @@ class TestLossy:
             wire.fabric.links[("a", "b")].forward.stats.packets_dropped
         )
         if data_drops:
-            assert qa.retransmissions > 0
+            assert qa._m_retransmissions.value > 0
 
     def test_nak_triggers_rewind(self):
         wire = make_wire(drop=0.05, distance_km=50.0, seed=7)
@@ -81,7 +81,7 @@ class TestLossy:
         qa.post_send(SendWr(length=512 * KiB, rkey=mr.rkey, wr_id=0))
         wire.sim.run(until=30.0)
         assert len(qa.send_cq.poll(10)) == 1
-        assert qb.naks_sent > 0
+        assert qb._m_naks_sent.value > 0
 
     def test_go_back_n_retransmits_more_than_lost(self):
         # GBN's inefficiency: retransmissions exceed actual losses.
@@ -93,7 +93,7 @@ class TestLossy:
         wire.sim.run(until=60.0)
         assert len(qa.send_cq.poll(10)) == 1
         lost = wire.fabric.links[("a", "b")].forward.stats.packets_dropped
-        assert qa.retransmissions >= lost
+        assert qa._m_retransmissions.value >= lost
 
 
 class TestWindow:

@@ -87,7 +87,7 @@ class TestTracedPaths:
             ))
         (abort,) = [e for e in ring.events if e.name == "psn_abort"]
         assert abort.args == {"expected_psn": 1}  # PSN 1 never came
-        assert qb.messages_aborted == 1
+        assert qb._m_aborted.value == 1
 
     def test_an_rc_timeout_records_the_rewind(self):
         wire, ring = _traced_wire(drop=0.05, seed=3)

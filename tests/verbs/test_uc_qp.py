@@ -124,7 +124,7 @@ class TestEpsnSemantics:
         cqes = qb.recv_cq.poll(10)
         assert len(cqes) == 1
         assert cqes[0].byte_len == 24
-        assert qb.messages_aborted == 0
+        assert qb._m_aborted.value == 0
 
     def test_psn_gap_aborts_whole_message(self, wire):
         # Drop the middle packet: LAST arrives with wrong ePSN -> no CQE.
@@ -134,7 +134,7 @@ class TestEpsnSemantics:
             self._packet(qb, mr, op=Opcode.WRITE_LAST_IMM, psn=2, offset=16, imm=5)
         )
         assert len(qb.recv_cq.poll(10)) == 0
-        assert qb.messages_aborted == 1
+        assert qb._m_aborted.value == 1
 
     def test_middle_without_first_is_dropped(self, wire):
         qb, mr, buf = self._recv_qp(wire)
@@ -156,7 +156,7 @@ class TestEpsnSemantics:
         cqes = qb.recv_cq.poll(10)
         assert len(cqes) == 4
         assert bytes(buf[:32]) == b"".join(bytes([p]) * 8 for p in range(4))
-        assert qb.messages_aborted == 0  # nothing was in flight
+        assert qb._m_aborted.value == 0  # nothing was in flight
 
     def test_single_packet_write_aborts_only_a_message_in_flight(self, wire):
         qb, mr, buf = self._recv_qp(wire)
@@ -165,7 +165,7 @@ class TestEpsnSemantics:
             qb.on_packet(
                 self._packet(qb, mr, op=Opcode.WRITE_ONLY_IMM, psn=psn, imm=psn)
             )
-        assert qb.messages_aborted == 1
+        assert qb._m_aborted.value == 1
         assert [c.immediate for c in qb.recv_cq.poll(10)] == [1, 2]
 
     def test_first_resynchronizes_after_abort(self, wire):

@@ -42,8 +42,8 @@ class TestDatagrams:
         for i in range(3):
             qa.post_send(SendWr(length=4, payload=b"ping", immediate=i))
         wire.sim.run()
-        assert len(qb.recv_cq) == 0
-        assert qb.recv_cq.total_posted == 3
+        assert len(qb.recv_cq.entries) == 0
+        assert qb.recv_cq.sim.telemetry.metrics.value(f"cq.{qb.recv_cq.name}.cqes_posted") == 3
 
     def test_mtu_enforced(self, wire):
         qa, qb = make_pair(wire)
