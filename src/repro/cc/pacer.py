@@ -33,8 +33,7 @@ link, which is exactly the bug sharing exists to fix.
 
 With ``planes > 1`` the budget splits into per-plane buckets keyed by
 ``flow % planes`` -- matching :class:`~repro.net.multipath.BondedChannel`
-flow-hash spraying -- unless :meth:`bind_flow` pinned the flow to an
-explicit plane, and :meth:`plane_backlog` exposes each bucket's deficit
+flow-hash spraying -- and :meth:`plane_backlog` exposes each bucket's deficit
 so :class:`~repro.recovery.PlaneRecovery` can fold self-imposed pacing
 delay out of its plane-health latency signal.
 """
@@ -169,9 +168,6 @@ class Pacer:
         self.buckets = buckets
         self.planes = buckets.planes
         self.burst_bytes = buckets.burst_bytes
-        #: Explicit flow -> plane pins (see :meth:`bind_flow`); flows not
-        #: listed fall back to ``flow % planes``.
-        self._flow_planes: dict[int, int] = {}
         scope = sim.telemetry.metrics.scope(f"cc.{name}")
         self._m_paced = scope.counter("paced_packets")
         self._m_stalls = scope.counter("pacing_stalls")
@@ -190,24 +186,9 @@ class Pacer:
 
     # -- actuation ---------------------------------------------------------------
 
-    def bind_flow(self, flow: int, plane: int) -> None:
-        """Pin ``flow``'s reserves to an explicit plane bucket.
-
-        Without a binding, ``reserve`` maps ``flow % planes`` -- correct
-        for flow-hash spraying, where the plane *is* the QPN residue, but
-        wrong for any other flow-to-plane assignment.  Multiplexing
-        layers that place flows on planes explicitly must register the
-        placement here so flows sharing a plane share its bucket.
-        """
-        if not 0 <= plane < self.planes:
-            raise ConfigError(
-                f"plane must be in [0, {self.planes}), got {plane}"
-            )
-        self._flow_planes[flow] = plane
-
     def plane_of(self, flow: int) -> int:
-        """The bucket ``flow`` draws from (bound plane or hash fallback)."""
-        return self._flow_planes.get(flow, flow % self.planes)
+        """The bucket ``flow`` draws from: the flow-hash spraying plane."""
+        return flow % self.planes
 
     def reserve(self, nbytes: int, *, flow: int = 0) -> float:
         """Charge ``nbytes`` to ``flow``'s bucket; seconds to wait before posting.

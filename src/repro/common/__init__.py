@@ -36,7 +36,6 @@ from repro.common.units import (
     Mbit,
     Tbit,
     distance_to_rtt,
-    rtt_to_distance,
 )
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "Tbit",
     "distance_to_rtt",
     "lazy_exports",
-    "rtt_to_distance",
 ]
 
 

@@ -51,20 +51,6 @@ class Bitmap:
             bm.set(i)
         return bm
 
-    @classmethod
-    def from_bytes(cls, nbits: int, raw: bytes | np.ndarray) -> "Bitmap":
-        """Reconstruct a bitmap from its wire encoding (LSB-first bytes)."""
-        bm = cls(nbits)
-        raw = bytes(raw)
-        if len(raw) != bm._nbytes():
-            raise ValueError(
-                f"need {bm._nbytes()} bytes for {nbits} bits, got {len(raw)}"
-            )
-        # Padding bits beyond nbits are masked out so nset stays consistent.
-        bm._bits = int.from_bytes(raw, "little") & ((1 << bm._nbits) - 1)
-        bm._nset = bm._bits.bit_count()
-        return bm
-
     def set(self, index: int) -> bool:
         """Set bit ``index``; return True if it transitioned 0 -> 1."""
         # Once per packet: an in-range ``int`` skips the checked ``_bit``.
@@ -75,19 +61,6 @@ class Bitmap:
         self._bits |= bit
         self._nset += 1
         return True
-
-    def clear(self, index: int) -> bool:
-        """Clear bit ``index``; return True if it transitioned 1 -> 0."""
-        bit = self._bit(index)
-        if not self._bits & bit:
-            return False
-        self._bits ^= bit
-        self._nset -= 1
-        return True
-
-    def test(self, index: int) -> bool:
-        """Return whether bit ``index`` is set."""
-        return bool(self._bits & self._bit(index))
 
     def reset(self) -> None:
         """Clear all bits (message-slot reuse on repost, Section 5.4.1)."""
@@ -133,9 +106,6 @@ class Bitmap:
             raise IndexError(f"start_bit {start_bit} out of range")
         window = self._bits.to_bytes(self._nbytes(), "little")[start_bit >> 3 :]
         return window if max_bytes is None else window[:max_bytes]
-
-    def __iter__(self) -> Iterator[bool]:
-        return iter(self.as_array().tolist())
 
     def _bit(self, index: int) -> int:
         """The mask of bit ``index``, range-checked."""

@@ -36,10 +36,3 @@ def distance_to_rtt(distance_km: float) -> float:
     if distance_km < 0:
         raise ValueError(f"distance must be non-negative, got {distance_km}")
     return 2.0 * distance_km / FIBER_KM_PER_S
-
-
-def rtt_to_distance(rtt_s: float) -> float:
-    """Inverse of :func:`distance_to_rtt`."""
-    if rtt_s < 0:
-        raise ValueError(f"rtt must be non-negative, got {rtt_s}")
-    return rtt_s * FIBER_KM_PER_S / 2.0

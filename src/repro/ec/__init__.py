@@ -43,22 +43,14 @@ from repro.ec.segmented import SegmentedCode, SegmentLayout
 
 if TYPE_CHECKING:
     from repro.ec.rs2d import Rs2dCode
-    from repro.ec.sampling import (
-        detection_probability,
-        draw_probes,
-        miss_probability,
-        probes_for_confidence,
-    )
+    from repro.ec.sampling import draw_probes, miss_probability
     from repro.ec.xor_code import XorCode
 
 #: The codecs beyond MDS, and the sampling math, load when a name is first
 #: read (:func:`get_codec` loads a built-in codec by its name).
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "rs2d": ("Rs2dCode",),
-    "sampling": (
-        "detection_probability", "draw_probes", "miss_probability",
-        "probes_for_confidence",
-    ),
+    "sampling": ("draw_probes", "miss_probability"),
     "xor_code": ("XorCode",),
 })
 
@@ -70,7 +62,6 @@ __all__ = [
     "SegmentLayout",
     "SegmentedCode",
     "XorCode",
-    "detection_probability",
     "draw_probes",
     "get_codec",
     "gf_inv",
@@ -81,6 +72,5 @@ __all__ = [
     "gf_mul_bytes",
     "gf_pow",
     "miss_probability",
-    "probes_for_confidence",
     "register_codec",
 ]

@@ -79,16 +79,6 @@ class ErasureCode(abc.ABC):
 
     # -- public wrappers (validation + accounting) ----------------------------------
 
-    @property
-    def parity_ratio(self) -> float:
-        """The paper's R = k/m."""
-        return self.k / self.m
-
-    @property
-    def rate(self) -> float:
-        """Code rate k / (k + m): fraction of wire bytes carrying data."""
-        return self.k / (self.k + self.m)
-
     def recoverable(self, present) -> bool:
         """Whether a boolean presence vector of length k+m is decodable."""
         present = np.asarray(present, dtype=bool)

@@ -52,28 +52,6 @@ def miss_probability(population: int, missing: int, probes: int) -> float:
     return math.exp(log_p)
 
 
-def detection_probability(population: int, missing: int, probes: int) -> float:
-    """P(at least one probe hits a missing chunk) = 1 - P_miss."""
-    return 1.0 - miss_probability(population, missing, probes)
-
-
-def probes_for_confidence(
-    population: int, missing: int, confidence: float
-) -> int:
-    """Minimum probes so a ``missing``-chunk gap is detected w.p. >= confidence."""
-    _validate(population, missing, 0)
-    if not 0.0 < confidence < 1.0:
-        raise ConfigError(
-            f"confidence must be in (0, 1), got {confidence}"
-        )
-    if missing == 0:
-        raise ConfigError("a zero-chunk gap can never be detected")
-    for probes in range(1, population):
-        if detection_probability(population, missing, probes) >= confidence:
-            return probes
-    return population  # a full scan always detects
-
-
 def draw_probes(
     rng: np.random.Generator, population: int, probes: int
 ) -> np.ndarray:

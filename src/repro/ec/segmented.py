@@ -4,9 +4,8 @@ A :class:`SegmentedCode` wraps any :class:`~repro.ec.codec.ErasureCode` and
 splits a message into segments of ``k`` chunks each; the final segment is
 deterministically zero-padded (pad byte ``0x00``, the Animica DA rule) so
 both endpoints derive identical coded bytes from the length alone.  Encoding
-is streaming-friendly -- :meth:`iter_encode` yields one segment's parity at
-a time so injection can overlap encoding -- and decoding is per-segment, so
-one unrecoverable segment never blocks the rest of the message.
+and decoding are per segment, so injection can overlap encoding and one
+unrecoverable segment never blocks the rest of the message.
 
 This is the one place a message is cut into segments.  The EC reliability
 scheme (``repro.reliability.ec``) is a :class:`SegmentedCode` whose segments
@@ -19,7 +18,6 @@ availability probes and repair requests are addressed per segment, with
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +121,6 @@ class SegmentedCode:
     def encode_segment(self, payload: bytes, layout: SegmentLayout, seg: int) -> np.ndarray:
         """The (m, chunk_bytes) parity array of segment ``seg``."""
         return self.base.encode(self.segment_data(payload, layout, seg))
-
-    def iter_encode(
-        self, payload: bytes, length: int
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Stream ``(segment, parity)`` pairs; encoding stays one segment deep."""
-        layout = self.layout(length)
-        for seg in range(layout.nsegments):
-            yield seg, self.encode_segment(payload, layout, seg)
 
     # -- decode -----------------------------------------------------------------------
 

@@ -16,10 +16,14 @@ ALL_FIGURES = [
 
 def main(argv: list[str]) -> int:
     names = argv or ALL_FIGURES
+    unknown = [name for name in names if name not in ALL_FIGURES]
+    if unknown:
+        print(
+            f"error: unknown experiment {unknown[0]!r}; choose from {ALL_FIGURES}",
+            file=sys.stderr,
+        )
+        return 2
     for name in names:
-        if name not in ALL_FIGURES:
-            print(f"unknown experiment {name!r}; choose from {ALL_FIGURES}")
-            return 2
         module = __import__(f"repro.experiments.{name}", fromlist=["run"])
         start = time.perf_counter()
         result = module.run()

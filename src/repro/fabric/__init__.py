@@ -61,7 +61,6 @@ if TYPE_CHECKING:
         FABRIC_SCHEDULES,
         ChaosConfig,
         ChaosResult,
-        FabricChaosPlane,
         chaos_scenario,
         fabric_schedule,
         install_fabric_faults,
@@ -71,7 +70,7 @@ if TYPE_CHECKING:
 #: Chaos and edge health load when a name is first read.
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "chaos": (
-        "FABRIC_SCHEDULES", "ChaosConfig", "ChaosResult", "FabricChaosPlane",
+        "FABRIC_SCHEDULES", "ChaosConfig", "ChaosResult",
         "chaos_scenario", "fabric_schedule", "install_fabric_faults",
     ),
     "health": ("BreakerConfig", "EdgeHealthMonitor"),
@@ -83,7 +82,6 @@ __all__ = [
     "ChaosResult",
     "EdgeHealthMonitor",
     "FABRIC_SCHEDULES",
-    "FabricChaosPlane",
     "FabricNetwork",
     "chaos_scenario",
     "fabric_schedule",

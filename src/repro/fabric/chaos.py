@@ -47,7 +47,8 @@ from repro.fabric.report import metrics_digest
 from repro.fabric.scenarios import arm_slo, two_tier_of
 from repro.fabric.service import FabricService, FabricServiceConfig, TenantSpec
 from repro.fabric.topology import FabricNetwork
-from repro.faults.inject import install_edge_faults, uninstall_edge_faults
+from repro.faults.channel import FaultyChannel
+from repro.faults.inject import install_edge_faults
 from repro.faults.schedule import FaultSchedule, FaultWindow
 from repro.stack import build_fabric
 from repro.telemetry import SloConfig, SloSummary, Telemetry
@@ -56,7 +57,6 @@ __all__ = [
     "FABRIC_SCHEDULES",
     "ChaosConfig",
     "ChaosResult",
-    "FabricChaosPlane",
     "chaos_scenario",
     "fabric_schedule",
     "install_fabric_faults",
@@ -136,42 +136,9 @@ def fabric_schedule(
 # -- installation ----------------------------------------------------------------
 
 
-class FabricChaosPlane:
-    """Handle over the installed per-edge fault wrappers.
-
-    ``disarm`` turns every wrapper into a passthrough (the zero-diff
-    "constructed but disarmed" mode); ``uninstall`` additionally swaps
-    the original channels back.  Both are idempotent and safe to call
-    unconditionally at teardown.
-    """
-
-    def __init__(self, network: FabricNetwork, wrappers: dict):
-        self.network = network
-        #: ``(u, v)`` (sorted undirected key) -> (forward, reverse) wrappers.
-        self.wrappers = wrappers
-
-    @property
-    def links(self) -> list[tuple[str, str]]:
-        return sorted(self.wrappers)
-
-    def disarm(self) -> None:
-        for key in self.links:
-            fwd, rev = self.wrappers[key]
-            fwd.disarm()
-            rev.disarm()
-
-    def uninstall(self) -> int:
-        """Remove every installed wrapper; returns links actually unwrapped."""
-        removed = 0
-        for u, v in self.links:
-            if uninstall_edge_faults(self.network, u, v):
-                removed += 1
-        return removed
-
-
 def install_fabric_faults(
     network: FabricNetwork, schedule: FaultSchedule
-) -> FabricChaosPlane:
+) -> dict[tuple[str, str], tuple[FaultyChannel, FaultyChannel]]:
     """Arm ``schedule``'s fabric windows against ``network``.
 
     ``edge_down`` windows target their named link; ``node_crash`` windows
@@ -179,6 +146,7 @@ def install_fabric_faults(
     Windows landing on the same physical link merge into one per-link
     schedule, and links are wrapped in sorted order -- installation is a
     pure function of (topology, schedule), no RNG, no dict-order leaks.
+    Returns the (forward, reverse) wrappers by sorted undirected link.
     """
     per_link: dict[tuple[str, str], list[FaultWindow]] = {}
     for w in schedule.fabric_windows:
@@ -204,7 +172,7 @@ def install_fabric_faults(
             network, key[0], key[1],
             FaultSchedule(windows, name=schedule.name),
         )
-    return FabricChaosPlane(network, wrappers)
+    return wrappers
 
 
 # -- the survival experiment -----------------------------------------------------
@@ -228,9 +196,6 @@ class ChaosConfig(Bounded):
     schedule: str | None = field(
         default="tor_crash", metadata=bound(one_of=FABRIC_SCHEDULES, optional=True)
     )
-    #: ``False`` installs the wrappers and immediately disarms them: the
-    #: run must be byte-identical to ``schedule=None`` (zero-diff check).
-    enabled: bool = True
     #: ``False`` skips the edge-health monitor: static routing, the
     #: documented near-total-loss counterfactual.
     health: bool = True
@@ -322,14 +287,10 @@ def chaos_scenario(
     )
     service = FabricService(network, config=service_config)
 
-    plane = None
     if config.schedule is not None:
-        schedule = fabric_schedule(
+        install_fabric_faults(network, fabric_schedule(
             config.schedule, rtt=rtt, wan_routers=config.wan_routers
-        )
-        plane = install_fabric_faults(network, schedule)
-        if not config.enabled:
-            plane.disarm()
+        ))
 
     # Deterministic cross-rack workload: host h{t}-{h} streams to its
     # peer h{(t + tors//2) % tors}-{h}, staggered so submissions never

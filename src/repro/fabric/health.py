@@ -27,7 +27,6 @@ traces to an unmonitored one.
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigError
 from repro.recovery.health import CLOSED, HALF_OPEN, OPEN, BreakerConfig, BreakerSet
 
 __all__ = ["EdgeHealthMonitor", "BreakerConfig", "CLOSED", "HALF_OPEN", "OPEN"]
@@ -82,13 +81,6 @@ class EdgeHealthMonitor(BreakerSet):
         the probe that decides whether they close or re-trip.
         """
         return frozenset(self._open)
-
-    def state(self, u: str, v: str) -> str:
-        """Breaker state of the ``u`` -> ``v`` edge."""
-        try:
-            return self.breakers[(u, v)].state
-        except KeyError:
-            raise ConfigError(f"no edge {u!r} -> {v!r}") from None
 
     def states(self) -> dict[tuple[str, str], str]:
         """Every non-closed edge's breaker state (for reports/tests)."""

@@ -12,9 +12,6 @@ from repro.faults.inject import (
     install_dpa_faults,
     install_edge_faults,
     install_link_faults,
-    link_faults,
-    uninstall_edge_faults,
-    uninstall_link_faults,
 )
 from repro.faults.schedule import (
     CHANNEL_KINDS,
@@ -37,9 +34,6 @@ __all__ = [
     "install_dpa_faults",
     "install_edge_faults",
     "install_link_faults",
-    "link_faults",
     "named_schedule",
     "packet_class",
-    "uninstall_edge_faults",
-    "uninstall_link_faults",
 ]

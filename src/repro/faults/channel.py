@@ -101,7 +101,6 @@ class FaultyChannel:
         self._tx_windows: tuple = ()
         self._current_packet: Packet | None = None
         self._downstream: Callable[[Packet], None] | None = None
-        self._armed = True
 
         planes = getattr(inner, "planes", None)
         nplanes = len(planes) if planes else 0
@@ -163,11 +162,6 @@ class FaultyChannel:
                 )
 
     def _mark(self, name: str, w) -> None:
-        # Checked at fire time, not schedule time: a wrapper disarmed after
-        # construction must leave the trace byte-identical to a fault-free
-        # run (the "chaos plane constructed but disarmed" regression).
-        if not self._armed:
-            return
         if self._trace.enabled:
             extra = {} if w.plane is None else {"plane": w.plane}
             self._trace.instant(
@@ -181,8 +175,6 @@ class FaultyChannel:
         self._downstream = sink
 
     def transmit(self, packet: Packet) -> float:
-        if not self._armed:
-            return self.inner.transmit(packet)
         cls = packet_class(packet)
         self._tx_windows = tuple(
             w
@@ -217,23 +209,6 @@ class FaultyChannel:
     @property
     def stats(self):
         return self.inner.stats
-
-    @property
-    def planes(self):
-        """The inner bonded channel's planes (None for a plain link)."""
-        return getattr(self.inner, "planes", None)
-
-    def disarm(self) -> None:
-        """Stop executing the schedule: the wrapper becomes transparent.
-
-        Used by ``uninstall_link_faults`` -- QPs that connected while the
-        fault plane was installed cached this wrapper, so it must turn
-        into a passthrough rather than simply being unlinked.
-        """
-        self._armed = False
-        for ch in self.planes or [self.inner]:
-            if isinstance(ch.loss, _OverrideLoss):
-                ch.loss = ch.loss.base
 
     # -- fault execution -------------------------------------------------------
 
@@ -272,9 +247,6 @@ class FaultyChannel:
         RNG draw order is fixed (corrupt, then delay, then duplicate) so
         same-seed runs replay identically.
         """
-        if not self._armed:
-            self._pass(packet)
-            return
         now = self.sim.now
         active = [
             w

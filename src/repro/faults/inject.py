@@ -13,8 +13,6 @@ the same :class:`~repro.faults.FaultSchedule`.
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.common.errors import ConfigError
 from repro.faults.channel import FaultyChannel
 from repro.faults.schedule import FaultSchedule
@@ -41,15 +39,6 @@ def _link_lookup(fabric, a, b):
     return key, link, flipped, pair[::-1] if flipped else pair
 
 
-def _link_store(fabric, key, link, flipped, a_to_b, b_to_a) -> None:
-    """Record the ``a`` <-> ``b`` channels in the fabric's link registry."""
-    stored = (b_to_a, a_to_b) if flipped else (a_to_b, b_to_a)
-    if isinstance(link, DuplexLink):
-        link.forward, link.reverse = stored
-    else:
-        fabric.links[key] = stored
-
-
 def install_link_faults(
     fabric, a, b, schedule: FaultSchedule
 ) -> tuple[FaultyChannel, FaultyChannel]:
@@ -73,47 +62,12 @@ def install_link_faults(
     # Record the wrappers in the fabric's link registry too, so later
     # introspection (and the double-install guard above) sees the fault
     # plane.
-    _link_store(fabric, key, link, flipped, fwd, rev)
+    stored = (rev, fwd) if flipped else (fwd, rev)
+    if isinstance(link, DuplexLink):
+        link.forward, link.reverse = stored
+    else:
+        fabric.links[key] = stored
     return fwd, rev
-
-
-def uninstall_link_faults(fabric, a, b) -> bool:
-    """Undo :func:`install_link_faults` on the ``a`` <-> ``b`` link.
-
-    The original channels go back into the device link tables (so future
-    connections bypass the fault plane entirely), the wrapped loss models
-    are unwrapped, and the wrappers themselves are disarmed -- QPs that
-    connected while faults were installed cached the wrapper object, and
-    a disarmed wrapper is a pure passthrough.  Subsequent traffic is
-    fault-free either way.
-
-    Idempotent: returns ``True`` when a fault plane was removed, ``False``
-    when the link had none (so chaos teardown can be unconditional).
-    """
-    key, link, flipped, (fwd, rev) = _link_lookup(fabric, a, b)
-    if not (isinstance(fwd, FaultyChannel) and isinstance(rev, FaultyChannel)):
-        return False
-    fwd.disarm()
-    rev.disarm()
-    inner_fwd, inner_rev = fwd.inner, rev.inner
-    a.replace_link(b.name, outgoing=inner_fwd, incoming=inner_rev)
-    b.replace_link(a.name, outgoing=inner_rev, incoming=inner_fwd)
-    _link_store(fabric, key, link, flipped, inner_fwd, inner_rev)
-    return True
-
-
-@contextlib.contextmanager
-def link_faults(fabric, a, b, schedule: FaultSchedule):
-    """Context-manager form of :func:`install_link_faults`.
-
-    Yields the ``(forward, reverse)`` wrappers and uninstalls the fault
-    plane on exit, restoring the original links.
-    """
-    wrappers = install_link_faults(fabric, a, b, schedule)
-    try:
-        yield wrappers
-    finally:
-        uninstall_link_faults(fabric, a, b)
 
 
 def install_edge_faults(
@@ -150,24 +104,6 @@ def install_edge_faults(
     network.replace_channel(fwd_key, fwd)
     network.replace_channel(rev_key, rev)
     return fwd, rev
-
-
-def uninstall_edge_faults(network, u: str, v: str) -> bool:
-    """Undo :func:`install_edge_faults` on the ``u`` <-> ``v`` edge.
-
-    Idempotent: disarms and unwraps any installed wrappers and returns
-    ``True``; returns ``False`` when the edge carries no fault plane.
-    """
-    removed = False
-    for key in ((u, v), (v, u)):
-        channel = network.channels.get(key)
-        if channel is None:
-            raise ConfigError(f"no edge {key[0]!r} -> {key[1]!r}")
-        if isinstance(channel, FaultyChannel):
-            channel.disarm()
-            network.replace_channel(key, channel.inner)
-            removed = True
-    return removed
 
 
 def install_dpa_faults(sim, engine, schedule: FaultSchedule) -> int:

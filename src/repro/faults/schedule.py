@@ -43,8 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.common.config import Bounded, bound, check_bounds
 from repro.common.errors import ConfigError
 
@@ -65,10 +63,6 @@ FABRIC_KINDS = frozenset({"edge_down", "node_crash"})
 KINDS = CHANNEL_KINDS | DPA_KINDS | FABRIC_KINDS
 
 SELECTORS = ("all", "control", "data")
-#: Shape of :meth:`FaultSchedule.random`: at most this many windows, each
-#: starting within this many RTTs.
-RANDOM_MAX_WINDOWS = 3
-RANDOM_HORIZON_RTTS = 60.0
 
 
 @dataclass(frozen=True)
@@ -196,40 +190,6 @@ class FaultSchedule:
         ends = [w.end for w in self.windows if math.isfinite(w.end)]
         starts = [w.start for w in self.windows]
         return max(ends + starts, default=0.0)
-
-    # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def random(rng: np.random.Generator, *, rtt: float) -> "FaultSchedule":
-        """Seeded random blackout / reorder windows (the chaos-fuzz axis):
-        one to three, each starting within the first 60 RTTs.
-
-        Windows are short relative to the horizon so that a retry budget of
-        default size always outlives them -- the fuzz invariant stays
-        "eventual delivery", never "clean failure".
-        """
-        if rtt <= 0:
-            raise ConfigError(f"rtt must be > 0, got {rtt}")
-        n = int(rng.integers(1, RANDOM_MAX_WINDOWS + 1))
-        windows = []
-        for _ in range(n):
-            kind = ["blackout", "reorder"][int(rng.integers(0, 2))]
-            start = float(rng.uniform(0.0, RANDOM_HORIZON_RTTS * rtt))
-            duration = float(rng.uniform(1.0, 10.0)) * rtt
-            if kind == "blackout":
-                windows.append(
-                    FaultWindow(kind="blackout", start=start, end=start + duration)
-                )
-            else:
-                windows.append(
-                    FaultWindow(
-                        kind="reorder",
-                        start=start,
-                        end=start + duration,
-                        delay_jitter=float(rng.uniform(0.1, 2.0)) * rtt,
-                    )
-                )
-        return FaultSchedule(windows=tuple(windows), name="random")
 
 
 # -- named schedules ------------------------------------------------------------

@@ -65,4 +65,6 @@ def ge_chunk_drop_probability(
     survive = np.diag([1.0 - p_good, 1.0 - p_bad])
     step = transition @ survive
     weights = pi @ np.linalg.matrix_power(step, packets_per_chunk)
-    return float(1.0 - weights.sum())
+    # Rounding in the matrix power can leave the survival mass a few ulps
+    # above 1 (a lossless chain gave -1.78e-15): a probability is clamped.
+    return min(1.0, max(0.0, float(1.0 - weights.sum())))

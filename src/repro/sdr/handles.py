@@ -29,7 +29,6 @@ class SendHandle:
 
     def __init__(self, qp: "SdrQp", seq: int, msg_id: int, generation: int):
         self.qp = qp
-        self.sim: Simulator = qp.sim
         self.seq = seq
         self.msg_id = msg_id
         self.generation = generation
@@ -38,7 +37,6 @@ class SendHandle:
         self.bytes_posted = 0
         self.ended = False  # one-shot sends end implicitly
         self.cts_event: Event = qp.sim.event()
-        self._done_event: Event | None = None
         self._posted_at = qp.sim.now
         self._span_emitted = False
 
@@ -52,14 +50,6 @@ class SendHandle:
         """
         return self.ended and self.packets_injected >= self.packets_posted
 
-    def done(self) -> Event:
-        """Event that fires when :meth:`poll` would return True."""
-        if self._done_event is None:
-            self._done_event = self.sim.event()
-            if self.poll():
-                self._done_event.succeed(self)
-        return self._done_event
-
     # -- backend -----------------------------------------------------------------
 
     def _on_end(self) -> None:
@@ -67,19 +57,16 @@ class SendHandle:
         self._maybe_finish()
 
     def _maybe_finish(self) -> None:
-        if not self.poll():
+        if not self.poll() or self._span_emitted:
             return
-        if not self._span_emitted:
-            self._span_emitted = True
-            tr = self.qp._trace
-            if tr.enabled:
-                tr.complete(
-                    "send_inject", cat="sdr", track=self.qp._track,
-                    start=self._posted_at, seq=self.seq,
-                    bytes=self.bytes_posted, packets=self.packets_injected,
-                )
-        if self._done_event is not None and not self._done_event.triggered:
-            self._done_event.succeed(self)
+        self._span_emitted = True
+        tr = self.qp._trace
+        if tr.enabled:
+            tr.complete(
+                "send_inject", cat="sdr", track=self.qp._track,
+                start=self._posted_at, seq=self.seq,
+                bytes=self.bytes_posted, packets=self.packets_injected,
+            )
 
 
 class ChunkCount:

@@ -35,12 +35,8 @@ per category with call count, wall seconds and share.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
-
-if TYPE_CHECKING:
-    from repro.experiments.report import Table
 
 
 def _category_of_code(code) -> str:
@@ -180,27 +176,3 @@ class SimProfiler:
             ),
             "categories": categories,
         }
-
-    def table(self) -> Table:
-        """The hotspot ranking as a plain-text table (top 12 categories)."""
-        from repro.experiments.report import Table
-
-        report = self.report()
-        t = Table(
-            title="DES self-profile (wall-clock attribution)",
-            columns=["category", "events", "wall_ms", "share"],
-            notes=(
-                f"{report['events']} events in {report['wall_seconds']:.3f}s "
-                f"wall ({report['events_per_second']:.0f} ev/s, "
-                f"{report['wall_per_sim_second']:.1f}x realtime); engine "
-                f"overhead {report['engine_overhead_seconds'] * 1e3:.1f} ms"
-            ),
-        )
-        for entry in report["categories"][:12]:
-            t.add_row(
-                entry["category"],
-                entry["events"],
-                round(entry["wall_seconds"] * 1e3, 3),
-                round(entry["share"], 4),
-            )
-        return t

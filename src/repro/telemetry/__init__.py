@@ -41,7 +41,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     MetricsScope,
-    percentile_from_counts,
 )
 from repro.telemetry.trace import (
     ChromeTraceSink,
@@ -73,7 +72,6 @@ if TYPE_CHECKING:
         SloTracker,
     )
     from repro.telemetry.timeseries import (
-        HistogramWindow,
         TimeseriesSampler,
         WindowedSeries,
     )
@@ -86,7 +84,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "BurnPolicy", "SloConfig", "SloSpec", "SloStatus", "SloSummary",
         "SloTracker",
     ),
-    "timeseries": ("HistogramWindow", "TimeseriesSampler", "WindowedSeries"),
+    "timeseries": ("TimeseriesSampler", "WindowedSeries"),
 })
 
 __all__ = [
@@ -95,7 +93,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HistogramWindow",
     "LineageAnalyzer",
     "MessageLineage",
     "MetricsRegistry",
@@ -116,7 +113,6 @@ __all__ = [
     "ChromeTraceSink",
     "flow_key",
     "metric_name",
-    "percentile_from_counts",
     "render_openmetrics",
     "write_openmetrics",
 ]

@@ -394,20 +394,6 @@ class LineageAnalyzer:
 
     # -- reporting -------------------------------------------------------------
 
-    def publish(self, registry) -> None:
-        """Export ``lineage.*`` metrics into a registry."""
-        scope = registry.scope("lineage")
-        done = self.completed
-        scope.counter("messages").inc(len(done))
-        scope.counter("stragglers").inc(len(self.stragglers()))
-        span_h = scope.histogram("span_seconds")
-        for m in done:
-            span_h.observe(m.span)
-        for cat in ATTRIBUTION_CATEGORIES:
-            scope.counter(f"{cat}_seconds").inc(
-                sum(m.attribution.get(cat, 0.0) for m in done)
-            )
-
     def blame_table(self) -> Table:
         """Aggregate per-category blame across completed messages."""
         done = self.completed

@@ -30,32 +30,6 @@ from typing import Any
 from repro.common.errors import ConfigError
 
 
-def percentile_from_counts(
-    zeros: int, buckets: dict[int, int], count: int, q: float
-) -> float:
-    """Percentile over raw log-bucket counts (geometric bucket midpoint).
-
-    Shared by :meth:`Histogram.percentile` and the windowed histogram
-    snapshots in :mod:`repro.telemetry.timeseries`, so a per-window p99
-    computed from a bucket-dict *diff* agrees exactly with what a live
-    histogram holding only that window's observations would report.
-    """
-    if not 0 <= q <= 100:
-        raise ConfigError(f"percentile must be in [0, 100], got {q}")
-    if count == 0:
-        return 0.0
-    target = q / 100.0 * count
-    seen = zeros
-    if seen >= target and zeros:
-        return 0.0
-    # Some bucket is reached: ``zeros`` and the counts sum to ``count``.
-    for e in [e for e in sorted(buckets) if buckets[e]]:
-        seen += buckets[e]
-        if seen >= target:
-            break
-    return math.sqrt(2.0 ** (e - 1) * 2.0**e)
-
-
 class Counter:
     """A monotonically increasing count; hot paths do ``c.value += n``."""
 
@@ -152,15 +126,20 @@ class Histogram:
         has only observed zeros likewise reports 0.0 (the zero bucket
         covers every percentile).  Both are pinned by unit tests.
         """
-        return percentile_from_counts(self._zeros, self._buckets, self.count, q)
-
-    def bucket_counts(self) -> tuple[int, dict[int, int]]:
-        """Raw ``(zeros, {exponent: count})`` — the windowed-sampler feed.
-
-        The dict is a copy: callers may diff consecutive snapshots without
-        aliasing live state.
-        """
-        return self._zeros, dict(self._buckets)
+        if not 0 <= q <= 100:
+            raise ConfigError(f"percentile must be in [0, 100], got {q}")
+        if self.count == 0:
+            return 0.0
+        target = q / 100.0 * self.count
+        seen = self._zeros
+        if seen >= target and seen:
+            return 0.0
+        # Some bucket is reached: ``_zeros`` and the counts sum to ``count``.
+        for e in sorted(self._buckets):
+            seen += self._buckets[e]
+            if seen >= target:
+                break
+        return math.sqrt(2.0 ** (e - 1) * 2.0**e)
 
     def snapshot(self) -> dict[str, float]:
         return {
@@ -214,9 +193,6 @@ class MetricsScope:
 
     def histogram(self, name: str) -> Histogram:
         return self._registry.histogram(self._join(name))
-
-    def scope(self, prefix: str) -> "MetricsScope":
-        return MetricsScope(self._registry, self._join(prefix))
 
 
 class MetricsRegistry:

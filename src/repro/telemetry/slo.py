@@ -18,10 +18,6 @@ SLIs (each optional per spec; unset targets are not evaluated):
 ``delivery``
     Flows completed / flows resolved (completed + failed) over the
     lookback.  Target: a minimum ratio (e.g. 0.95).
-``p99``
-    99th-percentile flow completion seconds, computed from the *windowed*
-    histogram snapshot diff (so it reflects flows completed in the
-    lookback, not the lifetime tail).  Target: a maximum.
 ``retx``
     Retransmitted segments / (retransmitted + ACKed) over the lookback.
     Target: a maximum overhead fraction.
@@ -55,7 +51,7 @@ from repro.experiments.report import Table
 from repro.telemetry.timeseries import TimeseriesSampler
 
 #: SLI short names in evaluation order.
-SLI_NAMES = ("goodput", "delivery", "p99", "retx")
+SLI_NAMES = ("goodput", "delivery", "retx")
 
 
 @dataclass(frozen=True)
@@ -72,10 +68,6 @@ class SloSpec(Bounded):
     #: Minimum completed / resolved flow ratio.
     delivery_ratio: float | None = field(
         default=None, metadata=bound(gt=0, le=1, optional=True)
-    )
-    #: Maximum windowed p99 flow-completion seconds.
-    p99_completion_s: float | None = field(
-        default=None, metadata=bound(gt=0, optional=True)
     )
     #: Maximum retransmit overhead: retx / (retx + acked) segments.
     max_retx_overhead: float | None = field(
@@ -99,8 +91,6 @@ class SloSpec(Bounded):
             out["goodput"] = self.goodput_fraction
         if self.delivery_ratio is not None:
             out["delivery"] = self.delivery_ratio
-        if self.p99_completion_s is not None:
-            out["p99"] = self.p99_completion_s
         if self.max_retx_overhead is not None:
             out["retx"] = self.max_retx_overhead
         return out
@@ -264,15 +254,6 @@ class SloTracker:
             value = done / (done + failed)
             error = max(0.0, (target - value) / target)
             return value, min(1.0, error)
-        if sli == "p99":
-            hw = self.sampler.series(
-                self._metric(tenant, "completion_seconds")
-            ).histogram_window(windows)
-            if hw.count == 0:
-                return None, None
-            value = hw.percentile(99)
-            error = max(0.0, (value - target) / target)
-            return value, min(1.0, error)
         # retx overhead
         acked = self._delta(tenant, "segments_acked", windows)
         retx = self._delta(tenant, "retransmits", windows)
@@ -337,11 +318,6 @@ class SloTracker:
             if done + failed <= 0:
                 return None
             return done / (done + failed)
-        if sli == "p99":
-            hist = registry.get(self._metric(tenant, "completion_seconds"))
-            if hist is None or hist.count == 0:
-                return None
-            return hist.percentile(99)
         acked = registry.value(self._metric(tenant, "segments_acked"))
         retx = registry.value(self._metric(tenant, "retransmits"))
         if acked + retx <= 0:
@@ -363,7 +339,7 @@ class SloTracker:
                 value = self._lifetime(spec, sli, duration)
                 if value is None:
                     compliant = True  # never had signal: vacuously met
-                elif sli in ("p99", "retx"):
+                elif sli == "retx":
                     compliant = value <= target
                 else:
                     compliant = value >= target

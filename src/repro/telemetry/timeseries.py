@@ -15,11 +15,8 @@ the time dimension without touching determinism:
   trick as the recovery plane's lazy breaker evaluation).
 * Each watched instrument gets a :class:`WindowedSeries`: a fixed-capacity
   ring (``collections.deque(maxlen=...)``) of per-window values.  Counters
-  store cumulative values (deltas/rates are derived on read), gauges store
-  the value at the boundary, histograms store ``(count, sum, zeros,
-  buckets)`` snapshots so diffing two consecutive snapshots yields genuine
-  *per-window* percentiles via
-  :func:`~repro.telemetry.metrics.percentile_from_counts`.
+  store cumulative values (increments are derived on read), gauges store
+  the value at the boundary.  Histograms are not sampled.
 * Watching is prefix-based (``sampler.watch("fabric.tenant")``) and
   re-resolves lazily when the registry grows, so instruments created
   mid-run (a tenant admitted late, a pacer built on first use) join the
@@ -43,58 +40,25 @@ from collections import deque
 from collections.abc import Callable
 
 from repro.common.errors import ConfigError
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    percentile_from_counts,
-)
-
-
-class HistogramWindow:
-    """The delta of a histogram between two window closes."""
-
-    __slots__ = ("count", "sum", "zeros", "buckets")
-
-    def __init__(self, count: int, total: float, zeros: int, buckets: dict[int, int]):
-        self.count = count
-        self.sum = total
-        self.zeros = zeros
-        self.buckets = buckets
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Percentile of the observations made *within* this window."""
-        return percentile_from_counts(self.zeros, self.buckets, self.count, q)
+from repro.telemetry.metrics import Counter, Gauge, MetricsRegistry
 
 
 class WindowedSeries:
-    """Fixed-capacity ring of per-window samples of one instrument.
+    """Fixed-capacity ring of per-window samples of one counter or gauge.
 
-    ``kind`` is ``"counter"``, ``"gauge"`` or ``"histogram"``.  Counter
-    points are *cumulative* (monotone); use :meth:`deltas` / :meth:`rates`
-    / :meth:`delta_over` for per-window views.  Histogram points are
-    ``(count, sum, zeros, buckets)`` snapshot tuples; use
-    :meth:`histogram_window` for the per-lookback diff.
+    Counter points are *cumulative* (monotone); use :meth:`delta_over` for
+    the increment over a lookback.
     """
 
-    __slots__ = ("name", "kind", "times", "values")
+    __slots__ = ("name", "times", "values")
 
-    def __init__(self, name: str, kind: str, capacity: int):
+    def __init__(self, name: str, capacity: int):
         self.name = name
-        self.kind = kind
         self.times: deque[float] = deque(maxlen=capacity)
         self.values: deque = deque(maxlen=capacity)
 
     def _record(self, boundary: float, instrument) -> None:
-        if self.kind == "histogram":
-            zeros, buckets = instrument.bucket_counts()
-            self.values.append((instrument.count, instrument.sum, zeros, buckets))
-        else:
-            self.values.append(instrument.value)
+        self.values.append(instrument.value)
         self.times.append(boundary)
 
     # -- derived views ---------------------------------------------------------
@@ -102,16 +66,6 @@ class WindowedSeries:
     def latest(self):
         """The most recent recorded point (or None before the first window)."""
         return self.values[-1] if self.values else None
-
-    def rates(self) -> list[tuple[float, float]]:
-        """Per-point rates (delta / actual spacing) of a counter series."""
-        out = []
-        prev_t, prev_v = 0.0, 0.0
-        for t, v in zip(self.times, self.values):
-            span = t - prev_t
-            out.append((t, (v - prev_v) / span if span > 0 else 0.0))
-            prev_t, prev_v = t, v
-        return out
 
     def delta_over(self, windows: int) -> float:
         """Increment of a counter over the last ``windows`` closed windows."""
@@ -130,23 +84,6 @@ class WindowedSeries:
         if windows >= len(self.times):
             return self.times[-1]
         return self.times[-1] - self.times[-1 - windows]
-
-    def histogram_window(self, windows: int) -> HistogramWindow:
-        """Histogram delta over the last ``windows`` closed windows."""
-        if self.kind != "histogram":
-            raise ConfigError(f"{self.name!r} is a {self.kind} series")
-        count, total, zeros, buckets = self.values[-1]
-        if windows < len(self.values):
-            c0, s0, z0, b0 = self.values[-1 - windows]
-            count -= c0
-            total -= s0
-            zeros -= z0
-            buckets = {
-                e: n - b0.get(e, 0)
-                for e, n in buckets.items()
-                if n - b0.get(e, 0)
-            }
-        return HistogramWindow(count, total, zeros, buckets)
 
 
 class TimeseriesSampler:
@@ -207,10 +144,6 @@ class TimeseriesSampler:
 
     # -- inspection ------------------------------------------------------------
 
-    def names(self) -> list[str]:
-        """Sorted names of the series materialized so far."""
-        return list(self._names)
-
     def series(self, name: str) -> WindowedSeries | None:
         return self._series.get(name)
 
@@ -224,14 +157,8 @@ class TimeseriesSampler:
             for name in registry.names(prefix):
                 if name in self._series or name.startswith("timeseries"):
                     continue  # never sample our own meta metrics
-                instrument = registry.get(name)
-                if isinstance(instrument, Counter):
-                    kind = "counter"
-                elif isinstance(instrument, Gauge):
-                    kind = "gauge"
-                else:
-                    kind = "histogram"
-                self._series[name] = WindowedSeries(name, kind, self.capacity)
+                if isinstance(registry.get(name), (Counter, Gauge)):
+                    self._series[name] = WindowedSeries(name, self.capacity)
         self._names = sorted(self._series)
         self._registry_len = len(registry)
         self._g_series.set(len(self._names))

@@ -60,17 +60,6 @@ class MemoryRegion:
         self.bytes_written += length
         self.write_count += 1
 
-    def read(self, offset: int, length: int) -> bytes | None:
-        """Read ``length`` bytes at ``offset`` (None in sized mode)."""
-        if offset < 0 or offset + length > self.length:
-            raise ResourceError(
-                f"read [{offset}, {offset + length}) exceeds MR of length "
-                f"{self.length}"
-            )
-        if self.data is None:
-            return None
-        return bytes(self.data[offset : offset + length])
-
 
 class NullMemoryRegion(MemoryRegion):
     """Write sink that discards payloads but still yields completions."""
@@ -83,9 +72,6 @@ class NullMemoryRegion(MemoryRegion):
     def write(self, offset: int, length: int, payload: bytes | None) -> None:
         self.bytes_written += length
         self.write_count += 1
-
-    def read(self, offset: int, length: int) -> bytes | None:
-        raise ResourceError("cannot read from the NULL memory region")
 
 
 @dataclass

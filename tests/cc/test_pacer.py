@@ -138,26 +138,10 @@ class TestSharing:
 
 
 class TestBindFlow:
-    def test_bound_flow_overrides_hash(self):
-        sim, pacer = make(planes=2, burst_bytes=4096)
-        # Flow 3 would hash to plane 1; pin it to plane 0 instead.
-        pacer.bind_flow(3, 0)
-        assert pacer.plane_of(3) == 0
-        pacer.reserve(4096, flow=0)  # plane 0 burst spent
-        wait = pacer.reserve(4096, flow=3)
-        assert wait > 0  # shares plane 0's bucket, not plane 1's
-
     def test_unbound_flows_hash(self):
         sim, pacer = make(planes=2)
         assert pacer.plane_of(2) == 0
         assert pacer.plane_of(3) == 1
-
-    def test_bind_flow_validates_plane(self):
-        sim, pacer = make(planes=2)
-        with pytest.raises(ConfigError):
-            pacer.bind_flow(0, 2)
-        with pytest.raises(ConfigError):
-            pacer.bind_flow(0, -1)
 
 
 class TestSignals:

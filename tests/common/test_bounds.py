@@ -167,7 +167,6 @@ TABLES: dict[type, dict[str, str]] = {
         "quota_bps": "> 0 or None",
         "goodput_fraction": "in (0, 1] or None",
         "delivery_ratio": "in (0, 1] or None",
-        "p99_completion_s": "> 0 or None",
         "max_retx_overhead": "in (0, 1] or None",
         "error_budget": "in (0, 1]",
     },

@@ -11,7 +11,7 @@ import pytest
 from repro import stack
 from repro.common.config import ChannelConfig, DpaConfig, SdrConfig
 from repro.common.units import KiB, MiB
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, FaultWindow
 from repro.sim.engine import Event, SimulationError, Simulator, Timer
 from repro.sim.profile import SimProfiler
 from repro.stack import Stack, build_pair
@@ -23,6 +23,29 @@ pytest.register_assert_rewrite("tests.claims")
 
 #: The fixtures hand out the public record under their older name.
 SdrPair = Stack
+
+
+def random_schedule(rng, *, rtt: float) -> FaultSchedule:
+    """Seeded random blackout / reorder windows (the chaos-fuzz axis):
+    one to three, each starting within the first 60 RTTs.
+
+    Windows are short relative to the horizon so that a retry budget of
+    default size always outlives them -- the fuzz invariant stays
+    "eventual delivery", never "clean failure".
+    """
+    windows = []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = ["blackout", "reorder"][int(rng.integers(0, 2))]
+        start = float(rng.uniform(0.0, 60.0 * rtt))
+        end = start + float(rng.uniform(1.0, 10.0)) * rtt
+        if kind == "blackout":
+            windows.append(FaultWindow(kind="blackout", start=start, end=end))
+        else:
+            windows.append(FaultWindow(
+                kind="reorder", start=start, end=end,
+                delay_jitter=float(rng.uniform(0.1, 2.0)) * rtt,
+            ))
+    return FaultSchedule(windows=tuple(windows), name="random")
 
 
 def all_of(sim, events):

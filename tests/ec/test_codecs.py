@@ -169,11 +169,6 @@ class TestCodecInterface:
         with pytest.raises(ConfigError):
             register_codec("mds", XorCode)
 
-    def test_parity_ratio_and_rate(self):
-        code = get_codec("mds", 32, 8)
-        assert code.parity_ratio == 4.0
-        assert code.rate == pytest.approx(0.8)
-
     def test_stats_accumulate(self):
         code = get_codec("mds", 4, 2)
         data = random_data(4, 32, seed=11)

@@ -6,18 +6,13 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.ec.sampling import (
-    detection_probability,
-    draw_probes,
-    miss_probability,
-    probes_for_confidence,
-)
+from repro.ec.sampling import draw_probes, miss_probability
 
 
 class TestMissProbability:
     def test_a_zero_gap_is_never_detected_however_many_probes(self):
         assert miss_probability(4, 0, 9) == 1.0
-        assert detection_probability(4, 0, 4) == 0.0
+        assert miss_probability(4, 0, 4) == 1.0
 
     def test_more_probes_than_present_chunks_always_detect(self):
         assert miss_probability(4, 1, 4) == 0.0
@@ -34,24 +29,6 @@ class TestMissProbability:
     def test_refusals(self, population, missing, probes, message):
         with pytest.raises(ConfigError, match=message):
             miss_probability(population, missing, probes)
-
-
-class TestProbesForConfidence:
-    def test_a_gap_that_needs_every_chunk_probed_gets_a_full_scan(self):
-        # One missing chunk in four: three probes find it w.p. 3/4 only.
-        assert detection_probability(4, 1, 3) == pytest.approx(0.75)
-        assert probes_for_confidence(4, 1, 0.9) == 4
-        assert probes_for_confidence(4, 1, 0.75) == 3
-        assert probes_for_confidence(1, 1, 0.5) == 1
-
-    @pytest.mark.parametrize("confidence", [0.0, 1.0])
-    def test_a_confidence_outside_the_open_unit_interval_is_refused(self, confidence):
-        with pytest.raises(ConfigError, match=f"confidence must be in \\(0, 1\\), got {confidence}"):
-            probes_for_confidence(8, 1, confidence)
-
-    def test_a_zero_gap_is_refused(self):
-        with pytest.raises(ConfigError, match="a zero-chunk gap can never be detected"):
-            probes_for_confidence(8, 0, 0.9)
 
 
 class TestDrawProbes:

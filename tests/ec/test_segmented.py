@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, DecodeFailure
-from repro.ec import ReedSolomonCode, SegmentedCode, SegmentLayout, XorCode
+from repro.ec import ReedSolomonCode, SegmentedCode, SegmentLayout
 
 
 def payload_of(length: int, seed: int = 0) -> bytes:
@@ -147,18 +147,6 @@ class TestRoundtrip:
         del chunks[layout.nchunks + 1 * 2]
         with pytest.raises(DecodeFailure, match="segment 1"):
             code.decode(length, chunks)
-
-    def test_iter_encode_streams_all_segments(self):
-        code = SegmentedCode(XorCode(4, 2), chunk_bytes=8)
-        payload = payload_of(100, seed=13)
-        layout = code.layout(100)
-        pairs = list(code.iter_encode(payload, 100))
-        assert [seg for seg, _ in pairs] == list(range(layout.nsegments))
-        for seg, parity in pairs:
-            assert parity.shape == (2, 8)
-            assert np.array_equal(
-                parity, code.encode_segment(payload, layout, seg)
-            )
 
     def test_payload_length_mismatch(self):
         code = SegmentedCode(ReedSolomonCode(4, 2), chunk_bytes=16)

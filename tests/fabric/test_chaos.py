@@ -2,14 +2,12 @@
 
 The headline robustness pins live here: with dual-homed hosts and the
 edge-health monitor, flows survive a ToR crash and a WAN flap with zero
-loss; with static routing the same chaos kills every affected flow; a
-full core partition fails cleanly with :class:`DeliveryError` bitmaps;
-and chaos that is constructed but disarmed leaves same-seed traces
-byte-identical to a fault-free run.
+loss; with static routing the same chaos kills every affected flow;
+and a full core partition fails cleanly with :class:`DeliveryError`
+bitmaps.
 """
 
 import dataclasses
-import io
 
 import pytest
 
@@ -31,10 +29,9 @@ from repro.fabric import (
 )
 from repro.fabric.health import HALF_OPEN, OPEN
 from repro.faults import FaultSchedule, FaultWindow, FaultyChannel
-from repro.faults.inject import install_edge_faults, uninstall_edge_faults
+from repro.faults.inject import install_edge_faults
 from repro.net.packet import Opcode, Packet
 from repro.sim.engine import Simulator
-from repro.telemetry import JsonlSink, Telemetry
 
 HOST = ChannelConfig(bandwidth_bps=25e9, distance_km=0.05)
 WAN = ChannelConfig(bandwidth_bps=10e9, distance_km=100.0)
@@ -101,33 +98,32 @@ class TestFabricSchedules:
 
 
 class TestInstallFabricFaults:
-    @pytest.mark.parametrize("call", [install_edge_faults, uninstall_edge_faults])
+    @pytest.mark.parametrize("call", [install_edge_faults])
     def test_an_edge_the_topology_lacks_is_refused(self, call):
         _, network = make_network()
-        args = (FaultSchedule(()),) if call is install_edge_faults else ()
         with pytest.raises(ConfigError, match="no edge 'h0-0' -> 'tor1'"):
-            call(network, "h0-0", "tor1", *args)
+            call(network, "h0-0", "tor1", FaultSchedule(()))
         assert not any(isinstance(c, FaultyChannel) for c in network.channels.values())
 
     def test_node_crash_expands_to_incident_edges(self):
         _, network = make_network()
-        plane = install_fabric_faults(
+        wrappers = install_fabric_faults(
             network,
             FaultSchedule(
                 (FaultWindow(kind="node_crash", start=0.0, node="tor0"),)
             ),
         )
         # tor0's links: its host, plus one uplink to each core router.
-        assert plane.links == [
+        assert list(wrappers) == [
             ("h0-0", "tor0"), ("tor0", "wan0"), ("tor0", "wan1"),
         ]
-        for u, v in plane.links:
+        for u, v in wrappers:
             assert isinstance(network.channels[(u, v)], FaultyChannel)
             assert isinstance(network.channels[(v, u)], FaultyChannel)
 
     def test_edge_down_targets_one_link(self):
         _, network = make_network()
-        plane = install_fabric_faults(
+        wrappers = install_fabric_faults(
             network,
             FaultSchedule(
                 (
@@ -138,12 +134,12 @@ class TestInstallFabricFaults:
                 )
             ),
         )
-        assert plane.links == [("tor0", "wan0")]
+        assert list(wrappers) == [("tor0", "wan0")]
         assert not isinstance(network.channels[("tor0", "wan1")], FaultyChannel)
 
     def test_windows_on_one_link_merge_sorted(self):
         _, network = make_network()
-        plane = install_fabric_faults(
+        wrappers = install_fabric_faults(
             network,
             FaultSchedule(
                 (
@@ -156,7 +152,7 @@ class TestInstallFabricFaults:
                 )
             ),
         )
-        fwd, _rev = plane.wrappers[("tor0", "wan0")]
+        fwd, _rev = wrappers[("tor0", "wan0")]
         starts = [w.start for w in fwd.schedule.windows]
         assert starts == sorted(starts) == [1.0, 5.0]
 
@@ -193,33 +189,6 @@ class TestInstallFabricFaults:
         with pytest.raises(ConfigError, match="already"):
             install_fabric_faults(network, schedule)
 
-    def test_uninstall_restores_channels_and_is_idempotent(self):
-        _, network = make_network()
-        original = dict(network.channels)
-        plane = install_fabric_faults(
-            network,
-            FaultSchedule(
-                (FaultWindow(kind="node_crash", start=0.0, node="tor0"),)
-            ),
-        )
-        assert plane.uninstall() == 3
-        assert network.channels == original
-        assert plane.uninstall() == 0  # second pass: nothing left to unwrap
-
-    def test_disarmed_blackout_delivers(self):
-        sim, network = make_network()
-        plane = install_fabric_faults(
-            network,
-            FaultSchedule(
-                (FaultWindow(kind="node_crash", start=0.0, node="wan0"),)
-            ),
-        )
-        plane.disarm()
-        got = []
-        network.send("h0-0", "h1-0", wpkt(network.sim), got.append)
-        sim.run()
-        assert len(got) == 1  # the wrapper is a pure passthrough
-
 
 class TestEdgeHealthMonitor:
     def test_registers_on_network(self):
@@ -228,12 +197,6 @@ class TestEdgeHealthMonitor:
         assert network.health is monitor
         assert monitor.excluded() == frozenset()
         assert monitor.states() == {}
-
-    def test_unknown_edge_state_rejected(self):
-        _, network = make_network()
-        monitor = EdgeHealthMonitor(network)
-        with pytest.raises(ConfigError, match="no edge"):
-            monitor.state("tor0", "tor1")
 
     def test_rto_signals_counted(self):
         _, network = make_network()
@@ -261,7 +224,7 @@ class TestEdgeHealthMonitor:
                 lambda: network.send("h0-0", "h1-0", wpkt(network.sim), lambda pkt: None),
             )
         sim.run()
-        assert monitor.state("tor0", "wan0") in (OPEN, HALF_OPEN)
+        assert monitor.states()[("tor0", "wan0")] in (OPEN, HALF_OPEN)
         # Tripped edge leaves the route: traffic detours over wan1.
         assert network.route("h0-0", "h1-0") == (
             "h0-0", "tor0", "wan1", "tor1", "h1-0",
@@ -436,24 +399,6 @@ class TestChaosScenarios:
         assert first.completed == second.completed
         assert first.drained_at == second.drained_at
         assert first.reroute == second.reroute
-
-    def _traced(self, config):
-        buf = io.StringIO()
-        telemetry = Telemetry(trace=True, trace_sinks=[JsonlSink(buf)])
-        result = chaos_scenario(config, telemetry=telemetry)
-        return result, buf.getvalue()
-
-    def test_disarmed_chaos_is_byte_identical_to_fault_free(self):
-        baseline, base_trace = self._traced(
-            dataclasses.replace(SMALL, schedule=None)
-        )
-        disarmed, disarmed_trace = self._traced(
-            dataclasses.replace(SMALL, schedule="tor_crash", enabled=False)
-        )
-        assert base_trace  # the runs actually traced something
-        assert disarmed_trace == base_trace
-        assert disarmed.digest == baseline.digest
-        assert disarmed.survival == 1.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="schedule must be one of"):

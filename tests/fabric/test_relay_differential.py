@@ -26,7 +26,7 @@ from repro.common.config import ChannelConfig
 from repro.common.errors import ConfigError
 from repro.fabric.topology import FabricNetwork, _Transit, two_tier
 from repro.faults import FaultSchedule, FaultWindow
-from repro.faults.inject import install_edge_faults, uninstall_edge_faults
+from repro.faults.inject import install_edge_faults
 from repro.net.packet import Opcode, Packet
 from repro.sim.engine import Simulator
 from repro.telemetry import RingBufferSink, Telemetry
@@ -99,6 +99,17 @@ FAULTS = (
 )
 
 
+def _unfault(network, u: str, v: str) -> None:
+    """Take ``install_edge_faults`` off the ``u`` <-> ``v`` edge: each
+    direction's inner channel is re-bound with its own loss model and sink."""
+    for key in ((u, v), (v, u)):
+        wrapper = network.channels[key]
+        inner = wrapper.inner
+        inner.loss = inner.loss.base
+        inner.attach_sink(wrapper._downstream)
+        network.replace_channel(key, inner)
+
+
 def _network(cls, host: ChannelConfig, wan: ChannelConfig, seed: int):
     ring = RingBufferSink(capacity=1 << 16)
     sim = Simulator(telemetry=Telemetry(trace=True, trace_sinks=[ring]))
@@ -150,7 +161,7 @@ def _run(cls, host, wan, seed, ops):
         u, v = FAULT_EDGES[k % len(FAULT_EDGES)]
         if (u, v) in faulted:
             faulted.discard((u, v))
-            uninstall_edge_faults(network, u, v)
+            _unfault(network, u, v)
         else:
             faulted.add((u, v))
             window = FAULTS[(k // len(FAULT_EDGES)) % len(FAULTS)]
@@ -252,7 +263,7 @@ class TestRebindInFlight:
         got = _one_packet(
             cls,
             before=lambda net: install_edge_faults(net, "wan0", "tor1", BLACKOUT),
-            during=lambda net: uninstall_edge_faults(net, "wan0", "tor1"),
+            during=lambda net: _unfault(net, "wan0", "tor1"),
         )
         assert len(got) == 1
 

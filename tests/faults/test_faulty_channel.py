@@ -12,9 +12,7 @@ from repro.faults import (
     FaultWindow,
     install_dpa_faults,
     install_link_faults,
-    link_faults,
     packet_class,
-    uninstall_link_faults,
 )
 from repro.net.multipath import connect_bonded
 from repro.net.packet import Opcode, Packet
@@ -228,6 +226,31 @@ class TestInstallation:
         with pytest.raises(ConfigError):
             install_link_faults(fabric, a, b, sched)
 
+    def test_a_link_named_in_reverse_order_keeps_the_schedule_on_that_direction(self):
+        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
+        sim = Simulator()
+        fabric = Fabric(sim, seed=0)
+        a, b = fabric.add_device("a"), fabric.add_device("b")
+        fabric.connect(a, b, ChannelConfig(distance_km=100.0))
+        link = fabric.links[("a", "b")]
+        orig_fwd, orig_rev = link.forward, link.reverse
+        b_to_a, a_to_b = install_link_faults(fabric, b, a, sched)
+        assert (b_to_a.inner, a_to_b.inner) == (orig_rev, orig_fwd)
+        assert (link.forward, link.reverse) == (a_to_b, b_to_a)
+        assert b.link_to("a") is b_to_a
+
+    def test_a_bonded_link_records_its_wrappers(self):
+        sim = Simulator()
+        fabric = Fabric(sim, seed=0)
+        a, b = fabric.add_device("a"), fabric.add_device("b")
+        connect_bonded(fabric, a, b, ChannelConfig(distance_km=100.0), planes=2)
+        orig = fabric.links[("a", "b")]
+        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
+        fwd, rev = install_link_faults(fabric, a, b, sched)
+        assert (fwd.inner, rev.inner) == orig
+        assert fabric.links[("a", "b")] == (fwd, rev)
+        assert a.link_to("b") is fwd
+
     def test_dpa_install_validates_worker_index(self):
         sim = Simulator()
         engine = DpaEngine(sim, DpaConfig(worker_threads=2))
@@ -237,92 +260,6 @@ class TestInstallation:
         )
         with pytest.raises(ConfigError):
             install_dpa_faults(sim, engine, sched)
-
-
-class TestUninstall:
-    """Satellite: ``uninstall_link_faults`` restores the original links."""
-
-    def _fabric(self, sched):
-        sim = Simulator()
-        fabric = Fabric(sim, seed=0)
-        a = fabric.add_device("a")
-        b = fabric.add_device("b")
-        cfg = ChannelConfig(
-            bandwidth_bps=100e9, distance_km=100.0, mtu_bytes=4 * KiB
-        )
-        fabric.connect(a, b, cfg)
-        return sim, fabric, a, b
-
-    def test_uninstall_restores_original_links(self):
-        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
-        sim, fabric, a, b = self._fabric(sched)
-        link = fabric.links[("a", "b")]
-        orig_fwd, orig_rev = link.forward, link.reverse
-        install_link_faults(fabric, a, b, sched)
-        assert fabric.links[("a", "b")].forward is not orig_fwd
-        assert uninstall_link_faults(fabric, a, b) is True
-        assert fabric.links[("a", "b")].forward is orig_fwd
-        assert fabric.links[("a", "b")].reverse is orig_rev
-        assert a.link_to("b") is orig_fwd
-        # Idempotent: a second uninstall has nothing to remove.
-        assert uninstall_link_faults(fabric, a, b) is False
-
-    def test_traffic_is_fault_free_after_uninstall(self):
-        """QPs that cached the wrapper keep working: a disarmed wrapper is
-        a passthrough, so a permanent blackout stops mattering."""
-        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
-        sim, fabric, a, b = self._fabric(sched)
-        fwd, _rev = install_link_faults(fabric, a, b, sched)
-        got = []
-        fwd.attach_sink(lambda p: got.append(p.psn))
-        fwd.transmit(data_pkt(0))
-        sim.run()
-        assert got == []  # blackout eats it
-        uninstall_link_faults(fabric, a, b)
-        # Uninstall re-pointed the inner channel at the device RX; observe
-        # the restored link directly.  The cached wrapper is a passthrough.
-        inner = fabric.links[("a", "b")].forward
-        inner.attach_sink(lambda p: got.append(p.psn))
-        fwd.transmit(data_pkt(1))
-        sim.run()
-        assert got == [1]
-        reg = sim.telemetry.metrics
-        assert reg.value(f"faults.{fwd.name}.fault_drops") == 1
-
-    def test_a_link_named_in_reverse_order_keeps_the_schedule_on_that_direction(self):
-        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
-        sim, fabric, a, b = self._fabric(sched)
-        link = fabric.links[("a", "b")]
-        orig_fwd, orig_rev = link.forward, link.reverse
-        b_to_a, a_to_b = install_link_faults(fabric, b, a, sched)
-        assert (b_to_a.inner, a_to_b.inner) == (orig_rev, orig_fwd)
-        assert (link.forward, link.reverse) == (a_to_b, b_to_a)
-        assert b.link_to("a") is b_to_a
-        assert uninstall_link_faults(fabric, b, a) is True
-        assert (link.forward, link.reverse) == (orig_fwd, orig_rev)
-        assert b.link_to("a") is orig_rev
-
-    def test_uninstall_restores_a_bonded_link(self):
-        sim = Simulator()
-        fabric = Fabric(sim, seed=0)
-        a, b = fabric.add_device("a"), fabric.add_device("b")
-        connect_bonded(fabric, a, b, ChannelConfig(distance_km=100.0), planes=2)
-        orig = fabric.links[("a", "b")]
-        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
-        fwd, rev = install_link_faults(fabric, a, b, sched)
-        assert fabric.links[("a", "b")] == (fwd, rev)
-        assert uninstall_link_faults(fabric, a, b) is True
-        assert fabric.links[("a", "b")] == orig
-        assert a.link_to("b") is orig[0]
-
-    def test_context_manager_round_trips(self):
-        sched = FaultSchedule((FaultWindow(kind="blackout", start=0.0),))
-        sim, fabric, a, b = self._fabric(sched)
-        link = fabric.links[("a", "b")]
-        orig_fwd = link.forward
-        with link_faults(fabric, a, b, sched) as (fwd, rev):
-            assert fabric.links[("a", "b")].forward is fwd
-        assert fabric.links[("a", "b")].forward is orig_fwd
 
 
 class TestPlaneScopedWindows:
@@ -351,8 +288,8 @@ class TestPlaneScopedWindows:
             fwd.transmit(data_pkt(psn))
         sim.run()
         assert got == [1, 3, 5, 7]
-        assert fwd.planes[0].stats.packets_dropped == 4
-        assert fwd.planes[1].stats.packets_dropped == 0
+        assert fwd.inner.planes[0].stats.packets_dropped == 4
+        assert fwd.inner.planes[1].stats.packets_dropped == 0
 
     def test_plane_window_on_plain_link_rejected(self):
         sched = FaultSchedule(

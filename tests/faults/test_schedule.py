@@ -15,6 +15,8 @@ from repro.faults import (
     named_schedule,
 )
 
+from tests.conftest import random_schedule
+
 RTT = 10e-3
 
 
@@ -103,18 +105,14 @@ class TestFaultSchedule:
             FaultSchedule(("blackout",))
 
     def test_random_is_deterministic(self):
-        a = FaultSchedule.random(np.random.default_rng(7), rtt=RTT)
-        b = FaultSchedule.random(np.random.default_rng(7), rtt=RTT)
+        a = random_schedule(np.random.default_rng(7), rtt=RTT)
+        b = random_schedule(np.random.default_rng(7), rtt=RTT)
         assert a == b
         assert 1 <= len(a.windows) <= 3
         for w in a.windows:
             assert w.kind in ("blackout", "reorder")
             assert math.isfinite(w.end)
             assert RTT <= (w.end - w.start) <= 10 * RTT
-
-    def test_random_validates_rtt(self):
-        with pytest.raises(ConfigError):
-            FaultSchedule.random(np.random.default_rng(0), rtt=0.0)
 
 
 class TestNamedSchedules:

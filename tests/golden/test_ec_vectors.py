@@ -77,7 +77,8 @@ def _segmented() -> dict:
     layout = code.layout(length)
     chunks: dict[int, np.ndarray] = {}
     parity_hash = hashlib.sha256()
-    for seg, parity in code.iter_encode(payload, length):
+    for seg in range(layout.nsegments):
+        parity = code.encode_segment(payload, layout, seg)
         parity_hash.update(np.ascontiguousarray(parity).tobytes())
         start, real = layout.chunk_range(seg)
         data = code.segment_data(payload, layout, seg)

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.units import distance_to_rtt
-from repro.ec.sampling import miss_probability, probes_for_confidence
+from repro.ec.sampling import miss_probability
 from repro.experiments.fig09 import CHUNK, DEFAULT_DROPS, DEFAULT_SIZES, PPC
 from repro.models.decode_prob import (
     p_decode_mds,
@@ -51,10 +51,9 @@ DECODE = {"mds": p_decode_mds, "xor": p_decode_xor, "rs2d": p_decode_rs2d}
 #: Fig 11's extra drop rate on top of the Fig 9 columns.
 DROPS = sorted({*DEFAULT_DROPS, 5e-2})
 
-#: Sampling tables: (population, missing) rows x probe counts / confidences.
+#: Sampling table: (population, missing) rows x probe counts.
 POPULATIONS = ((16, 1), (64, 1), (64, 8), (1024, 1), (1024, 32), (16384, 164))
 PROBES = (0, 1, 2, 4, 8, 16, 64)
-CONFIDENCES = (0.5, 0.9, 0.99, 0.999999)
 
 
 #: Fig 9's link at each packet drop rate.
@@ -112,21 +111,12 @@ def _miss_table() -> dict:
     }
 
 
-def _probes_table() -> dict:
-    return {
-        f"n={n},g={g},c={c:g}": probes_for_confidence(n, g, c)
-        for n, g in POPULATIONS
-        for c in CONFIDENCES
-    }
-
-
 def tables() -> dict:
     return {
         **_decode_tables(),
         "p_fallback": _fallback_table(),
         "ec_expected_completion": _completion_table(),
         "miss_probability": _miss_table(),
-        "probes_for_confidence": _probes_table(),
     }
 
 
@@ -148,7 +138,7 @@ def test_every_table_is_recorded(computed, recorded):
     "table",
     [
         "p_decode_mds", "p_decode_xor", "p_decode_rs2d", "p_fallback",
-        "ec_expected_completion", "miss_probability", "probes_for_confidence",
+        "ec_expected_completion", "miss_probability",
     ],
 )
 def test_values_match_the_recorded_commit_bit_for_bit(table, computed, recorded):
@@ -164,8 +154,6 @@ def test_recorded_values_are_probabilities_and_times(recorded):
     base = PARAMS[1e-8].rtt
     for key, value in recorded["ec_expected_completion"].items():
         assert float.fromhex(value) > base, key
-    for key, probes in recorded["probes_for_confidence"].items():
-        assert probes >= 1, key
 
 
 if __name__ == "__main__":

@@ -86,9 +86,7 @@ class TestMaskingGain:
         assert gain > 2.0
 
     def test_a_lossless_chain_masks_nothing(self):
-        assert ge_chunk_drop_probability(64, p_good=0.0, p_bad=0.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert ge_chunk_drop_probability(64, p_good=0.0, p_bad=0.0) == 0.0
 
     def test_gain_is_one_for_iid(self):
         gain = masking_gain(64, p_good=0.01, p_bad=0.01, p_gb=0.5, p_bg=0.5)

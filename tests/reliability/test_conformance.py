@@ -27,7 +27,7 @@ from repro.reliability.sr import SrConfig
 from repro.stack import endpoints
 from repro.telemetry import JsonlSink, RingBufferSink, Telemetry
 
-from tests.conftest import make_sdr_pair
+from tests.conftest import drains_within, make_sdr_pair
 from tests.reliability.conftest import random_payload
 
 SIZE = 256 * KiB  # 32 chunks of 8 KiB
@@ -181,6 +181,26 @@ def test_dead_data_path_fails_both_sides_cleanly(scheme, chaos_seed):
     posted = [e for e in events if e.name == "tx" and e.args.get("attempt") == 0]
     spans = {e.args["seq"] for e in events if e.name == "send_inject"}
     assert spans and spans >= {e.args["msg"] for e in posted}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 24(c): a write shorter than its receive is never refused",
+)
+@pytest.mark.parametrize("scheme", ["ec", "sampling", "sr"])
+def test_a_write_shorter_than_its_receive_is_refused_on_both_sides(scheme):
+    """A 128 KiB write into a 256 KiB receive: every chunk of the write
+    arrives, and both tickets still end at once, each in a refusal that
+    names both lengths."""
+    pair = make_sdr_pair()
+    tx_end, rx_end = _scheme(scheme)(pair)
+    rx = rx_end.post_receive(pair.ctx_b.mr_reg(SIZE), SIZE)
+    tx = tx_end.write(SIZE // 2)
+    drains_within(pair.sim, dispatches=20_000, sim_seconds=0.1)
+    for ticket in (tx, rx):
+        assert ticket.done.triggered and not ticket.done.ok
+        with pytest.raises(DeliveryError, match=f"{SIZE // 2}.*{SIZE}|{SIZE}.*{SIZE // 2}"):
+            ticket.done.value
 
 
 @pytest.mark.parametrize("scheme", RESUMABLE)

@@ -12,11 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.units import KiB, distance_to_rtt
-from repro.faults import FaultSchedule
 from repro.reliability.ec import EcConfig, EcReceiver, EcSender
 from repro.reliability.sr import SrConfig, SrReceiver, SrSender
 
-from tests.conftest import make_sdr_pair
+from tests.conftest import make_sdr_pair, random_schedule
 
 
 def _payload(size, seed):
@@ -78,11 +77,11 @@ def test_sr_always_delivers(drop, jitter, duplicate, size_kib, nack, seed):
 def test_sr_delivers_under_random_fault_schedules(drop, size_kib, nack, seed):
     """Fault-schedule fuzz axis: seeded random blackout/reorder windows.
 
-    :meth:`FaultSchedule.random` keeps every window short relative to the
+    :func:`tests.conftest.random_schedule` keeps every window short relative to the
     horizon, so the invariant stays eventual delivery, never clean failure.
     """
     rtt = distance_to_rtt(100.0)  # make_sdr_pair's default link
-    schedule = FaultSchedule.random(np.random.default_rng(seed), rtt=rtt)
+    schedule = random_schedule(np.random.default_rng(seed), rtt=rtt)
     pair = make_sdr_pair(drop=drop, seed=seed, faults=schedule)
     cfg = SrConfig(
         nack_enabled=nack,

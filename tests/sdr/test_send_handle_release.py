@@ -4,7 +4,8 @@ injected" and "stream ended" comes last.
 The lifecycle tests pin the retire rule the send-CQ drain spells out inline
 (``SendHandle.poll``: ended and every posted packet injected) on both
 paths that retire a handle: the send-CQ drain and ``send_stream_end``
-after the last injection CQE.  After each, no handle is left on the QP and ``done()`` fired exactly once.
+after the last injection CQE.  After each, no handle is left on the QP and
+its ``send_inject`` span was emitted exactly once.
 """
 
 from repro.common.units import KiB
@@ -32,10 +33,9 @@ def test_end_after_the_last_injection_drops_the_handle(sdr_pair):
     p.sim.run(until=p.channel.rtt * 3)
     assert sh.packets_injected == sh.packets_posted
     assert sh.seq in p.qp_a._send_handles  # still open: more may be posted
-    fired = sh.done()
     p.qp_a.send_stream_end(sh)
     p.sim.run()
-    assert sh.poll() and fired.ok
+    assert sh.poll()
     assert not p.qp_a._send_handles
 
 
@@ -59,7 +59,7 @@ def test_one_shot_send_drops_its_handle(sdr_pair):
     assert not p.qp_a._send_handles
 
 
-# -- lifecycle: one retirement, one done() and one span per handle ------------
+# -- lifecycle: one retirement and one span per handle ------------------------
 
 
 def _traced_pair():
@@ -68,54 +68,36 @@ def _traced_pair():
     return p, ring
 
 
-def _watch(p, sh) -> list:
-    """Every firing of ``sh.done()``, as the handles it fired with."""
-    fired: list = []
-    sh.done().callbacks.append(lambda ev: fired.append(ev.value))
-    return fired
+def _spans(ring) -> list:
+    """The seq of every ``send_inject`` span emitted so far."""
+    return [e.args["seq"] for e in ring.events if e.name == "send_inject"]
 
 
-def _assert_retired_once(p, ring, handles, fired):
+def _assert_retired_once(p, ring, handles):
     assert not p.qp_a._send_handles
-    for sh, hits in zip(handles, fired):
+    for sh in handles:
         assert sh.poll() and sh.packets_injected == sh.packets_posted
-        assert hits == [sh]
-    spans = [e.args["seq"] for e in ring.events if e.name == "send_inject"]
-    assert sorted(spans) == [sh.seq for sh in handles]
+    assert sorted(_spans(ring)) == [sh.seq for sh in handles]
 
 
 def test_lifecycle_packet_mode_drain():
     """One-shot sends end before their CQEs land: the drain retires them."""
     p, ring = _traced_pair()
-    handles, fired = [], []
+    handles = []
     for _ in range(3):
         mr = p.ctx_b.mr_reg(SIZE)
         p.qp_b.recv_post(SdrRecvWr(mr=mr, length=SIZE))
-        sh = p.qp_a.send_post(SdrSendWr(length=SIZE))
-        handles.append(sh)
-        fired.append(_watch(p, sh))
+        handles.append(p.qp_a.send_post(SdrSendWr(length=SIZE)))
     p.sim.run()
     assert p.qp_a.send_cq.sim.telemetry.metrics.value(f"cq.{p.qp_a.send_cq.name}.cqes_posted") == 3 * SIZE // (4 * KiB)
-    _assert_retired_once(p, ring, handles, fired)
+    _assert_retired_once(p, ring, handles)
 
 
 def test_lifecycle_stream_end_after_the_last_injection_cqe():
     p, ring = _traced_pair()
     sh = _stream(p)
-    fired = _watch(p, sh)
     p.sim.run(until=p.channel.rtt * 3)
-    assert sh.packets_injected == sh.packets_posted and not fired
+    assert sh.packets_injected == sh.packets_posted and not _spans(ring)
     p.qp_a.send_stream_end(sh)
     p.sim.run()
-    _assert_retired_once(p, ring, [sh], [fired])
-
-
-def test_done_taken_after_retirement_fires_once():
-    p, ring = _traced_pair()
-    mr = p.ctx_b.mr_reg(SIZE)
-    p.qp_b.recv_post(SdrRecvWr(mr=mr, length=SIZE))
-    sh = p.qp_a.send_post(SdrSendWr(length=SIZE))
-    p.sim.run()
-    fired = _watch(p, sh)  # the handle is already retired
-    p.sim.run()
-    _assert_retired_once(p, ring, [sh], [fired])
+    _assert_retired_once(p, ring, [sh])

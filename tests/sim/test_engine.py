@@ -595,7 +595,8 @@ class TestRunVersusStep:
         drive(sim)
         series = {
             name: list(zip(sampler.series(name).times, sampler.series(name).values))
-            for name in sampler.names()
+            for name in sim.telemetry.metrics.names()
+            if sampler.series(name) is not None
         }
         categories = sorted(
             (c["category"], c["events"]) for c in profiler.report()["categories"]

@@ -159,14 +159,6 @@ class TestReport:
         assert report["events_per_second"] == 0.0
         assert report["categories"] == []
 
-    def test_table_renders_hotspots(self):
-        sim, profiler = _profiled_sim()
-        sim.call_at(1.0, lambda: None)
-        sim.run()
-        out = profiler.table().render()
-        assert "DES self-profile" in out
-        assert "share" in out
-
 
 class TestNonPerturbation:
     def test_profiled_run_is_byte_identical(self):

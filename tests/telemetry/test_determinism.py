@@ -74,7 +74,7 @@ class TestSamplerDeterminism:
         assert sampler_a.windows_closed > 0
         assert trace_a == trace_b
         assert snap_a == snap_b
-        for name in sampler_a.names():
+        for name in (n for n in snap_a if sampler_a.series(n) is not None):
             a, b = sampler_a.series(name), sampler_b.series(name)
             assert list(zip(a.times, a.values)) == (
                 list(zip(b.times, b.values))

@@ -17,7 +17,6 @@ from repro.reliability.gbn import GbnReceiver, GbnSender
 from repro.reliability.sr import SrConfig
 from repro.telemetry import (
     ATTRIBUTION_CATEGORIES,
-    LineageAnalyzer,
     RingBufferSink,
     SloConfig,
     Telemetry,
@@ -56,10 +55,7 @@ def produced_prefixes() -> set[str]:
             chunk_bytes=64 * KiB, telemetry=telemetry,
             faults=named_schedule("blackout", rtt=rtt),
         )
-        registry = result.telemetry.metrics
-        # lineage.* comes from trace post-processing, not a hot-path producer.
-        LineageAnalyzer.from_events(ring.events).publish(registry)
-        names.update(registry.names())
+        names.update(result.telemetry.metrics.names())
     # run_demo has no GBN mode; drive the baseline over a raw SDR pair.
     pair = make_sdr_pair(drop=0.01, seed=1)
     sender = GbnSender(pair.qp_a, pair.ctrl_a, SrConfig())

@@ -31,7 +31,6 @@ from repro.telemetry import (
     ATTRIBUTION_CATEGORIES,
     JsonlSink,
     LineageAnalyzer,
-    MetricsRegistry,
     RingBufferSink,
     Telemetry,
 )
@@ -198,19 +197,6 @@ class TestStragglersAndReporting:
         analyzer = LineageAnalyzer.from_events(ring.events)
         with pytest.raises(ConfigError):
             analyzer.stragglers(k=0.0)
-
-    def test_publish_exports_lineage_metrics(self):
-        _, ring = _traced_run()
-        analyzer = LineageAnalyzer.from_events(ring.events)
-        registry = MetricsRegistry()
-        analyzer.publish(registry)
-        names = registry.names("lineage")
-        assert "lineage.messages" in names
-        assert "lineage.stragglers" in names
-        assert "lineage.span_seconds" in names
-        for cat in ATTRIBUTION_CATEGORIES:
-            assert f"lineage.{cat}_seconds" in names
-        assert registry.value("lineage.messages") == len(analyzer.completed)
 
     def test_tables_render(self):
         _, ring = _traced_run(drop=0.02)

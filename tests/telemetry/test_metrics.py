@@ -140,11 +140,6 @@ class TestRegistry:
         assert c.name == "sr.dc-a.rto_fires"
         assert reg.get("sr.dc-a.rto_fires") is c
 
-    def test_nested_scopes(self):
-        reg = MetricsRegistry()
-        inner = reg.scope("verbs").scope("dev0")
-        assert inner.counter("x").name == "verbs.dev0.x"
-
     def test_names_prefix_filter_is_dotted(self):
         reg = MetricsRegistry()
         reg.counter("sr.dc-a.x")
@@ -209,7 +204,7 @@ class TestDisabledRegistry:
 
     def test_scopes_work_when_disabled(self):
         reg = MetricsRegistry(enabled=False)
-        c = reg.scope("x").scope("y").counter("z")
+        c = reg.scope("x.y").counter("z")
         assert c.name == "x.y.z"
         c.value += 1
         assert c.value == 1

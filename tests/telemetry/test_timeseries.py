@@ -50,7 +50,6 @@ class TestSampling:
         sim.call_at(0.065, lambda: None)
         sim.run()
         series = sampler.series("app.bytes")
-        assert series.kind == "counter"
         # One cumulative point at each boundary.
         assert series.times[0] == pytest.approx(0.01)
         assert list(series.values) == [100, 200, 300, 400, 500, 500]
@@ -67,16 +66,6 @@ class TestSampling:
         points = list(zip(series.times, series.values))
         assert points[0] == (pytest.approx(0.01), 0)
         assert points[1] == (pytest.approx(0.02), 7)
-
-    def test_rates_use_actual_spacing(self):
-        sim, sampler = _armed_sim(window=0.5)
-        c = sim.telemetry.metrics.counter("app.bytes")
-        sim.call_at(0.2, lambda: c.inc(50))
-        sim.call_at(1.1, lambda: None)
-        sim.run()
-        rates = sampler.series("app.bytes").rates()
-        assert rates[0] == (pytest.approx(0.5), pytest.approx(100.0))
-        assert rates[1] == (pytest.approx(1.0), pytest.approx(0.0))
 
     def test_gauge_series_records_raw_values(self):
         sim, sampler = _armed_sim(window=0.01)
@@ -139,7 +128,7 @@ class TestSampling:
         assert metrics.value("timeseries.points_recorded") > 0
         # Watching everything ("") must still skip the sampler's own meta
         # metrics, or every window would dirty the registry it samples.
-        assert not any(n.startswith("timeseries") for n in sampler.names())
+        assert all(sampler.series(n) is None for n in metrics.names("timeseries"))
 
     def test_on_window_listener_sees_each_boundary(self):
         sim, sampler = _armed_sim(window=0.01)
@@ -151,10 +140,10 @@ class TestSampling:
 
 
 class TestDerivedViews:
-    def _series(self, values, kind="counter", window=1.0):
+    def _series(self, values, window=1.0):
         from repro.telemetry.timeseries import WindowedSeries
 
-        s = WindowedSeries("x", kind, capacity=16)
+        s = WindowedSeries("x", capacity=16)
         for i, v in enumerate(values):
             s.times.append((i + 1) * window)
             s.values.append(v)
@@ -182,25 +171,12 @@ class TestDerivedViews:
         s = self._series([])
         assert s.latest() is None
         assert s.delta_over(3) == 0.0
-        assert s.rates() == []
 
-    def test_histogram_window_diff(self):
+    def test_histograms_are_not_sampled(self):
         sim, sampler = _armed_sim(window=0.01)
-        h = sim.telemetry.metrics.histogram("app.lat")
-        sim.call_at(0.005, lambda: h.observe(0.001))
-        sim.call_at(0.015, lambda: [h.observe(0.004) for _ in range(99)])
+        sim.telemetry.metrics.histogram("app.lat").observe(0.001)
+        sim.telemetry.metrics.counter("app.bytes").inc()
         sim.call_at(0.035, lambda: None)
         sim.run()
-        series = sampler.series("app.lat")
-        last = series.histogram_window(1)
-        assert last.count == 0  # nothing observed in the final window
-        whole = series.histogram_window(100)
-        assert whole.count == 100
-        assert whole.mean == pytest.approx((0.001 + 99 * 0.004) / 100)
-        # Windowed p99 reflects only the diffed observations.
-        assert series.histogram_window(2).percentile(50) > 0.002
-
-    def test_histogram_window_on_scalar_series_rejected(self):
-        s = self._series([1, 2])
-        with pytest.raises(ConfigError):
-            s.histogram_window(1)
+        assert sampler.series("app.lat") is None
+        assert sampler.series("app.bytes").latest() == 1

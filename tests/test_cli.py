@@ -235,7 +235,11 @@ class TestExperiments:
         assert "Figure 12" in out
 
     def test_experiments_unknown_figure(self, capsys):
-        assert main(["experiments", "fig99"]) == 2
+        # Refused before any figure runs, as every CLI refusal: on stderr.
+        assert main(["experiments", "fig03", "fig99"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unknown experiment 'fig99'; choose from")
 
 
 class TestFabricChaos:
@@ -480,4 +484,4 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             runpy.run_module("repro.experiments", run_name="__main__")
         assert exit_info.value.code == 2
-        assert "unknown experiment 'fig99'" in capsys.readouterr().out
+        assert "error: unknown experiment 'fig99'" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.common.config import ChannelConfig, SdrConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB, distance_to_rtt
-from repro.faults import FaultSchedule, install_link_faults, named_schedule
+from repro.faults import install_link_faults, named_schedule
 from repro.net.multipath import connect_bonded
 from repro.reliability import SCHEMES, register_scheme
 from repro.reliability.base import ControlPath
@@ -38,7 +38,7 @@ from repro.stack import Stack, Wire, build_pair, endpoints, wire
 from repro.telemetry import JsonlSink, Telemetry
 from repro.verbs.device import Fabric
 
-from tests.conftest import make_sdr_pair
+from tests.conftest import make_sdr_pair, random_schedule
 from tests.reliability.conftest import random_payload
 
 RTT = distance_to_rtt(100.0)  # make_sdr_pair's default link
@@ -140,7 +140,7 @@ LINKS = {
     "plain": lambda seed: {},
     "planes2": lambda seed: {"planes": 2},
     "faulted": lambda seed: {
-        "faults": FaultSchedule.random(np.random.default_rng(seed), rtt=RTT)
+        "faults": random_schedule(np.random.default_rng(seed), rtt=RTT)
     },
 }
 

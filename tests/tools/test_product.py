@@ -94,3 +94,11 @@ def test_the_kinds_table_names_functions_that_exist():
     for name, (kind, reason) in rows.items():
         assert kind in product.KINDS, name
         assert reason.strip(), name
+
+
+def test_the_kinds_table_keeps_only_refusals_and_safety_code():
+    """API nothing in the product calls is deleted with its tests, not
+    filed: ``product.py`` fails on an ``api`` row, and so does this."""
+    rows = product.read_kinds()
+    assert sorted(n for n, (kind, _) in rows.items() if kind == "api") == []
+    assert {kind for kind, _ in rows.values()} <= {"refusal", "safety"}

@@ -12,21 +12,20 @@ class TestMemoryRegion:
         mr = MemoryRegion(16, data=buf)
         mr.write(4, 4, b"abcd")
         assert bytes(buf) == b"\x00" * 4 + b"abcd" + b"\x00" * 8
-        assert mr.read(4, 4) == b"abcd"
 
     def test_sized_mode_tracks_counters_only(self):
         mr = MemoryRegion(1024)
         mr.write(0, 512, None)
         assert mr.bytes_written == 512
         assert mr.write_count == 1
-        assert mr.read(0, 10) is None
+        assert not mr.payload_mode
 
     def test_bounds_enforced(self):
         mr = MemoryRegion(8)
         with pytest.raises(ResourceError):
             mr.write(4, 8, None)
         with pytest.raises(ResourceError):
-            mr.read(-1, 2)
+            mr.write(-1, 2, None)
 
     def test_length_data_mismatch(self):
         with pytest.raises(ConfigError):
@@ -42,10 +41,6 @@ class TestNullMr:
         null.write(10**12, 4096, b"\x00" * 4096)  # any offset is fine
         assert null.write_count == 1
         assert null.bytes_written == 4096
-
-    def test_read_rejected(self):
-        with pytest.raises(ResourceError):
-            NullMemoryRegion().read(0, 1)
 
 
 class TestIndirectTable:
