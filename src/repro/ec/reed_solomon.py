@@ -9,9 +9,23 @@ systematic by right-multiplying with the inverse of its top ``k x k`` block::
 Any ``k`` rows of ``G`` remain linearly independent (the MDS property), so
 the decoder can solve the surviving rows for the erased data and recover it
 from *any* k of the k+m coded chunks -- the behaviour
-``P(recovery) = P(drops <= m)`` that Appendix B models.  Encode and decode
-are each one call of the packed-lane row kernel
-(:func:`~repro.ec.gf256.gf_matmul_rows`), for even and odd chunk sizes alike.
+``P(recovery) = P(drops <= m)`` that Appendix B models.
+
+The parity block ``P = G[k:]`` is then normalized: column ``j`` is scaled
+by ``inv(P[0, j])``, so row 0 is all ones -- as in RAID's P parity and in
+ISA-L's ``gf_gen_rs_matrix`` -- and parity 0 is the XOR of the k data
+chunks.  The code stays MDS: ``[I; P]`` is MDS exactly when every square
+submatrix of ``P`` is nonsingular, and scaling a column by a nonzero element
+scales each such determinant by a nonzero factor (every ``P[0, j]`` is
+itself a 1 x 1 submatrix, so it is nonzero and invertible).
+
+Encode is one call of the packed-lane row kernel
+(:func:`~repro.ec.gf256.gf_apply_tables`) on tables built at construction.
+A decode that misses exactly one data chunk while parity 0 arrived -- the
+commonest erasure on a lossy link -- is parity 0 XOR the k-1 survivors: no
+table, no inverse, no gather.  Every other pattern solves the surviving
+rows with one :func:`~repro.ec.gf256.gf_matmul_rows` call, for even and odd
+chunk sizes alike.
 """
 
 from __future__ import annotations
@@ -21,7 +35,8 @@ import numpy as np
 from repro.common.errors import ConfigError, DecodeFailure
 from repro.ec.codec import ErasureCode, register_codec
 from repro.ec.gf256 import (
-    gf_apply_tables, gf_lane_tables, gf_mat_inv, gf_matmul, gf_matmul_rows, gf_pow,
+    gf_apply_tables, gf_inv, gf_lane_tables, gf_mat_inv, gf_matmul, gf_matmul_rows,
+    gf_pow,
 )
 
 
@@ -49,6 +64,10 @@ class ReedSolomonCode(ErasureCode):
         self.generator = gf_matmul(v, top_inv)
         if not np.array_equal(self.generator[: self.k], np.eye(k, dtype=np.uint8)):
             raise ConfigError("systematic construction failed")
+        # Column scaling keeps the code MDS (module docstring) and makes
+        # parity 0 the XOR of the data.
+        scale = np.diag([gf_inv(int(c)) for c in self.generator[k]]).astype(np.uint8)
+        self.generator[k:] = gf_matmul(self.generator[k:], scale)
         #: Parity rows of the generator: parity = P @ data.
         self.parity_matrix = self.generator[k:]
         #: Their lane tables, built once: every encode applies the same rows.
@@ -76,6 +95,22 @@ class ReedSolomonCode(ErasureCode):
             out[r] = chunks[r]
         if not missing:
             return out
+        if len(missing) == 1 and self.k in chunks:
+            # Parity 0 is the XOR of the data, so the one erased chunk is
+            # parity 0 XOR the k-1 survivors: :meth:`_solve` with an all-ones
+            # row and inv = [[1]], without tables or gathers.
+            out[missing[0]] = chunks[self.k]
+            out[missing[0]] = np.bitwise_xor.reduce(out, axis=0)
+        else:
+            out[missing] = self._solve(out, chunks, survivors, missing)
+        return out
+
+    def _solve(
+        self, out: np.ndarray, chunks: dict[int, np.ndarray],
+        survivors: list[int], missing: list[int],
+    ) -> np.ndarray:
+        """The erased data rows ``missing`` by the general GF(256) solve, from
+        the ``survivors`` rows of ``out`` and the parity in ``chunks``."""
         # Surviving data passes through, so only the e erased rows are solved
         # for.  With M the erased data indices, S the survivors and P the
         # first e surviving parity rows, G[P,S].d_S + G[P,M].d_M = c_P gives
@@ -86,10 +121,9 @@ class ReedSolomonCode(ErasureCode):
         rows = self.generator[parity]
         inv = gf_mat_inv(rows[:, missing])
         solve = np.concatenate([gf_matmul(inv, rows[:, survivors]), inv], axis=1)
-        out[missing] = gf_matmul_rows(
+        return gf_matmul_rows(
             solve, [out[r] for r in survivors] + [chunks[i] for i in parity]
         )
-        return out
 
 
 register_codec("mds", ReedSolomonCode)

@@ -11,7 +11,10 @@ held to a ceiling 10 % above the measured floor (CPython 3.11, NumPy
 its CQE's accounting are one heap entry, an SR chunk armed at or after
 the RTO horizon re-arms the clock without a wake, and the SDR send CQ
 counts an injection by ``wr_id`` (``UcQp._wr_counter``) instead
-of queueing a ``Cqe``; 56.63 / 52.63 / 79.48 (105,555, 124,101, 277,791)
+of queueing a ``Cqe``, and EC's 48.93 (115,379) since the MDS generator's
+parity block is normalized when the codec is built (the miniature writes
+sized payloads and never decodes, so only those 92 construction calls
+show); 56.63 / 52.63 / 79.48 (105,555, 124,101, 277,791)
 just before; 58.35 / 54.46 / 80.65 calls per packet (108,773 / 1,864,
 128,405 / 2,358, 281,855 / 3,495), EC's since its receiver wakes only on
 a chunk that can make its segment recoverable (55.67, 131,263, before),
